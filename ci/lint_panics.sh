@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Panic lint: forbid unwrap()/expect(/panic!( in non-test library code of
-# the panic-free crates (crates/artifact, crates/fp8, crates/tensor,
-# crates/nn, crates/core, crates/trace, crates/serve).
+# Panic lint: forbid unwrap()/expect(/panic!(/unreachable!(/todo!(/
+# unimplemented!( in non-test library code of the panic-free crates
+# (crates/artifact, crates/fp8, crates/tensor, crates/nn, crates/core,
+# crates/trace, crates/serve).
 #
 # The inference/PTQ stack guarantees a panic-free Result-based surface
 # (see DESIGN.md "Error handling"). This gate keeps it that way: any new
-# `unwrap()`, `.expect(...)` or `panic!(...)` under the crates listed in
+# `unwrap()`, `.expect(...)`, `panic!(...)`, `unreachable!(...)`,
+# `todo!(...)` or `unimplemented!(...)` under the crates listed in
 # the find below, outside `#[cfg(test)]` modules, fails
 # CI unless the line contains an allowlisted substring
 # (ci/panic_allowlist.txt) — in practice only the documented
@@ -27,7 +29,7 @@ fail=0
 for f in $(find crates/artifact/src crates/fp8/src crates/tensor/src crates/nn/src crates/core/src crates/trace/src crates/serve/src -name '*.rs' | sort); do
     # Strip the trailing #[cfg(test)] module, then scan for forbidden
     # patterns, keeping real line numbers.
-    matches=$(awk '/^#\[cfg\(test\)\]/{exit} /unwrap\(\)|\.expect\(|panic!\(/{print FILENAME":"FNR": "$0}' "$f" || true)
+    matches=$(awk '/^#\[cfg\(test\)\]/{exit} /unwrap\(\)|\.expect\(|panic!\(|unreachable!\(|todo!\(|unimplemented!\(/{print FILENAME":"FNR": "$0}' "$f" || true)
     [ -z "$matches" ] && continue
     while IFS= read -r line; do
         allowed=0
@@ -50,4 +52,4 @@ if [ "$fail" -ne 0 ]; then
     echo "panic!(\"{e}\"). See ci/panic_allowlist.txt." >&2
     exit 1
 fi
-echo "panic lint OK: no stray unwrap()/expect(/panic!( in artifact/fp8/tensor/nn/core/trace/serve"
+echo "panic lint OK: no stray panicking call in artifact/fp8/tensor/nn/core/trace/serve"

@@ -3,7 +3,7 @@
 //! shift quantization introduces (Sun et al. 2019).
 
 use crate::quantizer::QuantizedModel;
-use ptq_nn::{ExecHook, Node, Op, OpClass, PtqError, ValueId};
+use ptq_nn::{Binding, ExecHook, Node, Op, OpClass, PtqError, ValueId};
 use ptq_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -42,44 +42,10 @@ impl ExecHook for BnMomentHook<'_> {
         entry.2 += (n * h * w) as f64;
     }
 
-    fn weight(&mut self, node: &Node, value: ValueId, w: &Tensor) -> Option<Tensor> {
-        self.quant.weight(node, value, w)
-    }
-
-    fn weight_ref<'a>(&'a self, node: &Node, value: ValueId, w: &'a Tensor) -> Option<&'a Tensor> {
-        self.quant.weight_ref(node, value, w)
-    }
-
-    fn weight_q<'a>(
-        &'a self,
-        node: &Node,
-        value: ValueId,
-        w: &Tensor,
-    ) -> Option<&'a ptq_tensor::QTensor> {
-        self.quant.weight_q(node, value, w)
-    }
-
-    // Forwarding is load-bearing, not an optimization: with
-    // `ActivationStorage::Fp8` the inner hook's `before_node` leaves
-    // coded inputs un-fake-quanted and relies on this probe to quantize
-    // them at the op boundary. Dropping it would measure BN moments under
-    // a network running those inputs in raw f32 — statistics the eval
-    // pass never sees.
-    fn quantize_act(
-        &mut self,
-        node: &Node,
-        input: usize,
-        x: &Tensor,
-        out: &mut ptq_tensor::QActTensor,
-    ) -> bool {
-        self.quant.quantize_act(node, input, x, out)
-    }
-
-    // Forward so BN moments are measured under the same kernel path the
-    // eval pass will run (both paths are bit-identical, so this is about
-    // honoring the knob consistently, not numerics).
-    fn kernel_path(&self) -> ptq_tensor::ops::KernelPath {
-        self.quant.kernel_path()
+    // Measure under exactly the inference the eval pass runs: same
+    // weights, same boundary-coded activations, same kernel path.
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        self.quant.bind(node)
     }
 }
 
@@ -141,15 +107,6 @@ pub fn recalibrate_batchnorm(
         }
     }
     Ok(updated)
-}
-
-/// Deprecated alias of [`recalibrate_batchnorm`].
-#[deprecated(since = "0.2.0", note = "renamed to `recalibrate_batchnorm`")]
-pub fn try_recalibrate_batchnorm(
-    model: &mut QuantizedModel,
-    calib: &[Vec<Tensor>],
-) -> Result<usize, PtqError> {
-    recalibrate_batchnorm(model, calib)
 }
 
 #[cfg(test)]
@@ -226,9 +183,9 @@ mod tests {
 
     #[test]
     fn recalibration_is_identical_under_coded_and_fakequant_activations() {
-        // The measurement hook forwards `quantize_act` to the inner quant
-        // hook, so the moments are gathered under exactly the inference
-        // the eval pass runs. Regression guard: with the forward missing,
+        // The measurement hook forwards `bind` to the inner quant hook,
+        // so the moments are gathered under exactly the inference the
+        // eval pass runs. Regression guard: with the forward missing,
         // `ActivationStorage::Fp8` left coded inputs un-quantized during
         // measurement and the recalibrated statistics drifted.
         let calib_x: Vec<Vec<Tensor>> = (0..4)

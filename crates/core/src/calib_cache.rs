@@ -109,16 +109,6 @@ impl CalibCache {
         Ok(Arc::clone(entry))
     }
 
-    /// Deprecated alias of [`CalibCache::get_or_calibrate`].
-    #[deprecated(since = "0.2.0", note = "renamed to `get_or_calibrate`")]
-    pub fn try_get_or_calibrate(
-        &self,
-        workload: &Workload,
-        cfg: &QuantConfig,
-    ) -> Result<Arc<CalibData>, PtqError> {
-        self.get_or_calibrate(workload, cfg)
-    }
-
     /// Number of lookups served from the cache.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)

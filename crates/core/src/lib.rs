@@ -83,18 +83,6 @@ pub use workflow::{
     SuiteRow, SweepError,
 };
 
-// Deprecated pre-`PtqSession` surface, kept importable from the crate root
-// so downstream code migrates on its own schedule.
-#[allow(deprecated)]
-pub use bn_calib::try_recalibrate_batchnorm;
-#[allow(deprecated)]
-pub use sensitivity::{try_sensitivity_profile, try_sensitivity_profile_with};
-#[allow(deprecated)]
-pub use workflow::{
-    quantize_workload, quantize_workload_cached, quantize_workload_with, try_calibrate_workload,
-    try_quantize_workload, try_quantize_workload_cached, try_quantize_workload_with,
-};
-
 /// The blessed import surface: everything a typical PTQ driver needs.
 ///
 /// ```no_run

@@ -9,8 +9,11 @@ use ptq_fp8::{
     fake_quant_fp8_lut, fake_quant_fp8_per_channel_lut, fake_quant_int8,
     fake_quant_int8_per_channel, fp8_scale, Fp8Codec, Int8Codec, Int8Mode,
 };
-use ptq_nn::{ExecHook, Graph, Node, NodeId, Op, OpClass, PlanSet, PtqError, ValueId};
-use ptq_tensor::{QActTensor, QTensor, Tensor};
+use ptq_nn::{
+    ActBinding, Binding, ExecHook, Graph, Node, NodeId, Op, OpClass, PlanSet, PtqError, ValueId,
+    WeightBinding,
+};
+use ptq_tensor::{ActScale, KvCachePolicy, QTensor, Tensor};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -108,18 +111,6 @@ impl QuantizedModel {
         })
     }
 
-    /// Deprecated alias of [`QuantizedModel::build`] (the
-    /// `Result`-returning methods now carry the canonical, unprefixed
-    /// names).
-    #[deprecated(since = "0.2.0", note = "renamed to `build`")]
-    pub fn try_build(
-        graph: Graph,
-        calib: &CalibData,
-        config: QuantConfig,
-    ) -> Result<Self, PtqError> {
-        Self::build(graph, calib, config)
-    }
-
     /// An execution hook for quantized inference over [`Self::graph`].
     pub fn hook(&self) -> QuantHook<'_> {
         QuantHook { model: self }
@@ -172,34 +163,37 @@ impl QuantizedModel {
         self.act_bytes_f32.store(0, Ordering::Relaxed);
     }
 
-    /// True when activation input `idx` of `node` crosses the op boundary
-    /// as FP8 codes (run by the code×code kernels) instead of being
-    /// fake-quantized in place. [`QuantHook::before_node`] and
-    /// [`ExecHook::quantize_act`] both consult this, so an eligible input
-    /// is never quantized twice and never left unquantized.
+    /// How activation input `idx` of `node` crosses the op boundary: as
+    /// FP8 codes run by the code×code kernels, or as (fake-quantized) f32.
+    /// [`QuantHook::before_node`] and [`QuantHook::bind`] both read this
+    /// one decision, so an eligible input is never quantized twice and
+    /// never left unquantized.
     ///
-    /// Eligible: the config stores FP8 activations, the node runs
-    /// quantized, and the op has a code×code kernel for that input —
-    /// input 0 of a non-depthwise Conv2d or Linear whose weight is
-    /// FP8-stored, or either MatMul operand (both must be ready: the
-    /// kernel takes codes on both sides or neither).
-    pub fn act_codes_for(&self, node: &Node, idx: usize) -> bool {
-        if !self.config.stores_fp8_acts() || !self.quantized_nodes.contains(&node.id) {
-            return false;
+    /// Coded: the config stores FP8 activations, the node runs quantized,
+    /// the op has a code×code kernel for that input — input 0 of a
+    /// non-depthwise Conv2d or Linear whose weight is FP8-stored, or both
+    /// MatMul operands together — and a scale can be produced at the
+    /// boundary.
+    pub fn act_coding(&self, node: &Node, idx: usize) -> ActBinding {
+        let DataFormat::Fp8(format) = self.config.act_format else {
+            return ActBinding::F32;
+        };
+        if !self.config.stores_fp8_acts()
+            || !self.quantized_nodes.contains(&node.id)
+            || !quantized_inputs(node).contains(&idx)
+        {
+            return ActBinding::F32;
         }
-        if !quantized_inputs(node).contains(&idx) {
-            return false;
-        }
-        match &node.op {
-            Op::Conv2d { depthwise, .. } => {
-                idx == 0 && !depthwise && self.stored_weight(node) && self.act_scale_ready(node, 0)
+        let scale = match &node.op {
+            Op::Conv2d { depthwise, .. } if idx == 0 && !depthwise && self.stored_weight(node) => {
+                self.act_scale(node, 0)
             }
-            Op::Linear { .. } => {
-                idx == 0 && self.stored_weight(node) && self.act_scale_ready(node, 0)
-            }
-            Op::MatMul => self.act_scale_ready(node, 0) && self.act_scale_ready(node, 1),
-            _ => false,
-        }
+            Op::Linear { .. } if idx == 0 && self.stored_weight(node) => self.act_scale(node, 0),
+            // The kernel takes codes on both sides or neither.
+            Op::MatMul if self.act_scale(node, 1 - idx).is_some() => self.act_scale(node, idx),
+            _ => None,
+        };
+        scale.map_or(ActBinding::F32, |scale| ActBinding::Coded { format, scale })
     }
 
     /// The code×code kernels pair activation codes with `QTensor` weights,
@@ -210,23 +204,26 @@ impl QuantizedModel {
             .is_some_and(|v| self.qweights.contains_key(&v))
     }
 
-    /// Whether a scale for `(node, idx)` can be produced at the boundary:
-    /// always under dynamic and per-tile schemes (scales are per-batch),
-    /// only with a calibrated threshold for static per-tensor scales — a
-    /// missing key means the fake-quant reference skips this input, so
-    /// coding it would break bit-identity.
-    fn act_scale_ready(&self, node: &Node, idx: usize) -> bool {
-        match (self.config.approach, self.config.act_granularity) {
-            (Approach::Dynamic, _) => true,
-            (Approach::Static, ActGranularity::PerTile(_))
-                if !self.config.direct_activation_quant() =>
-            {
-                true
+    /// The scale layout `(node, idx)` is coded with, if one can be produced
+    /// at the boundary: always under dynamic and per-tile schemes (scales
+    /// are per-batch), only with a calibrated threshold for static
+    /// per-tensor scales — a missing key means the fake-quant reference
+    /// skips this input, so coding it would break bit-identity.
+    fn act_scale(&self, node: &Node, idx: usize) -> Option<ActScale> {
+        let cfg = &self.config;
+        match (cfg.act_granularity, cfg.approach) {
+            (ActGranularity::PerTile(t), _) if !cfg.direct_activation_quant() => {
+                Some(ActScale::PerTile(t))
             }
-            (Approach::Static, _) => self.act_scales.contains_key(&TensorKey {
-                node: node.id,
-                input: idx,
-            }),
+            (_, Approach::Static) => self
+                .act_scales
+                .get(&TensorKey {
+                    node: node.id,
+                    input: idx,
+                })
+                .map(|&s| ActScale::Static(s)),
+            (_, Approach::Dynamic) if cfg.direct_activation_quant() => Some(ActScale::Static(1.0)),
+            (_, Approach::Dynamic) => Some(ActScale::Dynamic),
         }
     }
 
@@ -497,56 +494,35 @@ pub struct QuantHook<'a> {
 }
 
 impl ExecHook for QuantHook<'_> {
-    fn weight(&mut self, _node: &Node, value: ValueId, _w: &Tensor) -> Option<Tensor> {
-        // Legacy owned protocol: FP8-stored weights decode to exactly the
-        // fake-quantized f32 tensor (bit-identical by the storage
-        // round-trip contract), so executors that cannot consume a
-        // `QTensor` still see the same arithmetic.
-        if let Some(q) = self.model.qweights.get(&value) {
-            return Some(q.dequantize());
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        let model = self.model;
+        // FP8-stored weights run the fused kernels straight off their
+        // bytes; whatever those cannot execute (INT8 recipes, embedding
+        // tables) was fake-quantized to f32 at build time.
+        let mut weight = WeightBinding::Graph;
+        if let Some(v) = node.op.weight_value() {
+            if let Some(q) = model.qweights.get(&v) {
+                weight = WeightBinding::Q(q);
+            } else if let Some(w) = model.weights.get(&v) {
+                weight = WeightBinding::F32(w);
+            }
         }
-        self.model.weights.get(&value).cloned()
-    }
-
-    fn weight_ref<'a>(
-        &'a self,
-        _node: &Node,
-        value: ValueId,
-        _w: &'a Tensor,
-    ) -> Option<&'a Tensor> {
-        // Zero-copy protocol for planned execution: pre-quantized weights
-        // are borrowed straight out of the model instead of cloned per
-        // fetch (agrees with `weight()` above by construction). FP8-stored
-        // weights are not served here — `weight_q` binds them without
-        // materializing f32.
-        self.model.weights.get(&value)
-    }
-
-    fn weight_q<'a>(&'a self, _node: &Node, value: ValueId, _w: &Tensor) -> Option<&'a QTensor> {
-        // Fused-kernel protocol: executors probe this first and run the
-        // `*_q` kernels straight off the FP8 bytes.
-        self.model.qweights.get(&value)
-    }
-
-    fn kernel_path(&self) -> ptq_tensor::ops::KernelPath {
-        // Quantized inference honors the config's kernel-path knob so a
-        // whole eval (accuracy suite, benchmark, bisection run) can be
-        // flipped between the blocked micro-kernels and the scalar
-        // reference from one place.
-        self.model.config.kernel_path
-    }
-
-    fn kv_cache(&self, _node: &Node, _side: ptq_tensor::KvSide) -> ptq_tensor::KvCachePolicy {
-        // The cache format is a whole-model knob: every layer's K and V
-        // buffers follow `QuantConfig::kv_storage`. The scale is left
-        // `None` so the decode engine calibrates a static per-tensor
-        // scale from this model's own prefill activations.
-        match self.model.config.kv_storage {
-            crate::config::KvStorage::F32 => ptq_tensor::KvCachePolicy::F32,
-            crate::config::KvStorage::Fp8 { format } => ptq_tensor::KvCachePolicy::Fp8 {
+        let acts = std::array::from_fn(|idx| model.act_coding(node, idx));
+        // The cache format is a whole-model knob; the scale is left `None`
+        // so the decode engine calibrates a static per-tensor scale from
+        // this model's own prefill activations.
+        let kv = match model.config.kv_storage {
+            crate::config::KvStorage::F32 => KvCachePolicy::F32,
+            crate::config::KvStorage::Fp8 { format } => KvCachePolicy::Fp8 {
                 format,
                 scale: None,
             },
+        };
+        Binding {
+            weight,
+            acts,
+            kernel_path: model.config.kernel_path,
+            kv,
         }
     }
 
@@ -576,9 +552,11 @@ impl ExecHook for QuantHook<'_> {
                 continue;
             }
             // Inputs crossing the boundary as FP8 codes are quantized by
-            // `quantize_act` after this call returns; fake-quanting them
+            // the executor after this call returns; fake-quanting them
             // here too would quantize twice.
-            if self.model.act_codes_for(node, idx) {
+            if let ActBinding::Coded { scale, .. } = self.model.act_coding(node, idx) {
+                let x = &inputs[idx];
+                self.count_act(scale.coded_bytes(x.shape()), x.len());
                 continue;
             }
             let key = TensorKey {
@@ -647,71 +625,23 @@ impl ExecHook for QuantHook<'_> {
             }
         }
     }
-
-    fn quantize_act(
-        &mut self,
-        node: &Node,
-        input: usize,
-        x: &Tensor,
-        out: &mut QActTensor,
-    ) -> bool {
-        let model = self.model;
-        if !model.act_codes_for(node, input) {
-            return false;
-        }
-        // `stores_fp8_acts` (checked by the policy) guarantees an FP8
-        // activation format; decline rather than trust the match.
-        let DataFormat::Fp8(f) = model.config.act_format else {
-            return false;
-        };
-        let mut sp = ptq_trace::span(ptq_trace::Level::Debug, "act.quantize");
-        match (model.config.act_granularity, model.config.approach) {
-            (ActGranularity::PerTile(t), _) if !model.config.direct_activation_quant() => {
-                out.quantize_per_tile(x, f, t);
-            }
-            (_, Approach::Static) => {
-                // The policy required this key; a raceless miss here means
-                // the model mutated mid-run — decline and let the
-                // executor's fake-quant-free f32 input surface the drift.
-                let Some(&s) = model.act_scales.get(&TensorKey {
-                    node: node.id,
-                    input,
-                }) else {
-                    return false;
-                };
-                out.quantize_static(x, f, s);
-            }
-            (_, Approach::Dynamic) => {
-                if model.config.direct_activation_quant() {
-                    out.quantize_static(x, f, 1.0);
-                } else {
-                    out.quantize_dynamic(x, f);
-                }
-            }
-        }
-        model
-            .act_bytes
-            .fetch_add(out.storage_bytes(), Ordering::Relaxed);
-        model
-            .act_bytes_f32
-            .fetch_add(x.len() * std::mem::size_of::<f32>(), Ordering::Relaxed);
-        if sp.active() {
-            sp.record_str("layer", &node.name);
-            sp.record_int("input", input as i64);
-            sp.record_int("elems", x.len() as i64);
-            sp.record_int("bytes", out.storage_bytes() as i64);
-        }
-        true
-    }
 }
 
 impl QuantHook<'_> {
+    /// Account one quantized-node input of `len` elements crossing the
+    /// boundary in `bytes` bytes.
+    fn count_act(&self, bytes: usize, len: usize) {
+        let f32_bytes = len * std::mem::size_of::<f32>();
+        self.model.act_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.model
+            .act_bytes_f32
+            .fetch_add(f32_bytes, Ordering::Relaxed);
+    }
+
     /// Account one fake-quantized f32 input: it crosses the boundary at 4
     /// bytes/element, so it contributes equally to both counters.
     fn count_fake_quant(&self, len: usize) {
-        let bytes = len * std::mem::size_of::<f32>();
-        self.model.act_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.model.act_bytes_f32.fetch_add(bytes, Ordering::Relaxed);
+        self.count_act(len * std::mem::size_of::<f32>(), len);
     }
 }
 
@@ -938,10 +868,19 @@ mod tests {
         let calib = calibrated(&g);
         let cfg = QuantConfig::fp8(Fp8Format::E4M3).with_first_last();
         let model = QuantizedModel::build(g.clone(), &calib, cfg.clone()).unwrap_ok();
-        // Conv2d/Linear input 0 codes; other inputs never do.
         let conv = &model.graph.nodes()[0];
-        assert!(model.act_codes_for(conv, 0));
-        assert!(!model.act_codes_for(conv, 1));
+        // Conv2d/Linear input 0 codes, carrying the calibrated static
+        // scale; other inputs never do.
+        let key = TensorKey {
+            node: conv.id,
+            input: 0,
+        };
+        let coded = ActBinding::Coded {
+            format: Fp8Format::E4M3,
+            scale: ActScale::Static(model.act_scales[&key]),
+        };
+        assert_eq!(model.act_coding(conv, 0), coded);
+        assert_eq!(model.act_coding(conv, 1), ActBinding::F32);
         // The knob turns the datapath off wholesale.
         let off = QuantizedModel::build(
             g.clone(),
@@ -950,7 +889,7 @@ mod tests {
                 .with_activation_storage(ActivationStorage::FakeQuantF32),
         )
         .unwrap_ok();
-        assert!(!off.act_codes_for(conv, 0));
+        assert_eq!(off.act_coding(conv, 0), ActBinding::F32);
         // Fake-quant f32 weights have no code×code kernel to pair with.
         let legacy = QuantizedModel::build(
             g,
@@ -958,7 +897,7 @@ mod tests {
             cfg.with_weight_storage(WeightStorage::FakeQuantF32),
         )
         .unwrap_ok();
-        assert!(!legacy.act_codes_for(conv, 0));
+        assert_eq!(legacy.act_coding(conv, 0), ActBinding::F32);
     }
 
     #[test]

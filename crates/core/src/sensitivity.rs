@@ -90,25 +90,6 @@ pub fn sensitivity_profile_with(
     Ok(SensitivityProfile { nodes })
 }
 
-/// Deprecated alias of [`sensitivity_profile`].
-#[deprecated(since = "0.2.0", note = "renamed to `sensitivity_profile`")]
-pub fn try_sensitivity_profile(
-    workload: &Workload,
-    cfg: &QuantConfig,
-) -> Result<SensitivityProfile, PtqError> {
-    sensitivity_profile(workload, cfg)
-}
-
-/// Deprecated alias of [`sensitivity_profile_with`].
-#[deprecated(since = "0.2.0", note = "renamed to `sensitivity_profile_with`")]
-pub fn try_sensitivity_profile_with(
-    workload: &Workload,
-    cfg: &QuantConfig,
-    calib: &CalibData,
-) -> Result<SensitivityProfile, PtqError> {
-    sensitivity_profile_with(workload, cfg, calib)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,6 @@
 //! The consolidated PTQ entry point: [`PtqSession`].
 //!
-//! One builder replaces the old six-way `quantize_workload` /
-//! `try_quantize_workload` / `*_cached` / `*_with` free-function family:
-//! construct a session from a [`QuantConfig`], optionally attach a shared
+//! Construct a session from a [`QuantConfig`], optionally attach a shared
 //! [`CalibCache`], pre-collected [`CalibData`] or an observer hook, then
 //! call [`PtqSession::quantize`] on any number of workloads. The pipeline
 //! is the paper's Figure-2 flow — calibrate → quantize → (BatchNorm
@@ -20,9 +18,9 @@ use crate::spec::{EngineSpec, ServeSpec};
 use crate::workflow::{calibrate_workload, run_guarded};
 use ptq_metrics::WorkloadResult;
 use ptq_models::Workload;
-use ptq_nn::{ExecHook, Node, PtqError, ValueId};
+use ptq_nn::{Binding, ExecHook, Node, PtqError};
 use ptq_tensor::ops::KernelPath;
-use ptq_tensor::{QTensor, Tensor};
+use ptq_tensor::Tensor;
 
 /// Result of quantizing one workload under one recipe.
 #[derive(Debug)]
@@ -57,7 +55,7 @@ pub struct QuantOutcome {
 /// Chains the quantizing hook with a caller-supplied observer: the
 /// observer sees each node's inputs *after* fake-quantization (what the
 /// quantized operator actually consumes) and each output after any
-/// dynamic requantization. Weight fetches stay with the quantizer so the
+/// dynamic requantization. The binding stays with the quantizer so the
 /// observer cannot perturb the arithmetic.
 struct ObservedQuant<'m, 'o> {
     quant: QuantHook<'m>,
@@ -75,40 +73,9 @@ impl ExecHook for ObservedQuant<'_, '_> {
         self.obs.after_node(node, out);
     }
 
-    fn weight(&mut self, node: &Node, value: ValueId, w: &Tensor) -> Option<Tensor> {
-        self.quant.weight(node, value, w)
-    }
-
-    fn weight_ref<'a>(&'a self, node: &Node, value: ValueId, w: &'a Tensor) -> Option<&'a Tensor> {
-        self.quant.weight_ref(node, value, w)
-    }
-
-    fn weight_q<'a>(&'a self, node: &Node, value: ValueId, w: &Tensor) -> Option<&'a QTensor> {
-        self.quant.weight_q(node, value, w)
-    }
-
-    fn quantize_act(
-        &mut self,
-        node: &Node,
-        input: usize,
-        x: &Tensor,
-        out: &mut ptq_tensor::QActTensor,
-    ) -> bool {
-        // Boundary quantization stays with the quantizer: the observer
-        // already saw the (un-fake-quanted) input in `before_node` and
-        // cannot veto or alter the coded form.
-        self.quant.quantize_act(node, input, x, out)
-    }
-
-    fn kernel_path(&self) -> KernelPath {
-        // Kernel selection stays with the quantizer too — the observer
-        // watches, it does not steer execution.
-        self.quant.kernel_path()
-    }
-
-    fn kv_cache(&self, node: &Node, side: ptq_tensor::KvSide) -> ptq_tensor::KvCachePolicy {
-        // Cache-format policy stays with the quantizer as well.
-        self.quant.kv_cache(node, side)
+    // The observer watches; it does not steer execution.
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        self.quant.bind(node)
     }
 }
 
@@ -520,7 +487,11 @@ mod tests {
             .hook(&mut counter)
             .quantize(w)
             .unwrap_ok();
+        // The wrapper forwards `bind` verbatim: same score, and the coded
+        // activation datapath (the default storage) ran under it too.
         assert_eq!(base.score.to_bits(), observed.score.to_bits());
+        assert_eq!(base.act_bytes, observed.act_bytes);
+        assert!(observed.act_bytes * 3 < observed.act_bytes_f32);
         assert!(counter.0 > 0, "observer never fired");
     }
 

@@ -60,112 +60,6 @@ pub fn calibrate_workload(workload: &Workload, cfg: &QuantConfig) -> Result<Cali
     })
 }
 
-/// Deprecated alias of [`calibrate_workload`].
-#[deprecated(since = "0.2.0", note = "renamed to `calibrate_workload`")]
-pub fn try_calibrate_workload(
-    workload: &Workload,
-    cfg: &QuantConfig,
-) -> Result<CalibData, PtqError> {
-    calibrate_workload(workload, cfg)
-}
-
-/// Deprecated shim over [`PtqSession`]: the paper's Figure-2 pipeline for
-/// one workload, with typed errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PtqSession::new(cfg.clone()).quantize(workload)`"
-)]
-pub fn try_quantize_workload(
-    workload: &Workload,
-    cfg: &QuantConfig,
-) -> Result<QuantOutcome, PtqError> {
-    PtqSession::new(cfg.clone()).quantize(workload)
-}
-
-/// Deprecated shim over [`PtqSession`]: the paper's Figure-2 pipeline for
-/// one workload.
-///
-/// # Panics
-///
-/// Panics (with the error's `Display` text) if the pipeline fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PtqSession::new(cfg.clone()).quantize(workload)` with `.unwrap_ok()`"
-)]
-pub fn quantize_workload(workload: &Workload, cfg: &QuantConfig) -> QuantOutcome {
-    match PtqSession::new(cfg.clone()).quantize(workload) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Deprecated shim over [`PtqSession`] with a shared [`CalibCache`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PtqSession::new(cfg.clone()).cache(cache).quantize(workload)`"
-)]
-pub fn try_quantize_workload_cached(
-    workload: &Workload,
-    cfg: &QuantConfig,
-    cache: &CalibCache,
-) -> Result<QuantOutcome, PtqError> {
-    PtqSession::new(cfg.clone()).cache(cache).quantize(workload)
-}
-
-/// Deprecated shim over [`PtqSession`] with a shared [`CalibCache`].
-///
-/// # Panics
-///
-/// Panics (with the error's `Display` text) if the pipeline fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PtqSession::new(cfg.clone()).cache(cache).quantize(workload)` with `.unwrap_ok()`"
-)]
-pub fn quantize_workload_cached(
-    workload: &Workload,
-    cfg: &QuantConfig,
-    cache: &CalibCache,
-) -> QuantOutcome {
-    match PtqSession::new(cfg.clone()).cache(cache).quantize(workload) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Deprecated shim over [`PtqSession::quantize_calibrated`]: the tail of
-/// the pipeline over already-collected calibration data.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PtqSession::new(cfg.clone()).quantize_calibrated(workload, calib)`"
-)]
-pub fn try_quantize_workload_with(
-    workload: &Workload,
-    cfg: &QuantConfig,
-    calib: &CalibData,
-) -> Result<QuantOutcome, PtqError> {
-    PtqSession::new(cfg.clone()).quantize_calibrated(workload, calib)
-}
-
-/// Deprecated shim over [`PtqSession::quantize_calibrated`].
-///
-/// # Panics
-///
-/// Panics (with the error's `Display` text) if the pipeline fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PtqSession::new(cfg.clone()).quantize_calibrated(workload, calib)` with `.unwrap_ok()`"
-)]
-pub fn quantize_workload_with(
-    workload: &Workload,
-    cfg: &QuantConfig,
-    calib: &CalibData,
-) -> QuantOutcome {
-    match PtqSession::new(cfg.clone()).quantize_calibrated(workload, calib) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The paper's per-domain recipe for a data format and approach
 /// (Table 2 rows):
 ///

@@ -1,16 +1,11 @@
-//! API-compat regression: every deprecated pre-[`PtqSession`] free
-//! function must produce bit-identical results to the session path it
-//! shims over. This is what lets downstream code migrate on its own
-//! schedule: the old names are slower to type, not different.
-
-#![allow(deprecated)]
+//! API-compat regression: every way into the [`PtqSession`] pipeline —
+//! plain, through a [`CalibCache`], over pre-collected calibration data,
+//! from an [`ptq_core::EngineSpec`], from a loaded artifact — must produce
+//! bit-identical results.
 
 use ptq_core::config::{Approach, DataFormat};
 use ptq_core::{
-    calibrate_workload, paper_recipe, quantize_workload, quantize_workload_cached,
-    quantize_workload_with, run_suite, try_calibrate_workload, try_quantize_workload,
-    try_quantize_workload_cached, try_quantize_workload_with, CalibCache, PtqSession, QuantOutcome,
-    UnwrapOk,
+    calibrate_workload, paper_recipe, run_suite, CalibCache, PtqSession, QuantOutcome, UnwrapOk,
 };
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo, Workload, ZooFilter};
@@ -69,59 +64,38 @@ fn workloads() -> Vec<Workload> {
 }
 
 #[test]
-fn deprecated_shims_match_session_bit_for_bit() {
+fn session_entry_points_agree_bit_for_bit() {
     for w in &workloads() {
         let cfg = paper_recipe(
             DataFormat::Fp8(Fp8Format::E4M3),
             Approach::Static,
             w.spec.domain,
         );
-
         let session = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
 
-        // The plain pair.
-        let shim = try_quantize_workload(w, &cfg).unwrap_ok();
-        assert_outcomes_identical(&session, &shim, "try_quantize_workload");
-        let shim = quantize_workload(w, &cfg);
-        assert_outcomes_identical(&session, &shim, "quantize_workload");
-
-        // The cached pair (cold cache, then warm).
+        // Through a shared cache, cold then warm.
         let cache = CalibCache::new();
-        let shim = try_quantize_workload_cached(w, &cfg, &cache).unwrap_ok();
-        assert_outcomes_identical(&session, &shim, "try_quantize_workload_cached");
-        let shim = quantize_workload_cached(w, &cfg, &cache);
-        assert_outcomes_identical(&session, &shim, "quantize_workload_cached (warm)");
-        let cached_session = PtqSession::new(cfg.clone())
-            .cache(&cache)
-            .quantize(w)
-            .unwrap_ok();
-        assert_outcomes_identical(&session, &cached_session, "session with cache");
-
-        // The explicit-calibration pair, over the same data both ways.
-        let calib = calibrate_workload(w, &cfg).unwrap_ok();
-        let calib_shim = try_calibrate_workload(w, &cfg).unwrap_ok();
-        assert_eq!(calib.stats.len(), calib_shim.stats.len());
-        for (k, s) in &calib.stats {
-            let t = calib_shim.stats.get(k).expect("same calibration keys");
-            assert_eq!(s.absmax.to_bits(), t.absmax.to_bits());
+        for what in ["session with cache (cold)", "session with cache (warm)"] {
+            let cached = PtqSession::new(cfg.clone())
+                .cache(&cache)
+                .quantize(w)
+                .unwrap_ok();
+            assert_outcomes_identical(&session, &cached, what);
         }
+
+        // Over explicitly collected calibration data.
+        let calib = calibrate_workload(w, &cfg).unwrap_ok();
         let with_session = PtqSession::new(cfg.clone())
             .quantize_calibrated(w, &calib)
             .unwrap_ok();
-        let shim = try_quantize_workload_with(w, &cfg, &calib).unwrap_ok();
-        assert_outcomes_identical(&with_session, &shim, "try_quantize_workload_with");
-        let shim = quantize_workload_with(w, &cfg, &calib);
-        assert_outcomes_identical(&with_session, &shim, "quantize_workload_with");
         assert_outcomes_identical(&session, &with_session, "with vs end-to-end");
     }
 }
 
 #[test]
-fn deprecated_shims_respect_the_weight_storage_knob() {
-    // The shims forward the whole config, so the PR's weight-storage knob
-    // rides through them unchanged: both storage modes produce the same
-    // scores via the shims as via the session, and the two modes agree
-    // with each other bit-for-bit.
+fn weight_storage_modes_score_identically() {
+    // Same arithmetic in both modes: identical scores, only the resident
+    // weight representation differs.
     use ptq_core::WeightStorage;
     for w in &workloads() {
         let base = paper_recipe(
@@ -129,23 +103,11 @@ fn deprecated_shims_respect_the_weight_storage_knob() {
             Approach::Static,
             w.spec.domain,
         );
-        for storage in [WeightStorage::Fp8, WeightStorage::FakeQuantF32] {
-            let cfg = base.clone().with_weight_storage(storage);
-            let session = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
-            let shim = quantize_workload(w, &cfg);
-            assert_outcomes_identical(&session, &shim, &format!("{storage} quantize_workload"));
-            let shim = try_quantize_workload(w, &cfg).unwrap_ok();
-            assert_outcomes_identical(&session, &shim, &format!("{storage} try_quantize_workload"));
-        }
-        // Same arithmetic in both modes: identical scores, only the
-        // resident weight representation differs.
-        let stored = quantize_workload(w, &base.clone().with_weight_storage(WeightStorage::Fp8));
-        let legacy = quantize_workload(
-            w,
-            &base
-                .clone()
-                .with_weight_storage(WeightStorage::FakeQuantF32),
-        );
+        let [stored, legacy] = [WeightStorage::Fp8, WeightStorage::FakeQuantF32].map(|storage| {
+            PtqSession::new(base.clone().with_weight_storage(storage))
+                .quantize(w)
+                .unwrap_ok()
+        });
         assert_eq!(
             stored.score.to_bits(),
             legacy.score.to_bits(),

@@ -118,7 +118,7 @@ fn incremental_decode_is_bit_identical_across_zoo_and_executors() {
     for (i, cfg) in decoder_zoo().iter().enumerate() {
         let graph = decoder_graph(cfg);
         let prompt = vec![1.0, 3.0, 0.0];
-        // Oracle through the legacy interpreter...
+        // Oracle through the reference loop...
         check_bit_identity(
             &graph,
             cfg.seq,
@@ -264,6 +264,12 @@ fn fp8_cache_drift_is_bounded_and_cache_bytes_shrink() {
         );
         let mut session = DecodeSession::new(model, seq).unwrap_ok();
         let mut logits = vec![session.prefill(&prompt).unwrap_ok()];
+        // Prefill never reads the cache, and runs behind the K/V capture
+        // wrapper: with `bind` forwarded verbatim (coded activations, FP8
+        // weights) its logits are exactly the unwrapped planned run's.
+        let m = session.model();
+        let unwrapped = full_window_row(&m.graph, seq, &prompt, &mut m.hook(), true);
+        assert_bits_equal(logits[0].data(), &unwrapped, &format!("{format}: prefill"));
         while session.pos() < seq {
             logits.push(session.step(1.0).unwrap_ok());
         }

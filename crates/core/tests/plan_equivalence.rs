@@ -1,6 +1,6 @@
-//! Planned execution vs the legacy interpreter, across the quick zoo and
-//! every hook family the PTQ pipeline uses: ahead-of-time planning with
-//! arena-reused buffers must be a pure performance transform — zero
+//! Planned execution vs the reference loop (`Graph::run`), across the quick
+//! zoo and every hook family the PTQ pipeline uses: ahead-of-time planning
+//! with arena-reused buffers must be a pure performance transform — zero
 //! numeric or observer-visible difference.
 
 use ptq_core::config::{
@@ -10,7 +10,7 @@ use ptq_core::config::{
 use ptq_core::{paper_recipe, CalibrationHook, PtqSession, QuantizedModel, UnwrapOk};
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo, ZooFilter};
-use ptq_nn::{ExecPlan, Graph, NoopHook};
+use ptq_nn::{ActBinding, ExecPlan, Graph, NoopHook};
 use ptq_tensor::Tensor;
 
 fn plan_for(graph: &Graph, inputs: &[Tensor]) -> ExecPlan {
@@ -174,7 +174,7 @@ fn fp8_coded_activations_match_fake_quant_across_zoo() {
                     .graph
                     .nodes()
                     .iter()
-                    .any(|n| (0..2).any(|i| coded.act_codes_for(n, i)));
+                    .any(|n| (0..2).any(|i| coded.act_coding(n, i) != ActBinding::F32));
                 if has_coded_ops {
                     assert!(
                         coded.act_bytes() < coded.act_bytes_f32(),
@@ -247,8 +247,8 @@ fn plan_matches_interpreter_under_quantized_hooks_across_zoo() {
         let inputs = &w.eval[0];
         let interp = model.graph.run(inputs, &mut model.hook()).unwrap_ok();
         let plan = plan_for(&model.graph, inputs);
-        // Twice: quantized weight substitution goes through the zero-copy
-        // `weight_ref` protocol; a warmed arena must not change that.
+        // Twice: weights and activation codes are borrowed through the
+        // hook's `bind`; a warmed arena must not change that.
         for pass in 0..2 {
             let planned = plan
                 .run(&model.graph, inputs, &mut model.hook())

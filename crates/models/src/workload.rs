@@ -101,18 +101,6 @@ impl Workload {
         Ok(self.metric.score(&outputs))
     }
 
-    /// Deprecated alias of [`Workload::evaluate_graph`] (the
-    /// `Result`-returning methods now carry the canonical, unprefixed
-    /// names).
-    #[deprecated(since = "0.2.0", note = "renamed to `evaluate_graph`")]
-    pub fn try_evaluate_graph(
-        &self,
-        graph: &Graph,
-        hook: &mut dyn ExecHook,
-    ) -> Result<f64, PtqError> {
-        self.evaluate_graph(graph, hook)
-    }
-
     /// Feed every calibration batch through the graph under `hook`
     /// (outputs are discarded — the hook's observers are the point).
     pub fn calibrate(&self, hook: &mut dyn ExecHook) -> Result<(), PtqError> {
@@ -126,16 +114,6 @@ impl Workload {
             self.plans.run(graph, inputs, hook)?;
         }
         Ok(())
-    }
-
-    /// Deprecated alias of [`Workload::calibrate_graph`].
-    #[deprecated(since = "0.2.0", note = "renamed to `calibrate_graph`")]
-    pub fn try_calibrate_graph(
-        &self,
-        graph: &Graph,
-        hook: &mut dyn ExecHook,
-    ) -> Result<(), PtqError> {
-        self.calibrate_graph(graph, hook)
     }
 
     /// Package a quantized score into the pass-rate record.

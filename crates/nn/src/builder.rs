@@ -270,12 +270,6 @@ impl GraphBuilder {
         Ok(g)
     }
 
-    /// Deprecated alias of [`GraphBuilder::build`].
-    #[deprecated(since = "0.2.0", note = "renamed to `build`")]
-    pub fn try_finish(self, outputs: Vec<ValueId>) -> Result<Graph, crate::error::PtqError> {
-        self.build(outputs)
-    }
-
     /// Finish, declaring the graph outputs.
     ///
     /// # Panics

@@ -21,15 +21,15 @@
 //! Per node, the planner picks one of five step ops:
 //!
 //! * **Eval** — run the node unchanged through the shared
-//!   [`crate::exec::eval_node_into`] with the *exact* staged-inputs +
-//!   hook protocol of the interpreter and planned executor (same
-//!   `before_node` → `quantize_act` → `weight_q`/`weight_ref`/`weight`
-//!   resolution → `after_node` order), so quantization hooks observe the
-//!   step exactly as they would a full pass. `Reshape` targets whose
-//!   leading dim is the full window are rewritten to a single row.
+//!   `exec::run_node` (the same `before_node` → `bind` → kernel →
+//!   `after_node` path as the reference loop and the planned executor), so
+//!   quantization hooks observe the step exactly as they would a full
+//!   pass. `Reshape` targets whose leading dim is the full window are
+//!   rewritten to a single row.
 //! * **AddPosRow** — an `AddParam` whose parameter spans the full window
-//!   (positional embeddings `[seq, d]`) adds only row `t`; broadcasting
-//!   the full table would silently widen the step to `[seq, d]`.
+//!   (positional embeddings `[seq, d]`) adds only row `t` of the
+//!   graph-bound table; broadcasting the full table would silently widen
+//!   the step to `[seq, d]`.
 //! * **Scores / Context** — the two attention `BatchMatMul`s, served by
 //!   [`attention_step_q`] / [`attention_step_v`] against the cache.
 //!   These cache-backed ops are hook-invisible: the full-window operands
@@ -63,12 +63,12 @@
 //! [`KvCachePolicy::calibrated`], per-row dynamic fallback otherwise).
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{ActsRef, EvalScratch, ParamsRef, MAX_ACT_INPUTS, MAX_OP_PARAMS};
+use crate::exec::{run_node, Binding, NodeScratch};
 use crate::graph::{Graph, Node, NodeId, Op, ValueId};
 use crate::interp::ExecHook;
 use crate::plan::ExecPlan;
 use ptq_tensor::ops::{attention_step_q, attention_step_v};
-use ptq_tensor::{KvCache, KvCachePolicy, KvError, KvSide, QActTensor, Tensor};
+use ptq_tensor::{KvCache, KvCachePolicy, KvError, KvSide, Tensor};
 use std::collections::HashMap;
 
 /// One matched causal-attention group.
@@ -425,10 +425,13 @@ fn match_attention_groups(
                 format!("{side} reshape output fans out beyond the permute"),
             ));
         }
-        let (heads, dh) = match &graph.nodes[rn].op {
-            Op::Reshape(t) => (t[1], t[2]),
-            _ => unreachable!("filtered above"),
+        let Op::Reshape(t) = &graph.nodes[rn].op else {
+            return Err(PtqError::Internal(format!(
+                "{side} reshape match on node {} did not hold",
+                graph.nodes[rn].name
+            )));
         };
+        let (heads, dh) = (t[1], t[2]);
         let src = producer[graph.nodes[rn].inputs[0]].ok_or_else(|| {
             unsupported(
                 anchor,
@@ -608,39 +611,8 @@ impl ExecHook for PrefillCapture<'_> {
         }
     }
 
-    fn weight(&mut self, node: &Node, id: ValueId, w: &Tensor) -> Option<Tensor> {
-        self.inner.weight(node, id, w)
-    }
-
-    fn weight_ref<'a>(&'a self, node: &Node, id: ValueId, w: &'a Tensor) -> Option<&'a Tensor> {
-        (*self.inner).weight_ref(node, id, w)
-    }
-
-    fn weight_q<'a>(
-        &'a self,
-        node: &Node,
-        id: ValueId,
-        w: &Tensor,
-    ) -> Option<&'a ptq_tensor::QTensor> {
-        (*self.inner).weight_q(node, id, w)
-    }
-
-    fn quantize_act(
-        &mut self,
-        node: &Node,
-        input: usize,
-        x: &Tensor,
-        out: &mut QActTensor,
-    ) -> bool {
-        self.inner.quantize_act(node, input, x, out)
-    }
-
-    fn kernel_path(&self) -> ptq_tensor::ops::KernelPath {
-        (*self.inner).kernel_path()
-    }
-
-    fn kv_cache(&self, node: &Node, side: KvSide) -> KvCachePolicy {
-        (*self.inner).kv_cache(node, side)
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        self.inner.bind(node)
     }
 }
 
@@ -658,12 +630,8 @@ pub struct DecodeState {
     values: Vec<Tensor>,
     /// Hook-visible input staging, as in the planned executor.
     staging: Vec<Tensor>,
-    /// Owned parameter substitutions for the node currently executing.
-    owned: [Option<Tensor>; MAX_OP_PARAMS],
-    /// FP8 activation-code buffers for `quantize_act`.
-    acts: Vec<QActTensor>,
-    /// Non-tensor scratch (embedding id decode).
-    scratch: EvalScratch,
+    /// Activation-code buffers and id scratch for the executing node.
+    node: NodeScratch,
     /// Staging for the single token id.
     input: Tensor,
     /// Next absolute position (= tokens consumed so far).
@@ -676,7 +644,6 @@ impl DecodeState {
         let mut s = DecodeState::default();
         s.values.resize_with(plan.n_values, Tensor::default);
         s.staging.resize_with(plan.max_arity, Tensor::default);
-        s.acts.resize_with(MAX_ACT_INPUTS, QActTensor::new);
         s
     }
 
@@ -767,7 +734,8 @@ impl DecodeState {
                     PtqError::Internal(format!("prefill did not capture layer {gi} {side} rows"))
                 })?;
                 Ok(hook
-                    .kv_cache(&graph.nodes[src], side)
+                    .bind(&graph.nodes[src])
+                    .kv
                     .calibrated(&rows.data()[..p * d]))
             };
             let kp = policy_for(g.k_src, KvSide::K)?;
@@ -812,72 +780,62 @@ impl DecodeState {
         hook: &mut dyn ExecHook,
     ) -> Result<Tensor, PtqError> {
         plan.check_compat(graph)?;
-        if self.cache.is_none() {
-            return Err(PtqError::InvalidInput {
-                node: "decode.step".into(),
-                detail: "step before prefill: run prefill to seed the cache".into(),
-            });
-        }
-        if self.pos >= plan.seq {
-            return Err(PtqError::KvCache(KvError::CapacityOverflow {
-                capacity: plan.seq,
-            }));
-        }
-        let t = self.pos;
-        let mut sp = ptq_trace::span(ptq_trace::Level::Info, "decode.step");
-        let mut appended = 0u64;
-
-        self.input.reuse_as(&[1]);
-        self.input.data_mut()[0] = token;
-
         let DecodeState {
             cache,
             values,
             staging,
-            owned,
-            acts,
-            scratch,
+            node: scratch,
             input,
             pos,
         } = self;
-        let cache = match cache.as_mut() {
-            Some(c) => c,
-            None => unreachable!("checked above"),
+        let Some(cache) = cache.as_mut() else {
+            return Err(PtqError::InvalidInput {
+                node: "decode.step".into(),
+                detail: "step before prefill: run prefill to seed the cache".into(),
+            });
         };
+        if *pos >= plan.seq {
+            return Err(PtqError::KvCache(KvError::CapacityOverflow {
+                capacity: plan.seq,
+            }));
+        }
+        let t = *pos;
+        let mut sp = ptq_trace::span(ptq_trace::Level::Info, "decode.step");
+        let mut appended = 0u64;
+
+        input.reuse_as(&[1]);
+        input.data_mut()[0] = token;
 
         for (i, op) in plan.steps.iter().enumerate() {
             let node = &plan.step_nodes[i];
+            let srcs = &plan.srcs[i];
             match op {
                 StepOp::Skip => continue,
+                // The cache-backed ops read only their query/probs operand;
+                // the K/V operand is the cache.
                 StepOp::Scores { group } => {
-                    let g = &plan.groups[*group];
-                    staging[0].copy_from(&values[node.inputs[0]]);
+                    stage(staging, &srcs[..1], input, values);
+                    let k = cache.buf(*group, KvSide::K)?;
                     let out = &mut values[node.output];
-                    attention_step_q(
-                        &staging[0],
-                        cache.buf(*group, KvSide::K)?,
-                        out,
-                        hook.kernel_path(),
-                    );
-                    debug_assert_eq!(out.dim(0), g.heads);
+                    attention_step_q(&staging[0], k, out, hook.bind(node).kernel_path);
+                    debug_assert_eq!(out.dim(0), plan.groups[*group].heads);
                 }
                 StepOp::Context { group } => {
-                    staging[0].copy_from(&values[node.inputs[0]]);
+                    stage(staging, &srcs[..1], input, values);
+                    let v = cache.buf(*group, KvSide::V)?;
                     let out = &mut values[node.output];
-                    attention_step_v(
-                        &staging[0],
-                        cache.buf(*group, KvSide::V)?,
-                        out,
-                        hook.kernel_path(),
-                    );
+                    attention_step_v(&staging[0], v, out, hook.bind(node).kernel_path);
                 }
                 StepOp::AddPosRow { param } => {
-                    match plan.srcs[i][0] {
-                        StepSrc::Input => staging[0].copy_from(input),
-                        StepSrc::Value(v) => staging[0].copy_from(&values[v]),
-                    }
+                    stage(staging, &srcs[..1], input, values);
                     hook.before_node(node, &mut staging[..1]);
-                    let table = resolve_single_param(graph, node, *param, owned, hook)?;
+                    let table = graph
+                        .params
+                        .get(param)
+                        .ok_or_else(|| PtqError::UnboundParam {
+                            value: *param,
+                            node: node.name.clone(),
+                        })?;
                     let cols = staging[0].len();
                     let out = &mut values[node.output];
                     out.reuse_as(staging[0].shape());
@@ -888,92 +846,10 @@ impl DecodeState {
                     hook.after_node(node, out);
                 }
                 StepOp::Eval { appends } => {
-                    let arity = node.inputs.len();
-                    for (j, s) in plan.srcs[i].iter().enumerate() {
-                        match s {
-                            StepSrc::Input => staging[j].copy_from(input),
-                            StepSrc::Value(v) => staging[j].copy_from(&values[*v]),
-                        }
-                    }
-                    hook.before_node(node, &mut staging[..arity]);
-
-                    let mut coded = [false; MAX_ACT_INPUTS];
-                    for j in 0..arity.min(MAX_ACT_INPUTS) {
-                        coded[j] = hook.quantize_act(node, j, &staging[j], &mut acts[j]);
-                    }
-
-                    // Parameter resolution, identical to the interpreter
-                    // and planned executor: weight_q, then weight_ref,
-                    // then the legacy owned weight(), then the binding.
-                    let pids = node.op.param_values();
-                    if pids.len() > MAX_OP_PARAMS {
-                        return Err(PtqError::Internal(format!(
-                            "node {} has {} parameters (max {MAX_OP_PARAMS})",
-                            node.name,
-                            pids.len()
-                        )));
-                    }
-                    let mut ws: [Option<&Tensor>; MAX_OP_PARAMS] = [None; MAX_OP_PARAMS];
-                    for o in owned.iter_mut() {
-                        *o = None;
-                    }
-                    for (j, id) in pids.iter().enumerate() {
-                        let w = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
-                            value: *id,
-                            node: node.name.clone(),
-                        })?;
-                        ws[j] = Some(w);
-                        if (*hook).weight_q(node, *id, w).is_none()
-                            && (*hook).weight_ref(node, *id, w).is_none()
-                        {
-                            owned[j] = hook.weight(node, *id, w);
-                        }
-                    }
-                    let frozen: &dyn ExecHook = &*hook;
-                    let mut pr = ParamsRef::new();
-                    for (j, id) in pids.iter().enumerate() {
-                        let w = match ws[j] {
-                            Some(w) => w,
-                            None => {
-                                return Err(PtqError::Internal(format!(
-                                    "unresolved parameter {j} for node {}",
-                                    node.name
-                                )))
-                            }
-                        };
-                        if let Some(o) = owned[j].as_ref() {
-                            pr.set(j, o);
-                        } else if let Some(q) = frozen.weight_q(node, *id, w) {
-                            pr.set_q(j, q);
-                        } else if let Some(r) = frozen.weight_ref(node, *id, w) {
-                            pr.set(j, r);
-                        } else {
-                            pr.set(j, w);
-                        }
-                    }
-
-                    let mut ar = ActsRef::new();
-                    for (j, buf) in acts.iter().enumerate() {
-                        if coded[j] {
-                            ar.set(j, buf);
-                        }
-                    }
-
+                    stage(staging, srcs, input, values);
                     let out = &mut values[node.output];
-                    let path = frozen.kernel_path();
-                    crate::exec::eval_node_into(
-                        node,
-                        &staging[..arity],
-                        &pr,
-                        &ar,
-                        scratch,
-                        out,
-                        path,
-                    )?;
-                    hook.after_node(node, out);
-
+                    run_node(graph, node, &mut staging[..srcs.len()], hook, scratch, out)?;
                     for &(layer, side) in appends {
-                        let out = &values[node.output];
                         cache.append(layer, side, out.row(0))?;
                         appended += 1;
                     }
@@ -995,31 +871,14 @@ impl DecodeState {
     }
 }
 
-/// Resolve one parameter through the full hook protocol, returning a
-/// borrowed view (owned substitutions land in `owned[0]`).
-fn resolve_single_param<'a>(
-    graph: &'a Graph,
-    node: &Node,
-    id: ValueId,
-    owned: &'a mut [Option<Tensor>; MAX_OP_PARAMS],
-    hook: &'a mut dyn ExecHook,
-) -> Result<&'a Tensor, PtqError> {
-    let w = graph
-        .params
-        .get(&id)
-        .ok_or_else(|| PtqError::UnboundParam {
-            value: id,
-            node: node.name.clone(),
-        })?;
-    owned[0] = None;
-    if (*hook).weight_ref(node, id, w).is_none() {
-        owned[0] = hook.weight(node, id, w);
+/// Copy each step input into its hook-visible staging buffer.
+fn stage(staging: &mut [Tensor], srcs: &[StepSrc], input: &Tensor, values: &[Tensor]) {
+    for (slot, src) in staging.iter_mut().zip(srcs) {
+        match src {
+            StepSrc::Input => slot.copy_from(input),
+            StepSrc::Value(v) => slot.copy_from(&values[*v]),
+        }
     }
-    if let Some(o) = owned[0].as_ref() {
-        return Ok(o);
-    }
-    let frozen: &dyn ExecHook = &*hook;
-    Ok(frozen.weight_ref(node, id, w).unwrap_or(w))
 }
 
 #[cfg(test)]
@@ -1027,9 +886,10 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::error::UnwrapOk;
+    use crate::exec::{ActBinding, WeightBinding};
     use crate::interp::NoopHook;
     use ptq_fp8::Fp8Format;
-    use ptq_tensor::TensorRng;
+    use ptq_tensor::{ActScale, QTensor, TensorRng};
 
     const SEQ: usize = 8;
     const D: usize = 12;
@@ -1090,10 +950,94 @@ mod tests {
     /// Hook selecting an FP8 cache with calibration-pending static scale.
     struct Fp8CacheHook(Fp8Format);
     impl ExecHook for Fp8CacheHook {
-        fn kv_cache(&self, _node: &Node, _side: KvSide) -> KvCachePolicy {
-            KvCachePolicy::Fp8 {
-                format: self.0,
-                scale: None,
+        fn bind(&self, _node: &Node) -> Binding<'_> {
+            Binding {
+                kv: KvCachePolicy::Fp8 {
+                    format: self.0,
+                    scale: None,
+                },
+                ..Binding::default()
+            }
+        }
+    }
+
+    /// Binds every Linear's weight FP8-stored and codes its input at the
+    /// boundary with a row-independent scale layout (static or per-tile),
+    /// so a `[1, d]` step row quantizes exactly like row `t` of the window.
+    struct CodedLinears {
+        q: HashMap<ValueId, QTensor>,
+        scale: ActScale,
+    }
+    impl CodedLinears {
+        fn new(g: &Graph, scale: ActScale) -> Self {
+            let linears = g.nodes().iter().filter_map(|n| match n.op {
+                Op::Linear { weight, .. } => Some(weight),
+                _ => None,
+            });
+            let q = linears
+                .map(|v| {
+                    let q = QTensor::quantize_per_channel(&g.params[&v], Fp8Format::E4M3);
+                    (v, q.unwrap())
+                })
+                .collect();
+            CodedLinears { q, scale }
+        }
+    }
+    impl ExecHook for CodedLinears {
+        fn bind(&self, node: &Node) -> Binding<'_> {
+            let Some(q) = node.op.weight_value().and_then(|v| self.q.get(&v)) else {
+                return Binding::default();
+            };
+            let coded = ActBinding::Coded {
+                format: Fp8Format::E4M3,
+                scale: self.scale,
+            };
+            Binding {
+                weight: WeightBinding::Q(q),
+                acts: [coded, ActBinding::F32],
+                ..Binding::default()
+            }
+        }
+    }
+
+    #[test]
+    fn decode_under_q_and_coded_bindings_matches_reference_loop() {
+        let g = tiny_decoder(11);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        for scale in [ActScale::Static(4.0), ActScale::PerTile(5)] {
+            let mut hook = CodedLinears::new(&g, scale);
+            let oracle = |tokens: &[f32], hook: &mut CodedLinears| {
+                let mut padded = vec![0.0f32; SEQ];
+                padded[..tokens.len()].copy_from_slice(tokens);
+                let out = g.run(&[Tensor::from_vec(padded, &[SEQ])], hook).unwrap_ok();
+                Tensor::from_slice(out[0].row(tokens.len() - 1))
+            };
+
+            // Prefill runs behind `PrefillCapture`: bit-identity with the
+            // unwrapped reference loop proves it forwards `bind` verbatim.
+            let mut st = DecodeState::new(&plan);
+            let mut tokens = vec![5.0f32, 2.0, 9.0];
+            let logits = st
+                .prefill(&plan, &g, &Tensor::from_slice(&tokens), &mut hook)
+                .unwrap_ok();
+            assert_eq!(logits, oracle(&tokens, &mut hook), "prefill {scale:?}");
+            assert_ne!(
+                logits,
+                full_window_row(&g, &tokens, 2),
+                "bindings had no effect"
+            );
+
+            let mut next = logits.argmax() as f32;
+            while tokens.len() < SEQ {
+                tokens.push(next);
+                let logits = st.step(&plan, &g, next, &mut hook).unwrap_ok();
+                assert_eq!(
+                    logits,
+                    oracle(&tokens, &mut hook),
+                    "step at pos {} {scale:?}",
+                    tokens.len() - 1
+                );
+                next = logits.argmax() as f32;
             }
         }
     }

@@ -1,65 +1,104 @@
-//! The single shared per-node compute path.
+//! The single shared per-node execution path.
 //!
-//! Both the legacy interpreter ([`Graph::run`](crate::Graph::run)) and the
-//! ahead-of-time planner ([`crate::ExecPlan`]) evaluate nodes through
-//! [`eval_node_into`], so planned execution is bit-identical to interpreted
-//! execution by construction: there is exactly one implementation of every
-//! operator's evaluation, and it writes through the allocation-reusing
-//! `*_into` kernels of `ptq_tensor::ops`.
+//! Every executor — the reference loop ([`Graph::run`](crate::Graph::run)),
+//! the ahead-of-time planner ([`crate::ExecPlan`]) and the decode step
+//! ([`crate::DecodeState`]) — runs a node through [`run_node`]: the hook's
+//! `before_node`, one [`ExecHook::bind`] call, parameter and activation-code
+//! resolution, the operator's `*_into` kernel, `after_node`. Planned and
+//! incremental execution are therefore bit-identical to the reference loop
+//! by construction: there is exactly one implementation of the hook
+//! protocol and of every operator's evaluation.
 
 use crate::error::PtqError;
-use crate::graph::{Node, Op};
-use ptq_tensor::ops;
-use ptq_tensor::{QActTensor, QTensor, Tensor};
-
-/// Upper bound on parameters any single operator references (BatchNorm's
-/// gamma/beta/mean/var is the maximum).
-pub(crate) const MAX_OP_PARAMS: usize = 4;
+use crate::graph::{Graph, Node, Op, MAX_OP_PARAMS};
+use crate::interp::ExecHook;
+use ptq_tensor::ops::{self, KernelPath};
+use ptq_tensor::{ActScale, Fp8Format, KvCachePolicy, QActTensor, QTensor, Tensor};
 
 /// Upper bound on activation inputs a node can bind as FP8 codes
 /// (MatMul's two operands is the maximum).
-pub(crate) const MAX_ACT_INPUTS: usize = 2;
+pub const MAX_ACT_INPUTS: usize = 2;
 
-/// One resolved parameter binding: either a dense f32 tensor or an
-/// FP8-stored [`QTensor`] executed by the fused kernels.
+/// What a node's quantizable weight ([`Op::weight_value`]: the Conv2d/
+/// Linear weight or the Embedding table) executes as. Every other parameter
+/// (biases, norm statistics, `AddParam` constants) always runs as bound in
+/// the graph.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum WeightBinding<'a> {
+    /// The tensor bound in the graph.
+    #[default]
+    Graph,
+    /// A borrowed f32 substitute (e.g. a fake-quantized weight).
+    F32(&'a Tensor),
+    /// An FP8-stored weight run by the fused dequant kernels; no f32 weight
+    /// is materialized. Only Conv2d and Linear can execute one.
+    Q(&'a QTensor),
+}
+
+/// How one activation input crosses the op boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum ActBinding {
+    /// As the dense f32 tensor `before_node` left in place.
+    #[default]
+    F32,
+    /// As FP8 codes: the executor quantizes the staged input after
+    /// `before_node` and runs the node through a code×code kernel, so the
+    /// MAC loop never reads the dense input. Executable on input 0 of a
+    /// non-depthwise Conv2d or a Linear whose weight is [`WeightBinding::Q`],
+    /// and on both MatMul operands together.
+    Coded {
+        /// Code format.
+        format: Fp8Format,
+        /// Scale layout.
+        scale: ActScale,
+    },
+}
+
+/// Everything that steers how one node executes, decided by the hook in a
+/// single pure [`ExecHook::bind`] call. The default runs the graph as
+/// bound: graph weights, f32 activations, the default kernel path, an f32
+/// KV cache.
+///
+/// A binding the node cannot execute (a substitute on a node without a
+/// weight slot, `Q` on an Embedding, codes without a code×code kernel,
+/// one-sided MatMul coding) fails the run with [`PtqError::Internal`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Binding<'a> {
+    /// What the node's quantizable weight executes as.
+    pub weight: WeightBinding<'a>,
+    /// How each of the first [`MAX_ACT_INPUTS`] activation inputs crosses
+    /// the boundary. The one contract left to the hook: an input bound
+    /// [`ActBinding::Coded`] must leave `before_node` un-fake-quantized,
+    /// or it is quantized twice.
+    pub acts: [ActBinding; MAX_ACT_INPUTS],
+    /// Which implementation the fused quantized kernels (and the decode
+    /// step's attention kernels) run through; both are bit-identical.
+    pub kernel_path: KernelPath,
+    /// How incremental decode stores this node's output rows when they
+    /// feed a KV cache (read once per K/V projection at prefill). An
+    /// `Fp8 { scale: None }` policy is calibrated from the prefill rows.
+    pub kv: KvCachePolicy,
+}
+
+/// One resolved parameter: a dense f32 tensor or an FP8-stored [`QTensor`].
 #[derive(Clone, Copy)]
-pub(crate) enum PRef<'a> {
+enum PRef<'a> {
     F32(&'a Tensor),
     Q(&'a QTensor),
 }
 
-/// Borrowed parameter bindings for one node, in
-/// [`Op::param_values`](crate::Op::param_values) order. Fixed-size so the
-/// executor resolves parameters with zero heap traffic per node.
-pub(crate) struct ParamsRef<'a> {
-    items: [Option<PRef<'a>>; MAX_OP_PARAMS],
-}
+/// Resolved parameters of one node, in [`Op::param_ids`] order.
+struct ParamsRef<'a>([Option<PRef<'a>>; MAX_OP_PARAMS]);
 
 impl<'a> ParamsRef<'a> {
-    pub(crate) fn new() -> Self {
-        ParamsRef {
-            items: [None; MAX_OP_PARAMS],
-        }
-    }
-
-    pub(crate) fn set(&mut self, i: usize, t: &'a Tensor) {
-        self.items[i] = Some(PRef::F32(t));
-    }
-
-    pub(crate) fn set_q(&mut self, i: usize, q: &'a QTensor) {
-        self.items[i] = Some(PRef::Q(q));
-    }
-
     fn get(&self, node: &Node, i: usize) -> Result<PRef<'a>, PtqError> {
-        self.items.get(i).copied().flatten().ok_or_else(|| {
+        self.0.get(i).copied().flatten().ok_or_else(|| {
             PtqError::Internal(format!("missing parameter {i} for node {}", node.name))
         })
     }
 
-    /// Resolve parameter `i` as a dense f32 tensor. Only weight slot 0 of
-    /// Conv2d/Linear may bind a [`QTensor`]; every other parameter
-    /// (biases, norm statistics, embedding tables) must be f32, so a `Q`
-    /// binding here is an internal protocol violation, not a user error.
+    /// Parameter `i` as a dense f32 tensor; a `Q` binding on an operator
+    /// without a fused kernel is a hook protocol violation.
     fn get_f32(&self, node: &Node, i: usize) -> Result<&'a Tensor, PtqError> {
         match self.get(node, i)? {
             PRef::F32(t) => Ok(t),
@@ -71,62 +110,117 @@ impl<'a> ParamsRef<'a> {
     }
 }
 
-/// Borrowed FP8 activation-code bindings for one node, by input index.
-/// An entry is `Some` when the hook quantized that input at the op
-/// boundary ([`crate::ExecHook::quantize_act`]); the executor then runs
-/// the node through a code×code kernel and never reads the staged f32
-/// input.
-pub(crate) struct ActsRef<'a> {
-    items: [Option<&'a QActTensor>; MAX_ACT_INPUTS],
-}
+/// Coded activation inputs of one node, by input index.
+type ActsRef<'a> = [Option<&'a QActTensor>; MAX_ACT_INPUTS];
 
-impl<'a> ActsRef<'a> {
-    pub(crate) fn new() -> Self {
-        ActsRef {
-            items: [None; MAX_ACT_INPUTS],
-        }
-    }
-
-    pub(crate) fn set(&mut self, i: usize, q: &'a QActTensor) {
-        self.items[i] = Some(q);
-    }
-
-    fn get(&self, i: usize) -> Option<&'a QActTensor> {
-        self.items.get(i).copied().flatten()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.items.iter().all(Option::is_none)
-    }
-}
-
-/// Reusable non-tensor scratch buffers for [`eval_node_into`].
+/// Reusable per-executor scratch for [`run_node`]; capacity is kept across
+/// nodes and runs.
 #[derive(Debug, Default)]
-pub(crate) struct EvalScratch {
-    /// Decoded embedding ids (cleared per use, capacity reused).
-    pub ids: Vec<usize>,
+pub(crate) struct NodeScratch {
+    /// FP8 activation-code buffers for [`ActBinding::Coded`] inputs.
+    acts: [QActTensor; MAX_ACT_INPUTS],
+    /// Decoded embedding ids.
+    ids: Vec<usize>,
 }
 
-/// Evaluate one node into `out`, reusing `out`'s allocation.
-///
-/// `ins` are the (possibly hook-mutated) activation inputs and `params`
-/// the resolved parameter tensors in `param_values()` order. Arity and
-/// shapes must already be validated; the only runtime failures left are
-/// data-dependent contracts (embedding id values) and internal
-/// inconsistencies.
-pub(crate) fn eval_node_into(
+/// Run one node: `before_node` on the staged inputs, bind once, resolve
+/// parameters and activation codes, evaluate into `out` (reusing its
+/// allocation), `after_node`. Arity and shapes must already be validated.
+pub(crate) fn run_node(
+    graph: &Graph,
+    node: &Node,
+    ins: &mut [Tensor],
+    hook: &mut dyn ExecHook,
+    scratch: &mut NodeScratch,
+    out: &mut Tensor,
+) -> Result<(), PtqError> {
+    let mut sp = ptq_trace::span(ptq_trace::Level::Debug, "op");
+    hook.before_node(node, ins);
+    {
+        let binding = hook.bind(node);
+
+        let (ids, n) = node.op.param_ids();
+        let mut params = ParamsRef([None; MAX_OP_PARAMS]);
+        for (slot, id) in params.0.iter_mut().zip(&ids[..n]) {
+            let w = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
+                value: *id,
+                node: node.name.clone(),
+            })?;
+            *slot = Some(PRef::F32(w));
+        }
+        let substitute = match binding.weight {
+            WeightBinding::Graph => None,
+            WeightBinding::F32(t) => Some(PRef::F32(t)),
+            WeightBinding::Q(q) => Some(PRef::Q(q)),
+        };
+        if let Some(p) = substitute {
+            if node.op.weight_value().is_none() {
+                return Err(PtqError::Internal(format!(
+                    "weight substitute bound for node {} ({}), which has no quantizable weight",
+                    node.name,
+                    node.op.class()
+                )));
+            }
+            // `param_ids` puts the quantizable weight in slot 0.
+            params.0[0] = Some(p);
+        }
+
+        let mut acts: ActsRef<'_> = [None; MAX_ACT_INPUTS];
+        let coded = binding.acts.iter().zip(scratch.acts.iter_mut());
+        for (i, (act, buf)) in coded.enumerate() {
+            let ActBinding::Coded { format, scale } = *act else {
+                continue;
+            };
+            let x = ins.get(i).ok_or_else(|| {
+                PtqError::Internal(format!(
+                    "activation codes bound for input {i} of node {}, which has {} inputs",
+                    node.name,
+                    ins.len()
+                ))
+            })?;
+            let mut qs = ptq_trace::span(ptq_trace::Level::Debug, "act.quantize");
+            buf.quantize(x, format, scale);
+            if qs.active() {
+                qs.record_str("layer", &node.name);
+                qs.record_int("input", i as i64);
+                qs.record_int("elems", x.len() as i64);
+                qs.record_int("bytes", buf.storage_bytes() as i64);
+            }
+            acts[i] = Some(buf);
+        }
+
+        let path = binding.kernel_path;
+        eval_node_into(node, ins, &params, &acts, &mut scratch.ids, out, path)?;
+    }
+    hook.after_node(node, out);
+    if sp.active() {
+        sp.record_str("node", &node.name);
+        sp.record_str("kind", &node.op.class().to_string());
+        sp.record_str("out_shape", &format!("{:?}", out.shape()));
+        sp.record_int("elems", out.len() as i64);
+    }
+    Ok(())
+}
+
+/// Evaluate one node into `out`. `ins` are the (possibly hook-mutated)
+/// activation inputs and `params` the resolved parameters; the only runtime
+/// failures left are data-dependent contracts (embedding id values) and
+/// bindings the operator cannot execute.
+fn eval_node_into(
     node: &Node,
     ins: &[Tensor],
     params: &ParamsRef<'_>,
     acts: &ActsRef<'_>,
-    scratch: &mut EvalScratch,
+    ids: &mut Vec<usize>,
     out: &mut Tensor,
-    path: ops::KernelPath,
+    path: KernelPath,
 ) -> Result<(), PtqError> {
     // Activation codes are only executable by the code×code kernels of
     // Conv2d (non-depthwise), Linear and MatMul; a binding anywhere else
     // is a hook protocol violation, not a user error.
-    if !acts.is_empty() && !matches!(node.op, Op::Conv2d { .. } | Op::Linear { .. } | Op::MatMul) {
+    if acts.iter().any(Option::is_some)
+        && !matches!(node.op, Op::Conv2d { .. } | Op::Linear { .. } | Op::MatMul)
+    {
         return Err(PtqError::Internal(format!(
             "activation codes bound for node {} ({}), which has no code\u{d7}code kernel",
             node.name,
@@ -144,7 +238,7 @@ pub(crate) fn eval_node_into(
                 Some(_) => Some(params.get_f32(node, 1)?),
                 None => None,
             };
-            match (params.get(node, 0)?, *depthwise, acts.get(0)) {
+            match (params.get(node, 0)?, *depthwise, acts[0]) {
                 (PRef::Q(w), false, Some(xa)) => ops::conv2d_qq_into_path(xa, w, b, *cp, out, path),
                 (PRef::F32(w), true, None) => ops::depthwise_conv2d_into(&ins[0], w, b, *cp, out),
                 (PRef::F32(w), false, None) => ops::conv2d_into(&ins[0], w, b, *cp, out),
@@ -163,7 +257,7 @@ pub(crate) fn eval_node_into(
                 Some(_) => Some(params.get_f32(node, 1)?),
                 None => None,
             };
-            match (params.get(node, 0)?, acts.get(0)) {
+            match (params.get(node, 0)?, acts[0]) {
                 (PRef::Q(w), Some(xa)) => ops::linear_qq_into_path(xa, w, b, out, path),
                 (PRef::F32(w), None) => ops::linear_into(&ins[0], w, b, out),
                 (PRef::Q(w), None) => ops::linear_q_into_path(&ins[0], w, b, out, path),
@@ -175,7 +269,7 @@ pub(crate) fn eval_node_into(
                 }
             }
         }
-        Op::MatMul => match (acts.get(0), acts.get(1)) {
+        Op::MatMul => match (acts[0], acts[1]) {
             (Some(a), Some(b)) => ops::matmul_qq_into_path(a, b, out, path),
             (None, None) => ops::matmul_into(&ins[0], &ins[1], out),
             _ => {
@@ -189,7 +283,7 @@ pub(crate) fn eval_node_into(
         Op::Embedding { .. } => {
             let t = params.get_f32(node, 0)?;
             let vocab = t.dim(0);
-            scratch.ids.clear();
+            ids.clear();
             for &x in ins[0].data() {
                 // Ids arrive as f32; only finite non-negative integers
                 // inside the table are valid. `as usize` would silently
@@ -208,9 +302,9 @@ pub(crate) fn eval_node_into(
                         detail: format!("embedding id {id} out of range (vocab {vocab})"),
                     });
                 }
-                scratch.ids.push(id);
+                ids.push(id);
             }
-            ops::embedding_into(t, &scratch.ids, out);
+            ops::embedding_into(t, ids, out);
         }
         Op::BatchNorm { eps, .. } => {
             let gamma = params.get_f32(node, 0)?;

@@ -13,6 +13,10 @@ pub type ValueId = usize;
 /// Identifier of a node, equal to its index in [`Graph::nodes`] order.
 pub type NodeId = usize;
 
+/// Upper bound on parameters any single operator references (BatchNorm's
+/// gamma/beta/mean/var is the maximum).
+pub(crate) const MAX_OP_PARAMS: usize = 4;
+
 /// An operator. Parameter tensors (weights, scales, tables) are referenced
 /// by [`ValueId`] into the graph's parameter store so that quantization
 /// hooks can intercept them uniformly.
@@ -194,23 +198,30 @@ impl Op {
 
     /// All parameter value ids this op reads.
     pub fn param_values(&self) -> Vec<ValueId> {
-        match self {
-            Op::Conv2d { weight, bias, .. } | Op::Linear { weight, bias } => {
-                let mut v = vec![*weight];
-                v.extend(bias.iter().copied());
-                v
-            }
-            Op::Embedding { table } => vec![*table],
+        let (ids, n) = self.param_ids();
+        ids[..n].to_vec()
+    }
+
+    /// [`Op::param_values`] without the allocation: the ids in a fixed
+    /// array plus how many are in use. The quantizable weight
+    /// ([`Op::weight_value`]), when the op has one, is slot 0.
+    pub(crate) fn param_ids(&self) -> ([ValueId; MAX_OP_PARAMS], usize) {
+        match *self {
+            Op::Conv2d { weight, bias, .. } | Op::Linear { weight, bias } => match bias {
+                Some(b) => ([weight, b, 0, 0], 2),
+                None => ([weight, 0, 0, 0], 1),
+            },
+            Op::Embedding { table } => ([table, 0, 0, 0], 1),
             Op::BatchNorm {
                 gamma,
                 beta,
                 mean,
                 var,
                 ..
-            } => vec![*gamma, *beta, *mean, *var],
-            Op::LayerNorm { gamma, beta, .. } => vec![*gamma, *beta],
-            Op::AddParam { param } => vec![*param],
-            _ => vec![],
+            } => ([gamma, beta, mean, var], 4),
+            Op::LayerNorm { gamma, beta, .. } => ([gamma, beta, 0, 0], 2),
+            Op::AddParam { param } => ([param, 0, 0, 0], 1),
+            _ => ([0; MAX_OP_PARAMS], 0),
         }
     }
 }
@@ -299,13 +310,6 @@ impl Graph {
         Ok(())
     }
 
-    /// Deprecated alias of [`Graph::set_param`] (the `Result`-returning
-    /// methods now carry the canonical, unprefixed names).
-    #[deprecated(since = "0.2.0", note = "renamed to `set_param`")]
-    pub fn try_set_param(&mut self, id: ValueId, t: Tensor) -> Result<(), PtqError> {
-        self.set_param(id, t)
-    }
-
     /// Iterate over `(ValueId, &Tensor)` parameter bindings.
     pub fn params(&self) -> impl Iterator<Item = (ValueId, &Tensor)> {
         self.params.iter().map(|(&k, v)| (k, v))
@@ -380,11 +384,5 @@ impl Graph {
                 detail: format!("node {id} is {other:?}, not BatchNorm"),
             }),
         }
-    }
-
-    /// Deprecated alias of [`Graph::batchnorm_params`].
-    #[deprecated(since = "0.2.0", note = "renamed to `batchnorm_params`")]
-    pub fn try_batchnorm_params(&self, id: NodeId) -> Result<BatchNormParams, PtqError> {
-        self.batchnorm_params(id)
     }
 }

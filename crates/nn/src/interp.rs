@@ -1,6 +1,7 @@
-//! Graph interpreter with quantization interception hooks.
+//! The execution hook trait and the reference executor.
 
-use crate::error::PtqError;
+use crate::error::{PtqError, Shape};
+use crate::exec::{run_node, Binding, NodeScratch};
 use crate::graph::{Graph, Node};
 use ptq_tensor::Tensor;
 
@@ -12,8 +13,8 @@ use ptq_tensor::Tensor;
 /// * **calibration** observes tensors in [`ExecHook::before_node`] /
 ///   [`ExecHook::after_node`],
 /// * **quantized inference** fake-quantizes activation inputs in
-///   `before_node` and substitutes fake-quantized weights in
-///   [`ExecHook::weight`],
+///   `before_node` and binds pre-quantized weights, boundary-coded
+///   activations and the kernel path in [`ExecHook::bind`],
 /// * **BatchNorm calibration** measures pre-BN activations and rewrites the
 ///   running statistics between runs.
 pub trait ExecHook {
@@ -24,116 +25,13 @@ pub trait ExecHook {
     /// Called after a node executes; may observe or mutate the output.
     fn after_node(&mut self, _node: &Node, _output: &mut Tensor) {}
 
-    /// Called when a node fetches a parameter tensor. Return `Some` to
-    /// substitute (e.g. a fake-quantized weight); `None` uses the bound
-    /// parameter unchanged.
-    fn weight(
-        &mut self,
-        _node: &Node,
-        _value: crate::graph::ValueId,
-        _w: &Tensor,
-    ) -> Option<Tensor> {
-        None
-    }
-
-    /// Zero-copy variant of [`ExecHook::weight`] used by planned execution
-    /// ([`crate::ExecPlan`]): return `Some(&substitute)` to borrow an
-    /// already-materialized replacement (e.g. a pre-quantized weight held
-    /// by the hook) without cloning it every pass.
-    ///
-    /// Contract: this must be a pure lookup — no side effects, and it must
-    /// agree with what [`ExecHook::weight`] would return for the same
-    /// `(node, value)` — because the executor may probe it more than once
-    /// per fetch and falls back to `weight()` only when this returns
-    /// `None`. The default implementation returns `None`, which preserves
-    /// the legacy `weight()` protocol for existing hooks.
-    fn weight_ref<'a>(
-        &'a self,
-        _node: &Node,
-        _value: crate::graph::ValueId,
-        _w: &'a Tensor,
-    ) -> Option<&'a Tensor> {
-        None
-    }
-
-    /// Quantized-storage variant of [`ExecHook::weight_ref`]: return
-    /// `Some(&qtensor)` to bind an FP8-stored weight that the executor
-    /// runs directly through the fused dequant kernels
-    /// (`ptq_tensor::ops::{linear_q_into, conv2d_q_into, ...}`) — no f32
-    /// weight is ever materialized for the node.
-    ///
-    /// Probed *before* [`ExecHook::weight_ref`] and [`ExecHook::weight`];
-    /// when it returns `Some`, neither of those is consulted. Same
-    /// contract as `weight_ref`: a pure lookup (no side effects, may be
-    /// probed more than once per fetch), and it must bind values that
-    /// decode to exactly what `weight()` would substitute (the fused
-    /// kernels guarantee bit-identical execution given that). Only the
-    /// quantizable weight slot of Conv2d/Linear may bind a
-    /// [`QTensor`](ptq_tensor::QTensor); returning `Some` for any other
-    /// parameter (bias, norm statistics, embedding tables) makes the
-    /// executor fail with a typed internal error. The default returns
-    /// `None`, preserving the f32 protocol for existing hooks.
-    fn weight_q<'a>(
-        &'a self,
-        _node: &Node,
-        _value: crate::graph::ValueId,
-        _w: &Tensor,
-    ) -> Option<&'a ptq_tensor::QTensor> {
-        None
-    }
-
-    /// Activation-side counterpart of [`ExecHook::weight_q`]: quantize
-    /// activation input `input` of `node` to FP8 codes *at the op
-    /// boundary*. Called after [`ExecHook::before_node`] for each
-    /// activation input; fill `out` (its buffers are reused across nodes
-    /// by the executors) and return `true` to run the node through a
-    /// code×code kernel (`ptq_tensor::ops::{linear_qq_into,
-    /// conv2d_qq_into, matmul_qq_into}`) — the staged f32 input is then
-    /// never read, so no dense f32 activation crosses the boundary.
-    ///
-    /// Contract: `out.dequantize()` must be bit-identical to what
-    /// fake-quantizing `x` in `before_node` would have produced (and
-    /// `before_node` must have left `x` un-fake-quantized); the fused
-    /// kernels guarantee bit-identical execution given that. Codes are
-    /// only executable on input 0 of a non-depthwise Conv2d or a Linear
-    /// whose weight is bound through [`ExecHook::weight_q`], and on
-    /// inputs 0 and 1 of MatMul (both or neither); returning `true`
-    /// anywhere else makes the executor fail with a typed internal
-    /// error. The default returns `false`, preserving the fake-quant f32
-    /// protocol for existing hooks.
-    fn quantize_act(
-        &mut self,
-        _node: &Node,
-        _input: usize,
-        _x: &Tensor,
-        _out: &mut ptq_tensor::QActTensor,
-    ) -> bool {
-        false
-    }
-
-    /// Which implementation the fused quantized MAC kernels run through
-    /// for nodes this hook drives. Both paths are bit-identical (the
-    /// blocked micro-kernels preserve the scalar reference's accumulation
-    /// order exactly), so this is a performance/debugging knob, not a
-    /// semantics choice; the default is the fast blocked path. Queried
-    /// once per pass by both executors.
-    fn kernel_path(&self) -> ptq_tensor::ops::KernelPath {
-        ptq_tensor::ops::KernelPath::default()
-    }
-
-    /// How the incremental-decode engine should store the KV cache rows
-    /// produced by `node` (the K/V projection whose output rows are
-    /// cached; `side` says which of the two it feeds). Probed once per
-    /// attention layer when a [`crate::DecodeState`] is constructed.
-    ///
-    /// `scale` of a returned [`KvCachePolicy::Fp8`](ptq_tensor::KvCachePolicy)
-    /// may be left `None`: the decode engine then calibrates a static
-    /// per-tensor scale from the prefill activations (falling back to
-    /// per-row dynamic scales when the prefill absmax is degenerate).
-    /// The default is [`KvCachePolicy::F32`](ptq_tensor::KvCachePolicy) —
-    /// the bit-identity reference — so existing hooks are unaffected.
-    fn kv_cache(&self, _node: &Node, _side: ptq_tensor::KvSide) -> ptq_tensor::KvCachePolicy {
-        ptq_tensor::KvCachePolicy::F32
+    /// How `node` executes: what its weight runs as, which activation
+    /// inputs cross the boundary as FP8 codes, the kernel path, the KV
+    /// cache format of its output rows. Called once per node execution,
+    /// after `before_node`; a pure lookup over state the hook already
+    /// holds. The default runs the graph as bound (see [`Binding`]).
+    fn bind(&self, _node: &Node) -> Binding<'_> {
+        Binding::default()
     }
 }
 
@@ -147,21 +45,24 @@ impl Graph {
     /// Execute the graph on `inputs` (bound to [`Graph::input_ids`] in
     /// order), returning the output tensors.
     ///
+    /// This is the allocation-per-node *reference loop*: the oracle the
+    /// equivalence suites compare [`crate::ExecPlan`] and
+    /// [`crate::DecodeState`] against, and the convenient form for one-off
+    /// passes. Repeated execution belongs on a [`crate::PlanSet`].
+    ///
     /// Validates the whole graph against the input shapes first (see
     /// [`Graph::validate`]), so a malformed graph or incompatible shape is
     /// reported as a typed [`PtqError`] *before* any kernel runs rather
     /// than panicking mid-execution. After validation, the only runtime
     /// failures are data-dependent contracts (embedding id values).
     pub fn run(&self, inputs: &[Tensor], hook: &mut dyn ExecHook) -> Result<Vec<Tensor>, PtqError> {
-        let in_shapes: Vec<Vec<usize>> = inputs.iter().map(|t| t.shape().to_vec()).collect();
+        let in_shapes: Vec<Shape> = inputs.iter().map(|t| t.shape().to_vec()).collect();
         self.validate(&in_shapes)?;
         let mut values: Vec<Option<Tensor>> = vec![None; self.n_values];
         for (&id, t) in self.inputs.iter().zip(inputs) {
             values[id] = Some(t.clone());
         }
-        let mut act_bufs: Vec<ptq_tensor::QActTensor> = Vec::new();
-        act_bufs.resize_with(crate::exec::MAX_ACT_INPUTS, ptq_tensor::QActTensor::new);
-
+        let mut scratch = NodeScratch::default();
         for node in &self.nodes {
             let mut ins = Vec::with_capacity(node.inputs.len());
             for &i in &node.inputs {
@@ -170,20 +71,10 @@ impl Graph {
                     node: node.name.clone(),
                 })?);
             }
-            let mut sp = ptq_trace::span(ptq_trace::Level::Debug, "op");
-            hook.before_node(node, &mut ins);
-            let mut out = self.eval_node(node, &ins, hook, &mut act_bufs)?;
-            hook.after_node(node, &mut out);
-            if sp.active() {
-                sp.record_str("node", &node.name);
-                sp.record_str("kind", &node.op.class().to_string());
-                sp.record_str("out_shape", &format!("{:?}", out.shape()));
-                sp.record_int("elems", out.len() as i64);
-            }
-            drop(sp);
+            let mut out = Tensor::default();
+            run_node(self, node, &mut ins, hook, &mut scratch, &mut out)?;
             values[node.output] = Some(out);
         }
-
         self.outputs
             .iter()
             .map(|&o| {
@@ -198,92 +89,6 @@ impl Graph {
     pub fn infer(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, PtqError> {
         self.run(inputs, &mut NoopHook)
     }
-
-    /// Deprecated alias of [`Graph::run`] (the `Result`-returning methods
-    /// now carry the canonical, unprefixed names). Use
-    /// `run(..).unwrap_ok()` (see [`crate::UnwrapOk`]) where the old
-    /// panicking behavior is wanted.
-    #[deprecated(since = "0.2.0", note = "renamed to `run`")]
-    pub fn try_run(
-        &self,
-        inputs: &[Tensor],
-        hook: &mut dyn ExecHook,
-    ) -> Result<Vec<Tensor>, PtqError> {
-        self.run(inputs, hook)
-    }
-
-    /// Deprecated alias of [`Graph::infer`].
-    #[deprecated(since = "0.2.0", note = "renamed to `infer`")]
-    pub fn try_infer(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, PtqError> {
-        self.infer(inputs)
-    }
-
-    fn eval_node(
-        &self,
-        node: &Node,
-        ins: &[Tensor],
-        hook: &mut dyn ExecHook,
-        act_bufs: &mut [ptq_tensor::QActTensor],
-    ) -> Result<Tensor, PtqError> {
-        // Offer each activation input to the hook for quantize-at-boundary
-        // coding (mutable phase, like `weight()` below), then resolve
-        // parameters through the hook in `param_values()` order and
-        // evaluate through the shared `exec` path that the planner also
-        // uses. Priority per parameter: an FP8-stored binding from
-        // `weight_q()` (fused-kernel protocol), an owned substitution from
-        // `weight()` (legacy protocol), a borrowed substitution from
-        // `weight_ref()` (zero-copy protocol), then the graph's bound
-        // tensor. The mutable `weight()` call happens in a first pass only
-        // when both pure lookups decline, so the hook can be reborrowed
-        // immutably for the zero-copy resolutions afterwards.
-        let mut coded = [false; crate::exec::MAX_ACT_INPUTS];
-        for (i, x) in ins.iter().enumerate().take(crate::exec::MAX_ACT_INPUTS) {
-            coded[i] = hook.quantize_act(node, i, x, &mut act_bufs[i]);
-        }
-        let pids = node.op.param_values();
-        let mut owned: Vec<Option<Tensor>> = Vec::with_capacity(pids.len());
-        for id in &pids {
-            let w = self.params.get(id).ok_or_else(|| PtqError::UnboundParam {
-                value: *id,
-                node: node.name.clone(),
-            })?;
-            if hook.weight_q(node, *id, w).is_none() && hook.weight_ref(node, *id, w).is_none() {
-                owned.push(Some(hook.weight(node, *id, w).unwrap_or_else(|| w.clone())));
-            } else {
-                owned.push(None);
-            }
-        }
-        let frozen: &dyn ExecHook = hook;
-        let mut pr = crate::exec::ParamsRef::new();
-        for (i, id) in pids.iter().enumerate() {
-            // Unbound params already errored above, so the lookup is
-            // infallible here; keep the typed error anyway.
-            let w = self.params.get(id).ok_or_else(|| PtqError::UnboundParam {
-                value: *id,
-                node: node.name.clone(),
-            })?;
-            if let Some(t) = owned[i].as_ref() {
-                pr.set(i, t);
-            } else if let Some(q) = frozen.weight_q(node, *id, w) {
-                pr.set_q(i, q);
-            } else if let Some(r) = frozen.weight_ref(node, *id, w) {
-                pr.set(i, r);
-            } else {
-                pr.set(i, w);
-            }
-        }
-        let mut ar = crate::exec::ActsRef::new();
-        for (i, buf) in act_bufs.iter().enumerate() {
-            if coded[i] {
-                ar.set(i, buf);
-            }
-        }
-        let mut scratch = crate::exec::EvalScratch::default();
-        let mut out = Tensor::default();
-        let path = frozen.kernel_path();
-        crate::exec::eval_node_into(node, ins, &pr, &ar, &mut scratch, &mut out, path)?;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -291,9 +96,12 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::error::UnwrapOk;
+    use crate::exec::{ActBinding, WeightBinding};
     use crate::graph::{OpClass, ValueId};
+    use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec, Fp8Format};
     use ptq_tensor::ops::Conv2dParams;
-    use ptq_tensor::TensorRng;
+    use ptq_tensor::{fake_quant_per_tile, tile_scale, ActScale, QTensor, TensorRng};
+    use std::collections::HashMap;
 
     /// A tiny conv -> bn -> relu -> gap -> linear CNN for tests.
     fn tiny_cnn() -> Graph {
@@ -369,23 +177,46 @@ mod tests {
         assert_eq!(h.after, g.nodes().len());
     }
 
-    #[test]
-    fn weight_substitution_changes_output() {
-        struct ZeroWeights;
-        impl ExecHook for ZeroWeights {
-            fn weight(&mut self, node: &Node, value: ValueId, w: &Tensor) -> Option<Tensor> {
-                // Zero only the quantizable weight, not norm params.
-                if node.op.weight_value() == Some(value) {
-                    Some(Tensor::zeros(w.shape()))
-                } else {
-                    None
-                }
+    /// Binds a borrowed f32 substitute for every quantizable weight.
+    struct F32Weights(HashMap<ValueId, Tensor>);
+    impl ExecHook for F32Weights {
+        fn bind(&self, node: &Node) -> Binding<'_> {
+            let sub = node.op.weight_value().and_then(|v| self.0.get(&v));
+            Binding {
+                weight: sub.map_or(WeightBinding::Graph, WeightBinding::F32),
+                ..Binding::default()
             }
         }
+    }
+
+    /// Every quantizable weight of `g`, transformed by `f`.
+    fn map_weights<T>(g: &Graph, f: impl Fn(&Tensor) -> T) -> HashMap<ValueId, T> {
+        let ids = g.nodes().iter().filter_map(|n| n.op.weight_value());
+        ids.map(|v| (v, f(&g.params[&v]))).collect()
+    }
+
+    const EXECUTORS: [&str; 3] = ["reference", "plan (cold)", "plan (warm)"];
+
+    /// One output set per [`EXECUTORS`] entry, under hooks from `hook`.
+    fn all_executors<H: ExecHook>(g: &Graph, x: &Tensor, hook: impl Fn() -> H) -> [Vec<Tensor>; 3] {
+        let plan = g.plan(&[x.shape().to_vec()]).unwrap_ok();
+        let x = std::slice::from_ref(x);
+        [
+            g.run(x, &mut hook()).unwrap_ok(),
+            plan.run(g, x, &mut hook()).unwrap_ok(),
+            plan.run(g, x, &mut hook()).unwrap_ok(),
+        ]
+    }
+
+    #[test]
+    fn weight_substitution_changes_output() {
+        // Zero only the quantizable weights, not norm params.
         let g = tiny_cnn();
+        let zeros = map_weights(&g, |w| Tensor::zeros(w.shape()));
         let x = TensorRng::seed(1).normal(&[1, 3, 8, 8], 0.0, 1.0);
-        let y = g.run(&[x], &mut ZeroWeights).unwrap_ok();
-        assert!(y[0].data().iter().all(|&v| v == 0.0));
+        for y in all_executors(&g, &x, || F32Weights(zeros.clone())) {
+            assert!(y[0].data().iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]
@@ -412,158 +243,243 @@ mod tests {
         assert_eq!(doubled[0].data()[0], 2.0 * base[0].data()[0]);
     }
 
-    #[test]
-    fn weight_q_binding_matches_dequantized_weights_on_both_executors() {
-        use ptq_fp8::Fp8Format;
-        use ptq_tensor::QTensor;
-        use std::collections::HashMap;
-
-        /// Binds FP8-stored weights through the fused-kernel protocol;
-        /// `weight()` stays consistent by dequantizing the same storage.
-        struct QHook {
-            q: HashMap<ValueId, QTensor>,
-        }
-        impl ExecHook for QHook {
-            fn weight(&mut self, _n: &Node, value: ValueId, _w: &Tensor) -> Option<Tensor> {
-                self.q.get(&value).map(|q| q.dequantize())
+    /// Binds FP8-stored Conv2d/Linear weights and, when `scale` is set,
+    /// codes input 0 of those nodes at the boundary.
+    struct QHook {
+        q: HashMap<ValueId, QTensor>,
+        format: Fp8Format,
+        scale: Option<ActScale>,
+    }
+    impl ExecHook for QHook {
+        fn bind(&self, node: &Node) -> Binding<'_> {
+            let Some(q) = node.op.weight_value().and_then(|v| self.q.get(&v)) else {
+                return Binding::default();
+            };
+            let mut b = Binding {
+                weight: WeightBinding::Q(q),
+                ..Binding::default()
+            };
+            if let Some(scale) = self.scale {
+                b.acts[0] = ActBinding::Coded {
+                    format: self.format,
+                    scale,
+                };
             }
-            fn weight_q<'a>(
-                &'a self,
-                _n: &Node,
-                value: ValueId,
-                _w: &Tensor,
-            ) -> Option<&'a QTensor> {
-                self.q.get(&value)
-            }
+            b
         }
-        /// Same weights as owned f32 substitutions (the legacy path).
-        struct DeqHook {
-            q: HashMap<ValueId, QTensor>,
-        }
-        impl ExecHook for DeqHook {
-            fn weight(&mut self, _n: &Node, value: ValueId, _w: &Tensor) -> Option<Tensor> {
-                self.q.get(&value).map(|q| q.dequantize())
-            }
-        }
-
-        let g = tiny_cnn();
-        let mut q = HashMap::new();
-        for node in g.nodes() {
-            if let Some(v) = node.op.weight_value() {
-                let w = &g.params[&v];
-                q.insert(
-                    v,
-                    QTensor::quantize_per_channel(w, Fp8Format::E4M3).unwrap(),
-                );
-            }
-        }
-        let x = TensorRng::seed(17).normal(&[2, 3, 8, 8], 0.0, 1.0);
-
-        let baseline = g
-            .run(std::slice::from_ref(&x), &mut DeqHook { q: q.clone() })
-            .unwrap_ok();
-        let fused = g
-            .run(std::slice::from_ref(&x), &mut QHook { q: q.clone() })
-            .unwrap_ok();
-        assert_eq!(
-            baseline, fused,
-            "interp: fused kernels must be bit-identical"
-        );
-
-        let plan = g.plan(&[x.shape().to_vec()]).unwrap_ok();
-        let planned = plan.run(&g, &[x], &mut QHook { q }).unwrap_ok();
-        assert_eq!(
-            baseline, planned,
-            "plan: fused kernels must be bit-identical"
-        );
     }
 
     #[test]
-    fn quantize_act_binding_matches_fake_quant_on_both_executors() {
-        use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec, Fp8Format};
-        use ptq_tensor::{tile_scale, QActTensor, QTensor};
-        use std::collections::HashMap;
+    fn q_binding_matches_dequantized_weights_on_all_executors() {
+        let g = tiny_cnn();
+        let f = Fp8Format::E4M3;
+        let q = map_weights(&g, |w| QTensor::quantize_per_channel(w, f).unwrap());
+        let deq: HashMap<ValueId, Tensor> = q.iter().map(|(&v, q)| (v, q.dequantize())).collect();
+        let x = TensorRng::seed(17).normal(&[2, 3, 8, 8], 0.0, 1.0);
 
+        let [baseline, ..] = all_executors(&g, &x, || F32Weights(deq.clone()));
+        let fused = all_executors(&g, &x, || QHook {
+            q: q.clone(),
+            format: f,
+            scale: None,
+        });
+        for (y, exec) in fused.iter().zip(EXECUTORS) {
+            assert_eq!(&baseline, y, "{exec}: fused kernels must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn coded_binding_matches_fake_quant_on_all_executors() {
         const F: Fp8Format = Fp8Format::E3M4;
 
-        fn act_eligible(node: &Node, q: &HashMap<ValueId, QTensor>) -> bool {
-            matches!(node.op.class(), OpClass::Conv2d | OpClass::Linear)
-                && node.op.weight_value().is_some_and(|v| q.contains_key(&v))
-        }
-
-        /// Code×code path: FP8-stored weights plus input 0 quantized to
-        /// codes at the boundary with a dynamic per-tensor scale.
-        struct ActHook {
-            q: HashMap<ValueId, QTensor>,
-        }
-        impl ExecHook for ActHook {
-            fn weight_q<'a>(
-                &'a self,
-                _n: &Node,
-                value: ValueId,
-                _w: &Tensor,
-            ) -> Option<&'a QTensor> {
-                self.q.get(&value)
-            }
-            fn quantize_act(
-                &mut self,
-                node: &Node,
-                input: usize,
-                x: &Tensor,
-                out: &mut QActTensor,
-            ) -> bool {
-                if input == 0 && act_eligible(node, &self.q) {
-                    out.quantize_dynamic(x, F);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-
-        /// Fake-quant reference: same dynamic scale applied in
+        /// Fake-quant reference: the same scale layout applied in
         /// `before_node`, weights dequantized from the same storage.
         struct FqHook {
-            q: HashMap<ValueId, QTensor>,
+            deq: F32Weights,
+            scale: ActScale,
         }
         impl ExecHook for FqHook {
-            fn weight(&mut self, _n: &Node, value: ValueId, _w: &Tensor) -> Option<Tensor> {
-                self.q.get(&value).map(|q| q.dequantize())
+            fn bind(&self, node: &Node) -> Binding<'_> {
+                self.deq.bind(node)
             }
             fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-                if act_eligible(node, &self.q) {
-                    let codec = Fp8Codec::new(F);
-                    let scale = tile_scale(F, inputs[0].data());
-                    fake_quant_fp8_lut(inputs[0].data_mut(), &codec, scale);
+                if !node
+                    .op
+                    .weight_value()
+                    .is_some_and(|v| self.deq.0.contains_key(&v))
+                {
+                    return;
                 }
+                let x = &mut inputs[0];
+                let inner = x.shape().last().copied().unwrap_or(1);
+                let codec = Fp8Codec::new(F);
+                let s = match self.scale {
+                    ActScale::PerTile(t) => return fake_quant_per_tile(x.data_mut(), inner, F, t),
+                    ActScale::Static(s) => s,
+                    ActScale::Dynamic => tile_scale(F, x.data()),
+                };
+                fake_quant_fp8_lut(x.data_mut(), &codec, s);
             }
         }
 
         let g = tiny_cnn();
-        let mut q = HashMap::new();
-        for node in g.nodes() {
-            if let Some(v) = node.op.weight_value() {
-                q.insert(v, QTensor::quantize_per_channel(&g.params[&v], F).unwrap());
-            }
-        }
+        let q = map_weights(&g, |w| QTensor::quantize_per_channel(w, F).unwrap());
+        let deq: HashMap<ValueId, Tensor> = q.iter().map(|(&v, q)| (v, q.dequantize())).collect();
         let x = TensorRng::seed(19).normal(&[2, 3, 8, 8], 0.0, 1.0);
 
-        let reference = g
-            .run(std::slice::from_ref(&x), &mut FqHook { q: q.clone() })
-            .unwrap_ok();
-        let coded = g
-            .run(std::slice::from_ref(&x), &mut ActHook { q: q.clone() })
-            .unwrap_ok();
-        assert_eq!(
-            reference, coded,
-            "interp: code\u{d7}code kernels must be bit-identical"
+        for scale in [
+            ActScale::Static(3.5),
+            ActScale::Dynamic,
+            ActScale::PerTile(5),
+        ] {
+            let [reference, ..] = all_executors(&g, &x, || FqHook {
+                deq: F32Weights(deq.clone()),
+                scale,
+            });
+            let coded = all_executors(&g, &x, || QHook {
+                q: q.clone(),
+                format: F,
+                scale: Some(scale),
+            });
+            for (y, exec) in coded.iter().zip(EXECUTORS) {
+                assert_eq!(
+                    &reference, y,
+                    "{exec} {scale:?}: code\u{d7}code kernels drifted"
+                );
+            }
+        }
+    }
+
+    /// A hook returning one fixed binding for every node.
+    struct Fixed<'a>(Binding<'a>);
+    impl ExecHook for Fixed<'_> {
+        fn bind(&self, _node: &Node) -> Binding<'_> {
+            self.0
+        }
+    }
+
+    /// Single-node graph run under a fixed binding on both executors; the
+    /// binding is one the node cannot execute.
+    fn assert_rejected(g: &Graph, inputs: &[Tensor], binding: Binding<'_>, what: &str) {
+        let shapes: Vec<_> = inputs.iter().map(|t| t.shape().to_vec()).collect();
+        let plan = g.plan(&shapes).unwrap_ok();
+        for (exec, r) in [
+            ("reference", g.run(inputs, &mut Fixed(binding))),
+            ("plan", plan.run(g, inputs, &mut Fixed(binding))),
+        ] {
+            assert!(
+                matches!(r, Err(PtqError::Internal(_))),
+                "{what} on {exec}: expected an internal error, got {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn protocol_violating_bindings_are_typed_internal_errors() {
+        let mut rng = TensorRng::seed(23);
+        let q4 = QTensor::quantize_per_channel(&rng.kaiming(&[4, 4]), Fp8Format::E4M3).unwrap();
+        let f32_sub = rng.kaiming(&[4, 4]);
+        let with_weight = |weight| Binding {
+            weight,
+            ..Binding::default()
+        };
+        let coded = ActBinding::Coded {
+            format: Fp8Format::E4M3,
+            scale: ActScale::Dynamic,
+        };
+        let with_acts = |weight, acts| Binding {
+            weight,
+            acts,
+            ..Binding::default()
+        };
+
+        // `Q` on an Embedding table: no fused kernel reads one.
+        let mut b = GraphBuilder::new();
+        let ids = b.input();
+        let table = b.param(rng.kaiming(&[4, 4]));
+        let e = b.embedding(ids, table);
+        let g = b.finish(vec![e]);
+        let x = [Tensor::from_slice(&[1.0, 3.0])];
+        assert_rejected(&g, &x, with_weight(WeightBinding::Q(&q4)), "Q on Embedding");
+
+        // Any substitute on a BatchNorm: it has no quantizable weight.
+        let mut b = GraphBuilder::new();
+        let x_id = b.input();
+        let [gamma, beta, mean, var] = [1.0, 0.0, 0.0, 1.0].map(|v| b.param(Tensor::full(&[4], v)));
+        let bn = b.batchnorm(x_id, gamma, beta, mean, var, 1e-5);
+        let g = b.finish(vec![bn]);
+        let x = [rng.normal(&[1, 4, 2, 2], 0.0, 1.0)];
+        assert_rejected(&g, &x, with_weight(WeightBinding::Q(&q4)), "Q on BatchNorm");
+        assert_rejected(
+            &g,
+            &x,
+            with_weight(WeightBinding::F32(&f32_sub)),
+            "F32 on BatchNorm",
+        );
+        // ... and no code\u{d7}code kernel either.
+        let acts = [coded, ActBinding::F32];
+        assert_rejected(
+            &g,
+            &x,
+            with_acts(WeightBinding::Graph, acts),
+            "Coded on BatchNorm",
         );
 
-        let plan = g.plan(&[x.shape().to_vec()]).unwrap_ok();
-        let planned = plan.run(&g, &[x], &mut ActHook { q }).unwrap_ok();
-        assert_eq!(
-            reference, planned,
-            "plan: code\u{d7}code kernels must be bit-identical"
+        // Codes on a depthwise conv, even with an FP8-stored weight.
+        let mut b = GraphBuilder::new();
+        let x_id = b.input();
+        let w = b.param(rng.kaiming(&[4, 1, 3, 3]));
+        let c = b.depthwise_conv2d(x_id, w, None, Conv2dParams::same(3));
+        let g = b.finish(vec![c]);
+        let qdw = QTensor::quantize_per_channel(&g.params[&w], Fp8Format::E4M3).unwrap();
+        assert_rejected(
+            &g,
+            &x,
+            with_acts(WeightBinding::Q(&qdw), acts),
+            "Coded on depthwise",
+        );
+
+        // Codes paired with an f32 weight (graph-bound or substituted).
+        let mut b = GraphBuilder::new();
+        let x_id = b.input();
+        let w = b.param(rng.kaiming(&[4, 4]));
+        let y = b.linear(x_id, w, None);
+        let g = b.finish(vec![y]);
+        let x = [rng.normal(&[2, 4], 0.0, 1.0)];
+        assert_rejected(
+            &g,
+            &x,
+            with_acts(WeightBinding::Graph, acts),
+            "Coded with graph weight",
+        );
+        let sub = WeightBinding::F32(&f32_sub);
+        assert_rejected(&g, &x, with_acts(sub, acts), "Coded with f32 weight");
+        // Codes on an input the node does not have.
+        let second = [ActBinding::F32, coded];
+        assert_rejected(
+            &g,
+            &x,
+            with_acts(WeightBinding::Q(&q4), second),
+            "Coded on missing input",
+        );
+
+        // One-sided MatMul coding.
+        let mut b = GraphBuilder::new();
+        let (l, r) = (b.input(), b.input());
+        let y = b.matmul(l, r);
+        let g = b.finish(vec![y]);
+        let x = [rng.normal(&[2, 4], 0.0, 1.0), rng.normal(&[4, 3], 0.0, 1.0)];
+        assert_rejected(
+            &g,
+            &x,
+            with_acts(WeightBinding::Graph, acts),
+            "one-sided MatMul (lhs)",
+        );
+        assert_rejected(
+            &g,
+            &x,
+            with_acts(WeightBinding::Graph, second),
+            "one-sided MatMul (rhs)",
         );
     }
 

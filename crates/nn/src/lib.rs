@@ -13,10 +13,15 @@
 //!   FP32 glue (activations, softmax, pooling, reshapes).
 //! * [`GraphBuilder`] — ergonomic construction.
 //! * [`Graph::run`] with an [`ExecHook`] — execution with interception
-//!   points *before* each node (observe/fake-quant inputs), *on weight
-//!   fetch* (substitute quantized weights) and *after* each node (observe
-//!   outputs). Calibration, quantized inference and BatchNorm recalibration
-//!   are all hooks; the graph itself never changes.
+//!   points *before* each node (observe/fake-quant inputs) and *after* it
+//!   (observe outputs), plus one pure [`ExecHook::bind`] per node that
+//!   returns its [`Binding`]: the weight it executes (graph, f32
+//!   substitute or FP8-stored), which inputs cross the boundary as FP8
+//!   codes, the kernel path and the KV-cache format. Calibration,
+//!   quantized inference and BatchNorm recalibration are all hooks; the
+//!   graph itself never changes. `Graph::run` is the allocation-per-node
+//!   reference loop the planned and incremental executors are verified
+//!   against.
 //! * [`Graph::validate`] + [`Graph::run`] / [`Graph::infer`] — the
 //!   panic-free execution surface: arity, parameter binding, def-before-use
 //!   and per-operator shape rules are proven up front and violations are
@@ -26,12 +31,13 @@
 //! * [`Graph::plan`] → [`ExecPlan`] — ahead-of-time planned execution:
 //!   validation, scheduling and buffer-lifetime analysis happen once per
 //!   (graph, input shape), then [`ExecPlan::run`] executes with
-//!   arena-reused intermediates (zero steady-state allocations) and
+//!   arena-reused intermediates (zero intermediate-*tensor* allocations
+//!   once warm — not zero heap allocations: the repo benchmark counts
+//!   90–205 small ones per forward) and
 //!   [`ExecPlan::run_batch`] fans batches out across worker threads.
-//!   Planned execution is bit-identical to [`Graph::run`] — both evaluate
-//!   through one shared per-node kernel path. [`PlanSet`] caches plans per
+//!   Planned execution is bit-identical to [`Graph::run`] — all executors
+//!   run each node through one shared path. [`PlanSet`] caches plans per
 //!   input shape.
-
 //! * [`ExecPlan::plan_decode`] → [`DecodePlan`] + [`DecodeState`] —
 //!   incremental autoregressive decoding: one full-window prefill seeds a
 //!   per-layer [`ptq_tensor::KvCache`], then each generated token runs a
@@ -51,6 +57,7 @@ pub mod validate;
 pub use builder::GraphBuilder;
 pub use decode::{DecodePlan, DecodeState};
 pub use error::{PtqError, Shape, UnwrapOk};
+pub use exec::{ActBinding, Binding, WeightBinding, MAX_ACT_INPUTS};
 pub use graph::{Graph, Node, NodeId, Op, OpClass, ValueId};
 pub use interp::{ExecHook, NoopHook};
 pub use plan::{ExecPlan, PlanSet, TensorArena};

@@ -19,11 +19,9 @@
 //! * [`ExecPlan::run_batch`] runs many inputs in parallel, one pooled
 //!   arena + one hook per worker.
 //!
-//! Planned execution is *bit-identical* to [`Graph::run`]: both paths
-//! evaluate nodes through the single shared implementation in
-//! [`crate::exec`], and the staged-inputs + hook protocol is replicated
-//! exactly (see `tests/proptests.rs` for the zoo-wide equivalence
-//! property).
+//! Planned execution is *bit-identical* to [`Graph::run`]: both run every
+//! node through the one shared `exec::run_node` (hook protocol and kernel
+//! dispatch alike); see `tests/proptests.rs` for the equivalence property.
 //!
 //! A plan deliberately holds **no reference to the graph**. PTQ rewrites
 //! parameters between passes (BatchNorm calibration, weight
@@ -33,10 +31,10 @@
 //! was built against.
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{ActsRef, EvalScratch, ParamsRef, MAX_ACT_INPUTS, MAX_OP_PARAMS};
+use crate::exec::{run_node, NodeScratch};
 use crate::graph::{Graph, ValueId};
 use crate::interp::ExecHook;
-use ptq_tensor::{QActTensor, Tensor};
+use ptq_tensor::Tensor;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -64,9 +62,10 @@ struct Step {
 /// Reusable per-worker tensor storage for planned execution.
 ///
 /// Holds one tensor per plan slot (intermediates), the staging buffers
-/// hook-visible inputs are copied into, and scratch space for owned
-/// parameter substitutions. All buffers keep their capacity across runs,
-/// so a warmed arena executes passes without touching the allocator.
+/// hook-visible inputs are copied into, and the per-node scratch
+/// (activation-code buffers). All buffers keep their capacity across runs,
+/// so a warmed arena executes passes without allocating an intermediate
+/// tensor.
 #[derive(Debug, Default)]
 pub struct TensorArena {
     /// One tensor per plan slot; capacity grows to the slot's peak size.
@@ -74,15 +73,9 @@ pub struct TensorArena {
     /// Hook-visible input staging buffers, shared across nodes by
     /// position; capacity grows to the widest node's inputs.
     staging: Vec<Tensor>,
-    /// Owned parameter substitutions returned by [`ExecHook::weight`]
-    /// for the node currently executing.
-    owned: [Option<Tensor>; MAX_OP_PARAMS],
-    /// FP8 activation-code buffers filled by [`ExecHook::quantize_act`]
-    /// for the node currently executing; code/scale allocations are
-    /// recycled across nodes and runs.
-    acts: Vec<QActTensor>,
-    /// Non-tensor scratch (embedding id decode buffer).
-    scratch: EvalScratch,
+    /// Activation-code buffers and id scratch for the node currently
+    /// executing, recycled across nodes and runs.
+    node: NodeScratch,
 }
 
 impl TensorArena {
@@ -106,9 +99,6 @@ impl TensorArena {
         }
         if self.staging.len() < plan.max_arity {
             self.staging.resize_with(plan.max_arity, Tensor::default);
-        }
-        if self.acts.len() < MAX_ACT_INPUTS {
-            self.acts.resize_with(MAX_ACT_INPUTS, QActTensor::new);
         }
         for (slot, &elems) in plan.slot_elems.iter().enumerate() {
             if self.slots[slot].len() < elems {
@@ -447,9 +437,7 @@ impl ExecPlan {
         let TensorArena {
             slots,
             staging,
-            owned,
-            acts,
-            scratch,
+            node: scratch,
         } = arena;
 
         for step in &self.steps {
@@ -461,91 +449,8 @@ impl ExecPlan {
                     Src::Slot(s) => staging[j].copy_from(&slots[*s]),
                 }
             }
-
-            let mut sp = ptq_trace::span(ptq_trace::Level::Debug, "op");
-            hook.before_node(node, &mut staging[..arity]);
-
-            // Offer each activation input for quantize-at-boundary coding
-            // (mutable phase, like `weight()` below); the arena's code
-            // buffers are recycled across steps.
-            let mut coded = [false; MAX_ACT_INPUTS];
-            for i in 0..arity.min(MAX_ACT_INPUTS) {
-                coded[i] = hook.quantize_act(node, i, &staging[i], &mut acts[i]);
-            }
-
-            // Resolve parameters. Priority per parameter: an FP8-stored
-            // binding from `weight_q()` (fused-kernel protocol), an owned
-            // substitution from `weight()` (legacy protocol), a borrowed
-            // substitution from `weight_ref()` (zero-copy protocol), then
-            // the graph's bound tensor. The mutable `weight()` is only
-            // consulted when both pure lookups decline, so hooks
-            // implementing the borrowed protocols never clone — and a
-            // `weight_q` binding never materializes an f32 weight at all.
-            let pids = node.op.param_values();
-            if pids.len() > MAX_OP_PARAMS {
-                return Err(PtqError::Internal(format!(
-                    "node {} has {} parameters (max {MAX_OP_PARAMS})",
-                    node.name,
-                    pids.len()
-                )));
-            }
-            let mut ws: [Option<&Tensor>; MAX_OP_PARAMS] = [None; MAX_OP_PARAMS];
-            for o in owned.iter_mut() {
-                *o = None;
-            }
-            for (i, id) in pids.iter().enumerate() {
-                let w = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
-                    value: *id,
-                    node: node.name.clone(),
-                })?;
-                ws[i] = Some(w);
-                if (*hook).weight_q(node, *id, w).is_none()
-                    && (*hook).weight_ref(node, *id, w).is_none()
-                {
-                    owned[i] = hook.weight(node, *id, w);
-                }
-            }
-            let frozen: &dyn ExecHook = &*hook;
-            let mut pr = ParamsRef::new();
-            for (i, id) in pids.iter().enumerate() {
-                let w = match ws[i] {
-                    Some(w) => w,
-                    None => {
-                        return Err(PtqError::Internal(format!(
-                            "unresolved parameter {i} for node {}",
-                            node.name
-                        )))
-                    }
-                };
-                if let Some(o) = owned[i].as_ref() {
-                    pr.set(i, o);
-                } else if let Some(q) = frozen.weight_q(node, *id, w) {
-                    pr.set_q(i, q);
-                } else if let Some(r) = frozen.weight_ref(node, *id, w) {
-                    pr.set(i, r);
-                } else {
-                    pr.set(i, w);
-                }
-            }
-
-            let mut ar = ActsRef::new();
-            for (i, buf) in acts.iter().enumerate() {
-                if coded[i] {
-                    ar.set(i, buf);
-                }
-            }
-
             let out = &mut slots[step.out_slot];
-            let path = frozen.kernel_path();
-            crate::exec::eval_node_into(node, &staging[..arity], &pr, &ar, scratch, out, path)?;
-            hook.after_node(node, out);
-            if sp.active() {
-                sp.record_str("node", &node.name);
-                sp.record_str("kind", &node.op.class().to_string());
-                sp.record_str("out_shape", &format!("{:?}", out.shape()));
-                sp.record_int("elems", out.len() as i64);
-            }
-            drop(sp);
+            run_node(graph, node, &mut staging[..arity], hook, scratch, out)?;
         }
 
         Ok(self

@@ -1,8 +1,49 @@
 //! Property-based tests for the graph IR and interpreter.
 
 use proptest::prelude::*;
-use ptq_nn::{ExecHook, GraphBuilder, Node, NoopHook, UnwrapOk};
+use ptq_nn::{Binding, ExecHook, Graph, GraphBuilder, Node, NoopHook, UnwrapOk, WeightBinding};
 use ptq_tensor::{Tensor, TensorRng};
+use std::collections::HashMap;
+
+/// Binds a borrowed f32 substitute `f(weight)` for every quantizable
+/// weight, perturbs inputs in `before_node` by `shift`, and logs every
+/// callback.
+struct Subst {
+    weights: HashMap<usize, Tensor>,
+    shift: f32,
+    log: Vec<(usize, usize)>,
+}
+
+impl Subst {
+    fn new(g: &Graph, shift: f32, f: impl Fn(&Tensor) -> Tensor) -> Self {
+        let ids = g.nodes().iter().filter_map(|n| n.op.weight_value());
+        let weights = ids
+            .map(|v| (v, f(g.param(v).expect("bound weight"))))
+            .collect();
+        Subst {
+            weights,
+            shift,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl ExecHook for Subst {
+    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+        self.log.push((node.id, inputs.len()));
+        let shift = self.shift;
+        for t in inputs {
+            t.map_inplace(|v| v + shift);
+        }
+    }
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        let sub = node.op.weight_value().and_then(|v| self.weights.get(&v));
+        Binding {
+            weight: sub.map_or(WeightBinding::Graph, WeightBinding::F32),
+            ..Binding::default()
+        }
+    }
+}
 
 /// Build a random MLP graph from a shape spec: layer widths + activation
 /// choices.
@@ -74,16 +115,10 @@ proptest! {
         widths in proptest::collection::vec(1usize..10, 2..5),
         seed in 0u64..1000,
     ) {
-        struct Identity;
-        impl ExecHook for Identity {
-            fn weight(&mut self, _n: &Node, _v: usize, w: &Tensor) -> Option<Tensor> {
-                Some(w.clone())
-            }
-        }
         let g = mlp(&widths, &[3], seed);
         let x = TensorRng::seed(seed ^ 2).normal(&[2, widths[0]], 0.0, 1.0);
         let base = g.run(std::slice::from_ref(&x), &mut NoopHook).unwrap_ok();
-        let subst = g.run(&[x], &mut Identity).unwrap_ok();
+        let subst = g.run(&[x], &mut Subst::new(&g, 0.0, Tensor::clone)).unwrap_ok();
         prop_assert_eq!(base, subst);
     }
 
@@ -95,12 +130,6 @@ proptest! {
         seed in 0u64..1000,
         k in 0.25f32..4.0,
     ) {
-        struct Scale(f32);
-        impl ExecHook for Scale {
-            fn weight(&mut self, _n: &Node, _v: usize, w: &Tensor) -> Option<Tensor> {
-                Some(w.scale(self.0))
-            }
-        }
         let mut rng = TensorRng::seed(seed);
         let mut b = GraphBuilder::new();
         let x = b.input();
@@ -109,7 +138,7 @@ proptest! {
         let g = b.finish(vec![y]);
         let input = TensorRng::seed(seed ^ 3).normal(&[1, w_in], 0.0, 1.0);
         let base = g.run(std::slice::from_ref(&input), &mut NoopHook).unwrap_ok();
-        let scaled = g.run(&[input], &mut Scale(k)).unwrap_ok();
+        let scaled = g.run(&[input], &mut Subst::new(&g, 0.0, |w| w.scale(k))).unwrap_ok();
         for (a, b) in base[0].data().iter().zip(scaled[0].data()) {
             prop_assert!((a * k - b).abs() <= 1e-4 * (a.abs() * k + 1.0));
         }
@@ -148,35 +177,25 @@ proptest! {
     }
 
     /// Planned execution drives hooks identically to the interpreter:
-    /// same node order, same (mutable) input views, same weight fetches.
+    /// same node order, same (mutable) input views, same weight bindings.
     #[test]
     fn plan_drives_hooks_identically(
         widths in proptest::collection::vec(1usize..10, 2..5),
         seed in 0u64..1000,
         k in 0.25f32..4.0,
     ) {
-        /// Scales weights via the owned protocol, perturbs inputs in
-        /// `before_node`, and logs every callback.
-        struct Mangler { k: f32, log: Vec<(usize, usize)> }
-        impl ExecHook for Mangler {
-            fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-                self.log.push((node.id, inputs.len()));
-                for t in inputs {
-                    t.map_inplace(|v| v + 0.125);
-                }
-            }
-            fn weight(&mut self, _n: &Node, _v: usize, w: &Tensor) -> Option<Tensor> {
-                Some(w.scale(self.k))
-            }
-        }
         let g = mlp(&widths, &[0, 1], seed);
         let x = TensorRng::seed(seed ^ 7).normal(&[2, widths[0]], 0.0, 1.0);
-        let mut hi = Mangler { k, log: Vec::new() };
+        let mangler = || Subst::new(&g, 0.125, |w| w.scale(k));
+        let mut hi = mangler();
         let yi = g.run(std::slice::from_ref(&x), &mut hi).unwrap_ok();
         let plan = g.plan(&[x.shape().to_vec()]).unwrap_ok();
-        let mut hp = Mangler { k, log: Vec::new() };
-        let yp = plan.run(&g, &[x], &mut hp).unwrap_ok();
-        prop_assert_eq!(yi, yp);
-        prop_assert_eq!(hi.log, hp.log);
+        // Cold, then warmed arena.
+        for _ in 0..2 {
+            let mut hp = mangler();
+            let yp = plan.run(&g, std::slice::from_ref(&x), &mut hp).unwrap_ok();
+            prop_assert_eq!(&yi, &yp);
+            prop_assert_eq!(&hi.log, &hp.log);
+        }
     }
 }

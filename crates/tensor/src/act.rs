@@ -49,6 +49,43 @@ pub fn tile_scale(format: Fp8Format, chunk: &[f32]) -> f32 {
     fp8_scale(format, absmax_nan_aware(chunk))
 }
 
+/// Where the scale(s) of a boundary-coded activation come from: the three
+/// layouts [`QActTensor::quantize`] can produce.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ActScale {
+    /// A fixed per-tensor scale (calibrated, or the direct formats' unit
+    /// scale).
+    Static(f32),
+    /// One per-tensor absmax scale computed from the batch at hand.
+    Dynamic,
+    /// One absmax scale per chunk of this many last-dimension elements.
+    PerTile(usize),
+}
+
+impl ActScale {
+    /// [`QActTensor::storage_bytes`] of a tensor of `shape` coded with this
+    /// scale layout, without coding it.
+    pub fn coded_bytes(self, shape: &[usize]) -> usize {
+        let len: usize = shape.iter().product();
+        let tile = match self {
+            ActScale::Static(_) | ActScale::Dynamic => 0,
+            ActScale::PerTile(tile) => tile.max(1),
+        };
+        len + 4 * scale_count(len, shape, tile)
+    }
+}
+
+/// Scales a `len`-element tensor of `shape` carries at tile width `tile`:
+/// one for the per-tensor layout (`tile == 0`), else one per `tile`-wide
+/// chunk (ragged tail included) of each last-dimension row.
+fn scale_count(len: usize, shape: &[usize], tile: usize) -> usize {
+    if tile == 0 {
+        return 1;
+    }
+    let inner = shape.last().copied().unwrap_or(1).max(1);
+    len.div_ceil(inner) * inner.div_ceil(tile)
+}
+
 /// An FP8-coded activation tensor with reusable buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QActTensor {
@@ -87,6 +124,15 @@ impl QActTensor {
         self.codes.reserve(x.len());
         self.scales.clear();
         self.tile = tile;
+    }
+
+    /// Quantize `x` under the given scale layout.
+    pub fn quantize(&mut self, x: &Tensor, format: Fp8Format, scale: ActScale) {
+        match scale {
+            ActScale::Static(s) => self.quantize_static(x, format, s),
+            ActScale::Dynamic => self.quantize_dynamic(x, format),
+            ActScale::PerTile(t) => self.quantize_per_tile(x, format, t),
+        }
     }
 
     /// Quantize with a fixed per-tensor scale (static calibration scales,
@@ -159,12 +205,7 @@ impl QActTensor {
         tile: usize,
     ) -> Result<Self, Fp8Error> {
         check_shape(codes.len(), &shape)?;
-        let expected = if tile == 0 {
-            1
-        } else {
-            let inner = shape.last().copied().unwrap_or(1).max(1);
-            (codes.len() / inner) * inner.div_ceil(tile)
-        };
+        let expected = scale_count(codes.len(), &shape, tile);
         if scales.len() != expected {
             return Err(Fp8Error::ScaleCountMismatch {
                 expected,
@@ -445,6 +486,29 @@ mod tests {
         let d = q.dequantize();
         assert!(d.data()[1].is_nan());
         assert!(d.data()[0].is_finite());
+    }
+
+    #[test]
+    fn coded_bytes_predicts_storage_bytes() {
+        let mut rng = TensorRng::seed(46);
+        let mut q = QActTensor::new();
+        for shape in [&[5usize, 13][..], &[2, 3, 4, 7], &[9]] {
+            let t = rng.normal(shape, 0.0, 1.0);
+            for scale in [
+                ActScale::Static(2.0),
+                ActScale::Dynamic,
+                ActScale::PerTile(4),
+                ActScale::PerTile(0),
+                ActScale::PerTile(64),
+            ] {
+                q.quantize(&t, Fp8Format::E4M3, scale);
+                assert_eq!(
+                    scale.coded_bytes(shape),
+                    q.storage_bytes(),
+                    "{shape:?} {scale:?}"
+                );
+            }
+        }
     }
 
     #[test]

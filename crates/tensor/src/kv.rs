@@ -104,9 +104,10 @@ impl fmt::Display for KvSide {
 }
 
 /// How a cache buffer stores its rows.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum KvCachePolicy {
     /// Dense f32 rows — the bit-identity reference.
+    #[default]
     F32,
     /// u8 FP8 codes. `scale: Some(s)` is the calibrated static per-tensor
     /// scale; `None` selects the per-row dynamic-absmax fallback.

@@ -25,10 +25,14 @@ pub mod shape;
 pub mod stats;
 pub mod tensor;
 
-pub use act::{fake_quant_per_tile, tile_scale, ActDecode, QActTensor};
+pub use act::{fake_quant_per_tile, tile_scale, ActDecode, ActScale, QActTensor};
 pub use kv::{KvBuf, KvCache, KvCachePolicy, KvError, KvLayer, KvSide};
 pub use qtensor::{QTensor, ScaledDecode};
 pub use rng::TensorRng;
 pub use shape::{Shape, ShapeError};
 pub use stats::{ChannelStats, Histogram, TensorStats};
 pub use tensor::Tensor;
+
+// The storage format every coded type here is parameterized by, so
+// dependents that only name it need no direct `ptq-fp8` edge.
+pub use ptq_fp8::Fp8Format;
