@@ -379,18 +379,11 @@ fn kernel_table() -> Vec<(&'static str, u64, u64)> {
     ]
 }
 
-/// Parse one NDJSON record (`{"id":"...","secs_per_iter":...,"iters":...}`)
-/// without a JSON parser: ids are code-controlled ASCII without escapes.
+/// Parse one NDJSON record (`{"id":"...","secs_per_iter":...,"iters":...}`).
 fn parse_record(line: &str) -> Option<(String, f64)> {
-    let id = line.split("\"id\":\"").nth(1)?.split('"').next()?;
-    let secs = line
-        .split("\"secs_per_iter\":")
-        .nth(1)?
-        .split(&[',', '}'][..])
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()?;
+    let record = ptq_trace::json::Value::parse(line).ok()?;
+    let id = record.get("id")?.as_str()?;
+    let secs = record.get("secs_per_iter")?.as_f64()?;
     Some((id.to_string(), secs))
 }
 

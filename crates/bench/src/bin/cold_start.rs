@@ -88,7 +88,7 @@ fn save_mode(dir: &Path, flags: &CommonFlags) {
     let mut entries = Vec::new();
     let mut calibrate_ms = 0.0;
     for (format, approach) in table2_rows() {
-        if !flags.format_selected(&format.to_string()) {
+        if !flags.format_selected(format) {
             continue;
         }
         let row = format!("{format} / {approach:?}");
@@ -116,21 +116,12 @@ fn save_mode(dir: &Path, flags: &CommonFlags) {
             });
         }
     }
-    if entries.is_empty() {
-        fail(&format!(
-            "no rows matched --only-format {:?}",
-            flags.only_format
-        ));
-    }
-
     let summary = Summary {
         calibrate_ms,
         entries,
     };
-    let json = serde_json::to_string_pretty(&summary)
-        .unwrap_or_else(|e| fail(&format!("summary serialization failed: {e}")));
     let spath = dir.join("summary.json");
-    std::fs::write(&spath, json)
+    std::fs::write(&spath, ptq_bench::to_json_pretty(&summary))
         .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", spath.display())));
     eprintln!(
         "save: {} artifacts, calibrate-from-scratch total {calibrate_ms:.1} ms -> {}",

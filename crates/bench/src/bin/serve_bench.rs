@@ -17,7 +17,7 @@
 //!    table and `bench_results/serve.json`.
 //!
 //! Flags: the shared vocabulary (`--quick` `--limit` `--only-format`
-//! `--act-storage` `--spec <path.json>` `--trace <path>`) plus
+//! `--spec <path.json>` `--trace <path>`) plus
 //! `--duration-ms <N>` (measured window per load point, default 2000),
 //! `--loads <a,b,c>` (explicit offered loads in requests/s, overriding
 //! self-calibration) and `--deadline-ms <N>` (give every 4th request a
@@ -162,13 +162,9 @@ fn main() {
 
     // The served format: E4M3 static (the paper's headline recipe), or
     // whatever --only-format selects.
-    let format = match flags.only_format.as_deref() {
-        None | Some("E4M3") => DataFormat::Fp8(Fp8Format::E4M3),
-        Some("E5M2") => DataFormat::Fp8(Fp8Format::E5M2),
-        Some("E3M4") => DataFormat::Fp8(Fp8Format::E3M4),
-        Some("INT8") => DataFormat::Int8,
-        Some(other) => fail(&format!("unknown --only-format {other:?}")),
-    };
+    let format = flags
+        .only_format
+        .unwrap_or(DataFormat::Fp8(Fp8Format::E4M3));
 
     let zoo = match flags.limit {
         Some(n) => build_zoo_limited(ZooFilter::Quick, n),
@@ -207,7 +203,7 @@ fn main() {
         let cfg = flags
             .tweak_config(paper_recipe(format, Approach::Static, w.spec.domain))
             .with_weight_storage(storage);
-        let spec = EngineSpec::from_parts(cfg, serving.clone());
+        let spec = EngineSpec::from_config(&cfg).with_serving(serving.clone());
         let path: PathBuf = artifact_dir.join(format!("{storage}.ptq"));
         PtqSession::from_spec(&spec)
             .save_artifact(w, &path)

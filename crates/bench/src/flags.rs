@@ -8,19 +8,16 @@
 //! * `--quick` — quick zoo instead of the full 75-workload zoo.
 //! * `--detail` — extra per-workload output where a binary supports it.
 //! * `--limit <N>` — truncate the zoo to its first N workloads.
-//! * `--only-format <F>` — keep only rows whose data format Display
-//!   matches (`E5M2` / `E4M3` / `E3M4` / `INT8`).
-//! * `--act-storage fp8|fakequant-f32` — override activation storage.
+//! * `--only-format <F>` — keep only rows of one data format, named by
+//!   its wire label (`E5M2` / `E4M3` / `E3M4` / `INT8`).
 //! * `--spec <path.json>` — load a serialized [`EngineSpec`]; its
 //!   storage + kernel sections override each row's recipe and its
-//!   serving section configures the serving engine. An explicit
-//!   `--act-storage` flag wins over the spec file.
+//!   serving section configures the serving engine.
 //!
 //! Unknown values exit with status 2 and a message naming the flag —
 //! same behavior for every binary.
 
-use ptq_core::config::{ActivationStorage, QuantConfig};
-use ptq_core::spec::decode_activation_storage;
+use ptq_core::config::{DataFormat, QuantConfig};
 use ptq_core::{EngineSpec, ServeSpec};
 
 /// Parsed common flags (see module docs for the vocabulary).
@@ -35,10 +32,8 @@ pub struct CommonFlags {
     pub detail: bool,
     /// `--limit N`.
     pub limit: Option<usize>,
-    /// `--only-format F` (Display name, e.g. `E4M3`).
-    pub only_format: Option<String>,
-    /// `--act-storage` override.
-    pub act_storage: Option<ActivationStorage>,
+    /// `--only-format F`.
+    pub only_format: Option<DataFormat>,
     /// `--spec path.json`, fully deserialized.
     pub spec: Option<EngineSpec>,
 }
@@ -68,13 +63,14 @@ impl CommonFlags {
                     .map_err(|_| format!("bad --limit {v:?} (want an integer)"))?,
             ),
         };
-        let only_format = crate::flag_value(&args, "--only-format");
-        let act_storage = match crate::flag_value(&args, "--act-storage") {
+        let only_format = match crate::flag_value(&args, "--only-format") {
             None => None,
-            Some(v) => Some(
-                decode_activation_storage(&v)
-                    .map_err(|e| format!("unknown --act-storage {v:?}: {e}"))?,
-            ),
+            Some(v) => Some(DataFormat::from_label(&v).ok_or_else(|| {
+                format!(
+                    "unknown --only-format {v:?} (want {})",
+                    DataFormat::vocabulary()
+                )
+            })?),
         };
         let spec = match crate::flag_value(&args, "--spec") {
             None => None,
@@ -93,35 +89,27 @@ impl CommonFlags {
             detail,
             limit,
             only_format,
-            act_storage,
             spec,
         })
     }
 
-    /// Does `--only-format` admit this format? (Display-name match; no
-    /// flag admits everything.)
-    pub fn format_selected(&self, format_name: &str) -> bool {
-        self.only_format
-            .as_deref()
-            .map(|want| want == format_name)
-            .unwrap_or(true)
+    /// Does `--only-format` admit this format? (No flag admits
+    /// everything.)
+    pub fn format_selected(&self, format: DataFormat) -> bool {
+        self.only_format.is_none_or(|want| want == format)
     }
 
-    /// Apply the flag overrides to a row's recipe: the spec file's
-    /// storage and kernel sections first (when present), then the
-    /// explicit `--act-storage` flag on top.
-    pub fn tweak_config(&self, mut cfg: QuantConfig) -> QuantConfig {
-        if let Some(spec) = &self.spec {
-            cfg = cfg
-                .with_weight_storage(spec.storage.weights)
-                .with_activation_storage(spec.storage.activations)
-                .with_act_granularity(spec.storage.act_granularity)
-                .with_kernel_path(spec.kernel.path);
+    /// Apply the spec file's storage and kernel sections (when given) to
+    /// a row's recipe.
+    pub fn tweak_config(&self, cfg: QuantConfig) -> QuantConfig {
+        match &self.spec {
+            None => cfg,
+            Some(spec) => cfg
+                .with_weight_storage(spec.config.weight_storage)
+                .with_activation_storage(spec.config.activation_storage)
+                .with_act_granularity(spec.config.act_granularity)
+                .with_kernel_path(spec.config.kernel_path),
         }
-        if let Some(s) = self.act_storage {
-            cfg = cfg.with_activation_storage(s);
-        }
-        cfg
     }
 
     /// The serving section to run an engine with: the spec file's when
@@ -137,8 +125,9 @@ impl CommonFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptq_core::config::WeightStorage;
+    use ptq_core::config::{ActivationStorage, WeightStorage};
     use ptq_core::KernelPath;
+    use ptq_fp8::Fp8Format;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -154,22 +143,24 @@ mod tests {
             "7",
             "--only-format",
             "E4M3",
-            "--act-storage",
-            "fakequant-f32",
         ]))
         .unwrap();
         assert!(f.quick && f.detail);
         assert_eq!(f.limit, Some(7));
-        assert!(f.format_selected("E4M3"));
-        assert!(!f.format_selected("E5M2"));
-        assert_eq!(f.act_storage, Some(ActivationStorage::FakeQuantF32));
+        assert!(f.format_selected(DataFormat::Fp8(Fp8Format::E4M3)));
+        assert!(!f.format_selected(DataFormat::Fp8(Fp8Format::E5M2)));
+        assert!(!f.format_selected(DataFormat::Int8));
         assert!(f.spec.is_none());
+        // No flag admits everything.
+        let all = CommonFlags::parse_from(argv(&["bench"])).unwrap();
+        assert!(all.format_selected(DataFormat::Int8));
     }
 
     #[test]
     fn rejects_bad_values_with_the_flag_name() {
-        let e = CommonFlags::parse_from(argv(&["b", "--act-storage", "int4"])).unwrap_err();
-        assert!(e.contains("--act-storage"), "{e}");
+        let e = CommonFlags::parse_from(argv(&["b", "--only-format", "E9M9"])).unwrap_err();
+        assert!(e.contains("--only-format"), "{e}");
+        assert!(e.contains("E5M2 | E4M3 | E3M4 | INT8"), "{e}");
         let e = CommonFlags::parse_from(argv(&["b", "--limit", "many"])).unwrap_err();
         assert!(e.contains("--limit"), "{e}");
         let e = CommonFlags::parse_from(argv(&["b", "--spec", "/nonexistent.json"])).unwrap_err();
@@ -182,24 +173,18 @@ mod tests {
         p.push(format!("ptq-bench-flags-{}.json", std::process::id()));
         let spec_json = r#"{
             "quantization": { "act_format": "E4M3" },
-            "storage": { "weights": "fakequant-f32" },
+            "storage": { "weights": "fakequant-f32", "activations": "fakequant-f32" },
             "kernel": { "path": "scalar-reference" },
             "serving": { "max_batch": 3 }
         }"#;
         std::fs::write(&p, spec_json).unwrap();
-        let f = CommonFlags::parse_from(argv(&[
-            "b",
-            "--spec",
-            p.to_str().unwrap(),
-            "--act-storage",
-            "fp8",
-        ]))
-        .unwrap();
-        let cfg = f.tweak_config(QuantConfig::fp8(ptq_fp8::Fp8Format::E5M2));
+        let f = CommonFlags::parse_from(argv(&["b", "--spec", p.to_str().unwrap()])).unwrap();
+        let cfg = f.tweak_config(QuantConfig::fp8(Fp8Format::E5M2));
         assert_eq!(cfg.weight_storage, WeightStorage::FakeQuantF32);
         assert_eq!(cfg.kernel_path, KernelPath::ScalarReference);
-        // Explicit flag beats the spec file.
-        assert_eq!(cfg.activation_storage, ActivationStorage::Fp8);
+        assert_eq!(cfg.activation_storage, ActivationStorage::FakeQuantF32);
+        // The spec file's quantization section does not touch the row.
+        assert_eq!(cfg.act_format, DataFormat::Fp8(Fp8Format::E5M2));
         assert_eq!(f.serving().max_batch, 3);
         let _ = std::fs::remove_file(&p);
     }

@@ -27,9 +27,31 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
     let dir = Path::new(RESULTS_DIR);
     fs::create_dir_all(dir).expect("create bench_results dir");
     let path = dir.join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).expect("serialize results");
-    fs::write(&path, body).expect("write results file");
+    fs::write(&path, to_json_pretty(value)).expect("write results file");
     path
+}
+
+/// Render a `Serialize` value as pretty-printed JSON through
+/// [`ptq_trace::json`], the workspace's one JSON tree and renderer.
+/// Numbers become f64 on the way, so integers are exact up to 2^53 —
+/// far beyond any count or byte total an experiment reports.
+pub fn to_json_pretty<T: Serialize>(value: &T) -> String {
+    fn tree(v: serde::Value) -> ptq_trace::json::Value {
+        use ptq_trace::json::Value as Json;
+        match v {
+            serde::Value::Null => Json::Null,
+            serde::Value::Bool(b) => Json::Bool(b),
+            serde::Value::Int(i) => Json::Num(i as f64),
+            serde::Value::UInt(u) => Json::Num(u as f64),
+            serde::Value::Float(f) => Json::Num(f),
+            serde::Value::Str(s) => Json::Str(s),
+            serde::Value::Array(items) => Json::Array(items.into_iter().map(tree).collect()),
+            serde::Value::Object(entries) => {
+                Json::Object(entries.into_iter().map(|(k, v)| (k, tree(v))).collect())
+            }
+        }
+    }
+    tree(value.serialize()).render_pretty()
 }
 
 /// Value of a `--flag <value>` pair in `args`, if present.
@@ -160,6 +182,32 @@ mod tests {
         let s = t.render();
         assert!(s.contains("| a | b |"));
         assert!(s.contains("| 1 | 2 |"));
+    }
+
+    #[test]
+    fn serialized_values_render_through_the_one_json_tree() {
+        #[derive(Serialize)]
+        struct Row {
+            name: String,
+            count: usize,
+            rate: Option<f64>,
+            scores: Vec<f32>,
+        }
+        let text = to_json_pretty(&Row {
+            name: "a\"b".into(),
+            count: 3,
+            rate: None,
+            scores: vec![0.5, 2.0],
+        });
+        let back = ptq_trace::json::Value::parse(&text).unwrap();
+        assert_eq!(back.get("name").and_then(|v| v.as_str()), Some("a\"b"));
+        assert_eq!(back.get("count").and_then(|v| v.as_f64()), Some(3.0));
+        assert_eq!(back.get("rate"), Some(&ptq_trace::json::Value::Null));
+        assert_eq!(
+            back.get("scores").and_then(|v| v.at(1)?.as_f64()),
+            Some(2.0)
+        );
+        assert!(text.starts_with("{\n  \"name\": "), "{text}");
     }
 
     #[test]

@@ -33,18 +33,14 @@
 //! quantize-then-persist pipeline.
 
 use crate::calibrate::TensorKey;
-use crate::config::{
-    ActGranularity, ActivationStorage, Approach, CalibMethod, Coverage, DataFormat, Granularity,
-    KvStorage, QuantConfig, WeightStorage,
-};
+use crate::config::{ActGranularity, CalibMethod, DataFormat, KvStorage, QuantConfig};
 use crate::quantizer::QuantizedModel;
-use crate::spec::ServeSpec;
+use crate::spec::{EngineSpec, ServeSpec};
 use ptq_artifact::{
     ArtifactError, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter, SharedBuf,
 };
-use ptq_fp8::{CodeBytes, Fp8Error, Fp8Format, Int8Codec, Int8Mode, SharedBytes, StoredScales};
+use ptq_fp8::{CodeBytes, Fp8Error, Int8Codec, Int8Mode, SharedBytes, StoredScales, WireEnum};
 use ptq_nn::{decode_graph, encode_graph, NodeId, PlanSet, PtqError, ValueId};
-use ptq_tensor::ops::KernelPath;
 use ptq_tensor::{QTensor, Tensor};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -53,9 +49,8 @@ use std::sync::Arc;
 
 /// Chunk tag: the serialized [`ptq_nn::Graph`] (see `ptq_nn::serialize`).
 pub const TAG_GRAPH: u32 = 1;
-/// Chunk tag: the full [`crate::spec::EngineSpec`] — the [`QuantConfig`]
-/// recipe followed by the [`ServeSpec`] serving section (since container
-/// version 2).
+/// Chunk tag: the full [`EngineSpec`] — the [`QuantConfig`] recipe
+/// followed by the [`ServeSpec`] serving section.
 pub const TAG_CONFIG: u32 = 2;
 /// Chunk tag: the set of node ids executing in low precision.
 pub const TAG_QNODES: u32 = 3;
@@ -99,7 +94,7 @@ impl PtqArtifact {
     /// Serialize and write to `path` (atomically, via a temp file +
     /// rename).
     pub fn save(&self, path: &Path) -> Result<(), PtqError> {
-        write_artifact(&self.model, &self.thresholds, &self.serving, path)
+        Ok(build_writer(&self.model, &self.thresholds, &self.serving).write_to(path)?)
     }
 
     /// Parse an artifact from in-memory bytes.
@@ -120,7 +115,7 @@ impl QuantizedModel {
     /// via a temp file + rename). The saved model reloads bit-identically
     /// with [`QuantizedModel::load`].
     pub fn save(&self, path: &Path) -> Result<(), PtqError> {
-        write_artifact(self, &BTreeMap::new(), &ServeSpec::default(), path)
+        Ok(build_writer(self, &BTreeMap::new(), &ServeSpec::default()).write_to(path)?)
     }
 
     /// Serialize this model to the container byte format (no thresholds
@@ -139,9 +134,10 @@ impl QuantizedModel {
     }
 }
 
-/// Encode `model` (+ `thresholds`) into a ready-to-finish container
-/// writer. All nine chunks are always present — empty maps encode as a
-/// zero count — so every artifact has one canonical layout.
+/// Encode `model` (+ `thresholds` + `serving`) into a container writer,
+/// ready to `finish()` into bytes or `write_to(path)` atomically. All nine
+/// chunks are always present — empty maps encode as a zero count — so
+/// every artifact has one canonical layout.
 pub(crate) fn build_writer(
     model: &QuantizedModel,
     thresholds: &BTreeMap<TensorKey, f32>,
@@ -153,49 +149,25 @@ pub(crate) fn build_writer(
     w.chunk(TAG_QNODES, encode_qnodes(&model.quantized_nodes));
     w.chunk(TAG_WEIGHTS, encode_weights(&model.weights));
     w.chunk(TAG_QWEIGHTS, encode_qweights(&model.qweights));
-    w.chunk(
-        TAG_ACT_SCALES,
-        encode_keyed_f32(sorted_keyed(&model.act_scales)),
-    );
+    w.chunk(TAG_ACT_SCALES, encode_keyed_f32(&model.act_scales));
     w.chunk(TAG_ACT_INT8, encode_act_int8(&model.act_int8));
     w.chunk(TAG_SMOOTH, encode_smooth(&model.smooth));
-    w.chunk(
-        TAG_THRESHOLDS,
-        encode_keyed_f32(thresholds.iter().map(|(&k, &v)| (k, v)).collect()),
-    );
+    w.chunk(TAG_THRESHOLDS, encode_keyed_f32(thresholds));
     w
-}
-
-/// Serialize and atomically write `model` (+ `thresholds` + `serving`)
-/// to `path`.
-pub(crate) fn write_artifact(
-    model: &QuantizedModel,
-    thresholds: &BTreeMap<TensorKey, f32>,
-    serving: &ServeSpec,
-    path: &Path,
-) -> Result<(), PtqError> {
-    build_writer(model, thresholds, serving).write_to(path)?;
-    Ok(())
 }
 
 /// Decode a full artifact out of an opened container.
 pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, PtqError> {
     let graph = decode_graph(reader.chunk(TAG_GRAPH)?)?;
     graph.validate_structure()?;
-    let (config, serving) = decode_config(reader.chunk(TAG_CONFIG)?)?;
+    let EngineSpec { config, serving } = decode_config(reader.chunk(TAG_CONFIG)?)?;
     let quantized_nodes = decode_qnodes(reader.chunk(TAG_QNODES)?, graph.nodes().len())?;
     let weights = decode_weights(reader.chunk(TAG_WEIGHTS)?)?;
     let qweights = decode_qweights(reader)?;
-    let act_scales: HashMap<TensorKey, f32> =
-        decode_keyed_f32(reader.chunk(TAG_ACT_SCALES)?, "act scale")?
-            .into_iter()
-            .collect();
+    let act_scales = decode_keyed_f32(reader.chunk(TAG_ACT_SCALES)?, "act scale")?;
     let act_int8 = decode_act_int8(reader.chunk(TAG_ACT_INT8)?)?;
     let smooth = decode_smooth(reader.chunk(TAG_SMOOTH)?)?;
-    let thresholds: BTreeMap<TensorKey, f32> =
-        decode_keyed_f32(reader.chunk(TAG_THRESHOLDS)?, "threshold")?
-            .into_iter()
-            .collect();
+    let thresholds = decode_keyed_f32(reader.chunk(TAG_THRESHOLDS)?, "threshold")?;
     let model = QuantizedModel {
         graph,
         config,
@@ -227,27 +199,24 @@ fn align8(n: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Enum discriminants. Every enum is written as a `u8` in declaration
-// order; unknown values are a typed decode error, so a future variant
-// forces a version bump instead of silently aliasing an old one.
+// Enum discriminants. A plain enum is written as one `u8`, its position
+// in the enum's `WireEnum` list; an unknown value is a typed decode error,
+// so a future variant forces a version bump instead of silently aliasing
+// an old one. Data-carrying enums write a tag byte, then the payload.
 // ---------------------------------------------------------------------
 
-fn put_fp8_format(w: &mut ByteWriter, f: Fp8Format) {
-    w.put_u8(match f {
-        Fp8Format::E5M2 => 0,
-        Fp8Format::E4M3 => 1,
-        Fp8Format::E3M4 => 2,
-    });
+fn put_enum<E: WireEnum>(w: &mut ByteWriter, e: E) {
+    w.put_u8(e.discriminant());
 }
 
-fn get_fp8_format(r: &mut ByteReader<'_>, what: &str) -> Result<Fp8Format, ArtifactError> {
-    match r.get_u8(what)? {
-        0 => Ok(Fp8Format::E5M2),
-        1 => Ok(Fp8Format::E4M3),
-        2 => Ok(Fp8Format::E3M4),
-        x => Err(ArtifactError::Decode {
-            detail: format!("{what}: unknown FP8 format discriminant {x}"),
-        }),
+fn get_enum<E: WireEnum>(r: &mut ByteReader<'_>, what: &str) -> Result<E, ArtifactError> {
+    let d = r.get_u8(what)?;
+    E::from_discriminant(d).ok_or_else(|| unknown_discriminant(what, d))
+}
+
+fn unknown_discriminant(what: &str, d: u8) -> ArtifactError {
+    ArtifactError::Decode {
+        detail: format!("{what}: unknown discriminant {d}"),
     }
 }
 
@@ -255,7 +224,7 @@ fn put_data_format(w: &mut ByteWriter, f: DataFormat) {
     match f {
         DataFormat::Fp8(fmt) => {
             w.put_u8(0);
-            put_fp8_format(w, fmt);
+            put_enum(w, fmt);
         }
         DataFormat::Int8 => w.put_u8(1),
     }
@@ -263,11 +232,9 @@ fn put_data_format(w: &mut ByteWriter, f: DataFormat) {
 
 fn get_data_format(r: &mut ByteReader<'_>, what: &str) -> Result<DataFormat, ArtifactError> {
     match r.get_u8(what)? {
-        0 => Ok(DataFormat::Fp8(get_fp8_format(r, what)?)),
+        0 => Ok(DataFormat::Fp8(get_enum(r, what)?)),
         1 => Ok(DataFormat::Int8),
-        x => Err(ArtifactError::Decode {
-            detail: format!("{what}: unknown data format discriminant {x}"),
-        }),
+        d => Err(unknown_discriminant(what, d)),
     }
 }
 
@@ -285,37 +252,78 @@ fn get_bool(r: &mut ByteReader<'_>, what: &str) -> Result<bool, ArtifactError> {
     }
 }
 
+/// An optional value: a presence flag, then the value.
+fn put_option<T>(w: &mut ByteWriter, v: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
+    put_bool(w, v.is_some());
+    if let Some(v) = v {
+        put(w, v);
+    }
+}
+
+fn get_option<'a, T>(
+    r: &mut ByteReader<'a>,
+    what: &str,
+    get: impl FnOnce(&mut ByteReader<'a>, &str) -> Result<T, ArtifactError>,
+) -> Result<Option<T>, ArtifactError> {
+    match get_bool(r, what)? {
+        false => Ok(None),
+        true => get(r, what).map(Some),
+    }
+}
+
+/// A strictly increasing id list (the canonical form of a `BTreeSet`).
+fn put_id_set(w: &mut ByteWriter, ids: &BTreeSet<usize>) {
+    w.put_usize(ids.len());
+    for &id in ids {
+        w.put_usize(id);
+    }
+}
+
+fn get_id_set(r: &mut ByteReader<'_>, what: &str) -> Result<BTreeSet<usize>, ArtifactError> {
+    let ids = get_sorted(r, what, |r| Ok((r.get_usize(what)?, ())))?;
+    Ok(ids.into_iter().map(|(id, ())| id).collect())
+}
+
+/// `count × entry` with strictly increasing keys: the one form every map
+/// and set takes on the wire. Rejecting any other order is what makes an
+/// artifact's encoding canonical (re-save is byte-identical).
+fn get_sorted<'a, K: PartialOrd + Copy, V>(
+    r: &mut ByteReader<'a>,
+    what: &str,
+    mut entry: impl FnMut(&mut ByteReader<'a>) -> Result<(K, V), ArtifactError>,
+) -> Result<Vec<(K, V)>, ArtifactError> {
+    let count = r.get_count(what)?;
+    let mut out: Vec<(K, V)> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (key, value) = entry(r)?;
+        if out.last().is_some_and(|(prev, _)| *prev >= key) {
+            return Err(ArtifactError::Decode {
+                detail: format!("{what}: keys out of order"),
+            });
+        }
+        out.push((key, value));
+    }
+    Ok(out)
+}
+
 // ---------------------------------------------------------------------
-// CONFIG chunk: QuantConfig fields in declaration order, followed by the
-// EngineSpec serving section (serving since container version 2,
-// kv_storage since version 3).
+// CONFIG chunk: the EngineSpec — QuantConfig fields in declaration order,
+// then the serving section. Layout frozen at container version 3; both
+// halves are fixed-width per field, so any value re-encodes
+// byte-identically and corruption is caught by the container CRC, by an
+// unknown discriminant, or by `QuantConfig::validate`.
 // ---------------------------------------------------------------------
 
-fn encode_config(cfg: &QuantConfig, serving: &ServeSpec) -> Vec<u8> {
+fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    put_data_format(&mut w, cfg.act_format);
-    put_data_format(&mut w, cfg.weight_format);
-    w.put_u8(match cfg.approach {
-        Approach::Static => 0,
-        Approach::Dynamic => 1,
-    });
-    w.put_u8(match cfg.coverage {
-        Coverage::Standard => 0,
-        Coverage::Extended => 1,
-    });
-    w.put_u8(match cfg.weight_granularity {
-        Granularity::PerChannel => 0,
-        Granularity::PerTensor => 1,
-    });
-    put_bool(&mut w, cfg.quantize_first_last);
-    match cfg.smoothquant_alpha {
-        None => w.put_u8(0),
-        Some(a) => {
-            w.put_u8(1);
-            w.put_f32(a);
-        }
-    }
-    match cfg.calibration {
+    put_data_format(&mut w, c.act_format);
+    put_data_format(&mut w, c.weight_format);
+    put_enum(&mut w, c.approach);
+    put_enum(&mut w, c.coverage);
+    put_enum(&mut w, c.weight_granularity);
+    put_bool(&mut w, c.quantize_first_last);
+    put_option(&mut w, c.smoothquant_alpha, ByteWriter::put_f32);
+    match c.calibration {
         CalibMethod::AbsMax => w.put_u8(0),
         CalibMethod::Percentile(q) => {
             w.put_u8(1);
@@ -324,197 +332,80 @@ fn encode_config(cfg: &QuantConfig, serving: &ServeSpec) -> Vec<u8> {
         CalibMethod::Kl => w.put_u8(2),
         CalibMethod::MseSweep => w.put_u8(3),
     }
-    put_bool(&mut w, cfg.bn_calibration);
-    w.put_usize(cfg.fallback.len());
-    for &node in &cfg.fallback {
-        w.put_usize(node);
-    }
-    w.put_u8(match cfg.weight_storage {
-        WeightStorage::Fp8 => 0,
-        WeightStorage::FakeQuantF32 => 1,
-    });
-    w.put_u8(match cfg.activation_storage {
-        ActivationStorage::Fp8 => 0,
-        ActivationStorage::FakeQuantF32 => 1,
-    });
-    match cfg.act_granularity {
+    put_bool(&mut w, c.bn_calibration);
+    put_id_set(&mut w, &c.fallback);
+    put_enum(&mut w, c.weight_storage);
+    put_enum(&mut w, c.activation_storage);
+    match c.act_granularity {
         ActGranularity::PerTensor => w.put_u8(0),
         ActGranularity::PerTile(tile) => {
             w.put_u8(1);
             w.put_usize(tile);
         }
     }
-    w.put_u8(match cfg.kernel_path {
-        KernelPath::Blocked => 0,
-        KernelPath::ScalarReference => 1,
-    });
-    match cfg.kv_storage {
+    put_enum(&mut w, c.kernel_path);
+    match c.kv_storage {
         KvStorage::F32 => w.put_u8(0),
         KvStorage::Fp8 { format } => {
             w.put_u8(1);
-            put_fp8_format(&mut w, format);
+            put_enum(&mut w, format);
         }
     }
-    // Serving section: all fixed-width, so any value re-encodes
-    // byte-identically (canonical) and corruption is caught by the
-    // container CRC rather than by range checks here.
-    w.put_usize(serving.max_batch);
-    w.put_usize(serving.batch_window_us);
-    w.put_usize(serving.queue_capacity);
-    match serving.default_deadline_ms {
-        None => w.put_u8(0),
-        Some(ms) => {
-            w.put_u8(1);
-            w.put_usize(ms);
-        }
-    }
-    w.put_usize(serving.workers);
+    w.put_usize(s.max_batch);
+    w.put_usize(s.batch_window_us);
+    w.put_usize(s.queue_capacity);
+    put_option(&mut w, s.default_deadline_ms, ByteWriter::put_usize);
+    w.put_usize(s.workers);
     w.finish()
 }
 
-fn decode_config(payload: &[u8]) -> Result<(QuantConfig, ServeSpec), ArtifactError> {
-    let mut r = ByteReader::new(payload);
-    let act_format = get_data_format(&mut r, "config act format")?;
-    let weight_format = get_data_format(&mut r, "config weight format")?;
-    let approach = match r.get_u8("config approach")? {
-        0 => Approach::Static,
-        1 => Approach::Dynamic,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config approach: unknown discriminant {x}"),
-            })
-        }
-    };
-    let coverage = match r.get_u8("config coverage")? {
-        0 => Coverage::Standard,
-        1 => Coverage::Extended,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config coverage: unknown discriminant {x}"),
-            })
-        }
-    };
-    let weight_granularity = match r.get_u8("config weight granularity")? {
-        0 => Granularity::PerChannel,
-        1 => Granularity::PerTensor,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config weight granularity: unknown discriminant {x}"),
-            })
-        }
-    };
-    let quantize_first_last = get_bool(&mut r, "config quantize_first_last")?;
-    let smoothquant_alpha = match get_bool(&mut r, "config smoothquant flag")? {
-        false => None,
-        true => Some(r.get_f32("config smoothquant alpha")?),
-    };
-    let calibration = match r.get_u8("config calibration")? {
-        0 => CalibMethod::AbsMax,
-        1 => CalibMethod::Percentile(r.get_f64("config percentile")?),
-        2 => CalibMethod::Kl,
-        3 => CalibMethod::MseSweep,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config calibration: unknown discriminant {x}"),
-            })
-        }
-    };
-    let bn_calibration = get_bool(&mut r, "config bn_calibration")?;
-    let n_fallback = r.get_count("config fallback count")?;
-    let mut fallback = BTreeSet::new();
-    let mut prev: Option<NodeId> = None;
-    for _ in 0..n_fallback {
-        let node = r.get_usize("config fallback node")?;
-        if prev.is_some_and(|p| p >= node) {
-            return Err(ArtifactError::Decode {
-                detail: "config fallback nodes out of order".to_string(),
-            });
-        }
-        prev = Some(node);
-        fallback.insert(node);
-    }
-    let weight_storage = match r.get_u8("config weight storage")? {
-        0 => WeightStorage::Fp8,
-        1 => WeightStorage::FakeQuantF32,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config weight storage: unknown discriminant {x}"),
-            })
-        }
-    };
-    let activation_storage = match r.get_u8("config activation storage")? {
-        0 => ActivationStorage::Fp8,
-        1 => ActivationStorage::FakeQuantF32,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config activation storage: unknown discriminant {x}"),
-            })
-        }
-    };
-    let act_granularity = match r.get_u8("config act granularity")? {
-        0 => ActGranularity::PerTensor,
-        1 => ActGranularity::PerTile(r.get_usize("config act tile")?),
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config act granularity: unknown discriminant {x}"),
-            })
-        }
-    };
-    let kernel_path = match r.get_u8("config kernel path")? {
-        0 => KernelPath::Blocked,
-        1 => KernelPath::ScalarReference,
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config kernel path: unknown discriminant {x}"),
-            })
-        }
-    };
-    let kv_storage = match r.get_u8("config kv storage")? {
-        0 => KvStorage::F32,
-        1 => KvStorage::Fp8 {
-            format: get_fp8_format(&mut r, "config kv format")?,
+fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
+    let r = &mut ByteReader::new(payload);
+    let config = QuantConfig {
+        act_format: get_data_format(r, "config act format")?,
+        weight_format: get_data_format(r, "config weight format")?,
+        approach: get_enum(r, "config approach")?,
+        coverage: get_enum(r, "config coverage")?,
+        weight_granularity: get_enum(r, "config weight granularity")?,
+        quantize_first_last: get_bool(r, "config quantize_first_last")?,
+        smoothquant_alpha: get_option(r, "config smoothquant alpha", ByteReader::get_f32)?,
+        calibration: match r.get_u8("config calibration")? {
+            0 => CalibMethod::AbsMax,
+            1 => CalibMethod::Percentile(r.get_f64("config percentile")?),
+            2 => CalibMethod::Kl,
+            3 => CalibMethod::MseSweep,
+            d => return Err(unknown_discriminant("config calibration", d)),
         },
-        x => {
-            return Err(ArtifactError::Decode {
-                detail: format!("config kv storage: unknown discriminant {x}"),
-            })
-        }
+        bn_calibration: get_bool(r, "config bn_calibration")?,
+        fallback: get_id_set(r, "config fallback nodes")?,
+        weight_storage: get_enum(r, "config weight storage")?,
+        activation_storage: get_enum(r, "config activation storage")?,
+        act_granularity: match r.get_u8("config act granularity")? {
+            0 => ActGranularity::PerTensor,
+            1 => ActGranularity::PerTile(r.get_usize("config act tile")?),
+            d => return Err(unknown_discriminant("config act granularity", d)),
+        },
+        kernel_path: get_enum(r, "config kernel path")?,
+        kv_storage: match r.get_u8("config kv storage")? {
+            0 => KvStorage::F32,
+            1 => KvStorage::Fp8 {
+                format: get_enum(r, "config kv format")?,
+            },
+            d => return Err(unknown_discriminant("config kv storage", d)),
+        },
     };
-    let max_batch = r.get_usize("config serving max_batch")?;
-    let batch_window_us = r.get_usize("config serving batch_window_us")?;
-    let queue_capacity = r.get_usize("config serving queue_capacity")?;
-    let default_deadline_ms = match get_bool(&mut r, "config serving deadline flag")? {
-        false => None,
-        true => Some(r.get_usize("config serving default_deadline_ms")?),
+    let serving = ServeSpec {
+        max_batch: r.get_usize("config serving max_batch")?,
+        batch_window_us: r.get_usize("config serving batch_window_us")?,
+        queue_capacity: r.get_usize("config serving queue_capacity")?,
+        default_deadline_ms: get_option(r, "config serving deadline", ByteReader::get_usize)?,
+        workers: r.get_usize("config serving workers")?,
     };
-    let workers = r.get_usize("config serving workers")?;
     r.expect_end()?;
-    Ok((
-        QuantConfig {
-            act_format,
-            weight_format,
-            approach,
-            coverage,
-            weight_granularity,
-            quantize_first_last,
-            smoothquant_alpha,
-            calibration,
-            bn_calibration,
-            fallback,
-            weight_storage,
-            activation_storage,
-            act_granularity,
-            kernel_path,
-            kv_storage,
-        },
-        ServeSpec {
-            max_batch,
-            batch_window_us,
-            queue_capacity,
-            default_deadline_ms,
-            workers,
-        },
-    ))
+    config.validate().map_err(|e| ArtifactError::Decode {
+        detail: format!("config: {e}"),
+    })?;
+    Ok(EngineSpec { config, serving })
 }
 
 // ---------------------------------------------------------------------
@@ -523,32 +414,18 @@ fn decode_config(payload: &[u8]) -> Result<(QuantConfig, ServeSpec), ArtifactErr
 
 fn encode_qnodes(nodes: &BTreeSet<NodeId>) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_usize(nodes.len());
-    for &n in nodes {
-        w.put_usize(n);
-    }
+    put_id_set(&mut w, nodes);
     w.finish()
 }
 
 fn decode_qnodes(payload: &[u8], n_nodes: usize) -> Result<BTreeSet<NodeId>, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let count = r.get_count("quantized node count")?;
-    let mut out = BTreeSet::new();
-    let mut prev: Option<NodeId> = None;
-    for _ in 0..count {
-        let n = r.get_usize("quantized node id")?;
-        if prev.is_some_and(|p| p >= n) {
-            return Err(ArtifactError::Decode {
-                detail: "quantized node ids out of order".to_string(),
-            });
-        }
-        if n >= n_nodes {
-            return Err(ArtifactError::Decode {
-                detail: format!("quantized node id {n} out of range (graph has {n_nodes} nodes)"),
-            });
-        }
-        prev = Some(n);
-        out.insert(n);
+    let out = get_id_set(&mut r, "quantized node ids")?;
+    // Strictly increasing, so the last id bounds them all.
+    if let Some(&n) = out.last().filter(|&&n| n >= n_nodes) {
+        return Err(ArtifactError::Decode {
+            detail: format!("quantized node id {n} out of range (graph has {n_nodes} nodes)"),
+        });
     }
     r.expect_end()?;
     Ok(out)
@@ -574,17 +451,8 @@ fn encode_weights(weights: &HashMap<ValueId, Tensor>) -> Vec<u8> {
 
 fn decode_weights(payload: &[u8]) -> Result<HashMap<ValueId, Tensor>, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let count = r.get_count("weight count")?;
-    let mut out = HashMap::with_capacity(count);
-    let mut prev: Option<ValueId> = None;
-    for _ in 0..count {
+    let out = get_sorted(&mut r, "weights", |r| {
         let vid = r.get_usize("weight value id")?;
-        if prev.is_some_and(|p| p >= vid) {
-            return Err(ArtifactError::Decode {
-                detail: "weight value ids out of order".to_string(),
-            });
-        }
-        prev = Some(vid);
         let shape = r.get_usize_vec("weight shape")?;
         let data = r.get_f32_vec("weight data")?;
         let elems = shape
@@ -601,10 +469,10 @@ fn decode_weights(payload: &[u8]) -> Result<HashMap<ValueId, Tensor>, ArtifactEr
                 ),
             });
         }
-        out.insert(vid, Tensor::from_vec(data, &shape));
-    }
+        Ok((vid, Tensor::from_vec(data, &shape)))
+    })?;
     r.expect_end()?;
-    Ok(out)
+    Ok(out.into_iter().collect())
 }
 
 // ---------------------------------------------------------------------
@@ -636,7 +504,7 @@ fn encode_qweights(qweights: &HashMap<ValueId, QTensor>) -> Vec<u8> {
     for &vid in &keys {
         let q = &qweights[&vid];
         meta.put_usize(vid);
-        put_fp8_format(&mut meta, q.format());
+        put_enum(&mut meta, q.format());
         meta.put_usize_slice(q.shape());
         match q.scales() {
             StoredScales::PerTensor(s) => {
@@ -679,28 +547,15 @@ fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>,
         });
     }
     let blob_len = payload.len() - blob_start;
-    let count = r.get_count("qweights count")?;
-    let mut out = HashMap::with_capacity(count);
-    let mut prev: Option<ValueId> = None;
     let mut next_off = 0usize;
-    for _ in 0..count {
+    let out = get_sorted(&mut r, "qweights", |r| {
         let vid = r.get_usize("qweights value id")?;
-        if prev.is_some_and(|p| p >= vid) {
-            return Err(ArtifactError::Decode {
-                detail: "qweights value ids out of order".to_string(),
-            });
-        }
-        prev = Some(vid);
-        let format = get_fp8_format(&mut r, "qweights format")?;
+        let format = get_enum(r, "qweights format")?;
         let shape = r.get_usize_vec("qweights shape")?;
         let scales = match r.get_u8("qweights scale kind")? {
             0 => StoredScales::PerTensor(r.get_f32("qweights scale")?),
             1 => StoredScales::PerChannel(r.get_f32_vec("qweights scales")?),
-            x => {
-                return Err(ArtifactError::Decode {
-                    detail: format!("qweights scale kind: unknown discriminant {x}"),
-                })
-            }
+            d => return Err(unknown_discriminant("qweights scale kind", d)),
         };
         let codes_off = r.get_usize("qweights codes offset")?;
         let codes_len = r.get_usize("qweights codes length")?;
@@ -731,8 +586,8 @@ fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>,
         let codes =
             CodeBytes::from_shared(SharedBytes::clone(&shared), abs, codes_len).map_err(fp8_err)?;
         let q = QTensor::from_raw_parts(format, shape, codes, scales).map_err(fp8_err)?;
-        out.insert(vid, q);
-    }
+        Ok((vid, q))
+    })?;
     let meta_end = r.position();
     if blob_start < meta_end {
         return Err(ArtifactError::Decode {
@@ -751,23 +606,19 @@ fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>,
             detail: format!("qweights blob has {blob_len} bytes but entries cover {next_off}"),
         });
     }
-    Ok(out)
+    Ok(out.into_iter().collect())
 }
 
 // ---------------------------------------------------------------------
 // ACT_SCALES / THRESHOLDS chunks: sorted (node, input) → f32.
 // ---------------------------------------------------------------------
 
-fn sorted_keyed(m: &HashMap<TensorKey, f32>) -> Vec<(TensorKey, f32)> {
-    let mut v: Vec<(TensorKey, f32)> = m.iter().map(|(&k, &s)| (k, s)).collect();
-    v.sort_unstable_by_key(|&(k, _)| k);
-    v
-}
-
-fn encode_keyed_f32(entries: Vec<(TensorKey, f32)>) -> Vec<u8> {
+fn encode_keyed_f32<'a>(entries: impl IntoIterator<Item = (&'a TensorKey, &'a f32)>) -> Vec<u8> {
+    let mut entries: Vec<_> = entries.into_iter().collect();
+    entries.sort_unstable_by_key(|&(key, _)| *key);
     let mut w = ByteWriter::new();
     w.put_usize(entries.len());
-    for (key, value) in entries {
+    for (key, &value) in entries {
         w.put_usize(key.node);
         w.put_usize(key.input);
         w.put_f32(value);
@@ -775,26 +626,23 @@ fn encode_keyed_f32(entries: Vec<(TensorKey, f32)>) -> Vec<u8> {
     w.finish()
 }
 
-fn decode_keyed_f32(payload: &[u8], what: &str) -> Result<Vec<(TensorKey, f32)>, ArtifactError> {
+fn decode_keyed_f32<M: FromIterator<(TensorKey, f32)>>(
+    payload: &[u8],
+    what: &str,
+) -> Result<M, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let count = r.get_count(what)?;
-    let mut out = Vec::with_capacity(count);
-    let mut prev: Option<TensorKey> = None;
-    for _ in 0..count {
-        let key = TensorKey {
-            node: r.get_usize(what)?,
-            input: r.get_usize(what)?,
-        };
-        if prev.is_some_and(|p| p >= key) {
-            return Err(ArtifactError::Decode {
-                detail: format!("{what} keys out of order"),
-            });
-        }
-        prev = Some(key);
-        out.push((key, r.get_f32(what)?));
-    }
+    let out = get_sorted(&mut r, what, |r| {
+        Ok((get_tensor_key(r, what)?, r.get_f32(what)?))
+    })?;
     r.expect_end()?;
-    Ok(out)
+    Ok(out.into_iter().collect())
+}
+
+fn get_tensor_key(r: &mut ByteReader<'_>, what: &str) -> Result<TensorKey, ArtifactError> {
+    Ok(TensorKey {
+        node: r.get_usize(what)?,
+        input: r.get_usize(what)?,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -822,36 +670,20 @@ fn encode_act_int8(m: &HashMap<TensorKey, Int8Codec>) -> Vec<u8> {
 
 fn decode_act_int8(payload: &[u8]) -> Result<HashMap<TensorKey, Int8Codec>, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let count = r.get_count("int8 codec count")?;
-    let mut out = HashMap::with_capacity(count);
-    let mut prev: Option<TensorKey> = None;
-    for _ in 0..count {
-        let key = TensorKey {
-            node: r.get_usize("int8 codec node")?,
-            input: r.get_usize("int8 codec input")?,
-        };
-        if prev.is_some_and(|p| p >= key) {
-            return Err(ArtifactError::Decode {
-                detail: "int8 codec keys out of order".to_string(),
-            });
-        }
-        prev = Some(key);
+    let out = get_sorted(&mut r, "int8 codecs", |r| {
+        let key = get_tensor_key(r, "int8 codec key")?;
         let mode = match r.get_u8("int8 codec mode")? {
             0 => Int8Mode::Symmetric,
             1 => Int8Mode::Asymmetric,
-            x => {
-                return Err(ArtifactError::Decode {
-                    detail: format!("int8 codec mode: unknown discriminant {x}"),
-                })
-            }
+            d => return Err(unknown_discriminant("int8 codec mode", d)),
         };
         let scale = r.get_f32("int8 codec scale")?;
         let zero_point = r.get_u32("int8 codec zero point")? as i32;
         let codec = Int8Codec::from_raw_parts(mode, scale, zero_point).map_err(fp8_err)?;
-        out.insert(key, codec);
-    }
+        Ok((key, codec))
+    })?;
     r.expect_end()?;
-    Ok(out)
+    Ok(out.into_iter().collect())
 }
 
 // ---------------------------------------------------------------------
@@ -872,30 +704,26 @@ fn encode_smooth(m: &HashMap<NodeId, Vec<f32>>) -> Vec<u8> {
 
 fn decode_smooth(payload: &[u8]) -> Result<HashMap<NodeId, Vec<f32>>, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let count = r.get_count("smooth count")?;
-    let mut out = HashMap::with_capacity(count);
-    let mut prev: Option<NodeId> = None;
-    for _ in 0..count {
-        let node = r.get_usize("smooth node id")?;
-        if prev.is_some_and(|p| p >= node) {
-            return Err(ArtifactError::Decode {
-                detail: "smooth node ids out of order".to_string(),
-            });
-        }
-        prev = Some(node);
-        out.insert(node, r.get_f32_vec("smooth divisors")?);
-    }
+    let out = get_sorted(&mut r, "smooth divisors", |r| {
+        Ok((
+            r.get_usize("smooth node id")?,
+            r.get_f32_vec("smooth divisors")?,
+        ))
+    })?;
     r.expect_end()?;
-    Ok(out)
+    Ok(out.into_iter().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibrate::CalibrationHook;
+    use crate::config::{ActivationStorage, Approach, Coverage, Granularity, WeightStorage};
     use crate::session::PtqSession;
+    use ptq_fp8::Fp8Format;
     use ptq_models::{build_zoo, ZooFilter};
     use ptq_nn::UnwrapOk;
+    use ptq_tensor::ops::KernelPath;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -941,13 +769,94 @@ mod tests {
         ] {
             for serving in [ServeSpec::default(), fancy_serving()] {
                 let bytes = encode_config(&cfg, &serving);
-                let (back, back_serving) = decode_config(&bytes).unwrap();
-                assert_eq!(back, cfg);
-                assert_eq!(back_serving, serving);
+                let back = decode_config(&bytes).unwrap();
+                assert_eq!(back.config, cfg);
+                assert_eq!(back.serving, serving);
                 // Canonical: re-encoding the decoded config is
                 // byte-identical.
-                assert_eq!(encode_config(&back, &back_serving), bytes);
+                assert_eq!(encode_config(&back.config, &back.serving), bytes);
             }
+        }
+    }
+
+    /// Every knob away from its default — the spec
+    /// `tests/golden/engine_spec_all_knobs.json` holds as JSON.
+    fn all_knobs_spec() -> EngineSpec {
+        let mut config = fancy_config().with_kv_storage(KvStorage::Fp8 {
+            format: Fp8Format::E5M2,
+        });
+        config.weight_granularity = Granularity::PerTensor;
+        EngineSpec {
+            config,
+            serving: fancy_serving(),
+        }
+    }
+
+    /// The CONFIG payload of [`all_knobs_spec`], as written by the commit
+    /// before the codec moved onto the `WireEnum` tables (container v3).
+    const ALL_KNOBS_CONFIG_HEX: &str = "\
+        0001000201010101010000003f011ea7e8482effef3f01020000000000000001\
+        0000000000000003000000000000000101014000000000000000010100200000\
+        0000000000dc0500000000000040000000000000000119000000000000000400\
+        000000000000";
+
+    fn all_knobs_payload() -> Vec<u8> {
+        let hex = ALL_KNOBS_CONFIG_HEX.as_bytes();
+        hex.chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn config_payload_bytes_are_pinned() {
+        let spec = all_knobs_spec();
+        let pinned = all_knobs_payload();
+        assert_eq!(encode_config(&spec.config, &spec.serving), pinned);
+        assert_eq!(decode_config(&pinned).unwrap(), spec);
+    }
+
+    #[test]
+    fn config_rejects_out_of_range_parameters() {
+        let serving = ServeSpec::default();
+        for cfg in [
+            QuantConfig::fp8(Fp8Format::E4M3).with_calibration(CalibMethod::Percentile(f64::NAN)),
+            QuantConfig::fp8(Fp8Format::E4M3).with_calibration(CalibMethod::Percentile(99.99)),
+            QuantConfig::fp8(Fp8Format::E4M3).with_smoothquant(-0.5),
+            QuantConfig::fp8(Fp8Format::E4M3).with_smoothquant(f32::INFINITY),
+        ] {
+            let bytes = encode_config(&cfg, &serving);
+            assert!(
+                matches!(decode_config(&bytes), Err(ArtifactError::Decode { .. })),
+                "{cfg:?} must not decode"
+            );
+        }
+    }
+
+    #[test]
+    fn config_payload_mutations_never_panic() {
+        // Every single-byte substitution and every truncation of the raw
+        // CONFIG payload (below the container CRC, which would otherwise
+        // catch them all) is a typed error or a valid, canonical spec.
+        let payload = all_knobs_payload();
+        let check = |bytes: &[u8]| {
+            if let Ok(spec) = decode_config(bytes) {
+                spec.config.validate().unwrap();
+                assert_eq!(encode_config(&spec.config, &spec.serving), bytes);
+            }
+        };
+        for len in 0..payload.len() {
+            assert!(
+                decode_config(&payload[..len]).is_err(),
+                "truncated to {len}"
+            );
+        }
+        let mut mutated = payload.clone();
+        for i in 0..payload.len() {
+            for b in 0..=u8::MAX {
+                mutated[i] = b;
+                check(&mutated);
+            }
+            mutated[i] = payload[i];
         }
     }
 
@@ -969,8 +878,8 @@ mod tests {
     fn serving_section_roundtrips_through_a_full_artifact() {
         let zoo = build_zoo(ZooFilter::Quick);
         let w = &zoo[0];
-        let spec =
-            crate::spec::EngineSpec::from_parts(QuantConfig::fp8(Fp8Format::E4M3), fancy_serving());
+        let spec = EngineSpec::from_config(&QuantConfig::fp8(Fp8Format::E4M3))
+            .with_serving(fancy_serving());
         let path = scratch("serving.ptq");
         PtqSession::from_spec(&spec)
             .save_artifact(w, &path)

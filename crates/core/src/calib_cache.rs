@@ -173,7 +173,7 @@ mod tests {
             w.spec.domain,
         );
         let mut pct = absmax.clone();
-        pct.calibration = CalibMethod::Percentile(99.99);
+        pct.calibration = CalibMethod::Percentile(0.9999);
         let a = cache.get_or_calibrate(w, &absmax).unwrap_ok();
         let b = cache.get_or_calibrate(w, &pct).unwrap_ok();
         assert!(!Arc::ptr_eq(&a, &b), "histogram pass differs");

@@ -1,8 +1,8 @@
 //! Quantization configuration: formats, approaches, coverage and the
 //! paper's preset recipes.
 
-use ptq_fp8::Fp8Format;
-use ptq_nn::{NodeId, OpClass};
+use ptq_fp8::{wire_enum, Fp8Format, WireEnum};
+use ptq_nn::{NodeId, OpClass, PtqError};
 use ptq_tensor::ops::KernelPath;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -19,12 +19,34 @@ pub enum DataFormat {
     Int8,
 }
 
+impl DataFormat {
+    const INT8: &'static str = "INT8";
+
+    /// The format's wire label: the [`Fp8Format`] vocabulary plus `INT8`.
+    pub fn label(self) -> &'static str {
+        match self {
+            DataFormat::Fp8(f) => f.label(),
+            DataFormat::Int8 => Self::INT8,
+        }
+    }
+
+    /// The format carrying `label`, if any.
+    pub fn from_label(label: &str) -> Option<Self> {
+        if label == Self::INT8 {
+            return Some(DataFormat::Int8);
+        }
+        Fp8Format::from_label(label).map(DataFormat::Fp8)
+    }
+
+    /// Every label, `a | b | c` — the "want …" half of an error message.
+    pub fn vocabulary() -> String {
+        format!("{} | {}", Fp8Format::vocabulary(), Self::INT8)
+    }
+}
+
 impl fmt::Display for DataFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DataFormat::Fp8(x) => write!(f, "{x}"),
-            DataFormat::Int8 => write!(f, "INT8"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -39,6 +61,10 @@ pub enum Approach {
     Dynamic,
 }
 
+wire_enum!(Approach { Static => "static", Dynamic => "dynamic" });
+
+/// Capitalized, unlike the wire label: this is the row heading of the
+/// paper-shaped tables (`E4M3 / Static`).
 impl fmt::Display for Approach {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -58,6 +84,8 @@ pub enum Coverage {
     /// LayerNorm, Add, Mul.
     Extended,
 }
+
+wire_enum!(Coverage { Standard => "standard", Extended => "extended" });
 
 impl Coverage {
     /// The classes this coverage level quantizes.
@@ -95,6 +123,8 @@ pub enum Granularity {
     PerTensor,
 }
 
+wire_enum!(Granularity { PerChannel => "per-channel", PerTensor => "per-tensor" });
+
 /// How quantized weights are *held and executed* after PTQ.
 ///
 /// Orthogonal to format/granularity: both modes compute identical scales
@@ -115,12 +145,15 @@ pub enum WeightStorage {
     FakeQuantF32,
 }
 
+// The two storage enums share one vocabulary.
+pub(crate) const STORED_FP8: &str = "fp8";
+const STORED_FAKEQUANT_F32: &str = "fakequant-f32";
+
+wire_enum!(WeightStorage { Fp8 => STORED_FP8, FakeQuantF32 => STORED_FAKEQUANT_F32 });
+
 impl fmt::Display for WeightStorage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WeightStorage::Fp8 => write!(f, "fp8"),
-            WeightStorage::FakeQuantF32 => write!(f, "fakequant-f32"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -148,12 +181,11 @@ pub enum ActivationStorage {
     FakeQuantF32,
 }
 
+wire_enum!(ActivationStorage { Fp8 => STORED_FP8, FakeQuantF32 => STORED_FAKEQUANT_F32 });
+
 impl fmt::Display for ActivationStorage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ActivationStorage::Fp8 => write!(f, "fp8"),
-            ActivationStorage::FakeQuantF32 => write!(f, "fakequant-f32"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -379,6 +411,26 @@ impl QuantConfig {
         self
     }
 
+    /// Reject parameter values no pipeline stage can run: a calibration
+    /// percentile outside (0, 1] or a SmoothQuant α outside [0, 1] (NaN
+    /// fails both). Every decoder of a recipe calls this, and so does the
+    /// session before it calibrates.
+    pub fn validate(&self) -> Result<(), PtqError> {
+        if let CalibMethod::Percentile(q) = self.calibration {
+            if !(q > 0.0 && q <= 1.0) {
+                return Err(PtqError::InvalidTarget {
+                    detail: format!("calibration percentile must be in (0, 1], got {q}"),
+                });
+            }
+        }
+        match self.smoothquant_alpha {
+            Some(a) if !(0.0..=1.0).contains(&a) => Err(PtqError::InvalidTarget {
+                detail: format!("smoothquant_alpha must be in [0, 1], got {a}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// True when this config stores weights as real FP8 bytes (the
     /// storage knob is `Fp8` *and* the weight format is an FP8 format —
     /// INT8 weights always stay fake-quant f32).
@@ -410,7 +462,7 @@ impl QuantConfig {
         } else {
             format!("{}:{}", self.act_format, self.weight_format)
         };
-        format!("{fmt}/{}", self.approach.to_string().to_lowercase())
+        format!("{fmt}/{}", self.approach.label())
     }
 }
 

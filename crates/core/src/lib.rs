@@ -76,7 +76,7 @@ pub use sensitivity::{
 };
 pub use session::{PtqSession, QuantOutcome};
 pub use smoothquant::smooth_scales;
-pub use spec::{EngineSpec, KernelSection, QuantSection, ServeSpec, StorageSection};
+pub use spec::{EngineSpec, ServeSpec};
 pub use tuner::{AutoTuner, Recipe, TuneOutcome, TuneStep};
 pub use workflow::{
     calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, run_suite_cached, table2_rows,

@@ -8,18 +8,17 @@
 //! panics, converted to [`PtqError::Internal`]) surface per workload
 //! instead of unwinding a sweep.
 
-use crate::artifact::{write_artifact, PtqArtifact};
+use crate::artifact::{build_writer, PtqArtifact};
 use crate::bn_calib::recalibrate_batchnorm;
 use crate::calib_cache::CalibCache;
 use crate::calibrate::CalibData;
-use crate::config::{ActivationStorage, QuantConfig, WeightStorage};
+use crate::config::QuantConfig;
 use crate::quantizer::{QuantHook, QuantizedModel};
 use crate::spec::{EngineSpec, ServeSpec};
 use crate::workflow::{calibrate_workload, run_guarded};
 use ptq_metrics::WorkloadResult;
 use ptq_models::Workload;
 use ptq_nn::{Binding, ExecHook, Node, PtqError};
-use ptq_tensor::ops::KernelPath;
 use ptq_tensor::Tensor;
 
 /// Result of quantizing one workload under one recipe.
@@ -33,7 +32,7 @@ pub struct QuantOutcome {
     pub result: WorkloadResult,
     /// Resident bytes of the pre-quantized weights as stored (FP8 bytes +
     /// scales, or dense f32 under
-    /// [`WeightStorage::FakeQuantF32`]).
+    /// [`crate::WeightStorage::FakeQuantF32`]).
     pub weight_bytes: usize,
     /// Bytes the same weights would occupy as dense f32 — the baseline
     /// for the memory-reduction ratio.
@@ -41,15 +40,11 @@ pub struct QuantOutcome {
     /// Bytes of quantized-node activation inputs as actually carried
     /// across op boundaries during the evaluation pass: FP8 codes +
     /// scales where the activation datapath ran
-    /// ([`ActivationStorage::Fp8`]), 4 bytes/element where inputs stayed
+    /// ([`crate::ActivationStorage::Fp8`]), 4 bytes/element where inputs stayed
     /// fake-quantized f32.
     pub act_bytes: usize,
     /// Bytes the same activation inputs would occupy as dense f32.
     pub act_bytes_f32: usize,
-    /// Which MAC kernel implementation the evaluation pass ran through
-    /// (both are bit-identical; recorded so sweep/bench reports can state
-    /// what was measured).
-    pub kernel_path: KernelPath,
 }
 
 /// Chains the quantizing hook with a caller-supplied observer: the
@@ -96,8 +91,7 @@ impl ExecHook for ObservedQuant<'_, '_> {
 /// }
 /// ```
 pub struct PtqSession<'a> {
-    cfg: QuantConfig,
-    serving: ServeSpec,
+    spec: EngineSpec,
     cache: Option<&'a CalibCache>,
     calib: Option<&'a CalibData>,
     observer: Option<&'a mut dyn ExecHook>,
@@ -107,8 +101,7 @@ pub struct PtqSession<'a> {
 impl std::fmt::Debug for PtqSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PtqSession")
-            .field("cfg", &self.cfg)
-            .field("serving", &self.serving)
+            .field("spec", &self.spec)
             .field("cache", &self.cache.is_some())
             .field("calib", &self.calib.is_some())
             .field("observer", &self.observer.is_some())
@@ -118,12 +111,16 @@ impl std::fmt::Debug for PtqSession<'_> {
 }
 
 impl<'a> PtqSession<'a> {
-    /// A session running the given configuration (with default serving
-    /// knobs; see [`PtqSession::from_spec`] for the consolidated form).
+    /// A session running the given recipe with default serving knobs.
+    /// Every knob — storage modes, kernel path and KV-cache storage
+    /// included — is a [`QuantConfig`] field: set it there
+    /// (`QuantConfig::with_*`) before constructing the session.
     pub fn new(cfg: QuantConfig) -> Self {
         PtqSession {
-            cfg,
-            serving: ServeSpec::default(),
+            spec: EngineSpec {
+                config: cfg,
+                serving: ServeSpec::default(),
+            },
             cache: None,
             calib: None,
             observer: None,
@@ -131,22 +128,18 @@ impl<'a> PtqSession<'a> {
         }
     }
 
-    /// A session from a consolidated [`EngineSpec`]: the
-    /// quantization/storage/kernel sections flatten into the execution
-    /// recipe (bit-identical to the equivalent
-    /// [`PtqSession::new`] + builder chain, pinned in
-    /// `crates/core/tests/api_compat.rs`) and the serving section rides
-    /// along into saved artifacts and [`PtqSession::spec`].
+    /// A session from an [`EngineSpec`]: [`PtqSession::new`] of its
+    /// recipe, with the serving section riding along into saved artifacts
+    /// and [`PtqSession::spec`].
     pub fn from_spec(spec: &EngineSpec) -> Self {
-        let mut s = PtqSession::new(spec.to_config());
-        s.serving = spec.serving.clone();
-        s
+        let mut session = PtqSession::new(spec.config.clone());
+        session.spec.serving = spec.serving.clone();
+        session
     }
 
-    /// The session's consolidated spec: the current configuration (after
-    /// any builder tweaks) plus the serving section.
+    /// The session's spec: its recipe plus the serving section.
     pub fn spec(&self) -> EngineSpec {
-        EngineSpec::from_parts(self.cfg.clone(), self.serving.clone())
+        self.spec.clone()
     }
 
     /// Serve calibration from (and record it into) a shared
@@ -175,8 +168,10 @@ impl<'a> PtqSession<'a> {
     /// [`PtqSession::spec`] reflects what was saved. Takes precedence
     /// over [`PtqSession::with_calibration`] and [`PtqSession::cache`].
     pub fn with_artifact(mut self, artifact: &'a PtqArtifact) -> Self {
-        self.cfg = artifact.model.config.clone();
-        self.serving = artifact.serving.clone();
+        self.spec = EngineSpec {
+            config: artifact.model.config.clone(),
+            serving: artifact.serving.clone(),
+        };
         self.artifact = Some(artifact);
         self
     }
@@ -190,68 +185,27 @@ impl<'a> PtqSession<'a> {
         self
     }
 
-    /// Select how FP8 weights are materialized: real FP8 byte storage
-    /// executed by the fused kernels (the default) or legacy fake-quantized
-    /// f32 tensors. Both modes are bit-identical in arithmetic; the knob
-    /// trades weight memory for kernel choice.
-    pub fn weight_storage(mut self, storage: WeightStorage) -> Self {
-        self.cfg = self.cfg.with_weight_storage(storage);
-        self
-    }
-
-    /// Select how FP8 activations cross op boundaries: real FP8 codes run
-    /// by the code×code kernels (the default) or legacy in-place
-    /// fake-quantized f32. Both modes are bit-identical in arithmetic; the
-    /// knob trades activation memory for kernel choice.
-    pub fn activation_storage(mut self, storage: ActivationStorage) -> Self {
-        self.cfg = self.cfg.with_activation_storage(storage);
-        self
-    }
-
-    /// Select which implementation the fused quantized MAC kernels run
-    /// through: the blocked micro-kernels (the default) or the scalar
-    /// reference loops. Both are bit-identical — this flips performance,
-    /// never results — so it doubles as a one-line bisection switch when
-    /// a kernel regression is suspected.
-    pub fn kernel_path(mut self, path: KernelPath) -> Self {
-        self.cfg = self.cfg.with_kernel_path(path);
-        self
-    }
-
-    /// Select how the autoregressive KV cache stores appended key/value
-    /// rows: dense f32 (the default — incremental decode is then
-    /// bit-identical to full-window recompute) or FP8 codes + a static
-    /// per-tensor scale calibrated from the prefill (≈ 1/3 the cache
-    /// bytes at a bounded, measured accuracy drift).
-    pub fn kv_storage(mut self, kv: crate::config::KvStorage) -> Self {
-        self.cfg = self.cfg.with_kv_storage(kv);
-        self
-    }
-
     /// The session's configuration.
     pub fn config(&self) -> &QuantConfig {
-        &self.cfg
+        &self.spec.config
     }
 
     /// Run the full pipeline on one workload: calibrate (or fetch/reuse
     /// calibration), quantize, recalibrate BatchNorm statistics when the
     /// recipe asks for it, and evaluate on the workload's eval set.
     pub fn quantize(&mut self, workload: &Workload) -> Result<QuantOutcome, PtqError> {
-        if self.artifact.is_some() {
-            return self.evaluate_artifact(workload);
+        if let Some(art) = self.artifact {
+            // The loaded model as-is: its frozen scales, stored weights
+            // and (already-recalibrated) BatchNorm statistics are exactly
+            // what was saved, so the score bit-matches the save-side
+            // session.
+            return self.evaluate(workload, "quantize.from_artifact", |_| {
+                Ok(art.model.clone())
+            });
         }
-        let cached;
-        let owned;
-        let calib: &CalibData = if let Some(c) = self.calib {
-            c
-        } else if let Some(cache) = self.cache {
-            cached = cache.get_or_calibrate(workload, &self.cfg)?;
-            &cached
-        } else {
-            owned = calibrate_workload(workload, &self.cfg)?;
-            &owned
-        };
-        self.quantize_calibrated(workload, calib)
+        self.calibrated(workload, |session, calib| {
+            session.quantize_calibrated(workload, calib)
+        })
     }
 
     /// Run the full pipeline on one workload and persist the result as a
@@ -268,31 +222,21 @@ impl<'a> PtqSession<'a> {
         if let Some(art) = self.artifact {
             // A loaded artifact re-saves as-is (thresholds restored from
             // the artifact, nothing requantized) after the evaluation.
-            let thresholds = art.thresholds.clone();
-            let outcome = self.evaluate_artifact(workload)?;
-            write_artifact(&outcome.model, &thresholds, &self.serving, path)?;
+            let outcome = self.quantize(workload)?;
+            build_writer(&outcome.model, &art.thresholds, &self.spec.serving).write_to(path)?;
             return Ok(outcome);
         }
-        let cached;
-        let owned;
-        let calib: &CalibData = if let Some(c) = self.calib {
-            c
-        } else if let Some(cache) = self.cache {
-            cached = cache.get_or_calibrate(workload, &self.cfg)?;
-            &cached
-        } else {
-            owned = calibrate_workload(workload, &self.cfg)?;
-            &owned
-        };
-        let mut thresholds = std::collections::BTreeMap::new();
-        for &key in calib.stats.keys() {
-            if let Some(t) = calib.threshold(key, &self.cfg) {
-                thresholds.insert(key, t);
-            }
-        }
-        let outcome = self.quantize_calibrated(workload, calib)?;
-        write_artifact(&outcome.model, &thresholds, &self.serving, path)?;
-        Ok(outcome)
+        self.calibrated(workload, |session, calib| {
+            let cfg = &session.spec.config;
+            let thresholds = calib
+                .stats
+                .keys()
+                .filter_map(|&key| Some((key, calib.threshold(key, cfg)?)))
+                .collect();
+            let outcome = session.quantize_calibrated(workload, calib)?;
+            build_writer(&outcome.model, &thresholds, &session.spec.serving).write_to(path)?;
+            Ok(outcome)
+        })
     }
 
     /// Load an artifact written by [`PtqSession::save_artifact`] (or any
@@ -303,53 +247,24 @@ impl<'a> PtqSession<'a> {
         PtqArtifact::load(path)
     }
 
-    /// The [`PtqSession::with_artifact`] path of
-    /// [`PtqSession::quantize`]: evaluate the loaded model as-is. No
-    /// calibration and no requantization — the model's frozen scales,
-    /// stored weights and (already-recalibrated) BatchNorm statistics are
-    /// exactly what was saved, so the score bit-matches the save-side
-    /// session.
-    fn evaluate_artifact(&mut self, workload: &Workload) -> Result<QuantOutcome, PtqError> {
-        let art = self.artifact.ok_or_else(|| {
-            PtqError::Internal("evaluate_artifact called without an artifact".to_string())
-        })?;
-        let cfg = &self.cfg;
-        let observer = self.observer.as_deref_mut();
-        run_guarded(|| {
-            let mut sp = ptq_trace::span(ptq_trace::Level::Info, "quantize.from_artifact");
-            if sp.active() {
-                sp.record_str("workload", &workload.spec.name);
-                sp.record_str("format", &cfg.act_format.to_string());
-            }
-            let model = art.model.clone();
-            model.reset_act_bytes();
-            let score = match observer {
-                Some(obs) => {
-                    let mut chained = ObservedQuant {
-                        quant: model.hook(),
-                        obs,
-                    };
-                    workload.evaluate_graph(&model.graph, &mut chained)?
-                }
-                None => workload.evaluate_graph(&model.graph, &mut model.hook())?,
-            };
-            let result = workload.result(score);
-            sp.record_f64("score", score);
-            let weight_bytes = model.weight_bytes();
-            let weight_bytes_f32 = model.weight_bytes_f32();
-            let act_bytes = model.act_bytes();
-            let act_bytes_f32 = model.act_bytes_f32();
-            Ok(QuantOutcome {
-                kernel_path: cfg.kernel_path,
-                model,
-                score,
-                result,
-                weight_bytes,
-                weight_bytes_f32,
-                act_bytes,
-                act_bytes_f32,
-            })
-        })
+    /// The shared calibrate step: check the recipe's parameters, resolve
+    /// the calibration data — attached data, else the shared cache, else a
+    /// fresh calibration pass — and run `then` over it.
+    fn calibrated<T>(
+        &mut self,
+        workload: &Workload,
+        then: impl FnOnce(&mut Self, &CalibData) -> Result<T, PtqError>,
+    ) -> Result<T, PtqError> {
+        self.spec.config.validate()?;
+        if let Some(calib) = self.calib {
+            then(self, calib)
+        } else if let Some(cache) = self.cache {
+            let calib = cache.get_or_calibrate(workload, &self.spec.config)?;
+            then(self, &calib)
+        } else {
+            let calib = calibrate_workload(workload, &self.spec.config)?;
+            then(self, &calib)
+        }
     }
 
     /// The quantize → (BatchNorm-recalibrate) → evaluate tail of
@@ -360,20 +275,36 @@ impl<'a> PtqSession<'a> {
         workload: &Workload,
         calib: &CalibData,
     ) -> Result<QuantOutcome, PtqError> {
-        let cfg = &self.cfg;
-        let observer = self.observer.as_deref_mut();
-        run_guarded(|| {
-            let mut sp = ptq_trace::span(ptq_trace::Level::Info, "quantize");
-            if sp.active() {
-                sp.record_str("workload", &workload.spec.name);
-                sp.record_str("format", &cfg.act_format.to_string());
-            }
+        self.evaluate(workload, "quantize", |cfg| {
             let mut model = QuantizedModel::build(workload.graph.clone(), calib, cfg.clone())?;
             if cfg.bn_calibration && workload.has_batchnorm() {
                 recalibrate_batchnorm(&mut model, &workload.calib)?;
             }
-            // BatchNorm recalibration ran quantized inference above; count
-            // only the evaluation pass.
+            Ok(model)
+        })
+    }
+
+    /// Obtain the model from `make`, evaluate it on the workload's eval
+    /// set (through the observer when one is attached) and account its
+    /// weight and activation bytes — all inside one panic boundary and one
+    /// trace span.
+    fn evaluate(
+        &mut self,
+        workload: &Workload,
+        span_name: &str,
+        make: impl FnOnce(&QuantConfig) -> Result<QuantizedModel, PtqError>,
+    ) -> Result<QuantOutcome, PtqError> {
+        let cfg = &self.spec.config;
+        let observer = self.observer.as_deref_mut();
+        run_guarded(|| {
+            let mut sp = ptq_trace::span(ptq_trace::Level::Info, span_name);
+            if sp.active() {
+                sp.record_str("workload", &workload.spec.name);
+                sp.record_str("format", cfg.act_format.label());
+            }
+            let model = make(cfg)?;
+            // Building may have run quantized inference (BatchNorm
+            // recalibration); count only the evaluation pass.
             model.reset_act_bytes();
             let score = match observer {
                 Some(obs) => {
@@ -385,21 +316,15 @@ impl<'a> PtqSession<'a> {
                 }
                 None => workload.evaluate_graph(&model.graph, &mut model.hook())?,
             };
-            let result = workload.result(score);
             sp.record_f64("score", score);
-            let weight_bytes = model.weight_bytes();
-            let weight_bytes_f32 = model.weight_bytes_f32();
-            let act_bytes = model.act_bytes();
-            let act_bytes_f32 = model.act_bytes_f32();
             Ok(QuantOutcome {
-                kernel_path: cfg.kernel_path,
-                model,
                 score,
-                result,
-                weight_bytes,
-                weight_bytes_f32,
-                act_bytes,
-                act_bytes_f32,
+                result: workload.result(score),
+                weight_bytes: model.weight_bytes(),
+                weight_bytes_f32: model.weight_bytes_f32(),
+                act_bytes: model.act_bytes(),
+                act_bytes_f32: model.act_bytes_f32(),
+                model,
             })
         })
     }
@@ -408,9 +333,11 @@ impl<'a> PtqSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ActivationStorage, CalibMethod, WeightStorage};
     use ptq_fp8::Fp8Format;
     use ptq_models::{build_zoo, ZooFilter};
     use ptq_nn::UnwrapOk;
+    use ptq_tensor::ops::KernelPath;
 
     #[test]
     fn session_quantizes_and_scores() {
@@ -457,12 +384,11 @@ mod tests {
         let w = &zoo[0];
         let cfg = QuantConfig::fp8(Fp8Format::E4M3);
         let blocked = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
-        let scalar = PtqSession::new(cfg)
-            .kernel_path(KernelPath::ScalarReference)
+        let scalar = PtqSession::new(cfg.with_kernel_path(KernelPath::ScalarReference))
             .quantize(w)
             .unwrap_ok();
-        assert_eq!(blocked.kernel_path, KernelPath::Blocked);
-        assert_eq!(scalar.kernel_path, KernelPath::ScalarReference);
+        assert_eq!(blocked.model.config.kernel_path, KernelPath::Blocked);
+        assert_eq!(scalar.model.config.kernel_path, KernelPath::ScalarReference);
         assert_eq!(
             blocked.score.to_bits(),
             scalar.score.to_bits(),
@@ -501,8 +427,7 @@ mod tests {
         let w = &zoo[0];
         let cfg = QuantConfig::fp8(Fp8Format::E4M3);
         let stored = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
-        let legacy = PtqSession::new(cfg)
-            .weight_storage(WeightStorage::FakeQuantF32)
+        let legacy = PtqSession::new(cfg.with_weight_storage(WeightStorage::FakeQuantF32))
             .quantize(w)
             .unwrap_ok();
         // Same arithmetic either way; only the storage differs.
@@ -519,13 +444,11 @@ mod tests {
 
     #[test]
     fn activation_storage_knob_is_score_identical_and_shrinks_acts() {
-        use crate::config::ActivationStorage;
         let zoo = build_zoo(ZooFilter::Quick);
         let w = &zoo[0];
         let cfg = QuantConfig::fp8(Fp8Format::E4M3);
         let coded = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
-        let legacy = PtqSession::new(cfg)
-            .activation_storage(ActivationStorage::FakeQuantF32)
+        let legacy = PtqSession::new(cfg.with_activation_storage(ActivationStorage::FakeQuantF32))
             .quantize(w)
             .unwrap_ok();
         // Same arithmetic either way; only what crosses op boundaries
@@ -550,5 +473,22 @@ mod tests {
             .quantize(&broken)
             .unwrap_err();
         assert!(err.to_string().contains("inputs"), "got: {err}");
+    }
+
+    #[test]
+    fn out_of_range_recipe_is_a_typed_error_not_a_panic() {
+        // A hand-built config skips the decoders' validation; the
+        // session's calibrate step must still stop it before the
+        // histogram percentile assert — on every public entry point.
+        let zoo = build_zoo(ZooFilter::Quick);
+        let w = &zoo[0];
+        let cfg =
+            QuantConfig::fp8(Fp8Format::E4M3).with_calibration(CalibMethod::Percentile(99.99));
+        let err = PtqSession::new(cfg.clone()).quantize(w).unwrap_err();
+        assert!(matches!(err, PtqError::InvalidTarget { .. }), "{err}");
+        let path = std::env::temp_dir().join(format!("ptq-session-bad-{}", std::process::id()));
+        let err = PtqSession::new(cfg).save_artifact(w, &path).unwrap_err();
+        assert!(matches!(err, PtqError::InvalidTarget { .. }), "{err}");
+        assert!(!path.exists());
     }
 }

@@ -1,99 +1,41 @@
-//! The consolidated engine specification: one serializable value that
-//! names everything an inference engine is built from.
+//! The engine specification: the recipe plus serving policy, as one
+//! serializable value.
 //!
-//! Before this module the knob surface was sprawled across three places:
-//! [`QuantConfig`]'s format/approach/granularity fields, the
-//! [`crate::PtqSession`] builder chain (`weight_storage` /
-//! `activation_storage` / `kernel_path`), and — with `crates/serve` —
-//! batching/deadline knobs that had nowhere to live at all.
-//! [`EngineSpec`] consolidates them into four sections:
+//! [`EngineSpec`] *is* the [`QuantConfig`] recipe — it wraps the config,
+//! it does not copy it — plus a [`ServeSpec`] for the async engine
+//! (`crates/serve`), which has no config counterpart because it only
+//! affects *when* requests run, never what they compute.
 //!
-//! * **quantization** — what is quantized and how scales are derived
-//!   ([`QuantSection`]);
-//! * **storage** — how quantized weights and activations are held and
-//!   executed ([`StorageSection`]);
-//! * **kernel** — which MAC kernel implementation runs
-//!   ([`KernelSection`]);
-//! * **serving** — request batching, admission control and deadlines for
-//!   the async engine ([`ServeSpec`]).
+//! The spec has two wire forms, both derived from one vocabulary:
 //!
-//! The first three sections are a lossless re-grouping of
-//! [`QuantConfig`]: [`EngineSpec::from_config`] /
-//! [`EngineSpec::to_config`] are exact inverses, so a spec-built session
-//! is bit-identical to the equivalent builder chain (pinned in
-//! `crates/core/tests/api_compat.rs`). The whole spec round-trips
-//! through JSON ([`EngineSpec::to_json`] / [`EngineSpec::from_json`],
-//! readable by every bench binary via `--spec <path.json>`) and is
-//! persisted into the artifact CONFIG chunk so a loaded model carries
-//! its full recipe *and* serving defaults.
+//! * **JSON** ([`EngineSpec::to_json`] / [`EngineSpec::from_json`], the
+//!   `--spec <path.json>` file every bench binary reads), grouped into
+//!   four sections — `quantization` (what is quantized and how scales are
+//!   derived), `storage` (how quantized tensors are held), `kernel` (which
+//!   MAC implementation runs) and `serving`;
+//! * **binary**, the artifact CONFIG chunk (`crate::artifact`), so a
+//!   loaded model carries its full recipe and serving defaults.
 //!
-//! JSON decoding is hand-rolled over [`ptq_trace::json::Value`] because
-//! the vendored `serde_json` stand-in is write-only. Unknown keys are
-//! rejected (a typo in a `--spec` file must not silently fall back to a
-//! default); missing keys inside a section take documented defaults so
-//! handwritten specs stay short — `{"quantization": {"act_format":
-//! "E4M3"}}` is a complete spec.
+//! Every plain enum in the recipe declares its `(variant, label)` list
+//! once, next to the enum, with [`ptq_fp8::wire_enum!`]. The JSON encoder
+//! writes `label()`, the decoder reads `from_label()` and quotes
+//! `vocabulary()` in its errors, and the CONFIG chunk writes the list
+//! index — so this module spells no enum label itself.
+//!
+//! Decoding goes through [`Fields`], a reader over one JSON object that
+//! remembers which keys were asked for: a key nobody asked for is an
+//! unknown key, rejected by name (a typo in a `--spec` file must not
+//! silently fall back to a default). A key that is missing — or `null`,
+//! which is how the encoder writes an unset optional knob — takes its
+//! [`QuantConfig::fp8`] / [`ServeSpec::default`] default, so handwritten
+//! specs stay short: `{"quantization": {"act_format": "E4M3"}}` is a
+//! complete spec. A decoded spec has passed [`QuantConfig::validate`].
 
-use crate::config::{
-    ActGranularity, ActivationStorage, Approach, CalibMethod, Coverage, DataFormat, Granularity,
-    KvStorage, QuantConfig, WeightStorage,
-};
-use ptq_fp8::Fp8Format;
-use ptq_nn::{NodeId, PtqError};
-use ptq_tensor::ops::KernelPath;
+use crate::config::{ActGranularity, CalibMethod, DataFormat, Granularity, KvStorage, QuantConfig};
+use ptq_fp8::{Fp8Format, WireEnum};
+use ptq_nn::PtqError;
 use ptq_trace::json::Value;
 use std::collections::BTreeSet;
-
-/// The quantization section: what is quantized and how scales are
-/// derived. A re-grouping of the corresponding [`QuantConfig`] fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantSection {
-    /// Format for activations.
-    pub act_format: DataFormat,
-    /// Format for weights (differing from `act_format` gives the paper's
-    /// mixed-format scheme).
-    pub weight_format: DataFormat,
-    /// Static vs dynamic activation scaling.
-    pub approach: Approach,
-    /// Operator coverage.
-    pub coverage: Coverage,
-    /// Weight scale granularity.
-    pub weight_granularity: Granularity,
-    /// Quantize the first/last compute operators of CNNs.
-    pub quantize_first_last: bool,
-    /// SmoothQuant α (None = off).
-    pub smoothquant_alpha: Option<f32>,
-    /// Range-calibration method for static activation scales.
-    pub calibration: CalibMethod,
-    /// Re-estimate BatchNorm statistics after quantization.
-    pub bn_calibration: bool,
-    /// Node ids forced to FP32.
-    pub fallback: BTreeSet<NodeId>,
-}
-
-/// The storage section: how quantized tensors are held and executed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageSection {
-    /// How quantized weights are stored ([`WeightStorage::Fp8`] = 1-byte
-    /// codes + scales).
-    pub weights: WeightStorage,
-    /// How quantized activations cross op boundaries.
-    pub activations: ActivationStorage,
-    /// Activation scale granularity.
-    pub act_granularity: ActGranularity,
-    /// How the autoregressive KV cache holds appended key/value rows
-    /// ([`KvStorage::F32`] = bit-identical to full-window recompute,
-    /// [`KvStorage::Fp8`] = 1-byte codes + a calibrated static scale).
-    pub kv: KvStorage,
-}
-
-/// The kernel section: which MAC implementation runs (bit-identical
-/// either way; a performance/debugging knob).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelSection {
-    /// Blocked micro-kernels (default) or scalar reference loops.
-    pub path: KernelPath,
-}
 
 /// The serving section: request batching, admission control and
 /// deadlines for [`EngineSpec`]-built async engines (`crates/serve`).
@@ -134,76 +76,35 @@ impl Default for ServeSpec {
     }
 }
 
-/// The consolidated, serializable engine specification. See the module
-/// docs for the section breakdown.
+/// The serializable engine specification: the recipe and the serving
+/// policy. See the module docs for the wire forms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSpec {
-    /// What is quantized and how scales are derived.
-    pub quantization: QuantSection,
-    /// How quantized tensors are held and executed.
-    pub storage: StorageSection,
-    /// Which MAC kernel implementation runs.
-    pub kernel: KernelSection,
+    /// The quantization recipe, exactly as the pipeline executes it.
+    pub config: QuantConfig,
     /// Request batching / admission control / deadlines.
     pub serving: ServeSpec,
 }
 
+/// The string-valued calibration methods; [`CalibMethod::Percentile`]
+/// is the object form `{"percentile": q}`.
+const CALIBRATION_LABELS: [(CalibMethod, &str); 3] = [
+    (CalibMethod::AbsMax, "absmax"),
+    (CalibMethod::Kl, "kl"),
+    (CalibMethod::MseSweep, "mse-sweep"),
+];
+const PERCENTILE: &str = "percentile";
+const PER_TILE: &str = "per-tile";
+const KV_F32: &str = "f32";
+/// `{"fp8": "E4M3"}`: the key is the storage enums' label for FP8 codes.
+const KV_FP8: &str = crate::config::STORED_FP8;
+
 impl EngineSpec {
-    /// The spec equivalent of a [`QuantConfig`], with default serving
-    /// knobs. Exact inverse of [`EngineSpec::to_config`].
+    /// The spec running `cfg` with default serving knobs.
     pub fn from_config(cfg: &QuantConfig) -> Self {
-        EngineSpec::from_parts(cfg.clone(), ServeSpec::default())
-    }
-
-    /// Assemble a spec from an execution recipe and serving knobs.
-    pub fn from_parts(cfg: QuantConfig, serving: ServeSpec) -> Self {
         EngineSpec {
-            quantization: QuantSection {
-                act_format: cfg.act_format,
-                weight_format: cfg.weight_format,
-                approach: cfg.approach,
-                coverage: cfg.coverage,
-                weight_granularity: cfg.weight_granularity,
-                quantize_first_last: cfg.quantize_first_last,
-                smoothquant_alpha: cfg.smoothquant_alpha,
-                calibration: cfg.calibration,
-                bn_calibration: cfg.bn_calibration,
-                fallback: cfg.fallback,
-            },
-            storage: StorageSection {
-                weights: cfg.weight_storage,
-                activations: cfg.activation_storage,
-                act_granularity: cfg.act_granularity,
-                kv: cfg.kv_storage,
-            },
-            kernel: KernelSection {
-                path: cfg.kernel_path,
-            },
-            serving,
-        }
-    }
-
-    /// Flatten the quantization/storage/kernel sections back into the
-    /// execution-time [`QuantConfig`]. Exact inverse of
-    /// [`EngineSpec::from_config`] (the serving section has no config
-    /// counterpart — it never affects arithmetic).
-    pub fn to_config(&self) -> QuantConfig {
-        QuantConfig {
-            act_format: self.quantization.act_format,
-            weight_format: self.quantization.weight_format,
-            approach: self.quantization.approach,
-            coverage: self.quantization.coverage,
-            weight_granularity: self.quantization.weight_granularity,
-            quantize_first_last: self.quantization.quantize_first_last,
-            smoothquant_alpha: self.quantization.smoothquant_alpha,
-            calibration: self.quantization.calibration,
-            bn_calibration: self.quantization.bn_calibration,
-            fallback: self.quantization.fallback.clone(),
-            weight_storage: self.storage.weights,
-            activation_storage: self.storage.activations,
-            act_granularity: self.storage.act_granularity,
-            kernel_path: self.kernel.path,
-            kv_storage: self.storage.kv,
+            config: cfg.clone(),
+            serving: ServeSpec::default(),
         }
     }
 
@@ -215,177 +116,174 @@ impl EngineSpec {
 
     /// Short human-readable label (delegates to [`QuantConfig::label`]).
     pub fn label(&self) -> String {
-        self.to_config().label()
-    }
-
-    // -----------------------------------------------------------------
-    // JSON
-    // -----------------------------------------------------------------
-
-    /// Render as a JSON tree.
-    pub fn to_json_value(&self) -> Value {
-        let q = &self.quantization;
-        let quant = Value::Object(vec![
-            ("act_format".into(), data_format_value(q.act_format)),
-            ("weight_format".into(), data_format_value(q.weight_format)),
-            (
-                "approach".into(),
-                str_value(match q.approach {
-                    Approach::Static => "static",
-                    Approach::Dynamic => "dynamic",
-                }),
-            ),
-            (
-                "coverage".into(),
-                str_value(match q.coverage {
-                    Coverage::Standard => "standard",
-                    Coverage::Extended => "extended",
-                }),
-            ),
-            (
-                "weight_granularity".into(),
-                str_value(match q.weight_granularity {
-                    Granularity::PerChannel => "per-channel",
-                    Granularity::PerTensor => "per-tensor",
-                }),
-            ),
-            (
-                "quantize_first_last".into(),
-                Value::Bool(q.quantize_first_last),
-            ),
-            (
-                "smoothquant_alpha".into(),
-                match q.smoothquant_alpha {
-                    None => Value::Null,
-                    Some(a) => Value::Num(f64::from(a)),
-                },
-            ),
-            (
-                "calibration".into(),
-                match q.calibration {
-                    CalibMethod::AbsMax => str_value("absmax"),
-                    CalibMethod::Kl => str_value("kl"),
-                    CalibMethod::MseSweep => str_value("mse-sweep"),
-                    CalibMethod::Percentile(p) => {
-                        Value::Object(vec![("percentile".into(), Value::Num(p))])
-                    }
-                },
-            ),
-            ("bn_calibration".into(), Value::Bool(q.bn_calibration)),
-            (
-                "fallback".into(),
-                Value::Array(q.fallback.iter().map(|&n| Value::Num(n as f64)).collect()),
-            ),
-        ]);
-        let storage = Value::Object(vec![
-            (
-                "weights".into(),
-                str_value(match self.storage.weights {
-                    WeightStorage::Fp8 => "fp8",
-                    WeightStorage::FakeQuantF32 => "fakequant-f32",
-                }),
-            ),
-            (
-                "activations".into(),
-                str_value(match self.storage.activations {
-                    ActivationStorage::Fp8 => "fp8",
-                    ActivationStorage::FakeQuantF32 => "fakequant-f32",
-                }),
-            ),
-            (
-                "act_granularity".into(),
-                match self.storage.act_granularity {
-                    ActGranularity::PerTensor => str_value("per-tensor"),
-                    ActGranularity::PerTile(t) => {
-                        Value::Object(vec![("per-tile".into(), Value::Num(t as f64))])
-                    }
-                },
-            ),
-            (
-                "kv".into(),
-                match self.storage.kv {
-                    KvStorage::F32 => str_value("f32"),
-                    KvStorage::Fp8 { format } => {
-                        Value::Object(vec![("fp8".into(), str_value(&format.to_string()))])
-                    }
-                },
-            ),
-        ]);
-        let kernel = Value::Object(vec![(
-            "path".into(),
-            str_value(match self.kernel.path {
-                KernelPath::Blocked => "blocked",
-                KernelPath::ScalarReference => "scalar-reference",
-            }),
-        )]);
-        let s = &self.serving;
-        let serving = Value::Object(vec![
-            ("max_batch".into(), Value::Num(s.max_batch as f64)),
-            (
-                "batch_window_us".into(),
-                Value::Num(s.batch_window_us as f64),
-            ),
-            ("queue_capacity".into(), Value::Num(s.queue_capacity as f64)),
-            (
-                "default_deadline_ms".into(),
-                match s.default_deadline_ms {
-                    None => Value::Null,
-                    Some(ms) => Value::Num(ms as f64),
-                },
-            ),
-            ("workers".into(), Value::Num(s.workers as f64)),
-        ]);
-        Value::Object(vec![
-            ("quantization".into(), quant),
-            ("storage".into(), storage),
-            ("kernel".into(), kernel),
-            ("serving".into(), serving),
-        ])
+        self.config.label()
     }
 
     /// Render as pretty-printed JSON (the `--spec` file format).
     pub fn to_json(&self) -> String {
-        self.to_json_value().render_pretty()
+        let c = &self.config;
+        let quantization = object(vec![
+            ("act_format", string(c.act_format.label())),
+            ("weight_format", string(c.weight_format.label())),
+            ("approach", string(c.approach.label())),
+            ("coverage", string(c.coverage.label())),
+            ("weight_granularity", string(c.weight_granularity.label())),
+            ("quantize_first_last", Value::Bool(c.quantize_first_last)),
+            (
+                "smoothquant_alpha",
+                c.smoothquant_alpha
+                    .map_or(Value::Null, |a| Value::Num(f64::from(a))),
+            ),
+            (
+                "calibration",
+                match c.calibration {
+                    CalibMethod::Percentile(q) => object(vec![(PERCENTILE, Value::Num(q))]),
+                    m => string(
+                        CALIBRATION_LABELS
+                            .iter()
+                            .find(|(v, _)| *v == m)
+                            .map_or("", |(_, l)| l),
+                    ),
+                },
+            ),
+            ("bn_calibration", Value::Bool(c.bn_calibration)),
+            (
+                "fallback",
+                Value::Array(c.fallback.iter().map(|&n| Value::Num(n as f64)).collect()),
+            ),
+        ]);
+        let storage = object(vec![
+            ("weights", string(c.weight_storage.label())),
+            ("activations", string(c.activation_storage.label())),
+            (
+                "act_granularity",
+                match c.act_granularity {
+                    ActGranularity::PerTensor => string(Granularity::PerTensor.label()),
+                    ActGranularity::PerTile(t) => object(vec![(PER_TILE, Value::Num(t as f64))]),
+                },
+            ),
+            (
+                "kv",
+                match c.kv_storage {
+                    KvStorage::F32 => string(KV_F32),
+                    KvStorage::Fp8 { format } => object(vec![(KV_FP8, string(format.label()))]),
+                },
+            ),
+        ]);
+        let kernel = object(vec![("path", string(c.kernel_path.label()))]);
+        let s = &self.serving;
+        let serving = object(vec![
+            ("max_batch", Value::Num(s.max_batch as f64)),
+            ("batch_window_us", Value::Num(s.batch_window_us as f64)),
+            ("queue_capacity", Value::Num(s.queue_capacity as f64)),
+            (
+                "default_deadline_ms",
+                s.default_deadline_ms
+                    .map_or(Value::Null, |ms| Value::Num(ms as f64)),
+            ),
+            ("workers", Value::Num(s.workers as f64)),
+        ]);
+        object(vec![
+            ("quantization", quantization),
+            ("storage", storage),
+            ("kernel", kernel),
+            ("serving", serving),
+        ])
+        .render_pretty()
     }
 
     /// Parse a spec from JSON text. Unknown keys are rejected; missing
-    /// keys inside a section default as documented on the section types
-    /// (the quantization defaults follow [`QuantConfig::fp8`] of the
-    /// given — required — `act_format`, with `weight_format` defaulting
-    /// to `act_format`).
+    /// keys default as [`QuantConfig::fp8`] of the given — required —
+    /// `act_format` does (`weight_format` defaulting to `act_format`),
+    /// and a missing serving key as [`ServeSpec::default`] does.
     pub fn from_json(text: &str) -> Result<EngineSpec, PtqError> {
         let v = Value::parse(text).map_err(|e| spec_err(format!("unparseable JSON: {e}")))?;
-        EngineSpec::from_json_value(&v)
-    }
+        let mut top = Fields::new(Some(&v), "spec")?;
+        let quantization = top
+            .get("quantization")
+            .ok_or_else(|| spec_err("missing \"quantization\" section".into()))?;
+        let mut q = Fields::new(Some(quantization), "quantization")?;
+        let mut s = Fields::new(top.get("storage"), "storage")?;
+        let mut k = Fields::new(top.get("kernel"), "kernel")?;
+        let mut e = Fields::new(top.get("serving"), "serving")?;
+        top.finish()?;
 
-    /// Parse a spec from an already-parsed JSON tree (see
-    /// [`EngineSpec::from_json`]).
-    pub fn from_json_value(v: &Value) -> Result<EngineSpec, PtqError> {
-        let obj = as_object(v, "spec")?;
-        check_keys(
-            obj,
-            &["quantization", "storage", "kernel", "serving"],
-            "spec",
-        )?;
-        let quantization = decode_quant_section(v.get("quantization"))?;
-        let storage = decode_storage_section(v.get("storage"))?;
-        let kernel = decode_kernel_section(v.get("kernel"))?;
-        let serving = decode_serve_section(v.get("serving"))?;
-        Ok(EngineSpec {
-            quantization,
-            storage,
-            kernel,
-            serving,
-        })
+        let act_format = q
+            .format("act_format")?
+            .ok_or_else(|| spec_err("quantization.act_format is required".into()))?;
+        let config = QuantConfig {
+            act_format,
+            weight_format: q.format("weight_format")?.unwrap_or(act_format),
+            approach: q.wire("approach")?,
+            coverage: q.wire("coverage")?,
+            weight_granularity: q.wire("weight_granularity")?,
+            quantize_first_last: q.bool("quantize_first_last")?,
+            smoothquant_alpha: q.number("smoothquant_alpha")?.map(|a| a as f32),
+            calibration: q
+                .either(
+                    "calibration",
+                    |l| Some(CALIBRATION_LABELS.iter().find(|(_, x)| *x == l)?.0),
+                    PERCENTILE,
+                    |p| p.as_f64().map(CalibMethod::Percentile),
+                )?
+                .unwrap_or_default(),
+            bn_calibration: q.bool("bn_calibration")?,
+            fallback: q.uint_set("fallback")?,
+            weight_storage: s.wire("weights")?,
+            activation_storage: s.wire("activations")?,
+            act_granularity: s
+                .either(
+                    "act_granularity",
+                    |l| (l == Granularity::PerTensor.label()).then_some(ActGranularity::PerTensor),
+                    PER_TILE,
+                    |p| p.as_f64().and_then(as_uint).map(ActGranularity::PerTile),
+                )?
+                .unwrap_or_default(),
+            kernel_path: k.wire("path")?,
+            kv_storage: s
+                .either(
+                    "kv",
+                    |l| (l == KV_F32).then_some(KvStorage::F32),
+                    KV_FP8,
+                    |p| {
+                        Some(KvStorage::Fp8 {
+                            format: Fp8Format::from_label(p.as_str()?)?,
+                        })
+                    },
+                )?
+                .unwrap_or_default(),
+        };
+        let d = ServeSpec::default();
+        let serving = ServeSpec {
+            max_batch: e.uint("max_batch")?.unwrap_or(d.max_batch),
+            batch_window_us: e.uint("batch_window_us")?.unwrap_or(d.batch_window_us),
+            queue_capacity: e.uint("queue_capacity")?.unwrap_or(d.queue_capacity),
+            default_deadline_ms: e.uint("default_deadline_ms")?,
+            workers: e.uint("workers")?.unwrap_or(d.workers),
+        };
+        q.finish()?;
+        s.finish()?;
+        k.finish()?;
+        e.finish()?;
+        config.validate().map_err(|err| match err {
+            PtqError::InvalidTarget { detail } => spec_err(format!("quantization: {detail}")),
+            other => other,
+        })?;
+        Ok(EngineSpec { config, serving })
     }
 }
 
-fn str_value(s: &str) -> Value {
+fn string(s: &str) -> Value {
     Value::Str(s.to_string())
 }
 
-fn data_format_value(f: DataFormat) -> Value {
-    str_value(&f.to_string())
+fn object(entries: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn spec_err(detail: String) -> PtqError {
@@ -394,364 +292,173 @@ fn spec_err(detail: String) -> PtqError {
     }
 }
 
-fn as_object<'v>(v: &'v Value, what: &str) -> Result<&'v [(String, Value)], PtqError> {
-    match v {
-        Value::Object(entries) => Ok(entries),
-        _ => Err(spec_err(format!("{what} must be a JSON object"))),
-    }
+/// One JSON object being decoded. Every getter records the key it was
+/// asked for, so [`Fields::finish`] can reject — by name — any key in the
+/// object that no getter wanted, without a hand-kept list of known keys.
+/// A missing or `null` key is `None` (or the type's default); a present
+/// key of the wrong shape is an error naming `section.key`.
+struct Fields<'v> {
+    section: &'static str,
+    entries: &'v [(String, Value)],
+    asked: Vec<&'static str>,
 }
 
-/// Reject unknown keys so a typo in a `--spec` file fails loudly instead
-/// of silently taking a default.
-fn check_keys(obj: &[(String, Value)], known: &[&str], what: &str) -> Result<(), PtqError> {
-    for (k, _) in obj {
-        if !known.contains(&k.as_str()) {
-            return Err(spec_err(format!(
-                "{what}: unknown key {k:?} (known: {})",
-                known.join(", ")
-            )));
+impl<'v> Fields<'v> {
+    /// Open `v` as the object named `section`; an absent section reads as
+    /// an empty object, so every key takes its default.
+    fn new(v: Option<&'v Value>, section: &'static str) -> Result<Self, PtqError> {
+        let entries = match v {
+            None => &[][..],
+            Some(Value::Object(entries)) => entries,
+            Some(_) => return Err(spec_err(format!("{section} must be a JSON object"))),
+        };
+        Ok(Fields {
+            section,
+            entries,
+            asked: Vec::new(),
+        })
+    }
+
+    fn get(&mut self, key: &'static str) -> Option<&'v Value> {
+        self.asked.push(key);
+        self.entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .filter(|v| !matches!(v, Value::Null))
+    }
+
+    fn err(&self, key: &str, problem: String) -> PtqError {
+        spec_err(format!("{}.{key} {problem}", self.section))
+    }
+
+    fn finish(self) -> Result<(), PtqError> {
+        match self
+            .entries
+            .iter()
+            .find(|(k, _)| !self.asked.contains(&k.as_str()))
+        {
+            None => Ok(()),
+            Some((k, _)) => Err(spec_err(format!(
+                "{}: unknown key {k:?} (known: {})",
+                self.section,
+                self.asked.join(", ")
+            ))),
         }
     }
-    Ok(())
-}
 
-fn get_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, PtqError> {
-    v.as_str()
-        .ok_or_else(|| spec_err(format!("{what} must be a string")))
-}
-
-fn get_bool(v: &Value, what: &str) -> Result<bool, PtqError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(spec_err(format!("{what} must be a boolean"))),
+    /// A string drawn from a declared vocabulary.
+    fn labelled<T>(
+        &mut self,
+        key: &'static str,
+        parse: fn(&str) -> Option<T>,
+        vocabulary: fn() -> String,
+    ) -> Result<Option<T>, PtqError> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        let label = v
+            .as_str()
+            .ok_or_else(|| self.err(key, "must be a string".into()))?;
+        parse(label).map(Some).ok_or_else(|| {
+            self.err(
+                key,
+                format!("has unknown value {label:?} (want {})", vocabulary()),
+            )
+        })
     }
-}
 
-fn get_uint(v: &Value, what: &str) -> Result<usize, PtqError> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| spec_err(format!("{what} must be a number")))?;
-    if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)) {
-        return Err(spec_err(format!(
-            "{what} must be a non-negative integer, got {n}"
-        )));
+    fn wire<E: WireEnum + Default>(&mut self, key: &'static str) -> Result<E, PtqError> {
+        Ok(self
+            .labelled(key, E::from_label, E::vocabulary)?
+            .unwrap_or_default())
     }
-    Ok(n as usize)
-}
 
-fn decode_format(v: &Value, what: &str) -> Result<DataFormat, PtqError> {
-    match get_str(v, what)? {
-        "E5M2" => Ok(DataFormat::Fp8(Fp8Format::E5M2)),
-        "E4M3" => Ok(DataFormat::Fp8(Fp8Format::E4M3)),
-        "E3M4" => Ok(DataFormat::Fp8(Fp8Format::E3M4)),
-        "INT8" => Ok(DataFormat::Int8),
-        other => Err(spec_err(format!(
-            "{what}: unknown format {other:?} (want E5M2 | E4M3 | E3M4 | INT8)"
-        ))),
+    fn format(&mut self, key: &'static str) -> Result<Option<DataFormat>, PtqError> {
+        self.labelled(key, DataFormat::from_label, DataFormat::vocabulary)
     }
-}
 
-fn decode_quant_section(v: Option<&Value>) -> Result<QuantSection, PtqError> {
-    let v = v.ok_or_else(|| spec_err("missing \"quantization\" section".into()))?;
-    let obj = as_object(v, "quantization")?;
-    check_keys(
-        obj,
-        &[
-            "act_format",
-            "weight_format",
-            "approach",
-            "coverage",
-            "weight_granularity",
-            "quantize_first_last",
-            "smoothquant_alpha",
-            "calibration",
-            "bn_calibration",
-            "fallback",
-        ],
-        "quantization",
-    )?;
-    let act_format = decode_format(
-        v.get("act_format")
-            .ok_or_else(|| spec_err("quantization.act_format is required".into()))?,
-        "quantization.act_format",
-    )?;
-    let weight_format = match v.get("weight_format") {
-        None => act_format,
-        Some(f) => decode_format(f, "quantization.weight_format")?,
-    };
-    let approach = match v.get("approach") {
-        None => Approach::Static,
-        Some(a) => match get_str(a, "quantization.approach")? {
-            "static" => Approach::Static,
-            "dynamic" => Approach::Dynamic,
-            other => {
-                return Err(spec_err(format!(
-                    "quantization.approach: unknown value {other:?} (want static | dynamic)"
-                )))
-            }
-        },
-    };
-    let coverage = match v.get("coverage") {
-        None => Coverage::Standard,
-        Some(c) => match get_str(c, "quantization.coverage")? {
-            "standard" => Coverage::Standard,
-            "extended" => Coverage::Extended,
-            other => {
-                return Err(spec_err(format!(
-                    "quantization.coverage: unknown value {other:?} (want standard | extended)"
-                )))
-            }
-        },
-    };
-    let weight_granularity = match v.get("weight_granularity") {
-        None => Granularity::PerChannel,
-        Some(g) => match get_str(g, "quantization.weight_granularity")? {
-            "per-channel" => Granularity::PerChannel,
-            "per-tensor" => Granularity::PerTensor,
-            other => {
-                return Err(spec_err(format!(
-                    "quantization.weight_granularity: unknown value {other:?} \
-                     (want per-channel | per-tensor)"
-                )))
-            }
-        },
-    };
-    let quantize_first_last = match v.get("quantize_first_last") {
-        None => false,
-        Some(b) => get_bool(b, "quantization.quantize_first_last")?,
-    };
-    let smoothquant_alpha = match v.get("smoothquant_alpha") {
-        None | Some(Value::Null) => None,
-        Some(a) => Some(
-            a.as_f64()
-                .ok_or_else(|| spec_err("quantization.smoothquant_alpha must be a number".into()))?
-                as f32,
-        ),
-    };
-    let calibration = match v.get("calibration") {
-        None => CalibMethod::AbsMax,
-        Some(Value::Str(s)) => match s.as_str() {
-            "absmax" => CalibMethod::AbsMax,
-            "kl" => CalibMethod::Kl,
-            "mse-sweep" => CalibMethod::MseSweep,
-            other => {
-                return Err(spec_err(format!(
-                    "quantization.calibration: unknown method {other:?} \
-                     (want absmax | kl | mse-sweep | {{\"percentile\": q}})"
-                )))
-            }
-        },
-        Some(c @ Value::Object(_)) => {
-            let obj = as_object(c, "quantization.calibration")?;
-            check_keys(obj, &["percentile"], "quantization.calibration")?;
-            let q = c.get("percentile").and_then(Value::as_f64).ok_or_else(|| {
-                spec_err("quantization.calibration.percentile must be a number".into())
-            })?;
-            CalibMethod::Percentile(q)
+    fn bool(&mut self, key: &'static str) -> Result<bool, PtqError> {
+        match self.get(key) {
+            None => Ok(false),
+            Some(Value::Bool(b)) => Ok(*b),
+            Some(_) => Err(self.err(key, "must be a boolean".into())),
         }
-        Some(_) => {
-            return Err(spec_err(
-                "quantization.calibration must be a string or {\"percentile\": q}".into(),
-            ))
+    }
+
+    fn number(&mut self, key: &'static str) -> Result<Option<f64>, PtqError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(Value::Num(n)) => Ok(Some(*n)),
+            Some(_) => Err(self.err(key, "must be a number".into())),
         }
-    };
-    let bn_calibration = match v.get("bn_calibration") {
-        None => false,
-        Some(b) => get_bool(b, "quantization.bn_calibration")?,
-    };
-    let mut fallback = BTreeSet::new();
-    if let Some(f) = v.get("fallback") {
-        let items = f
+    }
+
+    fn uint(&mut self, key: &'static str) -> Result<Option<usize>, PtqError> {
+        match self.number(key)? {
+            None => Ok(None),
+            Some(n) => as_uint(n)
+                .map(Some)
+                .ok_or_else(|| self.err(key, format!("must be a non-negative integer, got {n}"))),
+        }
+    }
+
+    fn uint_set(&mut self, key: &'static str) -> Result<BTreeSet<usize>, PtqError> {
+        let Some(v) = self.get(key) else {
+            return Ok(BTreeSet::new());
+        };
+        let items = v
             .as_array()
-            .ok_or_else(|| spec_err("quantization.fallback must be an array".into()))?;
-        for item in items {
-            fallback.insert(get_uint(item, "quantization.fallback entry")?);
-        }
+            .ok_or_else(|| self.err(key, "must be an array".into()))?;
+        items
+            .iter()
+            .map(|item| {
+                item.as_f64()
+                    .and_then(as_uint)
+                    .ok_or_else(|| self.err(key, "entries must be non-negative integers".into()))
+            })
+            .collect()
     }
-    Ok(QuantSection {
-        act_format,
-        weight_format,
-        approach,
-        coverage,
-        weight_granularity,
-        quantize_first_last,
-        smoothquant_alpha,
-        calibration,
-        bn_calibration,
-        fallback,
-    })
-}
 
-fn decode_storage_section(v: Option<&Value>) -> Result<StorageSection, PtqError> {
-    let Some(v) = v else {
-        return Ok(StorageSection {
-            weights: WeightStorage::default(),
-            activations: ActivationStorage::default(),
-            act_granularity: ActGranularity::default(),
-            kv: KvStorage::default(),
-        });
-    };
-    let obj = as_object(v, "storage")?;
-    check_keys(
-        obj,
-        &["weights", "activations", "act_granularity", "kv"],
-        "storage",
-    )?;
-    let weights = match v.get("weights") {
-        None => WeightStorage::default(),
-        Some(w) => decode_weight_storage(get_str(w, "storage.weights")?)?,
-    };
-    let activations = match v.get("activations") {
-        None => ActivationStorage::default(),
-        Some(a) => decode_activation_storage(get_str(a, "storage.activations")?)?,
-    };
-    let act_granularity = match v.get("act_granularity") {
-        None => ActGranularity::default(),
-        Some(Value::Str(s)) if s == "per-tensor" => ActGranularity::PerTensor,
-        Some(g @ Value::Object(_)) => {
-            let obj = as_object(g, "storage.act_granularity")?;
-            check_keys(obj, &["per-tile"], "storage.act_granularity")?;
-            let tile = get_uint(
-                g.get("per-tile")
-                    .ok_or_else(|| spec_err("storage.act_granularity needs \"per-tile\"".into()))?,
-                "storage.act_granularity.per-tile",
-            )?;
-            ActGranularity::PerTile(tile)
-        }
-        Some(_) => {
-            return Err(spec_err(
-                "storage.act_granularity must be \"per-tensor\" or {\"per-tile\": n}".into(),
-            ))
-        }
-    };
-    let kv = match v.get("kv") {
-        None => KvStorage::default(),
-        Some(Value::Str(s)) if s == "f32" => KvStorage::F32,
-        Some(k @ Value::Object(_)) => {
-            let obj = as_object(k, "storage.kv")?;
-            check_keys(obj, &["fp8"], "storage.kv")?;
-            let f = k
-                .get("fp8")
-                .ok_or_else(|| spec_err("storage.kv needs \"fp8\"".into()))?;
-            match decode_format(f, "storage.kv.fp8")? {
-                DataFormat::Fp8(format) => KvStorage::Fp8 { format },
-                other => {
-                    return Err(spec_err(format!(
-                        "storage.kv.fp8: {other} is not an FP8 format"
-                    )))
-                }
+    /// A data-carrying enum: a bare label for a unit variant, or the
+    /// single-key object `{tag: payload}` for the variant that carries one
+    /// (`{"percentile": q}`, `{"per-tile": n}`, `{"fp8": "E4M3"}`).
+    fn either<T>(
+        &mut self,
+        key: &'static str,
+        unit: impl FnOnce(&str) -> Option<T>,
+        tag: &str,
+        payload: impl FnOnce(&Value) -> Option<T>,
+    ) -> Result<Option<T>, PtqError> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        let parsed = match v {
+            Value::Str(label) => unit(label),
+            Value::Object(entries) if entries.len() == 1 && entries[0].0 == tag => {
+                payload(&entries[0].1)
             }
-        }
-        Some(_) => {
-            return Err(spec_err(
-                "storage.kv must be \"f32\" or {\"fp8\": \"E5M2|E4M3|E3M4\"}".into(),
-            ))
-        }
-    };
-    Ok(StorageSection {
-        weights,
-        activations,
-        act_granularity,
-        kv,
-    })
-}
-
-/// Decode a weight-storage label (shared with the bench `--act-storage`
-/// style flags — the strings match the [`WeightStorage`] `Display` form).
-pub fn decode_weight_storage(s: &str) -> Result<WeightStorage, PtqError> {
-    match s {
-        "fp8" => Ok(WeightStorage::Fp8),
-        "fakequant-f32" => Ok(WeightStorage::FakeQuantF32),
-        other => Err(spec_err(format!(
-            "unknown weight storage {other:?} (want fp8 | fakequant-f32)"
-        ))),
+            _ => None,
+        };
+        parsed.map(Some).ok_or_else(|| {
+            self.err(
+                key,
+                format!("must be a known label or a valid {{\"{tag}\": …}}"),
+            )
+        })
     }
 }
 
-/// Decode an activation-storage label (the bench `--act-storage` flag
-/// values — the strings match the [`ActivationStorage`] `Display` form).
-pub fn decode_activation_storage(s: &str) -> Result<ActivationStorage, PtqError> {
-    match s {
-        "fp8" => Ok(ActivationStorage::Fp8),
-        "fakequant-f32" => Ok(ActivationStorage::FakeQuantF32),
-        other => Err(spec_err(format!(
-            "unknown activation storage {other:?} (want fp8 | fakequant-f32)"
-        ))),
-    }
-}
-
-fn decode_kernel_section(v: Option<&Value>) -> Result<KernelSection, PtqError> {
-    let Some(v) = v else {
-        return Ok(KernelSection {
-            path: KernelPath::default(),
-        });
-    };
-    let obj = as_object(v, "kernel")?;
-    check_keys(obj, &["path"], "kernel")?;
-    let path = match v.get("path") {
-        None => KernelPath::default(),
-        Some(p) => match get_str(p, "kernel.path")? {
-            "blocked" => KernelPath::Blocked,
-            "scalar-reference" => KernelPath::ScalarReference,
-            other => {
-                return Err(spec_err(format!(
-                    "kernel.path: unknown value {other:?} (want blocked | scalar-reference)"
-                )))
-            }
-        },
-    };
-    Ok(KernelSection { path })
-}
-
-fn decode_serve_section(v: Option<&Value>) -> Result<ServeSpec, PtqError> {
-    let Some(v) = v else {
-        return Ok(ServeSpec::default());
-    };
-    let obj = as_object(v, "serving")?;
-    check_keys(
-        obj,
-        &[
-            "max_batch",
-            "batch_window_us",
-            "queue_capacity",
-            "default_deadline_ms",
-            "workers",
-        ],
-        "serving",
-    )?;
-    let d = ServeSpec::default();
-    let max_batch = match v.get("max_batch") {
-        None => d.max_batch,
-        Some(n) => get_uint(n, "serving.max_batch")?,
-    };
-    let batch_window_us = match v.get("batch_window_us") {
-        None => d.batch_window_us,
-        Some(n) => get_uint(n, "serving.batch_window_us")?,
-    };
-    let queue_capacity = match v.get("queue_capacity") {
-        None => d.queue_capacity,
-        Some(n) => get_uint(n, "serving.queue_capacity")?,
-    };
-    let default_deadline_ms = match v.get("default_deadline_ms") {
-        None | Some(Value::Null) => None,
-        Some(n) => Some(get_uint(n, "serving.default_deadline_ms")?),
-    };
-    let workers = match v.get("workers") {
-        None => d.workers,
-        Some(n) => get_uint(n, "serving.workers")?,
-    };
-    Ok(ServeSpec {
-        max_batch,
-        batch_window_us,
-        queue_capacity,
-        default_deadline_ms,
-        workers,
-    })
+/// `n` as an exactly-representable non-negative integer.
+fn as_uint(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ActivationStorage, Approach, Coverage, WeightStorage};
+    use ptq_tensor::ops::KernelPath;
 
     fn fancy_config() -> QuantConfig {
         QuantConfig::mixed_fp8()
@@ -779,22 +486,19 @@ mod tests {
             QuantConfig::int8(),
             fancy_config(),
         ] {
-            assert_eq!(EngineSpec::from_config(&cfg).to_config(), cfg);
+            assert_eq!(EngineSpec::from_config(&cfg).config, cfg);
         }
     }
 
     #[test]
     fn json_roundtrips_every_section() {
-        let spec = EngineSpec::from_parts(
-            fancy_config(),
-            ServeSpec {
-                max_batch: 16,
-                batch_window_us: 750,
-                queue_capacity: 32,
-                default_deadline_ms: Some(40),
-                workers: 3,
-            },
-        );
+        let spec = EngineSpec::from_config(&fancy_config()).with_serving(ServeSpec {
+            max_batch: 16,
+            batch_window_us: 750,
+            queue_capacity: 32,
+            default_deadline_ms: Some(40),
+            workers: 3,
+        });
         let text = spec.to_json();
         let back = EngineSpec::from_json(&text).unwrap();
         assert_eq!(back, spec);
@@ -805,14 +509,14 @@ mod tests {
     #[test]
     fn minimal_spec_defaults_like_quantconfig_fp8() {
         let spec = EngineSpec::from_json(r#"{"quantization": {"act_format": "E4M3"}}"#).unwrap();
-        assert_eq!(spec.to_config(), QuantConfig::fp8(Fp8Format::E4M3));
+        assert_eq!(spec.config, QuantConfig::fp8(Fp8Format::E4M3));
         assert_eq!(spec.serving, ServeSpec::default());
         // weight_format follows act_format when omitted.
         let mixed = EngineSpec::from_json(
             r#"{"quantization": {"act_format": "E4M3", "weight_format": "E3M4"}}"#,
         )
         .unwrap();
-        assert_eq!(mixed.to_config(), QuantConfig::mixed_fp8());
+        assert_eq!(mixed.config, QuantConfig::mixed_fp8());
     }
 
     #[test]
@@ -838,17 +542,87 @@ mod tests {
     #[test]
     fn serving_section_never_changes_the_config() {
         let cfg = QuantConfig::fp8(Fp8Format::E4M3);
-        let a = EngineSpec::from_parts(cfg.clone(), ServeSpec::default());
-        let b = EngineSpec::from_parts(
-            cfg,
-            ServeSpec {
-                max_batch: 64,
-                batch_window_us: 10_000,
-                queue_capacity: 4,
-                default_deadline_ms: Some(1),
-                workers: 9,
-            },
+        let a = EngineSpec::from_config(&cfg);
+        let b = EngineSpec::from_config(&cfg).with_serving(ServeSpec {
+            max_batch: 64,
+            batch_window_us: 10_000,
+            queue_capacity: 4,
+            default_deadline_ms: Some(1),
+            workers: 9,
+        });
+        assert_eq!(a.config, b.config);
+    }
+
+    #[test]
+    fn errors_name_the_offending_key_and_the_vocabulary() {
+        for (bad, key, want) in [
+            (
+                r#"{"quantization": {"act_format": "E9M9"}}"#,
+                "quantization.act_format",
+                "E5M2 | E4M3 | E3M4 | INT8",
+            ),
+            (
+                r#"{"quantization": {"act_format": "E4M3", "approach": "lazy"}}"#,
+                "quantization.approach",
+                "static | dynamic",
+            ),
+            (
+                r#"{"quantization": {"act_format": "E4M3"}, "storage": {"weights": "int4"}}"#,
+                "storage.weights",
+                "fp8 | fakequant-f32",
+            ),
+            (
+                r#"{"quantization": {"act_format": "E4M3"}, "kernel": {"path": 3}}"#,
+                "kernel.path",
+                "must be a string",
+            ),
+            (
+                r#"{"quantization": {"act_format": "E4M3"}, "storage": {"kv": {"fp8": "INT8"}}}"#,
+                "storage.kv",
+                r#"{"fp8": …}"#,
+            ),
+            (
+                r#"{"quantization": {"act_format": "E4M3"}, "serving": {"wrkers": 2}}"#,
+                "\"wrkers\"",
+                "known: max_batch, batch_window_us, queue_capacity, default_deadline_ms, workers",
+            ),
+        ] {
+            let err = EngineSpec::from_json(bad).unwrap_err().to_string();
+            assert!(err.contains("engine spec"), "{err}");
+            assert!(err.contains(key), "{bad}: error does not name {key}: {err}");
+            assert!(err.contains(want), "{bad}: error lacks {want:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_rejected_at_the_boundary() {
+        // Each of these used to decode and then trip an assert (or worse)
+        // deep inside calibration.
+        for bad in [
+            r#"{"quantization":{"act_format":"E4M3","calibration":{"percentile":99.99}}}"#,
+            r#"{"quantization":{"act_format":"E4M3","calibration":{"percentile":0}}}"#,
+            r#"{"quantization":{"act_format":"E4M3","smoothquant_alpha":-0.5}}"#,
+            r#"{"quantization":{"act_format":"E4M3","smoothquant_alpha":1e39}}"#,
+        ] {
+            let err = EngineSpec::from_json(bad).unwrap_err();
+            assert!(
+                matches!(err, PtqError::InvalidTarget { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("engine spec"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn null_reads_as_unset() {
+        let spec = EngineSpec::from_json(
+            r#"{"quantization": {"act_format": "E4M3", "smoothquant_alpha": null,
+                "approach": null}, "kernel": null, "serving": {"default_deadline_ms": null}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            spec,
+            EngineSpec::from_config(&QuantConfig::fp8(Fp8Format::E4M3))
         );
-        assert_eq!(a.to_config(), b.to_config());
     }
 }

@@ -180,10 +180,9 @@ fn suite_rows_are_reproducible_through_the_session_path() {
 
 #[test]
 fn from_spec_matches_the_builder_bit_for_bit() {
-    // The consolidated EngineSpec surface is a pure re-spelling of the
-    // builder config: a session built from a spec (including one that went
-    // through a JSON round-trip) must be bit-identical to `PtqSession::new`
-    // with the equivalent QuantConfig.
+    // An EngineSpec wraps the QuantConfig: a session built from a spec
+    // (including one that went through a JSON round-trip) must be
+    // bit-identical to `PtqSession::new` with that QuantConfig.
     use ptq_core::EngineSpec;
     for w in &workloads() {
         let cfg = paper_recipe(
@@ -194,6 +193,11 @@ fn from_spec_matches_the_builder_bit_for_bit() {
         let builder = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
 
         let spec = EngineSpec::from_config(&cfg);
+        assert_eq!(
+            spec.config, cfg,
+            "{}: the spec holds the config",
+            w.spec.name
+        );
         let via_spec = PtqSession::from_spec(&spec).quantize(w).unwrap_ok();
         assert_outcomes_identical(&builder, &via_spec, "from_spec");
 

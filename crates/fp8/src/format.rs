@@ -6,6 +6,7 @@
 //! fully generic so other `EeMm` splits (e.g. E2M5 from the related-work
 //! discussion) can be instantiated for ablations.
 
+use crate::WireEnum;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -76,13 +77,11 @@ impl Fp8Format {
     }
 }
 
+crate::wire_enum!(Fp8Format { E5M2 => "E5M2", E4M3 => "E4M3", E3M4 => "E3M4" });
+
 impl fmt::Display for Fp8Format {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Fp8Format::E5M2 => write!(f, "E5M2"),
-            Fp8Format::E4M3 => write!(f, "E4M3"),
-            Fp8Format::E3M4 => write!(f, "E3M4"),
-        }
+        f.write_str(self.label())
     }
 }
 

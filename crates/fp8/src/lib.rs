@@ -45,6 +45,7 @@ pub mod int8;
 pub mod lut;
 pub mod quantize;
 pub mod storage;
+pub mod wire;
 
 pub use bytes::{CodeBytes, SharedBytes};
 pub use codec::{Fp8Codec, OverflowPolicy, Rounding};
@@ -58,3 +59,4 @@ pub use quantize::{
     fake_quant_int8, fake_quant_int8_per_channel, fp8_scale, FakeQuantStats, QuantizedTensorStats,
 };
 pub use storage::{absmax_nan_aware, check_shape, StoredScales, StoredTensor};
+pub use wire::WireEnum;

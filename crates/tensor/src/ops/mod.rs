@@ -40,6 +40,7 @@ pub use pool::{
     max_pool2d_into,
 };
 
+use ptq_fp8::WireEnum;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -68,12 +69,11 @@ pub enum KernelPath {
     ScalarReference,
 }
 
+ptq_fp8::wire_enum!(KernelPath { Blocked => "blocked", ScalarReference => "scalar-reference" });
+
 impl fmt::Display for KernelPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KernelPath::Blocked => write!(f, "blocked"),
-            KernelPath::ScalarReference => write!(f, "scalar-reference"),
-        }
+        f.write_str(self.label())
     }
 }
 

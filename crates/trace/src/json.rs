@@ -1,13 +1,13 @@
 //! A minimal JSON tree: parse, render, and float-tolerant comparison.
 //!
-//! The workspace's vendored `serde_json` stand-in can only *serialize*;
-//! the trace layer needs to read JSON back — to validate NDJSON lines and
-//! to diff freshly generated bench output against committed golden
-//! fixtures with a numeric tolerance. This module is that reader: a small
+//! The workspace's one JSON tree, parser and renderer: trace NDJSON and
+//! reports, the engine-spec `--spec` files, every `bench_results/*.json`
+//! and the golden-fixture diffs all go through it. It is a small
 //! recursive-descent parser over the RFC 8259 grammar (sufficient for
-//! everything this workspace emits), an order-preserving object model, and
-//! [`approx_eq`], which reports the *path* of the first mismatch so a
-//! golden-test failure says exactly which row and key drifted.
+//! everything this workspace emits), an order-preserving object model, a
+//! compact and a pretty renderer, and [`approx_eq`], which reports the
+//! *path* of the first mismatch so a golden-test failure says exactly
+//! which row and key drifted.
 
 use std::fmt;
 
@@ -104,7 +104,7 @@ impl Value {
     }
 
     /// Render compactly (no whitespace). Non-finite numbers render as
-    /// `null`, matching the vendored serializer.
+    /// `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);

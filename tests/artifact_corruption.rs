@@ -7,10 +7,14 @@
 //! outside the checksummed payloads, i.e. alignment padding — decodes to a
 //! model whose canonical re-encoding equals the pristine artifact.
 //! Never a panic; never a silently different model.
+//!
+//! The engine-spec JSON (the `--spec` file format) gets the same
+//! treatment at the end of the file; the raw CONFIG-chunk payload's
+//! battery sits beside `decode_config` in `crates/core/src/artifact.rs`.
 
 use fp8_ptq::artifact::ArtifactError;
 use fp8_ptq::core::config::QuantConfig;
-use fp8_ptq::core::{CalibrationHook, PtqArtifact, QuantizedModel};
+use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel};
 use fp8_ptq::fp8::Fp8Format;
 use fp8_ptq::nn::{GraphBuilder, PtqError, UnwrapOk};
 use fp8_ptq::tensor::TensorRng;
@@ -197,4 +201,51 @@ fn missing_chunks_are_reported_not_defaulted() {
         matches!(err, PtqError::Artifact(ArtifactError::MissingChunk { .. })),
         "expected MissingChunk, got {err}"
     );
+}
+
+/// The all-knobs-non-default spec, as its canonical JSON text.
+const SPEC_JSON: &str = include_str!("golden/engine_spec_all_knobs.json");
+
+/// Parse a (possibly damaged) spec text: a typed error, or a spec whose
+/// parameters are in range and whose rendering is a fixed point of
+/// parse → render.
+fn assert_spec_text_safe(text: &str) {
+    let Ok(spec) = EngineSpec::from_json(text) else {
+        return; // typed rejection: the common case
+    };
+    spec.config.validate().unwrap_ok();
+    let canonical = spec.to_json();
+    let reparsed = EngineSpec::from_json(&canonical).unwrap_ok();
+    assert_eq!(reparsed, spec, "{text}");
+    assert_eq!(reparsed.to_json(), canonical, "{text}");
+}
+
+#[test]
+fn every_truncation_of_the_spec_json_is_a_typed_error() {
+    assert!(SPEC_JSON.is_ascii());
+    for len in 0..SPEC_JSON.len() {
+        let err = EngineSpec::from_json(&SPEC_JSON[..len])
+            .err()
+            .unwrap_or_else(|| panic!("truncation to {len} bytes parsed successfully"));
+        assert!(
+            matches!(err, PtqError::InvalidTarget { .. }),
+            "truncation to {len}: unexpected error class {err}"
+        );
+    }
+}
+
+#[test]
+fn every_byte_substitution_in_the_spec_json_is_typed_or_canonical() {
+    assert_spec_text_safe(SPEC_JSON);
+    let mut text = SPEC_JSON.as_bytes().to_vec();
+    for i in 0..text.len() {
+        let original = text[i];
+        // Every value that keeps the text a `&str`; `from_json` cannot be
+        // handed anything else.
+        for b in 0..=0x7F {
+            text[i] = b;
+            assert_spec_text_safe(std::str::from_utf8(&text).expect("ASCII"));
+        }
+        text[i] = original;
+    }
 }

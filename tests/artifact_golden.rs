@@ -14,6 +14,10 @@
 //! old files fail with a clear `UnsupportedVersion` instead of being
 //! misparsed.
 //!
+//! `tests/golden/engine_spec_all_knobs.json` pins the other wire form of
+//! the same recipe: the engine-spec JSON text, every knob away from its
+//! default, as written before the codec moved onto the `WireEnum` tables.
+//!
 //! To regenerate after an *intentional* format change (bump VERSION in
 //! `crates/artifact` first, keep the old fixture for the rejection test):
 //!
@@ -22,8 +26,11 @@
 //! ```
 
 use fp8_ptq::artifact::{ArtifactError, ArtifactReader};
-use fp8_ptq::core::config::QuantConfig;
-use fp8_ptq::core::{PtqArtifact, PtqSession};
+use fp8_ptq::core::config::{
+    ActGranularity, ActivationStorage, Approach, CalibMethod, Coverage, Granularity, KvStorage,
+    QuantConfig, WeightStorage,
+};
+use fp8_ptq::core::{EngineSpec, KernelPath, PtqArtifact, PtqSession, ServeSpec};
 use fp8_ptq::fp8::Fp8Format;
 use fp8_ptq::models::{build_zoo, ZooFilter};
 use fp8_ptq::nn::UnwrapOk;
@@ -149,4 +156,35 @@ fn regenerate() {
         out.score.to_bits(),
         out.score
     );
+}
+
+#[test]
+fn engine_spec_json_text_is_pinned() {
+    let mut config = QuantConfig::mixed_fp8()
+        .with_approach(Approach::Dynamic)
+        .with_coverage(Coverage::Extended)
+        .with_smoothquant(0.5)
+        .with_calibration(CalibMethod::Percentile(0.9999))
+        .with_bn_calibration()
+        .with_first_last()
+        .with_fallback(3)
+        .with_fallback(1)
+        .with_weight_storage(WeightStorage::FakeQuantF32)
+        .with_activation_storage(ActivationStorage::FakeQuantF32)
+        .with_act_granularity(ActGranularity::PerTile(64))
+        .with_kernel_path(KernelPath::ScalarReference)
+        .with_kv_storage(KvStorage::Fp8 {
+            format: Fp8Format::E5M2,
+        });
+    config.weight_granularity = Granularity::PerTensor;
+    let spec = EngineSpec::from_config(&config).with_serving(ServeSpec {
+        max_batch: 32,
+        batch_window_us: 1_500,
+        queue_capacity: 64,
+        default_deadline_ms: Some(25),
+        workers: 4,
+    });
+    let pinned = include_str!("golden/engine_spec_all_knobs.json");
+    assert_eq!(spec.to_json(), pinned, "spec JSON text drifted");
+    assert_eq!(EngineSpec::from_json(pinned).unwrap_ok(), spec);
 }
