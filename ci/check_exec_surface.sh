@@ -6,6 +6,10 @@
 #     the hook protocol.
 #   * `#[deprecated` may not reappear under crates/: renames land with
 #     their callers migrated, not behind shims.
+#   * One kernel per MAC op: no `_into_path` identifier under crates/,
+#     `ops/mod.rs` re-exports no `_q`/`_qq` MAC name but the three
+#     one-line delegates the frozen `benchmark/` calls, and
+#     crates/tensor/src/ops stays within its non-test line budget.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -30,5 +34,29 @@ if shims=$(grep -rn '#\[deprecated' crates/); then
     fail=1
 fi
 
+if hits=$(grep -rn '_into_path' crates/); then
+    echo "_into_path entry points are gone: *_into takes the KernelPath:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+frozen='conv2d_qq_into|linear_qq_into|matmul_qq_into'
+mac='(conv2d|depthwise_conv2d|linear|matmul|batch_matmul)_qq?(_into)?'
+if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" | grep -vwE "$frozen"); then
+    echo "crates/tensor/src/ops/mod.rs re-exports per-storage MAC entry points:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+ops_budget=2100
+ops_lines=$(find crates/tensor/src/ops -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+done | wc -l)
+if [ "$ops_lines" -gt "$ops_budget" ]; then
+    echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
+    fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
-echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims"
+echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
+    "one entry point per MAC op, ops at $ops_lines/$ops_budget lines"

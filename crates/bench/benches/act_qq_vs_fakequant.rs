@@ -1,7 +1,8 @@
 //! Criterion benchmark: the end-to-end FP8 activation datapath (quantize
 //! activations to codes at the op boundary, run code×code kernels with a
 //! fused decode-accumulate) against the PR-5 fused-weight-only path
-//! (fake-quant the activation in place as f32, run the `*_q` kernels).
+//! (fake-quant the activation in place as f32, run the same kernels on
+//! the f32 activation).
 //!
 //! Each arm includes its boundary cost — `fake_quant_fp8_lut` for the
 //! weight-only path, `QActTensor::quantize_*` for the coded path — so the
@@ -47,7 +48,7 @@ fn bench_linear(c: &mut Criterion) {
             || x.clone(),
             |mut xf| {
                 fake_quant_dynamic(&mut xf);
-                black_box(ops::linear_q(&xf, &q, None))
+                black_box(ops::linear(&xf, &q, None))
             },
             BatchSize::LargeInput,
         )
@@ -56,14 +57,14 @@ fn bench_linear(c: &mut Criterion) {
     grp.bench_function("qq_coded_act", |b| {
         b.iter(|| {
             qx.quantize_dynamic(&x, F);
-            black_box(ops::linear_qq(&qx, &q, None))
+            black_box(ops::linear(&qx, &q, None))
         })
     });
     let mut qt = QActTensor::new();
     grp.bench_function("qq_coded_act_tile128", |b| {
         b.iter(|| {
             qt.quantize_per_tile(&x, F, 128);
-            black_box(ops::linear_qq(&qt, &q, None))
+            black_box(ops::linear(&qt, &q, None))
         })
     });
     grp.finish();
@@ -83,7 +84,7 @@ fn bench_conv(c: &mut Criterion) {
             || x.clone(),
             |mut xf| {
                 fake_quant_dynamic(&mut xf);
-                black_box(ops::conv2d_q(&xf, &q, None, cp))
+                black_box(ops::conv2d(&xf, &q, None, cp))
             },
             BatchSize::LargeInput,
         )
@@ -92,7 +93,7 @@ fn bench_conv(c: &mut Criterion) {
     grp.bench_function("qq_coded_act", |b| {
         b.iter(|| {
             qx.quantize_dynamic(&x, F);
-            black_box(ops::conv2d_qq(&qx, &q, None, cp))
+            black_box(ops::conv2d(&qx, &q, None, cp))
         })
     });
     grp.finish();
@@ -121,7 +122,7 @@ fn bench_matmul(c: &mut Criterion) {
         b.iter(|| {
             qa.quantize_dynamic(&a, F);
             qb.quantize_dynamic(&b_, F);
-            black_box(ops::matmul_qq(&qa, &qb))
+            black_box(ops::matmul(&qa, &qb))
         })
     });
     grp.finish();

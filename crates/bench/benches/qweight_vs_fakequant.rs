@@ -1,5 +1,5 @@
-//! Criterion benchmark: fused FP8-weight kernels (`linear_q` / `conv2d_q`,
-//! decoding codes through the LUT inside the MAC loop) against the legacy
+//! Criterion benchmark: `linear` / `conv2d` over an FP8-stored weight
+//! (decoding codes through the LUT inside the MAC loop) against the legacy
 //! fake-quant path that executes a dense dequantized-f32 weight tensor.
 //!
 //! What the comparison means: the fused kernels buy a ~4× cut in resident
@@ -41,7 +41,7 @@ fn bench_linear_kernel(c: &mut Criterion) {
         b.iter(|| black_box(ops::linear(&x, &wf, None)))
     });
     grp.bench_function("fused_q", |b| {
-        b.iter(|| black_box(ops::linear_q(&x, &q, None)))
+        b.iter(|| black_box(ops::linear(&x, &q, None)))
     });
     grp.bench_function("dequant_each_call", |b| {
         b.iter(|| black_box(ops::linear(&x, &q.dequantize(), None)))
@@ -63,7 +63,7 @@ fn bench_conv_kernel(c: &mut Criterion) {
         b.iter(|| black_box(ops::conv2d(&x, &wf, None, cp)))
     });
     grp.bench_function("fused_q", |b| {
-        b.iter(|| black_box(ops::conv2d_q(&x, &q, None, cp)))
+        b.iter(|| black_box(ops::conv2d(&x, &q, None, cp)))
     });
     grp.finish();
 }

@@ -11,8 +11,9 @@
 //!    unrolled lanes, the compiler's best case) and streaming memory
 //!    bandwidth (multi-accumulator sum over a buffer far beyond cache).
 //!    These set the roofline: `min(peak_flops, intensity * bandwidth)`.
-//! 3. **Kernel benchmarks**: every fused kernel (`matmul_q/qq`,
-//!    `linear_q/qq`, `conv2d_q/qq`) through both [`KernelPath`]s on
+//! 3. **Kernel benchmarks**: every operand combination with a blocked
+//!    kernel (`matmul_qq`: coded·coded; `linear_q/qq`, `conv2d_q/qq`:
+//!    f32 or coded input × FP8 weight) through both [`KernelPath`]s on
 //!    fixed shapes, reported as GFLOP/s, bytes/MAC, and
 //!    fraction-of-roofline, plus the blocked/scalar ratio that
 //!    `ci/check_bench_regress.sh` gates against
@@ -100,7 +101,6 @@ struct Fixture {
     a: Tensor,
     qa: QActTensor,
     qb_act: QActTensor,
-    qb: QTensor,
     qw: QTensor,
     x: Tensor,
     qx: QActTensor,
@@ -123,7 +123,6 @@ impl Fixture {
         Fixture {
             qa,
             qb_act,
-            qb: QTensor::quantize_per_channel(&b, F).unwrap(),
             qw: QTensor::quantize_per_channel(&w, F).unwrap(),
             a,
             qx,
@@ -138,7 +137,7 @@ impl Fixture {
 
 fn assert_hot_loop_allocation_free() {
     let mut fx = Fixture::new();
-    let mut outs: [Tensor; 6] = Default::default();
+    let mut outs: [Tensor; 5] = Default::default();
     // Warm-up: grows the per-thread scratch pool, output buffers and
     // QActTensor code/scale buffers to their high-water marks.
     run_kernel_sweep(&mut fx, &mut outs, 3);
@@ -154,17 +153,16 @@ fn assert_hot_loop_allocation_free() {
 
 /// One pass over every fused kernel on both paths, re-quantizing
 /// activations at the boundary each time (what an executor pays per node).
-fn run_kernel_sweep(fx: &mut Fixture, outs: &mut [Tensor; 6], calls: usize) {
+fn run_kernel_sweep(fx: &mut Fixture, outs: &mut [Tensor; 5], calls: usize) {
     for _ in 0..calls {
         for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
             fx.qa.quantize_dynamic(&fx.a, F);
-            ops::matmul_q_into_path(&fx.a, &fx.qb, &mut outs[0], path);
-            ops::matmul_qq_into_path(&fx.qa, &fx.qb_act, &mut outs[1], path);
-            ops::linear_q_into_path(&fx.a, &fx.qw, None, &mut outs[2], path);
-            ops::linear_qq_into_path(&fx.qa, &fx.qw, None, &mut outs[3], path);
-            ops::conv2d_q_into_path(&fx.x, &fx.cw, None, CV_P, &mut outs[4], path);
+            ops::matmul_into(&fx.qa, &fx.qb_act, &mut outs[0], path);
+            ops::linear_into(&fx.a, &fx.qw, None, &mut outs[1], path);
+            ops::linear_into(&fx.qa, &fx.qw, None, &mut outs[2], path);
+            ops::conv2d_into(&fx.x, &fx.cw, None, CV_P, &mut outs[3], path);
             fx.qx.quantize_dynamic(&fx.x, F);
-            ops::conv2d_qq_into_path(&fx.qx, &fx.cw, None, CV_P, &mut outs[5], path);
+            ops::conv2d_into(&fx.qx, &fx.cw, None, CV_P, &mut outs[4], path);
         }
     }
 }
@@ -271,20 +269,11 @@ fn bench_kernels(c: &mut Criterion) {
     let fx = Fixture::new();
     let mut out = Tensor::default();
 
-    let mut grp = c.benchmark_group("roofline/matmul_q");
-    grp.throughput(Throughput::Elements(mm_macs() as u64));
-    for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
-        grp.bench_function(path_name(path), |b| {
-            b.iter(|| ops::matmul_q_into_path(black_box(&fx.a), &fx.qb, &mut out, path))
-        });
-    }
-    grp.finish();
-
     let mut grp = c.benchmark_group("roofline/matmul_qq");
     grp.throughput(Throughput::Elements(mm_macs() as u64));
     for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
         grp.bench_function(path_name(path), |b| {
-            b.iter(|| ops::matmul_qq_into_path(black_box(&fx.qa), &fx.qb_act, &mut out, path))
+            b.iter(|| ops::matmul_into(black_box(&fx.qa), &fx.qb_act, &mut out, path))
         });
     }
     grp.finish();
@@ -293,7 +282,7 @@ fn bench_kernels(c: &mut Criterion) {
     grp.throughput(Throughput::Elements(mm_macs() as u64));
     for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
         grp.bench_function(path_name(path), |b| {
-            b.iter(|| ops::linear_q_into_path(black_box(&fx.a), &fx.qw, None, &mut out, path))
+            b.iter(|| ops::linear_into(black_box(&fx.a), &fx.qw, None, &mut out, path))
         });
     }
     grp.finish();
@@ -302,7 +291,7 @@ fn bench_kernels(c: &mut Criterion) {
     grp.throughput(Throughput::Elements(mm_macs() as u64));
     for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
         grp.bench_function(path_name(path), |b| {
-            b.iter(|| ops::linear_qq_into_path(black_box(&fx.qa), &fx.qw, None, &mut out, path))
+            b.iter(|| ops::linear_into(black_box(&fx.qa), &fx.qw, None, &mut out, path))
         });
     }
     grp.finish();
@@ -311,7 +300,7 @@ fn bench_kernels(c: &mut Criterion) {
     grp.throughput(Throughput::Elements(conv_macs() as u64));
     for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
         grp.bench_function(path_name(path), |b| {
-            b.iter(|| ops::conv2d_q_into_path(black_box(&fx.x), &fx.cw, None, CV_P, &mut out, path))
+            b.iter(|| ops::conv2d_into(black_box(&fx.x), &fx.cw, None, CV_P, &mut out, path))
         });
     }
     grp.finish();
@@ -320,9 +309,7 @@ fn bench_kernels(c: &mut Criterion) {
     grp.throughput(Throughput::Elements(conv_macs() as u64));
     for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
         grp.bench_function(path_name(path), |b| {
-            b.iter(|| {
-                ops::conv2d_qq_into_path(black_box(&fx.qx), &fx.cw, None, CV_P, &mut out, path)
-            })
+            b.iter(|| ops::conv2d_into(black_box(&fx.qx), &fx.cw, None, CV_P, &mut out, path))
         });
     }
     grp.finish();
@@ -346,11 +333,6 @@ fn kernel_table() -> Vec<(&'static str, u64, u64)> {
     let conv_out = (4 * CV_N * CV_COUT * CV_H * CV_W) as u64;
     vec![
         // (group, flops/iter, min bytes/iter)
-        (
-            "roofline/matmul_q",
-            mm_flops,
-            (4 * MM_M * MM_K + MM_K * MM_N) as u64 + mm_out,
-        ),
         (
             "roofline/matmul_qq",
             mm_flops,

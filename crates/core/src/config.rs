@@ -135,9 +135,10 @@ wire_enum!(Granularity { PerChannel => "per-channel", PerTensor => "per-tensor" 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum WeightStorage {
     /// Real FP8 storage: weights kept as 1-byte codes plus scales
-    /// (`QTensor`) and executed by the fused dequant kernels — the ~4×
-    /// weight-memory reduction 8-bit deployment is for. Applies when the
-    /// weight format is FP8; INT8 weights always use fake-quant f32.
+    /// (`QTensor`) and passed to the kernels as `WeightOperand::Q`, which
+    /// decode them inside the MAC loop — the ~4× weight-memory reduction
+    /// 8-bit deployment is for. Applies when the weight format is FP8;
+    /// INT8 weights always use fake-quant f32.
     #[default]
     Fp8,
     /// Legacy emulation storage: weights dequantized back to dense f32 at
@@ -169,8 +170,8 @@ impl fmt::Display for WeightStorage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ActivationStorage {
     /// Real FP8 storage: eligible activation inputs are quantized to u8
-    /// codes at the op boundary and executed by the code×code kernels
-    /// (`matmul_qq`/`linear_qq`/`conv2d_qq`) — neither operand is
+    /// codes at the op boundary and passed to `ops::{conv2d, linear,
+    /// matmul}_into` as `ActOperand::Coded` — neither operand is
     /// materialized as a dense f32 tensor on the hot path. Applies when
     /// the activation format is FP8; INT8 activations always use
     /// fake-quant f32.
@@ -287,8 +288,9 @@ pub struct QuantConfig {
     pub activation_storage: ActivationStorage,
     /// Activation scale granularity (defaults to per-tensor).
     pub act_granularity: ActGranularity,
-    /// Which implementation the fused quantized MAC kernels run through
-    /// (defaults to the blocked micro-kernels). Bit-identical either way —
+    /// Which implementation `ops::{conv2d, linear, matmul}_into` run
+    /// through where a blocked kernel exists — an FP8-stored weight, or
+    /// both MatMul operands coded (defaults to the blocked micro-kernels). Bit-identical either way —
     /// a performance/debugging knob: flipping to `ScalarReference`
     /// bisects any suspected kernel-path divergence in one run.
     pub kernel_path: KernelPath,

@@ -38,7 +38,7 @@ pub struct QuantizedModel {
     /// Conv2d/Linear FP8 weights live in [`Self::qweights`] instead.
     pub weights: HashMap<ValueId, Tensor>,
     /// FP8-stored weight tensors (1 byte/element + scales) by parameter
-    /// value id, executed directly by the fused `*_q` kernels. Populated
+    /// value id, which the kernels read as `WeightOperand::Q`. Populated
     /// only when [`QuantConfig::stores_fp8_weights`] holds.
     pub qweights: HashMap<ValueId, QTensor>,
     /// SmoothQuant per-input-channel *divisors* for Linear activations.
@@ -275,8 +275,8 @@ pub fn select_nodes(graph: &Graph, config: &QuantConfig) -> BTreeSet<NodeId> {
 ///
 /// Returns `(weights, qweights)`: fake-quantized f32 tensors and
 /// FP8-stored tensors respectively. A weight lands in `qweights` when the
-/// config stores FP8 weights and the node is a Conv2d/Linear (the ops the
-/// fused `*_q` kernels execute); everything else — INT8 recipes, embedding
+/// config stores FP8 weights and the node is a Conv2d/Linear (the ops whose
+/// kernels take a `WeightOperand::Q`); everything else — INT8 recipes, embedding
 /// tables, the explicit [`crate::WeightStorage::FakeQuantF32`] mode — goes
 /// through the in-place fake-quant path unchanged.
 #[allow(clippy::type_complexity)]

@@ -10,9 +10,9 @@
 //! protocol and of every operator's evaluation.
 
 use crate::error::PtqError;
-use crate::graph::{Graph, Node, Op, MAX_OP_PARAMS};
+use crate::graph::{Graph, Node, Op, ValueId, MAX_OP_PARAMS};
 use crate::interp::ExecHook;
-use ptq_tensor::ops::{self, KernelPath};
+use ptq_tensor::ops::{self, ActOperand, KernelPath, WeightOperand};
 use ptq_tensor::{ActScale, Fp8Format, KvCachePolicy, QActTensor, QTensor, Tensor};
 
 /// Upper bound on activation inputs a node can bind as FP8 codes
@@ -80,18 +80,12 @@ pub struct Binding<'a> {
     pub kv: KvCachePolicy,
 }
 
-/// One resolved parameter: a dense f32 tensor or an FP8-stored [`QTensor`].
-#[derive(Clone, Copy)]
-enum PRef<'a> {
-    F32(&'a Tensor),
-    Q(&'a QTensor),
-}
-
-/// Resolved parameters of one node, in [`Op::param_ids`] order.
-struct ParamsRef<'a>([Option<PRef<'a>>; MAX_OP_PARAMS]);
+/// Resolved parameters of one node, in [`Op::param_ids`] order, as the
+/// weight views the kernels take.
+struct ParamsRef<'a>([Option<WeightOperand<'a>>; MAX_OP_PARAMS]);
 
 impl<'a> ParamsRef<'a> {
-    fn get(&self, node: &Node, i: usize) -> Result<PRef<'a>, PtqError> {
+    fn get(&self, node: &Node, i: usize) -> Result<WeightOperand<'a>, PtqError> {
         self.0.get(i).copied().flatten().ok_or_else(|| {
             PtqError::Internal(format!("missing parameter {i} for node {}", node.name))
         })
@@ -101,12 +95,17 @@ impl<'a> ParamsRef<'a> {
     /// without a fused kernel is a hook protocol violation.
     fn get_f32(&self, node: &Node, i: usize) -> Result<&'a Tensor, PtqError> {
         match self.get(node, i)? {
-            PRef::F32(t) => Ok(t),
-            PRef::Q(_) => Err(PtqError::Internal(format!(
+            WeightOperand::F32(t) => Ok(t),
+            WeightOperand::Q(_) => Err(PtqError::Internal(format!(
                 "parameter {i} for node {} is FP8-stored but the operator needs f32",
                 node.name
             ))),
         }
+    }
+
+    /// The optional bias in slot 1 of a Conv2d/Linear.
+    fn bias(&self, node: &Node, bias: Option<ValueId>) -> Result<Option<&'a Tensor>, PtqError> {
+        bias.map(|_| self.get_f32(node, 1)).transpose()
     }
 }
 
@@ -146,23 +145,14 @@ pub(crate) fn run_node(
                 value: *id,
                 node: node.name.clone(),
             })?;
-            *slot = Some(PRef::F32(w));
+            *slot = Some(WeightOperand::F32(w));
         }
-        let substitute = match binding.weight {
-            WeightBinding::Graph => None,
-            WeightBinding::F32(t) => Some(PRef::F32(t)),
-            WeightBinding::Q(q) => Some(PRef::Q(q)),
-        };
-        if let Some(p) = substitute {
-            if node.op.weight_value().is_none() {
-                return Err(PtqError::Internal(format!(
-                    "weight substitute bound for node {} ({}), which has no quantizable weight",
-                    node.name,
-                    node.op.class()
-                )));
-            }
-            // `param_ids` puts the quantizable weight in slot 0.
-            params.0[0] = Some(p);
+        check_binding(node, &binding, ins.len())?;
+        // `param_ids` puts the quantizable weight in slot 0.
+        match binding.weight {
+            WeightBinding::Graph => {}
+            WeightBinding::F32(t) => params.0[0] = Some(WeightOperand::F32(t)),
+            WeightBinding::Q(q) => params.0[0] = Some(WeightOperand::Q(q)),
         }
 
         let mut acts: ActsRef<'_> = [None; MAX_ACT_INPUTS];
@@ -171,13 +161,7 @@ pub(crate) fn run_node(
             let ActBinding::Coded { format, scale } = *act else {
                 continue;
             };
-            let x = ins.get(i).ok_or_else(|| {
-                PtqError::Internal(format!(
-                    "activation codes bound for input {i} of node {}, which has {} inputs",
-                    node.name,
-                    ins.len()
-                ))
-            })?;
+            let x = &ins[i];
             let mut qs = ptq_trace::span(ptq_trace::Level::Debug, "act.quantize");
             buf.quantize(x, format, scale);
             if qs.active() {
@@ -202,10 +186,51 @@ pub(crate) fn run_node(
     Ok(())
 }
 
+/// Reject a binding `node` cannot execute, as a hook protocol violation
+/// (not a user error): a weight substitute without a weight slot, codes on
+/// an input the node does not have, and codes anywhere but a code×code
+/// kernel — input 0 of a non-depthwise Conv2d or a Linear whose weight is
+/// FP8-stored, or both MatMul operands together. The kernels themselves
+/// take any operand mix; what executes is decided here.
+fn check_binding(node: &Node, binding: &Binding<'_>, n_inputs: usize) -> Result<(), PtqError> {
+    let coded = |i: usize| binding.acts[i] != ActBinding::F32;
+    let q_weight = matches!(binding.weight, WeightBinding::Q(_));
+    let name = &node.name;
+    let class = node.op.class();
+    let why = if !matches!(binding.weight, WeightBinding::Graph) && node.op.weight_value().is_none()
+    {
+        format!(
+            "weight substitute bound for node {name} ({class}), which has no quantizable weight"
+        )
+    } else if let Some(i) = (0..MAX_ACT_INPUTS).find(|&i| coded(i) && i >= n_inputs) {
+        format!("activation codes bound for input {i} of node {name}, which has {n_inputs} inputs")
+    } else {
+        match &node.op {
+            _ if !coded(0) && !coded(1) => return Ok(()),
+            Op::Conv2d { depthwise, .. } if q_weight && !depthwise => return Ok(()),
+            Op::Conv2d { .. } => format!(
+                "activation codes for node {name} need a non-depthwise FP8-stored weight"
+            ),
+            Op::Linear { .. } if q_weight => return Ok(()),
+            Op::Linear { .. } => {
+                format!("activation codes for node {name} need an FP8-stored weight")
+            }
+            Op::MatMul if coded(0) && coded(1) => return Ok(()),
+            Op::MatMul => format!("matmul node {name} needs both operands coded or neither"),
+            _ => format!(
+                "activation codes bound for node {name} ({class}), which has no code\u{d7}code kernel"
+            ),
+        }
+    };
+    Err(PtqError::Internal(why))
+}
+
 /// Evaluate one node into `out`. `ins` are the (possibly hook-mutated)
 /// activation inputs and `params` the resolved parameters; the only runtime
-/// failures left are data-dependent contracts (embedding id values) and
-/// bindings the operator cannot execute.
+/// failures left are data-dependent contracts (embedding id values) and a
+/// `Q` weight on an operator that reads f32 parameters
+/// ([`ParamsRef::get_f32`]); [`check_binding`] has rejected every other
+/// binding the operator cannot execute.
 fn eval_node_into(
     node: &Node,
     ins: &[Tensor],
@@ -215,18 +240,7 @@ fn eval_node_into(
     out: &mut Tensor,
     path: KernelPath,
 ) -> Result<(), PtqError> {
-    // Activation codes are only executable by the code×code kernels of
-    // Conv2d (non-depthwise), Linear and MatMul; a binding anywhere else
-    // is a hook protocol violation, not a user error.
-    if acts.iter().any(Option::is_some)
-        && !matches!(node.op, Op::Conv2d { .. } | Op::Linear { .. } | Op::MatMul)
-    {
-        return Err(PtqError::Internal(format!(
-            "activation codes bound for node {} ({}), which has no code\u{d7}code kernel",
-            node.name,
-            node.op.class()
-        )));
-    }
+    let act = |i: usize| acts[i].map_or(ActOperand::F32(&ins[i]), ActOperand::Coded);
     match &node.op {
         Op::Conv2d {
             bias,
@@ -234,51 +248,18 @@ fn eval_node_into(
             depthwise,
             ..
         } => {
-            let b = match bias {
-                Some(_) => Some(params.get_f32(node, 1)?),
-                None => None,
-            };
-            match (params.get(node, 0)?, *depthwise, acts[0]) {
-                (PRef::Q(w), false, Some(xa)) => ops::conv2d_qq_into_path(xa, w, b, *cp, out, path),
-                (PRef::F32(w), true, None) => ops::depthwise_conv2d_into(&ins[0], w, b, *cp, out),
-                (PRef::F32(w), false, None) => ops::conv2d_into(&ins[0], w, b, *cp, out),
-                (PRef::Q(w), true, None) => ops::depthwise_conv2d_q_into(&ins[0], w, b, *cp, out),
-                (PRef::Q(w), false, None) => ops::conv2d_q_into_path(&ins[0], w, b, *cp, out, path),
-                _ => {
-                    return Err(PtqError::Internal(format!(
-                        "activation codes for node {} need a non-depthwise FP8-stored weight",
-                        node.name
-                    )))
-                }
+            let (w, b) = (params.get(node, 0)?, params.bias(node, *bias)?);
+            if *depthwise {
+                ops::depthwise_conv2d_into(&ins[0], w, b, *cp, out);
+            } else {
+                ops::conv2d_into(act(0), w, b, *cp, out, path);
             }
         }
         Op::Linear { bias, .. } => {
-            let b = match bias {
-                Some(_) => Some(params.get_f32(node, 1)?),
-                None => None,
-            };
-            match (params.get(node, 0)?, acts[0]) {
-                (PRef::Q(w), Some(xa)) => ops::linear_qq_into_path(xa, w, b, out, path),
-                (PRef::F32(w), None) => ops::linear_into(&ins[0], w, b, out),
-                (PRef::Q(w), None) => ops::linear_q_into_path(&ins[0], w, b, out, path),
-                (PRef::F32(_), Some(_)) => {
-                    return Err(PtqError::Internal(format!(
-                        "activation codes for node {} need an FP8-stored weight",
-                        node.name
-                    )))
-                }
-            }
+            let (w, b) = (params.get(node, 0)?, params.bias(node, *bias)?);
+            ops::linear_into(act(0), w, b, out, path);
         }
-        Op::MatMul => match (acts[0], acts[1]) {
-            (Some(a), Some(b)) => ops::matmul_qq_into_path(a, b, out, path),
-            (None, None) => ops::matmul_into(&ins[0], &ins[1], out),
-            _ => {
-                return Err(PtqError::Internal(format!(
-                    "matmul node {} needs both operands coded or neither",
-                    node.name
-                )))
-            }
-        },
+        Op::MatMul => ops::matmul_into(act(0), act(1), out, path),
         Op::BatchMatMul => ops::batch_matmul_into(&ins[0], &ins[1], out),
         Op::Embedding { .. } => {
             let t = params.get_f32(node, 0)?;

@@ -1,8 +1,8 @@
 //! # ptq-serve — async batched serving over quantized models
 //!
 //! The serving layer the paper's efficiency story ultimately cashes out
-//! in: FP8-stored weights cut resident bytes 4×, the fused `*_q` kernels
-//! run straight off the codes, and this crate turns that into a
+//! in: FP8-stored weights cut resident bytes 4×, the MAC kernels run
+//! straight off the codes, and this crate turns that into a
 //! request/response engine with the scheduling machinery a real
 //! deployment needs:
 //!

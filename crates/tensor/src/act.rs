@@ -2,9 +2,10 @@
 //!
 //! [`QActTensor`] is the activation counterpart of [`crate::QTensor`]: u8
 //! FP8 codes plus scales, produced *at op boundaries* from a dense f32
-//! tensor so the code×code kernels ([`crate::ops::matmul_qq`],
-//! [`crate::ops::linear_qq`], [`crate::ops::conv2d_qq`]) never stream a
-//! dense f32 activation on the hot path. Unlike weights (quantized once at
+//! tensor so the MAC kernels ([`crate::ops::matmul()`],
+//! [`crate::ops::linear`], [`crate::ops::conv2d`], which take it as
+//! [`crate::ops::ActOperand::Coded`]) never stream a dense f32
+//! activation on the hot path. Unlike weights (quantized once at
 //! prepare time), activations are re-quantized every batch, so the buffers
 //! here are reusable: every `quantize_*` method takes `&mut self` and
 //! recycles the code/scale allocations (the planned executor keeps

@@ -36,14 +36,12 @@
 //! All staging buffers come from the per-thread pool in
 //! [`super::scratch`]; steady-state calls do not allocate.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::act::QActTensor;
-use crate::ops::conv::Conv2dParams;
+use crate::act::ActDecode;
 use crate::qtensor::{QTensor, ScaledDecode};
 use crate::tensor::Tensor;
 
+use super::conv::{for_each_plane, taps, window_sum, ConvDims};
+use super::operand::{DenseW, Rows};
 use super::{for_each_chunk, scratch};
 
 /// Rows per register tile (matmul and linear).
@@ -66,7 +64,7 @@ const OXB: usize = 4;
 /// panels, so the dense `[k, n]` panel is never staged. The values are
 /// exactly what [`crate::act::ActDecode::decode_range`] produces — the
 /// micro-kernel reads them in the same `kk` order as the scalar kernel.
-fn decode_pack_panels(bdec: &crate::act::ActDecode, k: usize, n: usize, bp: &mut [f32]) {
+fn decode_pack_panels(bdec: &ActDecode, k: usize, n: usize, bp: &mut [f32]) {
     scratch::with_panel2(n, |row| {
         for kk in 0..k {
             bdec.decode_range(kk * n, row);
@@ -78,27 +76,6 @@ fn decode_pack_panels(bdec: &crate::act::ActDecode, k: usize, n: usize, bp: &mut
             }
         }
     });
-}
-
-/// Pack a `[k, n]` code matrix straight through its per-`kk`-channel
-/// decode tables into the same column-panel layout. Each packed value is
-/// exactly `dec.channel(kk)[code]` — the value the scalar kernel gathers
-/// per MAC.
-fn pack_panels_q(bc: &[u8], dec: &ScaledDecode, k: usize, n: usize, bp: &mut [f32]) {
-    let mut off = 0;
-    let mut j0 = 0;
-    while j0 < n {
-        let wp = NRM.min(n - j0);
-        for kk in 0..k {
-            let t = dec.channel(kk);
-            let src = &bc[kk * n + j0..kk * n + j0 + wp];
-            for (d, &c) in bp[off + kk * wp..off + (kk + 1) * wp].iter_mut().zip(src) {
-                *d = t[c as usize];
-            }
-        }
-        off += k * wp;
-        j0 += NRM;
-    }
 }
 
 /// One full `MR`×`NRM` register tile: 32 independent kk-ascending
@@ -391,38 +368,15 @@ fn matmul_panels(
     }
 }
 
-pub(crate) fn matmul_q(a: &Tensor, b: &QTensor, m: usize, k: usize, n: usize, out: &mut Tensor) {
-    let ad = a.data();
-    let bc = b.codes();
-    let dec = b.scaled_decode();
+/// Code×code matmul: `B` decoded once into packed panels, `A` decoded
+/// `MR` rows at a time.
+pub(super) fn matmul(a: &ActDecode, b: &ActDecode, m: usize, k: usize, n: usize, out: &mut Tensor) {
     scratch::with_panel(k * n, |bp| {
-        pack_panels_q(bc, &dec, k, n, bp);
+        decode_pack_panels(b, k, n, bp);
         for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-            let i0 = blk * MR;
             let mr = rows.len() / n;
-            matmul_packed(&ad[i0 * k..(i0 + mr) * k], mr, k, n, bp, rows);
-        });
-    });
-}
-
-pub(crate) fn matmul_qq(
-    a: &QActTensor,
-    b: &QActTensor,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut Tensor,
-) {
-    let adec = a.decoder();
-    let bdec = b.decoder();
-    scratch::with_panel(k * n, |bp| {
-        decode_pack_panels(&bdec, k, n, bp);
-        for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-            let i0 = blk * MR;
-            let mr = rows.len() / n;
-            scratch::with_rows(mr * k, |ar| {
-                adec.decode_range(i0 * k, ar);
-                matmul_packed(ar, mr, k, n, bp, rows);
+            a.with(blk * MR * k, mr * k, |ar| {
+                matmul_packed(ar, mr, k, n, bp, rows)
             });
         });
     });
@@ -521,8 +475,10 @@ fn linear_block(
     }
 }
 
-pub(crate) fn linear_q(
-    x: &Tensor,
+/// Linear over an FP8-stored weight: `MR` activation rows per chunk,
+/// borrowed or decoded by the row source.
+pub(super) fn linear<X: Rows + ?Sized>(
+    x: &X,
     weight: &QTensor,
     bias: Option<&Tensor>,
     m: usize,
@@ -530,36 +486,13 @@ pub(crate) fn linear_q(
     n: usize,
     out: &mut Tensor,
 ) {
-    let xd = x.data();
     let wc = weight.codes();
     let dec = weight.scaled_decode();
     let bd = bias.map(|b| b.data());
     for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-        let i0 = blk * MR;
         let mr = rows.len() / n;
-        linear_block(&xd[i0 * k..(i0 + mr) * k], mr, k, n, wc, &dec, bd, rows);
-    });
-}
-
-pub(crate) fn linear_qq(
-    x: &QActTensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut Tensor,
-) {
-    let xdec = x.decoder();
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
-    let bd = bias.map(|b| b.data());
-    for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-        let i0 = blk * MR;
-        let mr = rows.len() / n;
-        scratch::with_rows(mr * k, |xs| {
-            xdec.decode_range(i0 * k, xs);
-            linear_block(xs, mr, k, n, wc, &dec, bd, rows);
+        x.with(blk * MR * k, mr * k, |xs| {
+            linear_block(xs, mr, k, n, wc, &dec, bd, rows)
         });
     });
 }
@@ -567,20 +500,6 @@ pub(crate) fn linear_qq(
 // ---------------------------------------------------------------------
 // conv family
 // ---------------------------------------------------------------------
-
-/// Monotone id per blocked-conv call, keying the per-thread decoded
-/// sample cache below so an entry can never be mistaken for another
-/// call's tensor.
-static CONV_CALL: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(call id, image index, decoded sample)` — the im2col-style reuse:
-    /// all `cout` output planes of one image read the same decoded input,
-    /// so each worker decodes it once per image instead of once per
-    /// plane.
-    static CONV_SAMPLE: RefCell<(u64, usize, Vec<f32>)> =
-        const { RefCell::new((0, 0, Vec::new())) };
-}
 
 /// Pack a `[cout, per_co]` weight-code tensor through its per-`cout`
 /// tables into dense f32 (same values the scalar kernel gathers).
@@ -594,49 +513,10 @@ fn pack_weights(wc: &[u8], dec: &ScaledDecode, cout: usize, per_co: usize, wf: &
     }
 }
 
-struct ConvDims {
-    cin: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    oh: usize,
-    ow: usize,
-    stride: usize,
-    pad: isize,
-}
-
-/// One output element with full bounds checks — the reference loop,
-/// reading the decoded sample and packed weights (identical values).
-fn conv_one(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, iy0: isize, ix0: isize) -> f32 {
-    let mut acc = b0;
-    for ci in 0..d.cin {
-        let xc = ci * d.h * d.w;
-        let wcb = ci * d.kh * d.kw;
-        for ky in 0..d.kh {
-            let iy = iy0 + ky as isize;
-            if iy < 0 || iy >= d.h as isize {
-                continue;
-            }
-            let xrow = xc + iy as usize * d.w;
-            let wrow = wcb + ky * d.kw;
-            for kx in 0..d.kw {
-                let ix = ix0 + kx as isize;
-                if ix < 0 || ix >= d.w as isize {
-                    continue;
-                }
-                acc += xs[xrow + ix as usize] * wplane[wrow + kx];
-            }
-        }
-    }
-    acc
-}
-
 /// One output plane: interior columns (no padding clipping) run a
 /// check-free 4-wide block where each weight value feeds 4 outputs;
-/// borders run the reference loop. Clipped `ky` rows are *restricted out*
-/// of the interior loop — the reference `continue`s them, dropping the
-/// same terms.
+/// borders run the reference [`window_sum`]. Both restrict `ky` to the
+/// same in-bounds [`taps`].
 fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f32]) {
     // Interior ox range: ox*stride - pad >= 0 and ox*stride - pad + kw <= w.
     let (ox_lo, ox_hi) = if d.w as isize + d.pad >= d.kw as isize {
@@ -648,13 +528,12 @@ fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f
     };
     for oy in 0..d.oh {
         let iy0 = (oy * d.stride) as isize - d.pad;
-        let ky_lo = (-iy0).max(0) as usize;
-        let ky_hi = (((d.h as isize - iy0).max(0) as usize).min(d.kh)).max(ky_lo);
+        let kys = taps(iy0, d.h, d.kh);
         let orow = &mut oplane[oy * d.ow..(oy + 1) * d.ow];
         let mut ox = 0;
         while ox < ox_lo {
             let ix0 = (ox * d.stride) as isize - d.pad;
-            orow[ox] = conv_one(xs, wplane, b0, d, iy0, ix0);
+            orow[ox] = window_sum::<DenseW>(xs, wplane, &[], b0, d, iy0, ix0);
             ox += 1;
         }
         while ox + OXB <= ox_hi {
@@ -663,7 +542,7 @@ fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f
             for ci in 0..d.cin {
                 let xc = ci * d.h * d.w;
                 let wcb = ci * d.kh * d.kw;
-                for ky in ky_lo..ky_hi {
+                for ky in kys.clone() {
                     let xrow = xc + (iy0 + ky as isize) as usize * d.w;
                     let wrow = wcb + ky * d.kw;
                     for kx in 0..d.kw {
@@ -681,101 +560,28 @@ fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f
         }
         while ox < d.ow {
             let ix0 = (ox * d.stride) as isize - d.pad;
-            orow[ox] = conv_one(xs, wplane, b0, d, iy0, ix0);
+            orow[ox] = window_sum::<DenseW>(xs, wplane, &[], b0, d, iy0, ix0);
             ox += 1;
         }
     }
 }
 
-pub(crate) fn conv2d_q(
-    x: &Tensor,
+/// Conv over an FP8-stored weight: the weight packed through its tables
+/// once per call, each input sample borrowed or decoded once per image
+/// per worker by the row source.
+pub(super) fn conv2d<X: Rows + ?Sized>(
+    x: &X,
     weight: &QTensor,
     bias: Option<&Tensor>,
-    p: Conv2dParams,
+    d: &ConvDims,
     out: &mut Tensor,
 ) {
-    let (n, cin, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (cout, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
-    let d = ConvDims {
-        cin,
-        h,
-        w,
-        kh,
-        kw,
-        oh: p.out_size(h, kh),
-        ow: p.out_size(w, kw),
-        stride: p.stride,
-        pad: p.padding as isize,
-    };
-    let xd = x.data();
-    let per_co = cin * kh * kw;
-    let sample = cin * h * w;
+    let per_co = d.cin * d.kh * d.kw;
     let dec = weight.scaled_decode();
-    let macs = n * cout * d.oh * d.ow * per_co;
-    scratch::with_panel(cout * per_co, |wf| {
-        pack_weights(weight.codes(), &dec, cout, per_co, wf);
-        for_each_chunk(out.data_mut(), d.oh * d.ow, macs, |plane, oplane| {
-            let ni = plane / cout;
-            let co = plane % cout;
-            let b0 = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-            let xs = &xd[ni * sample..(ni + 1) * sample];
-            conv_plane(xs, &wf[co * per_co..(co + 1) * per_co], b0, &d, oplane);
-        });
-    });
-}
-
-pub(crate) fn conv2d_qq(
-    x: &QActTensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    out: &mut Tensor,
-) {
-    let (cin, h, w) = (x.dim(1), x.dim(2), x.dim(3));
-    let n = x.dim(0);
-    let (cout, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
-    let d = ConvDims {
-        cin,
-        h,
-        w,
-        kh,
-        kw,
-        oh: p.out_size(h, kh),
-        ow: p.out_size(w, kw),
-        stride: p.stride,
-        pad: p.padding as isize,
-    };
-    let xdec = x.decoder();
-    let per_co = cin * kh * kw;
-    let sample = cin * h * w;
-    let dec = weight.scaled_decode();
-    let call = CONV_CALL.fetch_add(1, Ordering::Relaxed);
-    let macs = n * cout * d.oh * d.ow * per_co;
-    scratch::with_panel(cout * per_co, |wf| {
-        pack_weights(weight.codes(), &dec, cout, per_co, wf);
-        for_each_chunk(out.data_mut(), d.oh * d.ow, macs, |plane, oplane| {
-            let ni = plane / cout;
-            let co = plane % cout;
-            let b0 = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-            CONV_SAMPLE.with(|cell| {
-                let mut guard = cell.borrow_mut();
-                let (key_call, key_ni, xs) = &mut *guard;
-                if *key_call != call || *key_ni != ni {
-                    if xs.len() < sample {
-                        xs.resize(sample, 0.0);
-                    }
-                    xdec.decode_range(ni * sample, &mut xs[..sample]);
-                    *key_call = call;
-                    *key_ni = ni;
-                }
-                conv_plane(
-                    &xs[..sample],
-                    &wf[co * per_co..(co + 1) * per_co],
-                    b0,
-                    &d,
-                    oplane,
-                );
-            });
+    scratch::with_panel(d.cout * per_co, |wf| {
+        pack_weights(weight.codes(), &dec, d.cout, per_co, wf);
+        for_each_plane(x, &DenseW(wf), bias, d, out, |xs, wplane, _, b0, oplane| {
+            conv_plane(xs, wplane, b0, d, oplane)
         });
     });
 }

@@ -1,8 +1,10 @@
 //! 2-D convolution kernels (NCHW layout).
 
-use super::{blocked, for_each_chunk, KernelPath};
+use super::operand::{next_call, with_rows, with_weights, Rows, WeightFetch};
+use super::{blocked, checked, for_each_chunk, ActOperand, KernelPath, WeightOperand};
 use crate::act::QActTensor;
 use crate::qtensor::QTensor;
+use crate::shape::conv2d_dims;
 use crate::tensor::Tensor;
 
 /// Stride/padding configuration for [`conv2d`] and [`depthwise_conv2d`].
@@ -38,102 +40,213 @@ impl Conv2dParams {
     }
 }
 
-/// Standard convolution: input `[N, Cin, H, W]`, weight
-/// `[Cout, Cin, Kh, Kw]`, optional bias `[Cout]` → `[N, Cout, H', W']`.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches, or if the kernel does not fit the
-/// padded input.
-pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: Conv2dParams) -> Tensor {
-    let mut out = Tensor::default();
-    conv2d_into(x, weight, bias, p, &mut out);
-    out
+/// Geometry of one convolution call.
+pub(super) struct ConvDims {
+    pub n: usize,
+    pub cout: usize,
+    /// Input channels each output plane reduces over (1 for depthwise).
+    pub cin: usize,
+    /// A depthwise plane reads its own input channel, not the whole image.
+    pub depthwise: bool,
+    pub h: usize,
+    pub w: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub oh: usize,
+    pub ow: usize,
+    pub stride: usize,
+    pub pad: isize,
 }
 
-/// Out-param variant of [`conv2d`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`conv2d`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches, or if the kernel does not fit the
-/// padded input.
-pub fn conv2d_into(
-    x: &Tensor,
-    weight: &Tensor,
+/// The one precondition block of both convolutions.
+fn conv_dims(
+    x: &[usize],
+    weight: &[usize],
     bias: Option<&Tensor>,
     p: Conv2dParams,
+    depthwise: bool,
+) -> ConvDims {
+    let bias = bias.map(Tensor::shape);
+    let [n, cout, oh, ow] = checked(conv2d_dims(x, weight, bias, p, depthwise));
+    ConvDims {
+        n,
+        cout,
+        cin: weight[1],
+        depthwise,
+        h: x[2],
+        w: x[3],
+        kh: weight[2],
+        kw: weight[3],
+        oh,
+        ow,
+        stride: p.stride,
+        pad: p.padding as isize,
+    }
+}
+
+/// Taps `lo..hi` of a `k`-tap window whose first tap reads input
+/// coordinate `i0` that land inside `0..extent`; the rest fall in the
+/// zero padding and contribute no term.
+pub(super) fn taps(i0: isize, extent: usize, k: usize) -> std::ops::Range<usize> {
+    let lo = (-i0).max(0) as usize;
+    let hi = ((extent as isize - i0).max(0) as usize).min(k);
+    lo..hi.max(lo)
+}
+
+/// One output element: the window sum whose top-left input coordinate is
+/// `(iy0, ix0)`, in-bounds terms added onto the bias in ascending
+/// `(ci, ky, kx)` order. `xs` is the plane's input sample, `wco` its
+/// `cin·kh·kw` weight elements and `t` their channel state.
+#[inline]
+pub(super) fn window_sum<W: WeightFetch>(
+    xs: &[f32],
+    wco: &[W::Elem],
+    t: &[f32],
+    b0: f32,
+    d: &ConvDims,
+    iy0: isize,
+    ix0: isize,
+) -> f32 {
+    let (kys, kxs) = (taps(iy0, d.h, d.kh), taps(ix0, d.w, d.kw));
+    if kxs.is_empty() {
+        return b0;
+    }
+    let x0 = (ix0 + kxs.start as isize) as usize;
+    let mut acc = b0;
+    for ci in 0..d.cin {
+        for ky in kys.clone() {
+            let xrow = (ci * d.h + (iy0 + ky as isize) as usize) * d.w + x0;
+            let wrow = (ci * d.kh + ky) * d.kw;
+            let wr = &wco[wrow + kxs.start..wrow + kxs.end];
+            for (xv, &e) in xs[xrow..xrow + wr.len()].iter().zip(wr) {
+                acc += xv * W::value(t, e);
+            }
+        }
+    }
+    acc
+}
+
+/// Run `f(sample, weight elements, channel state, bias, output plane)` for
+/// every output plane, one plane per chunk — the plane → operands mapping
+/// the reference and blocked convolutions share.
+pub(super) fn for_each_plane<X: Rows + ?Sized, W: WeightFetch>(
+    x: &X,
+    wf: &W,
+    bias: Option<&Tensor>,
+    d: &ConvDims,
+    out: &mut Tensor,
+    f: impl Fn(&[f32], &[W::Elem], &[f32], f32, &mut [f32]) + Sync,
+) {
+    let per_co = d.cin * d.kh * d.kw;
+    let sample = d.cin * d.h * d.w;
+    let macs = out.len() * per_co;
+    let call = next_call();
+    for_each_chunk(out.data_mut(), d.oh * d.ow, macs, |plane, oplane| {
+        let co = plane % d.cout;
+        let xi = if d.depthwise { plane } else { plane / d.cout };
+        let b0 = bias.map_or(0.0, |b| b.data()[co]);
+        let wco = &wf.elems()[co * per_co..(co + 1) * per_co];
+        x.with_shared(call, xi * sample, sample, |xs| {
+            f(xs, wco, wf.channel(co), b0, oplane)
+        });
+    });
+}
+
+/// The `ScalarReference` loop nest of both convolutions: one
+/// [`window_sum`] per output element.
+fn conv_ref<X: Rows + ?Sized, W: WeightFetch>(
+    x: &X,
+    wf: &W,
+    bias: Option<&Tensor>,
+    d: &ConvDims,
     out: &mut Tensor,
 ) {
-    assert_eq!(
-        x.ndim(),
-        4,
-        "conv2d input must be NCHW, got {:?}",
-        x.shape()
-    );
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [Cout,Cin,Kh,Kw]");
-    let (n, cin, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (cout, cin2, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    assert_eq!(cin, cin2, "conv2d channel mismatch {cin} vs {cin2}");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), cout, "bias length vs out channels");
-    }
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    assert!(oh > 0 && ow > 0, "kernel does not fit input");
-
-    let xd = x.data();
-    let wd = weight.data();
-    out.reuse_as(&[n, cout, oh, ow]);
-    let pad = p.padding as isize;
-    let stride = p.stride;
-
-    let macs = n * cout * oh * ow * cin * kh * kw;
-    for_each_chunk(out.data_mut(), oh * ow, macs, |plane, oplane| {
-        let ni = plane / cout;
-        let co = plane % cout;
-        let b0 = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-        let wbase = co * cin * kh * kw;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b0;
-                let iy0 = (oy * stride) as isize - pad;
-                let ix0 = (ox * stride) as isize - pad;
-                for ci in 0..cin {
-                    let xbase = (ni * cin + ci) * h * w;
-                    let wcbase = wbase + ci * kh * kw;
-                    for ky in 0..kh {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = xbase + iy as usize * w;
-                        let wrow = wcbase + ky * kw;
-                        for kx in 0..kw {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += xd[xrow + ix as usize] * wd[wrow + kx];
-                        }
-                    }
-                }
-                oplane[oy * ow + ox] = acc;
+    for_each_plane(x, wf, bias, d, out, |xs, wco, t, b0, oplane| {
+        for oy in 0..d.oh {
+            let iy0 = (oy * d.stride) as isize - d.pad;
+            for ox in 0..d.ow {
+                let ix0 = (ox * d.stride) as isize - d.pad;
+                oplane[oy * d.ow + ox] = window_sum::<W>(xs, wco, t, b0, d, iy0, ix0);
             }
         }
     });
 }
 
-/// Depthwise convolution: input `[N, C, H, W]`, weight `[C, 1, Kh, Kw]`
-/// (each channel convolved with its own filter) — the MobileNet/EfficientNet
-/// building block.
+/// Standard convolution: input `[N, Cin, H, W]`, weight
+/// `[Cout, Cin, Kh, Kw]`, optional bias `[Cout]` → `[N, Cout, H', W']`.
+///
+/// Either operand may be FP8-stored ([`ActOperand`], [`WeightOperand`];
+/// per-channel weight scales group over `Cout`). The result is
+/// bit-identical to the f32 kernel on the dequantized operands: codes
+/// decode per element through the tables `dequantize` uses and the MAC
+/// loop accumulates in the same order.
 ///
 /// # Panics
 ///
-/// Panics on rank/channel mismatches.
-pub fn depthwise_conv2d(
+/// Panics on rank or channel mismatches, a zero stride, or a kernel that
+/// does not fit the padded input.
+pub fn conv2d<'a>(
+    x: impl Into<ActOperand<'a>>,
+    weight: impl Into<WeightOperand<'a>>,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+) -> Tensor {
+    let mut out = Tensor::default();
+    conv2d_into(x, weight, bias, p, &mut out, KernelPath::default());
+    out
+}
+
+/// Out-param variant of [`conv2d`]: writes into `out`, reusing its
+/// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
+/// the weight is FP8-stored; an f32 weight always runs the reference
+/// loop. Both paths are bit-identical. Panics as [`conv2d`].
+pub fn conv2d_into<'a>(
+    x: impl Into<ActOperand<'a>>,
+    weight: impl Into<WeightOperand<'a>>,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+    out: &mut Tensor,
+    path: KernelPath,
+) {
+    let (x, weight) = (x.into(), weight.into());
+    let d = conv_dims(x.shape(), weight.shape(), bias, p, false);
+    out.reuse_as(&[d.n, d.cout, d.oh, d.ow]);
+    if out.data().is_empty() {
+        return;
+    }
+    if let (KernelPath::Blocked, WeightOperand::Q(q)) = (path, weight) {
+        return with_rows!(x, |xs| blocked::conv2d(xs, q, bias, &d, out));
+    }
+    with_rows!(x, |xs| with_weights!(weight, |wf| conv_ref(
+        xs, wf, bias, &d, out
+    )))
+}
+
+/// [`conv2d_into`] on a coded input and an FP8-stored weight through the
+/// default kernel path. Kept under this name only for
+/// `benchmark/src/probes.rs`, which is frozen; call [`conv2d_into`].
+pub fn conv2d_qq_into(
+    x: &QActTensor,
+    weight: &QTensor,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+    out: &mut Tensor,
+) {
+    conv2d_into(x, weight, bias, p, out, KernelPath::default());
+}
+
+/// Depthwise convolution: input `[N, C, H, W]`, weight `[C, 1, Kh, Kw]`
+/// (each channel convolved with its own filter; per-channel weight scales
+/// group over `C`) — the MobileNet/EfficientNet building block.
+/// Bit-identical to the f32 kernel on the dequantized weight.
+///
+/// # Panics
+///
+/// Panics on rank/channel mismatches, a zero stride, or a kernel that
+/// does not fit the padded input.
+pub fn depthwise_conv2d<'a>(
     x: &Tensor,
-    weight: &Tensor,
+    weight: impl Into<WeightOperand<'a>>,
     bias: Option<&Tensor>,
     p: Conv2dParams,
 ) -> Tensor {
@@ -143,377 +256,19 @@ pub fn depthwise_conv2d(
 }
 
 /// Out-param variant of [`depthwise_conv2d`]: writes into `out`, reusing
-/// its allocation. Bit-identical to [`depthwise_conv2d`].
-///
-/// # Panics
-///
-/// Panics on rank/channel mismatches.
-pub fn depthwise_conv2d_into(
+/// its allocation. There is no blocked depthwise kernel, hence no
+/// [`KernelPath`]. Panics as [`depthwise_conv2d`].
+pub fn depthwise_conv2d_into<'a>(
     x: &Tensor,
-    weight: &Tensor,
+    weight: impl Into<WeightOperand<'a>>,
     bias: Option<&Tensor>,
     p: Conv2dParams,
     out: &mut Tensor,
 ) {
-    assert_eq!(x.ndim(), 4, "depthwise input must be NCHW");
-    assert_eq!(weight.ndim(), 4, "depthwise weight must be [C,1,Kh,Kw]");
-    assert_eq!(weight.dim(1), 1, "depthwise weight dim 1 must be 1");
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    assert_eq!(weight.dim(0), c, "depthwise channels mismatch");
-    let (kh, kw) = (weight.dim(2), weight.dim(3));
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    assert!(oh > 0 && ow > 0, "kernel does not fit input");
-
-    let xd = x.data();
-    let wd = weight.data();
-    out.reuse_as(&[n, c, oh, ow]);
-    let pad = p.padding as isize;
-
-    let macs = n * c * oh * ow * kh * kw;
-    for_each_chunk(out.data_mut(), oh * ow, macs, |plane, oplane| {
-        let ni = plane / c;
-        let ci = plane % c;
-        let b0 = bias.map(|b| b.data()[ci]).unwrap_or(0.0);
-        let xbase = (ni * c + ci) * h * w;
-        let wbase = ci * kh * kw;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b0;
-                let iy0 = (oy * p.stride) as isize - pad;
-                let ix0 = (ox * p.stride) as isize - pad;
-                for ky in 0..kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        acc += xd[xbase + iy as usize * w + ix as usize] * wd[wbase + ky * kw + kx];
-                    }
-                }
-                oplane[oy * ow + ox] = acc;
-            }
-        }
-    });
-}
-
-/// Fused-dequant convolution: weight stored as FP8 codes
-/// (`[Cout, Cin, Kh, Kw]`, per-channel scales over `Cout`). Bit-identical
-/// to `conv2d(x, &w.dequantize(), bias, p)`: each code decodes through
-/// the same scaled 256-entry table `dequantize` uses, inside the MAC
-/// loop, with one table per output channel (fetched once per plane).
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches, or if the kernel does not fit
-/// the padded input.
-pub fn conv2d_q(x: &Tensor, weight: &QTensor, bias: Option<&Tensor>, p: Conv2dParams) -> Tensor {
-    let mut out = Tensor::default();
-    conv2d_q_into(x, weight, bias, p, &mut out);
-    out
-}
-
-/// Out-param variant of [`conv2d_q`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`conv2d_q`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches, or if the kernel does not fit
-/// the padded input.
-pub fn conv2d_q_into(
-    x: &Tensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    out: &mut Tensor,
-) {
-    conv2d_q_into_path(x, weight, bias, p, out, KernelPath::default());
-}
-
-/// [`conv2d_q_into`] through an explicit [`KernelPath`]. Both paths are
-/// bit-identical; `ScalarReference` is the permanent semantics oracle.
-pub fn conv2d_q_into_path(
-    x: &Tensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    out: &mut Tensor,
-    path: KernelPath,
-) {
-    assert_eq!(
-        x.ndim(),
-        4,
-        "conv2d input must be NCHW, got {:?}",
-        x.shape()
-    );
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [Cout,Cin,Kh,Kw]");
-    let (n, cin, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (cout, cin2, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    assert_eq!(cin, cin2, "conv2d channel mismatch {cin} vs {cin2}");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), cout, "bias length vs out channels");
-    }
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    assert!(oh > 0 && ow > 0, "kernel does not fit input");
-    out.reuse_as(&[n, cout, oh, ow]);
-    if out.data().is_empty() {
-        return;
-    }
-    if path == KernelPath::Blocked {
-        return blocked::conv2d_q(x, weight, bias, p, out);
-    }
-
-    let xd = x.data();
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
-    let pad = p.padding as isize;
-    let stride = p.stride;
-
-    let macs = n * cout * oh * ow * cin * kh * kw;
-    for_each_chunk(out.data_mut(), oh * ow, macs, |plane, oplane| {
-        let ni = plane / cout;
-        let co = plane % cout;
-        let b0 = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-        let wbase = co * cin * kh * kw;
-        let t = dec.channel(co);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b0;
-                let iy0 = (oy * stride) as isize - pad;
-                let ix0 = (ox * stride) as isize - pad;
-                for ci in 0..cin {
-                    let xbase = (ni * cin + ci) * h * w;
-                    let wcbase = wbase + ci * kh * kw;
-                    for ky in 0..kh {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = xbase + iy as usize * w;
-                        let wrow = wcbase + ky * kw;
-                        for kx in 0..kw {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += xd[xrow + ix as usize] * t[wc[wrow + kx] as usize];
-                        }
-                    }
-                }
-                oplane[oy * ow + ox] = acc;
-            }
-        }
-    });
-}
-
-/// Fused-dequant depthwise convolution: weight stored as FP8 codes
-/// (`[C, 1, Kh, Kw]`, per-channel scales over `C`). Bit-identical to
-/// `depthwise_conv2d(x, &w.dequantize(), bias, p)`.
-///
-/// # Panics
-///
-/// Panics on rank/channel mismatches.
-pub fn depthwise_conv2d_q(
-    x: &Tensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-) -> Tensor {
-    let mut out = Tensor::default();
-    depthwise_conv2d_q_into(x, weight, bias, p, &mut out);
-    out
-}
-
-/// Out-param variant of [`depthwise_conv2d_q`]: writes into `out`,
-/// reusing its allocation. Bit-identical to [`depthwise_conv2d_q`].
-///
-/// # Panics
-///
-/// Panics on rank/channel mismatches.
-pub fn depthwise_conv2d_q_into(
-    x: &Tensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    out: &mut Tensor,
-) {
-    assert_eq!(x.ndim(), 4, "depthwise input must be NCHW");
-    assert_eq!(weight.ndim(), 4, "depthwise weight must be [C,1,Kh,Kw]");
-    assert_eq!(weight.dim(1), 1, "depthwise weight dim 1 must be 1");
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    assert_eq!(weight.dim(0), c, "depthwise channels mismatch");
-    let (kh, kw) = (weight.dim(2), weight.dim(3));
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    assert!(oh > 0 && ow > 0, "kernel does not fit input");
-
-    let xd = x.data();
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
-    out.reuse_as(&[n, c, oh, ow]);
-    let pad = p.padding as isize;
-
-    let macs = n * c * oh * ow * kh * kw;
-    for_each_chunk(out.data_mut(), oh * ow, macs, |plane, oplane| {
-        let ni = plane / c;
-        let ci = plane % c;
-        let b0 = bias.map(|b| b.data()[ci]).unwrap_or(0.0);
-        let xbase = (ni * c + ci) * h * w;
-        let wbase = ci * kh * kw;
-        let t = dec.channel(ci);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b0;
-                let iy0 = (oy * p.stride) as isize - pad;
-                let ix0 = (ox * p.stride) as isize - pad;
-                for ky in 0..kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        acc += xd[xbase + iy as usize * w + ix as usize]
-                            * t[wc[wbase + ky * kw + kx] as usize];
-                    }
-                }
-                oplane[oy * ow + ox] = acc;
-            }
-        }
-    });
-}
-
-/// Code×code convolution: input *and* weight stored as FP8 codes
-/// (activation codes from a [`QActTensor`], weight codes with per-channel
-/// scales over `Cout`). Bit-identical to
-/// `conv2d_q(&x.dequantize(), weight, bias, p)` — and hence to the f32
-/// kernel on both dequantized operands: the input sample for each output
-/// plane is decoded into a per-plane scratch through
-/// `lut.decode(code) / scale` (one decode per input element, amortized
-/// over the `Kh·Kw` MACs that reuse it), weights decode through the same
-/// scaled tables as [`conv2d_q_into`], and the MAC loop accumulates in
-/// the same order. The decoded scratch is transient per plane; the dense
-/// f32 input never crosses the op boundary.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches, or if the kernel does not fit
-/// the padded input.
-pub fn conv2d_qq(
-    x: &QActTensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-) -> Tensor {
-    let mut out = Tensor::default();
-    conv2d_qq_into(x, weight, bias, p, &mut out);
-    out
-}
-
-/// Out-param variant of [`conv2d_qq`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`conv2d_qq`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches, or if the kernel does not fit
-/// the padded input.
-pub fn conv2d_qq_into(
-    x: &QActTensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    out: &mut Tensor,
-) {
-    conv2d_qq_into_path(x, weight, bias, p, out, KernelPath::default());
-}
-
-/// [`conv2d_qq_into`] through an explicit [`KernelPath`]. Both paths are
-/// bit-identical; `ScalarReference` is the permanent semantics oracle.
-pub fn conv2d_qq_into_path(
-    x: &QActTensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    out: &mut Tensor,
-    path: KernelPath,
-) {
-    assert_eq!(
-        x.ndim(),
-        4,
-        "conv2d input must be NCHW, got {:?}",
-        x.shape()
-    );
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [Cout,Cin,Kh,Kw]");
-    let (n, cin, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (cout, cin2, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    assert_eq!(cin, cin2, "conv2d channel mismatch {cin} vs {cin2}");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), cout, "bias length vs out channels");
-    }
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    assert!(oh > 0 && ow > 0, "kernel does not fit input");
-    out.reuse_as(&[n, cout, oh, ow]);
-    if out.data().is_empty() {
-        return;
-    }
-    if path == KernelPath::Blocked {
-        return blocked::conv2d_qq(x, weight, bias, p, out);
-    }
-
-    let xdec = x.decoder();
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
-    let pad = p.padding as isize;
-    let stride = p.stride;
-    let sample = cin * h * w;
-
-    let macs = n * cout * oh * ow * cin * kh * kw;
-    for_each_chunk(out.data_mut(), oh * ow, macs, |plane, oplane| {
-        let ni = plane / cout;
-        let co = plane % cout;
-        let b0 = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-        let wbase = co * cin * kh * kw;
-        let t = dec.channel(co);
-        super::scratch::with_rows(sample, |xf| {
-            xdec.decode_range(ni * sample, xf);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = b0;
-                    let iy0 = (oy * stride) as isize - pad;
-                    let ix0 = (ox * stride) as isize - pad;
-                    for ci in 0..cin {
-                        let xbase = ci * h * w;
-                        let wcbase = wbase + ci * kh * kw;
-                        for ky in 0..kh {
-                            let iy = iy0 + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let xrow = xbase + iy as usize * w;
-                            let wrow = wcbase + ky * kw;
-                            for kx in 0..kw {
-                                let ix = ix0 + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                acc += xf[xrow + ix as usize] * t[wc[wrow + kx] as usize];
-                            }
-                        }
-                    }
-                    oplane[oy * ow + ox] = acc;
-                }
-            }
-        });
-    });
+    let weight = weight.into();
+    let d = conv_dims(x.shape(), weight.shape(), bias, p, true);
+    out.reuse_as(&[d.n, d.cout, d.oh, d.ow]);
+    with_weights!(weight, |wf| conv_ref(x.data(), wf, bias, &d, out))
 }
 
 #[cfg(test)]
@@ -611,69 +366,87 @@ mod tests {
         }
     }
 
+    /// The definition `window_sum`'s clamped tap ranges must reproduce:
+    /// every tap bounds-checked on its own, padding taps skipped.
+    fn conv2d_per_tap_checked(x: &Tensor, w: &Tensor, p: Conv2dParams) -> Tensor {
+        let (n, cin, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let (cout, kh, kw) = (w.dim(0), w.dim(2), w.dim(3));
+        let (oh, ow) = (p.out_size(h, kh), p.out_size(wd, kw));
+        let mut out = Tensor::zeros(&[n, cout, oh, ow]);
+        for (ni, co, oy, ox) in index4(n, cout, oh, ow) {
+            let mut acc = 0.0f32;
+            for (ci, ky, kx) in index3(cin, kh, kw) {
+                let iy = (oy * p.stride + ky) as isize - p.padding as isize;
+                let ix = (ox * p.stride + kx) as isize - p.padding as isize;
+                if iy < 0 || iy >= h as isize || ix < 0 || ix >= wd as isize {
+                    continue;
+                }
+                acc += x.at(&[ni, ci, iy as usize, ix as usize]) * w.at(&[co, ci, ky, kx]);
+            }
+            *out.at_mut(&[ni, co, oy, ox]) = acc;
+        }
+        out
+    }
+
+    fn index3(a: usize, b: usize, c: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        (0..a).flat_map(move |i| (0..b).flat_map(move |j| (0..c).map(move |k| (i, j, k))))
+    }
+
+    fn index4(
+        a: usize,
+        b: usize,
+        c: usize,
+        d: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        index3(a, b, c).flat_map(move |(i, j, k)| (0..d).map(move |l| (i, j, k, l)))
+    }
+
     #[test]
-    fn conv2d_q_bit_identical_to_dequantized_conv() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(31);
-        let x = rng.normal(&[2, 3, 6, 6], 0.0, 1.0);
-        let w = rng.normal(&[4, 3, 3, 3], 0.0, 0.5);
-        let b = rng.normal(&[4], 0.0, 0.1);
-        for f in Fp8Format::ALL {
-            for q in [
-                QTensor::quantize(&w, f).unwrap(),
-                QTensor::quantize_per_channel(&w, f).unwrap(),
-            ] {
-                for p in [Conv2dParams::default(), Conv2dParams::same(3)] {
-                    let fused = conv2d_q(&x, &q, Some(&b), p);
-                    let reference = conv2d(&x, &q.dequantize(), Some(&b), p);
-                    assert_eq!(fused, reference, "{f} {p:?}");
+    fn window_sum_matches_per_tap_bounds_check() {
+        // Includes padding >= kernel (windows wholly inside the padding)
+        // and strides that leave a ragged right/bottom edge.
+        let mut rng = crate::rng::TensorRng::seed(41);
+        for (h, w) in [(1, 1), (2, 5), (5, 4), (7, 7)] {
+            for (kh, kw) in [(1, 1), (1, 3), (3, 2), (3, 3)] {
+                for stride in 1..=3 {
+                    for padding in 0..=3 {
+                        if h + 2 * padding < kh || w + 2 * padding < kw {
+                            continue;
+                        }
+                        let x = rng.normal(&[2, 3, h, w], 0.0, 1.0);
+                        let wt = rng.normal(&[2, 3, kh, kw], 0.0, 1.0);
+                        let p = Conv2dParams { stride, padding };
+                        let got = conv2d(&x, &wt, None, p);
+                        let want = conv2d_per_tap_checked(&x, &wt, p);
+                        assert_eq!(got, want, "{h}x{w} k{kh}x{kw} s{stride} p{padding}");
+                    }
                 }
             }
         }
     }
 
+    // `out_size` saturates to 1, so without the fit precondition these
+    // returned a `[1,1,1,1]` partial sum.
     #[test]
-    fn depthwise_q_bit_identical_to_dequantized_depthwise() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(32);
-        let x = rng.normal(&[1, 5, 7, 7], 0.0, 1.0);
-        let w = rng.normal(&[5, 1, 3, 3], 0.0, 0.7);
-        for f in Fp8Format::ALL {
-            for q in [
-                QTensor::quantize(&w, f).unwrap(),
-                QTensor::quantize_per_channel(&w, f).unwrap(),
-            ] {
-                let fused = depthwise_conv2d_q(&x, &q, None, Conv2dParams::same(3));
-                let reference = depthwise_conv2d(&x, &q.dequantize(), None, Conv2dParams::same(3));
-                assert_eq!(fused, reference, "{f}");
-            }
-        }
+    #[should_panic(expected = "does not fit")]
+    fn conv_kernel_larger_than_padded_input() {
+        conv2d(
+            &Tensor::ones(&[1, 1, 2, 2]),
+            &Tensor::ones(&[1, 1, 5, 5]),
+            None,
+            Conv2dParams::default(),
+        );
     }
 
     #[test]
-    fn conv2d_qq_bit_identical_to_dequantized_conv() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(33);
-        let x = rng.normal(&[2, 3, 6, 6], 0.0, 1.0);
-        let w = rng.normal(&[4, 3, 3, 3], 0.0, 0.5);
-        let b = rng.normal(&[4], 0.0, 0.1);
-        for f in Fp8Format::ALL {
-            let q = QTensor::quantize_per_channel(&w, f).unwrap();
-            let mut xa = QActTensor::new();
-            for tiled in [false, true] {
-                if tiled {
-                    // inner = W = 6, tile 4 -> ragged tiles of 4 + 2.
-                    xa.quantize_per_tile(&x, f, 4);
-                } else {
-                    xa.quantize_dynamic(&x, f);
-                }
-                for p in [Conv2dParams::default(), Conv2dParams::same(3)] {
-                    let fused = conv2d_qq(&xa, &q, Some(&b), p);
-                    let reference = conv2d(&xa.dequantize(), &q.dequantize(), Some(&b), p);
-                    assert_eq!(fused, reference, "{f} tiled={tiled} {p:?}");
-                }
-            }
-        }
+    #[should_panic(expected = "does not fit")]
+    fn depthwise_kernel_larger_than_padded_input() {
+        depthwise_conv2d(
+            &Tensor::ones(&[1, 2, 2, 4]),
+            &Tensor::ones(&[2, 1, 3, 3]),
+            None,
+            Conv2dParams::default(),
+        );
     }
 
     #[test]

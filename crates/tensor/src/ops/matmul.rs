@@ -1,106 +1,181 @@
 //! Matrix-multiply family: `Linear`, `MatMul`, `BatchMatMul`.
 //!
 //! These are the compute-bound quantized operators of the paper's standard
-//! scheme. Kernels are straightforward triple loops with a rayon-parallel
-//! outer dimension — correctness and determinism over raw speed, as in the
-//! paper's own FP32-emulation setup.
+//! scheme. The reference kernels are straightforward triple loops with a
+//! rayon-parallel outer dimension — correctness and determinism over raw
+//! speed, as in the paper's own FP32-emulation setup. Either operand may
+//! be FP8-stored ([`ActOperand`], [`WeightOperand`]); every result is
+//! bit-identical to the f32 kernel on the dequantized operands, because
+//! codes decode per element through the tables `dequantize` uses (the
+//! scale is never hoisted out of the accumulation) and the MAC loop
+//! accumulates in the same order.
 
 use crate::act::QActTensor;
 use crate::qtensor::QTensor;
+use crate::shape::{batch_matmul_dims, linear_dims, matmul_dims};
 use crate::tensor::Tensor;
 
-use super::{blocked, for_each_chunk, scratch, KernelPath};
+use super::operand::{with_rows, with_weights, Rows, WeightFetch};
+use super::{blocked, checked, for_each_chunk, scratch, ActOperand, KernelPath, WeightOperand};
 
-/// `C[m,n] = A[m,k] · B[k,n]`.
+/// One output row of the matmul reference: `orow += arow · B` over dense
+/// `B[k,n]`, `kk` ascending. The zero-skip is semantics (it changes
+/// results under NaN/Inf), not an optimization.
+fn matmul_row(arow: &[f32], bd: &[f32], n: usize, orow: &mut [f32]) {
+    for (kk, &av) in arow.iter().enumerate() {
+        if av == 0.0 {
+            continue;
+        }
+        let brow = &bd[kk * n..(kk + 1) * n];
+        for (j, r) in orow.iter_mut().enumerate() {
+            *r += av * brow[j];
+        }
+    }
+}
+
+/// `C[m,n] = A[m,k] · B[k,n]`, either operand f32 or coded.
 ///
 /// # Panics
 ///
 /// Panics if the operands are not 2-D or the inner dimensions disagree.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+pub fn matmul<'a>(a: impl Into<ActOperand<'a>>, b: impl Into<ActOperand<'a>>) -> Tensor {
     let mut out = Tensor::default();
-    matmul_into(a, b, &mut out);
+    matmul_into(a, b, &mut out, KernelPath::default());
     out
 }
 
 /// Out-param variant of [`matmul`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`matmul`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics if the operands are not 2-D or the inner dimensions disagree.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
-    assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {:?}", b.shape());
-    let (m, k) = (a.dim(0), a.dim(1));
-    let (k2, n) = (b.dim(0), b.dim(1));
-    assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
+/// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
+/// both operands are coded; anything else runs the reference loop. Both
+/// paths are bit-identical. Panics as [`matmul`].
+pub fn matmul_into<'a>(
+    a: impl Into<ActOperand<'a>>,
+    b: impl Into<ActOperand<'a>>,
+    out: &mut Tensor,
+    path: KernelPath,
+) {
+    let (a, b) = (a.into(), b.into());
+    let [m, n] = checked(matmul_dims(a.shape(), b.shape()));
+    let k = a.shape()[1];
     out.reuse_as(&[m, n]);
     out.zero_fill();
-    let ad = a.data();
-    let bd = b.data();
-    for_each_chunk(out.data_mut(), n, m * k * n, |i, row| {
-        let arow = &ad[i * k..(i + 1) * k];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[kk * n..(kk + 1) * n];
-            for (j, r) in row.iter_mut().enumerate() {
-                *r += av * brow[j];
-            }
-        }
-    });
+    if out.data().is_empty() {
+        return;
+    }
+    if let (KernelPath::Blocked, ActOperand::Coded(qa), ActOperand::Coded(qb)) = (path, a, b) {
+        return blocked::matmul(&qa.decoder(), &qb.decoder(), m, k, n, out);
+    }
+    with_dense(b, |bd| {
+        with_rows!(a, |ar| for_each_chunk(
+            out.data_mut(),
+            n,
+            m * k * n,
+            |i, row| ar.with(i * k, k, |arow| matmul_row(arow, bd, n, row))
+        ))
+    })
+}
+
+/// Run `f` on all of `b` as dense f32 — what every output row of a matmul
+/// reads: borrowed, or decoded once into the call-wide panel (the f32
+/// form never outlives the kernel).
+fn with_dense<R>(b: ActOperand<'_>, f: impl FnOnce(&[f32]) -> R) -> R {
+    match b {
+        ActOperand::F32(t) => f(t.data()),
+        ActOperand::Coded(q) => scratch::with_panel(q.len(), |bf| {
+            q.decoder().decode_range(0, bf);
+            f(bf)
+        }),
+    }
+}
+
+/// [`matmul_into`] on two coded operands through the default kernel path.
+/// Kept under this name only for `benchmark/src/probes.rs`, which is
+/// frozen; call [`matmul_into`].
+pub fn matmul_qq_into(a: &QActTensor, b: &QActTensor, out: &mut Tensor) {
+    matmul_into(a, b, out, KernelPath::default());
 }
 
 /// Fully-connected layer: `y[m,n] = x[m,k] · Wᵀ + b`, with weight stored as
 /// `[out_features, in_features]` (PyTorch convention, which is what
-/// per-output-channel weight scaling is defined over).
+/// per-output-channel weight scaling is defined over). The bias is added
+/// to the stored dot product, exactly as a broadcast `add` would.
 ///
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches (including a bias whose length
 /// differs from `out_features`).
-pub fn linear(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Tensor {
+pub fn linear<'a>(
+    x: impl Into<ActOperand<'a>>,
+    weight: impl Into<WeightOperand<'a>>,
+    bias: Option<&Tensor>,
+) -> Tensor {
     let mut out = Tensor::default();
-    linear_into(x, weight, bias, &mut out);
+    linear_into(x, weight, bias, &mut out, KernelPath::default());
     out
 }
 
 /// Out-param variant of [`linear`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`linear`] (which delegates here): the bias
-/// is added to the stored matmul result exactly as the broadcast `add` did.
-///
-/// # Panics
-///
-/// Panics on rank or dimension mismatches (including a bias whose length
-/// differs from `out_features`).
-pub fn linear_into(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, out: &mut Tensor) {
-    assert_eq!(x.ndim(), 2, "linear input must be 2-D, got {:?}", x.shape());
-    assert_eq!(weight.ndim(), 2, "linear weight must be 2-D");
-    let (m, k) = (x.dim(0), x.dim(1));
-    let (n, k2) = (weight.dim(0), weight.dim(1));
-    assert_eq!(k, k2, "linear in_features {k} vs weight {k2}");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), n, "bias length {} vs out_features {n}", b.len());
-    }
-    let xd = x.data();
-    let wd = weight.data();
-    let bd = bias.map(|b| b.data());
+/// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
+/// the weight is FP8-stored; an f32 weight always runs the reference
+/// loop. Both paths are bit-identical. Panics as [`linear`].
+pub fn linear_into<'a>(
+    x: impl Into<ActOperand<'a>>,
+    weight: impl Into<WeightOperand<'a>>,
+    bias: Option<&Tensor>,
+    out: &mut Tensor,
+    path: KernelPath,
+) {
+    let (x, weight) = (x.into(), weight.into());
+    let bshape = bias.map(Tensor::shape);
+    let [m, n] = checked(linear_dims(x.shape(), weight.shape(), bshape));
+    let k = x.shape()[1];
     out.reuse_as(&[m, n]);
-    for_each_chunk(out.data_mut(), n, m * k * n, |i, row| {
-        let xrow = &xd[i * k..(i + 1) * k];
-        for (j, r) in row.iter_mut().enumerate() {
-            let wrow = &wd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (xv, wv) in xrow.iter().zip(wrow) {
-                acc += xv * wv;
+    if out.data().is_empty() {
+        return;
+    }
+    if let (KernelPath::Blocked, WeightOperand::Q(q)) = (path, weight) {
+        return with_rows!(x, |xs| blocked::linear(xs, q, bias, m, k, n, out));
+    }
+    with_rows!(x, |xs| with_weights!(weight, |wf| linear_ref(
+        xs, wf, bias, k, out
+    )))
+}
+
+/// The `ScalarReference` loop nest of [`linear_into`]: one `kk`-ascending
+/// dot product per output element, one output row per chunk.
+fn linear_ref<X: Rows + ?Sized, W: WeightFetch>(
+    x: &X,
+    wf: &W,
+    bias: Option<&Tensor>,
+    k: usize,
+    out: &mut Tensor,
+) {
+    let n = out.dim(1);
+    let bd = bias.map(|b| b.data());
+    let macs = out.len() * k;
+    for_each_chunk(out.data_mut(), n, macs, |i, row| {
+        x.with(i * k, k, |xrow| {
+            for (j, r) in row.iter_mut().enumerate() {
+                let wrow = &wf.elems()[j * k..(j + 1) * k];
+                let t = wf.channel(j);
+                let mut acc = 0.0f32;
+                for (xv, &e) in xrow.iter().zip(wrow) {
+                    acc += xv * W::value(t, e);
+                }
+                *r = acc;
+                if let Some(b) = bd {
+                    *r += b[j];
+                }
             }
-            *r = acc;
-            if let Some(b) = bd {
-                *r += b[j];
-            }
-        }
+        });
     });
+}
+
+/// [`linear_into`] on a coded input and an FP8-stored weight through the
+/// default kernel path. Kept under this name only for
+/// `benchmark/src/probes.rs`, which is frozen; call [`linear_into`].
+pub fn linear_qq_into(x: &QActTensor, weight: &QTensor, bias: Option<&Tensor>, out: &mut Tensor) {
+    linear_into(x, weight, bias, out, KernelPath::default());
 }
 
 /// Batched matrix multiply: `C[b,m,n] = A[b,m,k] · B[b,k,n]` — the
@@ -117,18 +192,11 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Out-param variant of [`batch_matmul`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`batch_matmul`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics if operands are not 3-D or batch/inner dims disagree.
+/// allocation. f32 operands only, so there is no blocked kernel and no
+/// [`KernelPath`]. Panics as [`batch_matmul`].
 pub fn batch_matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.ndim(), 3, "batch_matmul lhs must be 3-D");
-    assert_eq!(b.ndim(), 3, "batch_matmul rhs must be 3-D");
-    let (ba, m, k) = (a.dim(0), a.dim(1), a.dim(2));
-    let (bb, k2, n) = (b.dim(0), b.dim(1), b.dim(2));
-    assert_eq!(ba, bb, "batch dims {ba} vs {bb}");
-    assert_eq!(k, k2, "inner dims {k} vs {k2}");
+    let [ba, m, n] = checked(batch_matmul_dims(a.shape(), b.shape()));
+    let k = a.dim(2);
     let ad = a.data();
     let bd = b.data();
     out.reuse_as(&[ba, m, n]);
@@ -137,297 +205,9 @@ pub fn batch_matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         let abatch = &ad[bi * m * k..(bi + 1) * m * k];
         let bbatch = &bd[bi * k * n..(bi + 1) * k * n];
         for i in 0..m {
-            let arow = &abatch[i * k..(i + 1) * k];
             let orow = &mut obatch[i * n..(i + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bbatch[kk * n..(kk + 1) * n];
-                for (j, r) in orow.iter_mut().enumerate() {
-                    *r += av * brow[j];
-                }
-            }
+            matmul_row(&abatch[i * k..(i + 1) * k], bbatch, n, orow);
         }
-    });
-}
-
-/// Fused-dequant matmul: `C[m,n] = A[m,k] · deq(B)[k,n]` with `B` stored
-/// as FP8 codes. Bit-identical to `matmul(a, &b.dequantize())`: each code
-/// is decoded through the same scaled 256-entry table that `dequantize`
-/// uses (`decode(code) / scale`), and the MAC loop accumulates in the
-/// same order as [`matmul_into`].
-///
-/// Per-channel scales group over `B`'s leading axis (its `k` rows).
-///
-/// # Panics
-///
-/// Panics if the operands are not 2-D or the inner dimensions disagree.
-pub fn matmul_q(a: &Tensor, b: &QTensor) -> Tensor {
-    let mut out = Tensor::default();
-    matmul_q_into(a, b, &mut out);
-    out
-}
-
-/// Out-param variant of [`matmul_q`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`matmul_q`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics if the operands are not 2-D or the inner dimensions disagree.
-pub fn matmul_q_into(a: &Tensor, b: &QTensor, out: &mut Tensor) {
-    matmul_q_into_path(a, b, out, KernelPath::default());
-}
-
-/// [`matmul_q_into`] through an explicit [`KernelPath`]. Both paths are
-/// bit-identical; `ScalarReference` is the permanent semantics oracle.
-pub fn matmul_q_into_path(a: &Tensor, b: &QTensor, out: &mut Tensor, path: KernelPath) {
-    assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
-    assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {:?}", b.shape());
-    let (m, k) = (a.dim(0), a.dim(1));
-    let (k2, n) = (b.dim(0), b.dim(1));
-    assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-    out.reuse_as(&[m, n]);
-    out.zero_fill();
-    if out.data().is_empty() {
-        return;
-    }
-    if path == KernelPath::Blocked {
-        return blocked::matmul_q(a, b, m, k, n, out);
-    }
-    let ad = a.data();
-    let bc = b.codes();
-    let dec = b.scaled_decode();
-    for_each_chunk(out.data_mut(), n, m * k * n, |i, row| {
-        let arow = &ad[i * k..(i + 1) * k];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bc[kk * n..(kk + 1) * n];
-            let t = dec.channel(kk);
-            for (j, r) in row.iter_mut().enumerate() {
-                *r += av * t[brow[j] as usize];
-            }
-        }
-    });
-}
-
-/// Fused-dequant fully-connected layer: `y = x · deq(W)ᵀ + b` with the
-/// weight stored as FP8 codes (`[out_features, in_features]`, per-channel
-/// scales over output features). Bit-identical to
-/// `linear(x, &w.dequantize(), bias)`: weights decode through the same
-/// scaled table `dequantize` uses, applied per element *inside* the
-/// accumulation — the scale is never hoisted out of the MAC loop.
-///
-/// # Panics
-///
-/// Panics on rank or dimension mismatches (including a bias whose length
-/// differs from `out_features`).
-pub fn linear_q(x: &Tensor, weight: &QTensor, bias: Option<&Tensor>) -> Tensor {
-    let mut out = Tensor::default();
-    linear_q_into(x, weight, bias, &mut out);
-    out
-}
-
-/// Out-param variant of [`linear_q`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`linear_q`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics on rank or dimension mismatches (including a bias whose length
-/// differs from `out_features`).
-pub fn linear_q_into(x: &Tensor, weight: &QTensor, bias: Option<&Tensor>, out: &mut Tensor) {
-    linear_q_into_path(x, weight, bias, out, KernelPath::default());
-}
-
-/// [`linear_q_into`] through an explicit [`KernelPath`]. Both paths are
-/// bit-identical; `ScalarReference` is the permanent semantics oracle.
-pub fn linear_q_into_path(
-    x: &Tensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    out: &mut Tensor,
-    path: KernelPath,
-) {
-    assert_eq!(x.ndim(), 2, "linear input must be 2-D, got {:?}", x.shape());
-    assert_eq!(weight.ndim(), 2, "linear weight must be 2-D");
-    let (m, k) = (x.dim(0), x.dim(1));
-    let (n, k2) = (weight.dim(0), weight.dim(1));
-    assert_eq!(k, k2, "linear in_features {k} vs weight {k2}");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), n, "bias length {} vs out_features {n}", b.len());
-    }
-    out.reuse_as(&[m, n]);
-    if out.data().is_empty() {
-        return;
-    }
-    if path == KernelPath::Blocked {
-        return blocked::linear_q(x, weight, bias, m, k, n, out);
-    }
-    let xd = x.data();
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
-    let bd = bias.map(|b| b.data());
-    for_each_chunk(out.data_mut(), n, m * k * n, |i, row| {
-        let xrow = &xd[i * k..(i + 1) * k];
-        for (j, r) in row.iter_mut().enumerate() {
-            let wrow = &wc[j * k..(j + 1) * k];
-            let t = dec.channel(j);
-            let mut acc = 0.0f32;
-            for (xv, &wb) in xrow.iter().zip(wrow) {
-                acc += xv * t[wb as usize];
-            }
-            *r = acc;
-            if let Some(b) = bd {
-                *r += b[j];
-            }
-        }
-    });
-}
-
-/// Code×code matmul: `C[m,n] = deq(A)[m,k] · deq(B)[k,n]` with *both*
-/// operands stored as FP8 activation codes. Bit-identical to
-/// `matmul(&a.dequantize(), &b.dequantize())`: each element decodes as
-/// `lut.decode(code) / scale` (the scale applied per element, never
-/// hoisted into the accumulation), rows of `A` are decoded into a small
-/// per-row scratch just before use, and the MAC loop — including the
-/// zero-skip on decoded `A` values — runs in the same order as
-/// [`matmul_into`]. `B` is decoded once into a transient buffer reused
-/// across all `m` rows (the codes are what crossed the op boundary; the
-/// f32 form never outlives the kernel).
-///
-/// # Panics
-///
-/// Panics if the operands are not 2-D or the inner dimensions disagree.
-pub fn matmul_qq(a: &QActTensor, b: &QActTensor) -> Tensor {
-    let mut out = Tensor::default();
-    matmul_qq_into(a, b, &mut out);
-    out
-}
-
-/// Out-param variant of [`matmul_qq`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`matmul_qq`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics if the operands are not 2-D or the inner dimensions disagree.
-pub fn matmul_qq_into(a: &QActTensor, b: &QActTensor, out: &mut Tensor) {
-    matmul_qq_into_path(a, b, out, KernelPath::default());
-}
-
-/// [`matmul_qq_into`] through an explicit [`KernelPath`]. Both paths are
-/// bit-identical; `ScalarReference` is the permanent semantics oracle.
-pub fn matmul_qq_into_path(a: &QActTensor, b: &QActTensor, out: &mut Tensor, path: KernelPath) {
-    assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
-    assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {:?}", b.shape());
-    let (m, k) = (a.dim(0), a.dim(1));
-    let (k2, n) = (b.dim(0), b.dim(1));
-    assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-    out.reuse_as(&[m, n]);
-    out.zero_fill();
-    if out.data().is_empty() {
-        return;
-    }
-    if path == KernelPath::Blocked {
-        return blocked::matmul_qq(a, b, m, k, n, out);
-    }
-    let adec = a.decoder();
-    let bdec = b.decoder();
-    scratch::with_panel(k * n, |bf| {
-        bdec.decode_range(0, bf);
-        let bd = &*bf;
-        for_each_chunk(out.data_mut(), n, m * k * n, |i, row| {
-            scratch::with_rows(k, |arow| {
-                adec.decode_range(i * k, arow);
-                for (kk, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &bd[kk * n..(kk + 1) * n];
-                    for (j, r) in row.iter_mut().enumerate() {
-                        *r += av * brow[j];
-                    }
-                }
-            });
-        });
-    });
-}
-
-/// Code×code fully-connected layer: `y = deq(x) · deq(W)ᵀ + b` with the
-/// activation stored as FP8 codes and the weight as a [`QTensor`].
-/// Bit-identical to `linear_q(&x.dequantize(), weight, bias)` (and hence
-/// to the f32 kernel on both dequantized operands): each activation row
-/// is decoded into a per-row scratch through `lut.decode(code) / scale`,
-/// weights decode through the same scaled 256-entry tables as
-/// [`linear_q_into`], and the MAC loop accumulates in the same order.
-/// Neither operand is ever materialized as a dense f32 tensor.
-///
-/// # Panics
-///
-/// Panics on rank or dimension mismatches (including a bias whose length
-/// differs from `out_features`).
-pub fn linear_qq(x: &QActTensor, weight: &QTensor, bias: Option<&Tensor>) -> Tensor {
-    let mut out = Tensor::default();
-    linear_qq_into(x, weight, bias, &mut out);
-    out
-}
-
-/// Out-param variant of [`linear_qq`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`linear_qq`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics on rank or dimension mismatches (including a bias whose length
-/// differs from `out_features`).
-pub fn linear_qq_into(x: &QActTensor, weight: &QTensor, bias: Option<&Tensor>, out: &mut Tensor) {
-    linear_qq_into_path(x, weight, bias, out, KernelPath::default());
-}
-
-/// [`linear_qq_into`] through an explicit [`KernelPath`]. Both paths are
-/// bit-identical; `ScalarReference` is the permanent semantics oracle.
-pub fn linear_qq_into_path(
-    x: &QActTensor,
-    weight: &QTensor,
-    bias: Option<&Tensor>,
-    out: &mut Tensor,
-    path: KernelPath,
-) {
-    assert_eq!(x.ndim(), 2, "linear input must be 2-D, got {:?}", x.shape());
-    assert_eq!(weight.ndim(), 2, "linear weight must be 2-D");
-    let (m, k) = (x.dim(0), x.dim(1));
-    let (n, k2) = (weight.dim(0), weight.dim(1));
-    assert_eq!(k, k2, "linear in_features {k} vs weight {k2}");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), n, "bias length {} vs out_features {n}", b.len());
-    }
-    out.reuse_as(&[m, n]);
-    if out.data().is_empty() {
-        return;
-    }
-    if path == KernelPath::Blocked {
-        return blocked::linear_qq(x, weight, bias, m, k, n, out);
-    }
-    let xdec = x.decoder();
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
-    let bd = bias.map(|b| b.data());
-    for_each_chunk(out.data_mut(), n, m * k * n, |i, row| {
-        scratch::with_rows(k, |xrow| {
-            xdec.decode_range(i * k, xrow);
-            for (j, r) in row.iter_mut().enumerate() {
-                let wrow = &wc[j * k..(j + 1) * k];
-                let t = dec.channel(j);
-                let mut acc = 0.0f32;
-                for (xv, &wb) in xrow.iter().zip(wrow) {
-                    acc += xv * t[wb as usize];
-                }
-                *r = acc;
-                if let Some(b) = bd {
-                    *r += b[j];
-                }
-            }
-        });
     });
 }
 
@@ -481,90 +261,6 @@ mod tests {
         let c = batch_matmul(&a, &b);
         assert_eq!(c.index_axis0(0).data(), &[1., 2., 3., 4.]);
         assert_eq!(c.index_axis0(1).data(), &[2., 4., 6., 8.]);
-    }
-
-    #[test]
-    fn linear_q_bit_identical_to_dequantized_linear() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(21);
-        let x = rng.normal(&[5, 24], 0.0, 1.0);
-        let w = rng.normal(&[13, 24], 0.0, 0.5);
-        let b = rng.normal(&[13], 0.0, 0.1);
-        for f in Fp8Format::ALL {
-            for q in [
-                QTensor::quantize(&w, f).unwrap(),
-                QTensor::quantize_per_channel(&w, f).unwrap(),
-            ] {
-                let fused = linear_q(&x, &q, Some(&b));
-                let reference = linear(&x, &q.dequantize(), Some(&b));
-                assert_eq!(fused, reference, "{f}");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_q_bit_identical_to_dequantized_matmul() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(22);
-        let a = rng.normal(&[7, 11], 0.0, 1.0);
-        let b = rng.normal(&[11, 9], 0.0, 2.0);
-        for f in Fp8Format::ALL {
-            for q in [
-                QTensor::quantize(&b, f).unwrap(),
-                QTensor::quantize_per_channel(&b, f).unwrap(),
-            ] {
-                let fused = matmul_q(&a, &q);
-                let reference = matmul(&a, &q.dequantize());
-                assert_eq!(fused, reference, "{f}");
-            }
-        }
-    }
-
-    #[test]
-    fn linear_qq_bit_identical_to_dequantized_linear() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(23);
-        let x = rng.normal(&[5, 24], 0.0, 1.0);
-        let w = rng.normal(&[13, 24], 0.0, 0.5);
-        let b = rng.normal(&[13], 0.0, 0.1);
-        for f in Fp8Format::ALL {
-            let q = QTensor::quantize_per_channel(&w, f).unwrap();
-            let mut xa = QActTensor::new();
-            for tiled in [false, true] {
-                if tiled {
-                    xa.quantize_per_tile(&x, f, 7);
-                } else {
-                    xa.quantize_dynamic(&x, f);
-                }
-                let fused = linear_qq(&xa, &q, Some(&b));
-                let reference = linear(&xa.dequantize(), &q.dequantize(), Some(&b));
-                assert_eq!(fused, reference, "{f} tiled={tiled}");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_qq_bit_identical_to_dequantized_matmul() {
-        use ptq_fp8::Fp8Format;
-        let mut rng = crate::rng::TensorRng::seed(24);
-        let a = rng.normal(&[7, 11], 0.0, 1.0);
-        let b = rng.normal(&[11, 9], 0.0, 2.0);
-        for f in Fp8Format::ALL {
-            let mut qa = QActTensor::new();
-            let mut qb = QActTensor::new();
-            for tiled in [false, true] {
-                if tiled {
-                    qa.quantize_per_tile(&a, f, 4);
-                    qb.quantize_per_tile(&b, f, 4);
-                } else {
-                    qa.quantize_dynamic(&a, f);
-                    qb.quantize_dynamic(&b, f);
-                }
-                let fused = matmul_qq(&qa, &qb);
-                let reference = matmul(&qa.dequantize(), &qb.dequantize());
-                assert_eq!(fused, reference, "{f} tiled={tiled}");
-            }
-        }
     }
 
     #[test]

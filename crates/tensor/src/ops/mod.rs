@@ -7,11 +7,12 @@
 
 pub mod activation;
 pub mod attn;
-pub(crate) mod blocked;
+mod blocked;
 pub mod conv;
 pub mod embedding;
 pub mod matmul;
 pub mod norm;
+mod operand;
 pub mod pool;
 pub(crate) mod scratch;
 
@@ -21,20 +22,18 @@ pub use activation::{
 };
 pub use attn::{attention_step_q, attention_step_v};
 pub use conv::{
-    conv2d, conv2d_into, conv2d_q, conv2d_q_into, conv2d_q_into_path, conv2d_qq, conv2d_qq_into,
-    conv2d_qq_into_path, depthwise_conv2d, depthwise_conv2d_into, depthwise_conv2d_q,
-    depthwise_conv2d_q_into, Conv2dParams,
+    conv2d, conv2d_into, conv2d_qq_into, depthwise_conv2d, depthwise_conv2d_into, Conv2dParams,
 };
 pub use embedding::{embedding, embedding_into};
 pub use matmul::{
-    batch_matmul, batch_matmul_into, linear, linear_into, linear_q, linear_q_into,
-    linear_q_into_path, linear_qq, linear_qq_into, linear_qq_into_path, matmul, matmul_into,
-    matmul_q, matmul_q_into, matmul_q_into_path, matmul_qq, matmul_qq_into, matmul_qq_into_path,
+    batch_matmul, batch_matmul_into, linear, linear_into, linear_qq_into, matmul, matmul_into,
+    matmul_qq_into,
 };
 pub use norm::{
     batchnorm2d, batchnorm2d_into, batchnorm2d_parts_into, layernorm, layernorm_into,
     BatchNormParams,
 };
+pub use operand::{ActOperand, WeightOperand};
 pub use pool::{
     avg_pool2d, avg_pool2d_into, global_avg_pool2d, global_avg_pool2d_into, max_pool2d,
     max_pool2d_into,
@@ -45,8 +44,9 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Which implementation the fused quantized MAC kernels
-/// (`matmul_q/qq`, `linear_q/qq`, `conv2d_q/qq`) run through.
+/// Which implementation [`conv2d_into`] and [`linear_into`] run through
+/// when the weight is FP8-stored, and [`matmul_into`] when both operands
+/// are coded (every other operand mix has only the reference loop).
 ///
 /// Both paths are bit-identical by construction — the blocked kernels
 /// preserve the scalar reference's per-output accumulation order exactly
@@ -74,6 +74,16 @@ ptq_fp8::wire_enum!(KernelPath { Blocked => "blocked", ScalarReference => "scala
 impl fmt::Display for KernelPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The precondition block of a MAC kernel: the shape rule graph validation
+/// enforces ([`crate::shape`]), re-raised as the kernel's documented panic.
+/// Returns the output dims.
+fn checked<const N: usize>(dims: Result<[usize; N], crate::shape::ShapeError>) -> [usize; N] {
+    match dims {
+        Ok(d) => d,
+        Err(e) => panic!("{e}"),
     }
 }
 

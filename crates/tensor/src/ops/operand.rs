@@ -1,0 +1,253 @@
+//! Borrowed operand views of the MAC kernels.
+//!
+//! "Which operand is FP8" is a property of the recipe, not of the
+//! operator, so each MAC op has one entry point over these views instead
+//! of one per storage combination. The public enums are what callers
+//! pass (`From<&…>` makes `ops::linear(&x, &w, None)` compile for every
+//! operand kind); the private [`Rows`] / [`WeightFetch`] traits are what
+//! the loop nests are monomorphized over, so each storage combination
+//! still compiles to the loop it had when it was written by hand.
+
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use super::scratch;
+use crate::act::{ActDecode, QActTensor};
+use crate::qtensor::{QTensor, ScaledDecode};
+use crate::tensor::Tensor;
+
+/// An activation operand: dense f32, or FP8 codes that the kernel decodes
+/// (`lut.decode(code) / scale`, per element) into pooled scratch just
+/// before the MAC loop reads them.
+#[derive(Debug, Clone, Copy)]
+pub enum ActOperand<'a> {
+    /// A dense f32 tensor, read in place.
+    F32(&'a Tensor),
+    /// FP8 activation codes; the dense form never crosses the op boundary.
+    Coded(&'a QActTensor),
+}
+
+/// A weight operand: dense f32, or an FP8-stored [`QTensor`] whose codes
+/// decode through one scaled 256-entry table per leading-axis channel
+/// inside the MAC loop (the scale is never hoisted out of the
+/// accumulation).
+#[derive(Debug, Clone, Copy)]
+pub enum WeightOperand<'a> {
+    /// A dense f32 tensor, read in place.
+    F32(&'a Tensor),
+    /// FP8 weight codes with per-tensor or per-channel scales.
+    Q(&'a QTensor),
+}
+
+impl<'a> From<&'a Tensor> for ActOperand<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        ActOperand::F32(t)
+    }
+}
+
+impl<'a> From<&'a QActTensor> for ActOperand<'a> {
+    fn from(q: &'a QActTensor) -> Self {
+        ActOperand::Coded(q)
+    }
+}
+
+impl<'a> From<&'a Tensor> for WeightOperand<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        WeightOperand::F32(t)
+    }
+}
+
+impl<'a> From<&'a QTensor> for WeightOperand<'a> {
+    fn from(q: &'a QTensor) -> Self {
+        WeightOperand::Q(q)
+    }
+}
+
+impl ActOperand<'_> {
+    /// Shape of the viewed tensor.
+    pub fn shape(&self) -> &[usize] {
+        match self {
+            ActOperand::F32(t) => t.shape(),
+            ActOperand::Coded(q) => q.shape(),
+        }
+    }
+}
+
+impl WeightOperand<'_> {
+    /// Shape of the viewed tensor.
+    pub fn shape(&self) -> &[usize] {
+        match self {
+            WeightOperand::F32(t) => t.shape(),
+            WeightOperand::Q(q) => q.shape(),
+        }
+    }
+}
+
+/// Evaluate `$body` with `$rows` bound to the operand's [`Rows`] source —
+/// once per operand kind, so `$body` is monomorphized for each.
+macro_rules! with_rows {
+    ($x:expr, |$rows:ident| $body:expr) => {
+        match $x {
+            $crate::ops::ActOperand::F32(t) => {
+                let $rows = t.data();
+                $body
+            }
+            $crate::ops::ActOperand::Coded(q) => {
+                let $rows = &q.decoder();
+                $body
+            }
+        }
+    };
+}
+
+/// Evaluate `$body` with `$wf` bound to the operand's [`WeightFetch`].
+macro_rules! with_weights {
+    ($w:expr, |$wf:ident| $body:expr) => {
+        match $w {
+            $crate::ops::WeightOperand::F32(t) => {
+                let $wf = &$crate::ops::operand::DenseW(t.data());
+                $body
+            }
+            $crate::ops::WeightOperand::Q(q) => {
+                let $wf = &$crate::ops::operand::TableW(q.codes(), q.scaled_decode());
+                $body
+            }
+        }
+    };
+}
+
+pub(super) use {with_rows, with_weights};
+
+/// Where a kernel's f32 activation values come from: borrowed from a
+/// dense tensor, or decoded from codes into per-thread pooled scratch.
+pub(super) trait Rows: Sync {
+    /// Run `f` on elements `start .. start + len`, for a range one chunk
+    /// reads (a block of rows).
+    fn with<R>(&self, start: usize, len: usize, f: impl FnOnce(&[f32]) -> R) -> R;
+
+    /// As [`Rows::with`], for a range many chunks of kernel call `call`
+    /// ([`next_call`]) re-read — a conv sample, read by every output
+    /// plane of its image. A source that decodes does so once per worker
+    /// thread, not once per chunk.
+    fn with_shared<R>(
+        &self,
+        _call: u64,
+        start: usize,
+        len: usize,
+        f: impl FnOnce(&[f32]) -> R,
+    ) -> R {
+        self.with(start, len, f)
+    }
+}
+
+impl Rows for [f32] {
+    #[inline]
+    fn with<R>(&self, start: usize, len: usize, f: impl FnOnce(&[f32]) -> R) -> R {
+        f(&self[start..start + len])
+    }
+}
+
+/// Monotone id per kernel call, keying [`SHARED`] so an entry can never
+/// be mistaken for another call's tensor.
+static CALL: AtomicU64 = AtomicU64::new(1);
+
+/// A fresh id for [`Rows::with_shared`].
+pub(super) fn next_call() -> u64 {
+    CALL.fetch_add(1, Ordering::Relaxed)
+}
+
+thread_local! {
+    /// `(call id, start, decoded range)` behind [`Rows::with_shared`].
+    static SHARED: RefCell<(u64, usize, Vec<f32>)> = const { RefCell::new((0, 0, Vec::new())) };
+}
+
+impl Rows for ActDecode<'_> {
+    fn with<R>(&self, start: usize, len: usize, f: impl FnOnce(&[f32]) -> R) -> R {
+        scratch::with_rows(len, |buf| {
+            self.decode_range(start, buf);
+            f(buf)
+        })
+    }
+
+    fn with_shared<R>(
+        &self,
+        call: u64,
+        start: usize,
+        len: usize,
+        f: impl FnOnce(&[f32]) -> R,
+    ) -> R {
+        SHARED.with(|cell| {
+            let (key_call, key_start, buf) = &mut *cell.borrow_mut();
+            if (*key_call, *key_start) != (call, start) {
+                if buf.len() < len {
+                    buf.resize(len, 0.0);
+                }
+                self.decode_range(start, &mut buf[..len]);
+                (*key_call, *key_start) = (call, start);
+            }
+            f(&buf[..len])
+        })
+    }
+}
+
+/// How a MAC loop reads a weight: the stored elements, the per-channel
+/// state hoisted out of the inner loop, and the value of one element.
+pub(super) trait WeightFetch: Sync {
+    /// Stored element type (`f32`, or a `u8` code).
+    type Elem: Copy + Sync;
+
+    /// The stored elements, row-major.
+    fn elems(&self) -> &[Self::Elem];
+
+    /// State of leading-axis channel `c`, fetched once per channel: its
+    /// scaled decode table (empty for a dense weight).
+    fn channel(&self, c: usize) -> &[f32];
+
+    /// The f32 value of element `e` of a channel whose state is `chan`.
+    fn value(chan: &[f32], e: Self::Elem) -> f32;
+}
+
+/// A dense f32 weight, read directly.
+pub(super) struct DenseW<'a>(pub(super) &'a [f32]);
+
+impl WeightFetch for DenseW<'_> {
+    type Elem = f32;
+
+    #[inline]
+    fn elems(&self) -> &[f32] {
+        self.0
+    }
+
+    #[inline]
+    fn channel(&self, _c: usize) -> &[f32] {
+        &[]
+    }
+
+    #[inline]
+    fn value(_chan: &[f32], e: f32) -> f32 {
+        e
+    }
+}
+
+/// FP8 weight codes looked up through the scaled 256-entry tables
+/// [`QTensor::dequantize`] itself uses.
+pub(super) struct TableW<'a>(pub(super) &'a [u8], pub(super) ScaledDecode);
+
+impl WeightFetch for TableW<'_> {
+    type Elem = u8;
+
+    #[inline]
+    fn elems(&self) -> &[u8] {
+        self.0
+    }
+
+    #[inline]
+    fn channel(&self, c: usize) -> &[f32] {
+        self.1.channel(c)
+    }
+
+    #[inline]
+    fn value(chan: &[f32], e: u8) -> f32 {
+        chan[e as usize]
+    }
+}

@@ -5,7 +5,10 @@
 //! `Result`, so a graph executor can check an entire network once up front
 //! and never hit a kernel assert mid-inference. Each function mirrors one
 //! kernel: it validates the operand shapes and returns the output shape the
-//! kernel would produce.
+//! kernel would produce. The MAC kernels (conv, linear, matmul) run the
+//! same rule as their one precondition block, through the allocation-free
+//! `*_dims` forms, so graph validation and a direct kernel call cannot
+//! disagree.
 
 use crate::ops::Conv2dParams;
 use std::fmt;
@@ -35,6 +38,10 @@ fn numel(shape: &[usize]) -> usize {
 
 /// [`crate::ops::matmul`]: `[m,k] · [k,n] → [m,n]`.
 pub fn matmul_shape(a: &[usize], b: &[usize]) -> Result<Shape, ShapeError> {
+    matmul_dims(a, b).map(Shape::from)
+}
+
+pub(crate) fn matmul_dims(a: &[usize], b: &[usize]) -> Result<[usize; 2], ShapeError> {
     if a.len() != 2 {
         return err(format!("matmul lhs must be 2-D, got {a:?}"));
     }
@@ -44,11 +51,15 @@ pub fn matmul_shape(a: &[usize], b: &[usize]) -> Result<Shape, ShapeError> {
     if a[1] != b[0] {
         return err(format!("matmul inner dims {} vs {}", a[1], b[0]));
     }
-    Ok(vec![a[0], b[1]])
+    Ok([a[0], b[1]])
 }
 
 /// [`crate::ops::batch_matmul`]: `[b,m,k] · [b,k,n] → [b,m,n]`.
 pub fn batch_matmul_shape(a: &[usize], b: &[usize]) -> Result<Shape, ShapeError> {
+    batch_matmul_dims(a, b).map(Shape::from)
+}
+
+pub(crate) fn batch_matmul_dims(a: &[usize], b: &[usize]) -> Result<[usize; 3], ShapeError> {
     if a.len() != 3 {
         return err(format!("batch_matmul lhs must be 3-D, got {a:?}"));
     }
@@ -61,7 +72,7 @@ pub fn batch_matmul_shape(a: &[usize], b: &[usize]) -> Result<Shape, ShapeError>
     if a[2] != b[1] {
         return err(format!("batch_matmul inner dims {} vs {}", a[2], b[1]));
     }
-    Ok(vec![a[0], a[1], b[2]])
+    Ok([a[0], a[1], b[2]])
 }
 
 /// [`crate::ops::linear`]: `[m,k] · [n,k]ᵀ (+ bias [n]) → [m,n]`.
@@ -70,6 +81,14 @@ pub fn linear_shape(
     weight: &[usize],
     bias: Option<&[usize]>,
 ) -> Result<Shape, ShapeError> {
+    linear_dims(x, weight, bias).map(Shape::from)
+}
+
+pub(crate) fn linear_dims(
+    x: &[usize],
+    weight: &[usize],
+    bias: Option<&[usize]>,
+) -> Result<[usize; 2], ShapeError> {
     if x.len() != 2 {
         return err(format!("linear input must be 2-D, got {x:?}"));
     }
@@ -91,7 +110,7 @@ pub fn linear_shape(
             ));
         }
     }
-    Ok(vec![x[0], weight[0]])
+    Ok([x[0], weight[0]])
 }
 
 /// [`crate::ops::conv2d`] / [`crate::ops::depthwise_conv2d`]:
@@ -104,6 +123,16 @@ pub fn conv2d_shape(
     p: Conv2dParams,
     depthwise: bool,
 ) -> Result<Shape, ShapeError> {
+    conv2d_dims(x, weight, bias, p, depthwise).map(Shape::from)
+}
+
+pub(crate) fn conv2d_dims(
+    x: &[usize],
+    weight: &[usize],
+    bias: Option<&[usize]>,
+    p: Conv2dParams,
+    depthwise: bool,
+) -> Result<[usize; 4], ShapeError> {
     if x.len() != 4 {
         return err(format!("conv2d input must be NCHW, got {x:?}"));
     }
@@ -141,7 +170,7 @@ pub fn conv2d_shape(
             p.padding
         ));
     }
-    Ok(vec![n, cout, oh, ow])
+    Ok([n, cout, oh, ow])
 }
 
 /// [`crate::ops::embedding`]: table `[vocab, dim]`, `n_ids` lookups →

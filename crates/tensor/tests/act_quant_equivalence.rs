@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec, Fp8Format};
-use ptq_tensor::ops::{linear, linear_qq, matmul, matmul_qq};
+use ptq_tensor::ops::{linear, matmul};
 use ptq_tensor::{fake_quant_per_tile, tile_scale, QActTensor, QTensor, TensorRng};
 
 fn formats() -> impl Strategy<Value = Fp8Format> {
@@ -141,7 +141,7 @@ proptest! {
     /// dequantized forms — the fused decode-accumulate never reorders the
     /// MAC loop.
     #[test]
-    fn linear_qq_matches_dequantized_reference(
+    fn coded_linear_matches_dequantized_reference(
         m in 1usize..5,
         k in 1usize..12,
         n in 1usize..6,
@@ -158,7 +158,7 @@ proptest! {
         } else {
             qx.quantize_per_tile(&x, f, tile);
         }
-        let got = linear_qq(&qx, &qw, None);
+        let got = linear(&qx, &qw, None);
         let want = linear(&qx.dequantize(), &qw.dequantize(), None);
         assert_bits_eq(got.data(), want.data());
     }
@@ -166,7 +166,7 @@ proptest! {
     /// matmul over two coded operands is bit-identical to matmul over
     /// their dequantized forms.
     #[test]
-    fn matmul_qq_matches_dequantized_reference(
+    fn coded_matmul_matches_dequantized_reference(
         m in 1usize..5,
         k in 1usize..10,
         n in 1usize..6,
@@ -184,7 +184,7 @@ proptest! {
             qa.quantize_per_tile(&a, f, tile);
             qb.quantize_per_tile(&b, f, tile);
         }
-        let got = matmul_qq(&qa, &qb);
+        let got = matmul(&qa, &qb);
         let want = matmul(&qa.dequantize(), &qb.dequantize());
         assert_bits_eq(got.data(), want.data());
     }

@@ -1,17 +1,36 @@
-//! Property-based bit-identity between the blocked micro-kernels and the
-//! scalar reference path, across every FP8 format, weight/activation
-//! granularity, and ragged shapes that straddle the register-tile widths
-//! (MR=4 rows, 8-wide matmul panels, 4-wide linear/conv blocks). Also
+//! The operand-matrix equivalence table of the MAC kernels.
+//!
+//! Each op has one entry point over operand views, so one table covers
+//! every storage combination it executes:
+//!
+//! | op        | activation(s)                 | weight  |
+//! |-----------|-------------------------------|---------|
+//! | conv2d    | F32, Coded                    | F32, Q  |
+//! | linear    | F32, Coded                    | F32, Q  |
+//! | depthwise | F32                           | F32, Q  |
+//! | matmul    | {F32, Coded} · {F32, Coded}   | —       |
+//!
+//! Every row, through both [`KernelPath`]s, must be bit-equal to the f32
+//! kernel on the dequantized operands — across the three FP8 formats,
+//! per-tensor / per-tile activation scales, per-tensor / per-channel
+//! weight scales, shapes ragged around the register tiles (MR=4 rows,
+//! 8-wide matmul panels, 4-wide linear/conv blocks) and an injected
+//! `0 / -0 / NaN / Inf` (the matmul `av == 0.0` skip and every
+//! `0 · Inf = NaN` are semantics the blocked kernels must preserve). Also
 //! covers degenerate shapes (any dim zero) that historically panicked in
 //! `for_each_chunk`.
 
 use proptest::prelude::*;
 use ptq_fp8::Fp8Format;
 use ptq_tensor::ops::{
-    conv2d_q_into_path, conv2d_qq_into_path, linear_q_into_path, linear_qq_into_path,
-    matmul_q_into_path, matmul_qq_into_path, Conv2dParams, KernelPath,
+    conv2d, conv2d_into, depthwise_conv2d, linear, linear_into, matmul, matmul_into, ActOperand,
+    Conv2dParams, KernelPath, WeightOperand,
 };
 use ptq_tensor::{QActTensor, QTensor, Tensor, TensorRng};
+
+const PATHS: [KernelPath; 2] = [KernelPath::Blocked, KernelPath::ScalarReference];
+/// Operand kinds of a two-operand row: `(first coded?, second coded?)`.
+const KINDS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 fn formats() -> impl Strategy<Value = Fp8Format> {
     prop_oneof![
@@ -21,164 +40,121 @@ fn formats() -> impl Strategy<Value = Fp8Format> {
     ]
 }
 
-fn assert_bits_eq(got: &Tensor, want: &Tensor) {
-    assert_eq!(got.shape(), want.shape());
+fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
     for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "element {i}: blocked {g} vs scalar {w}"
-        );
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
     }
 }
 
-/// Quantize a weight tensor with either per-tensor or per-channel scales.
-fn qweight(w: &Tensor, f: Fp8Format, per_channel: bool) -> QTensor {
-    if per_channel {
-        QTensor::quantize_per_channel(w, f).unwrap()
-    } else {
-        QTensor::quantize(w, f).unwrap()
+/// Overwrite one element with `0 / -0 / NaN / Inf` (`kind` 4 leaves the
+/// data clean) and a neighbour with an exact zero, so skip and poison
+/// interact. One poisoned operand per case keeps NaN payloads
+/// unambiguous.
+fn poison(t: &mut Tensor, at: usize, kind: u8) {
+    let value = match kind {
+        0 => 0.0f32,
+        1 => -0.0,
+        2 => f32::NAN,
+        3 => f32::INFINITY,
+        _ => return,
+    };
+    let len = t.len();
+    t.data_mut()[at % len] = value;
+    t.data_mut()[(at + 1) % len] = 0.0;
+}
+
+/// An activation as a row reads it: its dequantized f32 value, and the
+/// codes when the row codes it (per-tensor for `tile == 0`, else
+/// per-tile).
+struct Act(Tensor, Option<QActTensor>);
+
+impl Act {
+    fn new(x: &Tensor, coded: bool, f: Fp8Format, tile: usize) -> Self {
+        if !coded {
+            return Act(x.clone(), None);
+        }
+        let mut q = QActTensor::new();
+        if tile == 0 {
+            q.quantize_dynamic(x, f);
+        } else {
+            q.quantize_per_tile(x, f, tile);
+        }
+        Act(q.dequantize(), Some(q))
+    }
+
+    fn view(&self) -> ActOperand<'_> {
+        self.1
+            .as_ref()
+            .map_or(ActOperand::F32(&self.0), ActOperand::Coded)
     }
 }
 
-/// Quantize an activation tensor per-tensor (tile == 0) or per-tile.
-fn qact(x: &Tensor, f: Fp8Format, tile: usize) -> QActTensor {
-    let mut q = QActTensor::new();
-    if tile == 0 {
-        q.quantize_dynamic(x, f);
-    } else {
-        q.quantize_per_tile(x, f, tile);
+/// A weight as a row reads it: its dequantized f32 value, and the
+/// [`QTensor`] when the row stores it as FP8.
+struct Weight(Tensor, Option<QTensor>);
+
+impl Weight {
+    fn new(w: &Tensor, q: bool, f: Fp8Format, per_channel: bool) -> Self {
+        if !q {
+            return Weight(w.clone(), None);
+        }
+        let q = if per_channel {
+            QTensor::quantize_per_channel(w, f).unwrap()
+        } else {
+            QTensor::quantize(w, f).unwrap()
+        };
+        Weight(q.dequantize(), Some(q))
     }
-    q
+
+    fn view(&self) -> WeightOperand<'_> {
+        self.1
+            .as_ref()
+            .map_or(WeightOperand::F32(&self.0), WeightOperand::Q)
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// matmul_q: f32 lhs against coded rhs, both weight granularities,
-    /// shapes ragged around the 4x8 register tile.
+    /// linear × {F32, Coded} act × {F32, Q} weight, with and without
+    /// bias, n ragged around the 4-wide block.
     #[test]
-    fn matmul_q_blocked_matches_scalar(
-        m in 1usize..11,
-        k in 1usize..14,
-        n in 1usize..19,
-        per_channel in 0u8..2,
-        f in formats(),
-        seed in 0u64..500,
-    ) {
-        let a = TensorRng::seed(seed ^ 0x11).normal(&[m, k], 0.0, 1.5);
-        let b = TensorRng::seed(seed ^ 0x12).normal(&[k, n], 0.0, 1.5);
-        let qb = qweight(&b, f, per_channel == 1);
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        matmul_q_into_path(&a, &qb, &mut got, KernelPath::Blocked);
-        matmul_q_into_path(&a, &qb, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
-    }
-
-    /// matmul_q with exact zeros and non-finite values injected into the
-    /// f32 lhs: the `av == 0.0` zero-skip is semantics (0 * Inf = NaN
-    /// without it), so the blocked path must preserve it bit-for-bit.
-    #[test]
-    fn matmul_q_blocked_preserves_zero_skip_semantics(
-        m in 1usize..7,
-        k in 2usize..10,
-        n in 1usize..12,
-        at in 0usize..64,
-        poison_kind in 0u8..4,
-        f in formats(),
-        seed in 0u64..500,
-    ) {
-        let mut a = TensorRng::seed(seed ^ 0x21).normal(&[m, k], 0.0, 1.5);
-        let poison = match poison_kind {
-            0 => 0.0f32,
-            1 => -0.0,
-            2 => f32::NAN,
-            _ => f32::INFINITY,
-        };
-        let at = at % (m * k);
-        a.data_mut()[at] = poison;
-        // A second zero elsewhere so skip + poison interact.
-        a.data_mut()[(at + 1) % (m * k)] = 0.0;
-        let b = TensorRng::seed(seed ^ 0x22).normal(&[k, n], 0.0, 1.5);
-        let qb = qweight(&b, f, true);
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        matmul_q_into_path(&a, &qb, &mut got, KernelPath::Blocked);
-        matmul_q_into_path(&a, &qb, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
-    }
-
-    /// matmul_qq: both operands coded, per-tensor and per-tile scales
-    /// (ragged tails when tile does not divide k or n).
-    #[test]
-    fn matmul_qq_blocked_matches_scalar(
-        m in 1usize..10,
-        k in 1usize..14,
-        n in 1usize..19,
-        tile in 0usize..9,
-        f in formats(),
-        seed in 0u64..500,
-    ) {
-        let a = TensorRng::seed(seed ^ 0x31).normal(&[m, k], 0.0, 1.5);
-        let b = TensorRng::seed(seed ^ 0x32).normal(&[k, n], 0.0, 1.5);
-        let (qa, qb) = (qact(&a, f, tile), qact(&b, f, tile));
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        matmul_qq_into_path(&qa, &qb, &mut got, KernelPath::Blocked);
-        matmul_qq_into_path(&qa, &qb, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
-    }
-
-    /// linear_q: f32 activations against coded weights, with and without
-    /// bias, both weight granularities, n ragged around the 4-wide block.
-    #[test]
-    fn linear_q_blocked_matches_scalar(
+    fn linear_rows_match_f32_on_dequantized(
         m in 1usize..11,
         k in 1usize..14,
         n in 1usize..14,
+        tile in 0usize..9,
         per_channel in 0u8..2,
         with_bias in 0u8..2,
+        poison_kind in 0u8..5,
+        poison_weight in 0u8..2,
+        at in 0usize..64,
         f in formats(),
         seed in 0u64..500,
     ) {
-        let x = TensorRng::seed(seed ^ 0x41).normal(&[m, k], 0.0, 1.5);
-        let w = TensorRng::seed(seed ^ 0x42).normal(&[n, k], 0.0, 1.5);
+        let mut x = TensorRng::seed(seed ^ 0x41).normal(&[m, k], 0.0, 1.5);
+        let mut w = TensorRng::seed(seed ^ 0x42).normal(&[n, k], 0.0, 1.5);
+        poison(if poison_weight == 1 { &mut w } else { &mut x }, at, poison_kind);
         let bias = TensorRng::seed(seed ^ 0x43).normal(&[n], 0.0, 1.0);
         let bias = (with_bias == 1).then_some(&bias);
-        let qw = qweight(&w, f, per_channel == 1);
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        linear_q_into_path(&x, &qw, bias, &mut got, KernelPath::Blocked);
-        linear_q_into_path(&x, &qw, bias, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
+        for (coded, q) in KINDS {
+            let (xa, wa) = (Act::new(&x, coded, f, tile), Weight::new(&w, q, f, per_channel == 1));
+            let want = linear(&xa.0, &wa.0, bias);
+            for path in PATHS {
+                let mut got = Tensor::default();
+                linear_into(xa.view(), wa.view(), bias, &mut got, path);
+                assert_bits_eq(&got, &want, &format!("linear coded={coded} q={q} {path}"));
+            }
+        }
     }
 
-    /// linear_qq: coded activations (per-tensor or per-tile) against
-    /// coded weights (per-tensor or per-channel), with and without bias.
+    /// conv2d × {F32, Coded} act × {F32, Q} weight: every border/interior
+    /// split the blocked kernel makes (padding that clips ky rows and kx
+    /// columns, strides, ow ragged around the 4-wide ox block) and the
+    /// decoded-sample cache.
     #[test]
-    fn linear_qq_blocked_matches_scalar(
-        m in 1usize..10,
-        k in 1usize..14,
-        n in 1usize..14,
-        tile in 0usize..9,
-        per_channel in 0u8..2,
-        with_bias in 0u8..2,
-        f in formats(),
-        seed in 0u64..500,
-    ) {
-        let x = TensorRng::seed(seed ^ 0x51).normal(&[m, k], 0.0, 1.5);
-        let w = TensorRng::seed(seed ^ 0x52).normal(&[n, k], 0.0, 1.5);
-        let bias = TensorRng::seed(seed ^ 0x53).normal(&[n], 0.0, 1.0);
-        let bias = (with_bias == 1).then_some(&bias);
-        let (qx, qw) = (qact(&x, f, tile), qweight(&w, f, per_channel == 1));
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        linear_qq_into_path(&qx, &qw, bias, &mut got, KernelPath::Blocked);
-        linear_qq_into_path(&qx, &qw, bias, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
-    }
-
-    /// conv2d_q: every border/interior split the blocked kernel makes
-    /// (padding that clips ky rows and kx columns, strides, ow ragged
-    /// around the 4-wide ox block) must agree with the scalar loop.
-    #[test]
-    fn conv2d_q_blocked_matches_scalar(
+    fn conv2d_rows_match_f32_on_dequantized(
         ni in 1usize..3,
         cin in 1usize..4,
         cout in 1usize..5,
@@ -188,65 +164,104 @@ proptest! {
         kw in 1usize..4,
         stride in 1usize..3,
         padding in 0usize..3,
+        tile in 0usize..7,
         per_channel in 0u8..2,
         with_bias in 0u8..2,
+        poison_kind in 0u8..5,
+        poison_weight in 0u8..2,
+        at in 0usize..64,
         f in formats(),
         seed in 0u64..500,
     ) {
-        // The kernel must fit the padded input (conv asserts oh/ow > 0).
+        // The kernel must fit the padded input (a kernel precondition).
         let kh = kh.min(h + 2 * padding);
         let kw = kw.min(w + 2 * padding);
-        let x = TensorRng::seed(seed ^ 0x61).normal(&[ni, cin, h, w], 0.0, 1.5);
-        let wt = TensorRng::seed(seed ^ 0x62).normal(&[cout, cin, kh, kw], 0.0, 1.5);
+        let mut x = TensorRng::seed(seed ^ 0x61).normal(&[ni, cin, h, w], 0.0, 1.5);
+        let mut wt = TensorRng::seed(seed ^ 0x62).normal(&[cout, cin, kh, kw], 0.0, 1.5);
+        poison(if poison_weight == 1 { &mut wt } else { &mut x }, at, poison_kind);
         let bias = TensorRng::seed(seed ^ 0x63).normal(&[cout], 0.0, 1.0);
         let bias = (with_bias == 1).then_some(&bias);
-        let qw = qweight(&wt, f, per_channel == 1);
         let p = Conv2dParams { stride, padding };
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        conv2d_q_into_path(&x, &qw, bias, p, &mut got, KernelPath::Blocked);
-        conv2d_q_into_path(&x, &qw, bias, p, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
+        for (coded, q) in KINDS {
+            let (xa, wa) = (Act::new(&x, coded, f, tile), Weight::new(&wt, q, f, per_channel == 1));
+            let want = conv2d(&xa.0, &wa.0, bias, p);
+            for path in PATHS {
+                let mut got = Tensor::default();
+                conv2d_into(xa.view(), wa.view(), bias, p, &mut got, path);
+                assert_bits_eq(&got, &want, &format!("conv2d coded={coded} q={q} {path}"));
+            }
+        }
     }
 
-    /// conv2d_qq: coded input (per-tensor or per-tile over the last axis)
-    /// through the decoded-sample cache against the scalar loop.
+    /// depthwise × {F32, Q} weight (one kernel, no path).
     #[test]
-    fn conv2d_qq_blocked_matches_scalar(
+    fn depthwise_rows_match_f32_on_dequantized(
         ni in 1usize..3,
-        cin in 1usize..4,
-        cout in 1usize..5,
-        h in 2usize..8,
-        w in 2usize..8,
+        c in 1usize..6,
+        h in 1usize..9,
+        w in 1usize..9,
         kh in 1usize..4,
         kw in 1usize..4,
         stride in 1usize..3,
-        padding in 0usize..2,
-        tile in 0usize..7,
+        padding in 0usize..3,
+        per_channel in 0u8..2,
+        with_bias in 0u8..2,
+        poison_kind in 0u8..5,
+        poison_weight in 0u8..2,
+        at in 0usize..64,
         f in formats(),
         seed in 0u64..500,
     ) {
         let kh = kh.min(h + 2 * padding);
         let kw = kw.min(w + 2 * padding);
-        let x = TensorRng::seed(seed ^ 0x71).normal(&[ni, cin, h, w], 0.0, 1.5);
-        let wt = TensorRng::seed(seed ^ 0x72).normal(&[cout, cin, kh, kw], 0.0, 1.5);
-        let qx = qact(&x, f, tile);
-        let qw = qweight(&wt, f, true);
+        let mut x = TensorRng::seed(seed ^ 0x81).normal(&[ni, c, h, w], 0.0, 1.5);
+        let mut wt = TensorRng::seed(seed ^ 0x82).normal(&[c, 1, kh, kw], 0.0, 1.5);
+        poison(if poison_weight == 1 { &mut wt } else { &mut x }, at, poison_kind);
+        let bias = TensorRng::seed(seed ^ 0x83).normal(&[c], 0.0, 1.0);
+        let bias = (with_bias == 1).then_some(&bias);
         let p = Conv2dParams { stride, padding };
-        let (mut got, mut want) = (Tensor::default(), Tensor::default());
-        conv2d_qq_into_path(&qx, &qw, None, p, &mut got, KernelPath::Blocked);
-        conv2d_qq_into_path(&qx, &qw, None, p, &mut want, KernelPath::ScalarReference);
-        assert_bits_eq(&got, &want);
+        let wa = Weight::new(&wt, true, f, per_channel == 1);
+        let want = depthwise_conv2d(&x, &wa.0, bias, p);
+        let got = depthwise_conv2d(&x, wa.view(), bias, p);
+        assert_bits_eq(&got, &want, "depthwise q");
+    }
+
+    /// matmul × {F32, Coded} lhs × {F32, Coded} rhs, shapes ragged around
+    /// the 4×8 register tile, ragged tile tails when the tile divides
+    /// neither k nor n. The poison lands in the lhs, whose zero-skip is
+    /// semantics.
+    #[test]
+    fn matmul_rows_match_f32_on_dequantized(
+        m in 1usize..11,
+        k in 1usize..14,
+        n in 1usize..19,
+        tile in 0usize..9,
+        poison_kind in 0u8..5,
+        at in 0usize..64,
+        f in formats(),
+        seed in 0u64..500,
+    ) {
+        let mut a = TensorRng::seed(seed ^ 0x31).normal(&[m, k], 0.0, 1.5);
+        let b = TensorRng::seed(seed ^ 0x32).normal(&[k, n], 0.0, 1.5);
+        poison(&mut a, at, poison_kind);
+        for (ca, cb) in KINDS {
+            let (aa, ba) = (Act::new(&a, ca, f, tile), Act::new(&b, cb, f, tile));
+            let want = matmul(&aa.0, &ba.0);
+            for path in PATHS {
+                let mut got = Tensor::default();
+                matmul_into(aa.view(), ba.view(), &mut got, path);
+                assert_bits_eq(&got, &want, &format!("matmul coded=({ca},{cb}) {path}"));
+            }
+        }
     }
 }
 
 /// Degenerate shapes (a zero dim anywhere the types can express one) must
 /// produce an empty or all-bias output without panicking on either path.
-/// Before this PR `for_each_chunk` hit `chunks_mut(0)` and panicked.
+/// `for_each_chunk` once hit `chunks_mut(0)` and panicked.
 mod degenerate {
     use super::*;
-    use ptq_tensor::ops::{batch_matmul, linear, matmul};
-
-    const PATHS: [KernelPath; 2] = [KernelPath::Blocked, KernelPath::ScalarReference];
+    use ptq_tensor::ops::batch_matmul;
 
     #[test]
     fn f32_kernels_accept_zero_dims() {
@@ -273,24 +288,20 @@ mod degenerate {
         let f = Fp8Format::E4M3;
         let w = TensorRng::seed(9).normal(&[3, 7], 0.0, 1.0);
         let qw = QTensor::quantize_per_channel(&w, f).unwrap();
-        let b = TensorRng::seed(10).normal(&[7, 4], 0.0, 1.0);
-        let qb = QTensor::quantize_per_channel(&b, f).unwrap();
         let empty = Tensor::zeros(&[0, 7]);
         let mut qempty = QActTensor::new();
         qempty.quantize_dynamic(&empty, f);
         for path in PATHS {
             let mut out = Tensor::default();
-            linear_q_into_path(&empty, &qw, None, &mut out, path);
+            linear_into(&empty, &qw, None, &mut out, path);
             assert_eq!(out.shape(), &[0, 3]);
-            matmul_q_into_path(&empty, &qb, &mut out, path);
-            assert_eq!(out.shape(), &[0, 4]);
-            linear_qq_into_path(&qempty, &qw, None, &mut out, path);
+            linear_into(&qempty, &qw, None, &mut out, path);
             assert_eq!(out.shape(), &[0, 3]);
         }
     }
 
     #[test]
-    fn matmul_qq_zero_inner_dim_yields_zeros() {
+    fn coded_matmul_zero_inner_dim_yields_zeros() {
         // k == 0 through the fully-coded path: dynamic quantization of an
         // empty tensor falls back to unit scale and the empty reduction
         // leaves the zero-filled output untouched.
@@ -300,14 +311,14 @@ mod degenerate {
         qb.quantize_dynamic(&Tensor::zeros(&[0, 3]), f);
         for path in PATHS {
             let mut out = Tensor::default();
-            matmul_qq_into_path(&qa, &qb, &mut out, path);
+            matmul_into(&qa, &qb, &mut out, path);
             assert_eq!(out.shape(), &[4, 3]);
             assert!(out.data().iter().all(|&v| v.to_bits() == 0));
         }
     }
 
     #[test]
-    fn conv2d_q_accepts_empty_batch() {
+    fn q_weight_conv2d_accepts_empty_batch() {
         let f = Fp8Format::E3M4;
         let wt = TensorRng::seed(11).normal(&[2, 3, 3, 3], 0.0, 1.0);
         let qw = QTensor::quantize_per_channel(&wt, f).unwrap();
@@ -320,9 +331,9 @@ mod degenerate {
         };
         for path in PATHS {
             let mut out = Tensor::default();
-            conv2d_q_into_path(&x, &qw, None, p, &mut out, path);
+            conv2d_into(&x, &qw, None, p, &mut out, path);
             assert_eq!(out.shape(), &[0, 2, 8, 8]);
-            conv2d_qq_into_path(&qx, &qw, None, p, &mut out, path);
+            conv2d_into(&qx, &qw, None, p, &mut out, path);
             assert_eq!(out.shape(), &[0, 2, 8, 8]);
         }
     }

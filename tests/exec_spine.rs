@@ -12,12 +12,14 @@ use fp8_ptq::models::families::nlp::decoder_graph;
 use fp8_ptq::models::families::NlpConfig;
 use fp8_ptq::models::{build_zoo_limited, ZooFilter};
 use fp8_ptq::nn::{DecodeState, NoopHook, UnwrapOk};
+use fp8_ptq::tensor::ops::KernelPath;
 use fp8_ptq::tensor::Tensor;
 
 /// On one CV and one NLP quick-zoo workload under the E4M3 paper recipe:
 /// the reference loop and the planned executor agree bit for bit under
 /// `model.hook()`, for FP8-stored and fake-quant weights/activations alike
-/// — and the storage settings agree with each other.
+/// — and the storage settings, and the blocked kernels and their scalar
+/// reference, agree with each other.
 #[test]
 fn reference_loop_matches_plan_under_the_quantized_hook() {
     let zoo = build_zoo_limited(ZooFilter::Quick, 5);
@@ -27,16 +29,23 @@ fn reference_loop_matches_plan_under_the_quantized_hook() {
         let calib = calibrate_workload(w, &recipe).unwrap_ok();
         let inputs = &w.eval[0];
         let mut outputs = Vec::new();
-        for (weights, acts) in [
-            (WeightStorage::Fp8, ActivationStorage::Fp8),
-            (WeightStorage::Fp8, ActivationStorage::FakeQuantF32),
-            (WeightStorage::FakeQuantF32, ActivationStorage::FakeQuantF32),
+        let (blocked, scalar) = (KernelPath::Blocked, KernelPath::ScalarReference);
+        for (weights, acts, path) in [
+            (WeightStorage::Fp8, ActivationStorage::Fp8, blocked),
+            (WeightStorage::Fp8, ActivationStorage::Fp8, scalar),
+            (WeightStorage::Fp8, ActivationStorage::FakeQuantF32, blocked),
+            (
+                WeightStorage::FakeQuantF32,
+                ActivationStorage::FakeQuantF32,
+                blocked,
+            ),
         ] {
-            let what = format!("{} {weights}/{acts}", w.spec.name);
+            let what = format!("{} {weights}/{acts}/{path}", w.spec.name);
             let cfg = recipe
                 .clone()
                 .with_weight_storage(weights)
-                .with_activation_storage(acts);
+                .with_activation_storage(acts)
+                .with_kernel_path(path);
             let model = PtqSession::new(cfg)
                 .quantize_calibrated(w, &calib)
                 .unwrap_ok()
