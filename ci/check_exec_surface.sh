@@ -10,6 +10,10 @@
 #     `ops/mod.rs` re-exports no `_q`/`_qq` MAC name but the three
 #     one-line delegates the frozen `benchmark/` calls, and
 #     crates/tensor/src/ops stays within its non-test line budget.
+#   * One measuring stack: no `[[bench]]` target and no `criterion`
+#     dependency in the root manifest or any manifest under crates/, and
+#     crates/bench/src/bin holds the thirteen paper bins only. Timing
+#     lives in `benchmark/`.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -57,6 +61,22 @@ if [ "$ops_lines" -gt "$ops_budget" ]; then
     fail=1
 fi
 
+if hits=$(grep -nE '^\[\[bench\]\]|criterion' Cargo.toml crates/*/Cargo.toml); then
+    echo "timing harnesses live in benchmark/, not behind [[bench]] / criterion:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+paper_bins='density fig1 fig12 fig5 fig7 fig8 fig9 firstlast ptq table2 table3 table5 table6'
+bins=$(LC_ALL=C ls crates/bench/src/bin | sed 's/\.rs$//' | tr '\n' ' ')
+if [ "$bins" != "$paper_bins " ]; then
+    echo "crates/bench/src/bin holds the paper's tables and figures only:" >&2
+    echo "  want: $paper_bins" >&2
+    echo "  have: $bins" >&2
+    fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
-    "one entry point per MAC op, ops at $ops_lines/$ops_budget lines"
+    "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
+    "no [[bench]]/criterion, 13 paper bins"

@@ -1,9 +1,8 @@
 //! Shared CLI-flag handling for the bench binaries.
 //!
 //! Every experiment binary used to parse its own copy of the common
-//! flags; this module is the single home for them so `table2`,
-//! `cold_start` and `serve_bench` agree on names, value vocabulary and
-//! error behavior:
+//! flags; this module is the single home for them so the binaries
+//! agree on names, value vocabulary and error behavior:
 //!
 //! * `--quick` — quick zoo instead of the full 75-workload zoo.
 //! * `--detail` — extra per-workload output where a binary supports it.
@@ -11,14 +10,13 @@
 //! * `--only-format <F>` — keep only rows of one data format, named by
 //!   its wire label (`E5M2` / `E4M3` / `E3M4` / `INT8`).
 //! * `--spec <path.json>` — load a serialized [`EngineSpec`]; its
-//!   storage + kernel sections override each row's recipe and its
-//!   serving section configures the serving engine.
+//!   storage + kernel sections override each row's recipe.
 //!
 //! Unknown values exit with status 2 and a message naming the flag —
 //! same behavior for every binary.
 
 use ptq_core::config::{DataFormat, QuantConfig};
-use ptq_core::{EngineSpec, ServeSpec};
+use ptq_core::EngineSpec;
 
 /// Parsed common flags (see module docs for the vocabulary).
 #[derive(Debug, Clone, Default)]
@@ -111,15 +109,6 @@ impl CommonFlags {
                 .with_kernel_path(spec.config.kernel_path),
         }
     }
-
-    /// The serving section to run an engine with: the spec file's when
-    /// given, defaults otherwise.
-    pub fn serving(&self) -> ServeSpec {
-        self.spec
-            .as_ref()
-            .map(|s| s.serving.clone())
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +174,6 @@ mod tests {
         assert_eq!(cfg.activation_storage, ActivationStorage::FakeQuantF32);
         // The spec file's quantization section does not touch the row.
         assert_eq!(cfg.act_format, DataFormat::Fp8(Fp8Format::E5M2));
-        assert_eq!(f.serving().max_batch, 3);
         let _ = std::fs::remove_file(&p);
     }
 }

@@ -6,7 +6,7 @@ use crate::calibrate::{quantized_inputs, CalibData, TensorKey};
 use crate::config::{ActGranularity, Approach, DataFormat, Granularity, QuantConfig};
 use crate::smoothquant::smooth_scales;
 use ptq_fp8::{
-    fake_quant_fp8_lut, fake_quant_fp8_per_channel_lut, fake_quant_int8,
+    absmax_nan_aware, fake_quant_fp8_lut, fake_quant_fp8_per_channel_lut, fake_quant_int8,
     fake_quant_int8_per_channel, fp8_scale, Fp8Codec, Int8Codec, Int8Mode,
 };
 use ptq_nn::{
@@ -319,15 +319,7 @@ fn prepare_weights(
         if config.stores_fp8_weights() && matches!(node.op, Op::Conv2d { .. } | Op::Linear { .. }) {
             if let Some(q) = quantize_weight_stored(&w, config) {
                 if trace {
-                    ptq_trace::gauge(
-                        ptq_trace::Level::Info,
-                        "quant.weight_mse",
-                        ptq_tensor::stats::mse(w.data(), &q.stored().dequantize()),
-                        &[
-                            ("layer", node.name.as_str().into()),
-                            ("elems", w.len().into()),
-                        ],
-                    );
+                    trace_weight_mse(node, &w, &q.stored().dequantize());
                 }
                 qout.insert(wid, q);
                 continue;
@@ -335,22 +327,27 @@ fn prepare_weights(
         }
         // Keep the pre-quantization copy only when tracing wants the
         // per-layer error; the clone is off the disabled hot path.
-        let fp32 = if trace { Some(w.clone()) } else { None };
+        let fp32 = trace.then(|| w.clone());
         quantize_weight_tensor(&mut w, config);
         if let Some(fp32) = fp32 {
-            ptq_trace::gauge(
-                ptq_trace::Level::Info,
-                "quant.weight_mse",
-                ptq_tensor::stats::mse(fp32.data(), w.data()),
-                &[
-                    ("layer", node.name.as_str().into()),
-                    ("elems", w.len().into()),
-                ],
-            );
+            trace_weight_mse(node, &fp32, w.data());
         }
         out.insert(wid, w);
     }
     Ok((out, qout))
+}
+
+/// Per-layer weight quantization error, reported by both storage modes.
+fn trace_weight_mse(node: &Node, fp32: &Tensor, quantized: &[f32]) {
+    ptq_trace::gauge(
+        ptq_trace::Level::Info,
+        "quant.weight_mse",
+        ptq_tensor::stats::mse(fp32.data(), quantized),
+        &[
+            ("layer", node.name.as_str().into()),
+            ("elems", fp32.len().into()),
+        ],
+    );
 }
 
 /// FP8-store one weight tensor under the config's format and granularity.
@@ -388,15 +385,7 @@ pub fn quantize_weight_tensor(w: &mut Tensor, config: &QuantConfig) {
             // weight forces scale 1.0, matching both the dynamic-activation
             // fold and `StoredTensor::quantize` — the two storage modes
             // must compute identical scales to stay bit-identical.
-            let absmax = w.data().iter().fold(0.0f32, |m, &x| {
-                let a = x.abs();
-                if a > m || !a.is_finite() {
-                    a
-                } else {
-                    m
-                }
-            });
-            let s = fp8_scale(f, absmax);
+            let s = fp8_scale(f, absmax_nan_aware(w.data()));
             fake_quant_fp8_lut(w.data_mut(), &codec, s);
         }
         (DataFormat::Int8, Granularity::PerChannel) => {
@@ -559,70 +548,48 @@ impl ExecHook for QuantHook<'_> {
                 self.count_act(scale.coded_bytes(x.shape()), x.len());
                 continue;
             }
-            let key = TensorKey {
-                node: node.id,
-                input: idx,
-            };
             let x = &mut inputs[idx];
-            // Per-tile FP8 scales are always computed from the batch at
-            // hand (calibration thresholds are per-tensor only), so the
-            // granularity knob overrides the static/dynamic split. Direct
-            // formats (E5M2) keep their unit per-tensor scale instead.
-            if let (DataFormat::Fp8(f), ActGranularity::PerTile(t)) =
-                (cfg.act_format, cfg.act_granularity)
-            {
-                if !cfg.direct_activation_quant() {
-                    let inner = x.shape().last().copied().unwrap_or(1);
-                    ptq_tensor::fake_quant_per_tile(x.data_mut(), inner, f, t);
-                    self.count_fake_quant(x.len());
-                    continue;
-                }
-            }
-            match (cfg.act_format, cfg.approach) {
-                (DataFormat::Fp8(f), Approach::Static) => {
-                    if let Some(&s) = self.model.act_scales.get(&key) {
-                        let codec = Fp8Codec::new(f);
-                        fake_quant_fp8_lut(x.data_mut(), &codec, s);
-                        self.count_fake_quant(x.len());
-                    }
-                }
-                (DataFormat::Fp8(f), Approach::Dynamic) => {
-                    let codec = Fp8Codec::new(f);
-                    let s = if cfg.direct_activation_quant() {
-                        1.0
-                    } else {
-                        // `f32::max` silently drops NaN, so a plain absmax
-                        // fold over a NaN-bearing activation would compute
-                        // a scale from the remaining values. Propagate any
-                        // non-finite value into the absmax instead:
-                        // `fp8_scale` then falls back to 1.0, and the NaN
-                        // itself maps to the format's Table-1 NaN encoding
-                        // inside the LUT quantizer.
-                        let absmax = x.data().iter().fold(0.0f32, |m, &v| {
-                            let a = v.abs();
-                            if a > m || !a.is_finite() {
-                                a
-                            } else {
-                                m
-                            }
-                        });
-                        fp8_scale(f, absmax)
+            match cfg.act_format {
+                // The f32 twin of the layout `act_coding` would code this
+                // input with: one decision table for both storage modes.
+                DataFormat::Fp8(f) => {
+                    let per_tensor = |x: &mut Tensor, s| {
+                        fake_quant_fp8_lut(x.data_mut(), &Fp8Codec::new(f), s);
                     };
-                    fake_quant_fp8_lut(x.data_mut(), &codec, s);
-                    self.count_fake_quant(x.len());
-                }
-                (DataFormat::Int8, Approach::Static) => {
-                    if let Some(codec) = self.model.act_int8.get(&key) {
-                        fake_quant_int8(x.data_mut(), codec);
-                        self.count_fake_quant(x.len());
+                    match self.model.act_scale(node, idx) {
+                        None => continue,
+                        Some(ActScale::PerTile(t)) => {
+                            let inner = x.shape().last().copied().unwrap_or(1);
+                            ptq_tensor::fake_quant_per_tile(x.data_mut(), inner, f, t);
+                        }
+                        Some(ActScale::Static(s)) => per_tensor(x, s),
+                        // NaN-aware absmax: a non-finite value forces unit
+                        // scale and maps to the format's NaN encoding
+                        // inside the LUT quantizer.
+                        Some(ActScale::Dynamic) => {
+                            let s = ptq_tensor::tile_scale(f, x.data());
+                            per_tensor(x, s);
+                        }
                     }
                 }
-                (DataFormat::Int8, Approach::Dynamic) => {
-                    let codec = Int8Codec::calibrate(x.data(), Int8Mode::Asymmetric);
+                DataFormat::Int8 => {
+                    let codec = match cfg.approach {
+                        Approach::Static => {
+                            let key = TensorKey {
+                                node: node.id,
+                                input: idx,
+                            };
+                            let Some(codec) = self.model.act_int8.get(&key) else {
+                                continue;
+                            };
+                            *codec
+                        }
+                        Approach::Dynamic => Int8Codec::calibrate(x.data(), Int8Mode::Asymmetric),
+                    };
                     fake_quant_int8(x.data_mut(), &codec);
-                    self.count_fake_quant(x.len());
                 }
             }
+            self.count_fake_quant(x.len());
         }
     }
 }

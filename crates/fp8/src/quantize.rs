@@ -17,6 +17,7 @@ use crate::codec::Fp8Codec;
 use crate::format::Fp8Format;
 use crate::int8::{Int8Codec, Int8Mode};
 use crate::lut::Fp8Lut;
+use crate::storage::absmax_nan_aware;
 use serde::{Deserialize, Serialize};
 
 /// Compute the paper's scale `s = float_max / max_T` for a tensor whose
@@ -159,16 +160,9 @@ pub fn fake_quant_fp8_per_channel(
     let mut sq = 0.0f64;
     for c in 0..channels {
         let chunk = &mut data[c * inner..(c + 1) * inner];
-        // NaN-propagating absmax (PR 2 convention): a non-finite magnitude
-        // wins the fold so the guard below falls back to unit scale.
-        let absmax = chunk.iter().fold(0.0f32, |m, &x| {
-            let a = x.abs();
-            if a > m || !a.is_finite() {
-                a
-            } else {
-                m
-            }
-        });
+        // A non-finite magnitude wins the absmax so the guard below
+        // falls back to unit scale.
+        let absmax = absmax_nan_aware(chunk);
         let scale = if absmax > 0.0 && absmax.is_finite() {
             format / absmax
         } else {
@@ -207,15 +201,9 @@ pub fn fake_quant_fp8_per_channel_lut(
     let mut sq = 0.0f64;
     for c in 0..channels {
         let chunk = &mut data[c * inner..(c + 1) * inner];
-        // NaN-propagating absmax, identical to the non-LUT variant above.
-        let absmax = chunk.iter().fold(0.0f32, |m, &x| {
-            let a = x.abs();
-            if a > m || !a.is_finite() {
-                a
-            } else {
-                m
-            }
-        });
+        // A non-finite magnitude wins the absmax so the guard below
+        // falls back to unit scale.
+        let absmax = absmax_nan_aware(chunk);
         let scale = if absmax > 0.0 && absmax.is_finite() {
             format / absmax
         } else {

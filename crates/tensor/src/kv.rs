@@ -226,7 +226,7 @@ impl KvBuf {
     }
 
     /// Payload bytes currently resident (codes/values + scales) — the
-    /// number `decode_bench` compares against `4 · len · d` for f32.
+    /// number to compare against `4 · len · d` for f32.
     pub fn storage_bytes(&self) -> usize {
         match &self.store {
             KvStore::F32(data) => 4 * data.len(),
@@ -452,7 +452,7 @@ impl KvCache {
     }
 
     /// What the same cached positions would occupy as dense f32 — the
-    /// denominator of the `decode_bench` cache-bytes ratio.
+    /// denominator of the cache-bytes ratio.
     pub fn f32_bytes(&self) -> usize {
         self.layers
             .iter()

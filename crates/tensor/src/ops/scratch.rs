@@ -2,13 +2,21 @@
 //!
 //! The fused quantized kernels stage decoded operands in f32 buffers (a
 //! decoded B panel, a block of decoded activation rows, a packed weight
-//! panel). Allocating those per call — or worse, per output row inside
-//! the MAC loop — violates the arena contract of PR 4 (zero steady-state
-//! allocation on the hot path). This module keeps one growable buffer
-//! pool per thread; kernels *take* a buffer for the duration of a
-//! closure and put it back grown, so after warm-up no kernel call
-//! allocates. Works unchanged under the rayon fan-out: each worker
-//! thread warms its own pool.
+//! panel). This module keeps one growable buffer pool per thread; kernels
+//! *take* a buffer for the duration of a closure and put it back grown,
+//! so after warm-up a kernel call that stays on its caller's thread
+//! allocates nothing.
+//!
+//! That covers every call below `PAR_MACS_MIN` (audited by the benchmark's
+//! `tensor.kernel_alloc_bytes`, which must read 0) and, above it, the
+//! call-wide panels, taken on the caller's thread before the fan-out. It
+//! does not cover per-chunk row buffers above the cutoff: `vendor/rayon`
+//! spawns scoped OS threads per `par_chunks_mut`, so a worker's pool is
+//! born empty and freed at join, and its row buffers are allocated once
+//! per fan-out. Measured on the benchmark's `forward_cv` (four convs above
+//! the cutoff): 263 342 bytes in 90 allocations per forward with the
+//! two-thread fan-out, 95 814 in 37 with `RAYON_NUM_THREADS=1` (chunks on
+//! the caller's thread); the difference includes the spawn's bookkeeping.
 //!
 //! Buffers are moved out of the thread-local cell (not borrowed across
 //! the closure), so a kernel can hold the call-wide `panel` while its
@@ -26,7 +34,7 @@ struct Pool {
     /// then repack).
     panel2: Vec<f32>,
     /// Per-chunk row block (decoded activation rows). Taken inside chunk
-    /// closures, once per worker thread.
+    /// closures, on whichever thread runs the chunk.
     rows: Vec<f32>,
     /// Second per-chunk block (k-major transposed A rows for the matmul
     /// register tile).
