@@ -11,9 +11,12 @@
 #     one-line delegates the frozen `benchmark/` calls, and
 #     crates/tensor/src/ops stays within its non-test line budget.
 #   * One measuring stack: no `[[bench]]` target and no `criterion`
-#     dependency in the root manifest or any manifest under crates/, and
-#     crates/bench/src/bin holds the thirteen paper bins only. Timing
-#     lives in `benchmark/`.
+#     dependency in the root manifest or any manifest under crates/.
+#     Timing lives in `benchmark/`.
+#   * One experiment runner, one suite: crates/bench builds exactly one
+#     binary (src/main.rs; no lib target, no src/bin, no extra [[bin]]),
+#     and no `run_suite_` variant exists under crates/ -- every zoo sweep
+#     goes through `workflow::run_suite`.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -67,16 +70,19 @@ if hits=$(grep -nE '^\[\[bench\]\]|criterion' Cargo.toml crates/*/Cargo.toml); t
     fail=1
 fi
 
-paper_bins='density fig1 fig12 fig5 fig7 fig8 fig9 firstlast ptq table2 table3 table5 table6'
-bins=$(LC_ALL=C ls crates/bench/src/bin | sed 's/\.rs$//' | tr '\n' ' ')
-if [ "$bins" != "$paper_bins " ]; then
-    echo "crates/bench/src/bin holds the paper's tables and figures only:" >&2
-    echo "  want: $paper_bins" >&2
-    echo "  have: $bins" >&2
+if [ ! -f crates/bench/src/main.rs ] || [ -e crates/bench/src/lib.rs ] || [ -e crates/bench/src/bin ] ||
+    grep -qE '^\[(lib|\[bin\]\])' crates/bench/Cargo.toml; then
+    echo "crates/bench is one binary, ptq-bench (src/main.rs): no lib target, no src/bin, no [[bin]]" >&2
+    fail=1
+fi
+
+if hits=$(grep -rn 'run_suite_' crates/); then
+    echo "workflow::run_suite is the only suite function:" >&2
+    printf '%s\n' "$hits" >&2
     fail=1
 fi
 
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
-    "no [[bench]]/criterion, 13 paper bins"
+    "no [[bench]]/criterion, one ptq-bench binary, one run_suite"

@@ -5,7 +5,7 @@
 //! the formula against the *actual* enumerated grids of the three FP8
 //! formats and the uniform INT8 grid.
 
-use ptq_bench::{save_json, MdTable};
+use crate::ctx::{Ctx, MdTable};
 use ptq_fp8::{density_at, Fp8Codec, Fp8Format};
 use serde::Serialize;
 
@@ -27,7 +27,7 @@ fn actual_density(codec: &Fp8Codec, lo: f32, hi: f32) -> f64 {
     n as f64 / (hi - lo) as f64
 }
 
-fn main() {
+pub fn run(_ctx: &mut Ctx) -> Option<serde::Value> {
     let mut rows = Vec::new();
     println!("\n## Eq. 2 — grid density D(N) = 2^(m − ⌊log₂N⌋)\n");
     let mut t = MdTable::new(&["N", "E5M2", "E4M3", "E3M4", "INT8 (absmax 6)"]);
@@ -72,6 +72,5 @@ fn main() {
          denser the FP8 grid), doubles per mantissa bit, while INT8 is flat — \
          which is why clipping helps INT8 but not FP8 (Figure 9)."
     );
-    let path = save_json("density", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

@@ -16,9 +16,10 @@
 //! FP8 trio. We additionally report an amplified-outlier variant
 //! (±24) where INT8's degradation is unambiguous.
 
-use ptq_bench::{save_json, MdTable};
+use crate::ctx::{Ctx, MdTable};
 use ptq_fp8::{
-    fake_quant_fp8, fake_quant_int8, fp8_scale, Fp8Codec, Fp8Format, Int8Codec, Int8Mode,
+    fake_quant_fp8, fake_quant_int8, fp8_scale, FakeQuantStats, Fp8Codec, Fp8Format, Int8Codec,
+    Int8Mode,
 };
 use ptq_tensor::TensorRng;
 use serde::Serialize;
@@ -57,7 +58,7 @@ fn grid_counts(q: &[f32], sigma3: f32) -> (usize, usize) {
     (inside.len(), outside.len())
 }
 
-fn main() {
+pub fn run(_ctx: &mut Ctx) -> Option<serde::Value> {
     let n = 100_000;
     let sigma3 = 3.0 * 0.5f32.sqrt();
     let mut rows = Vec::new();
@@ -65,32 +66,28 @@ fn main() {
     for &mag in &[6.0f32, 24.0] {
         let data = sample(n, mag, 0xF161);
         let absmax = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        for f in Fp8Format::ALL {
+        // One row per format: fake-quantize a copy of the data in place.
+        let mut row = |format: String, quantize: &dyn Fn(&mut [f32]) -> FakeQuantStats| {
             let mut d = data.clone();
-            let codec = Fp8Codec::new(f);
-            let st = fake_quant_fp8(&mut d, &codec, fp8_scale(f, absmax));
+            let st = quantize(&mut d);
             let (g_in, g_out) = grid_counts(&d, sigma3);
             rows.push(Fig1Row {
-                format: f.to_string(),
+                format,
                 outlier_mag: mag,
                 mse: st.mse,
                 grid_points_3sigma: g_in,
                 grid_points_tail: g_out,
                 max_abs_err: st.max_abs_err,
             });
+        };
+        for f in Fp8Format::ALL {
+            let codec = Fp8Codec::new(f);
+            row(f.to_string(), &|d| {
+                fake_quant_fp8(d, &codec, fp8_scale(f, absmax))
+            });
         }
-        let mut d = data.clone();
         let codec = Int8Codec::from_range(-absmax, absmax, Int8Mode::Symmetric);
-        let st = fake_quant_int8(&mut d, &codec);
-        let (g_in, g_out) = grid_counts(&d, sigma3);
-        rows.push(Fig1Row {
-            format: "INT8".into(),
-            outlier_mag: mag,
-            mse: st.mse,
-            grid_points_3sigma: g_in,
-            grid_points_tail: g_out,
-            max_abs_err: st.max_abs_err,
-        });
+        row("INT8".into(), &|d| fake_quant_int8(d, &codec));
     }
 
     println!("\n## Figure 1 — N(0, 0.5) with 1% outliers: grids and MSE\n");
@@ -119,6 +116,5 @@ fn main() {
          and its MSE grows ~quadratically with outlier magnitude while \
          max-scaled FP8 barely moves."
     );
-    let path = save_json("fig1", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

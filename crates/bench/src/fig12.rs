@@ -10,13 +10,10 @@
 //! We run the NLP zoo under Standard vs Extended coverage per format and
 //! report the mean/worst additional loss from the wider op set.
 
-use ptq_bench::{pct, save_json, MdTable};
-use ptq_core::config::{Approach, Coverage, DataFormat};
-use ptq_core::{paper_recipe, CalibCache, PtqSession, SweepError};
-use ptq_fp8::Fp8Format;
-use ptq_metrics::PassRateSummary;
-use ptq_models::{build_zoo, ZooFilter};
-use rayon::prelude::*;
+use crate::ctx::{pct, Ctx, MdTable, FORMATS};
+use ptq_core::config::{Approach, Coverage};
+use ptq_core::SweepError;
+use ptq_models::ZooFilter;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -29,59 +26,26 @@ struct Fig12Row {
     errors: Vec<SweepError>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trace = ptq_bench::tracing::init_from_args(&args);
-    eprintln!("building NLP zoo…");
-    let zoo = build_zoo(ZooFilter::Nlp);
-    eprintln!("{} workloads", zoo.len());
+pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {
+    let sweep = ctx.sweep(ZooFilter::Nlp);
+    eprintln!("{} workloads", sweep.zoo.len());
 
-    let formats = [
-        DataFormat::Fp8(Fp8Format::E5M2),
-        DataFormat::Fp8(Fp8Format::E4M3),
-        DataFormat::Fp8(Fp8Format::E3M4),
-        DataFormat::Int8,
-    ];
     let mut rows = Vec::new();
-    let cache = CalibCache::new(); // shared by every (format × coverage) cell
-    for fmt in formats {
+    for fmt in FORMATS {
         for cov in [Coverage::Standard, Coverage::Extended] {
-            // Fail-soft: a workload that errors becomes an error row in
-            // the JSON instead of aborting the whole figure.
-            let attempts: Vec<_> = zoo
-                .par_iter()
-                .map(|w| {
-                    let cfg = paper_recipe(fmt, Approach::Static, w.spec.domain).with_coverage(cov);
-                    PtqSession::new(cfg.clone())
-                        .cache(&cache)
-                        .quantize(w)
-                        .map(|out| out.result)
-                        .map_err(|e| SweepError {
-                            workload: w.spec.name.clone(),
-                            error: e.to_string(),
-                        })
-                })
-                .collect();
-            let mut results = Vec::new();
-            let mut errors = Vec::new();
-            for a in attempts {
-                match a {
-                    Ok(r) => results.push(r),
-                    Err(e) => errors.push(e),
-                }
-            }
-            let summary = PassRateSummary::of(&results);
-            let losses: Vec<f64> = results.iter().map(|r| r.loss()).collect();
+            // A workload that errors becomes an error row in the JSON.
+            let row = sweep.row(fmt, Approach::Static, |cfg| cfg.with_coverage(cov));
+            let losses: Vec<f64> = row.results.iter().map(|r| r.loss()).collect();
             let mean = losses.iter().sum::<f64>() / losses.len().max(1) as f64;
             let worst = losses.iter().cloned().fold(f64::MIN, f64::max);
-            eprintln!("{fmt} {cov:?} done ({} errors)", errors.len());
+            eprintln!("{fmt} {cov:?} done ({} errors)", row.errors.len());
             rows.push(Fig12Row {
                 format: format!("{fmt}"),
                 coverage: format!("{cov:?}"),
-                pass_rate: summary.all,
+                pass_rate: row.summary.all,
                 mean_loss_pct: mean * 100.0,
                 worst_loss_pct: worst * 100.0,
-                errors,
+                errors: row.errors,
             });
         }
     }
@@ -119,9 +83,5 @@ fn main() {
          small impact; integer approximations of those ops were historically \
          the problem."
     );
-    let path = save_json("fig12", &rows);
-    if let Some(t) = trace {
-        ptq_bench::tracing::finish(t, "fig12");
-    }
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

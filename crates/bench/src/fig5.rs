@@ -8,13 +8,13 @@
 //! roughly size-independent, while INT8 shows large losses concentrated
 //! in particular (outlier-heavy) models regardless of size.
 
-use ptq_bench::{save_json, MdTable};
+use crate::ctx::{Ctx, MdTable};
 use ptq_core::config::Approach;
-use ptq_core::workflow::{run_suite_cached, table2_rows};
-use ptq_core::CalibCache;
+use ptq_core::workflow::table2_rows;
 use ptq_metrics::Domain;
-use ptq_models::{build_zoo, ZooFilter};
+use ptq_models::ZooFilter;
 use serde::Serialize;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Serialize)]
 struct Fig5Point {
@@ -26,22 +26,15 @@ struct Fig5Point {
     loss: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trace = ptq_bench::tracing::init_from_args(&args);
-    eprintln!("building zoo…");
-    let zoo = build_zoo(ZooFilter::All);
+pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {
+    let sweep = ctx.sweep(ZooFilter::All);
     let mut points = Vec::new();
-    let cache = CalibCache::new(); // shared across the per-format sweeps
     for (fmt, ap) in table2_rows() {
         if ap == Approach::Dynamic {
             continue; // the figure plots the static recipes
         }
         eprintln!("running {fmt:?}…");
-        let row = run_suite_cached(&zoo, fmt, ap, &cache);
-        for e in &row.errors {
-            eprintln!("  skipped {}: {}", e.workload, e.error);
-        }
+        let row = sweep.row(fmt, ap, |cfg| cfg);
         // Weight memory to stderr only: fig5.json's point schema is a
         // stable plotting contract and stays unchanged.
         eprintln!(
@@ -63,40 +56,26 @@ fn main() {
     }
 
     // Size quantile buckets over the zoo.
-    let mut sizes: Vec<f64> = zoo.iter().map(|w| w.graph.size_mb()).collect();
+    let mut sizes: Vec<f64> = sweep.zoo.iter().map(|w| w.graph.size_mb()).collect();
     sizes.sort_by(|a, b| a.partial_cmp(b).expect("finite sizes"));
     let q = |p: f64| sizes[((sizes.len() - 1) as f64 * p) as usize];
     let (q1, q2, q3) = (q(0.25), (q(0.5)), q(0.75));
-    let bucket = |s: f64| {
-        if s <= q1 {
-            "tiny"
-        } else if s <= q2 {
-            "small"
-        } else if s <= q3 {
-            "medium"
-        } else {
-            "large"
-        }
-    };
+    // A size's bucket: how many of the three quantiles it exceeds.
+    const BUCKETS: [&str; 4] = ["tiny", "small", "medium", "large"];
+    let bucket = |s: f64| BUCKETS[[q1, q2, q3].iter().filter(|&&q| s > q).count()];
 
     println!("\n## Figure 5 — mean |loss| by size bucket and domain\n");
     for dom in [Domain::Cv, Domain::Nlp] {
         println!("### {dom}\n");
-        let mut t = MdTable::new(&["Format", "tiny", "small", "medium", "large"]);
-        let formats: Vec<String> = {
-            let mut v: Vec<String> = points.iter().map(|p| p.format.clone()).collect();
-            v.dedup();
-            v.sort();
-            v.dedup();
-            v
-        };
-        for f in &formats {
-            let mut cells = vec![f.clone()];
-            for b in ["tiny", "small", "medium", "large"] {
+        let mut t = MdTable::new(&[&["Format"][..], &BUCKETS[..]].concat());
+        let formats: BTreeSet<&str> = points.iter().map(|p| p.format.as_str()).collect();
+        for f in formats {
+            let mut cells = vec![f.to_string()];
+            for b in BUCKETS {
                 let sel: Vec<f64> = points
                     .iter()
                     .filter(|p| {
-                        p.format == *f && p.domain == dom.to_string() && bucket(p.size_mb) == b
+                        p.format == f && p.domain == dom.to_string() && bucket(p.size_mb) == b
                     })
                     .map(|p| p.loss.abs())
                     .collect();
@@ -120,9 +99,5 @@ fn main() {
          our substrate is ~100x smaller).",
         q1, q2, q3
     );
-    let path = save_json("fig5", &points);
-    if let Some(t) = trace {
-        ptq_bench::tracing::finish(t, "fig5");
-    }
-    eprintln!("raw results -> {}", path.display());
+    Some(points.serialize())
 }

@@ -10,8 +10,8 @@
 //! We sweep {16, 64, 256, 1024, 3072} samples under both transforms on
 //! three BN-heavy zoo models quantized with E3M4 (the CV recipe).
 
-use ptq_bench::{save_json, MdTable};
-use ptq_core::config::{Approach, DataFormat};
+use crate::ctx::{Ctx, MdTable};
+use ptq_core::config::{Approach, DataFormat, QuantConfig};
 use ptq_core::{paper_recipe, recalibrate_batchnorm, PtqSession, QuantizedModel};
 use ptq_fp8::Fp8Format;
 use ptq_models::families::common::CvConfig;
@@ -28,15 +28,20 @@ struct Fig7Row {
     accuracy: f64,
 }
 
-fn eval_with_bn_calib(w: &Workload, samples: usize, transform: Transform) -> f64 {
-    let cfg = paper_recipe(
+/// The CV recipe (E3M4 static) without its default BN calibration.
+fn plain_recipe(w: &Workload) -> QuantConfig {
+    let mut plain = paper_recipe(
         DataFormat::Fp8(Fp8Format::E3M4),
         Approach::Static,
         w.spec.domain,
     );
-    // Build the quantized model without the default BN calibration…
-    let mut plain = cfg.clone();
     plain.bn_calibration = false;
+    plain
+}
+
+fn eval_with_bn_calib(w: &Workload, samples: usize, transform: Transform) -> f64 {
+    // Build the quantized model without the default BN calibration…
+    let plain = plain_recipe(w);
     let calib = ptq_core::workflow::calibrate_workload(w, &plain).unwrap_ok();
     let mut model = QuantizedModel::build(w.graph.clone(), &calib, plain).unwrap_ok();
     // …then recalibrate with exactly `samples` draws under `transform`.
@@ -50,58 +55,28 @@ fn eval_with_bn_calib(w: &Workload, samples: usize, transform: Transform) -> f64
         .unwrap_ok()
 }
 
-fn main() {
-    let models = vec![
-        (
-            "resnet_like",
-            cv::resnet_like(&CvConfig {
-                img: 10,
-                in_ch: 3,
-                width: 12,
-                depth: 2,
-                classes: 8,
-                seed: 701,
-                hostility: 0.0,
-            }),
-        ),
-        (
-            "mobilenet_like",
-            cv::mobilenet_like(&CvConfig {
-                img: 10,
-                in_ch: 3,
-                width: 12,
-                depth: 2,
-                classes: 8,
-                seed: 702,
-                hostility: 12.0,
-            }),
-        ),
-        (
-            "densenet_like",
-            cv::densenet_like(&CvConfig {
-                img: 10,
-                in_ch: 3,
-                width: 12,
-                depth: 2,
-                classes: 8,
-                seed: 703,
-                hostility: 0.0,
-            }),
-        ),
+pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {
+    let cfg = |seed, hostility| CvConfig {
+        img: 10,
+        in_ch: 3,
+        width: 12,
+        depth: 2,
+        classes: 8,
+        seed,
+        hostility,
+    };
+    let models = [
+        ("resnet_like", cv::resnet_like(&cfg(701, 0.0))),
+        ("mobilenet_like", cv::mobilenet_like(&cfg(702, 12.0))),
+        ("densenet_like", cv::densenet_like(&cfg(703, 0.0))),
     ];
     let sizes = [16usize, 64, 256, 1024, 3072];
 
     let mut rows = Vec::new();
     println!("\n## Figure 7 — CV models with BatchNorm: calibration sweep (E3M4)\n");
-    for (name, w) in &models {
+    for (name, w) in ctx.flags.limited(&models) {
         // No-recalibration reference.
-        let mut no_calib = paper_recipe(
-            DataFormat::Fp8(Fp8Format::E3M4),
-            Approach::Static,
-            w.spec.domain,
-        );
-        no_calib.bn_calibration = false;
-        let base = PtqSession::new(no_calib.clone())
+        let base = PtqSession::new(plain_recipe(w))
             .quantize(w)
             .unwrap_ok()
             .score;
@@ -118,18 +93,14 @@ fn main() {
                 format!("{train:.4}"),
                 format!("{infer:.4}"),
             ]);
-            rows.push(Fig7Row {
-                model: name.to_string(),
-                transform: "train".into(),
-                samples: n,
-                accuracy: train,
-            });
-            rows.push(Fig7Row {
-                model: name.to_string(),
-                transform: "inference".into(),
-                samples: n,
-                accuracy: infer,
-            });
+            for (transform, accuracy) in [("train", train), ("inference", infer)] {
+                rows.push(Fig7Row {
+                    model: name.to_string(),
+                    transform: transform.into(),
+                    samples: n,
+                    accuracy,
+                });
+            }
         }
         t.print();
         println!();
@@ -155,6 +126,5 @@ fn main() {
         avg("train", 64),
         avg("train", 3072)
     );
-    let path = save_json("fig7", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

@@ -9,10 +9,10 @@
 //! — the Figure-3 distributions that make the asymmetric assignment
 //! optimal.
 
-use ptq_bench::{save_json, MdTable};
+use crate::ctx::{Ctx, MdTable};
 use ptq_fp8::{fake_quant_fp8, fake_quant_fp8_per_channel, fp8_scale, Fp8Codec, Fp8Format};
 use ptq_tensor::ops::linear;
-use ptq_tensor::{Tensor, TensorRng};
+use ptq_tensor::TensorRng;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -23,7 +23,7 @@ struct Fig8Cell {
 }
 
 #[allow(clippy::needless_range_loop)]
-fn main() {
+pub fn run(_ctx: &mut Ctx) -> Option<serde::Value> {
     let mut rng = TensorRng::seed(0xF18);
     let (seq, d, h) = (64, 48, 96);
 
@@ -92,7 +92,5 @@ fn main() {
          within range-safety of single-E3M4's activation risk",
         get("E4M3", "E4M3") / mixed
     );
-    let _ = Tensor::zeros(&[1]);
-    let path = save_json("fig8", &cells);
-    eprintln!("raw results -> {}", path.display());
+    Some(cells.serialize())
 }

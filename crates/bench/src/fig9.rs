@@ -8,12 +8,10 @@
 //! (absmax / percentile / KL / MSE-sweep) for each format, the paper's
 //! basis for choosing plain max scaling.
 
-use ptq_bench::{save_json, MdTable};
-use ptq_core::config::DataFormat;
+use crate::ctx::{Ctx, MdTable, FORMATS};
 use ptq_core::observer::{
     clip_quant_mse, kl_divergence_threshold, mse_sweep_threshold, percentile_threshold,
 };
-use ptq_fp8::Fp8Format;
 use ptq_tensor::{Histogram, TensorRng};
 use serde::Serialize;
 
@@ -28,7 +26,7 @@ struct Fig9Row {
     bulk_mse: f64,
 }
 
-fn main() {
+pub fn run(_ctx: &mut Ctx) -> Option<serde::Value> {
     // The paper's demo tensor: bulk near zero plus outliers around ±6.
     let mut rng = TensorRng::seed(0xF16 * 9);
     let mut data = rng.normal(&[50_000], 0.0, 0.5).into_vec();
@@ -40,14 +38,8 @@ fn main() {
     let absmax = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     let hist = Histogram::of_abs(&data, 2048);
 
-    let formats = [
-        DataFormat::Fp8(Fp8Format::E5M2),
-        DataFormat::Fp8(Fp8Format::E4M3),
-        DataFormat::Fp8(Fp8Format::E3M4),
-        DataFormat::Int8,
-    ];
     let mut rows = Vec::new();
-    for fmt in formats {
+    for fmt in FORMATS {
         let methods: Vec<(String, f32)> = vec![
             ("absmax".into(), absmax),
             (
@@ -93,36 +85,30 @@ fn main() {
 
     // The paper's headline: for FP8, clipping at the KL point (≈2) is
     // WORSE than the full range; for INT8 clipping helps.
-    let get = |fmt: &str, m: &str| {
-        rows.iter()
-            .find(|r| r.format == fmt && r.method == m)
-            .map(|r| r.mse)
-            .expect("row exists")
-    };
-    let get_bulk = |fmt: &str, m: &str| {
-        rows.iter()
-            .find(|r| r.format == fmt && r.method == m)
-            .map(|r| r.bulk_mse)
-            .expect("row exists")
+    // (full-range row, clipped-to-2 row) of a format.
+    let pair = |fmt: &str| {
+        let get = |m: &str| {
+            rows.iter()
+                .find(|r| r.format == fmt && r.method == m)
+                .expect("row exists")
+        };
+        (get("absmax"), get("paper demo clip=2"))
     };
     println!("\nShape check (the paper's A.1 demo):");
     for f in ["E4M3", "E3M4"] {
-        let full = get(f, "absmax");
-        let clipped = get(f, "paper demo clip=2");
-        let bulk_gain = get_bulk(f, "absmax") / get_bulk(f, "paper demo clip=2");
+        let (full, clipped) = pair(f);
         println!(
             "* {f}: clip-to-2 total-MSE ratio {:.1}x worse; bulk-MSE improves only {:.1}x \
              (FP8 is already dense near zero → clipping does not pay) ✓",
-            clipped / full,
-            bulk_gain
+            clipped.mse / full.mse,
+            full.bulk_mse / clipped.bulk_mse
         );
     }
-    let int8_bulk_gain = get_bulk("INT8", "absmax") / get_bulk("INT8", "paper demo clip=2");
+    let (full, clipped) = pair("INT8");
     println!(
         "* INT8: clip-to-2 improves bulk MSE {:.1}x (uniform grid gains real \
          resolution from clipping — the asymmetry the paper highlights) ✓",
-        int8_bulk_gain
+        full.bulk_mse / clipped.bulk_mse
     );
-    let path = save_json("fig9", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

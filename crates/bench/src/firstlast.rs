@@ -7,13 +7,10 @@
 //!
 //! We run the CV zoo with the exception on (default) and off per format.
 
-use ptq_bench::{pct, save_json, MdTable};
+use crate::ctx::{pct, Ctx, MdTable};
 use ptq_core::config::{Approach, DataFormat};
-use ptq_core::{paper_recipe, PtqSession};
 use ptq_fp8::Fp8Format;
-use ptq_metrics::PassRateSummary;
-use ptq_models::{build_zoo, ZooFilter};
-use ptq_nn::UnwrapOk;
+use ptq_models::ZooFilter;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -24,29 +21,18 @@ struct FirstLastRow {
     drop_points: f64,
 }
 
-fn main() {
-    eprintln!("building CV zoo…");
-    let zoo = build_zoo(ZooFilter::Cv);
-    eprintln!("{} CV workloads", zoo.len());
+pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {
+    let sweep = ctx.sweep(ZooFilter::Cv);
+    eprintln!("{} CV workloads", sweep.zoo.len());
 
     let mut rows = Vec::new();
     for f in Fp8Format::ALL {
         let fmt = DataFormat::Fp8(f);
-        let mut excepted = Vec::new();
-        let mut quantized = Vec::new();
-        for w in &zoo {
-            let base = paper_recipe(fmt, Approach::Static, w.spec.domain);
-            excepted.push(PtqSession::new(base.clone()).quantize(w).unwrap_ok().result);
-            let all_in = base.clone().with_first_last();
-            quantized.push(
-                PtqSession::new(all_in.clone())
-                    .quantize(w)
-                    .unwrap_ok()
-                    .result,
-            );
-        }
-        let pe = PassRateSummary::of(&excepted).all;
-        let pq = PassRateSummary::of(&quantized).all;
+        let pe = sweep.row(fmt, Approach::Static, |cfg| cfg).summary.all;
+        let pq = sweep
+            .row(fmt, Approach::Static, |cfg| cfg.with_first_last())
+            .summary
+            .all;
         rows.push(FirstLastRow {
             format: f.to_string(),
             pass_rate_excepted: pe,
@@ -80,6 +66,5 @@ fn main() {
         by("E4M3").drop_points,
         by("E3M4").drop_points
     );
-    let path = save_json("firstlast", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

@@ -6,12 +6,11 @@
 //! most entries within 1 % of FP32 for E4M3/E3M4, occasional INT8
 //! failures (e.g. DenseNet, LLaMA), and E5M2 consistently the weakest.
 
-use ptq_bench::{save_json, MdTable};
-use ptq_core::config::Approach;
-use ptq_core::config::DataFormat;
+use crate::ctx::{Ctx, MdTable};
+use ptq_core::config::{Approach, DataFormat};
 use ptq_core::{paper_recipe, PtqSession};
 use ptq_fp8::Fp8Format;
-use ptq_models::{build_zoo, ZooFilter};
+use ptq_models::ZooFilter;
 use ptq_nn::UnwrapOk;
 use serde::Serialize;
 
@@ -40,18 +39,18 @@ const PICKS: &[(&str, &str)] = &[
     ("llama_like_96d2l/lambada_syn", "lambada_syn"),
 ];
 
-fn main() {
-    eprintln!("building zoo…");
-    let zoo = build_zoo(ZooFilter::All);
+pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {
+    let sweep = ctx.sweep(ZooFilter::All);
     let mut rows = Vec::new();
     for (pick, task) in PICKS {
-        let Some(w) = zoo.iter().find(|w| w.spec.name.starts_with(pick)) else {
+        let Some(w) = sweep.zoo.iter().find(|w| w.spec.name.starts_with(pick)) else {
             eprintln!("warning: no workload named {pick}");
             continue;
         };
         eprintln!("{}…", w.spec.name);
         let score = |fmt| {
             PtqSession::new(paper_recipe(fmt, Approach::Static, w.spec.domain))
+                .cache(sweep.cache)
                 .quantize(w)
                 .unwrap_ok()
                 .score
@@ -91,6 +90,5 @@ fn main() {
         rows.len(),
         rows.len()
     );
-    let path = save_json("table3", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

@@ -8,7 +8,7 @@
 //! We run the analogous four encoder workloads from the zoo; the
 //! heavy-tail Funnel member is the E3M4-collapse case.
 
-use ptq_bench::{save_json, MdTable};
+use crate::ctx::{Ctx, MdTable};
 use ptq_core::config::QuantConfig;
 use ptq_core::PtqSession;
 use ptq_fp8::Fp8Format;
@@ -28,7 +28,9 @@ struct Table5Row {
     mixed: f64,
 }
 
-fn nlpc(d: usize, layers: usize, seq: usize, seed: u64, gain: f32, sigma: f32) -> NlpConfig {
+/// The encoder shape Tables 5 and 6 vary: width, depth, sequence length,
+/// seed, outlier gain and heavy-tail sigma.
+pub fn nlpc(d: usize, layers: usize, seq: usize, seed: u64, gain: f32, sigma: f32) -> NlpConfig {
     NlpConfig {
         vocab: 48,
         seq,
@@ -43,46 +45,31 @@ fn nlpc(d: usize, layers: usize, seq: usize, seed: u64, gain: f32, sigma: f32) -
     }
 }
 
-fn main() {
-    let workloads = vec![
+pub fn run(_ctx: &mut Ctx) -> Option<serde::Value> {
+    let enc = |family, task, cfg| nlp::encoder_workload(family, task, &cfg, Head::Binary);
+    let workloads = [
         (
             "Bert-Base-like",
             "MRPC-syn",
-            nlp::encoder_workload(
-                "bert_like",
-                "mrpc_syn",
-                &nlpc(48, 1, 12, 501, 12.0, 0.3),
-                Head::Binary,
-            ),
+            enc("bert_like", "mrpc_syn", nlpc(48, 1, 12, 501, 12.0, 0.3)),
         ),
         (
             "Bert-Large-like",
             "RTE-syn",
-            nlp::encoder_workload(
-                "bert_like",
-                "rte_syn",
-                &nlpc(64, 2, 16, 502, 100.0, 0.5),
-                Head::Binary,
-            ),
+            enc("bert_like", "rte_syn", nlpc(64, 2, 16, 502, 100.0, 0.5)),
         ),
         (
             "Funnel-like",
             "MRPC-syn",
-            nlp::encoder_workload(
-                "funnel_like",
-                "mrpc_syn",
-                &nlpc(64, 2, 16, 503, 300.0, 1.6),
-                Head::Binary,
-            ),
+            enc("funnel_like", "mrpc_syn", nlpc(64, 2, 16, 503, 300.0, 1.6)),
         ),
         (
             "Longformer-like",
             "MRPC-syn",
-            nlp::encoder_workload(
+            enc(
                 "longformer_like",
                 "mrpc_syn",
-                &nlpc(48, 1, 32, 504, 30.0, 0.5),
-                Head::Binary,
+                nlpc(48, 1, 32, 504, 30.0, 0.5),
             ),
         ),
     ];
@@ -139,6 +126,5 @@ fn main() {
          window loses the activation bulk (the paper's 0.3704 collapse); E4M3 activations rescue it",
         funnel.e3m4, funnel.mixed
     );
-    let path = save_json("table5", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

@@ -6,11 +6,12 @@
 //! the analogous four workloads and also verify the E5M2 no-benefit
 //! claim.
 
-use ptq_bench::{save_json, MdTable};
+use crate::ctx::{Ctx, MdTable};
+use crate::table5::nlpc;
 use ptq_core::config::{Approach, DataFormat};
 use ptq_core::{paper_recipe, PtqSession};
 use ptq_fp8::Fp8Format;
-use ptq_models::families::common::{Head, NlpConfig};
+use ptq_models::families::common::Head;
 use ptq_models::families::nlp;
 use ptq_nn::UnwrapOk;
 use serde::Serialize;
@@ -25,22 +26,7 @@ struct Table6Row {
     improvement_pct: f64,
 }
 
-fn nlpc(d: usize, layers: usize, seq: usize, seed: u64, gain: f32, sigma: f32) -> NlpConfig {
-    NlpConfig {
-        vocab: 48,
-        seq,
-        d,
-        heads: 4,
-        layers,
-        ffn_mult: 2,
-        seed,
-        outlier_gain: gain,
-        outlier_channels: 1,
-        gamma_sigma: sigma,
-    }
-}
-
-fn main() {
+pub fn run(_ctx: &mut Ctx) -> Option<serde::Value> {
     // Static scales freeze the calibration range; dynamic re-measures per
     // tensor. The gap shows on workloads whose eval activations exceed the
     // calibrated range (token-dependent outliers).
@@ -80,13 +66,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for (model, task, format, cfg) in &specs {
-        let head = Head::Binary;
         let task_slug = if task.contains("COLA") {
             "cola_syn"
         } else {
             "mrpc_syn"
         };
-        let mut w = nlp::encoder_workload("bench", task_slug, cfg, head);
+        let mut w = nlp::encoder_workload("bench", task_slug, cfg, Head::Binary);
         // Static-vs-dynamic differences appear when the calibration set
         // under-represents the rarest activation extremes — the realistic
         // small-calibration-set case. Drop calibration sequences that
@@ -101,22 +86,17 @@ fn main() {
             w.calib
                 .push(vec![ptq_tensor::Tensor::from_vec(ids, &[cfg.seq])]);
         }
-        let stat = PtqSession::new(paper_recipe(
-            DataFormat::Fp8(*format),
-            Approach::Static,
-            w.spec.domain,
-        ))
-        .quantize(&w)
-        .unwrap_ok()
-        .score;
-        let dynm = PtqSession::new(paper_recipe(
-            DataFormat::Fp8(*format),
-            Approach::Dynamic,
-            w.spec.domain,
-        ))
-        .quantize(&w)
-        .unwrap_ok()
-        .score;
+        let score = |approach| {
+            PtqSession::new(paper_recipe(
+                DataFormat::Fp8(*format),
+                approach,
+                w.spec.domain,
+            ))
+            .quantize(&w)
+            .unwrap_ok()
+            .score
+        };
+        let (stat, dynm) = (score(Approach::Static), score(Approach::Dynamic));
         rows.push(Table6Row {
             model: model.to_string(),
             task: task.to_string(),
@@ -165,6 +145,5 @@ fn main() {
         "* E5M2 control: improvement {:+.2}% (direct quantization — dynamic adds nothing by construction)",
         e5m2.improvement_pct
     );
-    let path = save_json("table6", &rows);
-    eprintln!("raw results -> {}", path.display());
+    Some(rows.serialize())
 }

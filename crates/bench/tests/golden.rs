@@ -1,4 +1,4 @@
-//! Golden snapshot tests: re-run the deterministic bench binaries and
+//! Golden snapshot tests: re-run deterministic `ptq-bench` experiments and
 //! diff their JSON output against fixtures committed under
 //! `tests/golden/`. Everything in the pipeline is seeded, so any drift —
 //! an accidental change to a kernel, an observer, a recipe, the zoo —
@@ -23,9 +23,11 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Run `bin` in a scratch directory (so `bench_results/` lands there, not
-/// in the repo) with tracing env cleared, and return the scratch dir.
-fn run_in_scratch(bin: &str, args: &[&str], tag: &str) -> PathBuf {
+/// Run `ptq-bench <args>` in a scratch directory (so `bench_results/` lands
+/// there, not in the repo) with tracing env cleared, and return the
+/// scratch dir.
+fn run_in_scratch(args: &[&str], tag: &str) -> PathBuf {
+    let bin = env!("CARGO_BIN_EXE_ptq-bench");
     let dir = std::env::temp_dir().join(format!("ptq_golden_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -36,7 +38,7 @@ fn run_in_scratch(bin: &str, args: &[&str], tag: &str) -> PathBuf {
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .status()
-        .expect("bench binary runs");
+        .expect("ptq-bench runs");
     assert!(status.success(), "{bin} {args:?} failed: {status}");
     dir
 }
@@ -58,26 +60,22 @@ fn assert_matches_golden(result: &Path, golden: &str, regen_hint: &str) {
 
 #[test]
 fn fig1_matches_golden() {
-    let dir = run_in_scratch(env!("CARGO_BIN_EXE_fig1"), &[], "fig1");
+    let dir = run_in_scratch(&["fig1"], "fig1");
     assert_matches_golden(
         &dir.join("bench_results/fig1.json"),
         "fig1.json",
-        "fig1 (then copy bench_results/fig1.json)",
+        "ptq-bench fig1 (then copy bench_results/fig1.json)",
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn table2_quick2_matches_golden() {
-    let dir = run_in_scratch(
-        env!("CARGO_BIN_EXE_table2"),
-        &["--quick", "--limit", "2"],
-        "table2",
-    );
+    let dir = run_in_scratch(&["table2", "--quick", "--limit", "2"], "table2");
     assert_matches_golden(
         &dir.join("bench_results/table2.json"),
         "table2_quick2.json",
-        "table2 --quick --limit 2 (then copy bench_results/table2.json)",
+        "ptq-bench table2 --quick --limit 2 (then copy bench_results/table2.json)",
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,4 +1,4 @@
-//! End-to-end test of the `--trace` flag: drives the `table2` binary with
+//! End-to-end test of the `--trace` flag: drives `ptq-bench table2` with
 //! `PTQ_TRACE=debug`, then validates the NDJSON stream (per-op spans,
 //! per-layer error gauges, cache counters, bracket-matched nesting) and
 //! the aggregated `<name>_trace_report.json`.
@@ -14,8 +14,9 @@ fn table2_trace_flag_produces_valid_ndjson_and_report() {
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let trace_path = dir.join("out.ndjson");
 
-    let output = Command::new(env!("CARGO_BIN_EXE_table2"))
+    let output = Command::new(env!("CARGO_BIN_EXE_ptq-bench"))
         .args([
+            "table2",
             "--quick",
             "--limit",
             "1",

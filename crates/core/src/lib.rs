@@ -71,16 +71,14 @@ pub use observer::{kl_divergence_threshold, mse_sweep_threshold, percentile_thre
 pub use ptq_nn::{PtqError, UnwrapOk};
 pub use ptq_tensor::ops::KernelPath;
 pub use quantizer::{QuantHook, QuantizedModel};
-pub use sensitivity::{
-    sensitivity_profile, sensitivity_profile_with, NodeSensitivity, SensitivityProfile,
-};
+pub use sensitivity::{sensitivity_profile, NodeSensitivity, SensitivityProfile};
 pub use session::{PtqSession, QuantOutcome};
 pub use smoothquant::smooth_scales;
 pub use spec::{EngineSpec, ServeSpec};
 pub use tuner::{AutoTuner, Recipe, TuneOutcome, TuneStep};
 pub use workflow::{
-    calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, run_suite_cached, table2_rows,
-    SuiteRow, SweepError,
+    calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, table2_rows, SuiteRow,
+    SweepError,
 };
 
 /// The blessed import surface: everything a typical PTQ driver needs.
@@ -99,15 +97,13 @@ pub mod prelude {
     };
     pub use crate::decode::DecodeSession;
     pub use crate::quantizer::{QuantHook, QuantizedModel};
-    pub use crate::sensitivity::{
-        sensitivity_profile, sensitivity_profile_with, SensitivityProfile,
-    };
+    pub use crate::sensitivity::{sensitivity_profile, SensitivityProfile};
     pub use crate::session::{PtqSession, QuantOutcome};
     pub use crate::spec::{EngineSpec, ServeSpec};
     pub use crate::tuner::{AutoTuner, TuneOutcome};
     pub use crate::workflow::{
-        calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, run_suite_cached,
-        table2_rows, SuiteRow, SweepError,
+        calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, table2_rows, SuiteRow,
+        SweepError,
     };
     pub use ptq_nn::{ExecHook, ExecPlan, Graph, NoopHook, PlanSet, PtqError, UnwrapOk};
     pub use ptq_tensor::ops::KernelPath;

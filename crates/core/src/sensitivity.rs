@@ -6,7 +6,6 @@
 //! (or output-MSE) impact of quantizing **only that node**, producing a
 //! ranking the fallback search walks.
 
-use crate::calibrate::CalibData;
 use crate::config::QuantConfig;
 use crate::quantizer::{select_nodes, QuantizedModel};
 use crate::workflow::calibrate_workload;
@@ -42,11 +41,6 @@ impl SensitivityProfile {
     pub fn top(&self, k: usize) -> &[NodeSensitivity] {
         &self.nodes[..k.min(self.nodes.len())]
     }
-
-    /// Nodes whose individual loss exceeds `threshold`.
-    pub fn above(&self, threshold: f64) -> impl Iterator<Item = &NodeSensitivity> {
-        self.nodes.iter().filter(move |n| n.loss > threshold)
-    }
 }
 
 /// Measure per-node sensitivity: for each node the config would quantize,
@@ -57,15 +51,6 @@ pub fn sensitivity_profile(
     cfg: &QuantConfig,
 ) -> Result<SensitivityProfile, PtqError> {
     let calib = calibrate_workload(workload, cfg)?;
-    sensitivity_profile_with(workload, cfg, &calib)
-}
-
-/// As [`sensitivity_profile`], reusing existing calibration data.
-pub fn sensitivity_profile_with(
-    workload: &Workload,
-    cfg: &QuantConfig,
-    calib: &CalibData,
-) -> Result<SensitivityProfile, PtqError> {
     let all = select_nodes(&workload.graph, cfg);
     let mut nodes = Vec::with_capacity(all.len());
     for &keep in &all {
@@ -75,7 +60,7 @@ pub fn sensitivity_profile_with(
                 only_one.fallback.insert(id);
             }
         }
-        let model = QuantizedModel::build(workload.graph.clone(), calib, only_one)?;
+        let model = QuantizedModel::build(workload.graph.clone(), &calib, only_one)?;
         let score = workload.evaluate_graph(&model.graph, &mut model.hook())?;
         let node = &workload.graph.nodes()[keep];
         nodes.push(NodeSensitivity {
@@ -109,10 +94,7 @@ mod tests {
         for pair in profile.nodes.windows(2) {
             assert!(pair[0].loss >= pair[1].loss, "not sorted");
         }
-        // top() and above() are consistent views.
         assert!(profile.top(2).len() <= 2);
-        let n_above = profile.above(-1.0).count();
-        assert_eq!(n_above, profile.nodes.len());
     }
 
     #[test]

@@ -15,7 +15,6 @@ use ptq_fp8::Fp8Format;
 use ptq_metrics::{passes_criterion, Domain};
 use ptq_models::Workload;
 use ptq_nn::OpClass;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One named candidate configuration.
@@ -63,16 +62,12 @@ pub struct TuneOutcome {
 pub struct AutoTuner {
     /// Relative-loss criterion (default 1 %).
     pub criterion: f64,
-    /// Stop at the first passing recipe (true, the default) or evaluate
-    /// the full lattice and keep the best.
-    pub first_fit: bool,
 }
 
 impl Default for AutoTuner {
     fn default() -> Self {
         AutoTuner {
             criterion: ptq_metrics::DEFAULT_CRITERION,
-            first_fit: true,
         }
     }
 }
@@ -129,158 +124,119 @@ impl AutoTuner {
         v
     }
 
-    /// Operator-level tuning (Appendix A.1): when every lattice candidate
-    /// fails, rank the nodes by individual quantization sensitivity and
-    /// retry the best lattice recipe with the top-`k` offenders falling
-    /// back to FP32, for k = 1, 2, 4.
+    /// Tune a workload: evaluate the lattice candidates in order and
+    /// accept the first (cheapest) one that meets the criterion. When every
+    /// candidate fails, operator-level tuning (Appendix A.1) takes over:
+    /// rank the nodes by individual quantization sensitivity and retry the
+    /// best lattice recipe with the top-`k` offenders falling back to FP32,
+    /// for k = 1, 2, 4.
     ///
-    /// One [`CalibCache`] is shared by the lattice walk, the sensitivity
-    /// profile retries and the fallback retries, so the workload is
-    /// calibrated once per observer family for the whole search.
-    pub fn tune_with_fallbacks(&self, workload: &Workload) -> TuneOutcome {
+    /// One [`CalibCache`] is shared by the lattice walk and the fallback
+    /// retries, so they sweep the workload's calibration set once per
+    /// observer family rather than once per recipe.
+    ///
+    /// Fail-soft: a candidate that fails to evaluate is recorded with its
+    /// `error` and the walk continues; a workload that cannot even be
+    /// profiled ends the search with a `sensitivity profile` error step.
+    pub fn tune(&self, workload: &Workload) -> TuneOutcome {
         let cache = CalibCache::new();
-        let mut outcome = self.tune_inner(workload, &cache);
-        if outcome.accepted.is_some() {
-            return outcome;
-        }
-        // Best config so far (lowest loss in the trace order of candidates).
         let candidates = self.candidates(workload);
-        // Failed candidates carry loss = +inf, so total_cmp naturally ranks
-        // them last (and a trace of nothing but failures picks index 0).
-        let best_idx = outcome
-            .trace
+        let mut trace = Vec::new();
+        let accept = |trace: Vec<TuneStep>, config: &QuantConfig| TuneOutcome {
+            accepted: Some(trace.len() - 1),
+            config: Some(config.clone()),
+            trace,
+        };
+        let reject = |trace| TuneOutcome {
+            trace,
+            accepted: None,
+            config: None,
+        };
+        for recipe in &candidates {
+            let name = recipe.name.clone();
+            if self.evaluate(workload, &cache, name, &recipe.config, &mut trace) {
+                return accept(trace, &recipe.config);
+            }
+        }
+        // Failed candidates carry loss = +inf, so total_cmp ranks them last
+        // (and a trace of nothing but failures picks the first recipe).
+        let best = trace
             .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.loss.total_cmp(&b.1.loss))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let base = candidates[best_idx.min(candidates.len() - 1)]
-            .config
-            .clone();
-        let profile = match crate::sensitivity::sensitivity_profile(workload, &base) {
+            .zip(&candidates)
+            .min_by(|a, b| a.0.loss.total_cmp(&b.0.loss))
+            .map(|(_, recipe)| recipe);
+        let Some(best) = best else {
+            return reject(trace);
+        };
+        let profile = match crate::sensitivity::sensitivity_profile(workload, &best.config) {
             Ok(p) => p,
             Err(e) => {
-                // The workload cannot even be profiled (malformed graph,
-                // broken eval set): record why and stop — the lattice
-                // trace already carries the per-candidate failures.
-                outcome.trace.push(TuneStep {
-                    name: "sensitivity profile".to_string(),
-                    score: f64::NAN,
-                    loss: f64::INFINITY,
-                    passed: false,
-                    error: Some(e.to_string()),
-                });
-                return outcome;
+                trace.push(self.step(workload, "sensitivity profile".to_string(), Err(e)));
+                return reject(trace);
             }
         };
         for k in [1usize, 2, 4] {
-            let mut cfg = base.clone();
-            for n in profile.top(k) {
-                cfg.fallback.insert(n.node);
-            }
-            let step = match PtqSession::new(cfg.clone())
-                .cache(&cache)
-                .quantize(workload)
-            {
-                Ok(out) => {
-                    let loss = out.result.loss();
-                    let passed = passes_criterion(workload.fp32_score, out.score, self.criterion);
-                    TuneStep {
-                        name: format!("{} + top-{k} sensitive ops FP32", candidates[best_idx].name),
-                        score: out.score,
-                        loss,
-                        passed,
-                        error: None,
-                    }
-                }
-                Err(e) => TuneStep {
-                    name: format!("{} + top-{k} sensitive ops FP32", candidates[best_idx].name),
-                    score: f64::NAN,
-                    loss: f64::INFINITY,
-                    passed: false,
-                    error: Some(e.to_string()),
-                },
-            };
-            let passed = step.passed;
-            outcome.trace.push(step);
-            if passed {
-                outcome.accepted = Some(outcome.trace.len() - 1);
-                outcome.config = Some(cfg);
-                break;
+            let mut cfg = best.config.clone();
+            cfg.fallback.extend(profile.top(k).iter().map(|n| n.node));
+            let name = format!("{} + top-{k} sensitive ops FP32", best.name);
+            if self.evaluate(workload, &cache, name, &cfg, &mut trace) {
+                return accept(trace, &cfg);
             }
         }
-        outcome
+        reject(trace)
     }
 
-    /// Tune a workload: evaluate candidates until one passes (or the
-    /// lattice is exhausted). Every candidate shares one calibration
-    /// cache, so the workload's calibration set is swept once per observer
-    /// family rather than once per recipe.
-    pub fn tune(&self, workload: &Workload) -> TuneOutcome {
-        self.tune_inner(workload, &CalibCache::new())
+    /// Quantize `workload` under `config`, append the resulting step to
+    /// `trace` and report whether it met the criterion.
+    fn evaluate(
+        &self,
+        workload: &Workload,
+        cache: &CalibCache,
+        name: String,
+        config: &QuantConfig,
+        trace: &mut Vec<TuneStep>,
+    ) -> bool {
+        let mut sp = ptq_trace::span(ptq_trace::Level::Info, "tune.candidate");
+        let result = PtqSession::new(config.clone())
+            .cache(cache)
+            .quantize(workload)
+            .map(|out| out.score);
+        let step = self.step(workload, name, result);
+        if sp.active() {
+            sp.record_str("workload", &workload.spec.name);
+            sp.record_str("recipe", &step.name);
+            sp.record_f64("score", step.score);
+            sp.record_f64("loss", step.loss);
+            sp.record_int("passed", i64::from(step.passed));
+        }
+        drop(sp);
+        let passed = step.passed;
+        trace.push(step);
+        passed
     }
 
-    /// Tune every workload of a zoo slice in parallel, sharing `cache`
-    /// between workloads (each workload's recipes hit its own entries).
-    ///
-    /// Fail-soft: a workload whose candidates all fail to evaluate still
-    /// yields a [`TuneOutcome`] (every trace step carrying an `error`,
-    /// `accepted` none) — one broken workload never unwinds the batch.
-    pub fn tune_all(&self, zoo: &[Workload]) -> Vec<TuneOutcome> {
-        let cache = CalibCache::new();
-        zoo.par_iter().map(|w| self.tune_inner(w, &cache)).collect()
-    }
-
-    fn tune_inner(&self, workload: &Workload, cache: &CalibCache) -> TuneOutcome {
-        let mut trace = Vec::new();
-        let mut accepted = None;
-        let mut config = None;
-        let mut best_loss = f64::INFINITY;
-        for recipe in self.candidates(workload) {
-            let mut sp = ptq_trace::span(ptq_trace::Level::Info, "tune.candidate");
-            let (score, loss, error) = match PtqSession::new(recipe.config.clone())
-                .cache(cache)
-                .quantize(workload)
-            {
-                Ok(out) => (out.score, out.result.loss(), None),
-                Err(e) => (f64::NAN, f64::INFINITY, Some(e.to_string())),
-            };
-            let passed =
-                error.is_none() && passes_criterion(workload.fp32_score, score, self.criterion);
-            if sp.active() {
-                sp.record_str("workload", &workload.spec.name);
-                sp.record_str("recipe", &recipe.name);
-                sp.record_f64("score", score);
-                sp.record_f64("loss", loss);
-                sp.record_int("passed", i64::from(passed));
-            }
-            drop(sp);
-            trace.push(TuneStep {
-                name: recipe.name.clone(),
+    /// The trace entry for a candidate's score, or for why it has none.
+    fn step(
+        &self,
+        workload: &Workload,
+        name: String,
+        score: Result<f64, ptq_nn::PtqError>,
+    ) -> TuneStep {
+        match score {
+            Ok(score) => TuneStep {
+                name,
                 score,
-                loss,
-                passed,
-                error,
-            });
-            let better = loss < best_loss;
-            if passed && accepted.is_none() {
-                accepted = Some(trace.len() - 1);
-                config = Some(recipe.config.clone());
-                if self.first_fit {
-                    break;
-                }
-            }
-            if !self.first_fit && better {
-                best_loss = loss;
-                if accepted.is_none() {
-                    config = Some(recipe.config.clone());
-                }
-            }
-        }
-        TuneOutcome {
-            trace,
-            accepted,
-            config,
+                loss: ptq_metrics::relative_loss(workload.fp32_score, score),
+                passed: passes_criterion(workload.fp32_score, score, self.criterion),
+                error: None,
+            },
+            Err(e) => TuneStep {
+                name,
+                score: f64::NAN,
+                loss: f64::INFINITY,
+                passed: false,
+                error: Some(e.to_string()),
+            },
         }
     }
 }
@@ -309,14 +265,8 @@ mod tests {
     #[test]
     fn relaxed_criterion_accepts_earlier() {
         let zoo = build_zoo(ZooFilter::Quick);
-        let strict = AutoTuner {
-            criterion: 0.0001,
-            first_fit: true,
-        };
-        let loose = AutoTuner {
-            criterion: 0.5,
-            first_fit: true,
-        };
+        let strict = AutoTuner { criterion: 0.0001 };
+        let loose = AutoTuner { criterion: 0.5 };
         let w = &zoo[1];
         let s = strict.tune(w);
         let l = loose.tune(w);
@@ -324,23 +274,6 @@ mod tests {
         let si = s.accepted.unwrap_or(usize::MAX);
         let li = l.accepted.unwrap_or(usize::MAX);
         assert!(li <= si, "loose {li} vs strict {si}");
-    }
-
-    #[test]
-    fn tune_all_matches_serial_tune() {
-        let zoo = build_zoo(ZooFilter::Quick);
-        let tuner = AutoTuner::new();
-        let all = tuner.tune_all(&zoo[..2]);
-        assert_eq!(all.len(), 2);
-        for (w, out) in zoo[..2].iter().zip(&all) {
-            let serial = tuner.tune(w);
-            assert_eq!(out.accepted, serial.accepted);
-            assert_eq!(out.trace.len(), serial.trace.len());
-            for (a, b) in out.trace.iter().zip(&serial.trace) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -353,7 +286,7 @@ mod tests {
 
         // Every candidate fails but is recorded; nothing is accepted and
         // nothing panics — not even the post-lattice fallback search.
-        let out = tuner.tune_with_fallbacks(&broken);
+        let out = tuner.tune(&broken);
         assert!(out.accepted.is_none());
         assert!(!out.trace.is_empty());
         for s in &out.trace {
@@ -362,19 +295,6 @@ mod tests {
             assert!(s.loss.is_infinite());
             assert!(!s.passed);
         }
-
-        // A batch containing the broken workload still tunes the healthy
-        // one identically to tuning it alone.
-        let batch = vec![zoo[0].clone(), broken];
-        let all = tuner.tune_all(&batch);
-        assert_eq!(all.len(), 2);
-        let solo = tuner.tune(&zoo[0]);
-        assert_eq!(all[0].accepted, solo.accepted);
-        for (a, b) in all[0].trace.iter().zip(&solo.trace) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-        assert!(all[1].accepted.is_none());
-        assert!(all[1].trace.iter().all(|s| s.error.is_some()));
     }
 
     #[test]

@@ -139,35 +139,21 @@ pub struct SuiteRow {
 }
 
 /// Evaluate a named recipe family over a zoo slice: for each workload the
-/// per-domain paper recipe is instantiated and run. Workloads are
-/// processed in parallel; results keep zoo order, so output is identical
-/// to the serial sweep.
+/// per-domain paper recipe is instantiated, passed through `tweak` (the
+/// identity for a plain row; sweep drivers toggle cross-cutting knobs such
+/// as coverage, first/last quantization or storage without forking the
+/// recipe table) and run. Workloads are processed in parallel; results
+/// keep zoo order, so output is identical to the serial sweep.
+///
+/// Multi-row sweeps (Table 2, Figures 5 and 12) pass the same `cache` to
+/// every row so each workload is calibrated once for the whole table
+/// instead of once per row.
 ///
 /// The sweep is **fail-soft**: a workload whose quantization fails (or
 /// panics) contributes a [`SweepError`] row and every other workload's
 /// result is unaffected — bit-identical to a run without the broken
 /// workload.
-pub fn run_suite(zoo: &[Workload], format: DataFormat, approach: Approach) -> SuiteRow {
-    run_suite_cached(zoo, format, approach, &CalibCache::new())
-}
-
-/// [`run_suite`] against a shared [`CalibCache`]: multi-row sweeps
-/// (Table 2, Figure 5) pass the same cache to every row so each workload
-/// is calibrated once for the whole table instead of once per row.
-pub fn run_suite_cached(
-    zoo: &[Workload],
-    format: DataFormat,
-    approach: Approach,
-    cache: &CalibCache,
-) -> SuiteRow {
-    run_suite_configured(zoo, format, approach, cache, |cfg| cfg)
-}
-
-/// [`run_suite_cached`] with a per-row config tweak applied on top of the
-/// paper recipe (after domain-specific adjustments). Sweep drivers use it
-/// to toggle cross-cutting knobs — e.g. activation storage or tile
-/// granularity — without forking the recipe table.
-pub fn run_suite_configured(
+pub fn run_suite(
     zoo: &[Workload],
     format: DataFormat,
     approach: Approach,
@@ -313,10 +299,13 @@ mod tests {
     #[test]
     fn suite_row_aggregates() {
         let zoo = build_zoo(ZooFilter::Quick);
+        let cache = CalibCache::new();
         let row = run_suite(
             &zoo[..4],
             DataFormat::Fp8(Fp8Format::E4M3),
             Approach::Static,
+            &cache,
+            |cfg| cfg,
         );
         assert_eq!(row.results.len(), 4);
         assert!(row.errors.is_empty());
@@ -326,7 +315,13 @@ mod tests {
         assert!(row.weight_bytes > 0);
         assert!(row.weight_bytes * 3 < row.weight_bytes_f32);
         // INT8 rows keep fake-quant f32 weights: no reduction.
-        let int8 = run_suite(&zoo[..2], DataFormat::Int8, Approach::Static);
+        let int8 = run_suite(
+            &zoo[..2],
+            DataFormat::Int8,
+            Approach::Static,
+            &cache,
+            |cfg| cfg,
+        );
         assert_eq!(int8.weight_bytes, int8.weight_bytes_f32);
     }
 
@@ -334,7 +329,9 @@ mod tests {
     fn suite_is_fail_soft_and_healthy_results_are_bit_identical() {
         let zoo = build_zoo(ZooFilter::Quick);
         let healthy = &zoo[..3];
-        let clean = run_suite(healthy, DataFormat::Fp8(Fp8Format::E4M3), Approach::Static);
+        let e4m3 = DataFormat::Fp8(Fp8Format::E4M3);
+        let cache = CalibCache::new();
+        let clean = run_suite(healthy, e4m3, Approach::Static, &cache, |cfg| cfg);
 
         // A poisoned clone: no eval inputs at all, so evaluation hits the
         // graph's arity validation. Renamed so it cannot share a CalibCache
@@ -348,7 +345,7 @@ mod tests {
             healthy[1].clone(),
             healthy[2].clone(),
         ];
-        let row = run_suite(&mixed, DataFormat::Fp8(Fp8Format::E4M3), Approach::Static);
+        let row = run_suite(&mixed, e4m3, Approach::Static, &cache, |cfg| cfg);
 
         // Exactly one error row, naming the poisoned workload with a typed
         // error message, not a panic.
@@ -397,6 +394,8 @@ mod tests {
             std::slice::from_ref(&broken),
             DataFormat::Fp8(Fp8Format::E4M3),
             Approach::Static,
+            &CalibCache::new(),
+            |cfg| cfg,
         );
         assert!(row.results.is_empty());
         assert_eq!(row.errors.len(), 1);

@@ -149,8 +149,10 @@ fn suite_rows_are_reproducible_through_the_session_path() {
     // run_suite executes through PtqSession internally; a second run (and
     // a run against a pre-warmed cache) must be bit-identical row-wise.
     let zoo = workloads();
-    let a = run_suite(&zoo, DataFormat::Fp8(Fp8Format::E4M3), Approach::Static);
-    let b = run_suite(&zoo, DataFormat::Fp8(Fp8Format::E4M3), Approach::Static);
+    let e4m3 = DataFormat::Fp8(Fp8Format::E4M3);
+    let cache = CalibCache::new();
+    let a = run_suite(&zoo, e4m3, Approach::Static, &cache, |cfg| cfg);
+    let b = run_suite(&zoo, e4m3, Approach::Static, &cache, |cfg| cfg);
     assert_eq!(a.label, b.label);
     assert!(
         a.errors.is_empty(),

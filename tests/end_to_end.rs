@@ -192,7 +192,6 @@ fn tuner_finds_recipes_for_most_quick_workloads() {
     let zoo = build_zoo(ZooFilter::Quick);
     let tuner = AutoTuner {
         criterion: 0.05, // relaxed: quick models are small and noisy
-        first_fit: true,
     };
     let mut accepted = 0;
     for w in &zoo {
