@@ -10,6 +10,13 @@
 #     `ops/mod.rs` re-exports no `_q`/`_qq` MAC name but the three
 #     one-line delegates the frozen `benchmark/` calls, and
 #     crates/tensor/src/ops stays within its non-test line budget.
+#   * Streamed decode, LUT encode: the per-channel decode-table machinery
+#     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
+#     `take_tables`) may not reappear under crates/ -- a coded weight is
+#     decoded per element into pooled scratch, once per call -- and no
+#     non-test line of crates/tensor/src or crates/fp8/src/storage.rs calls
+#     the scalar `codec.encode(`: production encode loops go through
+#     `Fp8Lut::encode`.
 #   * One measuring stack: no `[[bench]]` target and no `criterion`
 #     dependency in the root manifest or any manifest under crates/.
 #     Timing lives in `benchmark/`.
@@ -55,12 +62,27 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2100
+ops_budget=2017
 ops_lines=$(find crates/tensor/src/ops -name '*.rs' | sort | while IFS= read -r f; do
     awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
 done | wc -l)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
+    fail=1
+fi
+
+if hits=$(grep -rnE 'scaled_decode|ScaledDecode|TableW|WeightFetch|take_tables' crates/); then
+    echo "per-channel decode tables are gone: weights stream through decode(code)/scale per call:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+hits=$(find crates/tensor/src crates/fp8/src/storage.rs -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /codec\.encode\(/{print FILENAME":"FNR": "$0}' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "production encode loops go through Fp8Lut::encode, not the scalar codec:" >&2
+    printf '%s\n' "$hits" >&2
     fail=1
 fi
 
@@ -85,4 +107,5 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
+    "no decode-table machinery, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite"

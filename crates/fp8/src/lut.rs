@@ -7,14 +7,21 @@
 //! the whole quantization function of a *fixed* codec is a step function of
 //! the input's magnitude. This module precomputes that step function once:
 //!
-//! * a 256-entry **decode table** (`decode(code)` for every code), and
+//! * a 256-entry **decode table** (`decode(code)` for every code),
 //! * a monotone **breakpoint table**: for each representable magnitude, the
 //!   largest `f32` (as a raw bit pattern) that still rounds to it under the
-//!   codec's round-to-nearest-even rule.
+//!   codec's round-to-nearest-even rule, and
+//! * a 128-entry **encode table**: the code byte of each representable
+//!   magnitude, in breakpoint order.
 //!
 //! Quantizing is then a branchless 7-step lower-bound search over the
 //! padded 128-entry breakpoint table plus one table load — no exponent
-//! manipulation, no rounding, no overflow branches.
+//! manipulation, no rounding, no overflow branches. [`Fp8Lut::quantize`]
+//! loads the interval's *value*, [`Fp8Lut::encode`] its *code*: the same
+//! search, so `decode(encode(x))` is `quantize(x)` by construction and
+//! `encode` is the byte [`Fp8Codec::encode`](crate::Fp8Codec::encode)
+//! returns. Every production `encode(v * scale)` loop (weights, boundary
+//! activations, KV rows) runs through it.
 //!
 //! Breakpoints are derived *empirically* from the scalar codec by binary
 //! search over the positive `f32` bit space (quantization is monotone in
@@ -24,9 +31,11 @@
 //! as the executable reference; the equivalence is enforced exhaustively in
 //! `tests/lut_equivalence.rs`.
 //!
-//! Tables are built lazily and cached per [`FpSpec`] for the lifetime of
-//! the process (they are a few hundred bytes each and there are only a
-//! handful of specs in use).
+//! Tables are built lazily and cached for the lifetime of the process (they
+//! are about 2 KiB each). The three paper formats each sit in their own
+//! `OnceLock`, so [`Fp8Lut::for_format`] is lock-free after first use — it
+//! is called once per kernel call by every worker thread; only exotic
+//! `EeMm` specs go through the mutex-guarded map.
 //!
 //! The fast path only models the default policy pair (saturating overflow +
 //! round-to-nearest-even) — the one used everywhere in the paper's recipes.
@@ -37,7 +46,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::codec::{Fp8Codec, OverflowPolicy, Rounding};
-use crate::format::FpSpec;
+use crate::format::{Fp8Format, FpSpec};
 
 /// Bit pattern of +Inf; the upper end of the positive magnitude bit space
 /// the breakpoint search runs over.
@@ -61,15 +70,24 @@ pub struct Fp8Lut {
     /// last real interval repeat the max value so the search can never
     /// index junk.
     values: [f32; 128],
+    /// Code byte of `values[i]` (positive sign), padded like `values`.
+    codes: [u8; 128],
     /// `upper_bits[i]` = largest positive-`f32` bit pattern that still
     /// quantizes to `values[i]`; padded with `u32::MAX`.
     upper_bits: [u32; 128],
     /// Number of distinct non-negative representable magnitudes.
     n: usize,
+    /// The codec's canonical NaN code.
+    nan_code: u8,
+    /// Bit position of a code's sign bit.
+    sign_shift: u32,
 }
 
-/// Process-wide table cache, keyed by spec (policies are fixed to the
-/// defaults by construction).
+/// The paper formats' tables, indexed by `Fp8Format as usize`.
+static PAPER_LUTS: [OnceLock<Fp8Lut>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+
+/// Table cache for every other spec (policies are fixed to the defaults by
+/// construction).
 static LUT_CACHE: OnceLock<Mutex<HashMap<FpSpec, &'static Fp8Lut>>> = OnceLock::new();
 
 impl Fp8Lut {
@@ -85,9 +103,19 @@ impl Fp8Lut {
         Some(Self::for_spec(*codec.spec()))
     }
 
+    /// The cached table of a paper format under the default policies,
+    /// building it on first use; a plain load afterwards.
+    pub fn for_format(format: Fp8Format) -> &'static Fp8Lut {
+        PAPER_LUTS[format as usize].get_or_init(|| Self::build(format.spec()))
+    }
+
     /// The cached table for `spec` under the default policies, building it
-    /// on first use.
+    /// on first use. A paper format's spec resolves to its
+    /// [`Fp8Lut::for_format`] instance.
     pub fn for_spec(spec: FpSpec) -> &'static Fp8Lut {
+        if let Some(format) = Fp8Format::ALL.into_iter().find(|f| f.spec() == spec) {
+            return Self::for_format(format);
+        }
         let cache = LUT_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         // The map only ever grows with leaked 'static entries, so a
         // poisoned lock still holds a consistent map — recover it.
@@ -115,10 +143,12 @@ impl Fp8Lut {
             *slot = codec.decode(code as u8);
         }
 
-        let max_v = grid[n - 1].1;
+        let (max_code, max_v) = grid[n - 1];
         let mut values = [max_v; 128];
-        for (i, &(_, v)) in grid.iter().enumerate() {
+        let mut codes = [max_code; 128];
+        for (i, &(code, v)) in grid.iter().enumerate() {
             values[i] = v;
+            codes[i] = code;
         }
 
         // Breakpoints: the codec's quantize is monotone non-decreasing in
@@ -147,8 +177,11 @@ impl Fp8Lut {
             spec,
             decode,
             values,
+            codes,
             upper_bits,
             n,
+            nan_code: codec.nan_code(),
+            sign_shift: spec.exp_bits + spec.man_bits,
         }
     }
 
@@ -179,17 +212,36 @@ impl Fp8Lut {
             return f32::NAN;
         }
         let bits = x.to_bits();
-        let mag = bits & 0x7FFF_FFFF;
-        // Branchless lower bound over the padded power-of-two table: find
-        // the first interval whose upper breakpoint covers `mag`.
+        let v = self.values[self.interval(bits & 0x7FFF_FFFF)];
+        f32::from_bits(v.to_bits() | (bits & 0x8000_0000))
+    }
+
+    /// Table-driven encode: bit-identical to `codec.encode(x)` for every
+    /// `f32` — any NaN gives the canonical NaN code, ±Inf saturates,
+    /// signed zero keeps its sign.
+    #[inline]
+    pub fn encode(&self, x: f32) -> u8 {
+        if x.is_nan() {
+            return self.nan_code;
+        }
+        let bits = x.to_bits();
+        let sign = ((bits >> 31) as u8) << self.sign_shift;
+        self.codes[self.interval(bits & 0x7FFF_FFFF)] | sign
+    }
+
+    /// Index of the breakpoint interval holding the non-NaN magnitude bit
+    /// pattern `mag`: a branchless lower bound over the padded
+    /// power-of-two table (the first interval whose upper breakpoint
+    /// covers `mag`; the `u32::MAX` padding keeps it below `n`).
+    #[inline]
+    fn interval(&self, mag: u32) -> usize {
         let mut pos = 0usize;
         let mut half = 64usize;
         while half > 0 {
             pos += usize::from(self.upper_bits[pos + half - 1] < mag) * half;
             half >>= 1;
         }
-        let v = self.values[pos];
-        f32::from_bits(v.to_bits() | (bits & 0x8000_0000))
+        pos
     }
 }
 
@@ -205,6 +257,11 @@ mod tests {
         assert!(std::ptr::eq(a, b));
         let c = Fp8Lut::for_spec(Fp8Format::E5M2.spec());
         assert!(!std::ptr::eq(a, c));
+        // A paper format's spec and the format itself name one table.
+        assert!(std::ptr::eq(a, Fp8Lut::for_format(Fp8Format::E4M3)));
+        // An exotic spec goes through the map and is cached there.
+        let e2m5 = FpSpec::new(2, 5, 1, crate::format::NanEncoding::Extended);
+        assert!(std::ptr::eq(Fp8Lut::for_spec(e2m5), Fp8Lut::for_spec(e2m5)));
     }
 
     #[test]
@@ -261,12 +318,38 @@ mod tests {
                     codec.quantize(x).to_bits(),
                     "{f} x={x:?}"
                 );
+                assert_eq!(lut.encode(x), codec.encode(x), "{f} x={x:?}");
             }
+            assert_eq!(lut.encode(f32::NAN), codec.nan_code());
+            assert_eq!(lut.encode(-f32::NAN), codec.nan_code());
             assert!(lut.quantize(f32::NAN).is_nan());
             assert_eq!(
                 lut.quantize(f32::NAN).to_bits(),
                 codec.quantize(f32::NAN).to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn encode_is_the_code_of_quantize() {
+        // Exotic widths too: the sign bit sits at `exp_bits + man_bits`.
+        let e3m3 = FpSpec::new(3, 3, 3, crate::format::NanEncoding::Extended);
+        for spec in Fp8Format::ALL
+            .map(Fp8Format::spec)
+            .into_iter()
+            .chain([e3m3])
+        {
+            let codec = Fp8Codec::from_spec(spec);
+            let lut = Fp8Lut::for_spec(spec);
+            for i in -2000i32..=2000 {
+                let x = i as f32 * 0.013 * (1 + i.rem_euclid(7)) as f32;
+                assert_eq!(lut.encode(x), codec.encode(x), "{spec:?} x={x}");
+                assert_eq!(
+                    lut.decode(lut.encode(x)).to_bits(),
+                    lut.quantize(x).to_bits(),
+                    "{spec:?} x={x}"
+                );
+            }
         }
     }
 

@@ -8,7 +8,6 @@
 //! inference in the first place.
 
 use crate::bytes::CodeBytes;
-use crate::codec::Fp8Codec;
 use crate::error::Fp8Error;
 use crate::format::Fp8Format;
 use crate::lut::Fp8Lut;
@@ -111,9 +110,9 @@ impl StoredTensor {
     /// the product of `shape`.
     pub fn quantize(data: &[f32], shape: &[usize], format: Fp8Format) -> Result<Self, Fp8Error> {
         check_shape(data.len(), shape)?;
-        let codec = Fp8Codec::new(format);
+        let lut = Fp8Lut::for_format(format);
         let scale = fp8_scale(format, absmax_nan_aware(data));
-        let codes: Vec<u8> = data.iter().map(|&x| codec.encode(x * scale)).collect();
+        let codes: Vec<u8> = data.iter().map(|&x| lut.encode(x * scale)).collect();
         Ok(StoredTensor {
             format,
             shape: shape.to_vec(),
@@ -142,14 +141,14 @@ impl StoredTensor {
             return Err(Fp8Error::EmptyLeadingAxis);
         }
         let inner = data.len() / channels;
-        let codec = Fp8Codec::new(format);
+        let lut = Fp8Lut::for_format(format);
         let mut codes = Vec::with_capacity(data.len());
         let mut scales = Vec::with_capacity(channels);
         for c in 0..channels {
             let chunk = &data[c * inner..(c + 1) * inner];
             let scale = fp8_scale(format, absmax_nan_aware(chunk));
             scales.push(scale);
-            codes.extend(chunk.iter().map(|&x| codec.encode(x * scale)));
+            codes.extend(chunk.iter().map(|&x| lut.encode(x * scale)));
         }
         Ok(StoredTensor {
             format,
@@ -233,23 +232,32 @@ impl StoredTensor {
     /// Decode back to f32 via the shared cached [`Fp8Lut`] (bit-identical
     /// to the scalar codec; see `lut_equivalence` tests).
     pub fn dequantize(&self) -> Vec<f32> {
-        let lut = Fp8Lut::for_spec(self.format.spec());
-        // Divide by the scale (rather than multiplying by a precomputed
-        // reciprocal) so results are bit-identical to fake quantization.
-        match &self.scales {
-            StoredScales::PerTensor(s) => self.codes.iter().map(|&b| lut.decode(b) / s).collect(),
-            StoredScales::PerChannel(scales) => {
-                let channels = scales.len();
-                let inner = self.codes.len() / channels.max(1);
-                let mut out = Vec::with_capacity(self.codes.len());
-                for (c, &s) in scales.iter().enumerate() {
-                    out.extend(
-                        self.codes[c * inner..(c + 1) * inner]
-                            .iter()
-                            .map(|&b| lut.decode(b) / s),
-                    );
-                }
-                out
+        let mut out = vec![0.0; self.codes.len()];
+        self.decode_into(&mut out);
+        out
+    }
+
+    /// [`StoredTensor::dequantize`] into a caller-owned buffer: element `i`
+    /// of leading-axis channel `c` becomes `lut.decode(code) / scale(c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the element count.
+    pub fn decode_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.codes.len(), "decode_into output length");
+        if self.codes.is_empty() {
+            return;
+        }
+        let lut = Fp8Lut::for_format(self.format);
+        // One scale group per channel; per-tensor storage is one group.
+        let inner = self.codes.len() / self.scales.len();
+        let groups = out.chunks_mut(inner).zip(self.codes.chunks(inner));
+        for (c, (o, b)) in groups.enumerate() {
+            // Divide by the scale (rather than multiplying by a precomputed
+            // reciprocal) so results are bit-identical to fake quantization.
+            let s = self.scales.scale_for_channel(c);
+            for (o, &b) in o.iter_mut().zip(b) {
+                *o = lut.decode(b) / s;
             }
         }
     }
@@ -258,6 +266,7 @@ impl StoredTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Fp8Codec;
     use crate::quantize::fake_quant_fp8;
 
     #[test]

@@ -1,8 +1,8 @@
 //! LUT ⇔ scalar codec equivalence suite.
 //!
-//! The table-driven fast path (`Fp8Lut`, `fake_quant_fp8_lut`) must be
-//! bit-identical to the scalar reference codec for every input — these
-//! tests enforce that exhaustively over the code space, deterministically
+//! The table-driven fast path (`Fp8Lut::{quantize, encode}`,
+//! `fake_quant_fp8_lut`) must be bit-identical to the scalar reference
+//! codec for every input — these tests enforce that exhaustively over the code space, deterministically
 //! over the known hard regions (rounding-boundary ties, subnormals,
 //! saturation, specials), and probabilistically over the full f32 space.
 
@@ -29,6 +29,7 @@ fn stats_eq(a: &ptq_fp8::FakeQuantStats, b: &ptq_fp8::FakeQuantStats) -> bool {
         && a.underflowed == b.underflowed
 }
 
+/// `lut.quantize(x)` and `lut.encode(x)` both agree with the scalar codec.
 fn assert_quantize_matches(f: Fp8Format, x: f32) {
     let codec = Fp8Codec::new(f);
     let lut = Fp8Lut::for_codec(&codec).expect("default codec has a LUT");
@@ -36,6 +37,13 @@ fn assert_quantize_matches(f: Fp8Format, x: f32) {
     assert!(
         bits_eq(a, b),
         "{f}: quantize({x:?} = {:#010x}) lut {a:?} vs scalar {b:?}",
+        x.to_bits()
+    );
+    let (a, b) = (lut.encode(x), codec.encode(x));
+    assert_eq!(
+        a,
+        b,
+        "{f}: encode({x:?} = {:#010x}) lut {a:#04x} vs scalar {b:#04x}",
         x.to_bits()
     );
 }
@@ -60,8 +68,9 @@ fn exhaustive_256_codepoints_all_formats() {
                     bits_eq(lut.quantize(v), v),
                     "{f} grid value {v} not a fixed point of the LUT"
                 );
-            } else if v.is_infinite() {
-                // Saturating codec clamps ±Inf to ±max on both paths.
+            } else {
+                // Saturating codec clamps ±Inf to ±max on both paths; a
+                // NaN code's value re-encodes to the canonical NaN code.
                 assert_quantize_matches(f, v);
             }
         }
@@ -162,32 +171,46 @@ fn nan_handling() {
             f32::from_bits(0xFFC0_1234), // negative, payloaded
         ] {
             assert!(lut.quantize(nan).is_nan(), "{f}");
-            assert!(bits_eq(lut.quantize(nan), codec.quantize(nan)), "{f}");
+            assert_quantize_matches(f, nan);
+            assert_eq!(lut.encode(nan), codec.nan_code(), "{f}");
         }
     }
 }
 
-/// Deterministic strided sweep across the entire positive f32 bit space
-/// (prime stride so every exponent region is visited), both signs.
+/// The ends of the f32 range: signed zeros, f32 subnormals (which the
+/// scalar encoder rescales before reading their exponent), the smallest
+/// normal, `f32::MAX` and the infinities, both signs.
+#[test]
+fn f32_range_edges() {
+    for f in Fp8Format::ALL {
+        for bits in [
+            0u32,        // +0
+            1,           // smallest subnormal
+            2,           //
+            0x0000_0100, // mid subnormals
+            0x0040_0000, //
+            0x007F_FFFF, // largest subnormal
+            0x0080_0000, // f32::MIN_POSITIVE
+            0x7F7F_FFFF, // f32::MAX
+            0x7F80_0000, // +Inf
+        ] {
+            assert_quantize_matches(f, f32::from_bits(bits));
+            assert_quantize_matches(f, f32::from_bits(bits | 0x8000_0000));
+        }
+    }
+}
+
+/// Deterministic strided sweep across the entire f32 bit space, NaN
+/// patterns included (prime stride so every exponent region is visited at
+/// every mantissa alignment), both signs.
 #[test]
 fn strided_bit_space_sweep() {
     for f in Fp8Format::ALL {
-        let codec = Fp8Codec::new(f);
-        let lut = Fp8Lut::for_codec(&codec).unwrap();
         let mut bits = 0u32;
-        while bits <= 0x7F80_0000 {
-            let x = f32::from_bits(bits);
-            assert!(
-                bits_eq(lut.quantize(x), codec.quantize(x)),
-                "{f} bits {bits:#010x}"
-            );
-            let neg = f32::from_bits(bits | 0x8000_0000);
-            assert!(
-                bits_eq(lut.quantize(neg), codec.quantize(neg)),
-                "{f} bits {:#010x}",
-                bits | 0x8000_0000
-            );
-            bits = bits.saturating_add(39_119); // prime, ~54k probes/format
+        while bits <= 0x7FFF_FFFF {
+            assert_quantize_matches(f, f32::from_bits(bits));
+            assert_quantize_matches(f, f32::from_bits(bits | 0x8000_0000));
+            bits += 509; // prime, ~4.2M probes per sign per format
         }
     }
 }
@@ -237,14 +260,8 @@ proptest! {
     /// Random raw bit patterns — hits subnormals, specials and NaNs too.
     #[test]
     fn random_bit_patterns_match(f in all_formats(), bits in proptest::collection::vec(0u32..=u32::MAX, 1..200)) {
-        let codec = Fp8Codec::new(f);
-        let lut = Fp8Lut::for_codec(&codec).unwrap();
         for b in bits {
-            let x = f32::from_bits(b);
-            prop_assert!(
-                bits_eq(lut.quantize(x), codec.quantize(x)),
-                "{} bits {:#010x}", f, b
-            );
+            assert_quantize_matches(f, f32::from_bits(b));
         }
     }
 

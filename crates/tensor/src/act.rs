@@ -26,8 +26,9 @@
 //!
 //! `decoder().at(i)` returns `lut.decode(code) / scale` — bit-identical to
 //! what fake quantization produces for the same element and scale:
-//! `codec.encode` followed by `lut.decode` is exactly `lut.quantize` (both
-//! are round-trips through the same codec), and the division by the scale
+//! `lut.encode` (the byte `Fp8Codec::encode` returns, found by the
+//! breakpoint search `lut.quantize` runs) followed by `lut.decode` is
+//! exactly `lut.quantize`, and the division by the scale
 //! is performed per element, never folded into the accumulation. The
 //! fake-quant reference for the per-tile layout is
 //! [`fake_quant_per_tile`], which computes its scales with the *same*
@@ -36,7 +37,7 @@
 //! PR 2 dynamic-activation convention), leaving non-finite values to the
 //! codec's own NaN/saturation rules.
 
-use ptq_fp8::{absmax_nan_aware, check_shape, fp8_scale, Fp8Codec, Fp8Error, Fp8Format, Fp8Lut};
+use ptq_fp8::{absmax_nan_aware, check_shape, fp8_scale, Fp8Error, Fp8Format, Fp8Lut};
 
 use crate::tensor::Tensor;
 
@@ -152,9 +153,9 @@ impl QActTensor {
             1.0
         };
         self.reset(x, format, 0);
-        let codec = Fp8Codec::new(format);
+        let lut = Fp8Lut::for_format(format);
         self.codes
-            .extend(x.data().iter().map(|&v| codec.encode(v * scale)));
+            .extend(x.data().iter().map(|&v| lut.encode(v * scale)));
         self.scales.push(scale);
     }
 
@@ -174,12 +175,11 @@ impl QActTensor {
         let tile = tile.max(1);
         self.reset(x, format, tile);
         let inner = x.shape().last().copied().unwrap_or(1).max(1);
-        let codec = Fp8Codec::new(format);
+        let lut = Fp8Lut::for_format(format);
         for row in x.data().chunks(inner) {
             for chunk in row.chunks(tile) {
                 let s = tile_scale(format, chunk);
-                self.codes
-                    .extend(chunk.iter().map(|&v| codec.encode(v * s)));
+                self.codes.extend(chunk.iter().map(|&v| lut.encode(v * s)));
                 self.scales.push(s);
             }
         }
@@ -284,7 +284,7 @@ impl QActTensor {
         ActDecode {
             codes: &self.codes,
             scales: &self.scales,
-            lut: Fp8Lut::for_spec(self.format.spec()),
+            lut: Fp8Lut::for_format(self.format),
             inner,
             tile: self.tile,
             tiles_per_row,
@@ -389,7 +389,7 @@ impl ActDecode<'_> {
 pub fn fake_quant_per_tile(data: &mut [f32], inner: usize, format: Fp8Format, tile: usize) {
     let tile = tile.max(1);
     let inner = inner.max(1);
-    let lut = Fp8Lut::for_spec(format.spec());
+    let lut = Fp8Lut::for_format(format);
     for row in data.chunks_mut(inner) {
         for chunk in row.chunks_mut(tile) {
             let s = tile_scale(format, chunk);
@@ -404,7 +404,7 @@ pub fn fake_quant_per_tile(data: &mut [f32], inner: usize, format: Fp8Format, ti
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
-    use ptq_fp8::fake_quant_fp8_lut;
+    use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec};
 
     #[test]
     fn static_roundtrip_matches_fake_quant() {

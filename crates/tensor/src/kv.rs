@@ -31,7 +31,7 @@
 //! decode hot path never touch the allocator and a capacity overflow is a
 //! typed [`KvError`], not a reallocation.
 
-use ptq_fp8::{absmax_nan_aware, fp8_scale, Fp8Codec, Fp8Format, Fp8Lut};
+use ptq_fp8::{absmax_nan_aware, fp8_scale, Fp8Format, Fp8Lut};
 use std::fmt;
 
 /// Why a cache operation was rejected. All cache misuse — ragged rows,
@@ -149,6 +149,8 @@ enum KvStore {
     F32(Vec<f32>),
     Fp8 {
         format: Fp8Format,
+        /// `format`'s tables, resolved once at construction.
+        lut: &'static Fp8Lut,
         codes: Vec<u8>,
         /// `Some` = static per-tensor scale (shared by every row);
         /// `None` = one dynamic scale per appended row in `row_scales`.
@@ -177,6 +179,7 @@ impl KvBuf {
             KvCachePolicy::F32 => KvStore::F32(Vec::with_capacity(d * capacity)),
             KvCachePolicy::Fp8 { format, scale } => KvStore::Fp8 {
                 format,
+                lut: Fp8Lut::for_format(format),
                 codes: Vec::with_capacity(d * capacity),
                 static_scale: scale.filter(|s| s.is_finite() && *s != 0.0),
                 row_scales: Vec::with_capacity(capacity),
@@ -257,11 +260,11 @@ impl KvBuf {
             KvStore::F32(data) => data.extend_from_slice(row),
             KvStore::Fp8 {
                 format,
+                lut,
                 codes,
                 static_scale,
                 row_scales,
             } => {
-                let codec = Fp8Codec::new(*format);
                 let s = match static_scale {
                     Some(s) => *s,
                     None => {
@@ -272,7 +275,7 @@ impl KvBuf {
                         s
                     }
                 };
-                codes.extend(row.iter().map(|&v| codec.encode(v * s)));
+                codes.extend(row.iter().map(|&v| lut.encode(v * s)));
             }
         }
         self.len += 1;
@@ -287,12 +290,12 @@ impl KvBuf {
         match &self.store {
             KvStore::F32(data) => data[j * self.d + c],
             KvStore::Fp8 {
-                format,
+                lut,
                 codes,
                 static_scale,
                 row_scales,
+                ..
             } => {
-                let lut = Fp8Lut::for_spec(format.spec());
                 let s = static_scale.unwrap_or_else(|| row_scales[j]);
                 lut.decode(codes[j * self.d + c]) / s
             }
@@ -301,48 +304,42 @@ impl KvBuf {
 
     /// Decode all `len · d` cached values into `out` (position-major, the
     /// storage layout). The static-scale FP8 arm builds one 256-entry
-    /// scaled decode table (`decode(code) / scale`, the
-    /// [`crate::ScaledDecode`] construction) in pooled scratch and maps
-    /// codes through it — the decode-once staging the blocked step
-    /// kernels amortize over their MAC loops.
+    /// scaled decode table (`decode(code) / scale`) on the stack and maps
+    /// codes through it: one scale serves all `len · d` elements, the one
+    /// place a table costs fewer divisions than dividing per element. The
+    /// entries are the per-element expression's values, so both arms and
+    /// [`KvBuf::value_at`] agree bit for bit.
     pub fn decode_into(&self, out: &mut [f32]) {
         let n = self.len * self.d;
         debug_assert!(out.len() >= n, "decode_into buffer too small");
         match &self.store {
             KvStore::F32(data) => out[..n].copy_from_slice(data),
             KvStore::Fp8 {
-                format,
+                lut,
                 codes,
                 static_scale,
                 row_scales,
-            } => {
-                let lut = Fp8Lut::for_spec(format.spec());
-                match static_scale {
-                    Some(s) => {
-                        let mut tables = crate::ops::scratch::take_tables();
-                        let buf = tables.buf_mut();
-                        for b in 0..=u8::MAX {
-                            buf.push(lut.decode(b) / s);
-                        }
-                        let table = tables.as_slice();
-                        for (o, &b) in out[..n].iter_mut().zip(codes.iter()) {
-                            *o = table[b as usize];
-                        }
+                ..
+            } => match static_scale {
+                Some(s) => {
+                    let table: [f32; 256] = std::array::from_fn(|b| lut.decode(b as u8) / s);
+                    for (o, &b) in out[..n].iter_mut().zip(codes.iter()) {
+                        *o = table[b as usize];
                     }
-                    None => {
-                        for (j, (orow, crow)) in out[..n]
-                            .chunks_mut(self.d)
-                            .zip(codes.chunks(self.d))
-                            .enumerate()
-                        {
-                            let s = row_scales[j];
-                            for (o, &b) in orow.iter_mut().zip(crow) {
-                                *o = lut.decode(b) / s;
-                            }
+                }
+                None => {
+                    for (j, (orow, crow)) in out[..n]
+                        .chunks_mut(self.d)
+                        .zip(codes.chunks(self.d))
+                        .enumerate()
+                    {
+                        let s = row_scales[j];
+                        for (o, &b) in orow.iter_mut().zip(crow) {
+                            *o = lut.decode(b) / s;
                         }
                     }
                 }
-            }
+            },
         }
     }
 
@@ -473,7 +470,7 @@ impl KvCache {
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
-    use ptq_fp8::fake_quant_fp8_lut;
+    use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec};
 
     #[test]
     fn f32_roundtrip_is_exact() {

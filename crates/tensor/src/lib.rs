@@ -27,7 +27,7 @@ pub mod tensor;
 
 pub use act::{fake_quant_per_tile, tile_scale, ActDecode, ActScale, QActTensor};
 pub use kv::{KvBuf, KvCache, KvCachePolicy, KvError, KvLayer, KvSide};
-pub use qtensor::{QTensor, ScaledDecode};
+pub use qtensor::QTensor;
 pub use rng::TensorRng;
 pub use shape::{Shape, ShapeError};
 pub use stats::{ChannelStats, Histogram, TensorStats};

@@ -6,11 +6,12 @@
 //! Every kernel here computes each output element through **exactly the
 //! same floating-point chain** as its scalar reference: one accumulator
 //! per output, terms added in ascending reduction order (`kk`, or
-//! `(ci, ky, kx)` for conv), scales applied per element *inside* the MAC
-//! (decode tables hold `decode(code) / scale`), and the matmul family's
-//! `av == 0.0` zero-skip intact (it changes results under NaN/Inf and
-//! signed zeros, so it is semantics, not an optimization). What blocking
-//! changes is only *which independent outputs advance together*:
+//! `(ci, ky, kx)` for conv), scales applied per element *before* the MAC
+//! (every staged value is `decode(code) / scale`, one division per
+//! element), and the matmul family's `av == 0.0` zero-skip intact (it
+//! changes results under NaN/Inf and signed zeros, so it is semantics, not
+//! an optimization). What blocking changes is only *which independent
+//! outputs advance together*:
 //!
 //! * **matmul**: `B` is decoded once into a packed column-panel layout
 //!   (pure data movement — same values, read in the same `kk` order) and
@@ -19,37 +20,42 @@
 //!   load/update/store sweep over the output row. On x86-64 with AVX2
 //!   the full tile runs 8 lanes wide through explicit `vmulps`/`vaddps`
 //!   (never `vfmadd`, whose single rounding would break bit-identity).
-//! * **linear**: 4 output features share one pass over `k` with their 4
-//!   decode tables L1-resident, and 4 input rows reuse each gathered
-//!   weight value — 16 chains, 4 MACs per table gather.
-//! * **conv**: the weight tensor is packed through its per-channel
-//!   tables once per call, each input sample is decoded once per image
-//!   (not once per output plane), and interior outputs (no padding
-//!   clipping) run a check-free 4-wide column block; borders keep the
-//!   reference loop.
+//! * **linear**: the `[n, k]` weight codes stream once per call through
+//!   `decode(code) / scale(channel)` straight into the same column-panel
+//!   layout (8 output features per panel, so the 8 divisions of a `kk`
+//!   step are one vector of lanes with their 8 channel scales), and the
+//!   rows run the matmul register tile compiled with `SKIP = false`:
+//!   Linear has no zero-skip (`0 · NaN` must stay NaN), and the bias is
+//!   added after the finished chain, as the reference does. Short row
+//!   blocks (`m` = 1..3, the decode step) run a 1×8 row tile over the
+//!   same panels.
+//! * **conv**: the weight tensor is decoded once per call, each input
+//!   sample is decoded once per image (not once per output plane), and
+//!   interior outputs (no padding clipping) run a check-free 4-wide
+//!   column block; borders keep the reference loop.
 //!
 //! Reassociation — multi-accumulator splits of a *single* dot product,
-//! hoisting scales, dropping the zero-skip — is exactly what these
-//! kernels never do. Equivalence is enforced by proptests
-//! (`tests/kernel_path_equivalence.rs`) and zoo-wide suites.
+//! hoisting scales, dropping the zero-skip where the reference has it —
+//! is exactly what these kernels never do. Equivalence is enforced by
+//! proptests (`tests/kernel_path_equivalence.rs`) and zoo-wide suites.
 //!
 //! All staging buffers come from the per-thread pool in
-//! [`super::scratch`]; steady-state calls do not allocate.
+//! [`super::scratch`]; steady-state calls do not allocate, and no decoded
+//! value outlives the call that staged it.
 
 use crate::act::ActDecode;
-use crate::qtensor::{QTensor, ScaledDecode};
+use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 
 use super::conv::{for_each_plane, taps, window_sum, ConvDims};
-use super::operand::{DenseW, Rows};
-use super::{for_each_chunk, scratch};
+use super::operand::Rows;
+use super::{for_each_chunk, scratch, WeightOperand};
 
 /// Rows per register tile (matmul and linear).
 const MR: usize = 4;
-/// Columns per matmul register tile (one or two SIMD vectors wide).
+/// Columns per register tile and per packed panel (one or two SIMD
+/// vectors wide).
 const NRM: usize = 8;
-/// Output features per linear register tile (decode tables L1-resident).
-const NRL: usize = 4;
 /// Output columns advanced together on a conv interior row.
 const OXB: usize = 4;
 
@@ -79,32 +85,33 @@ fn decode_pack_panels(bdec: &ActDecode, k: usize, n: usize, bp: &mut [f32]) {
 }
 
 /// One full `MR`×`NRM` register tile: 32 independent kk-ascending
-/// accumulator chains with the matmul `av == 0.0` zero-skip intact.
+/// accumulator chains. `SKIP` compiles the matmul `av == 0.0` zero-skip in
+/// (matmul) or out (linear, whose reference multiplies every term).
 /// Dispatches to the AVX2 lane when the CPU has it (rustc targets
 /// baseline SSE2, so autovectorization alone leaves half the vector
 /// width unused); the scalar loop below is the same chains and the
 /// fallback everywhere else.
-fn tile_full(
+fn tile_full<const SKIP: bool>(
     arows: &[f32],
-    at: Option<&[f32]>,
+    simd_a: Option<&[f32]>,
     k: usize,
     panel: &[f32],
     acc: &mut [[f32; NRM]; MR],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(at) = at {
-        // SAFETY: `at` is only staged after an `avx2_available` check in
-        // `matmul_packed`, which sized it to k*MR and `panel` to k*NRM.
-        unsafe { simd::tile_4x8(at, k, panel, acc) };
+    if let Some(a) = simd_a {
+        // SAFETY: `simd_a` is only `Some` after an `avx2_available` check
+        // in `matmul_packed`, which sized it to k*MR and `panel` to k*NRM.
+        unsafe { simd::tile_4x8::<SKIP>(a, k, panel, acc) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = at;
+    let _ = simd_a;
     for kk in 0..k {
         let bk = &panel[kk * NRM..kk * NRM + NRM];
         for (r, a) in acc.iter_mut().enumerate() {
             let av = arows[r * k + kk];
-            if av == 0.0 {
+            if SKIP && av == 0.0 {
                 continue;
             }
             for (c, &bv) in bk.iter().enumerate() {
@@ -114,21 +121,42 @@ fn tile_full(
     }
 }
 
+/// One row against one full panel: `NRM` kk-ascending chains advancing as
+/// one vector, for row blocks shorter than `MR` (a decode step is a
+/// single row).
+fn tile_row<const SKIP: bool>(arow: &[f32], panel: &[f32]) -> [f32; NRM] {
+    let mut acc = [0.0f32; NRM];
+    for (&av, bk) in arow.iter().zip(panel.chunks_exact(NRM)) {
+        if SKIP && av == 0.0 {
+            continue;
+        }
+        for (a, &bv) in acc.iter_mut().zip(bk) {
+            *a += av * bv;
+        }
+    }
+    acc
+}
+
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    //! Runtime-detected AVX2 lane for the matmul register tile.
+    //! Runtime-detected AVX2 lane for the register tile.
     //!
     //! Bit-identity: `vmulps`/`vaddps` are the identical single-rounded
     //! IEEE-754 multiply and add as Rust's scalar `f32` operators (rustc
     //! keeps fp-contract off, so nothing fuses into an FMA, which *would*
     //! change rounding); each lane carries exactly one output element's
-    //! accumulator chain in the same `kk` order; and the `av == 0.0`
-    //! zero-skip happens per `(row, kk)` exactly as in the scalar tile.
-    //! The per-`kk` fast path only asserts that *no* row value is zero
-    //! (`vcmpeqps`+`vmovmskps`, the same ordered `== 0.0` the scalar
-    //! compare performs, so ±0.0 matches and NaN does not) — when it
-    //! holds, the skip provably cannot fire and the four chains run
-    //! unguarded; otherwise the guarded per-row loop is taken.
+    //! accumulator chain in the same `kk` order; and with `SKIP` the
+    //! `av == 0.0` zero-skip happens per `(row, kk)` exactly as in the
+    //! scalar tile. The per-`kk` fast path only asserts that *no* row
+    //! value is zero (`vcmpeqps`+`vmovmskps`, the same ordered `== 0.0`
+    //! the scalar compare performs, so ±0.0 matches and NaN does not) —
+    //! when it holds, the skip provably cannot fire and the four chains
+    //! run unguarded; otherwise the guarded per-row loop is taken. Without
+    //! `SKIP` (linear) there is no test and every step runs unguarded.
+    //!
+    //! The zero test is also the only reader of a whole `kk` column, so
+    //! only `SKIP` tiles need the A block staged k-major; without it the
+    //! tile broadcasts each value from the row-major block in place.
 
     use std::sync::OnceLock;
 
@@ -143,33 +171,38 @@ mod simd {
     }
 
     /// One full `MR`×`NRM` tile, each output row one 8-wide register.
-    /// `at` is the A block in k-major order (`at[kk*MR + r]`), so one
-    /// 4-lane load fetches the row values of a `kk` for the zero test.
+    /// `a` is the `MR`×`k` A block: k-major (`a[kk*MR + r]`) under `SKIP`,
+    /// so one 4-lane load fetches the row values of a `kk` for the zero
+    /// test; row-major (`a[r*k + kk]`) otherwise.
     ///
     /// # Safety
     ///
     /// Caller must have verified [`avx2_available`] and guarantee
-    /// `at.len() >= k * MR` and `panel.len() >= k * NRM`.
+    /// `a.len() >= k * MR` and `panel.len() >= k * NRM`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_4x8(
-        at: &[f32],
+    pub(super) unsafe fn tile_4x8<const SKIP: bool>(
+        a: &[f32],
         k: usize,
         panel: &[f32],
         acc_out: &mut [[f32; NRM]; MR],
     ) {
         use std::arch::x86_64::*;
-        debug_assert!(at.len() >= k * MR && panel.len() >= k * NRM);
+        debug_assert!(a.len() >= k * MR && panel.len() >= k * NRM);
+        let a = a.as_ptr();
+        // Strides of `A[r, kk]` in the layout `SKIP` implies.
+        let (rs, ks) = if SKIP { (1, MR) } else { (k, 1) };
         let mut acc = [_mm256_setzero_ps(); MR];
         let zero8 = _mm256_setzero_ps();
-        // Per-row guarded update for one kk — the semantics path.
-        macro_rules! guarded {
-            ($ap:expr, $bk:expr) => {
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let av = *$ap.add(r);
-                    if av == 0.0 {
+        // Step `$kk` of the four rows; `$guard` keeps the per-row
+        // zero-skip — the semantics path.
+        macro_rules! step {
+            ($kk:expr, $bk:expr, $guard:expr) => {
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = *a.add(r * rs + $kk * ks);
+                    if $guard && av == 0.0 {
                         continue;
                     }
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_set1_ps(av), $bk));
+                    *row = _mm256_add_ps(*row, _mm256_mul_ps(_mm256_set1_ps(av), $bk));
                 }
             };
         }
@@ -179,30 +212,23 @@ mod simd {
         // their kk term, then their kk+1 term).
         let mut kk = 0;
         while kk + 2 <= k {
-            let ap = at.as_ptr().add(kk * MR);
-            let avs = _mm256_loadu_ps(ap);
             let bk0 = _mm256_loadu_ps(panel.as_ptr().add(kk * NRM));
             let bk1 = _mm256_loadu_ps(panel.as_ptr().add((kk + 1) * NRM));
-            if _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) == 0 {
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(r));
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(av, bk0));
-                }
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(MR + r));
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(av, bk1));
-                }
+            if SKIP && {
+                let avs = _mm256_loadu_ps(a.add(kk * MR));
+                _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) != 0
+            } {
+                step!(kk, bk0, true);
+                step!(kk + 1, bk1, true);
             } else {
-                guarded!(ap, bk0);
-                let ap1 = ap.add(MR);
-                guarded!(ap1, bk1);
+                step!(kk, bk0, false);
+                step!(kk + 1, bk1, false);
             }
             kk += 2;
         }
         if kk < k {
-            let ap = at.as_ptr().add(kk * MR);
             let bk = _mm256_loadu_ps(panel.as_ptr().add(kk * NRM));
-            guarded!(ap, bk);
+            step!(kk, bk, SKIP);
         }
         for (r, a) in acc.iter().enumerate() {
             _mm256_storeu_ps(acc_out[r].as_mut_ptr(), *a);
@@ -218,11 +244,12 @@ mod simd {
     /// # Safety
     ///
     /// Caller must have verified [`avx2_available`] and guarantee
-    /// `at.len() >= k * MR`, `p0.len() >= k * NRM`, `p1.len() >= k * NRM`.
+    /// `a.len() >= k * MR` (laid out as for [`tile_4x8`]),
+    /// `p0.len() >= k * NRM`, `p1.len() >= k * NRM`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tile_4x8x2(
-        at: &[f32],
+    pub(super) unsafe fn tile_4x8x2<const SKIP: bool>(
+        a: &[f32],
         k: usize,
         p0: &[f32],
         p1: &[f32],
@@ -230,14 +257,17 @@ mod simd {
         acc_out1: &mut [[f32; NRM]; MR],
     ) {
         use std::arch::x86_64::*;
-        debug_assert!(at.len() >= k * MR && p0.len() >= k * NRM && p1.len() >= k * NRM);
+        debug_assert!(a.len() >= k * MR && p0.len() >= k * NRM && p1.len() >= k * NRM);
+        let a = a.as_ptr();
+        // Strides of `A[r, kk]` in the layout `SKIP` implies.
+        let (rs, ks) = if SKIP { (1, MR) } else { (k, 1) };
         let mut acc0 = [_mm256_setzero_ps(); MR];
         let mut acc1 = [_mm256_setzero_ps(); MR];
         let zero8 = _mm256_setzero_ps();
         macro_rules! step {
-            ($ap:expr, $b0:expr, $b1:expr, $guard:expr) => {
+            ($kk:expr, $b0:expr, $b1:expr, $guard:expr) => {
                 for r in 0..MR {
-                    let av = *$ap.add(r);
+                    let av = *a.add(r * rs + $kk * ks);
                     if $guard && av == 0.0 {
                         continue;
                     }
@@ -249,28 +279,26 @@ mod simd {
         }
         let mut kk = 0;
         while kk + 2 <= k {
-            let ap = at.as_ptr().add(kk * MR);
-            let avs = _mm256_loadu_ps(ap);
             let b00 = _mm256_loadu_ps(p0.as_ptr().add(kk * NRM));
             let b01 = _mm256_loadu_ps(p1.as_ptr().add(kk * NRM));
             let b10 = _mm256_loadu_ps(p0.as_ptr().add((kk + 1) * NRM));
             let b11 = _mm256_loadu_ps(p1.as_ptr().add((kk + 1) * NRM));
-            if _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) == 0 {
-                step!(ap, b00, b01, false);
-                let ap1 = ap.add(MR);
-                step!(ap1, b10, b11, false);
+            if SKIP && {
+                let avs = _mm256_loadu_ps(a.add(kk * MR));
+                _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) != 0
+            } {
+                step!(kk, b00, b01, true);
+                step!(kk + 1, b10, b11, true);
             } else {
-                step!(ap, b00, b01, true);
-                let ap1 = ap.add(MR);
-                step!(ap1, b10, b11, true);
+                step!(kk, b00, b01, false);
+                step!(kk + 1, b10, b11, false);
             }
             kk += 2;
         }
         if kk < k {
-            let ap = at.as_ptr().add(kk * MR);
             let b0 = _mm256_loadu_ps(p0.as_ptr().add(kk * NRM));
             let b1 = _mm256_loadu_ps(p1.as_ptr().add(kk * NRM));
-            step!(ap, b0, b1, true);
+            step!(kk, b0, b1, SKIP);
         }
         for (r, a) in acc0.iter().enumerate() {
             _mm256_storeu_ps(acc_out0[r].as_mut_ptr(), *a);
@@ -281,33 +309,46 @@ mod simd {
     }
 }
 
-/// `out[mr, n] = arows[mr, k] · B` with `B` in packed column panels.
-/// `out` rows are stored (the caller zero-filled them; every element is
-/// overwritten with its accumulator, which starts at the same `0.0`).
-fn matmul_packed(arows: &[f32], mr: usize, k: usize, n: usize, bp: &[f32], out: &mut [f32]) {
+/// `out[mr, n] = arows[mr, k] · B` with `B` in packed column panels and
+/// the zero-skip per `SKIP`. Every element of `out` is stored with its
+/// finished accumulator chain (which starts at `0.0`); nothing is read.
+fn matmul_packed<const SKIP: bool>(
+    arows: &[f32],
+    mr: usize,
+    k: usize,
+    n: usize,
+    bp: &[f32],
+    out: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
     if mr == MR && n >= NRM && simd::avx2_available() {
-        // Stage the A block once per chunk in k-major order (pure data
-        // movement — the tile reads the same values in the same order);
-        // it is reused across every column panel of this chunk.
+        if !SKIP {
+            // No zero test: the tile broadcasts from the rows in place.
+            return matmul_panels::<SKIP>(arows, Some(arows), mr, k, n, bp, out);
+        }
+        // Stage the A block once per chunk in k-major order for the zero
+        // test (pure data movement — the tile reads the same values in
+        // the same order); it is reused across every column panel of this
+        // chunk.
         scratch::with_rows2(k * MR, |at| {
             for r in 0..MR {
                 for (kk, col) in at.chunks_exact_mut(MR).enumerate() {
                     col[r] = arows[r * k + kk];
                 }
             }
-            matmul_panels(arows, Some(at), mr, k, n, bp, out);
+            matmul_panels::<SKIP>(arows, Some(at), mr, k, n, bp, out);
         });
         return;
     }
-    matmul_panels(arows, None, mr, k, n, bp, out);
+    matmul_panels::<SKIP>(arows, None, mr, k, n, bp, out);
 }
 
-/// Panel loop of [`matmul_packed`]; `at` is the optional k-major staged A
-/// block for the AVX2 tile.
-fn matmul_panels(
+/// Panel loop of [`matmul_packed`]; `simd_a` is the A block as the AVX2
+/// tile reads it (staged k-major under `SKIP`, `arows` itself otherwise),
+/// `None` without AVX2 or a full-height chunk.
+fn matmul_panels<const SKIP: bool>(
     arows: &[f32],
-    at: Option<&[f32]>,
+    simd_a: Option<&[f32]>,
     mr: usize,
     k: usize,
     n: usize,
@@ -317,18 +358,18 @@ fn matmul_panels(
     let mut off = 0;
     let mut j0 = 0;
     #[cfg(target_arch = "x86_64")]
-    if let Some(at) = at {
-        // Consume pairs of full panels with the wide 4×16 tile (`at` is
-        // only staged for full-height chunks after the AVX2 check).
+    if let Some(a) = simd_a {
+        // Consume pairs of full panels with the wide 4×16 tile (`simd_a`
+        // is only `Some` for full-height chunks after the AVX2 check).
         debug_assert_eq!(mr, MR);
         while j0 + 2 * NRM <= n {
             let p0 = &bp[off..off + k * NRM];
             let p1 = &bp[off + k * NRM..off + 2 * k * NRM];
             let mut acc0 = [[0.0f32; NRM]; MR];
             let mut acc1 = [[0.0f32; NRM]; MR];
-            // SAFETY: AVX2 checked before staging `at`; slice sizes
-            // asserted by construction above.
-            unsafe { simd::tile_4x8x2(at, k, p0, p1, &mut acc0, &mut acc1) };
+            // SAFETY: AVX2 checked before `simd_a` became `Some`, of an
+            // `MR`×`k` block; panel sizes by construction above.
+            unsafe { simd::tile_4x8x2::<SKIP>(a, k, p0, p1, &mut acc0, &mut acc1) };
             for r in 0..MR {
                 out[r * n + j0..r * n + j0 + NRM].copy_from_slice(&acc0[r]);
                 out[r * n + j0 + NRM..r * n + j0 + 2 * NRM].copy_from_slice(&acc1[r]);
@@ -343,18 +384,24 @@ fn matmul_panels(
         if mr == MR && wp == NRM {
             // 4x8 register tile: 32 independent kk-ascending chains.
             let mut acc = [[0.0f32; NRM]; MR];
-            tile_full(arows, at, k, panel, &mut acc);
+            tile_full::<SKIP>(arows, simd_a, k, panel, &mut acc);
             for (r, a) in acc.iter().enumerate() {
                 out[r * n + j0..r * n + j0 + NRM].copy_from_slice(a);
             }
+        } else if wp == NRM {
+            // Short row block: 8 chains per row, one row at a time.
+            for r in 0..mr {
+                let acc = tile_row::<SKIP>(&arows[r * k..(r + 1) * k], panel);
+                out[r * n + j0..r * n + j0 + NRM].copy_from_slice(&acc);
+            }
         } else {
-            // Ragged edge tiles: per-element chains in the same order.
+            // Ragged last panel: per-element chains in the same order.
             for r in 0..mr {
                 let arow = &arows[r * k..(r + 1) * k];
                 for c in 0..wp {
                     let mut acc = 0.0f32;
                     for (kk, &av) in arow.iter().enumerate() {
-                        if av == 0.0 {
+                        if SKIP && av == 0.0 {
                             continue;
                         }
                         acc += av * panel[kk * wp + c];
@@ -376,7 +423,7 @@ pub(super) fn matmul(a: &ActDecode, b: &ActDecode, m: usize, k: usize, n: usize,
         for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
             let mr = rows.len() / n;
             a.with(blk * MR * k, mr * k, |ar| {
-                matmul_packed(ar, mr, k, n, bp, rows)
+                matmul_packed::<true>(ar, mr, k, n, bp, rows)
             });
         });
     });
@@ -386,97 +433,45 @@ pub(super) fn matmul(a: &ActDecode, b: &ActDecode, m: usize, k: usize, n: usize,
 // linear family
 // ---------------------------------------------------------------------
 
-/// `out[mr, n] = xs[mr, k] · Wᵀ (+ bias)` with `W` as `[n, k]` codes
-/// decoded through per-output-feature tables. 4 features share one pass
-/// over `k` (their tables stay L1-resident), 4 rows reuse each gathered
-/// weight value.
-#[allow(clippy::too_many_arguments)]
-fn linear_block(
-    xs: &[f32],
-    mr: usize,
-    k: usize,
-    n: usize,
-    wc: &[u8],
-    dec: &ScaledDecode,
-    bd: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let mut j = 0;
-    while j + NRL <= n {
-        let t0 = dec.channel(j);
-        let t1 = dec.channel(j + 1);
-        let t2 = dec.channel(j + 2);
-        let t3 = dec.channel(j + 3);
-        let w0 = &wc[j * k..(j + 1) * k];
-        let w1 = &wc[(j + 1) * k..(j + 2) * k];
-        let w2 = &wc[(j + 2) * k..(j + 3) * k];
-        let w3 = &wc[(j + 3) * k..(j + 4) * k];
-        if mr == MR {
-            let mut acc = [[0.0f32; NRL]; MR];
-            for kk in 0..k {
-                let v = [
-                    t0[w0[kk] as usize],
-                    t1[w1[kk] as usize],
-                    t2[w2[kk] as usize],
-                    t3[w3[kk] as usize],
-                ];
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let xv = xs[r * k + kk];
-                    for (c, &vc) in v.iter().enumerate() {
-                        a[c] += xv * vc;
-                    }
-                }
-            }
-            for (r, a) in acc.iter().enumerate() {
-                for (c, &y0) in a.iter().enumerate() {
-                    let mut y = y0;
-                    if let Some(b) = bd {
-                        y += b[j + c];
-                    }
-                    out[r * n + j + c] = y;
+/// Stream the `[n, k]` weight codes of a Linear into the column-panel
+/// layout [`matmul_packed`] reads (`bp[j0*k + kk*wp + c]` is `Wᵀ[kk, j0+c]`,
+/// panels `NRM` output features wide): a fused decode + transpose, each
+/// element exactly `lut.decode(code) / scale(channel)` — the expression
+/// `StoredTensor::dequantize` defines. A full panel's `kk` step divides 8
+/// decoded lanes by the panel's 8 channel scales, which vectorizes.
+fn decode_pack_weights(weight: &QTensor, k: usize, n: usize, bp: &mut [f32]) {
+    let (codes, lut, scales) = (weight.codes(), weight.lut(), weight.scales());
+    let mut j0 = 0;
+    while j0 < n {
+        let wp = NRM.min(n - j0);
+        let panel = &mut bp[j0 * k..(j0 + wp) * k];
+        if wp == NRM {
+            let s: [f32; NRM] = std::array::from_fn(|c| scales.scale_for_channel(j0 + c));
+            let rows: [&[u8]; NRM] =
+                std::array::from_fn(|c| &codes[(j0 + c) * k..(j0 + c) * k + k]);
+            for (kk, dst) in panel.chunks_exact_mut(NRM).enumerate() {
+                for c in 0..NRM {
+                    dst[c] = lut.decode(rows[c][kk]) / s[c];
                 }
             }
         } else {
-            for r in 0..mr {
-                let xrow = &xs[r * k..(r + 1) * k];
-                let mut a = [0.0f32; NRL];
-                for (kk, &xv) in xrow.iter().enumerate() {
-                    a[0] += xv * t0[w0[kk] as usize];
-                    a[1] += xv * t1[w1[kk] as usize];
-                    a[2] += xv * t2[w2[kk] as usize];
-                    a[3] += xv * t3[w3[kk] as usize];
-                }
-                for (c, &y0) in a.iter().enumerate() {
-                    let mut y = y0;
-                    if let Some(b) = bd {
-                        y += b[j + c];
-                    }
-                    out[r * n + j + c] = y;
+            for c in 0..wp {
+                let s = scales.scale_for_channel(j0 + c);
+                let row = &codes[(j0 + c) * k..(j0 + c + 1) * k];
+                for (kk, &b) in row.iter().enumerate() {
+                    panel[kk * wp + c] = lut.decode(b) / s;
                 }
             }
         }
-        j += NRL;
-    }
-    while j < n {
-        let t = dec.channel(j);
-        let wrow = &wc[j * k..(j + 1) * k];
-        for r in 0..mr {
-            let xrow = &xs[r * k..(r + 1) * k];
-            let mut acc = 0.0f32;
-            for (xv, &wb) in xrow.iter().zip(wrow) {
-                acc += xv * t[wb as usize];
-            }
-            if let Some(b) = bd {
-                acc += b[j];
-            }
-            out[r * n + j] = acc;
-        }
-        j += 1;
+        j0 += NRM;
     }
 }
 
-/// Linear over an FP8-stored weight: `MR` activation rows per chunk,
-/// borrowed or decoded by the row source.
+/// Linear over an FP8-stored weight: the weight streamed once per call
+/// into packed panels, then `MR` activation rows per chunk (borrowed or
+/// decoded by the row source) through the register tile with no
+/// zero-skip; the bias lands on each finished dot product, as in the
+/// reference.
 pub(super) fn linear<X: Rows + ?Sized>(
     x: &X,
     weight: &QTensor,
@@ -486,13 +481,21 @@ pub(super) fn linear<X: Rows + ?Sized>(
     n: usize,
     out: &mut Tensor,
 ) {
-    let wc = weight.codes();
-    let dec = weight.scaled_decode();
     let bd = bias.map(|b| b.data());
-    for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-        let mr = rows.len() / n;
-        x.with(blk * MR * k, mr * k, |xs| {
-            linear_block(xs, mr, k, n, wc, &dec, bd, rows)
+    scratch::with_panel(k * n, |wp| {
+        decode_pack_weights(weight, k, n, wp);
+        for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
+            let mr = rows.len() / n;
+            x.with(blk * MR * k, mr * k, |xs| {
+                matmul_packed::<false>(xs, mr, k, n, wp, rows)
+            });
+            if let Some(b) = bd {
+                for row in rows.chunks_exact_mut(n) {
+                    for (y, bv) in row.iter_mut().zip(b) {
+                        *y += bv;
+                    }
+                }
+            }
         });
     });
 }
@@ -500,18 +503,6 @@ pub(super) fn linear<X: Rows + ?Sized>(
 // ---------------------------------------------------------------------
 // conv family
 // ---------------------------------------------------------------------
-
-/// Pack a `[cout, per_co]` weight-code tensor through its per-`cout`
-/// tables into dense f32 (same values the scalar kernel gathers).
-fn pack_weights(wc: &[u8], dec: &ScaledDecode, cout: usize, per_co: usize, wf: &mut [f32]) {
-    for co in 0..cout {
-        let t = dec.channel(co);
-        let src = &wc[co * per_co..(co + 1) * per_co];
-        for (d, &c) in wf[co * per_co..(co + 1) * per_co].iter_mut().zip(src) {
-            *d = t[c as usize];
-        }
-    }
-}
 
 /// One output plane: interior columns (no padding clipping) run a
 /// check-free 4-wide block where each weight value feeds 4 outputs;
@@ -533,7 +524,7 @@ fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f
         let mut ox = 0;
         while ox < ox_lo {
             let ix0 = (ox * d.stride) as isize - d.pad;
-            orow[ox] = window_sum::<DenseW>(xs, wplane, &[], b0, d, iy0, ix0);
+            orow[ox] = window_sum(xs, wplane, b0, d, iy0, ix0);
             ox += 1;
         }
         while ox + OXB <= ox_hi {
@@ -560,14 +551,14 @@ fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f
         }
         while ox < d.ow {
             let ix0 = (ox * d.stride) as isize - d.pad;
-            orow[ox] = window_sum::<DenseW>(xs, wplane, &[], b0, d, iy0, ix0);
+            orow[ox] = window_sum(xs, wplane, b0, d, iy0, ix0);
             ox += 1;
         }
     }
 }
 
-/// Conv over an FP8-stored weight: the weight packed through its tables
-/// once per call, each input sample borrowed or decoded once per image
+/// Conv over an FP8-stored weight: the weight decoded once per call into
+/// the pooled panel, each input sample borrowed or decoded once per image
 /// per worker by the row source.
 pub(super) fn conv2d<X: Rows + ?Sized>(
     x: &X,
@@ -576,11 +567,8 @@ pub(super) fn conv2d<X: Rows + ?Sized>(
     d: &ConvDims,
     out: &mut Tensor,
 ) {
-    let per_co = d.cin * d.kh * d.kw;
-    let dec = weight.scaled_decode();
-    scratch::with_panel(d.cout * per_co, |wf| {
-        pack_weights(weight.codes(), &dec, d.cout, per_co, wf);
-        for_each_plane(x, &DenseW(wf), bias, d, out, |xs, wplane, _, b0, oplane| {
+    WeightOperand::Q(weight).with_dense(|wf| {
+        for_each_plane(x, wf, bias, d, out, |xs, wplane, b0, oplane| {
             conv_plane(xs, wplane, b0, d, oplane)
         });
     });

@@ -1,6 +1,6 @@
 //! 2-D convolution kernels (NCHW layout).
 
-use super::operand::{next_call, with_rows, with_weights, Rows, WeightFetch};
+use super::operand::{next_call, with_rows, Rows};
 use super::{blocked, checked, for_each_chunk, ActOperand, KernelPath, WeightOperand};
 use crate::act::QActTensor;
 use crate::qtensor::QTensor;
@@ -95,13 +95,12 @@ pub(super) fn taps(i0: isize, extent: usize, k: usize) -> std::ops::Range<usize>
 
 /// One output element: the window sum whose top-left input coordinate is
 /// `(iy0, ix0)`, in-bounds terms added onto the bias in ascending
-/// `(ci, ky, kx)` order. `xs` is the plane's input sample, `wco` its
-/// `cin·kh·kw` weight elements and `t` their channel state.
+/// `(ci, ky, kx)` order. `xs` is the plane's input sample and `wco` its
+/// `cin·kh·kw` weight values.
 #[inline]
-pub(super) fn window_sum<W: WeightFetch>(
+pub(super) fn window_sum(
     xs: &[f32],
-    wco: &[W::Elem],
-    t: &[f32],
+    wco: &[f32],
     b0: f32,
     d: &ConvDims,
     iy0: isize,
@@ -118,24 +117,25 @@ pub(super) fn window_sum<W: WeightFetch>(
             let xrow = (ci * d.h + (iy0 + ky as isize) as usize) * d.w + x0;
             let wrow = (ci * d.kh + ky) * d.kw;
             let wr = &wco[wrow + kxs.start..wrow + kxs.end];
-            for (xv, &e) in xs[xrow..xrow + wr.len()].iter().zip(wr) {
-                acc += xv * W::value(t, e);
+            for (xv, &wv) in xs[xrow..xrow + wr.len()].iter().zip(wr) {
+                acc += xv * wv;
             }
         }
     }
     acc
 }
 
-/// Run `f(sample, weight elements, channel state, bias, output plane)` for
-/// every output plane, one plane per chunk — the plane → operands mapping
-/// the reference and blocked convolutions share.
-pub(super) fn for_each_plane<X: Rows + ?Sized, W: WeightFetch>(
+/// Run `f(sample, weight values, bias, output plane)` for every output
+/// plane, one plane per chunk — the plane → operands mapping the
+/// reference and blocked convolutions share. `wf` is the dense
+/// `[cout, cin·kh·kw]` weight.
+pub(super) fn for_each_plane<X: Rows + ?Sized>(
     x: &X,
-    wf: &W,
+    wf: &[f32],
     bias: Option<&Tensor>,
     d: &ConvDims,
     out: &mut Tensor,
-    f: impl Fn(&[f32], &[W::Elem], &[f32], f32, &mut [f32]) + Sync,
+    f: impl Fn(&[f32], &[f32], f32, &mut [f32]) + Sync,
 ) {
     let per_co = d.cin * d.kh * d.kw;
     let sample = d.cin * d.h * d.w;
@@ -145,28 +145,26 @@ pub(super) fn for_each_plane<X: Rows + ?Sized, W: WeightFetch>(
         let co = plane % d.cout;
         let xi = if d.depthwise { plane } else { plane / d.cout };
         let b0 = bias.map_or(0.0, |b| b.data()[co]);
-        let wco = &wf.elems()[co * per_co..(co + 1) * per_co];
-        x.with_shared(call, xi * sample, sample, |xs| {
-            f(xs, wco, wf.channel(co), b0, oplane)
-        });
+        let wco = &wf[co * per_co..(co + 1) * per_co];
+        x.with_shared(call, xi * sample, sample, |xs| f(xs, wco, b0, oplane));
     });
 }
 
 /// The `ScalarReference` loop nest of both convolutions: one
 /// [`window_sum`] per output element.
-fn conv_ref<X: Rows + ?Sized, W: WeightFetch>(
+fn conv_ref<X: Rows + ?Sized>(
     x: &X,
-    wf: &W,
+    wf: &[f32],
     bias: Option<&Tensor>,
     d: &ConvDims,
     out: &mut Tensor,
 ) {
-    for_each_plane(x, wf, bias, d, out, |xs, wco, t, b0, oplane| {
+    for_each_plane(x, wf, bias, d, out, |xs, wco, b0, oplane| {
         for oy in 0..d.oh {
             let iy0 = (oy * d.stride) as isize - d.pad;
             for ox in 0..d.ow {
                 let ix0 = (ox * d.stride) as isize - d.pad;
-                oplane[oy * d.ow + ox] = window_sum::<W>(xs, wco, t, b0, d, iy0, ix0);
+                oplane[oy * d.ow + ox] = window_sum(xs, wco, b0, d, iy0, ix0);
             }
         }
     });
@@ -178,7 +176,7 @@ fn conv_ref<X: Rows + ?Sized, W: WeightFetch>(
 /// Either operand may be FP8-stored ([`ActOperand`], [`WeightOperand`];
 /// per-channel weight scales group over `Cout`). The result is
 /// bit-identical to the f32 kernel on the dequantized operands: codes
-/// decode per element through the tables `dequantize` uses and the MAC
+/// decode per element by the expression `dequantize` uses and the MAC
 /// loop accumulates in the same order.
 ///
 /// # Panics
@@ -217,9 +215,7 @@ pub fn conv2d_into<'a>(
     if let (KernelPath::Blocked, WeightOperand::Q(q)) = (path, weight) {
         return with_rows!(x, |xs| blocked::conv2d(xs, q, bias, &d, out));
     }
-    with_rows!(x, |xs| with_weights!(weight, |wf| conv_ref(
-        xs, wf, bias, &d, out
-    )))
+    weight.with_dense(|wf| with_rows!(x, |xs| conv_ref(xs, wf, bias, &d, out)))
 }
 
 /// [`conv2d_into`] on a coded input and an FP8-stored weight through the
@@ -268,7 +264,7 @@ pub fn depthwise_conv2d_into<'a>(
     let weight = weight.into();
     let d = conv_dims(x.shape(), weight.shape(), bias, p, true);
     out.reuse_as(&[d.n, d.cout, d.oh, d.ow]);
-    with_weights!(weight, |wf| conv_ref(x.data(), wf, bias, &d, out))
+    weight.with_dense(|wf| conv_ref(x.data(), wf, bias, &d, out))
 }
 
 #[cfg(test)]

@@ -6,16 +6,17 @@
 //! speed, as in the paper's own FP32-emulation setup. Either operand may
 //! be FP8-stored ([`ActOperand`], [`WeightOperand`]); every result is
 //! bit-identical to the f32 kernel on the dequantized operands, because
-//! codes decode per element through the tables `dequantize` uses (the
-//! scale is never hoisted out of the accumulation) and the MAC loop
-//! accumulates in the same order.
+//! codes decode per element by the expression `dequantize` uses
+//! (`lut.decode(code) / scale`; the scale is never hoisted out of the
+//! accumulation) into pooled scratch that never outlives the kernel call,
+//! and the MAC loop accumulates in the same order.
 
 use crate::act::QActTensor;
 use crate::qtensor::QTensor;
 use crate::shape::{batch_matmul_dims, linear_dims, matmul_dims};
 use crate::tensor::Tensor;
 
-use super::operand::{with_rows, with_weights, Rows, WeightFetch};
+use super::operand::{with_rows, Rows};
 use super::{blocked, checked, for_each_chunk, scratch, ActOperand, KernelPath, WeightOperand};
 
 /// One output row of the matmul reference: `orow += arow · B` over dense
@@ -58,13 +59,15 @@ pub fn matmul_into<'a>(
     let [m, n] = checked(matmul_dims(a.shape(), b.shape()));
     let k = a.shape()[1];
     out.reuse_as(&[m, n]);
-    out.zero_fill();
     if out.data().is_empty() {
         return;
     }
     if let (KernelPath::Blocked, ActOperand::Coded(qa), ActOperand::Coded(qb)) = (path, a, b) {
+        // Stores every output element; only the reference loop accumulates
+        // into `out`.
         return blocked::matmul(&qa.decoder(), &qb.decoder(), m, k, n, out);
     }
+    out.zero_fill();
     with_dense(b, |bd| {
         with_rows!(a, |ar| for_each_chunk(
             out.data_mut(),
@@ -136,16 +139,14 @@ pub fn linear_into<'a>(
     if let (KernelPath::Blocked, WeightOperand::Q(q)) = (path, weight) {
         return with_rows!(x, |xs| blocked::linear(xs, q, bias, m, k, n, out));
     }
-    with_rows!(x, |xs| with_weights!(weight, |wf| linear_ref(
-        xs, wf, bias, k, out
-    )))
+    weight.with_dense(|wf| with_rows!(x, |xs| linear_ref(xs, wf, bias, k, out)))
 }
 
 /// The `ScalarReference` loop nest of [`linear_into`]: one `kk`-ascending
 /// dot product per output element, one output row per chunk.
-fn linear_ref<X: Rows + ?Sized, W: WeightFetch>(
+fn linear_ref<X: Rows + ?Sized>(
     x: &X,
-    wf: &W,
+    wf: &[f32],
     bias: Option<&Tensor>,
     k: usize,
     out: &mut Tensor,
@@ -156,11 +157,10 @@ fn linear_ref<X: Rows + ?Sized, W: WeightFetch>(
     for_each_chunk(out.data_mut(), n, macs, |i, row| {
         x.with(i * k, k, |xrow| {
             for (j, r) in row.iter_mut().enumerate() {
-                let wrow = &wf.elems()[j * k..(j + 1) * k];
-                let t = wf.channel(j);
+                let wrow = &wf[j * k..(j + 1) * k];
                 let mut acc = 0.0f32;
-                for (xv, &e) in xrow.iter().zip(wrow) {
-                    acc += xv * W::value(t, e);
+                for (xv, &wv) in xrow.iter().zip(wrow) {
+                    acc += xv * wv;
                 }
                 *r = acc;
                 if let Some(b) = bd {

@@ -51,7 +51,7 @@ use std::fmt;
 /// Both paths are bit-identical by construction — the blocked kernels
 /// preserve the scalar reference's per-output accumulation order exactly
 /// (one kk-ascending chain per output element, scales applied per element
-/// inside the MAC, the `av == 0.0` zero-skip intact) and differ only in
+/// before the MAC, the matmul `av == 0.0` zero-skip intact) and differ only in
 /// iteration *interleaving* across independent outputs and in data
 /// staging (decode-once panels, register tiles). The equivalence is
 /// enforced zoo-wide (`plan_equivalence.rs`) and property-tested across
@@ -59,9 +59,9 @@ use std::fmt;
 /// any future divergence is one flag away from bisectable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum KernelPath {
-    /// Register-blocked, cache-tiled micro-kernels (the default): decode
-    /// tables packed per channel group, operands decoded once into
-    /// reusable per-thread panels, 4–8-wide unrolled register tiles.
+    /// Register-blocked, cache-tiled micro-kernels (the default): coded
+    /// operands streamed once per call through `decode(code) / scale`
+    /// into reusable per-thread panels, 4–16-wide register tiles.
     #[default]
     Blocked,
     /// The straightforward triple-loop reference the blocked kernels are

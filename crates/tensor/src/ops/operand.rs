@@ -4,16 +4,19 @@
 //! operator, so each MAC op has one entry point over these views instead
 //! of one per storage combination. The public enums are what callers
 //! pass (`From<&…>` makes `ops::linear(&x, &w, None)` compile for every
-//! operand kind); the private [`Rows`] / [`WeightFetch`] traits are what
-//! the loop nests are monomorphized over, so each storage combination
-//! still compiles to the loop it had when it was written by hand.
+//! operand kind). Activations reach the loop nests through the private
+//! [`Rows`] trait, monomorphized per source (borrowed rows, or codes
+//! decoded a block at a time); a weight reaches them as dense f32
+//! ([`WeightOperand::with_dense`]): borrowed, or its codes decoded once per
+//! call into the pooled panel. Either way the f32 form of a coded operand
+//! never outlives the kernel call.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::scratch;
 use crate::act::{ActDecode, QActTensor};
-use crate::qtensor::{QTensor, ScaledDecode};
+use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 
 /// An activation operand: dense f32, or FP8 codes that the kernel decodes
@@ -28,9 +31,9 @@ pub enum ActOperand<'a> {
 }
 
 /// A weight operand: dense f32, or an FP8-stored [`QTensor`] whose codes
-/// decode through one scaled 256-entry table per leading-axis channel
-/// inside the MAC loop (the scale is never hoisted out of the
-/// accumulation).
+/// the kernel decodes (`lut.decode(code) / scale(channel)`, one division
+/// per element, never a reciprocal multiply and never hoisted out of the
+/// accumulation) into pooled scratch at the start of the call.
 #[derive(Debug, Clone, Copy)]
 pub enum WeightOperand<'a> {
     /// A dense f32 tensor, read in place.
@@ -81,6 +84,19 @@ impl WeightOperand<'_> {
             WeightOperand::Q(q) => q.shape(),
         }
     }
+
+    /// Run `f` on the whole weight as dense row-major f32 — what the
+    /// reference loop nests read: borrowed, or decoded into the call-wide
+    /// panel for the duration of `f`.
+    pub(super) fn with_dense<R>(&self, f: impl FnOnce(&[f32]) -> R) -> R {
+        match self {
+            WeightOperand::F32(t) => f(t.data()),
+            WeightOperand::Q(q) => scratch::with_panel(q.len(), |wf| {
+                q.decode_into(wf);
+                f(wf)
+            }),
+        }
+    }
 }
 
 /// Evaluate `$body` with `$rows` bound to the operand's [`Rows`] source —
@@ -100,23 +116,7 @@ macro_rules! with_rows {
     };
 }
 
-/// Evaluate `$body` with `$wf` bound to the operand's [`WeightFetch`].
-macro_rules! with_weights {
-    ($w:expr, |$wf:ident| $body:expr) => {
-        match $w {
-            $crate::ops::WeightOperand::F32(t) => {
-                let $wf = &$crate::ops::operand::DenseW(t.data());
-                $body
-            }
-            $crate::ops::WeightOperand::Q(q) => {
-                let $wf = &$crate::ops::operand::TableW(q.codes(), q.scaled_decode());
-                $body
-            }
-        }
-    };
-}
-
-pub(super) use {with_rows, with_weights};
+pub(super) use with_rows;
 
 /// Where a kernel's f32 activation values come from: borrowed from a
 /// dense tensor, or decoded from codes into per-thread pooled scratch.
@@ -187,67 +187,5 @@ impl Rows for ActDecode<'_> {
             }
             f(&buf[..len])
         })
-    }
-}
-
-/// How a MAC loop reads a weight: the stored elements, the per-channel
-/// state hoisted out of the inner loop, and the value of one element.
-pub(super) trait WeightFetch: Sync {
-    /// Stored element type (`f32`, or a `u8` code).
-    type Elem: Copy + Sync;
-
-    /// The stored elements, row-major.
-    fn elems(&self) -> &[Self::Elem];
-
-    /// State of leading-axis channel `c`, fetched once per channel: its
-    /// scaled decode table (empty for a dense weight).
-    fn channel(&self, c: usize) -> &[f32];
-
-    /// The f32 value of element `e` of a channel whose state is `chan`.
-    fn value(chan: &[f32], e: Self::Elem) -> f32;
-}
-
-/// A dense f32 weight, read directly.
-pub(super) struct DenseW<'a>(pub(super) &'a [f32]);
-
-impl WeightFetch for DenseW<'_> {
-    type Elem = f32;
-
-    #[inline]
-    fn elems(&self) -> &[f32] {
-        self.0
-    }
-
-    #[inline]
-    fn channel(&self, _c: usize) -> &[f32] {
-        &[]
-    }
-
-    #[inline]
-    fn value(_chan: &[f32], e: f32) -> f32 {
-        e
-    }
-}
-
-/// FP8 weight codes looked up through the scaled 256-entry tables
-/// [`QTensor::dequantize`] itself uses.
-pub(super) struct TableW<'a>(pub(super) &'a [u8], pub(super) ScaledDecode);
-
-impl WeightFetch for TableW<'_> {
-    type Elem = u8;
-
-    #[inline]
-    fn elems(&self) -> &[u8] {
-        self.0
-    }
-
-    #[inline]
-    fn channel(&self, c: usize) -> &[f32] {
-        self.1.channel(c)
-    }
-
-    #[inline]
-    fn value(chan: &[f32], e: u8) -> f32 {
-        chan[e as usize]
     }
 }

@@ -1,11 +1,13 @@
 //! Per-thread reusable kernel scratch.
 //!
 //! The fused quantized kernels stage decoded operands in f32 buffers (a
-//! decoded B panel, a block of decoded activation rows, a packed weight
+//! decoded B panel, a block of decoded activation rows, the weight codes
+//! of a call streamed through `decode(code) / scale` into a packed
 //! panel). This module keeps one growable buffer pool per thread; kernels
 //! *take* a buffer for the duration of a closure and put it back grown,
 //! so after warm-up a kernel call that stays on its caller's thread
-//! allocates nothing.
+//! allocates nothing. Every slot is closure-scoped: what a kernel stages
+//! is overwritten by the next call and never outlives its own.
 //!
 //! That covers every call below `PAR_MACS_MIN` (audited by the benchmark's
 //! `tensor.kernel_alloc_bytes`, which must read 0) and, above it, the
@@ -39,9 +41,6 @@ struct Pool {
     /// Second per-chunk block (k-major transposed A rows for the matmul
     /// register tile).
     rows2: Vec<f32>,
-    /// Scaled decode tables (256 f32 per scale group), held by
-    /// [`PooledTables`] guards across a kernel call.
-    tables: Vec<f32>,
 }
 
 thread_local! {
@@ -53,11 +52,7 @@ thread_local! {
 pub(crate) fn pooled_bytes() -> usize {
     POOL.with(|p| {
         let p = p.borrow();
-        4 * (p.panel.capacity()
-            + p.panel2.capacity()
-            + p.rows.capacity()
-            + p.rows2.capacity()
-            + p.tables.capacity())
+        4 * (p.panel.capacity() + p.panel2.capacity() + p.rows.capacity() + p.rows2.capacity())
     })
 }
 
@@ -119,43 +114,6 @@ pub(crate) fn with_rows2<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     let r = f(&mut buf[..len]);
     put(|p| &mut p.rows2, buf);
     r
-}
-
-/// RAII guard over the pooled decode-table buffer. Unlike the closure
-/// slots above, decode tables live inside a value
-/// ([`crate::qtensor::ScaledDecode`]) whose lifetime the borrow checker —
-/// not a closure scope — ends, so the buffer rides in the guard and
-/// returns to the pool on drop.
-#[derive(Default)]
-pub(crate) struct PooledTables {
-    buf: Vec<f32>,
-}
-
-impl PooledTables {
-    /// The built tables.
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        &self.buf
-    }
-
-    /// The underlying buffer (cleared at take), for building tables into.
-    pub(crate) fn buf_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.buf
-    }
-}
-
-impl Drop for PooledTables {
-    fn drop(&mut self) {
-        put(|p| &mut p.tables, std::mem::take(&mut self.buf));
-    }
-}
-
-/// Take the decode-table buffer out of this thread's pool (cleared,
-/// capacity preserved). Returned to the pool when the guard drops.
-pub(crate) fn take_tables() -> PooledTables {
-    let mut buf = take(|p| &mut p.tables);
-    buf.clear();
-    PooledTables { buf }
 }
 
 #[cfg(test)]

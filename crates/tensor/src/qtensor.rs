@@ -3,20 +3,24 @@
 //! [`QTensor`] wraps a [`StoredTensor`] (u8 codes + scales, the real 1
 //! byte/element deployment layout from `ptq-fp8`) together with the cached
 //! decode LUT for its format, so the matmul/conv kernels in
-//! [`crate::ops`] can decode weights inline in the MAC loop instead of
-//! materializing a dequantized f32 tensor.
+//! [`crate::ops`] can stream the codes into pooled scratch at the start of
+//! each call: the codes are all that is resident, and the f32 form never
+//! outlives the kernel call.
 //!
 //! ## Bit-identity contract
 //!
 //! Every fused kernel must produce *bit-identical* results to running the
 //! corresponding f32 kernel on `dequantize()`d weights. The mechanism is
-//! [`QTensor::scaled_decode`]: a per-scale-group 256-entry table holding
-//! `lut.decode(code) / scale` — elementwise exactly the value
-//! `StoredTensor::dequantize` computes (same decode table, same division).
-//! The MAC loops then consume those table entries in the same order as
-//! the f32 kernels, so accumulation is identical. The scale is *never*
-//! hoisted out of the accumulation (float non-associativity would break
-//! the identity).
+//! one expression, evaluated once per element per call:
+//! `lut.decode(code) / scale(channel)` — exactly what
+//! `StoredTensor::dequantize` computes (same decode table, same division;
+//! never a multiply by a reciprocal, which rounds differently).
+//! [`QTensor::decode_into`] (the loop `dequantize` itself is built on)
+//! writes those values in storage order and the blocked Linear writes the
+//! same values in its panel order; the MAC loops
+//! then consume them in the same order as the f32 kernels, so accumulation
+//! is identical. The scale is *never* hoisted out of the accumulation
+//! (float non-associativity would break the identity).
 
 use ptq_fp8::{CodeBytes, Fp8Error, Fp8Format, Fp8Lut, StoredScales, StoredTensor};
 
@@ -38,7 +42,7 @@ impl PartialEq for QTensor {
 impl QTensor {
     /// Wrap an existing [`StoredTensor`].
     pub fn from_stored(stored: StoredTensor) -> Self {
-        let lut = Fp8Lut::for_spec(stored.format().spec());
+        let lut = Fp8Lut::for_format(stored.format());
         QTensor { stored, lut }
     }
 
@@ -148,59 +152,20 @@ impl QTensor {
         Tensor::from_vec(self.stored.dequantize(), self.shape())
     }
 
-    /// Build the scaled decode tables the fused kernels read from: for
-    /// each scale group (one per leading-axis channel, or a single group
-    /// for per-tensor scaling), entry `b` holds `lut.decode(b) / scale` —
-    /// bit-identical to what [`StoredTensor::dequantize`] produces for a
-    /// code `b` in that group.
-    pub fn scaled_decode(&self) -> ScaledDecode {
-        // The table buffer comes from the per-thread kernel scratch pool
-        // and returns there when the `ScaledDecode` drops, so steady-state
-        // kernel calls build their tables allocation-free.
-        let mut tables = crate::ops::scratch::take_tables();
-        let buf = tables.buf_mut();
-        let mut build = |s: f32| {
-            for b in 0..=255u8 {
-                buf.push(self.lut.decode(b) / s);
-            }
-        };
-        let per_channel = match self.stored.scales() {
-            StoredScales::PerTensor(s) => {
-                build(*s);
-                false
-            }
-            StoredScales::PerChannel(scales) => {
-                for &s in scales {
-                    build(s);
-                }
-                true
-            }
-        };
-        ScaledDecode {
-            tables,
-            per_channel,
-        }
+    /// The decode table of the storage format.
+    pub(crate) fn lut(&self) -> &'static Fp8Lut {
+        self.lut
     }
-}
 
-/// Per-scale-group decode tables built by [`QTensor::scaled_decode`].
-pub struct ScaledDecode {
-    /// One 256-entry table per group, concatenated, in a pooled buffer.
-    tables: crate::ops::scratch::PooledTables,
-    per_channel: bool,
-}
-
-impl ScaledDecode {
-    /// The decode table for leading-axis channel `c` (per-tensor scaling
-    /// returns the single shared table for every channel).
-    #[inline]
-    pub fn channel(&self, c: usize) -> &[f32] {
-        let tables = self.tables.as_slice();
-        if self.per_channel {
-            &tables[c * 256..(c + 1) * 256]
-        } else {
-            &tables[..256]
-        }
+    /// Decode every element into `out` in storage order — element `i` of
+    /// leading-axis channel `c` is `lut.decode(code) / scale(c)`, bit for
+    /// bit what [`QTensor::dequantize`] holds at `i` — without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn decode_into(&self, out: &mut [f32]) {
+        self.stored.decode_into(out);
     }
 }
 
@@ -254,33 +219,26 @@ mod tests {
     }
 
     #[test]
-    fn scaled_decode_matches_dequantize_per_tensor() {
+    fn decode_into_matches_dequantize_per_tensor() {
         let mut rng = TensorRng::seed(6);
         let t = rng.normal(&[3, 7], 0.0, 2.0);
         let q = QTensor::quantize(&t, Fp8Format::E4M3).unwrap();
-        let dec = q.scaled_decode();
-        let d = q.dequantize();
-        for (i, &code) in q.codes().iter().enumerate() {
-            assert_eq!(
-                dec.channel(i / 7)[code as usize].to_bits(),
-                d.data()[i].to_bits()
-            );
+        let mut out = vec![f32::NAN; q.len()];
+        q.decode_into(&mut out);
+        for (i, (a, b)) in out.iter().zip(q.dequantize().data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "elem {i}");
         }
     }
 
     #[test]
-    fn scaled_decode_matches_dequantize_per_channel() {
+    fn decode_into_matches_dequantize_per_channel() {
         let mut rng = TensorRng::seed(7);
         let t = rng.normal(&[5, 6], 0.0, 1.0);
         let q = QTensor::quantize_per_channel(&t, Fp8Format::E3M4).unwrap();
-        let dec = q.scaled_decode();
-        let d = q.dequantize();
-        for (i, &code) in q.codes().iter().enumerate() {
-            assert_eq!(
-                dec.channel(i / 6)[code as usize].to_bits(),
-                d.data()[i].to_bits(),
-                "elem {i}"
-            );
+        let mut out = vec![f32::NAN; q.len()];
+        q.decode_into(&mut out);
+        for (i, (a, b)) in out.iter().zip(q.dequantize().data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "elem {i}");
         }
     }
 }

@@ -13,12 +13,16 @@
 //! Every row, through both [`KernelPath`]s, must be bit-equal to the f32
 //! kernel on the dequantized operands — across the three FP8 formats,
 //! per-tensor / per-tile activation scales, per-tensor / per-channel
-//! weight scales, shapes ragged around the register tiles (MR=4 rows,
-//! 8-wide matmul panels, 4-wide linear/conv blocks) and an injected
-//! `0 / -0 / NaN / Inf` (the matmul `av == 0.0` skip and every
-//! `0 · Inf = NaN` are semantics the blocked kernels must preserve). Also
-//! covers degenerate shapes (any dim zero) that historically panicked in
-//! `for_each_chunk`.
+//! weight scales, shapes ragged around the register tiles (MR=4 rows;
+//! 8-wide matmul/linear panels consumed in 4×16 pairs, singly, as 1×8 row
+//! tiles under a short row block, and as a ragged tail; 4-wide conv
+//! blocks) and an injected `0 / -0 / NaN / Inf` (the matmul `av == 0.0`
+//! skip and every `0 · Inf = NaN` are semantics the blocked kernels must
+//! preserve). The `nonfinite_codes` pins hold the one difference between
+//! the two users of the shared register tile — matmul skips a zero lhs
+//! term, linear multiplies it — on weights the quantizer never emits.
+//! Also covers degenerate shapes (any dim zero) that historically
+//! panicked in `for_each_chunk`.
 
 use proptest::prelude::*;
 use ptq_fp8::Fp8Format;
@@ -118,12 +122,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// linear × {F32, Coded} act × {F32, Q} weight, with and without
-    /// bias, n ragged around the 4-wide block.
+    /// bias: m on both sides of the MR=4 row block (1..3 run the row tile,
+    /// 5 and 9 leave a one-row tail), n from a single ragged panel through
+    /// the 4×16 pair plus a full panel plus a ragged tail, k odd and even
+    /// (the 2-`kk` unroll remainder).
     #[test]
     fn linear_rows_match_f32_on_dequantized(
-        m in 1usize..11,
-        k in 1usize..14,
-        n in 1usize..14,
+        m in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(5), Just(8), Just(9)],
+        k in 1usize..16,
+        n in 1usize..36,
         tile in 0usize..9,
         per_channel in 0u8..2,
         with_bias in 0u8..2,
@@ -251,6 +258,90 @@ proptest! {
                 let mut got = Tensor::default();
                 matmul_into(aa.view(), ba.view(), &mut got, path);
                 assert_bits_eq(&got, &want, &format!("matmul coded=({ca},{cb}) {path}"));
+            }
+        }
+    }
+}
+
+/// Codes no quantizer emits (it saturates), so the proptests cannot reach
+/// them: a NaN code and an Inf code in the second operand against an
+/// all-zero first operand. Linear has no zero-skip — `0 · NaN` and
+/// `0 · Inf` are NaN, bit-equal on both paths; matmul skips the zero lhs
+/// term and returns `+0.0`. One non-finite code per reduction keeps the
+/// NaN payload unambiguous.
+mod nonfinite_codes {
+    use super::*;
+    use ptq_fp8::StoredScales;
+
+    /// NaN in E4M3, +Inf in E5M2.
+    const CODES: [(Fp8Format, u8); 2] = [(Fp8Format::E4M3, 0x7F), (Fp8Format::E5M2, 0x7C)];
+    /// 4×16 pair + one full panel + a ragged tail of 3.
+    const N: usize = 27;
+    /// Odd: the 2-`kk` unroll leaves a remainder step.
+    const K: usize = 5;
+
+    /// `[rows, cols]` codes of `1.0` with `code` once per row, at a
+    /// position that moves with the row.
+    fn codes_with(rows: usize, cols: usize, f: Fp8Format, code: u8) -> Vec<u8> {
+        let one = QTensor::quantize(&Tensor::ones(&[1]), f).unwrap().codes()[0];
+        let mut codes = vec![one; rows * cols];
+        for r in 0..rows {
+            codes[r * cols + r % cols] = code;
+        }
+        codes
+    }
+
+    #[test]
+    fn linear_zero_row_times_nonfinite_weight_is_nan_on_both_paths() {
+        let bias = TensorRng::seed(3).normal(&[N], 0.0, 1.0);
+        for (f, code) in CODES {
+            for per_channel in [false, true] {
+                let scales = if per_channel {
+                    StoredScales::PerChannel((0..N).map(|j| 1.0 + 0.5 * j as f32).collect())
+                } else {
+                    StoredScales::PerTensor(2.0)
+                };
+                let codes = codes_with(N, K, f, code);
+                let q = QTensor::from_raw_parts(f, vec![N, K], codes.into(), scales).unwrap();
+                let wd = q.dequantize();
+                // m = 5: one full row block and a one-row tail.
+                for m in [1usize, 4, 5] {
+                    let x = Tensor::zeros(&[m, K]);
+                    let xa = Act::new(&x, true, f, 0);
+                    for bias in [None, Some(&bias)] {
+                        let want = linear(&x, &wd, bias);
+                        assert!(want.data().iter().all(|v| v.is_nan()), "{f} reference");
+                        for path in PATHS {
+                            for xv in [ActOperand::F32(&x), xa.view()] {
+                                let mut got = Tensor::default();
+                                linear_into(xv, &q, bias, &mut got, path);
+                                let what = format!("linear {f} pc={per_channel} m={m} {path}");
+                                assert_bits_eq(&got, &want, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_zero_row_times_nonfinite_rhs_keeps_the_skip() {
+        for (f, code) in CODES {
+            let codes = codes_with(K, N, f, code);
+            let b = QActTensor::from_raw_parts(f, vec![K, N], codes, vec![2.0], 0).unwrap();
+            assert!(b.dequantize().data().iter().any(|v| !v.is_finite()));
+            for m in [1usize, 4, 5] {
+                let a = Act::new(&Tensor::zeros(&[m, K]), true, f, 0);
+                for path in PATHS {
+                    let mut got = Tensor::default();
+                    matmul_into(a.view(), &b, &mut got, path);
+                    assert_eq!(got.shape(), &[m, N]);
+                    assert!(
+                        got.data().iter().all(|v| v.to_bits() == 0),
+                        "matmul {f} m={m} {path}: a zero lhs term is skipped, not multiplied"
+                    );
+                }
             }
         }
     }
