@@ -24,6 +24,13 @@
 #     binary (src/main.rs; no lib target, no src/bin, no extra [[bin]]),
 #     and no `run_suite_` variant exists under crates/ -- every zoo sweep
 #     goes through `workflow::run_suite`.
+#   * One decode schedule: prefill is the prompt through the step
+#     schedule (in blocks of rows), so `PrefillCapture`, `prefill_plan` and
+#     a `prefill: ExecPlan` field may not reappear under crates/; greedy
+#     token choice is `Tensor::argmax` -- no `fn argmax` outside
+#     crates/tensor/src; and the non-test lines of crates/{nn,core}/src
+#     (ROADMAP item 5d's count) and of crates/nn/src/decode.rs stay within
+#     the figures measured when the second path was deleted.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -31,6 +38,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
+
+# Non-test lines of every .rs file under the given paths.
+non_test_lines() {
+    find "$@" -name '*.rs' | sort | while IFS= read -r f; do
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+    done | wc -l
+}
 
 calls=$(find crates/nn/src -name '*.rs' | sort | while IFS= read -r f; do
     awk '/^#\[cfg\(test\)\]/{exit} /eval_node_into\(/ && !/fn eval_node_into\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$f"
@@ -62,10 +76,8 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2017
-ops_lines=$(find crates/tensor/src/ops -name '*.rs' | sort | while IFS= read -r f; do
-    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
-done | wc -l)
+ops_budget=2011
+ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
     fail=1
@@ -104,8 +116,32 @@ if hits=$(grep -rn 'run_suite_' crates/); then
     fail=1
 fi
 
+if hits=$(grep -rnE 'PrefillCapture|prefill_plan|prefill: ExecPlan' crates/); then
+    echo "one decode schedule: prefill runs the step schedule, not a full-window plan:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+if hits=$(grep -rn 'fn argmax' crates/ | grep -v '^crates/tensor/src/'); then
+    echo "greedy token choice is Tensor::argmax, not a private copy:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+nn_core_budget=7420
+nn_core_lines=$(non_test_lines crates/nn/src crates/core/src)
+decode_budget=848
+decode_lines=$(non_test_lines crates/nn/src/decode.rs)
+if [ "$nn_core_lines" -gt "$nn_core_budget" ] || [ "$decode_lines" -gt "$decode_budget" ]; then
+    echo "crates/{nn,core}/src has $nn_core_lines non-test lines (budget $nn_core_budget)," \
+        "crates/nn/src/decode.rs $decode_lines (budget $decode_budget)" >&2
+    fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
     "no decode-table machinery, no scalar encode loop," \
-    "no [[bench]]/criterion, one ptq-bench binary, one run_suite"
+    "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
+    "one decode schedule (nn+core $nn_core_lines/$nn_core_budget lines," \
+    "decode.rs $decode_lines/$decode_budget)"

@@ -3,14 +3,15 @@
 //! [`crate::QuantizedModel`] executes whole windows; this module is the
 //! core-level wrapper that turns one into a *stateful token generator*.
 //! It owns the three moving parts the nn layer keeps separate —
-//! [`DecodePlan`] (the prefill/step schedule), [`DecodeState`] (the KV
-//! cache plus step buffers) and the model's [`crate::QuantHook`] — and
+//! [`DecodePlan`] (the step schedule), [`DecodeState`] (the KV cache
+//! plus step buffers) and the model's [`crate::QuantHook`] — and
 //! exposes the natural decoding surface:
 //!
-//! * [`DecodeSession::prefill`] — run the prompt once through the planned
-//!   full-window executor, seeding the per-layer KV cache with the
-//!   format chosen by [`crate::config::KvStorage`] (FP8 cache scales are
-//!   calibrated from these very activations);
+//! * [`DecodeSession::prefill`] — run the prompt's `p` tokens through
+//!   the step schedule in blocks of rows (work that grows with the
+//!   prompt, not with the window), then seal the per-layer KV cache in
+//!   the format chosen by [`crate::config::KvStorage`] (FP8 cache scales
+//!   are calibrated from the prompt's own K/V rows);
 //! * [`DecodeSession::step`] — append one token, touching only one new
 //!   row per layer (`O(seq)` work instead of `O(seq²)` full-window
 //!   recompute);
@@ -46,10 +47,10 @@ impl DecodeSession {
         Ok(DecodeSession { model, plan, state })
     }
 
-    /// Run the prompt through the full-window prefill, seed the KV cache
-    /// and return the logits row for the last prompt token. Resets any
+    /// Run the prompt through the step schedule, seed the KV cache and
+    /// return the logits row for the last prompt token. Resets any
     /// previous session state first, so one session can decode many
-    /// prompts.
+    /// prompts; a prompt that fails leaves the session reset.
     pub fn prefill(&mut self, prompt: &[f32]) -> Result<Tensor, PtqError> {
         self.state.reset();
         let mut hook = self.model.hook();
@@ -81,7 +82,7 @@ impl DecodeSession {
         let mut logits = self.prefill(prompt)?;
         let mut out = Vec::with_capacity(max_new);
         for _ in 0..max_new {
-            let next = argmax(logits.data());
+            let next = logits.argmax() as f32;
             out.push(next);
             if self.state.pos() >= self.plan.seq() {
                 break; // window full: `next` is the last in-capacity token
@@ -113,7 +114,7 @@ impl DecodeSession {
         self.state.cache().map_or(0, |c| c.f32_bytes())
     }
 
-    /// The decode plan (prefill + step schedule).
+    /// The decode plan (the step schedule).
     pub fn plan(&self) -> &DecodePlan {
         &self.plan
     }
@@ -142,19 +143,4 @@ impl QuantizedModel {
     pub fn decoder(self, seq: usize) -> Result<DecodeSession, PtqError> {
         DecodeSession::new(self, seq)
     }
-}
-
-/// Index of the largest logit (first on ties, 0 on an empty row — the
-/// planner guarantees a non-empty output row, this is just panic-free
-/// form).
-fn argmax(logits: &[f32]) -> f32 {
-    let mut best = 0usize;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &v) in logits.iter().enumerate() {
-        if v > best_v {
-            best = i;
-            best_v = v;
-        }
-    }
-    best as f32
 }

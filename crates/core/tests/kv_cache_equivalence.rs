@@ -10,10 +10,10 @@
 //! mantissa, less noise).
 
 use proptest::prelude::*;
-use ptq_core::config::KvStorage;
-use ptq_core::{DecodeSession, PtqSession, QuantConfig, QuantizedModel, UnwrapOk};
+use ptq_core::config::{ActGranularity, Approach, KvStorage};
+use ptq_core::{DecodeSession, PtqError, PtqSession, QuantConfig, QuantizedModel, UnwrapOk};
 use ptq_fp8::Fp8Format;
-use ptq_models::families::nlp::decoder_graph;
+use ptq_models::families::nlp::{decoder_graph, decoder_workload};
 use ptq_models::families::NlpConfig;
 use ptq_models::{build_zoo_limited, Workload, ZooFilter};
 use ptq_nn::{DecodeState, ExecHook, Graph, NoopHook};
@@ -264,9 +264,8 @@ fn fp8_cache_drift_is_bounded_and_cache_bytes_shrink() {
         );
         let mut session = DecodeSession::new(model, seq).unwrap_ok();
         let mut logits = vec![session.prefill(&prompt).unwrap_ok()];
-        // Prefill never reads the cache, and runs behind the K/V capture
-        // wrapper: with `bind` forwarded verbatim (coded activations, FP8
-        // weights) its logits are exactly the unwrapped planned run's.
+        // Prompt positions attend the exact staged rows, never the FP8
+        // codes: prefill logits are exactly the planned window run's.
         let m = session.model();
         let unwrapped = full_window_row(&m.graph, seq, &prompt, &mut m.hook(), true);
         assert_bits_equal(logits[0].data(), &unwrapped, &format!("{format}: prefill"));
@@ -292,6 +291,139 @@ fn fp8_cache_drift_is_bounded_and_cache_bytes_shrink() {
             );
         }
     }
+}
+
+/// Logits rows of positions `s-1..tokens.len()`: `prefill(tokens[..s])`,
+/// then one step per remaining token.
+fn rows_from_split(
+    graph: &Graph,
+    seq: usize,
+    tokens: &[f32],
+    s: usize,
+    hook: &mut dyn ExecHook,
+) -> Vec<Tensor> {
+    let plan = graph.plan_decode(seq).unwrap_ok();
+    let mut state = DecodeState::new(&plan);
+    let first = state.prefill(&plan, graph, &Tensor::from_slice(&tokens[..s]), hook);
+    let mut rows = vec![first.unwrap_ok()];
+    for &tok in &tokens[s..] {
+        rows.push(state.step(&plan, graph, tok, hook).unwrap_ok());
+    }
+    rows
+}
+
+#[test]
+fn where_the_prompt_ends_never_changes_a_logits_row() {
+    // Prefill is the prompt's rows through the step schedule, so under an
+    // f32 cache position `t`'s row cannot depend on whether `t` was a
+    // prompt or a generated position, nor on how many rows ran with it —
+    // for every shape-independent hook (the induction the single
+    // schedule rests on).
+    let recipes = [
+        None,
+        Some(QuantConfig::fp8(Fp8Format::E4M3)),
+        Some(QuantConfig::fp8(Fp8Format::E4M3).with_act_granularity(ActGranularity::PerTile(8))),
+    ];
+    // The last window is longer than two prefill blocks (16 rows each).
+    for cfg in decoder_zoo()
+        .into_iter()
+        .chain([nlp_cfg(20, 40, 16, 2, 1, 41)])
+    {
+        let w = decoder_workload("gpt_like", &cfg);
+        let tokens: Vec<f32> = (0..cfg.seq)
+            .map(|i| ((5 * i + 2) % cfg.vocab) as f32)
+            .collect();
+        for recipe in &recipes {
+            let model = recipe
+                .as_ref()
+                .map(|r| PtqSession::new(r.clone()).quantize(&w).unwrap_ok().model);
+            let rows = |s: usize| match &model {
+                Some(m) => rows_from_split(&m.graph, cfg.seq, &tokens, s, &mut m.hook()),
+                None => rows_from_split(&w.graph, cfg.seq, &tokens, s, &mut NoopHook),
+            };
+            let all = rows(1);
+            for s in 2..=tokens.len() {
+                for (got, want) in rows(s).iter().zip(&all[s - 1..]) {
+                    let what = format!("{} {recipe:?} split {s}", w.spec.name);
+                    assert_bits_equal(got.data(), want.data(), &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_prompt_of_several_blocks_is_bit_identical_to_the_window() {
+    // 37 prompt tokens are two blocks of 16 rows and one of 5; 40 fill
+    // the window with nothing left to generate.
+    let cfg = nlp_cfg(20, 40, 16, 2, 1, 41);
+    let w = decoder_workload("gpt_like", &cfg);
+    let m = PtqSession::new(QuantConfig::fp8(Fp8Format::E4M3))
+        .quantize(&w)
+        .unwrap_ok()
+        .model;
+    for p in [33, 37, 40] {
+        let prompt: Vec<f32> = (0..p).map(|i| ((7 * i + 3) % cfg.vocab) as f32).collect();
+        check_bit_identity(
+            &w.graph,
+            cfg.seq,
+            &prompt,
+            NoopHook,
+            |toks| full_window_row(&w.graph, cfg.seq, toks, &mut NoopHook, false),
+            &format!("f32 prompt {p}"),
+        );
+        check_bit_identity(
+            &m.graph,
+            cfg.seq,
+            &prompt,
+            m.hook(),
+            |toks| full_window_row(&m.graph, cfg.seq, toks, &mut m.hook(), true),
+            &format!("quantized prompt {p}"),
+        );
+    }
+}
+
+#[test]
+fn dynamic_scales_take_the_prompt_as_one_tensor() {
+    // `Approach::Dynamic` scales each tensor at hand — a block of prompt
+    // rows at prefill, one row per step — so where the prompt ends does
+    // matter there, and what is pinned is the block itself: a one-block
+    // prompt that fills the window is exactly the window forward (the same
+    // tensors, no padding to take an absmax over).
+    let recipe = QuantConfig::fp8(Fp8Format::E4M3).with_approach(Approach::Dynamic);
+    for cfg in decoder_zoo() {
+        let w = decoder_workload("gpt_like", &cfg);
+        let m = PtqSession::new(recipe.clone())
+            .quantize(&w)
+            .unwrap_ok()
+            .model;
+        let tokens: Vec<f32> = (0..cfg.seq)
+            .map(|i| ((5 * i + 2) % cfg.vocab) as f32)
+            .collect();
+        let block = rows_from_split(&m.graph, cfg.seq, &tokens, cfg.seq, &mut m.hook());
+        let window = full_window_row(&m.graph, cfg.seq, &tokens, &mut m.hook(), true);
+        assert_bits_equal(block[0].data(), &window, &w.spec.name);
+    }
+}
+
+#[test]
+fn a_failed_prompt_leaves_the_session_reset_and_reusable() {
+    let (_w, model) = quantized_decoder(QuantConfig::fp8(Fp8Format::E4M3));
+    let (seq, vocab) = (12, 48.0);
+    let prompt = [7.0, 2.0, 19.0];
+    let mut fresh = DecodeSession::new(model.clone(), seq).unwrap_ok();
+    let want = fresh.prefill(&prompt).unwrap_ok();
+
+    let mut session = DecodeSession::new(model, seq).unwrap_ok();
+    session.prefill(&prompt).unwrap_ok();
+    // Out-of-vocabulary id at position 1, after one good prompt token.
+    let err = session.prefill(&[7.0, vocab, 19.0]).unwrap_err();
+    assert!(matches!(err, PtqError::InvalidInput { .. }), "{err:?}");
+    assert_eq!((session.pos(), session.cache_bytes()), (0, 0));
+    let err = session.step(1.0).unwrap_err();
+    assert!(matches!(err, PtqError::InvalidInput { .. }), "{err:?}");
+    let got = session.prefill(&prompt).unwrap_ok();
+    assert_bits_equal(got.data(), want.data(), "prefill after a failed prompt");
 }
 
 proptest! {

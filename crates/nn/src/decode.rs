@@ -1,35 +1,38 @@
 //! Incremental autoregressive decoding with a KV cache.
 //!
-//! [`crate::Graph::run`] and [`ExecPlan::run`] evaluate a decoder over a
-//! full `[seq]` window every call — O(seq²) attention work per generated
-//! token. This module splits that into the classic prefill/step form:
+//! [`crate::Graph::run`] and [`crate::ExecPlan::run`] evaluate a decoder
+//! over a full `[seq]` window every call — O(seq²) attention work per
+//! generated token. This module runs it incrementally instead:
 //!
-//! * [`ExecPlan::plan_decode`] pattern-matches every causal attention
+//! * [`Graph::plan_decode`] pattern-matches every causal attention
 //!   group in the graph (the `q/k/v → reshape → permute → scores →
 //!   scale → mask → softmax → context` motif the model-zoo builder
-//!   emits), keeps the existing full-window plan for the **prefill**
-//!   pass, and compiles a **step** schedule that runs the whole network
-//!   on a single `[1, d]` token row, serving attention from a
+//!   emits) and compiles **one step schedule** that runs the whole
+//!   network on `m` new token rows `[m, d]`, serving attention from a
 //!   [`KvCache`] instead of recomputing K/V for the whole window.
 //! * [`DecodeState`] owns the cache plus the step-persistent value slots
-//!   (every step writes into the same pre-sized tensors — the step arena
-//!   pins all values for the step, the decode-time analogue of the
-//!   prefill plan's linear-scan arena) and drives `prefill` / `step`.
+//!   (every step writes into the same tensors — the step arena pins all
+//!   values for the step) and drives `prefill` / `step`. Both run the
+//!   same loop body and differ only in the row count: `step` is one row,
+//!   `prefill` is the prompt in blocks of `PREFILL_ROWS` rows (every
+//!   weight decoded once per block, not once per token), then a seal of
+//!   the cache (below). There is no full-window production path.
 //!
 //! ## The step schedule
 //!
-//! Per node, the planner picks one of five step ops:
+//! Per node, the planner picks one of six step ops:
 //!
 //! * **Eval** — run the node unchanged through the shared
 //!   `exec::run_node` (the same `before_node` → `bind` → kernel →
 //!   `after_node` path as the reference loop and the planned executor), so
 //!   quantization hooks observe the step exactly as they would a full
-//!   pass. `Reshape` targets whose leading dim is the full window are
-//!   rewritten to a single row.
-//! * **AddPosRow** — an `AddParam` whose parameter spans the full window
-//!   (positional embeddings `[seq, d]`) adds only row `t` of the
-//!   graph-bound table; broadcasting the full table would silently widen
-//!   the step to `[seq, d]`.
+//!   pass.
+//! * **AddPosRows / ReshapeRows** — the two ops whose own parameters name
+//!   the window, cut to the rows at hand: an `AddParam` over a
+//!   full-window table (positional embeddings `[seq, d]`) adds only the
+//!   table rows of the step's positions, and a `Reshape` whose target
+//!   leads with `seq` leads with `m` instead. Broadcasting the full
+//!   table or target would silently widen the step to `[seq, d]`.
 //! * **Scores / Context** — the two attention `BatchMatMul`s, served by
 //!   [`attention_step_q`] / [`attention_step_v`] against the cache.
 //!   These cache-backed ops are hook-invisible: the full-window operands
@@ -38,35 +41,50 @@
 //!   a cache-backed op.
 //!
 //! K and V source rows are appended to the cache immediately after their
-//! producing node evaluates (topologically before the attention that
+//! producing node evaluates — topologically before the attention that
 //! reads them, so position `t` attends to itself like the full window's
-//! causal row `t`).
+//! causal row `t`; within a block of `m` rows the graph's own
+//! bottom-aligned `CausalMask` hides row `i`'s successors from it.
+//!
+//! ## Prefill: stage, then seal
+//!
+//! A cache policy with a static scale needs the prompt's K/V rows before
+//! it can store any of them, so `prefill` stages the prompt in an f32
+//! cache — every prompt position attends the exact rows, as row `t` of a
+//! full-window forward does — and then **seals** it: each buffer is
+//! re-stored under `hook.bind(k_src | v_src).kv`, a pending static scale
+//! calibrated from the staged rows ([`KvCache::seal`]). Buffers whose
+//! policy is f32 are left as staged; generated tokens read the sealed
+//! cache.
 //!
 //! ## Bit-identity (the equivalence oracle)
 //!
-//! With [`KvCachePolicy::F32`] a step is bit-identical to row `t` of a
-//! full-window forward over the same prefix (zero-padded to `seq`):
-//! every decoder op is row-independent, the bottom-aligned causal mask
-//! makes row `t` blind to the padding, the softmax −inf tail contributes
-//! exact `+0.0`s, and the step kernels replicate `batch_matmul`'s
-//! accumulation chains (see `ptq_tensor::ops::attn` and DESIGN.md §16).
-//! This holds for hooks whose per-op behaviour is shape-independent:
-//! `NoopHook`, weight-only and *static*-scale activation quantization
-//! over the standard `{Conv2d, Linear, Embedding}` coverage. Dynamic
-//! activation scales are recomputed per tensor and therefore differ
-//! between a `[seq, d]` prefill tensor and a `[1, d]` step row — that
-//! configuration decodes fine but is not bit-exact, by construction.
+//! With [`KvCachePolicy::F32`] the token at position `t` — prompt or
+//! generated — is bit-identical to row `t` of a full-window forward over
+//! the same prefix (zero-padded to `seq`): every decoder op is
+//! row-independent, the bottom-aligned causal mask makes row `t` blind to
+//! later rows and to the padding, the softmax −inf tail contributes exact
+//! `+0.0`s, and the step kernels replicate `batch_matmul`'s accumulation
+//! chains (see `ptq_tensor::ops::attn` and DESIGN.md §16). The
+//! full-window forward is the oracle the tests compare against, not a
+//! path this module runs. This holds for hooks whose per-op behaviour is
+//! shape-independent: `NoopHook`, weight-only and *static*-scale or
+//! per-tile activation quantization over the standard `{Conv2d, Linear,
+//! Embedding}` coverage. Dynamic per-tensor activation scales are
+//! recomputed per tensor at hand — a block of prompt rows at prefill
+//! (real rows only, never window padding), one `[1, d]` row per step —
+//! so decode is then deterministic but not bit-equal to the window
+//! forward.
 //!
 //! With an FP8 cache the only deviation is the cache's own storage
 //! rounding; scale calibration follows the session's static-vs-dynamic
-//! convention (static per-tensor scale from prefill activations via
+//! convention (static per-tensor scale from the prompt's rows via
 //! [`KvCachePolicy::calibrated`], per-row dynamic fallback otherwise).
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{run_node, Binding, NodeScratch};
+use crate::exec::{run_node, NodeScratch};
 use crate::graph::{Graph, Node, NodeId, Op, ValueId};
 use crate::interp::ExecHook;
-use crate::plan::ExecPlan;
 use ptq_tensor::ops::{attention_step_q, attention_step_v};
 use ptq_tensor::{KvCache, KvCachePolicy, KvError, KvSide, Tensor};
 use std::collections::HashMap;
@@ -88,20 +106,19 @@ struct AttnGroup {
     dh: usize,
 }
 
-/// How one node executes inside a decode step.
+/// How one node executes inside a decode step of `m` rows.
 #[derive(Debug, Clone)]
 enum StepOp {
     /// Evaluate through the shared kernel dispatch with the full hook
-    /// protocol; append the output row to the listed cache buffers.
-    Eval {
-        /// `(layer, side)` buffers fed by this node's `[1, d]` output.
-        appends: Vec<(usize, KvSide)>,
-    },
-    /// `AddParam` over a full-window table: add row `t` only.
-    AddPosRow {
+    /// protocol.
+    Eval,
+    /// `AddParam` over a full-window table: add the step's rows only.
+    AddPosRows {
         /// The table's parameter value.
         param: ValueId,
     },
+    /// `Reshape` whose target leads with the window: lead with `m`.
+    ReshapeRows,
     /// Attention scores against the K cache of `group`.
     Scores {
         /// Index into the plan's attention groups.
@@ -116,34 +133,19 @@ enum StepOp {
     Skip,
 }
 
-/// Where a step node's activation input comes from.
-#[derive(Debug, Clone, Copy)]
-enum StepSrc {
-    /// The single runtime token id.
-    Input,
-    /// A step-persistent value slot.
-    Value(ValueId),
-}
-
-/// A prefill + per-step decode schedule for one decoder graph at one
-/// window size. Build with [`ExecPlan::plan_decode`] (or the
-/// [`Graph::plan_decode`] convenience), execute with [`DecodeState`].
+/// The decode step schedule for one decoder graph at one window
+/// size. Build with [`Graph::plan_decode`], execute with [`DecodeState`].
 #[derive(Debug)]
 pub struct DecodePlan {
-    /// Full-window plan used for the prefill pass.
-    prefill: ExecPlan,
     /// Window size = cache capacity = absolute position count.
     seq: usize,
     /// Cached row width (`heads * dh`, uniform across layers).
     d_model: usize,
     /// Per-node step schedule, in node order.
     steps: Vec<StepOp>,
-    /// Per-node activation sources (parallel to `steps`).
-    srcs: Vec<Vec<StepSrc>>,
-    /// Step-time node descriptors: graph nodes with full-window `Reshape`
-    /// targets rewritten to single-row form. Ids and names are preserved,
-    /// so hooks keyed on either see the original identity.
-    step_nodes: Vec<Node>,
+    /// Per-node `(layer, side)` cache buffers fed by the node's `[m, d]`
+    /// output rows (parallel to `steps`).
+    appends: Vec<Vec<(usize, KvSide)>>,
     /// Matched attention groups, in layer order.
     groups: Vec<AttnGroup>,
     /// Structural fingerprint (must match the executed graph).
@@ -156,13 +158,6 @@ pub struct DecodePlan {
     max_arity: usize,
 }
 
-impl Graph {
-    /// Convenience for [`ExecPlan::plan_decode`].
-    pub fn plan_decode(&self, seq: usize) -> Result<DecodePlan, PtqError> {
-        ExecPlan::plan_decode(self, seq)
-    }
-}
-
 /// Shorthand for the planner's rejection error.
 fn unsupported(node: &Node, detail: impl Into<String>) -> PtqError {
     PtqError::DecodeUnsupported {
@@ -171,8 +166,8 @@ fn unsupported(node: &Node, detail: impl Into<String>) -> PtqError {
     }
 }
 
-impl ExecPlan {
-    /// Split `graph` into a prefill plan and a per-step schedule for a
+impl Graph {
+    /// Compile this graph into the decode step schedule for a
     /// `seq`-position window.
     ///
     /// Rejects with [`PtqError::DecodeUnsupported`] any graph that is not
@@ -181,7 +176,8 @@ impl ExecPlan {
     /// elementwise/`Embedding` everywhere else). Pooling heads
     /// (`MeanRows`, `GlobalAvgPool`), convolutions and free-standing
     /// `MatMul`/`BatchMatMul` mix rows and cannot decode incrementally.
-    pub fn plan_decode(graph: &Graph, seq: usize) -> Result<DecodePlan, PtqError> {
+    pub fn plan_decode(&self, seq: usize) -> Result<DecodePlan, PtqError> {
+        let graph = self;
         if seq == 0 {
             return Err(PtqError::InvalidTarget {
                 detail: "decode window must hold at least one position".into(),
@@ -197,7 +193,9 @@ impl ExecPlan {
                 ),
             });
         }
-        let prefill = graph.plan(&[vec![seq]])?;
+        // The step schedule is derived from the full-window graph: reject
+        // one that does not validate at `[seq]` with the validator's errors.
+        graph.validate(&[vec![seq]])?;
 
         // Value -> producing node / consuming nodes.
         let mut producer: Vec<Option<NodeId>> = vec![None; graph.n_values];
@@ -229,13 +227,13 @@ impl ExecPlan {
         // Node -> role lookup tables.
         let mut scores_of: HashMap<NodeId, usize> = HashMap::new();
         let mut context_of: HashMap<NodeId, usize> = HashMap::new();
-        let mut appends_at: HashMap<NodeId, Vec<(usize, KvSide)>> = HashMap::new();
+        let mut appends: Vec<Vec<(usize, KvSide)>> = vec![Vec::new(); graph.nodes.len()];
         let mut skip: Vec<bool> = vec![false; graph.nodes.len()];
         for (gi, g) in groups.iter().enumerate() {
             scores_of.insert(g.scores, gi);
             context_of.insert(g.context, gi);
-            appends_at.entry(g.k_src).or_default().push((gi, KvSide::K));
-            appends_at.entry(g.v_src).or_default().push((gi, KvSide::V));
+            appends[g.k_src].push((gi, KvSide::K));
+            appends[g.v_src].push((gi, KvSide::V));
             for side_val in [
                 graph.nodes[g.scores].inputs[1],
                 graph.nodes[g.context].inputs[1],
@@ -251,13 +249,9 @@ impl ExecPlan {
             }
         }
 
-        // Compile the per-node step schedule and node descriptors.
+        // Compile the per-node step schedule.
         let mut steps = Vec::with_capacity(graph.nodes.len());
-        let mut step_nodes = Vec::with_capacity(graph.nodes.len());
-        let mut srcs: Vec<Vec<StepSrc>> = Vec::with_capacity(graph.nodes.len());
-        let mut max_arity = 0usize;
         for (i, node) in graph.nodes.iter().enumerate() {
-            let mut step_node = node.clone();
             let op = if skip[i] {
                 StepOp::Skip
             } else if let Some(&g) = scores_of.get(&i) {
@@ -266,6 +260,18 @@ impl ExecPlan {
                 StepOp::Context { group: g }
             } else {
                 match &node.op {
+                    Op::Reshape(t) if t.first() == Some(&seq) => StepOp::ReshapeRows,
+                    Op::AddParam { param } => {
+                        let table = graph.params.get(param).ok_or(PtqError::UnboundParam {
+                            value: *param,
+                            node: node.name.clone(),
+                        })?;
+                        if table.ndim() >= 2 && table.dim(0) == seq {
+                            StepOp::AddPosRows { param: *param }
+                        } else {
+                            StepOp::Eval
+                        }
+                    }
                     Op::Linear { .. }
                     | Op::Embedding { .. }
                     | Op::LayerNorm { .. }
@@ -279,32 +285,8 @@ impl ExecPlan {
                     | Op::Softmax
                     | Op::Scale(_)
                     | Op::CausalMask
-                    | Op::Permute(_) => StepOp::Eval {
-                        appends: appends_at.remove(&i).unwrap_or_default(),
-                    },
-                    Op::Reshape(target) => {
-                        let mut t = target.clone();
-                        if t.first() == Some(&seq) {
-                            t[0] = 1;
-                            step_node.op = Op::Reshape(t);
-                        }
-                        StepOp::Eval {
-                            appends: appends_at.remove(&i).unwrap_or_default(),
-                        }
-                    }
-                    Op::AddParam { param } => {
-                        let table = graph.params.get(param).ok_or(PtqError::UnboundParam {
-                            value: *param,
-                            node: node.name.clone(),
-                        })?;
-                        if table.ndim() >= 2 && table.dim(0) == seq {
-                            StepOp::AddPosRow { param: *param }
-                        } else {
-                            StepOp::Eval {
-                                appends: appends_at.remove(&i).unwrap_or_default(),
-                            }
-                        }
-                    }
+                    | Op::Permute(_)
+                    | Op::Reshape(_) => StepOp::Eval,
                     Op::MatMul | Op::BatchMatMul => {
                         return Err(unsupported(
                             node,
@@ -319,35 +301,24 @@ impl ExecPlan {
                     }
                 }
             };
-            let node_srcs: Vec<StepSrc> = node
-                .inputs
-                .iter()
-                .map(|&v| {
-                    if v == graph.inputs[0] {
-                        StepSrc::Input
-                    } else {
-                        StepSrc::Value(v)
-                    }
-                })
-                .collect();
-            max_arity = max_arity.max(node_srcs.len());
             steps.push(op);
-            step_nodes.push(step_node);
-            srcs.push(node_srcs);
         }
 
         let plan = DecodePlan {
-            prefill,
             seq,
             d_model,
             steps,
-            srcs,
-            step_nodes,
+            appends,
             groups,
             n_nodes: graph.nodes.len(),
             n_values: graph.n_values,
             output: graph.outputs[0],
-            max_arity,
+            max_arity: graph
+                .nodes
+                .iter()
+                .map(|n| n.inputs.len())
+                .max()
+                .unwrap_or(0),
         };
         plan.check_step_shapes(graph)?;
         Ok(plan)
@@ -479,11 +450,6 @@ fn match_attention_groups(
 }
 
 impl DecodePlan {
-    /// The full-window prefill plan.
-    pub fn prefill_plan(&self) -> &ExecPlan {
-        &self.prefill
-    }
-
     /// Window size (= cache position capacity).
     pub fn seq(&self) -> usize {
         self.seq
@@ -502,17 +468,26 @@ impl DecodePlan {
     /// Statically validate the step schedule by propagating single-row
     /// shapes through it (with the cache at its `seq` high-water length),
     /// reusing the full validator's per-op shape rules for `Eval` nodes.
+    /// A block only scales the row dim; at the far end, `seq` rows, the
+    /// shapes are the full window's, which `Graph::validate` has checked.
     fn check_step_shapes(&self, graph: &Graph) -> Result<(), PtqError> {
         let mut shapes: Vec<Option<Shape>> = vec![None; graph.n_values];
         shapes[graph.inputs[0]] = Some(vec![1]);
         for (&id, t) in &graph.params {
             shapes[id] = Some(t.shape().to_vec());
         }
-        for (i, node) in self.step_nodes.iter().enumerate() {
+        for (i, node) in graph.nodes.iter().enumerate() {
             let out = match &self.steps[i] {
                 StepOp::Skip => continue,
-                StepOp::Eval { .. } => graph.infer_node_shape(node, &shapes)?,
-                StepOp::AddPosRow { param } => {
+                StepOp::Eval => graph.infer_node_shape(node, &shapes)?,
+                StepOp::ReshapeRows => {
+                    let mut row = node.clone();
+                    if let Op::Reshape(t) = &mut row.op {
+                        t[0] = 1;
+                    }
+                    graph.infer_node_shape(&row, &shapes)?
+                }
+                StepOp::AddPosRows { param } => {
                     let table = graph.params.get(param).ok_or(PtqError::UnboundParam {
                         value: *param,
                         node: node.name.clone(),
@@ -534,29 +509,20 @@ impl DecodePlan {
                     }
                     x
                 }
-                StepOp::Scores { group } => {
+                // Query rows in, score rows out — or the reverse.
+                StepOp::Scores { group } | StepOp::Context { group } => {
                     let g = &self.groups[*group];
-                    let want = vec![g.heads, 1, g.dh];
+                    let (q, s) = (vec![g.heads, 1, g.dh], vec![g.heads, 1, self.seq]);
+                    let scores = matches!(self.steps[i], StepOp::Scores { .. });
+                    let (want, out) = if scores { (q, s) } else { (s, q) };
                     let got = shapes[node.inputs[0]].clone();
                     if got.as_deref() != Some(&want[..]) {
                         return Err(PtqError::ShapeMismatch {
                             node: node.name.clone(),
-                            detail: format!("step query is {got:?}, cache wants {want:?}"),
+                            detail: format!("step operand is {got:?}, cache wants {want:?}"),
                         });
                     }
-                    vec![g.heads, 1, self.seq]
-                }
-                StepOp::Context { group } => {
-                    let g = &self.groups[*group];
-                    let want = vec![g.heads, 1, self.seq];
-                    let got = shapes[node.inputs[0]].clone();
-                    if got.as_deref() != Some(&want[..]) {
-                        return Err(PtqError::ShapeMismatch {
-                            node: node.name.clone(),
-                            detail: format!("step probs are {got:?}, cache wants {want:?}"),
-                        });
-                    }
-                    vec![g.heads, 1, g.dh]
+                    out
                 }
             };
             shapes[node.output] = Some(out);
@@ -587,43 +553,31 @@ impl DecodePlan {
     }
 }
 
-/// Captures the K/V source activations of a prefill pass while
-/// delegating every hook decision to the wrapped session hook.
-struct PrefillCapture<'a> {
-    inner: &'a mut dyn ExecHook,
-    wanted: HashMap<NodeId, Vec<(usize, KvSide)>>,
-    captured: HashMap<(usize, KvSide), Tensor>,
-}
-
-impl ExecHook for PrefillCapture<'_> {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-        self.inner.before_node(node, inputs);
-    }
-
-    fn after_node(&mut self, node: &Node, output: &mut Tensor) {
-        self.inner.after_node(node, output);
-        // Capture after the inner hook so the cache holds exactly the
-        // rows the full-window attention consumed.
-        if let Some(targets) = self.wanted.get(&node.id) {
-            for t in targets {
-                self.captured.insert(*t, output.clone());
-            }
-        }
-    }
-
-    fn bind(&self, node: &Node) -> Binding<'_> {
-        self.inner.bind(node)
-    }
-}
+/// Prompt rows `prefill` runs through the step schedule at a time: enough
+/// that a block's MACs dwarf the per-call weight decode every step pays,
+/// few enough that the step buffers stay small whatever the prompt length
+/// and each block attends only the positions up to its own end. Measured
+/// flat from 8 to 64 at d 64; at d 128 blocks past 16 push the linears
+/// over the thread fan-out cutoff, which costs more than it returns there.
+const PREFILL_ROWS: usize = 16;
 
 /// Mutable decode session state: the KV cache plus step-persistent value
 /// slots. One `DecodeState` serves one generation session; `reset` (or a
 /// fresh `prefill`) starts another without dropping warmed buffers.
 #[derive(Debug, Default)]
 pub struct DecodeState {
-    /// Per-layer K/V cache; built by `prefill` (policies need prefill
+    /// Per-layer K/V cache; built by `prefill` (policies need the prompt's
     /// activations to calibrate static scales).
     cache: Option<KvCache>,
+    /// The buffers a step runs in.
+    bufs: StepBuffers,
+    /// Next absolute position (= tokens consumed so far).
+    pos: usize,
+}
+
+/// Step-persistent buffers, reused by every step of every session.
+#[derive(Debug, Default)]
+struct StepBuffers {
     /// One step-persistent tensor per graph value. Sized on first use,
     /// reused (via `reuse_as`) every step after — steady-state steps
     /// perform no intermediate-tensor allocation.
@@ -632,19 +586,17 @@ pub struct DecodeState {
     staging: Vec<Tensor>,
     /// Activation-code buffers and id scratch for the executing node.
     node: NodeScratch,
-    /// Staging for the single token id.
-    input: Tensor,
-    /// Next absolute position (= tokens consumed so far).
-    pos: usize,
+    /// Staging for a `ReshapeRows` target.
+    shape: Shape,
 }
 
 impl DecodeState {
     /// Fresh state sized for `plan`.
     pub fn new(plan: &DecodePlan) -> Self {
-        let mut s = DecodeState::default();
-        s.values.resize_with(plan.n_values, Tensor::default);
-        s.staging.resize_with(plan.max_arity, Tensor::default);
-        s
+        DecodeState {
+            bufs: StepBuffers::new(plan),
+            ..DecodeState::default()
+        }
     }
 
     /// Next absolute position (tokens consumed so far).
@@ -668,14 +620,17 @@ impl DecodeState {
         self.pos = 0;
     }
 
-    /// Run the full-window prefill over `prompt` (a rank-1 tensor of
-    /// token ids), populate the cache with positions `0..prompt.len()`,
-    /// and return the logits row for the last prompt token.
+    /// Run `prompt` (a rank-1 tensor of token ids) through the step
+    /// schedule in blocks of rows, populate the cache with positions
+    /// `0..prompt.len()`, and return the logits row for the last prompt
+    /// token.
     ///
-    /// The prompt is left-aligned and zero-padded to the window; the
-    /// causal mask keeps every real row blind to the padding. FP8 cache
-    /// policies with `scale: None` are calibrated here from the captured
-    /// prefill activations.
+    /// The prompt is staged in an f32 cache, then each buffer is sealed
+    /// under the session's policy for its K/V source node: FP8 policies
+    /// with `scale: None` are calibrated here from the staged prompt
+    /// rows, f32 buffers stay as staged. A prompt rejected on its shape
+    /// leaves the state untouched; one the model fails on (e.g. an
+    /// out-of-vocabulary id) leaves it as [`DecodeState::reset`] does.
     pub fn prefill(
         &mut self,
         plan: &DecodePlan,
@@ -707,66 +662,34 @@ impl DecodeState {
         }
         let mut sp = ptq_trace::span(ptq_trace::Level::Info, "decode.prefill");
 
-        let mut padded = vec![0.0f32; plan.seq];
-        padded[..p].copy_from_slice(prompt.data());
-        let padded = Tensor::from_vec(padded, &[plan.seq]);
-
-        let mut wanted: HashMap<NodeId, Vec<(usize, KvSide)>> = HashMap::new();
-        for (gi, g) in plan.groups.iter().enumerate() {
-            wanted.entry(g.k_src).or_default().push((gi, KvSide::K));
-            wanted.entry(g.v_src).or_default().push((gi, KvSide::V));
+        self.reset();
+        let layers = plan.groups.len();
+        let mut cache = KvCache::uniform(layers, plan.d_model, plan.seq, KvCachePolicy::F32);
+        // Blocks run in buffers of their own, dropped with this call: what
+        // a session holds between dispatches stays one row per value.
+        let mut bufs = StepBuffers::new(plan);
+        let mut appended = 0u64;
+        for (c, rows) in prompt.data().chunks(PREFILL_ROWS).enumerate() {
+            let t0 = c * PREFILL_ROWS;
+            appended += bufs.run_rows(plan, graph, &mut cache, t0, rows, hook)?;
         }
-        let mut capture = PrefillCapture {
-            inner: hook,
-            wanted,
-            captured: HashMap::new(),
-        };
-        let outs = plan.prefill.run(graph, &[padded], &mut capture)?;
-        let captured = capture.captured;
-
-        // Build the cache: probe the session policy per buffer, calibrate
-        // pending static scales from the captured prefill rows.
-        let d = plan.d_model;
-        let mut policies = Vec::with_capacity(plan.groups.len());
-        for (gi, g) in plan.groups.iter().enumerate() {
-            let policy_for = |src: NodeId, side: KvSide| -> Result<KvCachePolicy, PtqError> {
-                let rows = captured.get(&(gi, side)).ok_or_else(|| {
-                    PtqError::Internal(format!("prefill did not capture layer {gi} {side} rows"))
-                })?;
-                Ok(hook
-                    .bind(&graph.nodes[src])
-                    .kv
-                    .calibrated(&rows.data()[..p * d]))
-            };
-            let kp = policy_for(g.k_src, KvSide::K)?;
-            let vp = policy_for(g.v_src, KvSide::V)?;
-            policies.push((kp, vp));
-        }
-        let mut cache = KvCache::new(&policies, d, plan.seq);
-        for (gi, _) in plan.groups.iter().enumerate() {
-            for side in [KvSide::K, KvSide::V] {
-                let rows = &captured[&(gi, side)];
-                for j in 0..p {
-                    cache.append(gi, side, &rows.data()[j * d..(j + 1) * d])?;
-                }
+        for (layer, g) in plan.groups.iter().enumerate() {
+            for (src, side) in [(g.k_src, KvSide::K), (g.v_src, KvSide::V)] {
+                cache.seal(layer, side, hook.bind(&graph.nodes[src]).kv)?;
             }
         }
-        ptq_trace::counter(
-            ptq_trace::Level::Info,
-            "kv.appended",
-            (2 * plan.groups.len() * p) as u64,
-            &[],
-        );
+        ptq_trace::counter(ptq_trace::Level::Info, "kv.appended", appended, &[]);
         self.cache = Some(cache);
         self.pos = p;
 
         if sp.active() {
             sp.record_int("prompt_len", p as i64);
-            sp.record_int("layers", plan.groups.len() as i64);
+            sp.record_int("layers", layers as i64);
             sp.record_int("cache_bytes", self.cache_bytes() as i64);
         }
         drop(sp);
-        Ok(Tensor::from_slice(outs[0].row(p - 1)))
+        let last = (p - 1) % PREFILL_ROWS;
+        Ok(Tensor::from_slice(bufs.values[plan.output].row(last)))
     }
 
     /// Decode one token at the next position: append its K/V rows to the
@@ -780,14 +703,7 @@ impl DecodeState {
         hook: &mut dyn ExecHook,
     ) -> Result<Tensor, PtqError> {
         plan.check_compat(graph)?;
-        let DecodeState {
-            cache,
-            values,
-            staging,
-            node: scratch,
-            input,
-            pos,
-        } = self;
+        let DecodeState { cache, bufs, pos } = self;
         let Some(cache) = cache.as_mut() else {
             return Err(PtqError::InvalidInput {
                 node: "decode.step".into(),
@@ -801,62 +717,7 @@ impl DecodeState {
         }
         let t = *pos;
         let mut sp = ptq_trace::span(ptq_trace::Level::Info, "decode.step");
-        let mut appended = 0u64;
-
-        input.reuse_as(&[1]);
-        input.data_mut()[0] = token;
-
-        for (i, op) in plan.steps.iter().enumerate() {
-            let node = &plan.step_nodes[i];
-            let srcs = &plan.srcs[i];
-            match op {
-                StepOp::Skip => continue,
-                // The cache-backed ops read only their query/probs operand;
-                // the K/V operand is the cache.
-                StepOp::Scores { group } => {
-                    stage(staging, &srcs[..1], input, values);
-                    let k = cache.buf(*group, KvSide::K)?;
-                    let out = &mut values[node.output];
-                    attention_step_q(&staging[0], k, out, hook.bind(node).kernel_path);
-                    debug_assert_eq!(out.dim(0), plan.groups[*group].heads);
-                }
-                StepOp::Context { group } => {
-                    stage(staging, &srcs[..1], input, values);
-                    let v = cache.buf(*group, KvSide::V)?;
-                    let out = &mut values[node.output];
-                    attention_step_v(&staging[0], v, out, hook.bind(node).kernel_path);
-                }
-                StepOp::AddPosRow { param } => {
-                    stage(staging, &srcs[..1], input, values);
-                    hook.before_node(node, &mut staging[..1]);
-                    let table = graph
-                        .params
-                        .get(param)
-                        .ok_or_else(|| PtqError::UnboundParam {
-                            value: *param,
-                            node: node.name.clone(),
-                        })?;
-                    let cols = staging[0].len();
-                    let out = &mut values[node.output];
-                    out.reuse_as(staging[0].shape());
-                    let row = &table.data()[t * cols..(t + 1) * cols];
-                    for ((o, &x), &r) in out.data_mut().iter_mut().zip(staging[0].data()).zip(row) {
-                        *o = x + r;
-                    }
-                    hook.after_node(node, out);
-                }
-                StepOp::Eval { appends } => {
-                    stage(staging, srcs, input, values);
-                    let out = &mut values[node.output];
-                    run_node(graph, node, &mut staging[..srcs.len()], hook, scratch, out)?;
-                    for &(layer, side) in appends {
-                        cache.append(layer, side, out.row(0))?;
-                        appended += 1;
-                    }
-                }
-            }
-        }
-
+        let appended = bufs.run_rows(plan, graph, cache, t, &[token], hook)?;
         *pos = t + 1;
         if appended > 0 {
             ptq_trace::counter(ptq_trace::Level::Info, "kv.appended", appended, &[]);
@@ -867,17 +728,121 @@ impl DecodeState {
             sp.record_int("cache_bytes", cache.cache_bytes() as i64);
         }
         drop(sp);
-        Ok(Tensor::from_slice(values[plan.output].row(0)))
+        Ok(Tensor::from_slice(bufs.values[plan.output].row(0)))
+    }
+}
+
+impl StepBuffers {
+    /// Empty buffers for `plan`'s values; each is sized on first use.
+    fn new(plan: &DecodePlan) -> Self {
+        let mut b = StepBuffers::default();
+        b.values.resize_with(plan.n_values, Tensor::default);
+        b.staging.resize_with(plan.max_arity, Tensor::default);
+        b.shape.reserve(4); // room for `[m, heads, dh]`: steps allocate none
+        b
+    }
+
+    /// The one loop body of decoding, shared by `prefill` (the prompt's
+    /// rows) and `step` (one row): run `tokens` through the step schedule
+    /// at positions `t0..t0 + tokens.len()` against `cache`, leaving their
+    /// logits rows in the output value slot. Returns the number of K/V
+    /// rows appended.
+    fn run_rows(
+        &mut self,
+        plan: &DecodePlan,
+        graph: &Graph,
+        cache: &mut KvCache,
+        t0: usize,
+        tokens: &[f32],
+        hook: &mut dyn ExecHook,
+    ) -> Result<u64, PtqError> {
+        let StepBuffers {
+            values,
+            staging,
+            node: scratch,
+            shape,
+        } = self;
+        let m = tokens.len();
+        let mut appended = 0u64;
+
+        // The token ids are the graph input's value.
+        let ids = &mut values[graph.inputs[0]];
+        ids.reuse_as(&[m]);
+        ids.data_mut().copy_from_slice(tokens);
+
+        for (i, op) in plan.steps.iter().enumerate() {
+            let node = &graph.nodes[i];
+            let srcs = &node.inputs;
+            match op {
+                StepOp::Skip => continue,
+                // The cache-backed ops read only their query/probs operand;
+                // the K/V operand is the cache.
+                StepOp::Scores { group } => {
+                    stage(staging, &srcs[..1], values);
+                    let k = cache.buf(*group, KvSide::K)?;
+                    let out = &mut values[node.output];
+                    attention_step_q(&staging[0], k, out, hook.bind(node).kernel_path);
+                    debug_assert_eq!(out.dim(0), plan.groups[*group].heads);
+                }
+                StepOp::Context { group } => {
+                    stage(staging, &srcs[..1], values);
+                    let v = cache.buf(*group, KvSide::V)?;
+                    let out = &mut values[node.output];
+                    attention_step_v(&staging[0], v, out, hook.bind(node).kernel_path);
+                }
+                StepOp::AddPosRows { param } => {
+                    stage(staging, &srcs[..1], values);
+                    hook.before_node(node, &mut staging[..1]);
+                    let table = graph
+                        .params
+                        .get(param)
+                        .ok_or_else(|| PtqError::UnboundParam {
+                            value: *param,
+                            node: node.name.clone(),
+                        })?;
+                    let x = &staging[0];
+                    let out = &mut values[node.output];
+                    out.reuse_as(x.shape());
+                    let rows = &table.data()[t0 * (x.len() / m)..][..x.len()];
+                    for ((o, &x), &r) in out.data_mut().iter_mut().zip(x.data()).zip(rows) {
+                        *o = x + r;
+                    }
+                    hook.after_node(node, out);
+                }
+                StepOp::ReshapeRows => {
+                    stage(staging, &srcs[..1], values);
+                    hook.before_node(node, &mut staging[..1]);
+                    let out = &mut values[node.output];
+                    out.copy_from(&staging[0]);
+                    if let Op::Reshape(target) = &node.op {
+                        shape.clear();
+                        shape.push(m);
+                        shape.extend_from_slice(&target[1..]);
+                        out.reuse_as(shape);
+                    }
+                    hook.after_node(node, out);
+                }
+                StepOp::Eval => {
+                    stage(staging, srcs, values);
+                    let out = &mut values[node.output];
+                    run_node(graph, node, &mut staging[..srcs.len()], hook, scratch, out)?;
+                }
+            }
+            for &(layer, side) in &plan.appends[i] {
+                for r in 0..m {
+                    cache.append(layer, side, values[node.output].row(r))?;
+                }
+                appended += m as u64;
+            }
+        }
+        Ok(appended)
     }
 }
 
 /// Copy each step input into its hook-visible staging buffer.
-fn stage(staging: &mut [Tensor], srcs: &[StepSrc], input: &Tensor, values: &[Tensor]) {
-    for (slot, src) in staging.iter_mut().zip(srcs) {
-        match src {
-            StepSrc::Input => slot.copy_from(input),
-            StepSrc::Value(v) => slot.copy_from(&values[*v]),
-        }
+fn stage(staging: &mut [Tensor], srcs: &[ValueId], values: &[Tensor]) {
+    for (slot, &v) in staging.iter_mut().zip(srcs) {
+        slot.copy_from(&values[v]);
     }
 }
 
@@ -886,7 +851,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::error::UnwrapOk;
-    use crate::exec::{ActBinding, WeightBinding};
+    use crate::exec::{ActBinding, Binding, WeightBinding};
     use crate::interp::NoopHook;
     use ptq_fp8::Fp8Format;
     use ptq_tensor::{ActScale, QTensor, TensorRng};
@@ -1013,8 +978,8 @@ mod tests {
                 Tensor::from_slice(out[0].row(tokens.len() - 1))
             };
 
-            // Prefill runs behind `PrefillCapture`: bit-identity with the
-            // unwrapped reference loop proves it forwards `bind` verbatim.
+            // Prefill is the prompt through the step schedule: its last
+            // logits row must equal the reference loop's window row.
             let mut st = DecodeState::new(&plan);
             let mut tokens = vec![5.0f32, 2.0, 9.0];
             let logits = st
@@ -1200,5 +1165,139 @@ mod tests {
             st.step(&plan, &g, 1.0, &mut NoopHook),
             Err(PtqError::InvalidInput { .. })
         ));
+    }
+
+    #[test]
+    fn failed_prompt_token_leaves_the_state_reset() {
+        let g = tiny_decoder(7);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let good = Tensor::from_slice(&[3.0, 7.0, 1.0]);
+        // Out-of-vocab id at position 2: two prompt tokens run first.
+        let bad = Tensor::from_slice(&[3.0, 7.0, VOCAB as f32, 1.0]);
+
+        let mut fresh = DecodeState::new(&plan);
+        let want = fresh.prefill(&plan, &g, &good, &mut NoopHook).unwrap_ok();
+        let want_next = fresh.step(&plan, &g, 4.0, &mut NoopHook).unwrap_ok();
+
+        // Both from a never-used state and over a live session.
+        let mut st = DecodeState::new(&plan);
+        for _ in 0..2 {
+            assert!(matches!(
+                st.prefill(&plan, &g, &bad, &mut NoopHook),
+                Err(PtqError::InvalidInput { .. })
+            ));
+            assert!(st.cache().is_none());
+            assert_eq!((st.pos(), st.cache_bytes()), (0, 0));
+            assert!(matches!(
+                st.step(&plan, &g, 1.0, &mut NoopHook),
+                Err(PtqError::InvalidInput { node, .. }) if node == "decode.step"
+            ));
+            let got = st.prefill(&plan, &g, &good, &mut NoopHook).unwrap_ok();
+            assert_eq!(got, want, "prefill after a failed prompt");
+            let got = st.step(&plan, &g, 4.0, &mut NoopHook).unwrap_ok();
+            assert_eq!(got, want_next, "step after a failed prompt");
+        }
+        // A prompt rejected on its shape alone leaves the live session be.
+        let empty = Tensor::zeros(&[0]);
+        assert!(st.prefill(&plan, &g, &empty, &mut NoopHook).is_err());
+        assert_eq!(st.pos(), good.len() + 1);
+        let again = st.step(&plan, &g, 2.0, &mut NoopHook).unwrap_ok();
+        assert_eq!(again, fresh.step(&plan, &g, 2.0, &mut NoopHook).unwrap_ok());
+    }
+
+    #[test]
+    fn fp8_prefill_seals_the_staged_prompt_rows() {
+        let g = tiny_decoder(5);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let prompt = Tensor::from_slice(&[2.0, 9.0, 4.0, 1.0]);
+        let mut f32_state = DecodeState::new(&plan);
+        let f32_logits = f32_state
+            .prefill(&plan, &g, &prompt, &mut NoopHook)
+            .unwrap_ok();
+        let staged = f32_state.cache().expect("prefilled");
+
+        for format in Fp8Format::ALL {
+            let mut fp8_state = DecodeState::new(&plan);
+            let logits = fp8_state
+                .prefill(&plan, &g, &prompt, &mut Fp8CacheHook(format))
+                .unwrap_ok();
+            // Prompt positions attend the exact staged rows, not the codes.
+            assert_eq!(logits, f32_logits, "{format}: prefill logits");
+            let sealed = fp8_state.cache().expect("prefilled");
+            for side in [KvSide::K, KvSide::V] {
+                let buf = staged.buf(0, side).unwrap();
+                let mut rows = vec![0.0f32; buf.len() * D];
+                buf.decode_into(&mut rows);
+                let scale = ptq_fp8::fp8_scale(format, ptq_fp8::absmax_nan_aware(&rows));
+                let policy = KvCachePolicy::Fp8 {
+                    format,
+                    scale: Some(scale),
+                };
+                let got = sealed.buf(0, side).unwrap();
+                assert_eq!(got.policy(), policy, "{format} {side}");
+                // ...and holds the codes a direct store of those rows holds.
+                let mut direct = ptq_tensor::KvBuf::new(D, SEQ, policy);
+                rows.chunks(D).for_each(|r| direct.append_row(r).unwrap());
+                assert_eq!(got.len(), direct.len());
+                for (j, c) in (0..got.len()).flat_map(|j| (0..D).map(move |c| (j, c))) {
+                    assert_eq!(
+                        got.value_at(j, c).to_bits(),
+                        direct.value_at(j, c).to_bits(),
+                        "{format} {side} ({j}, {c})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn traced_prefill_is_one_span_and_no_step_spans() {
+        use ptq_trace::{EventKind, FieldValue, Level, MemorySink};
+        let g = tiny_decoder(9);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut st = DecodeState::new(&plan);
+        let prompt = Tensor::from_slice(&[2.0, 9.0, 4.0, 1.0, 6.0]);
+        let p = prompt.len() as u64;
+
+        let sink = std::sync::Arc::new(MemorySink::new());
+        ptq_trace::install(vec![sink.clone()], Level::Info);
+        ptq_trace::counter(Level::Info, "test.this_thread", 1, &[]);
+        st.prefill(&plan, &g, &prompt, &mut Fp8CacheHook(Fp8Format::E4M3))
+            .unwrap_ok();
+        let cache_bytes = st.cache_bytes() as i64;
+        ptq_trace::uninstall();
+
+        // The recorder is process-global: keep this thread's events only.
+        let evs = sink.events();
+        let me = evs.iter().find(|e| e.name == "test.this_thread");
+        let me = me.expect("marker recorded").thread;
+        let evs: Vec<_> = evs.iter().filter(|e| e.thread == me).collect();
+        let exits = |name: &str| -> Vec<&ptq_trace::TraceEvent> {
+            let all = evs.iter().copied();
+            all.filter(|e| e.name == name && matches!(e.kind, EventKind::SpanExit { .. }))
+                .collect()
+        };
+        assert!(
+            exits("decode.step").is_empty(),
+            "prompt tokens emit no step span"
+        );
+        let prefill = exits("decode.prefill");
+        assert_eq!(prefill.len(), 1);
+        for (key, want) in [
+            ("prompt_len", p as i64),
+            ("layers", 1),
+            ("cache_bytes", cache_bytes),
+        ] {
+            assert_eq!(prefill[0].field(key), Some(&FieldValue::Int(want)), "{key}");
+        }
+        let appended: u64 = evs
+            .iter()
+            .filter(|e| e.name == "kv.appended")
+            .map(|e| match e.kind {
+                EventKind::Counter { delta } => delta,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(appended, 2 * plan.n_layers() as u64 * p);
     }
 }

@@ -38,11 +38,12 @@
 //!   Planned execution is bit-identical to [`Graph::run`] — all executors
 //!   run each node through one shared path. [`PlanSet`] caches plans per
 //!   input shape.
-//! * [`ExecPlan::plan_decode`] → [`DecodePlan`] + [`DecodeState`] —
-//!   incremental autoregressive decoding: one full-window prefill seeds a
-//!   per-layer [`ptq_tensor::KvCache`], then each generated token runs a
-//!   single-row step schedule that is bit-identical (under an F32 cache)
-//!   to re-running the full window.
+//! * [`Graph::plan_decode`] → [`DecodePlan`] + [`DecodeState`] —
+//!   incremental autoregressive decoding: every token, prompt or
+//!   generated, runs one step schedule against a per-layer
+//!   [`ptq_tensor::KvCache`] (a generated token as one row, a prompt in
+//!   blocks of rows), bit-identical (under an F32 cache) to re-running
+//!   the full window.
 
 pub mod builder;
 pub mod decode;

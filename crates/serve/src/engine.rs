@@ -101,10 +101,11 @@ struct Pending {
 }
 
 /// One queued generation session. Between engine steps the whole session
-/// lives in the queue: a worker pops it, runs *one* decode step (prefill
-/// on the first), streams the token, and re-enqueues it at the back —
-/// so an in-flight generation never starves single-shot traffic and
-/// multiple generations interleave fairly.
+/// lives in the queue: a worker pops it, runs *one* decode step (on the
+/// first dispatch, the prompt's `p` tokens through the same step
+/// schedule, in blocks of rows), streams the token, and re-enqueues it
+/// at the back — so an in-flight generation never starves single-shot
+/// traffic and multiple generations interleave fairly.
 struct GenSession {
     plan: Arc<DecodePlan>,
     state: DecodeState,
@@ -294,8 +295,11 @@ impl Engine {
     /// ([`ptq_nn::DecodePlan`]), at window `capacity` (the sequence
     /// length the model was built for). Tokens stream through the
     /// returned [`GenTicket`] as they are produced; the session runs one
-    /// decode step per engine dispatch and re-queues behind waiting
-    /// traffic, so long generations never monopolize the workers.
+    /// decode step per engine dispatch (the first dispatch runs the
+    /// prompt through the same schedule) and re-queues behind waiting
+    /// traffic, so long generations never monopolize the workers. A
+    /// prompt token the model rejects (e.g. an out-of-vocabulary id) ends
+    /// the stream with [`ServeError::Exec`] and counts as `failed`.
     ///
     /// The KV-cache format follows the model's
     /// [`KvStorage`](ptq_core::KvStorage) knob; under the default f32
@@ -585,8 +589,9 @@ fn take_batch(queue: &mut VecDeque<Work>, key: &[Vec<usize>], max_batch: usize) 
     batch
 }
 
-/// Run one decode step of a generation session (the prefill on its first
-/// dispatch), stream the token, and re-enqueue the session at the back of
+/// Run one decode step of a generation session (on its first dispatch the
+/// prefill: the prompt through the step schedule, then the cache seal),
+/// stream the token, and re-enqueue the session at the back of
 /// the queue unless it finished. Dropping the session closes its stream —
 /// that is how [`GenTicket`] observes completion.
 fn run_gen_step(sh: &Shared, mut g: Box<GenSession>) {
@@ -609,7 +614,7 @@ fn run_gen_step(sh: &Shared, mut g: Box<GenSession>) {
             return;
         }
     };
-    let token = argmax(logits.data());
+    let token = logits.argmax() as f32;
     ptq_trace::counter(Level::Info, "serve.gen_tokens", 1, &[]);
     g.remaining -= 1;
     g.last = token;
@@ -626,19 +631,6 @@ fn run_gen_step(sh: &Shared, mut g: Box<GenSession>) {
     st.queue.push_back(Work::Gen(g));
     drop(st);
     sh.cond.notify_one();
-}
-
-/// Index of the largest logit (first on ties; 0.0 on an empty row).
-fn argmax(logits: &[f32]) -> f32 {
-    let mut best = 0usize;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &v) in logits.iter().enumerate() {
-        if v > best_v {
-            best = i;
-            best_v = v;
-        }
-    }
-    best as f32
 }
 
 /// Execute a formed batch and deliver every reply. Single requests take

@@ -25,9 +25,12 @@
 //! * **Streaming generation** — [`Engine::generate`] runs multi-token
 //!   greedy decoding through the incremental KV-cache engine
 //!   ([`ptq_nn::DecodePlan`]), streaming tokens as they are produced.
-//!   A session runs *one* decode step per dispatch and re-queues behind
-//!   waiting traffic, so long generations interleave fairly with
-//!   single-shot requests instead of starving them.
+//!   A session runs *one* decode step per dispatch (its first dispatch
+//!   runs the prompt's `p` tokens through that same step schedule, in
+//!   blocks of rows — work that grows with the prompt, not a window
+//!   forward) and re-queues behind waiting traffic, so long generations
+//!   interleave fairly with single-shot requests instead of starving
+//!   them.
 //!
 //! Configuration rides the consolidated [`ptq_core::EngineSpec`]: the
 //! same serializable spec that drives [`ptq_core::PtqSession`] carries a

@@ -131,3 +131,37 @@ fn expired_generation_deadlines_shed_onto_the_stream() {
     }
     engine.shutdown();
 }
+
+#[test]
+fn a_prompt_token_the_model_rejects_fails_the_stream_and_is_conserved() {
+    let (_w, model) = quantized_decoder();
+    let reference = model.clone();
+    let spec = spec_with(&model, |s| s.workers = 1);
+    let engine = Engine::new(model, &spec).unwrap();
+    // Out-of-vocabulary id at prompt position 2 (vocab = 48): the first
+    // dispatch runs two prompt tokens, then the embedding rejects the third.
+    let stream = engine
+        .generate(vec![3.0, 11.0, 48.0, 7.0], 4, CAPACITY)
+        .unwrap();
+    match stream.next() {
+        Some(Err(ServeError::Exec(PtqError::InvalidInput { .. }))) => {}
+        other => panic!("expected Exec(InvalidInput) on the stream, got {other:?}"),
+    }
+    assert!(stream.next().is_none(), "an error ends the stream");
+
+    // The failure poisons nothing: the next generation is the direct one.
+    let prompt = vec![3.0, 11.0, 7.0];
+    let mut direct = DecodeSession::new(reference, CAPACITY).unwrap_ok();
+    let expected = direct.generate_greedy(&prompt, 4).unwrap_ok();
+    let served = engine.generate(prompt, 4, CAPACITY).unwrap().collect();
+    assert_eq!(served.unwrap(), expected);
+
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.failed), (2, 1));
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.shed + stats.failed,
+        "conservation: {stats:?}"
+    );
+    engine.shutdown();
+}

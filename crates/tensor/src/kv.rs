@@ -427,17 +427,49 @@ impl KvCache {
         })
     }
 
-    /// Append one position's row to one layer/side.
-    pub fn append(&mut self, layer: usize, side: KvSide, row: &[f32]) -> Result<(), KvError> {
+    fn buf_mut(&mut self, layer: usize, side: KvSide) -> Result<&mut KvBuf, KvError> {
         let layers = self.layers.len();
         let l = self
             .layers
             .get_mut(layer)
             .ok_or(KvError::LayerOutOfRange { layer, layers })?;
-        match side {
-            KvSide::K => l.k.append_row(row),
-            KvSide::V => l.v.append_row(row),
+        Ok(match side {
+            KvSide::K => &mut l.k,
+            KvSide::V => &mut l.v,
+        })
+    }
+
+    /// Append one position's row to one layer/side.
+    pub fn append(&mut self, layer: usize, side: KvSide, row: &[f32]) -> Result<(), KvError> {
+        self.buf_mut(layer, side)?.append_row(row)
+    }
+
+    /// Seal one buffer that staged its rows in f32: re-store them under
+    /// `policy`, a calibration-pending static scale resolved from those
+    /// very rows ([`KvCachePolicy::calibrated`]) — how a decode session
+    /// turns the exact rows its prompt attended into the cache generated
+    /// tokens read. Under an `F32` policy the staged buffer *is* the
+    /// sealed one; a buffer not stored as f32 is sealed already.
+    pub fn seal(
+        &mut self,
+        layer: usize,
+        side: KvSide,
+        policy: KvCachePolicy,
+    ) -> Result<(), KvError> {
+        let buf = self.buf_mut(layer, side)?;
+        let KvStore::F32(rows) = &mut buf.store else {
+            return Ok(());
+        };
+        if policy == KvCachePolicy::F32 {
+            return Ok(());
         }
+        let rows = std::mem::take(rows);
+        let mut sealed = KvBuf::new(buf.d, buf.capacity, policy.calibrated(&rows));
+        for j in 0..buf.len {
+            sealed.append_row(&rows[j * buf.d..(j + 1) * buf.d])?;
+        }
+        *buf = sealed;
+        Ok(())
     }
 
     /// Total payload bytes across all buffers.
@@ -626,6 +658,52 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.cache_bytes(), 0);
+    }
+
+    #[test]
+    fn seal_recodes_a_staged_buffer_under_the_policy_its_rows_calibrate() {
+        let rows = TensorRng::seed(3).normal(&[3, 8], 0.0, 1.0);
+        let mut cache = KvCache::uniform(1, 8, 4, KvCachePolicy::F32);
+        for j in 0..3 {
+            cache.append(0, KvSide::K, rows.row(j)).unwrap();
+            cache.append(0, KvSide::V, &[0.0; 8]).unwrap();
+        }
+        // An f32 policy keeps the staged buffer as it is.
+        cache.seal(0, KvSide::K, KvCachePolicy::F32).unwrap();
+        assert_eq!(
+            cache.buf(0, KvSide::K).unwrap().policy(),
+            KvCachePolicy::F32
+        );
+        let pending = KvCachePolicy::Fp8 {
+            format: Fp8Format::E4M3,
+            scale: None,
+        };
+        cache.seal(0, KvSide::K, pending).unwrap();
+        // Exactly a direct store under the calibrated policy.
+        let policy = pending.calibrated(rows.data());
+        assert!(matches!(policy, KvCachePolicy::Fp8 { scale: Some(_), .. }));
+        let mut direct = KvBuf::new(8, 4, policy);
+        (0..3).for_each(|j| direct.append_row(rows.row(j)).unwrap());
+        let k = cache.buf(0, KvSide::K).unwrap();
+        assert_eq!((k.policy(), k.len(), k.capacity()), (policy, 3, 4));
+        for (j, c) in (0..3).flat_map(|j| (0..8).map(move |c| (j, c))) {
+            assert_eq!(k.value_at(j, c).to_bits(), direct.value_at(j, c).to_bits());
+        }
+        // All-zero rows calibrate nothing: the per-row dynamic fallback.
+        cache.seal(0, KvSide::V, pending).unwrap();
+        let v = cache.buf(0, KvSide::V).unwrap();
+        assert_eq!((v.policy(), v.len()), (pending, 3));
+        assert_eq!(v.value_at(2, 7), 0.0);
+        // A sealed buffer stays as sealed, whatever the policy offered.
+        cache.seal(0, KvSide::K, KvCachePolicy::F32).unwrap();
+        assert_eq!(cache.buf(0, KvSide::K).unwrap().policy(), policy);
+        assert_eq!(
+            cache.seal(1, KvSide::K, KvCachePolicy::F32),
+            Err(KvError::LayerOutOfRange {
+                layer: 1,
+                layers: 1
+            })
+        );
     }
 
     #[test]

@@ -1,20 +1,25 @@
 //! Incremental-attention step kernels over a [`KvBuf`] cache.
 //!
-//! One decode step computes, per attention layer, the single newest query
-//! row against every cached position:
+//! One decode step computes, per attention layer, its `m` newest query
+//! rows (one generated token, or a block of prompt tokens) against every
+//! cached position:
 //!
-//! * [`attention_step_q`]: `scores[h, 0, j] = Σ_kk q[h, 0, kk] · K[j][h·dh + kk]`
+//! * [`attention_step_q`]: `scores[h, i, j] = Σ_kk q[h, i, kk] · K[j][h·dh + kk]`
 //!   — the step slice of the full path's `bmm(qh, khᵀ)`.
-//! * [`attention_step_v`]: `ctx[h, 0, c] = Σ_j probs[h, 0, j] · V[j][h·dh + c]`
+//! * [`attention_step_v`]: `ctx[h, i, c] = Σ_j probs[h, i, j] · V[j][h·dh + c]`
 //!   — the step slice of `bmm(probs, vh)`.
+//!
+//! Causality is not the kernels' business: they are rectangular, and the
+//! graph's own bottom-aligned `CausalMask` between them hides from query
+//! row `i` the keys appended after its position.
 //!
 //! ## Bit-identity contract
 //!
 //! Both kernels reproduce [`super::batch_matmul_into`]'s accumulation
-//! exactly for their output row: per output element one ascending chain
+//! exactly for their output rows: per output element one ascending chain
 //! over the contraction index, with the same `av == 0.0` zero-skip on the
 //! lhs element. With an F32 cache this makes a decode step bit-identical
-//! to row `i` of the full-window forward (every upstream op is
+//! to the same rows of the full-window forward (every upstream op is
 //! row-independent; the softmax −inf tail contributes exact `+0.0`s —
 //! see DESIGN.md §16 for the full argument). With an FP8 cache the
 //! accumulated *values* are the dequantized codes (`decode(code)/scale`
@@ -28,22 +33,22 @@
 //! reference decodes inline per element. Same per-element values, same
 //! per-output chains, different staging only.
 
+use super::matmul::matmul_row;
 use super::{scratch, KernelPath};
 use crate::kv::KvBuf;
 use crate::tensor::Tensor;
 
-/// Step score kernel: `q [heads, 1, dh]` against a `K` cache of
-/// `len` positions with `d = heads · dh` wide rows → `out [heads, 1, len]`.
+/// Step score kernel: `q [heads, m, dh]` against a `K` cache of
+/// `len` positions with `d = heads · dh` wide rows → `out [heads, m, len]`.
 ///
 /// # Panics
 ///
-/// Panics if `q` is not `[heads, 1, dh]` with `heads · dh` matching the
+/// Panics if `q` is not `[heads, m, dh]` with `heads · dh` matching the
 /// cache row width (the decode planner validates shapes before any step
 /// runs, so this is an internal-contract assert like the other kernels').
 pub fn attention_step_q(q: &Tensor, cache: &KvBuf, out: &mut Tensor, path: KernelPath) {
-    assert_eq!(q.ndim(), 3, "step q must be [heads, 1, dh]");
-    let (heads, one, dh) = (q.dim(0), q.dim(1), q.dim(2));
-    assert_eq!(one, 1, "step q carries a single query row");
+    assert_eq!(q.ndim(), 3, "step q must be [heads, m, dh]");
+    let (heads, m, dh) = (q.dim(0), q.dim(1), q.dim(2));
     let d = cache.d();
     assert_eq!(
         heads * dh,
@@ -52,25 +57,25 @@ pub fn attention_step_q(q: &Tensor, cache: &KvBuf, out: &mut Tensor, path: Kerne
         heads * dh
     );
     let len = cache.len();
-    out.reuse_as(&[heads, 1, len]);
+    out.reuse_as(&[heads, m, len]);
     out.zero_fill();
-    if len == 0 {
+    if out.is_empty() {
         return;
     }
     let qd = q.data();
     let od = out.data_mut();
     match path {
         KernelPath::ScalarReference => {
-            for h in 0..heads {
-                let orow = &mut od[h * len..(h + 1) * len];
+            for (r, orow) in od.chunks_mut(len).enumerate() {
+                let h = r / m;
                 for kk in 0..dh {
-                    let av = qd[h * dh + kk];
+                    let av = qd[r * dh + kk];
                     if av == 0.0 {
                         continue;
                     }
                     let col = h * dh + kk;
-                    for (j, r) in orow.iter_mut().enumerate() {
-                        *r += av * cache.value_at(j, col);
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        *o += av * cache.value_at(j, col);
                     }
                 }
             }
@@ -81,23 +86,15 @@ pub fn attention_step_q(q: &Tensor, cache: &KvBuf, out: &mut Tensor, path: Kerne
             scratch::with_panel(len * d, |panel| {
                 cache.decode_into(panel);
                 scratch::with_panel2(dh * len, |kt| {
-                    for h in 0..heads {
+                    for (h, ohead) in od.chunks_mut(m * len).enumerate() {
                         for kk in 0..dh {
                             let col = h * dh + kk;
                             for j in 0..len {
                                 kt[kk * len + j] = panel[j * d + col];
                             }
                         }
-                        let orow = &mut od[h * len..(h + 1) * len];
-                        for kk in 0..dh {
-                            let av = qd[h * dh + kk];
-                            if av == 0.0 {
-                                continue;
-                            }
-                            let krow = &kt[kk * len..(kk + 1) * len];
-                            for (j, r) in orow.iter_mut().enumerate() {
-                                *r += av * krow[j];
-                            }
+                        for (i, orow) in ohead.chunks_mut(len).enumerate() {
+                            matmul_row(&qd[(h * m + i) * dh..][..dh], kt, len, orow);
                         }
                     }
                 });
@@ -106,8 +103,8 @@ pub fn attention_step_q(q: &Tensor, cache: &KvBuf, out: &mut Tensor, path: Kerne
     }
 }
 
-/// Step context kernel: `probs [heads, 1, len]` against a `V` cache of
-/// the same `len` → `out [heads, 1, dh]`.
+/// Step context kernel: `probs [heads, m, len]` against a `V` cache of
+/// the same `len` → `out [heads, m, dh]`.
 ///
 /// The `av == 0.0` skip doubles as the masked-tail guard: softmax rows
 /// whose −inf-masked entries became exact zeros contribute no additions,
@@ -115,12 +112,11 @@ pub fn attention_step_q(q: &Tensor, cache: &KvBuf, out: &mut Tensor, path: Kerne
 ///
 /// # Panics
 ///
-/// Panics if `probs` is not `[heads, 1, len]` matching the cache length
+/// Panics if `probs` is not `[heads, m, len]` matching the cache length
 /// (internal contract; the decode planner validates first).
 pub fn attention_step_v(probs: &Tensor, cache: &KvBuf, out: &mut Tensor, path: KernelPath) {
-    assert_eq!(probs.ndim(), 3, "step probs must be [heads, 1, len]");
-    let (heads, one, len) = (probs.dim(0), probs.dim(1), probs.dim(2));
-    assert_eq!(one, 1, "step probs carry a single query row");
+    assert_eq!(probs.ndim(), 3, "step probs must be [heads, m, len]");
+    let (heads, m, len) = (probs.dim(0), probs.dim(1), probs.dim(2));
     assert_eq!(
         len,
         cache.len(),
@@ -134,24 +130,23 @@ pub fn attention_step_v(probs: &Tensor, cache: &KvBuf, out: &mut Tensor, path: K
         "heads {heads} must divide cache row width {d}"
     );
     let dh = d / heads;
-    out.reuse_as(&[heads, 1, dh]);
+    out.reuse_as(&[heads, m, dh]);
     out.zero_fill();
-    if len == 0 {
+    if out.is_empty() || len == 0 {
         return;
     }
     let pd = probs.data();
     let od = out.data_mut();
     match path {
         KernelPath::ScalarReference => {
-            for h in 0..heads {
-                let orow = &mut od[h * dh..(h + 1) * dh];
-                for j in 0..len {
-                    let av = pd[h * len + j];
+            for (r, orow) in od.chunks_mut(dh).enumerate() {
+                let h = r / m;
+                for (j, &av) in pd[r * len..(r + 1) * len].iter().enumerate() {
                     if av == 0.0 {
                         continue;
                     }
-                    for (c, r) in orow.iter_mut().enumerate() {
-                        *r += av * cache.value_at(j, h * dh + c);
+                    for (c, o) in orow.iter_mut().enumerate() {
+                        *o += av * cache.value_at(j, h * dh + c);
                     }
                 }
             }
@@ -161,16 +156,15 @@ pub fn attention_step_v(probs: &Tensor, cache: &KvBuf, out: &mut Tensor, path: K
             // contiguous in the position-major panel.
             scratch::with_panel(len * d, |panel| {
                 cache.decode_into(panel);
-                for h in 0..heads {
-                    let orow = &mut od[h * dh..(h + 1) * dh];
-                    for j in 0..len {
-                        let av = pd[h * len + j];
+                for (r, orow) in od.chunks_mut(dh).enumerate() {
+                    let h = r / m;
+                    for (j, &av) in pd[r * len..(r + 1) * len].iter().enumerate() {
                         if av == 0.0 {
                             continue;
                         }
                         let vrow = &panel[j * d + h * dh..j * d + (h + 1) * dh];
-                        for (c, r) in orow.iter_mut().enumerate() {
-                            *r += av * vrow[c];
+                        for (c, o) in orow.iter_mut().enumerate() {
+                            *o += av * vrow[c];
                         }
                     }
                 }
@@ -235,14 +229,18 @@ mod tests {
             },
         ] {
             let (cache, kt, _) = cache_and_dense(9, 11, policy);
-            let q = TensorRng::seed(12).normal(&[HEADS, 1, DH], 0.0, 1.0);
-            let reference = batch_matmul(&q, &kt);
-            for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
-                let mut out = Tensor::default();
-                attention_step_q(&q, cache.buf(0, KvSide::K).unwrap(), &mut out, path);
-                assert_eq!(out.shape(), &[HEADS, 1, 9]);
-                for (i, (a, b)) in out.data().iter().zip(reference.data()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{policy:?} {path} elem {i}");
+            // One query row (a generated token) and a block of them (a prompt).
+            for m in [1, 4] {
+                let mut q = TensorRng::seed(12).normal(&[HEADS, m, DH], 0.0, 1.0);
+                q.data_mut()[DH - 1] = 0.0; // the lhs zero-skip
+                let reference = batch_matmul(&q, &kt);
+                for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
+                    let mut out = Tensor::default();
+                    attention_step_q(&q, cache.buf(0, KvSide::K).unwrap(), &mut out, path);
+                    assert_eq!(out.shape(), &[HEADS, m, 9]);
+                    for (i, (a, b)) in out.data().iter().zip(reference.data()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{policy:?} {path} m {m} elem {i}");
+                    }
                 }
             }
         }
@@ -258,17 +256,19 @@ mod tests {
             },
         ] {
             let (cache, _, v) = cache_and_dense(7, 21, policy);
-            let mut probs = TensorRng::seed(22).normal(&[HEADS, 1, 7], 0.0, 1.0);
-            // Exact zeros exercise the masked-tail skip.
-            probs.data_mut()[3] = 0.0;
-            probs.data_mut()[HEADS * 7 - 1] = 0.0;
-            let reference = batch_matmul(&probs, &v);
-            for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
-                let mut out = Tensor::default();
-                attention_step_v(&probs, cache.buf(0, KvSide::V).unwrap(), &mut out, path);
-                assert_eq!(out.shape(), &[HEADS, 1, DH]);
-                for (i, (a, b)) in out.data().iter().zip(reference.data()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{policy:?} {path} elem {i}");
+            for m in [1, 3] {
+                let mut probs = TensorRng::seed(22).normal(&[HEADS, m, 7], 0.0, 1.0);
+                // Exact zeros exercise the masked-tail skip.
+                probs.data_mut()[3] = 0.0;
+                probs.data_mut()[HEADS * m * 7 - 1] = 0.0;
+                let reference = batch_matmul(&probs, &v);
+                for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
+                    let mut out = Tensor::default();
+                    attention_step_v(&probs, cache.buf(0, KvSide::V).unwrap(), &mut out, path);
+                    assert_eq!(out.shape(), &[HEADS, m, DH]);
+                    for (i, (a, b)) in out.data().iter().zip(reference.data()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{policy:?} {path} m {m} elem {i}");
+                    }
                 }
             }
         }

@@ -22,7 +22,7 @@ use super::{blocked, checked, for_each_chunk, scratch, ActOperand, KernelPath, W
 /// One output row of the matmul reference: `orow += arow · B` over dense
 /// `B[k,n]`, `kk` ascending. The zero-skip is semantics (it changes
 /// results under NaN/Inf), not an optimization.
-fn matmul_row(arow: &[f32], bd: &[f32], n: usize, orow: &mut [f32]) {
+pub(super) fn matmul_row(arow: &[f32], bd: &[f32], n: usize, orow: &mut [f32]) {
     for (kk, &av) in arow.iter().enumerate() {
         if av == 0.0 {
             continue;
