@@ -9,7 +9,9 @@
 #   * One kernel per MAC op: no `_into_path` identifier under crates/,
 #     `ops/mod.rs` re-exports no `_q`/`_qq` MAC name but the three
 #     one-line delegates the frozen `benchmark/` calls, and
-#     crates/tensor/src/ops stays within its non-test line budget.
+#     crates/tensor/src/ops stays within its non-test line budget. Conv
+#     runs on the register tile over Linear's weight panels: the per-plane
+#     4-wide nest (`conv_plane`, `OXB`) may not reappear under crates/.
 #   * Streamed decode, LUT encode: the per-channel decode-table machinery
 #     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
 #     `take_tables`) may not reappear under crates/ -- a coded weight is
@@ -76,10 +78,16 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2011
+ops_budget=2008
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
+    fail=1
+fi
+
+if hits=$(grep -rnE 'conv_plane|OXB' crates/); then
+    echo "conv runs on the packed register tile, not a per-plane column block:" >&2
+    printf '%s\n' "$hits" >&2
     fail=1
 fi
 
@@ -141,6 +149,7 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
+    "no per-plane conv nest," \
     "no decode-table machinery, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
     "one decode schedule (nn+core $nn_core_lines/$nn_core_budget lines," \

@@ -11,28 +11,33 @@
 //! element), and the matmul family's `av == 0.0` zero-skip intact (it
 //! changes results under NaN/Inf and signed zeros, so it is semantics, not
 //! an optimization). What blocking changes is only *which independent
-//! outputs advance together*:
+//! outputs advance together*, over one operand layout — column panels of
+//! `NRM` outputs, the last one padded with dead chains that are never
+//! stored:
 //!
-//! * **matmul**: `B` is decoded once into a packed column-panel layout
-//!   (pure data movement — same values, read in the same `kk` order) and
-//!   a 4×8 register tile carries 32 independent accumulator chains, so
-//!   the inner loop is a branch-light FMA block instead of a
-//!   load/update/store sweep over the output row. On x86-64 with AVX2
-//!   the full tile runs 8 lanes wide through explicit `vmulps`/`vaddps`
-//!   (never `vfmadd`, whose single rounding would break bit-identity).
+//! * **matmul**: `B` is decoded once into the panels (pure data movement —
+//!   same values, read in the same `kk` order) and a 4×8 or 4×16 register
+//!   tile carries 32 or 64 independent chains. On x86-64 with AVX2 the
+//!   tile runs 8 lanes wide through explicit `vmulps`/`vaddps` (never
+//!   `vfmadd`, whose single rounding would break bit-identity).
 //! * **linear**: the `[n, k]` weight codes stream once per call through
-//!   `decode(code) / scale(channel)` straight into the same column-panel
-//!   layout (8 output features per panel, so the 8 divisions of a `kk`
-//!   step are one vector of lanes with their 8 channel scales), and the
-//!   rows run the matmul register tile compiled with `SKIP = false`:
-//!   Linear has no zero-skip (`0 · NaN` must stay NaN), and the bias is
-//!   added after the finished chain, as the reference does. Short row
-//!   blocks (`m` = 1..3, the decode step) run a 1×8 row tile over the
-//!   same panels.
-//! * **conv**: the weight tensor is decoded once per call, each input
-//!   sample is decoded once per image (not once per output plane), and
-//!   interior outputs (no padding clipping) run a check-free 4-wide
-//!   column block; borders keep the reference loop.
+//!   `decode(code) / scale(channel)` straight into the panels (the 8
+//!   divisions of a `kk` step are one vector of lanes with their 8 channel
+//!   scales), and the rows run the matmul tile compiled with
+//!   `SKIP = false`: Linear has no zero-skip (`0 · NaN` must stay NaN),
+//!   and the bias is added after the finished chain, as the reference
+//!   does. Short row blocks (`m` = 1..3, the decode step) run a 1×8 row
+//!   tile over the same panels.
+//! * **conv**: a conv weight `[cout, cin·kh·kw]` is Linear's `[n, k]` and
+//!   streams into the same panels; a tile carries 4 output pixels of one
+//!   row × 8 or 16 output channels, reading its taps from the sample in
+//!   place. Each chain is **seeded with the bias** (the reference's
+//!   `window_sum` starts there) and walks the in-bounds taps only, in the
+//!   reference order: a border pixel runs the 1-pixel tile with its tap
+//!   ranges clamped, and a ragged interior tail re-runs the last full
+//!   block overlapped. A padding tap is never staged as a zero —
+//!   `0 · Inf = NaN` and `-0.0 + 0.0 = +0.0` would both change bits — and
+//!   conv has no zero-skip.
 //!
 //! Reassociation — multi-accumulator splits of a *single* dot product,
 //! hoisting scales, dropping the zero-skip where the reference has it —
@@ -43,42 +48,35 @@
 //! [`super::scratch`]; steady-state calls do not allocate, and no decoded
 //! value outlives the call that staged it.
 
+use std::ops::Range;
+
 use crate::act::ActDecode;
 use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 
-use super::conv::{for_each_plane, taps, window_sum, ConvDims};
+use super::conv::{taps, ConvDims};
 use super::operand::Rows;
-use super::{for_each_chunk, scratch, WeightOperand};
+use super::{for_each_chunk, scratch};
 
-/// Rows per register tile (matmul and linear).
+/// Rows (conv: output pixels) per register tile.
 const MR: usize = 4;
-/// Columns per register tile and per packed panel (one or two SIMD
-/// vectors wide).
+/// Columns (conv: output channels) per packed panel; a tile spans one or
+/// two panels.
 const NRM: usize = 8;
-/// Output columns advanced together on a conv interior row.
-const OXB: usize = 4;
 
-// ---------------------------------------------------------------------
-// matmul family
-// ---------------------------------------------------------------------
-
-/// Decode a `[k, n]` coded activation straight into column panels of
-/// width `NRM` (`panel[p]` holds columns `p*NRM ..` contiguously per
-/// `kk`; panel `p` starts at offset `j0 * k`). Fused decode+pack: each
-/// row decodes into an L1-resident `row` scratch and scatters to its
-/// panels, so the dense `[k, n]` panel is never staged. The values are
-/// exactly what [`crate::act::ActDecode::decode_range`] produces — the
-/// micro-kernel reads them in the same `kk` order as the scalar kernel.
+/// Decode a `[k, n]` coded activation straight into column panels (panel
+/// `p` holds columns `p*NRM ..` contiguously per `kk` and starts at offset
+/// `p*NRM*k`; the last one's spare lanes are zeros). Fused decode+pack:
+/// each row decodes into an L1-resident `row` scratch and scatters to its
+/// panels, so the dense `[k, n]` form is never staged. The values are
+/// exactly what [`crate::act::ActDecode::decode_range`] produces.
 fn decode_pack_panels(bdec: &ActDecode, k: usize, n: usize, bp: &mut [f32]) {
-    scratch::with_panel2(n, |row| {
+    scratch::with_panel2(n.next_multiple_of(NRM), |row| {
+        row[n..].fill(0.0);
         for kk in 0..k {
-            bdec.decode_range(kk * n, row);
-            let mut j0 = 0;
-            while j0 < n {
-                let wp = NRM.min(n - j0);
-                bp[j0 * k + kk * wp..j0 * k + (kk + 1) * wp].copy_from_slice(&row[j0..j0 + wp]);
-                j0 += NRM;
+            bdec.decode_range(kk * n, &mut row[..n]);
+            for (p, lanes) in row.chunks_exact(NRM).enumerate() {
+                bp[(p * k + kk) * NRM..][..NRM].copy_from_slice(lanes);
             }
         }
     });
@@ -102,7 +100,7 @@ fn tile_full<const SKIP: bool>(
     if let Some(a) = simd_a {
         // SAFETY: `simd_a` is only `Some` after an `avx2_available` check
         // in `matmul_packed`, which sized it to k*MR and `panel` to k*NRM.
-        unsafe { simd::tile_4x8::<SKIP>(a, k, panel, acc) };
+        unsafe { simd::tile::<SKIP, 1>(a, k, panel, std::array::from_mut(acc)) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -139,7 +137,7 @@ fn tile_row<const SKIP: bool>(arow: &[f32], panel: &[f32]) -> [f32; NRM] {
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    //! Runtime-detected AVX2 lane for the register tile.
+    //! Runtime-detected AVX2 lane for the register tiles.
     //!
     //! Bit-identity: `vmulps`/`vaddps` are the identical single-rounded
     //! IEEE-754 multiply and add as Rust's scalar `f32` operators (rustc
@@ -153,10 +151,6 @@ mod simd {
     //! when it holds, the skip provably cannot fire and the four chains
     //! run unguarded; otherwise the guarded per-row loop is taken. Without
     //! `SKIP` (linear) there is no test and every step runs unguarded.
-    //!
-    //! The zero test is also the only reader of a whole `kk` column, so
-    //! only `SKIP` tiles need the A block staged k-major; without it the
-    //! tile broadcasts each value from the row-major block in place.
 
     use std::sync::OnceLock;
 
@@ -170,7 +164,11 @@ mod simd {
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
 
-    /// One full `MR`×`NRM` tile, each output row one 8-wide register.
+    /// `P` adjacent full panels against one `MR`-row A block, each output
+    /// row one 8-wide register per panel: the 4×8 tile, or with `P = 2`
+    /// the 4×16 one (8 ymm accumulators), which amortizes the per-`kk`
+    /// zero test and loop overhead over twice the arithmetic — per `kk`,
+    /// every row adds its term to each panel's lanes, in `kk` order.
     /// `a` is the `MR`×`k` A block: k-major (`a[kk*MR + r]`) under `SKIP`,
     /// so one 4-lane load fetches the row values of a `kk` for the zero
     /// test; row-major (`a[r*k + kk]`) otherwise.
@@ -178,31 +176,44 @@ mod simd {
     /// # Safety
     ///
     /// Caller must have verified [`avx2_available`] and guarantee
-    /// `a.len() >= k * MR` and `panel.len() >= k * NRM`.
+    /// `a.len() >= k * MR` and `panels.len() >= P * k * NRM`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_4x8<const SKIP: bool>(
+    pub(super) unsafe fn tile<const SKIP: bool, const P: usize>(
         a: &[f32],
         k: usize,
-        panel: &[f32],
-        acc_out: &mut [[f32; NRM]; MR],
+        panels: &[f32],
+        acc_out: &mut [[[f32; NRM]; MR]; P],
     ) {
         use std::arch::x86_64::*;
-        debug_assert!(a.len() >= k * MR && panel.len() >= k * NRM);
-        let a = a.as_ptr();
+        debug_assert!(a.len() >= k * MR && panels.len() >= P * k * NRM);
+        let (a, b) = (a.as_ptr(), panels.as_ptr());
         // Strides of `A[r, kk]` in the layout `SKIP` implies.
         let (rs, ks) = if SKIP { (1, MR) } else { (k, 1) };
-        let mut acc = [_mm256_setzero_ps(); MR];
         let zero8 = _mm256_setzero_ps();
+        let mut acc = [[zero8; P]; MR];
+        // Row `$kk` of the `P` panels.
+        macro_rules! row {
+            ($kk:expr) => {{
+                let mut bk = [zero8; P];
+                for (p, v) in bk.iter_mut().enumerate() {
+                    *v = _mm256_loadu_ps(b.add((p * k + $kk) * NRM));
+                }
+                bk
+            }};
+        }
         // Step `$kk` of the four rows; `$guard` keeps the per-row
         // zero-skip — the semantics path.
         macro_rules! step {
             ($kk:expr, $bk:expr, $guard:expr) => {
-                for (r, row) in acc.iter_mut().enumerate() {
+                for r in 0..MR {
                     let av = *a.add(r * rs + $kk * ks);
                     if $guard && av == 0.0 {
                         continue;
                     }
-                    *row = _mm256_add_ps(*row, _mm256_mul_ps(_mm256_set1_ps(av), $bk));
+                    let avv = _mm256_set1_ps(av);
+                    for p in 0..P {
+                        acc[r][p] = _mm256_add_ps(acc[r][p], _mm256_mul_ps(avv, $bk[p]));
+                    }
                 }
             };
         }
@@ -212,10 +223,12 @@ mod simd {
         // their kk term, then their kk+1 term).
         let mut kk = 0;
         while kk + 2 <= k {
-            let bk0 = _mm256_loadu_ps(panel.as_ptr().add(kk * NRM));
-            let bk1 = _mm256_loadu_ps(panel.as_ptr().add((kk + 1) * NRM));
+            let (bk0, bk1) = (row!(kk), row!(kk + 1));
             if SKIP && {
-                let avs = _mm256_loadu_ps(a.add(kk * MR));
+                // `black_box`: the steps must broadcast their row values
+                // from memory, not shuffle them out of this vector (the one
+                // shuffle port is the tile's bottleneck then).
+                let avs = _mm256_loadu_ps(std::hint::black_box(a.add(kk * MR)));
                 _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) != 0
             } {
                 step!(kk, bk0, true);
@@ -227,85 +240,39 @@ mod simd {
             kk += 2;
         }
         if kk < k {
-            let bk = _mm256_loadu_ps(panel.as_ptr().add(kk * NRM));
-            step!(kk, bk, SKIP);
+            step!(kk, row!(kk), SKIP);
         }
-        for (r, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(acc_out[r].as_mut_ptr(), *a);
+        for (p, out) in acc_out.iter_mut().enumerate() {
+            for (r, o) in out.iter_mut().enumerate() {
+                _mm256_storeu_ps(o.as_mut_ptr(), acc[r][p]);
+            }
         }
     }
 
-    /// Two adjacent full panels in one pass — a 4×16 register tile (8
-    /// ymm accumulators), amortizing the per-`kk` zero test and loop
-    /// overhead over twice the arithmetic. The chains are the same as
-    /// running [`tile_4x8`] on each panel: per `kk`, every row adds its
-    /// term to both panels' lanes, in `kk` order.
+    impl super::Chains for std::arch::x86_64::__m256 {
+        #[inline(always)]
+        unsafe fn load(w: *const f32) -> Self {
+            std::arch::x86_64::_mm256_loadu_ps(w)
+        }
+        #[inline(always)]
+        unsafe fn mac(self, x: f32, w: Self) -> Self {
+            use std::arch::x86_64::*;
+            _mm256_add_ps(self, _mm256_mul_ps(_mm256_set1_ps(x), w))
+        }
+        #[inline(always)]
+        unsafe fn lanes(self) -> [f32; NRM] {
+            std::mem::transmute(self)
+        }
+    }
+
+    /// [`super::conv_image`] on one ymm register per `NRM` chains.
     ///
     /// # Safety
     ///
-    /// Caller must have verified [`avx2_available`] and guarantee
-    /// `a.len() >= k * MR` (laid out as for [`tile_4x8`]),
-    /// `p0.len() >= k * NRM`, `p1.len() >= k * NRM`.
+    /// Caller must have verified [`avx2_available`].
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tile_4x8x2<const SKIP: bool>(
-        a: &[f32],
-        k: usize,
-        p0: &[f32],
-        p1: &[f32],
-        acc_out0: &mut [[f32; NRM]; MR],
-        acc_out1: &mut [[f32; NRM]; MR],
-    ) {
-        use std::arch::x86_64::*;
-        debug_assert!(a.len() >= k * MR && p0.len() >= k * NRM && p1.len() >= k * NRM);
-        let a = a.as_ptr();
-        // Strides of `A[r, kk]` in the layout `SKIP` implies.
-        let (rs, ks) = if SKIP { (1, MR) } else { (k, 1) };
-        let mut acc0 = [_mm256_setzero_ps(); MR];
-        let mut acc1 = [_mm256_setzero_ps(); MR];
-        let zero8 = _mm256_setzero_ps();
-        macro_rules! step {
-            ($kk:expr, $b0:expr, $b1:expr, $guard:expr) => {
-                for r in 0..MR {
-                    let av = *a.add(r * rs + $kk * ks);
-                    if $guard && av == 0.0 {
-                        continue;
-                    }
-                    let avv = _mm256_set1_ps(av);
-                    acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(avv, $b0));
-                    acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(avv, $b1));
-                }
-            };
-        }
-        let mut kk = 0;
-        while kk + 2 <= k {
-            let b00 = _mm256_loadu_ps(p0.as_ptr().add(kk * NRM));
-            let b01 = _mm256_loadu_ps(p1.as_ptr().add(kk * NRM));
-            let b10 = _mm256_loadu_ps(p0.as_ptr().add((kk + 1) * NRM));
-            let b11 = _mm256_loadu_ps(p1.as_ptr().add((kk + 1) * NRM));
-            if SKIP && {
-                let avs = _mm256_loadu_ps(a.add(kk * MR));
-                _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) != 0
-            } {
-                step!(kk, b00, b01, true);
-                step!(kk + 1, b10, b11, true);
-            } else {
-                step!(kk, b00, b01, false);
-                step!(kk + 1, b10, b11, false);
-            }
-            kk += 2;
-        }
-        if kk < k {
-            let b0 = _mm256_loadu_ps(p0.as_ptr().add(kk * NRM));
-            let b1 = _mm256_loadu_ps(p1.as_ptr().add(kk * NRM));
-            step!(kk, b0, b1, SKIP);
-        }
-        for (r, a) in acc0.iter().enumerate() {
-            _mm256_storeu_ps(acc_out0[r].as_mut_ptr(), *a);
-        }
-        for (r, a) in acc1.iter().enumerate() {
-            _mm256_storeu_ps(acc_out1[r].as_mut_ptr(), *a);
-        }
+    pub(super) unsafe fn conv_image(c: &super::ConvCall, xs: &[f32], oimg: &mut [f32]) {
+        super::conv_image::<std::arch::x86_64::__m256>(c, xs, oimg)
     }
 }
 
@@ -327,9 +294,8 @@ fn matmul_packed<const SKIP: bool>(
             return matmul_panels::<SKIP>(arows, Some(arows), mr, k, n, bp, out);
         }
         // Stage the A block once per chunk in k-major order for the zero
-        // test (pure data movement — the tile reads the same values in
-        // the same order); it is reused across every column panel of this
-        // chunk.
+        // test (pure data movement: same values, same order), reused
+        // across every column panel of this chunk.
         scratch::with_rows2(k * MR, |at| {
             for r in 0..MR {
                 for (kk, col) in at.chunks_exact_mut(MR).enumerate() {
@@ -355,7 +321,6 @@ fn matmul_panels<const SKIP: bool>(
     bp: &[f32],
     out: &mut [f32],
 ) {
-    let mut off = 0;
     let mut j0 = 0;
     #[cfg(target_arch = "x86_64")]
     if let Some(a) = simd_a {
@@ -363,54 +328,41 @@ fn matmul_panels<const SKIP: bool>(
         // is only `Some` for full-height chunks after the AVX2 check).
         debug_assert_eq!(mr, MR);
         while j0 + 2 * NRM <= n {
-            let p0 = &bp[off..off + k * NRM];
-            let p1 = &bp[off + k * NRM..off + 2 * k * NRM];
-            let mut acc0 = [[0.0f32; NRM]; MR];
-            let mut acc1 = [[0.0f32; NRM]; MR];
+            let mut acc = [[[0.0f32; NRM]; MR]; 2];
             // SAFETY: AVX2 checked before `simd_a` became `Some`, of an
-            // `MR`×`k` block; panel sizes by construction above.
-            unsafe { simd::tile_4x8x2::<SKIP>(a, k, p0, p1, &mut acc0, &mut acc1) };
-            for r in 0..MR {
-                out[r * n + j0..r * n + j0 + NRM].copy_from_slice(&acc0[r]);
-                out[r * n + j0 + NRM..r * n + j0 + 2 * NRM].copy_from_slice(&acc1[r]);
+            // `MR`×`k` block; the slice is two whole panels.
+            unsafe { simd::tile::<SKIP, 2>(a, k, &bp[j0 * k..(j0 + 2 * NRM) * k], &mut acc) };
+            for (p, rows) in acc.iter().enumerate() {
+                for (r, row) in rows.iter().enumerate() {
+                    out[r * n + j0 + p * NRM..][..NRM].copy_from_slice(row);
+                }
             }
-            off += 2 * k * NRM;
             j0 += 2 * NRM;
         }
     }
     while j0 < n {
+        // A ragged last panel stores its first `wp` chains only.
         let wp = NRM.min(n - j0);
-        let panel = &bp[off..off + k * wp];
-        if mr == MR && wp == NRM {
+        let panel = &bp[j0 * k..(j0 + NRM) * k];
+        if mr == MR {
             // 4x8 register tile: 32 independent kk-ascending chains.
             let mut acc = [[0.0f32; NRM]; MR];
             tile_full::<SKIP>(arows, simd_a, k, panel, &mut acc);
             for (r, a) in acc.iter().enumerate() {
-                out[r * n + j0..r * n + j0 + NRM].copy_from_slice(a);
+                out[r * n + j0..r * n + j0 + wp].copy_from_slice(&a[..wp]);
             }
-        } else if wp == NRM {
+        } else {
             // Short row block: 8 chains per row, one row at a time.
             for r in 0..mr {
                 let acc = tile_row::<SKIP>(&arows[r * k..(r + 1) * k], panel);
-                out[r * n + j0..r * n + j0 + NRM].copy_from_slice(&acc);
-            }
-        } else {
-            // Ragged last panel: per-element chains in the same order.
-            for r in 0..mr {
-                let arow = &arows[r * k..(r + 1) * k];
-                for c in 0..wp {
-                    let mut acc = 0.0f32;
-                    for (kk, &av) in arow.iter().enumerate() {
-                        if SKIP && av == 0.0 {
-                            continue;
-                        }
-                        acc += av * panel[kk * wp + c];
-                    }
-                    out[r * n + j0 + c] = acc;
+                if wp == NRM {
+                    // The decode step's path: a fixed-size copy, no call.
+                    out[r * n + j0..r * n + j0 + NRM].copy_from_slice(&acc);
+                } else {
+                    out[r * n + j0..r * n + j0 + wp].copy_from_slice(&acc[..wp]);
                 }
             }
         }
-        off += k * wp;
         j0 += NRM;
     }
 }
@@ -418,7 +370,7 @@ fn matmul_panels<const SKIP: bool>(
 /// Code×code matmul: `B` decoded once into packed panels, `A` decoded
 /// `MR` rows at a time.
 pub(super) fn matmul(a: &ActDecode, b: &ActDecode, m: usize, k: usize, n: usize, out: &mut Tensor) {
-    scratch::with_panel(k * n, |bp| {
+    scratch::with_panel(k * n.next_multiple_of(NRM), |bp| {
         decode_pack_panels(b, k, n, bp);
         for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
             let mr = rows.len() / n;
@@ -429,23 +381,18 @@ pub(super) fn matmul(a: &ActDecode, b: &ActDecode, m: usize, k: usize, n: usize,
     });
 }
 
-// ---------------------------------------------------------------------
-// linear family
-// ---------------------------------------------------------------------
-
-/// Stream the `[n, k]` weight codes of a Linear into the column-panel
-/// layout [`matmul_packed`] reads (`bp[j0*k + kk*wp + c]` is `Wᵀ[kk, j0+c]`,
-/// panels `NRM` output features wide): a fused decode + transpose, each
-/// element exactly `lut.decode(code) / scale(channel)` — the expression
-/// `StoredTensor::dequantize` defines. A full panel's `kk` step divides 8
-/// decoded lanes by the panel's 8 channel scales, which vectorizes.
+/// Stream `[n, k]` weight codes (a Linear's, or a conv's `[cout,
+/// cin·kh·kw]`) into column panels (`bp[j0*k + kk*NRM + c]` is
+/// `Wᵀ[kk, j0+c]`): a fused decode + transpose, each element exactly
+/// `lut.decode(code) / scale(channel)` — the expression
+/// `StoredTensor::dequantize` defines. A `kk` step divides 8 decoded lanes
+/// by the panel's 8 channel scales, which vectorizes; a ragged last
+/// panel's spare lanes are zeros.
 fn decode_pack_weights(weight: &QTensor, k: usize, n: usize, bp: &mut [f32]) {
     let (codes, lut, scales) = (weight.codes(), weight.lut(), weight.scales());
-    let mut j0 = 0;
-    while j0 < n {
-        let wp = NRM.min(n - j0);
-        let panel = &mut bp[j0 * k..(j0 + wp) * k];
-        if wp == NRM {
+    for j0 in (0..n).step_by(NRM) {
+        let panel = &mut bp[j0 * k..(j0 + NRM) * k];
+        if j0 + NRM <= n {
             let s: [f32; NRM] = std::array::from_fn(|c| scales.scale_for_channel(j0 + c));
             let rows: [&[u8]; NRM] =
                 std::array::from_fn(|c| &codes[(j0 + c) * k..(j0 + c) * k + k]);
@@ -455,15 +402,15 @@ fn decode_pack_weights(weight: &QTensor, k: usize, n: usize, bp: &mut [f32]) {
                 }
             }
         } else {
-            for c in 0..wp {
+            panel.fill(0.0);
+            for c in 0..n - j0 {
                 let s = scales.scale_for_channel(j0 + c);
                 let row = &codes[(j0 + c) * k..(j0 + c + 1) * k];
                 for (kk, &b) in row.iter().enumerate() {
-                    panel[kk * wp + c] = lut.decode(b) / s;
+                    panel[kk * NRM + c] = lut.decode(b) / s;
                 }
             }
         }
-        j0 += NRM;
     }
 }
 
@@ -482,7 +429,7 @@ pub(super) fn linear<X: Rows + ?Sized>(
     out: &mut Tensor,
 ) {
     let bd = bias.map(|b| b.data());
-    scratch::with_panel(k * n, |wp| {
+    scratch::with_panel(k * n.next_multiple_of(NRM), |wp| {
         decode_pack_weights(weight, k, n, wp);
         for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
             let mr = rows.len() / n;
@@ -500,66 +447,165 @@ pub(super) fn linear<X: Rows + ?Sized>(
     });
 }
 
-// ---------------------------------------------------------------------
-// conv family
-// ---------------------------------------------------------------------
+/// The `NRM` chains of one conv output pixel × weight panel: an array on
+/// any target, one AVX2 register where the CPU has them (the generic conv
+/// code is `#[inline(always)]` under a `#[target_feature]` entry point).
+trait Chains: Copy {
+    /// # Safety
+    ///
+    /// `w` is readable for `NRM` floats — and, for all three methods, the
+    /// CPU feature the implementor needs was detected.
+    unsafe fn load(w: *const f32) -> Self;
+    /// `self + x·w` per lane: a rounded multiply, then a rounded add.
+    unsafe fn mac(self, x: f32, w: Self) -> Self;
+    unsafe fn lanes(self) -> [f32; NRM];
+}
 
-/// One output plane: interior columns (no padding clipping) run a
-/// check-free 4-wide block where each weight value feeds 4 outputs;
-/// borders run the reference [`window_sum`]. Both restrict `ky` to the
-/// same in-bounds [`taps`].
-fn conv_plane(xs: &[f32], wplane: &[f32], b0: f32, d: &ConvDims, oplane: &mut [f32]) {
-    // Interior ox range: ox*stride - pad >= 0 and ox*stride - pad + kw <= w.
-    let (ox_lo, ox_hi) = if d.w as isize + d.pad >= d.kw as isize {
-        let lo = (d.pad as usize).div_ceil(d.stride).min(d.ow);
-        let hi = (((d.w as isize - d.kw as isize + d.pad) as usize) / d.stride + 1).min(d.ow);
-        (lo, hi.max(lo))
-    } else {
-        (0, 0)
-    };
-    for oy in 0..d.oh {
-        let iy0 = (oy * d.stride) as isize - d.pad;
-        let kys = taps(iy0, d.h, d.kh);
-        let orow = &mut oplane[oy * d.ow..(oy + 1) * d.ow];
-        let mut ox = 0;
-        while ox < ox_lo {
-            let ix0 = (ox * d.stride) as isize - d.pad;
-            orow[ox] = window_sum(xs, wplane, b0, d, iy0, ix0);
-            ox += 1;
+impl Chains for [f32; NRM] {
+    unsafe fn load(w: *const f32) -> Self {
+        *w.cast()
+    }
+    unsafe fn mac(mut self, x: f32, w: Self) -> Self {
+        for (a, wv) in self.iter_mut().zip(w) {
+            *a += x * wv;
         }
-        while ox + OXB <= ox_hi {
-            let mut acc = [b0; OXB];
-            let ix0 = ox * d.stride - d.pad as usize;
-            for ci in 0..d.cin {
-                let xc = ci * d.h * d.w;
-                let wcb = ci * d.kh * d.kw;
-                for ky in kys.clone() {
-                    let xrow = xc + (iy0 + ky as isize) as usize * d.w;
-                    let wrow = wcb + ky * d.kw;
-                    for kx in 0..d.kw {
-                        let wv = wplane[wrow + kx];
-                        let xb = xrow + ix0 + kx;
-                        acc[0] += xs[xb] * wv;
-                        acc[1] += xs[xb + d.stride] * wv;
-                        acc[2] += xs[xb + 2 * d.stride] * wv;
-                        acc[3] += xs[xb + 3 * d.stride] * wv;
+        self
+    }
+    unsafe fn lanes(self) -> [f32; NRM] {
+        self
+    }
+}
+
+/// One conv call as its tiles see it: the weight in panels, the bias
+/// padded with zeros to whole panels (all zeros without one), the geometry.
+struct ConvCall<'a> {
+    wp: &'a [f32],
+    bias: &'a [f32],
+    d: &'a ConvDims,
+}
+
+/// One `R`-pixel × `P`-panel direct-conv tile from output channel `j0`:
+/// `R·P` vectors of `NRM` chains, each seeded with its channel's bias and
+/// advanced over the in-bounds taps `(ci, ky ∈ kys, kx ∈ kxs)` in the
+/// reference order — a padding tap is in neither range and contributes
+/// no term. `x0` indexes pixel 0's first tap in the sample `xs`, read in
+/// place; pixel `r` reads `rs` elements further on. Tap `(ci, ky, kx)` is
+/// panel row `(ci·kh + ky)·kw + kx`. Channel `j0 + j` of pixel `r` is
+/// stored to `out[j·oh·ow + r]`; the chains past `cout` are dead.
+///
+/// # Safety
+///
+/// The CPU feature `V` needs was detected.
+#[inline(always)]
+unsafe fn conv_tile<V: Chains, const R: usize, const P: usize>(
+    c: &ConvCall,
+    xs: &[f32],
+    j0: usize,
+    (x0, rs): (usize, usize),
+    (kys, kxs): (&Range<usize>, &Range<usize>),
+    out: &mut [f32],
+) {
+    let (d, len, k) = (c.d, kxs.len(), c.d.cin * c.d.kh * c.d.kw);
+    let panels = &c.wp[j0 * k..(j0 + P * NRM) * k];
+    let mut w: [V; P] = std::array::from_fn(|p| V::load(c.bias[j0 + p * NRM..][..NRM].as_ptr()));
+    let mut acc = [w; R];
+    if len > 0 && !kys.is_empty() {
+        // One bounds check per tile: the last tap of the last pixel, and
+        // tap ranges inside the panels.
+        let last = x0 + ((d.cin - 1) * d.h + kys.len() - 1) * d.w + (R - 1) * rs + len;
+        assert!(last <= xs.len() && kys.end <= d.kh && kxs.end <= d.kw);
+        for ci in 0..d.cin {
+            for ky in kys.clone() {
+                let xrow = x0 + (ci * d.h + ky - kys.start) * d.w;
+                let prow = (ci * d.kh + ky) * d.kw + kxs.start;
+                for t in 0..len {
+                    for (p, wv) in w.iter_mut().enumerate() {
+                        // In bounds: row `prow + t < k` of panel `p < P`.
+                        *wv = V::load(panels.as_ptr().add((p * k + prow + t) * NRM));
+                    }
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        // In bounds: at most `last - 1`.
+                        let xv = *xs.get_unchecked(xrow + r * rs + t);
+                        for (a, wv) in row.iter_mut().zip(w) {
+                            *a = a.mac(xv, wv);
+                        }
                     }
                 }
             }
-            orow[ox..ox + OXB].copy_from_slice(&acc);
-            ox += OXB;
         }
-        while ox < d.ow {
-            let ix0 = (ox * d.stride) as isize - d.pad;
-            orow[ox] = window_sum(xs, wplane, b0, d, iy0, ix0);
-            ox += 1;
+    }
+    let vals = acc.map(|row| row.map(|a| a.lanes()));
+    let planes = out.chunks_mut(d.oh * d.ow).take((d.cout - j0).min(P * NRM));
+    for (j, plane) in planes.enumerate() {
+        for r in 0..R {
+            plane[r] = vals[r][j / NRM][j % NRM];
         }
     }
 }
 
-/// Conv over an FP8-stored weight: the weight decoded once per call into
-/// the pooled panel, each input sample borrowed or decoded once per image
-/// per worker by the row source.
+/// `P` panels of output channels from `j0`, over one image. A row's
+/// interior columns — every `kx` tap in bounds — run `MR`-pixel blocks, a
+/// ragged tail re-running the last full block overlapped (it stores the
+/// same values twice); the border columns run the one-pixel tile with
+/// `kxs` clamped.
+///
+/// # Safety
+///
+/// As [`conv_tile`].
+#[inline(always)]
+unsafe fn conv_panels<V: Chains, const P: usize>(
+    c: &ConvCall,
+    xs: &[f32],
+    j0: usize,
+    oimg: &mut [f32],
+) {
+    let (d, pad) = (c.d, c.d.pad as usize);
+    // Interior ox: ox*stride - pad >= 0 and ox*stride - pad + kw <= w; used
+    // only when it holds a full block.
+    let mut lo = pad.div_ceil(d.stride);
+    let mut hi = ((d.w + pad).saturating_sub(d.kw) / d.stride + 1).min(d.ow);
+    if d.w + pad < d.kw || lo + MR > hi {
+        (lo, hi) = (0, 0);
+    }
+    for oy in 0..d.oh {
+        let iy0 = (oy * d.stride) as isize - d.pad;
+        let kys = taps(iy0, d.h, d.kh);
+        let xrow = (iy0 + kys.start as isize) as usize * d.w;
+        let orow = &mut oimg[j0 * d.oh * d.ow + oy * d.ow..];
+        for ox in (0..lo).chain(hi..d.ow) {
+            let ix0 = (ox * d.stride) as isize - d.pad;
+            let kxs = taps(ix0, d.w, d.kw);
+            let at = (xrow + (ix0 + kxs.start as isize) as usize, 0);
+            conv_tile::<V, 1, P>(c, xs, j0, at, (&kys, &kxs), &mut orow[ox..]);
+        }
+        for ox in (lo..hi).step_by(MR) {
+            let ox = ox.min(hi - MR);
+            let at = (xrow + ox * d.stride - pad, d.stride);
+            conv_tile::<V, MR, P>(c, xs, j0, at, (&kys, &(0..d.kw)), &mut orow[ox..]);
+        }
+    }
+}
+
+/// One image: its output channels in pairs of panels (a 4×16 tile, 8
+/// vectors of chains), a last odd panel alone.
+///
+/// # Safety
+///
+/// As [`conv_tile`].
+#[inline(always)]
+unsafe fn conv_image<V: Chains>(c: &ConvCall, xs: &[f32], oimg: &mut [f32]) {
+    for j0 in (0..c.d.cout).step_by(2 * NRM) {
+        if j0 + NRM < c.d.cout {
+            conv_panels::<V, 2>(c, xs, j0, oimg);
+        } else {
+            conv_panels::<V, 1>(c, xs, j0, oimg);
+        }
+    }
+}
+
+/// Conv over an FP8-stored weight: a direct convolution on Linear's
+/// panels (a conv weight `[cout, cin·kh·kw]` *is* Linear's `[n, k]`). An
+/// image is one chunk, its sample borrowed or decoded once, read in place.
 pub(super) fn conv2d<X: Rows + ?Sized>(
     x: &X,
     weight: &QTensor,
@@ -567,9 +613,26 @@ pub(super) fn conv2d<X: Rows + ?Sized>(
     d: &ConvDims,
     out: &mut Tensor,
 ) {
-    WeightOperand::Q(weight).with_dense(|wf| {
-        for_each_plane(x, wf, bias, d, out, |xs, wplane, b0, oplane| {
-            conv_plane(xs, wplane, b0, d, oplane)
+    let (k, sample, image) = (d.cin * d.kh * d.kw, d.cin * d.h * d.w, d.cout * d.oh * d.ow);
+    let (padded, macs) = (d.cout.next_multiple_of(NRM), out.len() * k);
+    scratch::with_panel(padded * (k + 1), |buf| {
+        let (wp, bp) = buf.split_at_mut(padded * k);
+        decode_pack_weights(weight, k, d.cout, wp);
+        bp.fill(0.0);
+        if let Some(b) = bias {
+            bp[..d.cout].copy_from_slice(b.data());
+        }
+        let c = &ConvCall { wp, bias: bp, d };
+        for_each_chunk(out.data_mut(), image, macs, |img, oimg| {
+            x.with(img * sample, sample, |xs| {
+                #[cfg(target_arch = "x86_64")]
+                if simd::avx2_available() {
+                    // SAFETY: AVX2 was detected on this CPU just above.
+                    return unsafe { simd::conv_image(c, xs, oimg) };
+                }
+                // SAFETY: array chains need no CPU feature.
+                unsafe { conv_image::<[f32; NRM]>(c, xs, oimg) }
+            });
         });
     });
 }

@@ -1,6 +1,6 @@
 //! 2-D convolution kernels (NCHW layout).
 
-use super::operand::{next_call, with_rows, Rows};
+use super::operand::{with_rows, Rows};
 use super::{blocked, checked, for_each_chunk, ActOperand, KernelPath, WeightOperand};
 use crate::act::QActTensor;
 use crate::qtensor::QTensor;
@@ -98,14 +98,7 @@ pub(super) fn taps(i0: isize, extent: usize, k: usize) -> std::ops::Range<usize>
 /// `(ci, ky, kx)` order. `xs` is the plane's input sample and `wco` its
 /// `cin·kh·kw` weight values.
 #[inline]
-pub(super) fn window_sum(
-    xs: &[f32],
-    wco: &[f32],
-    b0: f32,
-    d: &ConvDims,
-    iy0: isize,
-    ix0: isize,
-) -> f32 {
+fn window_sum(xs: &[f32], wco: &[f32], b0: f32, d: &ConvDims, iy0: isize, ix0: isize) -> f32 {
     let (kys, kxs) = (taps(iy0, d.h, d.kh), taps(ix0, d.w, d.kw));
     if kxs.is_empty() {
         return b0;
@@ -125,33 +118,10 @@ pub(super) fn window_sum(
     acc
 }
 
-/// Run `f(sample, weight values, bias, output plane)` for every output
-/// plane, one plane per chunk — the plane → operands mapping the
-/// reference and blocked convolutions share. `wf` is the dense
-/// `[cout, cin·kh·kw]` weight.
-pub(super) fn for_each_plane<X: Rows + ?Sized>(
-    x: &X,
-    wf: &[f32],
-    bias: Option<&Tensor>,
-    d: &ConvDims,
-    out: &mut Tensor,
-    f: impl Fn(&[f32], &[f32], f32, &mut [f32]) + Sync,
-) {
-    let per_co = d.cin * d.kh * d.kw;
-    let sample = d.cin * d.h * d.w;
-    let macs = out.len() * per_co;
-    let call = next_call();
-    for_each_chunk(out.data_mut(), d.oh * d.ow, macs, |plane, oplane| {
-        let co = plane % d.cout;
-        let xi = if d.depthwise { plane } else { plane / d.cout };
-        let b0 = bias.map_or(0.0, |b| b.data()[co]);
-        let wco = &wf[co * per_co..(co + 1) * per_co];
-        x.with_shared(call, xi * sample, sample, |xs| f(xs, wco, b0, oplane));
-    });
-}
-
 /// The `ScalarReference` loop nest of both convolutions: one
-/// [`window_sum`] per output element.
+/// [`window_sum`] per output element, one image per chunk (its input
+/// borrowed or decoded once). `wf` is the dense `[cout, cin·kh·kw]`
+/// weight; a depthwise plane reads its own input channel.
 fn conv_ref<X: Rows + ?Sized>(
     x: &X,
     wf: &[f32],
@@ -159,14 +129,27 @@ fn conv_ref<X: Rows + ?Sized>(
     d: &ConvDims,
     out: &mut Tensor,
 ) {
-    for_each_plane(x, wf, bias, d, out, |xs, wco, b0, oplane| {
-        for oy in 0..d.oh {
-            let iy0 = (oy * d.stride) as isize - d.pad;
-            for ox in 0..d.ow {
-                let ix0 = (ox * d.stride) as isize - d.pad;
-                oplane[oy * d.ow + ox] = window_sum(xs, wco, b0, d, iy0, ix0);
+    let per_co = d.cin * d.kh * d.kw;
+    let sample = d.cin * d.h * d.w;
+    // Input elements from one output plane's sample to the next one's.
+    let step = if d.depthwise { sample } else { 0 };
+    let image = sample + d.cout.saturating_sub(1) * step;
+    let macs = out.len() * per_co;
+    for_each_chunk(out.data_mut(), d.cout * d.oh * d.ow, macs, |img, oimg| {
+        x.with(img * image, image, |xi| {
+            for (co, oplane) in oimg.chunks_exact_mut(d.oh * d.ow).enumerate() {
+                let xs = &xi[co * step..][..sample];
+                let b0 = bias.map_or(0.0, |b| b.data()[co]);
+                let wco = &wf[co * per_co..(co + 1) * per_co];
+                for oy in 0..d.oh {
+                    let iy0 = (oy * d.stride) as isize - d.pad;
+                    for ox in 0..d.ow {
+                        let ix0 = (ox * d.stride) as isize - d.pad;
+                        oplane[oy * d.ow + ox] = window_sum(xs, wco, b0, d, iy0, ix0);
+                    }
+                }
             }
-        }
+        });
     });
 }
 
@@ -196,8 +179,10 @@ pub fn conv2d<'a>(
 
 /// Out-param variant of [`conv2d`]: writes into `out`, reusing its
 /// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
-/// the weight is FP8-stored; an f32 weight always runs the reference
-/// loop. Both paths are bit-identical. Panics as [`conv2d`].
+/// the weight is FP8-stored — a direct convolution on Linear's weight
+/// panels, 4 output pixels × 8 or 16 output channels per register tile;
+/// an f32 weight always runs the reference loop. Both paths are
+/// bit-identical. Panics as [`conv2d`].
 pub fn conv2d_into<'a>(
     x: impl Into<ActOperand<'a>>,
     weight: impl Into<WeightOperand<'a>>,

@@ -48,12 +48,10 @@ use std::fmt;
 /// when the weight is FP8-stored, and [`matmul_into`] when both operands
 /// are coded (every other operand mix has only the reference loop).
 ///
-/// Both paths are bit-identical by construction — the blocked kernels
-/// preserve the scalar reference's per-output accumulation order exactly
-/// (one kk-ascending chain per output element, scales applied per element
-/// before the MAC, the matmul `av == 0.0` zero-skip intact) and differ only in
-/// iteration *interleaving* across independent outputs and in data
-/// staging (decode-once panels, register tiles). The equivalence is
+/// Both paths are bit-identical by construction — the blocked kernels keep
+/// the scalar reference's accumulation chain per output element and differ
+/// only in which independent outputs advance together and in data staging
+/// (the argument is the `blocked` module's header). The equivalence is
 /// enforced zoo-wide (`plan_equivalence.rs`) and property-tested across
 /// formats/granularities/ragged shapes (`kernel_path_equivalence.rs`), so
 /// any future divergence is one flag away from bisectable.
@@ -61,7 +59,8 @@ use std::fmt;
 pub enum KernelPath {
     /// Register-blocked, cache-tiled micro-kernels (the default): coded
     /// operands streamed once per call through `decode(code) / scale`
-    /// into reusable per-thread panels, 4–16-wide register tiles.
+    /// into reusable per-thread panels of 8 outputs; matmul, linear and
+    /// conv run 4-row (conv: 4-pixel) × 8- or 16-output register tiles.
     #[default]
     Blocked,
     /// The straightforward triple-loop reference the blocked kernels are

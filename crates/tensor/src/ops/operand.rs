@@ -11,9 +11,6 @@
 //! call into the pooled panel. Either way the f32 form of a coded operand
 //! never outlives the kernel call.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use super::scratch;
 use crate::act::{ActDecode, QActTensor};
 use crate::qtensor::QTensor;
@@ -121,23 +118,9 @@ pub(super) use with_rows;
 /// Where a kernel's f32 activation values come from: borrowed from a
 /// dense tensor, or decoded from codes into per-thread pooled scratch.
 pub(super) trait Rows: Sync {
-    /// Run `f` on elements `start .. start + len`, for a range one chunk
-    /// reads (a block of rows).
+    /// Run `f` on elements `start .. start + len`, the range one chunk
+    /// reads (a block of rows, a conv image).
     fn with<R>(&self, start: usize, len: usize, f: impl FnOnce(&[f32]) -> R) -> R;
-
-    /// As [`Rows::with`], for a range many chunks of kernel call `call`
-    /// ([`next_call`]) re-read — a conv sample, read by every output
-    /// plane of its image. A source that decodes does so once per worker
-    /// thread, not once per chunk.
-    fn with_shared<R>(
-        &self,
-        _call: u64,
-        start: usize,
-        len: usize,
-        f: impl FnOnce(&[f32]) -> R,
-    ) -> R {
-        self.with(start, len, f)
-    }
 }
 
 impl Rows for [f32] {
@@ -147,45 +130,11 @@ impl Rows for [f32] {
     }
 }
 
-/// Monotone id per kernel call, keying [`SHARED`] so an entry can never
-/// be mistaken for another call's tensor.
-static CALL: AtomicU64 = AtomicU64::new(1);
-
-/// A fresh id for [`Rows::with_shared`].
-pub(super) fn next_call() -> u64 {
-    CALL.fetch_add(1, Ordering::Relaxed)
-}
-
-thread_local! {
-    /// `(call id, start, decoded range)` behind [`Rows::with_shared`].
-    static SHARED: RefCell<(u64, usize, Vec<f32>)> = const { RefCell::new((0, 0, Vec::new())) };
-}
-
 impl Rows for ActDecode<'_> {
     fn with<R>(&self, start: usize, len: usize, f: impl FnOnce(&[f32]) -> R) -> R {
         scratch::with_rows(len, |buf| {
             self.decode_range(start, buf);
             f(buf)
-        })
-    }
-
-    fn with_shared<R>(
-        &self,
-        call: u64,
-        start: usize,
-        len: usize,
-        f: impl FnOnce(&[f32]) -> R,
-    ) -> R {
-        SHARED.with(|cell| {
-            let (key_call, key_start, buf) = &mut *cell.borrow_mut();
-            if (*key_call, *key_start) != (call, start) {
-                if buf.len() < len {
-                    buf.resize(len, 0.0);
-                }
-                self.decode_range(start, &mut buf[..len]);
-                (*key_call, *key_start) = (call, start);
-            }
-            f(&buf[..len])
         })
     }
 }

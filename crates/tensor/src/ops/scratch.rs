@@ -15,10 +15,11 @@
 //! does not cover per-chunk row buffers above the cutoff: `vendor/rayon`
 //! spawns scoped OS threads per `par_chunks_mut`, so a worker's pool is
 //! born empty and freed at join, and its row buffers are allocated once
-//! per fan-out. Measured on the benchmark's `forward_cv` (four convs above
-//! the cutoff): 263 342 bytes in 90 allocations per forward with the
-//! two-thread fan-out, 95 814 in 37 with `RAYON_NUM_THREADS=1` (chunks on
-//! the caller's thread); the difference includes the spawn's bookkeeping.
+//! per fan-out. Measured on the benchmark's `forward_cv` (its convs are
+//! above the cutoff; each worker decodes its images into one sample-sized
+//! buffer): 90 542 bytes in 90 allocations per forward with the two-thread
+//! fan-out, 9 414 in 37 with `RAYON_NUM_THREADS=1` (chunks on the caller's
+//! thread); the difference includes the spawn's bookkeeping.
 //!
 //! Buffers are moved out of the thread-local cell (not borrowed across
 //! the closure), so a kernel can hold the call-wide `panel` while its

@@ -15,12 +15,17 @@
 //! per-tensor / per-tile activation scales, per-tensor / per-channel
 //! weight scales, shapes ragged around the register tiles (MR=4 rows;
 //! 8-wide matmul/linear panels consumed in 4×16 pairs, singly, as 1×8 row
-//! tiles under a short row block, and as a ragged tail; 4-wide conv
-//! blocks) and an injected `0 / -0 / NaN / Inf` (the matmul `av == 0.0`
-//! skip and every `0 · Inf = NaN` are semantics the blocked kernels must
-//! preserve). The `nonfinite_codes` pins hold the one difference between
-//! the two users of the shared register tile — matmul skips a zero lhs
-//! term, linear multiplies it — on weights the quantizer never emits.
+//! tiles under a short row block, and as a ragged tail; conv's 4-pixel ×
+//! 16-cout and 4-pixel × 8-cout tiles over the same panels, the last one
+//! padded with dead lanes, an overlapped last block on a ragged interior
+//! and 1-pixel tiles with clamped taps on the borders) and an injected
+//! `0 / -0 / NaN / Inf` (the matmul `av == 0.0` skip and every
+//! `0 · Inf = NaN` are semantics the blocked kernels must preserve). The
+//! `nonfinite_codes` pins hold the one difference between the two users of
+//! the shared register tile — matmul skips a zero lhs term, linear
+//! multiplies it — and conv's padding semantics (a padding tap contributes
+//! no term, an in-bounds one is always multiplied) on weights the
+//! quantizer never emits.
 //! Also covers degenerate shapes (any dim zero) that historically
 //! panicked in `for_each_chunk`.
 
@@ -156,50 +161,6 @@ proptest! {
         }
     }
 
-    /// conv2d × {F32, Coded} act × {F32, Q} weight: every border/interior
-    /// split the blocked kernel makes (padding that clips ky rows and kx
-    /// columns, strides, ow ragged around the 4-wide ox block) and the
-    /// decoded-sample cache.
-    #[test]
-    fn conv2d_rows_match_f32_on_dequantized(
-        ni in 1usize..3,
-        cin in 1usize..4,
-        cout in 1usize..5,
-        h in 1usize..9,
-        w in 1usize..9,
-        kh in 1usize..4,
-        kw in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..3,
-        tile in 0usize..7,
-        per_channel in 0u8..2,
-        with_bias in 0u8..2,
-        poison_kind in 0u8..5,
-        poison_weight in 0u8..2,
-        at in 0usize..64,
-        f in formats(),
-        seed in 0u64..500,
-    ) {
-        // The kernel must fit the padded input (a kernel precondition).
-        let kh = kh.min(h + 2 * padding);
-        let kw = kw.min(w + 2 * padding);
-        let mut x = TensorRng::seed(seed ^ 0x61).normal(&[ni, cin, h, w], 0.0, 1.5);
-        let mut wt = TensorRng::seed(seed ^ 0x62).normal(&[cout, cin, kh, kw], 0.0, 1.5);
-        poison(if poison_weight == 1 { &mut wt } else { &mut x }, at, poison_kind);
-        let bias = TensorRng::seed(seed ^ 0x63).normal(&[cout], 0.0, 1.0);
-        let bias = (with_bias == 1).then_some(&bias);
-        let p = Conv2dParams { stride, padding };
-        for (coded, q) in KINDS {
-            let (xa, wa) = (Act::new(&x, coded, f, tile), Weight::new(&wt, q, f, per_channel == 1));
-            let want = conv2d(&xa.0, &wa.0, bias, p);
-            for path in PATHS {
-                let mut got = Tensor::default();
-                conv2d_into(xa.view(), wa.view(), bias, p, &mut got, path);
-                assert_bits_eq(&got, &want, &format!("conv2d coded={coded} q={q} {path}"));
-            }
-        }
-    }
-
     /// depthwise × {F32, Q} weight (one kernel, no path).
     #[test]
     fn depthwise_rows_match_f32_on_dequantized(
@@ -258,6 +219,59 @@ proptest! {
                 let mut got = Tensor::default();
                 matmul_into(aa.view(), ba.view(), &mut got, path);
                 assert_bits_eq(&got, &want, &format!("matmul coded=({ca},{cb}) {path}"));
+            }
+        }
+    }
+}
+
+proptest! {
+    // The conv table crosses panel mixes with row shapes: more cases than
+    // the other rows need.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// conv2d × {F32, Coded} act × {F32, Q} weight: every border/interior
+    /// split the blocked kernel makes (padding that clips ky rows and kx
+    /// columns, up to stride 2 under padding 2, rows from narrower than
+    /// one 4-pixel block to two full blocks plus an overlapped tail) and
+    /// every panel mix (cout 1..7 a padded panel alone, 8 a full one, 9..15
+    /// full + padded as a pair, 16 a full pair, 17..19 a pair plus a padded
+    /// panel).
+    #[test]
+    fn conv2d_rows_match_f32_on_dequantized(
+        ni in 1usize..3,
+        cin in 1usize..4,
+        cout in 1usize..20,
+        h in 1usize..15,
+        w in 1usize..15,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        tile in 0usize..7,
+        per_channel in 0u8..2,
+        with_bias in 0u8..2,
+        poison_kind in 0u8..5,
+        poison_weight in 0u8..2,
+        at in 0usize..64,
+        f in formats(),
+        seed in 0u64..500,
+    ) {
+        // The kernel must fit the padded input (a kernel precondition).
+        let kh = kh.min(h + 2 * padding);
+        let kw = kw.min(w + 2 * padding);
+        let mut x = TensorRng::seed(seed ^ 0x61).normal(&[ni, cin, h, w], 0.0, 1.5);
+        let mut wt = TensorRng::seed(seed ^ 0x62).normal(&[cout, cin, kh, kw], 0.0, 1.5);
+        poison(if poison_weight == 1 { &mut wt } else { &mut x }, at, poison_kind);
+        let bias = TensorRng::seed(seed ^ 0x63).normal(&[cout], 0.0, 1.0);
+        let bias = (with_bias == 1).then_some(&bias);
+        let p = Conv2dParams { stride, padding };
+        for (coded, q) in KINDS {
+            let (xa, wa) = (Act::new(&x, coded, f, tile), Weight::new(&wt, q, f, per_channel == 1));
+            let want = conv2d(&xa.0, &wa.0, bias, p);
+            for path in PATHS {
+                let mut got = Tensor::default();
+                conv2d_into(xa.view(), wa.view(), bias, p, &mut got, path);
+                assert_bits_eq(&got, &want, &format!("conv2d coded={coded} q={q} {path}"));
             }
         }
     }
@@ -343,6 +357,108 @@ mod nonfinite_codes {
                     );
                 }
             }
+        }
+    }
+
+    /// `[cout, cin, 3, 3]` codes of `1.0` with `code` at tap `(ci 0, ky 0,
+    /// kx 0)` of every output channel — one per reduction.
+    fn conv_weight(cout: usize, cin: usize, f: Fp8Format, code: u8, per_channel: bool) -> QTensor {
+        let one = QTensor::quantize(&Tensor::ones(&[1]), f).unwrap().codes()[0];
+        let mut codes = vec![one; cout * cin * 9];
+        for co in 0..cout {
+            codes[co * cin * 9] = code;
+        }
+        let scales = if per_channel {
+            StoredScales::PerChannel((0..cout).map(|j| 1.0 + 0.5 * j as f32).collect())
+        } else {
+            StoredScales::PerTensor(2.0)
+        };
+        QTensor::from_raw_parts(f, vec![cout, cin, 3, 3], codes.into(), scales).unwrap()
+    }
+
+    /// Every conv row of the operand table on `x`, `q`: both paths × {F32,
+    /// Coded} activation × {without, with} bias, each bit-equal to the f32
+    /// kernel on the dequantized operands and passed to `check` with its
+    /// bias.
+    fn conv_rows(
+        x: &Tensor,
+        q: &QTensor,
+        p: Conv2dParams,
+        bias: &Tensor,
+        check: impl Fn(&Tensor, Option<&Tensor>, &str),
+    ) {
+        let (wd, f) = (q.dequantize(), q.format());
+        let xa = Act::new(x, true, f, 0);
+        for bias in [None, Some(bias)] {
+            for path in PATHS {
+                for (xd, xv) in [(x, ActOperand::F32(x)), (&xa.0, xa.view())] {
+                    let mut got = Tensor::default();
+                    conv2d_into(xv, q, bias, p, &mut got, path);
+                    let what = format!("conv2d {f} bias={} {path}", bias.is_some());
+                    assert_bits_eq(&got, &conv2d(xd, &wd, bias, p), &what);
+                    check(&got, bias, &what);
+                }
+            }
+        }
+    }
+
+    /// A 3×3 pad-1 conv whose weight is non-finite at tap `(ky 0, kx 0)`:
+    /// on output row 0 and column 0 that tap lies in the padding and must
+    /// contribute nothing — a staged zero would make `0 · NaN` — while
+    /// everywhere else it is multiplied, over a zero activation too (conv
+    /// has no zero-skip: `0 · Inf = NaN`). 9 channels = a full panel paired
+    /// with a padded one, 7 columns = a block plus an overlapped tail.
+    #[test]
+    fn conv_nonfinite_weight_under_padding_contributes_no_term() {
+        let bias = TensorRng::seed(5).normal(&[9], 0.0, 1.0);
+        let p = Conv2dParams::same(3);
+        for (f, code) in CODES {
+            for per_channel in [false, true] {
+                let q = conv_weight(9, 2, f, code, per_channel);
+                for x in [Tensor::zeros(&[2, 2, 5, 7]), Tensor::ones(&[2, 2, 5, 7])] {
+                    let zero_x = x.data()[0] == 0.0;
+                    conv_rows(&x, &q, p, &bias, |got, _, what| {
+                        for (i, v) in got.data().iter().enumerate() {
+                            let (oy, ox) = (i / 7 % 5, i % 7);
+                            if oy == 0 || ox == 0 {
+                                assert!(v.is_finite(), "{what}: ({oy},{ox}) reads padding: {v}");
+                            } else if zero_x {
+                                assert!(v.is_nan(), "{what}: ({oy},{ox}) is 0 · non-finite: {v}");
+                            } else {
+                                assert!(!v.is_finite(), "{what}: ({oy},{ox}) in bounds: {v}");
+                            }
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// `padding >= kernel`: the outer ring of windows lies wholly in the
+    /// padding and returns the bias bit pattern — `-0.0` included, `+0.0`
+    /// without a bias — whatever the weight holds.
+    #[test]
+    fn conv_window_wholly_in_padding_returns_the_bias_bits() {
+        let mut bias = TensorRng::seed(6).normal(&[9], 0.0, 1.0);
+        bias.data_mut()[0] = -0.0;
+        bias.data_mut()[8] = -0.0;
+        let p = Conv2dParams {
+            stride: 1,
+            padding: 3,
+        };
+        let x = TensorRng::seed(7).normal(&[1, 2, 4, 6], 0.0, 1.0);
+        for (f, code) in CODES {
+            let q = conv_weight(9, 2, f, code, true);
+            conv_rows(&x, &q, p, &bias, |got, bias, what| {
+                let (oh, ow) = (got.dim(2), got.dim(3));
+                for (i, v) in got.data().iter().enumerate() {
+                    let (co, oy, ox) = (i / (oh * ow), i / ow % oh, i % ow);
+                    if oy == 0 || oy == oh - 1 || ox == 0 || ox == ow - 1 {
+                        let want = bias.map_or(0.0, |b| b.data()[co]);
+                        assert_eq!(v.to_bits(), want.to_bits(), "{what}: ({co},{oy},{ox})");
+                    }
+                }
+            });
         }
     }
 }
