@@ -31,8 +31,15 @@
 #     a `prefill: ExecPlan` field may not reappear under crates/; greedy
 #     token choice is `Tensor::argmax` -- no `fn argmax` outside
 #     crates/tensor/src; and the non-test lines of crates/{nn,core}/src
-#     (ROADMAP item 5d's count) and of crates/nn/src/decode.rs stay within
-#     the figures measured when the second path was deleted.
+#     and of crates/nn/src/decode.rs stay within the figures measured when
+#     the last path was deleted.
+#   * The worker pool is the batcher: `serve` runs one request per
+#     dispatch, so the scheduling-only batching layer (`run_batch`,
+#     `take_batch`) and its two knobs (`max_batch`, `batch_window_us`) may
+#     not reappear under crates/, crates/nn does not depend on `rayon`
+#     (request-level parallelism belongs to the engine's workers), and the
+#     non-test lines of crates/serve/src stay within the figure measured
+#     when the layer was deleted.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -136,7 +143,26 @@ if hits=$(grep -rn 'fn argmax' crates/ | grep -v '^crates/tensor/src/'); then
     fail=1
 fi
 
-nn_core_budget=7420
+if hits=$(grep -rnE 'run_batch|take_batch|max_batch|batch_window_us' crates/); then
+    echo "the worker pool is the batcher: no scheduling-only batching layer, no knobs for it:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+if hits=$(grep -n 'rayon' crates/nn/Cargo.toml); then
+    echo "crates/nn fans nothing out across requests and does not depend on rayon:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+serve_budget=844
+serve_lines=$(non_test_lines crates/serve/src)
+if [ "$serve_lines" -gt "$serve_budget" ]; then
+    echo "crates/serve/src has $serve_lines non-test lines, budget $serve_budget" >&2
+    fail=1
+fi
+
+nn_core_budget=7355
 nn_core_lines=$(non_test_lines crates/nn/src crates/core/src)
 decode_budget=848
 decode_lines=$(non_test_lines crates/nn/src/decode.rs)
@@ -153,4 +179,5 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "no decode-table machinery, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
     "one decode schedule (nn+core $nn_core_lines/$nn_core_budget lines," \
-    "decode.rs $decode_lines/$decode_budget)"
+    "decode.rs $decode_lines/$decode_budget)," \
+    "no batching layer (serve at $serve_lines/$serve_budget lines, nn without rayon)"

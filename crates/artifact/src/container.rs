@@ -42,8 +42,11 @@ pub const MAGIC: [u8; 8] = *b"PTQ8ART\0";
 /// History: v1 = the original nine-chunk layout; v2 = the CONFIG chunk
 /// grew the `EngineSpec` serving section (request batching / admission
 /// control / deadline defaults for `crates/serve`); v3 = the CONFIG
-/// chunk grew the `kv_storage` knob (autoregressive KV-cache format).
-pub const VERSION: u32 = 3;
+/// chunk grew the `kv_storage` knob (autoregressive KV-cache format);
+/// v4 = the serving section shrank to queue capacity / default deadline
+/// / workers (the engine's request batching and its two knobs were
+/// deleted).
+pub const VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 16;
 const CHUNK_HEADER_LEN: usize = 16;

@@ -193,7 +193,7 @@ mod tests {
             "quantization": { "act_format": "E4M3" },
             "storage": { "weights": "fakequant-f32", "activations": "fakequant-f32" },
             "kernel": { "path": "scalar-reference" },
-            "serving": { "max_batch": 3 }
+            "serving": { "workers": 3 }
         }"#;
         std::fs::write(&p, spec_json).unwrap();
         let f = parse(&["b", "--spec", p.to_str().unwrap()]).unwrap();

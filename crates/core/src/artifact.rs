@@ -308,7 +308,7 @@ fn get_sorted<'a, K: PartialOrd + Copy, V>(
 
 // ---------------------------------------------------------------------
 // CONFIG chunk: the EngineSpec — QuantConfig fields in declaration order,
-// then the serving section. Layout frozen at container version 3; both
+// then the serving section. Layout frozen at container version 4; both
 // halves are fixed-width per field, so any value re-encodes
 // byte-identically and corruption is caught by the container CRC, by an
 // unknown discriminant, or by `QuantConfig::validate`.
@@ -351,8 +351,6 @@ fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
             put_enum(&mut w, format);
         }
     }
-    w.put_usize(s.max_batch);
-    w.put_usize(s.batch_window_us);
     w.put_usize(s.queue_capacity);
     put_option(&mut w, s.default_deadline_ms, ByteWriter::put_usize);
     w.put_usize(s.workers);
@@ -395,8 +393,6 @@ fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
         },
     };
     let serving = ServeSpec {
-        max_batch: r.get_usize("config serving max_batch")?,
-        batch_window_us: r.get_usize("config serving batch_window_us")?,
         queue_capacity: r.get_usize("config serving queue_capacity")?,
         default_deadline_ms: get_option(r, "config serving deadline", ByteReader::get_usize)?,
         workers: r.get_usize("config serving workers")?,
@@ -749,8 +745,6 @@ mod tests {
 
     fn fancy_serving() -> ServeSpec {
         ServeSpec {
-            max_batch: 32,
-            batch_window_us: 1_500,
             queue_capacity: 64,
             default_deadline_ms: Some(25),
             workers: 4,
@@ -792,13 +786,13 @@ mod tests {
         }
     }
 
-    /// The CONFIG payload of [`all_knobs_spec`], as written by the commit
-    /// before the codec moved onto the `WireEnum` tables (container v3).
+    /// The CONFIG payload of [`all_knobs_spec`]: the bytes the commit before
+    /// the codec moved onto the `WireEnum` tables wrote (container v3), less
+    /// the two batching words v4 dropped from the serving section.
     const ALL_KNOBS_CONFIG_HEX: &str = "\
         0001000201010101010000003f011ea7e8482effef3f01020000000000000001\
-        0000000000000003000000000000000101014000000000000000010100200000\
-        0000000000dc0500000000000040000000000000000119000000000000000400\
-        000000000000";
+        0000000000000003000000000000000101014000000000000000010100400000\
+        00000000000119000000000000000400000000000000";
 
     fn all_knobs_payload() -> Vec<u8> {
         let hex = ALL_KNOBS_CONFIG_HEX.as_bytes();

@@ -33,8 +33,7 @@
 //!   (graph, input shape), then [`ExecPlan::run`] executes with
 //!   arena-reused intermediates (zero intermediate-*tensor* allocations
 //!   once warm — not zero heap allocations: the repo benchmark counts
-//!   90–205 small ones per forward) and
-//!   [`ExecPlan::run_batch`] fans batches out across worker threads.
+//!   90–205 small ones per forward).
 //!   Planned execution is bit-identical to [`Graph::run`] — all executors
 //!   run each node through one shared path. [`PlanSet`] caches plans per
 //!   input shape.

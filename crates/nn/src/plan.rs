@@ -16,8 +16,7 @@
 //!   steady-state execution performs **zero intermediate-tensor
 //!   allocations** — every node writes into a pre-sized slot through the
 //!   `*_into` kernels.
-//! * [`ExecPlan::run_batch`] runs many inputs in parallel, one pooled
-//!   arena + one hook per worker.
+//!   Concurrent callers (the `serve` workers) each draw their own arena.
 //!
 //! Planned execution is *bit-identical* to [`Graph::run`]: both run every
 //! node through the one shared `exec::run_node` (hook protocol and kernel
@@ -35,7 +34,6 @@ use crate::exec::{run_node, NodeScratch};
 use crate::graph::{Graph, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -109,8 +107,8 @@ impl TensorArena {
 }
 
 /// A small free-list pool of [`TensorArena`]s, so repeated
-/// [`ExecPlan::run`] calls (and concurrent [`ExecPlan::run_batch`]
-/// workers) reuse warmed buffers instead of re-allocating.
+/// [`ExecPlan::run`] calls (and concurrent callers of one plan) reuse
+/// warmed buffers instead of re-allocating.
 #[derive(Debug, Default)]
 struct ArenaPool {
     arenas: Mutex<Vec<TensorArena>>,
@@ -131,22 +129,13 @@ impl ArenaPool {
             .unwrap_or_else(PoisonError::into_inner)
             .push(arena);
     }
-
-    fn capacity_bytes(&self) -> usize {
-        self.arenas
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(TensorArena::capacity_bytes)
-            .sum()
-    }
 }
 
 /// An ahead-of-time execution plan: validated schedule + arena layout for
 /// one graph structure at one set of input shapes.
 ///
-/// Build with [`Graph::plan`]; execute with [`ExecPlan::run`] /
-/// [`ExecPlan::run_batch`]. Cache per input shape with [`PlanSet`].
+/// Build with [`Graph::plan`]; execute with [`ExecPlan::run`]. Cache per
+/// input shape with [`PlanSet`].
 #[derive(Debug)]
 pub struct ExecPlan {
     /// Input shapes the plan was built for (run-time inputs must match).
@@ -334,43 +323,6 @@ impl ExecPlan {
         }
         self.pool.release(arena);
         result
-    }
-
-    /// Execute the plan over many independent input sets in parallel, one
-    /// pooled arena and one fresh hook (from `make_hook`) per batch.
-    /// Returns each batch's outputs together with its finished hook so
-    /// observer state can be merged by the caller. Batches are evaluated
-    /// in input order in the result, and each batch is bit-identical to a
-    /// sequential [`ExecPlan::run`] with the same hook.
-    pub fn run_batch<H, F>(
-        &self,
-        graph: &Graph,
-        batches: &[Vec<Tensor>],
-        make_hook: F,
-    ) -> Result<Vec<(Vec<Tensor>, H)>, PtqError>
-    where
-        H: ExecHook + Send,
-        F: Fn() -> H + Sync,
-    {
-        let results: Vec<Result<(Vec<Tensor>, H), PtqError>> = batches
-            .par_iter()
-            .map(|inputs| {
-                let mut hook = make_hook();
-                let mut arena = self.pool.acquire();
-                let r = self.run_with_arena(graph, inputs, &mut hook, &mut arena);
-                self.pool.release(arena);
-                r.map(|outs| (outs, hook))
-            })
-            .collect();
-        if ptq_trace::enabled(ptq_trace::Level::Debug) {
-            ptq_trace::gauge(
-                ptq_trace::Level::Debug,
-                "arena.bytes_reused",
-                self.pool.capacity_bytes() as f64,
-                &[],
-            );
-        }
-        results.into_iter().collect()
     }
 
     /// Cheap per-run compatibility checks: input shapes, structural
@@ -659,21 +611,6 @@ mod tests {
         let after = plan.run(&g, &[x], &mut NoopHook).unwrap_ok();
         assert_ne!(before, after);
         assert!(after[0].data().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn run_batch_matches_sequential() {
-        let g = tiny_cnn();
-        let mut rng = TensorRng::seed(11);
-        let batches: Vec<Vec<Tensor>> = (0..6)
-            .map(|_| vec![rng.normal(&[2, 3, 8, 8], 0.0, 1.0)])
-            .collect();
-        let plan = g.plan(&[vec![2, 3, 8, 8]]).unwrap_ok();
-        let par = plan.run_batch(&g, &batches, || NoopHook).unwrap_ok();
-        for (inputs, (outs, _)) in batches.iter().zip(&par) {
-            let seq = g.infer(inputs).unwrap_ok();
-            assert_eq!(&seq, outs);
-        }
     }
 
     #[test]

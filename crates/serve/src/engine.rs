@@ -1,30 +1,28 @@
-//! The batched serving engine.
+//! The serving engine: a bounded queue in front of a worker pool.
 //!
 //! Architecture (see DESIGN.md §15 for the full argument):
 //!
-//! * **Submit side** — [`Engine::submit`] performs admission control
-//!   under one mutex: a queue at `queue_capacity` rejects with
-//!   [`ServeError::QueueFull`] *before* enqueueing, so memory stays
-//!   bounded and overload turns into typed backpressure instead of
-//!   latency collapse. Admitted requests carry their enqueue time, an
-//!   optional absolute deadline, and a single-use reply channel; the
-//!   caller gets a [`Ticket`] to wait on.
-//! * **Batch formation** — worker threads pop the queue head and coalesce
-//!   same-shape requests behind it (preserving the order of everything
-//!   else) into one batch, waiting up to `batch_window_us` past the
-//!   head's enqueue time for peers to arrive. A full batch (`max_batch`)
-//!   dispatches immediately; `max_batch == 1` never waits.
-//! * **Execution** — a batch runs through the model's cached
-//!   [`ExecPlan`](ptq_nn::ExecPlan) for its shape:
-//!   [`run_batch`](ptq_nn::ExecPlan::run_batch) for real batches, plain
-//!   [`run`](ptq_nn::ExecPlan::run) for singletons. `run_batch` executes
-//!   each request's tensors independently (no concatenation, no shared
-//!   dynamic scales), so every response is bit-identical to an unbatched
-//!   run of the same request — batching is a scheduling optimization,
-//!   never a numerics change.
+//! * **Submit side** — [`Engine::submit`] / [`Engine::generate`] perform
+//!   admission control under one mutex: a queue at `queue_capacity`
+//!   rejects with [`ServeError::QueueFull`] *before* enqueueing, so memory
+//!   stays bounded and overload turns into typed backpressure instead of
+//!   latency collapse. An admitted entry carries its enqueue time, an
+//!   optional absolute deadline, and its reply channel; the caller gets a
+//!   [`Ticket`] / [`GenTicket`] to wait on.
+//! * **Dispatch** — a worker sheds expired entries, pops the queue head,
+//!   runs it and replies at once. The worker pool is the only
+//!   request-level parallelism: requests are never coalesced, a reply
+//!   never waits for another request, and nothing waits for peers to
+//!   arrive.
+//! * **Execution** — a single-shot request runs through the model's cached
+//!   [`ExecPlan`](ptq_nn::ExecPlan) for its shape
+//!   ([`run`](ptq_nn::ExecPlan::run)); a generation session runs one
+//!   decode step (first its prefill) and re-queues. Either way the
+//!   response is bit-identical to running the same request directly —
+//!   the engine decides *when* a request runs, never what it computes.
 //! * **Deadline shedding** — expired requests are answered with
-//!   [`ServeError::DeadlineExceeded`] during batch formation, before any
-//!   compute is spent on them.
+//!   [`ServeError::DeadlineExceeded`] under the dispatch lock, before
+//!   any pop, so no compute is spent on them.
 //!
 //! Send-safety: workers share one immutable [`QuantizedModel`] behind an
 //! `Arc` (its interior mutability is limited to atomic byte counters and
@@ -39,7 +37,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ptq_core::{EngineSpec, PtqArtifact, QuantizedModel, ServeSpec};
-use ptq_nn::{DecodePlan, DecodeState};
+use ptq_nn::{DecodePlan, DecodeState, PtqError};
 use ptq_tensor::Tensor;
 use ptq_trace::Level;
 
@@ -88,50 +86,53 @@ impl GenTicket {
     }
 }
 
-/// One queued request.
-struct Pending {
-    inputs: Vec<Tensor>,
-    /// Input-shape signature; only same-signature requests share a batch
-    /// (they execute through the same [`ptq_nn::ExecPlan`]).
-    key: Vec<Vec<usize>>,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-    budget_us: u64,
-    tx: SyncSender<Reply>,
-}
-
-/// One queued generation session. Between engine steps the whole session
-/// lives in the queue: a worker pops it, runs *one* decode step (on the
-/// first dispatch, the prompt's `p` tokens through the same step
-/// schedule, in blocks of rows), streams the token, and re-enqueues it
-/// at the back — so an in-flight generation never starves single-shot
-/// traffic and multiple generations interleave fairly.
+/// One generation session. Between engine steps the whole session lives
+/// in the queue: a worker pops it, runs *one* decode step (on the first
+/// dispatch, the prompt's `p` tokens through the same step schedule, in
+/// blocks of rows), streams the token, and re-enqueues it at the back —
+/// so an in-flight generation never starves single-shot traffic and
+/// multiple generations interleave fairly.
 struct GenSession {
     plan: Arc<DecodePlan>,
-    state: DecodeState,
+    /// Built by the first dispatch (the prefill), so a `generate` the
+    /// queue rejects has allocated nothing.
+    state: Option<DecodeState>,
     prompt: Vec<f32>,
-    /// Whether the prefill step already ran.
-    started: bool,
     /// Last emitted token (the next step's input).
     last: f32,
     /// Tokens still to produce.
     remaining: usize,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-    budget_us: u64,
     tx: Sender<Result<f32, ServeError>>,
 }
 
-/// A queue entry: a single-shot request or a resident generation session.
-enum Work {
-    Single(Pending),
+/// What a queue entry asks a worker to do.
+enum Job {
+    /// One forward pass, one reply.
+    Single {
+        inputs: Vec<Tensor>,
+        tx: SyncSender<Reply>,
+    },
+    /// The next step of a resident generation session.
     Gen(Box<GenSession>),
 }
 
-/// What a worker pulled off the queue to run next.
-enum Dispatch {
-    Batch(Vec<Pending>),
-    Step(Box<GenSession>),
+impl Job {
+    /// Answer with an error; a generation's stream ends with it.
+    fn fail(&self, e: ServeError) {
+        match self {
+            Job::Single { tx, .. } => drop(tx.send(Err(e))),
+            Job::Gen(g) => drop(g.tx.send(Err(e))),
+        }
+    }
+}
+
+/// A queue entry. A generation session keeps its enqueue time and its
+/// whole-stream deadline across re-queues.
+struct Work {
+    enqueued: Instant,
+    deadline: Option<Instant>,
+    budget_us: u64,
+    job: Job,
 }
 
 /// Scheduling state guarded by the engine mutex.
@@ -152,7 +153,7 @@ struct Shared {
     decode_plans: Mutex<HashMap<usize, Arc<DecodePlan>>>,
 }
 
-/// Async batched serving engine over a quantized model.
+/// Async serving engine over a quantized model.
 ///
 /// Construct with [`Engine::new`] (model + [`EngineSpec`]) or
 /// [`Engine::from_artifact`] (cold start from a saved `.ptq` file, which
@@ -180,8 +181,8 @@ impl Engine {
     /// The model's own [`QuantConfig`](ptq_core::QuantConfig) governs the
     /// arithmetic (formats, storage, kernel path); the spec's serving
     /// section governs scheduling. `workers == 0` resolves to one worker
-    /// per available core; `max_batch`/`queue_capacity` of 0 are clamped
-    /// to 1 so the engine always makes progress.
+    /// per available core; a `queue_capacity` of 0 is clamped to 1 so the
+    /// engine always makes progress.
     pub fn new(model: QuantizedModel, spec: &EngineSpec) -> Result<Engine, ServeError> {
         Engine::with_serving(model, spec.serving.clone())
     }
@@ -194,7 +195,6 @@ impl Engine {
     }
 
     fn with_serving(model: QuantizedModel, mut serving: ServeSpec) -> Result<Engine, ServeError> {
-        serving.max_batch = serving.max_batch.max(1);
         serving.queue_capacity = serving.queue_capacity.max(1);
         let n_workers = if serving.workers == 0 {
             std::thread::available_parallelism()
@@ -234,28 +234,25 @@ impl Engine {
         Ok(Engine { shared, workers })
     }
 
-    /// Submit a request under the spec's default deadline (if any).
-    pub fn submit(&self, inputs: Vec<Tensor>) -> Result<Ticket, ServeError> {
-        let budget = self
-            .shared
+    /// The spec's default deadline budget, if any.
+    fn default_budget(&self) -> Option<Duration> {
+        self.shared
             .spec
             .default_deadline_ms
-            .map(|ms| Duration::from_millis(ms as u64));
-        self.submit_with_deadline(inputs, budget)
+            .map(|ms| Duration::from_millis(ms as u64))
     }
 
-    /// Submit a request with an explicit deadline budget (`None` = no
-    /// deadline, overriding any spec default). Admission happens here:
-    /// a full queue rejects immediately with [`ServeError::QueueFull`].
-    pub fn submit_with_deadline(
+    /// Admission, the one way into the queue: a full queue rejects
+    /// immediately with [`ServeError::QueueFull`]; an admitted job is
+    /// counted, traced under `event` and handed to one worker.
+    fn admit(
         &self,
-        inputs: Vec<Tensor>,
         budget: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
+        job: Job,
+        event: &'static str,
+    ) -> Result<(), ServeError> {
         let sh = &self.shared;
         let now = Instant::now();
-        let key: Vec<Vec<usize>> = inputs.iter().map(|t| t.shape().to_vec()).collect();
-        let (tx, rx) = mpsc::sync_channel(1);
         let mut st = lock_state(sh);
         if st.shutdown {
             return Err(ServeError::ShuttingDown);
@@ -267,17 +264,14 @@ impl Engine {
                 capacity: sh.spec.queue_capacity,
             });
         }
-        let budget_us = budget.map(|d| d.as_micros() as u64).unwrap_or(0);
-        st.queue.push_back(Work::Single(Pending {
-            inputs,
-            key,
+        st.queue.push_back(Work {
             enqueued: now,
             deadline: budget.map(|d| now + d),
-            budget_us,
-            tx,
-        }));
+            budget_us: budget.map_or(0, |d| d.as_micros() as u64),
+            job,
+        });
         sh.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        ptq_trace::counter(Level::Info, "serve.enqueued", 1, &[]);
+        ptq_trace::counter(Level::Info, event, 1, &[]);
         ptq_trace::gauge(
             Level::Debug,
             "serve.queue_depth",
@@ -286,6 +280,24 @@ impl Engine {
         );
         drop(st);
         sh.cond.notify_one();
+        Ok(())
+    }
+
+    /// Submit a request under the spec's default deadline (if any).
+    pub fn submit(&self, inputs: Vec<Tensor>) -> Result<Ticket, ServeError> {
+        self.submit_with_deadline(inputs, self.default_budget())
+    }
+
+    /// Submit a request with an explicit deadline budget (`None` = no
+    /// deadline, overriding any spec default). Admission happens here:
+    /// a full queue rejects immediately with [`ServeError::QueueFull`].
+    pub fn submit_with_deadline(
+        &self,
+        inputs: Vec<Tensor>,
+        budget: Option<Duration>,
+    ) -> Result<Ticket, ServeError> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.admit(budget, Job::Single { inputs, tx }, "serve.enqueued")?;
         Ok(Ticket { rx })
     }
 
@@ -311,12 +323,7 @@ impl Engine {
         max_new: usize,
         capacity: usize,
     ) -> Result<GenTicket, ServeError> {
-        let budget = self
-            .shared
-            .spec
-            .default_deadline_ms
-            .map(|ms| Duration::from_millis(ms as u64));
-        self.generate_with_deadline(prompt, max_new, capacity, budget)
+        self.generate_with_deadline(prompt, max_new, capacity, self.default_budget())
     }
 
     /// [`Engine::generate`] with an explicit whole-generation deadline
@@ -332,7 +339,7 @@ impl Engine {
     ) -> Result<GenTicket, ServeError> {
         let sh = &self.shared;
         if max_new == 0 {
-            return Err(ServeError::Exec(ptq_nn::PtqError::InvalidTarget {
+            return Err(ServeError::Exec(PtqError::InvalidTarget {
                 detail: "generate: max_new must be at least 1".into(),
             }));
         }
@@ -357,37 +364,16 @@ impl Engine {
                 }
             }
         };
-        let now = Instant::now();
-        let state = DecodeState::new(&plan);
         let (tx, rx) = mpsc::channel();
-        let mut st = lock_state(sh);
-        if st.shutdown {
-            return Err(ServeError::ShuttingDown);
-        }
-        if st.queue.len() >= sh.spec.queue_capacity {
-            sh.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            ptq_trace::counter(Level::Info, "serve.rejected", 1, &[]);
-            return Err(ServeError::QueueFull {
-                capacity: sh.spec.queue_capacity,
-            });
-        }
-        let budget_us = budget.map(|d| d.as_micros() as u64).unwrap_or(0);
-        st.queue.push_back(Work::Gen(Box::new(GenSession {
+        let session = GenSession {
             plan,
-            state,
+            state: None,
             prompt,
-            started: false,
             last: 0.0,
             remaining: max_new,
-            enqueued: now,
-            deadline: budget.map(|d| now + d),
-            budget_us,
             tx,
-        })));
-        sh.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        ptq_trace::counter(Level::Info, "serve.gen_enqueued", 1, &[]);
-        drop(st);
-        sh.cond.notify_one();
+        };
+        self.admit(budget, Job::Gen(Box::new(session)), "serve.gen_enqueued")?;
         Ok(GenTicket { rx })
     }
 
@@ -453,258 +439,124 @@ fn lock_state(sh: &Shared) -> MutexGuard<'_, State> {
     sh.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Worker: pull the next dispatch (blocking), run it, reply; exit when
-/// shut down with an empty queue.
+/// Worker: pop the queue head (blocking), run it, reply; exit when shut
+/// down with an empty queue. A finished entry is dropped, which closes
+/// its channel — that is how a [`GenTicket`] observes the end of its
+/// stream.
 fn worker_loop(sh: &Shared) {
-    loop {
-        match next_dispatch(sh) {
-            Some(Dispatch::Batch(batch)) => run_and_reply(sh, batch),
-            Some(Dispatch::Step(gen)) => run_gen_step(sh, gen),
-            None => return,
+    while let Some(mut work) = next_work(sh) {
+        let requeue = match &mut work.job {
+            Job::Single { inputs, tx } => run_single(sh, inputs, tx, work.enqueued).map(|()| false),
+            Job::Gen(g) => run_gen_step(sh, g, work.enqueued),
+        };
+        match requeue {
+            Ok(true) => {
+                let mut st = lock_state(sh);
+                st.queue.push_back(work);
+                drop(st);
+                sh.cond.notify_one();
+            }
+            Ok(false) => {}
+            Err(e) => {
+                sh.stats.failed.fetch_add(1, Ordering::Relaxed);
+                ptq_trace::counter(Level::Info, "serve.exec_failed", 1, &[]);
+                work.job.fail(ServeError::Exec(e));
+            }
         }
     }
 }
 
-/// Blocks until work is ready. `None` means shutdown-and-drained.
-fn next_dispatch(sh: &Shared) -> Option<Dispatch> {
+/// Blocks until the queue has a head to run. `None` means
+/// shutdown-and-drained. A worker sleeps only on an empty queue and every
+/// push notifies one worker, so no entry waits while a worker idles.
+fn next_work(sh: &Shared) -> Option<Work> {
     let mut st = lock_state(sh);
     loop {
-        let now = Instant::now();
-        shed_expired(sh, &mut st, now);
-        let (head_key, flush_at) = match st.queue.front() {
-            Some(Work::Gen(_)) => {
-                // Generation steps never batch and never wait for peers:
-                // pop the session and run exactly one step.
-                let Some(Work::Gen(g)) = st.queue.pop_front() else {
-                    continue;
-                };
-                let more = !st.queue.is_empty();
-                drop(st);
-                if more {
-                    sh.cond.notify_one();
-                }
-                return Some(Dispatch::Step(g));
-            }
-            Some(Work::Single(head)) => (
-                head.key.clone(),
-                head.enqueued + Duration::from_micros(sh.spec.batch_window_us as u64),
-            ),
-            None => {
-                if st.shutdown {
-                    return None;
-                }
-                st = sh.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-        };
-        let peers = st
-            .queue
-            .iter()
-            .filter(|w| matches!(w, Work::Single(p) if p.key == head_key))
-            .count();
-        let dispatch =
-            peers >= sh.spec.max_batch || sh.spec.max_batch == 1 || now >= flush_at || st.shutdown;
-        if dispatch {
-            let batch = take_batch(&mut st.queue, &head_key, sh.spec.max_batch);
+        shed_expired(sh, &mut st, Instant::now());
+        if let Some(work) = st.queue.pop_front() {
             ptq_trace::gauge(
                 Level::Debug,
                 "serve.queue_depth",
                 st.queue.len() as f64,
                 &[],
             );
-            let more = !st.queue.is_empty();
-            drop(st);
-            if more {
-                // Let another worker start on the new head immediately.
-                sh.cond.notify_one();
-            }
-            return Some(Dispatch::Batch(batch));
+            return Some(work);
         }
-        // Wait for peers until the head's latency budget runs out; a
-        // submit or shutdown notification re-evaluates early.
-        let (guard, _timed_out) = sh
-            .cond
-            .wait_timeout(st, flush_at.saturating_duration_since(now))
-            .unwrap_or_else(PoisonError::into_inner);
-        st = guard;
+        if st.shutdown {
+            return None;
+        }
+        st = sh.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
-/// Answer and remove every queued request whose deadline has passed —
-/// shed before compute, never after. Generation sessions carry a
-/// whole-stream deadline: an expired one is shed mid-generation.
+/// Answer and remove every queued entry whose deadline has passed — shed
+/// before compute, never after. Generation sessions carry a whole-stream
+/// deadline: an expired one is shed mid-generation.
 fn shed_expired(sh: &Shared, st: &mut State, now: Instant) {
-    let mut i = 0;
-    while i < st.queue.len() {
-        let expired = st
-            .queue
-            .get(i)
-            .and_then(|w| match w {
-                Work::Single(p) => p.deadline,
-                Work::Gen(g) => g.deadline,
-            })
-            .is_some_and(|d| d <= now);
-        if !expired {
-            i += 1;
-            continue;
+    st.queue.retain(|w| {
+        if w.deadline.is_none_or(|d| d > now) {
+            return true;
         }
-        if let Some(w) = st.queue.remove(i) {
-            sh.stats.shed.fetch_add(1, Ordering::Relaxed);
-            ptq_trace::counter(Level::Info, "serve.deadline_shed", 1, &[]);
-            let (enqueued, budget_us) = match &w {
-                Work::Single(p) => (p.enqueued, p.budget_us),
-                Work::Gen(g) => (g.enqueued, g.budget_us),
-            };
-            let waited_us = now.duration_since(enqueued).as_micros() as u64;
-            let err = ServeError::DeadlineExceeded {
-                waited_us,
-                budget_us,
-            };
-            match w {
-                Work::Single(p) => drop(p.tx.send(Err(err))),
-                Work::Gen(g) => drop(g.tx.send(Err(err))),
-            }
-        }
-    }
+        sh.stats.shed.fetch_add(1, Ordering::Relaxed);
+        ptq_trace::counter(Level::Info, "serve.deadline_shed", 1, &[]);
+        w.job.fail(ServeError::DeadlineExceeded {
+            waited_us: now.duration_since(w.enqueued).as_micros() as u64,
+            budget_us: w.budget_us,
+        });
+        false
+    });
 }
 
-/// Remove up to `max_batch` single-shot requests matching `key` from the
-/// queue front inward, preserving the relative order of everything left
-/// behind (queued generation sessions included).
-fn take_batch(queue: &mut VecDeque<Work>, key: &[Vec<usize>], max_batch: usize) -> Vec<Pending> {
-    let mut batch = Vec::new();
-    let mut i = 0;
-    while i < queue.len() && batch.len() < max_batch {
-        if queue
-            .get(i)
-            .is_some_and(|w| matches!(w, Work::Single(p) if p.key == key))
-        {
-            if let Some(Work::Single(p)) = queue.remove(i) {
-                batch.push(p);
-            }
-        } else {
-            i += 1;
-        }
+/// Run one single-shot request through its shape's cached plan and reply.
+fn run_single(
+    sh: &Shared,
+    inputs: &[Tensor],
+    tx: &SyncSender<Reply>,
+    enqueued: Instant,
+) -> Result<(), PtqError> {
+    let model = &sh.model;
+    let plan = model.plans.plan_for(&model.graph, inputs)?;
+    let mut sp = ptq_trace::span(Level::Info, "serve.batch");
+    if sp.active() {
+        sp.record_int("requests", 1);
     }
-    batch
+    let out = plan.run(&model.graph, inputs, &mut model.hook())?;
+    // Accounted *before* the reply is sent: once a caller's
+    // `Ticket::wait` returns, the request is already visible in
+    // `Engine::stats` (a load generator that redeems every ticket and
+    // then snapshots sees consistent numbers).
+    sh.stats.record(enqueued.elapsed().as_micros() as u64);
+    ptq_trace::counter(Level::Info, "serve.completed", 1, &[]);
+    let _ = tx.send(Ok(out));
+    Ok(())
 }
 
 /// Run one decode step of a generation session (on its first dispatch the
-/// prefill: the prompt through the step schedule, then the cache seal),
-/// stream the token, and re-enqueue the session at the back of
-/// the queue unless it finished. Dropping the session closes its stream —
-/// that is how [`GenTicket`] observes completion.
-fn run_gen_step(sh: &Shared, mut g: Box<GenSession>) {
+/// prefill: the prompt through the step schedule, then the cache seal)
+/// and stream the token. `Ok(true)` asks for the session to be re-enqueued
+/// at the back of the queue; `Ok(false)` means it finished.
+fn run_gen_step(sh: &Shared, g: &mut GenSession, enqueued: Instant) -> Result<bool, PtqError> {
     let model = &sh.model;
     let mut hook = model.hook();
-    let logits = if g.started {
-        g.state.step(&g.plan, &model.graph, g.last, &mut hook)
+    let first = g.state.is_none();
+    let state = g.state.get_or_insert_with(|| DecodeState::new(&g.plan));
+    let logits = if first {
+        let prompt = Tensor::from_slice(&std::mem::take(&mut g.prompt));
+        state.prefill(&g.plan, &model.graph, &prompt, &mut hook)
     } else {
-        g.started = true;
-        let prompt = Tensor::from_slice(&g.prompt);
-        g.prompt = Vec::new();
-        g.state.prefill(&g.plan, &model.graph, &prompt, &mut hook)
-    };
-    let logits = match logits {
-        Ok(l) => l,
-        Err(e) => {
-            sh.stats.failed.fetch_add(1, Ordering::Relaxed);
-            ptq_trace::counter(Level::Info, "serve.exec_failed", 1, &[]);
-            let _ = g.tx.send(Err(ServeError::Exec(e)));
-            return;
-        }
-    };
+        state.step(&g.plan, &model.graph, g.last, &mut hook)
+    }?;
     let token = logits.argmax() as f32;
     ptq_trace::counter(Level::Info, "serve.gen_tokens", 1, &[]);
     g.remaining -= 1;
     g.last = token;
     // A dropped GenTicket cancels the rest of the stream.
     let listening = g.tx.send(Ok(token)).is_ok();
-    let window_full = g.state.pos() >= g.plan.seq();
+    let window_full = state.pos() >= g.plan.seq();
     if g.remaining == 0 || window_full || !listening {
-        let lat_us = g.enqueued.elapsed().as_micros() as u64;
-        sh.stats.record_batch(&[lat_us]);
+        sh.stats.record(enqueued.elapsed().as_micros() as u64);
         ptq_trace::counter(Level::Info, "serve.completed", 1, &[]);
-        return; // drop closes the stream
+        return Ok(false);
     }
-    let mut st = lock_state(sh);
-    st.queue.push_back(Work::Gen(g));
-    drop(st);
-    sh.cond.notify_one();
-}
-
-/// Execute a formed batch and deliver every reply. Single requests take
-/// the plain `run` path (no parallel-iterator overhead); real batches go
-/// through `run_batch`, whose per-request execution is bit-identical to
-/// sequential runs.
-fn run_and_reply(sh: &Shared, mut batch: Vec<Pending>) {
-    let model = &sh.model;
-    let plan = {
-        let first = match batch.first() {
-            Some(p) => p,
-            None => return,
-        };
-        match model.plans.plan_for(&model.graph, &first.inputs) {
-            Ok(p) => p,
-            Err(e) => {
-                for p in batch {
-                    fail(sh, &p, e.clone());
-                }
-                return;
-            }
-        }
-    };
-    let mut sp = ptq_trace::span(Level::Info, "serve.batch");
-    if sp.active() {
-        sp.record_int("requests", batch.len() as i64);
-    }
-    // Successful outputs are accounted *before* their replies are sent:
-    // once a caller's `Ticket::wait` returns, the request is already
-    // visible in `Engine::stats` (a load generator that redeems every
-    // ticket and then snapshots sees consistent numbers).
-    let mut done: Vec<(Pending, Vec<Tensor>)> = Vec::with_capacity(batch.len());
-    if batch.len() == 1 {
-        if let Some(p) = batch.pop() {
-            let mut hook = model.hook();
-            match plan.run(&model.graph, &p.inputs, &mut hook) {
-                Ok(out) => done.push((p, out)),
-                Err(e) => fail(sh, &p, e),
-            }
-        }
-    } else {
-        let inputs: Vec<Vec<Tensor>> = batch
-            .iter_mut()
-            .map(|p| std::mem::take(&mut p.inputs))
-            .collect();
-        match plan.run_batch(&model.graph, &inputs, || model.hook()) {
-            Ok(outs) => {
-                for (p, (out, _hook)) in batch.into_iter().zip(outs) {
-                    done.push((p, out));
-                }
-            }
-            Err(e) => {
-                for p in &batch {
-                    fail(sh, p, e.clone());
-                }
-            }
-        }
-    }
-    if !done.is_empty() {
-        let lat_us: Vec<u64> = done
-            .iter()
-            .map(|(p, _)| p.enqueued.elapsed().as_micros() as u64)
-            .collect();
-        sh.stats.record_batch(&lat_us);
-        ptq_trace::counter(Level::Info, "serve.completed", lat_us.len() as u64, &[]);
-        for (p, out) in done {
-            let _ = p.tx.send(Ok(out));
-        }
-    }
-}
-
-/// Answer one request with an execution error.
-fn fail(sh: &Shared, p: &Pending, e: ptq_nn::PtqError) {
-    sh.stats.failed.fetch_add(1, Ordering::Relaxed);
-    ptq_trace::counter(Level::Info, "serve.exec_failed", 1, &[]);
-    let _ = p.tx.send(Err(ServeError::Exec(e)));
+    Ok(true)
 }

@@ -1,4 +1,4 @@
-//! # ptq-serve — async batched serving over quantized models
+//! # ptq-serve — async serving over quantized models
 //!
 //! The serving layer the paper's efficiency story ultimately cashes out
 //! in: FP8-stored weights cut resident bytes 4×, the MAC kernels run
@@ -6,13 +6,13 @@
 //! request/response engine with the scheduling machinery a real
 //! deployment needs:
 //!
-//! * **Dynamic batching** — same-shape requests arriving within a
-//!   configurable latency window coalesce into one
-//!   [`ExecPlan::run_batch`](ptq_nn::ExecPlan::run_batch) dispatch.
-//!   Each request still executes independently (no tensor
-//!   concatenation), so batched responses are **bit-identical** to
-//!   unbatched ones — the window trades latency for throughput, never
-//!   for accuracy.
+//! * **A worker pool, not a batcher** — one worker per core pops the
+//!   queue head, runs it through the model's cached
+//!   [`ExecPlan`](ptq_nn::ExecPlan) and replies at once. Requests are
+//!   never coalesced and never wait for peers, so every response is
+//!   **bit-identical** to a direct run of the same request and no reply
+//!   is held back for another (DESIGN.md §15 has the measurement that
+//!   retired the batching window).
 //! * **Admission control** — a bounded queue turns overload into typed
 //!   [`ServeError::QueueFull`] backpressure instead of unbounded memory
 //!   growth and latency collapse.

@@ -1,8 +1,8 @@
 //! Engine-side serving metrics.
 //!
 //! Counters are relaxed atomics (hot path: one `fetch_add` per event);
-//! per-request latencies go into a mutex-guarded vector that workers
-//! lock once per *batch*, not once per request. Percentiles are computed
+//! per-request latencies go into a mutex-guarded vector that a worker
+//! locks once per completed request. Percentiles are computed
 //! exactly (nearest-rank over the full sample set) at snapshot time —
 //! serving runs are bounded, so there is no need for a sketch.
 //!
@@ -22,21 +22,18 @@ pub(crate) struct Stats {
     pub rejected: AtomicU64,
     pub shed: AtomicU64,
     pub failed: AtomicU64,
-    pub batches: AtomicU64,
     /// Completed-request latencies (enqueue → reply), microseconds.
     pub latencies_us: Mutex<Vec<u64>>,
 }
 
 impl Stats {
-    /// Record a dispatched batch's per-request latencies in one lock.
-    pub fn record_batch(&self, lat_us: &[u64]) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.completed
-            .fetch_add(lat_us.len() as u64, Ordering::Relaxed);
+    /// Record one completed request and its end-to-end latency.
+    pub fn record(&self, lat_us: u64) {
+        self.completed.fetch_add(1, Ordering::Relaxed);
         self.latencies_us
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .extend_from_slice(lat_us);
+            .push(lat_us);
     }
 
     /// Zero every counter and drop collected latencies — used by load
@@ -47,7 +44,6 @@ impl Stats {
         self.rejected.store(0, Ordering::Relaxed);
         self.shed.store(0, Ordering::Relaxed);
         self.failed.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
         self.latencies_us
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -62,13 +58,14 @@ impl Stats {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         lat.sort_unstable();
+        let completed = self.completed.load(Ordering::Relaxed);
         EngineStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            completed,
             rejected: self.rejected.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            batches: completed,
             queue_depth,
             p50_us: percentile(&lat, 0.50),
             p95_us: percentile(&lat, 0.95),
@@ -92,8 +89,7 @@ fn percentile(sorted_us: &[u64], q: f64) -> u64 {
 /// Point-in-time serving statistics (see [`crate::Engine::stats`]).
 ///
 /// Latency fields are end-to-end per request — enqueue to reply, so
-/// queueing delay and the batching window are included, which is what a
-/// client observes.
+/// queueing delay is included, which is what a client observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests admitted past the queue bound.
@@ -108,7 +104,9 @@ pub struct EngineStats {
     /// ([`crate::ServeError::Exec`]). At quiesce
     /// `submitted == completed + shed + failed`.
     pub failed: u64,
-    /// `run_batch` / `run` dispatches issued.
+    /// Dispatches that completed a request: the engine runs one request
+    /// per dispatch, so this is `completed` under the name the frozen
+    /// `benchmark/` reads (ROADMAP item 1f retires it).
     pub batches: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
@@ -120,17 +118,6 @@ pub struct EngineStats {
     pub p99_us: u64,
     /// Worst observed end-to-end latency (µs).
     pub max_us: u64,
-}
-
-impl EngineStats {
-    /// Mean requests per dispatched batch — the dynamic-batching win.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.completed as f64 / self.batches as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,15 +141,15 @@ mod tests {
     fn snapshot_reports_batch_recorded_latencies() {
         let s = Stats::default();
         s.submitted.fetch_add(3, Ordering::Relaxed);
-        s.record_batch(&[100, 300]);
-        s.record_batch(&[200]);
+        for lat_us in [100, 300, 200] {
+            s.record(lat_us);
+        }
         let snap = s.snapshot(1);
         assert_eq!(snap.submitted, 3);
         assert_eq!(snap.completed, 3);
-        assert_eq!(snap.batches, 2);
+        assert_eq!(snap.batches, 3);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.p50_us, 200);
         assert_eq!(snap.max_us, 300);
-        assert!((snap.mean_batch() - 1.5).abs() < 1e-12);
     }
 }

@@ -71,10 +71,7 @@ fn generation_interleaves_with_single_shot_traffic() {
     let expected = direct.generate_greedy(&prompt, max_new).unwrap_ok();
 
     // One worker: interleaving can only happen through re-queueing.
-    let spec = spec_with(&model, |s| {
-        s.workers = 1;
-        s.batch_window_us = 0;
-    });
+    let spec = spec_with(&model, |s| s.workers = 1);
     let engine = Engine::new(model, &spec).unwrap();
     let stream = engine.generate(prompt, max_new, CAPACITY).unwrap();
     let tickets: Vec<_> = (0..4)

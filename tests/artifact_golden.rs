@@ -1,6 +1,6 @@
 //! Golden-artifact compatibility pin.
 //!
-//! `tests/golden/quantized_e4m3_v3.ptq` is a committed version-3 artifact
+//! `tests/golden/quantized_e4m3_v4.ptq` is a committed version-4 artifact
 //! (quick-zoo workload 0, E4M3 recipe, default serving section and
 //! kv_storage knob, written by `PtqSession::save_artifact`). Today's
 //! reader must keep loading it and scoring it bit-equal to the pinned
@@ -9,8 +9,8 @@
 //! the loaded artifact must reproduce the committed bytes, so the format
 //! cannot drift silently even in a compatible-reader direction.
 //!
-//! The superseded version-2 fixture stays committed as
-//! `tests/golden/quantized_e4m3_v2.ptq`: it pins the *rejection* path, so
+//! The superseded version-3 fixture stays committed as
+//! `tests/golden/quantized_e4m3_v3.ptq`: it pins the *rejection* path, so
 //! old files fail with a clear `UnsupportedVersion` instead of being
 //! misparsed.
 //!
@@ -36,11 +36,11 @@ use fp8_ptq::models::{build_zoo, ZooFilter};
 use fp8_ptq::nn::UnwrapOk;
 use std::path::PathBuf;
 
-const FIXTURE: &str = "tests/golden/quantized_e4m3_v3.ptq";
+const FIXTURE: &str = "tests/golden/quantized_e4m3_v4.ptq";
 
 /// The previous-format fixture, kept only to pin the version-rejection
 /// error (see `reader_rejects_the_previous_version_with_a_clear_error`).
-const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v2.ptq";
+const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v3.ptq";
 
 /// Pinned quantized eval score of the fixture model on quick-zoo
 /// workload 0, as IEEE-754 bits. Set by the `regenerate` test; must never
@@ -79,7 +79,7 @@ fn golden_artifact_bytes_are_reproduced_by_todays_writer() {
     assert_eq!(
         art.to_bytes(),
         committed,
-        "writer output drifted from the committed version-3 artifact"
+        "writer output drifted from the committed version-4 artifact"
     );
 }
 
@@ -122,8 +122,8 @@ fn reader_rejects_the_previous_version_with_a_clear_error() {
     let err = PtqArtifact::load(&old).err().unwrap();
     let msg = err.to_string();
     assert!(
-        msg.contains("version") && msg.contains('2'),
-        "v2 fixture must fail with a version error naming the found version: {msg}"
+        msg.contains("version") && msg.contains('3'),
+        "v3 fixture must fail with a version error naming the found version: {msg}"
     );
 }
 
@@ -178,8 +178,6 @@ fn engine_spec_json_text_is_pinned() {
         });
     config.weight_granularity = Granularity::PerTensor;
     let spec = EngineSpec::from_config(&config).with_serving(ServeSpec {
-        max_batch: 32,
-        batch_window_us: 1_500,
         queue_capacity: 64,
         default_deadline_ms: Some(25),
         workers: 4,

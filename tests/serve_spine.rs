@@ -17,7 +17,7 @@ use ptq_serve::Engine;
 /// serving section read back from the CONFIG chunk is the one that was
 /// saved, every admitted request is accounted for
 /// (`submitted == completed + shed + failed`, none failed), and each
-/// batched reply is bit-identical to a direct `PlanSet` run.
+/// reply is bit-identical to a direct `PlanSet` run.
 #[test]
 fn engine_from_artifact_conserves_requests_and_matches_direct_runs() {
     let zoo = build_zoo_limited(ZooFilter::Quick, 5);
@@ -30,8 +30,6 @@ fn engine_from_artifact_conserves_requests_and_matches_direct_runs() {
 
 fn serve_from_artifact(w: &Workload, storage: WeightStorage) {
     let serving = ServeSpec {
-        max_batch: 3,
-        batch_window_us: 1_000,
         queue_capacity: 64,
         default_deadline_ms: None,
         workers: 2,
