@@ -12,6 +12,10 @@
 #     crates/tensor/src/ops stays within its non-test line budget. Conv
 #     runs on the register tile over Linear's weight panels: the per-plane
 #     4-wide nest (`conv_plane`, `OXB`) may not reappear under crates/.
+#   * The path alone chooses the kernel: no `(KernelPath::Blocked, …)`
+#     tuple guard under crates/tensor/src/ops picks a kernel by operand
+#     kind -- f32 and FP8 operands run the same blocked kernels, and the
+#     reference loops run only under `KernelPath::ScalarReference`.
 #   * Streamed decode, LUT encode: the per-channel decode-table machinery
 #     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
 #     `take_tables`) may not reappear under crates/ -- a coded weight is
@@ -85,10 +89,16 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2008
+ops_budget=2030
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
+    fail=1
+fi
+
+if hits=$(grep -rnF '(KernelPath::Blocked,' crates/tensor/src/ops); then
+    echo "KernelPath alone chooses the kernel: no (KernelPath::Blocked, operand) tuple guard:" >&2
+    printf '%s\n' "$hits" >&2
     fail=1
 fi
 
@@ -175,6 +185,7 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
+    "the kernel path alone chooses the kernel," \
     "no per-plane conv nest," \
     "no decode-table machinery, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \

@@ -288,11 +288,11 @@ pub struct QuantConfig {
     pub activation_storage: ActivationStorage,
     /// Activation scale granularity (defaults to per-tensor).
     pub act_granularity: ActGranularity,
-    /// Which implementation `ops::{conv2d, linear, matmul}_into` run
-    /// through where a blocked kernel exists — an FP8-stored weight, or
-    /// both MatMul operands coded (defaults to the blocked micro-kernels). Bit-identical either way —
-    /// a performance/debugging knob: flipping to `ScalarReference`
-    /// bisects any suspected kernel-path divergence in one run.
+    /// Which implementation every MAC kernel runs through, whatever its
+    /// operands (defaults to the blocked micro-kernels). Bit-identical
+    /// either way — a performance/debugging knob: flipping to
+    /// `ScalarReference` bisects any suspected kernel-path divergence in
+    /// one run.
     pub kernel_path: KernelPath,
     /// How the autoregressive KV cache stores cached rows (defaults to
     /// f32, the bit-identity reference).

@@ -71,8 +71,8 @@ pub struct Binding<'a> {
     /// [`ActBinding::Coded`] must leave `before_node` un-fake-quantized,
     /// or it is quantized twice.
     pub acts: [ActBinding; MAX_ACT_INPUTS],
-    /// Which implementation the fused quantized kernels (and the decode
-    /// step's attention kernels) run through; both are bit-identical.
+    /// Which implementation every MAC kernel (and the decode step's
+    /// attention kernels) runs through; both are bit-identical.
     pub kernel_path: KernelPath,
     /// How incremental decode stores this node's output rows when they
     /// feed a KV cache (read once per K/V projection at prefill). An
@@ -250,7 +250,7 @@ fn eval_node_into(
         } => {
             let (w, b) = (params.get(node, 0)?, params.bias(node, *bias)?);
             if *depthwise {
-                ops::depthwise_conv2d_into(&ins[0], w, b, *cp, out);
+                ops::depthwise_conv2d_into(&ins[0], w, b, *cp, out, path);
             } else {
                 ops::conv2d_into(act(0), w, b, *cp, out, path);
             }
@@ -260,7 +260,7 @@ fn eval_node_into(
             ops::linear_into(act(0), w, b, out, path);
         }
         Op::MatMul => ops::matmul_into(act(0), act(1), out, path),
-        Op::BatchMatMul => ops::batch_matmul_into(&ins[0], &ins[1], out),
+        Op::BatchMatMul => ops::batch_matmul_into(&ins[0], &ins[1], out, path),
         Op::Embedding { .. } => {
             let t = params.get_f32(node, 0)?;
             let vocab = t.dim(0);

@@ -1,39 +1,28 @@
-//! Incremental-attention step kernels over a [`KvBuf`] cache.
-//!
-//! One decode step computes, per attention layer, its `m` newest query
-//! rows (one generated token, or a block of prompt tokens) against every
-//! cached position:
+//! Incremental-attention step kernels over a [`KvBuf`] cache: per
+//! attention layer, a decode step's `m` newest query rows (a generated
+//! token, or a block of prompt tokens) against every cached position.
 //!
 //! * [`attention_step_q`]: `scores[h, i, j] = Σ_kk q[h, i, kk] · K[j][h·dh + kk]`
 //!   — the step slice of the full path's `bmm(qh, khᵀ)`.
 //! * [`attention_step_v`]: `ctx[h, i, c] = Σ_j probs[h, i, j] · V[j][h·dh + c]`
 //!   — the step slice of `bmm(probs, vh)`.
 //!
-//! Causality is not the kernels' business: they are rectangular, and the
-//! graph's own bottom-aligned `CausalMask` between them hides from query
-//! row `i` the keys appended after its position.
+//! The kernels are rectangular: the graph's bottom-aligned `CausalMask`
+//! hides from query row `i` the keys appended after its position.
 //!
 //! ## Bit-identity contract
 //!
-//! Both kernels reproduce [`super::batch_matmul_into`]'s accumulation
-//! exactly for their output rows: per output element one ascending chain
-//! over the contraction index, with the same `av == 0.0` zero-skip on the
-//! lhs element. With an F32 cache this makes a decode step bit-identical
-//! to the same rows of the full-window forward (every upstream op is
-//! row-independent; the softmax −inf tail contributes exact `+0.0`s —
-//! see DESIGN.md §16 for the full argument). With an FP8 cache the
-//! accumulated *values* are the dequantized codes (`decode(code)/scale`
-//! per element, the crate-wide scaled-decode convention), so the only
-//! deviation from the reference is the storage rounding itself.
-//!
-//! Both [`KernelPath`]s are bit-identical to each other: the blocked path
-//! decodes the cache once into pooled scratch panels
-//! ([`super::scratch`]) — for scores additionally packing each head's
-//! keys k-major so the inner MAC loop is contiguous — while the scalar
-//! reference decodes inline per element. Same per-element values, same
-//! per-output chains, different staging only.
+//! Both reproduce [`super::batch_matmul_into`]'s chains for their rows: one
+//! ascending chain per output over the contraction index, with the same
+//! `av == 0.0` skip on the lhs. With an F32 cache a decode step is then
+//! bit-identical to the same rows of the full-window forward (DESIGN.md
+//! §16); with an FP8 cache the values are `decode(code)/scale`, so the only
+//! deviation is the storage rounding. Both [`KernelPath`]s agree bit for
+//! bit: the blocked path decodes the cache once into pooled panels (scores
+//! then pack each head's keys as the matmul tile's `B`), the reference
+//! decodes inline per element.
 
-use super::matmul::matmul_row;
+use super::blocked::{pack_transposed, tile_rows, NRM};
 use super::{scratch, KernelPath};
 use crate::kv::KvBuf;
 use crate::tensor::Tensor;
@@ -81,21 +70,16 @@ pub fn attention_step_q(q: &Tensor, cache: &KvBuf, out: &mut Tensor, path: Kerne
             }
         }
         KernelPath::Blocked => {
-            // Decode every cached row once, then pack each head's keys
-            // k-major ([dh, len]) so the inner j loop runs contiguous.
+            // Decode every cached row once; per head, pack `B = K_hᵀ` (the
+            // head's slice of each cached row) and run its query rows
+            // through the matmul tile.
             scratch::with_panel(len * d, |panel| {
                 cache.decode_into(panel);
-                scratch::with_panel2(dh * len, |kt| {
+                scratch::with_panel2(dh * len.next_multiple_of(NRM), |kp| {
                     for (h, ohead) in od.chunks_mut(m * len).enumerate() {
-                        for kk in 0..dh {
-                            let col = h * dh + kk;
-                            for j in 0..len {
-                                kt[kk * len + j] = panel[j * d + col];
-                            }
-                        }
-                        for (i, orow) in ohead.chunks_mut(len).enumerate() {
-                            matmul_row(&qd[(h * m + i) * dh..][..dh], kt, len, orow);
-                        }
+                        pack_transposed((&panel[h * dh..], d), dh, len, kp, |_| 1.0, |v, _| v);
+                        let qh = &qd[h * m * dh..][..m * dh];
+                        tile_rows::<true, _>(qh, (dh, len), kp, None, ohead, 0);
                     }
                 });
             });

@@ -1,94 +1,77 @@
-//! Register-blocked, cache-tiled micro-kernels for the fused quantized
-//! MAC operators ([`crate::ops::KernelPath::Blocked`]).
+//! Register-blocked micro-kernels: every MAC op under
+//! [`crate::ops::KernelPath::Blocked`], whatever its operands.
 //!
 //! ## Bit-identity argument
 //!
-//! Every kernel here computes each output element through **exactly the
-//! same floating-point chain** as its scalar reference: one accumulator
-//! per output, terms added in ascending reduction order (`kk`, or
-//! `(ci, ky, kx)` for conv), scales applied per element *before* the MAC
-//! (every staged value is `decode(code) / scale`, one division per
-//! element), and the matmul family's `av == 0.0` zero-skip intact (it
-//! changes results under NaN/Inf and signed zeros, so it is semantics, not
-//! an optimization). What blocking changes is only *which independent
-//! outputs advance together*, over one operand layout — column panels of
-//! `NRM` outputs, the last one padded with dead chains that are never
-//! stored:
+//! Each output element keeps **exactly the floating-point chain** of its
+//! scalar reference: one accumulator, terms in ascending reduction order
+//! (`kk`; `(ci, ky, kx)` from the bias for conv), every staged value the
+//! one the reference reads (an f32 operand copied, a coded one
+//! `decode(code) / scale`, one division per element), and the matmul
+//! family's `av == 0.0` zero-skip intact (semantics under NaN/Inf and
+//! signed zeros). Blocking changes only *which independent outputs advance
+//! together*, over one layout: column panels of `NRM` outputs, the last
+//! padded with dead chains that are never stored.
 //!
-//! * **matmul**: `B` is decoded once into the panels (pure data movement —
-//!   same values, read in the same `kk` order) and a 4×8 or 4×16 register
-//!   tile carries 32 or 64 independent chains. On x86-64 with AVX2 the
-//!   tile runs 8 lanes wide through explicit `vmulps`/`vaddps` (never
+//! * **matmul / batch_matmul**: `B` is packed once (per batch) into the
+//!   panels and a 4×8 or 4×16 register tile carries 32 or 64 chains; with
+//!   AVX2 it runs 8 lanes wide through explicit `vmulps`/`vaddps` (never
 //!   `vfmadd`, whose single rounding would break bit-identity).
-//! * **linear**: the `[n, k]` weight codes stream once per call through
-//!   `decode(code) / scale(channel)` straight into the panels (the 8
-//!   divisions of a `kk` step are one vector of lanes with their 8 channel
-//!   scales), and the rows run the matmul tile compiled with
-//!   `SKIP = false`: Linear has no zero-skip (`0 · NaN` must stay NaN),
-//!   and the bias is added after the finished chain, as the reference
-//!   does. Short row blocks (`m` = 1..3, the decode step) run a 1×8 row
-//!   tile over the same panels.
-//! * **conv**: a conv weight `[cout, cin·kh·kw]` is Linear's `[n, k]` and
-//!   streams into the same panels; a tile carries 4 output pixels of one
-//!   row × 8 or 16 output channels, reading its taps from the sample in
-//!   place. Each chain is **seeded with the bias** (the reference's
-//!   `window_sum` starts there) and walks the in-bounds taps only, in the
-//!   reference order: a border pixel runs the 1-pixel tile with its tap
-//!   ranges clamped, and a ragged interior tail re-runs the last full
-//!   block overlapped. A padding tap is never staged as a zero —
-//!   `0 · Inf = NaN` and `-0.0 + 0.0 = +0.0` would both change bits — and
-//!   conv has no zero-skip.
+//! * **linear**: the `[n, k]` weight is packed once per call into the same
+//!   panels and the rows run the tile compiled with `SKIP = false` (Linear
+//!   multiplies every term: `0 · NaN` stays NaN); the bias lands on the
+//!   finished chain. Row blocks shorter than 4 run a 1×8 row tile.
+//! * **conv**: a weight `[cout, cin·kh·kw]` is Linear's `[n, k]`; a tile
+//!   carries 4 pixels of a row × 8 or 16 channels, chains **seeded with the
+//!   bias**, taps read from the sample in place. Only in-bounds taps are
+//!   walked — border pixels run a 1-pixel tile with clamped tap ranges — so
+//!   a padding tap is never a staged zero (`0 · Inf = NaN`, `-0.0 + 0.0 =
+//!   +0.0`). Depthwise runs 8 interior pixels of a plane's row as 8 chains.
 //!
-//! Reassociation — multi-accumulator splits of a *single* dot product,
-//! hoisting scales, dropping the zero-skip where the reference has it —
-//! is exactly what these kernels never do. Equivalence is enforced by
-//! proptests (`tests/kernel_path_equivalence.rs`) and zoo-wide suites.
-//!
-//! All staging buffers come from the per-thread pool in
-//! [`super::scratch`]; steady-state calls do not allocate, and no decoded
-//! value outlives the call that staged it.
+//! Equivalence is enforced by `tests/kernel_path_equivalence.rs` and the
+//! zoo-wide suites. Staging comes from the per-thread pool in
+//! [`super::scratch`]: steady-state calls do not allocate, and no staged
+//! value outlives its call.
 
 use std::ops::Range;
 
-use crate::act::ActDecode;
-use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 
-use super::conv::{taps, ConvDims};
+use super::conv::{taps, window_sum, ConvDims};
 use super::operand::Rows;
-use super::{for_each_chunk, scratch};
+use super::{for_each_chunk, scratch, WeightOperand};
 
 /// Rows (conv: output pixels) per register tile.
 const MR: usize = 4;
 /// Columns (conv: output channels) per packed panel; a tile spans one or
 /// two panels.
-const NRM: usize = 8;
+pub(super) const NRM: usize = 8;
 
-/// Decode a `[k, n]` coded activation straight into column panels (panel
-/// `p` holds columns `p*NRM ..` contiguously per `kk` and starts at offset
-/// `p*NRM*k`; the last one's spare lanes are zeros). Fused decode+pack:
-/// each row decodes into an L1-resident `row` scratch and scatters to its
-/// panels, so the dense `[k, n]` form is never staged. The values are
-/// exactly what [`crate::act::ActDecode::decode_range`] produces.
-fn decode_pack_panels(bdec: &ActDecode, k: usize, n: usize, bp: &mut [f32]) {
-    scratch::with_panel2(n.next_multiple_of(NRM), |row| {
-        row[n..].fill(0.0);
-        for kk in 0..k {
-            bdec.decode_range(kk * n, &mut row[..n]);
-            for (p, lanes) in row.chunks_exact(NRM).enumerate() {
-                bp[(p * k + kk) * NRM..][..NRM].copy_from_slice(lanes);
+/// Pack a `[k, n]` matmul `B` into column panels (panel `p` holds columns
+/// `p*NRM ..` per `kk` from offset `p*NRM*k`; a ragged last panel's spare
+/// lanes are zeros), a row of the row source at a time: a coded `B` is
+/// decoded one L1-resident row at a time, never staged whole.
+fn pack_panels<B: Rows + ?Sized>(b: &B, k: usize, n: usize, bp: &mut [f32]) {
+    let full = n / NRM;
+    bp[full * NRM * k..].fill(0.0);
+    for kk in 0..k {
+        b.with(kk * n, n, |row| {
+            let mut lanes = row.chunks_exact(NRM);
+            for (p, l) in lanes.by_ref().enumerate() {
+                bp[(p * k + kk) * NRM..][..NRM].copy_from_slice(l);
             }
-        }
-    });
+            let tail = lanes.remainder();
+            if !tail.is_empty() {
+                bp[(full * k + kk) * NRM..][..tail.len()].copy_from_slice(tail);
+            }
+        });
+    }
 }
 
-/// One full `MR`×`NRM` register tile: 32 independent kk-ascending
-/// accumulator chains. `SKIP` compiles the matmul `av == 0.0` zero-skip in
-/// (matmul) or out (linear, whose reference multiplies every term).
-/// Dispatches to the AVX2 lane when the CPU has it (rustc targets
-/// baseline SSE2, so autovectorization alone leaves half the vector
-/// width unused); the scalar loop below is the same chains and the
-/// fallback everywhere else.
+/// One full `MR`×`NRM` register tile: 32 kk-ascending chains, the
+/// `av == 0.0` skip compiled in by `SKIP` (matmul) or out (linear). Runs
+/// the AVX2 lane when the CPU has it (rustc targets baseline SSE2); the
+/// scalar loop below is the same chains.
 fn tile_full<const SKIP: bool>(
     arows: &[f32],
     simd_a: Option<&[f32]>,
@@ -139,18 +122,14 @@ fn tile_row<const SKIP: bool>(arow: &[f32], panel: &[f32]) -> [f32; NRM] {
 mod simd {
     //! Runtime-detected AVX2 lane for the register tiles.
     //!
-    //! Bit-identity: `vmulps`/`vaddps` are the identical single-rounded
-    //! IEEE-754 multiply and add as Rust's scalar `f32` operators (rustc
-    //! keeps fp-contract off, so nothing fuses into an FMA, which *would*
-    //! change rounding); each lane carries exactly one output element's
-    //! accumulator chain in the same `kk` order; and with `SKIP` the
-    //! `av == 0.0` zero-skip happens per `(row, kk)` exactly as in the
-    //! scalar tile. The per-`kk` fast path only asserts that *no* row
-    //! value is zero (`vcmpeqps`+`vmovmskps`, the same ordered `== 0.0`
-    //! the scalar compare performs, so ±0.0 matches and NaN does not) —
-    //! when it holds, the skip provably cannot fire and the four chains
-    //! run unguarded; otherwise the guarded per-row loop is taken. Without
-    //! `SKIP` (linear) there is no test and every step runs unguarded.
+    //! Bit-identity: `vmulps`/`vaddps` are the single-rounded IEEE-754
+    //! multiply and add of Rust's scalar `f32` operators (rustc keeps
+    //! fp-contract off: no FMA); each lane carries one output's chain in
+    //! `kk` order; with `SKIP` the zero-skip happens per `(row, kk)` as in
+    //! the scalar tile. The per-`kk` fast path only asserts that *no* row
+    //! value is zero (`vcmpeqps`+`vmovmskps`: the ordered `== 0.0`, so ±0.0
+    //! matches and NaN does not) — then the skip cannot fire and the chains
+    //! run unguarded; otherwise the guarded per-row loop runs.
 
     use std::sync::OnceLock;
 
@@ -367,83 +346,108 @@ fn matmul_panels<const SKIP: bool>(
     }
 }
 
-/// Code×code matmul: `B` decoded once into packed panels, `A` decoded
-/// `MR` rows at a time.
-pub(super) fn matmul(a: &ActDecode, b: &ActDecode, m: usize, k: usize, n: usize, out: &mut Tensor) {
+/// `out = x · B (+ bias)`: `MR` rows of the row source per chunk through
+/// the tile against the packed `B`, the zero-skip per `SKIP`, fanned out
+/// as [`for_each_chunk`] decides for `macs`.
+pub(super) fn tile_rows<const SKIP: bool, X: Rows + ?Sized>(
+    x: &X,
+    (k, n): (usize, usize),
+    bp: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    macs: usize,
+) {
+    for_each_chunk(out, MR * n, macs, |blk, rows| {
+        let mr = rows.len() / n;
+        x.with(blk * MR * k, mr * k, |xs| {
+            matmul_packed::<SKIP>(xs, mr, k, n, bp, rows)
+        });
+        if let Some(b) = bias {
+            for row in rows.chunks_exact_mut(n) {
+                for (y, bv) in row.iter_mut().zip(b) {
+                    *y += bv;
+                }
+            }
+        }
+    });
+}
+
+/// Matmul over any operand mix.
+pub(super) fn matmul<A, B>(a: &A, b: &B, k: usize, n: usize, out: &mut Tensor)
+where
+    A: Rows + ?Sized,
+    B: Rows + ?Sized,
+{
+    let macs = out.len() * k;
     scratch::with_panel(k * n.next_multiple_of(NRM), |bp| {
-        decode_pack_panels(b, k, n, bp);
-        for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-            let mr = rows.len() / n;
-            a.with(blk * MR * k, mr * k, |ar| {
-                matmul_packed::<true>(ar, mr, k, n, bp, rows)
-            });
+        pack_panels(b, k, n, bp);
+        tile_rows::<true, _>(a, (k, n), bp, None, out.data_mut(), macs);
+    });
+}
+
+/// `C[b] = A[b] · B[b]`: one batch per chunk, its `B` packed by the thread
+/// that runs it, its rows through the tile serially (`macs` 0).
+pub(super) fn batch_matmul(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, out: &mut Tensor) {
+    let macs = out.len() * k;
+    for_each_chunk(out.data_mut(), m * n, macs, |bi, obatch| {
+        scratch::with_panel(k * n.next_multiple_of(NRM), |bp| {
+            pack_panels(&bd[bi * k * n..][..k * n], k, n, bp);
+            tile_rows::<true, _>(&ad[bi * m * k..][..m * k], (k, n), bp, None, obatch, 0);
         });
     });
 }
 
-/// Stream `[n, k]` weight codes (a Linear's, or a conv's `[cout,
-/// cin·kh·kw]`) into column panels (`bp[j0*k + kk*NRM + c]` is
-/// `Wᵀ[kk, j0+c]`): a fused decode + transpose, each element exactly
-/// `lut.decode(code) / scale(channel)` — the expression
-/// `StoredTensor::dequantize` defines. A `kk` step divides 8 decoded lanes
-/// by the panel's 8 channel scales, which vectorizes; a ragged last
-/// panel's spare lanes are zeros.
-fn decode_pack_weights(weight: &QTensor, k: usize, n: usize, bp: &mut [f32]) {
-    let (codes, lut, scales) = (weight.codes(), weight.lut(), weight.scales());
+/// Stream an `[n, k]` weight into column panels (`bp[j0*k + kk*NRM + c]`
+/// is `Wᵀ[kk, j0+c]`): an f32 weight as a plain transposing copy, an
+/// FP8-stored one as `lut.decode(code) / scale(channel)` — the expression
+/// of `StoredTensor::dequantize`, 8 lanes by 8 channel scales per `kk`.
+fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
+    match weight {
+        WeightOperand::F32(t) => pack_transposed((t.data(), k), k, n, bp, |_| 1.0, |v, _| v),
+        WeightOperand::Q(q) => {
+            let (lut, scales) = (q.lut(), q.scales());
+            let scale = |j| scales.scale_for_channel(j);
+            pack_transposed((q.codes(), k), k, n, bp, scale, |b, s| lut.decode(b) / s);
+        }
+    }
+}
+
+/// [`decode_pack_weights`] over either element type, from `n` rows of `k`
+/// elements that start `rs` apart in `src`. A ragged last panel's dead
+/// lanes repeat its last row.
+pub(super) fn pack_transposed<T: Copy>(
+    (src, rs): (&[T], usize),
+    k: usize,
+    n: usize,
+    bp: &mut [f32],
+    scale: impl Fn(usize) -> f32,
+    val: impl Fn(T, f32) -> f32,
+) {
     for j0 in (0..n).step_by(NRM) {
-        let panel = &mut bp[j0 * k..(j0 + NRM) * k];
-        if j0 + NRM <= n {
-            let s: [f32; NRM] = std::array::from_fn(|c| scales.scale_for_channel(j0 + c));
-            let rows: [&[u8]; NRM] =
-                std::array::from_fn(|c| &codes[(j0 + c) * k..(j0 + c) * k + k]);
-            for (kk, dst) in panel.chunks_exact_mut(NRM).enumerate() {
-                for c in 0..NRM {
-                    dst[c] = lut.decode(rows[c][kk]) / s[c];
-                }
-            }
-        } else {
-            panel.fill(0.0);
-            for c in 0..n - j0 {
-                let s = scales.scale_for_channel(j0 + c);
-                let row = &codes[(j0 + c) * k..(j0 + c + 1) * k];
-                for (kk, &b) in row.iter().enumerate() {
-                    panel[kk * NRM + c] = lut.decode(b) / s;
-                }
+        let row = |c: usize| j0 + c.min(n - j0 - 1);
+        let s: [f32; NRM] = std::array::from_fn(|c| scale(row(c)));
+        let rows: [&[T]; NRM] = std::array::from_fn(|c| &src[row(c) * rs..][..k]);
+        for (kk, dst) in bp[j0 * k..(j0 + NRM) * k].chunks_exact_mut(NRM).enumerate() {
+            for c in 0..NRM {
+                dst[c] = val(rows[c][kk], s[c]);
             }
         }
     }
 }
 
-/// Linear over an FP8-stored weight: the weight streamed once per call
-/// into packed panels, then `MR` activation rows per chunk (borrowed or
-/// decoded by the row source) through the register tile with no
-/// zero-skip; the bias lands on each finished dot product, as in the
-/// reference.
+/// Linear over any weight: packed once per call, no zero-skip.
 pub(super) fn linear<X: Rows + ?Sized>(
     x: &X,
-    weight: &QTensor,
+    weight: WeightOperand,
     bias: Option<&Tensor>,
-    m: usize,
     k: usize,
     n: usize,
     out: &mut Tensor,
 ) {
-    let bd = bias.map(|b| b.data());
+    let (bias, macs) = (bias.map(Tensor::data), out.len() * k);
     scratch::with_panel(k * n.next_multiple_of(NRM), |wp| {
         decode_pack_weights(weight, k, n, wp);
-        for_each_chunk(out.data_mut(), MR * n, m * k * n, |blk, rows| {
-            let mr = rows.len() / n;
-            x.with(blk * MR * k, mr * k, |xs| {
-                matmul_packed::<false>(xs, mr, k, n, wp, rows)
-            });
-            if let Some(b) = bd {
-                for row in rows.chunks_exact_mut(n) {
-                    for (y, bv) in row.iter_mut().zip(b) {
-                        *y += bv;
-                    }
-                }
-            }
-        });
+        tile_rows::<false, _>(x, (k, n), wp, bias, out.data_mut(), macs);
     });
 }
 
@@ -543,6 +547,18 @@ unsafe fn conv_tile<V: Chains, const R: usize, const P: usize>(
     }
 }
 
+/// The interior output columns `lo..hi` (every `kx` tap in bounds), or
+/// `0..0` when they hold less than one `block` of pixels.
+fn interior(d: &ConvDims, block: usize) -> (usize, usize) {
+    let pad = d.pad as usize;
+    let lo = pad.div_ceil(d.stride);
+    let hi = ((d.w + pad).saturating_sub(d.kw) / d.stride + 1).min(d.ow);
+    if d.w + pad < d.kw || lo + block > hi {
+        return (0, 0);
+    }
+    (lo, hi)
+}
+
 /// `P` panels of output channels from `j0`, over one image. A row's
 /// interior columns — every `kx` tap in bounds — run `MR`-pixel blocks, a
 /// ragged tail re-running the last full block overlapped (it stores the
@@ -560,13 +576,7 @@ unsafe fn conv_panels<V: Chains, const P: usize>(
     oimg: &mut [f32],
 ) {
     let (d, pad) = (c.d, c.d.pad as usize);
-    // Interior ox: ox*stride - pad >= 0 and ox*stride - pad + kw <= w; used
-    // only when it holds a full block.
-    let mut lo = pad.div_ceil(d.stride);
-    let mut hi = ((d.w + pad).saturating_sub(d.kw) / d.stride + 1).min(d.ow);
-    if d.w + pad < d.kw || lo + MR > hi {
-        (lo, hi) = (0, 0);
-    }
+    let (lo, hi) = interior(d, MR);
     for oy in 0..d.oh {
         let iy0 = (oy * d.stride) as isize - d.pad;
         let kys = taps(iy0, d.h, d.kh);
@@ -603,12 +613,11 @@ unsafe fn conv_image<V: Chains>(c: &ConvCall, xs: &[f32], oimg: &mut [f32]) {
     }
 }
 
-/// Conv over an FP8-stored weight: a direct convolution on Linear's
-/// panels (a conv weight `[cout, cin·kh·kw]` *is* Linear's `[n, k]`). An
-/// image is one chunk, its sample borrowed or decoded once, read in place.
+/// Conv over any weight, directly on Linear's panels. An image is one
+/// chunk, its sample borrowed or decoded once, read in place.
 pub(super) fn conv2d<X: Rows + ?Sized>(
     x: &X,
-    weight: &QTensor,
+    weight: WeightOperand,
     bias: Option<&Tensor>,
     d: &ConvDims,
     out: &mut Tensor,
@@ -632,6 +641,55 @@ pub(super) fn conv2d<X: Rows + ?Sized>(
                 }
                 // SAFETY: array chains need no CPU feature.
                 unsafe { conv_image::<[f32; NRM]>(c, xs, oimg) }
+            });
+        });
+    });
+}
+
+/// Depthwise conv, its `[c, kh·kw]` weight packed like any conv weight:
+/// one plane per chunk, read in place. At stride 1 interior columns run
+/// `NRM` pixels (bias-seeded chains, a ragged tail overlapped); every other
+/// pixel is the reference's own `window_sum`.
+pub(super) fn depthwise(
+    xs: &[f32],
+    weight: WeightOperand,
+    bias: Option<&Tensor>,
+    d: &ConvDims,
+    out: &mut Tensor,
+) {
+    let (k, plane, pad) = (d.kh * d.kw, d.h * d.w, d.pad as usize);
+    // A block's lanes read adjacent taps: stride 1 only (wider never fits).
+    let block = if d.stride == 1 { NRM } else { d.ow + 1 };
+    let ((lo, hi), macs) = (interior(d, block), out.len() * k);
+    scratch::with_panel(d.cout.next_multiple_of(NRM) * k, |wp| {
+        decode_pack_weights(weight, k, d.cout, wp);
+        for_each_chunk(out.data_mut(), d.oh * d.ow, macs, |i, oplane| {
+            let (c, x) = (i % d.cout, &xs[i * plane..][..plane]);
+            let b0 = bias.map_or(0.0, |b| b.data()[c]);
+            // This plane's channel `[kh·kw]`, out of its panel lane.
+            scratch::with_rows(k, |w| {
+                for (t, v) in w.iter_mut().enumerate() {
+                    *v = wp[(c / NRM * k + t) * NRM + c % NRM];
+                }
+                for (oy, orow) in oplane.chunks_exact_mut(d.ow).enumerate() {
+                    let iy0 = (oy * d.stride) as isize - d.pad;
+                    for ox in (0..lo).chain(hi..d.ow) {
+                        orow[ox] = window_sum(x, w, b0, d, iy0, (ox * d.stride) as isize - d.pad);
+                    }
+                    for ox in (lo..hi).step_by(NRM) {
+                        let ox = ox.min(hi - NRM);
+                        let mut acc = [b0; NRM];
+                        for ky in taps(iy0, d.h, d.kh) {
+                            let xrow = &x[(iy0 + ky as isize) as usize * d.w + ox - pad..];
+                            for (kx, &wv) in w[ky * d.kw..][..d.kw].iter().enumerate() {
+                                for (a, &xv) in acc.iter_mut().zip(&xrow[kx..kx + NRM]) {
+                                    *a += xv * wv;
+                                }
+                            }
+                        }
+                        orow[ox..ox + NRM].copy_from_slice(&acc);
+                    }
+                }
             });
         });
     });

@@ -98,7 +98,14 @@ pub(super) fn taps(i0: isize, extent: usize, k: usize) -> std::ops::Range<usize>
 /// `(ci, ky, kx)` order. `xs` is the plane's input sample and `wco` its
 /// `cin·kh·kw` weight values.
 #[inline]
-fn window_sum(xs: &[f32], wco: &[f32], b0: f32, d: &ConvDims, iy0: isize, ix0: isize) -> f32 {
+pub(super) fn window_sum(
+    xs: &[f32],
+    wco: &[f32],
+    b0: f32,
+    d: &ConvDims,
+    iy0: isize,
+    ix0: isize,
+) -> f32 {
     let (kys, kxs) = (taps(iy0, d.h, d.kh), taps(ix0, d.w, d.kw));
     if kxs.is_empty() {
         return b0;
@@ -157,10 +164,8 @@ fn conv_ref<X: Rows + ?Sized>(
 /// `[Cout, Cin, Kh, Kw]`, optional bias `[Cout]` → `[N, Cout, H', W']`.
 ///
 /// Either operand may be FP8-stored ([`ActOperand`], [`WeightOperand`];
-/// per-channel weight scales group over `Cout`). The result is
-/// bit-identical to the f32 kernel on the dequantized operands: codes
-/// decode per element by the expression `dequantize` uses and the MAC
-/// loop accumulates in the same order.
+/// per-channel weight scales group over `Cout`); the result is
+/// bit-identical to the reference on the dequantized operands.
 ///
 /// # Panics
 ///
@@ -178,10 +183,9 @@ pub fn conv2d<'a>(
 }
 
 /// Out-param variant of [`conv2d`]: writes into `out`, reusing its
-/// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
-/// the weight is FP8-stored — a direct convolution on Linear's weight
-/// panels, 4 output pixels × 8 or 16 output channels per register tile;
-/// an f32 weight always runs the reference loop. Both paths are
+/// allocation, through an explicit [`KernelPath`]. `Blocked` is a direct
+/// convolution on Linear's weight panels (f32 or FP8-stored), 4 output
+/// pixels × 8 or 16 channels per register tile. Both paths are
 /// bit-identical. Panics as [`conv2d`].
 pub fn conv2d_into<'a>(
     x: impl Into<ActOperand<'a>>,
@@ -197,8 +201,8 @@ pub fn conv2d_into<'a>(
     if out.data().is_empty() {
         return;
     }
-    if let (KernelPath::Blocked, WeightOperand::Q(q)) = (path, weight) {
-        return with_rows!(x, |xs| blocked::conv2d(xs, q, bias, &d, out));
+    if path == KernelPath::Blocked {
+        return with_rows!(x, |xs| blocked::conv2d(xs, weight, bias, &d, out));
     }
     weight.with_dense(|wf| with_rows!(x, |xs| conv_ref(xs, wf, bias, &d, out)))
 }
@@ -232,23 +236,28 @@ pub fn depthwise_conv2d<'a>(
     p: Conv2dParams,
 ) -> Tensor {
     let mut out = Tensor::default();
-    depthwise_conv2d_into(x, weight, bias, p, &mut out);
+    depthwise_conv2d_into(x, weight, bias, p, &mut out, KernelPath::default());
     out
 }
 
 /// Out-param variant of [`depthwise_conv2d`]: writes into `out`, reusing
-/// its allocation. There is no blocked depthwise kernel, hence no
-/// [`KernelPath`]. Panics as [`depthwise_conv2d`].
+/// its allocation, through an explicit [`KernelPath`]. `Blocked` runs 8
+/// interior pixels of a row at a time (at stride 1). Both paths are
+/// bit-identical. Panics as [`depthwise_conv2d`].
 pub fn depthwise_conv2d_into<'a>(
     x: &Tensor,
     weight: impl Into<WeightOperand<'a>>,
     bias: Option<&Tensor>,
     p: Conv2dParams,
     out: &mut Tensor,
+    path: KernelPath,
 ) {
     let weight = weight.into();
     let d = conv_dims(x.shape(), weight.shape(), bias, p, true);
     out.reuse_as(&[d.n, d.cout, d.oh, d.ow]);
+    if path == KernelPath::Blocked {
+        return blocked::depthwise(x.data(), weight, bias, &d, out);
+    }
     weight.with_dense(|wf| conv_ref(x.data(), wf, bias, &d, out))
 }
 

@@ -1,15 +1,9 @@
-//! Matrix-multiply family: `Linear`, `MatMul`, `BatchMatMul`.
-//!
-//! These are the compute-bound quantized operators of the paper's standard
-//! scheme. The reference kernels are straightforward triple loops with a
-//! rayon-parallel outer dimension — correctness and determinism over raw
-//! speed, as in the paper's own FP32-emulation setup. Either operand may
-//! be FP8-stored ([`ActOperand`], [`WeightOperand`]); every result is
-//! bit-identical to the f32 kernel on the dequantized operands, because
-//! codes decode per element by the expression `dequantize` uses
-//! (`lut.decode(code) / scale`; the scale is never hoisted out of the
-//! accumulation) into pooled scratch that never outlives the kernel call,
-//! and the MAC loop accumulates in the same order.
+//! Matrix-multiply family: `Linear`, `MatMul`, `BatchMatMul`, the
+//! compute-bound operators of the paper's standard scheme. Either operand
+//! may be FP8-stored ([`ActOperand`], [`WeightOperand`]); every result is
+//! bit-identical to the reference on the dequantized operands: codes
+//! decode per element as `lut.decode(code) / scale` (never hoisted out of
+//! the accumulation) and each output keeps the reference's chain.
 
 use crate::act::QActTensor;
 use crate::qtensor::QTensor;
@@ -46,8 +40,8 @@ pub fn matmul<'a>(a: impl Into<ActOperand<'a>>, b: impl Into<ActOperand<'a>>) ->
 }
 
 /// Out-param variant of [`matmul`]: writes into `out`, reusing its
-/// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
-/// both operands are coded; anything else runs the reference loop. Both
+/// allocation, through an explicit [`KernelPath`]. `Blocked` packs `B` once
+/// into panels and runs the register tile, for every operand mix. Both
 /// paths are bit-identical. Panics as [`matmul`].
 pub fn matmul_into<'a>(
     a: impl Into<ActOperand<'a>>,
@@ -62,10 +56,11 @@ pub fn matmul_into<'a>(
     if out.data().is_empty() {
         return;
     }
-    if let (KernelPath::Blocked, ActOperand::Coded(qa), ActOperand::Coded(qb)) = (path, a, b) {
-        // Stores every output element; only the reference loop accumulates
-        // into `out`.
-        return blocked::matmul(&qa.decoder(), &qb.decoder(), m, k, n, out);
+    if path == KernelPath::Blocked {
+        // Stores every element; only the reference accumulates into `out`.
+        return with_rows!(a, |ar| with_rows!(b, |br| blocked::matmul(
+            ar, br, k, n, out
+        )));
     }
     out.zero_fill();
     with_dense(b, |bd| {
@@ -78,9 +73,8 @@ pub fn matmul_into<'a>(
     })
 }
 
-/// Run `f` on all of `b` as dense f32 — what every output row of a matmul
-/// reads: borrowed, or decoded once into the call-wide panel (the f32
-/// form never outlives the kernel).
+/// Run `f` on all of `b` as dense f32, as the reference reads it: borrowed,
+/// or decoded once into the call-wide panel.
 fn with_dense<R>(b: ActOperand<'_>, f: impl FnOnce(&[f32]) -> R) -> R {
     match b {
         ActOperand::F32(t) => f(t.data()),
@@ -118,9 +112,9 @@ pub fn linear<'a>(
 }
 
 /// Out-param variant of [`linear`]: writes into `out`, reusing its
-/// allocation, through an explicit [`KernelPath`]. `Blocked` applies when
-/// the weight is FP8-stored; an f32 weight always runs the reference
-/// loop. Both paths are bit-identical. Panics as [`linear`].
+/// allocation, through an explicit [`KernelPath`]. `Blocked` packs the
+/// weight, f32 or FP8-stored, into the register tile's panels. Both paths
+/// are bit-identical. Panics as [`linear`].
 pub fn linear_into<'a>(
     x: impl Into<ActOperand<'a>>,
     weight: impl Into<WeightOperand<'a>>,
@@ -136,8 +130,8 @@ pub fn linear_into<'a>(
     if out.data().is_empty() {
         return;
     }
-    if let (KernelPath::Blocked, WeightOperand::Q(q)) = (path, weight) {
-        return with_rows!(x, |xs| blocked::linear(xs, q, bias, m, k, n, out));
+    if path == KernelPath::Blocked {
+        return with_rows!(x, |xs| blocked::linear(xs, weight, bias, k, n, out));
     }
     weight.with_dense(|wf| with_rows!(x, |xs| linear_ref(xs, wf, bias, k, out)))
 }
@@ -187,26 +181,30 @@ pub fn linear_qq_into(x: &QActTensor, weight: &QTensor, bias: Option<&Tensor>, o
 /// Panics if operands are not 3-D or batch/inner dims disagree.
 pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = Tensor::default();
-    batch_matmul_into(a, b, &mut out);
+    batch_matmul_into(a, b, &mut out, KernelPath::default());
     out
 }
 
 /// Out-param variant of [`batch_matmul`]: writes into `out`, reusing its
-/// allocation. f32 operands only, so there is no blocked kernel and no
-/// [`KernelPath`]. Panics as [`batch_matmul`].
-pub fn batch_matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+/// allocation, through an explicit [`KernelPath`]. `Blocked` runs each
+/// batch on [`matmul_into`]'s register tile, zero-skip included: its `B`
+/// packed into panels, its rows 4 at a time, one batch per chunk. Both
+/// paths are bit-identical. Panics as [`batch_matmul`].
+pub fn batch_matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor, path: KernelPath) {
     let [ba, m, n] = checked(batch_matmul_dims(a.shape(), b.shape()));
-    let k = a.dim(2);
-    let ad = a.data();
-    let bd = b.data();
+    let (k, ad, bd) = (a.dim(2), a.data(), b.data());
     out.reuse_as(&[ba, m, n]);
+    if out.data().is_empty() {
+        return;
+    }
+    if path == KernelPath::Blocked {
+        return blocked::batch_matmul(ad, bd, m, k, n, out);
+    }
     out.zero_fill();
     for_each_chunk(out.data_mut(), m * n, ba * m * k * n, |bi, obatch| {
-        let abatch = &ad[bi * m * k..(bi + 1) * m * k];
-        let bbatch = &bd[bi * k * n..(bi + 1) * k * n];
-        for i in 0..m {
-            let orow = &mut obatch[i * n..(i + 1) * n];
-            matmul_row(&abatch[i * k..(i + 1) * k], bbatch, n, orow);
+        let bbatch = &bd[bi * k * n..][..k * n];
+        for (i, orow) in obatch.chunks_exact_mut(n).enumerate() {
+            matmul_row(&ad[(bi * m + i) * k..][..k], bbatch, n, orow);
         }
     });
 }

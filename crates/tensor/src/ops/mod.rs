@@ -44,27 +44,26 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Which implementation [`conv2d_into`] and [`linear_into`] run through
-/// when the weight is FP8-stored, and [`matmul_into`] when both operands
-/// are coded (every other operand mix has only the reference loop).
+/// Which implementation every MAC kernel runs — conv2d, depthwise,
+/// linear, matmul, batch_matmul and the attention steps — whatever its
+/// operands: the path alone chooses, f32 and FP8 operands alike.
 ///
-/// Both paths are bit-identical by construction — the blocked kernels keep
-/// the scalar reference's accumulation chain per output element and differ
-/// only in which independent outputs advance together and in data staging
-/// (the argument is the `blocked` module's header). The equivalence is
-/// enforced zoo-wide (`plan_equivalence.rs`) and property-tested across
-/// formats/granularities/ragged shapes (`kernel_path_equivalence.rs`), so
-/// any future divergence is one flag away from bisectable.
+/// Both paths are bit-identical by construction: the blocked kernels keep
+/// the reference's accumulation chain per output element and differ only
+/// in which independent outputs advance together and in data staging (the
+/// `blocked` module's header). Enforced zoo-wide (`plan_equivalence.rs`)
+/// and per operand mix (`kernel_path_equivalence.rs`), so a divergence is
+/// one flag away from bisectable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum KernelPath {
-    /// Register-blocked, cache-tiled micro-kernels (the default): coded
-    /// operands streamed once per call through `decode(code) / scale`
-    /// into reusable per-thread panels of 8 outputs; matmul, linear and
-    /// conv run 4-row (conv: 4-pixel) × 8- or 16-output register tiles.
+    /// Register-blocked micro-kernels (the default): operands packed once
+    /// per call (f32 copied, codes through `decode(code) / scale`) into
+    /// per-thread panels of 8 outputs, run by 4-row (conv: 4-pixel) × 8- or
+    /// 16-output register tiles.
     #[default]
     Blocked,
-    /// The straightforward triple-loop reference the blocked kernels are
-    /// verified against. Kept permanently as the semantics oracle.
+    /// The straightforward loop nests the blocked kernels are verified
+    /// against, kept as the semantics oracle only.
     ScalarReference,
 }
 
@@ -80,19 +79,14 @@ impl fmt::Display for KernelPath {
 /// enforces ([`crate::shape`]), re-raised as the kernel's documented panic.
 /// Returns the output dims.
 fn checked<const N: usize>(dims: Result<[usize; N], crate::shape::ShapeError>) -> [usize; N] {
-    match dims {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
+    dims.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Multiply-accumulate count below which a chunked kernel loop runs on
-/// the calling thread instead of fanning out. The workspace's `rayon` is
-/// a scoped-thread stand-in that spawns OS threads per call, so a small
-/// operator (a narrow Linear, an attention head) pays far more in
-/// spawn/join than the split recovers; above the cutoff the split cost is
-/// noise. Serial and parallel execute the same per-chunk closure over the
-/// same disjoint chunks, so the choice is bit-invisible.
+/// the calling thread: the workspace's `rayon` spawns OS threads per call,
+/// which a small operator cannot amortize. Serial and parallel run the
+/// same closure over the same disjoint chunks, so the choice is
+/// bit-invisible.
 const PAR_MACS_MIN: usize = 1 << 20;
 
 /// Run `f(chunk_index, chunk)` over `data` split into `chunk`-sized
@@ -105,9 +99,7 @@ pub(crate) fn for_each_chunk(
     macs: usize,
     f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
-    // Degenerate outputs (any dim 0) have nothing to compute; without
-    // this guard `chunks_mut(0)` would panic when the chunk extent is a
-    // product involving a zero dim.
+    // Degenerate outputs (any dim 0): `chunks_mut(0)` would panic.
     if data.is_empty() || chunk == 0 {
         return;
     }

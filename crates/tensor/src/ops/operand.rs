@@ -1,15 +1,11 @@
-//! Borrowed operand views of the MAC kernels.
-//!
-//! "Which operand is FP8" is a property of the recipe, not of the
-//! operator, so each MAC op has one entry point over these views instead
-//! of one per storage combination. The public enums are what callers
-//! pass (`From<&…>` makes `ops::linear(&x, &w, None)` compile for every
-//! operand kind). Activations reach the loop nests through the private
-//! [`Rows`] trait, monomorphized per source (borrowed rows, or codes
-//! decoded a block at a time); a weight reaches them as dense f32
-//! ([`WeightOperand::with_dense`]): borrowed, or its codes decoded once per
-//! call into the pooled panel. Either way the f32 form of a coded operand
-//! never outlives the kernel call.
+//! Borrowed operand views of the MAC kernels: one entry point per op over
+//! these views, not one per storage combination (`From<&…>` makes
+//! `ops::linear(&x, &w, None)` compile for every operand kind). Kernels
+//! read activations through the private [`Rows`] trait, monomorphized per
+//! source (borrowed rows, or codes decoded a block at a time). The blocked
+//! kernels pack a weight into panels; the reference loops read it dense
+//! ([`WeightOperand::with_dense`]). No f32 form of a coded operand outlives
+//! its kernel call.
 
 use super::scratch;
 use crate::act::{ActDecode, QActTensor};
@@ -82,9 +78,9 @@ impl WeightOperand<'_> {
         }
     }
 
-    /// Run `f` on the whole weight as dense row-major f32 — what the
-    /// reference loop nests read: borrowed, or decoded into the call-wide
-    /// panel for the duration of `f`.
+    /// Run `f` on the whole weight as dense row-major f32, as the
+    /// `ScalarReference` loops read it: borrowed, or decoded into the
+    /// call-wide panel for the duration of `f`.
     pub(super) fn with_dense<R>(&self, f: impl FnOnce(&[f32]) -> R) -> R {
         match self {
             WeightOperand::F32(t) => f(t.data()),

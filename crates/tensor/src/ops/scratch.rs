@@ -1,30 +1,15 @@
 //! Per-thread reusable kernel scratch.
 //!
-//! The fused quantized kernels stage decoded operands in f32 buffers (a
-//! decoded B panel, a block of decoded activation rows, the weight codes
-//! of a call streamed through `decode(code) / scale` into a packed
-//! panel). This module keeps one growable buffer pool per thread; kernels
-//! *take* a buffer for the duration of a closure and put it back grown,
-//! so after warm-up a kernel call that stays on its caller's thread
-//! allocates nothing. Every slot is closure-scoped: what a kernel stages
-//! is overwritten by the next call and never outlives its own.
-//!
-//! That covers every call below `PAR_MACS_MIN` (audited by the benchmark's
-//! `tensor.kernel_alloc_bytes`, which must read 0) and, above it, the
-//! call-wide panels, taken on the caller's thread before the fan-out. It
-//! does not cover per-chunk row buffers above the cutoff: `vendor/rayon`
-//! spawns scoped OS threads per `par_chunks_mut`, so a worker's pool is
-//! born empty and freed at join, and its row buffers are allocated once
-//! per fan-out. Measured on the benchmark's `forward_cv` (its convs are
-//! above the cutoff; each worker decodes its images into one sample-sized
-//! buffer): 90 542 bytes in 90 allocations per forward with the two-thread
-//! fan-out, 9 414 in 37 with `RAYON_NUM_THREADS=1` (chunks on the caller's
-//! thread); the difference includes the spawn's bookkeeping.
-//!
-//! Buffers are moved out of the thread-local cell (not borrowed across
-//! the closure), so a kernel can hold the call-wide `panel` while its
-//! per-chunk closures take `rows` on the same thread without a nested
-//! `RefCell` borrow.
+//! The kernels stage operands in f32 buffers (packed panels, blocks of
+//! decoded rows). Each thread keeps one growable pool; a kernel *takes* a
+//! buffer for the duration of a closure and puts it back grown, so after
+//! warm-up a call that stays on its caller's thread allocates nothing
+//! (every call below `PAR_MACS_MIN`; the benchmark's
+//! `tensor.kernel_alloc_bytes` must read 0). Above the cutoff a worker's
+//! pool is born empty at each `vendor/rayon` fan-out, so its per-chunk
+//! buffers are allocated once per fan-out (DESIGN.md §13 has the figures).
+//! Buffers are moved out of the thread-local cell, not borrowed across the
+//! closure, so a kernel holding `panel` can take `rows` on the same thread.
 
 use std::cell::RefCell;
 

@@ -1,17 +1,21 @@
 //! The operand-matrix equivalence table of the MAC kernels.
 //!
 //! Each op has one entry point over operand views, so one table covers
-//! every storage combination it executes:
+//! every storage combination it executes. The path alone chooses the
+//! kernel: every row under `Blocked` runs the register tile, f32 operands
+//! included, and under `ScalarReference` the reference loop.
 //!
-//! | op        | activation(s)                 | weight  |
-//! |-----------|-------------------------------|---------|
-//! | conv2d    | F32, Coded                    | F32, Q  |
-//! | linear    | F32, Coded                    | F32, Q  |
-//! | depthwise | F32                           | F32, Q  |
-//! | matmul    | {F32, Coded} · {F32, Coded}   | —       |
+//! | op           | activation(s)                 | weight  | paths     |
+//! |--------------|-------------------------------|---------|-----------|
+//! | conv2d       | F32, Coded                    | F32, Q  | both      |
+//! | linear       | F32, Coded                    | F32, Q  | both      |
+//! | depthwise    | F32                           | F32, Q  | both      |
+//! | matmul       | {F32, Coded} · {F32, Coded}   | —       | both      |
+//! | batch_matmul | F32 · F32                     | —       | both      |
 //!
-//! Every row, through both [`KernelPath`]s, must be bit-equal to the f32
-//! kernel on the dequantized operands — across the three FP8 formats,
+//! Every row, through both [`KernelPath`]s, must be bit-equal to the
+//! `ScalarReference` f32 kernel on the dequantized operands — across the
+//! three FP8 formats,
 //! per-tensor / per-tile activation scales, per-tensor / per-channel
 //! weight scales, shapes ragged around the register tiles (MR=4 rows;
 //! 8-wide matmul/linear panels consumed in 4×16 pairs, singly, as 1×8 row
@@ -21,18 +25,18 @@
 //! and 1-pixel tiles with clamped taps on the borders) and an injected
 //! `0 / -0 / NaN / Inf` (the matmul `av == 0.0` skip and every
 //! `0 · Inf = NaN` are semantics the blocked kernels must preserve). The
-//! `nonfinite_codes` pins hold the one difference between the two users of
-//! the shared register tile — matmul skips a zero lhs term, linear
-//! multiplies it — and conv's padding semantics (a padding tap contributes
-//! no term, an in-bounds one is always multiplied) on weights the
-//! quantizer never emits.
+//! `nonfinite_codes` pins hold the one difference between the users of
+//! the shared register tile — matmul and batch_matmul skip a zero lhs
+//! term, linear multiplies it — and conv's padding semantics (a padding
+//! tap contributes no term, an in-bounds one is always multiplied) on NaN
+//! and Inf weights, as codes the quantizer never emits and as f32.
 //! Also covers degenerate shapes (any dim zero) that historically
 //! panicked in `for_each_chunk`.
 
 use proptest::prelude::*;
 use ptq_fp8::Fp8Format;
 use ptq_tensor::ops::{
-    conv2d, conv2d_into, depthwise_conv2d, linear, linear_into, matmul, matmul_into, ActOperand,
+    batch_matmul_into, conv2d_into, depthwise_conv2d_into, linear_into, matmul_into, ActOperand,
     Conv2dParams, KernelPath, WeightOperand,
 };
 use ptq_tensor::{QActTensor, QTensor, Tensor, TensorRng};
@@ -40,6 +44,13 @@ use ptq_tensor::{QActTensor, QTensor, Tensor, TensorRng};
 const PATHS: [KernelPath; 2] = [KernelPath::Blocked, KernelPath::ScalarReference];
 /// Operand kinds of a two-operand row: `(first coded?, second coded?)`.
 const KINDS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+/// What every row must reproduce: `run` through the scalar reference.
+fn oracle(run: impl FnOnce(&mut Tensor, KernelPath)) -> Tensor {
+    let mut out = Tensor::default();
+    run(&mut out, KernelPath::ScalarReference);
+    out
+}
 
 fn formats() -> impl Strategy<Value = Fp8Format> {
     prop_oneof![
@@ -152,46 +163,13 @@ proptest! {
         let bias = (with_bias == 1).then_some(&bias);
         for (coded, q) in KINDS {
             let (xa, wa) = (Act::new(&x, coded, f, tile), Weight::new(&w, q, f, per_channel == 1));
-            let want = linear(&xa.0, &wa.0, bias);
+            let want = oracle(|o, p| linear_into(&xa.0, &wa.0, bias, o, p));
             for path in PATHS {
                 let mut got = Tensor::default();
                 linear_into(xa.view(), wa.view(), bias, &mut got, path);
                 assert_bits_eq(&got, &want, &format!("linear coded={coded} q={q} {path}"));
             }
         }
-    }
-
-    /// depthwise × {F32, Q} weight (one kernel, no path).
-    #[test]
-    fn depthwise_rows_match_f32_on_dequantized(
-        ni in 1usize..3,
-        c in 1usize..6,
-        h in 1usize..9,
-        w in 1usize..9,
-        kh in 1usize..4,
-        kw in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..3,
-        per_channel in 0u8..2,
-        with_bias in 0u8..2,
-        poison_kind in 0u8..5,
-        poison_weight in 0u8..2,
-        at in 0usize..64,
-        f in formats(),
-        seed in 0u64..500,
-    ) {
-        let kh = kh.min(h + 2 * padding);
-        let kw = kw.min(w + 2 * padding);
-        let mut x = TensorRng::seed(seed ^ 0x81).normal(&[ni, c, h, w], 0.0, 1.5);
-        let mut wt = TensorRng::seed(seed ^ 0x82).normal(&[c, 1, kh, kw], 0.0, 1.5);
-        poison(if poison_weight == 1 { &mut wt } else { &mut x }, at, poison_kind);
-        let bias = TensorRng::seed(seed ^ 0x83).normal(&[c], 0.0, 1.0);
-        let bias = (with_bias == 1).then_some(&bias);
-        let p = Conv2dParams { stride, padding };
-        let wa = Weight::new(&wt, true, f, per_channel == 1);
-        let want = depthwise_conv2d(&x, &wa.0, bias, p);
-        let got = depthwise_conv2d(&x, wa.view(), bias, p);
-        assert_bits_eq(&got, &want, "depthwise q");
     }
 
     /// matmul × {F32, Coded} lhs × {F32, Coded} rhs, shapes ragged around
@@ -214,7 +192,7 @@ proptest! {
         poison(&mut a, at, poison_kind);
         for (ca, cb) in KINDS {
             let (aa, ba) = (Act::new(&a, ca, f, tile), Act::new(&b, cb, f, tile));
-            let want = matmul(&aa.0, &ba.0);
+            let want = oracle(|o, p| matmul_into(&aa.0, &ba.0, o, p));
             for path in PATHS {
                 let mut got = Tensor::default();
                 matmul_into(aa.view(), ba.view(), &mut got, path);
@@ -222,12 +200,84 @@ proptest! {
             }
         }
     }
+
+    /// batch_matmul, f32 · f32 (the attention scores and context): an
+    /// empty batch and `k = 0` included, m and n ragged around the MR=4
+    /// row block and the 8-wide panels (a single ragged panel through the
+    /// 4×16 pair plus a full panel plus a ragged tail). The poison lands
+    /// in either operand: a zero lhs term is skipped, so a non-finite rhs
+    /// value behind it contributes nothing.
+    #[test]
+    fn batch_matmul_rows_match_scalar_reference(
+        ba in 0usize..4,
+        m in 1usize..11,
+        k in 0usize..14,
+        n in 1usize..36,
+        poison_kind in 0u8..5,
+        poison_rhs in 0u8..2,
+        at in 0usize..64,
+        seed in 0u64..500,
+    ) {
+        let mut a = TensorRng::seed(seed ^ 0x51).normal(&[ba, m, k], 0.0, 1.5);
+        let mut b = TensorRng::seed(seed ^ 0x52).normal(&[ba, k, n], 0.0, 1.5);
+        let poisoned = if poison_rhs == 1 { &mut b } else { &mut a };
+        if !poisoned.is_empty() {
+            poison(poisoned, at, poison_kind);
+        }
+        let want = oracle(|o, p| batch_matmul_into(&a, &b, o, p));
+        for path in PATHS {
+            let mut got = Tensor::default();
+            batch_matmul_into(&a, &b, &mut got, path);
+            assert_bits_eq(&got, &want, &format!("batch_matmul {path}"));
+        }
+    }
 }
 
 proptest! {
-    // The conv table crosses panel mixes with row shapes: more cases than
+    // The conv tables cross panel mixes with row shapes: more cases than
     // the other rows need.
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// depthwise × {F32, Q} weight: rows from narrower than one 8-pixel
+    /// block to two blocks plus an overlapped tail, border columns and rows
+    /// with clamped taps, stride 2 (every pixel alone), cout ragged around
+    /// the 8-channel weight panel.
+    #[test]
+    fn depthwise_rows_match_f32_on_dequantized(
+        ni in 1usize..3,
+        c in 1usize..11,
+        h in 1usize..6,
+        w in 1usize..22,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        per_channel in 0u8..2,
+        with_bias in 0u8..2,
+        poison_kind in 0u8..5,
+        poison_weight in 0u8..2,
+        at in 0usize..64,
+        f in formats(),
+        seed in 0u64..500,
+    ) {
+        let kh = kh.min(h + 2 * padding);
+        let kw = kw.min(w + 2 * padding);
+        let mut x = TensorRng::seed(seed ^ 0x81).normal(&[ni, c, h, w], 0.0, 1.5);
+        let mut wt = TensorRng::seed(seed ^ 0x82).normal(&[c, 1, kh, kw], 0.0, 1.5);
+        poison(if poison_weight == 1 { &mut wt } else { &mut x }, at, poison_kind);
+        let bias = TensorRng::seed(seed ^ 0x83).normal(&[c], 0.0, 1.0);
+        let bias = (with_bias == 1).then_some(&bias);
+        let p = Conv2dParams { stride, padding };
+        for q in [false, true] {
+            let wa = Weight::new(&wt, q, f, per_channel == 1);
+            let want = oracle(|o, path| depthwise_conv2d_into(&x, &wa.0, bias, p, o, path));
+            for path in PATHS {
+                let mut got = Tensor::default();
+                depthwise_conv2d_into(&x, wa.view(), bias, p, &mut got, path);
+                assert_bits_eq(&got, &want, &format!("depthwise q={q} {path}"));
+            }
+        }
+    }
 
     /// conv2d × {F32, Coded} act × {F32, Q} weight: every border/interior
     /// split the blocked kernel makes (padding that clips ky rows and kx
@@ -267,7 +317,7 @@ proptest! {
         let p = Conv2dParams { stride, padding };
         for (coded, q) in KINDS {
             let (xa, wa) = (Act::new(&x, coded, f, tile), Weight::new(&wt, q, f, per_channel == 1));
-            let want = conv2d(&xa.0, &wa.0, bias, p);
+            let want = oracle(|o, path| conv2d_into(&xa.0, &wa.0, bias, p, o, path));
             for path in PATHS {
                 let mut got = Tensor::default();
                 conv2d_into(xa.view(), wa.view(), bias, p, &mut got, path);
@@ -279,10 +329,11 @@ proptest! {
 
 /// Codes no quantizer emits (it saturates), so the proptests cannot reach
 /// them: a NaN code and an Inf code in the second operand against an
-/// all-zero first operand. Linear has no zero-skip — `0 · NaN` and
-/// `0 · Inf` are NaN, bit-equal on both paths; matmul skips the zero lhs
-/// term and returns `+0.0`. One non-finite code per reduction keeps the
-/// NaN payload unambiguous.
+/// all-zero first operand — stored as codes, and as the f32 tensor they
+/// dequantize to. Linear has no zero-skip — `0 · NaN` and `0 · Inf` are
+/// NaN, bit-equal on both paths; matmul and batch_matmul skip the zero
+/// lhs term and return `+0.0`. One non-finite value per reduction keeps
+/// the NaN payload unambiguous.
 mod nonfinite_codes {
     use super::*;
     use ptq_fp8::StoredScales;
@@ -323,14 +374,18 @@ mod nonfinite_codes {
                     let x = Tensor::zeros(&[m, K]);
                     let xa = Act::new(&x, true, f, 0);
                     for bias in [None, Some(&bias)] {
-                        let want = linear(&x, &wd, bias);
+                        let want = oracle(|o, p| linear_into(&x, &wd, bias, o, p));
                         assert!(want.data().iter().all(|v| v.is_nan()), "{f} reference");
                         for path in PATHS {
                             for xv in [ActOperand::F32(&x), xa.view()] {
-                                let mut got = Tensor::default();
-                                linear_into(xv, &q, bias, &mut got, path);
-                                let what = format!("linear {f} pc={per_channel} m={m} {path}");
-                                assert_bits_eq(&got, &want, &what);
+                                for wv in [WeightOperand::Q(&q), WeightOperand::F32(&wd)] {
+                                    let mut got = Tensor::default();
+                                    linear_into(xv, wv, bias, &mut got, path);
+                                    let q = matches!(wv, WeightOperand::Q(_));
+                                    let what =
+                                        format!("linear {f} q={q} pc={per_channel} m={m} {path}");
+                                    assert_bits_eq(&got, &want, &what);
+                                }
                             }
                         }
                     }
@@ -339,22 +394,51 @@ mod nonfinite_codes {
         }
     }
 
+    fn assert_skipped(got: &Tensor, what: &str) {
+        assert!(
+            got.data().iter().all(|v| v.to_bits() == 0),
+            "{what}: a zero lhs term is skipped, not multiplied"
+        );
+    }
+
     #[test]
     fn matmul_zero_row_times_nonfinite_rhs_keeps_the_skip() {
         for (f, code) in CODES {
             let codes = codes_with(K, N, f, code);
             let b = QActTensor::from_raw_parts(f, vec![K, N], codes, vec![2.0], 0).unwrap();
-            assert!(b.dequantize().data().iter().any(|v| !v.is_finite()));
+            let bd = b.dequantize();
+            assert!(bd.data().iter().any(|v| !v.is_finite()));
             for m in [1usize, 4, 5] {
                 let a = Act::new(&Tensor::zeros(&[m, K]), true, f, 0);
                 for path in PATHS {
+                    for av in [ActOperand::F32(&a.0), a.view()] {
+                        for bv in [ActOperand::F32(&bd), ActOperand::Coded(&b)] {
+                            let mut got = Tensor::default();
+                            matmul_into(av, bv, &mut got, path);
+                            assert_eq!(got.shape(), &[m, N]);
+                            assert_skipped(&got, &format!("matmul {f} m={m} {path}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matmul_zero_rows_times_nonfinite_rhs_keep_the_skip() {
+        for (f, code) in CODES {
+            // Two batches, the second one's non-finite values moved along.
+            let mut codes = codes_with(K, N, f, code);
+            codes.extend(codes_with(K, N, f, code).iter().rev());
+            let b = QActTensor::from_raw_parts(f, vec![2, K, N], codes, vec![2.0], 0).unwrap();
+            let bd = b.dequantize();
+            for m in [1usize, 4, 5] {
+                let a = Tensor::zeros(&[2, m, K]);
+                for path in PATHS {
                     let mut got = Tensor::default();
-                    matmul_into(a.view(), &b, &mut got, path);
-                    assert_eq!(got.shape(), &[m, N]);
-                    assert!(
-                        got.data().iter().all(|v| v.to_bits() == 0),
-                        "matmul {f} m={m} {path}: a zero lhs term is skipped, not multiplied"
-                    );
+                    batch_matmul_into(&a, &bd, &mut got, path);
+                    assert_eq!(got.shape(), &[2, m, N]);
+                    assert_skipped(&got, &format!("batch_matmul {f} m={m} {path}"));
                 }
             }
         }
@@ -377,9 +461,9 @@ mod nonfinite_codes {
     }
 
     /// Every conv row of the operand table on `x`, `q`: both paths × {F32,
-    /// Coded} activation × {without, with} bias, each bit-equal to the f32
-    /// kernel on the dequantized operands and passed to `check` with its
-    /// bias.
+    /// Coded} activation × {Q, F32} weight × {without, with} bias, each
+    /// bit-equal to the reference f32 kernel on the dequantized operands
+    /// and passed to `check` with its bias.
     fn conv_rows(
         x: &Tensor,
         q: &QTensor,
@@ -390,20 +474,25 @@ mod nonfinite_codes {
         let (wd, f) = (q.dequantize(), q.format());
         let xa = Act::new(x, true, f, 0);
         for bias in [None, Some(bias)] {
-            for path in PATHS {
-                for (xd, xv) in [(x, ActOperand::F32(x)), (&xa.0, xa.view())] {
-                    let mut got = Tensor::default();
-                    conv2d_into(xv, q, bias, p, &mut got, path);
-                    let what = format!("conv2d {f} bias={} {path}", bias.is_some());
-                    assert_bits_eq(&got, &conv2d(xd, &wd, bias, p), &what);
-                    check(&got, bias, &what);
+            for (xd, xv) in [(x, ActOperand::F32(x)), (&xa.0, xa.view())] {
+                let want = oracle(|o, path| conv2d_into(xd, &wd, bias, p, o, path));
+                for path in PATHS {
+                    for wv in [WeightOperand::Q(q), WeightOperand::F32(&wd)] {
+                        let mut got = Tensor::default();
+                        conv2d_into(xv, wv, bias, p, &mut got, path);
+                        let q = matches!(wv, WeightOperand::Q(_));
+                        let what = format!("conv2d {f} q={q} bias={} {path}", bias.is_some());
+                        assert_bits_eq(&got, &want, &what);
+                        check(&got, bias, &what);
+                    }
                 }
             }
         }
     }
 
-    /// A 3×3 pad-1 conv whose weight is non-finite at tap `(ky 0, kx 0)`:
-    /// on output row 0 and column 0 that tap lies in the padding and must
+    /// A 3×3 pad-1 conv whose weight, coded or f32, is non-finite at tap
+    /// `(ky 0, kx 0)`: on output row 0 and column 0 that tap lies in the
+    /// padding and must
     /// contribute nothing — a staged zero would make `0 · NaN` — while
     /// everywhere else it is multiplied, over a zero activation too (conv
     /// has no zero-skip: `0 · Inf = NaN`). 9 channels = a full panel paired
@@ -468,26 +557,41 @@ mod nonfinite_codes {
 /// `for_each_chunk` once hit `chunks_mut(0)` and panicked.
 mod degenerate {
     use super::*;
-    use ptq_tensor::ops::batch_matmul;
 
     #[test]
     fn f32_kernels_accept_zero_dims() {
-        // m == 0: empty output, shape preserved.
-        let out = matmul(&Tensor::zeros(&[0, 5]), &Tensor::zeros(&[5, 3]));
-        assert_eq!(out.shape(), &[0, 3]);
-        // k == 0: output is all zeros (empty reduction).
-        let out = matmul(&Tensor::zeros(&[4, 0]), &Tensor::zeros(&[0, 3]));
-        assert_eq!(out.shape(), &[4, 3]);
-        assert!(out.data().iter().all(|&v| v == 0.0));
-        // n == 0: empty output.
-        let out = matmul(&Tensor::zeros(&[4, 5]), &Tensor::zeros(&[5, 0]));
-        assert_eq!(out.shape(), &[4, 0]);
-        let out = linear(&Tensor::zeros(&[0, 7]), &Tensor::zeros(&[3, 7]), None);
-        assert_eq!(out.shape(), &[0, 3]);
-        let out = batch_matmul(&Tensor::zeros(&[2, 0, 5]), &Tensor::zeros(&[2, 5, 3]));
-        assert_eq!(out.shape(), &[2, 0, 3]);
-        let out = batch_matmul(&Tensor::zeros(&[0, 4, 5]), &Tensor::zeros(&[0, 5, 3]));
-        assert_eq!(out.shape(), &[0, 4, 3]);
+        let z = Tensor::zeros;
+        let mut out = Tensor::default();
+        for path in PATHS {
+            // m == 0: empty output, shape preserved.
+            matmul_into(&z(&[0, 5]), &z(&[5, 3]), &mut out, path);
+            assert_eq!(out.shape(), &[0, 3]);
+            // k == 0: output is all +0.0 (empty reduction).
+            matmul_into(&z(&[4, 0]), &z(&[0, 3]), &mut out, path);
+            assert_eq!(out.shape(), &[4, 3]);
+            assert!(out.data().iter().all(|&v| v.to_bits() == 0));
+            // n == 0: empty output.
+            matmul_into(&z(&[4, 5]), &z(&[5, 0]), &mut out, path);
+            assert_eq!(out.shape(), &[4, 0]);
+            linear_into(&z(&[0, 7]), &z(&[3, 7]), None, &mut out, path);
+            assert_eq!(out.shape(), &[0, 3]);
+            batch_matmul_into(&z(&[2, 0, 5]), &z(&[2, 5, 3]), &mut out, path);
+            assert_eq!(out.shape(), &[2, 0, 3]);
+            batch_matmul_into(&z(&[0, 4, 5]), &z(&[0, 5, 3]), &mut out, path);
+            assert_eq!(out.shape(), &[0, 4, 3]);
+            batch_matmul_into(&z(&[2, 4, 0]), &z(&[2, 0, 3]), &mut out, path);
+            assert_eq!(out.shape(), &[2, 4, 3]);
+            assert!(out.data().iter().all(|&v| v.to_bits() == 0));
+            conv2d_into(
+                &z(&[0, 3, 8, 8]),
+                &z(&[2, 3, 3, 3]),
+                None,
+                Conv2dParams::same(3),
+                &mut out,
+                path,
+            );
+            assert_eq!(out.shape(), &[0, 2, 8, 8]);
+        }
     }
 
     #[test]
