@@ -456,6 +456,22 @@ impl QuantConfig {
         matches!(self.act_format, DataFormat::Fp8(f) if f.direct_quantization())
     }
 
+    /// True when quantizing a row of an activation tensor never reads the
+    /// tensor's other rows: static, per-tile or (direct quantization) unit
+    /// scales — anything but a dynamic per-tensor scale, FP8 or INT8. Rows
+    /// of different requests can then share one tensor without moving a
+    /// bit of either, so the serving engine gathers decode steps only under
+    /// such a config.
+    pub fn row_independent_acts(&self) -> bool {
+        let per_tile = matches!(self.act_granularity, ActGranularity::PerTile(_));
+        match self.act_format {
+            DataFormat::Fp8(_) => {
+                self.approach == Approach::Static || self.direct_activation_quant() || per_tile
+            }
+            DataFormat::Int8 => self.approach == Approach::Static,
+        }
+    }
+
     /// Short human-readable label, e.g. `E4M3/static` or
     /// `E4M3:E3M4/static` for mixed formats.
     pub fn label(&self) -> String {
@@ -497,6 +513,25 @@ mod tests {
         assert!(QuantConfig::fp8(Fp8Format::E5M2).direct_activation_quant());
         assert!(!QuantConfig::fp8(Fp8Format::E4M3).direct_activation_quant());
         assert!(!QuantConfig::int8().direct_activation_quant());
+    }
+
+    #[test]
+    fn only_dynamic_per_tensor_scales_tie_rows_together() {
+        let dynamic = |c: QuantConfig| c.with_approach(Approach::Dynamic);
+        let e4m3 = QuantConfig::fp8(Fp8Format::E4M3);
+        for (c, independent) in [
+            (e4m3.clone(), true),
+            (dynamic(e4m3.clone()), false),
+            (dynamic(QuantConfig::fp8(Fp8Format::E5M2)), true),
+            (
+                dynamic(e4m3.with_act_granularity(ActGranularity::PerTile(8))),
+                true,
+            ),
+            (QuantConfig::int8(), true),
+            (dynamic(QuantConfig::int8()), false),
+        ] {
+            assert_eq!(c.row_independent_acts(), independent, "{}", c.label());
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! [`crate::QuantizedModel`] executes whole windows; this module is the
 //! core-level wrapper that turns one into a *stateful token generator*.
-//! It owns the three moving parts the nn layer keeps separate —
-//! [`DecodePlan`] (the step schedule), [`DecodeState`] (the KV cache
-//! plus step buffers) and the model's [`crate::QuantHook`] — and
-//! exposes the natural decoding surface:
+//! It owns the moving parts the nn layer keeps separate —
+//! [`DecodePlan`] (the step schedule), [`DecodeState`] (the KV cache and
+//! position), the [`StepBuffers`] its passes run in and the model's
+//! [`crate::QuantHook`] — and exposes the natural decoding surface:
 //!
 //! * [`DecodeSession::prefill`] — run the prompt's `p` tokens through
 //!   the step schedule in blocks of rows (work that grows with the
@@ -23,7 +23,7 @@
 //! both executors and both kernel paths.
 
 use crate::quantizer::QuantizedModel;
-use ptq_nn::{DecodePlan, DecodeState, PtqError};
+use ptq_nn::{DecodePlan, DecodeState, PtqError, StepBuffers};
 use ptq_tensor::Tensor;
 
 /// A stateful decoding session over a quantized model. See the module
@@ -34,6 +34,7 @@ pub struct DecodeSession {
     model: QuantizedModel,
     plan: DecodePlan,
     state: DecodeState,
+    bufs: StepBuffers,
 }
 
 impl DecodeSession {
@@ -43,8 +44,12 @@ impl DecodeSession {
     /// causal decoder.
     pub fn new(model: QuantizedModel, seq: usize) -> Result<Self, PtqError> {
         let plan = model.graph.plan_decode(seq)?;
-        let state = DecodeState::new(&plan);
-        Ok(DecodeSession { model, plan, state })
+        Ok(DecodeSession {
+            model,
+            plan,
+            state: DecodeState::default(),
+            bufs: StepBuffers::default(),
+        })
     }
 
     /// Run the prompt through the step schedule, seed the KV cache and
@@ -57,6 +62,7 @@ impl DecodeSession {
         self.state.prefill(
             &self.plan,
             &self.model.graph,
+            &mut self.bufs,
             &Tensor::from_slice(prompt),
             &mut hook,
         )
@@ -67,8 +73,9 @@ impl DecodeSession {
     /// [`PtqError::KvCache`] once the window capacity is reached.
     pub fn step(&mut self, token: f32) -> Result<Tensor, PtqError> {
         let mut hook = self.model.hook();
+        let (plan, graph) = (&self.plan, &self.model.graph);
         self.state
-            .step(&self.plan, &self.model.graph, token, &mut hook)
+            .step(plan, graph, &mut self.bufs, token, &mut hook)
     }
 
     /// Greedy decoding: prefill on `prompt`, then argmax-and-feed-back

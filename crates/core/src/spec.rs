@@ -52,7 +52,7 @@ pub struct ServeSpec {
     /// Default per-request deadline (ms) applied when a request does not
     /// carry its own; None = no deadline.
     pub default_deadline_ms: Option<usize>,
-    /// Worker threads, each running one request at a time — the engine's
+    /// Worker threads, each running one dispatch at a time — the engine's
     /// only request-level parallelism. 0 = one per available core
     /// (resolved at engine construction).
     pub workers: usize,

@@ -16,7 +16,7 @@ use ptq_fp8::Fp8Format;
 use ptq_models::families::nlp::{decoder_graph, decoder_workload};
 use ptq_models::families::NlpConfig;
 use ptq_models::{build_zoo_limited, Workload, ZooFilter};
-use ptq_nn::{DecodeState, ExecHook, Graph, NoopHook};
+use ptq_nn::{DecodeState, ExecHook, Graph, NoopHook, StepBuffers};
 use ptq_tensor::ops::KernelPath;
 use ptq_tensor::{KvCache, KvCachePolicy, KvSide, Tensor, TensorRng};
 
@@ -94,16 +94,24 @@ fn check_bit_identity(
     what: &str,
 ) {
     let plan = graph.plan_decode(seq).unwrap_ok();
-    let mut state = DecodeState::new(&plan);
+    let (mut state, mut bufs) = (DecodeState::default(), StepBuffers::default());
     let mut tokens = prompt.to_vec();
     let logits = state
-        .prefill(&plan, graph, &Tensor::from_slice(prompt), &mut hook)
+        .prefill(
+            &plan,
+            graph,
+            &mut bufs,
+            &Tensor::from_slice(prompt),
+            &mut hook,
+        )
         .unwrap_ok();
     assert_bits_equal(logits.data(), &oracle(&tokens), &format!("{what}: prefill"));
     let mut next = (tokens.len() % 3) as f32;
     while state.pos() < seq {
         tokens.push(next);
-        let logits = state.step(&plan, graph, next, &mut hook).unwrap_ok();
+        let logits = state
+            .step(&plan, graph, &mut bufs, next, &mut hook)
+            .unwrap_ok();
         assert_bits_equal(
             logits.data(),
             &oracle(&tokens),
@@ -303,11 +311,12 @@ fn rows_from_split(
     hook: &mut dyn ExecHook,
 ) -> Vec<Tensor> {
     let plan = graph.plan_decode(seq).unwrap_ok();
-    let mut state = DecodeState::new(&plan);
-    let first = state.prefill(&plan, graph, &Tensor::from_slice(&tokens[..s]), hook);
+    let (mut state, mut bufs) = (DecodeState::default(), StepBuffers::default());
+    let prompt = Tensor::from_slice(&tokens[..s]);
+    let first = state.prefill(&plan, graph, &mut bufs, &prompt, hook);
     let mut rows = vec![first.unwrap_ok()];
     for &tok in &tokens[s..] {
-        rows.push(state.step(&plan, graph, tok, hook).unwrap_ok());
+        rows.push(state.step(&plan, graph, &mut bufs, tok, hook).unwrap_ok());
     }
     rows
 }
@@ -424,6 +433,102 @@ fn a_failed_prompt_leaves_the_session_reset_and_reusable() {
     assert!(matches!(err, PtqError::InvalidInput { .. }), "{err:?}");
     let got = session.prefill(&prompt).unwrap_ok();
     assert_bits_equal(got.data(), want.data(), "prefill after a failed prompt");
+}
+
+/// Sessions with ragged prompts (one a step short of the window) driven to
+/// the end of the window, every step one gathered pass over the sessions
+/// with room left: each row must equal that session's own step bit for
+/// bit, and, where `oracle` answers, the full-window row.
+fn check_gathered_steps(
+    graph: &Graph,
+    seq: usize,
+    vocab: usize,
+    hook: &mut dyn ExecHook,
+    mut oracle: impl FnMut(&[f32]) -> Option<Vec<f32>>,
+    what: &str,
+) {
+    let plan = graph.plan_decode(seq).unwrap_ok();
+    let mut bufs = StepBuffers::default();
+    let lens = [1, 2, 3, seq - 1];
+    let mut tokens: Vec<Vec<f32>> = (0..lens.len())
+        .map(|s| (0..lens[s]).map(|i| ((3 * i + s) % vocab) as f32).collect())
+        .collect();
+    let (mut solo, mut gathered) = (Vec::new(), Vec::new());
+    for t in &tokens {
+        for states in [&mut solo, &mut gathered] {
+            let mut st = DecodeState::default();
+            let prompt = Tensor::from_slice(t);
+            st.prefill(&plan, graph, &mut bufs, &prompt, hook)
+                .unwrap_ok();
+            states.push(st);
+        }
+    }
+    loop {
+        let live: Vec<usize> = (0..lens.len())
+            .filter(|&s| gathered[s].pos() < seq)
+            .collect();
+        if live.is_empty() {
+            return;
+        }
+        let next: Vec<f32> = live
+            .iter()
+            .map(|&s| ((5 * tokens[s].len() + s) % vocab) as f32)
+            .collect();
+        let want: Vec<Tensor> = live
+            .iter()
+            .zip(&next)
+            .map(|(&s, &t)| solo[s].step(&plan, graph, &mut bufs, t, hook).unwrap_ok())
+            .collect();
+        let mut streams: Vec<(&mut DecodeState, f32)> = gathered
+            .iter_mut()
+            .filter(|st| st.pos() < seq)
+            .zip(next.iter().copied())
+            .collect();
+        DecodeState::step_many(&plan, graph, &mut bufs, &mut streams, hook).unwrap_ok();
+        for (r, (&s, &t)) in live.iter().zip(&next).enumerate() {
+            tokens[s].push(t);
+            let got = bufs.logits(&plan, r);
+            let at = format!("{what}: session {s} at {}", tokens[s].len());
+            assert_bits_equal(got.data(), want[r].data(), &at);
+            if let Some(row) = oracle(&tokens[s]) {
+                assert_bits_equal(got.data(), &row, &format!("{at} vs the window"));
+            }
+        }
+    }
+}
+
+#[test]
+fn gathered_steps_are_each_sessions_own_step_across_the_zoo() {
+    let e4m3 = QuantConfig::fp8(Fp8Format::E4M3);
+    let recipes = [
+        e4m3.clone(),
+        e4m3.clone().with_kernel_path(KernelPath::ScalarReference),
+        e4m3.clone()
+            .with_act_granularity(ActGranularity::PerTile(8)),
+        e4m3.clone().with_kv_storage(KvStorage::Fp8 {
+            format: Fp8Format::E5M2,
+        }),
+    ];
+    for cfg in decoder_zoo() {
+        let w = decoder_workload("gpt_like", &cfg);
+        let (g, seq) = (&w.graph, cfg.seq);
+        let name = &w.spec.name;
+        let window = |t: &[f32]| Some(full_window_row(g, seq, t, &mut NoopHook, true));
+        check_gathered_steps(g, seq, cfg.vocab, &mut NoopHook, window, name);
+        for (r, recipe) in recipes.iter().enumerate() {
+            assert!(recipe.row_independent_acts());
+            let m = PtqSession::new(recipe.clone())
+                .quantize(&w)
+                .unwrap_ok()
+                .model;
+            // An f32 cache is also the window's row under a static hook.
+            let f32_kv = recipe.kv_storage == KvStorage::F32;
+            let window =
+                |t: &[f32]| f32_kv.then(|| full_window_row(&m.graph, seq, t, &mut m.hook(), true));
+            let what = format!("{name} recipe {r} ({})", recipe.label());
+            check_gathered_steps(&m.graph, seq, cfg.vocab, &mut m.hook(), window, &what);
+        }
+    }
 }
 
 proptest! {

@@ -4,88 +4,70 @@
 //! over a full `[seq]` window every call — O(seq²) attention work per
 //! generated token. This module runs it incrementally instead:
 //!
-//! * [`Graph::plan_decode`] pattern-matches every causal attention
-//!   group in the graph (the `q/k/v → reshape → permute → scores →
-//!   scale → mask → softmax → context` motif the model-zoo builder
-//!   emits) and compiles **one step schedule** that runs the whole
-//!   network on `m` new token rows `[m, d]`, serving attention from a
-//!   [`KvCache`] instead of recomputing K/V for the whole window.
-//! * [`DecodeState`] owns the cache plus the step-persistent value slots
-//!   (every step writes into the same tensors — the step arena pins all
-//!   values for the step) and drives `prefill` / `step`. Both run the
-//!   same loop body and differ only in the row count: `step` is one row,
-//!   `prefill` is the prompt in blocks of `PREFILL_ROWS` rows (every
-//!   weight decoded once per block, not once per token), then a seal of
-//!   the cache (below). There is no full-window production path.
+//! * [`Graph::plan_decode`] pattern-matches every causal attention group
+//!   (the `q/k/v → reshape → permute → scores → scale → mask → softmax →
+//!   context` motif the model-zoo builder emits) and compiles **one step
+//!   schedule** that runs the network on `m` new token rows `[m, d]`,
+//!   serving attention from a [`KvCache`] instead of recomputing K/V.
+//! * [`DecodeState`] is one session: its cache and next position. Passes
+//!   run in [`StepBuffers`] owned by the runner (a session object, a
+//!   serving worker), over rows in **segments**, one per session: tokens
+//!   at consecutive positions from the session's position, appended to and
+//!   attending its cache alone. `step` is one segment of one row;
+//!   `prefill` the prompt in blocks of [`PREFILL_ROWS`] rows, then a seal
+//!   of the cache (below); [`DecodeState::step_many`] one single-row
+//!   segment per session — every weight decoded once per pass, not per row.
 //!
 //! ## The step schedule
 //!
 //! Per node, the planner picks one of six step ops:
 //!
-//! * **Eval** — run the node unchanged through the shared
-//!   `exec::run_node` (the same `before_node` → `bind` → kernel →
-//!   `after_node` path as the reference loop and the planned executor), so
-//!   quantization hooks observe the step exactly as they would a full
-//!   pass.
-//! * **AddPosRows / ReshapeRows** — the two ops whose own parameters name
-//!   the window, cut to the rows at hand: an `AddParam` over a
-//!   full-window table (positional embeddings `[seq, d]`) adds only the
-//!   table rows of the step's positions, and a `Reshape` whose target
-//!   leads with `seq` leads with `m` instead. Broadcasting the full
-//!   table or target would silently widen the step to `[seq, d]`.
-//! * **Scores / Context** — the two attention `BatchMatMul`s, served by
-//!   [`attention_step_q`] / [`attention_step_v`] against the cache.
-//!   These cache-backed ops are hook-invisible: the full-window operands
-//!   they would need do not exist step-wise.
-//! * **Skip** — the K/V `reshape`/`permute` glue whose outputs only feed
-//!   a cache-backed op.
+//! * **Eval** — the node unchanged through the shared `exec::run_node`
+//!   (the hook protocol of the reference loop and the planned executor).
+//! * **AddPosRows / ReshapeRows** — the two ops whose parameters name the
+//!   window, cut to the rows at hand: each row adds its position's row of
+//!   a `[seq, ·]` positional table, and a `Reshape` target that leads with
+//!   `seq` leads with `m`.
+//! * **MaskRows** — the `CausalMask` per row: row `r` at position `p`
+//!   keeps keys `0..=p` (for one segment, the graph's bottom-aligned mask).
+//!   Like AddPosRows it keeps `before_node`/`after_node`.
+//! * **Attn** — the attention `BatchMatMul`s, scores against the K cache
+//!   and context against V: [`attention_step_q`] / [`attention_step_v`]
+//!   over each segment's cache (scores `[heads, m, l]`, `l` the longest).
+//!   Hook-invisible: their full-window operands do not exist.
+//! * **Skip** — the K/V `reshape`/`permute` glue that only feeds those.
 //!
-//! K and V source rows are appended to the cache immediately after their
-//! producing node evaluates — topologically before the attention that
-//! reads them, so position `t` attends to itself like the full window's
-//! causal row `t`; within a block of `m` rows the graph's own
-//! bottom-aligned `CausalMask` hides row `i`'s successors from it.
+//! K and V rows are appended to their segment's cache right after their
+//! producing node evaluates, before the attention that reads them.
 //!
 //! ## Prefill: stage, then seal
 //!
-//! A cache policy with a static scale needs the prompt's K/V rows before
-//! it can store any of them, so `prefill` stages the prompt in an f32
-//! cache — every prompt position attends the exact rows, as row `t` of a
-//! full-window forward does — and then **seals** it: each buffer is
-//! re-stored under `hook.bind(k_src | v_src).kv`, a pending static scale
-//! calibrated from the staged rows ([`KvCache::seal`]). Buffers whose
-//! policy is f32 are left as staged; generated tokens read the sealed
-//! cache.
+//! A static cache scale needs the prompt's K/V rows before it can store
+//! any, so `prefill` stages the prompt in an f32 cache (prompt positions
+//! attend exact rows, as in a window forward) and then **seals** it: each
+//! buffer is re-stored under `hook.bind(k_src | v_src).kv`, a pending
+//! static scale calibrated from the staged rows ([`KvCache::seal`]).
 //!
 //! ## Bit-identity (the equivalence oracle)
 //!
 //! With [`KvCachePolicy::F32`] the token at position `t` — prompt or
 //! generated — is bit-identical to row `t` of a full-window forward over
 //! the same prefix (zero-padded to `seq`): every decoder op is
-//! row-independent, the bottom-aligned causal mask makes row `t` blind to
-//! later rows and to the padding, the softmax −inf tail contributes exact
-//! `+0.0`s, and the step kernels replicate `batch_matmul`'s accumulation
-//! chains (see `ptq_tensor::ops::attn` and DESIGN.md §16). The
-//! full-window forward is the oracle the tests compare against, not a
-//! path this module runs. This holds for hooks whose per-op behaviour is
-//! shape-independent: `NoopHook`, weight-only and *static*-scale or
-//! per-tile activation quantization over the standard `{Conv2d, Linear,
-//! Embedding}` coverage. Dynamic per-tensor activation scales are
-//! recomputed per tensor at hand — a block of prompt rows at prefill
-//! (real rows only, never window padding), one `[1, d]` row per step —
-//! so decode is then deterministic but not bit-equal to the window
-//! forward.
-//!
-//! With an FP8 cache the only deviation is the cache's own storage
-//! rounding; scale calibration follows the session's static-vs-dynamic
-//! convention (static per-tensor scale from the prompt's rows via
-//! [`KvCachePolicy::calibrated`], per-row dynamic fallback otherwise).
+//! row-independent, the causal mask hides later rows and the padding,
+//! whose softmax entries are exact `+0.0`s the context kernel skips, and
+//! the step kernels keep `batch_matmul`'s chains (DESIGN.md §16). A
+//! gathered row is its session's own step plus a −inf mask tail past its
+//! cache, so it is bit-identical to that step. Both hold for hooks whose
+//! per-row behaviour is shape-independent (static or per-tile scales);
+//! dynamic per-tensor scales are taken over the tensor at hand, so decode
+//! is then deterministic but depends on where blocks end. An FP8 cache
+//! adds only its own storage rounding.
 
 use crate::error::{PtqError, Shape};
 use crate::exec::{run_node, NodeScratch};
 use crate::graph::{Graph, Node, NodeId, Op, ValueId};
 use crate::interp::ExecHook;
-use ptq_tensor::ops::{attention_step_q, attention_step_v};
+use ptq_tensor::ops::{attention_step_q, attention_step_v, KvSegments};
 use ptq_tensor::{KvCache, KvCachePolicy, KvError, KvSide, Tensor};
 use std::collections::HashMap;
 
@@ -112,23 +94,16 @@ enum StepOp {
     /// Evaluate through the shared kernel dispatch with the full hook
     /// protocol.
     Eval,
-    /// `AddParam` over a full-window table: add the step's rows only.
-    AddPosRows {
-        /// The table's parameter value.
-        param: ValueId,
-    },
+    /// `AddParam` over a full-window table (this parameter): add each
+    /// row's own table row.
+    AddPosRows(ValueId),
     /// `Reshape` whose target leads with the window: lead with `m`.
     ReshapeRows,
-    /// Attention scores against the K cache of `group`.
-    Scores {
-        /// Index into the plan's attention groups.
-        group: usize,
-    },
-    /// Attention context against the V cache of `group`.
-    Context {
-        /// Index into the plan's attention groups.
-        group: usize,
-    },
+    /// `CausalMask` over `[heads, m, l]` scores: each row by its position.
+    MaskRows,
+    /// The attention bmm of `groups[group]` served by its `side` cache:
+    /// scores against K, context against V.
+    Attn { group: usize, side: KvSide },
     /// K/V-side shape glue with no step-time output.
     Skip,
 }
@@ -154,8 +129,6 @@ pub struct DecodePlan {
     n_values: usize,
     /// The logits value (single graph output).
     output: ValueId,
-    /// Widest step-node arity (sizes the staging buffers).
-    max_arity: usize,
 }
 
 /// Shorthand for the planner's rejection error.
@@ -164,6 +137,17 @@ fn unsupported(node: &Node, detail: impl Into<String>) -> PtqError {
         node: node.name.clone(),
         detail: detail.into(),
     }
+}
+
+/// The parameter `value` of `node` (an `AddParam`'s table).
+fn param<'g>(graph: &'g Graph, node: &Node, value: ValueId) -> Result<&'g Tensor, PtqError> {
+    graph
+        .params
+        .get(&value)
+        .ok_or_else(|| PtqError::UnboundParam {
+            value,
+            node: node.name.clone(),
+        })
 }
 
 impl Graph {
@@ -225,13 +209,13 @@ impl Graph {
         }
 
         // Node -> role lookup tables.
-        let mut scores_of: HashMap<NodeId, usize> = HashMap::new();
-        let mut context_of: HashMap<NodeId, usize> = HashMap::new();
+        let mut attn_of: HashMap<NodeId, StepOp> = HashMap::new();
         let mut appends: Vec<Vec<(usize, KvSide)>> = vec![Vec::new(); graph.nodes.len()];
         let mut skip: Vec<bool> = vec![false; graph.nodes.len()];
         for (gi, g) in groups.iter().enumerate() {
-            scores_of.insert(g.scores, gi);
-            context_of.insert(g.context, gi);
+            for (n, side) in [(g.scores, KvSide::K), (g.context, KvSide::V)] {
+                attn_of.insert(n, StepOp::Attn { group: gi, side });
+            }
             appends[g.k_src].push((gi, KvSide::K));
             appends[g.v_src].push((gi, KvSide::V));
             for side_val in [
@@ -254,20 +238,17 @@ impl Graph {
         for (i, node) in graph.nodes.iter().enumerate() {
             let op = if skip[i] {
                 StepOp::Skip
-            } else if let Some(&g) = scores_of.get(&i) {
-                StepOp::Scores { group: g }
-            } else if let Some(&g) = context_of.get(&i) {
-                StepOp::Context { group: g }
+            } else if let Some(op) = attn_of.remove(&i) {
+                op
             } else {
                 match &node.op {
                     Op::Reshape(t) if t.first() == Some(&seq) => StepOp::ReshapeRows,
-                    Op::AddParam { param } => {
-                        let table = graph.params.get(param).ok_or(PtqError::UnboundParam {
-                            value: *param,
-                            node: node.name.clone(),
-                        })?;
+                    // Every mask anchors a matched group (or planning failed).
+                    Op::CausalMask => StepOp::MaskRows,
+                    Op::AddParam { param: p } => {
+                        let table = param(graph, node, *p)?;
                         if table.ndim() >= 2 && table.dim(0) == seq {
-                            StepOp::AddPosRows { param: *param }
+                            StepOp::AddPosRows(*p)
                         } else {
                             StepOp::Eval
                         }
@@ -284,7 +265,6 @@ impl Graph {
                     | Op::Tanh
                     | Op::Softmax
                     | Op::Scale(_)
-                    | Op::CausalMask
                     | Op::Permute(_)
                     | Op::Reshape(_) => StepOp::Eval,
                     Op::MatMul | Op::BatchMatMul => {
@@ -313,12 +293,6 @@ impl Graph {
             n_nodes: graph.nodes.len(),
             n_values: graph.n_values,
             output: graph.outputs[0],
-            max_arity: graph
-                .nodes
-                .iter()
-                .map(|n| n.inputs.len())
-                .max()
-                .unwrap_or(0),
         };
         plan.check_step_shapes(graph)?;
         Ok(plan)
@@ -479,7 +453,7 @@ impl DecodePlan {
         for (i, node) in graph.nodes.iter().enumerate() {
             let out = match &self.steps[i] {
                 StepOp::Skip => continue,
-                StepOp::Eval => graph.infer_node_shape(node, &shapes)?,
+                StepOp::Eval | StepOp::MaskRows => graph.infer_node_shape(node, &shapes)?,
                 StepOp::ReshapeRows => {
                     let mut row = node.clone();
                     if let Op::Reshape(t) = &mut row.op {
@@ -487,17 +461,9 @@ impl DecodePlan {
                     }
                     graph.infer_node_shape(&row, &shapes)?
                 }
-                StepOp::AddPosRows { param } => {
-                    let table = graph.params.get(param).ok_or(PtqError::UnboundParam {
-                        value: *param,
-                        node: node.name.clone(),
-                    })?;
-                    let x = shapes[node.inputs[0]]
-                        .clone()
-                        .ok_or(PtqError::UseBeforeDef {
-                            value: node.inputs[0],
-                            node: node.name.clone(),
-                        })?;
+                StepOp::AddPosRows(p) => {
+                    let table = param(graph, node, *p)?;
+                    let x = shapes[node.inputs[0]].clone().unwrap_or_default();
                     if x.len() != table.ndim() || x[0] != 1 || x[1..] != table.shape()[1..] {
                         return Err(PtqError::ShapeMismatch {
                             node: node.name.clone(),
@@ -510,10 +476,10 @@ impl DecodePlan {
                     x
                 }
                 // Query rows in, score rows out — or the reverse.
-                StepOp::Scores { group } | StepOp::Context { group } => {
+                StepOp::Attn { group, side } => {
                     let g = &self.groups[*group];
                     let (q, s) = (vec![g.heads, 1, g.dh], vec![g.heads, 1, self.seq]);
-                    let scores = matches!(self.steps[i], StepOp::Scores { .. });
+                    let scores = *side == KvSide::K;
                     let (want, out) = if scores { (q, s) } else { (s, q) };
                     let got = shapes[node.inputs[0]].clone();
                     if got.as_deref() != Some(&want[..]) {
@@ -538,49 +504,42 @@ impl DecodePlan {
 
     /// Cheap structural compatibility check before touching the graph.
     fn check_compat(&self, graph: &Graph) -> Result<(), PtqError> {
-        if graph.nodes.len() != self.n_nodes || graph.n_values != self.n_values {
-            return Err(PtqError::InvalidTarget {
-                detail: format!(
-                    "decode plan was built for a graph with {} nodes / {} values, got {} / {}",
-                    self.n_nodes,
-                    self.n_values,
-                    graph.nodes.len(),
-                    graph.n_values
-                ),
-            });
+        let (built, got) = (
+            (self.n_nodes, self.n_values),
+            (graph.nodes.len(), graph.n_values),
+        );
+        if built != got {
+            let detail = format!("decode plan built for (nodes, values) {built:?}, got {got:?}");
+            return Err(PtqError::InvalidTarget { detail });
         }
         Ok(())
     }
 }
 
-/// Prompt rows `prefill` runs through the step schedule at a time: enough
-/// that a block's MACs dwarf the per-call weight decode every step pays,
-/// few enough that the step buffers stay small whatever the prompt length
-/// and each block attends only the positions up to its own end. Measured
-/// flat from 8 to 64 at d 64; at d 128 blocks past 16 push the linears
-/// over the thread fan-out cutoff, which costs more than it returns there.
-const PREFILL_ROWS: usize = 16;
+/// Rows of a prompt block, and the most a serving worker gathers into one
+/// step: enough that a pass's MACs dwarf its per-call weight decode, few
+/// enough that the buffers stay small. Flat from 8 to 64 at d 64; at d 128
+/// passes past 16 rows push the linears over the thread fan-out cutoff,
+/// which costs more than it returns there.
+pub const PREFILL_ROWS: usize = 16;
 
-/// Mutable decode session state: the KV cache plus step-persistent value
-/// slots. One `DecodeState` serves one generation session; `reset` (or a
-/// fresh `prefill`) starts another without dropping warmed buffers.
+/// One decode session: its KV cache and next position — all it holds
+/// between passes (the buffers a pass runs in are its runner's
+/// [`StepBuffers`]). `reset` (or a fresh `prefill`) starts another.
 #[derive(Debug, Default)]
 pub struct DecodeState {
-    /// Per-layer K/V cache; built by `prefill` (policies need the prompt's
-    /// activations to calibrate static scales).
+    /// Per-layer K/V cache, built by `prefill`.
     cache: Option<KvCache>,
-    /// The buffers a step runs in.
-    bufs: StepBuffers,
     /// Next absolute position (= tokens consumed so far).
     pos: usize,
 }
 
-/// Step-persistent buffers, reused by every step of every session.
+/// The buffers a decode pass runs in, owned by whoever runs passes (a
+/// `DecodeSession`, each serving worker) and reused by every pass of every
+/// session after: steady-state passes allocate no intermediate tensor.
 #[derive(Debug, Default)]
-struct StepBuffers {
-    /// One step-persistent tensor per graph value. Sized on first use,
-    /// reused (via `reuse_as`) every step after — steady-state steps
-    /// perform no intermediate-tensor allocation.
+pub struct StepBuffers {
+    /// One tensor per graph value, reused (via `reuse_as`) by every pass.
     values: Vec<Tensor>,
     /// Hook-visible input staging, as in the planned executor.
     staging: Vec<Tensor>,
@@ -588,17 +547,19 @@ struct StepBuffers {
     node: NodeScratch,
     /// Staging for a `ReshapeRows` target.
     shape: Shape,
+    /// Absolute position of each row of the pass.
+    pos: Vec<usize>,
+}
+
+/// One session's rows in a pass: `tokens` at consecutive positions from
+/// `pos`, appended to and attending `cache` only.
+struct Segment<'a> {
+    cache: &'a mut KvCache,
+    pos: usize,
+    tokens: &'a [f32],
 }
 
 impl DecodeState {
-    /// Fresh state sized for `plan`.
-    pub fn new(plan: &DecodePlan) -> Self {
-        DecodeState {
-            bufs: StepBuffers::new(plan),
-            ..DecodeState::default()
-        }
-    }
-
     /// Next absolute position (tokens consumed so far).
     pub fn pos(&self) -> usize {
         self.pos
@@ -614,7 +575,7 @@ impl DecodeState {
         self.cache.as_ref().map_or(0, KvCache::cache_bytes)
     }
 
-    /// Forget the session (cache and position); keeps warmed buffers.
+    /// Forget the session (cache and position).
     pub fn reset(&mut self) {
         self.cache = None;
         self.pos = 0;
@@ -635,24 +596,17 @@ impl DecodeState {
         &mut self,
         plan: &DecodePlan,
         graph: &Graph,
+        bufs: &mut StepBuffers,
         prompt: &Tensor,
         hook: &mut dyn ExecHook,
     ) -> Result<Tensor, PtqError> {
         plan.check_compat(graph)?;
-        if prompt.ndim() != 1 {
-            return Err(PtqError::InvalidInput {
-                node: "decode.prefill".into(),
-                detail: format!(
-                    "prompt must be a rank-1 id tensor, got {:?}",
-                    prompt.shape()
-                ),
-            });
-        }
         let p = prompt.len();
-        if p == 0 {
+        if prompt.ndim() != 1 || p == 0 {
+            let shape = prompt.shape();
             return Err(PtqError::InvalidInput {
                 node: "decode.prefill".into(),
-                detail: "zero-length prefill: a session needs at least one prompt token".into(),
+                detail: format!("prompt must be a non-empty rank-1 id tensor, got {shape:?}"),
             });
         }
         if p > plan.seq {
@@ -665,13 +619,14 @@ impl DecodeState {
         self.reset();
         let layers = plan.groups.len();
         let mut cache = KvCache::uniform(layers, plan.d_model, plan.seq, KvCachePolicy::F32);
-        // Blocks run in buffers of their own, dropped with this call: what
-        // a session holds between dispatches stays one row per value.
-        let mut bufs = StepBuffers::new(plan);
         let mut appended = 0u64;
-        for (c, rows) in prompt.data().chunks(PREFILL_ROWS).enumerate() {
-            let t0 = c * PREFILL_ROWS;
-            appended += bufs.run_rows(plan, graph, &mut cache, t0, rows, hook)?;
+        for (c, tokens) in prompt.data().chunks(PREFILL_ROWS).enumerate() {
+            let block = Segment {
+                cache: &mut cache,
+                pos: c * PREFILL_ROWS,
+                tokens,
+            };
+            appended += bufs.run_rows(plan, graph, &mut [block], hook)?;
         }
         for (layer, g) in plan.groups.iter().enumerate() {
             for (src, side) in [(g.k_src, KvSide::K), (g.v_src, KvSide::V)] {
@@ -688,8 +643,7 @@ impl DecodeState {
             sp.record_int("cache_bytes", self.cache_bytes() as i64);
         }
         drop(sp);
-        let last = (p - 1) % PREFILL_ROWS;
-        Ok(Tensor::from_slice(bufs.values[plan.output].row(last)))
+        Ok(bufs.logits(plan, (p - 1) % PREFILL_ROWS))
     }
 
     /// Decode one token at the next position: append its K/V rows to the
@@ -699,61 +653,80 @@ impl DecodeState {
         &mut self,
         plan: &DecodePlan,
         graph: &Graph,
+        bufs: &mut StepBuffers,
         token: f32,
         hook: &mut dyn ExecHook,
     ) -> Result<Tensor, PtqError> {
+        DecodeState::step_many(plan, graph, bufs, &mut [(self, token)], hook)?;
+        Ok(bufs.logits(plan, 0))
+    }
+
+    /// [`DecodeState::step`] for several sessions in one pass of
+    /// `streams.len()` rows, every weight decoded once for all of them:
+    /// row `i` is `streams[i]`'s token at its state's next position,
+    /// against that state's cache alone; its logits are
+    /// [`StepBuffers::logits`]`(plan, i)` afterwards. A row is bit-identical
+    /// to its session's own `step` when the hook's activation scales do
+    /// not depend on the other rows of a tensor (static or per-tile, not
+    /// dynamic per-tensor). Nothing runs if any state is unprefilled or
+    /// full.
+    pub fn step_many(
+        plan: &DecodePlan,
+        graph: &Graph,
+        bufs: &mut StepBuffers,
+        streams: &mut [(&mut DecodeState, f32)],
+        hook: &mut dyn ExecHook,
+    ) -> Result<(), PtqError> {
         plan.check_compat(graph)?;
-        let DecodeState { cache, bufs, pos } = self;
-        let Some(cache) = cache.as_mut() else {
-            return Err(PtqError::InvalidInput {
-                node: "decode.step".into(),
-                detail: "step before prefill: run prefill to seed the cache".into(),
-            });
-        };
-        if *pos >= plan.seq {
-            return Err(PtqError::KvCache(KvError::CapacityOverflow {
-                capacity: plan.seq,
-            }));
+        let mut segs = Vec::with_capacity(streams.len());
+        for (state, token) in streams.iter_mut() {
+            let Some(cache) = state.cache.as_mut() else {
+                return Err(PtqError::InvalidInput {
+                    node: "decode.step".into(),
+                    detail: "step before prefill: run prefill to seed the cache".into(),
+                });
+            };
+            if state.pos >= plan.seq {
+                return Err(PtqError::KvCache(KvError::CapacityOverflow {
+                    capacity: plan.seq,
+                }));
+            }
+            let (pos, tokens) = (state.pos, std::slice::from_ref(token));
+            segs.push(Segment { cache, pos, tokens });
         }
-        let t = *pos;
         let mut sp = ptq_trace::span(ptq_trace::Level::Info, "decode.step");
-        let appended = bufs.run_rows(plan, graph, cache, t, &[token], hook)?;
-        *pos = t + 1;
+        let appended = bufs.run_rows(plan, graph, &mut segs, hook)?;
         if appended > 0 {
             ptq_trace::counter(ptq_trace::Level::Info, "kv.appended", appended, &[]);
         }
         if sp.active() {
-            sp.record_int("pos", t as i64);
-            sp.record_int("kv_len", *pos as i64);
-            sp.record_int("cache_bytes", cache.cache_bytes() as i64);
+            let longest = segs.iter().map(|s| s.cache.len()).max().unwrap_or(0);
+            sp.record_int("rows", segs.len() as i64);
+            sp.record_int("kv_len", longest as i64);
         }
-        drop(sp);
-        Ok(Tensor::from_slice(bufs.values[plan.output].row(0)))
+        drop((sp, segs));
+        for (state, _) in streams {
+            state.pos += 1;
+        }
+        Ok(())
     }
 }
 
 impl StepBuffers {
-    /// Empty buffers for `plan`'s values; each is sized on first use.
-    fn new(plan: &DecodePlan) -> Self {
-        let mut b = StepBuffers::default();
-        b.values.resize_with(plan.n_values, Tensor::default);
-        b.staging.resize_with(plan.max_arity, Tensor::default);
-        b.shape.reserve(4); // room for `[m, heads, dh]`: steps allocate none
-        b
+    /// The logits of row `r` of the last pass (which must have had it).
+    pub fn logits(&self, plan: &DecodePlan, r: usize) -> Tensor {
+        Tensor::from_slice(self.values[plan.output].row(r))
     }
 
-    /// The one loop body of decoding, shared by `prefill` (the prompt's
-    /// rows) and `step` (one row): run `tokens` through the step schedule
-    /// at positions `t0..t0 + tokens.len()` against `cache`, leaving their
-    /// logits rows in the output value slot. Returns the number of K/V
-    /// rows appended.
+    /// The one loop body of decoding: run the segments' tokens through the
+    /// step schedule as one `[m, ·]` pass, each row at its own position
+    /// against its own segment's cache, leaving their logits rows in the
+    /// output value slot. Returns the number of K/V rows appended.
     fn run_rows(
         &mut self,
         plan: &DecodePlan,
         graph: &Graph,
-        cache: &mut KvCache,
-        t0: usize,
-        tokens: &[f32],
+        segs: &mut [Segment<'_>],
         hook: &mut dyn ExecHook,
     ) -> Result<u64, PtqError> {
         let StepBuffers {
@@ -761,14 +734,27 @@ impl StepBuffers {
             staging,
             node: scratch,
             shape,
+            pos,
         } = self;
-        let m = tokens.len();
+        values.resize_with(plan.n_values, Tensor::default);
+        pos.clear();
+        pos.extend(segs.iter().flat_map(|s| s.pos..s.pos + s.tokens.len()));
+        let m = pos.len();
+        if m == 0 {
+            return Ok(0);
+        }
         let mut appended = 0u64;
 
         // The token ids are the graph input's value.
         let ids = &mut values[graph.inputs[0]];
         ids.reuse_as(&[m]);
-        ids.data_mut().copy_from_slice(tokens);
+        for (id, &t) in ids
+            .data_mut()
+            .iter_mut()
+            .zip(segs.iter().flat_map(|s| s.tokens))
+        {
+            *id = t;
+        }
 
         for (i, op) in plan.steps.iter().enumerate() {
             let node = &graph.nodes[i];
@@ -776,49 +762,57 @@ impl StepBuffers {
             match op {
                 StepOp::Skip => continue,
                 // The cache-backed ops read only their query/probs operand;
-                // the K/V operand is the cache.
-                StepOp::Scores { group } => {
+                // the K/V operand is each segment's cache.
+                StepOp::Attn { group, side } => {
                     stage(staging, &srcs[..1], values);
-                    let k = cache.buf(*group, KvSide::K)?;
-                    let out = &mut values[node.output];
-                    attention_step_q(&staging[0], k, out, hook.bind(node).kernel_path);
-                    debug_assert_eq!(out.dim(0), plan.groups[*group].heads);
-                }
-                StepOp::Context { group } => {
-                    stage(staging, &srcs[..1], values);
-                    let v = cache.buf(*group, KvSide::V)?;
-                    let out = &mut values[node.output];
-                    attention_step_v(&staging[0], v, out, hook.bind(node).kernel_path);
-                }
-                StepOp::AddPosRows { param } => {
-                    stage(staging, &srcs[..1], values);
-                    hook.before_node(node, &mut staging[..1]);
-                    let table = graph
-                        .params
-                        .get(param)
-                        .ok_or_else(|| PtqError::UnboundParam {
-                            value: *param,
-                            node: node.name.clone(),
-                        })?;
-                    let x = &staging[0];
-                    let out = &mut values[node.output];
-                    out.reuse_as(x.shape());
-                    let rows = &table.data()[t0 * (x.len() / m)..][..x.len()];
-                    for ((o, &x), &r) in out.data_mut().iter_mut().zip(x.data()).zip(rows) {
-                        *o = x + r;
+                    let path = hook.bind(node).kernel_path;
+                    let many;
+                    let kv = match segs {
+                        [s] => KvSegments::One(s.cache.buf(*group, *side)?),
+                        _ => {
+                            let bufs = segs
+                                .iter()
+                                .map(|s| Ok((s.tokens.len(), s.cache.buf(*group, *side)?)));
+                            many = bufs.collect::<Result<Vec<_>, KvError>>()?;
+                            KvSegments::Many(&many)
+                        }
+                    };
+                    let (x, out) = (&staging[0], &mut values[node.output]);
+                    match side {
+                        KvSide::K => attention_step_q(x, kv, out, path),
+                        KvSide::V => attention_step_v(x, kv, out, path),
                     }
-                    hook.after_node(node, out);
                 }
-                StepOp::ReshapeRows => {
+                // The row-addressed ops: the first input under the hook's
+                // before/after calls, transformed by row position.
+                StepOp::AddPosRows(_) | StepOp::MaskRows | StepOp::ReshapeRows => {
                     stage(staging, &srcs[..1], values);
                     hook.before_node(node, &mut staging[..1]);
                     let out = &mut values[node.output];
                     out.copy_from(&staging[0]);
-                    if let Op::Reshape(target) = &node.op {
-                        shape.clear();
-                        shape.push(m);
-                        shape.extend_from_slice(&target[1..]);
-                        out.reuse_as(shape);
+                    match (op, &node.op) {
+                        (StepOp::AddPosRows(p), _) => {
+                            let (table, w) = (param(graph, node, *p)?, out.len() / m);
+                            for (row, &p) in out.data_mut().chunks_mut(w.max(1)).zip(pos.iter()) {
+                                let t = &table.data()[p * w..][..w];
+                                row.iter_mut().zip(t).for_each(|(o, &t)| *o += t);
+                            }
+                        }
+                        // `[heads, m, l]`: row `r` of every head keeps keys
+                        // `0..=pos[r]`.
+                        (StepOp::MaskRows, _) => {
+                            let l = out.shape().last().map_or(1, |&l| l.max(1));
+                            for (row, &p) in out.data_mut().chunks_mut(l).zip(pos.iter().cycle()) {
+                                row[p + 1..].fill(f32::NEG_INFINITY);
+                            }
+                        }
+                        (_, Op::Reshape(target)) => {
+                            shape.clear();
+                            shape.push(m);
+                            shape.extend_from_slice(&target[1..]);
+                            out.reuse_as(shape);
+                        }
+                        _ => {}
                     }
                     hook.after_node(node, out);
                 }
@@ -829,8 +823,11 @@ impl StepBuffers {
                 }
             }
             for &(layer, side) in &plan.appends[i] {
-                for r in 0..m {
-                    cache.append(layer, side, values[node.output].row(r))?;
+                let mut rows = (0..m).map(|r| values[node.output].row(r));
+                for s in segs.iter_mut() {
+                    for row in rows.by_ref().take(s.tokens.len()) {
+                        s.cache.append(layer, side, row)?;
+                    }
                 }
                 appended += m as u64;
             }
@@ -840,7 +837,10 @@ impl StepBuffers {
 }
 
 /// Copy each step input into its hook-visible staging buffer.
-fn stage(staging: &mut [Tensor], srcs: &[ValueId], values: &[Tensor]) {
+fn stage(staging: &mut Vec<Tensor>, srcs: &[ValueId], values: &[Tensor]) {
+    if staging.len() < srcs.len() {
+        staging.resize_with(srcs.len(), Tensor::default);
+    }
     for (slot, &v) in staging.iter_mut().zip(srcs) {
         slot.copy_from(&values[v]);
     }
@@ -854,6 +854,7 @@ mod tests {
     use crate::exec::{ActBinding, Binding, WeightBinding};
     use crate::interp::NoopHook;
     use ptq_fp8::Fp8Format;
+    use ptq_tensor::ops::KernelPath;
     use ptq_tensor::{ActScale, QTensor, TensorRng};
 
     const SEQ: usize = 8;
@@ -969,6 +970,7 @@ mod tests {
     fn decode_under_q_and_coded_bindings_matches_reference_loop() {
         let g = tiny_decoder(11);
         let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
         for scale in [ActScale::Static(4.0), ActScale::PerTile(5)] {
             let mut hook = CodedLinears::new(&g, scale);
             let oracle = |tokens: &[f32], hook: &mut CodedLinears| {
@@ -980,10 +982,16 @@ mod tests {
 
             // Prefill is the prompt through the step schedule: its last
             // logits row must equal the reference loop's window row.
-            let mut st = DecodeState::new(&plan);
+            let mut st = DecodeState::default();
             let mut tokens = vec![5.0f32, 2.0, 9.0];
             let logits = st
-                .prefill(&plan, &g, &Tensor::from_slice(&tokens), &mut hook)
+                .prefill(
+                    &plan,
+                    &g,
+                    &mut bufs,
+                    &Tensor::from_slice(&tokens),
+                    &mut hook,
+                )
                 .unwrap_ok();
             assert_eq!(logits, oracle(&tokens, &mut hook), "prefill {scale:?}");
             assert_ne!(
@@ -995,7 +1003,7 @@ mod tests {
             let mut next = logits.argmax() as f32;
             while tokens.len() < SEQ {
                 tokens.push(next);
-                let logits = st.step(&plan, &g, next, &mut hook).unwrap_ok();
+                let logits = st.step(&plan, &g, &mut bufs, next, &mut hook).unwrap_ok();
                 assert_eq!(
                     logits,
                     oracle(&tokens, &mut hook),
@@ -1011,14 +1019,21 @@ mod tests {
     fn incremental_f32_cache_is_bit_identical_to_full_window() {
         let g = tiny_decoder(3);
         let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
         assert_eq!(plan.n_layers(), 1);
         assert_eq!(plan.d_model(), D);
 
-        let mut st = DecodeState::new(&plan);
+        let mut st = DecodeState::default();
         let prompt = [3.0f32, 7.0, 1.0];
         let mut tokens: Vec<f32> = prompt.to_vec();
         let logits = st
-            .prefill(&plan, &g, &Tensor::from_slice(&prompt), &mut NoopHook)
+            .prefill(
+                &plan,
+                &g,
+                &mut bufs,
+                &Tensor::from_slice(&prompt),
+                &mut NoopHook,
+            )
             .unwrap_ok();
         let oracle = full_window_row(&g, &tokens, tokens.len() - 1);
         assert_eq!(logits, oracle, "prefill logits row");
@@ -1026,7 +1041,9 @@ mod tests {
         let mut next = logits.argmax() as f32;
         while tokens.len() < SEQ {
             tokens.push(next);
-            let logits = st.step(&plan, &g, next, &mut NoopHook).unwrap_ok();
+            let logits = st
+                .step(&plan, &g, &mut bufs, next, &mut NoopHook)
+                .unwrap_ok();
             let oracle = full_window_row(&g, &tokens, tokens.len() - 1);
             for (i, (a, b)) in logits.data().iter().zip(oracle.data()).enumerate() {
                 assert_eq!(
@@ -1040,7 +1057,7 @@ mod tests {
         }
         // The window is full: one more step must fail typed, not panic.
         assert!(matches!(
-            st.step(&plan, &g, next, &mut NoopHook),
+            st.step(&plan, &g, &mut bufs, next, &mut NoopHook),
             Err(PtqError::KvCache(KvError::CapacityOverflow {
                 capacity: SEQ
             }))
@@ -1051,18 +1068,25 @@ mod tests {
     fn fp8_cache_drift_is_bounded() {
         let g = tiny_decoder(5);
         let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
         let prompt = Tensor::from_slice(&[2.0, 9.0, 4.0, 1.0]);
 
-        let mut f32_state = DecodeState::new(&plan);
-        let mut fp8_state = DecodeState::new(&plan);
+        let mut f32_state = DecodeState::default();
+        let mut fp8_state = DecodeState::default();
         let mut hook = Fp8CacheHook(Fp8Format::E4M3);
         f32_state
-            .prefill(&plan, &g, &prompt, &mut NoopHook)
+            .prefill(&plan, &g, &mut bufs, &prompt, &mut NoopHook)
             .unwrap_ok();
-        fp8_state.prefill(&plan, &g, &prompt, &mut hook).unwrap_ok();
+        fp8_state
+            .prefill(&plan, &g, &mut bufs, &prompt, &mut hook)
+            .unwrap_ok();
 
-        let a = f32_state.step(&plan, &g, 6.0, &mut NoopHook).unwrap_ok();
-        let b = fp8_state.step(&plan, &g, 6.0, &mut hook).unwrap_ok();
+        let a = f32_state
+            .step(&plan, &g, &mut bufs, 6.0, &mut NoopHook)
+            .unwrap_ok();
+        let b = fp8_state
+            .step(&plan, &g, &mut bufs, 6.0, &mut hook)
+            .unwrap_ok();
         let denom: f32 = a.data().iter().map(|v| v * v).sum::<f32>().max(1e-12);
         let err: f32 = a
             .data()
@@ -1147,22 +1171,29 @@ mod tests {
     fn prefill_input_contracts_are_typed() {
         let g = tiny_decoder(7);
         let plan = g.plan_decode(SEQ).unwrap_ok();
-        let mut st = DecodeState::new(&plan);
+        let mut bufs = StepBuffers::default();
+        let mut st = DecodeState::default();
         assert!(matches!(
-            st.prefill(&plan, &g, &Tensor::zeros(&[0]), &mut NoopHook),
+            st.prefill(&plan, &g, &mut bufs, &Tensor::zeros(&[0]), &mut NoopHook),
             Err(PtqError::InvalidInput { .. })
         ));
         assert!(matches!(
-            st.prefill(&plan, &g, &Tensor::zeros(&[2, 2]), &mut NoopHook),
+            st.prefill(&plan, &g, &mut bufs, &Tensor::zeros(&[2, 2]), &mut NoopHook),
             Err(PtqError::InvalidInput { .. })
         ));
         assert!(matches!(
-            st.prefill(&plan, &g, &Tensor::zeros(&[SEQ + 1]), &mut NoopHook),
+            st.prefill(
+                &plan,
+                &g,
+                &mut bufs,
+                &Tensor::zeros(&[SEQ + 1]),
+                &mut NoopHook
+            ),
             Err(PtqError::KvCache(KvError::CapacityOverflow { .. }))
         ));
         // Step before prefill is a typed contract violation, not a panic.
         assert!(matches!(
-            st.step(&plan, &g, 1.0, &mut NoopHook),
+            st.step(&plan, &g, &mut bufs, 1.0, &mut NoopHook),
             Err(PtqError::InvalidInput { .. })
         ));
     }
@@ -1171,55 +1202,74 @@ mod tests {
     fn failed_prompt_token_leaves_the_state_reset() {
         let g = tiny_decoder(7);
         let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
         let good = Tensor::from_slice(&[3.0, 7.0, 1.0]);
         // Out-of-vocab id at position 2: two prompt tokens run first.
         let bad = Tensor::from_slice(&[3.0, 7.0, VOCAB as f32, 1.0]);
 
-        let mut fresh = DecodeState::new(&plan);
-        let want = fresh.prefill(&plan, &g, &good, &mut NoopHook).unwrap_ok();
-        let want_next = fresh.step(&plan, &g, 4.0, &mut NoopHook).unwrap_ok();
+        let mut fresh = DecodeState::default();
+        let want = fresh
+            .prefill(&plan, &g, &mut bufs, &good, &mut NoopHook)
+            .unwrap_ok();
+        let want_next = fresh
+            .step(&plan, &g, &mut bufs, 4.0, &mut NoopHook)
+            .unwrap_ok();
 
         // Both from a never-used state and over a live session.
-        let mut st = DecodeState::new(&plan);
+        let mut st = DecodeState::default();
         for _ in 0..2 {
             assert!(matches!(
-                st.prefill(&plan, &g, &bad, &mut NoopHook),
+                st.prefill(&plan, &g, &mut bufs, &bad, &mut NoopHook),
                 Err(PtqError::InvalidInput { .. })
             ));
             assert!(st.cache().is_none());
             assert_eq!((st.pos(), st.cache_bytes()), (0, 0));
             assert!(matches!(
-                st.step(&plan, &g, 1.0, &mut NoopHook),
+                st.step(&plan, &g, &mut bufs, 1.0, &mut NoopHook),
                 Err(PtqError::InvalidInput { node, .. }) if node == "decode.step"
             ));
-            let got = st.prefill(&plan, &g, &good, &mut NoopHook).unwrap_ok();
+            let got = st
+                .prefill(&plan, &g, &mut bufs, &good, &mut NoopHook)
+                .unwrap_ok();
             assert_eq!(got, want, "prefill after a failed prompt");
-            let got = st.step(&plan, &g, 4.0, &mut NoopHook).unwrap_ok();
+            let got = st
+                .step(&plan, &g, &mut bufs, 4.0, &mut NoopHook)
+                .unwrap_ok();
             assert_eq!(got, want_next, "step after a failed prompt");
         }
         // A prompt rejected on its shape alone leaves the live session be.
         let empty = Tensor::zeros(&[0]);
-        assert!(st.prefill(&plan, &g, &empty, &mut NoopHook).is_err());
+        assert!(st
+            .prefill(&plan, &g, &mut bufs, &empty, &mut NoopHook)
+            .is_err());
         assert_eq!(st.pos(), good.len() + 1);
-        let again = st.step(&plan, &g, 2.0, &mut NoopHook).unwrap_ok();
-        assert_eq!(again, fresh.step(&plan, &g, 2.0, &mut NoopHook).unwrap_ok());
+        let again = st
+            .step(&plan, &g, &mut bufs, 2.0, &mut NoopHook)
+            .unwrap_ok();
+        assert_eq!(
+            again,
+            fresh
+                .step(&plan, &g, &mut bufs, 2.0, &mut NoopHook)
+                .unwrap_ok()
+        );
     }
 
     #[test]
     fn fp8_prefill_seals_the_staged_prompt_rows() {
         let g = tiny_decoder(5);
         let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
         let prompt = Tensor::from_slice(&[2.0, 9.0, 4.0, 1.0]);
-        let mut f32_state = DecodeState::new(&plan);
+        let mut f32_state = DecodeState::default();
         let f32_logits = f32_state
-            .prefill(&plan, &g, &prompt, &mut NoopHook)
+            .prefill(&plan, &g, &mut bufs, &prompt, &mut NoopHook)
             .unwrap_ok();
         let staged = f32_state.cache().expect("prefilled");
 
         for format in Fp8Format::ALL {
-            let mut fp8_state = DecodeState::new(&plan);
+            let mut fp8_state = DecodeState::default();
             let logits = fp8_state
-                .prefill(&plan, &g, &prompt, &mut Fp8CacheHook(format))
+                .prefill(&plan, &g, &mut bufs, &prompt, &mut Fp8CacheHook(format))
                 .unwrap_ok();
             // Prompt positions attend the exact staged rows, not the codes.
             assert_eq!(logits, f32_logits, "{format}: prefill logits");
@@ -1255,15 +1305,22 @@ mod tests {
         use ptq_trace::{EventKind, FieldValue, Level, MemorySink};
         let g = tiny_decoder(9);
         let plan = g.plan_decode(SEQ).unwrap_ok();
-        let mut st = DecodeState::new(&plan);
+        let mut bufs = StepBuffers::default();
+        let mut st = DecodeState::default();
         let prompt = Tensor::from_slice(&[2.0, 9.0, 4.0, 1.0, 6.0]);
         let p = prompt.len() as u64;
 
         let sink = std::sync::Arc::new(MemorySink::new());
         ptq_trace::install(vec![sink.clone()], Level::Info);
         ptq_trace::counter(Level::Info, "test.this_thread", 1, &[]);
-        st.prefill(&plan, &g, &prompt, &mut Fp8CacheHook(Fp8Format::E4M3))
-            .unwrap_ok();
+        st.prefill(
+            &plan,
+            &g,
+            &mut bufs,
+            &prompt,
+            &mut Fp8CacheHook(Fp8Format::E4M3),
+        )
+        .unwrap_ok();
         let cache_bytes = st.cache_bytes() as i64;
         ptq_trace::uninstall();
 
@@ -1299,5 +1356,144 @@ mod tests {
             })
             .sum();
         assert_eq!(appended, 2 * plan.n_layers() as u64 * p);
+    }
+
+    /// `CodedLinears` (or the graph's own weights) under a cache policy and
+    /// a kernel path.
+    struct Runner {
+        coded: Option<CodedLinears>,
+        kv: KvCachePolicy,
+        path: KernelPath,
+    }
+    impl ExecHook for Runner {
+        fn bind(&self, node: &Node) -> Binding<'_> {
+            let b = self
+                .coded
+                .as_ref()
+                .map_or_else(Binding::default, |c| c.bind(node));
+            Binding {
+                kv: self.kv,
+                kernel_path: self.path,
+                ..b
+            }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_gathered_step_is_each_states_own_step() {
+        let g = tiny_decoder(21);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
+        // Ragged positions, the last session one step short of the window.
+        let prompts: [&[f32]; 4] = [
+            &[3.0],
+            &[5.0, 2.0, 9.0],
+            &[1.0, 4.0, 7.0, 0.0],
+            &[6.0; SEQ - 1],
+        ];
+        let kvs = Fp8Format::ALL.map(|format| KvCachePolicy::Fp8 {
+            format,
+            scale: None,
+        });
+        for kv in [KvCachePolicy::F32].into_iter().chain(kvs) {
+            for scale in [
+                None,
+                Some(ActScale::Static(4.0)),
+                Some(ActScale::PerTile(5)),
+            ] {
+                for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
+                    let coded = scale.map(|s| CodedLinears::new(&g, s));
+                    let mut hook = Runner { coded, kv, path };
+                    // A gather of one, all four, and a pair out of order.
+                    for pick in [&[1][..], &[0, 1, 2, 3], &[3, 0]] {
+                        let what = format!("{kv:?} {scale:?} {path} {pick:?}");
+                        let (mut solo, mut gathered) = (Vec::new(), Vec::new());
+                        for &i in pick {
+                            for states in [&mut solo, &mut gathered] {
+                                let mut st = DecodeState::default();
+                                let prompt = Tensor::from_slice(prompts[i]);
+                                st.prefill(&plan, &g, &mut bufs, &prompt, &mut hook)
+                                    .unwrap_ok();
+                                states.push(st);
+                            }
+                        }
+                        // Two gathered steps while every session has room.
+                        for round in 0..2 {
+                            let live = gathered.iter().filter(|s| s.pos() < SEQ).count();
+                            let tokens = (0..live).map(|r| ((5 * r + round) % VOCAB) as f32);
+                            let tokens: Vec<f32> = tokens.collect();
+                            let want: Vec<Tensor> = solo
+                                .iter_mut()
+                                .filter(|s| s.pos() < SEQ)
+                                .zip(&tokens)
+                                .map(|(st, &t)| st.step(&plan, &g, &mut bufs, t, &mut hook))
+                                .map(UnwrapOk::unwrap_ok)
+                                .collect();
+                            let mut streams: Vec<(&mut DecodeState, f32)> = gathered
+                                .iter_mut()
+                                .filter(|s| s.pos() < SEQ)
+                                .zip(tokens.iter().copied())
+                                .collect();
+                            DecodeState::step_many(&plan, &g, &mut bufs, &mut streams, &mut hook)
+                                .unwrap_ok();
+                            for (r, w) in want.iter().enumerate() {
+                                let got = bufs.logits(&plan, r);
+                                assert_eq!(bits(&got), bits(w), "{what} round {round} row {r}");
+                            }
+                        }
+                        let pos = |v: &[DecodeState]| v.iter().map(|s| s.pos()).collect::<Vec<_>>();
+                        assert_eq!(pos(&gathered), pos(&solo), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_gathered_step_is_one_step_span_of_its_rows() {
+        use ptq_trace::{EventKind, FieldValue, Level, MemorySink};
+        let g = tiny_decoder(23);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let mut bufs = StepBuffers::default();
+        let mut states: Vec<DecodeState> = (0..3).map(|_| DecodeState::default()).collect();
+        for (i, st) in states.iter_mut().enumerate() {
+            let prompt = Tensor::from_slice(&[2.0; 4][..=i]);
+            st.prefill(&plan, &g, &mut bufs, &prompt, &mut NoopHook)
+                .unwrap_ok();
+        }
+        let sink = std::sync::Arc::new(MemorySink::new());
+        ptq_trace::install(vec![sink.clone()], Level::Info);
+        ptq_trace::counter(Level::Info, "test.this_thread", 1, &[]);
+        let mut streams: Vec<_> = states.iter_mut().map(|s| (s, 1.0)).collect();
+        DecodeState::step_many(&plan, &g, &mut bufs, &mut streams, &mut NoopHook).unwrap_ok();
+        ptq_trace::uninstall();
+
+        // The recorder is process-global: keep this thread's events only.
+        let evs = sink.events();
+        let me = evs.iter().find(|e| e.name == "test.this_thread");
+        let me = me.expect("marker recorded").thread;
+        let mine = || evs.iter().filter(move |e| e.thread == me);
+        let steps: Vec<_> = mine()
+            .filter(|e| e.name == "decode.step" && matches!(e.kind, EventKind::SpanExit { .. }))
+            .collect();
+        assert_eq!(steps.len(), 1, "one span for the gathered step");
+        assert_eq!(steps[0].field("rows"), Some(&FieldValue::Int(3)));
+        assert_eq!(steps[0].field("kv_len"), Some(&FieldValue::Int(4)));
+        let appended: u64 = mine()
+            .filter(|e| e.name == "kv.appended")
+            .map(|e| match e.kind {
+                EventKind::Counter { delta } => delta,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(appended, 2 * plan.n_layers() as u64 * 3);
+        assert_eq!(
+            states.iter().map(DecodeState::pos).collect::<Vec<_>>(),
+            [2, 3, 4]
+        );
     }
 }

@@ -41,8 +41,9 @@
 //!   incremental autoregressive decoding: every token, prompt or
 //!   generated, runs one step schedule against a per-layer
 //!   [`ptq_tensor::KvCache`] (a generated token as one row, a prompt in
-//!   blocks of rows), bit-identical (under an F32 cache) to re-running
-//!   the full window.
+//!   blocks of rows, several sessions' tokens as one row each, all in the
+//!   runner's [`StepBuffers`]), bit-identical (under an F32 cache) to
+//!   re-running the full window.
 
 pub mod builder;
 pub mod decode;
@@ -55,7 +56,7 @@ pub mod serialize;
 pub mod validate;
 
 pub use builder::GraphBuilder;
-pub use decode::{DecodePlan, DecodeState};
+pub use decode::{DecodePlan, DecodeState, StepBuffers, PREFILL_ROWS};
 pub use error::{PtqError, Shape, UnwrapOk};
 pub use exec::{ActBinding, Binding, WeightBinding, MAX_ACT_INPUTS};
 pub use graph::{Graph, Node, NodeId, Op, OpClass, ValueId};

@@ -11,15 +11,17 @@
 //!   [`Ticket`] / [`GenTicket`] to wait on.
 //! * **Dispatch** — a worker sheds expired entries, pops the queue head,
 //!   runs it and replies at once. The worker pool is the only
-//!   request-level parallelism: requests are never coalesced, a reply
-//!   never waits for another request, and nothing waits for peers to
-//!   arrive.
+//!   request-level parallelism: single-shot requests are never coalesced,
+//!   a reply never waits for another request, and nothing waits for peers
+//!   to arrive.
 //! * **Execution** — a single-shot request runs through the model's cached
 //!   [`ExecPlan`](ptq_nn::ExecPlan) for its shape
 //!   ([`run`](ptq_nn::ExecPlan::run)); a generation session runs one
-//!   decode step (first its prefill) and re-queues. Either way the
-//!   response is bit-identical to running the same request directly —
-//!   the engine decides *when* a request runs, never what it computes.
+//!   decode step (first its prefill) and re-queues; a step takes along a
+//!   share of its plan's steps queued then, one row each in one pass, when
+//!   the model's rows are independent. Either way the response is
+//!   bit-identical to running the same request directly — the engine
+//!   decides *when* a request runs, never what it computes.
 //! * **Deadline shedding** — expired requests are answered with
 //!   [`ServeError::DeadlineExceeded`] under the dispatch lock, before
 //!   any pop, so no compute is spent on them.
@@ -37,7 +39,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ptq_core::{EngineSpec, PtqArtifact, QuantizedModel, ServeSpec};
-use ptq_nn::{DecodePlan, DecodeState, PtqError};
+use ptq_nn::{DecodePlan, DecodeState, PtqError, StepBuffers, PREFILL_ROWS};
 use ptq_tensor::Tensor;
 use ptq_trace::Level;
 
@@ -88,15 +90,13 @@ impl GenTicket {
 
 /// One generation session. Between engine steps the whole session lives
 /// in the queue: a worker pops it, runs *one* decode step (on the first
-/// dispatch, the prompt's `p` tokens through the same step schedule, in
-/// blocks of rows), streams the token, and re-enqueues it at the back —
-/// so an in-flight generation never starves single-shot traffic and
-/// multiple generations interleave fairly.
+/// dispatch, the prompt through the same step schedule, in blocks of
+/// rows), streams the token, and re-enqueues it at the back.
 struct GenSession {
     plan: Arc<DecodePlan>,
-    /// Built by the first dispatch (the prefill), so a `generate` the
-    /// queue rejects has allocated nothing.
-    state: Option<DecodeState>,
+    /// Cache and position, empty until the first dispatch (the prefill),
+    /// so a `generate` the queue rejects has allocated nothing.
+    state: DecodeState,
     prompt: Vec<f32>,
     /// Last emitted token (the next step's input).
     last: f32,
@@ -136,15 +136,20 @@ struct Work {
 }
 
 /// Scheduling state guarded by the engine mutex.
+#[derive(Default)]
 struct State {
     queue: VecDeque<Work>,
     shutdown: bool,
+    /// Entries the workers are running now.
+    running: usize,
 }
 
 /// Everything the submit side and the workers share.
 struct Shared {
     model: Arc<QuantizedModel>,
     spec: ServeSpec,
+    /// Resolved worker count.
+    workers: usize,
     state: Mutex<State>,
     cond: Condvar,
     stats: Stats,
@@ -196,20 +201,15 @@ impl Engine {
 
     fn with_serving(model: QuantizedModel, mut serving: ServeSpec) -> Result<Engine, ServeError> {
         serving.queue_capacity = serving.queue_capacity.max(1);
-        let n_workers = if serving.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            serving.workers
+        let n_workers = match serving.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
         let shared = Arc::new(Shared {
             model: Arc::new(model),
             spec: serving,
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
+            workers: n_workers,
+            state: Mutex::new(State::default()),
             cond: Condvar::new(),
             stats: Stats::default(),
             decode_plans: Mutex::new(HashMap::new()),
@@ -253,7 +253,7 @@ impl Engine {
     ) -> Result<(), ServeError> {
         let sh = &self.shared;
         let now = Instant::now();
-        let mut st = lock_state(sh);
+        let mut st = lock(&sh.state);
         if st.shutdown {
             return Err(ServeError::ShuttingDown);
         }
@@ -307,16 +307,14 @@ impl Engine {
     /// ([`ptq_nn::DecodePlan`]), at window `capacity` (the sequence
     /// length the model was built for). Tokens stream through the
     /// returned [`GenTicket`] as they are produced; the session runs one
-    /// decode step per engine dispatch (the first dispatch runs the
-    /// prompt through the same schedule) and re-queues behind waiting
-    /// traffic, so long generations never monopolize the workers. A
-    /// prompt token the model rejects (e.g. an out-of-vocabulary id) ends
-    /// the stream with [`ServeError::Exec`] and counts as `failed`.
-    ///
-    /// The KV-cache format follows the model's
-    /// [`KvStorage`](ptq_core::KvStorage) knob; under the default f32
-    /// cache every generated token is bit-identical to full-window
-    /// recompute.
+    /// decode step per engine dispatch (the first runs the prompt) and
+    /// re-queues behind waiting traffic. An empty prompt, or one longer
+    /// than `capacity`, is rejected here; a prompt token the model rejects
+    /// (e.g. an out-of-vocabulary id) ends the stream with
+    /// [`ServeError::Exec`] and counts as `failed`. The KV-cache format
+    /// follows the model's [`KvStorage`](ptq_core::KvStorage); under the
+    /// default f32 cache every token is bit-identical to full-window
+    /// recompute, and to a solo [`DecodeSession`](ptq_core::DecodeSession).
     pub fn generate(
         &self,
         prompt: Vec<f32>,
@@ -346,10 +344,7 @@ impl Engine {
         // Plan (or reuse the plan for) this capacity before admission so
         // non-decoder models fail the submit call, not the stream.
         let plan = {
-            let mut plans = sh
-                .decode_plans
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut plans = lock(&sh.decode_plans);
             match plans.get(&capacity) {
                 Some(p) => Arc::clone(p),
                 None => {
@@ -364,10 +359,15 @@ impl Engine {
                 }
             }
         };
+        if prompt.is_empty() || prompt.len() > capacity {
+            let (node, n) = ("generate".into(), prompt.len());
+            let detail = format!("{n} prompt tokens, window {capacity}");
+            return Err(ServeError::Exec(PtqError::InvalidInput { node, detail }));
+        }
         let (tx, rx) = mpsc::channel();
         let session = GenSession {
             plan,
-            state: None,
+            state: DecodeState::default(),
             prompt,
             last: 0.0,
             remaining: max_new,
@@ -392,7 +392,7 @@ impl Engine {
 
     /// Requests currently queued (admitted, not yet dispatched).
     pub fn queue_depth(&self) -> usize {
-        lock_state(&self.shared).queue.len()
+        lock(&self.shared.state).queue.len()
     }
 
     /// The resolved serving configuration (after clamping and worker
@@ -414,10 +414,7 @@ impl Engine {
     }
 
     fn stop(&mut self) {
-        {
-            let mut st = lock_state(&self.shared);
-            st.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.cond.notify_all();
         for h in self.workers.drain(..) {
             // A worker that panicked already poisoned nothing we rely on
@@ -435,8 +432,8 @@ impl Drop for Engine {
     }
 }
 
-fn lock_state(sh: &Shared) -> MutexGuard<'_, State> {
-    sh.state.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Worker: pop the queue head (blocking), run it, reply; exit when shut
@@ -444,49 +441,83 @@ fn lock_state(sh: &Shared) -> MutexGuard<'_, State> {
 /// its channel — that is how a [`GenTicket`] observes the end of its
 /// stream.
 fn worker_loop(sh: &Shared) {
-    while let Some(mut work) = next_work(sh) {
-        let requeue = match &mut work.job {
-            Job::Single { inputs, tx } => run_single(sh, inputs, tx, work.enqueued).map(|()| false),
-            Job::Gen(g) => run_gen_step(sh, g, work.enqueued),
+    // Every decode pass this worker runs, of any session, runs in these.
+    let mut bufs = StepBuffers::default();
+    // The last dispatch's sessions that go on, and its entry count.
+    let mut done = (Vec::new(), 0);
+    while let Some(mut works) = next_work(sh, done) {
+        let taken = works.len();
+        let outcome = match &works[0].job {
+            Job::Single { inputs, tx } => run_single(sh, inputs, tx, works[0].enqueued),
+            Job::Gen(_) => run_gen(sh, &mut works, &mut bufs),
         };
-        match requeue {
-            Ok(true) => {
-                let mut st = lock_state(sh);
-                st.queue.push_back(work);
-                drop(st);
-                sh.cond.notify_one();
-            }
-            Ok(false) => {}
-            Err(e) => {
+        let go_on = outcome.unwrap_or_else(|e| {
+            for work in &works {
                 sh.stats.failed.fetch_add(1, Ordering::Relaxed);
                 ptq_trace::counter(Level::Info, "serve.exec_failed", 1, &[]);
-                work.job.fail(ServeError::Exec(e));
+                work.job.fail(ServeError::Exec(e.clone()));
             }
-        }
+            Vec::new()
+        });
+        let mut go_on = go_on.into_iter();
+        works.retain(|_| go_on.next() == Some(true));
+        done = (works, taken);
     }
 }
 
-/// Blocks until the queue has a head to run. `None` means
-/// shutdown-and-drained. A worker sleeps only on an empty queue and every
-/// push notifies one worker, so no entry waits while a worker idles.
-fn next_work(sh: &Shared) -> Option<Work> {
-    let mut st = lock_state(sh);
+/// Re-queues the worker's last sessions at the back, then blocks until the
+/// queue has a head to run. `None` means shutdown-and-drained. A worker
+/// sleeps only on an empty queue, every admission notifies one worker and
+/// a pop that leaves entries queued notifies one more, so no entry waits
+/// while a worker idles.
+fn next_work(sh: &Shared, (requeue, ran): (Vec<Work>, usize)) -> Option<Vec<Work>> {
+    let mut st = lock(&sh.state);
+    st.running -= ran;
+    st.queue.extend(requeue);
     loop {
         shed_expired(sh, &mut st, Instant::now());
-        if let Some(work) = st.queue.pop_front() {
-            ptq_trace::gauge(
-                Level::Debug,
-                "serve.queue_depth",
-                st.queue.len() as f64,
-                &[],
-            );
-            return Some(work);
+        if let Some(head) = st.queue.pop_front() {
+            let works = gather(sh, &mut st, head);
+            st.running += works.len();
+            if !st.queue.is_empty() {
+                sh.cond.notify_one();
+            }
+            let depth = st.queue.len() as f64;
+            ptq_trace::gauge(Level::Debug, "serve.queue_depth", depth, &[]);
+            return Some(works);
         }
         if st.shutdown {
             return None;
         }
         st = sh.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
+}
+
+/// `head`, and when it is a generation step of a model whose rows are
+/// independent, the first of its plan's other steps queued now: a share of
+/// `⌈(g + r) / workers⌉` of those `g` steps, `r` the entries the other
+/// workers are running — so live steps split evenly over the workers, and
+/// one does not just take its own rows back — at most [`PREFILL_ROWS`].
+/// Entries left behind keep their order.
+fn gather(sh: &Shared, st: &mut State, head: Work) -> Vec<Work> {
+    let step = |w: &Work| match &w.job {
+        Job::Gen(g) if g.state.cache().is_some() => Some(Arc::as_ptr(&g.plan)),
+        _ => None,
+    };
+    let mut works = vec![head];
+    let Some(plan) = step(&works[0]).filter(|_| sh.model.config.row_independent_acts()) else {
+        return works;
+    };
+    let peer = |w: &Work| step(w) == Some(plan);
+    let g = 1 + st.queue.iter().filter(|w| peer(w)).count();
+    let (share, mut i) = ((g + st.running).div_ceil(sh.workers).min(PREFILL_ROWS), 0);
+    while works.len() < share && i < st.queue.len() {
+        match peer(&st.queue[i]) {
+            true => works.extend(st.queue.remove(i)),
+            false => i += 1,
+        }
+    }
+    works
 }
 
 /// Answer and remove every queued entry whose deadline has passed — shed
@@ -513,7 +544,7 @@ fn run_single(
     inputs: &[Tensor],
     tx: &SyncSender<Reply>,
     enqueued: Instant,
-) -> Result<(), PtqError> {
+) -> Result<Vec<bool>, PtqError> {
     let model = &sh.model;
     let plan = model.plans.plan_for(&model.graph, inputs)?;
     let mut sp = ptq_trace::span(Level::Info, "serve.batch");
@@ -528,35 +559,49 @@ fn run_single(
     sh.stats.record(enqueued.elapsed().as_micros() as u64);
     ptq_trace::counter(Level::Info, "serve.completed", 1, &[]);
     let _ = tx.send(Ok(out));
-    Ok(())
+    Ok(vec![false])
 }
 
-/// Run one decode step of a generation session (on its first dispatch the
-/// prefill: the prompt through the step schedule, then the cache seal)
-/// and stream the token. `Ok(true)` asks for the session to be re-enqueued
-/// at the back of the queue; `Ok(false)` means it finished.
-fn run_gen_step(sh: &Shared, g: &mut GenSession, enqueued: Instant) -> Result<bool, PtqError> {
-    let model = &sh.model;
-    let mut hook = model.hook();
-    let first = g.state.is_none();
-    let state = g.state.get_or_insert_with(|| DecodeState::new(&g.plan));
-    let logits = if first {
-        let prompt = Tensor::from_slice(&std::mem::take(&mut g.prompt));
-        state.prefill(&g.plan, &model.graph, &prompt, &mut hook)
-    } else {
-        state.step(&g.plan, &model.graph, g.last, &mut hook)
-    }?;
-    let token = logits.argmax() as f32;
-    ptq_trace::counter(Level::Info, "serve.gen_tokens", 1, &[]);
-    g.remaining -= 1;
-    g.last = token;
-    // A dropped GenTicket cancels the rest of the stream.
-    let listening = g.tx.send(Ok(token)).is_ok();
-    let window_full = state.pos() >= g.plan.seq();
-    if g.remaining == 0 || window_full || !listening {
-        sh.stats.record(enqueued.elapsed().as_micros() as u64);
-        ptq_trace::counter(Level::Info, "serve.completed", 1, &[]);
-        return Ok(false);
-    }
-    Ok(true)
+/// Run the gathered sessions' next decode step as one pass (a lone
+/// session's first dispatch: its prefill) and stream each its token; `true`
+/// re-enqueues a session, `false` ends it — its tokens produced, its window
+/// full or its [`GenTicket`] dropped (which cancels that stream only).
+fn run_gen(sh: &Shared, works: &mut [Work], bufs: &mut StepBuffers) -> Result<Vec<bool>, PtqError> {
+    let (graph, mut hook) = (&sh.model.graph, sh.model.hook());
+    let mut gens: Vec<_> = works
+        .iter_mut()
+        .filter_map(|w| match &mut w.job {
+            Job::Gen(g) => Some((&mut **g, w.enqueued)),
+            Job::Single { .. } => None,
+        })
+        .collect();
+    let plan = Arc::clone(&gens[0].0.plan);
+    let logits = match &mut gens[..] {
+        [(g, _)] if g.state.cache().is_none() => {
+            let prompt = Tensor::from_slice(&std::mem::take(&mut g.prompt));
+            vec![g.state.prefill(&plan, graph, bufs, &prompt, &mut hook)?]
+        }
+        gens => {
+            let mut rows: Vec<_> = gens
+                .iter_mut()
+                .map(|(g, _)| (&mut g.state, g.last))
+                .collect();
+            DecodeState::step_many(&plan, graph, bufs, &mut rows, &mut hook)?;
+            (0..rows.len()).map(|r| bufs.logits(&plan, r)).collect()
+        }
+    };
+    let emit = |((g, enqueued), logits): ((&mut GenSession, Instant), Tensor)| {
+        let token = logits.argmax() as f32;
+        ptq_trace::counter(Level::Info, "serve.gen_tokens", 1, &[]);
+        g.remaining -= 1;
+        g.last = token;
+        let listening = g.tx.send(Ok(token)).is_ok();
+        if g.remaining == 0 || g.state.pos() >= g.plan.seq() || !listening {
+            sh.stats.record(enqueued.elapsed().as_micros() as u64);
+            ptq_trace::counter(Level::Info, "serve.completed", 1, &[]);
+            return false;
+        }
+        true
+    };
+    Ok(gens.into_iter().zip(logits).map(emit).collect())
 }

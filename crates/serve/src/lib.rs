@@ -8,11 +8,10 @@
 //!
 //! * **A worker pool, not a batcher** — one worker per core pops the
 //!   queue head, runs it through the model's cached
-//!   [`ExecPlan`](ptq_nn::ExecPlan) and replies at once. Requests are
-//!   never coalesced and never wait for peers, so every response is
-//!   **bit-identical** to a direct run of the same request and no reply
-//!   is held back for another (DESIGN.md §15 has the measurement that
-//!   retired the batching window).
+//!   [`ExecPlan`](ptq_nn::ExecPlan) and replies at once. Single-shot
+//!   requests are never coalesced and nothing waits for peers, so every
+//!   response is **bit-identical** to a direct run of the same request
+//!   (DESIGN.md §15 has the measurement that retired the batching window).
 //! * **Admission control** — a bounded queue turns overload into typed
 //!   [`ServeError::QueueFull`] backpressure instead of unbounded memory
 //!   growth and latency collapse.
@@ -22,15 +21,13 @@
 //! * **Latency accounting** — exact p50/p95/p99 end-to-end percentiles
 //!   plus submitted/completed/shed/rejected counters via
 //!   [`Engine::stats`], mirrored into [`ptq_trace`].
-//! * **Streaming generation** — [`Engine::generate`] runs multi-token
-//!   greedy decoding through the incremental KV-cache engine
-//!   ([`ptq_nn::DecodePlan`]), streaming tokens as they are produced.
-//!   A session runs *one* decode step per dispatch (its first dispatch
-//!   runs the prompt's `p` tokens through that same step schedule, in
-//!   blocks of rows — work that grows with the prompt, not a window
-//!   forward) and re-queues behind waiting traffic, so long generations
-//!   interleave fairly with single-shot requests instead of starving
-//!   them.
+//! * **Streaming generation** — [`Engine::generate`] streams greedy
+//!   tokens from the incremental KV-cache engine ([`ptq_nn::DecodePlan`]).
+//!   A session runs *one* decode step per dispatch (its first runs the
+//!   prompt) and re-queues behind waiting traffic, so generations
+//!   interleave fairly with single-shot requests; the steps of one plan
+//!   queued together share one pass, one row each, so each weight is
+//!   decoded once for all of them.
 //!
 //! Configuration rides the consolidated [`ptq_core::EngineSpec`]: the
 //! same serializable spec that drives [`ptq_core::PtqSession`] carries a

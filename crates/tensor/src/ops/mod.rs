@@ -20,7 +20,7 @@ pub use activation::{
     gelu, gelu_into, relu, relu_into, sigmoid, sigmoid_into, silu, silu_into, softmax_lastdim,
     softmax_lastdim_into, tanh, tanh_into,
 };
-pub use attn::{attention_step_q, attention_step_v};
+pub use attn::{attention_step_q, attention_step_v, KvSegments};
 pub use conv::{
     conv2d, conv2d_into, conv2d_qq_into, depthwise_conv2d, depthwise_conv2d_into, Conv2dParams,
 };

@@ -11,7 +11,7 @@ use fp8_ptq::metrics::Domain;
 use fp8_ptq::models::families::nlp::decoder_graph;
 use fp8_ptq::models::families::NlpConfig;
 use fp8_ptq::models::{build_zoo_limited, ZooFilter};
-use fp8_ptq::nn::{DecodeState, NoopHook, UnwrapOk};
+use fp8_ptq::nn::{DecodeState, NoopHook, StepBuffers, UnwrapOk};
 use fp8_ptq::tensor::ops::KernelPath;
 use fp8_ptq::tensor::Tensor;
 
@@ -96,16 +96,19 @@ fn incremental_decode_matches_full_window_recompute() {
     };
 
     let plan = graph.plan_decode(seq).unwrap_ok();
-    let mut state = DecodeState::new(&plan);
+    let (mut state, mut bufs) = (DecodeState::default(), StepBuffers::default());
     let mut tokens = vec![1.0f32, 3.0, 0.0];
+    let prompt = Tensor::from_slice(&tokens);
     let mut logits = state
-        .prefill(&plan, &graph, &Tensor::from_slice(&tokens), &mut NoopHook)
+        .prefill(&plan, &graph, &mut bufs, &prompt, &mut NoopHook)
         .unwrap_ok();
     assert_eq!(logits, full_window_row(&tokens), "prefill");
     while state.pos() < seq {
         let next = logits.argmax() as f32;
         tokens.push(next);
-        logits = state.step(&plan, &graph, next, &mut NoopHook).unwrap_ok();
+        logits = state
+            .step(&plan, &graph, &mut bufs, next, &mut NoopHook)
+            .unwrap_ok();
         assert_eq!(logits, full_window_row(&tokens), "step to {}", tokens.len());
     }
 }
