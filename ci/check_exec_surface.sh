@@ -47,6 +47,10 @@
 #     decode plan queued together do share one step: they share its weight
 #     decode, which is compute, not scheduling, and needs no window or knob.
 #     The non-test lines of crates/serve/src stay within their budget.
+#   * One persistent pool for the process: vendor/rayon stays std-only (no
+#     dependency in its manifest), spawns its threads in exactly one
+#     non-test place (the pool, on first use) and never per call -- no
+#     `thread::scope` in its non-test code.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -176,6 +180,19 @@ if hits=$(grep -n 'rayon' crates/nn/Cargo.toml); then
     fail=1
 fi
 
+if grep -qE '^\[(dependencies|build-dependencies)' vendor/rayon/Cargo.toml; then
+    echo "vendor/rayon is std-only: no [dependencies] in its manifest" >&2
+    fail=1
+fi
+pool_src=$(awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' vendor/rayon/src/lib.rs)
+spawns=$(printf '%s\n' "$pool_src" | grep -E '\.spawn\(|thread::spawn' || true)
+if [ "$(printf '%s' "$spawns" | grep -c .)" -ne 1 ] || printf '%s\n' "$pool_src" | grep -q 'thread::scope'; then
+    echo "one persistent pool: vendor/rayon spawns threads in exactly one place, never per call:" >&2
+    printf '%s\n' "$spawns" >&2
+    printf '%s\n' "$pool_src" | grep 'thread::scope' >&2 || true
+    fail=1
+fi
+
 serve_budget=886
 serve_lines=$(non_test_lines crates/serve/src)
 if [ "$serve_lines" -gt "$serve_budget" ]; then
@@ -202,4 +219,5 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
     "one decode schedule and one step loop (nn+core $nn_core_lines/$nn_core_budget lines," \
     "decode.rs $decode_lines/$decode_budget)," \
-    "no batching layer (serve at $serve_lines/$serve_budget lines, nn without rayon)"
+    "no batching layer (serve at $serve_lines/$serve_budget lines, nn without rayon)," \
+    "one persistent std-only pool"

@@ -88,6 +88,13 @@ fn scale_count(len: usize, shape: &[usize], tile: usize) -> usize {
     len.div_ceil(inner) * inner.div_ceil(tile)
 }
 
+/// Elements per chunk of a per-tensor encode's fan-out.
+const ENCODE_CHUNK: usize = 4096;
+/// What one `Fp8Lut::encode` costs in the kernels' MAC units (≈ 6 ns
+/// against ≈ 0.05 ns), so an encode fans out from 8192 elements, where
+/// two threads first win (DESIGN.md §13).
+const ENCODE_MACS: usize = 128;
+
 /// An FP8-coded activation tensor with reusable buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QActTensor {
@@ -140,7 +147,7 @@ impl QActTensor {
     /// Quantize with a fixed per-tensor scale (static calibration scales,
     /// or a dynamic scale the caller computed). Codes are
     /// `encode(x * scale)`, exactly as [`ptq_fp8::StoredTensor::quantize`]
-    /// produces them.
+    /// produces them, encoded in chunks fanned out like a kernel's.
     ///
     /// A zero or non-finite scale would poison every code (`x * 0` or
     /// `x * inf/NaN` before encode, and the decoder divides by the same
@@ -153,9 +160,14 @@ impl QActTensor {
             1.0
         };
         self.reset(x, format, 0);
-        let lut = Fp8Lut::for_format(format);
-        self.codes
-            .extend(x.data().iter().map(|&v| lut.encode(v * scale)));
+        self.codes.resize(x.len(), 0);
+        let (lut, xs) = (Fp8Lut::for_format(format), x.data());
+        let cost = x.len() * ENCODE_MACS;
+        crate::ops::for_each_chunk(&mut self.codes, ENCODE_CHUNK, cost, |i, codes| {
+            for (c, &v) in codes.iter_mut().zip(&xs[i * ENCODE_CHUNK..]) {
+                *c = lut.encode(v * scale);
+            }
+        });
         self.scales.push(scale);
     }
 
@@ -421,6 +433,23 @@ mod tests {
             let d = q.dequantize();
             for (i, (a, b)) in d.data().iter().zip(&reference).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{f} elem {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fanned_out_encode_is_the_element_wise_encode() {
+        // Lengths on both sides of the fan-out cutoff (8192 elements) and
+        // of a chunk boundary, a ragged last chunk included.
+        let mut rng = TensorRng::seed(43);
+        for len in [0, 1, 8191, 8192, 8193, 3 * ENCODE_CHUNK + 17, 110_592] {
+            let t = rng.normal(&[len], 0.0, 3.0);
+            for f in Fp8Format::ALL {
+                let mut q = QActTensor::new();
+                q.quantize_static(&t, f, 0.75);
+                let lut = Fp8Lut::for_format(f);
+                let want: Vec<u8> = t.data().iter().map(|&v| lut.encode(v * 0.75)).collect();
+                assert_eq!(q.codes(), &want[..], "{f} len {len}");
             }
         }
     }

@@ -83,21 +83,21 @@ fn checked<const N: usize>(dims: Result<[usize; N], crate::shape::ShapeError>) -
 }
 
 /// Multiply-accumulate count below which a chunked kernel loop runs on
-/// the calling thread: the workspace's `rayon` spawns OS threads per call,
-/// which a small operator cannot amortize. Serial and parallel run the
-/// same closure over the same disjoint chunks, so the choice is
-/// bit-invisible.
+/// the calling thread. A fan-out on the persistent pool costs < 1 µs; two
+/// threads beat one from ≈ 0.5 M MACs on conv, ≈ 2 M on a Linear (DESIGN.md
+/// §13). Serial and parallel run the same closure over the same disjoint
+/// chunks, so the choice is bit-invisible.
 const PAR_MACS_MIN: usize = 1 << 20;
 
 /// Run `f(chunk_index, chunk)` over `data` split into `chunk`-sized
 /// pieces — in parallel when `macs` (the kernel's total
-/// multiply-accumulate count) is large enough to amortize the fan-out,
-/// serially otherwise. Bit-identical either way.
-pub(crate) fn for_each_chunk(
-    data: &mut [f32],
+/// multiply-accumulate count, or its cost in MACs) is large enough to
+/// amortize the fan-out, serially otherwise. Bit-identical either way.
+pub(crate) fn for_each_chunk<T: Send>(
+    data: &mut [T],
     chunk: usize,
     macs: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
+    f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     // Degenerate outputs (any dim 0): `chunks_mut(0)` would panic.
     if data.is_empty() || chunk == 0 {

@@ -5,9 +5,9 @@
 //! buffer for the duration of a closure and puts it back grown, so after
 //! warm-up a call that stays on its caller's thread allocates nothing
 //! (every call below `PAR_MACS_MIN`; the benchmark's
-//! `tensor.kernel_alloc_bytes` must read 0). Above the cutoff a worker's
-//! pool is born empty at each `vendor/rayon` fan-out, so its per-chunk
-//! buffers are allocated once per fan-out (DESIGN.md §13 has the figures).
+//! `tensor.kernel_alloc_bytes` must read 0). Above the cutoff the chunks
+//! run on `vendor/rayon`'s persistent threads, whose pools persist too, so
+//! a warm fanned-out call allocates nothing either (DESIGN.md §13).
 //! Buffers are moved out of the thread-local cell, not borrowed across the
 //! closure, so a kernel holding `panel` can take `rows` on the same thread.
 
