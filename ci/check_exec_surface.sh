@@ -51,6 +51,10 @@
 #     dependency in its manifest), spawns its threads in exactly one
 #     non-test place (the pool, on first use) and never per call -- no
 #     `thread::scope` in its non-test code.
+#   * One tanh: GELU and tanh run on the in-repo port of fdlibm's tanhf
+#     (crates/tensor/src/ops/activation.rs, scalar and 8-lane) -- no
+#     non-comment, non-test line under crates/ calls `f32::tanh` or
+#     `.tanh()`.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -96,7 +100,7 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2094
+ops_budget=2423
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
@@ -193,6 +197,15 @@ if [ "$(printf '%s' "$spawns" | grep -c .)" -ne 1 ] || printf '%s\n' "$pool_src"
     fail=1
 fi
 
+hits=$(find crates -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /f32::tanh|\.tanh\(\)/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "one tanh: call the port in ops/activation.rs, not f32::tanh:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 serve_budget=886
 serve_lines=$(non_test_lines crates/serve/src)
 if [ "$serve_lines" -gt "$serve_budget" ]; then
@@ -220,4 +233,4 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one decode schedule and one step loop (nn+core $nn_core_lines/$nn_core_budget lines," \
     "decode.rs $decode_lines/$decode_budget)," \
     "no batching layer (serve at $serve_lines/$serve_budget lines, nn without rayon)," \
-    "one persistent std-only pool"
+    "one persistent std-only pool, one tanh"

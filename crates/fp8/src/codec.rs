@@ -179,13 +179,17 @@ impl Fp8Codec {
 
         // Exact floor(log2(a)), handling f32 subnormal inputs by first
         // scaling them into the normal range (multiplication by a power of
-        // two is exact).
+        // two is exact); `pre` is that scaling's exponent, undone below.
         let bits = a.to_bits();
-        let (a, e32) = if bits >> 23 == 0 {
+        let (a, e32, pre) = if bits >> 23 == 0 {
             let scaled = a * 2f32.powi(64);
-            (scaled, ((scaled.to_bits() >> 23) & 0xff) as i32 - 127 - 64)
+            (
+                scaled,
+                ((scaled.to_bits() >> 23) & 0xff) as i32 - 127 - 64,
+                64,
+            )
         } else {
-            (a, ((bits >> 23) & 0xff) as i32 - 127)
+            (a, ((bits >> 23) & 0xff) as i32 - 127, 0)
         };
         let min_e = spec.min_normal_exp();
 
@@ -194,7 +198,7 @@ impl Fp8Codec {
             // uniform grid of step 2^(min_e - m). Power-of-two division is
             // exact, and for e32 >= min_e - 64 the scaled value never
             // underflows f32 precision.
-            let q = self.round_unit(scale_by_pow2(a, -(min_e - m as i32)));
+            let q = self.round_unit(scale_by_pow2(a, -(min_e - m as i32) - pre));
             if q == 0 {
                 return sign_bit; // underflow to signed zero
             }
@@ -207,7 +211,7 @@ impl Fp8Codec {
 
         // Normal region: frac = a / 2^e32 in [1, 2); scale mantissa to
         // [2^m, 2^(m+1)) and round. Both scalings are exact powers of two.
-        let frac = scale_by_pow2(a, -e32);
+        let frac = scale_by_pow2(a, -e32 - pre);
         let mant = self.round_unit(frac * (1u32 << m) as f32);
         let (mut e, mut mant) = (e32, mant);
         if mant == 1u32 << (m + 1) {
@@ -339,6 +343,23 @@ mod tests {
 
     fn codec(f: Fp8Format) -> Fp8Codec {
         Fp8Codec::new(f)
+    }
+
+    /// An `f32` subnormal input is pre-scaled into the normal range to
+    /// read its exponent; both rounding branches must undo that scaling.
+    /// E3M4 with bias 140 puts its whole grid among `f32` subnormals.
+    #[test]
+    fn f32_subnormal_inputs_round_onto_the_grid() {
+        let c = Fp8Codec::from_spec(FpSpec::new(3, 4, 140, NanEncoding::Extended));
+        let step = f32::from_bits(1 << 6); // 2^-143, the smallest subnormal
+        for k in 0..64u8 {
+            // Subnormal (k < 16) and normal grid values, each a fixed point;
+            // a quarter of the way to the next one rounds back down.
+            let (v, next) = (c.decode(k), c.decode(k + 1));
+            assert_eq!(c.quantize(v), v, "code {k}");
+            assert_eq!(c.quantize(v + 0.25 * (next - v)), v, "code {k}");
+        }
+        assert_eq!(c.decode(1), step);
     }
 
     #[test]

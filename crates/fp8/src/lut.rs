@@ -8,20 +8,25 @@
 //! the input's magnitude. This module precomputes that step function once:
 //!
 //! * a 256-entry **decode table** (`decode(code)` for every code),
-//! * a monotone **breakpoint table**: for each representable magnitude, the
-//!   largest `f32` (as a raw bit pattern) that still rounds to it under the
-//!   codec's round-to-nearest-even rule, and
-//! * a 128-entry **encode table**: the code byte of each representable
-//!   magnitude, in breakpoint order.
+//! * 128-entry **value** and **code** tables: each representable magnitude
+//!   and its code byte, in magnitude order (one *interval* each), and
+//! * two **bucket tables** keyed on the magnitude's `f32` exponent and its
+//!   top `man_bits` mantissa bits (`mag >> (23 - man_bits)`): the interval
+//!   holding the bucket's first magnitude (`lo`) and the one breakpoint —
+//!   the last magnitude of that interval — when the next interval starts
+//!   inside the bucket (`bp`, else `u32::MAX`).
 //!
-//! Quantizing is then a branchless 7-step lower-bound search over the
-//! padded 128-entry breakpoint table plus one table load — no exponent
-//! manipulation, no rounding, no overflow branches. [`Fp8Lut::quantize`]
-//! loads the interval's *value*, [`Fp8Lut::encode`] its *code*: the same
-//! search, so `decode(encode(x))` is `quantize(x)` by construction and
-//! `encode` is the byte [`Fp8Codec::encode`](crate::Fp8Codec::encode)
-//! returns. Every production `encode(v * scale)` loop (weights, boundary
-//! activations, KV rows) runs through it.
+//! Within an `f32` binade a bucket is exactly one FP8 grid step wide (finer
+//! below the format's normal range), and the grid's rounding boundaries
+//! are one step apart, so at most one falls strictly inside a bucket.
+//! Quantizing is then one branch-free lookup, `lo[b] + (mag > bp[b])`, and
+//! one table load — no exponent manipulation, no rounding, no overflow
+//! branches, no search. [`Fp8Lut::quantize`] loads the interval's *value*,
+//! [`Fp8Lut::encode`] its *code*: the same lookup, so `decode(encode(x))`
+//! is `quantize(x)` by construction and `encode` is the byte
+//! [`Fp8Codec::encode`](crate::Fp8Codec::encode) returns. Every production
+//! `encode(v * scale)` loop (weights, boundary activations, KV rows,
+//! calibration fake-quant) runs through it.
 //!
 //! Breakpoints are derived *empirically* from the scalar codec by binary
 //! search over the positive `f32` bit space (quantization is monotone in
@@ -31,16 +36,18 @@
 //! as the executable reference; the equivalence is enforced exhaustively in
 //! `tests/lut_equivalence.rs`.
 //!
-//! Tables are built lazily and cached for the lifetime of the process (they
-//! are about 2 KiB each). The three paper formats each sit in their own
+//! Tables are built lazily and cached for the lifetime of the process
+//! (2 KiB plus 5 bytes per bucket: 7, 12 and 22 KiB for E5M2, E4M3 and
+//! E3M4). The three paper formats each sit in their own
 //! `OnceLock`, so [`Fp8Lut::for_format`] is lock-free after first use — it
 //! is called once per kernel call by every worker thread; only exotic
 //! `EeMm` specs go through the mutex-guarded map.
 //!
 //! The fast path only models the default policy pair (saturating overflow +
 //! round-to-nearest-even) — the one used everywhere in the paper's recipes.
-//! [`Fp8Lut::for_codec`] returns `None` for any other codec configuration,
-//! and callers fall back to the scalar path.
+//! [`Fp8Lut::for_codec`] returns `None` for any other codec configuration
+//! (and for a bias past `126 - man_bits`, where a rounding boundary is an
+//! `f32` subnormal), and callers fall back to the scalar path.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -49,7 +56,7 @@ use crate::codec::{Fp8Codec, OverflowPolicy, Rounding};
 use crate::format::{Fp8Format, FpSpec};
 
 /// Bit pattern of +Inf; the upper end of the positive magnitude bit space
-/// the breakpoint search runs over.
+/// the breakpoints and buckets cover.
 const INF_BITS: u32 = 0x7F80_0000;
 
 /// Precomputed quantization tables for one codec configuration.
@@ -72,9 +79,16 @@ pub struct Fp8Lut {
     values: [f32; 128],
     /// Code byte of `values[i]` (positive sign), padded like `values`.
     codes: [u8; 128],
-    /// `upper_bits[i]` = largest positive-`f32` bit pattern that still
-    /// quantizes to `values[i]`; padded with `u32::MAX`.
-    upper_bits: [u32; 128],
+    /// Per magnitude bucket (`mag >> shift`: the `f32` exponent and top
+    /// `man_bits` mantissa bits), the interval holding the bucket's first
+    /// magnitude.
+    lo: Box<[u8]>,
+    /// Per bucket, the last magnitude of interval `lo[b]` when the next
+    /// interval starts inside the bucket (its one breakpoint), else
+    /// `u32::MAX`.
+    bp: Box<[u32]>,
+    /// `23 - man_bits`: magnitude bits below a bucket's key.
+    shift: u32,
     /// Number of distinct non-negative representable magnitudes.
     n: usize,
     /// The codec's canonical NaN code.
@@ -94,9 +108,12 @@ impl Fp8Lut {
     /// The cached table for `codec`, building it on first use.
     ///
     /// Returns `None` when the codec uses a non-default overflow or
-    /// rounding policy; such codecs must use the scalar path.
+    /// rounding policy, or a bias past the tables' domain (see
+    /// [`Fp8Lut::for_spec`]); such codecs must use the scalar path.
     pub fn for_codec(codec: &Fp8Codec) -> Option<&'static Fp8Lut> {
-        if codec.overflow() != OverflowPolicy::Saturate || codec.rounding() != Rounding::NearestEven
+        if codec.overflow() != OverflowPolicy::Saturate
+            || codec.rounding() != Rounding::NearestEven
+            || codec.spec().bias > covered_max_bias(codec.spec().man_bits)
         {
             return None;
         }
@@ -112,6 +129,12 @@ impl Fp8Lut {
     /// The cached table for `spec` under the default policies, building it
     /// on first use. A paper format's spec resolves to its
     /// [`Fp8Lut::for_format`] instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.bias > 126 - spec.man_bits`: half the smallest
+    /// subnormal is then below `f32::MIN_POSITIVE`, a rounding boundary the
+    /// one-lookup tables do not cover.
     pub fn for_spec(spec: FpSpec) -> &'static Fp8Lut {
         if let Some(format) = Fp8Format::ALL.into_iter().find(|f| f.spec() == spec) {
             return Self::for_format(format);
@@ -129,7 +152,18 @@ impl Fp8Lut {
     }
 
     /// Derive the tables from the scalar codec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.bias > 126 - man_bits` ([`covered_max_bias`]): a
+    /// rounding boundary then lies among `f32` subnormals, where a
+    /// magnitude bucket spans several grid steps.
     fn build(spec: FpSpec) -> Fp8Lut {
+        assert!(
+            spec.bias <= covered_max_bias(spec.man_bits),
+            "{spec}: Fp8Lut covers biases up to {}",
+            covered_max_bias(spec.man_bits)
+        );
         let codec = Fp8Codec::from_spec(spec);
         let grid = codec.enumerate_finite_positive();
         let n = grid.len();
@@ -151,26 +185,30 @@ impl Fp8Lut {
             codes[i] = code;
         }
 
-        // Breakpoints: the codec's quantize is monotone non-decreasing in
-        // the positive magnitude bits, so the first bit pattern reaching
-        // grid value i+1 is found by binary search against the scalar
-        // reference; everything below it (and above the previous
-        // breakpoint) rounds to grid value i. This bakes the exact RNE
-        // tie behaviour into the table without re-deriving it.
-        let mut upper_bits = [u32::MAX; 128];
-        for i in 0..n - 1 {
-            let target = grid[i + 1].1.to_bits();
-            let (mut lo, mut hi) = (0u32, INF_BITS);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if codec.quantize(f32::from_bits(mid)).to_bits() >= target {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
+        // Buckets: within an f32 binade a bucket is exactly one FP8 grid
+        // step wide (finer below the format's normal range), so at most one
+        // breakpoint falls strictly inside it (DESIGN.md §13).
+        let upper = upper_bits(&codec, &grid);
+        let shift = 23 - spec.man_bits;
+        let buckets = (INF_BITS >> shift) as usize + 1;
+        let (mut lo, mut bp) = (vec![0u8; buckets], vec![u32::MAX; buckets]);
+        let mut i = 0;
+        for b in 0..buckets {
+            let (first, last) = (
+                (b as u32) << shift,
+                (b as u32) << shift | ((1 << shift) - 1),
+            );
+            while upper[i] < first {
+                i += 1;
             }
-            debug_assert!(lo > 0, "breakpoint search degenerated");
-            upper_bits[i] = lo - 1;
+            lo[b] = i as u8;
+            if upper[i] < last {
+                assert!(
+                    upper[i + 1] >= last,
+                    "{spec}: two breakpoints in magnitude bucket {b:#x}"
+                );
+                bp[b] = upper[i];
+            }
         }
 
         Fp8Lut {
@@ -178,7 +216,9 @@ impl Fp8Lut {
             decode,
             values,
             codes,
-            upper_bits,
+            lo: lo.into_boxed_slice(),
+            bp: bp.into_boxed_slice(),
+            shift,
             n,
             nan_code: codec.nan_code(),
             sign_shift: spec.exp_bits + spec.man_bits,
@@ -230,19 +270,46 @@ impl Fp8Lut {
     }
 
     /// Index of the breakpoint interval holding the non-NaN magnitude bit
-    /// pattern `mag`: a branchless lower bound over the padded
-    /// power-of-two table (the first interval whose upper breakpoint
-    /// covers `mag`; the `u32::MAX` padding keeps it below `n`).
+    /// pattern `mag`: the bucket's first interval, plus one past its
+    /// breakpoint -- one branch-free lookup.
     #[inline]
     fn interval(&self, mag: u32) -> usize {
-        let mut pos = 0usize;
-        let mut half = 64usize;
-        while half > 0 {
-            pos += usize::from(self.upper_bits[pos + half - 1] < mag) * half;
-            half >>= 1;
-        }
-        pos
+        let b = (mag >> self.shift) as usize;
+        usize::from(self.lo[b]) + usize::from(mag > self.bp[b])
     }
+}
+
+/// The largest bias whose rounding boundaries are all `f32` normals (half
+/// the smallest subnormal, `2^(-bias - man_bits)`, is at least
+/// `f32::MIN_POSITIVE`): the tables' domain.
+fn covered_max_bias(man_bits: u32) -> i32 {
+    126 - man_bits as i32
+}
+
+/// `upper[i]` = the largest positive-`f32` bit pattern that still
+/// quantizes to grid value `i`, padded with `u32::MAX`. The codec's
+/// quantize is monotone non-decreasing in the positive magnitude bits, so
+/// the first bit pattern reaching grid value `i + 1` is found by binary
+/// search against the scalar reference; everything below it (and above
+/// the previous breakpoint) rounds to grid value `i`. This bakes the exact
+/// RNE tie behaviour into the table without re-deriving it.
+fn upper_bits(codec: &Fp8Codec, grid: &[(u8, f32)]) -> [u32; 128] {
+    let mut upper = [u32::MAX; 128];
+    for (i, w) in grid.windows(2).enumerate() {
+        let target = w[1].1.to_bits();
+        let (mut lo, mut hi) = (0u32, INF_BITS);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if codec.quantize(f32::from_bits(mid)).to_bits() >= target {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        debug_assert!(lo > 0, "breakpoint search degenerated");
+        upper[i] = lo - 1;
+    }
+    upper
 }
 
 #[cfg(test)]
@@ -286,13 +353,71 @@ mod tests {
     fn breakpoints_strictly_increase() {
         for f in Fp8Format::ALL {
             let lut = Fp8Lut::for_spec(f.spec());
-            for i in 1..lut.n - 1 {
-                assert!(
-                    lut.upper_bits[i - 1] < lut.upper_bits[i],
-                    "{f} breakpoint {i}"
-                );
+            let bps: Vec<u32> = lut.bp.iter().copied().filter(|&b| b != u32::MAX).collect();
+            // A transition on a bucket's edge needs no breakpoint.
+            assert!(
+                bps.len() < lut.n,
+                "{f}: at most one breakpoint per grid step"
+            );
+            assert!(bps.windows(2).all(|w| w[0] < w[1]), "{f}");
+            assert!(lut.lo.windows(2).all(|w| w[0] <= w[1]), "{f}");
+        }
+    }
+
+    /// Every split of the 7 magnitude bits, both NaN encodings, every
+    /// bias from below the lowest with a strictly increasing grid (ties far
+    /// beyond `f32::MAX`) up to the last the tables cover
+    /// (`126 - man_bits`): at most one breakpoint falls strictly inside any
+    /// magnitude bucket, and the lookup matches the codec's quantize (the
+    /// step function the tables are derived from) on both sides of every
+    /// breakpoint.
+    #[test]
+    fn every_split_has_at_most_one_breakpoint_per_bucket() {
+        use crate::format::NanEncoding;
+        let mut built = 0;
+        for exp_bits in 1..=7u32 {
+            let man_bits = 7 - exp_bits;
+            for enc in [NanEncoding::Ieee, NanEncoding::Extended] {
+                // IEEE needs two exponent bits; extended E7M0 has no finite
+                // value in its top binade, which `Fp8Codec::max_code` does
+                // not model (its `man_mask() - 1` underflows).
+                if (enc == NanEncoding::Ieee && exp_bits < 2)
+                    || (enc == NanEncoding::Extended && man_bits == 0)
+                {
+                    continue;
+                }
+                for bias in -140..=covered_max_bias(man_bits) {
+                    let spec = FpSpec::new(exp_bits, man_bits, bias, enc);
+                    let codec = Fp8Codec::from_spec(spec);
+                    let grid = codec.enumerate_finite_positive();
+                    if grid.len() < 2 || grid.windows(2).any(|w| w[0].1 >= w[1].1) {
+                        continue; // the grid itself leaves the f32 range
+                    }
+                    let upper = upper_bits(&codec, &grid);
+                    let inner = &upper[..grid.len() - 1];
+                    let shift = 23 - man_bits;
+                    for w in inner.windows(2) {
+                        // Two breakpoints share a bucket only if the first
+                        // is its last magnitude (a transition on the edge).
+                        assert!(
+                            w[0] >> shift != w[1] >> shift || !w[0] & ((1 << shift) - 1) == 0,
+                            "{spec}: breakpoints {:#x} and {:#x} share a bucket",
+                            w[0],
+                            w[1]
+                        );
+                    }
+                    let lut = Fp8Lut::build(spec);
+                    for &u in inner {
+                        for x in [f32::from_bits(u), f32::from_bits(u + 1)] {
+                            let (a, b) = (lut.quantize(x), codec.quantize(x));
+                            assert_eq!(a.to_bits(), b.to_bits(), "{spec} x={x:e}");
+                        }
+                    }
+                    built += 1;
+                }
             }
         }
+        assert!(built > 2800, "{built} specs");
     }
 
     #[test]

@@ -215,6 +215,28 @@ fn strided_bit_space_sweep() {
     }
 }
 
+/// Pre-merge, `cargo test --release -p ptq-fp8 --test lut_equivalence --
+/// --ignored exhaustive` (DESIGN.md §13): `encode` and `quantize` against
+/// the scalar codec on all 2^32 inputs of each paper format, the bit space
+/// split across the available cores.
+#[test]
+#[ignore = "exhaustive over 2^32 inputs per format: minutes on 2 cores"]
+fn exhaustive_bit_space_all_formats() {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    for f in Fp8Format::ALL {
+        let span = (1u64 << 32).div_ceil(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    for bits in t * span..((t + 1) * span).min(1 << 32) {
+                        assert_quantize_matches(f, f32::from_bits(bits as u32));
+                    }
+                });
+            }
+        });
+    }
+}
+
 /// Non-default codec policies transparently fall back to the scalar path
 /// inside `fake_quant_fp8_lut`, so results still match exactly.
 #[test]

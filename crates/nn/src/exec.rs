@@ -315,14 +315,16 @@ fn eval_node_into(
         Op::AvgPool { k } => ops::avg_pool2d_into(&ins[0], *k, out),
         Op::GlobalAvgPool => ops::global_avg_pool2d_into(&ins[0], out),
         Op::MeanRows => {
+            // Rows added in ascending order into each column's sum.
             let x = &ins[0];
             let (r, d) = (x.dim(0), x.dim(1));
             out.reuse_as(&[1, d]);
             out.zero_fill();
-            for i in 0..r {
-                for j in 0..d {
-                    out.data_mut()[j] += x.at(&[i, j]);
-                }
+            for row in x.data().chunks_exact(d.max(1)) {
+                out.data_mut()
+                    .iter_mut()
+                    .zip(row)
+                    .for_each(|(o, &v)| *o += v);
             }
             let inv = 1.0 / r.max(1) as f32;
             out.map_inplace(|v| v * inv);
@@ -339,17 +341,17 @@ fn eval_node_into(
             ins[0].map_into(|x| x * s, out);
         }
         Op::Upsample2x => {
+            // Each input row becomes two identical output rows of pairs.
             let x = &ins[0];
             let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
             out.reuse_as(&[n, c, 2 * h, 2 * w]);
-            for ni in 0..n {
-                for ci in 0..c {
-                    for y in 0..2 * h {
-                        for xx in 0..2 * w {
-                            *out.at_mut(&[ni, ci, y, xx]) = x.at(&[ni, ci, y / 2, xx / 2]);
-                        }
-                    }
-                }
+            let rows = x.data().chunks_exact(w.max(1));
+            for (pair, row) in out.data_mut().chunks_exact_mut(4 * w.max(1)).zip(rows) {
+                let (top, bottom) = pair.split_at_mut(2 * w);
+                top.chunks_exact_mut(2)
+                    .zip(row)
+                    .for_each(|(o, &v)| o.fill(v));
+                bottom.copy_from_slice(top);
             }
         }
         Op::CausalMask => {
@@ -366,15 +368,10 @@ fn eval_node_into(
             // single newest query row must not re-mask already-emitted
             // positions.
             let x = &ins[0];
-            let (b, s1, s2) = (x.dim(0), x.dim(1), x.dim(2));
-            let off = s2 - s1;
+            let (s1, s2) = (x.dim(1), x.dim(2));
             out.copy_from(x);
-            for bi in 0..b {
-                for i in 0..s1 {
-                    for j in (i + 1 + off)..s2 {
-                        *out.at_mut(&[bi, i, j]) = f32::NEG_INFINITY;
-                    }
-                }
+            for (r, row) in out.data_mut().chunks_exact_mut(s2.max(1)).enumerate() {
+                row[r % s1 + 1 + (s2 - s1)..].fill(f32::NEG_INFINITY);
             }
         }
     }

@@ -90,9 +90,10 @@ fn scale_count(len: usize, shape: &[usize], tile: usize) -> usize {
 
 /// Elements per chunk of a per-tensor encode's fan-out.
 const ENCODE_CHUNK: usize = 4096;
-/// What one `Fp8Lut::encode` costs in the kernels' MAC units (≈ 6 ns
-/// against ≈ 0.05 ns), so an encode fans out from 8192 elements, where
-/// two threads first win (DESIGN.md §13).
+/// An encode's weight in the kernels' MAC units: it fans out from 8192
+/// elements, where two threads first win. The lookup encode (≈ 2.6 ns
+/// against ≈ 0.05 ns per MAC) still gains from the second thread there,
+/// by a replay and end-to-end pairs (DESIGN.md §13).
 const ENCODE_MACS: usize = 128;
 
 /// An FP8-coded activation tensor with reusable buffers.

@@ -119,6 +119,9 @@ fn tile_row<const SKIP: bool>(arow: &[f32], panel: &[f32]) -> [f32; NRM] {
 }
 
 #[cfg(target_arch = "x86_64")]
+pub(super) use simd::avx2_available;
+
+#[cfg(target_arch = "x86_64")]
 mod simd {
     //! Runtime-detected AVX2 lane for the register tiles.
     //!
@@ -138,7 +141,7 @@ mod simd {
     // The 4-lane zero test reads one full kk column as a single xmm load.
     const _: () = assert!(MR == 4);
 
-    pub(super) fn avx2_available() -> bool {
+    pub(in crate::ops) fn avx2_available() -> bool {
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }

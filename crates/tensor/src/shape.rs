@@ -311,11 +311,22 @@ pub fn reshape_shape(x: &[usize], target: &[usize]) -> Result<Shape, ShapeError>
     Ok(target.to_vec())
 }
 
-/// [`crate::Tensor::permute`]: `perm` must be a permutation of `0..ndim`.
+/// Most axes [`crate::Tensor::permute`] handles: its odometer's index
+/// arrays live on the stack.
+pub const MAX_PERMUTE_RANK: usize = 8;
+
+/// [`crate::Tensor::permute`]: `perm` must be a permutation of `0..ndim`,
+/// with at most [`MAX_PERMUTE_RANK`] axes.
 pub fn permute_shape(x: &[usize], perm: &[usize]) -> Result<Shape, ShapeError> {
     if perm.len() != x.len() {
         return err(format!(
             "permutation {perm:?} rank mismatch with shape {x:?}"
+        ));
+    }
+    if perm.len() > MAX_PERMUTE_RANK {
+        return err(format!(
+            "permute supports up to {MAX_PERMUTE_RANK} axes, got {}",
+            perm.len()
         ));
     }
     let mut seen = vec![false; perm.len()];
@@ -449,6 +460,8 @@ mod tests {
         );
         assert!(permute_shape(&[2, 3, 4], &[0, 0, 1]).is_err());
         assert!(permute_shape(&[2, 3, 4], &[0, 1]).is_err());
+        let deep: Vec<usize> = (0..=MAX_PERMUTE_RANK).collect();
+        assert!(permute_shape(&deep, &deep).is_err());
         assert_eq!(causal_mask_shape(&[2, 4, 4]).unwrap(), vec![2, 4, 4]);
         // Bottom-aligned rectangular rows (incremental decode steps) are
         // legal; more query rows than keys is not.

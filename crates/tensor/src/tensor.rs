@@ -231,33 +231,63 @@ impl Tensor {
     }
 
     /// Out-param variant of [`Tensor::permute`]: writes the permuted copy
-    /// into `out`, reusing its allocation.
+    /// into `out`, reusing its allocation. A strided row copy: rows run
+    /// along the last output axis (`copy_from_slice` when the last axis
+    /// stays last) and an odometer over stack arrays walks the outer axes
+    /// -- no per-element index arithmetic, no heap allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `perm` is not a valid permutation.
+    /// Panics if `perm` is not a valid permutation, or has more than
+    /// [`MAX_PERMUTE_RANK`](crate::shape::MAX_PERMUTE_RANK) axes (graph
+    /// validation rejects those).
     pub fn permute_into(&self, perm: &[usize], out: &mut Tensor) {
-        assert_eq!(perm.len(), self.ndim(), "permutation rank mismatch");
-        let mut seen = vec![false; perm.len()];
+        const R: usize = crate::shape::MAX_PERMUTE_RANK;
+        let nd = self.ndim();
+        assert_eq!(perm.len(), nd, "permutation rank mismatch");
+        assert!(nd <= R, "permute supports up to {R} axes, got {nd}");
+        let mut seen = 0u32;
         for &p in perm {
-            assert!(p < perm.len() && !seen[p], "invalid permutation {perm:?}");
-            seen[p] = true;
+            assert!(p < nd && seen >> p & 1 == 0, "invalid permutation {perm:?}");
+            seen |= 1 << p;
         }
-        let new_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        out.reuse_as(&new_shape);
-        let old_strides = strides_of(&self.shape);
-        let new_strides = strides_of(&new_shape);
-        let n = self.len();
-        for flat in 0..n {
-            // Decompose flat index in the new layout, map back to the old.
-            let mut rem = flat;
-            let mut old_off = 0;
-            for (d, &ns) in new_strides.iter().enumerate() {
-                let ix = rem / ns;
-                rem %= ns;
-                old_off += ix * old_strides[perm[d]];
+        // Per output axis: its extent and the input stride it walks.
+        let (mut stride, mut in_strides) = (1, [0; R]);
+        for (s, &dim) in in_strides[..nd].iter_mut().zip(&self.shape).rev() {
+            (*s, stride) = (stride, stride * dim);
+        }
+        let (mut dims, mut src) = ([0; R], [0; R]);
+        for (d, &p) in perm.iter().enumerate() {
+            (dims[d], src[d]) = (self.shape[p], in_strides[p]);
+        }
+        out.reuse_as(&dims[..nd]);
+        let Some(last) = nd.checked_sub(1) else {
+            out.data.copy_from_slice(&self.data); // 0-d: one element
+            return;
+        };
+        if out.data.is_empty() {
+            return;
+        }
+        let (row, step) = (dims[last], src[last]);
+        let (mut idx, mut base) = ([0; R], 0);
+        for orow in out.data.chunks_exact_mut(row) {
+            if step == 1 {
+                orow.copy_from_slice(&self.data[base..base + row]);
+            } else {
+                for (j, o) in orow.iter_mut().enumerate() {
+                    *o = self.data[base + j * step];
+                }
             }
-            out.data[flat] = self.data[old_off];
+            // Advance the odometer over the outer axes, last fastest.
+            for d in (0..last).rev() {
+                idx[d] += 1;
+                base += src[d];
+                if idx[d] < dims[d] {
+                    break;
+                }
+                base -= idx[d] * src[d];
+                idx[d] = 0;
+            }
         }
     }
 
@@ -447,15 +477,6 @@ impl Tensor {
     }
 }
 
-/// Row-major strides for a shape.
-pub(crate) fn strides_of(shape: &[usize]) -> Vec<usize> {
-    let mut s = vec![1; shape.len()];
-    for i in (0..shape.len().saturating_sub(1)).rev() {
-        s[i] = s[i + 1] * shape[i + 1];
-    }
-    s
-}
-
 /// Decompose a channel-style broadcast: returns `(repeat, period, inner)`
 /// such that `self` is viewed as `[repeat, period, inner]` and `other` (of
 /// `period` elements) broadcasts along `repeat` and `inner`.
@@ -571,6 +592,72 @@ mod tests {
         // 2-D permute equals transpose2.
         let m = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]);
         assert_eq!(m.permute(&[1, 0]), m.transpose2());
+    }
+
+    /// The per-element index decomposition `permute_into` replaced: the
+    /// output's flat index split by its strides, mapped to the input's.
+    fn permute_oracle(t: &Tensor, perm: &[usize]) -> Tensor {
+        let strides = |shape: &[usize]| {
+            let mut s = vec![1; shape.len()];
+            for i in (0..shape.len().saturating_sub(1)).rev() {
+                s[i] = s[i + 1] * shape[i + 1];
+            }
+            s
+        };
+        let new_shape: Vec<usize> = perm.iter().map(|&p| t.shape()[p]).collect();
+        let (old, new) = (strides(t.shape()), strides(&new_shape));
+        let data = (0..t.len())
+            .map(|flat| {
+                let (mut rem, mut off) = (flat, 0);
+                for (d, &ns) in new.iter().enumerate() {
+                    off += rem / ns * old[perm[d]];
+                    rem %= ns;
+                }
+                t.data()[off]
+            })
+            .collect();
+        Tensor::from_vec(data, &new_shape)
+    }
+
+    /// Every permutation of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut all = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                all.push(q);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn permute_matches_the_index_decomposition() {
+        let mut out = Tensor::from_slice(&[9.0; 7]); // stale shape and data
+        for rank in 0..=4 {
+            for dims in [[3, 5, 2, 7], [1, 3, 1, 4], [2, 0, 3, 5], [4, 3, 0, 1]] {
+                let shape = &dims[..rank];
+                let n = shape.iter().product::<usize>();
+                let t = Tensor::from_vec((0..n).map(|i| i as f32).collect(), shape);
+                for perm in permutations(rank) {
+                    t.permute_into(&perm, &mut out);
+                    assert_eq!(out, permute_oracle(&t, &perm), "{shape:?} {perm:?}");
+                }
+            }
+        }
+        let deep = Tensor::zeros(&[1; crate::shape::MAX_PERMUTE_RANK]);
+        let rev: Vec<usize> = (0..crate::shape::MAX_PERMUTE_RANK).rev().collect();
+        assert_eq!(deep.permute(&rev), deep);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid permutation")]
+    fn permute_rejects_a_repeated_axis() {
+        Tensor::zeros(&[2, 3]).permute(&[1, 1]);
     }
 
     #[test]
