@@ -14,8 +14,9 @@
 #     4-wide nest (`conv_plane`, `OXB`) may not reappear under crates/.
 #   * The path alone chooses the kernel: no `(KernelPath::Blocked, …)`
 #     tuple guard under crates/tensor/src/ops picks a kernel by operand
-#     kind -- f32 and FP8 operands run the same blocked kernels, and the
-#     reference loops run only under `KernelPath::ScalarReference`.
+#     kind -- f32 and FP8 operands run the same blocked kernels (short
+#     rows and the attention steps read FP8 codes in place, below), and
+#     the reference loops run only under `KernelPath::ScalarReference`.
 #   * Streamed decode, LUT encode: the per-channel decode-table machinery
 #     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
 #     `take_tables`) may not reappear under crates/ -- a coded weight is
@@ -23,6 +24,15 @@
 #     non-test line of crates/tensor/src or crates/fp8/src/storage.rs calls
 #     the scalar `codec.encode(`: production encode loops go through
 #     `Fp8Lut::encode`.
+#   * One lane decoder, no gather: short rows (m < 4) and both FP8-KV
+#     attention steps read FP8 codes in place through one 8-lane decoder,
+#     `decode8` in crates/tensor/src/ops/blocked.rs -- the only non-test
+#     line under crates/tensor/src that widens codes to lanes
+#     (`_mm256_cvtepu8_epi32`), so the decode arithmetic has one
+#     definition. No `_mm256_*i32gather*` intrinsic under crates/tensor/src:
+#     a gather decode measured no faster than the scalar pack it would
+#     replace (3.95 against 4.10 us at 64x64, DESIGN.md §13) and keeps a
+#     table load per element.
 #   * One measuring stack: no `[[bench]]` target and no `criterion`
 #     dependency in the root manifest or any manifest under crates/.
 #     Timing lives in `benchmark/`.
@@ -100,10 +110,28 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2423
+ops_budget=2924
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
+    fail=1
+fi
+
+hits=$(find crates/tensor/src -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /_mm256_[a-z0-9_]*i32gather/{print FILENAME":"FNR": "$0}' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "no gather under crates/tensor/src: FP8 codes decode arithmetically in decode8:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+widen=$(find crates/tensor/src -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /fn decode8/{d=1} /_mm256_cvtepu8_epi32/{print FILENAME":"FNR":"d": "$0}' "$f"
+done)
+if [ "$(printf '%s' "$widen" | grep -c .)" -ne 1 ] || ! printf '%s' "$widen" | grep -q '^crates/tensor/src/ops/blocked.rs:[0-9]*:1: '; then
+    echo "one lane decoder: codes widen to lanes in exactly one non-test place, decode8 in ops/blocked.rs:" >&2
+    printf '%s\n' "$widen" >&2
     fail=1
 fi
 
@@ -226,7 +254,7 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
-    "the kernel path alone chooses the kernel," \
+    "the kernel path alone chooses the kernel, one lane decoder and no gather," \
     "no per-plane conv nest," \
     "no decode-table machinery, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \

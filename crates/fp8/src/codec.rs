@@ -118,16 +118,15 @@ impl Fp8Codec {
         }
     }
 
-    /// The bit pattern of the largest finite positive value.
+    /// The bit pattern of the largest finite positive value. An extended
+    /// spec without mantissa bits (E7M0) has no finite value in its top
+    /// binade (its one code there is NaN): the top code of the binade
+    /// below.
     pub fn max_code(&self) -> u8 {
-        let m = self.spec.man_bits;
+        let (m, top) = (self.spec.man_bits, self.spec.exp_all_ones());
         match self.spec.nan_encoding {
-            NanEncoding::Ieee => {
-                (((self.spec.exp_all_ones() - 1) << m) | self.spec.man_mask()) as u8
-            }
-            NanEncoding::Extended => {
-                ((self.spec.exp_all_ones() << m) | (self.spec.man_mask() - 1)) as u8
-            }
+            NanEncoding::Extended if m > 0 => ((top << m) | (self.spec.man_mask() - 1)) as u8,
+            _ => (((top - 1) << m) | self.spec.man_mask()) as u8,
         }
     }
 
@@ -544,6 +543,19 @@ mod tests {
             let c = codec(f);
             assert_eq!(c.decode(c.max_code()), f.max_value(), "{f}");
         }
+        // Extended E7M0: the top binade's one code is NaN, so the largest
+        // finite value is the top of the binade below.
+        let spec = FpSpec::new(7, 0, 63, NanEncoding::Extended);
+        let c = Fp8Codec::from_spec(spec);
+        assert_eq!(c.max_code(), 0x7e);
+        assert_eq!(c.decode(c.max_code()), spec.max_value());
+        assert_eq!(spec.max_value(), 2f32.powi(126 - 63));
+        assert!(c.decode(0x7f).is_nan());
+        assert_eq!(
+            c.encode(f32::MAX),
+            0x7e,
+            "saturates to the largest finite code"
+        );
     }
 
     #[test]

@@ -160,15 +160,18 @@ impl FpSpec {
     /// Largest finite representable magnitude.
     pub fn max_value(&self) -> f32 {
         let m = self.man_bits;
-        let top_mantissa = match self.nan_encoding {
+        let (top_mantissa, exp) = match self.nan_encoding {
             // IEEE: full mantissa available below the reserved exponent.
-            NanEncoding::Ieee => self.man_mask(),
+            NanEncoding::Ieee => (self.man_mask(), self.max_exp()),
+            // Extended without mantissa bits: the top exponent's one code
+            // is NaN, so the binade below holds the largest value.
+            NanEncoding::Extended if m == 0 => (0, self.max_exp() - 1),
             // Extended: all-ones mantissa at the top exponent is NaN, so the
             // largest usable mantissa is all-ones minus one.
-            NanEncoding::Extended => self.man_mask().saturating_sub(1),
+            NanEncoding::Extended => (self.man_mask() - 1, self.max_exp()),
         };
         let frac = 1.0 + top_mantissa as f32 / (1u32 << m) as f32;
-        frac * (self.max_exp() as f32).exp2()
+        frac * (exp as f32).exp2()
     }
 
     /// Smallest positive subnormal magnitude: `2^(1 - bias - man_bits)`.

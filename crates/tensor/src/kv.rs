@@ -159,6 +159,27 @@ enum KvStore {
     },
 }
 
+/// A crate-private view of an FP8 [`KvBuf`]'s storage: the codes
+/// position-major, and position `j`'s value at column `c` is
+/// `lut.decode(codes[j·d + c]) / scale(j)` — [`KvBuf::value_at`]. Read
+/// by the AVX2 step kernels only.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) struct KvCodes<'a> {
+    pub(crate) lut: &'static Fp8Lut,
+    pub(crate) codes: &'a [u8],
+    static_scale: Option<f32>,
+    row_scales: &'a [f32],
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl KvCodes<'_> {
+    /// The scale of position `j`: the static one, or the row's own.
+    #[inline]
+    pub(crate) fn scale(&self, j: usize) -> f32 {
+        self.static_scale.unwrap_or_else(|| self.row_scales[j])
+    }
+}
+
 /// One append buffer: K or V rows of one attention layer.
 #[derive(Debug, Clone)]
 pub struct KvBuf {
@@ -299,6 +320,27 @@ impl KvBuf {
                 let s = static_scale.unwrap_or_else(|| row_scales[j]);
                 lut.decode(codes[j * self.d + c]) / s
             }
+        }
+    }
+
+    /// The FP8 storage in place, for the step kernels that decode it
+    /// themselves; `None` for an F32 buffer.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn fp8_codes(&self) -> Option<KvCodes<'_>> {
+        match &self.store {
+            KvStore::F32(_) => None,
+            KvStore::Fp8 {
+                lut,
+                codes,
+                static_scale,
+                row_scales,
+                ..
+            } => Some(KvCodes {
+                lut,
+                codes,
+                static_scale: *static_scale,
+                row_scales,
+            }),
         }
     }
 

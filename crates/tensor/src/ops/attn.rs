@@ -23,16 +23,23 @@
 //! bit-identical to the same rows of the full-window forward (DESIGN.md
 //! §16); with an FP8 cache the values are `decode(code)/scale`, so the only
 //! deviation is the storage rounding. A row's chains do not depend on the
-//! segments beside it. Both [`KernelPath`]s agree bit for bit: the blocked
-//! path decodes a cache once into pooled panels (scores then pack each
-//! head's keys as the matmul tile's `B`), the reference decodes inline per
-//! element.
+//! segments beside it. Both [`KernelPath`]s agree bit for bit: the
+//! reference decodes inline per element; the blocked path reads an FP8
+//! cache in place under a segment of 1–3 rows with AVX2 (the blocked
+//! module's 8-lane decoder, one lane per chain: 8 positions of a score
+//! row, 8 columns of a context row) and otherwise decodes the cache once
+//! into pooled panels (scores then pack each head's keys as the matmul
+//! tile's `B`).
 
 use std::ops::Range;
 
+#[cfg(target_arch = "x86_64")]
+use super::blocked::{avx2_available, short_rows, MR};
 use super::blocked::{pack_transposed, tile_rows, NRM};
 use super::{scratch, KernelPath};
 use crate::kv::KvBuf;
+#[cfg(target_arch = "x86_64")]
+use crate::kv::KvCodes;
 use crate::tensor::Tensor;
 
 /// The cache operand of a step kernel: its query rows in segments, each
@@ -104,6 +111,19 @@ pub fn attention_step_q<'a>(
             assert_eq!(heads * dh, d, "q heads*dh vs cache row width");
             r0 += rows;
             if len == 0 {
+                continue;
+            }
+            #[cfg(target_arch = "x86_64")]
+            if let Some(kv) = in_place(path, cache, rows) {
+                for h in 0..heads {
+                    let qh = &qd[(h * m + first) * dh..][..rows * dh];
+                    let oh = &mut od[(h * m + first) * l..][..rows * l];
+                    // SAFETY: `in_place` checked AVX2; the cache holds
+                    // `len` rows of `d = heads · dh` codes.
+                    unsafe {
+                        short_rows!(rows, simd::scores(&kv, (h * dh, d, len), (qh, dh), (oh, l)))
+                    }
+                }
                 continue;
             }
             match path {
@@ -184,6 +204,22 @@ pub fn attention_step_v<'a>(
             if len == 0 || dh == 0 {
                 continue;
             }
+            #[cfg(target_arch = "x86_64")]
+            if let Some(kv) = in_place(path, cache, rows) {
+                for h in 0..heads {
+                    let ph = &pd[(h * m + first) * l..][..rows * l];
+                    let oh = &mut od[(h * m + first) * dh..][..rows * dh];
+                    // SAFETY: `in_place` checked AVX2; the cache holds
+                    // `len` rows of `d = heads · dh` codes.
+                    unsafe {
+                        short_rows!(
+                            rows,
+                            simd::context(&kv, (h * dh, d, len), (ph, l), (oh, dh))
+                        )
+                    }
+                }
+                continue;
+            }
             let rows = seg_rows(heads, m, first..r0);
             match path {
                 KernelPath::ScalarReference => {
@@ -219,6 +255,183 @@ pub fn attention_step_v<'a>(
             }
         }
     });
+}
+
+/// The codes the `Blocked` path reads in place, nothing staged: an FP8
+/// cache under a segment of `1..MR` rows, on a CPU with AVX2. Larger
+/// segments and F32 caches keep the staged path.
+#[cfg(target_arch = "x86_64")]
+fn in_place(path: KernelPath, cache: &KvBuf, rows: usize) -> Option<KvCodes<'_>> {
+    let short = path == KernelPath::Blocked && (1..MR).contains(&rows);
+    cache.fp8_codes().filter(|_| short && avx2_available())
+}
+
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    //! The FP8-cache step kernels of fewer than `MR` rows on AVX2: the codes
+    //! read in place through the blocked module's 8-lane decoder, each lane
+    //! one reference chain (`vmulps` then `vaddps`, the zero-skip per row
+    //! and term), nothing staged.
+
+    use std::arch::x86_64::*;
+
+    use super::super::blocked::simd::{
+        all_common, decode8, load8, store8, transpose8x8, LaneDecode,
+    };
+    use super::NRM;
+    use crate::kv::KvCodes;
+
+    /// `acc[i][b] += av[i] · v` for every row whose `av[i]` is not zero.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 was detected.
+    #[inline(always)]
+    unsafe fn mac_rows<const R: usize, const P: usize>(
+        acc: &mut [[__m256; P]; R],
+        b: usize,
+        av: &[f32; R],
+        v: __m256,
+    ) {
+        for (a, &x) in acc.iter_mut().zip(av) {
+            if x != 0.0 {
+                a[b] = _mm256_add_ps(a[b], _mm256_mul_ps(_mm256_set1_ps(x), v));
+            }
+        }
+    }
+
+    /// Scores of `R` query rows (`q`, `dh` apart) against the head whose
+    /// `dh` columns start at `col`: per block of 8 positions, 8×8 byte
+    /// blocks of their rows transpose into one vector per `kk`, decoded by
+    /// the positions' scales; a lane is one `(row, position)` chain, `kk`
+    /// ascending. A ragged last block's dead lanes repeat its last position
+    /// and are not stored; rows go to `out`, `l` apart.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 was detected; `kv` holds `len` rows of `d` codes and
+    /// `col + dh <= d`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scores<const R: usize>(
+        kv: &KvCodes,
+        (col, d, len): (usize, usize, usize),
+        (q, dh): (&[f32], usize),
+        (out, l): (&mut [f32], usize),
+    ) {
+        let (dec, codes) = (LaneDecode::new(kv.lut), kv.codes.as_ptr().add(col));
+        for j0 in (0..len).step_by(NRM) {
+            let wp = NRM.min(len - j0);
+            let pos: [usize; NRM] = std::array::from_fn(|p| j0 + p.min(wp - 1));
+            let s: [f32; NRM] = std::array::from_fn(|p| kv.scale(pos[p]));
+            let s = _mm256_loadu_ps(s.as_ptr());
+            let mut acc = [[_mm256_setzero_ps(); 1]; R];
+            for kk0 in (0..dh).step_by(NRM) {
+                let w = NRM.min(dh - kk0);
+                let mut rows = [_mm_setzero_si128(); NRM];
+                for (r, &p) in rows.iter_mut().zip(&pos) {
+                    *r = load8(codes.add(p * d + kk0), w);
+                }
+                let cols = transpose8x8(&rows);
+                macro_rules! steps {
+                    ($full:literal) => {
+                        for (t, &c) in cols.iter().enumerate().take(w) {
+                            let av: [f32; R] = std::array::from_fn(|i| q[i * dh + kk0 + t]);
+                            if av != [0.0; R] {
+                                mac_rows(&mut acc, 0, &av, decode8::<$full>(&dec, c, s));
+                            }
+                        }
+                    };
+                }
+                if all_common(&dec, &cols) {
+                    steps!(false);
+                } else {
+                    steps!(true);
+                }
+            }
+            for (i, a) in acc.iter().enumerate() {
+                store8(a[0], &mut out[i * l + j0..][..wp]);
+            }
+        }
+    }
+
+    /// Context of `R` probability rows (`p`, `l` apart) against the head
+    /// whose `dh` columns start at `col`: per block of 8 columns, each
+    /// position's 8 codes decoded by its scale; a lane is one `(row,
+    /// column)` chain, positions ascending. Rows go to `out`, `dh` apart.
+    ///
+    /// # Safety
+    ///
+    /// As [`scores`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn context<const R: usize>(
+        kv: &KvCodes,
+        (col, d, len): (usize, usize, usize),
+        (p, l): (&[f32], usize),
+        (out, dh): (&mut [f32], usize),
+    ) {
+        let (dec, at) = (LaneDecode::new(kv.lut), (col, d, len));
+        let mut c0 = 0;
+        while c0 + 2 * NRM <= dh {
+            context_block::<R, 2>(kv, &dec, at, (p, l), (out, dh), c0);
+            c0 += 2 * NRM;
+        }
+        while c0 < dh {
+            context_block::<R, 1>(kv, &dec, at, (p, l), (out, dh), c0);
+            c0 += NRM;
+        }
+    }
+
+    /// [`context`] for the `P` column blocks from `c0`: two vectors of
+    /// chains per row share each position's skip test and scale.
+    ///
+    /// # Safety
+    ///
+    /// As [`scores`].
+    #[inline(always)]
+    unsafe fn context_block<const R: usize, const P: usize>(
+        kv: &KvCodes,
+        dec: &LaneDecode,
+        (col, d, len): (usize, usize, usize),
+        (p, l): (&[f32], usize),
+        (out, dh): (&mut [f32], usize),
+        c0: usize,
+    ) {
+        let wc = (dh - c0).min(P * NRM);
+        let codes = kv.codes.as_ptr().add(col + c0);
+        let mut acc = [[_mm256_setzero_ps(); P]; R];
+        for j in 0..len {
+            let av: [f32; R] = std::array::from_fn(|i| p[i * l + j]);
+            if av == [0.0; R] {
+                continue;
+            }
+            let (s, at) = (_mm256_set1_ps(kv.scale(j)), codes.add(j * d));
+            macro_rules! step {
+                ($full:literal) => {
+                    for b in 0..P {
+                        let w = (wc - b * NRM).min(NRM);
+                        let v = decode8::<$full>(dec, load8(at.add(b * NRM), w), s);
+                        mac_rows(&mut acc, b, &av, v);
+                    }
+                };
+            }
+            // A pair of blocks is 16 whole codes; a single one `wc`.
+            let (x, valid) = match P {
+                2 => (_mm_loadu_si128(at.cast()), 0xffff),
+                _ => (load8(at, wc), (1 << wc) - 1),
+            };
+            if _mm_movemask_epi8(dec.uncommon16(x)) & valid == 0 {
+                step!(false);
+            } else {
+                step!(true);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            for (b, v) in a.iter().enumerate() {
+                let w = (wc - b * NRM).min(NRM);
+                store8(*v, &mut out[i * dh + c0 + b * NRM..][..w]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

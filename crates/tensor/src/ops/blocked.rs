@@ -20,7 +20,11 @@
 //! * **linear**: the `[n, k]` weight is packed once per call into the same
 //!   panels and the rows run the tile compiled with `SKIP = false` (Linear
 //!   multiplies every term: `0 · NaN` stays NaN); the bias lands on the
-//!   finished chain. Row blocks shorter than 4 run a 1×8 row tile.
+//!   finished chain. Row blocks shorter than 4 run a 1×8 row tile — and,
+//!   against an FP8 weight with AVX2, read the codes in place: 8×8 byte
+//!   blocks of 8 channels' rows transpose in registers and the 8-lane
+//!   decoder [`simd::decode8`] (also the attention steps' decoder) turns
+//!   each column into the `decode(code) / scale` the panel would hold.
 //! * **conv**: a weight `[cout, cin·kh·kw]` is Linear's `[n, k]`; a tile
 //!   carries 4 pixels of a row × 8 or 16 channels, chains **seeded with the
 //!   bias**, taps read from the sample in place. Only in-bounds taps are
@@ -29,9 +33,10 @@
 //!   +0.0`). Depthwise runs 8 interior pixels of a plane's row as 8 chains.
 //!
 //! Equivalence is enforced by `tests/kernel_path_equivalence.rs` and the
-//! zoo-wide suites. Staging comes from the per-thread pool in
-//! [`super::scratch`]: steady-state calls do not allocate, and no staged
-//! value outlives its call.
+//! zoo-wide suites; the lane decoder against the table on every code of
+//! every format by this module's tests. Staging comes from the per-thread
+//! pool in [`super::scratch`]: steady-state calls do not allocate, and no
+//! staged value outlives its call.
 
 use std::ops::Range;
 
@@ -42,7 +47,7 @@ use super::operand::Rows;
 use super::{for_each_chunk, scratch, WeightOperand};
 
 /// Rows (conv: output pixels) per register tile.
-const MR: usize = 4;
+pub(super) const MR: usize = 4;
 /// Columns (conv: output channels) per packed panel; a tile spans one or
 /// two panels.
 pub(super) const NRM: usize = 8;
@@ -121,9 +126,25 @@ fn tile_row<const SKIP: bool>(arow: &[f32], panel: &[f32]) -> [f32; NRM] {
 #[cfg(target_arch = "x86_64")]
 pub(super) use simd::avx2_available;
 
+/// `f::<R>(args)` for `R = $rows`, one of the `1..MR` row counts the
+/// short-row kernels are compiled for.
 #[cfg(target_arch = "x86_64")]
-mod simd {
-    //! Runtime-detected AVX2 lane for the register tiles.
+macro_rules! short_rows {
+    ($rows:expr, $($f:ident)::+ ($($a:expr),*)) => {
+        match $rows {
+            1 => $($f)::+::<1>($($a),*),
+            2 => $($f)::+::<2>($($a),*),
+            _ => $($f)::+::<3>($($a),*),
+        }
+    };
+}
+#[cfg(target_arch = "x86_64")]
+pub(super) use short_rows;
+
+#[cfg(target_arch = "x86_64")]
+pub(super) mod simd {
+    //! Runtime-detected AVX2 lane for the register tiles, and the 8-lane
+    //! FP8 decoder of the short-row kernels that read codes in place.
     //!
     //! Bit-identity: `vmulps`/`vaddps` are the single-rounded IEEE-754
     //! multiply and add of Rust's scalar `f32` operators (rustc keeps
@@ -134,6 +155,7 @@ mod simd {
     //! matches and NaN does not) — then the skip cannot fire and the chains
     //! run unguarded; otherwise the guarded per-row loop runs.
 
+    use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
     use super::{MR, NRM};
@@ -166,7 +188,6 @@ mod simd {
         panels: &[f32],
         acc_out: &mut [[[f32; NRM]; MR]; P],
     ) {
-        use std::arch::x86_64::*;
         debug_assert!(a.len() >= k * MR && panels.len() >= P * k * NRM);
         let (a, b) = (a.as_ptr(), panels.as_ptr());
         // Strides of `A[r, kk]` in the layout `SKIP` implies.
@@ -227,6 +248,249 @@ mod simd {
         for (p, out) in acc_out.iter_mut().enumerate() {
             for (r, o) in out.iter_mut().enumerate() {
                 _mm256_storeu_ps(o.as_mut_ptr(), acc[r][p]);
+            }
+        }
+    }
+
+    /// One format's 8-lane decode, from its `FpSpec` (`m` mantissa bits,
+    /// sign at bit 7). A magnitude `mag = e·2^m + f` with `e > 0` is the
+    /// f32 whose bits are `mag << (23 − m)` plus `127 − bias` in the
+    /// exponent field; with `e = 0` it is the integer `f` times `2^(1 −
+    /// bias − m)`, one exact multiply of normal operands (a denormal f32
+    /// operand would cost a microcode assist). Magnitudes from `special`
+    /// up (E5M2's Inf/NaN exponent, the extended formats' all-ones NaN;
+    /// all within the top 8) take the table's own values, held in one
+    /// register: `top[i]` is `lut.decode(0x78 + i)`.
+    pub(in crate::ops) struct LaneDecode {
+        m: i32,
+        exp_bias: i32,
+        sub_unit: f32,
+        special: i32,
+        top: [f32; 8],
+    }
+
+    impl LaneDecode {
+        pub(in crate::ops) fn new(lut: &ptq_fp8::Fp8Lut) -> Self {
+            let spec = lut.spec();
+            debug_assert_eq!(spec.exp_bits + spec.man_bits, 7, "sign is bit 7");
+            let (m, top) = (spec.man_bits as i32, spec.exp_all_ones() << spec.man_bits);
+            let special = match spec.nan_encoding {
+                ptq_fp8::NanEncoding::Ieee => top,
+                ptq_fp8::NanEncoding::Extended => top | spec.man_mask(),
+            };
+            debug_assert!(special >= 0x78, "specials beyond the top 8 magnitudes");
+            LaneDecode {
+                m,
+                exp_bias: (127 - spec.bias) << 23,
+                sub_unit: f32::from_bits(((128 - spec.bias - m) as u32) << 23),
+                special: special as i32,
+                top: std::array::from_fn(|i| lut.decode(0x78 + i as u8)),
+            }
+        }
+
+        /// Byte flags of 16 codes: the top bit set where a magnitude is
+        /// outside `2^m .. special` (zero, subnormal, Inf or NaN), a code
+        /// only [`decode8`]'s `FULL` arm decodes. `(x − 2^m) & 0x7f` maps
+        /// the normal non-special magnitudes, of either sign, onto `0 ..
+        /// special − 2^m` and every other onto the values above.
+        ///
+        /// # Safety
+        ///
+        /// As [`decode8`].
+        #[inline(always)]
+        pub(in crate::ops) unsafe fn uncommon16(&self, x: __m128i) -> __m128i {
+            let y = _mm_sub_epi8(x, _mm_set1_epi8((1 << self.m) as i8));
+            let y = _mm_and_si128(y, _mm_set1_epi8(0x7f));
+            _mm_cmpgt_epi8(y, _mm_set1_epi8((self.special - (1 << self.m) - 1) as i8))
+        }
+    }
+
+    /// `lut.decode(code) / scale` of the 8 codes in the low bytes of
+    /// `codes` by the 8 lanes of `scales`, bit for bit per lane (`vdivps`
+    /// is the scalar `/`): the one definition of the decode arithmetic.
+    /// No per-element table load, no gather (the 8 special values sit in
+    /// one register, picked by `vpermps`). Without `FULL` every code must
+    /// be a normal non-special one ([`LaneDecode::uncommon16`] clear) and
+    /// the subnormal and special blends are skipped. The sign is ORed in
+    /// after the special blend (E4M3's `0xFF` is the negative-NaN
+    /// pattern).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 was detected (this is inlined into a `#[target_feature]` fn).
+    #[inline(always)]
+    pub(in crate::ops) unsafe fn decode8<const FULL: bool>(
+        d: &LaneDecode,
+        codes: __m128i,
+        scales: __m256,
+    ) -> __m256 {
+        // Macros, not closures: a closure is compiled without AVX2.
+        macro_rules! i {
+            ($v:expr) => {
+                _mm256_set1_epi32($v)
+            };
+        }
+        macro_rules! ps {
+            ($v:expr) => {
+                _mm256_castsi256_ps($v)
+            };
+        }
+        let c = _mm256_cvtepu8_epi32(codes);
+        let mag = _mm256_and_si256(c, i!(0x7f));
+        let normal = _mm256_add_epi32(_mm256_sllv_epi32(mag, i!(23 - d.m)), i!(d.exp_bias));
+        let mut v = ps!(normal);
+        if FULL {
+            let sub = _mm256_mul_ps(_mm256_cvtepi32_ps(mag), _mm256_set1_ps(d.sub_unit));
+            v = _mm256_blendv_ps(sub, v, ps!(_mm256_cmpgt_epi32(mag, i!((1 << d.m) - 1))));
+            let top = _mm256_permutevar8x32_ps(_mm256_loadu_ps(d.top.as_ptr()), mag);
+            v = _mm256_blendv_ps(v, top, ps!(_mm256_cmpgt_epi32(mag, i!(d.special - 1))));
+        }
+        let sign = _mm256_slli_epi32::<24>(_mm256_xor_si256(c, mag));
+        _mm256_div_ps(_mm256_or_ps(v, ps!(sign)), scales)
+    }
+
+    /// The `w ≤ 8` bytes at `p` in the low bytes of a register (the rest
+    /// zero); a short block is copied, never over-read.
+    ///
+    /// # Safety
+    ///
+    /// `p` is readable for `w` bytes.
+    #[inline(always)]
+    pub(in crate::ops) unsafe fn load8(p: *const u8, w: usize) -> __m128i {
+        if w == 8 {
+            return _mm_loadl_epi64(p.cast());
+        }
+        let mut b = [0u8; 8];
+        std::ptr::copy_nonoverlapping(p, b.as_mut_ptr(), w.min(8));
+        _mm_loadl_epi64(b.as_ptr().cast())
+    }
+
+    /// Whether every code of a transposed 8×8 block is a normal
+    /// non-special one: [`decode8`] may skip its `FULL` arm for them. A
+    /// short block's [`load8`] fill is code 0, so it takes the full arm.
+    ///
+    /// # Safety
+    ///
+    /// As [`decode8`].
+    #[inline(always)]
+    pub(in crate::ops) unsafe fn all_common(d: &LaneDecode, cols: &[__m128i; NRM]) -> bool {
+        let mut flags = _mm_setzero_si128();
+        for x in cols.iter().step_by(2) {
+            flags = _mm_or_si128(flags, d.uncommon16(*x));
+        }
+        _mm_movemask_epi8(flags) == 0
+    }
+
+    /// The first `out.len() ≤ 8` lanes of `v` into `out`.
+    ///
+    /// # Safety
+    ///
+    /// As [`decode8`].
+    #[inline(always)]
+    pub(in crate::ops) unsafe fn store8(v: __m256, out: &mut [f32]) {
+        if out.len() == NRM {
+            return _mm256_storeu_ps(out.as_mut_ptr(), v);
+        }
+        let lanes: [f32; NRM] = std::mem::transmute(v);
+        out.copy_from_slice(&lanes[..out.len()]);
+    }
+
+    /// The 8×8 byte transpose of `rows[r]`'s low 8 bytes: byte `t` of
+    /// every row, in row order, in the low 8 bytes of result `t` — and
+    /// the even results hold result `t + 1` in their high 8 bytes, so
+    /// results 0, 2, 4, 6 carry all 64 codes.
+    ///
+    /// # Safety
+    ///
+    /// As [`decode8`].
+    #[inline(always)]
+    pub(in crate::ops) unsafe fn transpose8x8(r: &[__m128i; 8]) -> [__m128i; 8] {
+        let a = [
+            _mm_unpacklo_epi8(r[0], r[1]),
+            _mm_unpacklo_epi8(r[2], r[3]),
+            _mm_unpacklo_epi8(r[4], r[5]),
+            _mm_unpacklo_epi8(r[6], r[7]),
+        ];
+        // Columns 0–3 and 4–7 of rows 0–3, then of rows 4–7.
+        let (b0, b1) = (
+            _mm_unpacklo_epi16(a[0], a[1]),
+            _mm_unpackhi_epi16(a[0], a[1]),
+        );
+        let (b2, b3) = (
+            _mm_unpacklo_epi16(a[2], a[3]),
+            _mm_unpackhi_epi16(a[2], a[3]),
+        );
+        // Two whole columns each, low and high 8 bytes.
+        let c = [
+            _mm_unpacklo_epi32(b0, b2),
+            _mm_unpackhi_epi32(b0, b2),
+            _mm_unpacklo_epi32(b1, b3),
+            _mm_unpackhi_epi32(b1, b3),
+        ];
+        let hi = |x: __m128i| _mm_unpackhi_epi64(x, x);
+        [
+            c[0],
+            hi(c[0]),
+            c[1],
+            hi(c[1]),
+            c[2],
+            hi(c[2]),
+            c[3],
+            hi(c[3]),
+        ]
+    }
+
+    /// The `R < MR` rows of [`super::linear`] against an FP8 weight read in
+    /// place: per panel of 8 channels, 8×8 byte blocks of their weight rows
+    /// are transposed in registers and decoded by the 8 channel scales —
+    /// the row tile's `kk`-ascending chains, no panel staged. A ragged last
+    /// panel's dead lanes repeat its last channel and are not stored.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 was detected; `xs` holds `R` rows of `k`, `out` `R` rows of `n`,
+    /// `q` is `[n, k]`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn linear_rows_q<const R: usize>(
+        xs: &[f32],
+        (k, n): (usize, usize),
+        q: &crate::QTensor,
+        out: &mut [f32],
+    ) {
+        debug_assert!(xs.len() >= R * k && out.len() >= R * n && q.len() >= n * k);
+        let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
+        for j0 in (0..n).step_by(NRM) {
+            let wp = NRM.min(n - j0);
+            let ch: [usize; NRM] = std::array::from_fn(|c| j0 + c.min(wp - 1));
+            let s: [f32; NRM] = std::array::from_fn(|c| q.scales().scale_for_channel(ch[c]));
+            let s = _mm256_loadu_ps(s.as_ptr());
+            let mut acc = [_mm256_setzero_ps(); R];
+            for kk0 in (0..k).step_by(NRM) {
+                let w = NRM.min(k - kk0);
+                let mut rows = [_mm_setzero_si128(); NRM];
+                for (r, &c) in rows.iter_mut().zip(&ch) {
+                    *r = load8(codes.add(c * k + kk0), w);
+                }
+                let cols = transpose8x8(&rows);
+                macro_rules! steps {
+                    ($full:literal) => {
+                        for (t, &col) in cols.iter().enumerate().take(w) {
+                            let wv = decode8::<$full>(&dec, col, s);
+                            for (r, a) in acc.iter_mut().enumerate() {
+                                let xv = _mm256_set1_ps(xs[r * k + kk0 + t]);
+                                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
+                            }
+                        }
+                    };
+                }
+                if all_common(&dec, &cols) {
+                    steps!(false);
+                } else {
+                    steps!(true);
+                }
+            }
+            for (r, a) in acc.iter().enumerate() {
+                store8(*a, &mut out[r * n + j0..][..wp]);
             }
         }
     }
@@ -365,14 +629,19 @@ pub(super) fn tile_rows<const SKIP: bool, X: Rows + ?Sized>(
         x.with(blk * MR * k, mr * k, |xs| {
             matmul_packed::<SKIP>(xs, mr, k, n, bp, rows)
         });
-        if let Some(b) = bias {
-            for row in rows.chunks_exact_mut(n) {
-                for (y, bv) in row.iter_mut().zip(b) {
-                    *y += bv;
-                }
+        add_bias(rows, n, bias);
+    });
+}
+
+/// The bias on finished chains: `y += b[j]` per `n`-wide row.
+fn add_bias(rows: &mut [f32], n: usize, bias: Option<&[f32]>) {
+    if let Some(b) = bias {
+        for row in rows.chunks_exact_mut(n) {
+            for (y, bv) in row.iter_mut().zip(b) {
+                *y += bv;
             }
         }
-    });
+    }
 }
 
 /// Matmul over any operand mix.
@@ -438,7 +707,9 @@ pub(super) fn pack_transposed<T: Copy>(
     }
 }
 
-/// Linear over any weight: packed once per call, no zero-skip.
+/// Linear over any weight, no zero-skip: packed once per call — except an
+/// FP8 weight under fewer than `MR` rows with AVX2, whose codes the row
+/// tile reads in place.
 pub(super) fn linear<X: Rows + ?Sized>(
     x: &X,
     weight: WeightOperand,
@@ -448,6 +719,18 @@ pub(super) fn linear<X: Rows + ?Sized>(
     out: &mut Tensor,
 ) {
     let (bias, macs) = (bias.map(Tensor::data), out.len() * k);
+    #[cfg(target_arch = "x86_64")]
+    if let (WeightOperand::Q(q), m @ 1..MR) = (weight, out.len() / n) {
+        if simd::avx2_available() {
+            let out = out.data_mut();
+            // SAFETY: AVX2 was detected just above; `x` holds `m` rows of
+            // `k`, `out` `m` rows of `n`, `q` is `[n, k]` (linear_dims).
+            x.with(0, m * k, |xs| unsafe {
+                short_rows!(m, simd::linear_rows_q(xs, (k, n), q, out))
+            });
+            return add_bias(out, n, bias);
+        }
+    }
     scratch::with_panel(k * n.next_multiple_of(NRM), |wp| {
         decode_pack_weights(weight, k, n, wp);
         tile_rows::<false, _>(x, (k, n), wp, bias, out.data_mut(), macs);
@@ -696,4 +979,65 @@ pub(super) fn depthwise(
             });
         });
     });
+}
+
+#[cfg(test)]
+mod tests {
+    /// The 8-lane decoder against the table, exhaustively: every code of
+    /// every paper format through both arms it may take, each lane
+    /// bit-identical to `lut.decode(code) / scale` — NaN payload and sign
+    /// included — for unit, power-of-two, non-power-of-two and
+    /// subnormal-result scales.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_decoder_matches_the_table_on_every_code() {
+        use super::simd::{avx2_available, decode8, LaneDecode};
+        use ptq_fp8::{Fp8Format, Fp8Lut};
+        use std::arch::x86_64::*;
+
+        if !avx2_available() {
+            eprintln!("no AVX2 on this CPU: the lane decoder never runs");
+            return;
+        }
+        // The last scale sends every E4M3/E3M4 and most E5M2 results below
+        // f32::MIN_POSITIVE.
+        let scales = [1.0f32, 2f32.powi(20), 2f32.powi(-20), 3.7, 2f32.powi(120)];
+        for f in Fp8Format::ALL {
+            let lut = Fp8Lut::for_format(f);
+            let dec = LaneDecode::new(lut);
+            let spec = lut.spec();
+            let special = match spec.nan_encoding {
+                ptq_fp8::NanEncoding::Ieee => spec.exp_all_ones() << spec.man_bits,
+                ptq_fp8::NanEncoding::Extended => 0x7f,
+            };
+            for block in (0..=255u8).collect::<Vec<_>>().chunks(8) {
+                let mut bytes = [0u8; 16];
+                bytes[..8].copy_from_slice(block);
+                // SAFETY: AVX2 was detected above; 16 readable bytes.
+                let (codes, flags) = unsafe {
+                    let x = _mm_loadu_si128(bytes.as_ptr().cast());
+                    (x, _mm_movemask_epi8(dec.uncommon16(x)))
+                };
+                for &s in &scales {
+                    // SAFETY: AVX2 was detected above.
+                    let (mut full, mut fast) = ([0f32; 8], [0f32; 8]);
+                    unsafe {
+                        let sv = _mm256_set1_ps(s);
+                        _mm256_storeu_ps(full.as_mut_ptr(), decode8::<true>(&dec, codes, sv));
+                        _mm256_storeu_ps(fast.as_mut_ptr(), decode8::<false>(&dec, codes, sv));
+                    }
+                    for (i, &code) in block.iter().enumerate() {
+                        let want = (lut.decode(code) / s).to_bits();
+                        assert_eq!(full[i].to_bits(), want, "{f} code {code:#04x} / {s:e}");
+                        let mag = u32::from(code & 0x7f);
+                        let common = (1 << spec.man_bits..special).contains(&mag);
+                        assert_eq!(flags >> i & 1 == 0, common, "{f} code {code:#04x} flag");
+                        if common {
+                            assert_eq!(fast[i].to_bits(), want, "{f} code {code:#04x} fast arm");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

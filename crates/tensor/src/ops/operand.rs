@@ -3,7 +3,8 @@
 //! `ops::linear(&x, &w, None)` compile for every operand kind). Kernels
 //! read activations through the private [`Rows`] trait, monomorphized per
 //! source (borrowed rows, or codes decoded a block at a time). The blocked
-//! kernels pack a weight into panels; the reference loops read it dense
+//! kernels pack a weight into panels (short rows read FP8 codes in place);
+//! the reference loops read it dense
 //! ([`WeightOperand::with_dense`]). No f32 form of a coded operand outlives
 //! its kernel call.
 

@@ -16,10 +16,11 @@
 //! `StoredTensor::dequantize` computes (same decode table, same division;
 //! never a multiply by a reciprocal, which rounds differently).
 //! [`QTensor::decode_into`] (the loop `dequantize` itself is built on)
-//! writes those values in storage order and the blocked Linear writes the
-//! same values in its panel order; the MAC loops
-//! then consume them in the same order as the f32 kernels, so accumulation
-//! is identical. The scale is *never* hoisted out of the accumulation
+//! writes those values in storage order and the blocked kernels write the
+//! same values in their panel order — or, under fewer than 4 rows with
+//! AVX2, compute each one in a register from its code where the chain
+//! reads it; the MAC loops then consume them in the same order as the f32
+//! kernels, so accumulation is identical. The scale is *never* hoisted out of the accumulation
 //! (float non-associativity would break the identity).
 
 use ptq_fp8::{CodeBytes, Fp8Error, Fp8Format, Fp8Lut, StoredScales, StoredTensor};

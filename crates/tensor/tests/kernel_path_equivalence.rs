@@ -12,6 +12,7 @@
 //! | depthwise    | F32                           | F32, Q  | both      |
 //! | matmul       | {F32, Coded} · {F32, Coded}   | —       | both      |
 //! | batch_matmul | F32 · F32                     | —       | both      |
+//! | attention    | F32 q/probs · FP8 KV cache    | —       | both      |
 //!
 //! Every row, through both [`KernelPath`]s, must be bit-equal to the
 //! `ScalarReference` f32 kernel on the dequantized operands — across the
@@ -36,10 +37,10 @@
 use proptest::prelude::*;
 use ptq_fp8::Fp8Format;
 use ptq_tensor::ops::{
-    batch_matmul_into, conv2d_into, depthwise_conv2d_into, linear_into, matmul_into, ActOperand,
-    Conv2dParams, KernelPath, WeightOperand,
+    attention_step_q, attention_step_v, batch_matmul_into, conv2d_into, depthwise_conv2d_into,
+    linear_into, matmul_into, ActOperand, Conv2dParams, KernelPath, KvSegments, WeightOperand,
 };
-use ptq_tensor::{QActTensor, QTensor, Tensor, TensorRng};
+use ptq_tensor::{KvBuf, KvCachePolicy, QActTensor, QTensor, Tensor, TensorRng};
 
 const PATHS: [KernelPath; 2] = [KernelPath::Blocked, KernelPath::ScalarReference];
 /// Operand kinds of a two-operand row: `(first coded?, second coded?)`.
@@ -139,13 +140,14 @@ proptest! {
 
     /// linear × {F32, Coded} act × {F32, Q} weight, with and without
     /// bias: m on both sides of the MR=4 row block (1..3 run the row tile,
-    /// 5 and 9 leave a one-row tail), n from a single ragged panel through
-    /// the 4×16 pair plus a full panel plus a ragged tail, k odd and even
-    /// (the 2-`kk` unroll remainder).
+    /// an FP8 weight read in place; 5 and 9 leave a one-row tail), n from a
+    /// single ragged panel through the 4×16 pair plus a full panel plus a
+    /// ragged tail, k odd and even (the 2-`kk` unroll remainder) and ragged
+    /// around the 8-code blocks of the in-place byte transpose.
     #[test]
     fn linear_rows_match_f32_on_dequantized(
         m in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(5), Just(8), Just(9)],
-        k in 1usize..16,
+        k in 1usize..27,
         n in 1usize..36,
         tile in 0usize..9,
         per_channel in 0u8..2,
@@ -230,6 +232,82 @@ proptest! {
             batch_matmul_into(&a, &b, &mut got, path);
             assert_bits_eq(&got, &want, &format!("batch_matmul {path}"));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// attention_step_q / attention_step_v on FP8 caches of every format,
+    /// static or per-row scales: cache lengths ragged around the 8-position
+    /// blocks (and their pairs), `dh` ragged around the 8-code blocks, a
+    /// NaN/Inf row appended (a NaN code, a saturated one), exact zeros in
+    /// `q` and `probs` (the skip; a whole zero row too), 1–3 rows per
+    /// segment alone or as `KvSegments::Many`. Blocked must reproduce the
+    /// reference bit for bit.
+    #[test]
+    fn attention_steps_match_scalar_reference_on_fp8_caches(
+        f in formats(),
+        static_scale in 0u8..2,
+        dh in prop_oneof![Just(5usize), Just(8), Just(16), Just(24)],
+        heads in 1usize..3,
+        seg_rows in proptest::collection::vec(1usize..4, 1..4),
+        lens in proptest::collection::vec(1usize..41, 3..4),
+        poison_row in 0u8..2,
+        many in 0u8..2,
+        seed in 0u64..500,
+    ) {
+        let d = heads * dh;
+        let segs = if many == 1 { seg_rows.len() } else { 1 };
+        let policy = KvCachePolicy::Fp8 { format: f, scale: (static_scale == 1).then_some(3.5) };
+        let caches: Vec<KvBuf> = (0..segs)
+            .map(|s| {
+                let mut rng = TensorRng::seed(seed ^ (0x91 + s as u64));
+                let mut cache = KvBuf::new(d, lens[s] + 1, policy);
+                for _ in 0..lens[s] {
+                    cache.append_row(rng.normal(&[d], 0.0, 1.5).data()).unwrap();
+                }
+                if poison_row == 1 {
+                    let mut row = rng.normal(&[d], 0.0, 1.5);
+                    row.data_mut()[seed as usize % d] = f32::NAN;
+                    row.data_mut()[(seed as usize + 1) % d] = f32::INFINITY;
+                    cache.append_row(row.data()).unwrap();
+                }
+                cache
+            })
+            .collect();
+        let rows = &seg_rows[..segs];
+        let m: usize = rows.iter().sum();
+        let l = caches.iter().map(KvBuf::len).max().unwrap_or(0);
+        let mut rng = TensorRng::seed(seed ^ 0x9f);
+        let mut q = rng.normal(&[heads, m, dh], 0.0, 1.0);
+        let mut probs = rng.normal(&[heads, m, l], 0.0, 1.0);
+        for (i, v) in q.data_mut().iter_mut().enumerate() {
+            if (i + seed as usize).is_multiple_of(5) {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        // Each row's tail past its own cache is what the mask and softmax
+        // leave (zeros); inside it, scattered zeros and one all-zero row.
+        let row_len: Vec<usize> = (0..segs).flat_map(|s| vec![caches[s].len(); rows[s]]).collect();
+        for (i, p) in probs.data_mut().chunks_mut(l).enumerate() {
+            p[row_len[i % m]..].fill(0.0);
+            for (j, v) in p.iter_mut().enumerate() {
+                if (i * 3 + j + seed as usize).is_multiple_of(7) || i + 1 == heads * m {
+                    *v = 0.0;
+                }
+            }
+        }
+        let list: Vec<(usize, &KvBuf)> = rows.iter().copied().zip(&caches).collect();
+        let kv = || if many == 1 { KvSegments::Many(&list) } else { KvSegments::One(&caches[0]) };
+        let (mut want_s, mut want_c) = (Tensor::default(), Tensor::default());
+        attention_step_q(&q, kv(), &mut want_s, KernelPath::ScalarReference);
+        attention_step_v(&probs, kv(), &mut want_c, KernelPath::ScalarReference);
+        let (mut got_s, mut got_c) = (Tensor::default(), Tensor::default());
+        attention_step_q(&q, kv(), &mut got_s, KernelPath::Blocked);
+        attention_step_v(&probs, kv(), &mut got_c, KernelPath::Blocked);
+        assert_bits_eq(&got_s, &want_s, &format!("attention_step_q {f} {policy:?}"));
+        assert_bits_eq(&got_c, &want_c, &format!("attention_step_v {f} {policy:?}"));
     }
 }
 
