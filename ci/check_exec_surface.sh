@@ -20,17 +20,24 @@
 #   * Streamed decode, LUT encode: the per-channel decode-table machinery
 #     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
 #     `take_tables`) may not reappear under crates/ -- a coded weight is
-#     decoded per element into pooled scratch, once per call -- and no
+#     decoded per element, once per call: read in place by short rows, or
+#     packed into pooled panels by the lane decoder (below) -- and no
 #     non-test line of crates/tensor/src or crates/fp8/src/storage.rs calls
 #     the scalar `codec.encode(`: production encode loops go through
-#     `Fp8Lut::encode`.
-#   * One lane decoder, no gather: short rows (m < 4) and both FP8-KV
-#     attention steps read FP8 codes in place through one 8-lane decoder,
+#     `Fp8Lut::encode`. The scalar weight decode `lut.decode(b) / s` is
+#     written on at most one non-comment, non-test line under
+#     crates/tensor/src/ops: the pack of hosts without AVX2.
+#   * One lane decoder, one block walk, no gather: the FP8 weight pack of
+#     m >= 4 rows (Linear, conv, depthwise), short rows (m < 4) and both
+#     FP8-KV attention steps decode FP8 codes through one 8-lane decoder,
 #     `decode8` in crates/tensor/src/ops/blocked.rs -- the only non-test
 #     line under crates/tensor/src that widens codes to lanes
 #     (`_mm256_cvtepu8_epi32`), so the decode arithmetic has one
-#     definition. No `_mm256_*i32gather*` intrinsic under crates/tensor/src:
-#     a gather decode measured no faster than the scalar pack it would
+#     definition. The pack, the short-row Linear and the score step walk
+#     8x8 code blocks through one macro, `walk8`: `transpose8x8(` is
+#     called on exactly one non-test line under crates/tensor/src, inside
+#     it. No `_mm256_*i32gather*` intrinsic under crates/tensor/src: a
+#     gather decode measured no faster than the scalar pack it would
 #     replace (3.95 against 4.10 us at 64x64, DESIGN.md §13) and keeps a
 #     table load per element.
 #   * One measuring stack: no `[[bench]]` target and no `criterion`
@@ -110,7 +117,7 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2924
+ops_budget=2949
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
@@ -132,6 +139,25 @@ done)
 if [ "$(printf '%s' "$widen" | grep -c .)" -ne 1 ] || ! printf '%s' "$widen" | grep -q '^crates/tensor/src/ops/blocked.rs:[0-9]*:1: '; then
     echo "one lane decoder: codes widen to lanes in exactly one non-test place, decode8 in ops/blocked.rs:" >&2
     printf '%s\n' "$widen" >&2
+    fail=1
+fi
+
+walks=$(find crates/tensor/src -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /macro_rules! walk8/{w=1} /use walk8;/{w=0}
+        /transpose8x8\(/ && !/fn transpose8x8\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR":"w": "$0}' "$f"
+done)
+if [ "$(printf '%s' "$walks" | grep -c .)" -ne 1 ] || ! printf '%s' "$walks" | grep -q '^crates/tensor/src/ops/blocked.rs:[0-9]*:1: '; then
+    echo "one block walk: transpose8x8( is called on exactly one non-test line, inside walk8 in ops/blocked.rs:" >&2
+    printf '%s\n' "$walks" >&2
+    fail=1
+fi
+
+scalar=$(find crates/tensor/src/ops -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /lut\.decode\(b\) \/ s/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$f"
+done)
+if [ "$(printf '%s' "$scalar" | grep -c .)" -gt 1 ]; then
+    echo "one scalar weight decode: lut.decode(b) / s on at most one non-test line (the non-AVX2 pack):" >&2
+    printf '%s\n' "$scalar" >&2
     fail=1
 fi
 
@@ -254,9 +280,9 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
-    "the kernel path alone chooses the kernel, one lane decoder and no gather," \
+    "the kernel path alone chooses the kernel, one lane decoder, one block walk and no gather," \
     "no per-plane conv nest," \
-    "no decode-table machinery, no scalar encode loop," \
+    "no decode-table machinery, one scalar weight decode, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
     "one decode schedule and one step loop (nn+core $nn_core_lines/$nn_core_budget lines," \
     "decode.rs $decode_lines/$decode_budget)," \

@@ -275,9 +275,7 @@ mod simd {
 
     use std::arch::x86_64::*;
 
-    use super::super::blocked::simd::{
-        all_common, decode8, load8, store8, transpose8x8, LaneDecode,
-    };
+    use super::super::blocked::simd::{decode8, load8, store8, walk8, LaneDecode};
     use super::NRM;
     use crate::kv::KvCodes;
 
@@ -301,11 +299,10 @@ mod simd {
     }
 
     /// Scores of `R` query rows (`q`, `dh` apart) against the head whose
-    /// `dh` columns start at `col`: per block of 8 positions, 8×8 byte
-    /// blocks of their rows transpose into one vector per `kk`, decoded by
-    /// the positions' scales; a lane is one `(row, position)` chain, `kk`
-    /// ascending. A ragged last block's dead lanes repeat its last position
-    /// and are not stored; rows go to `out`, `l` apart.
+    /// `dh` columns start at `col`: per block of 8 positions, [`walk8`]
+    /// over their rows by the positions' scales; a lane is one `(row,
+    /// position)` chain, `kk` ascending. A ragged last block's dead lanes
+    /// are not stored; rows go to `out`, `l` apart.
     ///
     /// # Safety
     ///
@@ -320,34 +317,13 @@ mod simd {
     ) {
         let (dec, codes) = (LaneDecode::new(kv.lut), kv.codes.as_ptr().add(col));
         for j0 in (0..len).step_by(NRM) {
-            let wp = NRM.min(len - j0);
-            let pos: [usize; NRM] = std::array::from_fn(|p| j0 + p.min(wp - 1));
-            let s: [f32; NRM] = std::array::from_fn(|p| kv.scale(pos[p]));
-            let s = _mm256_loadu_ps(s.as_ptr());
-            let mut acc = [[_mm256_setzero_ps(); 1]; R];
-            for kk0 in (0..dh).step_by(NRM) {
-                let w = NRM.min(dh - kk0);
-                let mut rows = [_mm_setzero_si128(); NRM];
-                for (r, &p) in rows.iter_mut().zip(&pos) {
-                    *r = load8(codes.add(p * d + kk0), w);
-                }
-                let cols = transpose8x8(&rows);
-                macro_rules! steps {
-                    ($full:literal) => {
-                        for (t, &c) in cols.iter().enumerate().take(w) {
-                            let av: [f32; R] = std::array::from_fn(|i| q[i * dh + kk0 + t]);
-                            if av != [0.0; R] {
-                                mac_rows(&mut acc, 0, &av, decode8::<$full>(&dec, c, s));
-                            }
-                        }
-                    };
-                }
-                if all_common(&dec, &cols) {
-                    steps!(false);
-                } else {
-                    steps!(true);
-                }
-            }
+            let (wp, mut acc) = (NRM.min(len - j0), [[_mm256_setzero_ps(); 1]; R]);
+            let s: [f32; NRM] = std::array::from_fn(|p| kv.scale(j0 + p.min(wp - 1)));
+            let (rows, s) = ((codes.add(j0 * d), d, wp), _mm256_loadu_ps(s.as_ptr()));
+            walk8!(&dec, rows, s, dh, |kk, wv| {
+                let av: [f32; R] = std::array::from_fn(|i| q[i * dh + kk]);
+                mac_rows(&mut acc, 0, &av, wv)
+            });
             for (i, a) in acc.iter().enumerate() {
                 store8(a[0], &mut out[i * l + j0..][..wp]);
             }

@@ -20,11 +20,12 @@
 //! * **linear**: the `[n, k]` weight is packed once per call into the same
 //!   panels and the rows run the tile compiled with `SKIP = false` (Linear
 //!   multiplies every term: `0 · NaN` stays NaN); the bias lands on the
-//!   finished chain. Row blocks shorter than 4 run a 1×8 row tile — and,
-//!   against an FP8 weight with AVX2, read the codes in place: 8×8 byte
-//!   blocks of 8 channels' rows transpose in registers and the 8-lane
-//!   decoder [`simd::decode8`] (also the attention steps' decoder) turns
-//!   each column into the `decode(code) / scale` the panel would hold.
+//!   finished chain. With AVX2 an FP8 weight packs through one block walk
+//!   (`simd::walk8`, also the score step's): 8×8 byte blocks of 8
+//!   channels' rows transpose in registers and the 8-lane decoder
+//!   [`simd::decode8`] turns each column into a panel row of `decode(code)
+//!   / scale`. Row blocks shorter than 4 run a 1×8 row tile — against an
+//!   FP8 weight with AVX2, on the walk's columns in place: no panel.
 //! * **conv**: a weight `[cout, cin·kh·kw]` is Linear's `[n, k]`; a tile
 //!   carries 4 pixels of a row × 8 or 16 channels, chains **seeded with the
 //!   bias**, taps read from the sample in place. Only in-bounds taps are
@@ -33,10 +34,10 @@
 //!   +0.0`). Depthwise runs 8 interior pixels of a plane's row as 8 chains.
 //!
 //! Equivalence is enforced by `tests/kernel_path_equivalence.rs` and the
-//! zoo-wide suites; the lane decoder against the table on every code of
-//! every format by this module's tests. Staging comes from the per-thread
-//! pool in [`super::scratch`]: steady-state calls do not allocate, and no
-//! staged value outlives its call.
+//! zoo-wide suites; the lane decoder and the lane pack against the table
+//! on every code of every format by this module's tests. Staging comes
+//! from the per-thread pool in [`super::scratch`]: steady-state calls do
+//! not allocate, and no staged value outlives its call.
 
 use std::ops::Range;
 
@@ -440,11 +441,55 @@ pub(super) mod simd {
         ]
     }
 
+    /// The one block walk of the FP8 kernels: 8 code rows, `$rows =
+    /// (codes, stride, live)` (rows from `live` on repeat row `live − 1`: a
+    /// ragged block's dead lanes), by their 8 `$scales`, `kk` in `0..$k`.
+    /// Per 8×8 byte block: [`load8`] per row, [`transpose8x8`],
+    /// [`all_common`] picks the arm, then per column `$body` with `$wv` its
+    /// [`decode8`]. A macro: a closure is compiled without AVX2.
+    ///
+    /// Safety: as [`decode8`]; `live ≥ 1` rows of `$k` readable codes.
+    macro_rules! walk8 {
+        ($d:expr, $rows:expr, $scales:expr, $k:expr, |$kk:ident, $wv:ident| $body:expr) => {{
+            use $crate::ops::blocked::simd::{all_common, decode8, load8, transpose8x8};
+            let (d, (codes, stride, live), scales, k) = ($d, $rows, $scales, $k);
+            for kk0 in (0..k).step_by(NRM) {
+                let w = NRM.min(k - kk0);
+                let mut rows = [_mm_setzero_si128(); NRM];
+                for (r, row) in rows.iter_mut().enumerate() {
+                    *row = load8(codes.add(r.min(live - 1) * stride + kk0), w);
+                }
+                let cols = transpose8x8(&rows);
+                macro_rules! steps {
+                    ($full:literal) => {
+                        for (t, &col) in cols.iter().enumerate().take(w) {
+                            let ($kk, $wv) = (kk0 + t, decode8::<$full>(d, col, scales));
+                            $body;
+                        }
+                    };
+                }
+                if all_common(d, &cols) {
+                    steps!(false);
+                } else {
+                    steps!(true);
+                }
+            }
+        }};
+    }
+    pub(in crate::ops) use walk8;
+
+    /// The 8 scales of channels `j0 ..`, the last of `n` repeated (AVX2).
+    #[inline(always)]
+    unsafe fn channel_scales(q: &crate::QTensor, j0: usize, n: usize) -> __m256 {
+        let s: [f32; NRM] =
+            std::array::from_fn(|c| q.scales().scale_for_channel(j0 + c.min(n - j0 - 1)));
+        _mm256_loadu_ps(s.as_ptr())
+    }
+
     /// The `R < MR` rows of [`super::linear`] against an FP8 weight read in
-    /// place: per panel of 8 channels, 8×8 byte blocks of their weight rows
-    /// are transposed in registers and decoded by the 8 channel scales —
-    /// the row tile's `kk`-ascending chains, no panel staged. A ragged last
-    /// panel's dead lanes repeat its last channel and are not stored.
+    /// place: per panel of 8 channels, [`walk8`] over their weight rows
+    /// into the row tile's `kk`-ascending chains, no panel staged. A ragged
+    /// last panel's dead lanes are not stored.
     ///
     /// # Safety
     ///
@@ -460,38 +505,38 @@ pub(super) mod simd {
         debug_assert!(xs.len() >= R * k && out.len() >= R * n && q.len() >= n * k);
         let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
         for j0 in (0..n).step_by(NRM) {
-            let wp = NRM.min(n - j0);
-            let ch: [usize; NRM] = std::array::from_fn(|c| j0 + c.min(wp - 1));
-            let s: [f32; NRM] = std::array::from_fn(|c| q.scales().scale_for_channel(ch[c]));
-            let s = _mm256_loadu_ps(s.as_ptr());
-            let mut acc = [_mm256_setzero_ps(); R];
-            for kk0 in (0..k).step_by(NRM) {
-                let w = NRM.min(k - kk0);
-                let mut rows = [_mm_setzero_si128(); NRM];
-                for (r, &c) in rows.iter_mut().zip(&ch) {
-                    *r = load8(codes.add(c * k + kk0), w);
+            let (wp, mut acc) = (NRM.min(n - j0), [_mm256_setzero_ps(); R]);
+            let rows = (codes.add(j0 * k), k, wp);
+            walk8!(&dec, rows, channel_scales(q, j0, n), k, |kk, wv| {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let xv = _mm256_set1_ps(xs[r * k + kk]);
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
                 }
-                let cols = transpose8x8(&rows);
-                macro_rules! steps {
-                    ($full:literal) => {
-                        for (t, &col) in cols.iter().enumerate().take(w) {
-                            let wv = decode8::<$full>(&dec, col, s);
-                            for (r, a) in acc.iter_mut().enumerate() {
-                                let xv = _mm256_set1_ps(xs[r * k + kk0 + t]);
-                                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
-                            }
-                        }
-                    };
-                }
-                if all_common(&dec, &cols) {
-                    steps!(false);
-                } else {
-                    steps!(true);
-                }
-            }
+            });
             for (r, a) in acc.iter().enumerate() {
                 store8(*a, &mut out[r * n + j0..][..wp]);
             }
+        }
+    }
+
+    /// [`super::decode_pack_weights`] of an FP8 weight: per panel of 8
+    /// channels, [`walk8`] over their weight rows, column `kk` stored as
+    /// the panel's row `kk` — the scalar pack's panel bit for bit, dead
+    /// lanes included.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 was detected.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pack_q(q: &crate::QTensor, (k, n): (usize, usize), bp: &mut [f32]) {
+        assert!(q.len() >= n * k && bp.len() >= n.next_multiple_of(NRM) * k);
+        let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
+        for j0 in (0..n).step_by(NRM) {
+            let (s, p) = (channel_scales(q, j0, n), bp.as_mut_ptr().add(j0 * k));
+            let rows = (codes.add(j0 * k), k, NRM.min(n - j0));
+            walk8!(&dec, rows, s, k, |kk, wv| {
+                _mm256_storeu_ps(p.add(kk * NRM), wv)
+            });
         }
     }
 
@@ -672,10 +717,13 @@ pub(super) fn batch_matmul(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize,
 /// Stream an `[n, k]` weight into column panels (`bp[j0*k + kk*NRM + c]`
 /// is `Wᵀ[kk, j0+c]`): an f32 weight as a plain transposing copy, an
 /// FP8-stored one as `lut.decode(code) / scale(channel)` — the expression
-/// of `StoredTensor::dequantize`, 8 lanes by 8 channel scales per `kk`.
+/// of `StoredTensor::dequantize` — in lanes with AVX2 ([`simd::pack_q`]).
 fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
     match weight {
         WeightOperand::F32(t) => pack_transposed((t.data(), k), k, n, bp, |_| 1.0, |v, _| v),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 was detected; `q` is `[n, k]`, `bp` its padded panels.
+        WeightOperand::Q(q) if simd::avx2_available() => unsafe { simd::pack_q(q, (k, n), bp) },
         WeightOperand::Q(q) => {
             let (lut, scales) = (q.lut(), q.scales());
             let scale = |j| scales.scale_for_channel(j);
@@ -983,6 +1031,52 @@ pub(super) fn depthwise(
 
 #[cfg(test)]
 mod tests {
+    /// The lane pack against the scalar pack on every code: a `[11, 29]`
+    /// weight whose codes cycle through all 256 bytes (a ragged panel of 3
+    /// channels, a 5-code tail block), every panel element of both packs —
+    /// dead lanes included — bit for bit `lut.decode(code) /
+    /// scale(channel)`, per-tensor and per-channel scales of 1, 3.7, 2^-20
+    /// and 2^120 (subnormal and zero results).
+    #[test]
+    fn lane_pack_matches_the_scalar_pack_on_every_code() {
+        use super::{decode_pack_weights, pack_transposed, NRM};
+        use crate::{ops::WeightOperand, QTensor};
+        use ptq_fp8::{Fp8Format, StoredScales};
+
+        let (n, k) = (11, 29);
+        let codes: Vec<u8> = (0..n * k).map(|i| i as u8).collect();
+        let values = [1.0f32, 3.7, 2f32.powi(-20), 2f32.powi(120)];
+        let per_channel = StoredScales::PerChannel((0..n).map(|j| values[j % 4]).collect());
+        let scales: Vec<_> = values
+            .map(StoredScales::PerTensor)
+            .into_iter()
+            .chain([per_channel])
+            .collect();
+        for f in Fp8Format::ALL {
+            for sc in &scales {
+                let q = QTensor::from_raw_parts(f, vec![n, k], codes.clone().into(), sc.clone())
+                    .unwrap();
+                let (lut, s) = (q.lut(), q.scales());
+                let len = n.next_multiple_of(NRM) * k;
+                let (mut lanes, mut scalar) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                decode_pack_weights(WeightOperand::Q(&q), k, n, &mut lanes);
+                let scale = |j| s.scale_for_channel(j);
+                pack_transposed((q.codes(), k), k, n, &mut scalar, scale, |b, s| {
+                    lut.decode(b) / s
+                });
+                for (i, (a, b)) in lanes.iter().zip(&scalar).enumerate() {
+                    // `bp[j0·k + kk·NRM + c]`; a dead lane repeats channel n − 1.
+                    let (kk, c) = (i / NRM % k, i % NRM);
+                    let ch = (i / (NRM * k) * NRM + c).min(n - 1);
+                    let want = (lut.decode(codes[ch * k + kk]) / scale(ch)).to_bits();
+                    let at = format!("{f} {sc:?} channel {ch} kk {kk} lane {c}");
+                    assert_eq!(a.to_bits(), want, "lane pack, {at}");
+                    assert_eq!(b.to_bits(), want, "scalar pack, {at}");
+                }
+            }
+        }
+    }
+
     /// The 8-lane decoder against the table, exhaustively: every code of
     /// every paper format through both arms it may take, each lane
     /// bit-identical to `lut.decode(code) / scale` — NaN payload and sign

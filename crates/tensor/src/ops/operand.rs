@@ -27,7 +27,8 @@ pub enum ActOperand<'a> {
 /// A weight operand: dense f32, or an FP8-stored [`QTensor`] whose codes
 /// the kernel decodes (`lut.decode(code) / scale(channel)`, one division
 /// per element, never a reciprocal multiply and never hoisted out of the
-/// accumulation) into pooled scratch at the start of the call.
+/// accumulation) into pooled panels at the start of the call, 8 lanes at a
+/// time with AVX2 — or, under fewer than 4 rows, beside the chain.
 #[derive(Debug, Clone, Copy)]
 pub enum WeightOperand<'a> {
     /// A dense f32 tensor, read in place.

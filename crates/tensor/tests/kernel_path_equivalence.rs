@@ -140,13 +140,17 @@ proptest! {
 
     /// linear × {F32, Coded} act × {F32, Q} weight, with and without
     /// bias: m on both sides of the MR=4 row block (1..3 run the row tile,
-    /// an FP8 weight read in place; 5 and 9 leave a one-row tail), n from a
+    /// an FP8 weight read in place; from 4 on the tile runs on the packed
+    /// panels, an FP8 weight packed through the same 8-lane block walk; 5,
+    /// 9 and 17 leave a one-row tail, 16 is a prefill block), n from a
     /// single ragged panel through the 4×16 pair plus a full panel plus a
     /// ragged tail, k odd and even (the 2-`kk` unroll remainder) and ragged
-    /// around the 8-code blocks of the in-place byte transpose.
+    /// around the 8-code blocks of the byte transpose.
     #[test]
     fn linear_rows_match_f32_on_dequantized(
-        m in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(5), Just(8), Just(9)],
+        m in prop_oneof![
+            Just(1usize), Just(2), Just(3), Just(4), Just(5), Just(8), Just(9), Just(16), Just(17)
+        ],
         k in 1usize..27,
         n in 1usize..36,
         tile in 0usize..9,

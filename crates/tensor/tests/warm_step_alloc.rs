@@ -1,10 +1,11 @@
 //! A decode step's FP8 kernels allocate nothing once warm.
 //!
 //! The m = 1 Linear reads its weight codes in place and both attention
-//! steps read their FP8 caches in place; what they stage (a coded input's
-//! decoded row) comes from the per-thread pool. A counting global
-//! allocator sees every byte, so this is its own test binary with one
-//! test.
+//! steps read their FP8 caches in place; a gathered step (m = 4) and a
+//! prefill block (m = 16) pack the weight into a panel. What they stage (a
+//! coded input's decoded rows, the panel) comes from the per-thread pool.
+//! A counting global allocator sees every byte, so this is its own test
+//! binary with one test.
 
 use ptq_fp8::Fp8Format;
 use ptq_tensor::ops::{attention_step_q, attention_step_v, linear_into, KernelPath};
@@ -44,6 +45,10 @@ fn warm_fp8_step_kernels_allocate_nothing() {
     let w = QTensor::quantize_per_channel(&rng.normal(&[256, 128], 0.0, 1.0), F)
         .expect("finite weight");
     let x = rng.normal(&[1, 128], 0.0, 1.0);
+    let (x4, x16) = (
+        rng.normal(&[4, 128], 0.0, 1.0),
+        rng.normal(&[16, 128], 0.0, 1.0),
+    );
     let (mut k, mut v) = (
         KvBuf::new(
             d,
@@ -76,8 +81,10 @@ fn warm_fp8_step_kernels_allocate_nothing() {
         Tensor::default(),
     );
     let mut call = || {
-        qa.quantize_static(&x, F, 4.0);
-        linear_into(&qa, &w, None, &mut y, KernelPath::Blocked);
+        for x in [&x, &x4, &x16] {
+            qa.quantize_static(x, F, 4.0);
+            linear_into(&qa, &w, None, &mut y, KernelPath::Blocked);
+        }
         attention_step_q(&q, &k, &mut scores, KernelPath::Blocked);
         attention_step_v(&probs, &v, &mut ctx, KernelPath::Blocked);
     };
