@@ -14,9 +14,15 @@
 #     4-wide nest (`conv_plane`, `OXB`) may not reappear under crates/.
 #   * The path alone chooses the kernel: no `(KernelPath::Blocked, …)`
 #     tuple guard under crates/tensor/src/ops picks a kernel by operand
-#     kind -- f32 and FP8 operands run the same blocked kernels (short
-#     rows and the attention steps read FP8 codes in place, below), and
-#     the reference loops run only under `KernelPath::ScalarReference`.
+#     kind -- f32 and FP8 operands run the same blocked kernels, and the
+#     reference loops run under `KernelPath::ScalarReference` (and, for the
+#     attention steps, under `Blocked` on a CPU without AVX2, where they
+#     are the only body).
+#   * One attention step per side: `Blocked` runs one in-place lane body
+#     per attention step for F32 and FP8 caches alike, so crates/tensor/src
+#     /ops/attn.rs stages nothing (no `with_panel`, no `decode_into`) and
+#     crates/tensor/src/kv.rs has no `fn decode_into` (no whole-window
+#     decode of a cache).
 #   * Streamed decode, LUT encode: the per-channel decode-table machinery
 #     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
 #     `take_tables`) may not reappear under crates/ -- a coded weight is
@@ -29,10 +35,11 @@
 #     crates/tensor/src/ops: the pack of hosts without AVX2.
 #   * One lane decoder, one block walk, no gather: the FP8 weight pack of
 #     m >= 4 rows (Linear, conv, depthwise), short rows (m < 4) and both
-#     FP8-KV attention steps decode FP8 codes through one 8-lane decoder,
-#     `decode8` in crates/tensor/src/ops/blocked.rs -- the only non-test
-#     line under crates/tensor/src that widens codes to lanes
-#     (`_mm256_cvtepu8_epi32`), so the decode arithmetic has one
+#     attention steps' FP8 cache reader (`Lanes` in ops/attn.rs; its F32
+#     cache reader loads the rows as they are) decode FP8 codes through
+#     one 8-lane decoder, `decode8` in crates/tensor/src/ops/blocked.rs --
+#     the only non-test line under crates/tensor/src that widens codes to
+#     lanes (`_mm256_cvtepu8_epi32`), so the decode arithmetic has one
 #     definition. The pack, the short-row Linear and the score step walk
 #     8x8 code blocks through one macro, `walk8`: `transpose8x8(` is
 #     called on exactly one non-test line under crates/tensor/src, inside
@@ -117,7 +124,7 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2949
+ops_budget=2938
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
@@ -158,6 +165,14 @@ done)
 if [ "$(printf '%s' "$scalar" | grep -c .)" -gt 1 ]; then
     echo "one scalar weight decode: lut.decode(b) / s on at most one non-test line (the non-AVX2 pack):" >&2
     printf '%s\n' "$scalar" >&2
+    fail=1
+fi
+
+hits=$(grep -HnE 'with_panel|decode_into' crates/tensor/src/ops/attn.rs || true
+    grep -Hn 'fn decode_into' crates/tensor/src/kv.rs || true)
+if [ -n "$hits" ]; then
+    echo "one attention step per side: the steps read every cache in place, nothing staged:" >&2
+    printf '%s\n' "$hits" >&2
     fail=1
 fi
 
@@ -280,7 +295,7 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
-    "the kernel path alone chooses the kernel, one lane decoder, one block walk and no gather," \
+    "the kernel path alone chooses the kernel, one attention step per side, one lane decoder, one block walk and no gather," \
     "no per-plane conv nest," \
     "no decode-table machinery, one scalar weight decode, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \

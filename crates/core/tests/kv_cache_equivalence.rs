@@ -258,14 +258,15 @@ fn fp8_cache_drift_is_bounded_and_cache_bytes_shrink() {
     while reference.pos() < seq {
         ref_logits.push(reference.step(1.0).unwrap_ok());
     }
-    // Per-format relative-error ceilings: E5M2 keeps only 2 mantissa
-    // bits (~6 % per-element quantization noise); the outlier-heavy
-    // decoder amplifies cache noise a few-fold through LayerNorm and
-    // softmax, so the higher-mantissa formats get a 10 % ceiling.
+    // Per-format relative-error ceilings, each at most 1.5x the largest
+    // step drift the format measures on this trajectory: E5M2 0.0864
+    // (bound 0.12), E4M3 0.0678 (0.10), E3M4 0.0600 (0.085). FP8 cache
+    // bits are deterministic, so a bound crossed is a changed kernel or
+    // codec, not noise.
     for (format, bound) in [
-        (Fp8Format::E5M2, 0.30),
+        (Fp8Format::E5M2, 0.12),
         (Fp8Format::E4M3, 0.10),
-        (Fp8Format::E3M4, 0.10),
+        (Fp8Format::E3M4, 0.085),
     ] {
         let (_w, model) = quantized_decoder(
             QuantConfig::fp8(Fp8Format::E4M3).with_kv_storage(KvStorage::Fp8 { format }),

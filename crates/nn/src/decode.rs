@@ -1276,8 +1276,9 @@ mod tests {
             let sealed = fp8_state.cache().expect("prefilled");
             for side in [KvSide::K, KvSide::V] {
                 let buf = staged.buf(0, side).unwrap();
-                let mut rows = vec![0.0f32; buf.len() * D];
-                buf.decode_into(&mut rows);
+                let rows: Vec<f32> = (0..buf.len() * D)
+                    .map(|i| buf.value_at(i / D, i % D))
+                    .collect();
                 let scale = ptq_fp8::fp8_scale(format, ptq_fp8::absmax_nan_aware(&rows));
                 let policy = KvCachePolicy::Fp8 {
                     format,

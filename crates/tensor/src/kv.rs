@@ -17,15 +17,16 @@
 //!   argument).
 //! * [`KvCachePolicy::Fp8`]: rows encoded to u8 codes. With a **static
 //!   per-tensor scale** (calibrated from prefill activations) every row
-//!   shares one scale and decoding runs through a single 256-entry scaled
-//!   table. With no static scale the buffer falls back to **per-block
-//!   dynamic scales** — one NaN-aware absmax scale per appended row, the
-//!   same convention as [`crate::QActTensor::quantize_per_tile`] with the
-//!   row as the tile.
+//!   shares one scale. With no static scale the buffer falls back to
+//!   **per-block dynamic scales** — one NaN-aware absmax scale per
+//!   appended row, the same convention as
+//!   [`crate::QActTensor::quantize_per_tile`] with the row as the tile.
 //!
 //! Codes follow the crate-wide convention: `encode(v * scale)` on the way
 //! in, `lut.decode(code) / scale` on the way out, scale applied per
-//! element and never folded into an accumulation.
+//! element and never folded into an accumulation. Nothing decodes a
+//! whole window: the step kernels read either storage where it lies (the
+//! reference loop through [`KvBuf::value_at`], the AVX2 bodies in lanes).
 //!
 //! Buffers pre-allocate their full capacity up front, so appends on the
 //! decode hot path never touch the allocator and a capacity overflow is a
@@ -159,27 +160,6 @@ enum KvStore {
     },
 }
 
-/// A crate-private view of an FP8 [`KvBuf`]'s storage: the codes
-/// position-major, and position `j`'s value at column `c` is
-/// `lut.decode(codes[j·d + c]) / scale(j)` — [`KvBuf::value_at`]. Read
-/// by the AVX2 step kernels only.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-pub(crate) struct KvCodes<'a> {
-    pub(crate) lut: &'static Fp8Lut,
-    pub(crate) codes: &'a [u8],
-    static_scale: Option<f32>,
-    row_scales: &'a [f32],
-}
-
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-impl KvCodes<'_> {
-    /// The scale of position `j`: the static one, or the row's own.
-    #[inline]
-    pub(crate) fn scale(&self, j: usize) -> f32 {
-        self.static_scale.unwrap_or_else(|| self.row_scales[j])
-    }
-}
-
 /// One append buffer: K or V rows of one attention layer.
 #[derive(Debug, Clone)]
 pub struct KvBuf {
@@ -187,6 +167,16 @@ pub struct KvBuf {
     capacity: usize,
     len: usize,
     store: KvStore,
+}
+
+/// A [`KvBuf`]'s storage where it lies, position-major, `d` values a
+/// position: f32 rows, or FP8 codes with their format's table and the
+/// static scale or one a row. Position `j`'s value at column `c` is
+/// `rows[j·d + c]`, or `lut.decode(codes[j·d + c]) / scale(j)` —
+/// [`KvBuf::value_at`], and the AVX2 step kernels' lanes.
+pub(crate) enum KvView<'a> {
+    F32(&'a [f32]),
+    Fp8(&'a [u8], &'static Fp8Lut, (Option<f32>, &'a [f32])),
 }
 
 impl KvBuf {
@@ -304,84 +294,31 @@ impl KvBuf {
     }
 
     /// Decode element `(position j, column c)`: the f32 value the step
-    /// kernels accumulate. Bit-identical to the corresponding entry of
-    /// [`KvBuf::decode_into`] (same `decode(code) / scale` per element).
+    /// kernels accumulate. The reference loop reads every value through
+    /// it; the AVX2 bodies compute the same `decode(code) / scale` in
+    /// lanes, or load the f32 in place.
     #[inline]
     pub fn value_at(&self, j: usize, c: usize) -> f32 {
-        match &self.store {
-            KvStore::F32(data) => data[j * self.d + c],
-            KvStore::Fp8 {
-                lut,
-                codes,
-                static_scale,
-                row_scales,
-                ..
-            } => {
-                let s = static_scale.unwrap_or_else(|| row_scales[j]);
-                lut.decode(codes[j * self.d + c]) / s
+        match self.view() {
+            KvView::F32(rows) => rows[j * self.d + c],
+            KvView::Fp8(codes, lut, (s, rs)) => {
+                lut.decode(codes[j * self.d + c]) / s.unwrap_or_else(|| rs[j])
             }
         }
     }
 
-    /// The FP8 storage in place, for the step kernels that decode it
-    /// themselves; `None` for an F32 buffer.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) fn fp8_codes(&self) -> Option<KvCodes<'_>> {
+    /// The storage in place ([`KvView`]).
+    #[inline]
+    pub(crate) fn view(&self) -> KvView<'_> {
         match &self.store {
-            KvStore::F32(_) => None,
+            KvStore::F32(rows) => KvView::F32(rows),
             KvStore::Fp8 {
                 lut,
                 codes,
                 static_scale,
                 row_scales,
                 ..
-            } => Some(KvCodes {
-                lut,
-                codes,
-                static_scale: *static_scale,
-                row_scales,
-            }),
-        }
-    }
-
-    /// Decode all `len · d` cached values into `out` (position-major, the
-    /// storage layout). The static-scale FP8 arm builds one 256-entry
-    /// scaled decode table (`decode(code) / scale`) on the stack and maps
-    /// codes through it: one scale serves all `len · d` elements, the one
-    /// place a table costs fewer divisions than dividing per element. The
-    /// entries are the per-element expression's values, so both arms and
-    /// [`KvBuf::value_at`] agree bit for bit.
-    pub fn decode_into(&self, out: &mut [f32]) {
-        let n = self.len * self.d;
-        debug_assert!(out.len() >= n, "decode_into buffer too small");
-        match &self.store {
-            KvStore::F32(data) => out[..n].copy_from_slice(data),
-            KvStore::Fp8 {
-                lut,
-                codes,
-                static_scale,
-                row_scales,
-                ..
-            } => match static_scale {
-                Some(s) => {
-                    let table: [f32; 256] = std::array::from_fn(|b| lut.decode(b as u8) / s);
-                    for (o, &b) in out[..n].iter_mut().zip(codes.iter()) {
-                        *o = table[b as usize];
-                    }
-                }
-                None => {
-                    for (j, (orow, crow)) in out[..n]
-                        .chunks_mut(self.d)
-                        .zip(codes.chunks(self.d))
-                        .enumerate()
-                    {
-                        let s = row_scales[j];
-                        for (o, &b) in orow.iter_mut().zip(crow) {
-                            *o = lut.decode(b) / s;
-                        }
-                    }
-                }
-            },
+            } => KvView::Fp8(codes, lut, (*static_scale, row_scales)),
         }
     }
 
@@ -559,9 +496,6 @@ mod tests {
                 assert_eq!(buf.value_at(j, c).to_bits(), v.to_bits());
             }
         }
-        let mut out = vec![0.0; 8];
-        buf.decode_into(&mut out);
-        assert_eq!(&out[..4], &rows[0]);
     }
 
     #[test]
@@ -601,10 +535,7 @@ mod tests {
             buf.append_row(row.data()).unwrap();
             let mut reference = row.data().to_vec();
             fake_quant_fp8_lut(&mut reference, &Fp8Codec::new(format), scale);
-            let mut out = vec![0.0; 16];
-            buf.decode_into(&mut out);
-            for (c, (&got, &want)) in out.iter().zip(&reference).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "{format} col {c}");
+            for (c, &want) in reference.iter().enumerate() {
                 assert_eq!(
                     buf.value_at(0, c).to_bits(),
                     want.to_bits(),

@@ -23,23 +23,17 @@
 //! bit-identical to the same rows of the full-window forward (DESIGN.md
 //! §16); with an FP8 cache the values are `decode(code)/scale`, so the only
 //! deviation is the storage rounding. A row's chains do not depend on the
-//! segments beside it. Both [`KernelPath`]s agree bit for bit: the
-//! reference decodes inline per element; the blocked path reads an FP8
-//! cache in place under a segment of 1–3 rows with AVX2 (the blocked
-//! module's 8-lane decoder, one lane per chain: 8 positions of a score
-//! row, 8 columns of a context row) and otherwise decodes the cache once
-//! into pooled panels (scores then pack each head's keys as the matmul
-//! tile's `B`).
+//! segments beside it. Both [`KernelPath`]s agree bit for bit and read the
+//! cache where it lies: the reference loop through [`KvBuf::value_at`];
+//! with AVX2 the blocked path's one lane body per step, for either storage
+//! (without AVX2 it runs the reference loop; no such host is measured).
 
 use std::ops::Range;
 
 #[cfg(target_arch = "x86_64")]
 use super::blocked::{avx2_available, short_rows, MR};
-use super::blocked::{pack_transposed, tile_rows, NRM};
-use super::{scratch, KernelPath};
+use super::KernelPath;
 use crate::kv::KvBuf;
-#[cfg(target_arch = "x86_64")]
-use crate::kv::KvCodes;
 use crate::tensor::Tensor;
 
 /// The cache operand of a step kernel: its query rows in segments, each
@@ -77,10 +71,16 @@ impl KvSegments<'_> {
     }
 }
 
-/// Flat `[heads, m]` row indices of the segment holding rows `rs`, head by
-/// head.
-fn seg_rows(heads: usize, m: usize, rs: Range<usize>) -> impl Iterator<Item = usize> {
-    (0..heads).flat_map(move |h| rs.clone().map(move |r| h * m + r))
+/// The segment holding rows `rs` in groups of at most `n` rows, head by
+/// head: `[h, i, g]` is head `h`, the flat `[heads, m]` index `i` of the
+/// group's first row, and its `g` rows.
+fn groups(heads: usize, m: usize, rs: Range<usize>, n: usize) -> impl Iterator<Item = [usize; 3]> {
+    let e = rs.end;
+    (0..heads).flat_map(move |h| {
+        rs.clone()
+            .step_by(n)
+            .map(move |r| [h, h * m + r, n.min(e - r)])
+    })
 }
 
 /// Step score kernel: `q [heads, m, dh]` against each segment's `K` cache
@@ -101,67 +101,42 @@ pub fn attention_step_q<'a>(
 ) {
     assert_eq!(q.ndim(), 3, "step q must be [heads, m, dh]");
     let (heads, m, dh) = (q.dim(0), q.dim(1), q.dim(2));
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = path;
     kv.into().with(m, |segs, l| {
         out.reuse_as(&[heads, m, l]);
         out.zero_fill();
         let (qd, od) = (q.data(), out.data_mut());
         let mut r0 = 0;
         for &(rows, cache) in segs {
-            let (d, len, first) = (cache.d(), cache.len(), r0);
-            assert_eq!(heads * dh, d, "q heads*dh vs cache row width");
+            let (len, first) = (cache.len(), r0);
+            assert_eq!(heads * dh, cache.d(), "q heads*dh vs cache row width");
             r0 += rows;
             if len == 0 {
                 continue;
             }
             #[cfg(target_arch = "x86_64")]
-            if let Some(kv) = in_place(path, cache, rows) {
-                for h in 0..heads {
-                    let qh = &qd[(h * m + first) * dh..][..rows * dh];
-                    let oh = &mut od[(h * m + first) * l..][..rows * l];
-                    // SAFETY: `in_place` checked AVX2; the cache holds
-                    // `len` rows of `d = heads · dh` codes.
-                    unsafe {
-                        short_rows!(rows, simd::scores(&kv, (h * dh, d, len), (qh, dh), (oh, l)))
+            if path == KernelPath::Blocked && avx2_available() {
+                simd::lanes!(cache, |kv| {
+                    for [h, i, g] in groups(heads, m, first..r0, MR - 1) {
+                        let (x, y) = (&qd[i * dh..][..g * dh], &mut od[i * l..][..g * l]);
+                        // SAFETY: AVX2 was detected; `len` rows of `heads · dh`.
+                        unsafe { short_rows!(g, simd::scores(&kv, (h * dh, len), (x, dh), (y, l))) }
                     }
-                }
+                });
                 continue;
             }
-            match path {
-                KernelPath::ScalarReference => {
-                    for i in seg_rows(heads, m, first..r0) {
-                        let (h, orow) = (i / m, &mut od[i * l..][..len]);
-                        for kk in 0..dh {
-                            let av = qd[i * dh + kk];
-                            if av == 0.0 {
-                                continue;
-                            }
-                            for (j, o) in orow.iter_mut().enumerate() {
-                                *o += av * cache.value_at(j, h * dh + kk);
-                            }
-                        }
+            for [h, i, _] in groups(heads, m, first..r0, 1) {
+                let orow = &mut od[i * l..][..len];
+                for kk in 0..dh {
+                    let av = qd[i * dh + kk];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        *o += av * cache.value_at(j, h * dh + kk);
                     }
                 }
-                // Decode the cache once; per head, pack `B = K_hᵀ` (the
-                // head's slice of each cached row) and run the segment's
-                // query rows through the matmul tile — in one call when
-                // its score rows are contiguous, else row by row.
-                KernelPath::Blocked => scratch::with_panel(len * d, |panel| {
-                    cache.decode_into(panel);
-                    scratch::with_panel2(dh * len.next_multiple_of(NRM), |kp| {
-                        for h in 0..heads {
-                            pack_transposed((&panel[h * dh..], d), dh, len, kp, |_| 1.0, |v, _| v);
-                            let qh = &qd[(h * m + first) * dh..][..rows * dh];
-                            let oh = &mut od[(h * m + first) * l..][..rows * l];
-                            if len == l {
-                                tile_rows::<true, _>(qh, (dh, len), kp, None, oh, 0);
-                                continue;
-                            }
-                            for (qr, or) in qh.chunks_exact(dh).zip(oh.chunks_exact_mut(l)) {
-                                tile_rows::<true, _>(qr, (dh, len), kp, None, &mut or[..len], 0);
-                            }
-                        }
-                    });
-                }),
             }
         }
     });
@@ -188,6 +163,8 @@ pub fn attention_step_v<'a>(
 ) {
     assert_eq!(probs.ndim(), 3, "step probs must be [heads, m, len]");
     let (heads, m, l) = (probs.dim(0), probs.dim(1), probs.dim(2));
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = path;
     kv.into().with(m, |segs, longest| {
         assert_eq!(l, longest, "probs len {l} vs longest cache {longest}");
         let d = segs.first().map_or(0, |s| s.1.d());
@@ -205,81 +182,144 @@ pub fn attention_step_v<'a>(
                 continue;
             }
             #[cfg(target_arch = "x86_64")]
-            if let Some(kv) = in_place(path, cache, rows) {
-                for h in 0..heads {
-                    let ph = &pd[(h * m + first) * l..][..rows * l];
-                    let oh = &mut od[(h * m + first) * dh..][..rows * dh];
-                    // SAFETY: `in_place` checked AVX2; the cache holds
-                    // `len` rows of `d = heads · dh` codes.
-                    unsafe {
-                        short_rows!(
-                            rows,
-                            simd::context(&kv, (h * dh, d, len), (ph, l), (oh, dh))
-                        )
+            if path == KernelPath::Blocked && avx2_available() {
+                simd::lanes!(cache, |kv| {
+                    for [h, i, g] in groups(heads, m, first..r0, MR - 1) {
+                        let (x, y) = (&pd[i * l..][..g * l], &mut od[i * dh..][..g * dh]);
+                        // SAFETY: AVX2 was detected; `len` rows of `heads · dh`.
+                        unsafe {
+                            short_rows!(g, simd::context(&kv, (h * dh, len), (x, l), (y, dh)))
+                        }
                     }
-                }
+                });
                 continue;
             }
-            let rows = seg_rows(heads, m, first..r0);
-            match path {
-                KernelPath::ScalarReference => {
-                    for i in rows {
-                        let (h, orow) = (i / m, &mut od[i * dh..][..dh]);
-                        for (j, &av) in pd[i * l..][..len].iter().enumerate() {
-                            if av == 0.0 {
-                                continue;
-                            }
-                            for (c, o) in orow.iter_mut().enumerate() {
-                                *o += av * cache.value_at(j, h * dh + c);
-                            }
-                        }
+            for [h, i, _] in groups(heads, m, first..r0, 1) {
+                let orow = &mut od[i * dh..][..dh];
+                for (j, &av) in pd[i * l..][..len].iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (c, o) in orow.iter_mut().enumerate() {
+                        *o += av * cache.value_at(j, h * dh + c);
                     }
                 }
-                // Decode once; each (position, head) value slice is already
-                // contiguous in the position-major panel.
-                KernelPath::Blocked => scratch::with_panel(len * d, |panel| {
-                    cache.decode_into(panel);
-                    for i in rows {
-                        let (h, orow) = (i / m, &mut od[i * dh..][..dh]);
-                        for (j, &av) in pd[i * l..][..len].iter().enumerate() {
-                            if av == 0.0 {
-                                continue;
-                            }
-                            let vrow = &panel[j * d + h * dh..j * d + (h + 1) * dh];
-                            for (c, o) in orow.iter_mut().enumerate() {
-                                *o += av * vrow[c];
-                            }
-                        }
-                    }
-                }),
             }
         }
     });
 }
 
-/// The codes the `Blocked` path reads in place, nothing staged: an FP8
-/// cache under a segment of `1..MR` rows, on a CPU with AVX2. Larger
-/// segments and F32 caches keep the staged path.
-#[cfg(target_arch = "x86_64")]
-fn in_place(path: KernelPath, cache: &KvBuf, rows: usize) -> Option<KvCodes<'_>> {
-    let short = path == KernelPath::Blocked && (1..MR).contains(&rows);
-    cache.fp8_codes().filter(|_| short && avx2_available())
-}
-
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    //! The FP8-cache step kernels of fewer than `MR` rows on AVX2: the codes
-    //! read in place through the blocked module's 8-lane decoder, each lane
-    //! one reference chain (`vmulps` then `vaddps`, the zero-skip per row
-    //! and term), nothing staged.
+    //! The `Blocked` step kernels on AVX2, one lane body per step for up to
+    //! 3 rows: a lane is one reference chain (`vmulps`, `vaddps`, zero-skip).
 
     use std::arch::x86_64::*;
 
     use super::super::blocked::simd::{decode8, load8, store8, walk8, LaneDecode};
-    use super::NRM;
-    use crate::kv::KvCodes;
+    use super::super::blocked::NRM;
 
-    /// `acc[i][b] += av[i] · v` for every row whose `av[i]` is not zero.
+    /// A cache's storage as the lane bodies read it, in place, nothing
+    /// staged: the values of [`crate::KvBuf::value_at`], bit for bit. One
+    /// implementor per storage, `#[inline(always)]` into the bodies.
+    ///
+    /// # Safety
+    ///
+    /// Both methods: AVX2 was detected; the positions and columns are cached.
+    pub(super) trait Lanes {
+        /// The score chains' steps, `kk` ascending in `0..k`: column `c +
+        /// kk` of positions `j0 .. j0 + live`, one per lane (the last
+        /// repeated), times each query row's `q[i·dh + kk]`, into `acc`.
+        unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), rows: Rows<R>);
+        /// Columns `c .. c + w` (`w ≤ 16`) of position `j`, 8 a vector:
+        /// the context chains' operand (lanes from `w` on are not read).
+        unsafe fn row(&self, j: usize, c: (usize, usize)) -> [__m256; 2];
+    }
+
+    /// `(acc, q, dh)`: `R` score rows' chains over 8 positions, and their
+    /// query rows, `dh` apart.
+    pub(super) type Rows<'a, const R: usize> = (&'a mut [[__m256; 1]; R], &'a [f32], usize);
+
+    /// `$body` with `$kv` bound to `$cache`'s storage as its [`Lanes`].
+    macro_rules! lanes {
+        ($cache:expr, |$kv:ident| $body:expr) => {{
+            use $crate::ops::blocked::simd::LaneDecode;
+            match ($cache.view(), $cache.d()) {
+                ($crate::kv::KvView::F32(rows), d) => {
+                    let $kv = (rows, d);
+                    $body
+                }
+                ($crate::kv::KvView::Fp8(codes, lut, scales), d) => {
+                    let $kv = (LaneDecode::new(lut), codes, d, scales);
+                    $body
+                }
+            }
+        }};
+    }
+    pub(super) use lanes;
+
+    /// An F32 cache: its rows and `d`.
+    impl Lanes for (&[f32], usize) {
+        /// Per column, the 8 positions' values loaded one by one.
+        #[inline(always)]
+        unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), r: Rows<R>) {
+            let ((j0, live), (c, k), (data, d), (acc, q, dh)) = (j, c, *self, r);
+            let p: [*const f32; NRM] =
+                std::array::from_fn(|i| data.as_ptr().add((j0 + i.min(live - 1)) * d + c));
+            for kk in 0..k {
+                let [a, b, c, d, e, f, g, h] = p.map(|p| *p.add(kk));
+                mac_rows(acc, 0, (q, dh, kk), _mm256_setr_ps(a, b, c, d, e, f, g, h));
+            }
+        }
+
+        /// Masked loads: nothing past column `c + w` is read.
+        #[inline(always)]
+        unsafe fn row(&self, j: usize, (c, w): (usize, usize)) -> [__m256; 2] {
+            let at = self.0.as_ptr().add(j * self.1 + c);
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lane);
+            let hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32 - 8), lane);
+            let hi = _mm256_maskload_ps(at.wrapping_add(NRM), hi);
+            [_mm256_maskload_ps(at, lo), hi]
+        }
+    }
+
+    /// An FP8 cache: its decoder, its codes, `d`, and the static scale or
+    /// one a row.
+    impl Lanes for (LaneDecode, &[u8], usize, (Option<f32>, &[f32])) {
+        /// [`walk8`] over the 8 positions' code rows by their scales.
+        #[inline(always)]
+        unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), r: Rows<R>) {
+            let ((j0, live), (c, k), (dec, codes, d, (s, rs)), (acc, q, dh)) = (j, c, self, r);
+            let s: [f32; NRM] =
+                std::array::from_fn(|i| s.unwrap_or_else(|| rs[j0 + i.min(live - 1)]));
+            let at = (codes.as_ptr().add(j0 * d + c), *d, live);
+            let s = _mm256_loadu_ps(s.as_ptr());
+            walk8!(dec, at, s, k, |kk, v| mac_rows(acc, 0, (q, dh, kk), v));
+        }
+
+        /// The codes decoded by the position's scale; one flag test over
+        /// them picks [`decode8`]'s arm.
+        #[inline(always)]
+        unsafe fn row(&self, j: usize, (c, w): (usize, usize)) -> [__m256; 2] {
+            let (dec, codes, d, (s, rs)) = self;
+            let at = codes.as_ptr().add(j * d + c);
+            let s = _mm256_set1_ps(s.unwrap_or_else(|| rs[j]));
+            let (lo, hi) = (w.min(NRM), w.saturating_sub(NRM));
+            let x = match w {
+                16 => _mm_loadu_si128(at.cast()),
+                _ => _mm_unpacklo_epi64(load8(at, lo), load8(at.wrapping_add(NRM), hi)),
+            };
+            let y = _mm_unpackhi_epi64(x, x);
+            if _mm_movemask_epi8(dec.uncommon16(x)) & ((1 << w) - 1) == 0 {
+                [decode8::<false>(dec, x, s), decode8::<false>(dec, y, s)]
+            } else {
+                [decode8::<true>(dec, x, s), decode8::<true>(dec, y, s)]
+            }
+        }
+    }
+
+    /// `acc[i][b] += x[i·stride + at] · v`, skipping rows whose value is 0.
     ///
     /// # Safety
     ///
@@ -288,10 +328,11 @@ mod simd {
     unsafe fn mac_rows<const R: usize, const P: usize>(
         acc: &mut [[__m256; P]; R],
         b: usize,
-        av: &[f32; R],
+        (x, stride, at): (&[f32], usize, usize),
         v: __m256,
     ) {
-        for (a, &x) in acc.iter_mut().zip(av) {
+        for (i, a) in acc.iter_mut().enumerate() {
+            let x = x[i * stride + at];
             if x != 0.0 {
                 a[b] = _mm256_add_ps(a[b], _mm256_mul_ps(_mm256_set1_ps(x), v));
             }
@@ -299,31 +340,25 @@ mod simd {
     }
 
     /// Scores of `R` query rows (`q`, `dh` apart) against the head whose
-    /// `dh` columns start at `col`: per block of 8 positions, [`walk8`]
-    /// over their rows by the positions' scales; a lane is one `(row,
-    /// position)` chain, `kk` ascending. A ragged last block's dead lanes
-    /// are not stored; rows go to `out`, `l` apart.
+    /// `dh` columns start at `col`: per block of 8 positions, one
+    /// [`Lanes::walk`]; a lane is one `(row, position)` chain, `kk`
+    /// ascending. A ragged last block's dead lanes are not stored; rows go
+    /// to `out`, `l` apart.
     ///
     /// # Safety
     ///
-    /// AVX2 was detected; `kv` holds `len` rows of `d` codes and
-    /// `col + dh <= d`.
+    /// AVX2 was detected; `kv` caches `len` positions and `col + dh` fits
+    /// its rows.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scores<const R: usize>(
-        kv: &KvCodes,
-        (col, d, len): (usize, usize, usize),
+        kv: &impl Lanes,
+        (col, len): (usize, usize),
         (q, dh): (&[f32], usize),
         (out, l): (&mut [f32], usize),
     ) {
-        let (dec, codes) = (LaneDecode::new(kv.lut), kv.codes.as_ptr().add(col));
         for j0 in (0..len).step_by(NRM) {
             let (wp, mut acc) = (NRM.min(len - j0), [[_mm256_setzero_ps(); 1]; R]);
-            let s: [f32; NRM] = std::array::from_fn(|p| kv.scale(j0 + p.min(wp - 1)));
-            let (rows, s) = ((codes.add(j0 * d), d, wp), _mm256_loadu_ps(s.as_ptr()));
-            walk8!(&dec, rows, s, dh, |kk, wv| {
-                let av: [f32; R] = std::array::from_fn(|i| q[i * dh + kk]);
-                mac_rows(&mut acc, 0, &av, wv)
-            });
+            kv.walk((j0, wp), (col, dh), (&mut acc, q, dh));
             for (i, a) in acc.iter().enumerate() {
                 store8(a[0], &mut out[i * l + j0..][..wp]);
             }
@@ -331,80 +366,37 @@ mod simd {
     }
 
     /// Context of `R` probability rows (`p`, `l` apart) against the head
-    /// whose `dh` columns start at `col`: per block of 8 columns, each
-    /// position's 8 codes decoded by its scale; a lane is one `(row,
-    /// column)` chain, positions ascending. Rows go to `out`, `dh` apart.
+    /// whose `dh` columns start at `col`: per block of 16 columns,
+    /// [`Lanes::row`] per position; a lane is one `(row, column)` chain,
+    /// positions ascending, and a block's two vectors share each
+    /// position's zero-skip test. Rows go to `out`, `dh` apart.
     ///
     /// # Safety
     ///
     /// As [`scores`].
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn context<const R: usize>(
-        kv: &KvCodes,
-        (col, d, len): (usize, usize, usize),
+        kv: &impl Lanes,
+        (col, len): (usize, usize),
         (p, l): (&[f32], usize),
         (out, dh): (&mut [f32], usize),
     ) {
-        let (dec, at) = (LaneDecode::new(kv.lut), (col, d, len));
-        let mut c0 = 0;
-        while c0 + 2 * NRM <= dh {
-            context_block::<R, 2>(kv, &dec, at, (p, l), (out, dh), c0);
-            c0 += 2 * NRM;
-        }
-        while c0 < dh {
-            context_block::<R, 1>(kv, &dec, at, (p, l), (out, dh), c0);
-            c0 += NRM;
-        }
-    }
-
-    /// [`context`] for the `P` column blocks from `c0`: two vectors of
-    /// chains per row share each position's skip test and scale.
-    ///
-    /// # Safety
-    ///
-    /// As [`scores`].
-    #[inline(always)]
-    unsafe fn context_block<const R: usize, const P: usize>(
-        kv: &KvCodes,
-        dec: &LaneDecode,
-        (col, d, len): (usize, usize, usize),
-        (p, l): (&[f32], usize),
-        (out, dh): (&mut [f32], usize),
-        c0: usize,
-    ) {
-        let wc = (dh - c0).min(P * NRM);
-        let codes = kv.codes.as_ptr().add(col + c0);
-        let mut acc = [[_mm256_setzero_ps(); P]; R];
-        for j in 0..len {
-            let av: [f32; R] = std::array::from_fn(|i| p[i * l + j]);
-            if av == [0.0; R] {
-                continue;
+        for c0 in (0..dh).step_by(2 * NRM) {
+            let (wc, mut acc) = ((dh - c0).min(2 * NRM), [[_mm256_setzero_ps(); 2]; R]);
+            let blocks = wc.div_ceil(NRM);
+            for j in 0..len {
+                if (0..R).all(|i| p[i * l + j] == 0.0) {
+                    continue;
+                }
+                for (b, &v) in kv.row(j, (col + c0, wc)).iter().enumerate().take(blocks) {
+                    mac_rows(&mut acc, b, (p, l, j), v);
+                }
             }
-            let (s, at) = (_mm256_set1_ps(kv.scale(j)), codes.add(j * d));
-            macro_rules! step {
-                ($full:literal) => {
-                    for b in 0..P {
-                        let w = (wc - b * NRM).min(NRM);
-                        let v = decode8::<$full>(dec, load8(at.add(b * NRM), w), s);
-                        mac_rows(&mut acc, b, &av, v);
-                    }
-                };
-            }
-            // A pair of blocks is 16 whole codes; a single one `wc`.
-            let (x, valid) = match P {
-                2 => (_mm_loadu_si128(at.cast()), 0xffff),
-                _ => (load8(at, wc), (1 << wc) - 1),
-            };
-            if _mm_movemask_epi8(dec.uncommon16(x)) & valid == 0 {
-                step!(false);
-            } else {
-                step!(true);
-            }
-        }
-        for (i, a) in acc.iter().enumerate() {
-            for (b, v) in a.iter().enumerate() {
-                let w = (wc - b * NRM).min(NRM);
-                store8(*v, &mut out[i * dh + c0 + b * NRM..][..w]);
+            for (i, a) in acc.iter().enumerate() {
+                for (b, v) in a.iter().enumerate().take(blocks) {
+                    let w = (wc - b * NRM).min(NRM);
+                    store8(*v, &mut out[i * dh + c0 + b * NRM..][..w]);
+                }
             }
         }
     }
@@ -466,8 +458,9 @@ mod tests {
             },
         ] {
             let (cache, kt, _) = cache_and_dense(9, 11, policy);
-            // One query row (a generated token) and a block of them (a prompt).
-            for m in [1, 4] {
+            // One query row (a generated token) and blocks of them (a
+            // prompt): 16 rows end in a one-row group of 3, 17 in two.
+            for m in [1, 4, 16, 17] {
                 let mut q = TensorRng::seed(12).normal(&[HEADS, m, DH], 0.0, 1.0);
                 q.data_mut()[DH - 1] = 0.0; // the lhs zero-skip
                 let reference = batch_matmul(&q, &kt);
@@ -493,7 +486,7 @@ mod tests {
             },
         ] {
             let (cache, _, v) = cache_and_dense(7, 21, policy);
-            for m in [1, 3] {
+            for m in [1, 3, 16, 17] {
                 let mut probs = TensorRng::seed(22).normal(&[HEADS, m, 7], 0.0, 1.0);
                 // Exact zeros exercise the masked-tail skip.
                 probs.data_mut()[3] = 0.0;
@@ -593,7 +586,7 @@ mod tests {
                 let (n, len) = (rows[s], lens[s]);
                 let pick = |t: &Tensor, w: usize, keep: usize| -> Tensor {
                     let mut v = Vec::new();
-                    for i in seg_rows(HEADS, m, r0..r0 + n) {
+                    for [_, i, _] in groups(HEADS, m, r0..r0 + n, 1) {
                         v.extend_from_slice(&t.data()[i * w..][..keep]);
                     }
                     Tensor::from_vec(v, &[HEADS, n, keep])

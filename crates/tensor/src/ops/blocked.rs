@@ -661,7 +661,7 @@ fn matmul_panels<const SKIP: bool>(
 /// `out = x · B (+ bias)`: `MR` rows of the row source per chunk through
 /// the tile against the packed `B`, the zero-skip per `SKIP`, fanned out
 /// as [`for_each_chunk`] decides for `macs`.
-pub(super) fn tile_rows<const SKIP: bool, X: Rows + ?Sized>(
+fn tile_rows<const SKIP: bool, X: Rows + ?Sized>(
     x: &X,
     (k, n): (usize, usize),
     bp: &[f32],
@@ -720,23 +720,23 @@ pub(super) fn batch_matmul(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize,
 /// of `StoredTensor::dequantize` — in lanes with AVX2 ([`simd::pack_q`]).
 fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
     match weight {
-        WeightOperand::F32(t) => pack_transposed((t.data(), k), k, n, bp, |_| 1.0, |v, _| v),
+        WeightOperand::F32(t) => pack_transposed(t.data(), k, n, bp, |_| 1.0, |v, _| v),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 was detected; `q` is `[n, k]`, `bp` its padded panels.
         WeightOperand::Q(q) if simd::avx2_available() => unsafe { simd::pack_q(q, (k, n), bp) },
         WeightOperand::Q(q) => {
             let (lut, scales) = (q.lut(), q.scales());
             let scale = |j| scales.scale_for_channel(j);
-            pack_transposed((q.codes(), k), k, n, bp, scale, |b, s| lut.decode(b) / s);
+            pack_transposed(q.codes(), k, n, bp, scale, |b, s| lut.decode(b) / s);
         }
     }
 }
 
-/// [`decode_pack_weights`] over either element type, from `n` rows of `k`
-/// elements that start `rs` apart in `src`. A ragged last panel's dead
-/// lanes repeat its last row.
-pub(super) fn pack_transposed<T: Copy>(
-    (src, rs): (&[T], usize),
+/// [`decode_pack_weights`] over either element type, from the `n` rows of
+/// `k` elements in `src`. A ragged last panel's dead lanes repeat its last
+/// row.
+fn pack_transposed<T: Copy>(
+    src: &[T],
     k: usize,
     n: usize,
     bp: &mut [f32],
@@ -746,7 +746,7 @@ pub(super) fn pack_transposed<T: Copy>(
     for j0 in (0..n).step_by(NRM) {
         let row = |c: usize| j0 + c.min(n - j0 - 1);
         let s: [f32; NRM] = std::array::from_fn(|c| scale(row(c)));
-        let rows: [&[T]; NRM] = std::array::from_fn(|c| &src[row(c) * rs..][..k]);
+        let rows: [&[T]; NRM] = std::array::from_fn(|c| &src[row(c) * k..][..k]);
         for (kk, dst) in bp[j0 * k..(j0 + NRM) * k].chunks_exact_mut(NRM).enumerate() {
             for c in 0..NRM {
                 dst[c] = val(rows[c][kk], s[c]);
@@ -1061,7 +1061,7 @@ mod tests {
                 let (mut lanes, mut scalar) = (vec![f32::NAN; len], vec![f32::NAN; len]);
                 decode_pack_weights(WeightOperand::Q(&q), k, n, &mut lanes);
                 let scale = |j| s.scale_for_channel(j);
-                pack_transposed((q.codes(), k), k, n, &mut scalar, scale, |b, s| {
+                pack_transposed(q.codes(), k, n, &mut scalar, scale, |b, s| {
                     lut.decode(b) / s
                 });
                 for (i, (a, b)) in lanes.iter().zip(&scalar).enumerate() {

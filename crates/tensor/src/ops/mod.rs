@@ -59,10 +59,10 @@ pub enum KernelPath {
     /// Register-blocked micro-kernels (the default): operands packed once
     /// per call (f32 copied, codes through `decode(code) / scale`, 8 lanes
     /// at a time with AVX2) into per-thread panels of 8 outputs, run by
-    /// 4-row (conv: 4-pixel) × 8- or 16-output register tiles. Fewer than 4
-    /// rows against FP8 codes — a decode step's Linear weights and its K/V
-    /// cache — read the codes in place with AVX2: the same 8-lane decoder
-    /// computes each value beside the chain that reads it, nothing staged.
+    /// 4-row (conv: 4-pixel) × 8- or 16-output register tiles. With AVX2,
+    /// fewer than 4 rows against an FP8 weight, and both attention steps
+    /// against any K/V cache, read it in place, nothing staged; without
+    /// AVX2 the attention steps run the reference loop (no host measured).
     #[default]
     Blocked,
     /// The straightforward loop nests the blocked kernels are verified

@@ -18,9 +18,6 @@ struct Pool {
     /// Call-wide operand panel (decoded B, packed weights). Taken on the
     /// calling thread before the chunk fan-out.
     panel: Vec<f32>,
-    /// Second call-wide panel for kernels that stage two forms (decode
-    /// then repack).
-    panel2: Vec<f32>,
     /// Per-chunk row block (decoded activation rows). Taken inside chunk
     /// closures, on whichever thread runs the chunk.
     rows: Vec<f32>,
@@ -38,7 +35,7 @@ thread_local! {
 pub(crate) fn pooled_bytes() -> usize {
     POOL.with(|p| {
         let p = p.borrow();
-        4 * (p.panel.capacity() + p.panel2.capacity() + p.rows.capacity() + p.rows2.capacity())
+        4 * (p.panel.capacity() + p.rows.capacity() + p.rows2.capacity())
     })
 }
 
@@ -72,15 +69,6 @@ pub(crate) fn with_panel<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     let mut buf = grown(take(|p| &mut p.panel), len);
     let r = f(&mut buf[..len]);
     put(|p| &mut p.panel, buf);
-    r
-}
-
-/// Run `f` with this thread's second call-wide panel buffer (for kernels
-/// staging two operand forms in one call).
-pub(crate) fn with_panel2<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let mut buf = grown(take(|p| &mut p.panel2), len);
-    let r = f(&mut buf[..len]);
-    put(|p| &mut p.panel2, buf);
     r
 }
 

@@ -242,20 +242,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// attention_step_q / attention_step_v on FP8 caches of every format,
-    /// static or per-row scales: cache lengths ragged around the 8-position
-    /// blocks (and their pairs), `dh` ragged around the 8-code blocks, a
-    /// NaN/Inf row appended (a NaN code, a saturated one), exact zeros in
-    /// `q` and `probs` (the skip; a whole zero row too), 1–3 rows per
-    /// segment alone or as `KvSegments::Many`. Blocked must reproduce the
-    /// reference bit for bit.
+    /// attention_step_q / attention_step_v on F32 caches and FP8 caches of
+    /// every format, static or per-row scales: cache lengths ragged around
+    /// the 8-position blocks (and their pairs), `dh` ragged around the
+    /// 8-value blocks, a NaN/Inf row appended (a NaN code, a saturated
+    /// one), exact zeros in `q` and `probs` (the skip; a whole zero row
+    /// too), 1–17 rows per segment (one or several row groups, a ragged
+    /// last one) alone or as `KvSegments::Many`, where one segment may hold
+    /// no row. Blocked must reproduce the reference bit for bit.
     #[test]
-    fn attention_steps_match_scalar_reference_on_fp8_caches(
+    fn attention_steps_match_scalar_reference_on_every_cache(
         f in formats(),
-        static_scale in 0u8..2,
+        storage in 0u8..3,
         dh in prop_oneof![Just(5usize), Just(8), Just(16), Just(24)],
         heads in 1usize..3,
-        seg_rows in proptest::collection::vec(1usize..4, 1..4),
+        seg_rows in proptest::collection::vec(1usize..18, 1..4),
+        empty_seg in 0usize..4,
         lens in proptest::collection::vec(1usize..41, 3..4),
         poison_row in 0u8..2,
         many in 0u8..2,
@@ -263,7 +265,10 @@ proptest! {
     ) {
         let d = heads * dh;
         let segs = if many == 1 { seg_rows.len() } else { 1 };
-        let policy = KvCachePolicy::Fp8 { format: f, scale: (static_scale == 1).then_some(3.5) };
+        let policy = match storage {
+            0 => KvCachePolicy::F32,
+            s => KvCachePolicy::Fp8 { format: f, scale: (s == 2).then_some(3.5) },
+        };
         let caches: Vec<KvBuf> = (0..segs)
             .map(|s| {
                 let mut rng = TensorRng::seed(seed ^ (0x91 + s as u64));
@@ -280,6 +285,12 @@ proptest! {
                 cache
             })
             .collect();
+        // Under `Many`, the segment `empty_seg` (if there is one) holds no
+        // row: its cache is attended by nobody.
+        let mut seg_rows = seg_rows;
+        if many == 1 && empty_seg < segs && segs > 1 {
+            seg_rows[empty_seg] = 0;
+        }
         let rows = &seg_rows[..segs];
         let m: usize = rows.iter().sum();
         let l = caches.iter().map(KvBuf::len).max().unwrap_or(0);

@@ -1,9 +1,10 @@
 //! A decode step's FP8 kernels allocate nothing once warm.
 //!
 //! The m = 1 Linear reads its weight codes in place and both attention
-//! steps read their FP8 caches in place; a gathered step (m = 4) and a
-//! prefill block (m = 16) pack the weight into a panel. What they stage (a
-//! coded input's decoded rows, the panel) comes from the per-thread pool.
+//! steps read their caches in place, F32 or FP8, under one row or a
+//! 16-row prompt block; a gathered step (m = 4) and a prefill block (m =
+//! 16) pack the weight into a panel. What they stage (a coded input's
+//! decoded rows, the panel) comes from the per-thread pool.
 //! A counting global allocator sees every byte, so this is its own test
 //! binary with one test.
 
@@ -49,7 +50,7 @@ fn warm_fp8_step_kernels_allocate_nothing() {
         rng.normal(&[4, 128], 0.0, 1.0),
         rng.normal(&[16, 128], 0.0, 1.0),
     );
-    let (mut k, mut v) = (
+    let (mut k, mut v, mut kf, mut vf) = (
         KvBuf::new(
             d,
             len,
@@ -66,14 +67,23 @@ fn warm_fp8_step_kernels_allocate_nothing() {
                 scale: None,
             },
         ),
+        KvBuf::new(d, len, KvCachePolicy::F32),
+        KvBuf::new(d, len, KvCachePolicy::F32),
     );
     for _ in 0..len {
         let row = rng.normal(&[d], 0.0, 1.0);
-        k.append_row(row.data()).expect("row fits");
-        v.append_row(row.data()).expect("row fits");
+        for buf in [&mut k, &mut v, &mut kf, &mut vf] {
+            buf.append_row(row.data()).expect("row fits");
+        }
     }
-    let q = rng.normal(&[heads, 1, d / heads], 0.0, 1.0);
-    let probs = rng.normal(&[heads, 1, len], 0.0, 1.0);
+    let (q, q16) = (
+        rng.normal(&[heads, 1, d / heads], 0.0, 1.0),
+        rng.normal(&[heads, 16, d / heads], 0.0, 1.0),
+    );
+    let (probs, probs16) = (
+        rng.normal(&[heads, 1, len], 0.0, 1.0),
+        rng.normal(&[heads, 16, len], 0.0, 1.0),
+    );
     let (mut qa, mut y, mut scores, mut ctx) = (
         QActTensor::new(),
         Tensor::default(),
@@ -85,8 +95,12 @@ fn warm_fp8_step_kernels_allocate_nothing() {
             qa.quantize_static(x, F, 4.0);
             linear_into(&qa, &w, None, &mut y, KernelPath::Blocked);
         }
-        attention_step_q(&q, &k, &mut scores, KernelPath::Blocked);
-        attention_step_v(&probs, &v, &mut ctx, KernelPath::Blocked);
+        for (q, probs) in [(&q, &probs), (&q16, &probs16)] {
+            for (k, v) in [(&k, &v), (&kf, &vf)] {
+                attention_step_q(q, k, &mut scores, KernelPath::Blocked);
+                attention_step_v(probs, v, &mut ctx, KernelPath::Blocked);
+            }
+        }
     };
     for _ in 0..20 {
         call();
