@@ -15,9 +15,14 @@
 #   * The path alone chooses the kernel: no `(KernelPath::Blocked, …)`
 #     tuple guard under crates/tensor/src/ops picks a kernel by operand
 #     kind -- f32 and FP8 operands run the same blocked kernels, and the
-#     reference loops run under `KernelPath::ScalarReference` (and, for the
-#     attention steps, under `Blocked` on a CPU without AVX2, where they
-#     are the only body).
+#     reference loops run under `KernelPath::ScalarReference` only.
+#   * One lane type on every host: each blocked body is written once over
+#     `Chains` (AVX2 registers or `[f32; 8]`), and the CPU is asked on at
+#     most two non-test lines under crates/tensor/src/ops -- the lane
+#     dispatch (`run_lanes` in ops/blocked.rs) and the tanh lanes
+#     (`map_tanh` in ops/activation.rs). The scalar tiles and the
+#     AVX2-only operand plumbing they needed (`tile_full`, `tile_row`,
+#     `simd_a`) may not reappear under crates/.
 #   * One attention step per side: `Blocked` runs one in-place lane body
 #     per attention step for F32 and FP8 caches alike, so crates/tensor/src
 #     /ops/attn.rs stages nothing (no `with_panel`, no `decode_into`) and
@@ -32,15 +37,17 @@
 #     the scalar `codec.encode(`: production encode loops go through
 #     `Fp8Lut::encode`. The scalar weight decode `lut.decode(b) / s` is
 #     written on at most one non-comment, non-test line under
-#     crates/tensor/src/ops: the pack of hosts without AVX2.
+#     crates/tensor/src/ops, inside `decode8` of the `[f32; NRM]` lanes
+#     in ops/blocked.rs: the per-lane decode of hosts without AVX2.
 #   * One lane decoder, one block walk, no gather: the FP8 weight pack of
 #     m >= 4 rows (Linear, conv, depthwise), short rows (m < 4) and both
 #     attention steps' FP8 cache reader (`Lanes` in ops/attn.rs; its F32
 #     cache reader loads the rows as they are) decode FP8 codes through
-#     one 8-lane decoder, `decode8` in crates/tensor/src/ops/blocked.rs --
-#     the only non-test line under crates/tensor/src that widens codes to
-#     lanes (`_mm256_cvtepu8_epi32`), so the decode arithmetic has one
-#     definition. The pack, the short-row Linear and the score step walk
+#     one 8-lane decoder, `Chains::decode8` in
+#     crates/tensor/src/ops/blocked.rs -- its AVX2 implementation holds the
+#     only non-test line under crates/tensor/src that widens codes to lanes
+#     (`_mm256_cvtepu8_epi32`), so the decode arithmetic has one
+#     definition per lane type. The pack, the short-row Linear and the score step walk
 #     8x8 code blocks through one macro, `walk8`: `transpose8x8(` is
 #     called on exactly one non-test line under crates/tensor/src, inside
 #     it. No `_mm256_*i32gather*` intrinsic under crates/tensor/src: a
@@ -124,7 +131,7 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2938
+ops_budget=2912
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
@@ -159,12 +166,32 @@ if [ "$(printf '%s' "$walks" | grep -c .)" -ne 1 ] || ! printf '%s' "$walks" | g
     fail=1
 fi
 
+# Each hit is tagged with the enclosing `impl` header and `fn` name.
 scalar=$(find crates/tensor/src/ops -name '*.rs' | sort | while IFS= read -r f; do
-    awk '/^#\[cfg\(test\)\]/{exit} /lut\.decode\(b\) \/ s/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$f"
+    awk '/^#\[cfg\(test\)\]/{exit} /^impl /{impl=$0} match($0, /fn [a-z0-9_]+/){fn=substr($0, RSTART + 3, RLENGTH - 3)}
+        /lut\.decode\(b\) \/ s/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR":"impl":"fn": "$0}' "$f"
 done)
-if [ "$(printf '%s' "$scalar" | grep -c .)" -gt 1 ]; then
-    echo "one scalar weight decode: lut.decode(b) / s on at most one non-test line (the non-AVX2 pack):" >&2
+if [ "$(printf '%s' "$scalar" | grep -c .)" -gt 1 ] ||
+    printf '%s' "$scalar" | grep -v '^crates/tensor/src/ops/blocked.rs:[0-9]*:impl Chains for \[f32; NRM\] {:decode8: ' | grep -q .; then
+    echo "one scalar weight decode: lut.decode(b) / s on at most one non-test line, the array lanes' decode8:" >&2
     printf '%s\n' "$scalar" >&2
+    fail=1
+fi
+
+asks=$(find crates/tensor/src/ops -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} match($0, /fn [a-z0-9_]+/){fn=substr($0, RSTART + 3, RLENGTH - 3)}
+        /avx2_available\(\)/ && !/fn avx2_available\(\)/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR":"fn": "$0}' "$f"
+done)
+if [ "$(printf '%s' "$asks" | grep -c .)" -gt 2 ] ||
+    printf '%s' "$asks" | grep -vE '^crates/tensor/src/ops/(blocked\.rs:[0-9]+:run_lanes|activation\.rs:[0-9]+:map_tanh): ' | grep -q .; then
+    echo "one lane type on every host: avx2_available() only in run_lanes (ops/blocked.rs) and map_tanh (ops/activation.rs):" >&2
+    printf '%s\n' "$asks" >&2
+    fail=1
+fi
+
+if hits=$(grep -rnwE 'tile_full|tile_row|simd_a' crates/); then
+    echo "one register tile on every host: the scalar tiles and their AVX2 operand plumbing are gone:" >&2
+    printf '%s\n' "$hits" >&2
     fail=1
 fi
 
@@ -295,7 +322,8 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
-    "the kernel path alone chooses the kernel, one attention step per side, one lane decoder, one block walk and no gather," \
+    "the kernel path alone chooses the kernel, one lane type on every host, one attention step per side," \
+    "one lane decoder, one block walk and no gather," \
     "no per-plane conv nest," \
     "no decode-table machinery, one scalar weight decode, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \

@@ -8,7 +8,7 @@
 //! into coarser relative precision, because FP8's grid is already dense
 //! near zero.
 
-use ptq_fp8::{fake_quant_fp8_lut, fake_quant_int8, Fp8Codec, Int8Codec, Int8Mode};
+use ptq_fp8::{fake_quant_fp8, fake_quant_int8, Fp8Codec, Int8Codec, Int8Mode};
 use ptq_tensor::Histogram;
 
 use crate::config::DataFormat;
@@ -124,7 +124,7 @@ pub fn clip_quant_mse(sample: &[f32], t: f32, format: DataFormat) -> f64 {
         DataFormat::Fp8(f) => {
             let codec = Fp8Codec::new(f);
             let scale = ptq_fp8::fp8_scale(f, t);
-            fake_quant_fp8_lut(&mut clipped, &codec, scale);
+            fake_quant_fp8(&mut clipped, &codec, scale);
         }
         DataFormat::Int8 => {
             let codec = Int8Codec::from_range(-t, t, Int8Mode::Symmetric);

@@ -6,7 +6,7 @@ use crate::calibrate::{quantized_inputs, CalibData, TensorKey};
 use crate::config::{ActGranularity, Approach, DataFormat, Granularity, QuantConfig};
 use crate::smoothquant::smooth_scales;
 use ptq_fp8::{
-    absmax_nan_aware, fake_quant_fp8_lut, fake_quant_fp8_per_channel_lut, fake_quant_int8,
+    absmax_nan_aware, fake_quant_fp8, fake_quant_fp8_per_channel, fake_quant_int8,
     fake_quant_int8_per_channel, fp8_scale, Fp8Codec, Int8Codec, Int8Mode,
 };
 use ptq_nn::{
@@ -377,7 +377,7 @@ pub fn quantize_weight_tensor(w: &mut Tensor, config: &QuantConfig) {
     match (config.weight_format, config.weight_granularity) {
         (DataFormat::Fp8(f), Granularity::PerChannel) => {
             let codec = Fp8Codec::new(f);
-            fake_quant_fp8_per_channel_lut(w.data_mut(), &codec, channels, inner);
+            fake_quant_fp8_per_channel(w.data_mut(), &codec, channels, inner);
         }
         (DataFormat::Fp8(f), Granularity::PerTensor) => {
             let codec = Fp8Codec::new(f);
@@ -386,7 +386,7 @@ pub fn quantize_weight_tensor(w: &mut Tensor, config: &QuantConfig) {
             // fold and `StoredTensor::quantize` — the two storage modes
             // must compute identical scales to stay bit-identical.
             let s = fp8_scale(f, absmax_nan_aware(w.data()));
-            fake_quant_fp8_lut(w.data_mut(), &codec, s);
+            fake_quant_fp8(w.data_mut(), &codec, s);
         }
         (DataFormat::Int8, Granularity::PerChannel) => {
             fake_quant_int8_per_channel(w.data_mut(), channels, inner);
@@ -554,7 +554,7 @@ impl ExecHook for QuantHook<'_> {
                 // input with: one decision table for both storage modes.
                 DataFormat::Fp8(f) => {
                     let per_tensor = |x: &mut Tensor, s| {
-                        fake_quant_fp8_lut(x.data_mut(), &Fp8Codec::new(f), s);
+                        fake_quant_fp8(x.data_mut(), &Fp8Codec::new(f), s);
                     };
                     match self.model.act_scale(node, idx) {
                         None => continue,
@@ -959,7 +959,7 @@ mod tests {
             // Finite values were quantized with scale exactly 1.0.
             let codec = Fp8Codec::new(Fp8Format::E4M3);
             let mut expected = clean.clone();
-            fake_quant_fp8_lut(&mut expected, &codec, 1.0);
+            fake_quant_fp8(&mut expected, &codec, 1.0);
             for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
                 if i == 5 {
                     continue;

@@ -55,8 +55,8 @@ pub use format::{Fp8Format, FpSpec, NanEncoding};
 pub use int8::{Int8Codec, Int8Granularity, Int8Mode};
 pub use lut::Fp8Lut;
 pub use quantize::{
-    fake_quant_fp8, fake_quant_fp8_lut, fake_quant_fp8_per_channel, fake_quant_fp8_per_channel_lut,
-    fake_quant_int8, fake_quant_int8_per_channel, fp8_scale, FakeQuantStats, QuantizedTensorStats,
+    fake_quant_fp8, fake_quant_fp8_per_channel, fake_quant_int8, fake_quant_int8_per_channel,
+    fp8_scale, FakeQuantStats,
 };
 pub use storage::{absmax_nan_aware, check_shape, StoredScales, StoredTensor};
 pub use wire::WireEnum;

@@ -47,16 +47,29 @@ pub struct FakeQuantStats {
     pub underflowed: usize,
 }
 
-/// Alias kept for readability at call sites that treat the stats as a
-/// description of the quantized tensor rather than of the pass.
-pub type QuantizedTensorStats = FakeQuantStats;
-
 /// Fake-quantize `data` in place with a single (per-tensor) scale, returning
 /// error statistics.
 ///
 /// `scale` should come from [`fp8_scale`]; pass `1.0` for *direct*
 /// quantization (the paper's E5M2 recipe, which needs no range calibration).
+/// Each element is quantized by the codec's cached [`Fp8Lut`] (a breakpoint
+/// search plus a table load) when the codec has one, and by the scalar
+/// `codec.quantize` when it does not (non-default overflow or rounding
+/// policies); the two are bit-identical.
 pub fn fake_quant_fp8(data: &mut [f32], codec: &Fp8Codec, scale: f32) -> FakeQuantStats {
+    match Fp8Lut::for_codec(codec) {
+        Some(lut) => fake_quant_by(data, codec, scale, |x| lut.quantize(x)),
+        None => fake_quant_by(data, codec, scale, |x| codec.quantize(x)),
+    }
+}
+
+/// [`fake_quant_fp8`] through `quantize`, one of the codec's quantizers.
+fn fake_quant_by(
+    data: &mut [f32],
+    codec: &Fp8Codec,
+    scale: f32,
+    quantize: impl Fn(f32) -> f32,
+) -> FakeQuantStats {
     let max_v = codec.spec().max_value();
     // A value only loses information to saturation once it lies beyond the
     // half-ulp rounding window around the max code; `x * (max / absmax)` can
@@ -69,51 +82,7 @@ pub fn fake_quant_fp8(data: &mut [f32], codec: &Fp8Codec, scale: f32) -> FakeQua
     for x in data.iter_mut() {
         let orig = *x;
         let scaled = orig * scale;
-        let q = codec.quantize(scaled);
-        if scaled.abs() > sat_threshold {
-            saturated += 1;
-        }
-        if q == 0.0 && orig != 0.0 {
-            underflowed += 1;
-        }
-        let deq = q / scale;
-        let e = orig - deq;
-        mse += (e as f64) * (e as f64);
-        max_err = max_err.max(e.abs());
-        *x = deq;
-    }
-    if !data.is_empty() {
-        mse /= data.len() as f64;
-    }
-    FakeQuantStats {
-        mse,
-        max_abs_err: max_err,
-        saturated,
-        underflowed,
-    }
-}
-
-/// Table-driven variant of [`fake_quant_fp8`]: same contract, same
-/// bit-identical results and statistics, but each element is quantized by
-/// the codec's cached [`Fp8Lut`] (a breakpoint search plus a table load)
-/// instead of the scalar encode/decode round trip.
-///
-/// Codecs with non-default overflow/rounding policies have no LUT and fall
-/// back to the scalar path transparently.
-pub fn fake_quant_fp8_lut(data: &mut [f32], codec: &Fp8Codec, scale: f32) -> FakeQuantStats {
-    let Some(lut) = Fp8Lut::for_codec(codec) else {
-        return fake_quant_fp8(data, codec, scale);
-    };
-    let max_v = codec.spec().max_value();
-    let sat_threshold = max_v + 0.5 * codec.spec().ulp_at(max_v);
-    let mut mse = 0.0f64;
-    let mut max_err = 0.0f32;
-    let mut saturated = 0usize;
-    let mut underflowed = 0usize;
-    for x in data.iter_mut() {
-        let orig = *x;
-        let scaled = orig * scale;
-        let q = lut.quantize(scaled);
+        let q = quantize(scaled);
         if scaled.abs() > sat_threshold {
             saturated += 1;
         }
@@ -170,47 +139,6 @@ pub fn fake_quant_fp8_per_channel(
         };
         scales.push(scale);
         let st = fake_quant_fp8(chunk, codec, scale);
-        sq += st.mse * inner as f64;
-        total.max_abs_err = total.max_abs_err.max(st.max_abs_err);
-        total.saturated += st.saturated;
-        total.underflowed += st.underflowed;
-    }
-    if !data.is_empty() {
-        total.mse = sq / data.len() as f64;
-    }
-    (scales, total)
-}
-
-/// Table-driven variant of [`fake_quant_fp8_per_channel`]: same contract,
-/// bit-identical scales, outputs and statistics, using the codec's cached
-/// [`Fp8Lut`] for the inner per-channel passes.
-///
-/// # Panics
-///
-/// Panics if `data.len() != channels * inner`.
-pub fn fake_quant_fp8_per_channel_lut(
-    data: &mut [f32],
-    codec: &Fp8Codec,
-    channels: usize,
-    inner: usize,
-) -> (Vec<f32>, FakeQuantStats) {
-    assert_eq!(data.len(), channels * inner, "shape mismatch");
-    let format = spec_format_max(codec);
-    let mut scales = Vec::with_capacity(channels);
-    let mut total = FakeQuantStats::default();
-    let mut sq = 0.0f64;
-    for c in 0..channels {
-        let chunk = &mut data[c * inner..(c + 1) * inner];
-        // A non-finite magnitude wins the absmax so the guard below
-        // falls back to unit scale.
-        let absmax = absmax_nan_aware(chunk);
-        let scale = if absmax > 0.0 && absmax.is_finite() {
-            format / absmax
-        } else {
-            1.0
-        };
-        scales.push(scale);
-        let st = fake_quant_fp8_lut(chunk, codec, scale);
         sq += st.mse * inner as f64;
         total.max_abs_err = total.max_abs_err.max(st.max_abs_err);
         total.saturated += st.saturated;

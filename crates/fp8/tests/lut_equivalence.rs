@@ -1,15 +1,15 @@
 //! LUT ⇔ scalar codec equivalence suite.
 //!
-//! The table-driven fast path (`Fp8Lut::{quantize, encode}`,
-//! `fake_quant_fp8_lut`) must be bit-identical to the scalar reference
-//! codec for every input — these tests enforce that exhaustively over the code space, deterministically
+//! The table-driven fast path (`Fp8Lut::{quantize, encode}`, and
+//! `fake_quant_fp8` / `_per_channel`, which quantize through it) must be
+//! bit-identical to the scalar reference codec for every input — these tests enforce that exhaustively over the code space, deterministically
 //! over the known hard regions (rounding-boundary ties, subnormals,
 //! saturation, specials), and probabilistically over the full f32 space.
 
 use proptest::prelude::*;
 use ptq_fp8::{
-    fake_quant_fp8, fake_quant_fp8_lut, fake_quant_fp8_per_channel, fake_quant_fp8_per_channel_lut,
-    fp8_scale, Fp8Codec, Fp8Format, Fp8Lut, OverflowPolicy, Rounding,
+    absmax_nan_aware, fake_quant_fp8, fake_quant_fp8_per_channel, fp8_scale, FakeQuantStats,
+    Fp8Codec, Fp8Format, Fp8Lut, OverflowPolicy, Rounding,
 };
 
 /// Bitwise equality that treats every NaN as equal (the scalar codec
@@ -21,8 +21,8 @@ fn bits_eq(a: f32, b: f32) -> bool {
 
 /// Stats equality that treats NaN mse as equal to NaN mse (a NonSaturating
 /// codec turns overflow into NaN, which poisons the accumulator on both
-/// paths identically).
-fn stats_eq(a: &ptq_fp8::FakeQuantStats, b: &ptq_fp8::FakeQuantStats) -> bool {
+/// sides identically).
+fn stats_eq(a: &FakeQuantStats, b: &FakeQuantStats) -> bool {
     (a.mse == b.mse || (a.mse.is_nan() && b.mse.is_nan()))
         && a.max_abs_err.to_bits() == b.max_abs_err.to_bits()
         && a.saturated == b.saturated
@@ -237,8 +237,34 @@ fn exhaustive_bit_space_all_formats() {
     }
 }
 
-/// Non-default codec policies transparently fall back to the scalar path
-/// inside `fake_quant_fp8_lut`, so results still match exactly.
+/// The per-element oracle of a fake-quant pass: `codec.quantize(x·s) / s`
+/// for each element of `xs`, and the pass statistics recomputed from it.
+fn oracle(xs: &[f32], codec: &Fp8Codec, s: f32) -> (Vec<f32>, FakeQuantStats) {
+    let max_v = codec.spec().max_value();
+    let sat = max_v + 0.5 * codec.spec().ulp_at(max_v);
+    let (mut out, mut st, mut sq) = (Vec::new(), FakeQuantStats::default(), 0.0f64);
+    for &x in xs {
+        let q = codec.quantize(x * s);
+        st.saturated += usize::from((x * s).abs() > sat);
+        st.underflowed += usize::from(q == 0.0 && x != 0.0);
+        let e = x - q / s;
+        sq += f64::from(e) * f64::from(e);
+        st.max_abs_err = st.max_abs_err.max(e.abs());
+        out.push(q / s);
+    }
+    if !xs.is_empty() {
+        st.mse = sq / xs.len() as f64;
+    }
+    (out, st)
+}
+
+fn assert_bits_eq(a: &[f32], b: &[f32]) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b));
+}
+
+/// Non-default codec policies have no LUT: `fake_quant_fp8` quantizes
+/// through the scalar codec and still matches the oracle exactly.
 #[test]
 fn non_default_policies_fall_back() {
     for f in Fp8Format::ALL {
@@ -246,16 +272,12 @@ fn non_default_policies_fall_back() {
             Fp8Codec::new(f).with_rounding(Rounding::TowardZero),
             Fp8Codec::new(f).with_overflow(OverflowPolicy::NonSaturating),
         ] {
-            let data: Vec<f32> = (0..257).map(|i| (i as f32 - 128.0) * 0.37).collect();
-            let mut a = data.clone();
-            let mut b = data;
-            let sa = fake_quant_fp8(&mut a, &codec, 1.7);
-            let sb = fake_quant_fp8_lut(&mut b, &codec, 1.7);
-            assert!(stats_eq(&sa, &sb), "{f}: {sa:?} vs {sb:?}");
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            assert!(Fp8Lut::for_codec(&codec).is_none(), "{f}: the no-LUT arm");
+            let mut data: Vec<f32> = (0..257).map(|i| (i as f32 - 128.0) * 0.37).collect();
+            let (want, sw) = oracle(&data, &codec, 1.7);
+            let st = fake_quant_fp8(&mut data, &codec, 1.7);
+            assert!(stats_eq(&st, &sw), "{f}: {st:?} vs {sw:?}");
+            assert_bits_eq(&data, &want);
         }
     }
 }
@@ -287,9 +309,9 @@ proptest! {
         }
     }
 
-    /// Whole-tensor pass: the per-tensor LUT entry point returns identical
-    /// outputs AND identical statistics (mse, max_abs_err, saturation and
-    /// underflow counts) to the scalar entry point, across random scales.
+    /// Whole-tensor pass: the per-tensor entry point returns the oracle's
+    /// outputs AND statistics (mse, max_abs_err, saturation and underflow
+    /// counts), across random scales.
     #[test]
     fn fake_quant_stats_identical(
         f in all_formats(),
@@ -298,18 +320,16 @@ proptest! {
     ) {
         let codec = Fp8Codec::new(f);
         let scale = fp8_scale(f, absmax);
-        let mut a = xs.clone();
-        let mut b = xs;
+        let (want, sw) = oracle(&xs, &codec, scale);
+        let mut a = xs;
         let sa = fake_quant_fp8(&mut a, &codec, scale);
-        let sb = fake_quant_fp8_lut(&mut b, &codec, scale);
-        prop_assert_eq!(sa, sb);
-        prop_assert_eq!(
-            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        prop_assert_eq!(sa, sw);
+        assert_bits_eq(&a, &want);
     }
 
-    /// Per-channel pass: identical scales, outputs and statistics.
+    /// Per-channel pass: each channel's scale is `max / absmax` (1 for a
+    /// degenerate absmax), its values and the summed statistics the
+    /// oracle's.
     #[test]
     fn per_channel_identical(
         f in all_formats(),
@@ -327,14 +347,19 @@ proptest! {
             .collect();
         let codec = Fp8Codec::new(f);
         let mut a = xs.clone();
-        let mut b = xs;
-        let (scales_a, sa) = fake_quant_fp8_per_channel(&mut a, &codec, channels, inner);
-        let (scales_b, sb) = fake_quant_fp8_per_channel_lut(&mut b, &codec, channels, inner);
-        prop_assert_eq!(scales_a, scales_b);
-        prop_assert_eq!(sa, sb);
-        prop_assert_eq!(
-            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        let (scales, sa) = fake_quant_fp8_per_channel(&mut a, &codec, channels, inner);
+        let (mut want, mut sw, mut sq) = (Vec::new(), FakeQuantStats::default(), 0.0f64);
+        for (c, chunk) in xs.chunks(inner).enumerate() {
+            prop_assert_eq!(scales[c].to_bits(), fp8_scale(f, absmax_nan_aware(chunk)).to_bits());
+            let (v, st) = oracle(chunk, &codec, scales[c]);
+            want.extend(v);
+            sq += st.mse * inner as f64;
+            sw.max_abs_err = sw.max_abs_err.max(st.max_abs_err);
+            sw.saturated += st.saturated;
+            sw.underflowed += st.underflowed;
+        }
+        sw.mse = sq / n as f64;
+        prop_assert_eq!(sa, sw);
+        assert_bits_eq(&a, &want);
     }
 }

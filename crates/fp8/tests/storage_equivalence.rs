@@ -4,21 +4,20 @@
 //! exactly the values fake quantization computes in f32 — that identity is
 //! what lets the fused execution kernels replace the fake-quant path
 //! bit-for-bit. These tests enforce `quantize → dequantize` ==
-//! `fake_quant_fp8_lut` / `_per_channel_lut` across all three formats,
+//! `fake_quant_fp8` / `_per_channel` across all three formats,
 //! deterministically on the known hard cases and probabilistically over
 //! random tensors.
 
 use proptest::prelude::*;
 use ptq_fp8::{
-    fake_quant_fp8_lut, fake_quant_fp8_per_channel_lut, Fp8Codec, Fp8Format, StoredScales,
-    StoredTensor,
+    fake_quant_fp8, fake_quant_fp8_per_channel, Fp8Codec, Fp8Format, StoredScales, StoredTensor,
 };
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Per-tensor storage round-trip vs the LUT fake-quant reference.
+/// Per-tensor storage round-trip vs the fake-quant reference.
 fn assert_per_tensor_identical(data: &[f32], shape: &[usize], f: Fp8Format) {
     let st = StoredTensor::quantize(data, shape, f).unwrap();
     let codec = Fp8Codec::new(f);
@@ -27,17 +26,17 @@ fn assert_per_tensor_identical(data: &[f32], shape: &[usize], f: Fp8Format) {
         StoredScales::PerTensor(s) => *s,
         _ => panic!("expected per-tensor scales"),
     };
-    fake_quant_fp8_lut(&mut fake, &codec, scale);
+    fake_quant_fp8(&mut fake, &codec, scale);
     assert_eq!(bits(&st.dequantize()), bits(&fake), "{f} {shape:?}");
 }
 
-/// Per-channel storage round-trip vs the LUT fake-quant reference; also
+/// Per-channel storage round-trip vs the fake-quant reference; also
 /// checks the stored scales match the fake-quant scales bit-for-bit.
 fn assert_per_channel_identical(data: &[f32], channels: usize, inner: usize, f: Fp8Format) {
     let st = StoredTensor::quantize_per_channel(data, &[channels, inner], f).unwrap();
     let codec = Fp8Codec::new(f);
     let mut fake = data.to_vec();
-    let (fake_scales, _) = fake_quant_fp8_per_channel_lut(&mut fake, &codec, channels, inner);
+    let (fake_scales, _) = fake_quant_fp8_per_channel(&mut fake, &codec, channels, inner);
     match st.scales() {
         StoredScales::PerChannel(s) => assert_eq!(bits(s), bits(&fake_scales), "{f} scales"),
         _ => panic!("expected per-channel scales"),
@@ -164,7 +163,7 @@ proptest! {
             StoredScales::PerTensor(s) => *s,
             _ => unreachable!(),
         };
-        fake_quant_fp8_lut(&mut fake, &codec, scale);
+        fake_quant_fp8(&mut fake, &codec, scale);
         for (i, (a, b)) in st.dequantize().iter().zip(&fake).enumerate() {
             prop_assert!(
                 a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
@@ -174,7 +173,7 @@ proptest! {
     }
 
     /// Random shapes: per-channel storage scales and decode are
-    /// bit-identical to `fake_quant_fp8_per_channel_lut`.
+    /// bit-identical to `fake_quant_fp8_per_channel`.
     #[test]
     fn per_channel_roundtrip_matches_fake_quant(
         f in all_formats(),

@@ -98,7 +98,7 @@ mod tests {
     use crate::error::UnwrapOk;
     use crate::exec::{ActBinding, WeightBinding};
     use crate::graph::{OpClass, ValueId};
-    use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec, Fp8Format};
+    use ptq_fp8::{fake_quant_fp8, Fp8Codec, Fp8Format};
     use ptq_tensor::ops::Conv2dParams;
     use ptq_tensor::{fake_quant_per_tile, tile_scale, ActScale, QTensor, TensorRng};
     use std::collections::HashMap;
@@ -318,7 +318,7 @@ mod tests {
                     ActScale::Static(s) => s,
                     ActScale::Dynamic => tile_scale(F, x.data()),
                 };
-                fake_quant_fp8_lut(x.data_mut(), &codec, s);
+                fake_quant_fp8(x.data_mut(), &codec, s);
             }
         }
 

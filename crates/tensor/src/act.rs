@@ -417,7 +417,7 @@ pub fn fake_quant_per_tile(data: &mut [f32], inner: usize, format: Fp8Format, ti
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
-    use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec};
+    use ptq_fp8::{fake_quant_fp8, Fp8Codec};
 
     #[test]
     fn static_roundtrip_matches_fake_quant() {
@@ -430,7 +430,7 @@ mod tests {
             assert_eq!(q.storage_bytes(), 6 * 17 + 4);
             let mut reference = t.data().to_vec();
             let codec = Fp8Codec::new(f);
-            fake_quant_fp8_lut(&mut reference, &codec, scale);
+            fake_quant_fp8(&mut reference, &codec, scale);
             let d = q.dequantize();
             for (i, (a, b)) in d.data().iter().zip(&reference).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{f} elem {i}");

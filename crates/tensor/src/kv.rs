@@ -26,7 +26,7 @@
 //! in, `lut.decode(code) / scale` on the way out, scale applied per
 //! element and never folded into an accumulation. Nothing decodes a
 //! whole window: the step kernels read either storage where it lies (the
-//! reference loop through [`KvBuf::value_at`], the AVX2 bodies in lanes).
+//! reference loop through [`KvBuf::value_at`], the blocked bodies in lanes).
 //!
 //! Buffers pre-allocate their full capacity up front, so appends on the
 //! decode hot path never touch the allocator and a capacity overflow is a
@@ -481,7 +481,7 @@ impl KvCache {
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
-    use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec};
+    use ptq_fp8::{fake_quant_fp8, Fp8Codec};
 
     #[test]
     fn f32_roundtrip_is_exact() {
@@ -534,7 +534,7 @@ mod tests {
             );
             buf.append_row(row.data()).unwrap();
             let mut reference = row.data().to_vec();
-            fake_quant_fp8_lut(&mut reference, &Fp8Codec::new(format), scale);
+            fake_quant_fp8(&mut reference, &Fp8Codec::new(format), scale);
             for (c, &want) in reference.iter().enumerate() {
                 assert_eq!(
                     buf.value_at(0, c).to_bits(),

@@ -24,16 +24,16 @@
 //! §16); with an FP8 cache the values are `decode(code)/scale`, so the only
 //! deviation is the storage rounding. A row's chains do not depend on the
 //! segments beside it. Both [`KernelPath`]s agree bit for bit and read the
-//! cache where it lies: the reference loop through [`KvBuf::value_at`];
-//! with AVX2 the blocked path's one lane body per step, for either storage
-//! (without AVX2 it runs the reference loop; no such host is measured).
+//! cache where it lies: the reference loop through [`KvBuf::value_at`], the
+//! blocked path through one lane body per step for either storage, written
+//! once over the lane type (AVX2 registers where the CPU has them, arrays
+//! otherwise: `blocked::Chains`).
 
 use std::ops::Range;
 
-#[cfg(target_arch = "x86_64")]
-use super::blocked::{avx2_available, short_rows, MR};
+use super::blocked::{run_lanes, short_rows, walk8, Chains, LaneDecode, LaneKernel, MR, NRM};
 use super::KernelPath;
-use crate::kv::KvBuf;
+use crate::kv::{KvBuf, KvView};
 use crate::tensor::Tensor;
 
 /// The cache operand of a step kernel: its query rows in segments, each
@@ -101,8 +101,6 @@ pub fn attention_step_q<'a>(
 ) {
     assert_eq!(q.ndim(), 3, "step q must be [heads, m, dh]");
     let (heads, m, dh) = (q.dim(0), q.dim(1), q.dim(2));
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = path;
     kv.into().with(m, |segs, l| {
         out.reuse_as(&[heads, m, l]);
         out.zero_fill();
@@ -115,15 +113,9 @@ pub fn attention_step_q<'a>(
             if len == 0 {
                 continue;
             }
-            #[cfg(target_arch = "x86_64")]
-            if path == KernelPath::Blocked && avx2_available() {
-                simd::lanes!(cache, |kv| {
-                    for [h, i, g] in groups(heads, m, first..r0, MR - 1) {
-                        let (x, y) = (&qd[i * dh..][..g * dh], &mut od[i * l..][..g * l]);
-                        // SAFETY: AVX2 was detected; `len` rows of `heads · dh`.
-                        unsafe { short_rows!(g, simd::scores(&kv, (h * dh, len), (x, dh), (y, l))) }
-                    }
-                });
+            if path == KernelPath::Blocked {
+                let dims = [heads, m, dh, l];
+                run_lanes(Segment::<false>(cache, first..r0, dims, qd, &mut *od));
                 continue;
             }
             for [h, i, _] in groups(heads, m, first..r0, 1) {
@@ -163,8 +155,6 @@ pub fn attention_step_v<'a>(
 ) {
     assert_eq!(probs.ndim(), 3, "step probs must be [heads, m, len]");
     let (heads, m, l) = (probs.dim(0), probs.dim(1), probs.dim(2));
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = path;
     kv.into().with(m, |segs, longest| {
         assert_eq!(l, longest, "probs len {l} vs longest cache {longest}");
         let d = segs.first().map_or(0, |s| s.1.d());
@@ -181,17 +171,9 @@ pub fn attention_step_v<'a>(
             if len == 0 || dh == 0 {
                 continue;
             }
-            #[cfg(target_arch = "x86_64")]
-            if path == KernelPath::Blocked && avx2_available() {
-                simd::lanes!(cache, |kv| {
-                    for [h, i, g] in groups(heads, m, first..r0, MR - 1) {
-                        let (x, y) = (&pd[i * l..][..g * l], &mut od[i * dh..][..g * dh]);
-                        // SAFETY: AVX2 was detected; `len` rows of `heads · dh`.
-                        unsafe {
-                            short_rows!(g, simd::context(&kv, (h * dh, len), (x, l), (y, dh)))
-                        }
-                    }
-                });
+            if path == KernelPath::Blocked {
+                let dims = [heads, m, dh, l];
+                run_lanes(Segment::<true>(cache, first..r0, dims, pd, &mut *od));
                 continue;
             }
             for [h, i, _] in groups(heads, m, first..r0, 1) {
@@ -209,194 +191,203 @@ pub fn attention_step_v<'a>(
     });
 }
 
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    //! The `Blocked` step kernels on AVX2, one lane body per step for up to
-    //! 3 rows: a lane is one reference chain (`vmulps`, `vaddps`, zero-skip).
+/// `(cache, rows, [heads, m, dh, l], x, out)`: one segment's rows of a
+/// step, every head, in groups of at most 3 rows — the scores (`x` the `q`
+/// rows, `dh` apart, into `out` rows `l` apart) or, with `CONTEXT`, the
+/// context (`x` the `probs` rows, `l` apart, into `out` rows `dh` apart)
+/// against `cache`, read in place.
+struct Segment<'a, const CONTEXT: bool>(
+    &'a KvBuf,
+    Range<usize>,
+    [usize; 4],
+    &'a [f32],
+    &'a mut [f32],
+);
 
-    use std::arch::x86_64::*;
-
-    use super::super::blocked::simd::{decode8, load8, store8, walk8, LaneDecode};
-    use super::super::blocked::NRM;
-
-    /// A cache's storage as the lane bodies read it, in place, nothing
-    /// staged: the values of [`crate::KvBuf::value_at`], bit for bit. One
-    /// implementor per storage, `#[inline(always)]` into the bodies.
-    ///
-    /// # Safety
-    ///
-    /// Both methods: AVX2 was detected; the positions and columns are cached.
-    pub(super) trait Lanes {
-        /// The score chains' steps, `kk` ascending in `0..k`: column `c +
-        /// kk` of positions `j0 .. j0 + live`, one per lane (the last
-        /// repeated), times each query row's `q[i·dh + kk]`, into `acc`.
-        unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), rows: Rows<R>);
-        /// Columns `c .. c + w` (`w ≤ 16`) of position `j`, 8 a vector:
-        /// the context chains' operand (lanes from `w` on are not read).
-        unsafe fn row(&self, j: usize, c: (usize, usize)) -> [__m256; 2];
-    }
-
-    /// `(acc, q, dh)`: `R` score rows' chains over 8 positions, and their
-    /// query rows, `dh` apart.
-    pub(super) type Rows<'a, const R: usize> = (&'a mut [[__m256; 1]; R], &'a [f32], usize);
-
-    /// `$body` with `$kv` bound to `$cache`'s storage as its [`Lanes`].
-    macro_rules! lanes {
-        ($cache:expr, |$kv:ident| $body:expr) => {{
-            use $crate::ops::blocked::simd::LaneDecode;
-            match ($cache.view(), $cache.d()) {
-                ($crate::kv::KvView::F32(rows), d) => {
-                    let $kv = (rows, d);
-                    $body
-                }
-                ($crate::kv::KvView::Fp8(codes, lut, scales), d) => {
-                    let $kv = (LaneDecode::new(lut), codes, d, scales);
-                    $body
-                }
-            }
-        }};
-    }
-    pub(super) use lanes;
-
-    /// An F32 cache: its rows and `d`.
-    impl Lanes for (&[f32], usize) {
-        /// Per column, the 8 positions' values loaded one by one.
-        #[inline(always)]
-        unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), r: Rows<R>) {
-            let ((j0, live), (c, k), (data, d), (acc, q, dh)) = (j, c, *self, r);
-            let p: [*const f32; NRM] =
-                std::array::from_fn(|i| data.as_ptr().add((j0 + i.min(live - 1)) * d + c));
-            for kk in 0..k {
-                let [a, b, c, d, e, f, g, h] = p.map(|p| *p.add(kk));
-                mac_rows(acc, 0, (q, dh, kk), _mm256_setr_ps(a, b, c, d, e, f, g, h));
-            }
-        }
-
-        /// Masked loads: nothing past column `c + w` is read.
-        #[inline(always)]
-        unsafe fn row(&self, j: usize, (c, w): (usize, usize)) -> [__m256; 2] {
-            let at = self.0.as_ptr().add(j * self.1 + c);
-            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lane);
-            let hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32 - 8), lane);
-            let hi = _mm256_maskload_ps(at.wrapping_add(NRM), hi);
-            [_mm256_maskload_ps(at, lo), hi]
-        }
-    }
-
-    /// An FP8 cache: its decoder, its codes, `d`, and the static scale or
-    /// one a row.
-    impl Lanes for (LaneDecode, &[u8], usize, (Option<f32>, &[f32])) {
-        /// [`walk8`] over the 8 positions' code rows by their scales.
-        #[inline(always)]
-        unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), r: Rows<R>) {
-            let ((j0, live), (c, k), (dec, codes, d, (s, rs)), (acc, q, dh)) = (j, c, self, r);
-            let s: [f32; NRM] =
-                std::array::from_fn(|i| s.unwrap_or_else(|| rs[j0 + i.min(live - 1)]));
-            let at = (codes.as_ptr().add(j0 * d + c), *d, live);
-            let s = _mm256_loadu_ps(s.as_ptr());
-            walk8!(dec, at, s, k, |kk, v| mac_rows(acc, 0, (q, dh, kk), v));
-        }
-
-        /// The codes decoded by the position's scale; one flag test over
-        /// them picks [`decode8`]'s arm.
-        #[inline(always)]
-        unsafe fn row(&self, j: usize, (c, w): (usize, usize)) -> [__m256; 2] {
-            let (dec, codes, d, (s, rs)) = self;
-            let at = codes.as_ptr().add(j * d + c);
-            let s = _mm256_set1_ps(s.unwrap_or_else(|| rs[j]));
-            let (lo, hi) = (w.min(NRM), w.saturating_sub(NRM));
-            let x = match w {
-                16 => _mm_loadu_si128(at.cast()),
-                _ => _mm_unpacklo_epi64(load8(at, lo), load8(at.wrapping_add(NRM), hi)),
-            };
-            let y = _mm_unpackhi_epi64(x, x);
-            if _mm_movemask_epi8(dec.uncommon16(x)) & ((1 << w) - 1) == 0 {
-                [decode8::<false>(dec, x, s), decode8::<false>(dec, y, s)]
-            } else {
-                [decode8::<true>(dec, x, s), decode8::<true>(dec, y, s)]
-            }
-        }
-    }
-
-    /// `acc[i][b] += x[i·stride + at] · v`, skipping rows whose value is 0.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 was detected.
+impl<const CONTEXT: bool> LaneKernel for Segment<'_, CONTEXT> {
     #[inline(always)]
-    unsafe fn mac_rows<const R: usize, const P: usize>(
-        acc: &mut [[__m256; P]; R],
-        b: usize,
-        (x, stride, at): (&[f32], usize, usize),
-        v: __m256,
-    ) {
-        for (i, a) in acc.iter_mut().enumerate() {
-            let x = x[i * stride + at];
-            if x != 0.0 {
-                a[b] = _mm256_add_ps(a[b], _mm256_mul_ps(_mm256_set1_ps(x), v));
-            }
+    unsafe fn run<V: Chains>(self) {
+        match (self.0.view(), self.0.d()) {
+            (KvView::F32(rows), d) => self.over::<V>(&(rows, d)),
+            (KvView::Fp8(codes, lut, s), d) => self.over::<V>(&(LaneDecode::new(lut), codes, d, s)),
         }
     }
+}
 
-    /// Scores of `R` query rows (`q`, `dh` apart) against the head whose
-    /// `dh` columns start at `col`: per block of 8 positions, one
-    /// [`Lanes::walk`]; a lane is one `(row, position)` chain, `kk`
-    /// ascending. A ragged last block's dead lanes are not stored; rows go
-    /// to `out`, `l` apart.
+impl<const CONTEXT: bool> Segment<'_, CONTEXT> {
+    /// The segment against `kv`, its cache's storage.
     ///
     /// # Safety
     ///
-    /// AVX2 was detected; `kv` caches `len` positions and `col + dh` fits
-    /// its rows.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scores<const R: usize>(
-        kv: &impl Lanes,
-        (col, len): (usize, usize),
-        (q, dh): (&[f32], usize),
-        (out, l): (&mut [f32], usize),
-    ) {
-        for j0 in (0..len).step_by(NRM) {
-            let (wp, mut acc) = (NRM.min(len - j0), [[_mm256_setzero_ps(); 1]; R]);
-            kv.walk((j0, wp), (col, dh), (&mut acc, q, dh));
-            for (i, a) in acc.iter().enumerate() {
-                store8(a[0], &mut out[i * l + j0..][..wp]);
+    /// As [`Lanes`].
+    #[inline(always)]
+    unsafe fn over<V: Chains>(self, kv: &impl Lanes<V>) {
+        let Segment(cache, rows, [heads, m, dh, l], x, out) = self;
+        let len = cache.len();
+        for [h, i, g] in groups(heads, m, rows, MR - 1) {
+            if CONTEXT {
+                let (x, y) = (&x[i * l..][..g * l], &mut out[i * dh..][..g * dh]);
+                short_rows!(g, context::<V>(kv, (h * dh, len), (x, l), (y, dh)))
+            } else {
+                let (x, y) = (&x[i * dh..][..g * dh], &mut out[i * l..][..g * l]);
+                short_rows!(g, scores::<V>(kv, (h * dh, len), (x, dh), (y, l)))
             }
         }
     }
+}
 
-    /// Context of `R` probability rows (`p`, `l` apart) against the head
-    /// whose `dh` columns start at `col`: per block of 16 columns,
-    /// [`Lanes::row`] per position; a lane is one `(row, column)` chain,
-    /// positions ascending, and a block's two vectors share each
-    /// position's zero-skip test. Rows go to `out`, `dh` apart.
-    ///
-    /// # Safety
-    ///
-    /// As [`scores`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn context<const R: usize>(
-        kv: &impl Lanes,
-        (col, len): (usize, usize),
-        (p, l): (&[f32], usize),
-        (out, dh): (&mut [f32], usize),
-    ) {
-        for c0 in (0..dh).step_by(2 * NRM) {
-            let (wc, mut acc) = ((dh - c0).min(2 * NRM), [[_mm256_setzero_ps(); 2]; R]);
-            let blocks = wc.div_ceil(NRM);
-            for j in 0..len {
-                if (0..R).all(|i| p[i * l + j] == 0.0) {
-                    continue;
-                }
-                for (b, &v) in kv.row(j, (col + c0, wc)).iter().enumerate().take(blocks) {
-                    mac_rows(&mut acc, b, (p, l, j), v);
-                }
+/// A cache's storage as the lane bodies read it, in place, nothing staged:
+/// the values of [`KvBuf::value_at`], bit for bit. One implementor per
+/// storage, `#[inline(always)]` into the bodies.
+///
+/// # Safety
+///
+/// Both methods: the CPU feature `V` needs was detected; the positions and
+/// columns are cached.
+trait Lanes<V: Chains> {
+    /// The score chains' steps, `kk` ascending in `0..k`: column `c + kk`
+    /// of positions `j0 .. j0 + live`, one per lane (the last repeated),
+    /// times each query row's `q[i·dh + kk]`, into `acc`.
+    unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), rows: Rows<V, R>);
+    /// Columns `c .. c + w` (`w ≤ 16`) of position `j`, 8 a vector: the
+    /// context chains' operand (lanes from `w` on are not read).
+    unsafe fn row(&self, j: usize, c: (usize, usize)) -> [V; 2];
+}
+
+/// `(acc, q, dh)`: `R` score rows' chains over 8 positions, and their
+/// query rows, `dh` apart.
+type Rows<'a, V, const R: usize> = (&'a mut [[V; 1]; R], &'a [f32], usize);
+
+/// An F32 cache: its rows and `d`.
+impl<V: Chains> Lanes<V> for (&[f32], usize) {
+    /// Per column, the 8 positions' values loaded one by one.
+    #[inline(always)]
+    unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), r: Rows<V, R>) {
+        let ((j0, live), (c, k), (data, d), (acc, q, dh)) = (j, c, *self, r);
+        let p: [*const f32; NRM] =
+            std::array::from_fn(|i| data.as_ptr().add((j0 + i.min(live - 1)) * d + c));
+        for kk in 0..k {
+            mac_rows(acc, 0, (q, dh, kk), V::set(p.map(|p| *p.add(kk))));
+        }
+    }
+
+    /// Nothing past column `c + w` is read.
+    #[inline(always)]
+    unsafe fn row(&self, j: usize, (c, w): (usize, usize)) -> [V; 2] {
+        let (at, w) = (self.0.as_ptr().add(j * self.1 + c), w as i32);
+        [
+            V::load_part(at, w),
+            V::load_part(at.wrapping_add(NRM), w - NRM as i32),
+        ]
+    }
+}
+
+/// An FP8 cache: its decoder, its codes, `d`, and the static scale or one
+/// a row.
+impl<V: Chains> Lanes<V> for (LaneDecode, &[u8], usize, (Option<f32>, &[f32])) {
+    /// [`walk8`] over the 8 positions' code rows by their scales.
+    #[inline(always)]
+    unsafe fn walk<const R: usize>(&self, j: (usize, usize), c: (usize, usize), r: Rows<V, R>) {
+        let ((j0, live), (c, k), (dec, codes, d, (s, rs)), (acc, q, dh)) = (j, c, self, r);
+        let s: [f32; NRM] = std::array::from_fn(|i| s.unwrap_or_else(|| rs[j0 + i.min(live - 1)]));
+        let at = (codes.as_ptr().add(j0 * d + c), *d, live);
+        let s = V::load(s.as_ptr());
+        walk8!(V, dec, at, s, k, |kk, v| mac_rows(acc, 0, (q, dh, kk), v));
+    }
+
+    /// The codes decoded by the position's scale; one flag test over them
+    /// picks `decode8`'s arm.
+    #[inline(always)]
+    unsafe fn row(&self, j: usize, (c, w): (usize, usize)) -> [V; 2] {
+        let (dec, codes, d, (s, rs)) = self;
+        let x = V::load_codes(codes.as_ptr().add(j * d + c), w);
+        let (y, s) = (V::high_codes(x), V::splat(s.unwrap_or_else(|| rs[j])));
+        if V::common(dec, x, w) {
+            [
+                V::decode8::<false>(dec, x, s),
+                V::decode8::<false>(dec, y, s),
+            ]
+        } else {
+            [V::decode8::<true>(dec, x, s), V::decode8::<true>(dec, y, s)]
+        }
+    }
+}
+
+/// `acc[i][b] += x[i·stride + at] · v`, skipping rows whose value is 0.
+///
+/// # Safety
+///
+/// The CPU feature `V` needs was detected.
+#[inline(always)]
+unsafe fn mac_rows<V: Chains, const R: usize, const P: usize>(
+    acc: &mut [[V; P]; R],
+    b: usize,
+    (x, stride, at): (&[f32], usize, usize),
+    v: V,
+) {
+    for (i, a) in acc.iter_mut().enumerate() {
+        let x = x[i * stride + at];
+        if x != 0.0 {
+            a[b] = a[b].mac(x, v);
+        }
+    }
+}
+
+/// Scores of `R` query rows (`q`, `dh` apart) against the head whose `dh`
+/// columns start at `col`: per block of 8 positions, one [`Lanes::walk`]; a
+/// lane is one `(row, position)` chain, `kk` ascending. A ragged last
+/// block's dead lanes are not stored; rows go to `out`, `l` apart.
+///
+/// # Safety
+///
+/// As [`Lanes`]; `kv` caches `len` positions and `col + dh` fits its rows.
+#[inline(always)]
+unsafe fn scores<V: Chains, const R: usize>(
+    kv: &impl Lanes<V>,
+    (col, len): (usize, usize),
+    (q, dh): (&[f32], usize),
+    (out, l): (&mut [f32], usize),
+) {
+    for j0 in (0..len).step_by(NRM) {
+        let (wp, mut acc) = (NRM.min(len - j0), [[V::splat(0.0); 1]; R]);
+        kv.walk((j0, wp), (col, dh), (&mut acc, q, dh));
+        for (i, [a]) in acc.iter().enumerate() {
+            a.store(&mut out[i * l + j0..][..wp]);
+        }
+    }
+}
+
+/// Context of `R` probability rows (`p`, `l` apart) against the head whose
+/// `dh` columns start at `col`: per block of 16 columns, [`Lanes::row`] per
+/// position; a lane is one `(row, column)` chain, positions ascending, and
+/// a block's two vectors share each position's zero-skip test. Rows go to
+/// `out`, `dh` apart.
+///
+/// # Safety
+///
+/// As [`scores`].
+#[inline(always)]
+unsafe fn context<V: Chains, const R: usize>(
+    kv: &impl Lanes<V>,
+    (col, len): (usize, usize),
+    (p, l): (&[f32], usize),
+    (out, dh): (&mut [f32], usize),
+) {
+    for c0 in (0..dh).step_by(2 * NRM) {
+        let (wc, mut acc) = ((dh - c0).min(2 * NRM), [[V::splat(0.0); 2]; R]);
+        let blocks = wc.div_ceil(NRM);
+        for j in 0..len {
+            if (0..R).all(|i| p[i * l + j] == 0.0) {
+                continue;
             }
-            for (i, a) in acc.iter().enumerate() {
-                for (b, v) in a.iter().enumerate().take(blocks) {
-                    let w = (wc - b * NRM).min(NRM);
-                    store8(*v, &mut out[i * dh + c0 + b * NRM..][..w]);
-                }
+            for (b, &v) in kv.row(j, (col + c0, wc)).iter().enumerate().take(blocks) {
+                mac_rows(&mut acc, b, (p, l, j), v);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            for (b, v) in a.iter().enumerate().take(blocks) {
+                let w = (wc - b * NRM).min(NRM);
+                v.store(&mut out[i * dh + c0 + b * NRM..][..w]);
             }
         }
     }

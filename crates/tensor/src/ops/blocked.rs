@@ -13,19 +13,27 @@
 //! together*, over one layout: column panels of `NRM` outputs, the last
 //! padded with dead chains that are never stored.
 //!
+//! ## One lane type, two implementations
+//!
+//! Every body is written once over [`Chains`], `NRM` chains advancing as
+//! one value, and [`run_lanes`] picks the type per chunk: one AVX2
+//! register (`__m256`, `vmulps` then `vaddps`, never `vfmadd`, whose single
+//! rounding would break bit-identity) where the CPU has AVX2, else
+//! `[f32; NRM]`, the scalar expression per lane. The FP8 decode is the same
+//! split: [`Chains::decode8`] is bit arithmetic on 8 lanes with AVX2 and
+//! `lut.decode(code) / scale` per lane otherwise.
+//!
 //! * **matmul / batch_matmul**: `B` is packed once (per batch) into the
-//!   panels and a 4×8 or 4×16 register tile carries 32 or 64 chains; with
-//!   AVX2 it runs 8 lanes wide through explicit `vmulps`/`vaddps` (never
-//!   `vfmadd`, whose single rounding would break bit-identity).
+//!   panels and a register tile of 1–4 rows × 1 or 2 panels carries up to
+//!   64 chains ([`tile`]).
 //! * **linear**: the `[n, k]` weight is packed once per call into the same
 //!   panels and the rows run the tile compiled with `SKIP = false` (Linear
 //!   multiplies every term: `0 · NaN` stays NaN); the bias lands on the
-//!   finished chain. With AVX2 an FP8 weight packs through one block walk
-//!   (`simd::walk8`, also the score step's): 8×8 byte blocks of 8
-//!   channels' rows transpose in registers and the 8-lane decoder
-//!   [`simd::decode8`] turns each column into a panel row of `decode(code)
-//!   / scale`. Row blocks shorter than 4 run a 1×8 row tile — against an
-//!   FP8 weight with AVX2, on the walk's columns in place: no panel.
+//!   finished chain. An FP8 weight packs through one block walk
+//!   ([`walk8`], also the score step's): 8×8 byte blocks of 8 channels'
+//!   rows transpose and [`Chains::decode8`] turns each column into a panel
+//!   row of `decode(code) / scale`. Row blocks shorter than 4 against an
+//!   FP8 weight run a row tile on the walk's columns in place: no panel.
 //! * **conv**: a weight `[cout, cin·kh·kw]` is Linear's `[n, k]`; a tile
 //!   carries 4 pixels of a row × 8 or 16 channels, chains **seeded with the
 //!   bias**, taps read from the sample in place. Only in-bounds taps are
@@ -33,14 +41,18 @@
 //!   a padding tap is never a staged zero (`0 · Inf = NaN`, `-0.0 + 0.0 =
 //!   +0.0`). Depthwise runs 8 interior pixels of a plane's row as 8 chains.
 //!
-//! Equivalence is enforced by `tests/kernel_path_equivalence.rs` and the
-//! zoo-wide suites; the lane decoder and the lane pack against the table
-//! on every code of every format by this module's tests. Staging comes
-//! from the per-thread pool in [`super::scratch`]: steady-state calls do
-//! not allocate, and no staged value outlives its call.
+//! Equivalence is enforced by `tests/kernel_path_equivalence.rs`, the
+//! zoo-wide suites, and this module's tests, which run every body at both
+//! lane types (the decoder and the pack on every code of every format).
+//! Staging comes from the per-thread pool in [`super::scratch`]:
+//! steady-state calls do not allocate, and no staged value outlives its
+//! call.
 
 use std::ops::Range;
 
+use ptq_fp8::{Fp8Lut, NanEncoding};
+
+use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 
 use super::conv::{taps, window_sum, ConvDims};
@@ -52,6 +64,408 @@ pub(super) const MR: usize = 4;
 /// Columns (conv: output channels) per packed panel; a tile spans one or
 /// two panels.
 pub(super) const NRM: usize = 8;
+
+/// The one 8-lane type: `NRM` independent f32 chains advancing as one
+/// value, and the FP8 codes they decode. Implemented by `__m256` (AVX2,
+/// every method `#[inline(always)]`) and by `[f32; NRM]` (any host, the
+/// scalar expression per lane); [`run_lanes`] instantiates the bodies.
+///
+/// # Safety
+///
+/// Every method: the CPU feature the implementor needs was detected, and
+/// each pointer is readable for the lanes or codes it names.
+pub(super) trait Chains: Copy {
+    /// Up to 16 FP8 codes, code `i` in byte `i`.
+    type Codes: Copy;
+    unsafe fn splat(x: f32) -> Self;
+    unsafe fn load(w: *const f32) -> Self;
+    /// Lanes `i < n` from `w` (none for `n ≤ 0`, all from `n = NRM`), the
+    /// rest zero; nothing past them is read.
+    unsafe fn load_part(w: *const f32, n: i32) -> Self;
+    unsafe fn set(v: [f32; NRM]) -> Self;
+    /// `self + x·w` per lane: a rounded multiply, then a rounded add.
+    unsafe fn mac(self, x: f32, w: Self) -> Self;
+    /// The first `out.len() ≤ NRM` lanes into `out`.
+    unsafe fn store(self, out: &mut [f32]);
+    /// Whether one of the 8 values at `a` is `== 0.0` (±0.0 is, NaN not):
+    /// the tile's zero test over two `kk` steps of 4 rows.
+    unsafe fn any_zero(a: *const f32) -> bool;
+    /// Codes `0..w` (`w ≤ 16`) from `p`, the rest zero.
+    unsafe fn load_codes(p: *const u8, w: usize) -> Self::Codes;
+    /// Codes `8..16` of `c` as codes `0..8`.
+    unsafe fn high_codes(c: Self::Codes) -> Self::Codes;
+    /// The 8×8 transpose of `rows`' codes `0..8`: code `t` of every row,
+    /// in row order, as codes `0..8` of result `t`.
+    unsafe fn transpose8x8(rows: &[Self::Codes; NRM]) -> [Self::Codes; NRM];
+    /// Whether `decode8::<false>` decodes codes `0..w` of `c` exactly.
+    unsafe fn common(d: &LaneDecode, c: Self::Codes, w: usize) -> bool;
+    /// [`Chains::common`] over codes `0..8` of a transposed block.
+    unsafe fn all_common(d: &LaneDecode, cols: &[Self::Codes; NRM]) -> bool;
+    /// `lut.decode(code) / scale` of codes `0..8` by the lanes of `scales`,
+    /// bit for bit per lane. Without `FULL` the codes must be
+    /// [`Chains::common`].
+    unsafe fn decode8<const FULL: bool>(d: &LaneDecode, codes: Self::Codes, scales: Self) -> Self;
+}
+
+impl Chains for [f32; NRM] {
+    type Codes = [u8; 16];
+    unsafe fn splat(x: f32) -> Self {
+        [x; NRM]
+    }
+    unsafe fn load(w: *const f32) -> Self {
+        *w.cast()
+    }
+    unsafe fn load_part(w: *const f32, n: i32) -> Self {
+        let mut v = [0.0; NRM];
+        std::ptr::copy_nonoverlapping(w, v.as_mut_ptr(), n.clamp(0, NRM as i32) as usize);
+        v
+    }
+    unsafe fn set(v: [f32; NRM]) -> Self {
+        v
+    }
+    unsafe fn mac(mut self, x: f32, w: Self) -> Self {
+        for (a, wv) in self.iter_mut().zip(w) {
+            *a += x * wv;
+        }
+        self
+    }
+    unsafe fn store(self, out: &mut [f32]) {
+        out.copy_from_slice(&self[..out.len()]);
+    }
+    unsafe fn any_zero(a: *const f32) -> bool {
+        (0..NRM).any(|i| *a.add(i) == 0.0)
+    }
+    unsafe fn load_codes(p: *const u8, w: usize) -> [u8; 16] {
+        let mut c = [0; 16];
+        std::ptr::copy_nonoverlapping(p, c.as_mut_ptr(), w);
+        c
+    }
+    unsafe fn high_codes(c: [u8; 16]) -> [u8; 16] {
+        std::array::from_fn(|i| if i < NRM { c[NRM + i] } else { 0 })
+    }
+    unsafe fn transpose8x8(rows: &[[u8; 16]; NRM]) -> [[u8; 16]; NRM] {
+        std::array::from_fn(|t| std::array::from_fn(|r| if r < NRM { rows[r][t] } else { 0 }))
+    }
+    /// The table decode has one arm.
+    unsafe fn common(_: &LaneDecode, _: [u8; 16], _: usize) -> bool {
+        true
+    }
+    unsafe fn all_common(_: &LaneDecode, _: &[[u8; 16]; NRM]) -> bool {
+        true
+    }
+    unsafe fn decode8<const FULL: bool>(d: &LaneDecode, codes: [u8; 16], scales: Self) -> Self {
+        std::array::from_fn(|i| {
+            let (b, s, lut) = (codes[i], scales[i], d.lut);
+            lut.decode(b) / s
+        })
+    }
+}
+
+/// A `Blocked` kernel body written once over the lane type.
+pub(super) trait LaneKernel {
+    /// # Safety
+    ///
+    /// The CPU feature `V` needs was detected.
+    unsafe fn run<V: Chains>(self);
+}
+
+/// Run `k` on the widest lanes this CPU has — the one place a lane type is
+/// picked: AVX2 registers where detected, arrays otherwise. Called per
+/// chunk (a tile chunk, a conv image, a weight pack, an attention
+/// segment), inside any fan-out: a closure in the `#[target_feature]`
+/// entry would be compiled without AVX2.
+pub(super) fn run_lanes(k: impl LaneKernel) {
+    #[cfg(test)]
+    if tests::PORTABLE.with(std::cell::Cell::get) {
+        // SAFETY: array lanes need no CPU feature.
+        return unsafe { k.run::<[f32; NRM]>() };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2_available() {
+        // SAFETY: AVX2 was detected just above.
+        return unsafe { simd::run(k) };
+    }
+    // SAFETY: array lanes need no CPU feature.
+    unsafe { k.run::<[f32; NRM]>() }
+}
+
+/// One format's decode, from its `FpSpec` (`m` mantissa bits, sign at bit
+/// 7) and its table. A magnitude `mag = e·2^m + f` with `e > 0` is the f32
+/// whose bits are `mag << (23 − m)` plus `127 − bias` in the exponent
+/// field; with `e = 0` it is the integer `f` times `2^(1 − bias − m)`, one
+/// exact multiply of normal operands (a denormal f32 operand would cost a
+/// microcode assist). Magnitudes from `special` up (E5M2's Inf/NaN
+/// exponent, the extended formats' all-ones NaN; all within the top 8)
+/// take the table's own values, held in one register: `top[i]` is
+/// `lut.decode(0x78 + i)`. The array lanes read the table itself.
+pub(super) struct LaneDecode {
+    m: i32,
+    exp_bias: i32,
+    sub_unit: f32,
+    special: i32,
+    top: [f32; 8],
+    lut: &'static Fp8Lut,
+}
+
+impl LaneDecode {
+    pub(super) fn new(lut: &'static Fp8Lut) -> Self {
+        let spec = lut.spec();
+        debug_assert_eq!(spec.exp_bits + spec.man_bits, 7, "sign is bit 7");
+        let (m, top) = (spec.man_bits as i32, spec.exp_all_ones() << spec.man_bits);
+        let special = match spec.nan_encoding {
+            NanEncoding::Ieee => top,
+            NanEncoding::Extended => top | spec.man_mask(),
+        };
+        debug_assert!(special >= 0x78, "specials beyond the top 8 magnitudes");
+        LaneDecode {
+            m,
+            exp_bias: (127 - spec.bias) << 23,
+            sub_unit: f32::from_bits(((128 - spec.bias - m) as u32) << 23),
+            special: special as i32,
+            top: std::array::from_fn(|i| lut.decode(0x78 + i as u8)),
+            lut,
+        }
+    }
+}
+
+/// The one block walk of the FP8 kernels at lane type `$V`: 8 code rows,
+/// `$rows = (codes, stride, live)` (rows from `live` on repeat row `live −
+/// 1`: a ragged block's dead lanes), by their 8 `$scales`, `kk` in
+/// `0..$k`. Per 8×8 byte block: the rows' codes, their transpose,
+/// [`Chains::all_common`] picks the arm, then per column `$body` with `$wv`
+/// its [`Chains::decode8`]. A macro: a closure is compiled without AVX2.
+///
+/// Safety: as [`Chains`]; `live ≥ 1` rows of `$k` readable codes.
+macro_rules! walk8 {
+    ($V:ty, $d:expr, $rows:expr, $scales:expr, $k:expr, |$kk:ident, $wv:ident| $body:expr) => {{
+        use $crate::ops::blocked::NRM;
+        let (d, (codes, stride, live), scales, k) = ($d, $rows, $scales, $k);
+        for kk0 in (0..k).step_by(NRM) {
+            let w = NRM.min(k - kk0);
+            let mut rows = [<$V>::load_codes(codes.add(kk0), w); NRM];
+            for (r, row) in rows.iter_mut().enumerate().skip(1) {
+                *row = <$V>::load_codes(codes.add(r.min(live - 1) * stride + kk0), w);
+            }
+            let cols = <$V>::transpose8x8(&rows);
+            macro_rules! steps {
+                ($full:literal) => {
+                    for (t, &col) in cols.iter().enumerate().take(w) {
+                        let ($kk, $wv) = (kk0 + t, <$V>::decode8::<$full>(d, col, scales));
+                        $body;
+                    }
+                };
+            }
+            if <$V>::all_common(d, &cols) {
+                steps!(false);
+            } else {
+                steps!(true);
+            }
+        }
+    }};
+}
+pub(super) use walk8;
+
+/// `f::<G.., R>(args)` for `R = $rows`, one of the `1..MR` row counts the
+/// short-row kernels are compiled for.
+macro_rules! short_rows {
+    ($rows:expr, $f:ident::<$($g:tt),*>($($a:expr),*)) => {
+        match $rows {
+            1 => $f::<$($g,)* 1>($($a),*),
+            2 => $f::<$($g,)* 2>($($a),*),
+            _ => $f::<$($g,)* 3>($($a),*),
+        }
+    };
+}
+pub(super) use short_rows;
+
+#[cfg(target_arch = "x86_64")]
+pub(super) use simd::avx2_available;
+
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    //! The AVX2 lanes: one ymm register per [`Chains`] value.
+    //!
+    //! Bit-identity: `vmulps`/`vaddps`/`vdivps` are the single-rounded
+    //! IEEE-754 operations of Rust's scalar `f32` operators (rustc keeps
+    //! fp-contract off: no FMA); each lane carries one output's chain.
+
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    use super::{Chains, LaneDecode, LaneKernel, NRM};
+
+    pub(in crate::ops) fn avx2_available() -> bool {
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+
+    /// `k` on ymm lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified [`avx2_available`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run(k: impl LaneKernel) {
+        k.run::<__m256>()
+    }
+
+    /// Byte flags of 16 codes: the top bit set where a magnitude is
+    /// outside `2^m .. special` (zero, subnormal, Inf or NaN), a code only
+    /// `decode8`'s `FULL` arm decodes. `(x − 2^m) & 0x7f` maps the normal
+    /// non-special magnitudes, of either sign, onto `0 .. special − 2^m`
+    /// and every other onto the values above.
+    ///
+    /// # Safety
+    ///
+    /// As [`Chains`].
+    #[inline(always)]
+    unsafe fn uncommon16(d: &LaneDecode, x: __m128i) -> __m128i {
+        let y = _mm_sub_epi8(x, _mm_set1_epi8((1 << d.m) as i8));
+        let y = _mm_and_si128(y, _mm_set1_epi8(0x7f));
+        _mm_cmpgt_epi8(y, _mm_set1_epi8((d.special - (1 << d.m) - 1) as i8))
+    }
+
+    impl Chains for __m256 {
+        type Codes = __m128i;
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(w: *const f32) -> Self {
+            _mm256_loadu_ps(w)
+        }
+        /// `vmaskmovps`: nothing past lane `n` is read.
+        #[inline(always)]
+        unsafe fn load_part(w: *const f32, n: i32) -> Self {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_maskload_ps(w, _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane))
+        }
+        #[inline(always)]
+        unsafe fn set([a, b, c, d, e, f, g, h]: [f32; NRM]) -> Self {
+            _mm256_setr_ps(a, b, c, d, e, f, g, h)
+        }
+        #[inline(always)]
+        unsafe fn mac(self, x: f32, w: Self) -> Self {
+            _mm256_add_ps(self, _mm256_mul_ps(_mm256_set1_ps(x), w))
+        }
+        #[inline(always)]
+        unsafe fn store(self, out: &mut [f32]) {
+            if out.len() == NRM {
+                return _mm256_storeu_ps(out.as_mut_ptr(), self);
+            }
+            let lanes: [f32; NRM] = std::mem::transmute(self);
+            out.copy_from_slice(&lanes[..out.len()]);
+        }
+        /// `vcmpeqps` + `vmovmskps`, the ordered `== 0.0`. `black_box`: the
+        /// tile must broadcast its row values from memory, not shuffle them
+        /// out of this vector (the one shuffle port is its bottleneck then).
+        #[inline(always)]
+        unsafe fn any_zero(a: *const f32) -> bool {
+            let avs = _mm256_loadu_ps(std::hint::black_box(a));
+            _mm256_movemask_ps(_mm256_cmp_ps(avs, _mm256_setzero_ps(), _CMP_EQ_OQ)) != 0
+        }
+        /// A short run is copied, never over-read.
+        #[inline(always)]
+        unsafe fn load_codes(p: *const u8, w: usize) -> __m128i {
+            match w {
+                16 => _mm_loadu_si128(p.cast()),
+                8 => _mm_loadl_epi64(p.cast()),
+                _ => {
+                    let mut b = [0u8; 16];
+                    std::ptr::copy_nonoverlapping(p, b.as_mut_ptr(), w.min(16));
+                    _mm_loadu_si128(b.as_ptr().cast())
+                }
+            }
+        }
+        #[inline(always)]
+        unsafe fn high_codes(c: __m128i) -> __m128i {
+            _mm_unpackhi_epi64(c, c)
+        }
+        /// The even results also hold result `t + 1` in their codes
+        /// `8..16`, so results 0, 2, 4, 6 carry all 64 codes.
+        #[inline(always)]
+        unsafe fn transpose8x8(r: &[__m128i; NRM]) -> [__m128i; NRM] {
+            let a = [
+                _mm_unpacklo_epi8(r[0], r[1]),
+                _mm_unpacklo_epi8(r[2], r[3]),
+                _mm_unpacklo_epi8(r[4], r[5]),
+                _mm_unpacklo_epi8(r[6], r[7]),
+            ];
+            // Columns 0–3 and 4–7 of rows 0–3, then of rows 4–7.
+            let (b0, b1) = (
+                _mm_unpacklo_epi16(a[0], a[1]),
+                _mm_unpackhi_epi16(a[0], a[1]),
+            );
+            let (b2, b3) = (
+                _mm_unpacklo_epi16(a[2], a[3]),
+                _mm_unpackhi_epi16(a[2], a[3]),
+            );
+            // Two whole columns each, low and high 8 bytes.
+            let c = [
+                _mm_unpacklo_epi32(b0, b2),
+                _mm_unpackhi_epi32(b0, b2),
+                _mm_unpacklo_epi32(b1, b3),
+                _mm_unpackhi_epi32(b1, b3),
+            ];
+            let hi = |x: __m128i| _mm_unpackhi_epi64(x, x);
+            [
+                c[0],
+                hi(c[0]),
+                c[1],
+                hi(c[1]),
+                c[2],
+                hi(c[2]),
+                c[3],
+                hi(c[3]),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn common(d: &LaneDecode, c: __m128i, w: usize) -> bool {
+            _mm_movemask_epi8(uncommon16(d, c)) & ((1 << w) - 1) == 0
+        }
+        /// A short block's fill is code 0, so it takes the full arm.
+        #[inline(always)]
+        unsafe fn all_common(d: &LaneDecode, cols: &[__m128i; NRM]) -> bool {
+            let mut flags = _mm_setzero_si128();
+            for x in cols.iter().step_by(2) {
+                flags = _mm_or_si128(flags, uncommon16(d, *x));
+            }
+            _mm_movemask_epi8(flags) == 0
+        }
+        /// No per-element table load, no gather (the 8 special values sit
+        /// in one register, picked by `vpermps`); `vdivps` is the scalar
+        /// `/`. Without `FULL` the subnormal and special blends are
+        /// skipped. The sign is ORed in after the special blend (E4M3's
+        /// `0xFF` is the negative-NaN pattern).
+        #[inline(always)]
+        unsafe fn decode8<const FULL: bool>(d: &LaneDecode, codes: __m128i, scales: Self) -> Self {
+            // Macros, not closures: a closure is compiled without AVX2.
+            macro_rules! i {
+                ($v:expr) => {
+                    _mm256_set1_epi32($v)
+                };
+            }
+            macro_rules! ps {
+                ($v:expr) => {
+                    _mm256_castsi256_ps($v)
+                };
+            }
+            let c = _mm256_cvtepu8_epi32(codes);
+            let mag = _mm256_and_si256(c, i!(0x7f));
+            let normal = _mm256_add_epi32(_mm256_sllv_epi32(mag, i!(23 - d.m)), i!(d.exp_bias));
+            let mut v = ps!(normal);
+            if FULL {
+                let sub = _mm256_mul_ps(_mm256_cvtepi32_ps(mag), _mm256_set1_ps(d.sub_unit));
+                v = _mm256_blendv_ps(sub, v, ps!(_mm256_cmpgt_epi32(mag, i!((1 << d.m) - 1))));
+                let top = _mm256_permutevar8x32_ps(_mm256_loadu_ps(d.top.as_ptr()), mag);
+                v = _mm256_blendv_ps(v, top, ps!(_mm256_cmpgt_epi32(mag, i!(d.special - 1))));
+            }
+            let sign = _mm256_slli_epi32::<24>(_mm256_xor_si256(c, mag));
+            _mm256_div_ps(_mm256_or_ps(v, ps!(sign)), scales)
+        }
+    }
+}
 
 /// Pack a `[k, n]` matmul `B` into column panels (panel `p` holds columns
 /// `p*NRM ..` per `kk` from offset `p*NRM*k`; a ragged last panel's spare
@@ -74,585 +488,111 @@ fn pack_panels<B: Rows + ?Sized>(b: &B, k: usize, n: usize, bp: &mut [f32]) {
     }
 }
 
-/// One full `MR`×`NRM` register tile: 32 kk-ascending chains, the
-/// `av == 0.0` skip compiled in by `SKIP` (matmul) or out (linear). Runs
-/// the AVX2 lane when the CPU has it (rustc targets baseline SSE2); the
-/// scalar loop below is the same chains.
-fn tile_full<const SKIP: bool>(
-    arows: &[f32],
-    simd_a: Option<&[f32]>,
+/// `R ≤ MR` rows × `P` adjacent panels from `b`: `R·P` vectors of chains,
+/// every row adding its `kk` term to each panel's lanes, `kk` ascending —
+/// the 4×16 tile (`P = 2`) amortizes the per-`kk` zero test and loop
+/// overhead over twice the arithmetic. `a` is the `R`×`k` A block: k-major
+/// (`a[kk*MR + r]`) under the zero test (`SKIP` and `R = MR`), so one load
+/// fetches two `kk` steps' row values; row-major (`a[r*k + kk]`)
+/// otherwise. With `SKIP` a row's zero term is skipped per `(row, kk)`;
+/// when no value of two steps is zero the skip cannot fire and both run
+/// unguarded (still `kk`-ordered per chain).
+///
+/// # Safety
+///
+/// As [`Chains`]; `a` holds `R·k` values and `b` `P` panels of `k` rows.
+#[inline(always)]
+unsafe fn tile<V: Chains, const SKIP: bool, const R: usize, const P: usize>(
+    a: &[f32],
     k: usize,
-    panel: &[f32],
-    acc: &mut [[f32; NRM]; MR],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(a) = simd_a {
-        // SAFETY: `simd_a` is only `Some` after an `avx2_available` check
-        // in `matmul_packed`, which sized it to k*MR and `panel` to k*NRM.
-        unsafe { simd::tile::<SKIP, 1>(a, k, panel, std::array::from_mut(acc)) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd_a;
-    for kk in 0..k {
-        let bk = &panel[kk * NRM..kk * NRM + NRM];
-        for (r, a) in acc.iter_mut().enumerate() {
-            let av = arows[r * k + kk];
-            if SKIP && av == 0.0 {
-                continue;
+    b: *const f32,
+) -> [[V; P]; R] {
+    let a = a.as_ptr();
+    let (rs, ks) = if SKIP && R == MR { (1, MR) } else { (k, 1) };
+    let mut acc = [[V::splat(0.0); P]; R];
+    // Row `$kk` of the `P` panels.
+    macro_rules! row {
+        ($kk:expr) => {{
+            let mut bk = [V::splat(0.0); P];
+            for (p, v) in bk.iter_mut().enumerate() {
+                *v = V::load(b.add((p * k + $kk) * NRM));
             }
-            for (c, &bv) in bk.iter().enumerate() {
-                a[c] += av * bv;
-            }
-        }
+            bk
+        }};
     }
-}
-
-/// One row against one full panel: `NRM` kk-ascending chains advancing as
-/// one vector, for row blocks shorter than `MR` (a decode step is a
-/// single row).
-fn tile_row<const SKIP: bool>(arow: &[f32], panel: &[f32]) -> [f32; NRM] {
-    let mut acc = [0.0f32; NRM];
-    for (&av, bk) in arow.iter().zip(panel.chunks_exact(NRM)) {
-        if SKIP && av == 0.0 {
-            continue;
+    // Step `$kk` of the rows; `$guard` keeps the per-row zero-skip.
+    macro_rules! step {
+        ($kk:expr, $bk:expr, $guard:expr) => {
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = *a.add(r * rs + $kk * ks);
+                if $guard && av == 0.0 {
+                    continue;
+                }
+                for (c, &bv) in row.iter_mut().zip(&$bk) {
+                    *c = c.mac(av, bv);
+                }
+            }
+        };
+    }
+    let mut kk = 0;
+    while kk + 2 <= k {
+        let (bk0, bk1) = (row!(kk), row!(kk + 1));
+        if SKIP && (R < MR || V::any_zero(a.add(kk * MR))) {
+            step!(kk, bk0, true);
+            step!(kk + 1, bk1, true);
+        } else {
+            step!(kk, bk0, false);
+            step!(kk + 1, bk1, false);
         }
-        for (a, &bv) in acc.iter_mut().zip(bk) {
-            *a += av * bv;
-        }
+        kk += 2;
+    }
+    if kk < k {
+        step!(kk, row!(kk), SKIP);
     }
     acc
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(super) use simd::avx2_available;
+/// One chunk of [`tile_rows`], `(a, [mr, k, n], bp, out)`: `out[mr, n] =
+/// A[mr, k] · B` with `B` in packed column panels (`bp`), `a` as [`tile`]
+/// reads it. Every element of `out` is stored with its finished chain
+/// (which starts at `0.0`).
+struct Tile<'a, const SKIP: bool>(&'a [f32], [usize; 3], &'a [f32], &'a mut [f32]);
 
-/// `f::<R>(args)` for `R = $rows`, one of the `1..MR` row counts the
-/// short-row kernels are compiled for.
-#[cfg(target_arch = "x86_64")]
-macro_rules! short_rows {
-    ($rows:expr, $($f:ident)::+ ($($a:expr),*)) => {
-        match $rows {
-            1 => $($f)::+::<1>($($a),*),
-            2 => $($f)::+::<2>($($a),*),
-            _ => $($f)::+::<3>($($a),*),
-        }
-    };
-}
-#[cfg(target_arch = "x86_64")]
-pub(super) use short_rows;
-
-#[cfg(target_arch = "x86_64")]
-pub(super) mod simd {
-    //! Runtime-detected AVX2 lane for the register tiles, and the 8-lane
-    //! FP8 decoder of the short-row kernels that read codes in place.
-    //!
-    //! Bit-identity: `vmulps`/`vaddps` are the single-rounded IEEE-754
-    //! multiply and add of Rust's scalar `f32` operators (rustc keeps
-    //! fp-contract off: no FMA); each lane carries one output's chain in
-    //! `kk` order; with `SKIP` the zero-skip happens per `(row, kk)` as in
-    //! the scalar tile. The per-`kk` fast path only asserts that *no* row
-    //! value is zero (`vcmpeqps`+`vmovmskps`: the ordered `== 0.0`, so ±0.0
-    //! matches and NaN does not) — then the skip cannot fire and the chains
-    //! run unguarded; otherwise the guarded per-row loop runs.
-
-    use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    use super::{MR, NRM};
-
-    // The 4-lane zero test reads one full kk column as a single xmm load.
-    const _: () = assert!(MR == 4);
-
-    pub(in crate::ops) fn avx2_available() -> bool {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    /// `P` adjacent full panels against one `MR`-row A block, each output
-    /// row one 8-wide register per panel: the 4×8 tile, or with `P = 2`
-    /// the 4×16 one (8 ymm accumulators), which amortizes the per-`kk`
-    /// zero test and loop overhead over twice the arithmetic — per `kk`,
-    /// every row adds its term to each panel's lanes, in `kk` order.
-    /// `a` is the `MR`×`k` A block: k-major (`a[kk*MR + r]`) under `SKIP`,
-    /// so one 4-lane load fetches the row values of a `kk` for the zero
-    /// test; row-major (`a[r*k + kk]`) otherwise.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified [`avx2_available`] and guarantee
-    /// `a.len() >= k * MR` and `panels.len() >= P * k * NRM`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile<const SKIP: bool, const P: usize>(
-        a: &[f32],
-        k: usize,
-        panels: &[f32],
-        acc_out: &mut [[[f32; NRM]; MR]; P],
-    ) {
-        debug_assert!(a.len() >= k * MR && panels.len() >= P * k * NRM);
-        let (a, b) = (a.as_ptr(), panels.as_ptr());
-        // Strides of `A[r, kk]` in the layout `SKIP` implies.
-        let (rs, ks) = if SKIP { (1, MR) } else { (k, 1) };
-        let zero8 = _mm256_setzero_ps();
-        let mut acc = [[zero8; P]; MR];
-        // Row `$kk` of the `P` panels.
-        macro_rules! row {
-            ($kk:expr) => {{
-                let mut bk = [zero8; P];
-                for (p, v) in bk.iter_mut().enumerate() {
-                    *v = _mm256_loadu_ps(b.add((p * k + $kk) * NRM));
-                }
-                bk
-            }};
-        }
-        // Step `$kk` of the four rows; `$guard` keeps the per-row
-        // zero-skip — the semantics path.
-        macro_rules! step {
-            ($kk:expr, $bk:expr, $guard:expr) => {
-                for r in 0..MR {
-                    let av = *a.add(r * rs + $kk * ks);
-                    if $guard && av == 0.0 {
-                        continue;
-                    }
-                    let avv = _mm256_set1_ps(av);
-                    for p in 0..P {
-                        acc[r][p] = _mm256_add_ps(acc[r][p], _mm256_mul_ps(avv, $bk[p]));
-                    }
-                }
-            };
-        }
-        // Two kk steps per iteration share one 8-lane zero test; when no
-        // row value of either step is zero the skip cannot fire and both
-        // steps run unguarded (still kk-ordered per chain: all rows take
-        // their kk term, then their kk+1 term).
-        let mut kk = 0;
-        while kk + 2 <= k {
-            let (bk0, bk1) = (row!(kk), row!(kk + 1));
-            if SKIP && {
-                // `black_box`: the steps must broadcast their row values
-                // from memory, not shuffle them out of this vector (the one
-                // shuffle port is the tile's bottleneck then).
-                let avs = _mm256_loadu_ps(std::hint::black_box(a.add(kk * MR)));
-                _mm256_movemask_ps(_mm256_cmp_ps(avs, zero8, _CMP_EQ_OQ)) != 0
-            } {
-                step!(kk, bk0, true);
-                step!(kk + 1, bk1, true);
-            } else {
-                step!(kk, bk0, false);
-                step!(kk + 1, bk1, false);
-            }
-            kk += 2;
-        }
-        if kk < k {
-            step!(kk, row!(kk), SKIP);
-        }
-        for (p, out) in acc_out.iter_mut().enumerate() {
-            for (r, o) in out.iter_mut().enumerate() {
-                _mm256_storeu_ps(o.as_mut_ptr(), acc[r][p]);
-            }
-        }
-    }
-
-    /// One format's 8-lane decode, from its `FpSpec` (`m` mantissa bits,
-    /// sign at bit 7). A magnitude `mag = e·2^m + f` with `e > 0` is the
-    /// f32 whose bits are `mag << (23 − m)` plus `127 − bias` in the
-    /// exponent field; with `e = 0` it is the integer `f` times `2^(1 −
-    /// bias − m)`, one exact multiply of normal operands (a denormal f32
-    /// operand would cost a microcode assist). Magnitudes from `special`
-    /// up (E5M2's Inf/NaN exponent, the extended formats' all-ones NaN;
-    /// all within the top 8) take the table's own values, held in one
-    /// register: `top[i]` is `lut.decode(0x78 + i)`.
-    pub(in crate::ops) struct LaneDecode {
-        m: i32,
-        exp_bias: i32,
-        sub_unit: f32,
-        special: i32,
-        top: [f32; 8],
-    }
-
-    impl LaneDecode {
-        pub(in crate::ops) fn new(lut: &ptq_fp8::Fp8Lut) -> Self {
-            let spec = lut.spec();
-            debug_assert_eq!(spec.exp_bits + spec.man_bits, 7, "sign is bit 7");
-            let (m, top) = (spec.man_bits as i32, spec.exp_all_ones() << spec.man_bits);
-            let special = match spec.nan_encoding {
-                ptq_fp8::NanEncoding::Ieee => top,
-                ptq_fp8::NanEncoding::Extended => top | spec.man_mask(),
-            };
-            debug_assert!(special >= 0x78, "specials beyond the top 8 magnitudes");
-            LaneDecode {
-                m,
-                exp_bias: (127 - spec.bias) << 23,
-                sub_unit: f32::from_bits(((128 - spec.bias - m) as u32) << 23),
-                special: special as i32,
-                top: std::array::from_fn(|i| lut.decode(0x78 + i as u8)),
-            }
-        }
-
-        /// Byte flags of 16 codes: the top bit set where a magnitude is
-        /// outside `2^m .. special` (zero, subnormal, Inf or NaN), a code
-        /// only [`decode8`]'s `FULL` arm decodes. `(x − 2^m) & 0x7f` maps
-        /// the normal non-special magnitudes, of either sign, onto `0 ..
-        /// special − 2^m` and every other onto the values above.
-        ///
-        /// # Safety
-        ///
-        /// As [`decode8`].
-        #[inline(always)]
-        pub(in crate::ops) unsafe fn uncommon16(&self, x: __m128i) -> __m128i {
-            let y = _mm_sub_epi8(x, _mm_set1_epi8((1 << self.m) as i8));
-            let y = _mm_and_si128(y, _mm_set1_epi8(0x7f));
-            _mm_cmpgt_epi8(y, _mm_set1_epi8((self.special - (1 << self.m) - 1) as i8))
-        }
-    }
-
-    /// `lut.decode(code) / scale` of the 8 codes in the low bytes of
-    /// `codes` by the 8 lanes of `scales`, bit for bit per lane (`vdivps`
-    /// is the scalar `/`): the one definition of the decode arithmetic.
-    /// No per-element table load, no gather (the 8 special values sit in
-    /// one register, picked by `vpermps`). Without `FULL` every code must
-    /// be a normal non-special one ([`LaneDecode::uncommon16`] clear) and
-    /// the subnormal and special blends are skipped. The sign is ORed in
-    /// after the special blend (E4M3's `0xFF` is the negative-NaN
-    /// pattern).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 was detected (this is inlined into a `#[target_feature]` fn).
+impl<const SKIP: bool> LaneKernel for Tile<'_, SKIP> {
     #[inline(always)]
-    pub(in crate::ops) unsafe fn decode8<const FULL: bool>(
-        d: &LaneDecode,
-        codes: __m128i,
-        scales: __m256,
-    ) -> __m256 {
-        // Macros, not closures: a closure is compiled without AVX2.
-        macro_rules! i {
-            ($v:expr) => {
-                _mm256_set1_epi32($v)
-            };
+    unsafe fn run<V: Chains>(self) {
+        match self.1[0] {
+            MR => tile_panels::<V, SKIP, MR>(self),
+            mr => short_rows!(mr, tile_panels::<V, SKIP>(self)),
         }
-        macro_rules! ps {
-            ($v:expr) => {
-                _mm256_castsi256_ps($v)
-            };
-        }
-        let c = _mm256_cvtepu8_epi32(codes);
-        let mag = _mm256_and_si256(c, i!(0x7f));
-        let normal = _mm256_add_epi32(_mm256_sllv_epi32(mag, i!(23 - d.m)), i!(d.exp_bias));
-        let mut v = ps!(normal);
-        if FULL {
-            let sub = _mm256_mul_ps(_mm256_cvtepi32_ps(mag), _mm256_set1_ps(d.sub_unit));
-            v = _mm256_blendv_ps(sub, v, ps!(_mm256_cmpgt_epi32(mag, i!((1 << d.m) - 1))));
-            let top = _mm256_permutevar8x32_ps(_mm256_loadu_ps(d.top.as_ptr()), mag);
-            v = _mm256_blendv_ps(v, top, ps!(_mm256_cmpgt_epi32(mag, i!(d.special - 1))));
-        }
-        let sign = _mm256_slli_epi32::<24>(_mm256_xor_si256(c, mag));
-        _mm256_div_ps(_mm256_or_ps(v, ps!(sign)), scales)
-    }
-
-    /// The `w ≤ 8` bytes at `p` in the low bytes of a register (the rest
-    /// zero); a short block is copied, never over-read.
-    ///
-    /// # Safety
-    ///
-    /// `p` is readable for `w` bytes.
-    #[inline(always)]
-    pub(in crate::ops) unsafe fn load8(p: *const u8, w: usize) -> __m128i {
-        if w == 8 {
-            return _mm_loadl_epi64(p.cast());
-        }
-        let mut b = [0u8; 8];
-        std::ptr::copy_nonoverlapping(p, b.as_mut_ptr(), w.min(8));
-        _mm_loadl_epi64(b.as_ptr().cast())
-    }
-
-    /// Whether every code of a transposed 8×8 block is a normal
-    /// non-special one: [`decode8`] may skip its `FULL` arm for them. A
-    /// short block's [`load8`] fill is code 0, so it takes the full arm.
-    ///
-    /// # Safety
-    ///
-    /// As [`decode8`].
-    #[inline(always)]
-    pub(in crate::ops) unsafe fn all_common(d: &LaneDecode, cols: &[__m128i; NRM]) -> bool {
-        let mut flags = _mm_setzero_si128();
-        for x in cols.iter().step_by(2) {
-            flags = _mm_or_si128(flags, d.uncommon16(*x));
-        }
-        _mm_movemask_epi8(flags) == 0
-    }
-
-    /// The first `out.len() ≤ 8` lanes of `v` into `out`.
-    ///
-    /// # Safety
-    ///
-    /// As [`decode8`].
-    #[inline(always)]
-    pub(in crate::ops) unsafe fn store8(v: __m256, out: &mut [f32]) {
-        if out.len() == NRM {
-            return _mm256_storeu_ps(out.as_mut_ptr(), v);
-        }
-        let lanes: [f32; NRM] = std::mem::transmute(v);
-        out.copy_from_slice(&lanes[..out.len()]);
-    }
-
-    /// The 8×8 byte transpose of `rows[r]`'s low 8 bytes: byte `t` of
-    /// every row, in row order, in the low 8 bytes of result `t` — and
-    /// the even results hold result `t + 1` in their high 8 bytes, so
-    /// results 0, 2, 4, 6 carry all 64 codes.
-    ///
-    /// # Safety
-    ///
-    /// As [`decode8`].
-    #[inline(always)]
-    pub(in crate::ops) unsafe fn transpose8x8(r: &[__m128i; 8]) -> [__m128i; 8] {
-        let a = [
-            _mm_unpacklo_epi8(r[0], r[1]),
-            _mm_unpacklo_epi8(r[2], r[3]),
-            _mm_unpacklo_epi8(r[4], r[5]),
-            _mm_unpacklo_epi8(r[6], r[7]),
-        ];
-        // Columns 0–3 and 4–7 of rows 0–3, then of rows 4–7.
-        let (b0, b1) = (
-            _mm_unpacklo_epi16(a[0], a[1]),
-            _mm_unpackhi_epi16(a[0], a[1]),
-        );
-        let (b2, b3) = (
-            _mm_unpacklo_epi16(a[2], a[3]),
-            _mm_unpackhi_epi16(a[2], a[3]),
-        );
-        // Two whole columns each, low and high 8 bytes.
-        let c = [
-            _mm_unpacklo_epi32(b0, b2),
-            _mm_unpackhi_epi32(b0, b2),
-            _mm_unpacklo_epi32(b1, b3),
-            _mm_unpackhi_epi32(b1, b3),
-        ];
-        let hi = |x: __m128i| _mm_unpackhi_epi64(x, x);
-        [
-            c[0],
-            hi(c[0]),
-            c[1],
-            hi(c[1]),
-            c[2],
-            hi(c[2]),
-            c[3],
-            hi(c[3]),
-        ]
-    }
-
-    /// The one block walk of the FP8 kernels: 8 code rows, `$rows =
-    /// (codes, stride, live)` (rows from `live` on repeat row `live − 1`: a
-    /// ragged block's dead lanes), by their 8 `$scales`, `kk` in `0..$k`.
-    /// Per 8×8 byte block: [`load8`] per row, [`transpose8x8`],
-    /// [`all_common`] picks the arm, then per column `$body` with `$wv` its
-    /// [`decode8`]. A macro: a closure is compiled without AVX2.
-    ///
-    /// Safety: as [`decode8`]; `live ≥ 1` rows of `$k` readable codes.
-    macro_rules! walk8 {
-        ($d:expr, $rows:expr, $scales:expr, $k:expr, |$kk:ident, $wv:ident| $body:expr) => {{
-            use $crate::ops::blocked::simd::{all_common, decode8, load8, transpose8x8};
-            let (d, (codes, stride, live), scales, k) = ($d, $rows, $scales, $k);
-            for kk0 in (0..k).step_by(NRM) {
-                let w = NRM.min(k - kk0);
-                let mut rows = [_mm_setzero_si128(); NRM];
-                for (r, row) in rows.iter_mut().enumerate() {
-                    *row = load8(codes.add(r.min(live - 1) * stride + kk0), w);
-                }
-                let cols = transpose8x8(&rows);
-                macro_rules! steps {
-                    ($full:literal) => {
-                        for (t, &col) in cols.iter().enumerate().take(w) {
-                            let ($kk, $wv) = (kk0 + t, decode8::<$full>(d, col, scales));
-                            $body;
-                        }
-                    };
-                }
-                if all_common(d, &cols) {
-                    steps!(false);
-                } else {
-                    steps!(true);
-                }
-            }
-        }};
-    }
-    pub(in crate::ops) use walk8;
-
-    /// The 8 scales of channels `j0 ..`, the last of `n` repeated (AVX2).
-    #[inline(always)]
-    unsafe fn channel_scales(q: &crate::QTensor, j0: usize, n: usize) -> __m256 {
-        let s: [f32; NRM] =
-            std::array::from_fn(|c| q.scales().scale_for_channel(j0 + c.min(n - j0 - 1)));
-        _mm256_loadu_ps(s.as_ptr())
-    }
-
-    /// The `R < MR` rows of [`super::linear`] against an FP8 weight read in
-    /// place: per panel of 8 channels, [`walk8`] over their weight rows
-    /// into the row tile's `kk`-ascending chains, no panel staged. A ragged
-    /// last panel's dead lanes are not stored.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 was detected; `xs` holds `R` rows of `k`, `out` `R` rows of `n`,
-    /// `q` is `[n, k]`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn linear_rows_q<const R: usize>(
-        xs: &[f32],
-        (k, n): (usize, usize),
-        q: &crate::QTensor,
-        out: &mut [f32],
-    ) {
-        debug_assert!(xs.len() >= R * k && out.len() >= R * n && q.len() >= n * k);
-        let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
-        for j0 in (0..n).step_by(NRM) {
-            let (wp, mut acc) = (NRM.min(n - j0), [_mm256_setzero_ps(); R]);
-            let rows = (codes.add(j0 * k), k, wp);
-            walk8!(&dec, rows, channel_scales(q, j0, n), k, |kk, wv| {
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let xv = _mm256_set1_ps(xs[r * k + kk]);
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
-                }
-            });
-            for (r, a) in acc.iter().enumerate() {
-                store8(*a, &mut out[r * n + j0..][..wp]);
-            }
-        }
-    }
-
-    /// [`super::decode_pack_weights`] of an FP8 weight: per panel of 8
-    /// channels, [`walk8`] over their weight rows, column `kk` stored as
-    /// the panel's row `kk` — the scalar pack's panel bit for bit, dead
-    /// lanes included.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 was detected.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pack_q(q: &crate::QTensor, (k, n): (usize, usize), bp: &mut [f32]) {
-        assert!(q.len() >= n * k && bp.len() >= n.next_multiple_of(NRM) * k);
-        let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
-        for j0 in (0..n).step_by(NRM) {
-            let (s, p) = (channel_scales(q, j0, n), bp.as_mut_ptr().add(j0 * k));
-            let rows = (codes.add(j0 * k), k, NRM.min(n - j0));
-            walk8!(&dec, rows, s, k, |kk, wv| {
-                _mm256_storeu_ps(p.add(kk * NRM), wv)
-            });
-        }
-    }
-
-    impl super::Chains for std::arch::x86_64::__m256 {
-        #[inline(always)]
-        unsafe fn load(w: *const f32) -> Self {
-            std::arch::x86_64::_mm256_loadu_ps(w)
-        }
-        #[inline(always)]
-        unsafe fn mac(self, x: f32, w: Self) -> Self {
-            use std::arch::x86_64::*;
-            _mm256_add_ps(self, _mm256_mul_ps(_mm256_set1_ps(x), w))
-        }
-        #[inline(always)]
-        unsafe fn lanes(self) -> [f32; NRM] {
-            std::mem::transmute(self)
-        }
-    }
-
-    /// [`super::conv_image`] on one ymm register per `NRM` chains.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified [`avx2_available`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn conv_image(c: &super::ConvCall, xs: &[f32], oimg: &mut [f32]) {
-        super::conv_image::<std::arch::x86_64::__m256>(c, xs, oimg)
     }
 }
 
-/// `out[mr, n] = arows[mr, k] · B` with `B` in packed column panels and
-/// the zero-skip per `SKIP`. Every element of `out` is stored with its
-/// finished accumulator chain (which starts at `0.0`); nothing is read.
-fn matmul_packed<const SKIP: bool>(
-    arows: &[f32],
-    mr: usize,
-    k: usize,
-    n: usize,
-    bp: &[f32],
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if mr == MR && n >= NRM && simd::avx2_available() {
-        if !SKIP {
-            // No zero test: the tile broadcasts from the rows in place.
-            return matmul_panels::<SKIP>(arows, Some(arows), mr, k, n, bp, out);
-        }
-        // Stage the A block once per chunk in k-major order for the zero
-        // test (pure data movement: same values, same order), reused
-        // across every column panel of this chunk.
-        scratch::with_rows2(k * MR, |at| {
-            for r in 0..MR {
-                for (kk, col) in at.chunks_exact_mut(MR).enumerate() {
-                    col[r] = arows[r * k + kk];
-                }
-            }
-            matmul_panels::<SKIP>(arows, Some(at), mr, k, n, bp, out);
-        });
-        return;
-    }
-    matmul_panels::<SKIP>(arows, None, mr, k, n, bp, out);
-}
-
-/// Panel loop of [`matmul_packed`]; `simd_a` is the A block as the AVX2
-/// tile reads it (staged k-major under `SKIP`, `arows` itself otherwise),
-/// `None` without AVX2 or a full-height chunk.
-fn matmul_panels<const SKIP: bool>(
-    arows: &[f32],
-    simd_a: Option<&[f32]>,
-    mr: usize,
-    k: usize,
-    n: usize,
-    bp: &[f32],
-    out: &mut [f32],
-) {
+/// [`Tile`] at `R` rows: pairs of full panels, then single ones; a ragged
+/// last panel stores its first chains only.
+///
+/// # Safety
+///
+/// As [`Chains`].
+#[inline(always)]
+unsafe fn tile_panels<V: Chains, const SKIP: bool, const R: usize>(t: Tile<SKIP>) {
+    let Tile(a, [_, k, n], bp, out) = t;
+    assert!(a.len() >= R * k && bp.len() >= n.next_multiple_of(NRM) * k && out.len() >= R * n);
     let mut j0 = 0;
-    #[cfg(target_arch = "x86_64")]
-    if let Some(a) = simd_a {
-        // Consume pairs of full panels with the wide 4×16 tile (`simd_a`
-        // is only `Some` for full-height chunks after the AVX2 check).
-        debug_assert_eq!(mr, MR);
-        while j0 + 2 * NRM <= n {
-            let mut acc = [[[0.0f32; NRM]; MR]; 2];
-            // SAFETY: AVX2 checked before `simd_a` became `Some`, of an
-            // `MR`×`k` block; the slice is two whole panels.
-            unsafe { simd::tile::<SKIP, 2>(a, k, &bp[j0 * k..(j0 + 2 * NRM) * k], &mut acc) };
-            for (p, rows) in acc.iter().enumerate() {
-                for (r, row) in rows.iter().enumerate() {
-                    out[r * n + j0 + p * NRM..][..NRM].copy_from_slice(row);
-                }
+    while j0 + 2 * NRM <= n {
+        let acc = tile::<V, SKIP, R, 2>(a, k, bp.as_ptr().add(j0 * k));
+        for (r, row) in acc.iter().enumerate() {
+            for (p, v) in row.iter().enumerate() {
+                v.store(&mut out[r * n + j0 + p * NRM..][..NRM]);
             }
-            j0 += 2 * NRM;
         }
+        j0 += 2 * NRM;
     }
     while j0 < n {
-        // A ragged last panel stores its first `wp` chains only.
+        let acc = tile::<V, SKIP, R, 1>(a, k, bp.as_ptr().add(j0 * k));
         let wp = NRM.min(n - j0);
-        let panel = &bp[j0 * k..(j0 + NRM) * k];
-        if mr == MR {
-            // 4x8 register tile: 32 independent kk-ascending chains.
-            let mut acc = [[0.0f32; NRM]; MR];
-            tile_full::<SKIP>(arows, simd_a, k, panel, &mut acc);
-            for (r, a) in acc.iter().enumerate() {
-                out[r * n + j0..r * n + j0 + wp].copy_from_slice(&a[..wp]);
-            }
-        } else {
-            // Short row block: 8 chains per row, one row at a time.
-            for r in 0..mr {
-                let acc = tile_row::<SKIP>(&arows[r * k..(r + 1) * k], panel);
-                if wp == NRM {
-                    // The decode step's path: a fixed-size copy, no call.
-                    out[r * n + j0..r * n + j0 + NRM].copy_from_slice(&acc);
-                } else {
-                    out[r * n + j0..r * n + j0 + wp].copy_from_slice(&acc[..wp]);
-                }
-            }
+        for (r, [v]) in acc.iter().enumerate() {
+            v.store(&mut out[r * n + j0..][..wp]);
         }
         j0 += NRM;
     }
@@ -672,7 +612,19 @@ fn tile_rows<const SKIP: bool, X: Rows + ?Sized>(
     for_each_chunk(out, MR * n, macs, |blk, rows| {
         let mr = rows.len() / n;
         x.with(blk * MR * k, mr * k, |xs| {
-            matmul_packed::<SKIP>(xs, mr, k, n, bp, rows)
+            if SKIP && mr == MR {
+                // Stage the A block k-major for the zero test (pure data
+                // movement: same values, same order).
+                return scratch::with_rows2(k * MR, |at| {
+                    for r in 0..MR {
+                        for (kk, col) in at.chunks_exact_mut(MR).enumerate() {
+                            col[r] = xs[r * k + kk];
+                        }
+                    }
+                    run_lanes(Tile::<SKIP>(at, [mr, k, n], bp, &mut *rows))
+                });
+            }
+            run_lanes(Tile::<SKIP>(xs, [mr, k, n], bp, &mut *rows))
         });
         add_bias(rows, n, bias);
     });
@@ -714,50 +666,105 @@ pub(super) fn batch_matmul(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize,
     });
 }
 
-/// Stream an `[n, k]` weight into column panels (`bp[j0*k + kk*NRM + c]`
-/// is `Wᵀ[kk, j0+c]`): an f32 weight as a plain transposing copy, an
-/// FP8-stored one as `lut.decode(code) / scale(channel)` — the expression
-/// of `StoredTensor::dequantize` — in lanes with AVX2 ([`simd::pack_q`]).
-fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
-    match weight {
-        WeightOperand::F32(t) => pack_transposed(t.data(), k, n, bp, |_| 1.0, |v, _| v),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 was detected; `q` is `[n, k]`, `bp` its padded panels.
-        WeightOperand::Q(q) if simd::avx2_available() => unsafe { simd::pack_q(q, (k, n), bp) },
-        WeightOperand::Q(q) => {
-            let (lut, scales) = (q.lut(), q.scales());
-            let scale = |j| scales.scale_for_channel(j);
-            pack_transposed(q.codes(), k, n, bp, scale, |b, s| lut.decode(b) / s);
+/// The 8 scales of channels `j0 ..`, the last of `n` repeated.
+///
+/// # Safety
+///
+/// As [`Chains`].
+#[inline(always)]
+unsafe fn channel_scales<V: Chains>(q: &QTensor, j0: usize, n: usize) -> V {
+    let s: [f32; NRM] =
+        std::array::from_fn(|c| q.scales().scale_for_channel(j0 + c.min(n - j0 - 1)));
+    V::load(s.as_ptr())
+}
+
+/// `(q, (k, n), bp)`: an FP8 weight `q` (`[n, k]`) into the column panels
+/// `bp`, per panel of 8 channels [`walk8`] over their weight rows, column
+/// `kk` stored as the panel's row `kk`, dead lanes repeating channel `n − 1`.
+struct PackQ<'a>(&'a QTensor, (usize, usize), &'a mut [f32]);
+
+impl LaneKernel for PackQ<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Chains>(self) {
+        let PackQ(q, (k, n), bp) = self;
+        assert!(q.len() >= n * k && bp.len() >= n.next_multiple_of(NRM) * k);
+        let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
+        for j0 in (0..n).step_by(NRM) {
+            let panel = &mut bp[j0 * k..][..NRM * k];
+            let rows = (codes.add(j0 * k), k, NRM.min(n - j0));
+            walk8!(V, &dec, rows, channel_scales::<V>(q, j0, n), k, |kk, wv| {
+                wv.store(&mut panel[kk * NRM..][..NRM])
+            });
         }
     }
 }
 
-/// [`decode_pack_weights`] over either element type, from the `n` rows of
-/// `k` elements in `src`. A ragged last panel's dead lanes repeat its last
-/// row.
-fn pack_transposed<T: Copy>(
-    src: &[T],
-    k: usize,
-    n: usize,
-    bp: &mut [f32],
-    scale: impl Fn(usize) -> f32,
-    val: impl Fn(T, f32) -> f32,
-) {
+/// `(xs, q, [m, k, n], out)`: the `m < MR` rows of [`linear`] (`xs`, `m`
+/// rows of `k`) against an FP8 weight `q` read in place, per panel of 8
+/// channels [`walk8`] over their weight rows into the row tile's
+/// `kk`-ascending chains, no panel staged. A ragged last panel's dead lanes
+/// are not stored.
+struct ShortRowsQ<'a>(&'a [f32], &'a QTensor, [usize; 3], &'a mut [f32]);
+
+impl LaneKernel for ShortRowsQ<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Chains>(self) {
+        short_rows!(self.2[0], linear_rows_q::<V>(self))
+    }
+}
+
+/// [`ShortRowsQ`] at `R` rows.
+///
+/// # Safety
+///
+/// As [`Chains`].
+#[inline(always)]
+unsafe fn linear_rows_q<V: Chains, const R: usize>(s: ShortRowsQ) {
+    let ShortRowsQ(xs, q, [_, k, n], out) = s;
+    assert!(xs.len() >= R * k && out.len() >= R * n && q.len() >= n * k);
+    let (dec, codes) = (LaneDecode::new(q.lut()), q.codes().as_ptr());
     for j0 in (0..n).step_by(NRM) {
-        let row = |c: usize| j0 + c.min(n - j0 - 1);
-        let s: [f32; NRM] = std::array::from_fn(|c| scale(row(c)));
-        let rows: [&[T]; NRM] = std::array::from_fn(|c| &src[row(c) * k..][..k]);
+        let (wp, mut acc) = (NRM.min(n - j0), [V::splat(0.0); R]);
+        let rows = (codes.add(j0 * k), k, wp);
+        walk8!(V, &dec, rows, channel_scales::<V>(q, j0, n), k, |kk, wv| {
+            for (r, a) in acc.iter_mut().enumerate() {
+                *a = a.mac(xs[r * k + kk], wv);
+            }
+        });
+        for (r, a) in acc.iter().enumerate() {
+            a.store(&mut out[r * n + j0..][..wp]);
+        }
+    }
+}
+
+/// Stream an `[n, k]` weight into column panels (`bp[j0*k + kk*NRM + c]`
+/// is `Wᵀ[kk, j0+c]`): an f32 weight as a plain transposing copy, an
+/// FP8-stored one as `lut.decode(code) / scale(channel)` — the expression
+/// of `StoredTensor::dequantize` — through [`PackQ`].
+fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
+    match weight {
+        WeightOperand::F32(t) => pack_transposed(t.data(), k, n, bp),
+        WeightOperand::Q(q) => run_lanes(PackQ(q, (k, n), bp)),
+    }
+}
+
+/// The f32 arm of [`decode_pack_weights`], from the `n` rows of `k` in
+/// `src`. A ragged last panel's dead lanes repeat its last row.
+fn pack_transposed(src: &[f32], k: usize, n: usize, bp: &mut [f32]) {
+    for j0 in (0..n).step_by(NRM) {
+        let rows: [&[f32]; NRM] =
+            std::array::from_fn(|c| &src[(j0 + c.min(n - j0 - 1)) * k..][..k]);
         for (kk, dst) in bp[j0 * k..(j0 + NRM) * k].chunks_exact_mut(NRM).enumerate() {
             for c in 0..NRM {
-                dst[c] = val(rows[c][kk], s[c]);
+                dst[c] = rows[c][kk];
             }
         }
     }
 }
 
 /// Linear over any weight, no zero-skip: packed once per call — except an
-/// FP8 weight under fewer than `MR` rows with AVX2, whose codes the row
-/// tile reads in place.
+/// FP8 weight under fewer than `MR` rows, whose codes the row tile reads in
+/// place ([`ShortRowsQ`]).
 pub(super) fn linear<X: Rows + ?Sized>(
     x: &X,
     weight: WeightOperand,
@@ -767,51 +774,17 @@ pub(super) fn linear<X: Rows + ?Sized>(
     out: &mut Tensor,
 ) {
     let (bias, macs) = (bias.map(Tensor::data), out.len() * k);
-    #[cfg(target_arch = "x86_64")]
     if let (WeightOperand::Q(q), m @ 1..MR) = (weight, out.len() / n) {
-        if simd::avx2_available() {
-            let out = out.data_mut();
-            // SAFETY: AVX2 was detected just above; `x` holds `m` rows of
-            // `k`, `out` `m` rows of `n`, `q` is `[n, k]` (linear_dims).
-            x.with(0, m * k, |xs| unsafe {
-                short_rows!(m, simd::linear_rows_q(xs, (k, n), q, out))
-            });
-            return add_bias(out, n, bias);
-        }
+        let out = out.data_mut();
+        x.with(0, m * k, |xs| {
+            run_lanes(ShortRowsQ(xs, q, [m, k, n], &mut *out))
+        });
+        return add_bias(out, n, bias);
     }
     scratch::with_panel(k * n.next_multiple_of(NRM), |wp| {
         decode_pack_weights(weight, k, n, wp);
         tile_rows::<false, _>(x, (k, n), wp, bias, out.data_mut(), macs);
     });
-}
-
-/// The `NRM` chains of one conv output pixel × weight panel: an array on
-/// any target, one AVX2 register where the CPU has them (the generic conv
-/// code is `#[inline(always)]` under a `#[target_feature]` entry point).
-trait Chains: Copy {
-    /// # Safety
-    ///
-    /// `w` is readable for `NRM` floats — and, for all three methods, the
-    /// CPU feature the implementor needs was detected.
-    unsafe fn load(w: *const f32) -> Self;
-    /// `self + x·w` per lane: a rounded multiply, then a rounded add.
-    unsafe fn mac(self, x: f32, w: Self) -> Self;
-    unsafe fn lanes(self) -> [f32; NRM];
-}
-
-impl Chains for [f32; NRM] {
-    unsafe fn load(w: *const f32) -> Self {
-        *w.cast()
-    }
-    unsafe fn mac(mut self, x: f32, w: Self) -> Self {
-        for (a, wv) in self.iter_mut().zip(w) {
-            *a += x * wv;
-        }
-        self
-    }
-    unsafe fn lanes(self) -> [f32; NRM] {
-        self
-    }
 }
 
 /// One conv call as its tiles see it: the weight in panels, the bias
@@ -872,7 +845,14 @@ unsafe fn conv_tile<V: Chains, const R: usize, const P: usize>(
             }
         }
     }
-    let vals = acc.map(|row| row.map(|a| a.lanes()));
+    // Stores, not `map`: LLVM need not inline `map`, and a call costs the
+    // tile its registers.
+    let mut vals = [[[0.0; NRM]; P]; R];
+    for (vr, ar) in vals.iter_mut().zip(&acc) {
+        for (v, a) in vr.iter_mut().zip(ar) {
+            a.store(v);
+        }
+    }
     let planes = out.chunks_mut(d.oh * d.ow).take((d.cout - j0).min(P * NRM));
     for (j, plane) in planes.enumerate() {
         for r in 0..R {
@@ -930,8 +910,19 @@ unsafe fn conv_panels<V: Chains, const P: usize>(
     }
 }
 
-/// One image: its output channels in pairs of panels (a 4×16 tile, 8
-/// vectors of chains), a last odd panel alone.
+/// `(call, xs, oimg)`: one image of [`conv2d`], `xs` its sample, its output
+/// channels in pairs of panels (a 4×16 tile, 8 vectors of chains), a last
+/// odd panel alone.
+struct ConvImage<'a>(&'a ConvCall<'a>, &'a [f32], &'a mut [f32]);
+
+impl LaneKernel for ConvImage<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Chains>(self) {
+        conv_image::<V>(self.0, self.1, self.2)
+    }
+}
+
+/// [`ConvImage`].
 ///
 /// # Safety
 ///
@@ -967,15 +958,7 @@ pub(super) fn conv2d<X: Rows + ?Sized>(
         }
         let c = &ConvCall { wp, bias: bp, d };
         for_each_chunk(out.data_mut(), image, macs, |img, oimg| {
-            x.with(img * sample, sample, |xs| {
-                #[cfg(target_arch = "x86_64")]
-                if simd::avx2_available() {
-                    // SAFETY: AVX2 was detected on this CPU just above.
-                    return unsafe { simd::conv_image(c, xs, oimg) };
-                }
-                // SAFETY: array chains need no CPU feature.
-                unsafe { conv_image::<[f32; NRM]>(c, xs, oimg) }
-            });
+            x.with(img * sample, sample, |xs| run_lanes(ConvImage(c, xs, oimg)));
         });
     });
 }
@@ -1031,18 +1014,45 @@ pub(super) fn depthwise(
 
 #[cfg(test)]
 mod tests {
-    /// The lane pack against the scalar pack on every code: a `[11, 29]`
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+    use ptq_fp8::{Fp8Format, StoredScales};
+
+    use super::*;
+    use crate::kv::{KvBuf, KvCachePolicy};
+    use crate::ops::{
+        attention_step_q, attention_step_v, conv2d_into, linear_into, matmul_into, Conv2dParams,
+        KernelPath, KvSegments,
+    };
+    use crate::rng::TensorRng;
+
+    thread_local! {
+        /// [`run_lanes`] runs the array lanes on this thread, whatever the
+        /// CPU has.
+        pub(super) static PORTABLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `f(lanes)` on the array lanes, then on the lanes this CPU runs (AVX2
+    /// where detected). The switch is per thread: a kernel above the
+    /// fan-out cutoff would run its chunks on the pool's lanes, so the
+    /// shapes here stay far below it.
+    fn on_both_lanes(mut f: impl FnMut(&str)) {
+        for (portable, lanes) in [(true, "array lanes"), (false, "host lanes")] {
+            PORTABLE.with(|p| p.set(portable));
+            f(lanes);
+        }
+        PORTABLE.with(|p| p.set(false));
+    }
+
+    /// The lane pack on every code, on both lane types: a `[11, 29]`
     /// weight whose codes cycle through all 256 bytes (a ragged panel of 3
-    /// channels, a 5-code tail block), every panel element of both packs —
-    /// dead lanes included — bit for bit `lut.decode(code) /
-    /// scale(channel)`, per-tensor and per-channel scales of 1, 3.7, 2^-20
-    /// and 2^120 (subnormal and zero results).
+    /// channels, a 5-code tail block), every panel element — dead lanes
+    /// included — bit for bit `lut.decode(code) / scale(channel)`,
+    /// per-tensor and per-channel scales of 1, 3.7, 2^-20 and 2^120
+    /// (subnormal and zero results).
     #[test]
     fn lane_pack_matches_the_scalar_pack_on_every_code() {
-        use super::{decode_pack_weights, pack_transposed, NRM};
-        use crate::{ops::WeightOperand, QTensor};
-        use ptq_fp8::{Fp8Format, StoredScales};
-
         let (n, k) = (11, 29);
         let codes: Vec<u8> = (0..n * k).map(|i| i as u8).collect();
         let values = [1.0f32, 3.7, 2f32.powi(-20), 2f32.powi(120)];
@@ -1052,86 +1062,208 @@ mod tests {
             .into_iter()
             .chain([per_channel])
             .collect();
-        for f in Fp8Format::ALL {
-            for sc in &scales {
-                let q = QTensor::from_raw_parts(f, vec![n, k], codes.clone().into(), sc.clone())
-                    .unwrap();
-                let (lut, s) = (q.lut(), q.scales());
-                let len = n.next_multiple_of(NRM) * k;
-                let (mut lanes, mut scalar) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-                decode_pack_weights(WeightOperand::Q(&q), k, n, &mut lanes);
-                let scale = |j| s.scale_for_channel(j);
-                pack_transposed(q.codes(), k, n, &mut scalar, scale, |b, s| {
-                    lut.decode(b) / s
-                });
-                for (i, (a, b)) in lanes.iter().zip(&scalar).enumerate() {
-                    // `bp[j0·k + kk·NRM + c]`; a dead lane repeats channel n − 1.
-                    let (kk, c) = (i / NRM % k, i % NRM);
-                    let ch = (i / (NRM * k) * NRM + c).min(n - 1);
-                    let want = (lut.decode(codes[ch * k + kk]) / scale(ch)).to_bits();
-                    let at = format!("{f} {sc:?} channel {ch} kk {kk} lane {c}");
-                    assert_eq!(a.to_bits(), want, "lane pack, {at}");
-                    assert_eq!(b.to_bits(), want, "scalar pack, {at}");
+        on_both_lanes(|lanes| {
+            for f in Fp8Format::ALL {
+                for sc in &scales {
+                    let q =
+                        QTensor::from_raw_parts(f, vec![n, k], codes.clone().into(), sc.clone())
+                            .unwrap();
+                    let mut bp = vec![f32::NAN; n.next_multiple_of(NRM) * k];
+                    decode_pack_weights(WeightOperand::Q(&q), k, n, &mut bp);
+                    for (i, got) in bp.iter().enumerate() {
+                        // `bp[j0·k + kk·NRM + c]`; a dead lane repeats channel n − 1.
+                        let (kk, c) = (i / NRM % k, i % NRM);
+                        let ch = (i / (NRM * k) * NRM + c).min(n - 1);
+                        let scale = q.scales().scale_for_channel(ch);
+                        let want = (q.lut().decode(codes[ch * k + kk]) / scale).to_bits();
+                        let at = format!("{lanes}, {f} {sc:?} channel {ch} kk {kk} lane {c}");
+                        assert_eq!(got.to_bits(), want, "{at}");
+                    }
+                }
+            }
+        });
+    }
+
+    /// The decoder of one lane type against the table on every code.
+    struct DecoderCheck<'a>(&'a str);
+
+    impl LaneKernel for DecoderCheck<'_> {
+        unsafe fn run<V: Chains>(self) {
+            // The last scale sends every E4M3/E3M4 and most E5M2 results
+            // below f32::MIN_POSITIVE.
+            let scales = [1.0f32, 2f32.powi(20), 2f32.powi(-20), 3.7, 2f32.powi(120)];
+            for f in Fp8Format::ALL {
+                let lut = Fp8Lut::for_format(f);
+                let (dec, spec) = (LaneDecode::new(lut), lut.spec());
+                let special = match spec.nan_encoding {
+                    NanEncoding::Ieee => spec.exp_all_ones() << spec.man_bits,
+                    NanEncoding::Extended => 0x7f,
+                };
+                let normal = |c: u8| (1 << spec.man_bits..special).contains(&u32::from(c & 0x7f));
+                let all: Vec<u8> = (0..=255).collect();
+                for block in all.chunks(16) {
+                    let codes = V::load_codes(block.as_ptr(), 16);
+                    let common = V::common(&dec, codes, 16);
+                    assert!(
+                        common || !block.iter().all(|&c| normal(c)),
+                        "{f}: fast arm unused"
+                    );
+                    for (half, codes) in [codes, V::high_codes(codes)].into_iter().enumerate() {
+                        for &s in &scales {
+                            let sv = V::splat(s);
+                            let (mut full, mut fast) = ([0.0; NRM], [0.0; NRM]);
+                            V::decode8::<true>(&dec, codes, sv).store(&mut full);
+                            V::decode8::<false>(&dec, codes, sv).store(&mut fast);
+                            for (i, &code) in block[half * NRM..][..NRM].iter().enumerate() {
+                                let want = (lut.decode(code) / s).to_bits();
+                                let at = format!("{}, {f} code {code:#04x} / {s:e}", self.0);
+                                assert_eq!(full[i].to_bits(), want, "{at}");
+                                let one = V::load_codes(&code, 1);
+                                assert!(V::common(&dec, one, 1) || !normal(code), "{at} flag");
+                                if common || V::common(&dec, one, 1) {
+                                    assert_eq!(fast[i].to_bits(), want, "{at} fast arm");
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// The 8-lane decoder against the table, exhaustively: every code of
-    /// every paper format through both arms it may take, each lane
-    /// bit-identical to `lut.decode(code) / scale` — NaN payload and sign
-    /// included — for unit, power-of-two, non-power-of-two and
-    /// subnormal-result scales.
-    #[cfg(target_arch = "x86_64")]
+    /// The 8-lane decoder against the table, exhaustively, on both lane
+    /// types: every code of every paper format through both arms it may
+    /// take, each lane bit-identical to `lut.decode(code) / scale` — NaN
+    /// payload and sign included — for unit, power-of-two,
+    /// non-power-of-two and subnormal-result scales; the fast arm taken
+    /// wherever every code is a normal one.
     #[test]
     fn lane_decoder_matches_the_table_on_every_code() {
-        use super::simd::{avx2_available, decode8, LaneDecode};
-        use ptq_fp8::{Fp8Format, Fp8Lut};
-        use std::arch::x86_64::*;
+        on_both_lanes(|lanes| run_lanes(DecoderCheck(lanes)));
+    }
 
-        if !avx2_available() {
-            eprintln!("no AVX2 on this CPU: the lane decoder never runs");
-            return;
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `run` under `Blocked` on both lane types, bit for bit its
+    /// `ScalarReference` result.
+    fn check(what: &str, run: impl Fn(&mut Tensor, KernelPath)) {
+        let mut want = Tensor::default();
+        run(&mut want, KernelPath::ScalarReference);
+        on_both_lanes(|lanes| {
+            let mut got = Tensor::default();
+            run(&mut got, KernelPath::Blocked);
+            assert_eq!(got.shape(), want.shape(), "{what}, {lanes}");
+            assert_eq!(bits(&got), bits(&want), "{what}, {lanes}");
+        });
+    }
+
+    /// Element `at` of `t` set to `0 / -0 / NaN / Inf` (`kind` 4: clean)
+    /// and its neighbour to an exact zero: skip and poison interact.
+    fn poison(t: &mut Tensor, at: usize, kind: u8) {
+        let len = t.len();
+        t.data_mut()[(at + 1) % len] = 0.0;
+        if let Some(v) = [0.0, -0.0, f32::NAN, f32::INFINITY].get(usize::from(kind)) {
+            t.data_mut()[at % len] = *v;
         }
-        // The last scale sends every E4M3/E3M4 and most E5M2 results below
-        // f32::MIN_POSITIVE.
-        let scales = [1.0f32, 2f32.powi(20), 2f32.powi(-20), 3.7, 2f32.powi(120)];
-        for f in Fp8Format::ALL {
-            let lut = Fp8Lut::for_format(f);
-            let dec = LaneDecode::new(lut);
-            let spec = lut.spec();
-            let special = match spec.nan_encoding {
-                ptq_fp8::NanEncoding::Ieee => spec.exp_all_ones() << spec.man_bits,
-                ptq_fp8::NanEncoding::Extended => 0x7f,
-            };
-            for block in (0..=255u8).collect::<Vec<_>>().chunks(8) {
-                let mut bytes = [0u8; 16];
-                bytes[..8].copy_from_slice(block);
-                // SAFETY: AVX2 was detected above; 16 readable bytes.
-                let (codes, flags) = unsafe {
-                    let x = _mm_loadu_si128(bytes.as_ptr().cast());
-                    (x, _mm_movemask_epi8(dec.uncommon16(x)))
-                };
-                for &s in &scales {
-                    // SAFETY: AVX2 was detected above.
-                    let (mut full, mut fast) = ([0f32; 8], [0f32; 8]);
-                    unsafe {
-                        let sv = _mm256_set1_ps(s);
-                        _mm256_storeu_ps(full.as_mut_ptr(), decode8::<true>(&dec, codes, sv));
-                        _mm256_storeu_ps(fast.as_mut_ptr(), decode8::<false>(&dec, codes, sv));
-                    }
-                    for (i, &code) in block.iter().enumerate() {
-                        let want = (lut.decode(code) / s).to_bits();
-                        assert_eq!(full[i].to_bits(), want, "{f} code {code:#04x} / {s:e}");
-                        let mag = u32::from(code & 0x7f);
-                        let common = (1 << spec.man_bits..special).contains(&mag);
-                        assert_eq!(flags >> i & 1 == 0, common, "{f} code {code:#04x} flag");
-                        if common {
-                            assert_eq!(fast[i].to_bits(), want, "{f} code {code:#04x} fast arm");
-                        }
-                    }
+    }
+
+    /// A cache of `len` random rows of `d` under `policy`.
+    fn cache(rng: &mut TensorRng, d: usize, len: usize, policy: KvCachePolicy) -> KvBuf {
+        let mut c = KvBuf::new(d, len, policy);
+        for _ in 0..len {
+            c.append_row(rng.normal(&[d], 0.0, 1.0).data()).unwrap();
+        }
+        c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The tile at 1–5 rows (1–3-row matmul, 4 rows at n < 8, a 4 + 1
+        /// split) × every panel layout n = 1..33 spans, f32 and FP8-weight
+        /// Linear at every row count (m < 4: the f32 weight on the tile, the
+        /// FP8 one in place), and a conv image, on both lane types.
+        #[test]
+        fn every_tile_body_matches_the_reference_on_both_lane_types(
+            k in 1usize..20,
+            fmt in 0usize..3,
+            kind in 0u8..5,
+            seed in 0u64..1 << 20,
+        ) {
+            let f = Fp8Format::ALL[fmt];
+            let mut rng = TensorRng::seed(seed);
+            for m in 1..=5 {
+                for n in [1, 5, 8, 13, 16, 21, 33] {
+                    let mut a = rng.normal(&[m, k], 0.0, 1.0);
+                    let mut b = rng.normal(&[k, n], 0.0, 1.0);
+                    let mut w = rng.normal(&[n, k], 0.0, 1.0);
+                    let bias = rng.normal(&[n], 0.0, 1.0);
+                    poison(&mut a, seed as usize, kind);
+                    // The zero's `B` row holds an Inf: a skip that fails to
+                    // fire leaves `0 · Inf = NaN`.
+                    b.data_mut()[(seed as usize + 1) % (m * k) % k * n] = f32::INFINITY;
+                    // A zero code: the decoder's full arm.
+                    w.data_mut()[seed as usize % (n * k)] = 0.0;
+                    let q = QTensor::quantize_per_channel(&w, f).unwrap();
+                    let at = format!("m {m} k {k} n {n} {f}");
+                    check(&format!("matmul, {at}"), |o, p| matmul_into(&a, &b, o, p));
+                    check(&format!("f32 linear, {at}"), |o, p| {
+                        linear_into(&a, &w, Some(&bias), o, p)
+                    });
+                    check(&format!("FP8 linear, {at}"), |o, p| linear_into(&a, &q, None, o, p));
                 }
             }
+            let (cin, cout) = (1 + k % 3, 1 + k);
+            let x = rng.normal(&[1, cin, 6, 9], 0.0, 1.0);
+            let w = rng.normal(&[cout, cin, 3, 3], 0.0, 1.0);
+            let q = QTensor::quantize_per_channel(&w, f).unwrap();
+            let p = Conv2dParams { stride: 1 + k % 2, padding: 1 };
+            check("f32 conv", |o, path| conv2d_into(&x, &w, None, p, o, path));
+            check("FP8 conv", |o, path| conv2d_into(&x, &q, None, p, o, path));
+        }
+
+        /// Both attention steps over two segments of 1–17 rows each, every
+        /// cache F32 or FP8 (dynamic or static scale), heads of 1–20
+        /// columns (ragged context blocks), on both lane types.
+        #[test]
+        fn every_attention_body_matches_the_reference_on_both_lane_types(
+            r0 in 1usize..18,
+            r1 in 1usize..18,
+            len0 in 1usize..21,
+            len1 in 1usize..21,
+            pol0 in 0usize..5,
+            pol1 in 0usize..5,
+            heads in 1usize..3,
+            dh in 1usize..21,
+            seed in 0u64..1 << 20,
+        ) {
+            let policy = |i: usize| match i {
+                0 => KvCachePolicy::F32,
+                i => KvCachePolicy::Fp8 {
+                    format: Fp8Format::ALL[i % 3],
+                    scale: (i > 2).then_some(2.0),
+                },
+            };
+            let (rows, lens, pols) = ((r0, r1), (len0, len1), (pol0, pol1));
+            let (d, m, l) = (heads * dh, r0 + r1, len0.max(len1));
+            let mut rng = TensorRng::seed(seed);
+            let k = [cache(&mut rng, d, lens.0, policy(pols.0)), cache(&mut rng, d, lens.1, policy(pols.1))];
+            let v = [cache(&mut rng, d, lens.0, policy(pols.1)), cache(&mut rng, d, lens.1, policy(pols.0))];
+            let mut q = rng.normal(&[heads, m, dh], 0.0, 1.0);
+            let mut probs = rng.normal(&[heads, m, l], 0.0, 1.0);
+            poison(&mut q, seed as usize, 0);
+            poison(&mut probs, seed as usize / 7, 0);
+            let ks = [(rows.0, &k[0]), (rows.1, &k[1])];
+            let vs = [(rows.0, &v[0]), (rows.1, &v[1])];
+            let at = format!("rows {rows:?} lens {lens:?} policies {pols:?} heads {heads} dh {dh}");
+            check(&format!("scores, {at}"), |o, p| {
+                attention_step_q(&q, KvSegments::Many(&ks), o, p)
+            });
+            check(&format!("context, {at}"), |o, p| {
+                attention_step_v(&probs, KvSegments::Many(&vs), o, p)
+            });
         }
     }
 }

@@ -58,11 +58,11 @@ use std::fmt;
 pub enum KernelPath {
     /// Register-blocked micro-kernels (the default): operands packed once
     /// per call (f32 copied, codes through `decode(code) / scale`, 8 lanes
-    /// at a time with AVX2) into per-thread panels of 8 outputs, run by
-    /// 4-row (conv: 4-pixel) × 8- or 16-output register tiles. With AVX2,
-    /// fewer than 4 rows against an FP8 weight, and both attention steps
-    /// against any K/V cache, read it in place, nothing staged; without
-    /// AVX2 the attention steps run the reference loop (no host measured).
+    /// at a time) into per-thread panels of 8 outputs, run by 4-row (conv:
+    /// 4-pixel) × 8- or 16-output register tiles; fewer than 4 rows against
+    /// an FP8 weight, and both attention steps against any K/V cache, read
+    /// it in place. Each body is written once over 8 lanes: one AVX2
+    /// register where the CPU has AVX2, an `[f32; 8]` elsewhere.
     #[default]
     Blocked,
     /// The straightforward loop nests the blocked kernels are verified

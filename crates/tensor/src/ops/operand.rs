@@ -28,7 +28,7 @@ pub enum ActOperand<'a> {
 /// the kernel decodes (`lut.decode(code) / scale(channel)`, one division
 /// per element, never a reciprocal multiply and never hoisted out of the
 /// accumulation) into pooled panels at the start of the call, 8 lanes at a
-/// time with AVX2 — or, under fewer than 4 rows, beside the chain.
+/// time — or, under fewer than 4 rows, beside the chain.
 #[derive(Debug, Clone, Copy)]
 pub enum WeightOperand<'a> {
     /// A dense f32 tensor, read in place.

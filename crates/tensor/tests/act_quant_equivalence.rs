@@ -5,7 +5,7 @@
 //! to 1.0 per the NaN-propagating absmax convention.
 
 use proptest::prelude::*;
-use ptq_fp8::{fake_quant_fp8_lut, Fp8Codec, Fp8Format};
+use ptq_fp8::{fake_quant_fp8, Fp8Codec, Fp8Format};
 use ptq_tensor::ops::{linear, matmul};
 use ptq_tensor::{fake_quant_per_tile, tile_scale, QActTensor, QTensor, TensorRng};
 
@@ -41,7 +41,7 @@ proptest! {
         q.quantize_dynamic(&x, f);
         let mut want = x.data().to_vec();
         let s = tile_scale(f, x.data());
-        fake_quant_fp8_lut(&mut want, &Fp8Codec::new(f), s);
+        fake_quant_fp8(&mut want, &Fp8Codec::new(f), s);
         assert_bits_eq(q.dequantize().data(), &want);
     }
 
