@@ -28,17 +28,23 @@
 #     /ops/attn.rs stages nothing (no `with_panel`, no `decode_into`) and
 #     crates/tensor/src/kv.rs has no `fn decode_into` (no whole-window
 #     decode of a cache).
-#   * Streamed decode, LUT encode: the per-channel decode-table machinery
+#   * Streamed decode, lane encode: the per-channel decode-table machinery
 #     (`scaled_decode`, `ScaledDecode`, `TableW`, `WeightFetch`,
 #     `take_tables`) may not reappear under crates/ -- a coded weight is
 #     decoded per element, once per call: read in place by short rows, or
 #     packed into pooled panels by the lane decoder (below) -- and no
 #     non-test line of crates/tensor/src or crates/fp8/src/storage.rs calls
-#     the scalar `codec.encode(`: production encode loops go through
-#     `Fp8Lut::encode`. The scalar weight decode `lut.decode(b) / s` is
-#     written on at most one non-comment, non-test line under
-#     crates/tensor/src/ops, inside `decode8` of the `[f32; NRM]` lanes
-#     in ops/blocked.rs: the per-lane decode of hosts without AVX2.
+#     the scalar `codec.encode(`. The fp8 crate's one-time weight encodes
+#     and fake-quant loops go through `Fp8Lut::encode`; under
+#     crates/tensor/src every boundary encode (activations, KV rows) runs
+#     one 8-lane encoder, `Chains::encode8` in ops/blocked.rs, so
+#     `lut.encode(` is written on at most one non-comment, non-test line
+#     there, inside `encode8` of the `[f32; NRM]` lanes (the table is their
+#     encode and the AVX2 lanes' oracle). The scalar weight decode
+#     `lut.decode(b) / s` is written on at most one non-comment, non-test
+#     line under crates/tensor/src/ops, inside `decode8` of the
+#     `[f32; NRM]` lanes in ops/blocked.rs: the per-lane decode of hosts
+#     without AVX2.
 #   * One lane decoder, one block walk, no gather: the FP8 weight pack of
 #     m >= 4 rows (Linear, conv, depthwise), short rows (m < 4) and both
 #     attention steps' FP8 cache reader (`Lanes` in ops/attn.rs; its F32
@@ -131,7 +137,7 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=2912
+ops_budget=3028
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
@@ -175,6 +181,17 @@ if [ "$(printf '%s' "$scalar" | grep -c .)" -gt 1 ] ||
     printf '%s' "$scalar" | grep -v '^crates/tensor/src/ops/blocked.rs:[0-9]*:impl Chains for \[f32; NRM\] {:decode8: ' | grep -q .; then
     echo "one scalar weight decode: lut.decode(b) / s on at most one non-test line, the array lanes' decode8:" >&2
     printf '%s\n' "$scalar" >&2
+    fail=1
+fi
+
+encodes=$(find crates/tensor/src -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /^impl /{impl=$0} match($0, /fn [a-z0-9_]+/){fn=substr($0, RSTART + 3, RLENGTH - 3)}
+        /lut\.encode\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR":"impl":"fn": "$0}' "$f"
+done)
+if [ "$(printf '%s' "$encodes" | grep -c .)" -gt 1 ] ||
+    printf '%s' "$encodes" | grep -v '^crates/tensor/src/ops/blocked.rs:[0-9]*:impl Chains for \[f32; NRM\] {:encode8: ' | grep -q .; then
+    echo "one encode: lut.encode( on at most one non-test line under crates/tensor/src, the array lanes' encode8:" >&2
+    printf '%s\n' "$encodes" >&2
     fail=1
 fi
 
@@ -325,7 +342,7 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "the kernel path alone chooses the kernel, one lane type on every host, one attention step per side," \
     "one lane decoder, one block walk and no gather," \
     "no per-plane conv nest," \
-    "no decode-table machinery, one scalar weight decode, no scalar encode loop," \
+    "no decode-table machinery, one scalar weight decode, one encode, no scalar encode loop," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
     "one decode schedule and one step loop (nn+core $nn_core_lines/$nn_core_budget lines," \
     "decode.rs $decode_lines/$decode_budget)," \

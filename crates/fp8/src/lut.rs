@@ -24,9 +24,13 @@
 //! branches, no search. [`Fp8Lut::quantize`] loads the interval's *value*,
 //! [`Fp8Lut::encode`] its *code*: the same lookup, so `decode(encode(x))`
 //! is `quantize(x)` by construction and `encode` is the byte
-//! [`Fp8Codec::encode`](crate::Fp8Codec::encode) returns. Every production
-//! `encode(v * scale)` loop (weights, boundary activations, KV rows,
-//! calibration fake-quant) runs through it.
+//! [`Fp8Codec::encode`](crate::Fp8Codec::encode) returns. This crate's
+//! `encode(v * scale)` loops (one-time weight encodes, calibration
+//! fake-quant) run through it. The per-batch boundary encodes of
+//! `ptq-tensor` (activations, KV rows) run an 8-lane encoder that computes
+//! the code arithmetically where the CPU has AVX2 and calls
+//! [`Fp8Lut::encode`] per lane elsewhere: this table is its portable body
+//! and its oracle.
 //!
 //! Breakpoints are derived *empirically* from the scalar codec by binary
 //! search over the positive `f32` bit space (quantization is monotone in

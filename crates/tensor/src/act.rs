@@ -25,10 +25,15 @@
 //! ## Bit-identity contract
 //!
 //! `decoder().at(i)` returns `lut.decode(code) / scale` — bit-identical to
-//! what fake quantization produces for the same element and scale:
-//! `lut.encode` (the byte `Fp8Codec::encode` returns, found by the
-//! breakpoint search `lut.quantize` runs) followed by `lut.decode` is
-//! exactly `lut.quantize`, and the division by the scale
+//! what fake quantization produces for the same element and scale. Every
+//! `quantize_*` codes through the 8-lane encoder (`ops::encode`): on AVX2
+//! lanes the round-to-nearest-even saturating code is computed from the
+//! bits of `v * scale`, on array lanes it is `lut.encode(v * scale)` per
+//! lane, and the two are pinned equal to `Fp8Lut::encode` on every f32
+//! class (exhaustively over 2^32 inputs before merge). `lut.encode` (the
+//! byte `Fp8Codec::encode` returns, found by the bucket lookup
+//! `lut.quantize` runs) followed by `lut.decode` is exactly
+//! `lut.quantize`, and the division by the scale
 //! is performed per element, never folded into the accumulation. The
 //! fake-quant reference for the per-tile layout is
 //! [`fake_quant_per_tile`], which computes its scales with the *same*
@@ -90,11 +95,12 @@ fn scale_count(len: usize, shape: &[usize], tile: usize) -> usize {
 
 /// Elements per chunk of a per-tensor encode's fan-out.
 const ENCODE_CHUNK: usize = 4096;
-/// An encode's weight in the kernels' MAC units: it fans out from 8192
-/// elements, where two threads first win. The lookup encode (≈ 2.6 ns
-/// against ≈ 0.05 ns per MAC) still gains from the second thread there,
-/// by a replay and end-to-end pairs (DESIGN.md §13).
-const ENCODE_MACS: usize = 128;
+/// An encode's weight in the kernels' MAC units: it fans out from 32 768
+/// elements, where two threads first tie with one. The lane encode costs
+/// ≈ 0.6 ns per element (≈ 12 MACs at ≈ 0.05 ns), so below that the
+/// fan-out's hand-off costs more than the second thread saves, by a
+/// replay of serial against pooled encodes (DESIGN.md §13).
+const ENCODE_MACS: usize = 32;
 
 /// An FP8-coded activation tensor with reusable buffers.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,7 +137,7 @@ impl QActTensor {
         self.shape.clear();
         self.shape.extend_from_slice(x.shape());
         self.codes.clear();
-        self.codes.reserve(x.len());
+        self.codes.resize(x.len(), 0);
         self.scales.clear();
         self.tile = tile;
     }
@@ -161,13 +167,10 @@ impl QActTensor {
             1.0
         };
         self.reset(x, format, 0);
-        self.codes.resize(x.len(), 0);
         let (lut, xs) = (Fp8Lut::for_format(format), x.data());
         let cost = x.len() * ENCODE_MACS;
         crate::ops::for_each_chunk(&mut self.codes, ENCODE_CHUNK, cost, |i, codes| {
-            for (c, &v) in codes.iter_mut().zip(&xs[i * ENCODE_CHUNK..]) {
-                *c = lut.encode(v * scale);
-            }
+            crate::ops::encode(lut, &xs[i * ENCODE_CHUNK..][..codes.len()], scale, codes)
         });
         self.scales.push(scale);
     }
@@ -189,10 +192,10 @@ impl QActTensor {
         self.reset(x, format, tile);
         let inner = x.shape().last().copied().unwrap_or(1).max(1);
         let lut = Fp8Lut::for_format(format);
-        for row in x.data().chunks(inner) {
-            for chunk in row.chunks(tile) {
+        for (row, codes) in x.data().chunks(inner).zip(self.codes.chunks_mut(inner)) {
+            for (chunk, codes) in row.chunks(tile).zip(codes.chunks_mut(tile)) {
                 let s = tile_scale(format, chunk);
-                self.codes.extend(chunk.iter().map(|&v| lut.encode(v * s)));
+                crate::ops::encode(lut, chunk, s, codes);
                 self.scales.push(s);
             }
         }
@@ -440,10 +443,21 @@ mod tests {
 
     #[test]
     fn a_fanned_out_encode_is_the_element_wise_encode() {
-        // Lengths on both sides of the fan-out cutoff (8192 elements) and
-        // of a chunk boundary, a ragged last chunk included.
+        // Lengths on both sides of the fan-out cutoff (32 768 elements)
+        // and of a chunk boundary, a ragged last chunk included.
         let mut rng = TensorRng::seed(43);
-        for len in [0, 1, 8191, 8192, 8193, 3 * ENCODE_CHUNK + 17, 110_592] {
+        for len in [
+            0,
+            1,
+            8191,
+            8192,
+            8193,
+            3 * ENCODE_CHUNK + 17,
+            32_767,
+            32_768,
+            32_769,
+            110_592,
+        ] {
             let t = rng.normal(&[len], 0.0, 3.0);
             for f in Fp8Format::ALL {
                 let mut q = QActTensor::new();
@@ -502,6 +516,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Per-tile codes on both lane types: rows of 37 (a ragged last tile
+    /// at every width but 1) with a NaN, an Inf and an f32 subnormal in
+    /// them, each tile's codes `lut.encode(v · s)` by its own scale.
+    #[test]
+    fn per_tile_codes_are_the_table_encode_on_both_lane_types() {
+        let mut t = TensorRng::seed(47).normal(&[3, 37], 0.0, 3.0);
+        t.data_mut()[5] = f32::NAN;
+        t.data_mut()[40] = f32::INFINITY;
+        t.data_mut()[90] = f32::from_bits(3);
+        crate::ops::on_both_lanes(|lanes| {
+            for f in Fp8Format::ALL {
+                let lut = Fp8Lut::for_format(f);
+                for tile in [1, 7, 8, 9, 32] {
+                    let mut q = QActTensor::new();
+                    q.quantize_per_tile(&t, f, tile);
+                    let tiles = t.data().chunks(37).flat_map(|row| row.chunks(tile));
+                    let want: Vec<u8> = tiles
+                        .zip(q.scales())
+                        .flat_map(|(chunk, &s)| chunk.iter().map(move |&v| lut.encode(v * s)))
+                        .collect();
+                    assert_eq!(q.codes(), &want[..], "{lanes}, {f} tile {tile}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   appended row, the same convention as
 //!   [`crate::QActTensor::quantize_per_tile`] with the row as the tile.
 //!
-//! Codes follow the crate-wide convention: `encode(v * scale)` on the way
-//! in, `lut.decode(code) / scale` on the way out, scale applied per
-//! element and never folded into an accumulation. Nothing decodes a
+//! Codes follow the crate-wide convention: `lut.encode(v * scale)` on the
+//! way in (a row through the 8-lane encoder, `ops::encode`, bit-identical
+//! to the table), `lut.decode(code) / scale` on the way out, scale applied
+//! per element and never folded into an accumulation. Nothing decodes a
 //! whole window: the step kernels read either storage where it lies (the
 //! reference loop through [`KvBuf::value_at`], the blocked bodies in lanes).
 //!
@@ -286,7 +287,9 @@ impl KvBuf {
                         s
                     }
                 };
-                codes.extend(row.iter().map(|&v| lut.encode(v * s)));
+                let at = codes.len();
+                codes.resize(at + row.len(), 0);
+                crate::ops::encode(lut, row, s, &mut codes[at..]);
             }
         }
         self.len += 1;
@@ -543,6 +546,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Appended FP8 rows of every width 1–33 (whole and ragged 8-lane
+    /// blocks) on both lane types, under a static scale and the per-row
+    /// dynamic one: the stored codes are `lut.encode(v · s)` by the row's
+    /// scale.
+    #[test]
+    fn fp8_row_codes_are_the_table_encode_on_both_lane_types() {
+        let mut rng = TensorRng::seed(11);
+        crate::ops::on_both_lanes(|lanes| {
+            for (format, scale) in Fp8Format::ALL
+                .into_iter()
+                .flat_map(|f| [(f, Some(0.37)), (f, None)])
+            {
+                for d in 1..=33 {
+                    let mut buf = KvBuf::new(d, 2, KvCachePolicy::Fp8 { format, scale });
+                    let mut rows = rng.normal(&[2, d], 0.0, 4.0);
+                    rows.data_mut()[d] = f32::NEG_INFINITY;
+                    (0..2).for_each(|j| buf.append_row(rows.row(j)).unwrap());
+                    let KvView::Fp8(codes, lut, (s, row_scales)) = buf.view() else {
+                        unreachable!("an FP8 policy stores codes")
+                    };
+                    for (j, row) in rows.data().chunks(d).enumerate() {
+                        let s = s.unwrap_or_else(|| row_scales[j]);
+                        let want: Vec<u8> = row.iter().map(|&v| lut.encode(v * s)).collect();
+                        assert_eq!(
+                            &codes[j * d..][..d],
+                            &want[..],
+                            "{lanes}, {format} {scale:?} d {d}"
+                        );
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Register-blocked micro-kernels: every MAC op under
-//! [`crate::ops::KernelPath::Blocked`], whatever its operands.
+//! [`crate::ops::KernelPath::Blocked`], whatever its operands, and the FP8
+//! encode of activations and KV rows.
 //!
 //! ## Bit-identity argument
 //!
@@ -21,7 +22,10 @@
 //! rounding would break bit-identity) where the CPU has AVX2, else
 //! `[f32; NRM]`, the scalar expression per lane. The FP8 decode is the same
 //! split: [`Chains::decode8`] is bit arithmetic on 8 lanes with AVX2 and
-//! `lut.decode(code) / scale` per lane otherwise.
+//! `lut.decode(code) / scale` per lane otherwise. So is the encode of
+//! activations and KV rows ([`encode`]): [`Chains::encode8`] computes the
+//! round-to-nearest-even saturating code from the bits of `v · s` with
+//! AVX2 and is `lut.encode(v * s)` per lane otherwise.
 //!
 //! * **matmul / batch_matmul**: `B` is packed once (per batch) into the
 //!   panels and a register tile of 1–4 rows × 1 or 2 panels carries up to
@@ -105,6 +109,8 @@ pub(super) trait Chains: Copy {
     /// bit for bit per lane. Without `FULL` the codes must be
     /// [`Chains::common`].
     unsafe fn decode8<const FULL: bool>(d: &LaneDecode, codes: Self::Codes, scales: Self) -> Self;
+    /// `lut.encode(v · s)` per lane, bit for bit.
+    unsafe fn encode8(e: &LaneEncode, v: Self, s: Self) -> [u8; NRM];
 }
 
 impl Chains for [f32; NRM] {
@@ -157,6 +163,12 @@ impl Chains for [f32; NRM] {
         std::array::from_fn(|i| {
             let (b, s, lut) = (codes[i], scales[i], d.lut);
             lut.decode(b) / s
+        })
+    }
+    unsafe fn encode8(e: &LaneEncode, v: Self, s: Self) -> [u8; NRM] {
+        std::array::from_fn(|i| {
+            let (x, s, lut) = (v[i], s[i], e.lut);
+            lut.encode(x * s)
         })
     }
 }
@@ -228,6 +240,76 @@ impl LaneDecode {
     }
 }
 
+/// One format's encode, from its `FpSpec` (`m` mantissa bits, sign at bit
+/// 7): the round-to-nearest-even saturating code of `x`, `mag` its
+/// magnitude bits. From the min normal `2^(1 − bias)` up, `mag` rounded to
+/// `m` mantissa bits (ties to even), less `(127 − bias) << m`; below it,
+/// `bits(|x| + 2^k) − bits(2^k)` with `2^k` the f32 whose ulp is the
+/// format's subnormal step, so the f32 add rounds to that step. Then `min`
+/// with the largest finite code (saturation, ±Inf included), the sign ORed
+/// in, and a NaN takes the codec's NaN code. The array lanes read the
+/// table itself.
+pub(super) struct LaneEncode {
+    shift: i32,
+    min_normal: i32,
+    rebias: i32,
+    magic: f32,
+    max_code: i32,
+    nan_code: i32,
+    lut: &'static Fp8Lut,
+}
+
+impl LaneEncode {
+    fn new(lut: &'static Fp8Lut) -> Self {
+        let spec = *lut.spec();
+        let (m, bias) = (spec.man_bits as i32, spec.bias);
+        debug_assert_eq!(spec.exp_bits + spec.man_bits, 7, "sign is bit 7");
+        debug_assert!(
+            (-103 - m..=126 - m).contains(&bias),
+            "f32-normal boundaries"
+        );
+        LaneEncode {
+            shift: 23 - m,
+            min_normal: (128 - bias) << 23,
+            rebias: (127 - bias) << m,
+            magic: f32::from_bits(((151 - bias - m) as u32) << 23),
+            max_code: spec.finite_magnitude_count() as i32 - 1,
+            nan_code: i32::from(ptq_fp8::Fp8Codec::from_spec(spec).nan_code()),
+            lut,
+        }
+    }
+}
+
+/// `(lut, xs, scale, codes)`: `codes[i] = lut.encode(xs[i] · scale)`, 8
+/// lanes at a time through [`Chains::encode8`], a ragged tail through
+/// [`Chains::load_part`].
+struct Encode<'a>(&'static Fp8Lut, &'a [f32], f32, &'a mut [u8]);
+
+impl LaneKernel for Encode<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Chains>(self) {
+        let Encode(lut, xs, scale, codes) = self;
+        assert_eq!(xs.len(), codes.len());
+        let (e, s) = (LaneEncode::new(lut), V::splat(scale));
+        let mut blocks = codes.chunks_exact_mut(NRM);
+        for (i, c) in blocks.by_ref().enumerate() {
+            c.copy_from_slice(&V::encode8(&e, V::load(xs.as_ptr().add(i * NRM)), s));
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            let v = V::load_part(xs.as_ptr().add(xs.len() - tail.len()), tail.len() as i32);
+            tail.copy_from_slice(&V::encode8(&e, v, s)[..tail.len()]);
+        }
+    }
+}
+
+/// The boundary encode of activations and KV rows: `codes[i] =
+/// lut.encode(xs[i] · scale)`, bit for bit, on the lanes [`run_lanes`]
+/// picks.
+pub(crate) fn encode(lut: &'static Fp8Lut, xs: &[f32], scale: f32, codes: &mut [u8]) {
+    run_lanes(Encode(lut, xs, scale, codes))
+}
+
 /// The one block walk of the FP8 kernels at lane type `$V`: 8 code rows,
 /// `$rows = (codes, stride, live)` (rows from `live` on repeat row `live −
 /// 1`: a ragged block's dead lanes), by their 8 `$scales`, `kk` in
@@ -292,7 +374,7 @@ mod simd {
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
-    use super::{Chains, LaneDecode, LaneKernel, NRM};
+    use super::{Chains, LaneDecode, LaneEncode, LaneKernel, NRM};
 
     pub(in crate::ops) fn avx2_available() -> bool {
         static AVX2: OnceLock<bool> = OnceLock::new();
@@ -463,6 +545,38 @@ mod simd {
             }
             let sign = _mm256_slli_epi32::<24>(_mm256_xor_si256(c, mag));
             _mm256_div_ps(_mm256_or_ps(v, ps!(sign)), scales)
+        }
+        /// `vmulps` is the scalar `v * s`; the rest is integer lanes and
+        /// one `vaddps` whose rounding is the subnormal RNE. No table.
+        #[inline(always)]
+        unsafe fn encode8(e: &LaneEncode, v: Self, s: Self) -> [u8; NRM] {
+            macro_rules! i {
+                ($v:expr) => {
+                    _mm256_set1_epi32($v)
+                };
+            }
+            let bits = _mm256_castps_si256(_mm256_mul_ps(v, s));
+            let mag = _mm256_and_si256(bits, i!(0x7fff_ffff));
+            let odd = _mm256_and_si256(_mm256_srlv_epi32(mag, i!(e.shift)), i!(1));
+            let half = _mm256_add_epi32(odd, i!((1 << (e.shift - 1)) - 1));
+            let rounded = _mm256_srlv_epi32(_mm256_add_epi32(mag, half), i!(e.shift));
+            let normal = _mm256_sub_epi32(rounded, i!(e.rebias));
+            let sum = _mm256_add_ps(_mm256_castsi256_ps(mag), _mm256_set1_ps(e.magic));
+            let sub = _mm256_sub_epi32(_mm256_castps_si256(sum), i!(e.magic.to_bits() as i32));
+            let code = _mm256_blendv_epi8(normal, sub, _mm256_cmpgt_epi32(i!(e.min_normal), mag));
+            let code = _mm256_min_epi32(code, i!(e.max_code));
+            let code = _mm256_or_si256(
+                code,
+                _mm256_and_si256(_mm256_srli_epi32::<24>(bits), i!(0x80)),
+            );
+            let nan = _mm256_cmpgt_epi32(mag, i!(0x7f80_0000));
+            let code = _mm256_blendv_epi8(code, i!(e.nan_code), nan);
+            let (lo, hi) = (
+                _mm256_castsi256_si128(code),
+                _mm256_extracti128_si256::<1>(code),
+            );
+            let bytes = _mm_packus_epi16(_mm_packs_epi32(lo, hi), _mm_setzero_si128());
+            (_mm_cvtsi128_si64(bytes) as u64).to_le_bytes()
         }
     }
 }
@@ -1013,7 +1127,7 @@ pub(super) fn depthwise(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use std::cell::Cell;
 
     use proptest::prelude::*;
@@ -1037,7 +1151,7 @@ mod tests {
     /// where detected). The switch is per thread: a kernel above the
     /// fan-out cutoff would run its chunks on the pool's lanes, so the
     /// shapes here stay far below it.
-    fn on_both_lanes(mut f: impl FnMut(&str)) {
+    pub(crate) fn on_both_lanes(mut f: impl FnMut(&str)) {
         for (portable, lanes) in [(true, "array lanes"), (false, "host lanes")] {
             PORTABLE.with(|p| p.set(portable));
             f(lanes);
@@ -1140,6 +1254,87 @@ mod tests {
     #[test]
     fn lane_decoder_matches_the_table_on_every_code() {
         on_both_lanes(|lanes| run_lanes(DecoderCheck(lanes)));
+    }
+
+    /// The encoder of one lane type against the table: every format, `xs`
+    /// by `s`, 8 lanes a load (a short last block through `load_part`).
+    struct EncoderCheck<'a>(&'a str, &'a [f32], f32);
+
+    impl LaneKernel for EncoderCheck<'_> {
+        unsafe fn run<V: Chains>(self) {
+            let EncoderCheck(lanes, xs, s) = self;
+            for f in Fp8Format::ALL {
+                let (lut, sv) = (Fp8Lut::for_format(f), V::splat(s));
+                let e = LaneEncode::new(lut);
+                for block in xs.chunks(NRM) {
+                    let v = V::load_part(block.as_ptr(), block.len() as i32);
+                    for (&x, got) in block.iter().zip(V::encode8(&e, v, sv)) {
+                        let bits = x.to_bits();
+                        assert_eq!(got, lut.encode(x * s), "{lanes}, {f} {bits:#010x} · {s:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inputs where an arithmetic encode can slip, both signs: ±0, ±Inf,
+    /// NaN payloads, f32 subnormals and extremes, and ±2 ulps around every
+    /// format's min normal, every RNE tie between neighbouring codes and
+    /// the saturation edge (half a step past the largest finite value).
+    fn encode_edges() -> Vec<f32> {
+        let mut edges = vec![0.0, f32::INFINITY, f32::NAN, f32::MAX, f32::MIN_POSITIVE];
+        edges.extend([1, 2, 3, 0x0040_0000, 0x007f_ffff].map(f32::from_bits));
+        edges.extend([0x7f80_0001, 0x7fc0_1234, 0x7fff_ffff].map(f32::from_bits));
+        for f in Fp8Format::ALL {
+            let (lut, spec) = (Fp8Lut::for_format(f), f.spec());
+            let max = spec.finite_magnitude_count() as u8 - 1;
+            let value = |c: u8| lut.decode(c);
+            let mut at = vec![
+                spec.min_normal(),
+                value(max),
+                1.5 * value(max) - 0.5 * value(max - 1),
+            ];
+            at.extend((1..=max).map(|c| 0.5 * (value(c - 1) + value(c))));
+            for x in at {
+                edges.extend((-2i32..=2).map(|d| f32::from_bits((x.to_bits() as i32 + d) as u32)));
+            }
+        }
+        let negated: Vec<f32> = edges.iter().map(|x| -x).collect();
+        edges.extend(negated);
+        edges
+    }
+
+    /// The 8-lane encoder against `Fp8Lut::encode`, on both lane types,
+    /// for every paper format: every 4 099th f32 bit pattern at unit
+    /// scale, and [`encode_edges`] at unit, non-power-of-two and tiny
+    /// scales — codes bit for bit, NaN and saturation included.
+    #[test]
+    fn lane_encoder_matches_the_table() {
+        let strided: Vec<f32> = (0..=u32::MAX as u64)
+            .step_by(4099)
+            .map(|b| f32::from_bits(b as u32))
+            .collect();
+        let edges = encode_edges();
+        on_both_lanes(|lanes| {
+            run_lanes(EncoderCheck(lanes, &strided, 1.0));
+            for s in [1.0, 3.7, 2f32.powi(-20)] {
+                run_lanes(EncoderCheck(lanes, &edges, s));
+            }
+        });
+    }
+
+    /// Pre-merge, `cargo test --release -p ptq-tensor --lib --
+    /// --ignored exhaustive_lane_encoder`: the encoder against the table
+    /// on all 2^32 inputs, every paper format, both lane types.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs × 3 formats × 2 lane types: ~10 min release"]
+    fn exhaustive_lane_encoder_matches_the_table() {
+        let mut xs = Vec::with_capacity(1 << 20);
+        for hi in 0..1u32 << 12 {
+            xs.clear();
+            xs.extend((0..1u32 << 20).map(|lo| f32::from_bits(hi << 20 | lo)));
+            on_both_lanes(|lanes| run_lanes(EncoderCheck(lanes, &xs, 1.0)));
+        }
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

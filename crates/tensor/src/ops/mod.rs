@@ -21,6 +21,7 @@ pub use activation::{
     softmax_lastdim_into, tanh, tanh_into,
 };
 pub use attn::{attention_step_q, attention_step_v, KvSegments};
+pub(crate) use blocked::encode;
 pub use conv::{
     conv2d, conv2d_into, conv2d_qq_into, depthwise_conv2d, depthwise_conv2d_into, Conv2dParams,
 };
@@ -116,3 +117,6 @@ pub(crate) fn for_each_chunk<T: Send>(
             .for_each(|(i, c)| f(i, c));
     }
 }
+
+#[cfg(test)]
+pub(crate) use blocked::tests::on_both_lanes;

@@ -24,7 +24,8 @@
 //! 16-cout and 4-pixel × 8-cout tiles over the same panels, the last one
 //! padded with dead lanes, an overlapped last block on a ragged interior
 //! and 1-pixel tiles with clamped taps on the borders) and an injected
-//! `0 / -0 / NaN / Inf` (the matmul `av == 0.0` skip and every
+//! `0 / -0 / NaN / Inf` (the matmul `av == 0.0` skip, tried with a zero
+//! of the lhs over an Inf of `B` in a 4-row chunk, and every
 //! `0 · Inf = NaN` are semantics the blocked kernels must preserve). The
 //! `nonfinite_codes` pins hold the one difference between the users of
 //! the shared register tile — matmul and batch_matmul skip a zero lhs
@@ -181,7 +182,10 @@ proptest! {
     /// matmul × {F32, Coded} lhs × {F32, Coded} rhs, shapes ragged around
     /// the 4×8 register tile, ragged tile tails when the tile divides
     /// neither k nor n. The poison lands in the lhs, whose zero-skip is
-    /// semantics.
+    /// semantics, and one more lhs zero — in the first 4-row chunk when
+    /// m ≥ 4, where the tile tests two `kk` steps of 4 rows at once — sits
+    /// over an Inf in its `B` row: a skip that fails to fire there turns
+    /// `0 · Inf` into NaN (an f32 `B`; a coded one saturates the Inf).
     #[test]
     fn matmul_rows_match_f32_on_dequantized(
         m in 1usize..11,
@@ -194,8 +198,11 @@ proptest! {
         seed in 0u64..500,
     ) {
         let mut a = TensorRng::seed(seed ^ 0x31).normal(&[m, k], 0.0, 1.5);
-        let b = TensorRng::seed(seed ^ 0x32).normal(&[k, n], 0.0, 1.5);
+        let mut b = TensorRng::seed(seed ^ 0x32).normal(&[k, n], 0.0, 1.5);
         poison(&mut a, at, poison_kind);
+        let kk = (at / 4) % k;
+        a.data_mut()[at % m.min(4) * k + kk] = 0.0;
+        b.data_mut()[kk * n + at % n] = f32::INFINITY;
         for (ca, cb) in KINDS {
             let (aa, ba) = (Act::new(&a, ca, f, tile), Act::new(&b, cb, f, tile));
             let want = oracle(|o, p| matmul_into(&aa.0, &ba.0, o, p));
