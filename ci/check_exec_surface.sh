@@ -80,10 +80,20 @@
 #     coalesced -- the worker pool is their only parallelism -- so the
 #     batching layer (`run_batch`, `take_batch`) and its two knobs
 #     (`max_batch`, `batch_window_us`) may not reappear under crates/, and
-#     crates/nn does not depend on `rayon`. The generation steps of one
-#     decode plan queued together do share one step: they share its weight
-#     decode, which is compute, not scheduling, and needs no window or knob.
+#     crates/nn fans out in one place only (the next rule). The generation
+#     steps of one decode plan queued together do share one step: they
+#     share its weight decode, which is compute, not scheduling, and needs
+#     no window or knob.
 #     The non-test lines of crates/serve/src stay within their budget.
+#   * One fan-out rule: `PAR_MACS_MIN` is written on non-comment, non-test
+#     lines only in crates/tensor/src/ops/mod.rs -- its definition and
+#     `fans_out`, the one reader -- so a kernel and a plan cannot disagree
+#     on whether a node fans out. Under crates/nn/src, crates/models/src
+#     and crates/core/src/bn_calib.rs, `par_chunks_mut(` and `par_iter(`
+#     appear on exactly one non-comment, non-test line, inside
+#     `PlanSet::run_each`: evaluation batches fan out there when no kernel
+#     of their plans does, and calibration and BatchNorm re-estimation stay
+#     in batch order (their f64 running sums depend on it).
 #   * One persistent pool for the process: vendor/rayon stays std-only (no
 #     dependency in its manifest), spawns its threads in exactly one
 #     non-test place (the pool, on first use) and never per call -- no
@@ -137,7 +147,7 @@ if hits=$(awk '/^pub use/,/;/' crates/tensor/src/ops/mod.rs | grep -owE "$mac" |
     fail=1
 fi
 
-ops_budget=3028
+ops_budget=3036
 ops_lines=$(non_test_lines crates/tensor/src/ops)
 if [ "$ops_lines" -gt "$ops_budget" ]; then
     echo "crates/tensor/src/ops has $ops_lines non-test lines, budget $ops_budget" >&2
@@ -291,9 +301,23 @@ if hits=$(grep -rnE 'run_batch|take_batch|max_batch|batch_window_us' crates/); t
     fail=1
 fi
 
-if hits=$(grep -n 'rayon' crates/nn/Cargo.toml); then
-    echo "crates/nn fans nothing out across requests and does not depend on rayon:" >&2
-    printf '%s\n' "$hits" >&2
+cutoff=$(find crates -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} match($0, /fn [a-z0-9_]+/){fn=substr($0, RSTART + 3, RLENGTH - 3)}
+        /PAR_MACS_MIN/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR":"fn": "$0}' "$f"
+done)
+if printf '%s' "$cutoff" | grep -vE '^crates/tensor/src/ops/mod\.rs:[0-9]+:(fans_out:|[a-z0-9_]*: const PAR_MACS_MIN: usize =)' | grep -q .; then
+    echo "one fan-out rule: PAR_MACS_MIN is defined and read (by fans_out) only in ops/mod.rs:" >&2
+    printf '%s\n' "$cutoff" >&2
+    fail=1
+fi
+fanouts=$(find crates/nn/src crates/models/src crates/core/src/bn_calib.rs -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /^impl /{impl=$0} match($0, /fn [a-z0-9_]+/){fn=substr($0, RSTART + 3, RLENGTH - 3)}
+        /par_chunks_mut\(|par_iter\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR":"impl":"fn": "$0}' "$f"
+done)
+if [ "$(printf '%s' "$fanouts" | grep -c .)" -ne 1 ] ||
+    ! printf '%s' "$fanouts" | grep -q '^crates/nn/src/plan\.rs:[0-9]*:impl PlanSet {:run_each: '; then
+    echo "one fan-out rule: nn, models and BatchNorm re-estimation fan out on one line, in PlanSet::run_each:" >&2
+    printf '%s\n' "$fanouts" >&2
     fail=1
 fi
 
@@ -346,5 +370,6 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "no [[bench]]/criterion, one ptq-bench binary, one run_suite," \
     "one decode schedule and one step loop (nn+core $nn_core_lines/$nn_core_budget lines," \
     "decode.rs $decode_lines/$decode_budget)," \
-    "no batching layer (serve at $serve_lines/$serve_budget lines, nn without rayon)," \
+    "no batching layer (serve at $serve_lines/$serve_budget lines)," \
+    "one fan-out rule (PAR_MACS_MIN read by fans_out, batches fan out in PlanSet::run_each)," \
     "one persistent std-only pool, one tanh"

@@ -51,8 +51,7 @@ fn eval_with_bn_calib(w: &Workload, samples: usize, transform: Transform) -> f64
         .expect("CV workload has a calib source");
     let batches = source.sample(samples, transform, 0xF17);
     recalibrate_batchnorm(&mut model, &batches).unwrap_ok();
-    w.evaluate_graph(&model.graph, &mut model.hook())
-        .unwrap_ok()
+    w.evaluate_graph(&model.graph, &model.hook()).unwrap_ok()
 }
 
 pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {

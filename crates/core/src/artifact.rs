@@ -896,9 +896,7 @@ mod tests {
         out.model.save(&path).unwrap();
         let loaded = QuantizedModel::load(&path).unwrap();
         // Same score, bit for bit, through the loaded model.
-        let score = w
-            .evaluate_graph(&loaded.graph, &mut loaded.hook())
-            .unwrap_ok();
+        let score = w.evaluate_graph(&loaded.graph, &loaded.hook()).unwrap_ok();
         assert_eq!(score.to_bits(), out.score.to_bits());
         // Saving the loaded model reproduces the artifact bytes exactly.
         assert_eq!(loaded.artifact_bytes(), out.model.artifact_bytes());
@@ -949,7 +947,7 @@ mod tests {
             assert_eq!(t.to_bits(), fresh.to_bits());
         }
         let score = w
-            .evaluate_graph(&art.model.graph, &mut art.model.hook())
+            .evaluate_graph(&art.model.graph, &art.model.hook())
             .unwrap_ok();
         assert_eq!(score.to_bits(), out.score.to_bits());
         std::fs::remove_file(&path).unwrap();

@@ -3,12 +3,13 @@
 //! shift quantization introduces (Sun et al. 2019).
 
 use crate::quantizer::QuantizedModel;
-use ptq_nn::{Binding, ExecHook, Node, Op, OpClass, PtqError, ValueId};
+use ptq_nn::{Binding, ExecHook, Graph, Node, NodeId, Op, OpClass, PlanSet, PtqError};
 use ptq_tensor::Tensor;
 use std::collections::HashMap;
 
-/// Accumulates per-channel moments of every BatchNorm node's input as the
-/// quantized model executes.
+/// Accumulates per-channel moments of BatchNorm inputs under the quantized
+/// model: of every BN from the first one `acc` holds an entry for on (all
+/// of them when `acc` starts empty; [`recalibrate_batchnorm`] seeds one).
 struct BnMomentHook<'a> {
     quant: crate::quantizer::QuantHook<'a>,
     // node id -> (sum, sum_sq, count) per channel
@@ -19,27 +20,24 @@ impl ExecHook for BnMomentHook<'_> {
     fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
         // Apply quantization first so we measure what BN will actually see.
         self.quant.before_node(node, inputs);
-        if node.op.class() != OpClass::BatchNorm {
+        let before_first = self.acc.keys().min().is_some_and(|&k| node.id < k);
+        if node.op.class() != OpClass::BatchNorm || before_first {
             return;
         }
         let x = &inputs[0];
         assert_eq!(x.ndim(), 4, "BatchNorm input must be NCHW");
-        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let entry = self
-            .acc
-            .entry(node.id)
-            .or_insert_with(|| (vec![0.0; c], vec![0.0; c], 0.0));
-        let data = x.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for &v in &data[base..base + h * w] {
-                    entry.0[ci] += v as f64;
-                    entry.1[ci] += (v as f64) * (v as f64);
-                }
+        let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
+        let entry = self.acc.entry(node.id).or_default();
+        entry.0.resize(c, 0.0);
+        entry.1.resize(c, 0.0);
+        // Plane `i` (in memory order) is channel `i % c` of image `i / c`.
+        for (i, plane) in x.data().chunks(hw.max(1)).enumerate() {
+            for &v in plane {
+                entry.0[i % c] += v as f64;
+                entry.1[i % c] += (v as f64) * (v as f64);
             }
         }
-        entry.2 += (n * h * w) as f64;
+        entry.2 += (n * hw) as f64;
     }
 
     // Measure under exactly the inference the eval pass runs: same
@@ -49,62 +47,61 @@ impl ExecHook for BnMomentHook<'_> {
     }
 }
 
+/// The graph's prefix that ends at node `last`: its nodes up to and
+/// including `last`, the parameters they read, and `last`'s output as the
+/// one graph output. Node and value ids are the full graph's, so the
+/// quantized model's tables (keyed by them) apply unchanged.
+fn prefix(graph: &Graph, last: NodeId) -> Graph {
+    let nodes = &graph.nodes()[..=last];
+    let param = |id| Some((id, graph.param(id)?.clone()));
+    let params = nodes.iter().flat_map(|n| n.op.param_values());
+    let (inputs, outputs) = (graph.input_ids().to_vec(), vec![nodes[last].output]);
+    let params = params.filter_map(param).collect();
+    Graph::from_parts(nodes.to_vec(), params, inputs, outputs, graph.n_values())
+}
+
 /// Run `calib` batches through the quantized model, measure each
 /// BatchNorm's input moments, and overwrite the graph's running mean/var
 /// parameters. Returns the number of BatchNorm nodes recalibrated.
 ///
-/// BatchNorms are fixed **sequentially in execution order** (one
-/// measurement pass per BN): a BN's correct statistics depend on every
-/// earlier BN already carrying its recalibrated statistics. Train-mode BN
-/// in a framework gets this consistency for free by normalizing with batch
-/// statistics during the calibration forward; an inference-mode emulation
-/// has to schedule it explicitly.
+/// BatchNorms are fixed **sequentially in execution order**: a BN's
+/// correct statistics depend on every earlier BN already carrying its
+/// recalibrated statistics (train-mode BN gets that from batch statistics;
+/// an inference-mode emulation has to schedule it). BN k is measured by
+/// one in-order pass of the batches (the f64 sums depend on the order)
+/// over the [`prefix`] that ends at it, accumulating its moments alone;
+/// the prefix's plans are dropped after it, so the model's [`PlanSet`]
+/// keeps no calibration-shape plan.
 pub fn recalibrate_batchnorm(
     model: &mut QuantizedModel,
     calib: &[Vec<Tensor>],
 ) -> Result<usize, PtqError> {
-    let bn_nodes = model.graph.nodes_of_class(OpClass::BatchNorm);
     let mut updated = 0;
-    for &target in &bn_nodes {
-        let acc = {
-            let mut hook = BnMomentHook {
-                quant: model.hook(),
-                acc: HashMap::new(),
-            };
-            // Planned execution: the measurement passes reuse one cached
-            // plan (and its arena) per calibration-batch shape. The
-            // `set_param` rewrites below keep the same parameter shapes,
-            // so cached plans stay valid across the sequential BN fixes.
-            for inputs in calib {
-                model.plans.run(&model.graph, inputs, &mut hook)?;
-            }
-            hook.acc
+    for target in model.graph.nodes_of_class(OpClass::BatchNorm) {
+        let graph = prefix(&model.graph, target);
+        let plans = PlanSet::new();
+        let mut hook = BnMomentHook {
+            quant: model.hook(),
+            acc: HashMap::from([(target, Default::default())]),
         };
-        let Some((sum, sq, count)) = acc.get(&target) else {
+        for inputs in calib {
+            plans.run(&graph, inputs, &mut hook)?;
+        }
+        let Some((sum, sq, count)) = hook.acc.remove(&target).filter(|a| a.2 > 0.0) else {
             continue;
         };
-        if *count == 0.0 {
+        let Op::BatchNorm { mean, var, .. } = model.graph.nodes()[target].op else {
             continue;
-        }
-        let update: Option<(ValueId, Tensor, ValueId, Tensor)> = {
-            let node = &model.graph.nodes()[target];
-            if let Op::BatchNorm { mean, var, .. } = &node.op {
-                let m: Vec<f32> = sum.iter().map(|&s| (s / count) as f32).collect();
-                let v: Vec<f32> = m
-                    .iter()
-                    .zip(sq)
-                    .map(|(&mi, &s)| ((s / count) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
-                    .collect();
-                Some((*mean, Tensor::from_slice(&m), *var, Tensor::from_slice(&v)))
-            } else {
-                None
-            }
         };
-        if let Some((mid, m, vid, v)) = update {
-            model.graph.set_param(mid, m)?;
-            model.graph.set_param(vid, v)?;
-            updated += 1;
-        }
+        let m: Vec<f32> = sum.iter().map(|&s| (s / count) as f32).collect();
+        let v: Vec<f32> = m
+            .iter()
+            .zip(&sq)
+            .map(|(&mi, &s)| ((s / count) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
+            .collect();
+        model.graph.set_param(mean, Tensor::from_slice(&m))?;
+        model.graph.set_param(var, Tensor::from_slice(&v))?;
+        updated += 1;
     }
     Ok(updated)
 }
@@ -142,6 +139,146 @@ mod tests {
         let wl = b.param(rng.kaiming(&[5, 4]));
         let out = b.linear(g, wl, None);
         b.finish(vec![out])
+    }
+
+    /// Four BNs, two of them on a residual branch that the skip path
+    /// crosses: `r0` stays live past `bn1` and `bn2` until the `Add`.
+    fn residual_bn_cnn(seed: u64) -> ptq_nn::Graph {
+        let mut rng = TensorRng::seed(seed);
+        let mut b = GraphBuilder::new();
+        let bn = |b: &mut GraphBuilder, x, c: usize, k: u64| {
+            let gamma = b.param(TensorRng::seed(seed ^ k).uniform(&[c], 0.8, 1.2));
+            let beta = b.param(TensorRng::seed(seed ^ (k + 8)).uniform(&[c], -0.1, 0.1));
+            // Deliberately stale running stats.
+            let mean = b.param(Tensor::full(&[c], 0.5));
+            let var = b.param(Tensor::full(&[c], 2.5));
+            b.batchnorm(x, gamma, beta, mean, var, 1e-5)
+        };
+        let x = b.input();
+        let w0 = b.param(rng.kaiming(&[6, 3, 3, 3]));
+        let c0 = b.conv2d(x, w0, None, Conv2dParams::same(3));
+        let bn0 = bn(&mut b, c0, 6, 1);
+        let r0 = b.relu(bn0);
+        let w1 = b.param(rng.kaiming(&[6, 6, 3, 3]));
+        let c1 = b.conv2d(r0, w1, None, Conv2dParams::same(3));
+        let bn1 = bn(&mut b, c1, 6, 2);
+        let r1 = b.relu(bn1);
+        let w2 = b.param(rng.kaiming(&[6, 6, 3, 3]));
+        let c2 = b.conv2d(r1, w2, None, Conv2dParams::same(3));
+        let bn2 = bn(&mut b, c2, 6, 3);
+        let sum = b.add(r0, bn2);
+        let r2 = b.relu(sum);
+        let w3 = b.param(rng.kaiming(&[5, 6, 3, 3]));
+        let c3 = b.conv2d(r2, w3, None, Conv2dParams::same(3));
+        let bn3 = bn(&mut b, c3, 5, 4);
+        let r3 = b.relu(bn3);
+        let g = b.global_avg_pool(r3);
+        let wl = b.param(rng.kaiming(&[4, 5]));
+        let out = b.linear(g, wl, None);
+        b.finish(vec![out])
+    }
+
+    /// The algorithm before prefixes, as the oracle: per BN, the full
+    /// graph over every batch, every BN's moments accumulated, the
+    /// target's kept.
+    fn recalibrate_on_the_full_graph(model: &mut QuantizedModel, calib: &[Vec<Tensor>]) {
+        struct EveryBn<'a> {
+            quant: crate::quantizer::QuantHook<'a>,
+            acc: HashMap<usize, (Vec<f64>, Vec<f64>, f64)>,
+        }
+        impl ExecHook for EveryBn<'_> {
+            fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+                self.quant.before_node(node, inputs);
+                if node.op.class() != OpClass::BatchNorm {
+                    return;
+                }
+                let x = &inputs[0];
+                let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
+                let e = self
+                    .acc
+                    .entry(node.id)
+                    .or_insert_with(|| (vec![0.0; c], vec![0.0; c], 0.0));
+                for ni in 0..n {
+                    for ci in 0..c {
+                        let base = (ni * c + ci) * hw;
+                        for &v in &x.data()[base..base + hw] {
+                            e.0[ci] += v as f64;
+                            e.1[ci] += (v as f64) * (v as f64);
+                        }
+                    }
+                }
+                e.2 += (n * hw) as f64;
+            }
+            fn bind(&self, node: &Node) -> Binding<'_> {
+                self.quant.bind(node)
+            }
+        }
+        let plans = PlanSet::new();
+        for target in model.graph.nodes_of_class(OpClass::BatchNorm) {
+            let mut hook = EveryBn {
+                quant: model.hook(),
+                acc: HashMap::new(),
+            };
+            for inputs in calib {
+                plans.run(&model.graph, inputs, &mut hook).unwrap_ok();
+            }
+            let (sum, sq, count) = &hook.acc[&target];
+            let m: Vec<f32> = sum.iter().map(|&s| (s / count) as f32).collect();
+            let v: Vec<f32> = m
+                .iter()
+                .zip(sq)
+                .map(|(&mi, &s)| ((s / count) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
+                .collect();
+            let Op::BatchNorm { mean, var, .. } = model.graph.nodes()[target].op else {
+                unreachable!("nodes_of_class returned a non-BatchNorm node");
+            };
+            model
+                .graph
+                .set_param(mean, Tensor::from_slice(&m))
+                .unwrap_ok();
+            model
+                .graph
+                .set_param(var, Tensor::from_slice(&v))
+                .unwrap_ok();
+        }
+    }
+
+    #[test]
+    fn prefix_recalibration_is_bit_identical_to_the_full_graph_oracle() {
+        use crate::config::{ActivationStorage, Coverage};
+        let calib_x: Vec<Vec<Tensor>> = (0..3)
+            .map(|i| vec![TensorRng::seed(40 + i).normal(&[4, 3, 8, 8], 0.0, 1.0)])
+            .collect();
+        let g = residual_bn_cnn(5);
+        let mut hook = CalibrationHook::new();
+        for c in &calib_x {
+            g.run(c, &mut hook).unwrap_ok();
+        }
+        let calib = hook.into_data();
+        for coverage in [Coverage::Standard, Coverage::Extended] {
+            for storage in [ActivationStorage::Fp8, ActivationStorage::FakeQuantF32] {
+                let cfg = QuantConfig::fp8(Fp8Format::E4M3)
+                    .with_coverage(coverage)
+                    .with_activation_storage(storage);
+                let mut model = QuantizedModel::build(g.clone(), &calib, cfg).unwrap_ok();
+                let mut oracle = model.clone();
+                assert_eq!(recalibrate_batchnorm(&mut model, &calib_x).unwrap_ok(), 4);
+                recalibrate_on_the_full_graph(&mut oracle, &calib_x);
+                assert!(model.plans.is_empty(), "no calibration-shape plan is kept");
+                for id in model.graph.nodes_of_class(OpClass::BatchNorm) {
+                    let (a, b) = (
+                        model.graph.batchnorm_params(id).unwrap_ok(),
+                        oracle.graph.batchnorm_params(id).unwrap_ok(),
+                    );
+                    assert_ne!(a.mean.data()[0], 0.5, "BN {id} was not recalibrated");
+                    for (x, y) in [(&a.mean, &b.mean), (&a.var, &b.var)] {
+                        let bits =
+                            |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(x), bits(y), "{coverage:?}/{storage:?}: BN {id}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub struct QuantizedModel {
     pub qweights: HashMap<ValueId, QTensor>,
     /// SmoothQuant per-input-channel *divisors* for Linear activations.
     pub smooth: HashMap<NodeId, Vec<f32>>,
-    /// Execution plans for [`Self::graph`], keyed by input shape (used by
-    /// BatchNorm recalibration and quantized evaluation). `Clone` yields a
-    /// fresh empty set.
+    /// Execution plans for [`Self::graph`], keyed by input shape (serving
+    /// and direct forwards; BatchNorm recalibration plans its own graph
+    /// prefixes). `Clone` yields a fresh empty set.
     pub plans: PlanSet,
     /// Bytes of quantized-node activation inputs as actually carried
     /// across op boundaries during execution: codes + scales for inputs

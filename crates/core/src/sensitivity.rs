@@ -61,7 +61,7 @@ pub fn sensitivity_profile(
             }
         }
         let model = QuantizedModel::build(workload.graph.clone(), &calib, only_one)?;
-        let score = workload.evaluate_graph(&model.graph, &mut model.hook())?;
+        let score = workload.evaluate_graph(&model.graph, &model.hook())?;
         let node = &workload.graph.nodes()[keep];
         nodes.push(NodeSensitivity {
             node: keep,

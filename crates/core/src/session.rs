@@ -1,8 +1,8 @@
 //! The consolidated PTQ entry point: [`PtqSession`].
 //!
 //! Construct a session from a [`QuantConfig`], optionally attach a shared
-//! [`CalibCache`], pre-collected [`CalibData`] or an observer hook, then
-//! call [`PtqSession::quantize`] on any number of workloads. The pipeline
+//! [`CalibCache`] or pre-collected [`CalibData`], then call
+//! [`PtqSession::quantize`] on any number of workloads. The pipeline
 //! is the paper's Figure-2 flow — calibrate → quantize → (BatchNorm
 //! recalibrate) → evaluate — and is fail-soft: typed errors (and residual
 //! panics, converted to [`PtqError::Internal`]) surface per workload
@@ -13,13 +13,12 @@ use crate::bn_calib::recalibrate_batchnorm;
 use crate::calib_cache::CalibCache;
 use crate::calibrate::CalibData;
 use crate::config::QuantConfig;
-use crate::quantizer::{QuantHook, QuantizedModel};
+use crate::quantizer::QuantizedModel;
 use crate::spec::{EngineSpec, ServeSpec};
 use crate::workflow::{calibrate_workload, run_guarded};
 use ptq_metrics::WorkloadResult;
 use ptq_models::Workload;
-use ptq_nn::{Binding, ExecHook, Node, PtqError};
-use ptq_tensor::Tensor;
+use ptq_nn::PtqError;
 
 /// Result of quantizing one workload under one recipe.
 #[derive(Debug)]
@@ -47,33 +46,6 @@ pub struct QuantOutcome {
     pub act_bytes_f32: usize,
 }
 
-/// Chains the quantizing hook with a caller-supplied observer: the
-/// observer sees each node's inputs *after* fake-quantization (what the
-/// quantized operator actually consumes) and each output after any
-/// dynamic requantization. The binding stays with the quantizer so the
-/// observer cannot perturb the arithmetic.
-struct ObservedQuant<'m, 'o> {
-    quant: QuantHook<'m>,
-    obs: &'o mut dyn ExecHook,
-}
-
-impl ExecHook for ObservedQuant<'_, '_> {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-        self.quant.before_node(node, inputs);
-        self.obs.before_node(node, inputs);
-    }
-
-    fn after_node(&mut self, node: &Node, out: &mut Tensor) {
-        self.quant.after_node(node, out);
-        self.obs.after_node(node, out);
-    }
-
-    // The observer watches; it does not steer execution.
-    fn bind(&self, node: &Node) -> Binding<'_> {
-        self.quant.bind(node)
-    }
-}
-
 /// A configured PTQ pipeline, reusable across workloads.
 ///
 /// ```no_run
@@ -94,7 +66,6 @@ pub struct PtqSession<'a> {
     spec: EngineSpec,
     cache: Option<&'a CalibCache>,
     calib: Option<&'a CalibData>,
-    observer: Option<&'a mut dyn ExecHook>,
     artifact: Option<&'a PtqArtifact>,
 }
 
@@ -104,7 +75,6 @@ impl std::fmt::Debug for PtqSession<'_> {
             .field("spec", &self.spec)
             .field("cache", &self.cache.is_some())
             .field("calib", &self.calib.is_some())
-            .field("observer", &self.observer.is_some())
             .field("artifact", &self.artifact.is_some())
             .finish()
     }
@@ -123,7 +93,6 @@ impl<'a> PtqSession<'a> {
             },
             cache: None,
             calib: None,
-            observer: None,
             artifact: None,
         }
     }
@@ -173,15 +142,6 @@ impl<'a> PtqSession<'a> {
             serving: artifact.serving.clone(),
         };
         self.artifact = Some(artifact);
-        self
-    }
-
-    /// Attach an observer hook that rides along during the quantized
-    /// evaluation pass (e.g. to record per-node activations). The observer
-    /// runs after the quantizer's own staging, so it sees exactly what the
-    /// quantized operators see; it cannot substitute weights.
-    pub fn hook(mut self, observer: &'a mut dyn ExecHook) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -285,17 +245,15 @@ impl<'a> PtqSession<'a> {
     }
 
     /// Obtain the model from `make`, evaluate it on the workload's eval
-    /// set (through the observer when one is attached) and account its
-    /// weight and activation bytes — all inside one panic boundary and one
-    /// trace span.
+    /// set and account its weight and activation bytes — all inside one
+    /// panic boundary and one trace span.
     fn evaluate(
-        &mut self,
+        &self,
         workload: &Workload,
         span_name: &str,
         make: impl FnOnce(&QuantConfig) -> Result<QuantizedModel, PtqError>,
     ) -> Result<QuantOutcome, PtqError> {
         let cfg = &self.spec.config;
-        let observer = self.observer.as_deref_mut();
         run_guarded(|| {
             let mut sp = ptq_trace::span(ptq_trace::Level::Info, span_name);
             if sp.active() {
@@ -306,16 +264,7 @@ impl<'a> PtqSession<'a> {
             // Building may have run quantized inference (BatchNorm
             // recalibration); count only the evaluation pass.
             model.reset_act_bytes();
-            let score = match observer {
-                Some(obs) => {
-                    let mut chained = ObservedQuant {
-                        quant: model.hook(),
-                        obs,
-                    };
-                    workload.evaluate_graph(&model.graph, &mut chained)?
-                }
-                None => workload.evaluate_graph(&model.graph, &mut model.hook())?,
-            };
+            let score = workload.evaluate_graph(&model.graph, &model.hook())?;
             sp.record_f64("score", score);
             Ok(QuantOutcome {
                 score,
@@ -394,31 +343,6 @@ mod tests {
             scalar.score.to_bits(),
             "kernel path must never change results"
         );
-    }
-
-    #[test]
-    fn observer_hook_rides_along_without_changing_scores() {
-        struct CountNodes(usize);
-        impl ExecHook for CountNodes {
-            fn before_node(&mut self, _node: &Node, _inputs: &mut [Tensor]) {
-                self.0 += 1;
-            }
-        }
-        let zoo = build_zoo(ZooFilter::Quick);
-        let w = &zoo[0];
-        let cfg = QuantConfig::fp8(Fp8Format::E4M3);
-        let base = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
-        let mut counter = CountNodes(0);
-        let observed = PtqSession::new(cfg)
-            .hook(&mut counter)
-            .quantize(w)
-            .unwrap_ok();
-        // The wrapper forwards `bind` verbatim: same score, and the coded
-        // activation datapath (the default storage) ran under it too.
-        assert_eq!(base.score.to_bits(), observed.score.to_bits());
-        assert_eq!(base.act_bytes, observed.act_bytes);
-        assert!(observed.act_bytes * 3 < observed.act_bytes_f32);
-        assert!(counter.0 > 0, "observer never fired");
     }
 
     #[test]

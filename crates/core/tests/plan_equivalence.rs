@@ -9,8 +9,8 @@ use ptq_core::config::{
 };
 use ptq_core::{paper_recipe, CalibrationHook, PtqSession, QuantizedModel, UnwrapOk};
 use ptq_fp8::Fp8Format;
-use ptq_models::{build_zoo, ZooFilter};
-use ptq_nn::{ActBinding, ExecPlan, Graph, NoopHook};
+use ptq_models::{build_zoo, Workload, ZooFilter};
+use ptq_nn::{ActBinding, ExecHook, ExecPlan, Graph, NoopHook, PlanSet};
 use ptq_tensor::Tensor;
 
 fn plan_for(graph: &Graph, inputs: &[Tensor]) -> ExecPlan {
@@ -260,4 +260,57 @@ fn plan_matches_interpreter_under_quantized_hooks_across_zoo() {
             );
         }
     }
+}
+
+/// `Workload::evaluate_graph` runs its batches through `PlanSet::run_each`
+/// (on the pool, one batch per claim, where no kernel of the plan fans
+/// out); an in-order loop over `PlanSet::run` under one hook is its
+/// oracle. Same score bits and the same activation-byte accounting, under
+/// the FP32 hook and the quantized one, on every quick-zoo workload.
+#[test]
+fn evaluation_matches_an_in_order_loop_across_zoo() {
+    fn in_order(w: &Workload, graph: &Graph, hook: &mut dyn ExecHook) -> f64 {
+        let plans = PlanSet::new();
+        let outputs: Vec<Tensor> = w
+            .eval
+            .iter()
+            .map(|batch| plans.run(graph, batch, hook).unwrap_ok().remove(0))
+            .collect();
+        w.metric.score(&outputs)
+    }
+    let (mut pooled, mut serial) = (0, 0);
+    for w in &build_zoo(ZooFilter::Quick) {
+        let name = &w.spec.name;
+        if w.plans
+            .plan_for(&w.graph, &w.eval[0])
+            .unwrap_ok()
+            .fans_out()
+        {
+            serial += 1;
+        } else {
+            pooled += 1;
+        }
+        let fp32 = in_order(w, &w.graph, &mut NoopHook);
+        assert_eq!(
+            w.evaluate(&NoopHook).unwrap_ok().to_bits(),
+            fp32.to_bits(),
+            "{name}"
+        );
+        assert_eq!(w.fp32_score.to_bits(), fp32.to_bits(), "{name}");
+
+        let out = PtqSession::new(QuantConfig::fp8(Fp8Format::E4M3))
+            .quantize(w)
+            .unwrap_ok();
+        let model = &out.model;
+        model.reset_act_bytes();
+        let score = in_order(w, &model.graph, &mut model.hook());
+        assert_eq!(out.score.to_bits(), score.to_bits(), "{name}");
+        assert_eq!(out.act_bytes, model.act_bytes(), "{name}");
+        assert_eq!(out.act_bytes_f32, model.act_bytes_f32(), "{name}");
+        assert!(out.act_bytes > 0, "{name}: nothing was accounted");
+    }
+    assert!(
+        pooled > 0 && serial > 0,
+        "both paths ran: {pooled} pooled, {serial} serial"
+    );
 }

@@ -565,7 +565,7 @@ fn pixel_labels(logits: &Tensor) -> Vec<usize> {
 /// Sanity hook used by tests: FP32 re-evaluation must match the stored
 /// baseline.
 pub fn fp32_rescore(w: &Workload) -> f64 {
-    w.evaluate(&mut NoopHook).unwrap_ok()
+    w.evaluate(&NoopHook).unwrap_ok()
 }
 
 #[cfg(test)]

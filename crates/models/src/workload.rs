@@ -68,13 +68,16 @@ impl Workload {
             calib_source,
             plans: PlanSet::new(),
         };
-        w.fp32_score = w.evaluate(&mut NoopHook).unwrap_ok();
+        w.fp32_score = w.evaluate(&NoopHook).unwrap_ok();
         w
     }
 
     /// Run every eval batch through the graph under `hook` and score the
     /// outputs.
-    pub fn evaluate(&self, hook: &mut dyn ExecHook) -> Result<f64, PtqError> {
+    pub fn evaluate<H>(&self, hook: &H) -> Result<f64, PtqError>
+    where
+        H: ExecHook + Clone + Send + Sync,
+    {
         self.evaluate_graph(&self.graph, hook)
     }
 
@@ -84,11 +87,16 @@ impl Workload {
     ///
     /// Executes through cached [`ExecPlan`](ptq_nn::ExecPlan)s (one per
     /// eval-batch shape), so repeated evaluation reuses arena buffers
-    /// instead of re-validating and re-allocating every pass.
-    pub fn evaluate_graph(&self, graph: &Graph, hook: &mut dyn ExecHook) -> Result<f64, PtqError> {
+    /// instead of re-validating and re-allocating every pass. The batches
+    /// go through [`PlanSet::run_each`], each under its own clone of
+    /// `hook`: they fan out on the pool when no kernel of their plans
+    /// does, and the score is the same bits either way.
+    pub fn evaluate_graph<H>(&self, graph: &Graph, hook: &H) -> Result<f64, PtqError>
+    where
+        H: ExecHook + Clone + Send + Sync,
+    {
         let mut outputs: Vec<Tensor> = Vec::with_capacity(self.eval.len());
-        for inputs in &self.eval {
-            let mut out = self.plans.run(graph, inputs, hook)?;
+        for mut out in self.plans.run_each(graph, &self.eval, hook)? {
             match (out.pop(), out.is_empty()) {
                 (Some(t), true) => outputs.push(t),
                 _ => {
@@ -108,7 +116,10 @@ impl Workload {
     }
 
     /// Calibrate against a different graph instance, surfacing failures as
-    /// typed errors. Planned execution, like [`Workload::evaluate_graph`].
+    /// typed errors. Planned execution, like [`Workload::evaluate_graph`],
+    /// but always in batch order on the caller under the one `hook`:
+    /// calibration observers keep f64 running moments
+    /// (`TensorStats`), whose sums depend on the order the batches arrive.
     pub fn calibrate_graph(&self, graph: &Graph, hook: &mut dyn ExecHook) -> Result<(), PtqError> {
         for inputs in &self.calib {
             self.plans.run(graph, inputs, hook)?;

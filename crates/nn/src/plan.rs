@@ -16,7 +16,8 @@
 //!   steady-state execution performs **zero intermediate-tensor
 //!   allocations** — every node writes into a pre-sized slot through the
 //!   `*_into` kernels.
-//!   Concurrent callers (the `serve` workers) each draw their own arena.
+//!   Concurrent callers (the `serve` workers, the batches
+//!   [`PlanSet::run_each`] fans out) each draw their own arena.
 //!
 //! Planned execution is *bit-identical* to [`Graph::run`]: both run every
 //! node through the one shared `exec::run_node` (hook protocol and kernel
@@ -31,9 +32,10 @@
 
 use crate::error::{PtqError, Shape};
 use crate::exec::{run_node, NodeScratch};
-use crate::graph::{Graph, ValueId};
+use crate::graph::{Graph, Node, Op, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -155,6 +157,8 @@ pub struct ExecPlan {
     slot_elems: Vec<usize>,
     /// Widest node input arity (sizes the staging buffers).
     max_arity: usize,
+    /// Whether some node's kernel fans out on the pool by itself.
+    fans_out: bool,
     /// Warm arenas, reused across runs and shared by batch workers.
     pool: ArenaPool,
 }
@@ -194,6 +198,7 @@ impl Graph {
         let mut free: Vec<usize> = Vec::new();
         let mut active: Vec<(usize, usize)> = Vec::new(); // (last_use, slot)
         let mut max_arity = 0usize;
+        let mut fans_out = false;
         for (i, node) in self.nodes.iter().enumerate() {
             // Expire slots whose value has no reader at or after this
             // node. `< i` (not `<= i`) keeps every input of the current
@@ -229,6 +234,7 @@ impl Graph {
                 slot_elems.len() - 1
             });
             slot_elems[slot] = slot_elems[slot].max(elems);
+            fans_out |= ptq_tensor::ops::fans_out(elems * self.contraction(node, &shapes));
             active.push((last_use[node.output], slot));
             src[node.output] = Some(Src::Slot(slot));
             steps.push(Step {
@@ -268,8 +274,24 @@ impl Graph {
             outputs,
             slot_elems,
             max_arity,
+            fans_out,
             pool: ArenaPool::default(),
         })
+    }
+
+    /// MACs per output element of `node`'s kernel: the weight's
+    /// `len / dim(0)` for Conv2d and Linear, input 0's last dim for MatMul
+    /// and BatchMatMul, 0 for every other op.
+    fn contraction(&self, node: &Node, shapes: &[Option<Shape>]) -> usize {
+        let last_dim = |v: &ValueId| shapes[*v].as_ref()?.last().copied();
+        match &node.op {
+            Op::Conv2d { weight, .. } | Op::Linear { weight, .. } => self
+                .params
+                .get(weight)
+                .map_or(0, |w| w.len() / w.dim(0).max(1)),
+            Op::MatMul | Op::BatchMatMul => node.inputs.first().and_then(last_dim).unwrap_or(0),
+            _ => 0,
+        }
     }
 }
 
@@ -286,9 +308,10 @@ impl ExecPlan {
         self.slot_elems.iter().sum()
     }
 
-    /// Input shapes the plan was built for.
-    pub fn input_shapes(&self) -> &[Shape] {
-        &self.in_shapes
+    /// True when some node's kernel fans out on the pool by itself
+    /// ([`ptq_tensor::ops::fans_out`] of its output elements × contraction).
+    pub fn fans_out(&self) -> bool {
+        self.fans_out
     }
 
     /// Execute the plan against `graph` (which must match the structure
@@ -465,6 +488,40 @@ impl PlanSet {
         self.plan_for(graph, inputs)?.run(graph, inputs, hook)
     }
 
+    /// [`PlanSet::run`] over every batch, each under its own clone of
+    /// `hook`; outputs come back in batch order, and so does the first
+    /// error. The plans are fetched on the caller. When none fans a kernel
+    /// out itself ([`ExecPlan::fans_out`]), the pool claims one batch at a
+    /// time, each drawing its own arena; otherwise (or when a plan fails
+    /// to build) the batches run in order on the caller, where the kernels
+    /// use the pool. Outputs are the same bits either way.
+    pub fn run_each<H>(
+        &self,
+        graph: &Graph,
+        batches: &[Vec<Tensor>],
+        hook: &H,
+    ) -> Result<Vec<Vec<Tensor>>, PtqError>
+    where
+        H: ExecHook + Clone + Send + Sync,
+    {
+        let plans: Vec<_> = batches.iter().map(|b| self.plan_for(graph, b)).collect();
+        let run = |i: usize| {
+            let plan = plans[i].as_ref().map_err(PtqError::clone)?;
+            plan.run(graph, &batches[i], &mut hook.clone())
+        };
+        if plans
+            .iter()
+            .any(|p| p.as_ref().map_or(true, |p| p.fans_out))
+        {
+            return (0..batches.len()).map(run).collect();
+        }
+        let mut outs = vec![None; batches.len()];
+        outs.par_chunks_mut(1)
+            .enumerate()
+            .for_each(|(i, out)| out[0] = Some(run(i)));
+        outs.into_iter().flatten().collect()
+    }
+
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.plans
@@ -611,6 +668,97 @@ mod tests {
         let after = plan.run(&g, &[x], &mut NoopHook).unwrap_ok();
         assert_ne!(before, after);
         assert!(after[0].data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn a_plan_fans_out_exactly_when_a_kernel_reaches_the_cutoff() {
+        // A 1x1 conv over 4 channels: 4 MACs per output element, so 16
+        // output channels of 128x128 are 1 << 20 MACs, one column fewer
+        // is below the cutoff.
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let w = b.param(Tensor::zeros(&[16, 4, 1, 1]));
+        let c = b.conv2d(x, w, None, Conv2dParams::same(1));
+        let conv = b.finish(vec![c]);
+        assert!(conv.plan(&[vec![1, 4, 128, 128]]).unwrap_ok().fans_out());
+        assert!(!conv.plan(&[vec![1, 4, 128, 127]]).unwrap_ok().fans_out());
+        // A Linear contracts over the weight's in-features, a MatMul over
+        // input 0's last dim: 1024 rows x 32 x 32 is the cutoff.
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let w = b.param(Tensor::zeros(&[32, 32]));
+        let l = b.linear(x, w, None);
+        let linear = b.finish(vec![l]);
+        assert!(linear.plan(&[vec![1024, 32]]).unwrap_ok().fans_out());
+        assert!(!linear.plan(&[vec![1023, 32]]).unwrap_ok().fans_out());
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.input(), b.input());
+        let m = b.matmul(x, y);
+        let matmul = b.finish(vec![m]);
+        assert!(matmul
+            .plan(&[vec![32, 1024], vec![1024, 32]])
+            .unwrap_ok()
+            .fans_out());
+        assert!(!matmul
+            .plan(&[vec![32, 1023], vec![1023, 32]])
+            .unwrap_ok()
+            .fans_out());
+        // Elementwise work never counts: the plans of `tiny_cnn` stay serial.
+        assert!(!tiny_cnn().plan(&[vec![2, 3, 8, 8]]).unwrap_ok().fans_out());
+    }
+
+    /// The in-order loop `run_each` must agree with.
+    fn in_order(
+        set: &PlanSet,
+        g: &Graph,
+        batches: &[Vec<Tensor>],
+    ) -> Result<Vec<Vec<Tensor>>, PtqError> {
+        batches
+            .iter()
+            .map(|b| set.run(g, b, &mut NoopHook))
+            .collect()
+    }
+
+    #[test]
+    fn run_each_returns_outputs_in_batch_order() {
+        let g = tiny_cnn();
+        let batches: Vec<Vec<Tensor>> = (0..9)
+            .map(|i| {
+                vec![TensorRng::seed(100 + i).normal(&[1 + i as usize % 3, 3, 8, 8], 0.0, 1.0)]
+            })
+            .collect();
+        let set = PlanSet::new();
+        let outs = set.run_each(&g, &batches, &NoopHook).unwrap_ok();
+        assert_eq!(outs, in_order(&set, &g, &batches).unwrap_ok());
+        assert!(outs.windows(2).all(|w| w[0] != w[1]));
+        assert_eq!(set.len(), 3);
+    }
+
+    #[test]
+    fn run_each_returns_the_in_order_loops_first_error() {
+        // A plan that fails to build (wrong channel count) takes the
+        // in-order path; the batches before it still run.
+        let g = tiny_cnn();
+        let good = |s| vec![TensorRng::seed(s).normal(&[1, 3, 8, 8], 0.0, 1.0)];
+        let batches = vec![good(1), vec![Tensor::zeros(&[1, 5, 8, 8])], good(2)];
+        let set = PlanSet::new();
+        let err = set.run_each(&g, &batches, &NoopHook).unwrap_err();
+        assert_eq!(err, in_order(&set, &g, &batches).unwrap_err());
+        // Runs that fail on their data (out-of-vocabulary ids) under
+        // plans that all build and stay serial go to the pool; the first
+        // error in batch order still wins.
+        let mut b = GraphBuilder::new();
+        let ids = b.input();
+        let table = b.param(TensorRng::seed(3).normal(&[10, 4], 0.0, 1.0));
+        let e = b.embedding(ids, table);
+        let g = b.finish(vec![e]);
+        let batch = |id: f32| vec![Tensor::from_vec(vec![1.0, id, 2.0], &[3])];
+        let batches = vec![batch(0.0), batch(11.0), batch(3.0), batch(12.0), batch(4.0)];
+        let set = PlanSet::new();
+        let err = set.run_each(&g, &batches, &NoopHook).unwrap_err();
+        assert!(!set.plan_for(&g, &batches[0]).unwrap_ok().fans_out());
+        assert!(err.to_string().contains("id 11"), "{err}");
+        assert_eq!(err, in_order(&set, &g, &batches).unwrap_err());
     }
 
     #[test]

@@ -93,6 +93,14 @@ fn checked<const N: usize>(dims: Result<[usize; N], crate::shape::ShapeError>) -
 /// chunks, so the choice is bit-invisible.
 const PAR_MACS_MIN: usize = 1 << 20;
 
+/// True when a kernel of `macs` multiply-accumulates fans its chunks out
+/// on the pool ([`for_each_chunk`]'s rule, and the one reader of the
+/// cutoff): an execution plan whose nodes all stay below it leaves the
+/// pool to its callers.
+pub fn fans_out(macs: usize) -> bool {
+    macs >= PAR_MACS_MIN
+}
+
 /// Run `f(chunk_index, chunk)` over `data` split into `chunk`-sized
 /// pieces — in parallel when `macs` (the kernel's total
 /// multiply-accumulate count, or its cost in MACs) is large enough to
@@ -107,7 +115,7 @@ pub(crate) fn for_each_chunk<T: Send>(
     if data.is_empty() || chunk == 0 {
         return;
     }
-    if macs < PAR_MACS_MIN {
+    if !fans_out(macs) {
         for (i, c) in data.chunks_mut(chunk).enumerate() {
             f(i, c);
         }

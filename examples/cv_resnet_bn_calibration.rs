@@ -73,10 +73,7 @@ fn main() {
             let mut model = QuantizedModel::build(w.graph.clone(), &calib, plain).unwrap_ok();
             let batches = source.sample(n, transform, 99);
             recalibrate_batchnorm(&mut model, &batches).unwrap_ok();
-            scores.push(
-                w.evaluate_graph(&model.graph, &mut model.hook())
-                    .unwrap_ok(),
-            );
+            scores.push(w.evaluate_graph(&model.graph, &model.hook()).unwrap_ok());
         }
         println!("{:>8} {:>16.4} {:>20.4}", n, scores[0], scores[1]);
     }

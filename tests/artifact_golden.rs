@@ -61,7 +61,7 @@ fn golden_artifact_loads_and_scores_bit_equal_to_the_pin() {
     let zoo = build_zoo(ZooFilter::Quick);
     let w = &zoo[0];
     let score = w
-        .evaluate_graph(&art.model.graph, &mut art.model.hook())
+        .evaluate_graph(&art.model.graph, &art.model.hook())
         .unwrap_ok();
     assert_eq!(
         score.to_bits(),

@@ -38,9 +38,7 @@ fn assert_roundtrip(w: &Workload, cfg: QuantConfig, name: &str) {
         "{name}: re-saved artifact bytes differ"
     );
     // Planned executor: same score, bit for bit.
-    let score = w
-        .evaluate_graph(&loaded.graph, &mut loaded.hook())
-        .unwrap_ok();
+    let score = w.evaluate_graph(&loaded.graph, &loaded.hook()).unwrap_ok();
     assert_eq!(
         score.to_bits(),
         out.score.to_bits(),

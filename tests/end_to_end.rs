@@ -27,7 +27,7 @@ fn quick_zoo_has_sane_baselines() {
             w.fp32_score
         );
         // Re-evaluation is deterministic.
-        let again = w.evaluate(&mut fp8_ptq::nn::NoopHook).unwrap_ok();
+        let again = w.evaluate(&fp8_ptq::nn::NoopHook).unwrap_ok();
         assert_eq!(again, w.fp32_score, "{}", w.spec.name);
     }
 }
@@ -155,9 +155,7 @@ fn extended_coverage_quantizes_more_nodes() {
         m_std.quantized_nodes.len()
     );
     // Extended still evaluates to a finite score.
-    let s = w
-        .evaluate_graph(&m_ext.graph, &mut m_ext.hook())
-        .unwrap_ok();
+    let s = w.evaluate_graph(&m_ext.graph, &m_ext.hook()).unwrap_ok();
     assert!(s.is_finite());
 }
 
