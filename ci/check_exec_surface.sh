@@ -102,6 +102,15 @@
 #     (crates/tensor/src/ops/activation.rs, scalar and 8-lane) -- no
 #     non-comment, non-test line under crates/ calls `f32::tanh` or
 #     `.tanh()`.
+#   * One checksum: the artifact CRC-32 is defined once, in
+#     crates/artifact/src/crc.rs -- its polynomial (reflected, unreflected
+#     or as the 33-bit Barrett constant), its `[u32; 256]` table,
+#     `fn crc32` and the carry-less multiply `_mm_clmulepi64_si128` appear
+#     on no non-comment line of crates/, src/, tests/ or examples/ outside
+#     that file. The CPU is asked for features in two places only:
+#     `is_x86_feature_detected!` appears on non-comment lines of those
+#     trees only in crc.rs and inside `avx2_available` in
+#     crates/tensor/src/ops/blocked.rs.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -343,6 +352,29 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Every non-comment line of the repo's Rust trees, tagged with the
+# enclosing `fn` name.
+rust_lines() {
+    find crates src tests examples -name '*.rs' | sort | while IFS= read -r f; do
+        awk 'match($0, /fn [a-z0-9_]+/){fn=substr($0, RSTART + 3, RLENGTH - 3)}
+            !/^[[:space:]]*\/\//{print FILENAME":"FNR":"fn": "$0}' "$f"
+    done
+}
+crc=$(rust_lines | grep -iE ': .*(fn crc32\b|_mm_clmulepi64_si128|EDB8_?8320|04C1_?1DB7|DB71_?0641|\[u32; 256\])' |
+    grep -v '^crates/artifact/src/crc\.rs:' || true)
+if [ -n "$crc" ]; then
+    echo "one checksum: the CRC-32 polynomial, table, fn crc32 and its carry-less fold live only in crates/artifact/src/crc.rs:" >&2
+    printf '%s\n' "$crc" >&2
+    fail=1
+fi
+detects=$(rust_lines | grep -F 'is_x86_feature_detected!' |
+    grep -vE '^(crates/artifact/src/crc\.rs:[0-9]+:[a-z0-9_]*|crates/tensor/src/ops/blocked\.rs:[0-9]+:avx2_available): ' || true)
+if [ -n "$detects" ]; then
+    echo "the CPU is asked in two places: is_x86_feature_detected! only in crc.rs and blocked.rs's avx2_available:" >&2
+    printf '%s\n' "$detects" >&2
+    fail=1
+fi
+
 serve_budget=886
 serve_lines=$(non_test_lines crates/serve/src)
 if [ "$serve_lines" -gt "$serve_budget" ]; then
@@ -372,4 +404,4 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "decode.rs $decode_lines/$decode_budget)," \
     "no batching layer (serve at $serve_lines/$serve_budget lines)," \
     "one fan-out rule (PAR_MACS_MIN read by fans_out, batches fan out in PlanSet::run_each)," \
-    "one persistent std-only pool, one tanh"
+    "one persistent std-only pool, one tanh, one checksum and two CPU feature probes"

@@ -20,13 +20,16 @@
 //! The 16-byte file header plus 16-byte chunk headers keep every payload
 //! starting on an 8-byte boundary, so zero-copy views into the buffer
 //! (weight code blobs, future f32 blobs) are alignment-safe. Padding
-//! bytes are outside the CRC: flipping one changes no decoded value (the
-//! corruption suite asserts exactly this dichotomy — every byte flip
-//! either fails typed or decodes identically).
+//! bytes are outside the CRC, so the reader checks them separately: a
+//! nonzero padding byte is an [`ArtifactError::Decode`] naming its chunk.
+//! A file that opens is therefore the writer's canonical image, byte for
+//! byte (the corruption suite asserts that every byte flip fails typed or
+//! decodes to a model that re-encodes to the pristine bytes).
 //!
 //! [`ArtifactReader::open`] validates the *entire* container up front —
-//! magic, version, chunk table bounds, every CRC, exact EOF — so all
-//! random corruption is caught before any payload is decoded.
+//! magic, version, chunk table bounds, every CRC, zero padding, exact
+//! EOF — so all random corruption is caught before any payload is
+//! decoded.
 
 use crate::buf::SharedBuf;
 use crate::crc::crc32;
@@ -140,7 +143,8 @@ impl ArtifactReader {
     }
 
     /// Validate a shared buffer: magic, version, chunk table bounds,
-    /// every chunk's CRC, duplicate tags, and exact end-of-buffer.
+    /// every chunk's CRC, duplicate tags, zero padding, and exact
+    /// end-of-buffer.
     pub fn from_shared(buf: Arc<SharedBuf>) -> Result<Self, ArtifactError> {
         let bytes: &[u8] = buf.as_slice();
         let magic = bytes.get(..8).ok_or(ArtifactError::BadMagic)?;
@@ -195,15 +199,20 @@ impl ArtifactReader {
                 return Err(ArtifactError::DuplicateChunk { tag });
             }
             chunks.push(ChunkRange { tag, offset, len });
-            let next = align8(offset + len);
             // The pad bytes must exist (a file cut inside padding is
-            // truncated, not merely untidy).
-            if next > bytes.len() {
-                return Err(ArtifactError::Truncated {
+            // truncated, not merely untidy) and be zero, so the bytes are
+            // the writer's canonical image.
+            let padding = bytes
+                .get(offset + len..align8(offset + len))
+                .ok_or_else(|| ArtifactError::Truncated {
                     detail: format!("chunk {tag:#x} padding"),
+                })?;
+            if padding.iter().any(|&b| b != 0) {
+                return Err(ArtifactError::Decode {
+                    detail: format!("chunk {tag:#x} padding is not zero"),
                 });
             }
-            pos = next;
+            pos = align8(offset + len);
         }
         if pos != bytes.len() {
             return Err(ArtifactError::TrailingGarbage {
@@ -364,6 +373,30 @@ mod tests {
                         | ArtifactError::TrailingGarbage { .. }
                 ),
                 "cut at {cut}: unexpected {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nonzero_padding_is_a_decode_error_naming_the_chunk() {
+        let bytes = sample();
+        let r = ArtifactReader::from_vec(bytes.clone()).unwrap();
+        // "hello" (tag 1) is followed by 3 pad bytes; 100 bytes (0xAB) by 4.
+        let pads: Vec<(u32, usize)> = r
+            .chunks()
+            .iter()
+            .flat_map(|c| (c.offset + c.len..align8(c.offset + c.len)).map(move |i| (c.tag, i)))
+            .collect();
+        assert_eq!(pads.len(), 7);
+        for (tag, i) in pads {
+            let mut bad = bytes.clone();
+            bad[i] = 0xAB;
+            assert_eq!(
+                ArtifactReader::from_vec(bad).unwrap_err(),
+                ArtifactError::Decode {
+                    detail: format!("chunk {tag:#x} padding is not zero")
+                },
+                "pad byte {i}"
             );
         }
     }

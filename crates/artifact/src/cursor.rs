@@ -86,17 +86,16 @@ impl ByteWriter {
     /// Append a `u64` count followed by each `usize` as `u64`.
     pub fn put_usize_slice(&mut self, v: &[usize]) {
         self.put_usize(v.len());
-        for &x in v {
-            self.put_u64(x as u64);
-        }
+        self.buf.reserve(v.len() * 8);
+        self.buf
+            .extend(v.iter().flat_map(|&x| (x as u64).to_le_bytes()));
     }
 
     /// Append a `u64` count followed by each `f32`'s bit pattern.
     pub fn put_f32_slice(&mut self, v: &[f32]) {
         self.put_usize(v.len());
-        for &x in v {
-            self.put_f32(x);
-        }
+        self.buf.reserve(v.len() * 4);
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
     }
 }
 
@@ -220,43 +219,46 @@ impl<'a> ByteReader<'a> {
         })
     }
 
-    /// Read a count-prefixed `usize` slice (written by
-    /// [`ByteWriter::put_usize_slice`]). Each element is 8 bytes, so the
-    /// count is bounded by `remaining / 8`.
-    pub fn get_usize_vec(&mut self, what: &str) -> Result<Vec<usize>, ArtifactError> {
+    /// The bytes of a count-prefixed slice of `width`-byte elements, as
+    /// one bounds-checked borrow. A count that overflows `usize` is a
+    /// [`ArtifactError::Decode`]; one that claims more elements than the
+    /// bytes remaining hold is [`ArtifactError::Truncated`].
+    fn take_elems(&mut self, width: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
         let n = self.get_u64(what)?;
         let n = usize::try_from(n).map_err(|_| ArtifactError::Decode {
             detail: format!("{what}: count overflows usize"),
         })?;
-        if n > self.remaining() / 8 {
+        if n > self.remaining() / width {
             return Err(ArtifactError::Truncated {
                 detail: what.to_string(),
             });
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_usize(what)?);
-        }
-        Ok(out)
+        self.take(n * width, what)
+    }
+
+    /// Read a count-prefixed `usize` slice (written by
+    /// [`ByteWriter::put_usize_slice`]). Each element is 8 bytes, so the
+    /// count is bounded by `remaining / 8`.
+    pub fn get_usize_vec(&mut self, what: &str) -> Result<Vec<usize>, ArtifactError> {
+        self.take_elems(8, what)?
+            .chunks_exact(8)
+            .map(|b| {
+                let v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+                usize::try_from(v).map_err(|_| ArtifactError::Decode {
+                    detail: format!("{what}: value {v} overflows usize"),
+                })
+            })
+            .collect()
     }
 
     /// Read a count-prefixed `f32` slice (written by
     /// [`ByteWriter::put_f32_slice`]).
     pub fn get_f32_vec(&mut self, what: &str) -> Result<Vec<f32>, ArtifactError> {
-        let n = self.get_u64(what)?;
-        let n = usize::try_from(n).map_err(|_| ArtifactError::Decode {
-            detail: format!("{what}: count overflows usize"),
-        })?;
-        if n > self.remaining() / 4 {
-            return Err(ArtifactError::Truncated {
-                detail: what.to_string(),
-            });
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f32(what)?);
-        }
-        Ok(out)
+        Ok(self
+            .take_elems(4, what)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 }
 
@@ -318,6 +320,62 @@ mod tests {
         ));
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_usize_vec("items").is_err());
+    }
+
+    #[test]
+    fn a_count_past_the_remaining_bytes_is_truncated() {
+        // Each count claims one element more than the payload holds.
+        let mut w = ByteWriter::new();
+        w.put_u64(3);
+        w.put_f32(1.0);
+        w.put_f32(2.0);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            r.get_f32_vec("floats").unwrap_err(),
+            ArtifactError::Truncated {
+                detail: "floats".to_string()
+            }
+        );
+        let mut w = ByteWriter::new();
+        w.put_u64(3);
+        w.put_usize(4);
+        w.put_usize(5);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            r.get_usize_vec("dims").unwrap_err(),
+            ArtifactError::Truncated {
+                detail: "dims".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn bulk_slices_match_the_element_codecs() {
+        let floats: Vec<f32> = (0..1000u32)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)))
+            .collect();
+        let dims: Vec<usize> = (0..300).map(|i| i * 0x0123_4567_89AB).collect();
+        let mut bulk = ByteWriter::new();
+        bulk.put_f32_slice(&floats);
+        bulk.put_usize_slice(&dims);
+        let mut each = ByteWriter::new();
+        each.put_usize(floats.len());
+        floats.iter().for_each(|&x| each.put_f32(x));
+        each.put_usize(dims.len());
+        dims.iter().for_each(|&x| each.put_usize(x));
+        let bytes = bulk.finish();
+        assert_eq!(bytes, each.finish());
+
+        let mut r = ByteReader::new(&bytes);
+        let back = r.get_f32_vec("floats").unwrap();
+        assert!(back
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(floats.iter().map(|x| x.to_bits())));
+        assert_eq!(r.get_usize_vec("dims").unwrap(), dims);
+        assert!(r.expect_end().is_ok());
     }
 
     #[test]

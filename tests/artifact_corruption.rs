@@ -3,16 +3,17 @@
 //! Every byte of a real artifact is flipped, every truncation length is
 //! tried, and the header fields (magic, version, chunk count, chunk
 //! lengths, CRCs) are attacked directly. The contract: a damaged artifact
-//! either fails with a *typed* error or — when the damage lands in bytes
-//! outside the checksummed payloads, i.e. alignment padding — decodes to a
-//! model whose canonical re-encoding equals the pristine artifact.
-//! Never a panic; never a silently different model.
+//! either fails with a *typed* error or decodes to a model whose canonical
+//! re-encoding equals the pristine artifact. Never a panic; never a
+//! silently different model. The bytes outside the checksummed payloads,
+//! alignment padding, are checked too: a nonzero pad byte is a typed
+//! `Decode` error naming its chunk.
 //!
 //! The engine-spec JSON (the `--spec` file format) gets the same
 //! treatment at the end of the file; the raw CONFIG-chunk payload's
 //! battery sits beside `decode_config` in `crates/core/src/artifact.rs`.
 
-use fp8_ptq::artifact::ArtifactError;
+use fp8_ptq::artifact::{ArtifactError, ArtifactReader};
 use fp8_ptq::core::config::QuantConfig;
 use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel};
 use fp8_ptq::fp8::Fp8Format;
@@ -93,6 +94,39 @@ fn every_byte_flip_is_typed_or_content_identical_int8() {
     for i in 0..bytes.len() {
         assert_flip_safe(&bytes, i, 0x01);
     }
+}
+
+/// Set each padding byte of `pristine` in turn: every one is refused
+/// with a `Decode` error that names the padded chunk.
+fn assert_padding_enforced(pristine: &[u8]) {
+    let reader = ArtifactReader::from_vec(pristine.to_vec()).expect("pristine container");
+    let mut pads = 0;
+    for c in reader.chunks() {
+        let end = c.offset + c.len;
+        for i in end..end.div_ceil(8) * 8 {
+            for value in [0x01, 0xAB, 0xFF] {
+                let mut bad = pristine.to_vec();
+                bad[i] = value;
+                match PtqArtifact::from_bytes(bad) {
+                    Err(PtqError::Artifact(ArtifactError::Decode { detail })) => assert_eq!(
+                        detail,
+                        format!("chunk {:#x} padding is not zero", c.tag),
+                        "pad byte {i}"
+                    ),
+                    Err(other) => panic!("pad byte {i} = {value:#x}: unexpected {other}"),
+                    Ok(_) => panic!("pad byte {i} = {value:#x} parsed"),
+                }
+                pads += 1;
+            }
+        }
+    }
+    assert!(pads > 0, "the fixture has no padding to attack");
+}
+
+#[test]
+fn nonzero_padding_is_a_typed_error_naming_the_chunk() {
+    assert_padding_enforced(&fp8_artifact_bytes());
+    assert_padding_enforced(&int8_artifact_bytes());
 }
 
 #[test]
