@@ -17,14 +17,14 @@ struct BnMomentHook<'a> {
 }
 
 impl ExecHook for BnMomentHook<'_> {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-        // Apply quantization first so we measure what BN will actually see.
-        self.quant.before_node(node, inputs);
+    // The operands are the quantized model's (fake-quant included, by
+    // the forwarded binding): what BN actually reads.
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
         let before_first = self.acc.keys().min().is_some_and(|&k| node.id < k);
         if node.op.class() != OpClass::BatchNorm || before_first {
             return;
         }
-        let x = &inputs[0];
+        let x = inputs[0];
         assert_eq!(x.ndim(), 4, "BatchNorm input must be NCHW");
         let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
         let entry = self.acc.entry(node.id).or_default();
@@ -187,12 +187,11 @@ mod tests {
             acc: HashMap<usize, (Vec<f64>, Vec<f64>, f64)>,
         }
         impl ExecHook for EveryBn<'_> {
-            fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-                self.quant.before_node(node, inputs);
+            fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
                 if node.op.class() != OpClass::BatchNorm {
                     return;
                 }
-                let x = &inputs[0];
+                let x = inputs[0];
                 let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
                 let e = self
                     .acc
@@ -380,7 +379,7 @@ mod tests {
             var: f32,
         }
         impl ExecHook for BnOutVar {
-            fn after_node(&mut self, node: &Node, out: &mut Tensor) {
+            fn after_node(&mut self, node: &Node, out: &Tensor) {
                 if node.id == self.id {
                     let mean = out.mean();
                     self.var = out.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>()

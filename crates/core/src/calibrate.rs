@@ -124,7 +124,7 @@ impl CalibrationHook {
 }
 
 impl ExecHook for CalibrationHook {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
         for &idx in quantized_inputs(node) {
             if idx >= inputs.len() {
                 continue;
@@ -141,19 +141,14 @@ impl ExecHook for CalibrationHook {
         }
         // SmoothQuant needs per-input-channel absmax for Linear nodes.
         if node.op.class() == OpClass::Linear {
-            let x = &inputs[0];
+            let x = inputs[0];
             if let Some(&d) = x.shape().last() {
-                let rows = x.len() / d.max(1);
-                let entry = self
-                    .data
-                    .channel_absmax
-                    .entry(node.id)
-                    .or_insert_with(|| vec![0.0; d]);
+                let absmax = &mut self.data.channel_absmax;
+                let entry = absmax.entry(node.id).or_insert_with(|| vec![0.0; d]);
                 if entry.len() == d {
-                    let data = x.data();
-                    for r in 0..rows {
-                        for (j, e) in entry.iter_mut().enumerate() {
-                            *e = e.max(data[r * d + j].abs());
+                    for row in x.data().chunks_exact(d.max(1)) {
+                        for (e, v) in entry.iter_mut().zip(row) {
+                            *e = e.max(v.abs());
                         }
                     }
                 }
@@ -183,7 +178,7 @@ impl<'a> HistogramHook<'a> {
 }
 
 impl ExecHook for HistogramHook<'_> {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
         for &idx in quantized_inputs(node) {
             if idx >= inputs.len() {
                 continue;

@@ -136,12 +136,8 @@ impl QuantizedModel {
     /// bytes/element for fake-quantized f32 tensors.
     pub fn weight_bytes(&self) -> usize {
         let q: usize = self.qweights.values().map(QTensor::storage_bytes).sum();
-        let f: usize = self
-            .weights
-            .values()
-            .map(|w| w.len() * std::mem::size_of::<f32>())
-            .sum();
-        q + f
+        let f: usize = self.weights.values().map(Tensor::len).sum();
+        q + f * std::mem::size_of::<f32>()
     }
 
     /// Activation bytes carried across op boundaries since construction
@@ -163,37 +159,60 @@ impl QuantizedModel {
         self.act_bytes_f32.store(0, Ordering::Relaxed);
     }
 
-    /// How activation input `idx` of `node` crosses the op boundary: as
-    /// FP8 codes run by the code×code kernels, or as (fake-quantized) f32.
-    /// [`QuantHook::before_node`] and [`QuantHook::bind`] both read this
-    /// one decision, so an eligible input is never quantized twice and
-    /// never left unquantized.
-    ///
-    /// Coded: the config stores FP8 activations, the node runs quantized,
-    /// the op has a code×code kernel for that input — input 0 of a
-    /// non-depthwise Conv2d or Linear whose weight is FP8-stored, or both
-    /// MatMul operands together — and a scale can be produced at the
-    /// boundary.
+    /// Whether activation input `idx` of `node` crosses the op boundary as
+    /// FP8 codes run by the code×code kernels ([`ActBinding::Coded`]) or as
+    /// f32 ([`ActBinding::F32`], fake-quantized or not): the coding half of
+    /// the decision [`QuantHook`] binds.
     pub fn act_coding(&self, node: &Node, idx: usize) -> ActBinding {
-        let DataFormat::Fp8(format) = self.config.act_format else {
-            return ActBinding::F32;
-        };
-        if !self.config.stores_fp8_acts()
-            || !self.quantized_nodes.contains(&node.id)
+        match self.act_binding(node, idx) {
+            coded @ ActBinding::Coded { .. } => coded,
+            _ => ActBinding::F32,
+        }
+    }
+
+    /// How activation input `idx` of `node` crosses the op boundary, one
+    /// decision for both storage modes. Untouched unless the node runs
+    /// quantized and the input is one it quantizes, with a scale (INT8: a
+    /// codec) to quantize it by. Coded when the config stores FP8
+    /// activations and the op has a code×code kernel for that input —
+    /// input 0 of a non-depthwise Conv2d or Linear whose weight is
+    /// FP8-stored, or both MatMul operands together; otherwise
+    /// fake-quantized under the same layout.
+    fn act_binding(&self, node: &Node, idx: usize) -> ActBinding {
+        if !self.quantized_nodes.contains(&node.id)
+            || idx >= node.inputs.len()
             || !quantized_inputs(node).contains(&idx)
         {
             return ActBinding::F32;
         }
-        let scale = match &node.op {
-            Op::Conv2d { depthwise, .. } if idx == 0 && !depthwise && self.stored_weight(node) => {
-                self.act_scale(node, 0)
+        let cfg = &self.config;
+        let DataFormat::Fp8(format) = cfg.act_format else {
+            let key = TensorKey {
+                node: node.id,
+                input: idx,
+            };
+            return match cfg.approach {
+                Approach::Static => self.act_int8.get(&key).copied().map(Some),
+                Approach::Dynamic => Some(None),
             }
-            Op::Linear { .. } if idx == 0 && self.stored_weight(node) => self.act_scale(node, 0),
-            // The kernel takes codes on both sides or neither.
-            Op::MatMul if self.act_scale(node, 1 - idx).is_some() => self.act_scale(node, idx),
-            _ => None,
+            .map_or(ActBinding::F32, ActBinding::FakeInt8);
         };
-        scale.map_or(ActBinding::F32, |scale| ActBinding::Coded { format, scale })
+        let Some(scale) = self.act_scale(node, idx) else {
+            return ActBinding::F32;
+        };
+        let coded = cfg.stores_fp8_acts()
+            && match &node.op {
+                Op::Conv2d { depthwise, .. } => idx == 0 && !depthwise && self.stored_weight(node),
+                Op::Linear { .. } => idx == 0 && self.stored_weight(node),
+                // The kernel takes codes on both sides or neither.
+                Op::MatMul => self.act_scale(node, 1 - idx).is_some(),
+                _ => false,
+            };
+        if coded {
+            ActBinding::Coded { format, scale }
+        } else {
+            ActBinding::FakeFp8 { format, scale }
+        }
     }
 
     /// The code×code kernels pair activation codes with `QTensor` weights,
@@ -230,17 +249,9 @@ impl QuantizedModel {
     /// Bytes the same pre-quantized weights would occupy as dense f32 —
     /// the baseline for the weight-memory-reduction ratio.
     pub fn weight_bytes_f32(&self) -> usize {
-        let q: usize = self
-            .qweights
-            .values()
-            .map(|w| w.len() * std::mem::size_of::<f32>())
-            .sum();
-        let f: usize = self
-            .weights
-            .values()
-            .map(|w| w.len() * std::mem::size_of::<f32>())
-            .sum();
-        q + f
+        let q = self.qweights.values().map(QTensor::len);
+        let f = self.weights.values().map(Tensor::len);
+        q.chain(f).sum::<usize>() * std::mem::size_of::<f32>()
     }
 }
 
@@ -302,17 +313,11 @@ fn prepare_weights(
             .clone();
         // SmoothQuant: multiply column j by s_j (activations are divided
         // by s_j at run time; the FP32 product is unchanged).
-        if let Some(s) = smooth.get(&id) {
-            let (rows, cols) = (w.dim(0), w.dim(1));
-            // smooth_scales only emits scales matching the weight's column
-            // count; anything else would silently corrupt the weight.
-            if s.len() == cols {
-                let data = w.data_mut();
-                for r in 0..rows {
-                    for (j, &sj) in s.iter().enumerate() {
-                        data[r * cols + j] *= sj;
-                    }
-                }
+        // smooth_scales only emits scales matching the weight's column
+        // count; anything else would silently corrupt the weight.
+        if let Some(s) = smooth.get(&id).filter(|s| s.len() == w.dim(1)) {
+            for (v, &sj) in w.data_mut().iter_mut().zip(s.iter().cycle()) {
+                *v *= sj;
             }
         }
         let trace = ptq_trace::enabled(ptq_trace::Level::Info);
@@ -423,17 +428,12 @@ fn prepare_act_scales(
             };
             // SmoothQuant shrinks the activation: the static threshold is
             // the max over channels of absmax_j / s_j.
-            if idx == 0 {
-                if let (Some(s), Some(ch)) = (smooth.get(&id), calib.channel_absmax.get(&id)) {
-                    let mut t = 0.0f32;
-                    for (a, sj) in ch.iter().zip(s) {
-                        if *sj > 0.0 {
-                            t = t.max(a / sj);
-                        }
-                    }
-                    if t > 0.0 {
-                        threshold = t;
-                    }
+            let smoothed = smooth.get(&id).zip(calib.channel_absmax.get(&id));
+            if let Some((s, ch)) = smoothed.filter(|_| idx == 0) {
+                let shrunk = ch.iter().zip(s).filter(|(_, &sj)| sj > 0.0);
+                let t = shrunk.fold(0.0f32, |t, (a, sj)| t.max(a / sj));
+                if t > 0.0 {
+                    threshold = t;
                 }
             }
             match config.act_format {
@@ -475,8 +475,9 @@ fn prepare_act_scales(
     (scales, int8)
 }
 
-/// The quantized-inference hook: substitutes pre-quantized weights and
-/// fake-quantizes activation inputs of the quantized nodes.
+/// The quantized-inference hook: binds pre-quantized weights, SmoothQuant
+/// divisors and the activation forms of the quantized nodes, and accounts
+/// the activation bytes they carry.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantHook<'a> {
     model: &'a QuantizedModel,
@@ -496,7 +497,10 @@ impl ExecHook for QuantHook<'_> {
                 weight = WeightBinding::F32(w);
             }
         }
-        let acts = std::array::from_fn(|idx| model.act_coding(node, idx));
+        // SmoothQuant: the Linear input's channels are divided by s.
+        let divisors = model.smooth.get(&node.id).map(Vec::as_slice);
+        let divisors = divisors.filter(|_| model.quantized_nodes.contains(&node.id));
+        let acts = std::array::from_fn(|idx| model.act_binding(node, idx));
         // The cache format is a whole-model knob; the scale is left `None`
         // so the decode engine calibrates a static per-tensor scale from
         // this model's own prefill activations.
@@ -509,106 +513,27 @@ impl ExecHook for QuantHook<'_> {
         };
         Binding {
             weight,
+            divisors,
             acts,
             kernel_path: model.config.kernel_path,
             kv,
         }
     }
 
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-        if !self.model.quantized_nodes.contains(&node.id) {
-            return;
+    /// Account the quantized inputs' boundary bytes: codes and scales, or
+    /// 4 bytes/element for fake-quantized f32.
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
+        let model = self.model;
+        for (idx, x) in inputs.iter().enumerate() {
+            let f32_bytes = x.len() * std::mem::size_of::<f32>();
+            let bytes = match model.act_binding(node, idx) {
+                ActBinding::F32 => continue,
+                ActBinding::Coded { scale, .. } => scale.coded_bytes(x.shape()),
+                _ => f32_bytes,
+            };
+            model.act_bytes.fetch_add(bytes, Ordering::Relaxed);
+            model.act_bytes_f32.fetch_add(f32_bytes, Ordering::Relaxed);
         }
-        // SmoothQuant: divide the Linear input's channels by s.
-        if let Some(s) = self.model.smooth.get(&node.id) {
-            let x = &mut inputs[0];
-            let d = x.shape().last().copied().unwrap_or(0);
-            if d == s.len() {
-                let rows = x.len() / d;
-                let data = x.data_mut();
-                for r in 0..rows {
-                    for (j, &sj) in s.iter().enumerate() {
-                        if sj > 0.0 {
-                            data[r * d + j] /= sj;
-                        }
-                    }
-                }
-            }
-        }
-        let cfg = &self.model.config;
-        for &idx in quantized_inputs(node) {
-            if idx >= inputs.len() {
-                continue;
-            }
-            // Inputs crossing the boundary as FP8 codes are quantized by
-            // the executor after this call returns; fake-quanting them
-            // here too would quantize twice.
-            if let ActBinding::Coded { scale, .. } = self.model.act_coding(node, idx) {
-                let x = &inputs[idx];
-                self.count_act(scale.coded_bytes(x.shape()), x.len());
-                continue;
-            }
-            let x = &mut inputs[idx];
-            match cfg.act_format {
-                // The f32 twin of the layout `act_coding` would code this
-                // input with: one decision table for both storage modes.
-                DataFormat::Fp8(f) => {
-                    let per_tensor = |x: &mut Tensor, s| {
-                        fake_quant_fp8(x.data_mut(), &Fp8Codec::new(f), s);
-                    };
-                    match self.model.act_scale(node, idx) {
-                        None => continue,
-                        Some(ActScale::PerTile(t)) => {
-                            let inner = x.shape().last().copied().unwrap_or(1);
-                            ptq_tensor::fake_quant_per_tile(x.data_mut(), inner, f, t);
-                        }
-                        Some(ActScale::Static(s)) => per_tensor(x, s),
-                        // NaN-aware absmax: a non-finite value forces unit
-                        // scale and maps to the format's NaN encoding
-                        // inside the LUT quantizer.
-                        Some(ActScale::Dynamic) => {
-                            let s = ptq_tensor::tile_scale(f, x.data());
-                            per_tensor(x, s);
-                        }
-                    }
-                }
-                DataFormat::Int8 => {
-                    let codec = match cfg.approach {
-                        Approach::Static => {
-                            let key = TensorKey {
-                                node: node.id,
-                                input: idx,
-                            };
-                            let Some(codec) = self.model.act_int8.get(&key) else {
-                                continue;
-                            };
-                            *codec
-                        }
-                        Approach::Dynamic => Int8Codec::calibrate(x.data(), Int8Mode::Asymmetric),
-                    };
-                    fake_quant_int8(x.data_mut(), &codec);
-                }
-            }
-            self.count_fake_quant(x.len());
-        }
-    }
-}
-
-impl QuantHook<'_> {
-    /// Account one quantized-node input of `len` elements crossing the
-    /// boundary in `bytes` bytes.
-    fn count_act(&self, bytes: usize, len: usize) {
-        let f32_bytes = len * std::mem::size_of::<f32>();
-        self.model.act_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.model
-            .act_bytes_f32
-            .fetch_add(f32_bytes, Ordering::Relaxed);
-    }
-
-    /// Account one fake-quantized f32 input: it crosses the boundary at 4
-    /// bytes/element, so it contributes equally to both counters.
-    fn count_fake_quant(&self, len: usize) {
-        self.count_act(len * std::mem::size_of::<f32>(), len);
     }
 }
 
@@ -934,28 +859,40 @@ mod tests {
         // remaining values. With the fix, any non-finite input forces
         // scale 1.0; NaN then passes through as the format's NaN encoding
         // and the finite values quantize on the unscaled grid.
-        let g = cnn();
+        // One quantized conv, its input operand seen through the hook.
+        struct Seen<'a>(QuantHook<'a>, Vec<Tensor>);
+        impl ExecHook for Seen<'_> {
+            fn bind(&self, node: &Node) -> Binding<'_> {
+                self.0.bind(node)
+            }
+            fn before_node(&mut self, _node: &Node, inputs: &[&Tensor]) {
+                self.1.push(inputs[0].clone());
+            }
+        }
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let w = b.param(TensorRng::seed(1).kaiming(&[4, 3, 3, 3]));
+        let c = b.conv2d(x, w, None, Conv2dParams::same(3));
+        let g = b.finish(vec![c]);
         let calib = calibrated(&g);
         // Opt out of the coded activation datapath: this regression is
-        // about the in-place fake-quant fold (the coded path's fold is
-        // covered by `act::tests::dynamic_nonfinite_absmax_uses_unit_scale`
-        // in ptq-tensor).
+        // about the fake-quant fold (the coded path's fold is covered by
+        // `act::tests::dynamic_nonfinite_absmax_uses_unit_scale` in
+        // ptq-tensor).
         let cfg = QuantConfig::fp8(Fp8Format::E4M3)
             .with_approach(Approach::Dynamic)
             .with_first_last()
             .with_activation_storage(crate::config::ActivationStorage::FakeQuantF32);
         let model = QuantizedModel::build(g, &calib, cfg).unwrap_ok();
-        let mut hook = model.hook();
-        let node = &model.graph.nodes()[0];
-        assert!(model.quantized_nodes.contains(&node.id));
+        assert!(model.quantized_nodes.contains(&0));
 
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut x = TensorRng::seed(7).normal(&[1, 3, 8, 8], 0.0, 300.0);
             x.data_mut()[5] = poison;
             let clean: Vec<f32> = x.data().to_vec();
-            let mut inputs = vec![x];
-            hook.before_node(node, &mut inputs);
-            let out = inputs[0].data();
+            let mut seen = Seen(model.hook(), Vec::new());
+            model.graph.run(&[x], &mut seen).unwrap_ok();
+            let out = seen.1[0].data();
             // Finite values were quantized with scale exactly 1.0.
             let codec = Fp8Codec::new(Fp8Format::E4M3);
             let mut expected = clean.clone();

@@ -49,9 +49,9 @@ impl CaptureInput {
 }
 
 impl ExecHook for CaptureInput {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
         if node.id == self.node {
-            let x = &inputs[0];
+            let x = inputs[0];
             assert_eq!(x.ndim(), 2, "captured feature must be 2-D");
             self.rows.push(x.clone());
         }
@@ -379,11 +379,11 @@ pub fn initialize_bn_stats(graph: &mut Graph, batches: &[Vec<Tensor>], iteration
         acc: HashMap<NodeId, (Vec<f64>, Vec<f64>, f64)>,
     }
     impl ExecHook for Moments {
-        fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+        fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
             if node.op.class() != OpClass::BatchNorm {
                 return;
             }
-            let x = &inputs[0];
+            let x = inputs[0];
             let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
             let e = self
                 .acc
@@ -455,11 +455,11 @@ pub fn coadapt_convs(graph: &mut Graph, batches: &[Vec<Tensor>]) {
     }
     impl ExecHook for Cap {
         #[allow(clippy::needless_range_loop)]
-        fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+        fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
             if node.op.class() != OpClass::Conv2d {
                 return;
             }
-            let x = &inputs[0];
+            let x = inputs[0];
             let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
             let e = self.mags.entry(node.id).or_insert_with(|| vec![0.0; c]);
             let data = x.data();

@@ -639,7 +639,7 @@ mod tests {
         // Probe: run one eval batch and track the global activation absmax.
         struct AbsMax(f32);
         impl ptq_nn::ExecHook for AbsMax {
-            fn after_node(&mut self, _n: &ptq_nn::Node, o: &mut Tensor) {
+            fn after_node(&mut self, _n: &ptq_nn::Node, o: &Tensor) {
                 for &v in o.data() {
                     self.0 = self.0.max(v.abs());
                 }

@@ -367,7 +367,7 @@ mod tests {
         let extreme = encoder_workload("bert_like", "sst2_syn", &extreme_cfg, Head::Classes(4));
         struct AbsMax(f32);
         impl ptq_nn::ExecHook for AbsMax {
-            fn after_node(&mut self, n: &ptq_nn::Node, o: &mut Tensor) {
+            fn after_node(&mut self, n: &ptq_nn::Node, o: &Tensor) {
                 if n.op.class() == ptq_nn::OpClass::LayerNorm {
                     for &v in o.data() {
                         self.0 = self.0.max(v.abs());

@@ -64,7 +64,7 @@
 //! adds only its own storage rounding.
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{run_node, NodeScratch};
+use crate::exec::{operand, run_node, split_out, NodeScratch};
 use crate::graph::{Graph, Node, NodeId, Op, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::ops::{attention_step_q, attention_step_v, KvSegments};
@@ -541,9 +541,8 @@ pub struct DecodeState {
 pub struct StepBuffers {
     /// One tensor per graph value, reused (via `reuse_as`) by every pass.
     values: Vec<Tensor>,
-    /// Hook-visible input staging, as in the planned executor.
-    staging: Vec<Tensor>,
-    /// Activation-code buffers and id scratch for the executing node.
+    /// Transformed operands, activation-code buffers and id scratch for the
+    /// executing node.
     node: NodeScratch,
     /// Staging for a `ReshapeRows` target.
     shape: Shape,
@@ -731,7 +730,6 @@ impl StepBuffers {
     ) -> Result<u64, PtqError> {
         let StepBuffers {
             values,
-            staging,
             node: scratch,
             shape,
             pos,
@@ -759,12 +757,12 @@ impl StepBuffers {
         for (i, op) in plan.steps.iter().enumerate() {
             let node = &graph.nodes[i];
             let srcs = &node.inputs;
+            let (out, value) = split_out(values, node.output);
             match op {
                 StepOp::Skip => continue,
-                // The cache-backed ops read only their query/probs operand;
-                // the K/V operand is each segment's cache.
+                // The cache-backed ops read only their query/probs operand,
+                // as it stands; the K/V operand is each segment's cache.
                 StepOp::Attn { group, side } => {
-                    stage(staging, &srcs[..1], values);
                     let path = hook.bind(node).kernel_path;
                     let many;
                     let kv = match segs {
@@ -777,19 +775,18 @@ impl StepBuffers {
                             KvSegments::Many(&many)
                         }
                     };
-                    let (x, out) = (&staging[0], &mut values[node.output]);
+                    let x = value(srcs[0]);
                     match side {
                         KvSide::K => attention_step_q(x, kv, out, path),
                         KvSide::V => attention_step_v(x, kv, out, path),
                     }
                 }
-                // The row-addressed ops: the first input under the hook's
-                // before/after calls, transformed by row position.
+                // The row-addressed ops: the first input's operand under the
+                // hook's before/after calls, transformed by row position.
                 StepOp::AddPosRows(_) | StepOp::MaskRows | StepOp::ReshapeRows => {
-                    stage(staging, &srcs[..1], values);
-                    hook.before_node(node, &mut staging[..1]);
-                    let out = &mut values[node.output];
-                    out.copy_from(&staging[0]);
+                    let x = value(srcs[0]);
+                    let x = operand(&hook.bind(node), 0, x, &mut scratch.operands[0]);
+                    out.copy_from(x);
                     match (op, &node.op) {
                         (StepOp::AddPosRows(p), _) => {
                             let (table, w) = (param(graph, node, *p)?, out.len() / m);
@@ -814,14 +811,18 @@ impl StepBuffers {
                         }
                         _ => {}
                     }
+                    hook.before_node(node, &[x]);
                     hook.after_node(node, out);
                 }
                 StepOp::Eval => {
-                    stage(staging, srcs, values);
-                    let out = &mut values[node.output];
-                    run_node(graph, node, &mut staging[..srcs.len()], hook, scratch, out)?;
+                    // Every operator reads one or two inputs (validated).
+                    let n = srcs.len();
+                    let ins = [value(srcs[0]), value(srcs[n - 1])];
+                    run_node(graph, node, &ins[..n], hook, scratch, out)?;
                 }
             }
+            // The split borrow ends here: the appends read the output.
+            drop(value);
             for &(layer, side) in &plan.appends[i] {
                 let mut rows = (0..m).map(|r| values[node.output].row(r));
                 for s in segs.iter_mut() {
@@ -836,16 +837,6 @@ impl StepBuffers {
     }
 }
 
-/// Copy each step input into its hook-visible staging buffer.
-fn stage(staging: &mut Vec<Tensor>, srcs: &[ValueId], values: &[Tensor]) {
-    if staging.len() < srcs.len() {
-        staging.resize_with(srcs.len(), Tensor::default);
-    }
-    for (slot, &v) in staging.iter_mut().zip(srcs) {
-        slot.copy_from(&values[v]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,7 +846,7 @@ mod tests {
     use crate::interp::NoopHook;
     use ptq_fp8::Fp8Format;
     use ptq_tensor::ops::KernelPath;
-    use ptq_tensor::{ActScale, QTensor, TensorRng};
+    use ptq_tensor::{ActScale, Int8Codec, Int8Mode, QTensor, TensorRng};
 
     const SEQ: usize = 8;
     const D: usize = 12;
@@ -1496,5 +1487,79 @@ mod tests {
             states.iter().map(DecodeState::pos).collect::<Vec<_>>(),
             [2, 3, 4]
         );
+    }
+
+    /// Binds one activation form on input 0 of every Linear and AddParam
+    /// and on input 1 of every Add, and per-channel divisors (the first
+    /// zero, so skipped) on input 0 of every Linear.
+    struct Forms {
+        act: ActBinding,
+        divisors: Vec<f32>,
+    }
+    impl ExecHook for Forms {
+        fn bind(&self, node: &Node) -> Binding<'_> {
+            let mut b = Binding::default();
+            match node.op {
+                Op::Linear { .. } => {
+                    b.divisors = Some(&self.divisors);
+                    b.acts[0] = self.act;
+                }
+                Op::AddParam { .. } => b.acts[0] = self.act,
+                Op::Add => b.acts[1] = self.act,
+                _ => {}
+            }
+            b
+        }
+    }
+
+    #[test]
+    fn every_operand_form_is_bit_identical_on_every_executor() {
+        let g = tiny_decoder(31);
+        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let exec = g.plan(&[vec![SEQ]]).unwrap_ok();
+        let window: Vec<f32> = (0..SEQ).map(|t| (t * 5 % VOCAB) as f32).collect();
+        let x = [Tensor::from_slice(&window)];
+        let fp8 = |scale| ActBinding::FakeFp8 {
+            format: Fp8Format::E4M3,
+            scale,
+        };
+        let int8 = Int8Codec::from_range(-2.0, 3.0, Int8Mode::Asymmetric);
+        // Each form, and whether it rounds a row independently of the
+        // others (a step's one row then matches the window's).
+        let forms = [
+            (ActBinding::F32, true),
+            (fp8(ActScale::Static(5.0)), true),
+            (fp8(ActScale::PerTile(5)), true),
+            (fp8(ActScale::Dynamic), false),
+            (ActBinding::FakeInt8(Some(int8)), true),
+            (ActBinding::FakeInt8(None), false),
+        ];
+        let plain = g.infer(&x).unwrap_ok();
+        let mut bufs = StepBuffers::default();
+        for (act, row_wise) in forms {
+            let hook = || Forms {
+                act,
+                divisors: (0..D).map(|j| j as f32 / 8.0).collect(),
+            };
+            let reference = g.run(&x, &mut hook()).unwrap_ok();
+            assert_ne!(reference, plain, "{act:?} changed nothing");
+            for pass in ["cold", "warm"] {
+                let y = exec.run(&g, &x, &mut hook()).unwrap_ok();
+                assert_eq!(bits(&y[0]), bits(&reference[0]), "{act:?} plan ({pass})");
+            }
+            // The whole window as one prefill block reads the window's
+            // tensors; a step reads one row.
+            let want = Tensor::from_slice(reference[0].row(SEQ - 1));
+            let mut st = DecodeState::default();
+            let got = st.prefill(&plan, &g, &mut bufs, &x[0], &mut hook());
+            assert_eq!(bits(&got.unwrap_ok()), bits(&want), "{act:?} prefill");
+            if row_wise {
+                let head = Tensor::from_slice(&window[..SEQ - 1]);
+                st.prefill(&plan, &g, &mut bufs, &head, &mut hook())
+                    .unwrap_ok();
+                let got = st.step(&plan, &g, &mut bufs, window[SEQ - 1], &mut hook());
+                assert_eq!(bits(&got.unwrap_ok()), bits(&want), "{act:?} step");
+            }
+        }
     }
 }

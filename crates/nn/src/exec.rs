@@ -2,21 +2,27 @@
 //!
 //! Every executor — the reference loop ([`Graph::run`](crate::Graph::run)),
 //! the ahead-of-time planner ([`crate::ExecPlan`]) and the decode step
-//! ([`crate::DecodeState`]) — runs a node through [`run_node`]: the hook's
-//! `before_node`, one [`ExecHook::bind`] call, parameter and activation-code
-//! resolution, the operator's `*_into` kernel, `after_node`. Planned and
-//! incremental execution are therefore bit-identical to the reference loop
-//! by construction: there is exactly one implementation of the hook
-//! protocol and of every operator's evaluation.
+//! ([`crate::DecodeState`]) — runs a node through [`run_node`] on inputs
+//! borrowed where they live: the [`ExecHook::bind`] lookup, the operands it
+//! asks for (divided, fake-quantized or coded into pooled scratch; in place
+//! otherwise), the operator's `*_into` kernel, then the read-only
+//! `before_node` (the operands) and `after_node` (the output). Planned and incremental execution are therefore
+//! bit-identical to the reference loop by construction: there is exactly
+//! one implementation of the hook protocol and of every operator's
+//! evaluation.
 
 use crate::error::PtqError;
 use crate::graph::{Graph, Node, Op, ValueId, MAX_OP_PARAMS};
 use crate::interp::ExecHook;
 use ptq_tensor::ops::{self, ActOperand, KernelPath, WeightOperand};
-use ptq_tensor::{ActScale, Fp8Format, KvCachePolicy, QActTensor, QTensor, Tensor};
+use ptq_tensor::{
+    fake_quant_fp8, fake_quant_int8, fake_quant_per_tile, tile_scale, ActScale, Fp8Codec,
+    Fp8Format, Int8Codec, Int8Mode, KvCachePolicy, QActTensor, QTensor, Tensor,
+};
 
 /// Upper bound on activation inputs a node can bind as FP8 codes
-/// (MatMul's two operands is the maximum).
+/// (MatMul's two operands is the maximum), and on any operator's
+/// activation inputs.
 pub const MAX_ACT_INPUTS: usize = 2;
 
 /// What a node's quantizable weight ([`Op::weight_value`]: the Conv2d/
@@ -35,17 +41,30 @@ pub enum WeightBinding<'a> {
     Q(&'a QTensor),
 }
 
-/// How one activation input crosses the op boundary.
+/// How one activation input crosses the op boundary, after the binding's
+/// divisors.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ActBinding {
-    /// As the dense f32 tensor `before_node` left in place.
+    /// As the dense f32 value.
     #[default]
     F32,
-    /// As FP8 codes: the executor quantizes the staged input after
-    /// `before_node` and runs the node through a code×code kernel, so the
-    /// MAC loop never reads the dense input. Executable on input 0 of a
-    /// non-depthwise Conv2d or a Linear whose weight is [`WeightBinding::Q`],
-    /// and on both MatMul operands together.
+    /// As f32 rounded through `format` under `scale` and back
+    /// (fake-quant): the values [`ActBinding::Coded`] carries, computed by
+    /// the fp8 crate's fake-quant loops rather than the codes.
+    FakeFp8 {
+        /// Rounding format.
+        format: Fp8Format,
+        /// Scale layout.
+        scale: ActScale,
+    },
+    /// As f32 rounded through INT8 under this codec, or under one
+    /// calibrated asymmetrically from the value at hand when `None`.
+    FakeInt8(Option<Int8Codec>),
+    /// As FP8 codes: the executor quantizes the operand and runs the node
+    /// through a code×code kernel, so the MAC loop never reads the dense
+    /// input. Executable on input 0 of a non-depthwise Conv2d or a Linear
+    /// whose weight is [`WeightBinding::Q`], and on both MatMul operands
+    /// together.
     Coded {
         /// Code format.
         format: Fp8Format,
@@ -54,22 +73,26 @@ pub enum ActBinding {
     },
 }
 
-/// Everything that steers how one node executes, decided by the hook in a
-/// single pure [`ExecHook::bind`] call. The default runs the graph as
-/// bound: graph weights, f32 activations, the default kernel path, an f32
-/// KV cache.
+/// Everything that changes how one node executes, decided by the hook in
+/// a pure [`ExecHook::bind`] lookup. The default runs the graph as bound:
+/// graph weights, f32 activations read in place, the default kernel path,
+/// an f32 KV cache.
 ///
 /// A binding the node cannot execute (a substitute on a node without a
-/// weight slot, `Q` on an Embedding, codes without a code×code kernel,
-/// one-sided MatMul coding) fails the run with [`PtqError::Internal`].
+/// weight slot, `Q` on an Embedding, a form on an input the node lacks,
+/// codes without a code×code kernel, one-sided MatMul coding) fails the run
+/// with [`PtqError::Internal`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Binding<'a> {
     /// What the node's quantizable weight executes as.
     pub weight: WeightBinding<'a>,
+    /// Per-channel divisors of input 0 (SmoothQuant), applied before its
+    /// [`ActBinding`]: element `j` of every last-axis row is divided by
+    /// `divisors[j]` where that is positive. Ignored when the input's last
+    /// dim is not their length.
+    pub divisors: Option<&'a [f32]>,
     /// How each of the first [`MAX_ACT_INPUTS`] activation inputs crosses
-    /// the boundary. The one contract left to the hook: an input bound
-    /// [`ActBinding::Coded`] must leave `before_node` un-fake-quantized,
-    /// or it is quantized twice.
+    /// the boundary.
     pub acts: [ActBinding; MAX_ACT_INPUTS],
     /// Which implementation every MAC kernel (and the decode step's
     /// attention kernels) runs through; both are bit-identical.
@@ -116,66 +139,139 @@ type ActsRef<'a> = [Option<&'a QActTensor>; MAX_ACT_INPUTS];
 /// nodes and runs.
 #[derive(Debug, Default)]
 pub(crate) struct NodeScratch {
+    /// f32 operands the binding divides or fake-quantizes.
+    pub(crate) operands: [Tensor; MAX_ACT_INPUTS],
     /// FP8 activation-code buffers for [`ActBinding::Coded`] inputs.
     acts: [QActTensor; MAX_ACT_INPUTS],
     /// Decoded embedding ids.
     ids: Vec<usize>,
 }
 
-/// Run one node: `before_node` on the staged inputs, bind once, resolve
+/// The f32 operand input `i` (the value `x`) reads under `binding`: `x`
+/// itself when the binding leaves it alone; otherwise a copy in `buf`,
+/// divided by the divisors (input 0) and fake-quantized. A coded input is
+/// coded from this operand.
+pub(crate) fn operand<'t>(
+    binding: &Binding<'_>,
+    i: usize,
+    x: &'t Tensor,
+    buf: &'t mut Tensor,
+) -> &'t Tensor {
+    let last = x.shape().last().copied();
+    let divisors = binding
+        .divisors
+        .filter(|s| i == 0 && !s.is_empty() && last == Some(s.len()));
+    let act = binding.acts.get(i).copied().unwrap_or_default();
+    if divisors.is_none() && matches!(act, ActBinding::F32 | ActBinding::Coded { .. }) {
+        return x;
+    }
+    buf.copy_from(x);
+    let data = buf.data_mut();
+    let divisors = divisors.unwrap_or_default().iter().cycle();
+    for (v, &sj) in data.iter_mut().zip(divisors).filter(|(_, &sj)| sj > 0.0) {
+        *v /= sj;
+    }
+    match act {
+        ActBinding::FakeFp8 {
+            format,
+            scale: ActScale::PerTile(t),
+        } => fake_quant_per_tile(data, last.unwrap_or(1), format, t),
+        ActBinding::FakeFp8 { format, scale } => {
+            // NaN-aware absmax: a non-finite value forces unit scale.
+            let s = match scale {
+                ActScale::Static(s) => s,
+                _ => tile_scale(format, data),
+            };
+            fake_quant_fp8(data, &Fp8Codec::new(format), s);
+        }
+        ActBinding::FakeInt8(codec) => {
+            let codec = codec.unwrap_or_else(|| Int8Codec::calibrate(data, Int8Mode::Asymmetric));
+            fake_quant_int8(data, &codec);
+        }
+        ActBinding::F32 | ActBinding::Coded { .. } => {}
+    }
+    buf
+}
+
+/// `xs[out]` to write, beside a lookup of every other element to read: a
+/// node's output never aliases one of its inputs (graph values are defined
+/// once, and the planner never hands a live input's slot to an output).
+pub(crate) fn split_out<'a>(
+    xs: &'a mut [Tensor],
+    out: usize,
+) -> (&'a mut Tensor, impl Fn(usize) -> &'a Tensor + 'a) {
+    let (lo, rest) = xs.split_at_mut(out);
+    let (o, hi) = rest.split_at_mut(1);
+    let (lo, hi): (&[Tensor], &[Tensor]) = (lo, hi);
+    let at = move |j| if j < out { &lo[j] } else { &hi[j - out - 1] };
+    (&mut o[0], at)
+}
+
+/// Run one node on its activation inputs `ins` (one or two, borrowed where
+/// they live): bind, build the operands the binding asks for, resolve
 /// parameters and activation codes, evaluate into `out` (reusing its
-/// allocation), `after_node`. Arity and shapes must already be validated.
+/// allocation), then `before_node` on the operands and `after_node` on
+/// `out`. Arity and shapes must already be validated.
 pub(crate) fn run_node(
     graph: &Graph,
     node: &Node,
-    ins: &mut [Tensor],
+    ins: &[&Tensor],
     hook: &mut dyn ExecHook,
     scratch: &mut NodeScratch,
     out: &mut Tensor,
 ) -> Result<(), PtqError> {
     let mut sp = ptq_trace::span(ptq_trace::Level::Debug, "op");
-    hook.before_node(node, ins);
-    {
-        let binding = hook.bind(node);
+    let n = ins.len();
+    let NodeScratch {
+        operands: [b0, b1],
+        acts: codes,
+        ids,
+    } = scratch;
+    let binding = hook.bind(node);
+    check_binding(node, &binding, n)?;
+    let xs = [
+        operand(&binding, 0, ins[0], b0),
+        operand(&binding, 1, ins[n - 1], b1),
+    ];
+    let xs = &xs[..n];
 
-        let (ids, n) = node.op.param_ids();
-        let mut params = ParamsRef([None; MAX_OP_PARAMS]);
-        for (slot, id) in params.0.iter_mut().zip(&ids[..n]) {
-            let w = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
-                value: *id,
-                node: node.name.clone(),
-            })?;
-            *slot = Some(WeightOperand::F32(w));
-        }
-        check_binding(node, &binding, ins.len())?;
-        // `param_ids` puts the quantizable weight in slot 0.
-        match binding.weight {
-            WeightBinding::Graph => {}
-            WeightBinding::F32(t) => params.0[0] = Some(WeightOperand::F32(t)),
-            WeightBinding::Q(q) => params.0[0] = Some(WeightOperand::Q(q)),
-        }
-
-        let mut acts: ActsRef<'_> = [None; MAX_ACT_INPUTS];
-        let coded = binding.acts.iter().zip(scratch.acts.iter_mut());
-        for (i, (act, buf)) in coded.enumerate() {
-            let ActBinding::Coded { format, scale } = *act else {
-                continue;
-            };
-            let x = &ins[i];
-            let mut qs = ptq_trace::span(ptq_trace::Level::Debug, "act.quantize");
-            buf.quantize(x, format, scale);
-            if qs.active() {
-                qs.record_str("layer", &node.name);
-                qs.record_int("input", i as i64);
-                qs.record_int("elems", x.len() as i64);
-                qs.record_int("bytes", buf.storage_bytes() as i64);
-            }
-            acts[i] = Some(buf);
-        }
-
-        let path = binding.kernel_path;
-        eval_node_into(node, ins, &params, &acts, &mut scratch.ids, out, path)?;
+    let (param_ids, n_params) = node.op.param_ids();
+    let mut params = ParamsRef([None; MAX_OP_PARAMS]);
+    for (slot, id) in params.0.iter_mut().zip(&param_ids[..n_params]) {
+        let w = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
+            value: *id,
+            node: node.name.clone(),
+        })?;
+        *slot = Some(WeightOperand::F32(w));
     }
+    // `param_ids` puts the quantizable weight in slot 0.
+    match binding.weight {
+        WeightBinding::Graph => {}
+        WeightBinding::F32(t) => params.0[0] = Some(WeightOperand::F32(t)),
+        WeightBinding::Q(q) => params.0[0] = Some(WeightOperand::Q(q)),
+    }
+
+    let mut acts: ActsRef<'_> = [None; MAX_ACT_INPUTS];
+    let coded = binding.acts.iter().zip(codes.iter_mut());
+    for (i, (act, buf)) in coded.enumerate() {
+        let ActBinding::Coded { format, scale } = *act else {
+            continue;
+        };
+        let x = xs[i];
+        let mut qs = ptq_trace::span(ptq_trace::Level::Debug, "act.quantize");
+        buf.quantize(x, format, scale);
+        if qs.active() {
+            qs.record_str("layer", &node.name);
+            qs.record_int("input", i as i64);
+            qs.record_int("elems", x.len() as i64);
+            qs.record_int("bytes", buf.storage_bytes() as i64);
+        }
+        acts[i] = Some(buf);
+    }
+
+    eval_node_into(node, xs, &params, &acts, ids, out, binding.kernel_path)?;
+    // The binding borrows the hook: the observers run once it is done.
+    hook.before_node(node, xs);
     hook.after_node(node, out);
     if sp.active() {
         sp.record_str("node", &node.name);
@@ -193,7 +289,7 @@ pub(crate) fn run_node(
 /// FP8-stored, or both MatMul operands together. The kernels themselves
 /// take any operand mix; what executes is decided here.
 fn check_binding(node: &Node, binding: &Binding<'_>, n_inputs: usize) -> Result<(), PtqError> {
-    let coded = |i: usize| binding.acts[i] != ActBinding::F32;
+    let coded = |i: usize| matches!(binding.acts[i], ActBinding::Coded { .. });
     let q_weight = matches!(binding.weight, WeightBinding::Q(_));
     let name = &node.name;
     let class = node.op.class();
@@ -202,8 +298,9 @@ fn check_binding(node: &Node, binding: &Binding<'_>, n_inputs: usize) -> Result<
         format!(
             "weight substitute bound for node {name} ({class}), which has no quantizable weight"
         )
-    } else if let Some(i) = (0..MAX_ACT_INPUTS).find(|&i| coded(i) && i >= n_inputs) {
-        format!("activation codes bound for input {i} of node {name}, which has {n_inputs} inputs")
+    } else if let Some(i) = (n_inputs..MAX_ACT_INPUTS).find(|&i| binding.acts[i] != ActBinding::F32)
+    {
+        format!("activation form bound for input {i} of node {name}, which has {n_inputs} inputs")
     } else {
         match &node.op {
             _ if !coded(0) && !coded(1) => return Ok(()),
@@ -225,22 +322,22 @@ fn check_binding(node: &Node, binding: &Binding<'_>, n_inputs: usize) -> Result<
     Err(PtqError::Internal(why))
 }
 
-/// Evaluate one node into `out`. `ins` are the (possibly hook-mutated)
-/// activation inputs and `params` the resolved parameters; the only runtime
-/// failures left are data-dependent contracts (embedding id values) and a
-/// `Q` weight on an operator that reads f32 parameters
-/// ([`ParamsRef::get_f32`]); [`check_binding`] has rejected every other
-/// binding the operator cannot execute.
+/// Evaluate one node into `out`. `ins` are the f32 operands and `params`
+/// the resolved parameters; the only runtime failures left are
+/// data-dependent contracts (embedding id values) and a `Q` weight on an
+/// operator that reads f32 parameters ([`ParamsRef::get_f32`]);
+/// [`check_binding`] has rejected every other binding the operator cannot
+/// execute.
 fn eval_node_into(
     node: &Node,
-    ins: &[Tensor],
+    ins: &[&Tensor],
     params: &ParamsRef<'_>,
     acts: &ActsRef<'_>,
     ids: &mut Vec<usize>,
     out: &mut Tensor,
     path: KernelPath,
 ) -> Result<(), PtqError> {
-    let act = |i: usize| acts[i].map_or(ActOperand::F32(&ins[i]), ActOperand::Coded);
+    let act = |i: usize| acts[i].map_or(ActOperand::F32(ins[i]), ActOperand::Coded);
     match &node.op {
         Op::Conv2d {
             bias,
@@ -250,7 +347,7 @@ fn eval_node_into(
         } => {
             let (w, b) = (params.get(node, 0)?, params.bias(node, *bias)?);
             if *depthwise {
-                ops::depthwise_conv2d_into(&ins[0], w, b, *cp, out, path);
+                ops::depthwise_conv2d_into(ins[0], w, b, *cp, out, path);
             } else {
                 ops::conv2d_into(act(0), w, b, *cp, out, path);
             }
@@ -260,7 +357,7 @@ fn eval_node_into(
             ops::linear_into(act(0), w, b, out, path);
         }
         Op::MatMul => ops::matmul_into(act(0), act(1), out, path),
-        Op::BatchMatMul => ops::batch_matmul_into(&ins[0], &ins[1], out, path),
+        Op::BatchMatMul => ops::batch_matmul_into(ins[0], ins[1], out, path),
         Op::Embedding { .. } => {
             let t = params.get_f32(node, 0)?;
             let vocab = t.dim(0);
@@ -292,31 +389,31 @@ fn eval_node_into(
             let beta = params.get_f32(node, 1)?;
             let mean = params.get_f32(node, 2)?;
             let var = params.get_f32(node, 3)?;
-            ops::batchnorm2d_parts_into(&ins[0], gamma, beta, mean, var, *eps, out);
+            ops::batchnorm2d_parts_into(ins[0], gamma, beta, mean, var, *eps, out);
         }
         Op::LayerNorm { eps, .. } => {
             let g = params.get_f32(node, 0)?;
             let b = params.get_f32(node, 1)?;
-            ops::layernorm_into(&ins[0], g, b, *eps, out);
+            ops::layernorm_into(ins[0], g, b, *eps, out);
         }
-        Op::Add => ins[0].zip_broadcast_into(&ins[1], |a, b| a + b, out),
-        Op::Mul => ins[0].zip_broadcast_into(&ins[1], |a, b| a * b, out),
+        Op::Add => ins[0].zip_broadcast_into(ins[1], |a, b| a + b, out),
+        Op::Mul => ins[0].zip_broadcast_into(ins[1], |a, b| a * b, out),
         Op::AddParam { .. } => {
             let p = params.get_f32(node, 0)?;
             ins[0].zip_broadcast_into(p, |a, b| a + b, out);
         }
-        Op::Relu => ops::relu_into(&ins[0], out),
-        Op::Gelu => ops::gelu_into(&ins[0], out),
-        Op::Silu => ops::silu_into(&ins[0], out),
-        Op::Sigmoid => ops::sigmoid_into(&ins[0], out),
-        Op::Tanh => ops::tanh_into(&ins[0], out),
-        Op::Softmax => ops::softmax_lastdim_into(&ins[0], out),
-        Op::MaxPool { k } => ops::max_pool2d_into(&ins[0], *k, out),
-        Op::AvgPool { k } => ops::avg_pool2d_into(&ins[0], *k, out),
-        Op::GlobalAvgPool => ops::global_avg_pool2d_into(&ins[0], out),
+        Op::Relu => ops::relu_into(ins[0], out),
+        Op::Gelu => ops::gelu_into(ins[0], out),
+        Op::Silu => ops::silu_into(ins[0], out),
+        Op::Sigmoid => ops::sigmoid_into(ins[0], out),
+        Op::Tanh => ops::tanh_into(ins[0], out),
+        Op::Softmax => ops::softmax_lastdim_into(ins[0], out),
+        Op::MaxPool { k } => ops::max_pool2d_into(ins[0], *k, out),
+        Op::AvgPool { k } => ops::avg_pool2d_into(ins[0], *k, out),
+        Op::GlobalAvgPool => ops::global_avg_pool2d_into(ins[0], out),
         Op::MeanRows => {
             // Rows added in ascending order into each column's sum.
-            let x = &ins[0];
+            let x = ins[0];
             let (r, d) = (x.dim(0), x.dim(1));
             out.reuse_as(&[1, d]);
             out.zero_fill();
@@ -332,7 +429,7 @@ fn eval_node_into(
         Op::Reshape(shape) => {
             // Element counts were proven equal by shape validation, so this
             // is a straight copy under the target shape.
-            out.copy_from(&ins[0]);
+            out.copy_from(ins[0]);
             out.reuse_as(shape);
         }
         Op::Permute(perm) => ins[0].permute_into(perm, out),
@@ -342,7 +439,7 @@ fn eval_node_into(
         }
         Op::Upsample2x => {
             // Each input row becomes two identical output rows of pairs.
-            let x = &ins[0];
+            let x = ins[0];
             let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
             out.reuse_as(&[n, c, 2 * h, 2 * w]);
             let rows = x.data().chunks_exact(w.max(1));
@@ -367,7 +464,7 @@ fn eval_node_into(
             // incremental-decode step (s1 == 1) masks nothing — the
             // single newest query row must not re-mask already-emitted
             // positions.
-            let x = &ins[0];
+            let x = ins[0];
             let (s1, s2) = (x.dim(1), x.dim(2));
             out.copy_from(x);
             for (r, row) in out.data_mut().chunks_exact_mut(s2.max(1)).enumerate() {

@@ -12,23 +12,27 @@ use ptq_tensor::Tensor;
 ///
 /// * **calibration** observes tensors in [`ExecHook::before_node`] /
 ///   [`ExecHook::after_node`],
-/// * **quantized inference** fake-quantizes activation inputs in
-///   `before_node` and binds pre-quantized weights, boundary-coded
-///   activations and the kernel path in [`ExecHook::bind`],
+/// * **quantized inference** binds pre-quantized weights, SmoothQuant
+///   divisors, fake-quantized or boundary-coded activations and the kernel
+///   path in [`ExecHook::bind`]; the executor builds those operands,
 /// * **BatchNorm calibration** measures pre-BN activations and rewrites the
 ///   running statistics between runs.
+///
+/// The observers are read-only: what a node computes is decided by `bind`
+/// alone.
 pub trait ExecHook {
-    /// Called before a node executes; may mutate (e.g. fake-quantize) the
-    /// activation inputs.
-    fn before_node(&mut self, _node: &Node, _inputs: &mut [Tensor]) {}
+    /// Called with the f32 operands a node's kernel read — its inputs after
+    /// the binding's divisors and fake-quant, before any coding — once per
+    /// node execution, right before `after_node`.
+    fn before_node(&mut self, _node: &Node, _inputs: &[&Tensor]) {}
 
-    /// Called after a node executes; may observe or mutate the output.
-    fn after_node(&mut self, _node: &Node, _output: &mut Tensor) {}
+    /// Called after a node executes, with its output.
+    fn after_node(&mut self, _node: &Node, _output: &Tensor) {}
 
-    /// How `node` executes: what its weight runs as, which activation
-    /// inputs cross the boundary as FP8 codes, the kernel path, the KV
+    /// How `node` executes: what its weight runs as, how each activation
+    /// input is divided, fake-quantized or coded, the kernel path, the KV
     /// cache format of its output rows. Called once per node execution,
-    /// after `before_node`; a pure lookup over state the hook already
+    /// before the observers; a pure lookup over state the hook already
     /// holds. The default runs the graph as bound (see [`Binding`]).
     fn bind(&self, _node: &Node) -> Binding<'_> {
         Binding::default()
@@ -64,15 +68,18 @@ impl Graph {
         }
         let mut scratch = NodeScratch::default();
         for node in &self.nodes {
-            let mut ins = Vec::with_capacity(node.inputs.len());
-            for &i in &node.inputs {
-                ins.push(values[i].clone().ok_or_else(|| PtqError::UseBeforeDef {
-                    value: i,
+            let value = |j: usize| {
+                let v = node.inputs[j];
+                values[v].as_ref().ok_or_else(|| PtqError::UseBeforeDef {
+                    value: v,
                     node: node.name.clone(),
-                })?);
-            }
+                })
+            };
+            // Every operator reads one or two inputs (validated).
+            let n = node.inputs.len();
+            let ins = [value(0)?, value(n - 1)?];
             let mut out = Tensor::default();
-            run_node(self, node, &mut ins, hook, &mut scratch, &mut out)?;
+            run_node(self, node, &ins[..n], hook, &mut scratch, &mut out)?;
             values[node.output] = Some(out);
         }
         self.outputs
@@ -98,9 +105,9 @@ mod tests {
     use crate::error::UnwrapOk;
     use crate::exec::{ActBinding, WeightBinding};
     use crate::graph::{OpClass, ValueId};
-    use ptq_fp8::{fake_quant_fp8, Fp8Codec, Fp8Format};
+    use ptq_fp8::Fp8Format;
     use ptq_tensor::ops::Conv2dParams;
-    use ptq_tensor::{fake_quant_per_tile, tile_scale, ActScale, QTensor, TensorRng};
+    use ptq_tensor::{ActScale, QTensor, TensorRng};
     use std::collections::HashMap;
 
     /// A tiny conv -> bn -> relu -> gap -> linear CNN for tests.
@@ -159,10 +166,10 @@ mod tests {
             after: usize,
         }
         impl ExecHook for Counter {
-            fn before_node(&mut self, _n: &Node, _i: &mut [Tensor]) {
+            fn before_node(&mut self, _n: &Node, _i: &[&Tensor]) {
                 self.before += 1;
             }
-            fn after_node(&mut self, _n: &Node, _o: &mut Tensor) {
+            fn after_node(&mut self, _n: &Node, _o: &Tensor) {
                 self.after += 1;
             }
         }
@@ -219,30 +226,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn input_mutation_hook_applies() {
-        struct Doubler;
-        impl ExecHook for Doubler {
-            fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-                if node.id == 0 {
-                    for t in inputs {
-                        t.map_inplace(|v| v * 2.0);
-                    }
-                }
-            }
-        }
-        // Single linear layer: doubling the input doubles the output.
-        let mut b = GraphBuilder::new();
-        let x = b.input();
-        let w = b.param(Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
-        let y = b.linear(x, w, None);
-        let g = b.finish(vec![y]);
-        let input = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let base = g.infer(std::slice::from_ref(&input)).unwrap_ok();
-        let doubled = g.run(&[input], &mut Doubler).unwrap_ok();
-        assert_eq!(doubled[0].data()[0], 2.0 * base[0].data()[0]);
-    }
-
     /// Binds FP8-stored Conv2d/Linear weights and, when `scale` is set,
     /// codes input 0 of those nodes at the boundary.
     struct QHook {
@@ -292,33 +275,22 @@ mod tests {
     fn coded_binding_matches_fake_quant_on_all_executors() {
         const F: Fp8Format = Fp8Format::E3M4;
 
-        /// Fake-quant reference: the same scale layout applied in
-        /// `before_node`, weights dequantized from the same storage.
+        /// Fake-quant reference: the same scale layout bound as an f32
+        /// fake-quant form, weights dequantized from the same storage.
         struct FqHook {
             deq: F32Weights,
             scale: ActScale,
         }
         impl ExecHook for FqHook {
             fn bind(&self, node: &Node) -> Binding<'_> {
-                self.deq.bind(node)
-            }
-            fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
-                if !node
-                    .op
-                    .weight_value()
-                    .is_some_and(|v| self.deq.0.contains_key(&v))
-                {
-                    return;
+                let mut b = self.deq.bind(node);
+                if let WeightBinding::F32(_) = b.weight {
+                    b.acts[0] = ActBinding::FakeFp8 {
+                        format: F,
+                        scale: self.scale,
+                    };
                 }
-                let x = &mut inputs[0];
-                let inner = x.shape().last().copied().unwrap_or(1);
-                let codec = Fp8Codec::new(F);
-                let s = match self.scale {
-                    ActScale::PerTile(t) => return fake_quant_per_tile(x.data_mut(), inner, F, t),
-                    ActScale::Static(s) => s,
-                    ActScale::Dynamic => tile_scale(F, x.data()),
-                };
-                fake_quant_fp8(x.data_mut(), &codec, s);
+                b
             }
         }
 

@@ -1,11 +1,11 @@
 //! Ahead-of-time execution plans with arena-allocated intermediates.
 //!
 //! [`Graph::run`] re-does a lot of shape-independent work every call:
-//! full validation, per-node input cloning, and a fresh allocation for
-//! every intermediate tensor. PTQ hammers the same graph with the same
-//! input shape hundreds of times (calibration passes, sensitivity sweeps,
-//! BatchNorm re-estimation, suite evaluation), so this module moves all of
-//! that work to a *plan-once, run-many* split:
+//! full validation and a fresh allocation for every intermediate tensor.
+//! PTQ hammers the same graph with the same input shape hundreds of times
+//! (calibration passes, sensitivity sweeps, BatchNorm re-estimation, suite
+//! evaluation), so this module moves all of that work to a *plan-once,
+//! run-many* split:
 //!
 //! * [`Graph::plan`] validates the graph against one set of input shapes,
 //!   resolves every value's static shape, topologically schedules the
@@ -31,7 +31,7 @@
 //! was built against.
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{run_node, NodeScratch};
+use crate::exec::{run_node, split_out, NodeScratch};
 use crate::graph::{Graph, Node, Op, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
@@ -61,33 +61,26 @@ struct Step {
 
 /// Reusable per-worker tensor storage for planned execution.
 ///
-/// Holds one tensor per plan slot (intermediates), the staging buffers
-/// hook-visible inputs are copied into, and the per-node scratch
-/// (activation-code buffers). All buffers keep their capacity across runs,
-/// so a warmed arena executes passes without allocating an intermediate
-/// tensor.
+/// Holds one tensor per plan slot (intermediates) and the per-node scratch
+/// (transformed operands, activation-code buffers). Nodes read their inputs
+/// in place. All buffers keep their capacity across runs, so a warmed arena
+/// executes passes without allocating an intermediate tensor.
 #[derive(Debug, Default)]
 pub struct TensorArena {
     /// One tensor per plan slot; capacity grows to the slot's peak size.
     slots: Vec<Tensor>,
-    /// Hook-visible input staging buffers, shared across nodes by
-    /// position; capacity grows to the widest node's inputs.
-    staging: Vec<Tensor>,
-    /// Activation-code buffers and id scratch for the node currently
-    /// executing, recycled across nodes and runs.
+    /// Transformed operands, activation-code buffers and id scratch for
+    /// the node currently executing, recycled across nodes and runs.
     node: NodeScratch,
 }
 
 impl TensorArena {
-    /// Total bytes of tensor storage currently held (slot + staging
+    /// Total bytes of tensor storage currently held (slot and f32 operand
     /// capacities). Stable across steady-state runs; reported through the
     /// `arena.bytes_reused` gauge.
     pub fn capacity_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .chain(self.staging.iter())
-            .map(Tensor::capacity_bytes)
-            .sum()
+        let tensors = self.slots.iter().chain(&self.node.operands);
+        tensors.map(Tensor::capacity_bytes).sum()
     }
 
     /// Size the arena for `plan`: materialize every slot at its peak
@@ -97,39 +90,11 @@ impl TensorArena {
             self.slots
                 .resize_with(plan.slot_elems.len(), Tensor::default);
         }
-        if self.staging.len() < plan.max_arity {
-            self.staging.resize_with(plan.max_arity, Tensor::default);
-        }
         for (slot, &elems) in plan.slot_elems.iter().enumerate() {
             if self.slots[slot].len() < elems {
                 self.slots[slot].reuse_as(&[elems]);
             }
         }
-    }
-}
-
-/// A small free-list pool of [`TensorArena`]s, so repeated
-/// [`ExecPlan::run`] calls (and concurrent callers of one plan) reuse
-/// warmed buffers instead of re-allocating.
-#[derive(Debug, Default)]
-struct ArenaPool {
-    arenas: Mutex<Vec<TensorArena>>,
-}
-
-impl ArenaPool {
-    fn acquire(&self) -> TensorArena {
-        self.arenas
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn release(&self, arena: TensorArena) {
-        self.arenas
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(arena);
     }
 }
 
@@ -155,12 +120,11 @@ pub struct ExecPlan {
     outputs: Vec<Src>,
     /// Peak element count per arena slot.
     slot_elems: Vec<usize>,
-    /// Widest node input arity (sizes the staging buffers).
-    max_arity: usize,
     /// Whether some node's kernel fans out on the pool by itself.
     fans_out: bool,
-    /// Warm arenas, reused across runs and shared by batch workers.
-    pool: ArenaPool,
+    /// Warm arenas, a free list reused across runs (and by concurrent
+    /// callers of one plan) instead of re-allocating.
+    pool: Mutex<Vec<TensorArena>>,
 }
 
 impl Graph {
@@ -197,7 +161,6 @@ impl Graph {
         let mut slot_elems: Vec<usize> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
         let mut active: Vec<(usize, usize)> = Vec::new(); // (last_use, slot)
-        let mut max_arity = 0usize;
         let mut fans_out = false;
         for (i, node) in self.nodes.iter().enumerate() {
             // Expire slots whose value has no reader at or after this
@@ -223,7 +186,6 @@ impl Graph {
                     node: node.name.clone(),
                 })?);
             }
-            max_arity = max_arity.max(srcs.len());
 
             let elems: usize = shapes[node.output]
                 .as_ref()
@@ -273,9 +235,8 @@ impl Graph {
             steps,
             outputs,
             slot_elems,
-            max_arity,
             fans_out,
-            pool: ArenaPool::default(),
+            pool: Mutex::default(),
         })
     }
 
@@ -324,7 +285,8 @@ impl ExecPlan {
         inputs: &[Tensor],
         hook: &mut dyn ExecHook,
     ) -> Result<Vec<Tensor>, PtqError> {
-        let mut arena = self.pool.acquire();
+        let pool = || self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut arena = pool().pop().unwrap_or_default();
         let cap_before = arena.capacity_bytes();
         let result = self.run_with_arena(graph, inputs, hook, &mut arena);
         if ptq_trace::enabled(ptq_trace::Level::Debug) {
@@ -344,7 +306,7 @@ impl ExecPlan {
                 );
             }
         }
-        self.pool.release(arena);
+        pool().push(arena);
         result
     }
 
@@ -352,49 +314,41 @@ impl ExecPlan {
     /// fingerprint, and parameter shapes must match what the plan was
     /// built against.
     fn check_compat(&self, graph: &Graph, inputs: &[Tensor]) -> Result<(), PtqError> {
-        if inputs.len() != self.in_shapes.len() {
-            return Err(PtqError::InputArity {
-                expected: self.in_shapes.len(),
-                got: inputs.len(),
-            });
+        let (expected, got) = (self.in_shapes.len(), inputs.len());
+        if expected != got {
+            return Err(PtqError::InputArity { expected, got });
         }
-        for (t, s) in inputs.iter().zip(&self.in_shapes) {
-            if t.shape() != &s[..] {
-                return Err(PtqError::InvalidTarget {
-                    detail: format!(
-                        "plan was built for input shapes {:?}, got {:?}",
-                        self.in_shapes,
-                        inputs
-                            .iter()
-                            .map(|t| t.shape().to_vec())
-                            .collect::<Vec<_>>()
-                    ),
-                });
-            }
+        let mismatch = |detail| Err(PtqError::InvalidTarget { detail });
+        if inputs
+            .iter()
+            .zip(&self.in_shapes)
+            .any(|(t, s)| t.shape() != &s[..])
+        {
+            let got: Vec<_> = inputs.iter().map(|t| t.shape().to_vec()).collect();
+            let built = &self.in_shapes;
+            return mismatch(format!(
+                "plan was built for input shapes {built:?}, got {got:?}"
+            ));
         }
-        if graph.nodes.len() != self.n_nodes || graph.n_values != self.n_values {
-            return Err(PtqError::InvalidTarget {
-                detail: format!(
-                    "plan was built for a graph with {} nodes / {} values, got {} / {}",
-                    self.n_nodes,
-                    self.n_values,
-                    graph.nodes.len(),
-                    graph.n_values
-                ),
-            });
+        let (built, got) = (
+            (self.n_nodes, self.n_values),
+            (graph.nodes.len(), graph.n_values),
+        );
+        if built != got {
+            return mismatch(format!(
+                "plan was built for a graph with {} nodes / {} values, got {} / {}",
+                built.0, built.1, got.0, got.1
+            ));
         }
         for (id, shape) in &self.param_shapes {
-            let t = graph.params.get(id).ok_or(PtqError::InvalidTarget {
-                detail: format!("parameter {id} was unbound after planning"),
-            })?;
-            if t.shape() != &shape[..] {
-                return Err(PtqError::InvalidTarget {
-                    detail: format!(
-                        "parameter {id} changed shape after planning: {:?} -> {:?}",
-                        shape,
-                        t.shape()
-                    ),
-                });
+            match graph.params.get(id).map(Tensor::shape) {
+                None => return mismatch(format!("parameter {id} was unbound after planning")),
+                Some(s) if s != &shape[..] => {
+                    return mismatch(format!(
+                        "parameter {id} changed shape after planning: {shape:?} -> {s:?}"
+                    ))
+                }
+                Some(_) => {}
             }
         }
         Ok(())
@@ -411,21 +365,19 @@ impl ExecPlan {
         arena.prepare(self);
         let TensorArena {
             slots,
-            staging,
             node: scratch,
         } = arena;
 
         for step in &self.steps {
             let node = &graph.nodes[step.node];
-            let arity = step.srcs.len();
-            for (j, s) in step.srcs.iter().enumerate() {
-                match s {
-                    Src::Input(k) => staging[j].copy_from(&inputs[*k]),
-                    Src::Slot(s) => staging[j].copy_from(&slots[*s]),
-                }
-            }
-            let out = &mut slots[step.out_slot];
-            run_node(graph, node, &mut staging[..arity], hook, scratch, out)?;
+            let (out, slot) = split_out(slots, step.out_slot);
+            let src = |j: usize| match step.srcs[j] {
+                Src::Input(k) => &inputs[k],
+                Src::Slot(s) => slot(s),
+            };
+            // Every operator reads one or two inputs (validated).
+            let n = step.srcs.len();
+            run_node(graph, node, &[src(0), src(n - 1)][..n], hook, scratch, out)?;
         }
 
         Ok(self

@@ -291,6 +291,21 @@ pub fn decode_graph(payload: &[u8]) -> Result<Graph, ArtifactError> {
             });
         }
     }
+    // Every value is a graph input, a parameter or a node output, and
+    // validation sizes per-value tables by `n_values`: a count above what
+    // the payload defines, or an id at or past it, is malformed.
+    let defined = inputs.len() + params.len() + nodes.len();
+    let past_end = nodes.iter().any(|n| {
+        let (ids, k) = n.op.param_ids();
+        let io = n.inputs.iter().copied().chain([n.output]);
+        io.chain(ids.into_iter().take(k)).any(|v| v >= n_values)
+    });
+    let graph_ids = inputs.iter().chain(&outputs).chain(params.keys());
+    if n_values > defined || past_end || graph_ids.copied().any(|v| v >= n_values) {
+        let detail =
+            format!("n_values {n_values} must exceed every value id, not the {defined} values");
+        return Err(ArtifactError::Decode { detail });
+    }
     r.expect_end()?;
     Ok(Graph::from_parts(nodes, params, inputs, outputs, n_values))
 }

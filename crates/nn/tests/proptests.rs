@@ -1,16 +1,16 @@
 //! Property-based tests for the graph IR and interpreter.
 
 use proptest::prelude::*;
-use ptq_nn::{Binding, ExecHook, Graph, GraphBuilder, Node, NoopHook, UnwrapOk, WeightBinding};
+use ptq_nn::{Binding, ExecHook, Graph, GraphBuilder, Node, NoopHook, Op, UnwrapOk, WeightBinding};
 use ptq_tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
 
 /// Binds a borrowed f32 substitute `f(weight)` for every quantizable
-/// weight, perturbs inputs in `before_node` by `shift`, and logs every
-/// callback.
+/// weight and, for a nonzero `shift`, divisors `1 + shift·(j + 1)` over
+/// every Linear's input channels `j`, and logs every `before_node` call.
 struct Subst {
     weights: HashMap<usize, Tensor>,
-    shift: f32,
+    divisors: HashMap<usize, Vec<f32>>,
     log: Vec<(usize, usize)>,
 }
 
@@ -20,26 +20,33 @@ impl Subst {
         let weights = ids
             .map(|v| (v, f(g.param(v).expect("bound weight"))))
             .collect();
+        let linears = g.nodes().iter().filter_map(|n| match n.op {
+            Op::Linear { weight, .. } if shift != 0.0 => Some((n.id, weight)),
+            _ => None,
+        });
+        let divisors = linears
+            .map(|(id, w)| {
+                let d = g.param(w).expect("bound weight").dim(1);
+                (id, (0..d).map(|j| 1.0 + shift * (j + 1) as f32).collect())
+            })
+            .collect();
         Subst {
             weights,
-            shift,
+            divisors,
             log: Vec::new(),
         }
     }
 }
 
 impl ExecHook for Subst {
-    fn before_node(&mut self, node: &Node, inputs: &mut [Tensor]) {
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
         self.log.push((node.id, inputs.len()));
-        let shift = self.shift;
-        for t in inputs {
-            t.map_inplace(|v| v + shift);
-        }
     }
     fn bind(&self, node: &Node) -> Binding<'_> {
         let sub = node.op.weight_value().and_then(|v| self.weights.get(&v));
         Binding {
             weight: sub.map_or(WeightBinding::Graph, WeightBinding::F32),
+            divisors: self.divisors.get(&node.id).map(Vec::as_slice),
             ..Binding::default()
         }
     }
@@ -94,7 +101,7 @@ proptest! {
     ) {
         struct Order(Vec<usize>);
         impl ExecHook for Order {
-            fn before_node(&mut self, node: &Node, _i: &mut [Tensor]) {
+            fn before_node(&mut self, node: &Node, _i: &[&Tensor]) {
                 self.0.push(node.id);
             }
         }
@@ -177,7 +184,7 @@ proptest! {
     }
 
     /// Planned execution drives hooks identically to the interpreter:
-    /// same node order, same (mutable) input views, same weight bindings.
+    /// same node order, same input views, same weight and divisor bindings.
     #[test]
     fn plan_drives_hooks_identically(
         widths in proptest::collection::vec(1usize..10, 2..5),

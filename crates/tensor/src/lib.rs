@@ -33,6 +33,7 @@ pub use shape::{Shape, ShapeError};
 pub use stats::{ChannelStats, Histogram, TensorStats};
 pub use tensor::Tensor;
 
-// The storage format every coded type here is parameterized by, so
-// dependents that only name it need no direct `ptq-fp8` edge.
-pub use ptq_fp8::Fp8Format;
+// The storage format every coded type here is parameterized by, and the
+// fake-quant loops an f32 activation binding runs, so dependents that only
+// name them need no direct `ptq-fp8` edge.
+pub use ptq_fp8::{fake_quant_fp8, fake_quant_int8, Fp8Codec, Fp8Format, Int8Codec, Int8Mode};

@@ -53,6 +53,7 @@ impl Value {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -211,9 +212,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so this bounds its stack use whatever the
+/// input; everything the workspace writes nests a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -258,8 +266,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -478,6 +497,22 @@ mod tests {
         assert!(Value::parse("{} trailing").is_err());
         assert!(Value::parse("'single'").is_err());
         assert!(Value::parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&deep(MAX_DEPTH + 1)).is_err());
+        // A million levels on a 2 MiB stack: unbounded recursion would
+        // overflow it and abort the process.
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Value::parse(&"[".repeat(1_000_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed);
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn main() {
         n: usize,
     }
     impl ExecHook for LnStats {
-        fn after_node(&mut self, node: &Node, out: &mut Tensor) {
+        fn after_node(&mut self, node: &Node, out: &Tensor) {
             if node.op.class() == OpClass::LayerNorm {
                 for &v in out.data() {
                     self.absmax = self.absmax.max(v.abs());

@@ -13,11 +13,12 @@
 //! treatment at the end of the file; the raw CONFIG-chunk payload's
 //! battery sits beside `decode_config` in `crates/core/src/artifact.rs`.
 
-use fp8_ptq::artifact::{ArtifactError, ArtifactReader};
+use fp8_ptq::artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
+use fp8_ptq::core::artifact::TAG_GRAPH;
 use fp8_ptq::core::config::QuantConfig;
 use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel};
 use fp8_ptq::fp8::Fp8Format;
-use fp8_ptq::nn::{GraphBuilder, PtqError, UnwrapOk};
+use fp8_ptq::nn::{decode_graph, GraphBuilder, PtqError, UnwrapOk};
 use fp8_ptq::tensor::TensorRng;
 
 /// A small but representative artifact: FP8-stored weights (QWEIGHTS code
@@ -229,12 +230,63 @@ fn missing_chunks_are_reported_not_defaulted() {
     // A structurally valid container with no chunks at all parses at the
     // container level but must fail model decoding with MissingChunk —
     // an artifact without a graph is not an empty model.
-    let empty = fp8_ptq::artifact::ArtifactWriter::new().finish();
+    let empty = ArtifactWriter::new().finish();
     let err = PtqArtifact::from_bytes(empty).unwrap_err();
     assert!(
         matches!(err, PtqError::Artifact(ArtifactError::MissingChunk { .. })),
         "expected MissingChunk, got {err}"
     );
+}
+
+/// The committed v4 fixture with its GRAPH payload's `n_values` replaced
+/// by `f(n_values)`, every chunk rewritten through `ArtifactWriter` so each
+/// CRC is valid: only the graph decoder stands between the bytes and the
+/// loader's per-value tables.
+fn golden_with_n_values(f: impl Fn(usize) -> usize) -> Vec<u8> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/quantized_e4m3_v4.ptq"
+    );
+    let reader = ArtifactReader::from_vec(std::fs::read(path).unwrap()).unwrap();
+    let mut w = ArtifactWriter::new();
+    for c in reader.chunks() {
+        let mut payload = reader.chunk(c.tag).unwrap().to_vec();
+        if c.tag == TAG_GRAPH {
+            // `n_values` is written right before the parameter count.
+            let g = decode_graph(&payload).unwrap();
+            let (n, params) = (g.n_values() as u64, g.params().count() as u64);
+            let field = [n.to_le_bytes(), params.to_le_bytes()].concat();
+            let at: Vec<usize> = (0..payload.len() - 15)
+                .filter(|&i| payload[i..i + 16] == field[..])
+                .collect();
+            assert_eq!(at.len(), 1, "n_values field not found once");
+            let v = f(n as usize) as u64;
+            payload[at[0]..at[0] + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        w.chunk(c.tag, payload);
+    }
+    w.finish()
+}
+
+#[test]
+fn a_hostile_n_values_behind_a_valid_crc_is_a_typed_error() {
+    assert!(PtqArtifact::from_bytes(golden_with_n_values(|n| n)).is_ok());
+    // High bytes set (a count validation would once allocate per value),
+    // one more value than the graph defines, and one fewer than its ids
+    // reference.
+    let high = |n: usize| n | 0x7f7f_7f7f << 32;
+    let cases: [(&str, &dyn Fn(usize) -> usize); 3] = [
+        ("high bytes", &high),
+        ("one above the defined values", &|n| n + 1),
+        ("an id past n_values", &|n| n - 1),
+    ];
+    for (what, f) in cases {
+        let err = PtqArtifact::from_bytes(golden_with_n_values(f)).unwrap_err();
+        assert!(
+            matches!(err, PtqError::Artifact(ArtifactError::Decode { .. })),
+            "{what}: expected a Decode error, got {err}"
+        );
+    }
 }
 
 /// The all-knobs-non-default spec, as its canonical JSON text.
