@@ -16,6 +16,13 @@
 #     tuple guard under crates/tensor/src/ops picks a kernel by operand
 #     kind -- f32 and FP8 operands run the same blocked kernels, and the
 #     reference loops run under `KernelPath::ScalarReference` only.
+#   * The oracle is not a recipe: results never depend on the kernel path,
+#     so no recipe, spec, artifact or CLI carries one. `kernel_path` and
+#     `KernelPath` appear on no non-comment, non-test line under
+#     crates/{core,bench,serve,artifact,models}/src or src/ (the kernels in
+#     crates/tensor take it, and crates/nn's `Binding` and `OnPath` hook
+#     hand it to them); `with_kernel_path` appears nowhere under crates/,
+#     src/, tests/ or examples/; and `KernelPath` has no `wire_enum!`.
 #   * One lane type on every host: each blocked body is written once over
 #     `Chains` (AVX2 registers or `[f32; 8]`), and the CPU is asked on at
 #     most two non-test lines under crates/tensor/src/ops -- the lane
@@ -251,6 +258,18 @@ if hits=$(grep -rnF '(KernelPath::Blocked,' crates/tensor/src/ops); then
     fail=1
 fi
 
+hits=$(find crates/core/src crates/bench/src crates/serve/src crates/artifact/src crates/models/src src \
+    -name '*.rs' | sort | while IFS= read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} /kernel_path|KernelPath/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$f"
+done
+grep -rn 'with_kernel_path' crates/ src/ tests/ examples/ || true
+grep -rnF 'wire_enum!(KernelPath' crates/ || true)
+if [ -n "$hits" ]; then
+    echo "the oracle is not a recipe: no kernel path in the recipe, spec, artifact or CLI:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if hits=$(grep -rnE 'conv_plane|OXB' crates/); then
     echo "conv runs on the packed register tile, not a per-plane column block:" >&2
     printf '%s\n' "$hits" >&2
@@ -399,7 +418,7 @@ if [ "$serve_lines" -gt "$serve_budget" ]; then
     fail=1
 fi
 
-nn_core_budget=7360
+nn_core_budget=7322
 nn_core_lines=$(non_test_lines crates/nn/src crates/core/src)
 decode_budget=839
 decode_lines=$(non_test_lines crates/nn/src/decode.rs)
@@ -412,7 +431,8 @@ fi
 [ "$fail" -eq 0 ] || exit 1
 echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "one entry point per MAC op, ops at $ops_lines/$ops_budget lines," \
-    "the kernel path alone chooses the kernel, one lane type on every host, one attention step per side," \
+    "the kernel path alone chooses the kernel and is no part of the recipe," \
+    "one lane type on every host, one attention step per side," \
     "one lane decoder, one block walk and no gather," \
     "no per-plane conv nest," \
     "no decode-table machinery, one scalar weight decode, one encode, no scalar encode loop," \

@@ -48,8 +48,9 @@ pub const MAGIC: [u8; 8] = *b"PTQ8ART\0";
 /// chunk grew the `kv_storage` knob (autoregressive KV-cache format);
 /// v4 = the serving section shrank to queue capacity / default deadline
 /// / workers (the engine's request batching and its two knobs were
-/// deleted).
-pub const VERSION: u32 = 4;
+/// deleted); v5 = the CONFIG chunk lost its kernel-path byte (the kernel
+/// path is not part of the recipe).
+pub const VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 16;
 const CHUNK_HEADER_LEN: usize = 16;

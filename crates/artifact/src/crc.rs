@@ -285,7 +285,7 @@ pub(crate) mod tests {
     #[test]
     fn fold_matches_the_stored_crc_of_every_golden_chunk() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/");
-        for name in ["quantized_e4m3_v4.ptq", "quantized_e4m3_v3.ptq"] {
+        for name in ["quantized_e4m3_v5.ptq", "quantized_e4m3_v4.ptq"] {
             let bytes = std::fs::read(format!("{root}{name}")).unwrap();
             let word = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
             let count = word(12) as usize;

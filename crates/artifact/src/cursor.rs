@@ -62,6 +62,19 @@ impl ByteWriter {
         self.put_u64(v as u64);
     }
 
+    /// Append a boolean as one byte, 0 or 1.
+    pub fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
+    }
+
+    /// Append an optional value: a presence flag, then the value.
+    pub fn put_option<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.put_bool(v.is_some());
+        if let Some(v) = v {
+            put(self, v);
+        }
+    }
+
     /// Append an `f32` as its IEEE-754 bit pattern.
     pub fn put_f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -151,6 +164,29 @@ impl<'a> ByteReader<'a> {
     /// Read one byte.
     pub fn get_u8(&mut self, what: &str) -> Result<u8, ArtifactError> {
         Ok(self.take(1, what)?[0])
+    }
+
+    /// Read a boolean byte; anything but 0 or 1 is a `Decode` error.
+    pub fn get_bool(&mut self, what: &str) -> Result<bool, ArtifactError> {
+        match self.get_u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            x => Err(ArtifactError::Decode {
+                detail: format!("{what}: boolean byte must be 0 or 1, got {x}"),
+            }),
+        }
+    }
+
+    /// Read an optional value written by [`ByteWriter::put_option`].
+    pub fn get_option<T>(
+        &mut self,
+        what: &str,
+        get: impl FnOnce(&mut Self, &str) -> Result<T, ArtifactError>,
+    ) -> Result<Option<T>, ArtifactError> {
+        match self.get_bool(what)? {
+            false => Ok(None),
+            true => get(self, what).map(Some),
+        }
     }
 
     /// Read a little-endian `u32`.

@@ -10,7 +10,7 @@
 //! * `--only-format <F>` — keep only rows of one data format, named by
 //!   its wire label (`E5M2` / `E4M3` / `E3M4` / `INT8`) (`table2`).
 //! * `--spec <path.json>` — load a serialized [`EngineSpec`]; its
-//!   storage + kernel sections override each row's recipe (`table2`).
+//!   storage section overrides each row's recipe (`table2`).
 //! * `--trace <path.ndjson>` — record a trace of the whole run.
 //!
 //! Anything else starting with `--`, a flag missing its value and a bad
@@ -104,16 +104,15 @@ impl Flags {
         &items[..self.limit.map_or(items.len(), |n| n.min(items.len()))]
     }
 
-    /// Apply the spec file's storage and kernel sections (when given) to
-    /// a row's recipe.
+    /// Apply the spec file's storage section (when given) to a row's
+    /// recipe.
     pub fn tweak_config(&self, cfg: QuantConfig) -> QuantConfig {
         match &self.spec {
             None => cfg,
             Some(spec) => cfg
                 .with_weight_storage(spec.config.weight_storage)
                 .with_activation_storage(spec.config.activation_storage)
-                .with_act_granularity(spec.config.act_granularity)
-                .with_kernel_path(spec.config.kernel_path),
+                .with_act_granularity(spec.config.act_granularity),
         }
     }
 }
@@ -122,7 +121,6 @@ impl Flags {
 mod tests {
     use super::*;
     use ptq_core::config::{ActivationStorage, WeightStorage};
-    use ptq_core::KernelPath;
     use ptq_fp8::Fp8Format;
 
     fn parse(s: &[&str]) -> Result<Flags, String> {
@@ -192,14 +190,12 @@ mod tests {
         let spec_json = r#"{
             "quantization": { "act_format": "E4M3" },
             "storage": { "weights": "fakequant-f32", "activations": "fakequant-f32" },
-            "kernel": { "path": "scalar-reference" },
             "serving": { "workers": 3 }
         }"#;
         std::fs::write(&p, spec_json).unwrap();
         let f = parse(&["b", "--spec", p.to_str().unwrap()]).unwrap();
         let cfg = f.tweak_config(QuantConfig::fp8(Fp8Format::E5M2));
         assert_eq!(cfg.weight_storage, WeightStorage::FakeQuantF32);
-        assert_eq!(cfg.kernel_path, KernelPath::ScalarReference);
         assert_eq!(cfg.activation_storage, ActivationStorage::FakeQuantF32);
         // The spec file's quantization section does not touch the row.
         assert_eq!(cfg.act_format, DataFormat::Fp8(Fp8Format::E5M2));

@@ -20,7 +20,7 @@ use serde::Serialize;
 
 pub fn run(ctx: &mut Ctx) -> Option<serde::Value> {
     // CI uses `--only-format` to smoke one format per matrix leg, and a
-    // `--spec` file's storage/kernel sections override each row's recipe.
+    // `--spec` file's storage section overrides each row's recipe.
     let flags = ctx.flags.clone();
     let sweep = ctx.sweep(ZooFilter::All);
     eprintln!("zoo: {} workloads", sweep.zoo.len());

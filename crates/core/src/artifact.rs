@@ -39,7 +39,9 @@ use crate::spec::{EngineSpec, ServeSpec};
 use ptq_artifact::{
     ArtifactError, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter, SharedBuf,
 };
-use ptq_fp8::{CodeBytes, Fp8Error, Int8Codec, Int8Mode, SharedBytes, StoredScales, WireEnum};
+use ptq_fp8::{
+    check_shape, CodeBytes, Fp8Error, Int8Codec, Int8Mode, SharedBytes, StoredScales, WireEnum,
+};
 use ptq_nn::{decode_graph, encode_graph, NodeId, PlanSet, PtqError, ValueId};
 use ptq_tensor::{QTensor, Tensor};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -181,11 +183,52 @@ pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, Pt
         act_bytes: AtomicUsize::new(0),
         act_bytes_f32: AtomicUsize::new(0),
     };
+    check_keys(&model)?;
     Ok(PtqArtifact {
         model,
         thresholds,
         serving,
     })
+}
+
+// ---------------------------------------------------------------------
+// Keys against the graph. The CRCs only vouch that the bytes are the
+// writer's; this vouches that every keyed entry addresses the graph it
+// ships with, so a hostile file is refused here instead of silently
+// running the graph's own weight or reaching a kernel's shape panic.
+// ---------------------------------------------------------------------
+
+/// A weight is some node's quantizable weight ([`ptq_nn::Op::weight_value`])
+/// with exactly that graph parameter's shape; an activation key names a
+/// node and an input below its arity; a SmoothQuant key names a node.
+fn check_keys(m: &QuantizedModel) -> Result<(), ArtifactError> {
+    let nodes = m.graph.nodes();
+    let graph_weight = |v| nodes.iter().any(|n| n.op.weight_value() == Some(v));
+    let dense = m.weights.iter().map(|(&v, t)| (v, t.shape()));
+    let coded = m.qweights.iter().map(|(&v, q)| (v, q.shape()));
+    let mut weights = dense.chain(coded);
+    if let Some((v, shape)) = weights
+        .find(|&(v, shape)| !graph_weight(v) || m.graph.param(v).map(Tensor::shape) != Some(shape))
+    {
+        return Err(ArtifactError::Decode {
+            detail: format!("weight {v} of shape {shape:?} is no graph weight of that shape"),
+        });
+    }
+    let mut acts = m.act_scales.keys().chain(m.act_int8.keys());
+    if let Some(k) = acts.find(|k| nodes.get(k.node).is_none_or(|n| k.input >= n.inputs.len())) {
+        return Err(ArtifactError::Decode {
+            detail: format!(
+                "activation key (node {}, input {}) is not in the graph",
+                k.node, k.input
+            ),
+        });
+    }
+    match m.smooth.keys().find(|&&n| n >= nodes.len()) {
+        Some(n) => Err(ArtifactError::Decode {
+            detail: format!("smooth divisors of node {n}: not in the graph"),
+        }),
+        None => Ok(()),
+    }
 }
 
 fn fp8_err(e: Fp8Error) -> ArtifactError {
@@ -238,39 +281,6 @@ fn get_data_format(r: &mut ByteReader<'_>, what: &str) -> Result<DataFormat, Art
     }
 }
 
-fn put_bool(w: &mut ByteWriter, b: bool) {
-    w.put_u8(u8::from(b));
-}
-
-fn get_bool(r: &mut ByteReader<'_>, what: &str) -> Result<bool, ArtifactError> {
-    match r.get_u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        x => Err(ArtifactError::Decode {
-            detail: format!("{what}: boolean byte must be 0 or 1, got {x}"),
-        }),
-    }
-}
-
-/// An optional value: a presence flag, then the value.
-fn put_option<T>(w: &mut ByteWriter, v: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
-    put_bool(w, v.is_some());
-    if let Some(v) = v {
-        put(w, v);
-    }
-}
-
-fn get_option<'a, T>(
-    r: &mut ByteReader<'a>,
-    what: &str,
-    get: impl FnOnce(&mut ByteReader<'a>, &str) -> Result<T, ArtifactError>,
-) -> Result<Option<T>, ArtifactError> {
-    match get_bool(r, what)? {
-        false => Ok(None),
-        true => get(r, what).map(Some),
-    }
-}
-
 /// A strictly increasing id list (the canonical form of a `BTreeSet`).
 fn put_id_set(w: &mut ByteWriter, ids: &BTreeSet<usize>) {
     w.put_usize(ids.len());
@@ -308,7 +318,7 @@ fn get_sorted<'a, K: PartialOrd + Copy, V>(
 
 // ---------------------------------------------------------------------
 // CONFIG chunk: the EngineSpec — QuantConfig fields in declaration order,
-// then the serving section. Layout frozen at container version 4; both
+// then the serving section. Layout frozen at container version 5; both
 // halves are fixed-width per field, so any value re-encodes
 // byte-identically and corruption is caught by the container CRC, by an
 // unknown discriminant, or by `QuantConfig::validate`.
@@ -321,8 +331,8 @@ fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
     put_enum(&mut w, c.approach);
     put_enum(&mut w, c.coverage);
     put_enum(&mut w, c.weight_granularity);
-    put_bool(&mut w, c.quantize_first_last);
-    put_option(&mut w, c.smoothquant_alpha, ByteWriter::put_f32);
+    w.put_bool(c.quantize_first_last);
+    w.put_option(c.smoothquant_alpha, ByteWriter::put_f32);
     match c.calibration {
         CalibMethod::AbsMax => w.put_u8(0),
         CalibMethod::Percentile(q) => {
@@ -332,7 +342,7 @@ fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
         CalibMethod::Kl => w.put_u8(2),
         CalibMethod::MseSweep => w.put_u8(3),
     }
-    put_bool(&mut w, c.bn_calibration);
+    w.put_bool(c.bn_calibration);
     put_id_set(&mut w, &c.fallback);
     put_enum(&mut w, c.weight_storage);
     put_enum(&mut w, c.activation_storage);
@@ -343,7 +353,6 @@ fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
             w.put_usize(tile);
         }
     }
-    put_enum(&mut w, c.kernel_path);
     match c.kv_storage {
         KvStorage::F32 => w.put_u8(0),
         KvStorage::Fp8 { format } => {
@@ -352,7 +361,7 @@ fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
         }
     }
     w.put_usize(s.queue_capacity);
-    put_option(&mut w, s.default_deadline_ms, ByteWriter::put_usize);
+    w.put_option(s.default_deadline_ms, ByteWriter::put_usize);
     w.put_usize(s.workers);
     w.finish()
 }
@@ -365,8 +374,8 @@ fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
         approach: get_enum(r, "config approach")?,
         coverage: get_enum(r, "config coverage")?,
         weight_granularity: get_enum(r, "config weight granularity")?,
-        quantize_first_last: get_bool(r, "config quantize_first_last")?,
-        smoothquant_alpha: get_option(r, "config smoothquant alpha", ByteReader::get_f32)?,
+        quantize_first_last: r.get_bool("config quantize_first_last")?,
+        smoothquant_alpha: r.get_option("config smoothquant alpha", ByteReader::get_f32)?,
         calibration: match r.get_u8("config calibration")? {
             0 => CalibMethod::AbsMax,
             1 => CalibMethod::Percentile(r.get_f64("config percentile")?),
@@ -374,7 +383,7 @@ fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
             3 => CalibMethod::MseSweep,
             d => return Err(unknown_discriminant("config calibration", d)),
         },
-        bn_calibration: get_bool(r, "config bn_calibration")?,
+        bn_calibration: r.get_bool("config bn_calibration")?,
         fallback: get_id_set(r, "config fallback nodes")?,
         weight_storage: get_enum(r, "config weight storage")?,
         activation_storage: get_enum(r, "config activation storage")?,
@@ -383,7 +392,6 @@ fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
             1 => ActGranularity::PerTile(r.get_usize("config act tile")?),
             d => return Err(unknown_discriminant("config act granularity", d)),
         },
-        kernel_path: get_enum(r, "config kernel path")?,
         kv_storage: match r.get_u8("config kv storage")? {
             0 => KvStorage::F32,
             1 => KvStorage::Fp8 {
@@ -394,7 +402,7 @@ fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
     };
     let serving = ServeSpec {
         queue_capacity: r.get_usize("config serving queue_capacity")?,
-        default_deadline_ms: get_option(r, "config serving deadline", ByteReader::get_usize)?,
+        default_deadline_ms: r.get_option("config serving deadline", ByteReader::get_usize)?,
         workers: r.get_usize("config serving workers")?,
     };
     r.expect_end()?;
@@ -451,20 +459,9 @@ fn decode_weights(payload: &[u8]) -> Result<HashMap<ValueId, Tensor>, ArtifactEr
         let vid = r.get_usize("weight value id")?;
         let shape = r.get_usize_vec("weight shape")?;
         let data = r.get_f32_vec("weight data")?;
-        let elems = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| ArtifactError::Decode {
-                detail: format!("weight {vid}: shape {shape:?} overflows"),
-            })?;
-        if elems != data.len() {
-            return Err(ArtifactError::Decode {
-                detail: format!(
-                    "weight {vid}: shape {shape:?} implies {elems} elements, payload has {}",
-                    data.len()
-                ),
-            });
-        }
+        check_shape(data.len(), &shape).map_err(|e| ArtifactError::Decode {
+            detail: format!("weight {vid}: {e}"),
+        })?;
         Ok((vid, Tensor::from_vec(data, &shape)))
     })?;
     r.expect_end()?;
@@ -719,7 +716,6 @@ mod tests {
     use ptq_fp8::Fp8Format;
     use ptq_models::{build_zoo, ZooFilter};
     use ptq_nn::UnwrapOk;
-    use ptq_tensor::ops::KernelPath;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -740,7 +736,6 @@ mod tests {
             .with_weight_storage(WeightStorage::FakeQuantF32)
             .with_activation_storage(ActivationStorage::FakeQuantF32)
             .with_act_granularity(ActGranularity::PerTile(64))
-            .with_kernel_path(KernelPath::ScalarReference)
     }
 
     fn fancy_serving() -> ServeSpec {
@@ -788,11 +783,12 @@ mod tests {
 
     /// The CONFIG payload of [`all_knobs_spec`]: the bytes the commit before
     /// the codec moved onto the `WireEnum` tables wrote (container v3), less
-    /// the two batching words v4 dropped from the serving section.
+    /// the two batching words v4 dropped from the serving section and the
+    /// kernel-path byte v5 dropped after the act granularity.
     const ALL_KNOBS_CONFIG_HEX: &str = "\
         0001000201010101010000003f011ea7e8482effef3f01020000000000000001\
-        0000000000000003000000000000000101014000000000000000010100400000\
-        00000000000119000000000000000400000000000000";
+        0000000000000003000000000000000101014000000000000000010040000000\
+        000000000119000000000000000400000000000000";
 
     fn all_knobs_payload() -> Vec<u8> {
         let hex = ALL_KNOBS_CONFIG_HEX.as_bytes();

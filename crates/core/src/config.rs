@@ -3,7 +3,6 @@
 
 use ptq_fp8::{wire_enum, Fp8Format, WireEnum};
 use ptq_nn::{NodeId, OpClass, PtqError};
-use ptq_tensor::ops::KernelPath;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -288,12 +287,6 @@ pub struct QuantConfig {
     pub activation_storage: ActivationStorage,
     /// Activation scale granularity (defaults to per-tensor).
     pub act_granularity: ActGranularity,
-    /// Which implementation every MAC kernel runs through, whatever its
-    /// operands (defaults to the blocked micro-kernels). Bit-identical
-    /// either way — a performance/debugging knob: flipping to
-    /// `ScalarReference` bisects any suspected kernel-path divergence in
-    /// one run.
-    pub kernel_path: KernelPath,
     /// How the autoregressive KV cache stores cached rows (defaults to
     /// f32, the bit-identity reference).
     pub kv_storage: KvStorage,
@@ -318,7 +311,6 @@ impl QuantConfig {
             weight_storage: WeightStorage::default(),
             activation_storage: ActivationStorage::default(),
             act_granularity: ActGranularity::default(),
-            kernel_path: KernelPath::default(),
             kv_storage: KvStorage::default(),
         }
     }
@@ -398,12 +390,6 @@ impl QuantConfig {
     /// Builder-style: set the activation scale granularity.
     pub fn with_act_granularity(mut self, g: ActGranularity) -> Self {
         self.act_granularity = g;
-        self
-    }
-
-    /// Builder-style: set the MAC kernel implementation path.
-    pub fn with_kernel_path(mut self, path: KernelPath) -> Self {
-        self.kernel_path = path;
         self
     }
 
@@ -584,30 +570,6 @@ mod tests {
             storage,
             Some(serde::Value::Str("Fp8".to_string())),
             "activation_storage must serialize under a stable label"
-        );
-    }
-
-    #[test]
-    fn kernel_path_knob() {
-        let c = QuantConfig::fp8(Fp8Format::E4M3);
-        assert_eq!(c.kernel_path, KernelPath::Blocked);
-        assert_eq!(
-            c.with_kernel_path(KernelPath::ScalarReference).kernel_path,
-            KernelPath::ScalarReference
-        );
-        // The knob serializes under a stable label (sweep configs and
-        // bench JSON embed it).
-        let serde::Value::Object(fields) = QuantConfig::mixed_fp8().serialize() else {
-            panic!("config serializes as an object");
-        };
-        let path = fields
-            .iter()
-            .find(|(k, _)| k == "kernel_path")
-            .map(|(_, v)| v.clone());
-        assert_eq!(
-            path,
-            Some(serde::Value::Str("Blocked".to_string())),
-            "kernel_path must serialize under a stable label"
         );
     }
 

@@ -69,7 +69,6 @@ pub use config::{
 pub use decode::DecodeSession;
 pub use observer::{kl_divergence_threshold, mse_sweep_threshold, percentile_threshold};
 pub use ptq_nn::{PtqError, UnwrapOk};
-pub use ptq_tensor::ops::KernelPath;
 pub use quantizer::{QuantHook, QuantizedModel};
 pub use sensitivity::{sensitivity_profile, NodeSensitivity, SensitivityProfile};
 pub use session::{PtqSession, QuantOutcome};
@@ -106,5 +105,4 @@ pub mod prelude {
         SweepError,
     };
     pub use ptq_nn::{ExecHook, ExecPlan, Graph, NoopHook, PlanSet, PtqError, UnwrapOk};
-    pub use ptq_tensor::ops::KernelPath;
 }

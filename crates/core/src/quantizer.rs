@@ -515,8 +515,8 @@ impl ExecHook for QuantHook<'_> {
             weight,
             divisors,
             acts,
-            kernel_path: model.config.kernel_path,
             kv,
+            ..Binding::default()
         }
     }
 

@@ -82,8 +82,8 @@ impl std::fmt::Debug for PtqSession<'_> {
 
 impl<'a> PtqSession<'a> {
     /// A session running the given recipe with default serving knobs.
-    /// Every knob — storage modes, kernel path and KV-cache storage
-    /// included — is a [`QuantConfig`] field: set it there
+    /// Every knob — storage modes and KV-cache storage included — is a
+    /// [`QuantConfig`] field: set it there
     /// (`QuantConfig::with_*`) before constructing the session.
     pub fn new(cfg: QuantConfig) -> Self {
         PtqSession {
@@ -285,7 +285,7 @@ mod tests {
     use crate::config::{ActivationStorage, CalibMethod, WeightStorage};
     use ptq_fp8::Fp8Format;
     use ptq_models::{build_zoo, ZooFilter};
-    use ptq_nn::UnwrapOk;
+    use ptq_nn::{OnPath, UnwrapOk};
     use ptq_tensor::ops::KernelPath;
 
     #[test]
@@ -331,16 +331,14 @@ mod tests {
     fn scalar_reference_path_is_bit_identical_to_blocked() {
         let zoo = build_zoo(ZooFilter::Quick);
         let w = &zoo[0];
-        let cfg = QuantConfig::fp8(Fp8Format::E4M3);
-        let blocked = PtqSession::new(cfg.clone()).quantize(w).unwrap_ok();
-        let scalar = PtqSession::new(cfg.with_kernel_path(KernelPath::ScalarReference))
+        let blocked = PtqSession::new(QuantConfig::fp8(Fp8Format::E4M3))
             .quantize(w)
             .unwrap_ok();
-        assert_eq!(blocked.model.config.kernel_path, KernelPath::Blocked);
-        assert_eq!(scalar.model.config.kernel_path, KernelPath::ScalarReference);
+        let oracle = OnPath(blocked.model.hook(), KernelPath::ScalarReference);
+        let scalar = w.evaluate_graph(&blocked.model.graph, &oracle).unwrap_ok();
         assert_eq!(
             blocked.score.to_bits(),
-            scalar.score.to_bits(),
+            scalar.to_bits(),
             "kernel path must never change results"
         );
     }

@@ -10,9 +10,8 @@
 //!
 //! * **JSON** ([`EngineSpec::to_json`] / [`EngineSpec::from_json`], the
 //!   `--spec <path.json>` file every bench binary reads), grouped into
-//!   four sections — `quantization` (what is quantized and how scales are
-//!   derived), `storage` (how quantized tensors are held), `kernel` (which
-//!   MAC implementation runs) and `serving`;
+//!   three sections — `quantization` (what is quantized and how scales are
+//!   derived), `storage` (how quantized tensors are held) and `serving`;
 //! * **binary**, the artifact CONFIG chunk (`crate::artifact`), so a
 //!   loaded model carries its full recipe and serving defaults.
 //!
@@ -162,7 +161,6 @@ impl EngineSpec {
                 },
             ),
         ]);
-        let kernel = object(vec![("path", string(c.kernel_path.label()))]);
         let s = &self.serving;
         let serving = object(vec![
             ("queue_capacity", Value::Num(s.queue_capacity as f64)),
@@ -176,7 +174,6 @@ impl EngineSpec {
         object(vec![
             ("quantization", quantization),
             ("storage", storage),
-            ("kernel", kernel),
             ("serving", serving),
         ])
         .render_pretty()
@@ -194,7 +191,6 @@ impl EngineSpec {
             .ok_or_else(|| spec_err("missing \"quantization\" section".into()))?;
         let mut q = Fields::new(Some(quantization), "quantization")?;
         let mut s = Fields::new(top.get("storage"), "storage")?;
-        let mut k = Fields::new(top.get("kernel"), "kernel")?;
         let mut e = Fields::new(top.get("serving"), "serving")?;
         top.finish()?;
 
@@ -229,7 +225,6 @@ impl EngineSpec {
                     |p| p.as_f64().and_then(as_uint).map(ActGranularity::PerTile),
                 )?
                 .unwrap_or_default(),
-            kernel_path: k.wire("path")?,
             kv_storage: s
                 .either(
                     "kv",
@@ -251,7 +246,6 @@ impl EngineSpec {
         };
         q.finish()?;
         s.finish()?;
-        k.finish()?;
         e.finish()?;
         config.validate().map_err(|err| match err {
             PtqError::InvalidTarget { detail } => spec_err(format!("quantization: {detail}")),
@@ -446,7 +440,6 @@ fn as_uint(n: f64) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::config::{ActivationStorage, Approach, Coverage, WeightStorage};
-    use ptq_tensor::ops::KernelPath;
 
     fn fancy_config() -> QuantConfig {
         QuantConfig::mixed_fp8()
@@ -461,7 +454,6 @@ mod tests {
             .with_weight_storage(WeightStorage::FakeQuantF32)
             .with_activation_storage(ActivationStorage::FakeQuantF32)
             .with_act_granularity(ActGranularity::PerTile(64))
-            .with_kernel_path(KernelPath::ScalarReference)
     }
 
     #[test]
@@ -513,7 +505,7 @@ mod tests {
             r#"{"quantization": {"act_format": "E9M9"}}"#,
             r#"{"quantization": {"act_format": "E4M3"}, "serving": {"workers": -1}}"#,
             r#"{"quantization": {"act_format": "E4M3"}, "serving": {"workers": 1.5}}"#,
-            r#"{"quantization": {"act_format": "E4M3"}, "kernel": {"path": "vectorized"}}"#,
+            r#"{"quantization": {"act_format": "E4M3"}, "kernel": {"path": "blocked"}}"#,
             r#"{"quantization": {}}"#,
             r#"[1,2]"#,
         ] {
@@ -555,10 +547,12 @@ mod tests {
                 "storage.weights",
                 "fp8 | fakequant-f32",
             ),
+            // The kernel path is not part of the recipe: a spec that still
+            // names it is refused, not parsed-and-ignored.
             (
-                r#"{"quantization": {"act_format": "E4M3"}, "kernel": {"path": 3}}"#,
-                "kernel.path",
-                "must be a string",
+                r#"{"quantization": {"act_format": "E4M3"}, "kernel": {"path": "blocked"}}"#,
+                "unknown key \"kernel\"",
+                "known: quantization, storage, serving",
             ),
             (
                 r#"{"quantization": {"act_format": "E4M3"}, "storage": {"kv": {"fp8": "INT8"}}}"#,
@@ -612,7 +606,7 @@ mod tests {
     fn null_reads_as_unset() {
         let spec = EngineSpec::from_json(
             r#"{"quantization": {"act_format": "E4M3", "smoothquant_alpha": null,
-                "approach": null}, "kernel": null, "serving": {"default_deadline_ms": null}}"#,
+                "approach": null}, "storage": null, "serving": {"default_deadline_ms": null}}"#,
         )
         .unwrap();
         assert_eq!(

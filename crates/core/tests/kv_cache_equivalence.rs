@@ -16,7 +16,7 @@ use ptq_fp8::Fp8Format;
 use ptq_models::families::nlp::{decoder_graph, decoder_workload};
 use ptq_models::families::NlpConfig;
 use ptq_models::{build_zoo_limited, Workload, ZooFilter};
-use ptq_nn::{DecodeState, ExecHook, Graph, NoopHook, StepBuffers};
+use ptq_nn::{DecodeState, ExecHook, Graph, NoopHook, OnPath, StepBuffers};
 use ptq_tensor::ops::KernelPath;
 use ptq_tensor::{KvCache, KvCachePolicy, KvSide, Tensor, TensorRng};
 
@@ -159,23 +159,21 @@ fn quantized_decoder(cfg: QuantConfig) -> (Workload, QuantizedModel) {
 fn quantized_decode_is_bit_identical_on_both_kernel_paths() {
     // Static scales + Standard coverage: the hook's behavior per row is
     // shape-independent, so incremental execution cannot perturb it.
+    let (_w, model) = quantized_decoder(QuantConfig::fp8(Fp8Format::E4M3));
     for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
-        let (_w, model) =
-            quantized_decoder(QuantConfig::fp8(Fp8Format::E4M3).with_kernel_path(path));
-        let oracle_model = model.clone();
         let seq = 12;
         let prompt = vec![7.0, 2.0, 19.0];
         check_bit_identity(
             &model.graph,
             seq,
             &prompt,
-            model.hook(),
+            OnPath(model.hook(), path),
             |toks| {
                 full_window_row(
-                    &oracle_model.graph,
+                    &model.graph,
                     seq,
                     toks,
-                    &mut oracle_model.hook(),
+                    &mut OnPath(model.hook(), path),
                     true,
                 )
             },
@@ -501,14 +499,21 @@ fn check_gathered_steps(
 #[test]
 fn gathered_steps_are_each_sessions_own_step_across_the_zoo() {
     let e4m3 = QuantConfig::fp8(Fp8Format::E4M3);
+    let (blocked, scalar) = (KernelPath::Blocked, KernelPath::ScalarReference);
     let recipes = [
-        e4m3.clone(),
-        e4m3.clone().with_kernel_path(KernelPath::ScalarReference),
-        e4m3.clone()
-            .with_act_granularity(ActGranularity::PerTile(8)),
-        e4m3.clone().with_kv_storage(KvStorage::Fp8 {
-            format: Fp8Format::E5M2,
-        }),
+        (e4m3.clone(), blocked),
+        (e4m3.clone(), scalar),
+        (
+            e4m3.clone()
+                .with_act_granularity(ActGranularity::PerTile(8)),
+            blocked,
+        ),
+        (
+            e4m3.clone().with_kv_storage(KvStorage::Fp8 {
+                format: Fp8Format::E5M2,
+            }),
+            blocked,
+        ),
     ];
     for cfg in decoder_zoo() {
         let w = decoder_workload("gpt_like", &cfg);
@@ -516,7 +521,7 @@ fn gathered_steps_are_each_sessions_own_step_across_the_zoo() {
         let name = &w.spec.name;
         let window = |t: &[f32]| Some(full_window_row(g, seq, t, &mut NoopHook, true));
         check_gathered_steps(g, seq, cfg.vocab, &mut NoopHook, window, name);
-        for (r, recipe) in recipes.iter().enumerate() {
+        for (r, &(ref recipe, path)) in recipes.iter().enumerate() {
             assert!(recipe.row_independent_acts());
             let m = PtqSession::new(recipe.clone())
                 .quantize(&w)
@@ -524,10 +529,11 @@ fn gathered_steps_are_each_sessions_own_step_across_the_zoo() {
                 .model;
             // An f32 cache is also the window's row under a static hook.
             let f32_kv = recipe.kv_storage == KvStorage::F32;
+            let hook = || OnPath(m.hook(), path);
             let window =
-                |t: &[f32]| f32_kv.then(|| full_window_row(&m.graph, seq, t, &mut m.hook(), true));
-            let what = format!("{name} recipe {r} ({})", recipe.label());
-            check_gathered_steps(&m.graph, seq, cfg.vocab, &mut m.hook(), window, &what);
+                |t: &[f32]| f32_kv.then(|| full_window_row(&m.graph, seq, t, &mut hook(), true));
+            let what = format!("{name} recipe {r} ({}, {path:?})", recipe.label());
+            check_gathered_steps(&m.graph, seq, cfg.vocab, &mut hook(), window, &what);
         }
     }
 }

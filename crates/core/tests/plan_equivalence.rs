@@ -196,7 +196,8 @@ fn blocked_kernels_match_scalar_reference_across_zoo() {
     // per-tensor and per-tile activation scales, on both the interpreter
     // and the planned executor, the blocked path must be bit-identical to
     // the scalar reference loops.
-    use ptq_core::KernelPath;
+    use ptq_nn::OnPath;
+    use ptq_tensor::ops::KernelPath;
     for w in &build_zoo(ZooFilter::Quick) {
         let base = QuantConfig::fp8(Fp8Format::E4M3);
         let calib = ptq_core::calibrate_workload(w, &base).unwrap_ok();
@@ -204,17 +205,11 @@ fn blocked_kernels_match_scalar_reference_across_zoo() {
         for f in Fp8Format::ALL {
             for gran in [ActGranularity::PerTensor, ActGranularity::PerTile(16)] {
                 let cfg = QuantConfig::fp8(f).with_act_granularity(gran);
-                let blocked =
-                    QuantizedModel::build(w.graph.clone(), &calib, cfg.clone()).unwrap_ok();
-                let scalar = QuantizedModel::build(
-                    w.graph.clone(),
-                    &calib,
-                    cfg.with_kernel_path(KernelPath::ScalarReference),
-                )
-                .unwrap_ok();
+                let blocked = QuantizedModel::build(w.graph.clone(), &calib, cfg).unwrap_ok();
+                let mut scalar = OnPath(blocked.hook(), KernelPath::ScalarReference);
                 let what = format!("{} {f} {gran:?}", w.spec.name);
 
-                let ref_out = scalar.graph.run(inputs, &mut scalar.hook()).unwrap_ok();
+                let ref_out = blocked.graph.run(inputs, &mut scalar).unwrap_ok();
                 let interp = blocked.graph.run(inputs, &mut blocked.hook()).unwrap_ok();
                 assert_tensors_identical(&ref_out, &interp, &format!("{what} interp"));
                 let plan = plan_for(&blocked.graph, inputs);

@@ -48,12 +48,16 @@ pub enum Fp8Error {
 impl fmt::Display for Fp8Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fp8Error::ShapeMismatch { data_len, shape } => write!(
-                f,
-                "shape/product mismatch: {data_len} elements vs shape {shape:?} \
-                 (product {})",
-                shape.iter().product::<usize>()
-            ),
+            Fp8Error::ShapeMismatch { data_len, shape } => {
+                write!(
+                    f,
+                    "shape/product mismatch: {data_len} elements vs shape {shape:?} "
+                )?;
+                match crate::storage::shape_product(shape) {
+                    Some(n) => write!(f, "(product {n})"),
+                    None => write!(f, "(product overflows usize)"),
+                }
+            }
             Fp8Error::ScalarShape => {
                 write!(f, "per-channel quantization needs a non-scalar shape")
             }

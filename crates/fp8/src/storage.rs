@@ -65,9 +65,16 @@ pub fn absmax_nan_aware(data: &[f32]) -> f32 {
     })
 }
 
-/// Error unless `data_len` equals the product of `shape`.
+/// The element count of `shape`, or `None` when the product overflows
+/// `usize` (a hostile artifact can write any dims).
+pub(crate) fn shape_product(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+/// Error unless `data_len` equals the product of `shape`; a product that
+/// overflows `usize` matches no length.
 pub fn check_shape(data_len: usize, shape: &[usize]) -> Result<(), Fp8Error> {
-    if data_len != shape.iter().product::<usize>() {
+    if shape_product(shape) != Some(data_len) {
         return Err(Fp8Error::ShapeMismatch {
             data_len,
             shape: shape.to_vec(),
@@ -323,6 +330,22 @@ mod tests {
         let err = StoredTensor::quantize(&[0.0; 8], &[3, 3], Fp8Format::E4M3).unwrap_err();
         assert!(matches!(err, Fp8Error::ShapeMismatch { data_len: 8, .. }));
         assert!(err.to_string().contains("shape/product mismatch"));
+    }
+
+    #[test]
+    fn a_wrapping_shape_product_is_a_mismatch() {
+        // 6 × (2^63 + 5) wraps to exactly 30 in 64-bit arithmetic (and
+        // 6 × (2^31 + 5) in 32-bit).
+        let shape = vec![6, usize::MAX / 2 + 6];
+        let err = StoredTensor::from_raw_parts(
+            Fp8Format::E4M3,
+            shape,
+            CodeBytes::from(vec![0u8; 30]),
+            StoredScales::PerTensor(1.0),
+        )
+        .unwrap_err();
+        assert!(matches!(err, Fp8Error::ShapeMismatch { data_len: 30, .. }));
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! extends every codec and reordering is a visible wire-format break.
 //!
 //! The trait lives in this crate because it is the root of the workspace's
-//! dependency graph: [`crate::Fp8Format`] here, `KernelPath` in
-//! `ptq-tensor` and the recipe enums in `ptq-core` all implement it.
+//! dependency graph: [`crate::Fp8Format`] here and the recipe enums in
+//! `ptq-core` implement it.
 
 /// A fieldless enum with a declared wire vocabulary. Implement it with
 /// [`wire_enum!`], which keeps `WIRE` and [`WireEnum::label`] in step and

@@ -3,6 +3,7 @@
 use crate::error::{PtqError, Shape};
 use crate::exec::{run_node, Binding, NodeScratch};
 use crate::graph::{Graph, Node};
+use ptq_tensor::ops::KernelPath;
 use ptq_tensor::Tensor;
 
 /// Interception points during graph execution.
@@ -44,6 +45,30 @@ pub trait ExecHook {
 pub struct NoopHook;
 
 impl ExecHook for NoopHook {}
+
+/// Runs hook `H` with every MAC kernel on the given [`KernelPath`]: how the
+/// equivalence suites reach the scalar oracle. The observers and `bind`
+/// are `H`'s own; only the binding's `kernel_path` is overridden. No recipe
+/// names a path, so a model's own hook always runs the default.
+#[derive(Debug, Clone, Copy)]
+pub struct OnPath<H>(pub H, pub KernelPath);
+
+impl<H: ExecHook> ExecHook for OnPath<H> {
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
+        self.0.before_node(node, inputs);
+    }
+
+    fn after_node(&mut self, node: &Node, output: &Tensor) {
+        self.0.after_node(node, output);
+    }
+
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        Binding {
+            kernel_path: self.1,
+            ..self.0.bind(node)
+        }
+    }
+}
 
 impl Graph {
     /// Execute the graph on `inputs` (bound to [`Graph::input_ids`] in

@@ -60,6 +60,6 @@ pub use decode::{DecodePlan, DecodeState, StepBuffers, PREFILL_ROWS};
 pub use error::{PtqError, Shape, UnwrapOk};
 pub use exec::{ActBinding, Binding, WeightBinding, MAX_ACT_INPUTS};
 pub use graph::{Graph, Node, NodeId, Op, OpClass, ValueId};
-pub use interp::{ExecHook, NoopHook};
+pub use interp::{ExecHook, NoopHook, OnPath};
 pub use plan::{ExecPlan, PlanSet, TensorArena};
 pub use serialize::{decode_graph, encode_graph};

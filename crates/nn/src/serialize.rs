@@ -18,28 +18,8 @@
 use crate::graph::{Graph, Node, Op, ValueId};
 use ptq_artifact::{ArtifactError, ByteReader, ByteWriter};
 use ptq_tensor::ops::Conv2dParams;
-use ptq_tensor::Tensor;
+use ptq_tensor::{check_shape, Tensor};
 use std::collections::HashMap;
-
-fn put_opt_value(w: &mut ByteWriter, v: &Option<ValueId>) {
-    match v {
-        Some(id) => {
-            w.put_u8(1);
-            w.put_usize(*id);
-        }
-        None => w.put_u8(0),
-    }
-}
-
-fn get_opt_value(r: &mut ByteReader<'_>, what: &str) -> Result<Option<ValueId>, ArtifactError> {
-    match r.get_u8(what)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.get_usize(what)?)),
-        other => Err(ArtifactError::Decode {
-            detail: format!("{what}: bad option flag {other}"),
-        }),
-    }
-}
 
 fn put_op(w: &mut ByteWriter, op: &Op) {
     match op {
@@ -51,15 +31,15 @@ fn put_op(w: &mut ByteWriter, op: &Op) {
         } => {
             w.put_u8(0);
             w.put_usize(*weight);
-            put_opt_value(w, bias);
+            w.put_option(*bias, ByteWriter::put_usize);
             w.put_usize(params.stride);
             w.put_usize(params.padding);
-            w.put_u8(u8::from(*depthwise));
+            w.put_bool(*depthwise);
         }
         Op::Linear { weight, bias } => {
             w.put_u8(1);
             w.put_usize(*weight);
-            put_opt_value(w, bias);
+            w.put_option(*bias, ByteWriter::put_usize);
         }
         Op::MatMul => w.put_u8(2),
         Op::BatchMatMul => w.put_u8(3),
@@ -131,24 +111,16 @@ fn get_op(r: &mut ByteReader<'_>) -> Result<Op, ArtifactError> {
     Ok(match disc {
         0 => Op::Conv2d {
             weight: r.get_usize("conv2d weight")?,
-            bias: get_opt_value(r, "conv2d bias")?,
+            bias: r.get_option("conv2d bias", ByteReader::get_usize)?,
             params: Conv2dParams {
                 stride: r.get_usize("conv2d stride")?,
                 padding: r.get_usize("conv2d padding")?,
             },
-            depthwise: match r.get_u8("conv2d depthwise")? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(ArtifactError::Decode {
-                        detail: format!("conv2d depthwise: bad bool {other}"),
-                    })
-                }
-            },
+            depthwise: r.get_bool("conv2d depthwise")?,
         },
         1 => Op::Linear {
             weight: r.get_usize("linear weight")?,
-            bias: get_opt_value(r, "linear bias")?,
+            bias: r.get_option("linear bias", ByteReader::get_usize)?,
         },
         2 => Op::MatMul,
         3 => Op::BatchMatMul,
@@ -262,20 +234,9 @@ pub fn decode_graph(payload: &[u8]) -> Result<Graph, ArtifactError> {
         let id = r.get_usize("param id")?;
         let shape = r.get_usize_vec("param shape")?;
         let data = r.get_f32_vec("param data")?;
-        let product = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| ArtifactError::Decode {
-                detail: format!("param {id}: shape {shape:?} overflows"),
-            })?;
-        if product != data.len() {
-            return Err(ArtifactError::Decode {
-                detail: format!(
-                    "param {id}: shape {shape:?} implies {product} elements, got {}",
-                    data.len()
-                ),
-            });
-        }
+        check_shape(data.len(), &shape).map_err(|e| ArtifactError::Decode {
+            detail: format!("param {id}: {e}"),
+        })?;
         if params.insert(id, Tensor::from_vec(data, &shape)).is_some() {
             return Err(ArtifactError::Decode {
                 detail: format!("param {id} appears twice"),

@@ -184,7 +184,7 @@ impl Engine {
     /// Start an engine serving `model` under `spec.serving`.
     ///
     /// The model's own [`QuantConfig`](ptq_core::QuantConfig) governs the
-    /// arithmetic (formats, storage, kernel path); the spec's serving
+    /// arithmetic (formats, storage); the spec's serving
     /// section governs scheduling. `workers == 0` resolves to one worker
     /// per available core; a `queue_capacity` of 0 is clamped to 1 so the
     /// engine always makes progress.

@@ -33,7 +33,10 @@ pub use shape::{Shape, ShapeError};
 pub use stats::{ChannelStats, Histogram, TensorStats};
 pub use tensor::Tensor;
 
-// The storage format every coded type here is parameterized by, and the
-// fake-quant loops an f32 activation binding runs, so dependents that only
-// name them need no direct `ptq-fp8` edge.
-pub use ptq_fp8::{fake_quant_fp8, fake_quant_int8, Fp8Codec, Fp8Format, Int8Codec, Int8Mode};
+// The storage format every coded type here is parameterized by, the
+// fake-quant loops an f32 activation binding runs and the overflow-checked
+// shape/length test, so dependents that only name them need no direct
+// `ptq-fp8` edge.
+pub use ptq_fp8::{
+    check_shape, fake_quant_fp8, fake_quant_int8, Fp8Codec, Fp8Format, Int8Codec, Int8Mode,
+};

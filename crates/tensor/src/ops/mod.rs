@@ -40,9 +40,7 @@ pub use pool::{
     max_pool2d_into,
 };
 
-use ptq_fp8::WireEnum;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which implementation every MAC kernel runs — conv2d, depthwise,
@@ -53,9 +51,10 @@ use std::fmt;
 /// the reference's accumulation chain per output element and differ only
 /// in which independent outputs advance together and in data staging (the
 /// `blocked` module's header). Enforced zoo-wide (`plan_equivalence.rs`)
-/// and per operand mix (`kernel_path_equivalence.rs`), so a divergence is
-/// one flag away from bisectable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// and per operand mix (`kernel_path_equivalence.rs`). It is an oracle
+/// switch, not part of any recipe: the graph executors read it from the
+/// node's binding, and `ptq-nn`'s `OnPath` hook sets it for a whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelPath {
     /// Register-blocked micro-kernels (the default): operands packed once
     /// per call (f32 copied, codes through `decode(code) / scale`, 8 lanes
@@ -71,11 +70,10 @@ pub enum KernelPath {
     ScalarReference,
 }
 
-ptq_fp8::wire_enum!(KernelPath { Blocked => "blocked", ScalarReference => "scalar-reference" });
-
+/// The variant name, for the equivalence suites' failure messages.
 impl fmt::Display for KernelPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        fmt::Debug::fmt(self, f)
     }
 }
 

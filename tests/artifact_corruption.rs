@@ -9,22 +9,27 @@
 //! alignment padding, are checked too: a nonzero pad byte is a typed
 //! `Decode` error naming its chunk.
 //!
+//! Below the CRCs, every byte of every chunk payload is flipped and the
+//! container rebuilt with valid checksums: each such file is a typed load
+//! error or a model whose planned forward returns `Ok` or a typed error.
+//!
 //! The engine-spec JSON (the `--spec` file format) gets the same
 //! treatment at the end of the file; the raw CONFIG-chunk payload's
 //! battery sits beside `decode_config` in `crates/core/src/artifact.rs`.
 
 use fp8_ptq::artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
-use fp8_ptq::core::artifact::TAG_GRAPH;
+use fp8_ptq::core::artifact::{TAG_GRAPH, TAG_QWEIGHTS};
 use fp8_ptq::core::config::QuantConfig;
-use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel};
-use fp8_ptq::fp8::Fp8Format;
+use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel, TensorKey};
+use fp8_ptq::fp8::{CodeBytes, Fp8Format, StoredScales};
 use fp8_ptq::nn::{decode_graph, GraphBuilder, PtqError, UnwrapOk};
-use fp8_ptq::tensor::TensorRng;
+use fp8_ptq::tensor::{QTensor, Tensor, TensorRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A small but representative artifact: FP8-stored weights (QWEIGHTS code
+/// A small but representative model: FP8-stored weights (QWEIGHTS code
 /// blob), per-channel scales, static activation scales, and SmoothQuant
-/// divisors all populated.
-fn fp8_artifact_bytes() -> Vec<u8> {
+/// divisors all populated. Input `[_, 5]`.
+fn fp8_model() -> QuantizedModel {
     let mut rng = TensorRng::seed(11);
     let mut b = GraphBuilder::new();
     let x = b.input();
@@ -38,12 +43,16 @@ fn fp8_artifact_bytes() -> Vec<u8> {
     let mut hook = CalibrationHook::new();
     g.run(&[calib_x], &mut hook).unwrap_ok();
     let cfg = QuantConfig::fp8(Fp8Format::E4M3).with_smoothquant(0.5);
-    let model = QuantizedModel::build(g, &hook.into_data(), cfg).unwrap_ok();
-    model.artifact_bytes()
+    QuantizedModel::build(g, &hook.into_data(), cfg).unwrap_ok()
+}
+
+/// [`fp8_model`] as artifact bytes.
+fn fp8_artifact_bytes() -> Vec<u8> {
+    fp8_model().artifact_bytes()
 }
 
 /// An INT8-recipe artifact: dense f32 WEIGHTS and ACT_INT8 codecs
-/// populated (the chunks the FP8 fixture leaves empty).
+/// populated (the chunks the FP8 fixture leaves empty). Input `[_, 7]`.
 fn int8_artifact_bytes() -> Vec<u8> {
     let mut rng = TensorRng::seed(21);
     let mut b = GraphBuilder::new();
@@ -238,34 +247,56 @@ fn missing_chunks_are_reported_not_defaulted() {
     );
 }
 
-/// The committed v4 fixture with its GRAPH payload's `n_values` replaced
-/// by `f(n_values)`, every chunk rewritten through `ArtifactWriter` so each
-/// CRC is valid: only the graph decoder stands between the bytes and the
-/// loader's per-value tables.
+/// The `(tag, payload)` chunks of a valid container, in file order.
+fn chunks_of(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let reader = ArtifactReader::from_vec(bytes.to_vec()).unwrap();
+    let chunk = |tag| reader.chunk(tag).unwrap().to_vec();
+    reader
+        .chunks()
+        .iter()
+        .map(|c| (c.tag, chunk(c.tag)))
+        .collect()
+}
+
+/// `chunks` as a container, every chunk written through `ArtifactWriter`
+/// so each CRC is valid: only the payload decoders stand between the
+/// bytes and the model.
+fn rebuild(chunks: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut w = ArtifactWriter::new();
+    for (tag, payload) in chunks {
+        w.chunk(*tag, payload.clone());
+    }
+    w.finish()
+}
+
+/// `bytes` with chunk `tag`'s payload passed through `edit`, CRCs valid.
+fn with_payload(bytes: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut chunks = chunks_of(bytes);
+    let (_, payload) = chunks.iter_mut().find(|(t, _)| *t == tag).unwrap();
+    edit(payload);
+    rebuild(&chunks)
+}
+
+/// The committed v5 fixture with its GRAPH payload's `n_values` replaced
+/// by `f(n_values)`, CRCs valid: only the graph decoder stands between the
+/// bytes and the loader's per-value tables.
 fn golden_with_n_values(f: impl Fn(usize) -> usize) -> Vec<u8> {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/quantized_e4m3_v4.ptq"
+        "/tests/golden/quantized_e4m3_v5.ptq"
     );
-    let reader = ArtifactReader::from_vec(std::fs::read(path).unwrap()).unwrap();
-    let mut w = ArtifactWriter::new();
-    for c in reader.chunks() {
-        let mut payload = reader.chunk(c.tag).unwrap().to_vec();
-        if c.tag == TAG_GRAPH {
-            // `n_values` is written right before the parameter count.
-            let g = decode_graph(&payload).unwrap();
-            let (n, params) = (g.n_values() as u64, g.params().count() as u64);
-            let field = [n.to_le_bytes(), params.to_le_bytes()].concat();
-            let at: Vec<usize> = (0..payload.len() - 15)
-                .filter(|&i| payload[i..i + 16] == field[..])
-                .collect();
-            assert_eq!(at.len(), 1, "n_values field not found once");
-            let v = f(n as usize) as u64;
-            payload[at[0]..at[0] + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        w.chunk(c.tag, payload);
-    }
-    w.finish()
+    with_payload(&std::fs::read(path).unwrap(), TAG_GRAPH, |payload| {
+        // `n_values` is written right before the parameter count.
+        let g = decode_graph(payload).unwrap();
+        let (n, params) = (g.n_values() as u64, g.params().count() as u64);
+        let field = [n.to_le_bytes(), params.to_le_bytes()].concat();
+        let at: Vec<usize> = (0..payload.len() - 15)
+            .filter(|&i| payload[i..i + 16] == field[..])
+            .collect();
+        assert_eq!(at.len(), 1, "n_values field not found once");
+        let v = f(n as usize) as u64;
+        payload[at[0]..at[0] + 8].copy_from_slice(&v.to_le_bytes());
+    })
 }
 
 #[test]
@@ -287,6 +318,88 @@ fn a_hostile_n_values_behind_a_valid_crc_is_a_typed_error() {
             "{what}: expected a Decode error, got {err}"
         );
     }
+}
+
+fn assert_decode_error(bytes: Vec<u8>, what: &str) {
+    match PtqArtifact::from_bytes(bytes) {
+        Err(PtqError::Artifact(ArtifactError::Decode { .. })) => {}
+        Err(other) => panic!("{what}: expected a Decode error, got {other}"),
+        Ok(_) => panic!("{what}: loaded"),
+    }
+}
+
+#[test]
+fn keys_that_do_not_fit_the_graph_are_typed_errors() {
+    // The first QWEIGHTS entry's value id, one bit off: it no longer names
+    // the Linear's weight, which would run the graph's f32 weight instead.
+    let flipped = with_payload(&fp8_artifact_bytes(), TAG_QWEIGHTS, |p| p[16] ^= 0x01);
+    assert_decode_error(flipped, "qweights value id flip");
+    // The first Linear's weight transposed to [5, 6]: 30 codes and five
+    // per-channel scales make a valid QTensor, but not that Linear's.
+    let mut model = fp8_model();
+    let (&vid, q) = model
+        .qweights
+        .iter()
+        .find(|(_, q)| q.shape() == [6, 5])
+        .unwrap();
+    let codes = CodeBytes::from(q.codes().to_vec());
+    let scales = StoredScales::PerChannel(vec![1.0; 5]);
+    let transposed = QTensor::from_raw_parts(q.format(), vec![5, 6], codes, scales).unwrap();
+    model.qweights.insert(vid, transposed);
+    assert_decode_error(model.artifact_bytes(), "transposed qweight");
+    // Activation keys past the node list or the node's inputs (node 0 is a
+    // Linear: one input), and divisors for a node the graph lacks.
+    let mut act_node = fp8_model();
+    act_node
+        .act_scales
+        .insert(TensorKey { node: 99, input: 0 }, 1.0);
+    let mut act_input = fp8_model();
+    act_input
+        .act_scales
+        .insert(TensorKey { node: 0, input: 1 }, 1.0);
+    let mut smooth = fp8_model();
+    smooth.smooth.insert(99, vec![1.0; 5]);
+    for (what, model) in [
+        ("act scale of node 99", act_node),
+        ("act scale of input 1", act_input),
+        ("smooth divisors of node 99", smooth),
+    ] {
+        assert_decode_error(model.artifact_bytes(), what);
+    }
+}
+
+/// Load `bytes` and, when that succeeds, run the planned forward on `x`.
+/// Either may fail with an error; neither may panic.
+fn load_and_forward(bytes: Vec<u8>, x: &Tensor) {
+    if let Ok(art) = PtqArtifact::from_bytes(bytes) {
+        let m = &art.model;
+        let _ = m
+            .plans
+            .run(&m.graph, std::slice::from_ref(x), &mut m.hook());
+    }
+}
+
+#[test]
+fn every_payload_byte_flip_behind_a_valid_crc_loads_or_fails_typed() {
+    let fixtures = [(fp8_artifact_bytes(), 5), (int8_artifact_bytes(), 7)];
+    let mut panics = Vec::new();
+    for (bytes, width) in fixtures {
+        let x = TensorRng::seed(5).normal(&[2, width], 0.0, 1.0);
+        let pristine = chunks_of(&bytes);
+        for (c, (tag, payload)) in pristine.iter().enumerate() {
+            for i in 0..payload.len() {
+                for delta in [0x01, 0x80, 0xFF] {
+                    let mut chunks = pristine.clone();
+                    chunks[c].1[i] ^= delta;
+                    let file = rebuild(&chunks);
+                    if catch_unwind(AssertUnwindSafe(|| load_and_forward(file, &x))).is_err() {
+                        panics.push(format!("width {width} chunk {tag} byte {i} ^ {delta:#04x}"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{} panics: {panics:?}", panics.len());
 }
 
 /// The all-knobs-non-default spec, as its canonical JSON text.

@@ -1,6 +1,6 @@
 //! Golden-artifact compatibility pin.
 //!
-//! `tests/golden/quantized_e4m3_v4.ptq` is a committed version-4 artifact
+//! `tests/golden/quantized_e4m3_v5.ptq` is a committed version-5 artifact
 //! (quick-zoo workload 0, E4M3 recipe, default serving section and
 //! kv_storage knob, written by `PtqSession::save_artifact`). Today's
 //! reader must keep loading it and scoring it bit-equal to the pinned
@@ -9,14 +9,15 @@
 //! the loaded artifact must reproduce the committed bytes, so the format
 //! cannot drift silently even in a compatible-reader direction.
 //!
-//! The superseded version-3 fixture stays committed as
-//! `tests/golden/quantized_e4m3_v3.ptq`: it pins the *rejection* path, so
+//! The superseded version-4 fixture stays committed as
+//! `tests/golden/quantized_e4m3_v4.ptq`: it pins the *rejection* path, so
 //! old files fail with a clear `UnsupportedVersion` instead of being
-//! misparsed.
+//! misparsed. Its chunks are v5's byte for byte, except that its CONFIG
+//! payload still carries the kernel-path byte v5 dropped.
 //!
 //! `tests/golden/engine_spec_all_knobs.json` pins the other wire form of
-//! the same recipe: the engine-spec JSON text, every knob away from its
-//! default, as written before the codec moved onto the `WireEnum` tables.
+//! the same recipe: the engine-spec JSON text in its three sections, every
+//! knob away from its default.
 //!
 //! To regenerate after an *intentional* format change (bump VERSION in
 //! `crates/artifact` first, keep the old fixture for the rejection test):
@@ -30,17 +31,17 @@ use fp8_ptq::core::config::{
     ActGranularity, ActivationStorage, Approach, CalibMethod, Coverage, Granularity, KvStorage,
     QuantConfig, WeightStorage,
 };
-use fp8_ptq::core::{EngineSpec, KernelPath, PtqArtifact, PtqSession, ServeSpec};
+use fp8_ptq::core::{EngineSpec, PtqArtifact, PtqError, PtqSession, ServeSpec};
 use fp8_ptq::fp8::Fp8Format;
 use fp8_ptq::models::{build_zoo, ZooFilter};
 use fp8_ptq::nn::UnwrapOk;
 use std::path::PathBuf;
 
-const FIXTURE: &str = "tests/golden/quantized_e4m3_v4.ptq";
+const FIXTURE: &str = "tests/golden/quantized_e4m3_v5.ptq";
 
 /// The previous-format fixture, kept only to pin the version-rejection
 /// error (see `reader_rejects_the_previous_version_with_a_clear_error`).
-const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v3.ptq";
+const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v4.ptq";
 
 /// Pinned quantized eval score of the fixture model on quick-zoo
 /// workload 0, as IEEE-754 bits. Set by the `regenerate` test; must never
@@ -79,7 +80,7 @@ fn golden_artifact_bytes_are_reproduced_by_todays_writer() {
     assert_eq!(
         art.to_bytes(),
         committed,
-        "writer output drifted from the committed version-4 artifact"
+        "writer output drifted from the committed version-5 artifact"
     );
 }
 
@@ -120,10 +121,20 @@ fn reader_rejects_the_next_version_with_a_clear_error() {
 fn reader_rejects_the_previous_version_with_a_clear_error() {
     let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(OLD_FIXTURE);
     let err = PtqArtifact::load(&old).err().unwrap();
+    assert!(
+        matches!(
+            err,
+            PtqError::Artifact(ArtifactError::UnsupportedVersion {
+                found: 4,
+                supported: 5
+            })
+        ),
+        "v4 fixture must fail with UnsupportedVersion: {err}"
+    );
     let msg = err.to_string();
     assert!(
-        msg.contains("version") && msg.contains('3'),
-        "v3 fixture must fail with a version error naming the found version: {msg}"
+        msg.contains("version") && msg.contains('4'),
+        "the error must name the found version: {msg}"
     );
 }
 
@@ -172,7 +183,6 @@ fn engine_spec_json_text_is_pinned() {
         .with_weight_storage(WeightStorage::FakeQuantF32)
         .with_activation_storage(ActivationStorage::FakeQuantF32)
         .with_act_granularity(ActGranularity::PerTile(64))
-        .with_kernel_path(KernelPath::ScalarReference)
         .with_kv_storage(KvStorage::Fp8 {
             format: Fp8Format::E5M2,
         });

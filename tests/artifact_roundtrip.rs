@@ -7,10 +7,11 @@
 //! granularities and both activation granularities.
 
 use fp8_ptq::core::config::{ActGranularity, Granularity, QuantConfig};
-use fp8_ptq::core::{CalibrationHook, KernelPath, PtqArtifact, PtqSession, QuantizedModel};
+use fp8_ptq::core::{CalibrationHook, PtqArtifact, PtqSession, QuantizedModel};
 use fp8_ptq::fp8::Fp8Format;
 use fp8_ptq::models::{build_zoo, Workload, ZooFilter};
-use fp8_ptq::nn::{GraphBuilder, UnwrapOk};
+use fp8_ptq::nn::{GraphBuilder, OnPath, UnwrapOk};
+use fp8_ptq::tensor::ops::KernelPath;
 use fp8_ptq::tensor::{Tensor, TensorRng};
 use proptest::prelude::*;
 use rayon::prelude::*;
@@ -74,27 +75,22 @@ fn zoo_save_load_is_bit_identical_for_every_fp8_format() {
 }
 
 #[test]
-fn granularity_and_kernel_path_matrix_roundtrips() {
+fn granularity_matrix_roundtrips() {
     let zoo = build_zoo(ZooFilter::Quick);
     let weight_gs = [Granularity::PerChannel, Granularity::PerTensor];
     let act_gs = [ActGranularity::PerTensor, ActGranularity::PerTile(8)];
-    let paths = [KernelPath::Blocked, KernelPath::ScalarReference];
     let mut cells = Vec::new();
     for (wi, &wg) in weight_gs.iter().enumerate() {
         for &ag in &act_gs {
-            for &kp in &paths {
-                // Alternate the workload so both fixtures get coverage
-                // without quadrupling the run time.
-                cells.push((wi % zoo.len(), wg, ag, kp));
-            }
+            // Alternate the workload so both fixtures get coverage
+            // without doubling the run time.
+            cells.push((wi % zoo.len(), wg, ag));
         }
     }
-    cells.par_iter().for_each(|&(i, wg, ag, kp)| {
-        let mut cfg = QuantConfig::fp8(Fp8Format::E4M3)
-            .with_act_granularity(ag)
-            .with_kernel_path(kp);
+    cells.par_iter().for_each(|&(i, wg, ag)| {
+        let mut cfg = QuantConfig::fp8(Fp8Format::E4M3).with_act_granularity(ag);
         cfg.weight_granularity = wg;
-        let name = format!("matrix{i}-{wg:?}-{ag:?}-{kp:?}");
+        let name = format!("matrix{i}-{wg:?}-{ag:?}");
         assert_roundtrip(&zoo[i], cfg, &name);
     });
 }
@@ -142,7 +138,7 @@ proptest! {
 
     /// Arbitrary shapes × formats × granularities survive
     /// save→load→save with byte-identical bytes and bit-identical
-    /// inference (interpreter path).
+    /// inference (interpreter; the loaded model on either kernel path).
     #[test]
     fn arbitrary_models_roundtrip_bit_exactly(
         widths in proptest::collection::vec(1usize..14, 2..5),
@@ -161,9 +157,6 @@ proptest! {
         if tile > 0 {
             cfg = cfg.with_act_granularity(ActGranularity::PerTile(tile));
         }
-        if scalar_path == 1 {
-            cfg = cfg.with_kernel_path(KernelPath::ScalarReference);
-        }
         let (g, calib, x) = random_model(&widths, seed, rows);
         let model = QuantizedModel::build(g, &calib, cfg).unwrap_ok();
 
@@ -172,7 +165,8 @@ proptest! {
         prop_assert_eq!(art.to_bytes(), bytes, "second save not byte-identical");
 
         let y_mem = model.graph.run(std::slice::from_ref(&x), &mut model.hook()).unwrap_ok();
-        let y_load = art.model.graph.run(&[x], &mut art.model.hook()).unwrap_ok();
+        let path = [KernelPath::Blocked, KernelPath::ScalarReference][scalar_path as usize];
+        let y_load = art.model.graph.run(&[x], &mut OnPath(art.model.hook(), path)).unwrap_ok();
         for (a, b) in y_mem.iter().zip(&y_load) {
             prop_assert_eq!(a.shape(), b.shape());
             for (p, q) in a.data().iter().zip(b.data()) {

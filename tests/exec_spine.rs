@@ -11,7 +11,7 @@ use fp8_ptq::metrics::Domain;
 use fp8_ptq::models::families::nlp::decoder_graph;
 use fp8_ptq::models::families::NlpConfig;
 use fp8_ptq::models::{build_zoo_limited, ZooFilter};
-use fp8_ptq::nn::{DecodeState, NoopHook, StepBuffers, UnwrapOk};
+use fp8_ptq::nn::{DecodeState, NoopHook, OnPath, StepBuffers, UnwrapOk};
 use fp8_ptq::tensor::ops::KernelPath;
 use fp8_ptq::tensor::Tensor;
 
@@ -44,18 +44,18 @@ fn reference_loop_matches_plan_under_the_quantized_hook() {
             let cfg = recipe
                 .clone()
                 .with_weight_storage(weights)
-                .with_activation_storage(acts)
-                .with_kernel_path(path);
+                .with_activation_storage(acts);
             let model = PtqSession::new(cfg)
                 .quantize_calibrated(w, &calib)
                 .unwrap_ok()
                 .model;
-            let reference = model.graph.run(inputs, &mut model.hook()).unwrap_ok();
+            let hook = || OnPath(model.hook(), path);
+            let reference = model.graph.run(inputs, &mut hook()).unwrap_ok();
             // Cold, then warmed arena.
             for pass in ["cold", "warm"] {
                 let planned = model
                     .plans
-                    .run(&model.graph, inputs, &mut model.hook())
+                    .run(&model.graph, inputs, &mut hook())
                     .unwrap_ok();
                 assert_eq!(reference, planned, "{what}: plan ({pass}) drifted");
             }
