@@ -49,8 +49,10 @@ pub const MAGIC: [u8; 8] = *b"PTQ8ART\0";
 /// v4 = the serving section shrank to queue capacity / default deadline
 /// / workers (the engine's request batching and its two knobs were
 /// deleted); v5 = the CONFIG chunk lost its kernel-path byte (the kernel
-/// path is not part of the recipe).
-pub const VERSION: u32 = 5;
+/// path is not part of the recipe); v6 = each weight is stored once:
+/// GRAPH leaves out the FP8-stored parameters QWEIGHTS carries, and the
+/// WEIGHTS chunk of f32 weight copies is gone (eight chunks).
+pub const VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 16;
 const CHUNK_HEADER_LEN: usize = 16;

@@ -1,11 +1,13 @@
 //! Versioned on-disk PTQ artifacts: quantize once, reload bit-identically.
 //!
 //! A [`PtqArtifact`] is everything [`QuantizedModel`] needs to execute —
-//! the graph, the recipe, FP32 and FP8-stored weights, static activation
-//! scales/codecs, SmoothQuant divisors — plus the calibration thresholds
-//! the scales were frozen from, packed into the chunked container format
-//! of the `ptq-artifact` crate (magic/version header, per-chunk CRC32,
-//! 8-byte-aligned payloads).
+//! the graph with its f32 and FP8-stored parameters, the recipe, static
+//! activation scales/codecs, SmoothQuant divisors — plus the calibration
+//! thresholds the scales were frozen from, packed into the chunked
+//! container format of the `ptq-artifact` crate (magic/version header,
+//! per-chunk CRC32, 8-byte-aligned payloads). Each weight is stored once:
+//! GRAPH carries the f32 parameters (fake-quantized weights included),
+//! QWEIGHTS the FP8-stored ones.
 //!
 //! Three properties the encoding is built around:
 //!
@@ -39,27 +41,24 @@ use crate::spec::{EngineSpec, ServeSpec};
 use ptq_artifact::{
     ArtifactError, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter, SharedBuf,
 };
-use ptq_fp8::{
-    check_shape, CodeBytes, Fp8Error, Int8Codec, Int8Mode, SharedBytes, StoredScales, WireEnum,
-};
-use ptq_nn::{decode_graph, encode_graph, NodeId, PlanSet, PtqError, ValueId};
-use ptq_tensor::{QTensor, Tensor};
+use ptq_fp8::{CodeBytes, Fp8Error, Int8Codec, Int8Mode, SharedBytes, StoredScales, WireEnum};
+use ptq_nn::{decode_graph, encode_graph, Graph, NodeId, Param, PlanSet, PtqError, ValueId};
+use ptq_tensor::QTensor;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-/// Chunk tag: the serialized [`ptq_nn::Graph`] (see `ptq_nn::serialize`).
+/// Chunk tag: the serialized [`ptq_nn::Graph`] with its f32 parameters
+/// (see `ptq_nn::serialize`).
 pub const TAG_GRAPH: u32 = 1;
 /// Chunk tag: the full [`EngineSpec`] — the [`QuantConfig`] recipe
 /// followed by the [`ServeSpec`] serving section.
 pub const TAG_CONFIG: u32 = 2;
 /// Chunk tag: the set of node ids executing in low precision.
 pub const TAG_QNODES: u32 = 3;
-/// Chunk tag: dense f32 weight tensors (fake-quant / INT8 / embedding).
-pub const TAG_WEIGHTS: u32 = 4;
-/// Chunk tag: FP8-stored weight tensors — metadata plus one aligned code
-/// blob the loader borrows zero-copy.
+/// Chunk tag: the graph's FP8-stored parameters — metadata plus one
+/// aligned code blob the loader borrows zero-copy. (Tag 4, the f32 weight
+/// copies of container versions up to 5, is retired, not reused.)
 pub const TAG_QWEIGHTS: u32 = 5;
 /// Chunk tag: static FP8 activation scales per (node, input).
 pub const TAG_ACT_SCALES: u32 = 6;
@@ -128,16 +127,15 @@ impl QuantizedModel {
     }
 
     /// Load a model saved with [`QuantizedModel::save`] (or extracted
-    /// from any [`PtqArtifact`]). Plans and activation-byte counters
-    /// start fresh; everything that affects arithmetic is bit-identical
-    /// to the saved model.
+    /// from any [`PtqArtifact`]). Plans start fresh; everything that
+    /// affects arithmetic is bit-identical to the saved model.
     pub fn load(path: &Path) -> Result<QuantizedModel, PtqError> {
         Ok(PtqArtifact::load(path)?.model)
     }
 }
 
 /// Encode `model` (+ `thresholds` + `serving`) into a container writer,
-/// ready to `finish()` into bytes or `write_to(path)` atomically. All nine
+/// ready to `finish()` into bytes or `write_to(path)` atomically. All eight
 /// chunks are always present — empty maps encode as a zero count — so
 /// every artifact has one canonical layout.
 pub(crate) fn build_writer(
@@ -149,8 +147,7 @@ pub(crate) fn build_writer(
     w.chunk(TAG_GRAPH, encode_graph(&model.graph));
     w.chunk(TAG_CONFIG, encode_config(&model.config, serving));
     w.chunk(TAG_QNODES, encode_qnodes(&model.quantized_nodes));
-    w.chunk(TAG_WEIGHTS, encode_weights(&model.weights));
-    w.chunk(TAG_QWEIGHTS, encode_qweights(&model.qweights));
+    w.chunk(TAG_QWEIGHTS, encode_fp8_params(&model.graph));
     w.chunk(TAG_ACT_SCALES, encode_keyed_f32(&model.act_scales));
     w.chunk(TAG_ACT_INT8, encode_act_int8(&model.act_int8));
     w.chunk(TAG_SMOOTH, encode_smooth(&model.smooth));
@@ -160,12 +157,10 @@ pub(crate) fn build_writer(
 
 /// Decode a full artifact out of an opened container.
 pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, PtqError> {
-    let graph = decode_graph(reader.chunk(TAG_GRAPH)?)?;
+    let graph = decode_graph(reader.chunk(TAG_GRAPH)?, decode_fp8_params(reader)?)?;
     graph.validate_structure()?;
     let EngineSpec { config, serving } = decode_config(reader.chunk(TAG_CONFIG)?)?;
     let quantized_nodes = decode_qnodes(reader.chunk(TAG_QNODES)?, graph.nodes().len())?;
-    let weights = decode_weights(reader.chunk(TAG_WEIGHTS)?)?;
-    let qweights = decode_qweights(reader)?;
     let act_scales = decode_keyed_f32(reader.chunk(TAG_ACT_SCALES)?, "act scale")?;
     let act_int8 = decode_act_int8(reader.chunk(TAG_ACT_INT8)?)?;
     let smooth = decode_smooth(reader.chunk(TAG_SMOOTH)?)?;
@@ -176,12 +171,8 @@ pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, Pt
         quantized_nodes,
         act_scales,
         act_int8,
-        weights,
-        qweights,
         smooth,
         plans: PlanSet::new(),
-        act_bytes: AtomicUsize::new(0),
-        act_bytes_f32: AtomicUsize::new(0),
     };
     check_keys(&model)?;
     Ok(PtqArtifact {
@@ -194,26 +185,15 @@ pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, Pt
 // ---------------------------------------------------------------------
 // Keys against the graph. The CRCs only vouch that the bytes are the
 // writer's; this vouches that every keyed entry addresses the graph it
-// ships with, so a hostile file is refused here instead of silently
-// running the graph's own weight or reaching a kernel's shape panic.
+// ships with, so a hostile file is refused here instead of reaching a
+// kernel's shape panic. (Weights need no key check: each is the graph's
+// own parameter, and `validate_structure` has vetted where FP8 ones sit.)
 // ---------------------------------------------------------------------
 
-/// A weight is some node's quantizable weight ([`ptq_nn::Op::weight_value`])
-/// with exactly that graph parameter's shape; an activation key names a
-/// node and an input below its arity; a SmoothQuant key names a node.
+/// An activation key names a node and an input below its arity; a
+/// SmoothQuant key names a node.
 fn check_keys(m: &QuantizedModel) -> Result<(), ArtifactError> {
     let nodes = m.graph.nodes();
-    let graph_weight = |v| nodes.iter().any(|n| n.op.weight_value() == Some(v));
-    let dense = m.weights.iter().map(|(&v, t)| (v, t.shape()));
-    let coded = m.qweights.iter().map(|(&v, q)| (v, q.shape()));
-    let mut weights = dense.chain(coded);
-    if let Some((v, shape)) = weights
-        .find(|&(v, shape)| !graph_weight(v) || m.graph.param(v).map(Tensor::shape) != Some(shape))
-    {
-        return Err(ArtifactError::Decode {
-            detail: format!("weight {v} of shape {shape:?} is no graph weight of that shape"),
-        });
-    }
     let mut acts = m.act_scales.keys().chain(m.act_int8.keys());
     if let Some(k) = acts.find(|k| nodes.get(k.node).is_none_or(|n| k.input >= n.inputs.len())) {
         return Err(ArtifactError::Decode {
@@ -436,43 +416,11 @@ fn decode_qnodes(payload: &[u8], n_nodes: usize) -> Result<BTreeSet<NodeId>, Art
 }
 
 // ---------------------------------------------------------------------
-// WEIGHTS chunk: dense f32 tensors, sorted by value id.
-// ---------------------------------------------------------------------
-
-fn encode_weights(weights: &HashMap<ValueId, Tensor>) -> Vec<u8> {
-    let mut keys: Vec<ValueId> = weights.keys().copied().collect();
-    keys.sort_unstable();
-    let mut w = ByteWriter::new();
-    w.put_usize(keys.len());
-    for vid in keys {
-        let t = &weights[&vid];
-        w.put_usize(vid);
-        w.put_usize_slice(t.shape());
-        w.put_f32_slice(t.data());
-    }
-    w.finish()
-}
-
-fn decode_weights(payload: &[u8]) -> Result<HashMap<ValueId, Tensor>, ArtifactError> {
-    let mut r = ByteReader::new(payload);
-    let out = get_sorted(&mut r, "weights", |r| {
-        let vid = r.get_usize("weight value id")?;
-        let shape = r.get_usize_vec("weight shape")?;
-        let data = r.get_f32_vec("weight data")?;
-        check_shape(data.len(), &shape).map_err(|e| ArtifactError::Decode {
-            detail: format!("weight {vid}: {e}"),
-        })?;
-        Ok((vid, Tensor::from_vec(data, &shape)))
-    })?;
-    r.expect_end()?;
-    Ok(out.into_iter().collect())
-}
-
-// ---------------------------------------------------------------------
-// QWEIGHTS chunk: per-tensor metadata up front, one contiguous code blob
-// at an 8-aligned offset behind it. The blob is the zero-copy region:
-// the loader hands each QTensor a `CodeBytes` window into the artifact's
-// shared buffer instead of copying codes to the heap.
+// QWEIGHTS chunk: the graph's FP8-stored parameters. Per-tensor metadata
+// up front, one contiguous code blob at an 8-aligned offset behind it.
+// The blob is the zero-copy region: the loader hands each QTensor a
+// `CodeBytes` window into the artifact's shared buffer instead of copying
+// codes to the heap, and binds it to the graph under its value id.
 //
 //   u64 blob_start            payload-relative, 8-aligned
 //   u64 count
@@ -488,14 +436,17 @@ fn decode_weights(payload: &[u8]) -> Result<HashMap<ValueId, Tensor>, ArtifactEr
 //   blob                      raw FP8 codes, back to back
 // ---------------------------------------------------------------------
 
-fn encode_qweights(qweights: &HashMap<ValueId, QTensor>) -> Vec<u8> {
-    let mut keys: Vec<ValueId> = qweights.keys().copied().collect();
-    keys.sort_unstable();
+fn encode_fp8_params(graph: &Graph) -> Vec<u8> {
+    let fp8 = graph.params().filter_map(|(vid, p)| match p {
+        Param::Fp8(q) => Some((vid, q)),
+        Param::F32(_) => None,
+    });
+    let mut params: Vec<(ValueId, &QTensor)> = fp8.collect();
+    params.sort_unstable_by_key(|&(vid, _)| vid);
     let mut meta = ByteWriter::new();
-    meta.put_usize(keys.len());
+    meta.put_usize(params.len());
     let mut blob: Vec<u8> = Vec::new();
-    for &vid in &keys {
-        let q = &qweights[&vid];
+    for (vid, q) in params {
         meta.put_usize(vid);
         put_enum(&mut meta, q.format());
         meta.put_usize_slice(q.shape());
@@ -525,33 +476,35 @@ fn encode_qweights(qweights: &HashMap<ValueId, QTensor>) -> Vec<u8> {
     w.finish()
 }
 
-fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>, ArtifactError> {
+/// The QWEIGHTS chunk's tensors by value id, in id order; `decode_graph`
+/// binds them beside GRAPH's f32 parameters.
+fn decode_fp8_params(reader: &ArtifactReader) -> Result<Vec<(ValueId, QTensor)>, ArtifactError> {
     let range = reader.chunk_range(TAG_QWEIGHTS)?;
     let payload = reader.chunk(TAG_QWEIGHTS)?;
     let shared: SharedBytes = Arc::<SharedBuf>::clone(reader.shared_buf());
     let mut r = ByteReader::new(payload);
-    let blob_start = r.get_usize("qweights blob start")?;
+    let blob_start = r.get_usize("fp8 weights blob start")?;
     if blob_start > payload.len() || blob_start % 8 != 0 {
         return Err(ArtifactError::Decode {
             detail: format!(
-                "qweights blob start {blob_start} invalid for a {}-byte payload",
+                "fp8 weights blob start {blob_start} invalid for a {}-byte payload",
                 payload.len()
             ),
         });
     }
     let blob_len = payload.len() - blob_start;
     let mut next_off = 0usize;
-    let out = get_sorted(&mut r, "qweights", |r| {
-        let vid = r.get_usize("qweights value id")?;
-        let format = get_enum(r, "qweights format")?;
-        let shape = r.get_usize_vec("qweights shape")?;
-        let scales = match r.get_u8("qweights scale kind")? {
-            0 => StoredScales::PerTensor(r.get_f32("qweights scale")?),
-            1 => StoredScales::PerChannel(r.get_f32_vec("qweights scales")?),
-            d => return Err(unknown_discriminant("qweights scale kind", d)),
+    let params = get_sorted(&mut r, "fp8 weights", |r| {
+        let vid = r.get_usize("fp8 weights value id")?;
+        let format = get_enum(r, "fp8 weights format")?;
+        let shape = r.get_usize_vec("fp8 weights shape")?;
+        let scales = match r.get_u8("fp8 weights scale kind")? {
+            0 => StoredScales::PerTensor(r.get_f32("fp8 weights scale")?),
+            1 => StoredScales::PerChannel(r.get_f32_vec("fp8 weights scales")?),
+            d => return Err(unknown_discriminant("fp8 weights scale kind", d)),
         };
-        let codes_off = r.get_usize("qweights codes offset")?;
-        let codes_len = r.get_usize("qweights codes length")?;
+        let codes_off = r.get_usize("fp8 weights codes offset")?;
+        let codes_len = r.get_usize("fp8 weights codes length")?;
         // The blob must be packed exactly: each window starts where the
         // previous one ended, so no byte is shared, skipped, or counted
         // twice. That makes the encoding canonical (re-save is
@@ -559,7 +512,7 @@ fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>,
         if codes_off != next_off {
             return Err(ArtifactError::Decode {
                 detail: format!(
-                    "qweights {vid}: codes offset {codes_off} breaks blob contiguity \
+                    "fp8 weights {vid}: codes offset {codes_off} breaks blob contiguity \
                      (expected {next_off})"
                 ),
             });
@@ -569,7 +522,7 @@ fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>,
             _ => {
                 return Err(ArtifactError::Decode {
                     detail: format!(
-                        "qweights {vid}: code window [{codes_off}, {codes_off}+{codes_len}) \
+                        "fp8 weights {vid}: code window [{codes_off}, {codes_off}+{codes_len}) \
                          exceeds the {blob_len}-byte blob"
                     ),
                 })
@@ -585,21 +538,21 @@ fn decode_qweights(reader: &ArtifactReader) -> Result<HashMap<ValueId, QTensor>,
     if blob_start < meta_end {
         return Err(ArtifactError::Decode {
             detail: format!(
-                "qweights blob start {blob_start} overlaps {meta_end} bytes of metadata"
+                "fp8 weights blob start {blob_start} overlaps {meta_end} bytes of metadata"
             ),
         });
     }
     if payload[meta_end..blob_start].iter().any(|&b| b != 0) {
         return Err(ArtifactError::Decode {
-            detail: "qweights metadata padding must be zero".to_string(),
+            detail: "fp8 weights metadata padding must be zero".to_string(),
         });
     }
     if next_off != blob_len {
         return Err(ArtifactError::Decode {
-            detail: format!("qweights blob has {blob_len} bytes but entries cover {next_off}"),
+            detail: format!("fp8 weights blob has {blob_len} bytes but entries cover {next_off}"),
         });
     }
-    Ok(out.into_iter().collect())
+    Ok(params)
 }
 
 // ---------------------------------------------------------------------
@@ -905,20 +858,20 @@ mod tests {
         let w = &zoo[0];
         let cfg = QuantConfig::fp8(Fp8Format::E4M3);
         let out = PtqSession::new(cfg).quantize(w).unwrap_ok();
-        assert!(
-            !out.model.qweights.is_empty(),
-            "fixture must exercise FP8 weight storage"
-        );
         let path = scratch("zerocopy.ptq");
         out.model.save(&path).unwrap();
         let loaded = QuantizedModel::load(&path).unwrap();
-        for (vid, q) in &loaded.qweights {
+        let mut fp8 = 0;
+        for (vid, p) in loaded.graph.params() {
+            let Param::Fp8(q) = p else { continue };
             assert!(
                 q.stored().codes().is_shared(),
                 "weight {vid} codes should borrow from the artifact buffer"
             );
-            assert_eq!(q.codes(), out.model.qweights[vid].codes());
+            assert_eq!(Some(p), out.model.graph.param(vid));
+            fp8 += 1;
         }
+        assert!(fp8 > 0, "fixture must exercise FP8 weight storage");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -976,16 +929,6 @@ mod tests {
         w.put_usize(3);
         assert!(matches!(
             decode_qnodes(&w.finish(), 10),
-            Err(ArtifactError::Decode { .. })
-        ));
-        // Weight shape/data length disagreement.
-        let mut w = ByteWriter::new();
-        w.put_usize(1);
-        w.put_usize(0);
-        w.put_usize_slice(&[2, 3]);
-        w.put_f32_slice(&[1.0; 5]);
-        assert!(matches!(
-            decode_weights(&w.finish()),
             Err(ArtifactError::Decode { .. })
         ));
     }

@@ -56,7 +56,7 @@ fn prefix(graph: &Graph, last: NodeId) -> Graph {
     let param = |id| Some((id, graph.param(id)?.clone()));
     let params = nodes.iter().flat_map(|n| n.op.param_values());
     let (inputs, outputs) = (graph.input_ids().to_vec(), vec![nodes[last].output]);
-    let params = params.filter_map(param).collect();
+    let params = params.filter_map(param);
     Graph::from_parts(nodes.to_vec(), params, inputs, outputs, graph.n_values())
 }
 

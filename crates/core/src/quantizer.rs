@@ -1,6 +1,6 @@
-//! The quantizer: weight pre-quantization, static/dynamic activation
+//! The quantizer: weight quantization in place, static/dynamic activation
 //! fake-quantization and the execution hook implementing the paper's
-//! quantization schemes over an unchanged FP32 graph.
+//! quantization schemes over the quantized graph.
 
 use crate::calibrate::{quantized_inputs, CalibData, TensorKey};
 use crate::config::{ActGranularity, Approach, DataFormat, Granularity, QuantConfig};
@@ -10,19 +10,22 @@ use ptq_fp8::{
     fake_quant_int8_per_channel, fp8_scale, Fp8Codec, Int8Codec, Int8Mode,
 };
 use ptq_nn::{
-    ActBinding, Binding, ExecHook, Graph, Node, NodeId, Op, OpClass, PlanSet, PtqError, ValueId,
-    WeightBinding,
+    ActBinding, Binding, ExecHook, Graph, Node, NodeId, Op, OpClass, Param, PlanSet, PtqError,
+    Shape, ValueId,
 };
 use ptq_tensor::{ActScale, KvCachePolicy, QTensor, Tensor};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A quantized model: the (possibly BN-recalibrated) graph plus everything
-/// needed to execute it under fake quantization.
-#[derive(Debug)]
+/// A quantized model: the quantized (and possibly BN-recalibrated) graph
+/// plus everything needed to execute it under fake quantization.
+#[derive(Debug, Clone)]
 pub struct QuantizedModel {
-    /// The graph (owned clone; BatchNorm calibration may rewrite its
-    /// running-stat parameters).
+    /// The graph (owned clone). Each quantized node's weight is stored here
+    /// in its quantized form, in place of the f32 tensor: FP8 codes for
+    /// Conv2d/Linear weights under [`QuantConfig::stores_fp8_weights`],
+    /// fake-quantized f32 otherwise (INT8 recipes, embedding tables,
+    /// [`crate::WeightStorage::FakeQuantF32`]). BatchNorm calibration may
+    /// rewrite its running-stat parameters.
     pub graph: Graph,
     /// The recipe this model was quantized with.
     pub config: QuantConfig,
@@ -32,60 +35,25 @@ pub struct QuantizedModel {
     pub act_scales: HashMap<TensorKey, f32>,
     /// Static INT8 activation codecs per (node, input).
     pub act_int8: HashMap<TensorKey, Int8Codec>,
-    /// Fake-quantized f32 weight tensors by parameter value id. Under the
-    /// default [`crate::WeightStorage::Fp8`] policy this only holds weights
-    /// the fused kernels cannot execute (INT8 recipes, embedding tables);
-    /// Conv2d/Linear FP8 weights live in [`Self::qweights`] instead.
-    pub weights: HashMap<ValueId, Tensor>,
-    /// FP8-stored weight tensors (1 byte/element + scales) by parameter
-    /// value id, which the kernels read as `WeightOperand::Q`. Populated
-    /// only when [`QuantConfig::stores_fp8_weights`] holds.
-    pub qweights: HashMap<ValueId, QTensor>,
     /// SmoothQuant per-input-channel *divisors* for Linear activations.
     pub smooth: HashMap<NodeId, Vec<f32>>,
     /// Execution plans for [`Self::graph`], keyed by input shape (serving
     /// and direct forwards; BatchNorm recalibration plans its own graph
     /// prefixes). `Clone` yields a fresh empty set.
     pub plans: PlanSet,
-    /// Bytes of quantized-node activation inputs as actually carried
-    /// across op boundaries during execution: codes + scales for inputs
-    /// quantized at the boundary ([`crate::ActivationStorage::Fp8`]),
-    /// 4 bytes/element for fake-quantized f32 inputs. Relaxed atomics so
-    /// the shared-reference [`QuantHook`] can account while executors run;
-    /// read via [`QuantizedModel::act_bytes`], cleared by
-    /// [`QuantizedModel::reset_act_bytes`]. (`pub(crate)` so the artifact
-    /// loader can assemble a model with zeroed counters.)
-    pub(crate) act_bytes: AtomicUsize,
-    /// Bytes the same activation inputs would occupy as dense f32 — the
-    /// baseline for the activation-memory-reduction ratio.
-    pub(crate) act_bytes_f32: AtomicUsize,
-}
-
-impl Clone for QuantizedModel {
-    fn clone(&self) -> Self {
-        QuantizedModel {
-            graph: self.graph.clone(),
-            config: self.config.clone(),
-            quantized_nodes: self.quantized_nodes.clone(),
-            act_scales: self.act_scales.clone(),
-            act_int8: self.act_int8.clone(),
-            weights: self.weights.clone(),
-            qweights: self.qweights.clone(),
-            smooth: self.smooth.clone(),
-            plans: self.plans.clone(),
-            act_bytes: AtomicUsize::new(self.act_bytes.load(Ordering::Relaxed)),
-            act_bytes_f32: AtomicUsize::new(self.act_bytes_f32.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl QuantizedModel {
     /// Build a quantized model from a graph, its calibration data and a
     /// recipe, reporting malformed graphs (unbound weights, structural
-    /// defects) as typed errors. (Use
-    /// [`crate::PtqSession`] for the full calibrate-quantize-evaluate
-    /// pipeline.)
-    pub fn build(graph: Graph, calib: &CalibData, config: QuantConfig) -> Result<Self, PtqError> {
+    /// defects, a quantized weight another node also reads) as typed
+    /// errors. (Use [`crate::PtqSession`] for the full
+    /// calibrate-quantize-evaluate pipeline.)
+    pub fn build(
+        mut graph: Graph,
+        calib: &CalibData,
+        config: QuantConfig,
+    ) -> Result<Self, PtqError> {
         graph.validate_structure()?;
         let quantized_nodes = select_nodes(&graph, &config);
         let smooth = if let Some(alpha) = config.smoothquant_alpha {
@@ -93,7 +61,7 @@ impl QuantizedModel {
         } else {
             HashMap::new()
         };
-        let (weights, qweights) = prepare_weights(&graph, &config, &quantized_nodes, &smooth)?;
+        quantize_weights(&mut graph, &config, &quantized_nodes, &smooth)?;
         let (act_scales, act_int8) =
             prepare_act_scales(&graph, calib, &config, &quantized_nodes, &smooth);
         Ok(QuantizedModel {
@@ -102,12 +70,8 @@ impl QuantizedModel {
             quantized_nodes,
             act_scales,
             act_int8,
-            weights,
-            qweights,
             smooth,
             plans: PlanSet::new(),
-            act_bytes: AtomicUsize::new(0),
-            act_bytes_f32: AtomicUsize::new(0),
         })
     }
 
@@ -131,32 +95,56 @@ impl QuantizedModel {
         self.quantized_nodes.len() as f64 / eligible as f64
     }
 
-    /// Resident bytes of all pre-quantized weights as actually stored:
-    /// 1 byte/element plus scale storage for FP8-stored tensors, 4
+    /// The quantized weights: each quantized node's weight parameter.
+    fn quantized_weights(&self) -> impl Iterator<Item = &Param> + '_ {
+        let nodes = self.graph.nodes();
+        let weights = self.quantized_nodes.iter();
+        weights.filter_map(move |&id| self.graph.param(nodes.get(id)?.op.weight_value()?))
+    }
+
+    /// Resident bytes of all quantized weights as actually stored: 1
+    /// byte/element plus scale storage for FP8-stored tensors, 4
     /// bytes/element for fake-quantized f32 tensors.
     pub fn weight_bytes(&self) -> usize {
-        let q: usize = self.qweights.values().map(QTensor::storage_bytes).sum();
-        let f: usize = self.weights.values().map(Tensor::len).sum();
-        q + f * std::mem::size_of::<f32>()
+        self.quantized_weights().map(Param::stored_bytes).sum()
     }
 
-    /// Activation bytes carried across op boundaries since construction
-    /// or the last [`Self::reset_act_bytes`]: codes + scales for inputs
-    /// quantized at the boundary, 4 bytes/element for fake-quantized f32.
-    pub fn act_bytes(&self) -> usize {
-        self.act_bytes.load(Ordering::Relaxed)
+    /// Bytes the same quantized weights would occupy as dense f32 — the
+    /// baseline for the weight-memory-reduction ratio.
+    pub fn weight_bytes_f32(&self) -> usize {
+        let elems: usize = self.quantized_weights().map(Param::len).sum();
+        elems * std::mem::size_of::<f32>()
     }
 
-    /// Bytes the same activation inputs would occupy as dense f32.
-    pub fn act_bytes_f32(&self) -> usize {
-        self.act_bytes_f32.load(Ordering::Relaxed)
-    }
-
-    /// Clear both activation byte counters (call before the run whose
-    /// footprint should be reported).
-    pub fn reset_act_bytes(&self) {
-        self.act_bytes.store(0, Ordering::Relaxed);
-        self.act_bytes_f32.store(0, Ordering::Relaxed);
+    /// Activation bytes that running `batches` carries across the quantized
+    /// op boundaries, and what the same inputs would occupy as dense f32:
+    /// codes + scales for inputs coded at the boundary, 4 bytes/element
+    /// for fake-quantized f32. Computed from the value shapes each batch's
+    /// input shapes imply, so no forward runs; errors as
+    /// [`Graph::value_shapes`] does.
+    pub fn act_bytes(&self, batches: &[Vec<Tensor>]) -> Result<(usize, usize), PtqError> {
+        let (mut bytes, mut bytes_f32) = (0, 0);
+        for batch in batches {
+            let inputs: Vec<Shape> = batch.iter().map(|t| t.shape().to_vec()).collect();
+            let shapes = self.graph.value_shapes(&inputs)?;
+            let nodes = self
+                .quantized_nodes
+                .iter()
+                .filter_map(|&id| self.graph.nodes().get(id));
+            for node in nodes {
+                for (idx, &v) in node.inputs.iter().enumerate() {
+                    let shape = shapes[v].as_deref().unwrap_or_default();
+                    let f32_bytes = shape.iter().product::<usize>() * std::mem::size_of::<f32>();
+                    bytes += match self.act_binding(node, idx) {
+                        ActBinding::F32 => continue,
+                        ActBinding::Coded { scale, .. } => scale.coded_bytes(shape),
+                        _ => f32_bytes,
+                    };
+                    bytes_f32 += f32_bytes;
+                }
+            }
+        }
+        Ok((bytes, bytes_f32))
     }
 
     /// Whether activation input `idx` of `node` crosses the op boundary as
@@ -169,7 +157,6 @@ impl QuantizedModel {
             _ => ActBinding::F32,
         }
     }
-
     /// How activation input `idx` of `node` crosses the op boundary, one
     /// decision for both storage modes. Untouched unless the node runs
     /// quantized and the input is one it quantizes, with a scale (INT8: a
@@ -218,9 +205,8 @@ impl QuantizedModel {
     /// The code×code kernels pair activation codes with `QTensor` weights,
     /// so coding requires the node's weight to be FP8-stored.
     fn stored_weight(&self, node: &Node) -> bool {
-        node.op
-            .weight_value()
-            .is_some_and(|v| self.qweights.contains_key(&v))
+        let weight = node.op.weight_value().and_then(|v| self.graph.param(v));
+        matches!(weight, Some(Param::Fp8(_)))
     }
 
     /// The scale layout `(node, idx)` is coded with, if one can be produced
@@ -244,14 +230,6 @@ impl QuantizedModel {
             (_, Approach::Dynamic) if cfg.direct_activation_quant() => Some(ActScale::Static(1.0)),
             (_, Approach::Dynamic) => Some(ActScale::Dynamic),
         }
-    }
-
-    /// Bytes the same pre-quantized weights would occupy as dense f32 —
-    /// the baseline for the weight-memory-reduction ratio.
-    pub fn weight_bytes_f32(&self) -> usize {
-        let q = self.qweights.values().map(QTensor::len);
-        let f = self.weights.values().map(Tensor::len);
-        q.chain(f).sum::<usize>() * std::mem::size_of::<f32>()
     }
 }
 
@@ -281,36 +259,36 @@ pub fn select_nodes(graph: &Graph, config: &QuantConfig) -> BTreeSet<NodeId> {
     set
 }
 
-/// Quantize all weights of the quantized nodes, folding SmoothQuant
-/// scales into Linear weights first.
+/// Quantize the weight of every quantized node in place, folding
+/// SmoothQuant scales into Linear weights first.
 ///
-/// Returns `(weights, qweights)`: fake-quantized f32 tensors and
-/// FP8-stored tensors respectively. A weight lands in `qweights` when the
-/// config stores FP8 weights and the node is a Conv2d/Linear (the ops whose
-/// kernels take a `WeightOperand::Q`); everything else — INT8 recipes, embedding
-/// tables, the explicit [`crate::WeightStorage::FakeQuantF32`] mode — goes
-/// through the in-place fake-quant path unchanged.
-#[allow(clippy::type_complexity)]
-fn prepare_weights(
-    graph: &Graph,
+/// A weight is FP8-stored when the config stores FP8 weights and the node
+/// is a Conv2d/Linear (the ops whose kernels take a `WeightOperand::Q`);
+/// everything else — INT8 recipes, embedding tables, the explicit
+/// [`crate::WeightStorage::FakeQuantF32`] mode — is fake-quantized in f32.
+/// Either form replaces the f32 tensor, so a weight another node also
+/// reads (tied weights) is refused: that node would stop reading the f32
+/// weight it was built with.
+fn quantize_weights(
+    graph: &mut Graph,
     config: &QuantConfig,
     nodes: &BTreeSet<NodeId>,
     smooth: &HashMap<NodeId, Vec<f32>>,
-) -> Result<(HashMap<ValueId, Tensor>, HashMap<ValueId, QTensor>), PtqError> {
-    let mut out = HashMap::new();
-    let mut qout = HashMap::new();
+) -> Result<(), PtqError> {
+    let mut readers: HashMap<ValueId, usize> = HashMap::new();
+    for v in graph.nodes().iter().flat_map(|n| n.op.param_values()) {
+        *readers.entry(v).or_default() += 1;
+    }
     for &id in nodes {
         let node = &graph.nodes()[id];
         let Some(wid) = node.op.weight_value() else {
             continue;
         };
-        let mut w = graph
-            .param(wid)
-            .ok_or_else(|| PtqError::UnboundParam {
-                value: wid,
-                node: node.name.clone(),
-            })?
-            .clone();
+        if readers[&wid] > 1 {
+            let detail = format!("weight {wid} of node {} has other readers", node.name);
+            return Err(PtqError::InvalidTarget { detail });
+        }
+        let mut w = graph.f32_param(node, wid)?.clone();
         // SmoothQuant: multiply column j by s_j (activations are divided
         // by s_j at run time; the FP32 product is unchanged).
         // smooth_scales only emits scales matching the weight's column
@@ -326,7 +304,7 @@ fn prepare_weights(
                 if trace {
                     trace_weight_mse(node, &w, &q.stored().dequantize());
                 }
-                qout.insert(wid, q);
+                graph.set_param(wid, q)?;
                 continue;
             }
         }
@@ -337,9 +315,9 @@ fn prepare_weights(
         if let Some(fp32) = fp32 {
             trace_weight_mse(node, &fp32, w.data());
         }
-        out.insert(wid, w);
+        graph.set_param(wid, w)?;
     }
-    Ok((out, qout))
+    Ok(())
 }
 
 /// Per-layer weight quantization error, reported by both storage modes.
@@ -475,9 +453,9 @@ fn prepare_act_scales(
     (scales, int8)
 }
 
-/// The quantized-inference hook: binds pre-quantized weights, SmoothQuant
-/// divisors and the activation forms of the quantized nodes, and accounts
-/// the activation bytes they carry.
+/// The quantized-inference hook: binds the SmoothQuant divisors and the
+/// activation forms of the quantized nodes. Their weights are the graph's
+/// own, quantized in place by [`QuantizedModel::build`].
 #[derive(Debug, Clone, Copy)]
 pub struct QuantHook<'a> {
     model: &'a QuantizedModel,
@@ -486,17 +464,6 @@ pub struct QuantHook<'a> {
 impl ExecHook for QuantHook<'_> {
     fn bind(&self, node: &Node) -> Binding<'_> {
         let model = self.model;
-        // FP8-stored weights run the fused kernels straight off their
-        // bytes; whatever those cannot execute (INT8 recipes, embedding
-        // tables) was fake-quantized to f32 at build time.
-        let mut weight = WeightBinding::Graph;
-        if let Some(v) = node.op.weight_value() {
-            if let Some(q) = model.qweights.get(&v) {
-                weight = WeightBinding::Q(q);
-            } else if let Some(w) = model.weights.get(&v) {
-                weight = WeightBinding::F32(w);
-            }
-        }
         // SmoothQuant: the Linear input's channels are divided by s.
         let divisors = model.smooth.get(&node.id).map(Vec::as_slice);
         let divisors = divisors.filter(|_| model.quantized_nodes.contains(&node.id));
@@ -512,27 +479,10 @@ impl ExecHook for QuantHook<'_> {
             },
         };
         Binding {
-            weight,
             divisors,
             acts,
             kv,
             ..Binding::default()
-        }
-    }
-
-    /// Account the quantized inputs' boundary bytes: codes and scales, or
-    /// 4 bytes/element for fake-quantized f32.
-    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-        let model = self.model;
-        for (idx, x) in inputs.iter().enumerate() {
-            let f32_bytes = x.len() * std::mem::size_of::<f32>();
-            let bytes = match model.act_binding(node, idx) {
-                ActBinding::F32 => continue,
-                ActBinding::Coded { scale, .. } => scale.coded_bytes(x.shape()),
-                _ => f32_bytes,
-            };
-            model.act_bytes.fetch_add(bytes, Ordering::Relaxed);
-            model.act_bytes_f32.fetch_add(f32_bytes, Ordering::Relaxed);
         }
     }
 }
@@ -543,8 +493,7 @@ mod tests {
     use crate::calibrate::CalibrationHook;
     use crate::config::WeightStorage;
     use ptq_fp8::Fp8Format;
-    use ptq_nn::GraphBuilder;
-    use ptq_nn::UnwrapOk;
+    use ptq_nn::{GraphBuilder, UnwrapOk};
     use ptq_tensor::ops::Conv2dParams;
     use ptq_tensor::TensorRng;
 
@@ -641,29 +590,62 @@ mod tests {
         }
     }
 
+    /// Each quantized node's weight parameter in `model.graph`, by value id.
+    fn weights(model: &QuantizedModel) -> HashMap<ValueId, &Param> {
+        let ids = model.quantized_nodes.iter();
+        let ids = ids.filter_map(|&id| model.graph.nodes()[id].op.weight_value());
+        ids.map(|v| (v, model.graph.param(v).unwrap())).collect()
+    }
+
     #[test]
     fn weights_are_prequantized_once() {
         let g = cnn();
         let calib = calibrated(&g);
-        // Default policy: FP8 weights are stored as bytes, not f32.
+        // Default policy: FP8 weights are stored as bytes, not f32, in
+        // place of the graph's f32 weights.
         let cfg = QuantConfig::fp8(Fp8Format::E4M3).with_first_last();
         let model = QuantizedModel::build(g.clone(), &calib, cfg.clone()).unwrap_ok();
-        assert_eq!(model.qweights.len(), 3);
-        assert!(model.weights.is_empty());
+        let stored = weights(&model);
+        assert_eq!(stored.len(), 3);
         // Stored weights decode to values that differ from the originals
         // but are close.
-        for (vid, qw) in &model.qweights {
-            let orig = model.graph.param(*vid).unwrap();
+        for (vid, p) in stored {
+            let Param::Fp8(qw) = p else {
+                panic!("weight {vid} is not FP8-stored: {p:?}");
+            };
+            let orig = g.param(vid).and_then(Param::as_f32).unwrap();
             let deq = qw.dequantize();
             assert_ne!(orig, &deq);
             let mse = ptq_tensor::stats::mse(orig.data(), deq.data());
             assert!(mse < 1e-3);
         }
-        // Opting out keeps the legacy fake-quant f32 tensors.
+        // Opting out keeps fake-quant f32 tensors.
         let cfg_f32 = cfg.with_weight_storage(WeightStorage::FakeQuantF32);
-        let legacy = QuantizedModel::build(g, &calib, cfg_f32).unwrap_ok();
-        assert_eq!(legacy.weights.len(), 3);
-        assert!(legacy.qweights.is_empty());
+        let legacy = QuantizedModel::build(g.clone(), &calib, cfg_f32).unwrap_ok();
+        let fake = weights(&legacy);
+        assert_eq!(fake.len(), 3);
+        for (vid, p) in fake {
+            assert_ne!(p.as_f32(), g.param(vid).and_then(Param::as_f32), "{vid}");
+        }
+    }
+
+    #[test]
+    fn a_quantized_weight_another_node_reads_is_refused() {
+        let mut rng = TensorRng::seed(3);
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let w = b.param(rng.kaiming(&[4, 4]));
+        let y = b.linear(x, w, None);
+        let z = b.linear(y, w, None);
+        let g = b.finish(vec![z]);
+        let calib = {
+            let mut hook = CalibrationHook::new();
+            g.run(&[rng.normal(&[2, 4], 0.0, 1.0)], &mut hook)
+                .unwrap_ok();
+            hook.into_data()
+        };
+        let err = QuantizedModel::build(g, &calib, QuantConfig::fp8(Fp8Format::E4M3)).unwrap_err();
+        assert!(matches!(err, PtqError::InvalidTarget { .. }), "{err}");
     }
 
     #[test]
@@ -684,10 +666,18 @@ mod tests {
                     cfg.with_weight_storage(WeightStorage::FakeQuantF32),
                 )
                 .unwrap_ok();
-                assert_eq!(stored.qweights.len(), legacy.weights.len(), "{f}");
-                for (vid, qw) in &stored.qweights {
-                    let fake = &legacy.weights[vid];
-                    assert_eq!(&qw.dequantize(), fake, "{f} {granularity:?} weight {vid:?}");
+                let (stored, legacy) = (weights(&stored), weights(&legacy));
+                assert_eq!(stored.len(), legacy.len(), "{f}");
+                for (vid, p) in &stored {
+                    let Param::Fp8(qw) = p else {
+                        panic!("{f}: weight {vid} is not FP8-stored");
+                    };
+                    let fake = legacy[vid].as_f32();
+                    assert_eq!(
+                        Some(&qw.dequantize()),
+                        fake,
+                        "{f} {granularity:?} weight {vid:?}"
+                    );
                 }
             }
         }
@@ -730,24 +720,25 @@ mod tests {
                     for (a, b) in yc[0].data().iter().zip(yf[0].data()) {
                         assert_eq!(a.to_bits(), b.to_bits(), "{tag}");
                     }
-                    // The coded run actually exercised the datapath and
-                    // carried codes, not dense f32.
-                    assert!(coded.act_bytes() > 0, "{tag}");
+                    // The coded run carries codes, not dense f32.
+                    let batch = [vec![x.clone()]];
+                    let (bytes, bytes_f32) = coded.act_bytes(&batch).unwrap_ok();
+                    assert!(bytes > 0, "{tag}");
                     // Per-tensor scales shrink activations well past 3×;
                     // per-tile pays 4 bytes/tile of scale overhead, which
                     // dominates on this toy CNN's inner dims of 8 — only
                     // assert a reduction there.
                     let bound = match gran {
-                        ActGranularity::PerTensor => coded.act_bytes() * 3,
-                        ActGranularity::PerTile(_) => coded.act_bytes(),
+                        ActGranularity::PerTensor => bytes * 3,
+                        ActGranularity::PerTile(_) => bytes,
                     };
                     assert!(
-                        bound < coded.act_bytes_f32(),
-                        "{tag}: act_bytes {} vs f32 {}",
-                        coded.act_bytes(),
-                        coded.act_bytes_f32()
+                        bound < bytes_f32,
+                        "{tag}: act_bytes {bytes} vs f32 {bytes_f32}"
                     );
-                    assert_eq!(fake.act_bytes(), fake.act_bytes_f32(), "{tag}");
+                    let (fake_bytes, fake_f32) = fake.act_bytes(&batch).unwrap_ok();
+                    assert_eq!(fake_bytes, fake_f32, "{tag}");
+                    assert_eq!(fake_f32, bytes_f32, "{tag}");
                 }
             }
         }
@@ -798,8 +789,11 @@ mod tests {
         let calib = calibrated(&g);
         let cfg = QuantConfig::fp8(Fp8Format::E4M3).with_first_last();
         let model = QuantizedModel::build(g.clone(), &calib, cfg.clone()).unwrap_ok();
-        let elems: usize = model.qweights.values().map(|q| q.len()).sum();
+        let stored = weights(&model);
+        let elems: usize = stored.values().map(|p| p.len()).sum();
         assert_eq!(model.weight_bytes_f32(), elems * 4);
+        let bytes: usize = stored.values().map(|p| p.stored_bytes()).sum();
+        assert_eq!(model.weight_bytes(), bytes);
         // 1 byte/element + per-channel scales: strictly between 1/4 and
         // 1/3 of the f32 footprint for these shapes.
         assert!(model.weight_bytes() >= elems);

@@ -29,18 +29,18 @@ pub struct QuantOutcome {
     pub score: f64,
     /// Pass-rate record (baseline vs quantized).
     pub result: WorkloadResult,
-    /// Resident bytes of the pre-quantized weights as stored (FP8 bytes +
+    /// Resident bytes of the quantized weights as stored (FP8 bytes +
     /// scales, or dense f32 under
     /// [`crate::WeightStorage::FakeQuantF32`]).
     pub weight_bytes: usize,
     /// Bytes the same weights would occupy as dense f32 — the baseline
     /// for the memory-reduction ratio.
     pub weight_bytes_f32: usize,
-    /// Bytes of quantized-node activation inputs as actually carried
-    /// across op boundaries during the evaluation pass: FP8 codes +
-    /// scales where the activation datapath ran
-    /// ([`crate::ActivationStorage::Fp8`]), 4 bytes/element where inputs stayed
-    /// fake-quantized f32.
+    /// Bytes of quantized-node activation inputs carried across op
+    /// boundaries by the evaluation pass: FP8 codes + scales where the
+    /// activation datapath runs ([`crate::ActivationStorage::Fp8`]), 4
+    /// bytes/element where inputs stay fake-quantized f32 (see
+    /// [`QuantizedModel::act_bytes`]).
     pub act_bytes: usize,
     /// Bytes the same activation inputs would occupy as dense f32.
     pub act_bytes_f32: usize,
@@ -261,18 +261,16 @@ impl<'a> PtqSession<'a> {
                 sp.record_str("format", cfg.act_format.label());
             }
             let model = make(cfg)?;
-            // Building may have run quantized inference (BatchNorm
-            // recalibration); count only the evaluation pass.
-            model.reset_act_bytes();
             let score = workload.evaluate_graph(&model.graph, &model.hook())?;
             sp.record_f64("score", score);
+            let (act_bytes, act_bytes_f32) = model.act_bytes(&workload.eval)?;
             Ok(QuantOutcome {
                 score,
                 result: workload.result(score),
                 weight_bytes: model.weight_bytes(),
                 weight_bytes_f32: model.weight_bytes_f32(),
-                act_bytes: model.act_bytes(),
-                act_bytes_f32: model.act_bytes_f32(),
+                act_bytes,
+                act_bytes_f32,
                 model,
             })
         })

@@ -9,7 +9,7 @@
 //! activation distribution that per-tensor INT8 struggles with (§4.2.1).
 
 use crate::calibrate::CalibData;
-use ptq_nn::{Graph, NodeId, OpClass};
+use ptq_nn::{Graph, NodeId, OpClass, Param};
 use std::collections::{BTreeSet, HashMap};
 
 /// Compute SmoothQuant scales for every quantized Linear node with
@@ -36,7 +36,7 @@ pub fn smooth_scales(
         let Some(wid) = node.op.weight_value() else {
             continue;
         };
-        let Some(w) = graph.param(wid) else {
+        let Some(w) = graph.param(wid).and_then(Param::as_f32) else {
             continue;
         };
         let (rows, cols) = (w.dim(0), w.dim(1));
@@ -132,7 +132,8 @@ mod tests {
         let nodes = select_nodes(&g, &QuantConfig::fp8(Fp8Format::E4M3));
         let s = smooth_scales(&g, &calib, &nodes, 0.5);
         let sv = &s[&0];
-        let w = g.param(g.nodes()[0].op.weight_value().unwrap()).unwrap();
+        let w = g.param(g.nodes()[0].op.weight_value().unwrap());
+        let w = w.and_then(ptq_nn::Param::as_f32).unwrap();
         // x' = x / s, W' = W * s  =>  x' W'^T == x W^T.
         let mut xs = x.clone();
         #[allow(clippy::needless_range_loop)]

@@ -384,7 +384,7 @@ mod tests {
             let graph = g.finish(vec![y]);
             ptq_nn::Graph::from_parts(
                 graph.nodes().to_vec(),
-                std::collections::HashMap::new(), // drop every binding
+                std::collections::HashMap::<_, ptq_tensor::Tensor>::new(), // drop every binding
                 vec![x],
                 vec![y],
                 graph.n_values(),

@@ -9,6 +9,7 @@ use ptq_core::{
 };
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo, Workload, ZooFilter};
+use ptq_nn::Param;
 
 fn assert_outcomes_identical(a: &QuantOutcome, b: &QuantOutcome, what: &str) {
     assert_eq!(a.score.to_bits(), b.score.to_bits(), "{what}: score");
@@ -27,26 +28,27 @@ fn assert_outcomes_identical(a: &QuantOutcome, b: &QuantOutcome, what: &str) {
         a.model.quantized_nodes, b.model.quantized_nodes,
         "{what}: quantized node set"
     );
+    // Every parameter, quantized weights included: each quantized weight
+    // is stored in the graph in place of its f32 tensor.
     assert_eq!(
-        a.model.weights.len(),
-        b.model.weights.len(),
-        "{what}: substituted weight count"
+        a.model.graph.params().count(),
+        b.model.graph.params().count(),
+        "{what}: parameter count"
     );
-    for (id, wa) in &a.model.weights {
-        let wb = b.model.weights.get(id).expect("same weight ids");
-        assert_eq!(wa.shape(), wb.shape(), "{what}: weight {id} shape");
-        for (x, y) in wa.data().iter().zip(wb.data()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: weight {id} bits");
+    for (id, pa) in a.model.graph.params() {
+        let pb = b.model.graph.param(id).expect("same parameter ids");
+        match (pa, pb) {
+            (Param::F32(wa), Param::F32(wb)) => {
+                assert_eq!(wa.shape(), wb.shape(), "{what}: param {id} shape");
+                for (x, y) in wa.data().iter().zip(wb.data()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{what}: param {id} bits");
+                }
+            }
+            (Param::Fp8(qa), Param::Fp8(qb)) => {
+                assert_eq!(qa, qb, "{what}: fp8 param {id} codes/scales")
+            }
+            _ => panic!("{what}: param {id} is stored differently"),
         }
-    }
-    assert_eq!(
-        a.model.qweights.len(),
-        b.model.qweights.len(),
-        "{what}: fp8-stored weight count"
-    );
-    for (id, qa) in &a.model.qweights {
-        let qb = b.model.qweights.get(id).expect("same qweight ids");
-        assert_eq!(qa, qb, "{what}: qweight {id} codes/scales");
     }
     assert_eq!(a.weight_bytes, b.weight_bytes, "{what}: weight_bytes");
     assert_eq!(
@@ -128,8 +130,9 @@ fn fp8_storage_reports_4x_weight_reduction_on_cv_and_nlp() {
             .expect("quick zoo covers both domains");
         let cfg = paper_recipe(DataFormat::Fp8(Fp8Format::E4M3), Approach::Static, domain);
         let out = PtqSession::new(cfg).quantize(w).unwrap_ok();
+        let mut params = out.model.graph.params();
         assert!(
-            !out.model.qweights.is_empty(),
+            params.any(|(_, p)| matches!(p, Param::Fp8(_))),
             "{}: no fp8-stored weights",
             w.spec.name
         );

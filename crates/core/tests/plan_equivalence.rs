@@ -10,8 +10,14 @@ use ptq_core::config::{
 use ptq_core::{paper_recipe, CalibrationHook, PtqSession, QuantizedModel, UnwrapOk};
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo, Workload, ZooFilter};
-use ptq_nn::{ActBinding, ExecHook, ExecPlan, Graph, NoopHook, PlanSet};
+use ptq_nn::{ActBinding, Binding, ExecHook, ExecPlan, Graph, Node, NoopHook, Param, PlanSet};
 use ptq_tensor::Tensor;
+
+/// How many of `model`'s graph parameters are FP8-stored.
+fn fp8_params(model: &QuantizedModel) -> usize {
+    let params = model.graph.params();
+    params.filter(|(_, p)| matches!(p, Param::Fp8(_))).count()
+}
 
 fn plan_for(graph: &Graph, inputs: &[Tensor]) -> ExecPlan {
     let shapes: Vec<Vec<usize>> = inputs.iter().map(|t| t.shape().to_vec()).collect();
@@ -107,11 +113,11 @@ fn fp8_stored_weights_match_fake_quant_across_zoo() {
                         && matches!(n.op, ptq_nn::Op::Conv2d { .. } | ptq_nn::Op::Linear { .. })
                 });
                 assert_eq!(
-                    !stored.qweights.is_empty(),
+                    fp8_params(&stored) > 0,
                     has_fused_weights,
                     "{what}: fp8 storage engaged exactly for fused-kernel ops"
                 );
-                assert!(legacy.qweights.is_empty(), "{what}: legacy mode is f32");
+                assert_eq!(fp8_params(&legacy), 0, "{what}: legacy mode is f32");
 
                 let ref_out = legacy.graph.run(inputs, &mut legacy.hook()).unwrap_ok();
                 let interp = stored.graph.run(inputs, &mut stored.hook()).unwrap_ok();
@@ -150,8 +156,6 @@ fn fp8_coded_activations_match_fake_quant_across_zoo() {
                 let what = format!("{} {f} {gran:?}", w.spec.name);
 
                 let ref_out = legacy.graph.run(inputs, &mut legacy.hook()).unwrap_ok();
-                legacy.reset_act_bytes();
-                coded.reset_act_bytes();
                 let interp = coded.graph.run(inputs, &mut coded.hook()).unwrap_ok();
                 assert_tensors_identical(&ref_out, &interp, &format!("{what} interp"));
                 let plan = plan_for(&coded.graph, inputs);
@@ -176,11 +180,11 @@ fn fp8_coded_activations_match_fake_quant_across_zoo() {
                     .iter()
                     .any(|n| (0..2).any(|i| coded.act_coding(n, i) != ActBinding::F32));
                 if has_coded_ops {
+                    let (bytes, bytes_f32) =
+                        coded.act_bytes(std::slice::from_ref(inputs)).unwrap_ok();
                     assert!(
-                        coded.act_bytes() < coded.act_bytes_f32(),
-                        "{what}: act_bytes {} vs f32 {}",
-                        coded.act_bytes(),
-                        coded.act_bytes_f32()
+                        bytes < bytes_f32,
+                        "{what}: act_bytes {bytes} vs f32 {bytes_f32}"
                     );
                 }
             }
@@ -257,11 +261,36 @@ fn plan_matches_interpreter_under_quantized_hooks_across_zoo() {
     }
 }
 
+/// Hook `H`, counting the activation bytes its bindings carry as the
+/// operands reach the kernels: codes + scales for coded inputs, 4
+/// bytes/element for fake-quantized ones; then the same inputs as f32.
+struct Counted<H>(H, usize, usize);
+
+impl<H: ExecHook> ExecHook for Counted<H> {
+    fn bind(&self, node: &Node) -> Binding<'_> {
+        self.0.bind(node)
+    }
+
+    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
+        let acts = self.0.bind(node).acts;
+        for (x, act) in inputs.iter().zip(acts) {
+            let f32_bytes = x.len() * std::mem::size_of::<f32>();
+            self.1 += match act {
+                ActBinding::F32 => continue,
+                ActBinding::Coded { scale, .. } => scale.coded_bytes(x.shape()),
+                _ => f32_bytes,
+            };
+            self.2 += f32_bytes;
+        }
+    }
+}
+
 /// `Workload::evaluate_graph` runs its batches through `PlanSet::run_each`
 /// (on the pool, one batch per claim, where no kernel of the plan fans
 /// out); an in-order loop over `PlanSet::run` under one hook is its
-/// oracle. Same score bits and the same activation-byte accounting, under
-/// the FP32 hook and the quantized one, on every quick-zoo workload.
+/// oracle. Same score bits under the FP32 hook and the quantized one, on
+/// every quick-zoo workload, and the activation bytes the session computes
+/// from the batches' shapes are those the in-order loop's operands carry.
 #[test]
 fn evaluation_matches_an_in_order_loop_across_zoo() {
     fn in_order(w: &Workload, graph: &Graph, hook: &mut dyn ExecHook) -> f64 {
@@ -297,11 +326,11 @@ fn evaluation_matches_an_in_order_loop_across_zoo() {
             .quantize(w)
             .unwrap_ok();
         let model = &out.model;
-        model.reset_act_bytes();
-        let score = in_order(w, &model.graph, &mut model.hook());
+        let mut counted = Counted(model.hook(), 0, 0);
+        let score = in_order(w, &model.graph, &mut counted);
         assert_eq!(out.score.to_bits(), score.to_bits(), "{name}");
-        assert_eq!(out.act_bytes, model.act_bytes(), "{name}");
-        assert_eq!(out.act_bytes_f32, model.act_bytes_f32(), "{name}");
+        assert_eq!(out.act_bytes, counted.1, "{name}");
+        assert_eq!(out.act_bytes_f32, counted.2, "{name}");
         assert!(out.act_bytes > 0, "{name}: nothing was accounted");
     }
     assert!(

@@ -16,7 +16,7 @@
 //! near-margin samples — the mechanism behind realistic accuracy
 //! degradation.
 
-use ptq_nn::{ExecHook, Graph, Node, NodeId, Op, UnwrapOk};
+use ptq_nn::{ExecHook, Graph, Node, NodeId, Op, Param, UnwrapOk};
 use ptq_tensor::{Tensor, TensorRng};
 
 /// Capture the activation input of one node across runs.
@@ -487,7 +487,8 @@ pub fn coadapt_convs(graph: &mut Graph, batches: &[Vec<Tensor>]) {
             _ => continue,
         };
         let scales = coadapt_scales(&mags);
-        let mut w = graph.param(wid).expect("conv weight").clone();
+        let w = graph.param(wid).and_then(Param::as_f32);
+        let mut w = w.expect("f32 conv weight").clone();
         if depthwise {
             // [C, 1, kh, kw]: channel j's filter scales by s_j.
             let inner = w.len() / w.dim(0);

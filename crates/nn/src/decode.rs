@@ -139,17 +139,6 @@ fn unsupported(node: &Node, detail: impl Into<String>) -> PtqError {
     }
 }
 
-/// The parameter `value` of `node` (an `AddParam`'s table).
-fn param<'g>(graph: &'g Graph, node: &Node, value: ValueId) -> Result<&'g Tensor, PtqError> {
-    graph
-        .params
-        .get(&value)
-        .ok_or_else(|| PtqError::UnboundParam {
-            value,
-            node: node.name.clone(),
-        })
-}
-
 impl Graph {
     /// Compile this graph into the decode step schedule for a
     /// `seq`-position window.
@@ -246,7 +235,7 @@ impl Graph {
                     // Every mask anchors a matched group (or planning failed).
                     Op::CausalMask => StepOp::MaskRows,
                     Op::AddParam { param: p } => {
-                        let table = param(graph, node, *p)?;
+                        let table = graph.f32_param(node, *p)?;
                         if table.ndim() >= 2 && table.dim(0) == seq {
                             StepOp::AddPosRows(*p)
                         } else {
@@ -447,8 +436,8 @@ impl DecodePlan {
     fn check_step_shapes(&self, graph: &Graph) -> Result<(), PtqError> {
         let mut shapes: Vec<Option<Shape>> = vec![None; graph.n_values];
         shapes[graph.inputs[0]] = Some(vec![1]);
-        for (&id, t) in &graph.params {
-            shapes[id] = Some(t.shape().to_vec());
+        for (&id, p) in &graph.params {
+            shapes[id] = Some(p.shape().to_vec());
         }
         for (i, node) in graph.nodes.iter().enumerate() {
             let out = match &self.steps[i] {
@@ -462,7 +451,7 @@ impl DecodePlan {
                     graph.infer_node_shape(&row, &shapes)?
                 }
                 StepOp::AddPosRows(p) => {
-                    let table = param(graph, node, *p)?;
+                    let table = graph.f32_param(node, *p)?;
                     let x = shapes[node.inputs[0]].clone().unwrap_or_default();
                     if x.len() != table.ndim() || x[0] != 1 || x[1..] != table.shape()[1..] {
                         return Err(PtqError::ShapeMismatch {
@@ -789,7 +778,7 @@ impl StepBuffers {
                     out.copy_from(x);
                     match (op, &node.op) {
                         (StepOp::AddPosRows(p), _) => {
-                            let (table, w) = (param(graph, node, *p)?, out.len() / m);
+                            let (table, w) = (graph.f32_param(node, *p)?, out.len() / m);
                             for (row, &p) in out.data_mut().chunks_mut(w.max(1)).zip(pos.iter()) {
                                 let t = &table.data()[p * w..][..w];
                                 row.iter_mut().zip(t).for_each(|(o, &t)| *o += t);
@@ -842,7 +831,8 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::error::UnwrapOk;
-    use crate::exec::{ActBinding, Binding, WeightBinding};
+    use crate::exec::{ActBinding, Binding};
+    use crate::graph::Param;
     use crate::interp::NoopHook;
     use ptq_fp8::Fp8Format;
     use ptq_tensor::ops::KernelPath;
@@ -918,52 +908,48 @@ mod tests {
         }
     }
 
-    /// Binds every Linear's weight FP8-stored and codes its input at the
-    /// boundary with a row-independent scale layout (static or per-tile),
-    /// so a `[1, d]` step row quantizes exactly like row `t` of the window.
-    struct CodedLinears {
-        q: HashMap<ValueId, QTensor>,
-        scale: ActScale,
-    }
-    impl CodedLinears {
-        fn new(g: &Graph, scale: ActScale) -> Self {
-            let linears = g.nodes().iter().filter_map(|n| match n.op {
-                Op::Linear { weight, .. } => Some(weight),
-                _ => None,
-            });
-            let q = linears
-                .map(|v| {
-                    let q = QTensor::quantize_per_channel(&g.params[&v], Fp8Format::E4M3);
-                    (v, q.unwrap())
-                })
-                .collect();
-            CodedLinears { q, scale }
+    /// `g` with every Linear's weight FP8-stored in place of its f32
+    /// tensor, the form a quantized model's graph takes.
+    fn fp8_linears(g: &Graph) -> Graph {
+        let mut out = g.clone();
+        for n in g.nodes() {
+            if let Op::Linear { weight, .. } = n.op {
+                let w = g.param(weight).and_then(Param::as_f32).unwrap();
+                let q = QTensor::quantize_per_channel(w, Fp8Format::E4M3).unwrap();
+                out.set_param(weight, q).unwrap_ok();
+            }
         }
+        out
+    }
+
+    /// Codes every Linear's input at the boundary with a row-independent
+    /// scale layout (static or per-tile), so a `[1, d]` step row quantizes
+    /// exactly like row `t` of the window. Runs on [`fp8_linears`] graphs:
+    /// codes pair with FP8-stored weights.
+    struct CodedLinears {
+        scale: ActScale,
     }
     impl ExecHook for CodedLinears {
         fn bind(&self, node: &Node) -> Binding<'_> {
-            let Some(q) = node.op.weight_value().and_then(|v| self.q.get(&v)) else {
-                return Binding::default();
-            };
-            let coded = ActBinding::Coded {
-                format: Fp8Format::E4M3,
-                scale: self.scale,
-            };
-            Binding {
-                weight: WeightBinding::Q(q),
-                acts: [coded, ActBinding::F32],
-                ..Binding::default()
+            let mut b = Binding::default();
+            if let Op::Linear { .. } = node.op {
+                b.acts[0] = ActBinding::Coded {
+                    format: Fp8Format::E4M3,
+                    scale: self.scale,
+                };
             }
+            b
         }
     }
 
     #[test]
     fn decode_under_q_and_coded_bindings_matches_reference_loop() {
-        let g = tiny_decoder(11);
+        let f32_graph = tiny_decoder(11);
+        let g = fp8_linears(&f32_graph);
         let plan = g.plan_decode(SEQ).unwrap_ok();
         let mut bufs = StepBuffers::default();
         for scale in [ActScale::Static(4.0), ActScale::PerTile(5)] {
-            let mut hook = CodedLinears::new(&g, scale);
+            let mut hook = CodedLinears { scale };
             let oracle = |tokens: &[f32], hook: &mut CodedLinears| {
                 let mut padded = vec![0.0f32; SEQ];
                 padded[..tokens.len()].copy_from_slice(tokens);
@@ -987,8 +973,8 @@ mod tests {
             assert_eq!(logits, oracle(&tokens, &mut hook), "prefill {scale:?}");
             assert_ne!(
                 logits,
-                full_window_row(&g, &tokens, 2),
-                "bindings had no effect"
+                full_window_row(&f32_graph, &tokens, 2),
+                "FP8 weights and codes had no effect"
             );
 
             let mut next = logits.argmax() as f32;
@@ -1350,8 +1336,8 @@ mod tests {
         assert_eq!(appended, 2 * plan.n_layers() as u64 * p);
     }
 
-    /// `CodedLinears` (or the graph's own weights) under a cache policy and
-    /// a kernel path.
+    /// `CodedLinears` (or no coding) under a cache policy and a kernel
+    /// path.
     struct Runner {
         coded: Option<CodedLinears>,
         kv: KvCachePolicy,
@@ -1377,8 +1363,8 @@ mod tests {
 
     #[test]
     fn a_gathered_step_is_each_states_own_step() {
-        let g = tiny_decoder(21);
-        let plan = g.plan_decode(SEQ).unwrap_ok();
+        let f32_graph = tiny_decoder(21);
+        let plan = f32_graph.plan_decode(SEQ).unwrap_ok();
         let mut bufs = StepBuffers::default();
         // Ragged positions, the last session one step short of the window.
         let prompts: [&[f32]; 4] = [
@@ -1397,8 +1383,13 @@ mod tests {
                 Some(ActScale::Static(4.0)),
                 Some(ActScale::PerTile(5)),
             ] {
+                // Coded inputs run on FP8-stored Linear weights.
+                let g = match scale {
+                    Some(_) => fp8_linears(&f32_graph),
+                    None => f32_graph.clone(),
+                };
                 for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
-                    let coded = scale.map(|s| CodedLinears::new(&g, s));
+                    let coded = scale.map(|scale| CodedLinears { scale });
                     let mut hook = Runner { coded, kv, path };
                     // A gather of one, all four, and a pair out of order.
                     for pick in [&[1][..], &[0, 1, 2, 3], &[3, 0]] {

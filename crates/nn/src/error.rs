@@ -28,6 +28,14 @@ pub enum PtqError {
         /// Name of the referencing node.
         node: String,
     },
+    /// An FP8-stored parameter is read as f32: anywhere but as a Conv2d or
+    /// Linear weight, which the fused kernels read as codes.
+    Fp8Param {
+        /// The FP8-stored parameter.
+        value: ValueId,
+        /// Name of the reading node.
+        node: String,
+    },
     /// A node reads a value that no input, parameter, or earlier node
     /// produces.
     UseBeforeDef {
@@ -92,6 +100,9 @@ impl fmt::Display for PtqError {
             }
             PtqError::UnboundParam { value, node } => {
                 write!(f, "parameter {value} not bound (node {node})")
+            }
+            PtqError::Fp8Param { value, node } => {
+                write!(f, "parameter {value} of node {node} is FP8-stored, not f32")
             }
             PtqError::UseBeforeDef { value, node } => {
                 write!(f, "value {value} is not produced before node {node}")

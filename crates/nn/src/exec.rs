@@ -17,29 +17,13 @@ use crate::interp::ExecHook;
 use ptq_tensor::ops::{self, ActOperand, KernelPath, WeightOperand};
 use ptq_tensor::{
     fake_quant_fp8, fake_quant_int8, fake_quant_per_tile, tile_scale, ActScale, Fp8Codec,
-    Fp8Format, Int8Codec, Int8Mode, KvCachePolicy, QActTensor, QTensor, Tensor,
+    Fp8Format, Int8Codec, Int8Mode, KvCachePolicy, QActTensor, Tensor,
 };
 
 /// Upper bound on activation inputs a node can bind as FP8 codes
 /// (MatMul's two operands is the maximum), and on any operator's
 /// activation inputs.
 pub const MAX_ACT_INPUTS: usize = 2;
-
-/// What a node's quantizable weight ([`Op::weight_value`]: the Conv2d/
-/// Linear weight or the Embedding table) executes as. Every other parameter
-/// (biases, norm statistics, `AddParam` constants) always runs as bound in
-/// the graph.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum WeightBinding<'a> {
-    /// The tensor bound in the graph.
-    #[default]
-    Graph,
-    /// A borrowed f32 substitute (e.g. a fake-quantized weight).
-    F32(&'a Tensor),
-    /// An FP8-stored weight run by the fused dequant kernels; no f32 weight
-    /// is materialized. Only Conv2d and Linear can execute one.
-    Q(&'a QTensor),
-}
 
 /// How one activation input crosses the op boundary, after the binding's
 /// divisors.
@@ -63,8 +47,8 @@ pub enum ActBinding {
     /// As FP8 codes: the executor quantizes the operand and runs the node
     /// through a code×code kernel, so the MAC loop never reads the dense
     /// input. Executable on input 0 of a non-depthwise Conv2d or a Linear
-    /// whose weight is [`WeightBinding::Q`], and on both MatMul operands
-    /// together.
+    /// whose weight is an FP8 [`Param`](crate::Param), and on both MatMul
+    /// operands together.
     Coded {
         /// Code format.
         format: Fp8Format,
@@ -73,19 +57,18 @@ pub enum ActBinding {
     },
 }
 
-/// Everything that changes how one node executes, decided by the hook in
-/// a pure [`ExecHook::bind`] lookup. The default runs the graph as bound:
-/// graph weights, f32 activations read in place, the default kernel path,
-/// an f32 KV cache.
+/// Everything that changes how one node executes beside its parameters,
+/// decided by the hook in a pure [`ExecHook::bind`] lookup. A node runs
+/// the weights its graph binds (a quantized model stores each quantized
+/// weight there as a [`Param`](crate::Param)); the binding says how its
+/// activations reach the kernel. The default reads f32 activations in
+/// place on the default kernel path, with an f32 KV cache.
 ///
-/// A binding the node cannot execute (a substitute on a node without a
-/// weight slot, `Q` on an Embedding, a form on an input the node lacks,
+/// A binding the node cannot execute (a form on an input the node lacks,
 /// codes without a code×code kernel, one-sided MatMul coding) fails the run
 /// with [`PtqError::Internal`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Binding<'a> {
-    /// What the node's quantizable weight executes as.
-    pub weight: WeightBinding<'a>,
     /// Per-channel divisors of input 0 (SmoothQuant), applied before its
     /// [`ActBinding`]: element `j` of every last-axis row is divided by
     /// `divisors[j]` where that is positive. Ignored when the input's last
@@ -114,15 +97,15 @@ impl<'a> ParamsRef<'a> {
         })
     }
 
-    /// Parameter `i` as a dense f32 tensor; a `Q` binding on an operator
-    /// without a fused kernel is a hook protocol violation.
+    /// Parameter `i` as a dense f32 tensor. An FP8 parameter here fails
+    /// [`Graph::validate_structure`] before any kernel runs.
     fn get_f32(&self, node: &Node, i: usize) -> Result<&'a Tensor, PtqError> {
         match self.get(node, i)? {
             WeightOperand::F32(t) => Ok(t),
-            WeightOperand::Q(_) => Err(PtqError::Internal(format!(
-                "parameter {i} for node {} is FP8-stored but the operator needs f32",
-                node.name
-            ))),
+            WeightOperand::Q(_) => Err(PtqError::Fp8Param {
+                value: node.op.param_ids().0[i],
+                node: node.name.clone(),
+            }),
         }
     }
 
@@ -208,10 +191,10 @@ pub(crate) fn split_out<'a>(
 }
 
 /// Run one node on its activation inputs `ins` (one or two, borrowed where
-/// they live): bind, build the operands the binding asks for, resolve
-/// parameters and activation codes, evaluate into `out` (reusing its
-/// allocation), then `before_node` on the operands and `after_node` on
-/// `out`. Arity and shapes must already be validated.
+/// they live): resolve its parameters as the graph binds them, bind, build
+/// the operands the binding asks for and the activation codes, evaluate
+/// into `out` (reusing its allocation), then `before_node` on the operands
+/// and `after_node` on `out`. Arity and shapes must already be validated.
 pub(crate) fn run_node(
     graph: &Graph,
     node: &Node,
@@ -227,29 +210,23 @@ pub(crate) fn run_node(
         acts: codes,
         ids,
     } = scratch;
+    let (param_ids, n_params) = node.op.param_ids();
+    let mut params = ParamsRef([None; MAX_OP_PARAMS]);
+    for (slot, id) in params.0.iter_mut().zip(&param_ids[..n_params]) {
+        let p = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
+            value: *id,
+            node: node.name.clone(),
+        })?;
+        *slot = Some(p.operand());
+    }
     let binding = hook.bind(node);
-    check_binding(node, &binding, n)?;
+    let q_weight = matches!(params.0[0], Some(WeightOperand::Q(_)));
+    check_binding(node, &binding, n, q_weight)?;
     let xs = [
         operand(&binding, 0, ins[0], b0),
         operand(&binding, 1, ins[n - 1], b1),
     ];
     let xs = &xs[..n];
-
-    let (param_ids, n_params) = node.op.param_ids();
-    let mut params = ParamsRef([None; MAX_OP_PARAMS]);
-    for (slot, id) in params.0.iter_mut().zip(&param_ids[..n_params]) {
-        let w = graph.params.get(id).ok_or_else(|| PtqError::UnboundParam {
-            value: *id,
-            node: node.name.clone(),
-        })?;
-        *slot = Some(WeightOperand::F32(w));
-    }
-    // `param_ids` puts the quantizable weight in slot 0.
-    match binding.weight {
-        WeightBinding::Graph => {}
-        WeightBinding::F32(t) => params.0[0] = Some(WeightOperand::F32(t)),
-        WeightBinding::Q(q) => params.0[0] = Some(WeightOperand::Q(q)),
-    }
 
     let mut acts: ActsRef<'_> = [None; MAX_ACT_INPUTS];
     let coded = binding.acts.iter().zip(codes.iter_mut());
@@ -283,23 +260,21 @@ pub(crate) fn run_node(
 }
 
 /// Reject a binding `node` cannot execute, as a hook protocol violation
-/// (not a user error): a weight substitute without a weight slot, codes on
-/// an input the node does not have, and codes anywhere but a code×code
-/// kernel — input 0 of a non-depthwise Conv2d or a Linear whose weight is
-/// FP8-stored, or both MatMul operands together. The kernels themselves
-/// take any operand mix; what executes is decided here.
-fn check_binding(node: &Node, binding: &Binding<'_>, n_inputs: usize) -> Result<(), PtqError> {
-    let coded = |i: usize| matches!(binding.acts[i], ActBinding::Coded { .. });
-    let q_weight = matches!(binding.weight, WeightBinding::Q(_));
+/// (not a user error): codes on an input the node does not have, and codes
+/// anywhere but a code×code kernel — input 0 of a non-depthwise Conv2d or a
+/// Linear whose weight is FP8-stored (`q_weight`), or both MatMul operands
+/// together. The kernels themselves take any operand mix; what executes is
+/// decided here.
+fn check_binding(
+    node: &Node,
+    b: &Binding<'_>,
+    n_inputs: usize,
+    q_weight: bool,
+) -> Result<(), PtqError> {
+    let coded = |i: usize| matches!(b.acts[i], ActBinding::Coded { .. });
     let name = &node.name;
     let class = node.op.class();
-    let why = if !matches!(binding.weight, WeightBinding::Graph) && node.op.weight_value().is_none()
-    {
-        format!(
-            "weight substitute bound for node {name} ({class}), which has no quantizable weight"
-        )
-    } else if let Some(i) = (n_inputs..MAX_ACT_INPUTS).find(|&i| binding.acts[i] != ActBinding::F32)
-    {
+    let why = if let Some(i) = (n_inputs..MAX_ACT_INPUTS).find(|&i| b.acts[i] != ActBinding::F32) {
         format!("activation form bound for input {i} of node {name}, which has {n_inputs} inputs")
     } else {
         match &node.op {
@@ -323,11 +298,10 @@ fn check_binding(node: &Node, binding: &Binding<'_>, n_inputs: usize) -> Result<
 }
 
 /// Evaluate one node into `out`. `ins` are the f32 operands and `params`
-/// the resolved parameters; the only runtime failures left are
-/// data-dependent contracts (embedding id values) and a `Q` weight on an
-/// operator that reads f32 parameters ([`ParamsRef::get_f32`]);
-/// [`check_binding`] has rejected every other binding the operator cannot
-/// execute.
+/// the resolved parameters; the only runtime failure left is a
+/// data-dependent contract (embedding id values): validation has rejected
+/// an FP8 parameter the operator cannot read ([`ParamsRef::get_f32`]), and
+/// [`check_binding`] every binding it cannot execute.
 fn eval_node_into(
     node: &Node,
     ins: &[&Tensor],

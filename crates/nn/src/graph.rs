@@ -1,8 +1,8 @@
 //! The model graph: nodes, operators and parameter storage.
 
 use crate::error::PtqError;
-use ptq_tensor::ops::{BatchNormParams, Conv2dParams};
-use ptq_tensor::Tensor;
+use ptq_tensor::ops::{BatchNormParams, Conv2dParams, WeightOperand};
+use ptq_tensor::{QTensor, Tensor};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -226,6 +226,80 @@ impl Op {
     }
 }
 
+/// A bound parameter: dense f32, or FP8 codes with their scales. A
+/// quantized model's Conv2d/Linear weights are stored FP8 in place of their
+/// f32 tensors ([`Graph::validate_structure`] admits FP8 nowhere else);
+/// every other parameter, fake-quantized or not, is f32.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Param {
+    /// A dense f32 tensor.
+    F32(Tensor),
+    /// FP8 codes with per-tensor or per-channel scales, run by the fused
+    /// dequant kernels.
+    Fp8(QTensor),
+}
+
+impl Param {
+    /// Shape of the parameter.
+    pub fn shape(&self) -> &[usize] {
+        match self {
+            Param::F32(t) => t.shape(),
+            Param::Fp8(q) => q.shape(),
+        }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.shape().iter().product()
+    }
+
+    /// Whether the parameter has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Size of dimension `i`. Panics if `i` is out of range.
+    pub fn dim(&self, i: usize) -> usize {
+        self.shape()[i]
+    }
+
+    /// The dense tensor, unless the parameter is FP8-stored.
+    pub fn as_f32(&self) -> Option<&Tensor> {
+        match self {
+            Param::F32(t) => Some(t),
+            Param::Fp8(_) => None,
+        }
+    }
+
+    /// The parameter as the kernels take it.
+    pub(crate) fn operand(&self) -> WeightOperand<'_> {
+        match self {
+            Param::F32(t) => WeightOperand::F32(t),
+            Param::Fp8(q) => WeightOperand::Q(q),
+        }
+    }
+
+    /// Resident bytes: 4 per element as f32, codes plus scales as FP8.
+    pub fn stored_bytes(&self) -> usize {
+        match self {
+            Param::F32(t) => t.len() * std::mem::size_of::<f32>(),
+            Param::Fp8(q) => q.storage_bytes(),
+        }
+    }
+}
+
+impl From<Tensor> for Param {
+    fn from(t: Tensor) -> Self {
+        Param::F32(t)
+    }
+}
+
+impl From<QTensor> for Param {
+    fn from(q: QTensor) -> Self {
+        Param::Fp8(q)
+    }
+}
+
 /// A node: one operator application, reading activation `inputs` and
 /// writing a single `output` value.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,7 +322,7 @@ pub struct Node {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) params: HashMap<ValueId, Tensor>,
+    pub(crate) params: HashMap<ValueId, Param>,
     pub(crate) inputs: Vec<ValueId>,
     pub(crate) outputs: Vec<ValueId>,
     pub(crate) n_values: usize,
@@ -259,16 +333,16 @@ impl Graph {
     /// checks**. [`crate::GraphBuilder`] is the checked construction path;
     /// this escape hatch exists so tests and loaders can materialize
     /// deliberately malformed graphs and exercise [`Graph::validate`].
-    pub fn from_parts(
+    pub fn from_parts<P: Into<Param>>(
         nodes: Vec<Node>,
-        params: HashMap<ValueId, Tensor>,
+        params: impl IntoIterator<Item = (ValueId, P)>,
         inputs: Vec<ValueId>,
         outputs: Vec<ValueId>,
         n_values: usize,
     ) -> Self {
         Graph {
             nodes,
-            params,
+            params: params.into_iter().map(|(id, p)| (id, p.into())).collect(),
             inputs,
             outputs,
             n_values,
@@ -295,29 +369,32 @@ impl Graph {
         self.n_values
     }
 
-    /// A bound parameter tensor.
-    pub fn param(&self, id: ValueId) -> Option<&Tensor> {
+    /// A bound parameter.
+    pub fn param(&self, id: ValueId) -> Option<&Param> {
         self.params.get(&id)
     }
 
-    /// Replace a bound parameter (used by BatchNorm calibration and weight
-    /// pre-quantization). Errors if `id` is not a bound parameter.
-    pub fn set_param(&mut self, id: ValueId, t: Tensor) -> Result<(), PtqError> {
+    /// Replace a bound parameter: BatchNorm calibration rewrites running
+    /// statistics, and quantization writes each quantized weight here in
+    /// place of its f32 tensor (FP8-stored or fake-quantized f32), so a
+    /// quantized model holds one copy of each weight. Errors if `id` is
+    /// not a bound parameter.
+    pub fn set_param(&mut self, id: ValueId, p: impl Into<Param>) -> Result<(), PtqError> {
         let old = self.params.get_mut(&id).ok_or(PtqError::InvalidTarget {
             detail: format!("value {id} is not a bound parameter"),
         })?;
-        *old = t;
+        *old = p.into();
         Ok(())
     }
 
-    /// Iterate over `(ValueId, &Tensor)` parameter bindings.
-    pub fn params(&self) -> impl Iterator<Item = (ValueId, &Tensor)> {
+    /// Iterate over `(ValueId, &Param)` parameter bindings.
+    pub fn params(&self) -> impl Iterator<Item = (ValueId, &Param)> {
         self.params.iter().map(|(&k, v)| (k, v))
     }
 
     /// Total number of parameter scalars (for the Figure-5 size classes).
     pub fn param_count(&self) -> usize {
-        self.params.values().map(Tensor::len).sum()
+        self.params.values().map(Param::len).sum()
     }
 
     /// Model size in MB assuming FP32 storage (4 bytes/param), the unit
@@ -351,6 +428,23 @@ impl Graph {
         (first, last)
     }
 
+    /// Parameter `value` of `node` as an f32 tensor: an unbound or
+    /// FP8-stored one is a typed error.
+    pub fn f32_param(&self, node: &Node, value: ValueId) -> Result<&Tensor, PtqError> {
+        let node = || node.name.clone();
+        match self.params.get(&value) {
+            Some(Param::F32(t)) => Ok(t),
+            Some(Param::Fp8(_)) => Err(PtqError::Fp8Param {
+                value,
+                node: node(),
+            }),
+            None => Err(PtqError::UnboundParam {
+                value,
+                node: node(),
+            }),
+        }
+    }
+
     /// Reconstruct [`BatchNormParams`] for a BatchNorm node. Errors if
     /// `id` is out of range, not a BatchNorm node, or has unbound
     /// parameters.
@@ -366,12 +460,7 @@ impl Graph {
                 var,
                 eps,
             } => {
-                let get = |v: &ValueId| {
-                    self.params.get(v).cloned().ok_or(PtqError::UnboundParam {
-                        value: *v,
-                        node: node.name.clone(),
-                    })
-                };
+                let get = |v: &ValueId| self.f32_param(node, *v).cloned();
                 Ok(BatchNormParams {
                     gamma: get(gamma)?,
                     beta: get(beta)?,

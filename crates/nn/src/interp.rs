@@ -8,14 +8,15 @@ use ptq_tensor::Tensor;
 
 /// Interception points during graph execution.
 ///
-/// All PTQ machinery is implemented as hooks over an unchanged FP32 graph,
-/// mirroring how software-emulation toolkits wrap framework modules:
+/// All PTQ machinery is implemented as hooks over the graph, mirroring how
+/// software-emulation toolkits wrap framework modules:
 ///
 /// * **calibration** observes tensors in [`ExecHook::before_node`] /
 ///   [`ExecHook::after_node`],
-/// * **quantized inference** binds pre-quantized weights, SmoothQuant
-///   divisors, fake-quantized or boundary-coded activations and the kernel
-///   path in [`ExecHook::bind`]; the executor builds those operands,
+/// * **quantized inference** runs the quantized weights its graph binds and
+///   binds SmoothQuant divisors, fake-quantized or boundary-coded
+///   activations and the kernel path in [`ExecHook::bind`]; the executor
+///   builds those operands,
 /// * **BatchNorm calibration** measures pre-BN activations and rewrites the
 ///   running statistics between runs.
 ///
@@ -30,9 +31,9 @@ pub trait ExecHook {
     /// Called after a node executes, with its output.
     fn after_node(&mut self, _node: &Node, _output: &Tensor) {}
 
-    /// How `node` executes: what its weight runs as, how each activation
-    /// input is divided, fake-quantized or coded, the kernel path, the KV
-    /// cache format of its output rows. Called once per node execution,
+    /// How `node` executes: how each activation input is divided,
+    /// fake-quantized or coded, the kernel path, the KV cache format of its
+    /// output rows. Called once per node execution,
     /// before the observers; a pure lookup over state the hook already
     /// holds. The default runs the graph as bound (see [`Binding`]).
     fn bind(&self, _node: &Node) -> Binding<'_> {
@@ -128,12 +129,11 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::error::UnwrapOk;
-    use crate::exec::{ActBinding, WeightBinding};
-    use crate::graph::{OpClass, ValueId};
+    use crate::exec::ActBinding;
+    use crate::graph::{OpClass, Param, ValueId};
     use ptq_fp8::Fp8Format;
     use ptq_tensor::ops::Conv2dParams;
     use ptq_tensor::{ActScale, QTensor, TensorRng};
-    use std::collections::HashMap;
 
     /// A tiny conv -> bn -> relu -> gap -> linear CNN for tests.
     fn tiny_cnn() -> Graph {
@@ -209,22 +209,28 @@ mod tests {
         assert_eq!(h.after, g.nodes().len());
     }
 
-    /// Binds a borrowed f32 substitute for every quantizable weight.
-    struct F32Weights(HashMap<ValueId, Tensor>);
-    impl ExecHook for F32Weights {
-        fn bind(&self, node: &Node) -> Binding<'_> {
-            let sub = node.op.weight_value().and_then(|v| self.0.get(&v));
-            Binding {
-                weight: sub.map_or(WeightBinding::Graph, WeightBinding::F32),
-                ..Binding::default()
-            }
+    /// `g` with every quantizable weight replaced by `f` of it: the graph
+    /// of a quantized model.
+    fn replace_weights<P: Into<Param>>(g: &Graph, f: impl Fn(&Tensor) -> P) -> Graph {
+        let mut out = g.clone();
+        for v in g.nodes().iter().filter_map(|n| n.op.weight_value()) {
+            let w = g.param(v).and_then(Param::as_f32).expect("f32 weight");
+            out.set_param(v, f(w)).unwrap_ok();
         }
+        out
     }
 
-    /// Every quantizable weight of `g`, transformed by `f`.
-    fn map_weights<T>(g: &Graph, f: impl Fn(&Tensor) -> T) -> HashMap<ValueId, T> {
-        let ids = g.nodes().iter().filter_map(|n| n.op.weight_value());
-        ids.map(|v| (v, f(&g.params[&v]))).collect()
+    /// Binds one activation form on input 0 of every node with a
+    /// quantizable weight.
+    struct WeightInputs(ActBinding);
+    impl ExecHook for WeightInputs {
+        fn bind(&self, node: &Node) -> Binding<'_> {
+            let mut b = Binding::default();
+            if node.op.weight_value().is_some() {
+                b.acts[0] = self.0;
+            }
+            b
+        }
     }
 
     const EXECUTORS: [&str; 3] = ["reference", "plan (cold)", "plan (warm)"];
@@ -243,37 +249,10 @@ mod tests {
     #[test]
     fn weight_substitution_changes_output() {
         // Zero only the quantizable weights, not norm params.
-        let g = tiny_cnn();
-        let zeros = map_weights(&g, |w| Tensor::zeros(w.shape()));
+        let g = replace_weights(&tiny_cnn(), |w| Tensor::zeros(w.shape()));
         let x = TensorRng::seed(1).normal(&[1, 3, 8, 8], 0.0, 1.0);
-        for y in all_executors(&g, &x, || F32Weights(zeros.clone())) {
+        for y in all_executors(&g, &x, || NoopHook) {
             assert!(y[0].data().iter().all(|&v| v == 0.0));
-        }
-    }
-
-    /// Binds FP8-stored Conv2d/Linear weights and, when `scale` is set,
-    /// codes input 0 of those nodes at the boundary.
-    struct QHook {
-        q: HashMap<ValueId, QTensor>,
-        format: Fp8Format,
-        scale: Option<ActScale>,
-    }
-    impl ExecHook for QHook {
-        fn bind(&self, node: &Node) -> Binding<'_> {
-            let Some(q) = node.op.weight_value().and_then(|v| self.q.get(&v)) else {
-                return Binding::default();
-            };
-            let mut b = Binding {
-                weight: WeightBinding::Q(q),
-                ..Binding::default()
-            };
-            if let Some(scale) = self.scale {
-                b.acts[0] = ActBinding::Coded {
-                    format: self.format,
-                    scale,
-                };
-            }
-            b
         }
     }
 
@@ -281,47 +260,26 @@ mod tests {
     fn q_binding_matches_dequantized_weights_on_all_executors() {
         let g = tiny_cnn();
         let f = Fp8Format::E4M3;
-        let q = map_weights(&g, |w| QTensor::quantize_per_channel(w, f).unwrap());
-        let deq: HashMap<ValueId, Tensor> = q.iter().map(|(&v, q)| (v, q.dequantize())).collect();
+        let quantize = |w: &Tensor| QTensor::quantize_per_channel(w, f).unwrap();
+        let deq = replace_weights(&g, |w| quantize(w).dequantize());
+        let q = replace_weights(&g, quantize);
         let x = TensorRng::seed(17).normal(&[2, 3, 8, 8], 0.0, 1.0);
 
-        let [baseline, ..] = all_executors(&g, &x, || F32Weights(deq.clone()));
-        let fused = all_executors(&g, &x, || QHook {
-            q: q.clone(),
-            format: f,
-            scale: None,
-        });
-        for (y, exec) in fused.iter().zip(EXECUTORS) {
+        let [baseline, ..] = all_executors(&deq, &x, || NoopHook);
+        for (y, exec) in all_executors(&q, &x, || NoopHook).iter().zip(EXECUTORS) {
             assert_eq!(&baseline, y, "{exec}: fused kernels must be bit-identical");
         }
     }
 
     #[test]
     fn coded_binding_matches_fake_quant_on_all_executors() {
+        // Fake-quant reference: the same scale layout bound as an f32
+        // fake-quant form, weights dequantized from the same storage.
         const F: Fp8Format = Fp8Format::E3M4;
-
-        /// Fake-quant reference: the same scale layout bound as an f32
-        /// fake-quant form, weights dequantized from the same storage.
-        struct FqHook {
-            deq: F32Weights,
-            scale: ActScale,
-        }
-        impl ExecHook for FqHook {
-            fn bind(&self, node: &Node) -> Binding<'_> {
-                let mut b = self.deq.bind(node);
-                if let WeightBinding::F32(_) = b.weight {
-                    b.acts[0] = ActBinding::FakeFp8 {
-                        format: F,
-                        scale: self.scale,
-                    };
-                }
-                b
-            }
-        }
-
         let g = tiny_cnn();
-        let q = map_weights(&g, |w| QTensor::quantize_per_channel(w, F).unwrap());
-        let deq: HashMap<ValueId, Tensor> = q.iter().map(|(&v, q)| (v, q.dequantize())).collect();
+        let quantize = |w: &Tensor| QTensor::quantize_per_channel(w, F).unwrap();
+        let deq = replace_weights(&g, |w| quantize(w).dequantize());
+        let q = replace_weights(&g, quantize);
         let x = TensorRng::seed(19).normal(&[2, 3, 8, 8], 0.0, 1.0);
 
         for scale in [
@@ -329,16 +287,13 @@ mod tests {
             ActScale::Dynamic,
             ActScale::PerTile(5),
         ] {
-            let [reference, ..] = all_executors(&g, &x, || FqHook {
-                deq: F32Weights(deq.clone()),
-                scale,
-            });
-            let coded = all_executors(&g, &x, || QHook {
-                q: q.clone(),
-                format: F,
-                scale: Some(scale),
-            });
-            for (y, exec) in coded.iter().zip(EXECUTORS) {
+            let fake = ActBinding::FakeFp8 { format: F, scale };
+            let [reference, ..] = all_executors(&deq, &x, || WeightInputs(fake));
+            let coded = ActBinding::Coded { format: F, scale };
+            for (y, exec) in all_executors(&q, &x, || WeightInputs(coded))
+                .iter()
+                .zip(EXECUTORS)
+            {
                 assert_eq!(
                     &reference, y,
                     "{exec} {scale:?}: code\u{d7}code kernels drifted"
@@ -357,7 +312,11 @@ mod tests {
 
     /// Single-node graph run under a fixed binding on both executors; the
     /// binding is one the node cannot execute.
-    fn assert_rejected(g: &Graph, inputs: &[Tensor], binding: Binding<'_>, what: &str) {
+    fn assert_rejected(g: &Graph, inputs: &[Tensor], acts: [ActBinding; 2], what: &str) {
+        let binding = Binding {
+            acts,
+            ..Binding::default()
+        };
         let shapes: Vec<_> = inputs.iter().map(|t| t.shape().to_vec()).collect();
         let plan = g.plan(&shapes).unwrap_ok();
         for (exec, r) in [
@@ -371,94 +330,51 @@ mod tests {
         }
     }
 
+    /// `g` with parameter `v` FP8-stored in place of its f32 tensor.
+    fn with_fp8(mut g: Graph, v: ValueId) -> Graph {
+        let w = g.param(v).and_then(Param::as_f32).expect("f32 parameter");
+        let q = QTensor::quantize_per_channel(w, Fp8Format::E4M3).unwrap();
+        g.set_param(v, q).unwrap_ok();
+        g
+    }
+
     #[test]
     fn protocol_violating_bindings_are_typed_internal_errors() {
         let mut rng = TensorRng::seed(23);
-        let q4 = QTensor::quantize_per_channel(&rng.kaiming(&[4, 4]), Fp8Format::E4M3).unwrap();
-        let f32_sub = rng.kaiming(&[4, 4]);
-        let with_weight = |weight| Binding {
-            weight,
-            ..Binding::default()
-        };
         let coded = ActBinding::Coded {
             format: Fp8Format::E4M3,
             scale: ActScale::Dynamic,
         };
-        let with_acts = |weight, acts| Binding {
-            weight,
-            acts,
-            ..Binding::default()
-        };
 
-        // `Q` on an Embedding table: no fused kernel reads one.
-        let mut b = GraphBuilder::new();
-        let ids = b.input();
-        let table = b.param(rng.kaiming(&[4, 4]));
-        let e = b.embedding(ids, table);
-        let g = b.finish(vec![e]);
-        let x = [Tensor::from_slice(&[1.0, 3.0])];
-        assert_rejected(&g, &x, with_weight(WeightBinding::Q(&q4)), "Q on Embedding");
-
-        // Any substitute on a BatchNorm: it has no quantizable weight.
+        // No code\u{d7}code kernel on a BatchNorm.
         let mut b = GraphBuilder::new();
         let x_id = b.input();
         let [gamma, beta, mean, var] = [1.0, 0.0, 0.0, 1.0].map(|v| b.param(Tensor::full(&[4], v)));
         let bn = b.batchnorm(x_id, gamma, beta, mean, var, 1e-5);
         let g = b.finish(vec![bn]);
         let x = [rng.normal(&[1, 4, 2, 2], 0.0, 1.0)];
-        assert_rejected(&g, &x, with_weight(WeightBinding::Q(&q4)), "Q on BatchNorm");
-        assert_rejected(
-            &g,
-            &x,
-            with_weight(WeightBinding::F32(&f32_sub)),
-            "F32 on BatchNorm",
-        );
-        // ... and no code\u{d7}code kernel either.
         let acts = [coded, ActBinding::F32];
-        assert_rejected(
-            &g,
-            &x,
-            with_acts(WeightBinding::Graph, acts),
-            "Coded on BatchNorm",
-        );
+        assert_rejected(&g, &x, acts, "Coded on BatchNorm");
 
         // Codes on a depthwise conv, even with an FP8-stored weight.
         let mut b = GraphBuilder::new();
         let x_id = b.input();
         let w = b.param(rng.kaiming(&[4, 1, 3, 3]));
         let c = b.depthwise_conv2d(x_id, w, None, Conv2dParams::same(3));
-        let g = b.finish(vec![c]);
-        let qdw = QTensor::quantize_per_channel(&g.params[&w], Fp8Format::E4M3).unwrap();
-        assert_rejected(
-            &g,
-            &x,
-            with_acts(WeightBinding::Q(&qdw), acts),
-            "Coded on depthwise",
-        );
+        let g = with_fp8(b.finish(vec![c]), w);
+        assert_rejected(&g, &x, acts, "Coded on depthwise");
 
-        // Codes paired with an f32 weight (graph-bound or substituted).
+        // Codes paired with an f32 weight.
         let mut b = GraphBuilder::new();
         let x_id = b.input();
         let w = b.param(rng.kaiming(&[4, 4]));
         let y = b.linear(x_id, w, None);
         let g = b.finish(vec![y]);
         let x = [rng.normal(&[2, 4], 0.0, 1.0)];
-        assert_rejected(
-            &g,
-            &x,
-            with_acts(WeightBinding::Graph, acts),
-            "Coded with graph weight",
-        );
-        let sub = WeightBinding::F32(&f32_sub);
-        assert_rejected(&g, &x, with_acts(sub, acts), "Coded with f32 weight");
+        assert_rejected(&g, &x, acts, "Coded with f32 weight");
         // Codes on an input the node does not have.
         let second = [ActBinding::F32, coded];
-        assert_rejected(
-            &g,
-            &x,
-            with_acts(WeightBinding::Q(&q4), second),
-            "Coded on missing input",
-        );
+        assert_rejected(&with_fp8(g, w), &x, second, "Coded on missing input");
 
         // One-sided MatMul coding.
         let mut b = GraphBuilder::new();
@@ -466,18 +382,39 @@ mod tests {
         let y = b.matmul(l, r);
         let g = b.finish(vec![y]);
         let x = [rng.normal(&[2, 4], 0.0, 1.0), rng.normal(&[4, 3], 0.0, 1.0)];
-        assert_rejected(
-            &g,
-            &x,
-            with_acts(WeightBinding::Graph, acts),
-            "one-sided MatMul (lhs)",
-        );
-        assert_rejected(
-            &g,
-            &x,
-            with_acts(WeightBinding::Graph, second),
-            "one-sided MatMul (rhs)",
-        );
+        assert_rejected(&g, &x, acts, "one-sided MatMul (lhs)");
+        assert_rejected(&g, &x, second, "one-sided MatMul (rhs)");
+    }
+
+    #[test]
+    fn fp8_parameters_outside_conv_and_linear_weights_are_typed_errors() {
+        let mut rng = TensorRng::seed(29);
+        let mut b = GraphBuilder::new();
+        let ids = b.input();
+        let table = b.param(rng.kaiming(&[4, 4]));
+        let e = b.embedding(ids, table);
+        let [gamma, beta] = [1.0, 0.0].map(|v| b.param(Tensor::full(&[4], v)));
+        let ln = b.layernorm(e, gamma, beta, 1e-5);
+        let w = b.param(rng.kaiming(&[4, 4]));
+        let bias = b.param(rng.normal(&[4], 0.0, 1.0));
+        let y = b.linear(ln, w, Some(bias));
+        let g = b.finish(vec![y]);
+        let x = [Tensor::from_slice(&[1.0, 3.0])];
+        // The Linear weight is the one FP8 slot here, and it runs.
+        with_fp8(g.clone(), w).run(&x, &mut NoopHook).unwrap_ok();
+        for (v, what) in [(table, "table"), (gamma, "gamma"), (bias, "bias")] {
+            let bad = with_fp8(g.clone(), v);
+            for (exec, r) in [
+                ("validate", bad.validate_structure().map(|_| ())),
+                ("reference", bad.run(&x, &mut NoopHook).map(|_| ())),
+                ("plan", bad.plan(&[vec![2]]).map(|_| ())),
+            ] {
+                assert!(
+                    matches!(&r, Err(PtqError::Fp8Param { value, .. }) if *value == v),
+                    "FP8 {what} on {exec}: got {r:?}"
+                );
+            }
+        }
     }
 
     #[test]

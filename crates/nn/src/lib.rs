@@ -2,7 +2,7 @@
 //!
 //! Post-training quantization operates on a *model graph*: it observes the
 //! tensors flowing between operators during calibration, replaces weights
-//! with fake-quantized copies, and wraps selected operators' inputs with
+//! with their quantized forms, and wraps selected operators' inputs with
 //! quantize/dequantize steps. This crate provides the minimal substrate for
 //! that, mirroring the role Neural Compressor's framework adaptors play in
 //! the paper's stack:
@@ -10,16 +10,18 @@
 //! * [`Graph`] / [`Node`] / [`Op`] — a flat, topologically-ordered IR whose
 //!   op set matches the paper's quantized-operator list (Conv2d, Linear,
 //!   MatMul, BatchMatMul, Embedding, BatchNorm, LayerNorm, Add, Mul) plus
-//!   FP32 glue (activations, softmax, pooling, reshapes).
+//!   FP32 glue (activations, softmax, pooling, reshapes). Each bound
+//!   [`Param`] is f32 or, for a Conv2d/Linear weight only, FP8 codes the
+//!   fused kernels read as they are.
 //! * [`GraphBuilder`] — ergonomic construction.
 //! * [`Graph::run`] with an [`ExecHook`] — execution with interception
 //!   points *before* each node (observe/fake-quant inputs) and *after* it
 //!   (observe outputs), plus one pure [`ExecHook::bind`] per node that
-//!   returns its [`Binding`]: the weight it executes (graph, f32
-//!   substitute or FP8-stored), which inputs cross the boundary as FP8
-//!   codes, the kernel path and the KV-cache format. Calibration,
-//!   quantized inference and BatchNorm recalibration are all hooks; the
-//!   graph itself never changes. `Graph::run` is the allocation-per-node
+//!   returns its [`Binding`]: how its inputs are divided, fake-quantized or
+//!   coded as FP8 at the boundary, the kernel path and the KV-cache
+//!   format. Calibration, quantized inference and BatchNorm recalibration
+//!   are all hooks; a node always runs the weights its graph binds.
+//!   `Graph::run` is the allocation-per-node
 //!   reference loop the planned and incremental executors are verified
 //!   against.
 //! * [`Graph::validate`] + [`Graph::run`] / [`Graph::infer`] — the
@@ -58,8 +60,8 @@ pub mod validate;
 pub use builder::GraphBuilder;
 pub use decode::{DecodePlan, DecodeState, StepBuffers, PREFILL_ROWS};
 pub use error::{PtqError, Shape, UnwrapOk};
-pub use exec::{ActBinding, Binding, WeightBinding, MAX_ACT_INPUTS};
-pub use graph::{Graph, Node, NodeId, Op, OpClass, ValueId};
+pub use exec::{ActBinding, Binding, MAX_ACT_INPUTS};
+pub use graph::{Graph, Node, NodeId, Op, OpClass, Param, ValueId};
 pub use interp::{ExecHook, NoopHook, OnPath};
 pub use plan::{ExecPlan, PlanSet, TensorArena};
 pub use serialize::{decode_graph, encode_graph};

@@ -32,7 +32,7 @@
 
 use crate::error::{PtqError, Shape};
 use crate::exec::{run_node, split_out, NodeScratch};
-use crate::graph::{Graph, Node, Op, ValueId};
+use crate::graph::{Graph, Node, Op, Param, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
 use rayon::prelude::*;
@@ -215,7 +215,7 @@ impl Graph {
         let mut param_shapes: Vec<(ValueId, Shape)> = self
             .params
             .iter()
-            .map(|(&id, t)| (id, t.shape().to_vec()))
+            .map(|(&id, p)| (id, p.shape().to_vec()))
             .collect();
         param_shapes.sort();
 
@@ -341,7 +341,7 @@ impl ExecPlan {
             ));
         }
         for (id, shape) in &self.param_shapes {
-            match graph.params.get(id).map(Tensor::shape) {
+            match graph.params.get(id).map(Param::shape) {
                 None => return mismatch(format!("parameter {id} was unbound after planning")),
                 Some(s) if s != &shape[..] => {
                     return mismatch(format!(

@@ -2,7 +2,8 @@
 //!
 //! [`encode_graph`] flattens a [`Graph`] — nodes, wiring, and bound f32
 //! parameters — into one little-endian chunk payload; [`decode_graph`]
-//! parses it back. The encoding is **canonical**: parameters are written
+//! parses it back. FP8-stored parameters are not part of it: the artifact
+//! carries them in their own zero-copy chunk and hands them to the decode. The encoding is **canonical**: parameters are written
 //! in ascending [`ValueId`] order and floats as IEEE-754 bit patterns, so
 //! encoding the same graph twice yields the same bytes (the artifact
 //! byte-determinism tests rely on this) and a decode→encode round trip is
@@ -15,10 +16,10 @@
 //! [`Graph::validate_structure`] on the result, exactly as for a built
 //! graph.
 
-use crate::graph::{Graph, Node, Op, ValueId};
+use crate::graph::{Graph, Node, Op, Param, ValueId};
 use ptq_artifact::{ArtifactError, ByteReader, ByteWriter};
 use ptq_tensor::ops::Conv2dParams;
-use ptq_tensor::{check_shape, Tensor};
+use ptq_tensor::{check_shape, QTensor, Tensor};
 use std::collections::HashMap;
 
 fn put_op(w: &mut ByteWriter, op: &Op) {
@@ -172,7 +173,7 @@ fn get_op(r: &mut ByteReader<'_>) -> Result<Op, ArtifactError> {
 }
 
 /// Serialize a graph (nodes, wiring, bound f32 parameters) into one
-/// canonical little-endian payload.
+/// canonical little-endian payload. FP8-stored parameters are left out.
 pub fn encode_graph(g: &Graph) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_usize(g.nodes().len());
@@ -186,7 +187,8 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
     w.put_usize_slice(g.input_ids());
     w.put_usize_slice(g.output_ids());
     w.put_usize(g.n_values());
-    let mut params: Vec<(ValueId, &Tensor)> = g.params().collect();
+    let f32_params = g.params().filter_map(|(id, p)| Some((id, p.as_f32()?)));
+    let mut params: Vec<(ValueId, &Tensor)> = f32_params.collect();
     params.sort_by_key(|(id, _)| *id);
     w.put_usize(params.len());
     for (id, t) in params {
@@ -197,17 +199,22 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
     w.finish()
 }
 
-/// Parse a payload written by [`encode_graph`].
+/// Parse a payload written by [`encode_graph`], binding the FP8-stored
+/// parameters `fp8` beside its f32 ones.
 ///
 /// Validates the wire format (bounds, counts, discriminants, tensor
-/// shape/length agreement); run [`Graph::validate_structure`] on the
-/// result for the semantic checks a freshly built graph gets.
+/// shape/length agreement, each parameter bound once); run
+/// [`Graph::validate_structure`] on the result for the semantic checks a
+/// freshly built graph gets.
 ///
 /// # Errors
 ///
 /// [`ArtifactError::Truncated`] / [`ArtifactError::Decode`] on any
 /// malformed payload — never a panic.
-pub fn decode_graph(payload: &[u8]) -> Result<Graph, ArtifactError> {
+pub fn decode_graph(
+    payload: &[u8],
+    fp8: impl IntoIterator<Item = (ValueId, QTensor)>,
+) -> Result<Graph, ArtifactError> {
     let mut r = ByteReader::new(payload);
     let n_nodes = r.get_count("node count")?;
     let mut nodes = Vec::with_capacity(n_nodes);
@@ -230,14 +237,19 @@ pub fn decode_graph(payload: &[u8]) -> Result<Graph, ArtifactError> {
     let n_values = r.get_usize("n_values")?;
     let n_params = r.get_count("param count")?;
     let mut params = HashMap::with_capacity(n_params);
-    for _ in 0..n_params {
+    let mut f32_params = (0..n_params).map(|_| -> Result<_, ArtifactError> {
         let id = r.get_usize("param id")?;
         let shape = r.get_usize_vec("param shape")?;
         let data = r.get_f32_vec("param data")?;
         check_shape(data.len(), &shape).map_err(|e| ArtifactError::Decode {
             detail: format!("param {id}: {e}"),
         })?;
-        if params.insert(id, Tensor::from_vec(data, &shape)).is_some() {
+        Ok((id, Param::F32(Tensor::from_vec(data, &shape))))
+    });
+    let fp8 = fp8.into_iter().map(|(id, q)| Ok((id, Param::Fp8(q))));
+    for entry in f32_params.by_ref().chain(fp8) {
+        let (id, p) = entry?;
+        if params.insert(id, p).is_some() {
             return Err(ArtifactError::Decode {
                 detail: format!("param {id} appears twice"),
             });
@@ -347,7 +359,7 @@ mod tests {
     fn roundtrip_preserves_the_graph_exactly() {
         let g = kitchen_sink();
         let bytes = encode_graph(&g);
-        let back = decode_graph(&bytes).unwrap();
+        let back = decode_graph(&bytes, []).unwrap();
         assert_eq!(g, back);
         back.validate_structure().unwrap();
         // Canonical encoding: re-encoding the decoded graph is
@@ -358,9 +370,10 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_exact_on_params() {
         let g = kitchen_sink();
-        let back = decode_graph(&encode_graph(&g)).unwrap();
-        for (id, t) in g.params() {
-            let bt = back.param(id).unwrap();
+        let back = decode_graph(&encode_graph(&g), []).unwrap();
+        for (id, p) in g.params() {
+            let (t, bt) = (p.as_f32().unwrap(), back.param(id).and_then(Param::as_f32));
+            let bt = bt.unwrap();
             assert_eq!(t.shape(), bt.shape());
             for (a, b) in t.data().iter().zip(bt.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -369,11 +382,39 @@ mod tests {
     }
 
     #[test]
+    fn fp8_params_are_left_to_the_caller_and_bound_once() {
+        let mut g = kitchen_sink();
+        let lin = g.nodes().iter().find_map(|n| match n.op {
+            Op::Linear { weight, .. } => Some(weight),
+            _ => None,
+        });
+        let lin = lin.unwrap();
+        let w = g.param(lin).and_then(Param::as_f32).unwrap();
+        let q = QTensor::quantize_per_channel(w, ptq_fp8::Fp8Format::E4M3).unwrap();
+        g.set_param(lin, q.clone()).unwrap();
+        let bytes = encode_graph(&g);
+        // The payload carries no FP8 parameter: without it the graph is
+        // one value short of its `n_values`.
+        assert!(matches!(
+            decode_graph(&bytes, []),
+            Err(ArtifactError::Decode { .. })
+        ));
+        assert_eq!(decode_graph(&bytes, [(lin, q.clone())]).unwrap(), g);
+        // A value is bound once: an FP8 entry for an f32 parameter the
+        // payload carries is malformed.
+        let full = encode_graph(&kitchen_sink());
+        assert!(matches!(
+            decode_graph(&full, [(lin, q)]),
+            Err(ArtifactError::Decode { .. })
+        ));
+    }
+
+    #[test]
     fn truncation_and_corruption_are_typed() {
         let g = kitchen_sink();
         let bytes = encode_graph(&g);
         for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_graph(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(decode_graph(&bytes[..cut], []).is_err(), "cut {cut}");
         }
         // An unknown op discriminant is a decode error.
         let mut w = ByteWriter::new();
@@ -382,7 +423,7 @@ mod tests {
         w.put_str("bad");
         w.put_u8(200); // no such op
         assert!(matches!(
-            decode_graph(&w.finish()),
+            decode_graph(&w.finish(), []),
             Err(ArtifactError::Decode { .. })
         ));
     }
@@ -403,11 +444,11 @@ mod tests {
         w.put_usize_slice(&[2, 2]); // shape says 4
         w.put_f32_slice(&[1.0, 2.0, 3.0]); // data says 3
         assert!(matches!(
-            decode_graph(&w.finish()),
+            decode_graph(&w.finish(), []),
             Err(ArtifactError::Decode { .. })
         ));
         // And trailing garbage after a valid graph is rejected.
         bytes.push(0);
-        assert!(decode_graph(&bytes).is_err());
+        assert!(decode_graph(&bytes, []).is_err());
     }
 }

@@ -2,7 +2,8 @@
 //! [`Graph::run`](crate::Graph::run) panic-free.
 //!
 //! The contract is *validate-then-run*: [`Graph::validate`] walks the node
-//! list once, proving input arity, parameter binding, def-before-use, and
+//! list once, proving input arity, parameter binding and storage,
+//! def-before-use, and
 //! every operator's shape preconditions (via [`ptq_tensor::shape`]) before
 //! a single kernel executes. Execution after a successful validation can
 //! only fail on *data-dependent* contracts (embedding id values), which the
@@ -14,7 +15,9 @@ use ptq_tensor::shape;
 
 impl Graph {
     /// Structural validation that needs no input shapes: the graph is
-    /// non-empty, every parameter an operator references is bound, every
+    /// non-empty, every parameter an operator references is bound, only a
+    /// Conv2d or Linear weight is FP8-stored (the fused kernels read no
+    /// other parameter as codes), every
     /// activation input of every node is defined (by a graph input, a
     /// parameter, or an earlier node) before use, and every declared
     /// output is produced.
@@ -42,12 +45,12 @@ impl Graph {
                     });
                 }
             }
-            for p in node.op.param_values() {
-                if !self.params.contains_key(&p) {
-                    return Err(PtqError::UnboundParam {
-                        value: p,
-                        node: node.name.clone(),
-                    });
+            // Only a Conv2d/Linear weight (`param_ids` slot 0) may be FP8.
+            let fused = matches!(node.op, Op::Conv2d { .. } | Op::Linear { .. });
+            let (ids, n) = node.op.param_ids();
+            for (slot, &value) in ids[..n].iter().enumerate() {
+                if !(fused && slot == 0 && self.params.contains_key(&value)) {
+                    self.f32_param(node, value)?;
                 }
             }
             if let Some(slot) = produced.get_mut(node.output) {
@@ -80,8 +83,9 @@ impl Graph {
     /// The full per-value shape table behind [`Graph::validate`]: runs the
     /// same structural + shape checks and returns the inferred shape of
     /// *every* value (indexed by `ValueId`). The planner uses this to size
-    /// arena slots ahead of time.
-    pub(crate) fn value_shapes(&self, inputs: &[Shape]) -> Result<Vec<Option<Shape>>, PtqError> {
+    /// arena slots ahead of time; evaluation, to count the activation bytes
+    /// a batch carries across quantized op boundaries.
+    pub fn value_shapes(&self, inputs: &[Shape]) -> Result<Vec<Option<Shape>>, PtqError> {
         if inputs.len() != self.inputs.len() {
             return Err(PtqError::InputArity {
                 expected: self.inputs.len(),
@@ -93,8 +97,8 @@ impl Graph {
         for (&id, s) in self.inputs.iter().zip(inputs) {
             shapes[id] = Some(s.clone());
         }
-        for (&id, t) in &self.params {
-            shapes[id] = Some(t.shape().to_vec());
+        for (&id, p) in &self.params {
+            shapes[id] = Some(p.shape().to_vec());
         }
         for node in &self.nodes {
             let out = self.infer_node_shape(node, &shapes)?;

@@ -57,7 +57,7 @@ fn unbound_parameter() {
         output: 2,
         name: "linear_0".into(),
     }];
-    let g = Graph::from_parts(nodes, HashMap::new(), vec![0], vec![2], 3);
+    let g = Graph::from_parts(nodes, HashMap::<_, Tensor>::new(), vec![0], vec![2], 3);
     let e = expect_err(&g, &[Tensor::ones(&[1, 4])]);
     assert!(matches!(e, PtqError::UnboundParam { value: 1, .. }), "{e}");
 }
@@ -104,7 +104,7 @@ fn unproduced_output() {
 
 #[test]
 fn empty_graph() {
-    let g = Graph::from_parts(vec![], HashMap::new(), vec![], vec![], 0);
+    let g = Graph::from_parts(vec![], HashMap::<_, Tensor>::new(), vec![], vec![], 0);
     assert_eq!(expect_err(&g, &[]), PtqError::EmptyGraph);
 }
 

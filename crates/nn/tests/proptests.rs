@@ -1,25 +1,33 @@
 //! Property-based tests for the graph IR and interpreter.
 
 use proptest::prelude::*;
-use ptq_nn::{Binding, ExecHook, Graph, GraphBuilder, Node, NoopHook, Op, UnwrapOk, WeightBinding};
+use ptq_nn::{Binding, ExecHook, Graph, GraphBuilder, Node, NoopHook, Op, Param, UnwrapOk};
 use ptq_tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
 
-/// Binds a borrowed f32 substitute `f(weight)` for every quantizable
-/// weight and, for a nonzero `shift`, divisors `1 + shift·(j + 1)` over
-/// every Linear's input channels `j`, and logs every `before_node` call.
+/// `g` with every quantizable weight replaced by `f(weight)`, the way
+/// quantization rewrites a model's graph.
+fn substituted(g: &Graph, f: impl Fn(&Tensor) -> Tensor) -> Graph {
+    let mut out = g.clone();
+    for v in g.nodes().iter().filter_map(|n| n.op.weight_value()) {
+        let w = g
+            .param(v)
+            .and_then(Param::as_f32)
+            .expect("bound f32 weight");
+        out.set_param(v, f(w)).unwrap_ok();
+    }
+    out
+}
+
+/// Binds, for a nonzero `shift`, divisors `1 + shift·(j + 1)` over every
+/// Linear's input channels `j`, and logs every `before_node` call.
 struct Subst {
-    weights: HashMap<usize, Tensor>,
     divisors: HashMap<usize, Vec<f32>>,
     log: Vec<(usize, usize)>,
 }
 
 impl Subst {
-    fn new(g: &Graph, shift: f32, f: impl Fn(&Tensor) -> Tensor) -> Self {
-        let ids = g.nodes().iter().filter_map(|n| n.op.weight_value());
-        let weights = ids
-            .map(|v| (v, f(g.param(v).expect("bound weight"))))
-            .collect();
+    fn new(g: &Graph, shift: f32) -> Self {
         let linears = g.nodes().iter().filter_map(|n| match n.op {
             Op::Linear { weight, .. } if shift != 0.0 => Some((n.id, weight)),
             _ => None,
@@ -31,7 +39,6 @@ impl Subst {
             })
             .collect();
         Subst {
-            weights,
             divisors,
             log: Vec::new(),
         }
@@ -43,9 +50,7 @@ impl ExecHook for Subst {
         self.log.push((node.id, inputs.len()));
     }
     fn bind(&self, node: &Node) -> Binding<'_> {
-        let sub = node.op.weight_value().and_then(|v| self.weights.get(&v));
         Binding {
-            weight: sub.map_or(WeightBinding::Graph, WeightBinding::F32),
             divisors: self.divisors.get(&node.id).map(Vec::as_slice),
             ..Binding::default()
         }
@@ -125,7 +130,7 @@ proptest! {
         let g = mlp(&widths, &[3], seed);
         let x = TensorRng::seed(seed ^ 2).normal(&[2, widths[0]], 0.0, 1.0);
         let base = g.run(std::slice::from_ref(&x), &mut NoopHook).unwrap_ok();
-        let subst = g.run(&[x], &mut Subst::new(&g, 0.0, Tensor::clone)).unwrap_ok();
+        let subst = substituted(&g, Tensor::clone).run(&[x], &mut Subst::new(&g, 0.0)).unwrap_ok();
         prop_assert_eq!(base, subst);
     }
 
@@ -145,7 +150,7 @@ proptest! {
         let g = b.finish(vec![y]);
         let input = TensorRng::seed(seed ^ 3).normal(&[1, w_in], 0.0, 1.0);
         let base = g.run(std::slice::from_ref(&input), &mut NoopHook).unwrap_ok();
-        let scaled = g.run(&[input], &mut Subst::new(&g, 0.0, |w| w.scale(k))).unwrap_ok();
+        let scaled = substituted(&g, |w| w.scale(k)).run(&[input], &mut Subst::new(&g, 0.0)).unwrap_ok();
         for (a, b) in base[0].data().iter().zip(scaled[0].data()) {
             prop_assert!((a * k - b).abs() <= 1e-4 * (a.abs() * k + 1.0));
         }
@@ -184,16 +189,17 @@ proptest! {
     }
 
     /// Planned execution drives hooks identically to the interpreter:
-    /// same node order, same input views, same weight and divisor bindings.
+    /// same node order, same input views, same divisor bindings, on a graph
+    /// whose weights were replaced.
     #[test]
     fn plan_drives_hooks_identically(
         widths in proptest::collection::vec(1usize..10, 2..5),
         seed in 0u64..1000,
         k in 0.25f32..4.0,
     ) {
-        let g = mlp(&widths, &[0, 1], seed);
+        let g = substituted(&mlp(&widths, &[0, 1], seed), |w| w.scale(k));
         let x = TensorRng::seed(seed ^ 7).normal(&[2, widths[0]], 0.0, 1.0);
-        let mangler = || Subst::new(&g, 0.125, |w| w.scale(k));
+        let mangler = || Subst::new(&g, 0.125);
         let mut hi = mangler();
         let yi = g.run(std::slice::from_ref(&x), &mut hi).unwrap_ok();
         let plan = g.plan(&[x.shape().to_vec()]).unwrap_ok();

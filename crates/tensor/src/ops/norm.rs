@@ -65,7 +65,7 @@ pub fn batchnorm2d_into(x: &Tensor, p: &BatchNormParams, out: &mut Tensor) {
 }
 
 /// [`batchnorm2d_into`] with the parameters passed as individual borrowed
-/// tensors (so planned execution can feed hook-substituted parameters
+/// tensors (so planned execution can feed the graph's bound parameters
 /// without assembling an owned [`BatchNormParams`]). Bit-identical to
 /// [`batchnorm2d`].
 ///

@@ -11,7 +11,11 @@
 //!
 //! Below the CRCs, every byte of every chunk payload is flipped and the
 //! container rebuilt with valid checksums: each such file is a typed load
-//! error or a model whose planned forward returns `Ok` or a typed error.
+//! error or a model whose planned forward returns `Ok` or a typed error,
+//! and loading it never holds more than a fixed multiple of the file's
+//! length (a per-thread counting allocator measures the peak). An FP8
+//! entry where no fused kernel reads one — a bias, a norm parameter, an
+//! embedding table — is refused at load, never at run time.
 //!
 //! The engine-spec JSON (the `--spec` file format) gets the same
 //! treatment at the end of the file; the raw CONFIG-chunk payload's
@@ -22,9 +26,62 @@ use fp8_ptq::core::artifact::{TAG_GRAPH, TAG_QWEIGHTS};
 use fp8_ptq::core::config::QuantConfig;
 use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel, TensorKey};
 use fp8_ptq::fp8::{CodeBytes, Fp8Format, StoredScales};
-use fp8_ptq::nn::{decode_graph, GraphBuilder, PtqError, UnwrapOk};
+use fp8_ptq::nn::{GraphBuilder, Param, PtqError, UnwrapOk, ValueId};
+use fp8_ptq::tensor::ops::Conv2dParams;
 use fp8_ptq::tensor::{QTensor, Tensor, TensorRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+thread_local! {
+    /// Bytes this thread has allocated and not freed (frees of memory
+    /// another thread allocated count here too), and the high-water mark
+    /// [`peak_bytes`] resets.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Counts live heap bytes per thread, so tests running in parallel do not
+/// see each other's allocations.
+struct PerThread;
+
+fn track(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+// SAFETY: forwards to the system allocator unchanged; the counters are
+// const-initialized thread-locals without destructors, so counting never
+// allocates.
+unsafe impl GlobalAlloc for PerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PerThread = PerThread;
+
+/// `f`'s result and the most heap it held on this thread at once beyond
+/// what was live when it started (its result included).
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - start).max(0) as usize)
+}
 
 /// A small but representative model: FP8-stored weights (QWEIGHTS code
 /// blob), per-channel scales, static activation scales, and SmoothQuant
@@ -51,8 +108,9 @@ fn fp8_artifact_bytes() -> Vec<u8> {
     fp8_model().artifact_bytes()
 }
 
-/// An INT8-recipe artifact: dense f32 WEIGHTS and ACT_INT8 codecs
-/// populated (the chunks the FP8 fixture leaves empty). Input `[_, 7]`.
+/// An INT8-recipe artifact: fake-quantized f32 weights in GRAPH and
+/// ACT_INT8 codecs populated (what the FP8 fixture leaves empty). Input
+/// `[_, 7]`.
 fn int8_artifact_bytes() -> Vec<u8> {
     let mut rng = TensorRng::seed(21);
     let mut b = GraphBuilder::new();
@@ -277,18 +335,24 @@ fn with_payload(bytes: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<
     rebuild(&chunks)
 }
 
-/// The committed v5 fixture with its GRAPH payload's `n_values` replaced
+/// The committed v6 fixture with its GRAPH payload's `n_values` replaced
 /// by `f(n_values)`, CRCs valid: only the graph decoder stands between the
 /// bytes and the loader's per-value tables.
 fn golden_with_n_values(f: impl Fn(usize) -> usize) -> Vec<u8> {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/quantized_e4m3_v5.ptq"
+        "/tests/golden/quantized_e4m3_v6.ptq"
     );
-    with_payload(&std::fs::read(path).unwrap(), TAG_GRAPH, |payload| {
-        // `n_values` is written right before the parameter count.
-        let g = decode_graph(payload).unwrap();
-        let (n, params) = (g.n_values() as u64, g.params().count() as u64);
+    let bytes = std::fs::read(path).unwrap();
+    let g = PtqArtifact::from_bytes(bytes.clone())
+        .unwrap_ok()
+        .model
+        .graph;
+    with_payload(&bytes, TAG_GRAPH, |payload| {
+        // `n_values` is written right before the count of the f32
+        // parameters GRAPH carries.
+        let f32_params = g.params().filter(|(_, p)| p.as_f32().is_some());
+        let (n, params) = (g.n_values() as u64, f32_params.count() as u64);
         let field = [n.to_le_bytes(), params.to_le_bytes()].concat();
         let at: Vec<usize> = (0..payload.len() - 15)
             .filter(|&i| payload[i..i + 16] == field[..])
@@ -330,23 +394,38 @@ fn assert_decode_error(bytes: Vec<u8>, what: &str) {
 
 #[test]
 fn keys_that_do_not_fit_the_graph_are_typed_errors() {
-    // The first QWEIGHTS entry's value id, one bit off: it no longer names
-    // the Linear's weight, which would run the graph's f32 weight instead.
+    // The first QWEIGHTS entry's value id, one bit off: it names the graph
+    // input instead of the first Linear's weight, which GRAPH does not
+    // carry (each weight is stored once), so that weight is unbound.
     let flipped = with_payload(&fp8_artifact_bytes(), TAG_QWEIGHTS, |p| p[16] ^= 0x01);
-    assert_decode_error(flipped, "qweights value id flip");
+    match PtqArtifact::from_bytes(flipped) {
+        Err(PtqError::UnboundParam { value: 1, .. }) => {}
+        other => panic!("QWEIGHTS value id flip: expected weight 1 unbound, got {other:?}"),
+    }
     // The first Linear's weight transposed to [5, 6]: 30 codes and five
-    // per-channel scales make a valid QTensor, but not that Linear's.
+    // per-channel scales make a valid QTensor, and, being the weight
+    // itself, a model that loads; its forward is a typed shape error.
     let mut model = fp8_model();
-    let (&vid, q) = model
-        .qweights
-        .iter()
-        .find(|(_, q)| q.shape() == [6, 5])
+    let (vid, q) = model
+        .graph
+        .params()
+        .find_map(|(v, p)| match p {
+            Param::Fp8(q) if q.shape() == [6, 5] => Some((v, q.clone())),
+            _ => None,
+        })
         .unwrap();
     let codes = CodeBytes::from(q.codes().to_vec());
     let scales = StoredScales::PerChannel(vec![1.0; 5]);
     let transposed = QTensor::from_raw_parts(q.format(), vec![5, 6], codes, scales).unwrap();
-    model.qweights.insert(vid, transposed);
-    assert_decode_error(model.artifact_bytes(), "transposed qweight");
+    model.graph.set_param(vid, transposed).unwrap_ok();
+    let art = PtqArtifact::from_bytes(model.artifact_bytes()).unwrap_ok();
+    let m = &art.model;
+    let x = TensorRng::seed(5).normal(&[2, 5], 0.0, 1.0);
+    let err = m.plans.run(&m.graph, &[x], &mut m.hook()).unwrap_err();
+    assert!(
+        matches!(err, PtqError::ShapeMismatch { .. }),
+        "transposed qweight: {err}"
+    );
     // Activation keys past the node list or the node's inputs (node 0 is a
     // Linear: one input), and divisors for a node the graph lacks.
     let mut act_node = fp8_model();
@@ -365,6 +444,124 @@ fn keys_that_do_not_fit_the_graph_are_typed_errors() {
         ("smooth divisors of node 99", smooth),
     ] {
         assert_decode_error(model.artifact_bytes(), what);
+    }
+}
+
+/// Every parameter kind in one model: a biased conv, a depthwise conv, a
+/// BatchNorm and a biased Linear on an NCHW input, an Embedding table and
+/// a LayerNorm on token ids, quantized under `cfg`. Returns the model and
+/// its parameter ids by name.
+fn every_param_model(cfg: QuantConfig) -> (QuantizedModel, Vec<(&'static str, ValueId)>) {
+    let mut rng = TensorRng::seed(31);
+    let mut b = GraphBuilder::new();
+    let (x, ids) = (b.input(), b.input());
+    let conv_w = b.param(rng.kaiming(&[4, 3, 3, 3]));
+    let conv_b = b.param(rng.normal(&[4], 0.0, 0.1));
+    let c = b.conv2d(x, conv_w, Some(conv_b), Conv2dParams::same(3));
+    let dw = b.param(rng.kaiming(&[4, 1, 3, 3]));
+    let d = b.depthwise_conv2d(c, dw, None, Conv2dParams::same(3));
+    let [gamma, beta, mean, var] = [1.0, 0.0, 0.0, 1.0].map(|v| b.param(Tensor::full(&[4], v)));
+    let bn = b.batchnorm(d, gamma, beta, mean, var, 1e-5);
+    let r = b.relu(bn);
+    let pooled = b.global_avg_pool(r);
+    let lin_w = b.param(rng.kaiming(&[5, 4]));
+    let lin_b = b.param(rng.normal(&[5], 0.0, 0.1));
+    let y = b.linear(pooled, lin_w, Some(lin_b));
+    let table = b.param(rng.normal(&[7, 4], 0.0, 1.0));
+    let e = b.embedding(ids, table);
+    let [ln_g, ln_b] = [1.0, 0.0].map(|v| b.param(Tensor::full(&[4], v)));
+    let ln = b.layernorm(e, ln_g, ln_b, 1e-5);
+    let g = b.finish(vec![y, ln]);
+    let mut hook = CalibrationHook::new();
+    let inputs = [
+        TensorRng::seed(32).normal(&[2, 3, 6, 6], 0.0, 1.0),
+        Tensor::from_slice(&[1.0, 6.0, 3.0]),
+    ];
+    g.run(&inputs, &mut hook).unwrap_ok();
+    let model = QuantizedModel::build(g, &hook.into_data(), cfg).unwrap_ok();
+    let ids = vec![
+        ("conv weight", conv_w),
+        ("conv bias", conv_b),
+        ("depthwise weight", dw),
+        ("batchnorm gamma", gamma),
+        ("batchnorm mean", mean),
+        ("linear weight", lin_w),
+        ("linear bias", lin_b),
+        ("embedding table", table),
+        ("layernorm gamma", ln_g),
+        ("layernorm beta", ln_b),
+    ];
+    (model, ids)
+}
+
+#[test]
+fn an_fp8_entry_no_fused_kernel_reads_is_a_typed_load_error() {
+    // With the first and last layers, QWEIGHTS carries the three
+    // conv/Linear weights.
+    let (model, ids) = every_param_model(QuantConfig::fp8(Fp8Format::E4M3).with_first_last());
+    let id = |name: &str| ids.iter().find(|(n, _)| *n == name).unwrap().1;
+    let fp8 = |v: ValueId| matches!(model.graph.param(v), Some(Param::Fp8(_)));
+    // Conv2d (depthwise too: its blocked kernel reads codes) and Linear
+    // weights are FP8-stored, and the model loads and runs.
+    for name in ["conv weight", "depthwise weight", "linear weight"] {
+        assert!(fp8(id(name)), "{name} should be FP8-stored");
+    }
+    let art = PtqArtifact::from_bytes(model.artifact_bytes()).unwrap_ok();
+    let inputs = [
+        TensorRng::seed(33).normal(&[1, 3, 6, 6], 0.0, 1.0),
+        Tensor::from_slice(&[4.0, 0.0]),
+    ];
+    art.model
+        .graph
+        .run(&inputs, &mut art.model.hook())
+        .unwrap_ok();
+
+    // The same parameter moved from GRAPH to QWEIGHTS: a consistent file
+    // (each value stored once, CRCs valid) that binds FP8 codes where no
+    // fused kernel reads them. Refused at load, naming the parameter.
+    let misplaced = [
+        "conv bias",
+        "batchnorm gamma",
+        "batchnorm mean",
+        "linear bias",
+        "embedding table",
+        "layernorm gamma",
+        "layernorm beta",
+    ];
+    for name in misplaced {
+        let v = id(name);
+        let mut bad = model.clone();
+        let w = bad.graph.param(v).and_then(Param::as_f32).unwrap();
+        let q = QTensor::quantize_per_channel(w, Fp8Format::E4M3).unwrap();
+        bad.graph.set_param(v, q).unwrap_ok();
+        match PtqArtifact::from_bytes(bad.artifact_bytes()) {
+            Err(PtqError::Fp8Param { value, .. }) if value == v => {}
+            other => panic!("FP8 {name}: expected a typed Fp8Param error, got {other:?}"),
+        }
+    }
+
+    // With both convs (nodes 0 and 1) left in f32, QWEIGHTS carries one
+    // entry, the Linear weight. Renamed, CRC recomputed, to a parameter
+    // GRAPH carries as f32, it stores that value twice: a decode error,
+    // whichever parameter it names.
+    let cfg = QuantConfig::fp8(Fp8Format::E4M3)
+        .with_first_last()
+        .with_fallback(0)
+        .with_fallback(1);
+    let (linear_only, _) = every_param_model(cfg);
+    let bytes = linear_only.artifact_bytes();
+    for name in misplaced.iter().chain(&["conv weight", "depthwise weight"]) {
+        let v = id(name) as u64;
+        let renamed = with_payload(&bytes, TAG_QWEIGHTS, |p| {
+            assert_eq!(p[8..16], 1u64.to_le_bytes(), "one QWEIGHTS entry");
+            p[16..24].copy_from_slice(&v.to_le_bytes());
+        });
+        match PtqArtifact::from_bytes(renamed) {
+            Err(PtqError::Artifact(ArtifactError::Decode { detail })) => {
+                assert!(detail.contains("twice"), "{name}: {detail}")
+            }
+            other => panic!("QWEIGHTS entry renamed to {name}: got {other:?}"),
+        }
     }
 }
 
@@ -400,6 +597,48 @@ fn every_payload_byte_flip_behind_a_valid_crc_loads_or_fails_typed() {
         }
     }
     assert!(panics.is_empty(), "{} panics: {panics:?}", panics.len());
+}
+
+/// Most heap `PtqArtifact::from_bytes` may hold at once, per byte of the
+/// file it loads (the file itself not counted). The payload battery's
+/// mutated files peak at 52.7× their length at most: a GRAPH node count
+/// raised by 256 in one flipped byte reserves that many `Node`s (29 067
+/// bytes) before the 552-byte file runs out. Every count is bounded by the bytes left, so
+/// the peak stays linear in the file; a small file's fixed costs (maps,
+/// node names, the chunk table) weigh in.
+const LOAD_PEAK_PER_FILE_BYTE: usize = 56;
+
+#[test]
+fn loading_any_payload_byte_flip_peaks_within_a_multiple_of_the_file() {
+    let fixtures = [fp8_artifact_bytes(), int8_artifact_bytes()];
+    let mut worst = (0.0f64, String::new());
+    for bytes in fixtures {
+        let pristine = chunks_of(&bytes);
+        for (c, (tag, payload)) in pristine.iter().enumerate() {
+            for i in 0..payload.len() {
+                for delta in [0x01, 0x80, 0xFF] {
+                    let mut chunks = pristine.clone();
+                    chunks[c].1[i] ^= delta;
+                    let file = rebuild(&chunks);
+                    let len = file.len();
+                    let (_, peak) = peak_bytes(|| PtqArtifact::from_bytes(file));
+                    let ratio = peak as f64 / len as f64;
+                    if ratio > worst.0 {
+                        worst = (
+                            ratio,
+                            format!("chunk {tag} byte {i} ^ {delta:#04x}: {peak} of {len}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        worst.0 <= LOAD_PEAK_PER_FILE_BYTE as f64,
+        "load peak {:.2}x the file, bound {LOAD_PEAK_PER_FILE_BYTE}x: {}",
+        worst.0,
+        worst.1
+    );
 }
 
 /// The all-knobs-non-default spec, as its canonical JSON text.

@@ -1,6 +1,6 @@
 //! Golden-artifact compatibility pin.
 //!
-//! `tests/golden/quantized_e4m3_v5.ptq` is a committed version-5 artifact
+//! `tests/golden/quantized_e4m3_v6.ptq` is a committed version-6 artifact
 //! (quick-zoo workload 0, E4M3 recipe, default serving section and
 //! kv_storage knob, written by `PtqSession::save_artifact`). Today's
 //! reader must keep loading it and scoring it bit-equal to the pinned
@@ -9,11 +9,13 @@
 //! the loaded artifact must reproduce the committed bytes, so the format
 //! cannot drift silently even in a compatible-reader direction.
 //!
-//! The superseded version-4 fixture stays committed as
-//! `tests/golden/quantized_e4m3_v4.ptq`: it pins the *rejection* path, so
+//! The superseded version-5 fixture stays committed as
+//! `tests/golden/quantized_e4m3_v5.ptq`: it pins the *rejection* path, so
 //! old files fail with a clear `UnsupportedVersion` instead of being
-//! misparsed. Its chunks are v5's byte for byte, except that its CONFIG
-//! payload still carries the kernel-path byte v5 dropped.
+//! misparsed. Its CONFIG, QNODES, QWEIGHTS, ACT_SCALES, ACT_INT8, SMOOTH
+//! and THRESHOLDS chunks are v6's byte for byte; its GRAPH still carries
+//! an f32 copy of every FP8-stored weight, and it has the WEIGHTS chunk
+//! v6 dropped.
 //!
 //! `tests/golden/engine_spec_all_knobs.json` pins the other wire form of
 //! the same recipe: the engine-spec JSON text in its three sections, every
@@ -37,11 +39,11 @@ use fp8_ptq::models::{build_zoo, ZooFilter};
 use fp8_ptq::nn::UnwrapOk;
 use std::path::PathBuf;
 
-const FIXTURE: &str = "tests/golden/quantized_e4m3_v5.ptq";
+const FIXTURE: &str = "tests/golden/quantized_e4m3_v6.ptq";
 
 /// The previous-format fixture, kept only to pin the version-rejection
 /// error (see `reader_rejects_the_previous_version_with_a_clear_error`).
-const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v4.ptq";
+const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v5.ptq";
 
 /// Pinned quantized eval score of the fixture model on quick-zoo
 /// workload 0, as IEEE-754 bits. Set by the `regenerate` test; must never
@@ -80,7 +82,7 @@ fn golden_artifact_bytes_are_reproduced_by_todays_writer() {
     assert_eq!(
         art.to_bytes(),
         committed,
-        "writer output drifted from the committed version-5 artifact"
+        "writer output drifted from the committed version-6 artifact"
     );
 }
 
@@ -125,15 +127,15 @@ fn reader_rejects_the_previous_version_with_a_clear_error() {
         matches!(
             err,
             PtqError::Artifact(ArtifactError::UnsupportedVersion {
-                found: 4,
-                supported: 5
+                found: 5,
+                supported: 6
             })
         ),
-        "v4 fixture must fail with UnsupportedVersion: {err}"
+        "v5 fixture must fail with UnsupportedVersion: {err}"
     );
     let msg = err.to_string();
     assert!(
-        msg.contains("version") && msg.contains('4'),
+        msg.contains("version") && msg.contains('5'),
         "the error must name the found version: {msg}"
     );
 }

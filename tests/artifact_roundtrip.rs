@@ -47,7 +47,11 @@ fn assert_roundtrip(w: &Workload, cfg: QuantConfig, name: &str) {
     );
     // Interpreter: same output tensors, bit for bit, loaded vs in-memory.
     let batch = &w.eval[0];
-    let y_mem = w.graph.run(batch, &mut out.model.hook()).unwrap_ok();
+    let y_mem = out
+        .model
+        .graph
+        .run(batch, &mut out.model.hook())
+        .unwrap_ok();
     let y_load = loaded.graph.run(batch, &mut loaded.hook()).unwrap_ok();
     assert_eq!(y_mem.len(), y_load.len(), "{name}: output arity diverged");
     for (a, b) in y_mem.iter().zip(&y_load) {
