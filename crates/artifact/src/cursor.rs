@@ -208,15 +208,23 @@ impl<'a> ByteReader<'a> {
     /// (every counted item is at least one byte), so an absurd value from
     /// a crafted file fails fast instead of driving a huge allocation.
     pub fn get_count(&mut self, what: &str) -> Result<usize, ArtifactError> {
+        self.get_count_of(what, 1)
+    }
+
+    /// [`ByteReader::get_count`] of items that each take at least
+    /// `min_bytes` (≥ 1) of the payload: a count the bytes remaining
+    /// cannot hold is a [`ArtifactError::Decode`], so a reservation sized
+    /// by it stays within a constant factor of the payload.
+    pub fn get_count_of(&mut self, what: &str, min_bytes: usize) -> Result<usize, ArtifactError> {
         let v = self.get_u64(what)?;
         let n = usize::try_from(v).map_err(|_| ArtifactError::Decode {
             detail: format!("{what}: count {v} overflows usize"),
         })?;
-        if n > self.remaining() {
+        let left = self.remaining();
+        if n > left / min_bytes.max(1) {
             return Err(ArtifactError::Decode {
                 detail: format!(
-                    "{what}: count {n} exceeds {} remaining bytes",
-                    self.remaining()
+                    "{what}: count {n} exceeds {left} remaining bytes ({min_bytes} per item or more)"
                 ),
             });
         }
@@ -356,6 +364,28 @@ mod tests {
         ));
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_usize_vec("items").is_err());
+    }
+
+    #[test]
+    fn a_count_is_bounded_by_its_items_minimum_size() {
+        // 24 bytes follow the count: 3 items fit at 8 bytes each (and at 1),
+        // not at 9; 4 items do not fit at 8.
+        let mut w = ByteWriter::new();
+        w.put_u64(3);
+        w.put_usize_slice(&[1, 2]);
+        let bytes = w.finish();
+        let count = |min| ByteReader::new(&bytes).get_count_of("items", min);
+        assert_eq!(count(8), Ok(3));
+        assert_eq!(count(1), ByteReader::new(&bytes).get_count("items"));
+        assert!(matches!(count(9), Err(ArtifactError::Decode { .. })));
+        let mut w = ByteWriter::new();
+        w.put_u64(4);
+        w.put_usize_slice(&[1, 2]);
+        let bytes = w.finish();
+        let err = ByteReader::new(&bytes).get_count_of("items", 8);
+        assert!(
+            matches!(err, Err(ArtifactError::Decode { detail }) if detail.starts_with("items"))
+        );
     }
 
     #[test]

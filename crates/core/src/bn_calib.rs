@@ -2,42 +2,50 @@
 //! statistics under the *quantized* network to compensate for the variance
 //! shift quantization introduces (Sun et al. 2019).
 
-use crate::quantizer::QuantizedModel;
+use crate::quantizer::{QuantHook, QuantizedModel};
 use ptq_nn::{Binding, ExecHook, Graph, Node, NodeId, Op, OpClass, PlanSet, PtqError};
 use ptq_tensor::Tensor;
 use std::collections::HashMap;
 
-/// Accumulates per-channel moments of BatchNorm inputs under the quantized
-/// model: of every BN from the first one `acc` holds an entry for on (all
-/// of them when `acc` starts empty; [`recalibrate_batchnorm`] seeds one).
+/// Accumulates per-channel sums, sums of squares and the element count of
+/// BatchNorm `target`'s input under the quantized model.
 struct BnMomentHook<'a> {
-    quant: crate::quantizer::QuantHook<'a>,
-    // node id -> (sum, sum_sq, count) per channel
-    acc: HashMap<usize, (Vec<f64>, Vec<f64>, f64)>,
+    quant: QuantHook<'a>,
+    target: NodeId,
+    acc: (Vec<f64>, Vec<f64>, f64),
+}
+
+impl<'a> BnMomentHook<'a> {
+    fn new(quant: QuantHook<'a>, target: NodeId) -> Self {
+        let acc = Default::default();
+        BnMomentHook { quant, target, acc }
+    }
 }
 
 impl ExecHook for BnMomentHook<'_> {
     // The operands are the quantized model's (fake-quant included, by
     // the forwarded binding): what BN actually reads.
     fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-        let before_first = self.acc.keys().min().is_some_and(|&k| node.id < k);
-        if node.op.class() != OpClass::BatchNorm || before_first {
+        if node.id != self.target {
             return;
         }
         let x = inputs[0];
         assert_eq!(x.ndim(), 4, "BatchNorm input must be NCHW");
         let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
-        let entry = self.acc.entry(node.id).or_default();
-        entry.0.resize(c, 0.0);
-        entry.1.resize(c, 0.0);
-        // Plane `i` (in memory order) is channel `i % c` of image `i / c`.
+        let (sums, sums_sq, count) = &mut self.acc;
+        sums.resize(c, 0.0);
+        sums_sq.resize(c, 0.0);
+        // Plane `i` (in memory order) is channel `i % c` of image `i / c`;
+        // its sums run in registers, in the order of its elements.
         for (i, plane) in x.data().chunks(hw.max(1)).enumerate() {
+            let (mut sum, mut sum_sq) = (sums[i % c], sums_sq[i % c]);
             for &v in plane {
-                entry.0[i % c] += v as f64;
-                entry.1[i % c] += (v as f64) * (v as f64);
+                sum += v as f64;
+                sum_sq += (v as f64) * (v as f64);
             }
+            (sums[i % c], sums_sq[i % c]) = (sum, sum_sq);
         }
-        entry.2 += (n * hw) as f64;
+        *count += (n * hw) as f64;
     }
 
     // Measure under exactly the inference the eval pass runs: same
@@ -47,57 +55,68 @@ impl ExecHook for BnMomentHook<'_> {
     }
 }
 
-/// The graph's prefix that ends at node `last`: its nodes up to and
-/// including `last`, the parameters they read, and `last`'s output as the
-/// one graph output. Node and value ids are the full graph's, so the
-/// quantized model's tables (keyed by them) apply unchanged.
-fn prefix(graph: &Graph, last: NodeId) -> Graph {
-    let nodes = &graph.nodes()[..=last];
-    let param = |id| Some((id, graph.param(id)?.clone()));
-    let params = nodes.iter().flat_map(|n| n.op.param_values());
-    let (inputs, outputs) = (graph.input_ids().to_vec(), vec![nodes[last].output]);
-    let params = params.filter_map(param);
-    Graph::from_parts(nodes.to_vec(), params, inputs, outputs, graph.n_values())
-}
-
 /// Run `calib` batches through the quantized model, measure each
 /// BatchNorm's input moments, and overwrite the graph's running mean/var
 /// parameters. Returns the number of BatchNorm nodes recalibrated.
 ///
-/// BatchNorms are fixed **sequentially in execution order**: a BN's
-/// correct statistics depend on every earlier BN already carrying its
-/// recalibrated statistics (train-mode BN gets that from batch statistics;
-/// an inference-mode emulation has to schedule it). BN k is measured by
-/// one in-order pass of the batches (the f64 sums depend on the order)
-/// over the [`prefix`] that ends at it, accumulating its moments alone;
-/// the prefix's plans are dropped after it, so the model's [`PlanSet`]
-/// keeps no calibration-shape plan.
+/// One in-order sweep, as a BN's statistics depend on the earlier BNs'
+/// new ones: segment k runs BN k−1 (again, recalibrated) through BN k over
+/// the batches in order (the f64 sums depend on it), carrying per batch
+/// the values later nodes read, so memory grows with `calib` (DESIGN
+/// §10.2). Its plans are dropped after it.
 pub fn recalibrate_batchnorm(
     model: &mut QuantizedModel,
     calib: &[Vec<Tensor>],
 ) -> Result<usize, PtqError> {
-    let mut updated = 0;
-    for target in model.graph.nodes_of_class(OpClass::BatchNorm) {
-        let graph = prefix(&model.graph, target);
-        let plans = PlanSet::new();
-        let mut hook = BnMomentHook {
-            quant: model.hook(),
-            acc: HashMap::from([(target, Default::default())]),
-        };
-        for inputs in calib {
-            plans.run(&graph, inputs, &mut hook)?;
+    let mut last_read = vec![None; model.graph.n_values()];
+    for node in model.graph.nodes() {
+        for &v in &node.inputs {
+            last_read[v] = Some(node.id);
         }
-        let Some((sum, sq, count)) = hook.acc.remove(&target).filter(|a| a.2 > 0.0) else {
+    }
+    let read_from = |v: usize, at: NodeId| last_read[v].is_some_and(|r| r >= at);
+    // The values carried into the next segment, and per batch their tensors.
+    let mut live = model.graph.input_ids().to_vec();
+    let mut carried = vec![HashMap::new(); calib.len()];
+    let (mut start, mut updated) = (0, 0);
+    let bns = model.graph.nodes_of_class(OpClass::BatchNorm);
+    for (k, &bn) in bns.iter().enumerate() {
+        let nodes = &model.graph.nodes()[start..=bn];
+        // Segment 0 takes every graph input, so a batch passes as it is.
+        let read_here = |v: &usize| k == 0 || nodes.iter().any(|n| n.inputs.contains(v));
+        let inputs: Vec<usize> = live.iter().copied().filter(read_here).collect();
+        // BN k's own output is recomputed by the next segment.
+        let before_bn = nodes[..nodes.len() - 1].iter().map(|n| n.output);
+        let outputs: Vec<usize> = before_bn.filter(|&v| read_from(v, bn)).collect();
+        let params = nodes.iter().flat_map(|n| n.op.param_values());
+        let params = params.filter_map(|id| Some((id, model.graph.param(id)?.clone())));
+        let (ins, outs, n_values) = (inputs.clone(), outputs.clone(), model.graph.n_values());
+        let graph = Graph::from_parts(nodes.to_vec(), params, ins, outs, n_values);
+        let plans = PlanSet::new();
+        let mut hook = BnMomentHook::new(model.hook(), bn);
+        for (batch, carry) in calib.iter().zip(&mut carried) {
+            let held: Vec<Tensor> = inputs.iter().filter_map(|v| carry.remove(v)).collect();
+            let computed = plans.run(&graph, if k == 0 { batch } else { &held }, &mut hook)?;
+            if k == 0 {
+                let read_later = inputs.iter().zip(batch).filter(|(&v, _)| read_from(v, bn));
+                carry.extend(read_later.map(|(&v, t)| (v, t.clone())));
+            }
+            let kept = inputs.iter().copied().zip(held);
+            carry.extend(kept.filter(|&(v, _)| read_from(v, bn)));
+            carry.extend(outputs.iter().copied().zip(computed));
+        }
+        live.retain(|&v| read_from(v, bn));
+        live.extend(outputs);
+        start = bn;
+        let (sum, sum_sq, n) = &hook.acc;
+        let bn_op = graph.nodes().last().map(|n| &n.op).filter(|_| *n > 0.0);
+        let Some(&Op::BatchNorm { mean, var, .. }) = bn_op else {
             continue;
         };
-        let Op::BatchNorm { mean, var, .. } = model.graph.nodes()[target].op else {
-            continue;
-        };
-        let m: Vec<f32> = sum.iter().map(|&s| (s / count) as f32).collect();
-        let v: Vec<f32> = m
-            .iter()
-            .zip(&sq)
-            .map(|(&mi, &s)| ((s / count) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
+        let m: Vec<f32> = sum.iter().map(|&s| (s / n) as f32).collect();
+        let v = m.iter().zip(sum_sq);
+        let v: Vec<f32> = v
+            .map(|(&mi, &s)| ((s / n) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
             .collect();
         model.graph.set_param(mean, Tensor::from_slice(&m))?;
         model.graph.set_param(var, Tensor::from_slice(&v))?;
@@ -178,7 +197,7 @@ mod tests {
         b.finish(vec![out])
     }
 
-    /// The algorithm before prefixes, as the oracle: per BN, the full
+    /// The original algorithm, as the oracle: per BN, the full
     /// graph over every batch, every BN's moments accumulated, the
     /// target's kept.
     fn recalibrate_on_the_full_graph(model: &mut QuantizedModel, calib: &[Vec<Tensor>]) {
@@ -242,41 +261,135 @@ mod tests {
         }
     }
 
+    /// A stale-statistics BatchNorm over `c` channels.
+    fn stale_bn(b: &mut GraphBuilder, x: ptq_nn::ValueId, c: usize, seed: u64) -> ptq_nn::ValueId {
+        let gamma = b.param(TensorRng::seed(seed).uniform(&[c], 0.8, 1.2));
+        let beta = b.param(TensorRng::seed(seed + 8).uniform(&[c], -0.1, 0.1));
+        let mean = b.param(Tensor::full(&[c], 0.5));
+        let var = b.param(Tensor::full(&[c], 2.5));
+        b.batchnorm(x, gamma, beta, mean, var, 1e-5)
+    }
+
+    /// BN is node 0, on the graph input, and the input is read again by
+    /// an `Add` after BN 1: the sweep carries a graph input past BN 0.
+    fn bn_first_cnn(seed: u64) -> ptq_nn::Graph {
+        let mut rng = TensorRng::seed(seed);
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let bn0 = stale_bn(&mut b, x, 3, seed ^ 1);
+        let w0 = b.param(rng.kaiming(&[3, 3, 3, 3]));
+        let c0 = b.conv2d(bn0, w0, None, Conv2dParams::same(3));
+        let w1 = b.param(rng.kaiming(&[3, 3, 3, 3]));
+        let c1 = b.conv2d(c0, w1, None, Conv2dParams::same(3));
+        let bn1 = stale_bn(&mut b, c1, 3, seed ^ 2);
+        let sum = b.add(x, bn1);
+        let r = b.relu(sum);
+        let g = b.global_avg_pool(r);
+        let wl = b.param(rng.kaiming(&[4, 3]));
+        let out = b.linear(g, wl, None);
+        b.finish(vec![out])
+    }
+
+    /// Two BNs back to back (one segment is the pair alone), the second
+    /// pair's input also read by the residual `Add` after them.
+    fn bn_pair_cnn(seed: u64) -> ptq_nn::Graph {
+        let mut rng = TensorRng::seed(seed);
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let w0 = b.param(rng.kaiming(&[5, 3, 3, 3]));
+        let c0 = b.conv2d(x, w0, None, Conv2dParams::same(3));
+        let bn0 = stale_bn(&mut b, c0, 5, seed ^ 1);
+        let bn1 = stale_bn(&mut b, bn0, 5, seed ^ 2);
+        let r0 = b.relu(bn1);
+        let w1 = b.param(rng.kaiming(&[5, 5, 3, 3]));
+        let c1 = b.conv2d(r0, w1, None, Conv2dParams::same(3));
+        let bn2 = stale_bn(&mut b, c1, 5, seed ^ 3);
+        let bn3 = stale_bn(&mut b, bn2, 5, seed ^ 4);
+        let sum = b.add(c1, bn3);
+        let r1 = b.relu(sum);
+        let g = b.global_avg_pool(r1);
+        let wl = b.param(rng.kaiming(&[4, 5]));
+        let out = b.linear(g, wl, None);
+        b.finish(vec![out])
+    }
+
+    /// Recalibrate `model` and a clone of it by the oracle and assert every
+    /// BatchNorm's statistics agree bit for bit (and moved).
+    fn assert_sweep_matches_oracle(model: QuantizedModel, calib: &[Vec<Tensor>], what: &str) {
+        let (mut model, mut oracle) = (model.clone(), model);
+        let stale = model.graph.clone();
+        let bns = model.graph.nodes_of_class(OpClass::BatchNorm);
+        assert_eq!(
+            recalibrate_batchnorm(&mut model, calib).unwrap_ok(),
+            bns.len()
+        );
+        recalibrate_on_the_full_graph(&mut oracle, calib);
+        assert!(model.plans.is_empty(), "no calibration-shape plan is kept");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for id in bns {
+            let (a, b) = (
+                model.graph.batchnorm_params(id).unwrap_ok(),
+                oracle.graph.batchnorm_params(id).unwrap_ok(),
+            );
+            let before = stale.batchnorm_params(id).unwrap_ok();
+            assert_ne!(
+                bits(&a.mean),
+                bits(&before.mean),
+                "{what}: BN {id} not recalibrated"
+            );
+            for (x, y) in [(&a.mean, &b.mean), (&a.var, &b.var)] {
+                assert_eq!(bits(x), bits(y), "{what}: BN {id}");
+            }
+        }
+    }
+
     #[test]
-    fn prefix_recalibration_is_bit_identical_to_the_full_graph_oracle() {
+    fn sweep_recalibration_is_bit_identical_to_the_full_graph_oracle() {
         use crate::config::{ActivationStorage, Coverage};
         let calib_x: Vec<Vec<Tensor>> = (0..3)
             .map(|i| vec![TensorRng::seed(40 + i).normal(&[4, 3, 8, 8], 0.0, 1.0)])
             .collect();
-        let g = residual_bn_cnn(5);
-        let mut hook = CalibrationHook::new();
-        for c in &calib_x {
-            g.run(c, &mut hook).unwrap_ok();
-        }
-        let calib = hook.into_data();
-        for coverage in [Coverage::Standard, Coverage::Extended] {
-            for storage in [ActivationStorage::Fp8, ActivationStorage::FakeQuantF32] {
-                let cfg = QuantConfig::fp8(Fp8Format::E4M3)
-                    .with_coverage(coverage)
-                    .with_activation_storage(storage);
-                let mut model = QuantizedModel::build(g.clone(), &calib, cfg).unwrap_ok();
-                let mut oracle = model.clone();
-                assert_eq!(recalibrate_batchnorm(&mut model, &calib_x).unwrap_ok(), 4);
-                recalibrate_on_the_full_graph(&mut oracle, &calib_x);
-                assert!(model.plans.is_empty(), "no calibration-shape plan is kept");
-                for id in model.graph.nodes_of_class(OpClass::BatchNorm) {
-                    let (a, b) = (
-                        model.graph.batchnorm_params(id).unwrap_ok(),
-                        oracle.graph.batchnorm_params(id).unwrap_ok(),
-                    );
-                    assert_ne!(a.mean.data()[0], 0.5, "BN {id} was not recalibrated");
-                    for (x, y) in [(&a.mean, &b.mean), (&a.var, &b.var)] {
-                        let bits =
-                            |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(x), bits(y), "{coverage:?}/{storage:?}: BN {id}");
-                    }
+        for (name, g) in [
+            ("residual", residual_bn_cnn(5)),
+            ("bn_first", bn_first_cnn(6)),
+            ("bn_pair", bn_pair_cnn(7)),
+        ] {
+            let mut hook = CalibrationHook::new();
+            for c in &calib_x {
+                g.run(c, &mut hook).unwrap_ok();
+            }
+            let calib = hook.into_data();
+            for coverage in [Coverage::Standard, Coverage::Extended] {
+                for storage in [ActivationStorage::Fp8, ActivationStorage::FakeQuantF32] {
+                    let cfg = QuantConfig::fp8(Fp8Format::E4M3)
+                        .with_coverage(coverage)
+                        .with_activation_storage(storage);
+                    let model = QuantizedModel::build(g.clone(), &calib, cfg).unwrap_ok();
+                    let what = format!("{name} {coverage:?}/{storage:?}");
+                    assert_sweep_matches_oracle(model, &calib_x, &what);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sweep_recalibration_matches_the_oracle_on_the_quick_zoo_cnns() {
+        use crate::config::{Approach, DataFormat};
+        use crate::workflow::{calibrate_workload, paper_recipe};
+        use ptq_models::{build_zoo_limited, ZooFilter};
+        let zoo = build_zoo_limited(ZooFilter::Quick, 3);
+        let families = ["resnet_like", "mobilenet_like"];
+        let cnns: Vec<_> = zoo
+            .iter()
+            .filter(|w| families.contains(&&*w.spec.family))
+            .collect();
+        assert_eq!(cnns.len(), 2, "resnet_like and mobilenet_like (depthwise)");
+        for w in cnns {
+            let format = DataFormat::Fp8(Fp8Format::E4M3);
+            let cfg = paper_recipe(format, Approach::Static, w.spec.domain);
+            let calib = calibrate_workload(w, &cfg).unwrap_ok();
+            let model = QuantizedModel::build(w.graph.clone(), &calib, cfg).unwrap_ok();
+            assert_sweep_matches_oracle(model, &w.calib, &w.spec.name);
         }
     }
 
@@ -301,14 +414,11 @@ mod tests {
         let bn_id = model.graph.nodes_of_class(OpClass::BatchNorm)[0];
         let params = model.graph.batchnorm_params(bn_id).unwrap_ok();
         // Re-measure.
-        let mut hook2 = BnMomentHook {
-            quant: model.hook(),
-            acc: HashMap::new(),
-        };
+        let mut hook2 = BnMomentHook::new(model.hook(), bn_id);
         for c in &calib_x {
             model.graph.run(c, &mut hook2).unwrap_ok();
         }
-        let (sum, sq, count) = &hook2.acc[&bn_id];
+        let (sum, sq, count) = &hook2.acc;
         for ci in 0..4 {
             let m = (sum[ci] / count) as f32;
             let v = ((sq[ci] / count) - (m as f64) * (m as f64)) as f32;

@@ -26,7 +26,7 @@ pub struct TensorKey {
 /// and per-input-channel absmax for the SmoothQuant transform.
 #[derive(Debug, Clone, Default)]
 pub struct CalibData {
-    /// Running min/max/absmax/moments per activation input.
+    /// Running min/max/absmax per activation input.
     pub stats: HashMap<TensorKey, TensorStats>,
     /// |x| histograms (second pass; histogram calibrators only).
     pub hists: HashMap<TensorKey, Histogram>,
@@ -104,6 +104,23 @@ pub fn quantized_inputs(node: &Node) -> &'static [usize] {
     }
 }
 
+/// The key and operand of each quantized input `node` has.
+fn observed<'a, 't>(
+    node: &'a Node,
+    inputs: &'a [&'t Tensor],
+) -> impl Iterator<Item = (TensorKey, &'t Tensor)> + 'a {
+    let present = quantized_inputs(node).iter().filter(|&&i| i < inputs.len());
+    present.map(move |&input| {
+        (
+            TensorKey {
+                node: node.id,
+                input,
+            },
+            inputs[input],
+        )
+    })
+}
+
 /// Pass-1 calibration hook: running stats + SmoothQuant channel absmax.
 #[derive(Debug, Default)]
 pub struct CalibrationHook {
@@ -125,19 +142,8 @@ impl CalibrationHook {
 
 impl ExecHook for CalibrationHook {
     fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-        for &idx in quantized_inputs(node) {
-            if idx >= inputs.len() {
-                continue;
-            }
-            let key = TensorKey {
-                node: node.id,
-                input: idx,
-            };
-            self.data
-                .stats
-                .entry(key)
-                .or_default()
-                .update(inputs[idx].data());
+        for (key, x) in observed(node, inputs) {
+            self.data.stats.entry(key).or_default().update(x.data());
         }
         // SmoothQuant needs per-input-channel absmax for Linear nodes.
         if node.op.class() == OpClass::Linear {
@@ -179,34 +185,22 @@ impl<'a> HistogramHook<'a> {
 
 impl ExecHook for HistogramHook<'_> {
     fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-        for &idx in quantized_inputs(node) {
-            if idx >= inputs.len() {
-                continue;
-            }
-            let key = TensorKey {
-                node: node.id,
-                input: idx,
-            };
+        for (key, x) in observed(node, inputs) {
             let Some(stats) = self.base.stats.get(&key) else {
                 continue;
             };
             if !stats.is_calibrated() || stats.absmax <= 0.0 {
                 continue;
             }
-            let bound = stats.absmax;
-            let bins = self.bins;
-            let h = self
-                .base
-                .hists
-                .entry(key)
-                .or_insert_with(|| Histogram::new(bins, bound));
-            h.update_abs(inputs[idx].data());
+            let (bins, bound) = (self.bins, stats.absmax);
+            let h = self.base.hists.entry(key);
+            h.or_insert_with(|| Histogram::new(bins, bound))
+                .update_abs(x.data());
             let sample = self.base.samples.entry(key).or_default();
             if sample.len() < self.sample_cap {
                 let room = self.sample_cap - sample.len();
-                let data = inputs[idx].data();
-                let stride = (data.len() / room.max(1)).max(1);
-                sample.extend(data.iter().step_by(stride).take(room).copied());
+                let stride = (x.len() / room.max(1)).max(1);
+                sample.extend(x.data().iter().step_by(stride).take(room).copied());
             }
         }
     }

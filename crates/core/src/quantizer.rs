@@ -39,7 +39,7 @@ pub struct QuantizedModel {
     pub smooth: HashMap<NodeId, Vec<f32>>,
     /// Execution plans for [`Self::graph`], keyed by input shape (serving
     /// and direct forwards; BatchNorm recalibration plans its own graph
-    /// prefixes). `Clone` yields a fresh empty set.
+    /// segments). `Clone` yields a fresh empty set.
     pub plans: PlanSet,
 }
 
@@ -119,13 +119,20 @@ impl QuantizedModel {
     /// Activation bytes that running `batches` carries across the quantized
     /// op boundaries, and what the same inputs would occupy as dense f32:
     /// codes + scales for inputs coded at the boundary, 4 bytes/element
-    /// for fake-quantized f32. Computed from the value shapes each batch's
-    /// input shapes imply, so no forward runs; errors as
-    /// [`Graph::value_shapes`] does.
+    /// for fake-quantized f32. Computed once per distinct list of input
+    /// shapes, from the value shapes it implies, so no forward runs; the
+    /// first batch [`Graph::value_shapes`] rejects gives the error.
     pub fn act_bytes(&self, batches: &[Vec<Tensor>]) -> Result<(usize, usize), PtqError> {
-        let (mut bytes, mut bytes_f32) = (0, 0);
+        let mut distinct: Vec<(Vec<Shape>, usize)> = Vec::new();
         for batch in batches {
             let inputs: Vec<Shape> = batch.iter().map(|t| t.shape().to_vec()).collect();
+            match distinct.iter_mut().find(|(s, _)| *s == inputs) {
+                Some((_, n)) => *n += 1,
+                None => distinct.push((inputs, 1)),
+            }
+        }
+        let (mut bytes, mut bytes_f32) = (0, 0);
+        for (inputs, n) in distinct {
             let shapes = self.graph.value_shapes(&inputs)?;
             let nodes = self
                 .quantized_nodes
@@ -135,12 +142,12 @@ impl QuantizedModel {
                 for (idx, &v) in node.inputs.iter().enumerate() {
                     let shape = shapes[v].as_deref().unwrap_or_default();
                     let f32_bytes = shape.iter().product::<usize>() * std::mem::size_of::<f32>();
-                    bytes += match self.act_binding(node, idx) {
+                    bytes += n * match self.act_binding(node, idx) {
                         ActBinding::F32 => continue,
                         ActBinding::Coded { scale, .. } => scale.coded_bytes(shape),
                         _ => f32_bytes,
                     };
-                    bytes_f32 += f32_bytes;
+                    bytes_f32 += n * f32_bytes;
                 }
             }
         }
@@ -239,24 +246,13 @@ impl QuantizedModel {
 pub fn select_nodes(graph: &Graph, config: &QuantConfig) -> BTreeSet<NodeId> {
     let is_cnn = !graph.nodes_of_class(OpClass::Conv2d).is_empty();
     let (first, last) = graph.first_last_compute();
-    let mut set = BTreeSet::new();
-    for node in graph.nodes() {
-        let class = node.op.class();
-        if !config.coverage.includes(class) {
-            continue;
-        }
-        if config.fallback.contains(&node.id) {
-            continue;
-        }
-        if is_cnn
-            && !config.quantize_first_last
-            && (Some(node.id) == first || Some(node.id) == last)
-        {
-            continue;
-        }
-        set.insert(node.id);
-    }
-    set
+    let edge = |id| is_cnn && !config.quantize_first_last && [first, last].contains(&Some(id));
+    let ids = graph
+        .nodes()
+        .iter()
+        .filter(|n| config.coverage.includes(n.op.class()));
+    let ids = ids.map(|n| n.id).filter(|id| !config.fallback.contains(id));
+    ids.filter(|&id| !edge(id)).collect()
 }
 
 /// Quantize the weight of every quantized node in place, folding
@@ -681,6 +677,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn act_bytes_of_interleaved_batch_shapes_is_the_per_batch_sum() {
+        let g = cnn();
+        let calib = calibrated(&g);
+        let model = QuantizedModel::build(g, &calib, QuantConfig::fp8(Fp8Format::E4M3)).unwrap_ok();
+        let (a, b) = (
+            vec![TensorRng::seed(1).normal(&[2, 3, 8, 8], 0.0, 1.0)],
+            vec![TensorRng::seed(2).normal(&[3, 3, 6, 6], 0.0, 1.0)],
+        );
+        let batches = [a.clone(), b.clone(), a.clone(), a, b.clone(), b];
+        let one = |batch: &Vec<Tensor>| model.act_bytes(std::slice::from_ref(batch)).unwrap_ok();
+        assert_ne!(
+            one(&batches[0]),
+            one(&batches[1]),
+            "the shapes differ in bytes"
+        );
+        let sum = batches
+            .iter()
+            .map(one)
+            .fold((0, 0), |s, c| (s.0 + c.0, s.1 + c.1));
+        assert_eq!(model.act_bytes(&batches).unwrap_ok(), sum);
     }
 
     #[test]

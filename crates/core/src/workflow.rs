@@ -171,24 +171,20 @@ pub fn run_suite(
         .par_iter()
         .map(|w| {
             let cfg = tweak(paper_recipe(format, approach, w.spec.domain));
-            PtqSession::new(cfg)
-                .cache(cache)
-                .quantize(w)
-                .map(|out| {
-                    (
-                        out.result,
-                        [
-                            out.weight_bytes,
-                            out.weight_bytes_f32,
-                            out.act_bytes,
-                            out.act_bytes_f32,
-                        ],
-                    )
-                })
-                .map_err(|e| SweepError {
-                    workload: w.spec.name.clone(),
-                    error: e.to_string(),
-                })
+            let out = PtqSession::new(cfg).cache(cache).quantize(w);
+            out.map(|o| {
+                let bytes = [
+                    o.weight_bytes,
+                    o.weight_bytes_f32,
+                    o.act_bytes,
+                    o.act_bytes_f32,
+                ];
+                (o.result, bytes)
+            })
+            .map_err(|e| SweepError {
+                workload: w.spec.name.clone(),
+                error: e.to_string(),
+            })
         })
         .collect();
     let mut results = Vec::with_capacity(attempts.len());

@@ -117,9 +117,10 @@ impl Workload {
 
     /// Calibrate against a different graph instance, surfacing failures as
     /// typed errors. Planned execution, like [`Workload::evaluate_graph`],
-    /// but always in batch order on the caller under the one `hook`:
-    /// calibration observers keep f64 running moments
-    /// (`TensorStats`), whose sums depend on the order the batches arrive.
+    /// but in batch order on the caller under the one `hook`. The
+    /// observers' running min/max/absmax (`TensorStats`) would come out
+    /// the same in any order; fanning the batches out on the pool was
+    /// measured slower (DESIGN §10.2).
     pub fn calibrate_graph(&self, graph: &Graph, hook: &mut dyn ExecHook) -> Result<(), PtqError> {
         for inputs in &self.calib {
             self.plans.run(graph, inputs, hook)?;

@@ -37,7 +37,7 @@ use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Where a value's bytes live at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,19 +414,18 @@ impl PlanSet {
     /// use.
     pub fn plan_for(&self, graph: &Graph, inputs: &[Tensor]) -> Result<Arc<ExecPlan>, PtqError> {
         let key: Vec<Shape> = inputs.iter().map(|t| t.shape().to_vec()).collect();
-        if let Some(p) = self
-            .plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
+        if let Some(p) = self.plans().get(&key) {
             return Ok(Arc::clone(p));
         }
         // Build outside the lock; on a race the first insert wins so all
         // callers share one plan (and its arena pool).
         let built = Arc::new(graph.plan(&key)?);
-        let mut m = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-        Ok(Arc::clone(m.entry(key).or_insert(built)))
+        Ok(Arc::clone(self.plans().entry(key).or_insert(built)))
+    }
+
+    /// The cache, locked (a poisoned lock still holds only whole plans).
+    fn plans(&self) -> MutexGuard<'_, HashMap<Vec<Shape>, Arc<ExecPlan>>> {
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Planned equivalent of [`Graph::run`]: fetch-or-build the plan for
@@ -476,10 +475,7 @@ impl PlanSet {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.plans().len()
     }
 
     /// True if no plan has been built yet.
@@ -489,10 +485,7 @@ impl PlanSet {
 
     /// Drop all cached plans (e.g. after a structural graph rewrite).
     pub fn clear(&self) {
-        self.plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.plans().clear();
     }
 }
 

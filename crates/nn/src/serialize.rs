@@ -216,7 +216,9 @@ pub fn decode_graph(
     fp8: impl IntoIterator<Item = (ValueId, QTensor)>,
 ) -> Result<Graph, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let n_nodes = r.get_count("node count")?;
+    // A node takes at least its id, name length, op byte, input count and
+    // output; a parameter its id, shape count and data count.
+    let n_nodes = r.get_count_of("node count", 33)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let id = r.get_usize("node id")?;
@@ -235,7 +237,7 @@ pub fn decode_graph(
     let inputs = r.get_usize_vec("graph inputs")?;
     let outputs = r.get_usize_vec("graph outputs")?;
     let n_values = r.get_usize("n_values")?;
-    let n_params = r.get_count("param count")?;
+    let n_params = r.get_count_of("param count", 24)?;
     let mut params = HashMap::with_capacity(n_params);
     let mut f32_params = (0..n_params).map(|_| -> Result<_, ArtifactError> {
         let id = r.get_usize("param id")?;
@@ -422,9 +424,46 @@ mod tests {
         w.put_usize(0);
         w.put_str("bad");
         w.put_u8(200); // no such op
+        w.put_usize_slice(&[]); // room for the rest of a node
+        w.put_usize(0);
         assert!(matches!(
             decode_graph(&w.finish(), []),
-            Err(ArtifactError::Decode { .. })
+            Err(ArtifactError::Decode { detail }) if detail.contains("op discriminant 200")
+        ));
+    }
+
+    #[test]
+    fn counts_beyond_the_bytes_left_are_decode_errors() {
+        // One node fewer than the payload could hold, then one more: the
+        // count check fires only when the node cannot fit.
+        let g = kitchen_sink();
+        let bytes = encode_graph(&g);
+        let n = g.nodes().len() as u64;
+        let room = (bytes.len() - 8) / 33;
+        for (count, fits) in [
+            (n, true),
+            (room as u64 + 1, false),
+            (u64::from(u32::MAX), false),
+        ] {
+            let mut b = bytes.clone();
+            b[..8].copy_from_slice(&count.to_le_bytes());
+            let err = decode_graph(&b, []).err();
+            let by_count = matches!(&err, Some(ArtifactError::Decode { detail }) if detail.starts_with("node count"));
+            assert_eq!(by_count, !fits, "count {count}: {err:?}");
+        }
+        // A parameter count past the bytes left, after a valid node list.
+        let mut w = ByteWriter::new();
+        w.put_usize(0); // no nodes
+        w.put_usize_slice(&[]); // inputs
+        w.put_usize_slice(&[]); // outputs
+        w.put_usize(0); // n_values
+        w.put_usize(2); // two params, room for one
+        w.put_usize(0); // id
+        w.put_usize_slice(&[]); // shape
+        w.put_f32_slice(&[]); // data
+        assert!(matches!(
+            decode_graph(&w.finish(), []),
+            Err(ArtifactError::Decode { detail }) if detail.starts_with("param count")
         ));
     }
 

@@ -10,7 +10,7 @@
 //!   `BatchNorm`, `LayerNorm`, `Add`, `Mul` — plus the non-quantized glue
 //!   (activations, softmax, pooling),
 //! * the observer statistics PTQ calibration is built from (absmax, min/max,
-//!   moments, percentiles, histograms, MSE/SQNR),
+//!   percentiles, histograms, MSE/SQNR),
 //! * seeded random initializers used by the synthetic model zoo.
 //!
 //! The paper's experiments ran FP8 *emulation* on FP32 hardware; this crate

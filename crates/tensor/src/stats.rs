@@ -3,15 +3,17 @@
 //! Range calibration in the paper (§3, Appendix A.1) uses the calibrated
 //! absmax by default and compares against percentile, KL-divergence and
 //! MSE-sweep methods. All of those reduce to the statistics implemented
-//! here: running min/max/absmax, moments, percentiles and histograms.
+//! here: running min/max/absmax, percentiles and histograms.
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Running summary statistics of everything an observer has seen.
+/// Running range of everything an observer has seen: what the recipes
+/// read (thresholds read `absmax`, asymmetric INT8 codecs `min`/`max`).
 ///
-/// `update` is associative, so statistics can be accumulated across
-/// calibration batches.
+/// `update` and `merge` are exactly associative: ties between −0 and +0
+/// go to −0 for `min` and +0 for `max` (the IEEE total order), so any
+/// split of the data into batches yields the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TensorStats {
     /// Minimum finite value observed.
@@ -20,10 +22,6 @@ pub struct TensorStats {
     pub max: f32,
     /// Largest absolute value observed.
     pub absmax: f32,
-    /// Running sum (for the mean).
-    pub sum: f64,
-    /// Running sum of squares (for variance / RMS).
-    pub sum_sq: f64,
     /// Number of finite elements observed.
     pub count: usize,
 }
@@ -34,10 +32,45 @@ impl Default for TensorStats {
             min: f32::INFINITY,
             max: f32::NEG_INFINITY,
             absmax: 0.0,
-            sum: 0.0,
-            sum_sq: 0.0,
             count: 0,
         }
+    }
+}
+
+/// Lanes of the [`TensorStats::update`] fold.
+const LANES: usize = 8;
+
+/// `x`'s rank in the IEEE total order as an `i32`: its sign-magnitude
+/// bits turned two's complement, so −0 ranks just below +0 and integer
+/// min/max order finite floats and infinities.
+fn key(x: f32) -> i32 {
+    let b = x.to_bits() as i32;
+    b ^ ((b >> 31) & i32::MAX)
+}
+
+/// The float of rank `k` (the inverse of [`key`], itself an involution on
+/// the bits).
+fn of_key(k: i32) -> f32 {
+    f32::from_bits((k ^ ((k >> 31) & i32::MAX)) as u32)
+}
+
+/// One step of the [`TensorStats::update`] fold: lane `i` takes `xs[i]`
+/// into its least and greatest rank if finite and counts it skipped if not.
+#[inline(always)]
+fn fold_lanes(
+    xs: &[f32; LANES],
+    lo: &mut [i32; LANES],
+    hi: &mut [i32; LANES],
+    skipped: &mut [u32; LANES],
+) {
+    const EXP: u32 = 0x7f80_0000;
+    for lane in 0..LANES {
+        // All ones for a finite element, zero otherwise.
+        let finite = -i32::from(xs[lane].to_bits() & EXP != EXP);
+        let k = key(xs[lane]);
+        lo[lane] = lo[lane].min((k & finite) | (i32::MAX & !finite));
+        hi[lane] = hi[lane].max((k & finite) | (i32::MIN & !finite));
+        skipped[lane] += (finite + 1) as u32;
     }
 }
 
@@ -49,49 +82,56 @@ impl TensorStats {
         s
     }
 
-    /// Fold a batch of values into the running stats (non-finite values are
-    /// ignored).
+    /// Fold a batch of values into the running stats (NaN and ±Inf are
+    /// skipped).
+    ///
+    /// One branch-free pass over eight lane accumulators, which LLVM
+    /// vectorises: per lane the least and greatest total-order rank of the
+    /// finite elements (a non-finite one folds in the identity) and the
+    /// count of skipped ones; the lanes are reduced at the end, with
+    /// `absmax = max(|min|, |max|)`.
     pub fn update(&mut self, data: &[f32]) {
-        for &x in data {
-            if !x.is_finite() {
-                continue;
+        let (lo_id, hi_id) = (key(f32::INFINITY), key(f32::NEG_INFINITY));
+        let mut lo = [lo_id; LANES];
+        let mut hi = [hi_id; LANES];
+        let mut count = 0;
+        // Blocks of at most 2^24 elements per lane keep the lane counts
+        // in `u32`.
+        for block in data.chunks(LANES << 24) {
+            let mut skipped = [0u32; LANES];
+            let mut chunks = block.chunks_exact(LANES);
+            for chunk in chunks.by_ref() {
+                let mut xs = [0.0; LANES];
+                xs.copy_from_slice(chunk);
+                fold_lanes(&xs, &mut lo, &mut hi, &mut skipped);
             }
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-            self.absmax = self.absmax.max(x.abs());
-            self.sum += x as f64;
-            self.sum_sq += (x as f64) * (x as f64);
-            self.count += 1;
+            // The tail, padded with NaN (skipped, and not counted).
+            let tail = chunks.remainder();
+            let mut xs = [f32::NAN; LANES];
+            xs[..tail.len()].copy_from_slice(tail);
+            fold_lanes(&xs, &mut lo, &mut hi, &mut skipped);
+            let pad = LANES - tail.len();
+            count += block.len() + pad - skipped.iter().map(|&n| n as usize).sum::<usize>();
+        }
+        if count > 0 {
+            let min = of_key(lo.into_iter().fold(lo_id, i32::min));
+            let max = of_key(hi.into_iter().fold(hi_id, i32::max));
+            let absmax = min.abs().max(max.abs());
+            self.merge(&TensorStats {
+                min,
+                max,
+                absmax,
+                count,
+            });
         }
     }
 
     /// Merge another accumulator into this one.
     pub fn merge(&mut self, other: &TensorStats) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = of_key(key(self.min).min(key(other.min)));
+        self.max = of_key(key(self.max).max(key(other.max)));
         self.absmax = self.absmax.max(other.absmax);
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
         self.count += other.count;
-    }
-
-    /// Mean of observed values (0 if nothing observed).
-    pub fn mean(&self) -> f32 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sum / self.count as f64) as f32
-        }
-    }
-
-    /// Population variance of observed values.
-    pub fn variance(&self) -> f32 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let m = self.sum / n;
-        ((self.sum_sq / n) - m * m).max(0.0) as f32
     }
 
     /// True if any finite value has been observed.
@@ -278,8 +318,6 @@ mod tests {
         assert_eq!(s.min, -3.0);
         assert_eq!(s.max, 2.0);
         assert_eq!(s.absmax, 3.0);
-        assert_eq!(s.mean(), 0.0);
-        assert!((s.variance() - 14.0 / 3.0).abs() < 1e-5);
         assert!(s.is_calibrated());
     }
 
@@ -290,17 +328,112 @@ mod tests {
         assert_eq!(s.absmax, 2.0);
     }
 
+    /// The fields as bits, so ±0 and every other value compare exactly.
+    fn bits(s: &TensorStats) -> (u32, u32, u32, usize) {
+        (
+            s.min.to_bits(),
+            s.max.to_bits(),
+            s.absmax.to_bits(),
+            s.count,
+        )
+    }
+
     #[test]
     fn stats_merge_equals_single_pass() {
         let all = [0.5f32, -1.5, 2.5, 0.0, 3.0, -0.25];
         let mut a = TensorStats::of(&all[..3]);
         let b = TensorStats::of(&all[3..]);
         a.merge(&b);
-        let whole = TensorStats::of(&all);
-        assert_eq!(a.min, whole.min);
-        assert_eq!(a.absmax, whole.absmax);
-        assert_eq!(a.count, whole.count);
-        assert!((a.mean() - whole.mean()).abs() < 1e-6);
+        assert_eq!(bits(&a), bits(&TensorStats::of(&all)));
+    }
+
+    /// The fold the lanes must reproduce: one element at a time, finite
+    /// elements only, ties between ±0 to −0 for `min` and +0 for `max`.
+    fn reference(data: &[f32]) -> TensorStats {
+        let mut s = TensorStats::default();
+        for &x in data.iter().filter(|x| x.is_finite()) {
+            if x < s.min || (x == s.min && x.is_sign_negative()) {
+                s.min = x;
+            }
+            if x > s.max || (x == s.max && x.is_sign_positive()) {
+                s.max = x;
+            }
+            s.absmax = s.absmax.max(x.abs());
+            s.count += 1;
+        }
+        s
+    }
+
+    /// Random finite values salted with every special the fold must skip
+    /// or rank: NaN, ±Inf, ±0, subnormals and the extremes.
+    fn salted(n: usize, seed: u64) -> Vec<f32> {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut rng = crate::rng::TensorRng::seed(seed);
+        let base = rng.normal(&[n.max(1)], 0.0, 10.0);
+        let picks = rng.uniform(&[n.max(1)], 0.0, 4.0 * specials.len() as f32);
+        (0..n)
+            .map(|i| match specials.get(picks.data()[i] as usize) {
+                Some(&s) => s,
+                None => base.data()[i],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_fold_matches_the_scalar_reference_at_every_length_and_offset() {
+        let nan = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN];
+        let zeros = [0.0f32, -0.0, 0.0, -0.0, 0.0];
+        for seed in 0..4 {
+            let pool = salted(48, seed);
+            let non_finite: Vec<f32> = (0..48).map(|i| nan[i % nan.len()]).collect();
+            let signed_zeros: Vec<f32> = (0..48).map(|i| zeros[i % zeros.len()]).collect();
+            for data in [&pool, &non_finite, &signed_zeros] {
+                for start in 0..8 {
+                    for len in 0..=40 {
+                        let slice = &data[start..start + len];
+                        let (got, want) = (TensorStats::of(slice), reference(slice));
+                        assert_eq!(bits(&got), bits(&want), "seed {seed} [{start}..+{len}]");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_of_any_split_equals_the_whole() {
+        // Salted data, and signed zeros (either one first) beside only
+        // positive or only negative values, so each half's `min` (or
+        // `max`) can be either zero.
+        let zeros = |z: f32, sign: f32| (0..64).map(move |i| [z, -z, sign * i as f32][i % 3]);
+        let signed_zeros = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0)];
+        let zeros = signed_zeros.map(|(z, sign)| zeros(z, sign).collect::<Vec<_>>());
+        for data in [vec![salted(64, 9)], zeros.to_vec()].concat() {
+            for len in [0, 1, 7, 8, 9, 33, 64] {
+                let slice = &data[..len];
+                let whole = bits(&TensorStats::of(slice));
+                for cut in 0..=len {
+                    let mut a = TensorStats::of(&slice[..cut]);
+                    a.merge(&TensorStats::of(&slice[cut..]));
+                    assert_eq!(bits(&a), whole, "len {len} cut {cut}");
+                    // Folding the second half into the first's accumulator.
+                    let mut b = TensorStats::of(&slice[..cut]);
+                    b.update(&slice[cut..]);
+                    assert_eq!(bits(&b), whole, "len {len} cut {cut} (update)");
+                }
+            }
+        }
     }
 
     #[test]

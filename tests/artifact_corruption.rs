@@ -601,12 +601,12 @@ fn every_payload_byte_flip_behind_a_valid_crc_loads_or_fails_typed() {
 
 /// Most heap `PtqArtifact::from_bytes` may hold at once, per byte of the
 /// file it loads (the file itself not counted). The payload battery's
-/// mutated files peak at 52.7× their length at most: a GRAPH node count
-/// raised by 256 in one flipped byte reserves that many `Node`s (29 067
-/// bytes) before the 552-byte file runs out. Every count is bounded by the bytes left, so
-/// the peak stays linear in the file; a small file's fixed costs (maps,
-/// node names, the chunk table) weigh in.
-const LOAD_PEAK_PER_FILE_BYTE: usize = 56;
+/// mutated files peak at 17.2× their length at most (QWEIGHTS byte 8 ^ 0x80:
+/// 13 898 bytes for an 808-byte file). Every count is bounded by the bytes
+/// left, a GRAPH node or parameter count by its entry's minimum wire size
+/// (33 and 24 bytes), so the peak stays linear in the file; a small file's
+/// fixed costs (maps, node names, the chunk table) weigh in.
+const LOAD_PEAK_PER_FILE_BYTE: usize = 18;
 
 #[test]
 fn loading_any_payload_byte_flip_peaks_within_a_multiple_of_the_file() {
