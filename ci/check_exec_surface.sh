@@ -130,6 +130,11 @@
 #     `is_x86_feature_detected!` appears on non-comment lines of those
 #     trees only in crc.rs and inside `avx2_available` in
 #     crates/tensor/src/ops/blocked.rs.
+#   * One recipe codec: an artifact's CONFIG chunk is the engine spec's
+#     JSON text, decoded by `EngineSpec::from_json`, so the binary recipe
+#     codec (`encode_config`, `decode_config`, `put_data_format`,
+#     `get_data_format`) and its hex pin (`ALL_KNOBS_CONFIG_HEX`) appear
+#     nowhere under crates/, src/, tests/ or examples/.
 #
 # As in ci/lint_panics.sh, `#[cfg(test)]` is assumed to start a file's
 # trailing test module; everything from that line to EOF is ignored.
@@ -423,14 +428,21 @@ if [ -n "$detects" ]; then
     fail=1
 fi
 
-serve_budget=886
+if hits=$(grep -rnE 'encode_config|decode_config|put_data_format|get_data_format|ALL_KNOBS_CONFIG_HEX' \
+    crates/ src/ tests/ examples/); then
+    echo "one recipe codec: CONFIG is the spec JSON, no binary recipe codec or pin:" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
+serve_budget=872
 serve_lines=$(non_test_lines crates/serve/src)
 if [ "$serve_lines" -gt "$serve_budget" ]; then
     echo "crates/serve/src has $serve_lines non-test lines, budget $serve_budget" >&2
     fail=1
 fi
 
-nn_core_budget=7305
+nn_core_budget=7241
 nn_core_lines=$(non_test_lines crates/nn/src crates/core/src)
 decode_budget=828
 decode_lines=$(non_test_lines crates/nn/src/decode.rs)
@@ -454,4 +466,5 @@ echo "exec surface OK: one eval_node_into call site, no #[deprecated] shims," \
     "decode.rs $decode_lines/$decode_budget)," \
     "no batching layer (serve at $serve_lines/$serve_budget lines)," \
     "one fan-out rule (PAR_MACS_MIN read by fans_out, batches fan out in PlanSet::run_each)," \
-    "one persistent std-only pool, one tanh, one checksum and two CPU feature probes"
+    "one persistent std-only pool, one tanh, one checksum, two CPU feature probes" \
+    "and one recipe codec"

@@ -51,8 +51,10 @@ pub const MAGIC: [u8; 8] = *b"PTQ8ART\0";
 /// deleted); v5 = the CONFIG chunk lost its kernel-path byte (the kernel
 /// path is not part of the recipe); v6 = each weight is stored once:
 /// GRAPH leaves out the FP8-stored parameters QWEIGHTS carries, and the
-/// WEIGHTS chunk of f32 weight copies is gone (eight chunks).
-pub const VERSION: u32 = 6;
+/// WEIGHTS chunk of f32 weight copies is gone (eight chunks); v7 = the
+/// CONFIG chunk is the engine spec's JSON text (the `--spec` file form)
+/// instead of a binary layout of its own.
+pub const VERSION: u32 = 7;
 
 const HEADER_LEN: usize = 16;
 const CHUNK_HEADER_LEN: usize = 16;

@@ -80,11 +80,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append raw bytes (no length prefix).
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -246,14 +241,6 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Read an `f64` bit pattern.
-    pub fn get_f64(&mut self, what: &str) -> Result<f64, ArtifactError> {
-        let b = self.take(8, what)?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self, what: &str) -> Result<String, ArtifactError> {
         let len = self.get_count(what)?;
@@ -318,7 +305,6 @@ mod tests {
         w.put_u64(u64::MAX - 1);
         w.put_usize(12345);
         w.put_f32(f32::from_bits(0x7FC0_0001)); // a specific NaN payload
-        w.put_f64(-0.0);
         w.put_str("naïve");
         w.put_usize_slice(&[3, 0, 9]);
         w.put_f32_slice(&[1.5, -2.5]);
@@ -331,7 +317,6 @@ mod tests {
         assert_eq!(r.get_usize("d").unwrap(), 12345);
         // Bit-exact, including the NaN payload.
         assert_eq!(r.get_f32("e").unwrap().to_bits(), 0x7FC0_0001);
-        assert_eq!(r.get_f64("f").unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_str("g").unwrap(), "naïve");
         assert_eq!(r.get_usize_vec("h").unwrap(), vec![3, 0, 9]);
         assert_eq!(r.get_f32_vec("i").unwrap(), vec![1.5, -2.5]);

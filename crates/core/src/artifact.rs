@@ -7,11 +7,13 @@
 //! container format of the `ptq-artifact` crate (magic/version header,
 //! per-chunk CRC32, 8-byte-aligned payloads). Each weight is stored once:
 //! GRAPH carries the f32 parameters (fake-quantized weights included),
-//! QWEIGHTS the FP8-stored ones.
+//! QWEIGHTS the FP8-stored ones. CONFIG is the [`EngineSpec`] as the text
+//! of a `--spec` file: the recipe has one wire form.
 //!
 //! Three properties the encoding is built around:
 //!
 //! * **Bit identity.** Every float is written as its IEEE-754 bit pattern
+//!   (CONFIG's numbers as JSON text that parses back to the same value),
 //!   and every map is serialized in sorted key order, so `save → load`
 //!   reproduces the in-memory model exactly and `save → load → save`
 //!   reproduces the artifact *bytes* exactly (enforced in
@@ -30,12 +32,10 @@
 //! Entry points: [`QuantizedModel::save`] / [`QuantizedModel::load`] for
 //! the model alone, [`PtqArtifact::save`] / [`PtqArtifact::load`] when the
 //! calibration thresholds ride along, and
-//! [`crate::PtqSession::save_artifact`] /
-//! [`crate::PtqSession::load_artifact`] for the full
-//! quantize-then-persist pipeline.
+//! [`crate::PtqSession::save_artifact`] for the full quantize-then-persist
+//! pipeline.
 
 use crate::calibrate::TensorKey;
-use crate::config::{ActGranularity, CalibMethod, DataFormat, KvStorage, QuantConfig};
 use crate::quantizer::QuantizedModel;
 use crate::spec::{EngineSpec, ServeSpec};
 use ptq_artifact::{
@@ -51,8 +51,8 @@ use std::sync::Arc;
 /// Chunk tag: the serialized [`ptq_nn::Graph`] with its f32 parameters
 /// (see `ptq_nn::serialize`).
 pub const TAG_GRAPH: u32 = 1;
-/// Chunk tag: the full [`EngineSpec`] — the [`QuantConfig`] recipe
-/// followed by the [`ServeSpec`] serving section.
+/// Chunk tag: the full [`EngineSpec`] — the recipe and the [`ServeSpec`]
+/// serving section — as the UTF-8 bytes of [`EngineSpec::to_json`].
 pub const TAG_CONFIG: u32 = 2;
 /// Chunk tag: the set of node ids executing in low precision.
 pub const TAG_QNODES: u32 = 3;
@@ -87,15 +87,17 @@ pub struct PtqArtifact {
 }
 
 impl PtqArtifact {
-    /// Serialize to the container byte format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        build_writer(&self.model, &self.thresholds, &self.serving).finish()
+    /// Serialize to the container byte format. Fails, as
+    /// [`PtqArtifact::save`] does, on a spec [`EngineSpec::validate`]
+    /// refuses.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, PtqError> {
+        Ok(build_writer(&self.model, &self.thresholds, &self.serving)?.finish())
     }
 
     /// Serialize and write to `path` (atomically, via a temp file +
     /// rename).
     pub fn save(&self, path: &Path) -> Result<(), PtqError> {
-        Ok(build_writer(&self.model, &self.thresholds, &self.serving).write_to(path)?)
+        Ok(build_writer(&self.model, &self.thresholds, &self.serving)?.write_to(path)?)
     }
 
     /// Parse an artifact from in-memory bytes.
@@ -116,14 +118,14 @@ impl QuantizedModel {
     /// via a temp file + rename). The saved model reloads bit-identically
     /// with [`QuantizedModel::load`].
     pub fn save(&self, path: &Path) -> Result<(), PtqError> {
-        Ok(build_writer(self, &BTreeMap::new(), &ServeSpec::default()).write_to(path)?)
+        Ok(build_writer(self, &BTreeMap::new(), &ServeSpec::default())?.write_to(path)?)
     }
 
     /// Serialize this model to the container byte format (no thresholds
     /// chunk content and default serving knobs; [`PtqArtifact::to_bytes`]
     /// includes both).
-    pub fn artifact_bytes(&self) -> Vec<u8> {
-        build_writer(self, &BTreeMap::new(), &ServeSpec::default()).finish()
+    pub fn artifact_bytes(&self) -> Result<Vec<u8>, PtqError> {
+        Ok(build_writer(self, &BTreeMap::new(), &ServeSpec::default())?.finish())
     }
 
     /// Load a model saved with [`QuantizedModel::save`] (or extracted
@@ -137,29 +139,35 @@ impl QuantizedModel {
 /// Encode `model` (+ `thresholds` + `serving`) into a container writer,
 /// ready to `finish()` into bytes or `write_to(path)` atomically. All eight
 /// chunks are always present — empty maps encode as a zero count — so
-/// every artifact has one canonical layout.
+/// every artifact has one canonical layout. A spec the loader would refuse
+/// ([`EngineSpec::validate`]) is refused here, before anything is written.
 pub(crate) fn build_writer(
     model: &QuantizedModel,
     thresholds: &BTreeMap<TensorKey, f32>,
     serving: &ServeSpec,
-) -> ArtifactWriter {
+) -> Result<ArtifactWriter, PtqError> {
+    let spec = EngineSpec {
+        config: model.config.clone(),
+        serving: serving.clone(),
+    };
+    spec.validate()?;
     let mut w = ArtifactWriter::new();
     w.chunk(TAG_GRAPH, encode_graph(&model.graph));
-    w.chunk(TAG_CONFIG, encode_config(&model.config, serving));
+    w.chunk(TAG_CONFIG, spec.to_json().into_bytes());
     w.chunk(TAG_QNODES, encode_qnodes(&model.quantized_nodes));
     w.chunk(TAG_QWEIGHTS, encode_fp8_params(&model.graph));
     w.chunk(TAG_ACT_SCALES, encode_keyed_f32(&model.act_scales));
     w.chunk(TAG_ACT_INT8, encode_act_int8(&model.act_int8));
     w.chunk(TAG_SMOOTH, encode_smooth(&model.smooth));
     w.chunk(TAG_THRESHOLDS, encode_keyed_f32(thresholds));
-    w
+    Ok(w)
 }
 
 /// Decode a full artifact out of an opened container.
 pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, PtqError> {
     let graph = decode_graph(reader.chunk(TAG_GRAPH)?, decode_fp8_params(reader)?)?;
     graph.validate_structure()?;
-    let EngineSpec { config, serving } = decode_config(reader.chunk(TAG_CONFIG)?)?;
+    let EngineSpec { config, serving } = read_spec(reader.chunk(TAG_CONFIG)?)?;
     let quantized_nodes = decode_qnodes(reader.chunk(TAG_QNODES)?, graph.nodes().len())?;
     let act_scales = decode_keyed_f32(reader.chunk(TAG_ACT_SCALES)?, "act scale")?;
     let act_int8 = decode_act_int8(reader.chunk(TAG_ACT_INT8)?)?;
@@ -222,10 +230,10 @@ fn align8(n: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Enum discriminants. A plain enum is written as one `u8`, its position
-// in the enum's `WireEnum` list; an unknown value is a typed decode error,
-// so a future variant forces a version bump instead of silently aliasing
-// an old one. Data-carrying enums write a tag byte, then the payload.
+// Enum discriminants (QWEIGHTS' format byte). A plain enum is written as
+// one `u8`, its position in the enum's `WireEnum` list; an unknown value
+// is a typed decode error, so a future variant forces a version bump
+// instead of silently aliasing an old one.
 // ---------------------------------------------------------------------
 
 fn put_enum<E: WireEnum>(w: &mut ByteWriter, e: E) {
@@ -243,24 +251,6 @@ fn unknown_discriminant(what: &str, d: u8) -> ArtifactError {
     }
 }
 
-fn put_data_format(w: &mut ByteWriter, f: DataFormat) {
-    match f {
-        DataFormat::Fp8(fmt) => {
-            w.put_u8(0);
-            put_enum(w, fmt);
-        }
-        DataFormat::Int8 => w.put_u8(1),
-    }
-}
-
-fn get_data_format(r: &mut ByteReader<'_>, what: &str) -> Result<DataFormat, ArtifactError> {
-    match r.get_u8(what)? {
-        0 => Ok(DataFormat::Fp8(get_enum(r, what)?)),
-        1 => Ok(DataFormat::Int8),
-        d => Err(unknown_discriminant(what, d)),
-    }
-}
-
 /// A strictly increasing id list (the canonical form of a `BTreeSet`).
 fn put_id_set(w: &mut ByteWriter, ids: &BTreeSet<usize>) {
     w.put_usize(ids.len());
@@ -270,19 +260,22 @@ fn put_id_set(w: &mut ByteWriter, ids: &BTreeSet<usize>) {
 }
 
 fn get_id_set(r: &mut ByteReader<'_>, what: &str) -> Result<BTreeSet<usize>, ArtifactError> {
-    let ids = get_sorted(r, what, |r| Ok((r.get_usize(what)?, ())))?;
+    let ids = get_sorted(r, what, 8, |r| Ok((r.get_usize(what)?, ())))?;
     Ok(ids.into_iter().map(|(id, ())| id).collect())
 }
 
 /// `count × entry` with strictly increasing keys: the one form every map
 /// and set takes on the wire. Rejecting any other order is what makes an
-/// artifact's encoding canonical (re-save is byte-identical).
+/// artifact's encoding canonical (re-save is byte-identical). Each entry
+/// takes at least `min_entry` bytes, which bounds the count — and the
+/// reservation — by the bytes left.
 fn get_sorted<'a, K: PartialOrd + Copy, V>(
     r: &mut ByteReader<'a>,
     what: &str,
+    min_entry: usize,
     mut entry: impl FnMut(&mut ByteReader<'a>) -> Result<(K, V), ArtifactError>,
 ) -> Result<Vec<(K, V)>, ArtifactError> {
-    let count = r.get_count(what)?;
+    let count = r.get_count_of(what, min_entry)?;
     let mut out: Vec<(K, V)> = Vec::with_capacity(count);
     for _ in 0..count {
         let (key, value) = entry(r)?;
@@ -296,100 +289,19 @@ fn get_sorted<'a, K: PartialOrd + Copy, V>(
     Ok(out)
 }
 
-// ---------------------------------------------------------------------
-// CONFIG chunk: the EngineSpec — QuantConfig fields in declaration order,
-// then the serving section. Layout frozen at container version 5; both
-// halves are fixed-width per field, so any value re-encodes
-// byte-identically and corruption is caught by the container CRC, by an
-// unknown discriminant, or by `QuantConfig::validate`.
-// ---------------------------------------------------------------------
-
-fn encode_config(c: &QuantConfig, s: &ServeSpec) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    put_data_format(&mut w, c.act_format);
-    put_data_format(&mut w, c.weight_format);
-    put_enum(&mut w, c.approach);
-    put_enum(&mut w, c.coverage);
-    put_enum(&mut w, c.weight_granularity);
-    w.put_bool(c.quantize_first_last);
-    w.put_option(c.smoothquant_alpha, ByteWriter::put_f32);
-    match c.calibration {
-        CalibMethod::AbsMax => w.put_u8(0),
-        CalibMethod::Percentile(q) => {
-            w.put_u8(1);
-            w.put_f64(q);
-        }
-        CalibMethod::Kl => w.put_u8(2),
-        CalibMethod::MseSweep => w.put_u8(3),
-    }
-    w.put_bool(c.bn_calibration);
-    put_id_set(&mut w, &c.fallback);
-    put_enum(&mut w, c.weight_storage);
-    put_enum(&mut w, c.activation_storage);
-    match c.act_granularity {
-        ActGranularity::PerTensor => w.put_u8(0),
-        ActGranularity::PerTile(tile) => {
-            w.put_u8(1);
-            w.put_usize(tile);
-        }
-    }
-    match c.kv_storage {
-        KvStorage::F32 => w.put_u8(0),
-        KvStorage::Fp8 { format } => {
-            w.put_u8(1);
-            put_enum(&mut w, format);
-        }
-    }
-    w.put_usize(s.queue_capacity);
-    w.put_option(s.default_deadline_ms, ByteWriter::put_usize);
-    w.put_usize(s.workers);
-    w.finish()
-}
-
-fn decode_config(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
-    let r = &mut ByteReader::new(payload);
-    let config = QuantConfig {
-        act_format: get_data_format(r, "config act format")?,
-        weight_format: get_data_format(r, "config weight format")?,
-        approach: get_enum(r, "config approach")?,
-        coverage: get_enum(r, "config coverage")?,
-        weight_granularity: get_enum(r, "config weight granularity")?,
-        quantize_first_last: r.get_bool("config quantize_first_last")?,
-        smoothquant_alpha: r.get_option("config smoothquant alpha", ByteReader::get_f32)?,
-        calibration: match r.get_u8("config calibration")? {
-            0 => CalibMethod::AbsMax,
-            1 => CalibMethod::Percentile(r.get_f64("config percentile")?),
-            2 => CalibMethod::Kl,
-            3 => CalibMethod::MseSweep,
-            d => return Err(unknown_discriminant("config calibration", d)),
-        },
-        bn_calibration: r.get_bool("config bn_calibration")?,
-        fallback: get_id_set(r, "config fallback nodes")?,
-        weight_storage: get_enum(r, "config weight storage")?,
-        activation_storage: get_enum(r, "config activation storage")?,
-        act_granularity: match r.get_u8("config act granularity")? {
-            0 => ActGranularity::PerTensor,
-            1 => ActGranularity::PerTile(r.get_usize("config act tile")?),
-            d => return Err(unknown_discriminant("config act granularity", d)),
-        },
-        kv_storage: match r.get_u8("config kv storage")? {
-            0 => KvStorage::F32,
-            1 => KvStorage::Fp8 {
-                format: get_enum(r, "config kv format")?,
-            },
-            d => return Err(unknown_discriminant("config kv storage", d)),
-        },
+/// The CONFIG chunk: the spec's `--spec` text, accepted only as the exact
+/// text [`EngineSpec::to_json`] renders for what it parses to, so a file
+/// that opens is the writer's canonical image (re-save is byte-identical).
+fn read_spec(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
+    let config_err = |detail: String| ArtifactError::Decode {
+        detail: format!("config: {detail}"),
     };
-    let serving = ServeSpec {
-        queue_capacity: r.get_usize("config serving queue_capacity")?,
-        default_deadline_ms: r.get_option("config serving deadline", ByteReader::get_usize)?,
-        workers: r.get_usize("config serving workers")?,
-    };
-    r.expect_end()?;
-    config.validate().map_err(|e| ArtifactError::Decode {
-        detail: format!("config: {e}"),
-    })?;
-    Ok(EngineSpec { config, serving })
+    let text = std::str::from_utf8(payload).map_err(|e| config_err(e.to_string()))?;
+    let spec = EngineSpec::from_json(text).map_err(|e| config_err(e.to_string()))?;
+    if spec.to_json() != text {
+        return Err(config_err("not the canonical spec text".to_string()));
+    }
+    Ok(spec)
 }
 
 // ---------------------------------------------------------------------
@@ -494,7 +406,8 @@ fn decode_fp8_params(reader: &ArtifactReader) -> Result<Vec<(ValueId, QTensor)>,
     }
     let blob_len = payload.len() - blob_start;
     let mut next_off = 0usize;
-    let params = get_sorted(&mut r, "fp8 weights", |r| {
+    // id, format, shape count, scale kind, one f32 scale, offset, length.
+    let params = get_sorted(&mut r, "fp8 weights", 8 + 1 + 8 + 1 + 4 + 8 + 8, |r| {
         let vid = r.get_usize("fp8 weights value id")?;
         let format = get_enum(r, "fp8 weights format")?;
         let shape = r.get_usize_vec("fp8 weights shape")?;
@@ -577,7 +490,7 @@ fn decode_keyed_f32<M: FromIterator<(TensorKey, f32)>>(
     what: &str,
 ) -> Result<M, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let out = get_sorted(&mut r, what, |r| {
+    let out = get_sorted(&mut r, what, 8 + 8 + 4, |r| {
         Ok((get_tensor_key(r, what)?, r.get_f32(what)?))
     })?;
     r.expect_end()?;
@@ -616,7 +529,8 @@ fn encode_act_int8(m: &HashMap<TensorKey, Int8Codec>) -> Vec<u8> {
 
 fn decode_act_int8(payload: &[u8]) -> Result<HashMap<TensorKey, Int8Codec>, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let out = get_sorted(&mut r, "int8 codecs", |r| {
+    // Key, mode, scale, zero point.
+    let out = get_sorted(&mut r, "int8 codecs", 8 + 8 + 1 + 4 + 4, |r| {
         let key = get_tensor_key(r, "int8 codec key")?;
         let mode = match r.get_u8("int8 codec mode")? {
             0 => Int8Mode::Symmetric,
@@ -650,7 +564,8 @@ fn encode_smooth(m: &HashMap<NodeId, Vec<f32>>) -> Vec<u8> {
 
 fn decode_smooth(payload: &[u8]) -> Result<HashMap<NodeId, Vec<f32>>, ArtifactError> {
     let mut r = ByteReader::new(payload);
-    let out = get_sorted(&mut r, "smooth divisors", |r| {
+    // Node id, divisor count.
+    let out = get_sorted(&mut r, "smooth divisors", 8 + 8, |r| {
         Ok((
             r.get_usize("smooth node id")?,
             r.get_f32_vec("smooth divisors")?,
@@ -664,7 +579,10 @@ fn decode_smooth(payload: &[u8]) -> Result<HashMap<NodeId, Vec<f32>>, ArtifactEr
 mod tests {
     use super::*;
     use crate::calibrate::CalibrationHook;
-    use crate::config::{ActivationStorage, Approach, Coverage, Granularity, WeightStorage};
+    use crate::config::{
+        ActGranularity, ActivationStorage, Approach, CalibMethod, Coverage, Granularity, KvStorage,
+        QuantConfig, WeightStorage,
+    };
     use crate::session::PtqSession;
     use ptq_fp8::Fp8Format;
     use ptq_models::{build_zoo, ZooFilter};
@@ -699,8 +617,41 @@ mod tests {
         }
     }
 
+    /// A two-Linear FP8 model, small enough to re-save per knob setting.
+    fn small_model() -> QuantizedModel {
+        let mut rng = ptq_tensor::TensorRng::seed(3);
+        let mut b = ptq_nn::GraphBuilder::new();
+        let x = b.input();
+        let w1 = b.param(rng.kaiming(&[6, 5]));
+        let h = b.linear(x, w1, None);
+        let w2 = b.param(rng.kaiming(&[3, 6]));
+        let y = b.linear(h, w2, None);
+        let g = b.finish(vec![y]);
+        let mut hook = CalibrationHook::new();
+        let calib_x = ptq_tensor::TensorRng::seed(4).normal(&[4, 5], 0.0, 1.0);
+        g.run(&[calib_x], &mut hook).unwrap_ok();
+        let cfg = QuantConfig::fp8(Fp8Format::E4M3);
+        QuantizedModel::build(g, &hook.into_data(), cfg).unwrap_ok()
+    }
+
+    /// `bytes` with the CONFIG payload replaced by `payload`, every CRC
+    /// recomputed.
+    fn with_config(bytes: Vec<u8>, payload: &[u8]) -> Vec<u8> {
+        let reader = ArtifactReader::from_vec(bytes).unwrap();
+        let mut w = ArtifactWriter::new();
+        for c in reader.chunks() {
+            let body = match c.tag {
+                TAG_CONFIG => payload.to_vec(),
+                tag => reader.chunk(tag).unwrap().to_vec(),
+            };
+            w.chunk(c.tag, body);
+        }
+        w.finish()
+    }
+
     #[test]
     fn config_roundtrips_every_knob() {
+        let mut model = small_model();
         for cfg in [
             QuantConfig::fp8(Fp8Format::E5M2),
             QuantConfig::fp8(Fp8Format::E4M3),
@@ -708,15 +659,22 @@ mod tests {
             QuantConfig::mixed_fp8(),
             QuantConfig::int8(),
             fancy_config(),
+            all_knobs_spec().config,
         ] {
             for serving in [ServeSpec::default(), fancy_serving()] {
-                let bytes = encode_config(&cfg, &serving);
-                let back = decode_config(&bytes).unwrap();
-                assert_eq!(back.config, cfg);
+                model.config = cfg.clone();
+                let art = PtqArtifact {
+                    model: model.clone(),
+                    thresholds: BTreeMap::new(),
+                    serving: serving.clone(),
+                };
+                let bytes = art.to_bytes().unwrap();
+                let back = PtqArtifact::from_bytes(bytes.clone()).unwrap();
+                assert_eq!(back.model.config, cfg);
                 assert_eq!(back.serving, serving);
-                // Canonical: re-encoding the decoded config is
+                // Canonical: re-saving the loaded artifact is
                 // byte-identical.
-                assert_eq!(encode_config(&back.config, &back.serving), bytes);
+                assert_eq!(back.to_bytes().unwrap(), bytes);
             }
         }
     }
@@ -734,87 +692,59 @@ mod tests {
         }
     }
 
-    /// The CONFIG payload of [`all_knobs_spec`]: the bytes the commit before
-    /// the codec moved onto the `WireEnum` tables wrote (container v3), less
-    /// the two batching words v4 dropped from the serving section and the
-    /// kernel-path byte v5 dropped after the act granularity.
-    const ALL_KNOBS_CONFIG_HEX: &str = "\
-        0001000201010101010000003f011ea7e8482effef3f01020000000000000001\
-        0000000000000003000000000000000101014000000000000000010040000000\
-        000000000119000000000000000400000000000000";
-
-    fn all_knobs_payload() -> Vec<u8> {
-        let hex = ALL_KNOBS_CONFIG_HEX.as_bytes();
-        hex.chunks(2)
-            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
-            .collect()
-    }
-
     #[test]
-    fn config_payload_bytes_are_pinned() {
+    fn the_config_payload_is_the_spec_json() {
         let spec = all_knobs_spec();
-        let pinned = all_knobs_payload();
-        assert_eq!(encode_config(&spec.config, &spec.serving), pinned);
-        assert_eq!(decode_config(&pinned).unwrap(), spec);
+        let mut model = small_model();
+        model.config = spec.config.clone();
+        let art = PtqArtifact {
+            model,
+            thresholds: BTreeMap::new(),
+            serving: spec.serving.clone(),
+        };
+        let reader = ArtifactReader::from_vec(art.to_bytes().unwrap()).unwrap();
+        let pinned = include_str!("../../../tests/golden/engine_spec_all_knobs.json");
+        assert_eq!(reader.chunk(TAG_CONFIG).unwrap(), pinned.as_bytes());
     }
 
     #[test]
     fn config_rejects_out_of_range_parameters() {
-        let serving = ServeSpec::default();
+        // The writer refuses the recipe before writing anything ...
         for cfg in [
             QuantConfig::fp8(Fp8Format::E4M3).with_calibration(CalibMethod::Percentile(f64::NAN)),
             QuantConfig::fp8(Fp8Format::E4M3).with_calibration(CalibMethod::Percentile(99.99)),
             QuantConfig::fp8(Fp8Format::E4M3).with_smoothquant(-0.5),
             QuantConfig::fp8(Fp8Format::E4M3).with_smoothquant(f32::INFINITY),
         ] {
-            let bytes = encode_config(&cfg, &serving);
+            let mut model = small_model();
+            model.config = cfg.clone();
             assert!(
-                matches!(decode_config(&bytes), Err(ArtifactError::Decode { .. })),
-                "{cfg:?} must not decode"
+                matches!(model.artifact_bytes(), Err(PtqError::InvalidTarget { .. })),
+                "{cfg:?} must not save"
             );
         }
-    }
-
-    #[test]
-    fn config_payload_mutations_never_panic() {
-        // Every single-byte substitution and every truncation of the raw
-        // CONFIG payload (below the container CRC, which would otherwise
-        // catch them all) is a typed error or a valid, canonical spec.
-        let payload = all_knobs_payload();
-        let check = |bytes: &[u8]| {
-            if let Ok(spec) = decode_config(bytes) {
-                spec.config.validate().unwrap();
-                assert_eq!(encode_config(&spec.config, &spec.serving), bytes);
-            }
-        };
-        for len in 0..payload.len() {
+        // ... and the reader refuses such a text behind a valid CRC (1e39
+        // is an infinite f32).
+        let bytes = small_model().artifact_bytes().unwrap();
+        let canonical = EngineSpec::from_config(&QuantConfig::fp8(Fp8Format::E4M3)).to_json();
+        for (from, to) in [
+            (
+                "\"calibration\": \"absmax\"",
+                "\"calibration\": {\"percentile\": 99.99}",
+            ),
+            ("\"smoothquant_alpha\": null", "\"smoothquant_alpha\": -0.5"),
+            ("\"smoothquant_alpha\": null", "\"smoothquant_alpha\": 1e39"),
+        ] {
+            assert!(canonical.contains(from), "{from}");
+            let text = canonical.replace(from, to);
             assert!(
-                decode_config(&payload[..len]).is_err(),
-                "truncated to {len}"
+                matches!(
+                    PtqArtifact::from_bytes(with_config(bytes.clone(), text.as_bytes())),
+                    Err(PtqError::Artifact(ArtifactError::Decode { .. }))
+                ),
+                "{to} must not load"
             );
         }
-        let mut mutated = payload.clone();
-        for i in 0..payload.len() {
-            for b in 0..=u8::MAX {
-                mutated[i] = b;
-                check(&mutated);
-            }
-            mutated[i] = payload[i];
-        }
-    }
-
-    #[test]
-    fn config_rejects_unknown_discriminants_and_slack() {
-        let serving = ServeSpec::default();
-        let mut bytes = encode_config(&QuantConfig::fp8(Fp8Format::E4M3), &serving);
-        bytes[0] = 9; // data-format discriminant
-        assert!(matches!(
-            decode_config(&bytes),
-            Err(ArtifactError::Decode { .. })
-        ));
-        let mut bytes = encode_config(&QuantConfig::fp8(Fp8Format::E4M3), &serving);
-        bytes.push(0); // trailing slack
-        assert!(decode_config(&bytes).is_err());
     }
 
     #[test]
@@ -831,8 +761,18 @@ mod tests {
         assert_eq!(art.serving, fancy_serving());
         // Re-save preserves the serving bytes exactly.
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(art.to_bytes(), bytes);
+        assert_eq!(art.to_bytes().unwrap(), bytes);
         std::fs::remove_file(&path).unwrap();
+        // A serving section the loader would refuse is never written.
+        let too_many = spec.with_serving(ServeSpec {
+            workers: crate::spec::MAX_WORKERS + 1,
+            ..fancy_serving()
+        });
+        let err = PtqSession::from_spec(&too_many)
+            .save_artifact(w, &path)
+            .unwrap_err();
+        assert!(err.to_string().contains("serving.workers"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]
@@ -848,7 +788,10 @@ mod tests {
         let score = w.evaluate_graph(&loaded.graph, &loaded.hook()).unwrap_ok();
         assert_eq!(score.to_bits(), out.score.to_bits());
         // Saving the loaded model reproduces the artifact bytes exactly.
-        assert_eq!(loaded.artifact_bytes(), out.model.artifact_bytes());
+        assert_eq!(
+            loaded.artifact_bytes().unwrap(),
+            out.model.artifact_bytes().unwrap()
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -884,7 +827,7 @@ mod tests {
         let out = PtqSession::new(cfg.clone())
             .save_artifact(w, &path)
             .unwrap_ok();
-        let art = PtqSession::load_artifact(&path).unwrap();
+        let art = PtqArtifact::load(&path).unwrap();
         assert!(
             !art.thresholds.is_empty(),
             "calibrated thresholds must be persisted"
@@ -913,9 +856,9 @@ mod tests {
         let calib = hook.into_data();
         let cfg = QuantConfig::fp8(Fp8Format::E3M4);
         let model = QuantizedModel::build(w.graph.clone(), &calib, cfg).unwrap_ok();
-        let bytes = model.artifact_bytes();
+        let bytes = model.artifact_bytes().unwrap();
         let art = PtqArtifact::from_bytes(bytes.clone()).unwrap();
-        assert_eq!(art.to_bytes(), bytes);
+        assert_eq!(art.to_bytes().unwrap(), bytes);
         assert_eq!(art.model.quantized_nodes, model.quantized_nodes);
         assert_eq!(art.model.act_scales, model.act_scales);
     }

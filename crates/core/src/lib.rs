@@ -32,7 +32,7 @@
 //! ## Quick example
 //!
 //! ```no_run
-//! use ptq_core::prelude::*;
+//! use ptq_core::{CalibCache, PtqSession, QuantConfig, UnwrapOk};
 //! use ptq_fp8::Fp8Format;
 //! use ptq_models::{build_zoo, ZooFilter};
 //!
@@ -73,36 +73,9 @@ pub use quantizer::{QuantHook, QuantizedModel};
 pub use sensitivity::{sensitivity_profile, NodeSensitivity, SensitivityProfile};
 pub use session::{PtqSession, QuantOutcome};
 pub use smoothquant::smooth_scales;
-pub use spec::{EngineSpec, ServeSpec};
+pub use spec::{EngineSpec, ServeSpec, MAX_WORKERS};
 pub use tuner::{AutoTuner, Recipe, TuneOutcome, TuneStep};
 pub use workflow::{
     calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, table2_rows, SuiteRow,
     SweepError,
 };
-
-/// The blessed import surface: everything a typical PTQ driver needs.
-///
-/// ```no_run
-/// use ptq_core::prelude::*;
-/// ```
-pub mod prelude {
-    pub use crate::artifact::PtqArtifact;
-    pub use crate::bn_calib::recalibrate_batchnorm;
-    pub use crate::calib_cache::CalibCache;
-    pub use crate::calibrate::{CalibData, CalibrationHook, TensorKey};
-    pub use crate::config::{
-        ActGranularity, ActivationStorage, Approach, CalibMethod, Coverage, DataFormat,
-        Granularity, KvStorage, QuantConfig, WeightStorage,
-    };
-    pub use crate::decode::DecodeSession;
-    pub use crate::quantizer::{QuantHook, QuantizedModel};
-    pub use crate::sensitivity::{sensitivity_profile, SensitivityProfile};
-    pub use crate::session::{PtqSession, QuantOutcome};
-    pub use crate::spec::{EngineSpec, ServeSpec};
-    pub use crate::tuner::{AutoTuner, TuneOutcome};
-    pub use crate::workflow::{
-        calibrate_workload, paper_mixed_recipe, paper_recipe, run_suite, table2_rows, SuiteRow,
-        SweepError,
-    };
-    pub use ptq_nn::{ExecHook, ExecPlan, Graph, NoopHook, PlanSet, PtqError, UnwrapOk};
-}

@@ -172,18 +172,20 @@ impl<'a> PtqSession<'a> {
     /// versioned artifact at `path` (atomically, via a temp file +
     /// rename). The artifact carries the quantized model *and* the
     /// calibration thresholds its static scales were frozen from;
-    /// [`PtqSession::load_artifact`] reloads it bit-identically in any
-    /// later process, skipping calibration entirely.
+    /// [`PtqArtifact::load`] reloads it bit-identically in any
+    /// later process, skipping calibration entirely. A spec the artifact
+    /// cannot hold ([`EngineSpec::validate`]) fails before any work.
     pub fn save_artifact(
         &mut self,
         workload: &Workload,
         path: &std::path::Path,
     ) -> Result<QuantOutcome, PtqError> {
+        self.spec.validate()?;
         if let Some(art) = self.artifact {
             // A loaded artifact re-saves as-is (thresholds restored from
             // the artifact, nothing requantized) after the evaluation.
             let outcome = self.quantize(workload)?;
-            build_writer(&outcome.model, &art.thresholds, &self.spec.serving).write_to(path)?;
+            build_writer(&outcome.model, &art.thresholds, &self.spec.serving)?.write_to(path)?;
             return Ok(outcome);
         }
         self.calibrated(workload, |session, calib| {
@@ -194,17 +196,9 @@ impl<'a> PtqSession<'a> {
                 .filter_map(|&key| Some((key, calib.threshold(key, cfg)?)))
                 .collect();
             let outcome = session.quantize_calibrated(workload, calib)?;
-            build_writer(&outcome.model, &thresholds, &session.spec.serving).write_to(path)?;
+            build_writer(&outcome.model, &thresholds, &session.spec.serving)?.write_to(path)?;
             Ok(outcome)
         })
-    }
-
-    /// Load an artifact written by [`PtqSession::save_artifact`] (or any
-    /// of the `save` surfaces). The returned model executes bit-identically
-    /// to the one that was saved; no calibration data or workload is
-    /// needed.
-    pub fn load_artifact(path: &std::path::Path) -> Result<PtqArtifact, PtqError> {
-        PtqArtifact::load(path)
     }
 
     /// The shared calibrate step: check the recipe's parameters, resolve

@@ -6,20 +6,19 @@
 //! (`crates/serve`), which has no config counterpart because it only
 //! affects *when* requests run, never what they compute.
 //!
-//! The spec has two wire forms, both derived from one vocabulary:
-//!
-//! * **JSON** ([`EngineSpec::to_json`] / [`EngineSpec::from_json`], the
-//!   `--spec <path.json>` file every bench binary reads), grouped into
-//!   three sections — `quantization` (what is quantized and how scales are
-//!   derived), `storage` (how quantized tensors are held) and `serving`;
-//! * **binary**, the artifact CONFIG chunk (`crate::artifact`), so a
-//!   loaded model carries its full recipe and serving defaults.
+//! The spec has one wire form, JSON ([`EngineSpec::to_json`] /
+//! [`EngineSpec::from_json`]), grouped into three sections —
+//! `quantization` (what is quantized and how scales are derived),
+//! `storage` (how quantized tensors are held) and `serving`. It is the
+//! `--spec <path.json>` file every bench binary reads, and its exact text
+//! is an artifact's CONFIG chunk (`crate::artifact`), so a loaded model
+//! carries its full recipe and serving defaults.
 //!
 //! Every plain enum in the recipe declares its `(variant, label)` list
-//! once, next to the enum, with [`ptq_fp8::wire_enum!`]. The JSON encoder
+//! once, next to the enum, with [`ptq_fp8::wire_enum!`]. The encoder
 //! writes `label()`, the decoder reads `from_label()` and quotes
-//! `vocabulary()` in its errors, and the CONFIG chunk writes the list
-//! index — so this module spells no enum label itself.
+//! `vocabulary()` in its errors — so this module spells no enum label
+//! itself.
 //!
 //! Decoding goes through [`Fields`], a reader over one JSON object that
 //! remembers which keys were asked for: a key nobody asked for is an
@@ -28,7 +27,7 @@
 //! which is how the encoder writes an unset optional knob — takes its
 //! [`QuantConfig::fp8`] / [`ServeSpec::default`] default, so handwritten
 //! specs stay short: `{"quantization": {"act_format": "E4M3"}}` is a
-//! complete spec. A decoded spec has passed [`QuantConfig::validate`].
+//! complete spec. A decoded spec has passed [`EngineSpec::validate`].
 
 use crate::config::{ActGranularity, CalibMethod, DataFormat, Granularity, KvStorage, QuantConfig};
 use ptq_fp8::{Fp8Format, WireEnum};
@@ -55,6 +54,42 @@ pub struct ServeSpec {
     /// only request-level parallelism. 0 = one per available core
     /// (resolved at engine construction).
     pub workers: usize,
+}
+
+/// Most worker threads one engine starts. A bound, not a knob: it keeps a
+/// spec file or an artifact's CONFIG chunk from sizing a thread pool (and
+/// its handle `Vec`) without limit.
+pub const MAX_WORKERS: usize = 1024;
+
+/// The largest integer a spec holds: JSON numbers are `f64`, which
+/// represent every integer up to 2^53 exactly and not all beyond it.
+const MAX_JSON_INT: u64 = 1 << 53;
+
+impl ServeSpec {
+    /// Refuse a serving section no engine starts and no spec text holds:
+    /// more than [`MAX_WORKERS`] workers, or an integer above 2^53. The
+    /// error names the field.
+    pub fn validate(&self) -> Result<(), PtqError> {
+        if self.workers > MAX_WORKERS {
+            return Err(spec_err(format!(
+                "serving.workers {} exceeds MAX_WORKERS ({MAX_WORKERS})",
+                self.workers
+            )));
+        }
+        exact("serving.queue_capacity", self.queue_capacity)?;
+        exact(
+            "serving.default_deadline_ms",
+            self.default_deadline_ms.unwrap_or(0),
+        )
+    }
+}
+
+/// An error naming `field` unless the JSON form holds `n` exactly.
+fn exact(field: &str, n: usize) -> Result<(), PtqError> {
+    if n as u64 > MAX_JSON_INT {
+        return Err(spec_err(format!("{field} {n} exceeds 2^53")));
+    }
+    Ok(())
 }
 
 impl Default for ServeSpec {
@@ -110,7 +145,28 @@ impl EngineSpec {
         self.config.label()
     }
 
-    /// Render as pretty-printed JSON (the `--spec` file format).
+    /// Check what [`EngineSpec::from_json`] checks of a decoded spec:
+    /// [`QuantConfig::validate`], [`ServeSpec::validate`], and that every
+    /// integer fits the JSON form. A spec that passes renders to a text
+    /// that parses back to it, so no writer emits a spec its reader
+    /// refuses.
+    pub fn validate(&self) -> Result<(), PtqError> {
+        let c = &self.config;
+        c.validate().map_err(|err| match err {
+            PtqError::InvalidTarget { detail } => spec_err(format!("quantization: {detail}")),
+            other => other,
+        })?;
+        if let ActGranularity::PerTile(t) = c.act_granularity {
+            exact("storage.act_granularity", t)?;
+        }
+        c.fallback
+            .iter()
+            .try_for_each(|&n| exact("quantization.fallback", n))?;
+        self.serving.validate()
+    }
+
+    /// Render as pretty-printed JSON (the `--spec` file format, and the
+    /// artifact's CONFIG chunk).
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let quantization = object(vec![
@@ -247,11 +303,9 @@ impl EngineSpec {
         q.finish()?;
         s.finish()?;
         e.finish()?;
-        config.validate().map_err(|err| match err {
-            PtqError::InvalidTarget { detail } => spec_err(format!("quantization: {detail}")),
-            other => other,
-        })?;
-        Ok(EngineSpec { config, serving })
+        let spec = EngineSpec { config, serving };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -433,7 +487,7 @@ impl<'v> Fields<'v> {
 
 /// `n` as an exactly-representable non-negative integer.
 fn as_uint(n: f64) -> Option<usize> {
-    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as usize)
+    (n >= 0.0 && n.fract() == 0.0 && n <= MAX_JSON_INT as f64).then_some(n as usize)
 }
 
 #[cfg(test)]
@@ -613,5 +667,77 @@ mod tests {
             spec,
             EngineSpec::from_config(&QuantConfig::fp8(Fp8Format::E4M3))
         );
+    }
+
+    #[test]
+    fn a_worker_count_past_the_bound_is_refused_by_name() {
+        let base = EngineSpec::from_config(&QuantConfig::fp8(Fp8Format::E4M3));
+        for workers in [100_000, 1 << 53, usize::MAX] {
+            // Through the JSON text ...
+            let text = base
+                .to_json()
+                .replace("\"workers\": 0", &format!("\"workers\": {workers}"));
+            let err = EngineSpec::from_json(&text).unwrap_err().to_string();
+            assert!(err.contains("serving.workers"), "{workers}: {err}");
+            // ... and in code.
+            let spec = base.clone().with_serving(ServeSpec {
+                workers,
+                ..ServeSpec::default()
+            });
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("serving.workers"), "{workers}: {err}");
+        }
+        let at_bound = base.clone().with_serving(ServeSpec {
+            workers: MAX_WORKERS,
+            ..ServeSpec::default()
+        });
+        assert_eq!(
+            EngineSpec::from_json(&at_bound.to_json()).unwrap(),
+            at_bound
+        );
+    }
+
+    #[test]
+    fn an_integer_json_cannot_hold_is_refused_by_name() {
+        let big = (1usize << 53) + 1;
+        let cfg = QuantConfig::fp8(Fp8Format::E4M3);
+        let serving = |f: fn(&mut ServeSpec)| {
+            let mut s = ServeSpec::default();
+            f(&mut s);
+            EngineSpec::from_config(&cfg).with_serving(s)
+        };
+        let cases = [
+            (
+                "serving.queue_capacity",
+                serving(|s| s.queue_capacity = (1 << 53) + 1),
+            ),
+            (
+                "serving.default_deadline_ms",
+                serving(|s| s.default_deadline_ms = Some(usize::MAX)),
+            ),
+            (
+                "storage.act_granularity",
+                EngineSpec::from_config(
+                    &cfg.clone()
+                        .with_act_granularity(ActGranularity::PerTile(big)),
+                ),
+            ),
+            (
+                "quantization.fallback",
+                EngineSpec::from_config(&cfg.clone().with_fallback(big)),
+            ),
+        ];
+        for (field, spec) in cases {
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(field), "{field}: {err}");
+            // Its text does not parse back to it (2^53 + 1 reads as
+            // 2^53): the bound keeps a writer from emitting such a text.
+            let back = EngineSpec::from_json(&spec.to_json()).ok();
+            assert_ne!(back.as_ref(), Some(&spec), "{field}");
+        }
+        // 2^53 itself is exact, and round-trips.
+        let edge = serving(|s| s.queue_capacity = 1 << 53);
+        edge.validate().unwrap();
+        assert_eq!(EngineSpec::from_json(&edge.to_json()).unwrap(), edge);
     }
 }

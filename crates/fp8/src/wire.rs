@@ -1,13 +1,16 @@
 //! The wire vocabulary of a plain (fieldless) enum, declared once.
 //!
-//! A recipe enum is written to the engine-spec JSON and to terminals as a
-//! label, to the artifact CONFIG chunk as a one-byte discriminant, and
-//! read back from both. [`wire_enum!`] states `Variant => "label"` pairs
-//! once, next to the enum, in declaration order; the JSON codec, the
-//! "want a | b" half of its error messages, the binary `put_enum` /
-//! `get_enum` and `Display` all derive from that one list. A variant's
-//! discriminant is its position in the list, so appending a variant
-//! extends every codec and reordering is a visible wire-format break.
+//! A recipe enum is written to the engine-spec JSON — the `--spec` file
+//! and, as the same text, the artifact CONFIG chunk — and to terminals as
+//! a label, and read back from it. [`wire_enum!`] states
+//! `Variant => "label"` pairs once, next to the enum, in declaration
+//! order; the JSON codec, the "want a | b" half of its error messages and
+//! `Display` all derive from that one list. A variant's one-byte
+//! discriminant is its position in the list; only the artifact's QWEIGHTS
+//! chunk writes one (`put_enum` / `get_enum`, the [`crate::Fp8Format`] of
+//! each FP8-stored weight), so appending a variant extends every codec
+//! and reordering [`crate::Fp8Format`]'s list is a visible wire-format
+//! break.
 //!
 //! The trait lives in this crate because it is the root of the workspace's
 //! dependency graph: [`crate::Fp8Format`] here and the recipe enums in

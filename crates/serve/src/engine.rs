@@ -187,7 +187,10 @@ impl Engine {
     /// arithmetic (formats, storage); the spec's serving
     /// section governs scheduling. `workers == 0` resolves to one worker
     /// per available core; a `queue_capacity` of 0 is clamped to 1 so the
-    /// engine always makes progress.
+    /// engine always makes progress. A serving section that
+    /// [`ServeSpec::validate`] refuses (more than
+    /// [`MAX_WORKERS`](ptq_core::MAX_WORKERS) workers) is
+    /// [`ServeError::InvalidSpec`] before any thread starts.
     pub fn new(model: QuantizedModel, spec: &EngineSpec) -> Result<Engine, ServeError> {
         Engine::with_serving(model, spec.serving.clone())
     }
@@ -200,6 +203,7 @@ impl Engine {
     }
 
     fn with_serving(model: QuantizedModel, mut serving: ServeSpec) -> Result<Engine, ServeError> {
+        serving.validate().map_err(ServeError::InvalidSpec)?;
         serving.queue_capacity = serving.queue_capacity.max(1);
         let n_workers = match serving.workers {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -380,14 +384,6 @@ impl Engine {
     /// Point-in-time serving statistics (exact percentiles).
     pub fn stats(&self) -> EngineStats {
         self.shared.stats.snapshot(self.queue_depth())
-    }
-
-    /// Zero the statistics (counters and latency samples). Load
-    /// generators call this after warm-up so a measured window starts
-    /// from a clean slate; in-flight requests keep executing and are
-    /// counted against the new window on completion.
-    pub fn reset_stats(&self) {
-        self.shared.stats.reset();
     }
 
     /// Requests currently queued (admitted, not yet dispatched).

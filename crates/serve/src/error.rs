@@ -34,6 +34,9 @@ pub enum ServeError {
     /// only reachable if a worker thread died, which the engine treats
     /// as a bug, not a load condition.
     Disconnected,
+    /// Engine construction refused its serving section (see
+    /// [`ptq_core::ServeSpec::validate`]); no thread was started.
+    InvalidSpec(PtqError),
     /// Engine construction could not spawn its worker threads.
     WorkerSpawn {
         /// OS-level failure description.
@@ -57,6 +60,7 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::ShuttingDown => write!(f, "engine is shutting down"),
             ServeError::Exec(e) => write!(f, "execution failed: {e}"),
+            ServeError::InvalidSpec(e) => write!(f, "engine not started: {e}"),
             ServeError::Disconnected => {
                 write!(f, "reply channel dropped without a response (worker died)")
             }
@@ -70,7 +74,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Exec(e) => Some(e),
+            ServeError::Exec(e) | ServeError::InvalidSpec(e) => Some(e),
             _ => None,
         }
     }

@@ -37,7 +37,7 @@
 //! ## Quick example
 //!
 //! ```no_run
-//! use ptq_core::prelude::*;
+//! use ptq_core::{EngineSpec, PtqSession, QuantConfig};
 //! use ptq_fp8::Fp8Format;
 //! use ptq_models::{build_zoo, ZooFilter};
 //! use ptq_serve::Engine;

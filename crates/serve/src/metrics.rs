@@ -36,20 +36,6 @@ impl Stats {
             .push(lat_us);
     }
 
-    /// Zero every counter and drop collected latencies — used by load
-    /// generators to exclude warm-up requests from a measured window.
-    pub fn reset(&self) {
-        self.submitted.store(0, Ordering::Relaxed);
-        self.completed.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.shed.store(0, Ordering::Relaxed);
-        self.failed.store(0, Ordering::Relaxed);
-        self.latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
     /// Consistent point-in-time snapshot with exact percentiles.
     pub fn snapshot(&self, queue_depth: usize) -> EngineStats {
         let mut lat = self

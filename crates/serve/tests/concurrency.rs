@@ -11,7 +11,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ptq_core::prelude::*;
+use ptq_core::{
+    EngineSpec, PtqArtifact, PtqSession, QuantConfig, QuantizedModel, ServeSpec, UnwrapOk,
+    MAX_WORKERS,
+};
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo, Workload, ZooFilter};
 use ptq_serve::{Engine, ServeError};
@@ -274,4 +277,33 @@ fn engine_spec_serving_knobs_reach_the_engine() {
     let stats = engine.stats();
     assert_eq!(stats.completed, w.eval.len() as u64);
     assert_eq!(stats.batches, stats.completed);
+}
+
+#[test]
+fn a_worker_count_past_the_bound_is_refused_before_any_thread_starts() {
+    let (_, model) = quantized_workload();
+    let art = PtqArtifact {
+        model: model.clone(),
+        thresholds: Default::default(),
+        serving: ServeSpec::default(),
+    };
+    // `usize::MAX` first: without the check, its handle `Vec` overflows
+    // capacity (and 2^53's aborts) before 10^5 threads could be spawned.
+    for workers in [usize::MAX, 1 << 53, 100_000] {
+        let spec = spec_with(&model, |s| s.workers = workers);
+        let mut bad = art.clone();
+        bad.serving = spec.serving.clone();
+        for (from, got) in [
+            ("Engine::new", Engine::new(model.clone(), &spec).err()),
+            ("Engine::from_artifact", Engine::from_artifact(&bad).err()),
+        ] {
+            match got {
+                Some(ServeError::InvalidSpec(e)) => {
+                    assert!(e.to_string().contains("serving.workers"), "{from}: {e}")
+                }
+                other => panic!("{from} with {workers} workers: got {other:?}"),
+            }
+        }
+    }
+    const { assert!(MAX_WORKERS < 100_000) };
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ptq_core::prelude::*;
+use ptq_core::{EngineSpec, PtqSession, QuantConfig, UnwrapOk};
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo_limited, ZooFilter};
 use ptq_serve::Engine;

@@ -8,8 +8,10 @@
 
 use std::time::Duration;
 
-use ptq_core::prelude::*;
-use ptq_core::DecodeSession;
+use ptq_core::{
+    Approach, DecodeSession, EngineSpec, PtqError, PtqSession, QuantConfig, QuantizedModel,
+    ServeSpec, UnwrapOk,
+};
 use ptq_fp8::Fp8Format;
 use ptq_models::{build_zoo_limited, Workload, ZooFilter};
 use ptq_serve::{Engine, ServeError};

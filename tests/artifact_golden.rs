@@ -1,6 +1,6 @@
 //! Golden-artifact compatibility pin.
 //!
-//! `tests/golden/quantized_e4m3_v6.ptq` is a committed version-6 artifact
+//! `tests/golden/quantized_e4m3_v7.ptq` is a committed version-7 artifact
 //! (quick-zoo workload 0, E4M3 recipe, default serving section and
 //! kv_storage knob, written by `PtqSession::save_artifact`). Today's
 //! reader must keep loading it and scoring it bit-equal to the pinned
@@ -9,17 +9,15 @@
 //! the loaded artifact must reproduce the committed bytes, so the format
 //! cannot drift silently even in a compatible-reader direction.
 //!
-//! The superseded version-5 fixture stays committed as
-//! `tests/golden/quantized_e4m3_v5.ptq`: it pins the *rejection* path, so
+//! The superseded version-6 fixture stays committed as
+//! `tests/golden/quantized_e4m3_v6.ptq`: it pins the *rejection* path, so
 //! old files fail with a clear `UnsupportedVersion` instead of being
-//! misparsed. Its CONFIG, QNODES, QWEIGHTS, ACT_SCALES, ACT_INT8, SMOOTH
-//! and THRESHOLDS chunks are v6's byte for byte; its GRAPH still carries
-//! an f32 copy of every FP8-stored weight, and it has the WEIGHTS chunk
-//! v6 dropped.
+//! misparsed. Every chunk but CONFIG is v7's byte for byte; its CONFIG is
+//! the binary recipe layout v7 replaced with the spec's JSON text.
 //!
-//! `tests/golden/engine_spec_all_knobs.json` pins the other wire form of
-//! the same recipe: the engine-spec JSON text in its three sections, every
-//! knob away from its default.
+//! `tests/golden/engine_spec_all_knobs.json` pins that JSON text — the
+//! `--spec` file form and, byte for byte, the CONFIG payload — in its
+//! three sections, every knob away from its default.
 //!
 //! To regenerate after an *intentional* format change (bump VERSION in
 //! `crates/artifact` first, keep the old fixture for the rejection test):
@@ -39,11 +37,11 @@ use fp8_ptq::models::{build_zoo, ZooFilter};
 use fp8_ptq::nn::UnwrapOk;
 use std::path::PathBuf;
 
-const FIXTURE: &str = "tests/golden/quantized_e4m3_v6.ptq";
+const FIXTURE: &str = "tests/golden/quantized_e4m3_v7.ptq";
 
 /// The previous-format fixture, kept only to pin the version-rejection
 /// error (see `reader_rejects_the_previous_version_with_a_clear_error`).
-const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v5.ptq";
+const OLD_FIXTURE: &str = "tests/golden/quantized_e4m3_v6.ptq";
 
 /// Pinned quantized eval score of the fixture model on quick-zoo
 /// workload 0, as IEEE-754 bits. Set by the `regenerate` test; must never
@@ -80,9 +78,9 @@ fn golden_artifact_bytes_are_reproduced_by_todays_writer() {
     let committed = std::fs::read(fixture_path()).unwrap();
     let art = PtqArtifact::from_bytes(committed.clone()).unwrap_ok();
     assert_eq!(
-        art.to_bytes(),
+        art.to_bytes().unwrap_ok(),
         committed,
-        "writer output drifted from the committed version-6 artifact"
+        "writer output drifted from the committed version-7 artifact"
     );
 }
 
@@ -94,8 +92,8 @@ fn golden_artifact_matches_calibrate_from_scratch_bit_for_bit() {
         .quantize(&zoo[0])
         .unwrap_ok();
     assert_eq!(
-        art.model.artifact_bytes(),
-        out.model.artifact_bytes(),
+        art.model.artifact_bytes().unwrap_ok(),
+        out.model.artifact_bytes().unwrap_ok(),
         "fixture no longer matches a from-scratch quantization"
     );
 }
@@ -127,15 +125,15 @@ fn reader_rejects_the_previous_version_with_a_clear_error() {
         matches!(
             err,
             PtqError::Artifact(ArtifactError::UnsupportedVersion {
-                found: 5,
-                supported: 6
+                found: 6,
+                supported: 7
             })
         ),
-        "v5 fixture must fail with UnsupportedVersion: {err}"
+        "v6 fixture must fail with UnsupportedVersion: {err}"
     );
     let msg = err.to_string();
     assert!(
-        msg.contains("version") && msg.contains('5'),
+        msg.contains("version") && msg.contains('6'),
         "the error must name the found version: {msg}"
     );
 }

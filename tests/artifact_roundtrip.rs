@@ -34,8 +34,8 @@ fn assert_roundtrip(w: &Workload, cfg: QuantConfig, name: &str) {
 
     // save → load → save is byte-identical.
     assert_eq!(
-        loaded.artifact_bytes(),
-        out.model.artifact_bytes(),
+        loaded.artifact_bytes().unwrap_ok(),
+        out.model.artifact_bytes().unwrap_ok(),
         "{name}: re-saved artifact bytes differ"
     );
     // Planned executor: same score, bit for bit.
@@ -164,9 +164,9 @@ proptest! {
         let (g, calib, x) = random_model(&widths, seed, rows);
         let model = QuantizedModel::build(g, &calib, cfg).unwrap_ok();
 
-        let bytes = model.artifact_bytes();
+        let bytes = model.artifact_bytes().unwrap_ok();
         let art = PtqArtifact::from_bytes(bytes.clone()).unwrap_ok();
-        prop_assert_eq!(art.to_bytes(), bytes, "second save not byte-identical");
+        prop_assert_eq!(art.to_bytes().unwrap_ok(), bytes, "second save not byte-identical");
 
         let y_mem = model.graph.run(std::slice::from_ref(&x), &mut model.hook()).unwrap_ok();
         let path = [KernelPath::Blocked, KernelPath::ScalarReference][scalar_path as usize];
