@@ -167,7 +167,7 @@ pub(crate) fn build_writer(
 pub(crate) fn decode_artifact(reader: &ArtifactReader) -> Result<PtqArtifact, PtqError> {
     let graph = decode_graph(reader.chunk(TAG_GRAPH)?, decode_fp8_params(reader)?)?;
     graph.validate_structure()?;
-    let EngineSpec { config, serving } = read_spec(reader.chunk(TAG_CONFIG)?)?;
+    let EngineSpec { config, serving } = read_spec(reader.chunk(TAG_CONFIG)?, graph.nodes().len())?;
     let quantized_nodes = decode_qnodes(reader.chunk(TAG_QNODES)?, graph.nodes().len())?;
     let act_scales = decode_keyed_f32(reader.chunk(TAG_ACT_SCALES)?, "act scale")?;
     let act_int8 = decode_act_int8(reader.chunk(TAG_ACT_INT8)?)?;
@@ -289,13 +289,24 @@ fn get_sorted<'a, K: PartialOrd + Copy, V>(
     Ok(out)
 }
 
+/// CONFIG bytes: twice the widest canonical text less its fallback ids; the most one id adds.
+const CONFIG_BYTES: (usize, usize) = (2048, 28);
+
 /// The CONFIG chunk: the spec's `--spec` text, accepted only as the exact
 /// text [`EngineSpec::to_json`] renders for what it parses to, so a file
 /// that opens is the writer's canonical image (re-save is byte-identical).
-fn read_spec(payload: &[u8]) -> Result<EngineSpec, ArtifactError> {
+/// A payload longer than any canonical text for a graph of `n_nodes`, or
+/// not opening as one does, is refused before it is parsed.
+fn read_spec(payload: &[u8], n_nodes: usize) -> Result<EngineSpec, ArtifactError> {
     let config_err = |detail: String| ArtifactError::Decode {
         detail: format!("config: {detail}"),
     };
+    let (len, bound) = (payload.len(), CONFIG_BYTES.0 + CONFIG_BYTES.1 * n_nodes);
+    if len > bound || !payload.starts_with(b"{\n  \"quantization\": {\n") {
+        return Err(config_err(format!(
+            "{len} bytes: no canonical text (max {bound})"
+        )));
+    }
     let text = std::str::from_utf8(payload).map_err(|e| config_err(e.to_string()))?;
     let spec = EngineSpec::from_json(text).map_err(|e| config_err(e.to_string()))?;
     if spec.to_json() != text {

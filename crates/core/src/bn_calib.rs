@@ -133,8 +133,31 @@ mod tests {
     use crate::quantizer::QuantizedModel;
     use ptq_fp8::Fp8Format;
     use ptq_nn::{GraphBuilder, UnwrapOk};
-    use ptq_tensor::ops::Conv2dParams;
+    use ptq_tensor::ops::{BatchNormParams, Conv2dParams};
     use ptq_tensor::TensorRng;
+
+    /// The BatchNorm parameters node `id` of `g` binds.
+    fn bn_params(g: &Graph, id: NodeId) -> BatchNormParams {
+        let node = &g.nodes()[id];
+        let Op::BatchNorm {
+            gamma,
+            beta,
+            mean,
+            var,
+            eps,
+        } = node.op
+        else {
+            panic!("node {id} is not BatchNorm");
+        };
+        let get = |v| g.f32_param(node, v).unwrap_ok().clone();
+        BatchNormParams {
+            gamma: get(gamma),
+            beta: get(beta),
+            mean: get(mean),
+            var: get(var),
+            eps,
+        }
+    }
 
     fn bn_cnn(seed: u64) -> ptq_nn::Graph {
         let mut rng = TensorRng::seed(seed);
@@ -327,11 +350,8 @@ mod tests {
         assert!(model.plans.is_empty(), "no calibration-shape plan is kept");
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for id in bns {
-            let (a, b) = (
-                model.graph.batchnorm_params(id).unwrap_ok(),
-                oracle.graph.batchnorm_params(id).unwrap_ok(),
-            );
-            let before = stale.batchnorm_params(id).unwrap_ok();
+            let (a, b) = (bn_params(&model.graph, id), bn_params(&oracle.graph, id));
+            let before = bn_params(&stale, id);
             assert_ne!(
                 bits(&a.mean),
                 bits(&before.mean),
@@ -412,7 +432,7 @@ mod tests {
         // After recalibration the BN node's input moments under the
         // quantized model must match the stored running stats.
         let bn_id = model.graph.nodes_of_class(OpClass::BatchNorm)[0];
-        let params = model.graph.batchnorm_params(bn_id).unwrap_ok();
+        let params = bn_params(&model.graph, bn_id);
         // Re-measure.
         let mut hook2 = BnMomentHook::new(model.hook(), bn_id);
         for c in &calib_x {
@@ -452,7 +472,7 @@ mod tests {
             let mut model = QuantizedModel::build(g, &calib, cfg).unwrap_ok();
             assert_eq!(recalibrate_batchnorm(&mut model, &calib_x).unwrap_ok(), 1);
             let bn_id = model.graph.nodes_of_class(OpClass::BatchNorm)[0];
-            let params = model.graph.batchnorm_params(bn_id).unwrap_ok();
+            let params = bn_params(&model.graph, bn_id);
             recalibrated.push((params.mean.clone(), params.var.clone()));
         }
         let (coded, legacy) = (&recalibrated[0], &recalibrated[1]);

@@ -80,21 +80,6 @@ impl QuantizedModel {
         QuantHook { model: self }
     }
 
-    /// Fraction of quantizable (coverage-class) nodes actually running in
-    /// low precision — a cheap efficiency proxy for the tuner.
-    pub fn quantized_fraction(&self) -> f64 {
-        let eligible = self
-            .graph
-            .nodes()
-            .iter()
-            .filter(|n| self.config.coverage.includes(n.op.class()))
-            .count();
-        if eligible == 0 {
-            return 0.0;
-        }
-        self.quantized_nodes.len() as f64 / eligible as f64
-    }
-
     /// The quantized weights: each quantized node's weight parameter.
     fn quantized_weights(&self) -> impl Iterator<Item = &Param> + '_ {
         let nodes = self.graph.nodes();
@@ -154,16 +139,6 @@ impl QuantizedModel {
         Ok((bytes, bytes_f32))
     }
 
-    /// Whether activation input `idx` of `node` crosses the op boundary as
-    /// FP8 codes run by the code×code kernels ([`ActBinding::Coded`]) or as
-    /// f32 ([`ActBinding::F32`], fake-quantized or not): the coding half of
-    /// the decision [`QuantHook`] binds.
-    pub fn act_coding(&self, node: &Node, idx: usize) -> ActBinding {
-        match self.act_binding(node, idx) {
-            coded @ ActBinding::Coded { .. } => coded,
-            _ => ActBinding::F32,
-        }
-    }
     /// How activation input `idx` of `node` crosses the op boundary, one
     /// decision for both storage modes. Untouched unless the node runs
     /// quantized and the input is one it quantizes, with a scale (INT8: a
@@ -781,8 +756,8 @@ mod tests {
             format: Fp8Format::E4M3,
             scale: ActScale::Static(model.act_scales[&key]),
         };
-        assert_eq!(model.act_coding(conv, 0), coded);
-        assert_eq!(model.act_coding(conv, 1), ActBinding::F32);
+        assert_eq!(act_coding(&model, conv, 0), coded);
+        assert_eq!(act_coding(&model, conv, 1), ActBinding::F32);
         // The knob turns the datapath off wholesale.
         let off = QuantizedModel::build(
             g.clone(),
@@ -791,7 +766,7 @@ mod tests {
                 .with_activation_storage(ActivationStorage::FakeQuantF32),
         )
         .unwrap_ok();
-        assert_eq!(off.act_coding(conv, 0), ActBinding::F32);
+        assert_eq!(act_coding(&off, conv, 0), ActBinding::F32);
         // Fake-quant f32 weights have no code×code kernel to pair with.
         let legacy = QuantizedModel::build(
             g,
@@ -799,7 +774,7 @@ mod tests {
             cfg.with_weight_storage(WeightStorage::FakeQuantF32),
         )
         .unwrap_ok();
-        assert_eq!(legacy.act_coding(conv, 0), ActBinding::F32);
+        assert_eq!(act_coding(&legacy, conv, 0), ActBinding::F32);
     }
 
     #[test]
@@ -927,6 +902,21 @@ mod tests {
         }
     }
 
+    /// How input `idx` of `node` crosses the boundary, codes or f32.
+    fn act_coding(m: &QuantizedModel, node: &Node, idx: usize) -> ActBinding {
+        match m.act_binding(node, idx) {
+            coded @ ActBinding::Coded { .. } => coded,
+            _ => ActBinding::F32,
+        }
+    }
+
+    /// Fraction of quantizable (coverage-class) nodes running in low
+    /// precision.
+    fn quantized_fraction(m: &QuantizedModel) -> f64 {
+        let covered = |n: &&Node| m.config.coverage.includes(n.op.class());
+        m.quantized_nodes.len() as f64 / m.graph.nodes().iter().filter(covered).count() as f64
+    }
+
     #[test]
     fn quantized_fraction_reflects_fallback() {
         let g = cnn();
@@ -937,9 +927,9 @@ mod tests {
             QuantConfig::fp8(Fp8Format::E4M3).with_first_last(),
         )
         .unwrap_ok();
-        assert_eq!(full.quantized_fraction(), 1.0);
+        assert_eq!(quantized_fraction(&full), 1.0);
         let partial =
             QuantizedModel::build(g, &calib, QuantConfig::fp8(Fp8Format::E4M3)).unwrap_ok();
-        assert!(partial.quantized_fraction() < 1.0);
+        assert!(quantized_fraction(&partial) < 1.0);
     }
 }

@@ -174,11 +174,9 @@ fn fp8_coded_activations_match_fake_quant_across_zoo() {
                 // The datapath actually engaged: codes are cheaper than the
                 // dense f32 they replaced on every workload with an
                 // eligible op.
-                let has_coded_ops = coded
-                    .graph
-                    .nodes()
-                    .iter()
-                    .any(|n| (0..2).any(|i| coded.act_coding(n, i) != ActBinding::F32));
+                let has_coded_ops = coded.graph.nodes().iter().any(|n| {
+                    (0..2).any(|i| matches!(coded.hook().bind(n).acts[i], ActBinding::Coded { .. }))
+                });
                 if has_coded_ops {
                     let (bytes, bytes_f32) =
                         coded.act_bytes(std::slice::from_ref(inputs)).unwrap_ok();

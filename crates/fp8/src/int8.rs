@@ -152,9 +152,11 @@ impl Int8Codec {
     pub fn encode(&self, x: f32) -> i32 {
         match self.mode {
             Int8Mode::Symmetric => ((x / self.scale).round() as i32).clamp(-127, 127),
-            Int8Mode::Asymmetric => {
-                ((x / self.scale).round() as i32 + self.zero_point).clamp(0, 255)
-            }
+            // Saturating: `as i32` maps a huge or infinite `x` to i32::MAX,
+            // which a plain add would wrap to a negative code.
+            Int8Mode::Asymmetric => ((x / self.scale).round() as i32)
+                .saturating_add(self.zero_point)
+                .clamp(0, 255),
         }
     }
 
@@ -260,6 +262,19 @@ mod tests {
         assert!(Int8Codec::from_raw_parts(Int8Mode::Asymmetric, 1.0, 256).is_err());
         assert!(Int8Codec::from_raw_parts(Int8Mode::Asymmetric, 1.0, -1).is_err());
         assert!(Int8Codec::from_raw_parts(Int8Mode::Asymmetric, 1.0, 255).is_ok());
+    }
+
+    #[test]
+    fn asymmetric_encode_saturates_huge_values() {
+        let c = Int8Codec::from_range(-3.0, 5.0, Int8Mode::Asymmetric);
+        for (x, code) in [
+            (f32::INFINITY, 255),
+            (1e30, 255),
+            (f32::NEG_INFINITY, 0),
+            (-1e30, 0),
+        ] {
+            assert_eq!(c.encode(x), code, "{x}");
+        }
     }
 
     #[test]

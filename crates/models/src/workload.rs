@@ -116,16 +116,14 @@ impl Workload {
     }
 
     /// Calibrate against a different graph instance, surfacing failures as
-    /// typed errors. Planned execution, like [`Workload::evaluate_graph`],
-    /// but in batch order on the caller under the one `hook`. The
-    /// observers' running min/max/absmax (`TensorStats`) would come out
-    /// the same in any order; fanning the batches out on the pool was
-    /// measured slower (DESIGN §10.2).
+    /// typed errors. Planned execution with the weights packed once, like
+    /// [`Workload::evaluate_graph`], but in batch order on the caller under
+    /// the one `hook` ([`PlanSet::run_all`]). The observers' running
+    /// min/max/absmax (`TensorStats`) would come out the same in any order;
+    /// fanning the batches out on the pool was measured slower (DESIGN
+    /// §10.2).
     pub fn calibrate_graph(&self, graph: &Graph, hook: &mut dyn ExecHook) -> Result<(), PtqError> {
-        for inputs in &self.calib {
-            self.plans.run(graph, inputs, hook)?;
-        }
-        Ok(())
+        self.plans.run_all(graph, &self.calib, hook)
     }
 
     /// Package a quantized score into the pass-rate record.

@@ -423,11 +423,6 @@ impl DecodePlan {
         self.d_model
     }
 
-    /// Number of matched attention layers.
-    pub fn n_layers(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Statically validate the step schedule by propagating single-row
     /// shapes through it (with the cache at its `seq` high-water length),
     /// reusing the full validator's per-op shape rules for `Eval` nodes.
@@ -774,7 +769,8 @@ impl StepBuffers {
                 // hook's before/after calls, transformed by row position.
                 StepOp::AddPosRows(_) | StepOp::MaskRows | StepOp::ReshapeRows => {
                     let x = value(srcs[0]);
-                    let x = operand(&hook.bind(node), 0, x, &mut scratch.operands[0]);
+                    let (b, codes) = (&mut scratch.operands[0], &mut scratch.acts[0]);
+                    let x = operand(&hook.bind(node), 0, x, b, codes);
                     out.copy_from(x);
                     match (op, &node.op) {
                         (StepOp::AddPosRows(p), _) => {
@@ -807,7 +803,7 @@ impl StepBuffers {
                     // Every operator reads one or two inputs (validated).
                     let n = srcs.len();
                     let ins = [value(srcs[0]), value(srcs[n - 1])];
-                    run_node(graph, node, &ins[..n], hook, scratch, out)?;
+                    run_node(graph, node, &ins[..n], hook, scratch, None, out)?;
                 }
             }
             // The split borrow ends here: the appends read the output.
@@ -997,7 +993,7 @@ mod tests {
         let g = tiny_decoder(3);
         let plan = g.plan_decode(SEQ).unwrap_ok();
         let mut bufs = StepBuffers::default();
-        assert_eq!(plan.n_layers(), 1);
+        assert_eq!(plan.groups.len(), 1);
         assert_eq!(plan.d_model(), D);
 
         let mut st = DecodeState::default();
@@ -1333,7 +1329,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        assert_eq!(appended, 2 * plan.n_layers() as u64 * p);
+        assert_eq!(appended, 2 * plan.groups.len() as u64 * p);
     }
 
     /// `CodedLinears` (or no coding) under a cache policy and a kernel
@@ -1473,7 +1469,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        assert_eq!(appended, 2 * plan.n_layers() as u64 * 3);
+        assert_eq!(appended, 2 * plan.groups.len() as u64 * 3);
         assert_eq!(
             states.iter().map(DecodeState::pos).collect::<Vec<_>>(),
             [2, 3, 4]

@@ -11,14 +11,13 @@
 //! one implementation of the hook protocol and of every operator's
 //! evaluation.
 
+use std::collections::HashMap;
+
 use crate::error::PtqError;
 use crate::graph::{Graph, Node, Op, ValueId, MAX_OP_PARAMS};
 use crate::interp::ExecHook;
-use ptq_tensor::ops::{self, ActOperand, KernelPath, WeightOperand};
-use ptq_tensor::{
-    fake_quant_fp8, fake_quant_int8, fake_quant_per_tile, tile_scale, ActScale, Fp8Codec,
-    Fp8Format, Int8Codec, Int8Mode, KvCachePolicy, QActTensor, Tensor,
-};
+use ptq_tensor::ops::{self, ActOperand, KernelPath, PackedWeight, WeightOperand};
+use ptq_tensor::{ActScale, Fp8Format, Int8Codec, Int8Mode, KvCachePolicy, QActTensor, Tensor};
 
 /// Upper bound on activation inputs a node can bind as FP8 codes
 /// (MatMul's two operands is the maximum), and on any operator's
@@ -33,8 +32,8 @@ pub enum ActBinding {
     #[default]
     F32,
     /// As f32 rounded through `format` under `scale` and back
-    /// (fake-quant): the values [`ActBinding::Coded`] carries, computed by
-    /// the fp8 crate's fake-quant loops rather than the codes.
+    /// (fake-quant): the values [`ActBinding::Coded`] carries, coded into
+    /// the node's code scratch and decoded back.
     FakeFp8 {
         /// Rounding format.
         format: Fp8Format,
@@ -102,7 +101,7 @@ impl<'a> ParamsRef<'a> {
     fn get_f32(&self, node: &Node, i: usize) -> Result<&'a Tensor, PtqError> {
         match self.get(node, i)? {
             WeightOperand::F32(t) => Ok(t),
-            WeightOperand::Q(_) => Err(PtqError::Fp8Param {
+            _ => Err(PtqError::Fp8Param {
                 value: node.op.param_ids().0[i],
                 node: node.name.clone(),
             }),
@@ -124,21 +123,42 @@ type ActsRef<'a> = [Option<&'a QActTensor>; MAX_ACT_INPUTS];
 pub(crate) struct NodeScratch {
     /// f32 operands the binding divides or fake-quantizes.
     pub(crate) operands: [Tensor; MAX_ACT_INPUTS],
-    /// FP8 activation-code buffers for [`ActBinding::Coded`] inputs.
-    acts: [QActTensor; MAX_ACT_INPUTS],
+    /// FP8 activation-code buffers for [`ActBinding::Coded`] inputs, and
+    /// the round trip of [`ActBinding::FakeFp8`] ones.
+    pub(crate) acts: [QActTensor; MAX_ACT_INPUTS],
     /// Decoded embedding ids.
     ids: Vec<usize>,
 }
 
+/// A graph's Conv2d/Linear weights packed once for a sweep of runs, on its
+/// caller before any fan-out, by parameter id (sound: the sweep borrows
+/// the graph immutably); dropped when the sweep returns.
+#[derive(Debug)]
+pub(crate) struct Packs(HashMap<ValueId, PackedWeight>);
+
+impl Packs {
+    /// Every Conv2d/Linear weight `graph` binds, packed.
+    pub(crate) fn of(graph: &Graph) -> Self {
+        let weights = graph.nodes.iter().filter_map(|n| match n.op {
+            Op::Conv2d { weight, .. } | Op::Linear { weight, .. } => Some(weight),
+            _ => None,
+        });
+        let packed = |w| Some((w, PackedWeight::pack(graph.params.get(&w)?.operand())));
+        Packs(weights.filter_map(packed).collect())
+    }
+}
+
 /// The f32 operand input `i` (the value `x`) reads under `binding`: `x`
 /// itself when the binding leaves it alone; otherwise a copy in `buf`,
-/// divided by the divisors (input 0) and fake-quantized. A coded input is
-/// coded from this operand.
+/// divided by the divisors (input 0) and fake-quantized — an FP8 one coded
+/// into `codes` and decoded back, as [`ActBinding::Coded`] would code it.
+/// A coded input is coded from this operand.
 pub(crate) fn operand<'t>(
     binding: &Binding<'_>,
     i: usize,
     x: &'t Tensor,
     buf: &'t mut Tensor,
+    codes: &mut QActTensor,
 ) -> &'t Tensor {
     let last = x.shape().last().copied();
     let divisors = binding
@@ -148,28 +168,31 @@ pub(crate) fn operand<'t>(
     if divisors.is_none() && matches!(act, ActBinding::F32 | ActBinding::Coded { .. }) {
         return x;
     }
-    buf.copy_from(x);
-    let data = buf.data_mut();
-    let divisors = divisors.unwrap_or_default().iter().cycle();
-    for (v, &sj) in data.iter_mut().zip(divisors).filter(|(_, &sj)| sj > 0.0) {
-        *v /= sj;
+    match divisors {
+        // `x / s[j]` where `s[j] > 0` (not zero, negative or NaN), else `x`.
+        Some(s) => {
+            buf.reuse_as(x.shape());
+            let rows = buf.data_mut().chunks_exact_mut(s.len());
+            for (o, row) in rows.zip(x.data().chunks_exact(s.len())) {
+                for ((o, &v), &sj) in o.iter_mut().zip(row).zip(s) {
+                    *o = if sj > 0.0 { v / sj } else { v };
+                }
+            }
+        }
+        None if matches!(act, ActBinding::FakeInt8(_)) => buf.copy_from(x),
+        None => {}
     }
     match act {
-        ActBinding::FakeFp8 {
-            format,
-            scale: ActScale::PerTile(t),
-        } => fake_quant_per_tile(data, last.unwrap_or(1), format, t),
         ActBinding::FakeFp8 { format, scale } => {
-            // NaN-aware absmax: a non-finite value forces unit scale.
-            let s = match scale {
-                ActScale::Static(s) => s,
-                _ => tile_scale(format, data),
-            };
-            fake_quant_fp8(data, &Fp8Codec::new(format), s);
+            codes.quantize(if divisors.is_some() { &*buf } else { x }, format, scale);
+            buf.reuse_as(x.shape());
+            codes.decoder().decode_range(0, buf.data_mut());
         }
         ActBinding::FakeInt8(codec) => {
+            let data = buf.data_mut();
             let codec = codec.unwrap_or_else(|| Int8Codec::calibrate(data, Int8Mode::Asymmetric));
-            fake_quant_int8(data, &codec);
+            data.iter_mut()
+                .for_each(|v| *v = codec.decode(codec.encode(*v)));
         }
         ActBinding::F32 | ActBinding::Coded { .. } => {}
     }
@@ -191,7 +214,8 @@ pub(crate) fn split_out<'a>(
 }
 
 /// Run one node on its activation inputs `ins` (one or two, borrowed where
-/// they live): resolve its parameters as the graph binds them, bind, build
+/// they live): resolve its parameters as the graph binds them (a weight
+/// from `packs` when the sweep packed it), bind, build
 /// the operands the binding asks for and the activation codes, evaluate
 /// into `out` (reusing its allocation), then `before_node` on the operands
 /// and `after_node` on `out`. Arity and shapes must already be validated.
@@ -201,13 +225,14 @@ pub(crate) fn run_node(
     ins: &[&Tensor],
     hook: &mut dyn ExecHook,
     scratch: &mut NodeScratch,
+    packs: Option<&Packs>,
     out: &mut Tensor,
 ) -> Result<(), PtqError> {
     let mut sp = ptq_trace::span(ptq_trace::Level::Debug, "op");
     let n = ins.len();
     let NodeScratch {
         operands: [b0, b1],
-        acts: codes,
+        acts: [c0, c1],
         ids,
     } = scratch;
     let (param_ids, n_params) = node.op.param_ids();
@@ -219,17 +244,20 @@ pub(crate) fn run_node(
         })?;
         *slot = Some(p.operand());
     }
-    let binding = hook.bind(node);
     let q_weight = matches!(params.0[0], Some(WeightOperand::Q(_)));
+    if let (Op::Conv2d { weight, .. } | Op::Linear { weight, .. }, Some(p)) = (&node.op, packs) {
+        params.0[0] = p.0.get(weight).map(WeightOperand::Packed).or(params.0[0]);
+    }
+    let binding = hook.bind(node);
     check_binding(node, &binding, n, q_weight)?;
     let xs = [
-        operand(&binding, 0, ins[0], b0),
-        operand(&binding, 1, ins[n - 1], b1),
+        operand(&binding, 0, ins[0], b0, c0),
+        operand(&binding, 1, ins[n - 1], b1, c1),
     ];
     let xs = &xs[..n];
 
     let mut acts: ActsRef<'_> = [None; MAX_ACT_INPUTS];
-    let coded = binding.acts.iter().zip(codes.iter_mut());
+    let coded = binding.acts.iter().zip([c0, c1]);
     for (i, (act, buf)) in coded.enumerate() {
         let ActBinding::Coded { format, scale } = *act else {
             continue;
@@ -447,4 +475,152 @@ fn eval_node_into(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptq_tensor::{fake_quant_fp8, fake_quant_int8, fake_quant_per_tile, tile_scale, Fp8Codec};
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Input `i`'s operand under `act` (no divisors), as a vector.
+    fn fake(act: ActBinding, x: &Tensor) -> Vec<f32> {
+        let b = Binding {
+            acts: [act; MAX_ACT_INPUTS],
+            ..Binding::default()
+        };
+        let (mut buf, mut codes) = (Tensor::default(), QActTensor::new());
+        operand(&b, 0, x, &mut buf, &mut codes).data().to_vec()
+    }
+
+    /// `fake_quant_fp8`/`_per_tile`/`_int8` against the operand forms on
+    /// `xs`, every format: static scales of 1, 37, 2^-20 and 2^100, the
+    /// dynamic scale, 7- and 64-wide tiles, and INT8 under a given and a
+    /// calibrated codec.
+    fn check_fake_quant(xs: &[f32]) {
+        let x = Tensor::from_slice(xs);
+        for format in Fp8Format::ALL {
+            let codec = Fp8Codec::new(format);
+            let fp8 = |scale| ActBinding::FakeFp8 { format, scale };
+            for s in [1.0, 37.0, 2f32.powi(-20), 2f32.powi(100)] {
+                let mut want = xs.to_vec();
+                fake_quant_fp8(&mut want, &codec, s);
+                let got = fake(fp8(ActScale::Static(s)), &x);
+                assert_eq!(bits(&got), bits(&want), "{format} static {s:e}");
+            }
+            // A dynamic scale that overflows to +Inf (a nonzero absmax below
+            // `max_value / f32::MAX`) is unit, as for coded operands; the
+            // old loop kept it and turned zeros into NaN.
+            let s = Some(tile_scale(format, xs)).filter(|s| s.is_finite());
+            let mut want = xs.to_vec();
+            fake_quant_fp8(&mut want, &codec, s.unwrap_or(1.0));
+            assert_eq!(
+                bits(&fake(fp8(ActScale::Dynamic), &x)),
+                bits(&want),
+                "{format} dynamic"
+            );
+            for t in [7, 64] {
+                let mut want = xs.to_vec();
+                fake_quant_per_tile(&mut want, xs.len(), format, t);
+                let got = fake(fp8(ActScale::PerTile(t)), &x);
+                assert_eq!(bits(&got), bits(&want), "{format} tile {t}");
+            }
+        }
+        let given = Int8Codec::from_range(-3.0, 5.0, Int8Mode::Asymmetric);
+        let calibrated = Int8Codec::calibrate(xs, Int8Mode::Asymmetric);
+        for (codec, bound) in [(given, Some(given)), (calibrated, None)] {
+            let mut want = xs.to_vec();
+            fake_quant_int8(&mut want, &codec);
+            let got = fake(ActBinding::FakeInt8(bound), &x);
+            assert_eq!(bits(&got), bits(&want), "int8 {bound:?}");
+        }
+    }
+
+    /// NaN (both signs, a payload), ±Inf, ±0 and the subnormal edges.
+    const EDGES: [u32; 10] = [
+        0x7fc0_0000,
+        0xffc0_0000,
+        0x7f80_0001,
+        0x7f80_0000,
+        0xff80_0000,
+        0,
+        0x8000_0000,
+        1,
+        0x8000_0001,
+        0x007f_ffff,
+    ];
+
+    /// The lane fake-quant — codes through the node's `QActTensor` and
+    /// back, or INT8 `decode(encode(x))` — against the stats-returning
+    /// loops, bit for bit: every 65 537th f32 pattern plus [`EDGES`]; then
+    /// the finite patterns alone, whose dynamic scale is not the unit one.
+    #[test]
+    fn lane_fake_quant_matches_the_fake_quant_loops() {
+        let mut xs: Vec<f32> = (0..=u32::MAX).step_by(65_537).map(f32::from_bits).collect();
+        xs.extend(EDGES.map(f32::from_bits));
+        check_fake_quant(&xs);
+        xs.retain(|x| x.is_finite());
+        check_fake_quant(&xs);
+    }
+
+    /// Pre-merge, `cargo test --release -p ptq-nn --lib -- --ignored
+    /// exhaustive_lane_fake_quant`: [`check_fake_quant`] on all 2^32 f32
+    /// patterns, 2^20 at a time.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs × 3 formats: ~35 min release"]
+    fn exhaustive_lane_fake_quant_matches_the_fake_quant_loops() {
+        for hi in 0..1u32 << 12 {
+            let xs: Vec<f32> = (0..1u32 << 20)
+                .map(|lo| f32::from_bits(hi << 20 | lo))
+                .collect();
+            check_fake_quant(&xs);
+        }
+    }
+
+    /// The row-wise divisors against the old element loop (copy, then
+    /// `/=` wherever the cycled divisor is positive): zero, negative and
+    /// NaN divisors leave their column alone; a last dim other than the
+    /// divisors' length leaves the input alone.
+    #[test]
+    fn row_wise_divisors_match_the_element_loop() {
+        let s = [2.0, 0.0, -1.5, f32::NAN, 0.3, 7.0];
+        let data: Vec<f32> = (0..42).map(|i| i as f32 * 0.37 - 5.0).collect();
+        let b = Binding {
+            divisors: Some(&s),
+            ..Binding::default()
+        };
+        let (mut buf, mut codes) = (Tensor::default(), QActTensor::new());
+        let x = Tensor::from_vec(data.clone(), &[7, 6]);
+        let mut want = data.clone();
+        for (v, &sj) in want
+            .iter_mut()
+            .zip(s.iter().cycle())
+            .filter(|(_, &sj)| sj > 0.0)
+        {
+            *v /= sj;
+        }
+        let got = operand(&b, 0, &x, &mut buf, &mut codes);
+        assert_eq!((got.shape(), bits(got.data())), (x.shape(), bits(&want)));
+        let ragged = Tensor::from_vec(data, &[6, 7]);
+        let got = operand(&b, 0, &ragged, &mut buf, &mut codes);
+        assert!(
+            std::ptr::eq(got, &ragged),
+            "a mismatched last dim is read in place"
+        );
+        let int8 = Binding {
+            acts: [ActBinding::FakeInt8(None); MAX_ACT_INPUTS],
+            ..b
+        };
+        let got = operand(&int8, 0, &ragged, &mut buf, &mut codes)
+            .data()
+            .to_vec();
+        assert_eq!(
+            bits(&got),
+            bits(&fake(int8.acts[0], &ragged)),
+            "not divided"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! The model graph: nodes, operators and parameter storage.
 
 use crate::error::PtqError;
-use ptq_tensor::ops::{BatchNormParams, Conv2dParams, WeightOperand};
+use ptq_tensor::ops::{Conv2dParams, WeightOperand};
 use ptq_tensor::{QTensor, Tensor};
 use std::collections::HashMap;
 use std::fmt;
@@ -441,36 +441,6 @@ impl Graph {
             None => Err(PtqError::UnboundParam {
                 value,
                 node: node(),
-            }),
-        }
-    }
-
-    /// Reconstruct [`BatchNormParams`] for a BatchNorm node. Errors if
-    /// `id` is out of range, not a BatchNorm node, or has unbound
-    /// parameters.
-    pub fn batchnorm_params(&self, id: NodeId) -> Result<BatchNormParams, PtqError> {
-        let node = self.nodes.get(id).ok_or(PtqError::InvalidTarget {
-            detail: format!("node {id} is out of range"),
-        })?;
-        match &node.op {
-            Op::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                var,
-                eps,
-            } => {
-                let get = |v: &ValueId| self.f32_param(node, *v).cloned();
-                Ok(BatchNormParams {
-                    gamma: get(gamma)?,
-                    beta: get(beta)?,
-                    mean: get(mean)?,
-                    var: get(var)?,
-                    eps: *eps,
-                })
-            }
-            other => Err(PtqError::InvalidTarget {
-                detail: format!("node {id} is {other:?}, not BatchNorm"),
             }),
         }
     }

@@ -105,7 +105,7 @@ impl Graph {
             let n = node.inputs.len();
             let ins = [value(0)?, value(n - 1)?];
             let mut out = Tensor::default();
-            run_node(self, node, &ins[..n], hook, &mut scratch, &mut out)?;
+            run_node(self, node, &ins[..n], hook, &mut scratch, None, &mut out)?;
             values[node.output] = Some(out);
         }
         self.outputs

@@ -31,7 +31,7 @@
 //! was built against.
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{run_node, split_out, NodeScratch};
+use crate::exec::{run_node, split_out, NodeScratch, Packs};
 use crate::graph::{Graph, Node, Op, Param, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
@@ -257,18 +257,6 @@ impl Graph {
 }
 
 impl ExecPlan {
-    /// Number of arena slots the plan's intermediates share.
-    pub fn n_slots(&self) -> usize {
-        self.slot_elems.len()
-    }
-
-    /// Peak arena footprint in f32 elements (sum of slot peaks) — by
-    /// construction no larger, and for any graph with dead-after-use
-    /// intermediates strictly smaller, than one allocation per node.
-    pub fn peak_elems(&self) -> usize {
-        self.slot_elems.iter().sum()
-    }
-
     /// True when some node's kernel fans out on the pool by itself
     /// ([`ptq_tensor::ops::fans_out`] of its output elements × contraction).
     pub fn fans_out(&self) -> bool {
@@ -285,10 +273,21 @@ impl ExecPlan {
         inputs: &[Tensor],
         hook: &mut dyn ExecHook,
     ) -> Result<Vec<Tensor>, PtqError> {
+        self.run_packed(graph, inputs, hook, None)
+    }
+
+    /// [`ExecPlan::run`] reading the weights a sweep packed from `packs`.
+    fn run_packed(
+        &self,
+        graph: &Graph,
+        inputs: &[Tensor],
+        hook: &mut dyn ExecHook,
+        packs: Option<&Packs>,
+    ) -> Result<Vec<Tensor>, PtqError> {
         let pool = || self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         let mut arena = pool().pop().unwrap_or_default();
         let cap_before = arena.capacity_bytes();
-        let result = self.run_with_arena(graph, inputs, hook, &mut arena);
+        let result = self.run_with_arena(graph, inputs, hook, &mut arena, packs);
         if ptq_trace::enabled(ptq_trace::Level::Debug) {
             let cap_after = arena.capacity_bytes();
             ptq_trace::gauge(
@@ -360,6 +359,7 @@ impl ExecPlan {
         inputs: &[Tensor],
         hook: &mut dyn ExecHook,
         arena: &mut TensorArena,
+        packs: Option<&Packs>,
     ) -> Result<Vec<Tensor>, PtqError> {
         self.check_compat(graph, inputs)?;
         arena.prepare(self);
@@ -377,7 +377,8 @@ impl ExecPlan {
             };
             // Every operator reads one or two inputs (validated).
             let n = step.srcs.len();
-            run_node(graph, node, &[src(0), src(n - 1)][..n], hook, scratch, out)?;
+            let ins = [src(0), src(n - 1)];
+            run_node(graph, node, &ins[..n], hook, scratch, packs, out)?;
         }
 
         Ok(self
@@ -441,11 +442,12 @@ impl PlanSet {
 
     /// [`PlanSet::run`] over every batch, each under its own clone of
     /// `hook`; outputs come back in batch order, and so does the first
-    /// error. The plans are fetched on the caller. When none fans a kernel
-    /// out itself ([`ExecPlan::fans_out`]), the pool claims one batch at a
-    /// time, each drawing its own arena; otherwise (or when a plan fails
-    /// to build) the batches run in order on the caller, where the kernels
-    /// use the pool. Outputs are the same bits either way.
+    /// error. The plans are fetched and every Conv2d/Linear weight packed
+    /// once on the caller. When no plan fans a kernel out itself
+    /// ([`ExecPlan::fans_out`]), the pool claims one batch at a time, each
+    /// drawing its own arena; otherwise (or when a plan fails to build) the
+    /// batches run in order on the caller, where the kernels use the pool.
+    /// Outputs are the same bits either way.
     pub fn run_each<H>(
         &self,
         graph: &Graph,
@@ -456,9 +458,10 @@ impl PlanSet {
         H: ExecHook + Clone + Send + Sync,
     {
         let plans: Vec<_> = batches.iter().map(|b| self.plan_for(graph, b)).collect();
+        let packs = Packs::of(graph);
         let run = |i: usize| {
             let plan = plans[i].as_ref().map_err(PtqError::clone)?;
-            plan.run(graph, &batches[i], &mut hook.clone())
+            plan.run_packed(graph, &batches[i], &mut hook.clone(), Some(&packs))
         };
         if plans
             .iter()
@@ -471,6 +474,22 @@ impl PlanSet {
             .enumerate()
             .for_each(|(i, out)| out[0] = Some(run(i)));
         outs.into_iter().flatten().collect()
+    }
+
+    /// [`PlanSet::run`] over every batch in order under the one `hook`,
+    /// outputs dropped (calibration), each weight packed once first.
+    pub fn run_all(
+        &self,
+        graph: &Graph,
+        batches: &[Vec<Tensor>],
+        hook: &mut dyn ExecHook,
+    ) -> Result<(), PtqError> {
+        let packs = Packs::of(graph);
+        for inputs in batches {
+            self.plan_for(graph, inputs)?
+                .run_packed(graph, inputs, hook, Some(&packs))?;
+        }
+        Ok(())
     }
 
     /// Number of cached plans.
@@ -546,7 +565,11 @@ mod tests {
         }
         let g = b.finish(vec![v]);
         let plan = g.plan(&[vec![4, 4]]).unwrap_ok();
-        assert!(plan.n_slots() <= 2, "chain used {} slots", plan.n_slots());
+        assert!(
+            plan.slot_elems.len() <= 2,
+            "chain used {} slots",
+            plan.slot_elems.len()
+        );
     }
 
     #[test]
@@ -566,8 +589,8 @@ mod tests {
                 })
                 .sum()
         };
-        assert!(plan.peak_elems() <= naive);
-        assert!(plan.n_slots() < g.nodes().len());
+        assert!(plan.slot_elems.iter().sum::<usize>() <= naive);
+        assert!(plan.slot_elems.len() < g.nodes().len());
     }
 
     #[test]
@@ -576,13 +599,25 @@ mod tests {
         let x = TensorRng::seed(8).normal(&[2, 3, 8, 8], 0.0, 1.0);
         let plan = g.plan(&[x.shape().to_vec()]).unwrap_ok();
         let mut arena = TensorArena::default();
-        plan.run_with_arena(&g, std::slice::from_ref(&x), &mut NoopHook, &mut arena)
-            .unwrap_ok();
+        plan.run_with_arena(
+            &g,
+            std::slice::from_ref(&x),
+            &mut NoopHook,
+            &mut arena,
+            None,
+        )
+        .unwrap_ok();
         let warmed = arena.capacity_bytes();
         assert!(warmed > 0);
         for _ in 0..3 {
-            plan.run_with_arena(&g, std::slice::from_ref(&x), &mut NoopHook, &mut arena)
-                .unwrap_ok();
+            plan.run_with_arena(
+                &g,
+                std::slice::from_ref(&x),
+                &mut NoopHook,
+                &mut arena,
+                None,
+            )
+            .unwrap_ok();
             assert_eq!(arena.capacity_bytes(), warmed);
         }
     }

@@ -307,3 +307,52 @@ fn a_worker_count_past_the_bound_is_refused_before_any_thread_starts() {
     }
     const { assert!(MAX_WORKERS < 100_000) };
 }
+
+/// Every numeric field of the spec JSON at −1, 0, 1.5, 2^53 and 1e308 (the
+/// all-knobs spec, its workers at the default 0): a typed error, or a spec
+/// whose engine starts at most the default worker count — checked before
+/// it is built, so no case starts more threads than that.
+#[test]
+fn every_numeric_spec_field_at_an_extreme_is_typed_or_bounded() {
+    let (_, model) = quantized_workload();
+    let golden = include_str!("../../../tests/golden/engine_spec_all_knobs.json");
+    let base = golden.replacen("\"workers\": 4", "\"workers\": 0", 1);
+    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let fields = [
+        "\"smoothquant_alpha\": 0.5",
+        "\"percentile\": 0.9999",
+        "\n      1,",
+        "\"per-tile\": 64",
+        "\"queue_capacity\": 64",
+        "\"default_deadline_ms\": 25",
+        "\"workers\": 0",
+    ];
+    for field in fields {
+        assert!(base.contains(field), "{field} is in the spec");
+        let (key, _) = field.rsplit_once(' ').unwrap_or((field, ""));
+        for value in ["-1", "0", "1.5", "9007199254740992", "1e308"] {
+            let edited = match field.strip_suffix(',') {
+                Some(_) => base.replacen(field, &format!("\n      {value},"), 1),
+                None => base.replacen(field, &format!("{key} {value}"), 1),
+            };
+            let Ok(spec) = EngineSpec::from_json(&edited) else {
+                continue; // a typed PtqError
+            };
+            let workers = match spec.serving.workers {
+                0 => default,
+                n => n,
+            };
+            if workers > default {
+                assert!(
+                    spec.serving.validate().is_err(),
+                    "{field} = {value}: {workers} workers"
+                );
+                continue;
+            }
+            match Engine::new(model.clone(), &spec) {
+                Ok(engine) => engine.shutdown(),
+                Err(e) => panic!("{field} = {value}: a parsed spec failed to build: {e}"),
+            }
+        }
+    }
+}

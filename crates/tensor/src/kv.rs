@@ -375,11 +375,6 @@ impl KvCache {
         KvCache::new(&vec![(policy, policy); layers], d, capacity)
     }
 
-    /// Number of attention layers.
-    pub fn n_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Planned position capacity per buffer.
     pub fn capacity(&self) -> usize {
         self.capacity

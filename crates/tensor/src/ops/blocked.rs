@@ -31,9 +31,9 @@
 //!   panels and a register tile of 1–4 rows × 1 or 2 panels carries up to
 //!   64 chains ([`tile`]).
 //! * **linear**: the `[n, k]` weight is packed once per call into the same
-//!   panels and the rows run the tile compiled with `SKIP = false` (Linear
-//!   multiplies every term: `0 · NaN` stays NaN); the bias lands on the
-//!   finished chain. An FP8 weight packs through one block walk
+//!   panels (or arrives packed: [`super::PackedWeight`]) and the rows run
+//!   the tile compiled with `SKIP = false` (Linear multiplies every term:
+//!   `0 · NaN` stays NaN); the bias lands on the finished chain. An FP8 weight packs through one block walk
 //!   ([`walk8`], also the score step's): 8×8 byte blocks of 8 channels'
 //!   rows transpose and [`Chains::decode8`] turns each column into a panel
 //!   row of `decode(code) / scale`. Row blocks shorter than 4 against an
@@ -854,12 +854,33 @@ unsafe fn linear_rows_q<V: Chains, const R: usize>(s: ShortRowsQ) {
 /// Stream an `[n, k]` weight into column panels (`bp[j0*k + kk*NRM + c]`
 /// is `Wᵀ[kk, j0+c]`): an f32 weight as a plain transposing copy, an
 /// FP8-stored one as `lut.decode(code) / scale(channel)` — the expression
-/// of `StoredTensor::dequantize` — through [`PackQ`].
-fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
+/// of `StoredTensor::dequantize` — through [`PackQ`], a packed one copied.
+pub(super) fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
     match weight {
         WeightOperand::F32(t) => pack_transposed(t.data(), k, n, bp),
         WeightOperand::Q(q) => run_lanes(PackQ(q, (k, n), bp)),
+        WeightOperand::Packed(p) => bp.copy_from_slice(&p.panels),
     }
+}
+
+/// Run `f` on the column panels of `weight` as an `[n, k]` weight, beside
+/// `extra` elements of call-wide scratch: a packed weight's own panels, any
+/// other weight packed into the call-wide panel buffer for this call.
+fn with_panels<R>(
+    weight: WeightOperand,
+    (k, n): (usize, usize),
+    extra: usize,
+    f: impl FnOnce(&[f32], &mut [f32]) -> R,
+) -> R {
+    if let WeightOperand::Packed(p) = weight {
+        return scratch::with_panel(extra, |e| f(&p.panels, e));
+    }
+    let len = n.next_multiple_of(NRM) * k;
+    scratch::with_panel(len + extra, |buf| {
+        let (wp, e) = buf.split_at_mut(len);
+        decode_pack_weights(weight, k, n, wp);
+        f(wp, e)
+    })
 }
 
 /// The f32 arm of [`decode_pack_weights`], from the `n` rows of `k` in
@@ -876,9 +897,10 @@ fn pack_transposed(src: &[f32], k: usize, n: usize, bp: &mut [f32]) {
     }
 }
 
-/// Linear over any weight, no zero-skip: packed once per call — except an
-/// FP8 weight under fewer than `MR` rows, whose codes the row tile reads in
-/// place ([`ShortRowsQ`]).
+/// Linear over any weight, no zero-skip: packed once per call unless it
+/// comes packed — except an FP8 weight under fewer than `MR` rows, whose
+/// codes the row tile reads in place ([`ShortRowsQ`]; a packed weight runs
+/// [`Tile`]'s short rows, the same chains).
 pub(super) fn linear<X: Rows + ?Sized>(
     x: &X,
     weight: WeightOperand,
@@ -895,8 +917,7 @@ pub(super) fn linear<X: Rows + ?Sized>(
         });
         return add_bias(out, n, bias);
     }
-    scratch::with_panel(k * n.next_multiple_of(NRM), |wp| {
-        decode_pack_weights(weight, k, n, wp);
+    with_panels(weight, (k, n), 0, |wp, _| {
         tile_rows::<false, _>(x, (k, n), wp, bias, out.data_mut(), macs);
     });
 }
@@ -1063,9 +1084,7 @@ pub(super) fn conv2d<X: Rows + ?Sized>(
 ) {
     let (k, sample, image) = (d.cin * d.kh * d.kw, d.cin * d.h * d.w, d.cout * d.oh * d.ow);
     let (padded, macs) = (d.cout.next_multiple_of(NRM), out.len() * k);
-    scratch::with_panel(padded * (k + 1), |buf| {
-        let (wp, bp) = buf.split_at_mut(padded * k);
-        decode_pack_weights(weight, k, d.cout, wp);
+    with_panels(weight, (k, d.cout), padded, |wp, bp| {
         bp.fill(0.0);
         if let Some(b) = bias {
             bp[..d.cout].copy_from_slice(b.data());
@@ -1092,8 +1111,7 @@ pub(super) fn depthwise(
     // A block's lanes read adjacent taps: stride 1 only (wider never fits).
     let block = if d.stride == 1 { NRM } else { d.ow + 1 };
     let ((lo, hi), macs) = (interior(d, block), out.len() * k);
-    scratch::with_panel(d.cout.next_multiple_of(NRM) * k, |wp| {
-        decode_pack_weights(weight, k, d.cout, wp);
+    with_panels(weight, (k, d.cout), 0, |wp, _| {
         for_each_chunk(out.data_mut(), d.oh * d.ow, macs, |i, oplane| {
             let (c, x) = (i % d.cout, &xs[i * plane..][..plane]);
             let b0 = bias.map_or(0.0, |b| b.data()[c]);
@@ -1136,8 +1154,8 @@ pub(super) mod tests {
     use super::*;
     use crate::kv::{KvBuf, KvCachePolicy};
     use crate::ops::{
-        attention_step_q, attention_step_v, conv2d_into, linear_into, matmul_into, Conv2dParams,
-        KernelPath, KvSegments,
+        attention_step_q, attention_step_v, conv2d_into, depthwise_conv2d_into, linear_into,
+        matmul_into, Conv2dParams, KernelPath, KvSegments, PackedWeight,
     };
     use crate::rng::TensorRng;
 
@@ -1361,6 +1379,79 @@ pub(super) mod tests {
         t.data_mut()[(at + 1) % len] = 0.0;
         if let Some(v) = [0.0, -0.0, f32::NAN, f32::INFINITY].get(usize::from(kind)) {
             t.data_mut()[at % len] = *v;
+        }
+    }
+
+    /// `run` with `w` and with its [`PackedWeight`], on both paths and both
+    /// lane types, bit for bit the per-call `ScalarReference` result.
+    fn check_packed(
+        what: &str,
+        w: WeightOperand,
+        run: impl Fn(WeightOperand, &mut Tensor, KernelPath),
+    ) {
+        let packed = PackedWeight::pack(w);
+        let mut want = Tensor::default();
+        run(w, &mut want, KernelPath::ScalarReference);
+        on_both_lanes(|lanes| {
+            for path in [KernelPath::Blocked, KernelPath::ScalarReference] {
+                for (form, w) in [("per call", w), ("packed", WeightOperand::Packed(&packed))] {
+                    let mut got = Tensor::default();
+                    run(w, &mut got, path);
+                    assert_eq!(bits(&got), bits(&want), "{what}, {form}, {path}, {lanes}");
+                }
+            }
+        });
+    }
+
+    /// A packed weight gives the bits of the weight it was packed from:
+    /// Linear at m = 1..=9 (short rows, one tile, a tile plus short rows)
+    /// over ragged and whole panels, conv and depthwise, for f32 weights
+    /// and FP8 ones under per-tensor and per-channel scales (a zero code:
+    /// the decoder's full arm), on both kernel paths and lane types.
+    #[test]
+    fn packed_weights_match_the_per_call_pack() {
+        let mut rng = TensorRng::seed(47);
+        let f = Fp8Format::E4M3;
+        let forms = |w: &Tensor| {
+            let mut w = w.clone();
+            w.data_mut()[3] = 0.0;
+            let (pt, pc) = (
+                QTensor::quantize(&w, f),
+                QTensor::quantize_per_channel(&w, f),
+            );
+            (w, pt.unwrap(), pc.unwrap())
+        };
+        let k = 11;
+        for n in [5, 8, 13, 21] {
+            let (w, pt, pc) = forms(&rng.normal(&[n, k], 0.0, 1.0));
+            let bias = rng.normal(&[n], 0.0, 1.0);
+            for m in 1..=9 {
+                let x = rng.normal(&[m, k], 0.0, 1.0);
+                let run =
+                    |w: WeightOperand, o: &mut Tensor, p| linear_into(&x, w, Some(&bias), o, p);
+                for (kind, w) in [
+                    ("f32", (&w).into()),
+                    ("per-tensor", (&pt).into()),
+                    ("per-channel", (&pc).into()),
+                ] {
+                    check_packed(&format!("{kind} linear m {m} n {n}"), w, run);
+                }
+            }
+        }
+        let x = rng.normal(&[2, 13, 7, 9], 0.0, 1.0);
+        let p = Conv2dParams::same(3);
+        let (w, pt, pc) = forms(&rng.normal(&[13, 13, 3, 3], 0.0, 1.0));
+        let (dw, dpt, dpc) = forms(&rng.normal(&[13, 1, 3, 3], 0.0, 1.0));
+        let conv = |w: WeightOperand, o: &mut Tensor, path| conv2d_into(&x, w, None, p, o, path);
+        let depthwise =
+            |w: WeightOperand, o: &mut Tensor, path| depthwise_conv2d_into(&x, w, None, p, o, path);
+        for (kind, w, d) in [
+            ("f32", (&w).into(), (&dw).into()),
+            ("per-tensor", (&pt).into(), (&dpt).into()),
+            ("per-channel", (&pc).into(), (&dpc).into()),
+        ] {
+            check_packed(&format!("{kind} conv"), w, conv);
+            check_packed(&format!("{kind} depthwise"), d, depthwise);
         }
     }
 

@@ -34,7 +34,7 @@ pub use norm::{
     batchnorm2d, batchnorm2d_into, batchnorm2d_parts_into, layernorm, layernorm_into,
     BatchNormParams,
 };
-pub use operand::{ActOperand, WeightOperand};
+pub use operand::{ActOperand, PackedWeight, WeightOperand};
 pub use pool::{
     avg_pool2d, avg_pool2d_into, global_avg_pool2d, global_avg_pool2d_into, max_pool2d,
     max_pool2d_into,

@@ -25,17 +25,6 @@ pub struct BatchNormParams {
 }
 
 impl BatchNormParams {
-    /// Identity BatchNorm over `c` channels (γ=1, β=0, mean=0, var=1).
-    pub fn identity(c: usize) -> Self {
-        BatchNormParams {
-            gamma: Tensor::ones(&[c]),
-            beta: Tensor::zeros(&[c]),
-            mean: Tensor::zeros(&[c]),
-            var: Tensor::ones(&[c]),
-            eps: 1e-5,
-        }
-    }
-
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.gamma.len()
@@ -177,6 +166,19 @@ pub fn channel_moments(x: &Tensor) -> (Tensor, Tensor) {
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
+
+    impl BatchNormParams {
+        /// Identity BatchNorm over `c` channels (γ=1, β=0, mean=0, var=1).
+        fn identity(c: usize) -> Self {
+            BatchNormParams {
+                gamma: Tensor::ones(&[c]),
+                beta: Tensor::zeros(&[c]),
+                mean: Tensor::zeros(&[c]),
+                var: Tensor::ones(&[c]),
+                eps: 1e-5,
+            }
+        }
+    }
 
     #[test]
     fn batchnorm_identity_params_passthrough() {

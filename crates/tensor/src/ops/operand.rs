@@ -3,11 +3,13 @@
 //! `ops::linear(&x, &w, None)` compile for every operand kind). Kernels
 //! read activations through the private [`Rows`] trait, monomorphized per
 //! source (borrowed rows, or codes decoded a block at a time). The blocked
-//! kernels pack a weight into panels (short rows read FP8 codes in place);
-//! the reference loops read it dense
-//! ([`WeightOperand::with_dense`]). No f32 form of a coded operand outlives
-//! its kernel call.
+//! kernels pack a weight into panels per call (short rows read FP8 codes in
+//! place) unless the caller packed it once for many calls
+//! ([`PackedWeight`]); the reference loops read it dense
+//! ([`WeightOperand::with_dense`]). No f32 form of a coded operand the
+//! caller did not pack outlives its kernel call.
 
+use super::blocked::{decode_pack_weights, NRM};
 use super::scratch;
 use crate::act::{ActDecode, QActTensor};
 use crate::qtensor::QTensor;
@@ -35,6 +37,33 @@ pub enum WeightOperand<'a> {
     F32(&'a Tensor),
     /// FP8 weight codes with per-tensor or per-channel scales.
     Q(&'a QTensor),
+    /// A weight already in the blocked kernels' column panels.
+    Packed(&'a PackedWeight),
+}
+
+/// A weight in the blocked kernels' column panels, built once by
+/// [`PackedWeight::pack`] for a caller that runs it many times: the values
+/// a per-call pack writes (an f32 weight copied, an FP8 one
+/// `lut.decode(code) / scale(channel)`), so a kernel reading it gives the
+/// bits of one that packs per call. The weight is viewed as `[n, k]`, `n`
+/// its first dim: panel `p` holds rows `p·NRM ..` as `k` runs of `NRM`
+/// lanes, a ragged last panel's dead lanes repeating row `n − 1`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedWeight {
+    pub(super) panels: Vec<f32>,
+    shape: Vec<usize>,
+}
+
+impl PackedWeight {
+    /// Pack any weight: the one place a weight is packed ahead of its calls.
+    pub fn pack(weight: WeightOperand<'_>) -> Self {
+        let shape = weight.shape().to_vec();
+        let n = shape.first().copied().unwrap_or(1).max(1);
+        let k = shape.iter().product::<usize>() / n;
+        let mut panels = vec![0.0; n.next_multiple_of(NRM) * k];
+        decode_pack_weights(weight, k, n, &mut panels);
+        PackedWeight { panels, shape }
+    }
 }
 
 impl<'a> From<&'a Tensor> for ActOperand<'a> {
@@ -77,17 +106,28 @@ impl WeightOperand<'_> {
         match self {
             WeightOperand::F32(t) => t.shape(),
             WeightOperand::Q(q) => q.shape(),
+            WeightOperand::Packed(p) => &p.shape,
         }
     }
 
     /// Run `f` on the whole weight as dense row-major f32, as the
-    /// `ScalarReference` loops read it: borrowed, or decoded into the
-    /// call-wide panel for the duration of `f`.
+    /// `ScalarReference` loops read it: borrowed, or decoded (read back out
+    /// of its panels) into the call-wide panel for the duration of `f`.
     pub(super) fn with_dense<R>(&self, f: impl FnOnce(&[f32]) -> R) -> R {
         match self {
             WeightOperand::F32(t) => f(t.data()),
             WeightOperand::Q(q) => scratch::with_panel(q.len(), |wf| {
                 q.decode_into(wf);
+                f(wf)
+            }),
+            WeightOperand::Packed(p) => scratch::with_panel(p.shape.iter().product(), |wf| {
+                let k = wf.len() / p.shape[0].max(1);
+                for (j, row) in wf.chunks_exact_mut(k.max(1)).enumerate() {
+                    let panel = &p.panels[(j - j % NRM) * k..];
+                    for (kk, v) in row.iter_mut().enumerate() {
+                        *v = panel[kk * NRM + j % NRM];
+                    }
+                }
                 f(wf)
             }),
         }

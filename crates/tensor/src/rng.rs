@@ -121,13 +121,6 @@ impl TensorRng {
         }
     }
 
-    /// Derive an independent child stream (used to give each layer of a
-    /// model its own reproducible stream regardless of construction order).
-    pub fn fork(&mut self, salt: u64) -> Self {
-        let s: u64 = self.rng.next_u64() ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
-        TensorRng::seed(s)
-    }
-
     /// A standard-normal sample via Box-Muller (f64 internals, so the
     /// tails are clean down to f32 resolution).
     fn standard_normal(&mut self) -> f32 {
@@ -199,18 +192,6 @@ impl TensorRng {
         mean + std.max(1e-12) * self.standard_normal()
     }
 
-    /// Inject outliers: with probability `p`, replace an element by a draw
-    /// from `Uniform(-mag, mag)`. Models the long-tail activations of NLP
-    /// workloads (paper Figure 1 / Figure 3).
-    pub fn inject_outliers(&mut self, t: &mut Tensor, p: f32, mag: f32) {
-        for i in 0..t.len() {
-            if self.unit() < p {
-                let draw = -mag + 2.0 * mag * self.unit();
-                t.data_mut()[i] = draw;
-            }
-        }
-    }
-
     /// Multiply a fixed random subset of `k` channels (axis `axis` of an
     /// n-D tensor viewed as `[outer, channels, inner]`) by `gain`. Models
     /// the per-channel outlier structure LayerNorm induces in transformer
@@ -258,6 +239,29 @@ impl TensorRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TensorRng {
+        /// Inject outliers: with probability `p`, replace an element by a draw
+        /// from `Uniform(-mag, mag)`. Models the long-tail activations of NLP
+        /// workloads (paper Figure 1 / Figure 3).
+        fn inject_outliers(&mut self, t: &mut Tensor, p: f32, mag: f32) {
+            for i in 0..t.len() {
+                if self.unit() < p {
+                    let draw = -mag + 2.0 * mag * self.unit();
+                    t.data_mut()[i] = draw;
+                }
+            }
+        }
+    }
+
+    impl TensorRng {
+        /// Derive an independent child stream (used to give each layer of a
+        /// model its own reproducible stream regardless of construction order).
+        fn fork(&mut self, salt: u64) -> Self {
+            let s: u64 = self.rng.next_u64() ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
+            TensorRng::seed(s)
+        }
+    }
 
     #[test]
     fn determinism() {

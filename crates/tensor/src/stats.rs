@@ -289,28 +289,28 @@ pub fn mse(a: &[f32], b: &[f32]) -> f64 {
     s / a.len() as f64
 }
 
-/// Signal-to-quantization-noise ratio in dB: `10 log10(E[x²] / MSE)`.
-/// Returns +inf for a perfect reconstruction.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sqnr_db(reference: &[f32], quantized: &[f32]) -> f64 {
-    let err = mse(reference, quantized);
-    if err == 0.0 {
-        return f64::INFINITY;
-    }
-    let power: f64 = reference
-        .iter()
-        .map(|&x| (x as f64) * (x as f64))
-        .sum::<f64>()
-        / reference.len().max(1) as f64;
-    10.0 * (power / err).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Signal-to-quantization-noise ratio in dB: `10 log10(E[x²] / MSE)`.
+    /// Returns +inf for a perfect reconstruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    fn sqnr_db(reference: &[f32], quantized: &[f32]) -> f64 {
+        let err = mse(reference, quantized);
+        if err == 0.0 {
+            return f64::INFINITY;
+        }
+        let power: f64 = reference
+            .iter()
+            .map(|&x| (x as f64) * (x as f64))
+            .sum::<f64>()
+            / reference.len().max(1) as f64;
+        10.0 * (power / err).log10()
+    }
 
     #[test]
     fn stats_basic() {

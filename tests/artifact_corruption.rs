@@ -693,7 +693,12 @@ fn every_byte_substitution_in_the_spec_json_is_typed_or_canonical() {
 /// Load `bytes`, which must fail with a `Decode` error naming the CONFIG
 /// chunk.
 fn assert_config_error(bytes: Vec<u8>, what: &str) {
-    match PtqArtifact::from_bytes(bytes) {
+    assert_config_error_result(PtqArtifact::from_bytes(bytes).map(drop), what)
+}
+
+/// A load result that must be a `Decode` error naming the CONFIG chunk.
+fn assert_config_error_result(result: Result<(), PtqError>, what: &str) {
+    match result {
         Err(PtqError::Artifact(ArtifactError::Decode { detail })) => {
             assert!(detail.starts_with("config: "), "{what}: {detail}")
         }
@@ -730,6 +735,28 @@ fn a_config_that_is_not_the_canonical_spec_text_is_a_typed_error() {
     }
     let non_utf8 = with_payload(&bytes, TAG_CONFIG, |p| p[0] = 0xFF);
     assert_config_error(non_utf8, "a non-UTF-8 byte");
+}
+
+/// A hostile CONFIG that would parse into a tree many times its size — an
+/// array of 10 001 zeros, of 10 000 `{}`, of 10 000 `[]`, behind a valid
+/// CRC (once 25× the file) — is refused before it is parsed: a typed
+/// error, the load peak within [`LOAD_PEAK_PER_FILE_BYTE`] of the file.
+#[test]
+fn an_oversized_config_is_refused_before_it_is_parsed() {
+    let bytes = fp8_artifact_bytes();
+    let payloads = [("0", 10_001), ("{}", 10_000), ("[]", 10_000)];
+    for (entry, n) in payloads {
+        let text = format!("[{}]", vec![entry; n].join(","));
+        let what = format!("{n} × {entry}");
+        let file = with_payload(&bytes, TAG_CONFIG, |p| *p = text.into_bytes());
+        let len = file.len();
+        let (result, peak) = peak_bytes(|| PtqArtifact::from_bytes(file));
+        assert_config_error_result(result.map(drop), &what);
+        assert!(
+            peak <= LOAD_PEAK_PER_FILE_BYTE * len,
+            "{what}: load peak {peak} over {LOAD_PEAK_PER_FILE_BYTE}x the {len}-byte file"
+        );
+    }
 }
 
 #[test]
