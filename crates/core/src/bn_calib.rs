@@ -2,125 +2,23 @@
 //! statistics under the *quantized* network to compensate for the variance
 //! shift quantization introduces (Sun et al. 2019).
 
-use crate::quantizer::{QuantHook, QuantizedModel};
-use ptq_nn::{Binding, ExecHook, Graph, Node, NodeId, Op, OpClass, PlanSet, PtqError};
+use crate::quantizer::QuantizedModel;
+use ptq_nn::{reestimate_batchnorm, PtqError};
 use ptq_tensor::Tensor;
-use std::collections::HashMap;
-
-/// Accumulates per-channel sums, sums of squares and the element count of
-/// BatchNorm `target`'s input under the quantized model.
-struct BnMomentHook<'a> {
-    quant: QuantHook<'a>,
-    target: NodeId,
-    acc: (Vec<f64>, Vec<f64>, f64),
-}
-
-impl<'a> BnMomentHook<'a> {
-    fn new(quant: QuantHook<'a>, target: NodeId) -> Self {
-        let acc = Default::default();
-        BnMomentHook { quant, target, acc }
-    }
-}
-
-impl ExecHook for BnMomentHook<'_> {
-    // The operands are the quantized model's (fake-quant included, by
-    // the forwarded binding): what BN actually reads.
-    fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-        if node.id != self.target {
-            return;
-        }
-        let x = inputs[0];
-        assert_eq!(x.ndim(), 4, "BatchNorm input must be NCHW");
-        let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
-        let (sums, sums_sq, count) = &mut self.acc;
-        sums.resize(c, 0.0);
-        sums_sq.resize(c, 0.0);
-        // Plane `i` (in memory order) is channel `i % c` of image `i / c`;
-        // its sums run in registers, in the order of its elements.
-        for (i, plane) in x.data().chunks(hw.max(1)).enumerate() {
-            let (mut sum, mut sum_sq) = (sums[i % c], sums_sq[i % c]);
-            for &v in plane {
-                sum += v as f64;
-                sum_sq += (v as f64) * (v as f64);
-            }
-            (sums[i % c], sums_sq[i % c]) = (sum, sum_sq);
-        }
-        *count += (n * hw) as f64;
-    }
-
-    // Measure under exactly the inference the eval pass runs: same
-    // weights, same boundary-coded activations, same kernel path.
-    fn bind(&self, node: &Node) -> Binding<'_> {
-        self.quant.bind(node)
-    }
-}
 
 /// Run `calib` batches through the quantized model, measure each
-/// BatchNorm's input moments, and overwrite the graph's running mean/var
-/// parameters. Returns the number of BatchNorm nodes recalibrated.
-///
-/// One in-order sweep, as a BN's statistics depend on the earlier BNs'
-/// new ones: segment k runs BN k−1 (again, recalibrated) through BN k over
-/// the batches in order (the f64 sums depend on it), carrying per batch
-/// the values later nodes read, so memory grows with `calib` (DESIGN
-/// §10.2). Its plans are dropped after it.
+/// BatchNorm's input moments under exactly the inference the eval pass
+/// runs, and overwrite its running mean/var: [`reestimate_batchnorm`]
+/// under the model's hook, variance floor 1e-8. `model.plans` is left as
+/// it was. Returns the number of BatchNorm nodes recalibrated.
 pub fn recalibrate_batchnorm(
     model: &mut QuantizedModel,
     calib: &[Vec<Tensor>],
 ) -> Result<usize, PtqError> {
-    let mut last_read = vec![None; model.graph.n_values()];
-    for node in model.graph.nodes() {
-        for &v in &node.inputs {
-            last_read[v] = Some(node.id);
-        }
-    }
-    let read_from = |v: usize, at: NodeId| last_read[v].is_some_and(|r| r >= at);
-    // The values carried into the next segment, and per batch their tensors.
-    let mut live = model.graph.input_ids().to_vec();
-    let mut carried = vec![HashMap::new(); calib.len()];
-    let (mut start, mut updated) = (0, 0);
-    let bns = model.graph.nodes_of_class(OpClass::BatchNorm);
-    for (k, &bn) in bns.iter().enumerate() {
-        let nodes = &model.graph.nodes()[start..=bn];
-        // Segment 0 takes every graph input, so a batch passes as it is.
-        let read_here = |v: &usize| k == 0 || nodes.iter().any(|n| n.inputs.contains(v));
-        let inputs: Vec<usize> = live.iter().copied().filter(read_here).collect();
-        // BN k's own output is recomputed by the next segment.
-        let before_bn = nodes[..nodes.len() - 1].iter().map(|n| n.output);
-        let outputs: Vec<usize> = before_bn.filter(|&v| read_from(v, bn)).collect();
-        let params = nodes.iter().flat_map(|n| n.op.param_values());
-        let params = params.filter_map(|id| Some((id, model.graph.param(id)?.clone())));
-        let (ins, outs, n_values) = (inputs.clone(), outputs.clone(), model.graph.n_values());
-        let graph = Graph::from_parts(nodes.to_vec(), params, ins, outs, n_values);
-        let plans = PlanSet::new();
-        let mut hook = BnMomentHook::new(model.hook(), bn);
-        for (batch, carry) in calib.iter().zip(&mut carried) {
-            let held: Vec<Tensor> = inputs.iter().filter_map(|v| carry.remove(v)).collect();
-            let computed = plans.run(&graph, if k == 0 { batch } else { &held }, &mut hook)?;
-            if k == 0 {
-                let read_later = inputs.iter().zip(batch).filter(|(&v, _)| read_from(v, bn));
-                carry.extend(read_later.map(|(&v, t)| (v, t.clone())));
-            }
-            let kept = inputs.iter().copied().zip(held);
-            carry.extend(kept.filter(|&(v, _)| read_from(v, bn)));
-            carry.extend(outputs.iter().copied().zip(computed));
-        }
-        live.retain(|&v| read_from(v, bn));
-        live.extend(outputs);
-        start = bn;
-        let (sum, sum_sq, n) = &hook.acc;
-        let bn_op = graph.nodes().last().map(|n| &n.op).filter(|_| *n > 0.0);
-        let Some(&Op::BatchNorm { mean, var, .. }) = bn_op else {
-            continue;
-        };
-        let m: Vec<f32> = sum.iter().map(|&s| (s / n) as f32).collect();
-        let v = m.iter().zip(sum_sq);
-        let v: Vec<f32> = v
-            .map(|(&mi, &s)| ((s / n) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
-            .collect();
-        model.graph.set_param(mean, Tensor::from_slice(&m))?;
-        model.graph.set_param(var, Tensor::from_slice(&v))?;
-        updated += 1;
+    let stats = reestimate_batchnorm(&model.graph, calib, &mut model.hook(), 1e-8)?;
+    let updated = stats.len() / 2;
+    for (id, t) in stats {
+        model.graph.set_param(id, t)?;
     }
     Ok(updated)
 }
@@ -132,7 +30,10 @@ mod tests {
     use crate::config::QuantConfig;
     use crate::quantizer::QuantizedModel;
     use ptq_fp8::Fp8Format;
-    use ptq_nn::{GraphBuilder, UnwrapOk};
+    use ptq_nn::{
+        Binding, ExecHook, Graph, GraphBuilder, Node, NodeId, NoopHook, Op, OpClass, PlanSet,
+        UnwrapOk, ValueId,
+    };
     use ptq_tensor::ops::{BatchNormParams, Conv2dParams};
     use ptq_tensor::TensorRng;
 
@@ -220,67 +121,89 @@ mod tests {
         b.finish(vec![out])
     }
 
-    /// The original algorithm, as the oracle: per BN, the full
-    /// graph over every batch, every BN's moments accumulated, the
-    /// target's kept.
-    fn recalibrate_on_the_full_graph(model: &mut QuantizedModel, calib: &[Vec<Tensor>]) {
-        struct EveryBn<'a> {
-            quant: crate::quantizer::QuantHook<'a>,
-            acc: HashMap<usize, (Vec<f64>, Vec<f64>, f64)>,
+    /// The original algorithm, as the oracle of both callers: per BN in
+    /// execution order, the full graph over every batch under `hook`, the
+    /// BN's input moments taken from `before_node`, its new statistics
+    /// bound before the next BN is measured. Returns them as
+    /// [`reestimate_batchnorm`] does.
+    fn full_graph_oracle(
+        graph: &Graph,
+        batches: &[Vec<Tensor>],
+        hook: &mut dyn ExecHook,
+        var_floor: f64,
+    ) -> Vec<(ValueId, Tensor)> {
+        struct Target<'h> {
+            inner: &'h mut dyn ExecHook,
+            id: NodeId,
+            acc: (Vec<f64>, Vec<f64>, f64),
         }
-        impl ExecHook for EveryBn<'_> {
+        impl ExecHook for Target<'_> {
             fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-                if node.op.class() != OpClass::BatchNorm {
+                self.inner.before_node(node, inputs);
+                if node.id != self.id {
                     return;
                 }
                 let x = inputs[0];
                 let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
-                let e = self
-                    .acc
-                    .entry(node.id)
-                    .or_insert_with(|| (vec![0.0; c], vec![0.0; c], 0.0));
+                let (sum, sq, count) = &mut self.acc;
+                sum.resize(c, 0.0);
+                sq.resize(c, 0.0);
                 for ni in 0..n {
                     for ci in 0..c {
                         let base = (ni * c + ci) * hw;
                         for &v in &x.data()[base..base + hw] {
-                            e.0[ci] += v as f64;
-                            e.1[ci] += (v as f64) * (v as f64);
+                            sum[ci] += v as f64;
+                            sq[ci] += (v as f64) * (v as f64);
                         }
                     }
                 }
-                e.2 += (n * hw) as f64;
+                *count += (n * hw) as f64;
+            }
+            fn after_node(&mut self, node: &Node, output: &Tensor) {
+                self.inner.after_node(node, output);
             }
             fn bind(&self, node: &Node) -> Binding<'_> {
-                self.quant.bind(node)
+                self.inner.bind(node)
             }
         }
-        let plans = PlanSet::new();
-        for target in model.graph.nodes_of_class(OpClass::BatchNorm) {
-            let mut hook = EveryBn {
-                quant: model.hook(),
-                acc: HashMap::new(),
+        let mut graph = graph.clone();
+        let (plans, mut stats) = (PlanSet::new(), Vec::new());
+        for target in graph.nodes_of_class(OpClass::BatchNorm) {
+            let mut hook = Target {
+                inner: &mut *hook,
+                id: target,
+                acc: Default::default(),
             };
-            for inputs in calib {
-                plans.run(&model.graph, inputs, &mut hook).unwrap_ok();
+            for inputs in batches {
+                plans.run(&graph, inputs, &mut hook).unwrap_ok();
             }
-            let (sum, sq, count) = &hook.acc[&target];
+            let (sum, sq, count) = hook.acc;
             let m: Vec<f32> = sum.iter().map(|&s| (s / count) as f32).collect();
             let v: Vec<f32> = m
                 .iter()
                 .zip(sq)
-                .map(|(&mi, &s)| ((s / count) - (mi as f64) * (mi as f64)).max(1e-8) as f32)
+                .map(|(&mi, s)| ((s / count) - (mi as f64) * (mi as f64)).max(var_floor) as f32)
                 .collect();
-            let Op::BatchNorm { mean, var, .. } = model.graph.nodes()[target].op else {
+            let Op::BatchNorm { mean, var, .. } = graph.nodes()[target].op else {
                 unreachable!("nodes_of_class returned a non-BatchNorm node");
             };
-            model
-                .graph
-                .set_param(mean, Tensor::from_slice(&m))
-                .unwrap_ok();
-            model
-                .graph
-                .set_param(var, Tensor::from_slice(&v))
-                .unwrap_ok();
+            for (id, t) in [(mean, m), (var, v)] {
+                graph.set_param(id, Tensor::from_slice(&t)).unwrap_ok();
+                stats.push((id, Tensor::from_slice(&t)));
+            }
+        }
+        stats
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `stats` and the oracle's agree bit for bit, every BN's included.
+    fn assert_bit_equal(stats: &[(ValueId, Tensor)], oracle: &[(ValueId, Tensor)], what: &str) {
+        assert_eq!(stats.len(), oracle.len(), "{what}: BN count");
+        for ((a, x), (b, y)) in stats.iter().zip(oracle) {
+            assert_eq!((a, bits(x)), (b, bits(y)), "{what}: parameter {a}");
         }
     }
 
@@ -336,30 +259,29 @@ mod tests {
         b.finish(vec![out])
     }
 
-    /// Recalibrate `model` and a clone of it by the oracle and assert every
-    /// BatchNorm's statistics agree bit for bit (and moved).
-    fn assert_sweep_matches_oracle(model: QuantizedModel, calib: &[Vec<Tensor>], what: &str) {
-        let (mut model, mut oracle) = (model.clone(), model);
+    /// Recalibrate `model` and assert every BatchNorm's statistics equal
+    /// the oracle's under the model's hook bit for bit (and moved).
+    fn assert_sweep_matches_oracle(mut model: QuantizedModel, calib: &[Vec<Tensor>], what: &str) {
         let stale = model.graph.clone();
+        let oracle = full_graph_oracle(&model.graph, calib, &mut model.hook(), 1e-8);
         let bns = model.graph.nodes_of_class(OpClass::BatchNorm);
         assert_eq!(
             recalibrate_batchnorm(&mut model, calib).unwrap_ok(),
             bns.len()
         );
-        recalibrate_on_the_full_graph(&mut oracle, calib);
         assert!(model.plans.is_empty(), "no calibration-shape plan is kept");
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for id in bns {
-            let (a, b) = (bn_params(&model.graph, id), bn_params(&oracle.graph, id));
-            let before = bn_params(&stale, id);
+        let bound = |g: &Graph, id| g.param(id).and_then(|p| p.as_f32()).unwrap().clone();
+        let stats: Vec<_> = oracle
+            .iter()
+            .map(|&(id, _)| (id, bound(&model.graph, id)))
+            .collect();
+        assert_bit_equal(&stats, &oracle, what);
+        for (id, t) in &stats {
             assert_ne!(
-                bits(&a.mean),
-                bits(&before.mean),
-                "{what}: BN {id} not recalibrated"
+                bits(t),
+                bits(&bound(&stale, *id)),
+                "{what}: {id} not recalibrated"
             );
-            for (x, y) in [(&a.mean, &b.mean), (&a.var, &b.var)] {
-                assert_eq!(bits(x), bits(y), "{what}: BN {id}");
-            }
         }
     }
 
@@ -414,6 +336,29 @@ mod tests {
     }
 
     #[test]
+    fn fp32_reestimation_matches_the_oracle_on_the_quick_zoo_cnns() {
+        use ptq_models::{build_zoo_limited, ZooFilter};
+        let zoo = build_zoo_limited(ZooFilter::Quick, 3);
+        let cnns: Vec<_> = zoo.iter().filter(|w| w.has_batchnorm()).collect();
+        assert_eq!(cnns.len(), 2, "resnet_like and mobilenet_like (depthwise)");
+        for w in cnns {
+            // The zoo's FP32 initialization, from stale statistics.
+            let mut g = w.graph.clone();
+            for id in g.nodes_of_class(OpClass::BatchNorm) {
+                let Op::BatchNorm { mean, var, .. } = g.nodes()[id].op else {
+                    unreachable!("nodes_of_class returned a non-BatchNorm node");
+                };
+                let c = g.param(mean).unwrap().shape()[0];
+                g.set_param(mean, Tensor::full(&[c], 0.5)).unwrap_ok();
+                g.set_param(var, Tensor::full(&[c], 2.5)).unwrap_ok();
+            }
+            let stats = reestimate_batchnorm(&g, &w.calib, &mut NoopHook, 1e-6).unwrap_ok();
+            let oracle = full_graph_oracle(&g, &w.calib, &mut NoopHook, 1e-6);
+            assert_bit_equal(&stats, &oracle, &w.spec.name);
+        }
+    }
+
+    #[test]
     fn recalibration_matches_observed_moments() {
         let g = bn_cnn(1);
         let calib_x: Vec<Vec<Tensor>> = (0..4)
@@ -434,16 +379,11 @@ mod tests {
         let bn_id = model.graph.nodes_of_class(OpClass::BatchNorm)[0];
         let params = bn_params(&model.graph, bn_id);
         // Re-measure.
-        let mut hook2 = BnMomentHook::new(model.hook(), bn_id);
-        for c in &calib_x {
-            model.graph.run(c, &mut hook2).unwrap_ok();
-        }
-        let (sum, sq, count) = &hook2.acc;
+        let remeasured = full_graph_oracle(&model.graph, &calib_x, &mut model.hook(), 0.0);
+        let (m, v) = (remeasured[0].1.data(), remeasured[1].1.data());
         for ci in 0..4 {
-            let m = (sum[ci] / count) as f32;
-            let v = ((sq[ci] / count) - (m as f64) * (m as f64)) as f32;
-            assert!((params.mean.data()[ci] - m).abs() < 1e-4);
-            assert!((params.var.data()[ci] - v).abs() < 1e-3);
+            assert!((params.mean.data()[ci] - m[ci]).abs() < 1e-4);
+            assert!((params.var.data()[ci] - v[ci]).abs() < 1e-3);
         }
     }
 

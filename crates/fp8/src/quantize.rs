@@ -23,11 +23,13 @@ use serde::{Deserialize, Serialize};
 /// Compute the paper's scale `s = float_max / max_T` for a tensor whose
 /// calibrated absmax is `max_t`.
 ///
-/// A degenerate (zero / non-finite) `max_t` yields a scale of 1.0 so that
-/// all-zero tensors pass through unchanged.
+/// A degenerate `max_t` yields a scale of 1.0 so that all-zero tensors
+/// pass through unchanged: zero, non-finite, or so small (a subnormal) that
+/// the quotient overflows f32.
 pub fn fp8_scale(format: Fp8Format, max_t: f32) -> f32 {
-    if max_t > 0.0 && max_t.is_finite() {
-        format.max_value() / max_t
+    let scale = format.max_value() / max_t;
+    if max_t > 0.0 && max_t.is_finite() && scale.is_finite() {
+        scale
     } else {
         1.0
     }
@@ -220,6 +222,18 @@ fn spec_format_max(codec: &Fp8Codec) -> f32 {
 mod tests {
     use super::*;
     use crate::format::Fp8Format;
+
+    #[test]
+    fn subnormal_absmax_gets_unit_scale() {
+        for f in Fp8Format::ALL {
+            for max_t in [f32::from_bits(1), f32::MIN_POSITIVE / 4.0] {
+                assert_eq!(fp8_scale(f, max_t), 1.0, "{f:?} at {max_t:e}");
+            }
+            // The smallest absmax whose quotient still fits keeps its scale.
+            let max_t = f.max_value() / f32::MAX;
+            assert!(fp8_scale(f, max_t).is_finite() && fp8_scale(f, max_t) > 1.0);
+        }
+    }
 
     fn normal_with_outliers(n: usize, seed: u64) -> Vec<f32> {
         // Small deterministic LCG sampler; avoids pulling rand into unit

@@ -15,6 +15,11 @@
 //! numeric perturbations (eval noise, quantization error) flip exactly the
 //! near-margin samples — the mechanism behind realistic accuracy
 //! degradation.
+//!
+//! Beside the heads, [`coadapt_convs`] rescales conv weights as training
+//! would; the CV families run it between two FP32 BatchNorm
+//! re-estimations ([`ptq_nn::reestimate_batchnorm`], the sweep the PTQ
+//! pass calibrates BatchNorm with).
 
 use ptq_nn::{ExecHook, Graph, Node, NodeId, Op, Param, UnwrapOk};
 use ptq_tensor::{Tensor, TensorRng};
@@ -227,58 +232,6 @@ fn mahalanobis_anchor_row(
     (w, bias)
 }
 
-/// Replace `head_node`'s weight/bias so the `k` output logits are
-/// nearest-anchor scores over the captured `features` (`[n, d]`).
-///
-/// Anchors are `k` probe rows chosen at random (deterministically from
-/// `seed`). Features are **whitened per dimension** (centered by the
-/// probe mean, divided by the probe std) before the nearest-anchor dot
-/// product — the discriminative reweighting a trained head provides.
-/// Whitening is what lets a model with amplified outlier channels keep a
-/// healthy FP32 baseline while those same channels still stretch
-/// per-tensor INT8 activation grids (the paper's core mechanism).
-///
-/// # Panics
-///
-/// Panics if the head is not a `Linear` with a bias, if `features` has
-/// fewer than `k` rows, or if the head width does not equal `k`.
-pub fn install_anchor_head(
-    graph: &mut Graph,
-    head: NodeId,
-    features: &Tensor,
-    k: usize,
-    seed: u64,
-) {
-    let (n, d) = (features.dim(0), features.dim(1));
-    assert!(n >= k, "need at least {k} probe rows, got {n}");
-    let (wid, bid) = head_params(graph, head);
-    let w_shape = graph.param(wid).expect("head weight").shape().to_vec();
-    assert_eq!(w_shape, vec![k, d], "head weight must be [{k}, {d}]");
-
-    let (mu, inv, cov) = covariance_inverse(features);
-
-    // Pick k distinct anchor rows.
-    let mut rng = TensorRng::seed(seed);
-    let mut picked: Vec<usize> = Vec::with_capacity(k);
-    while picked.len() < k {
-        let c = rng.below(n);
-        if !picked.contains(&c) {
-            picked.push(c);
-        }
-    }
-
-    let mut w = Tensor::zeros(&[k, d]);
-    let mut b = Tensor::zeros(&[k]);
-    for (c, &row) in picked.iter().enumerate() {
-        let anchor: Vec<f32> = (0..d).map(|j| features.at(&[row, j])).collect();
-        let (wr, bias) = mahalanobis_anchor_row(&anchor, &mu, &inv, &cov);
-        w.data_mut()[c * d..(c + 1) * d].copy_from_slice(&wr);
-        b.data_mut()[c] = bias;
-    }
-    graph.set_param(wid, w).unwrap_ok();
-    graph.set_param(bid, b).unwrap_ok();
-}
-
 /// Replace a `[1, d] → [1, 1]` regression head with a centered random
 /// unit direction so the scalar output tracks the input-dependent feature
 /// component.
@@ -325,14 +278,21 @@ pub fn install_regression_head(graph: &mut Graph, head: NodeId, features: &Tenso
         .unwrap_ok();
 }
 
-/// Like [`install_anchor_head`], but with explicitly chosen anchor rows
-/// (e.g. the features of class *prototype* inputs) while the centering
-/// mean `μ` is still estimated from the full feature set.
+/// Replace `head`'s weight/bias so its `rows.len()` output logits are
+/// nearest-anchor scores over the captured `features` (`[n, d]`): class
+/// `c`'s anchor is feature row `rows[c]` (e.g. the features of class
+/// *prototype* inputs), and the centering mean `μ` and covariance are
+/// estimated from the full feature set. The dot product is Mahalanobis
+/// (whitened by the regularized covariance) — the discriminative
+/// reweighting a trained head provides, which lets a model with amplified
+/// outlier channels keep a healthy FP32 baseline while those channels
+/// still stretch per-tensor INT8 activation grids (the paper's core
+/// mechanism).
 ///
 /// # Panics
 ///
-/// Panics on the same conditions as [`install_anchor_head`], or if any
-/// row index is out of bounds.
+/// Panics if the head is not a `Linear` with a bias, if its width is not
+/// `rows.len()`, or if any row index is out of bounds.
 pub fn install_anchor_head_rows(
     graph: &mut Graph,
     head: NodeId,
@@ -358,82 +318,6 @@ pub fn install_anchor_head_rows(
     graph.set_param(bid, b).unwrap_ok();
 }
 
-/// Initialize BatchNorm running statistics from the network's *actual*
-/// FP32 activation moments on clean data — what training would have left
-/// behind. Without this, the synthetic "running stats" are arbitrary and
-/// the PTQ BatchNorm-calibration step would *change* the reference
-/// function rather than correct a quantization-induced shift.
-///
-/// BatchNorms are fixed **sequentially in execution order** — a BN's
-/// correct statistics depend on every earlier BN already carrying its
-/// final statistics (train-mode BN gets this for free by normalizing with
-/// batch stats; in inference-mode emulation we need one pass per BN). The
-/// `iterations` argument is accepted for API stability but the
-/// per-BN sequential schedule always runs to full consistency.
-pub fn initialize_bn_stats(graph: &mut Graph, batches: &[Vec<Tensor>], iterations: usize) {
-    use ptq_nn::OpClass;
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct Moments {
-        acc: HashMap<NodeId, (Vec<f64>, Vec<f64>, f64)>,
-    }
-    impl ExecHook for Moments {
-        fn before_node(&mut self, node: &Node, inputs: &[&Tensor]) {
-            if node.op.class() != OpClass::BatchNorm {
-                return;
-            }
-            let x = inputs[0];
-            let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-            let e = self
-                .acc
-                .entry(node.id)
-                .or_insert_with(|| (vec![0.0; c], vec![0.0; c], 0.0));
-            let data = x.data();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for &v in &data[base..base + h * w] {
-                        e.0[ci] += v as f64;
-                        e.1[ci] += (v as f64) * (v as f64);
-                    }
-                }
-            }
-            e.2 += (n * h * w) as f64;
-        }
-    }
-
-    let _ = iterations;
-    let bn_nodes = graph.nodes_of_class(OpClass::BatchNorm);
-    // Fix one BN per pass, in execution order: by the time BN_k is
-    // measured, BN_0..k-1 already carry their final statistics, so the
-    // measurement is exact.
-    for &target in &bn_nodes {
-        let mut hook = Moments::default();
-        for inputs in batches {
-            graph.run(inputs, &mut hook).unwrap_ok();
-        }
-        let Some((sum, sq, count)) = hook.acc.get(&target) else {
-            continue;
-        };
-        if *count == 0.0 {
-            continue;
-        }
-        let Op::BatchNorm { mean, var, .. } = &graph.nodes()[target].op else {
-            continue;
-        };
-        let (mid, vid) = (*mean, *var);
-        let m: Vec<f32> = sum.iter().map(|&s| (s / count) as f32).collect();
-        let v: Vec<f32> = m
-            .iter()
-            .zip(sq)
-            .map(|(&mi, &s)| ((s / count) - (mi as f64) * (mi as f64)).max(1e-6) as f32)
-            .collect();
-        graph.set_param(mid, Tensor::from_slice(&m)).unwrap_ok();
-        graph.set_param(vid, Tensor::from_slice(&v)).unwrap_ok();
-    }
-}
-
 /// Co-adapt convolution weights to their inputs' per-channel magnitudes,
 /// as training would: measure each Conv2d's input-channel absmax over
 /// `batches`, then rescale the weight's input-channel slices by
@@ -442,8 +326,9 @@ pub fn initialize_bn_stats(graph: &mut Graph, batches: &[Vec<Tensor>], iteration
 /// dominate every output (which would turn activation outliers into a
 /// pure weight-precision contest no small model can win).
 ///
-/// Call between two [`initialize_bn_stats`] passes so downstream BatchNorm
-/// statistics are re-estimated for the rescaled weights.
+/// Call between two BatchNorm re-estimations
+/// ([`ptq_nn::reestimate_batchnorm`]) so downstream statistics follow the
+/// rescaled weights.
 pub fn coadapt_convs(graph: &mut Graph, batches: &[Vec<Tensor>]) {
     use crate::families::common::coadapt_scales;
     use ptq_nn::OpClass;
@@ -548,13 +433,26 @@ mod tests {
         (g, batches)
     }
 
+    /// `k` distinct rows of `n`, drawn from `seed`.
+    fn random_rows(n: usize, k: usize, seed: u64) -> Vec<usize> {
+        let mut rng = TensorRng::seed(seed);
+        let mut picked = Vec::with_capacity(k);
+        while picked.len() < k {
+            let c = rng.below(n);
+            if !picked.contains(&c) {
+                picked.push(c);
+            }
+        }
+        picked
+    }
+
     #[test]
     fn anchor_head_diversifies_predictions() {
         let (mut g, batches) = constant_heavy_graph(4);
         let head = head_node(&g);
         // Before: predictions concentrate on very few classes.
         let feats = capture_features(&g, &batches, head);
-        install_anchor_head(&mut g, head, &feats, 4, 7);
+        install_anchor_head_rows(&mut g, head, &feats, &random_rows(feats.dim(0), 4, 7));
         let mut preds = Vec::new();
         for inp in &batches {
             preds.extend(g.infer(inp).unwrap_ok()[0].argmax_rows());
@@ -576,7 +474,7 @@ mod tests {
         let (mut g, batches) = constant_heavy_graph(3);
         let head = head_node(&g);
         let feats = capture_features(&g, &batches, head);
-        install_anchor_head(&mut g, head, &feats, 3, 3);
+        install_anchor_head_rows(&mut g, head, &feats, &random_rows(feats.dim(0), 3, 3));
         // Predictions on the probe set are spread and deterministic.
         let p1: Vec<usize> = batches
             .iter()
@@ -615,6 +513,6 @@ mod tests {
         let y = b.linear(x, w, None);
         let mut g = b.finish(vec![y]);
         let f = Tensor::zeros(&[8, 4]);
-        install_anchor_head(&mut g, 0, &f, 3, 1);
+        install_anchor_head_rows(&mut g, 0, &f, &[0, 1, 2]);
     }
 }

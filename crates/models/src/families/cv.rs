@@ -13,7 +13,7 @@ use crate::families::common::{batchnorm_with_hostility, conv_bn_relu, CvConfig};
 use crate::task::{CalibSource, Metric, Transform};
 use crate::workload::{Workload, WorkloadSpec};
 use ptq_metrics::Domain;
-use ptq_nn::{Graph, GraphBuilder, NoopHook, UnwrapOk};
+use ptq_nn::{reestimate_batchnorm, Graph, GraphBuilder, NoopHook, UnwrapOk};
 use ptq_tensor::ops::Conv2dParams;
 use ptq_tensor::{Tensor, TensorRng};
 
@@ -76,11 +76,7 @@ pub fn cv_classification(name: &str, family: &str, mut graph: Graph, cfg: &CvCon
     // data more effective: it matches the distribution the running stats
     // were estimated on.)
     let init_batches = source.sample(160, Transform::Train, cfg.seed ^ 0xB117);
-    crate::anchor::initialize_bn_stats(&mut graph, &init_batches, 2);
-    // Trained weights balance input-channel contributions; re-estimate BN
-    // statistics afterwards (see anchor::coadapt_convs).
-    crate::anchor::coadapt_convs(&mut graph, &init_batches[..2.min(init_batches.len())]);
-    crate::anchor::initialize_bn_stats(&mut graph, &init_batches, 2);
+    train_bn_and_convs(&mut graph, &init_batches);
 
     // Eval set: EVAL_N cluster samples, labels = generating class.
     let mut labels = Vec::with_capacity(EVAL_N);
@@ -119,6 +115,23 @@ pub fn cv_classification(name: &str, family: &str, mut graph: Graph, cfg: &CvCon
         Metric::Top1 { labels },
         Some(source),
     )
+}
+
+/// What training would have left behind, from `init_batches`: BatchNorm
+/// statistics re-estimated from the FP32 activations (variance floor
+/// 1e-6), conv weights co-adapted to their inputs (see
+/// [`crate::anchor::coadapt_convs`]), then the statistics re-estimated
+/// for the rescaled weights.
+fn train_bn_and_convs(graph: &mut Graph, init_batches: &[Vec<Tensor>]) {
+    let reestimate = |graph: &mut Graph| {
+        let stats = reestimate_batchnorm(graph, init_batches, &mut NoopHook, 1e-6).unwrap_ok();
+        for (id, t) in stats {
+            graph.set_param(id, t).unwrap_ok();
+        }
+    };
+    reestimate(graph);
+    crate::anchor::coadapt_convs(graph, &init_batches[..2.min(init_batches.len())]);
+    reestimate(graph);
 }
 
 /// Plain VGG-style stack: conv-relu blocks with occasional max-pool, no
@@ -456,9 +469,7 @@ pub fn unet_like(cfg: &CvConfig) -> Workload {
         batch: 16,
     };
     let init_batches = source.sample(128, Transform::Train, cfg.seed ^ 0xB117);
-    crate::anchor::initialize_bn_stats(&mut graph, &init_batches, 2);
-    crate::anchor::coadapt_convs(&mut graph, &init_batches[..2.min(init_batches.len())]);
-    crate::anchor::initialize_bn_stats(&mut graph, &init_batches, 2);
+    train_bn_and_convs(&mut graph, &init_batches);
     let clean = rng.normal(&[n, cfg.in_ch, cfg.img, cfg.img], 0.0, 1.0);
     let ref_out = graph.infer(std::slice::from_ref(&clean)).unwrap_ok();
     let labels = pixel_labels(&ref_out[0]);
@@ -517,9 +528,7 @@ pub fn detector_like(cfg: &CvConfig) -> Workload {
         batch: 16,
     };
     let init_batches = source.sample(128, Transform::Train, cfg.seed ^ 0xB117);
-    crate::anchor::initialize_bn_stats(&mut graph, &init_batches, 2);
-    crate::anchor::coadapt_convs(&mut graph, &init_batches[..2.min(init_batches.len())]);
-    crate::anchor::initialize_bn_stats(&mut graph, &init_batches, 2);
+    train_bn_and_convs(&mut graph, &init_batches);
     let clean = rng.normal(&[n, cfg.in_ch, cfg.img, cfg.img], 0.0, 1.0);
     let labels = pixel_labels(&graph.infer(std::slice::from_ref(&clean)).unwrap_ok()[0]);
     let noise = rng.normal(clean.shape(), 0.0, EVAL_NOISE);

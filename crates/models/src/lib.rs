@@ -32,4 +32,4 @@ pub mod zoo;
 
 pub use task::{CalibSource, Metric, Transform};
 pub use workload::{Workload, WorkloadSpec};
-pub use zoo::{build_zoo, build_zoo_limited, zoo_names, ZooFilter};
+pub use zoo::{build_zoo, build_zoo_limited, ZooFilter};

@@ -48,17 +48,6 @@ pub fn build_zoo(filter: ZooFilter) -> Vec<Workload> {
     all
 }
 
-/// Names of every workload the full zoo contains (cheap — does not build
-/// the models).
-pub fn zoo_names() -> Vec<String> {
-    // Building is cheap enough at these sizes that we just build and map;
-    // kept as a function for API stability if laziness is ever needed.
-    build_zoo(ZooFilter::All)
-        .into_iter()
-        .map(|w| w.spec.name)
-        .collect()
-}
-
 fn cvc(width: usize, depth: usize, img: usize, seed: u64, hostility: f32) -> CvConfig {
     CvConfig {
         img,

@@ -16,9 +16,8 @@ use ptq_tensor::Tensor;
 /// * **quantized inference** runs the quantized weights its graph binds and
 ///   binds SmoothQuant divisors, fake-quantized or boundary-coded
 ///   activations and the kernel path in [`ExecHook::bind`]; the executor
-///   builds those operands,
-/// * **BatchNorm calibration** measures pre-BN activations and rewrites the
-///   running statistics between runs.
+///   builds those operands (and [`crate::reestimate_batchnorm`] reads a
+///   BatchNorm's operand under the same binding).
 ///
 /// The observers are read-only: what a node computes is decided by `bind`
 /// alone.

@@ -19,11 +19,10 @@
 //!   (observe outputs), plus one pure [`ExecHook::bind`] per node that
 //!   returns its [`Binding`]: how its inputs are divided, fake-quantized or
 //!   coded as FP8 at the boundary, the kernel path and the KV-cache
-//!   format. Calibration, quantized inference and BatchNorm recalibration
-//!   are all hooks; a node always runs the weights its graph binds.
-//!   `Graph::run` is the allocation-per-node
-//!   reference loop the planned and incremental executors are verified
-//!   against.
+//!   format. Calibration and quantized inference are hooks, and BatchNorm
+//!   re-estimation runs under one; a node always runs the weights its graph
+//!   binds. `Graph::run` is the allocation-per-node reference loop the
+//!   planned and incremental executors are verified against.
 //! * [`Graph::validate`] + [`Graph::run`] / [`Graph::infer`] — the
 //!   panic-free execution surface: arity, parameter binding, def-before-use
 //!   and per-operator shape rules are proven up front and violations are
@@ -63,5 +62,5 @@ pub use error::{PtqError, Shape, UnwrapOk};
 pub use exec::{ActBinding, Binding, MAX_ACT_INPUTS};
 pub use graph::{Graph, Node, NodeId, Op, OpClass, Param, ValueId};
 pub use interp::{ExecHook, NoopHook, OnPath};
-pub use plan::{ExecPlan, PlanSet, TensorArena};
+pub use plan::{reestimate_batchnorm, ExecPlan, PlanSet, TensorArena};
 pub use serialize::{decode_graph, encode_graph};

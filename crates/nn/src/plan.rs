@@ -31,12 +31,12 @@
 //! was built against.
 
 use crate::error::{PtqError, Shape};
-use crate::exec::{run_node, split_out, NodeScratch, Packs};
+use crate::exec::{operand, run_node, split_out, NodeScratch, Packs};
 use crate::graph::{Graph, Node, Op, Param, ValueId};
 use crate::interp::ExecHook;
 use ptq_tensor::Tensor;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Where a value's bytes live at run time.
@@ -522,6 +522,104 @@ impl std::fmt::Debug for PlanSet {
     }
 }
 
+/// BatchNorm re-estimation (the paper's BN calibration, §3 and Figure 7;
+/// Sun et al. 2019) for the zoo's FP32 statistics and the PTQ pass alike:
+/// each BN's running mean and variance (floored at `var_floor`) become its
+/// input's per-channel moments over `batches` under `hook`, BN k measured
+/// with BN 0..k−1 carrying their new statistics. Returns the new values by
+/// parameter id for the caller to bind (a BN with an empty input keeps its
+/// own). One in-order sweep, as the f64 sums depend on the order: segment k
+/// runs the nodes from BN k−1 up to BN k, carrying per batch the values
+/// later nodes read (DESIGN §10.2), so each node before the last BN runs
+/// once per batch and none after it. BN k's moments are read from its
+/// operand under `hook.bind`, what `before_node` sees.
+pub fn reestimate_batchnorm(
+    graph: &Graph,
+    batches: &[Vec<Tensor>],
+    hook: &mut dyn ExecHook,
+    var_floor: f64,
+) -> Result<Vec<(ValueId, Tensor)>, PtqError> {
+    // The last BN never runs: check it and its parameters up front.
+    for batch in batches {
+        graph.validate(&batch.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>())?;
+    }
+    let mut last_read = vec![0; graph.n_values];
+    for node in &graph.nodes {
+        node.inputs.iter().for_each(|&v| last_read[v] = node.id);
+    }
+    let lost = || PtqError::Internal("BatchNorm re-estimation lost a carried value".into());
+    let carry_of = |b: &Vec<Tensor>| graph.inputs.iter().copied().zip(b.clone()).collect();
+    let mut carried: Vec<HashMap<ValueId, Tensor>> = batches.iter().map(carry_of).collect();
+    let (mut start, mut stats, mut buf, mut codes) = (0, vec![], Tensor::default(), <_>::default());
+    let bns = graph.nodes.iter().filter_map(|n| match n.op {
+        Op::BatchNorm { mean, var, .. } => Some((n, mean, var)),
+        _ => None,
+    });
+    for (bn, mean, var) in bns {
+        let nodes = &graph.nodes[start..bn.id];
+        let read_later = |v: &ValueId| last_read[*v] >= bn.id;
+        let reads = nodes.iter().flat_map(|n| n.inputs.iter().copied());
+        let inputs = reads.filter(|&v| nodes.iter().all(|n| n.output != v));
+        let inputs: Vec<ValueId> = inputs.collect::<BTreeSet<_>>().into_iter().collect();
+        let outputs: Vec<ValueId> = nodes.iter().map(|n| n.output).filter(read_later).collect();
+        let param = |id| match stats.iter().rfind(|(s, _)| *s == id) {
+            Some((_, t)) => Some((id, Param::F32(Tensor::clone(t)))),
+            None => Some((id, graph.params.get(&id)?.clone())),
+        };
+        let params = nodes.iter().flat_map(|n| n.op.param_values());
+        let segment = Graph {
+            nodes: nodes.to_vec(),
+            params: params.filter_map(param).collect(),
+            inputs: inputs.clone(),
+            outputs: outputs.clone(),
+            n_values: graph.n_values,
+        };
+        let (plans, packs) = (PlanSet::new(), Packs::of(&segment));
+        for carry in &mut carried {
+            let held = inputs.iter().map(|v| carry.remove(v));
+            let held: Vec<Tensor> = held.collect::<Option<_>>().ok_or_else(lost)?;
+            if !nodes.is_empty() {
+                let plan = plans.plan_for(&segment, &held)?;
+                let computed = plan.run_packed(&segment, &held, hook, Some(&packs))?;
+                carry.extend(outputs.iter().copied().zip(computed));
+            }
+            let kept = inputs.iter().copied().zip(held);
+            carry.extend(kept.filter(|(v, _)| read_later(v)));
+        }
+        start = bn.id;
+        let (mut sums, mut sums_sq, mut count) = (vec![], vec![], 0.0);
+        for carry in &carried {
+            let x = carry.get(&bn.inputs[0]).ok_or_else(lost)?;
+            let x = operand(&hook.bind(bn), 0, x, &mut buf, &mut codes);
+            let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
+            sums.resize(c, 0.0f64);
+            sums_sq.resize(c, 0.0f64);
+            // Plane `i` (in memory order) is channel `i % c` of image `i / c`;
+            // its sums run in registers, in the order of its elements.
+            for (i, plane) in x.data().chunks(hw.max(1)).enumerate() {
+                let (mut sum, mut sum_sq) = (sums[i % c], sums_sq[i % c]);
+                for &v in plane {
+                    sum += v as f64;
+                    sum_sq += (v as f64) * (v as f64);
+                }
+                (sums[i % c], sums_sq[i % c]) = (sum, sum_sq);
+            }
+            count += (n * hw) as f64;
+        }
+        if count > 0.0 {
+            let m: Vec<f32> = sums.iter().map(|&s| (s / count) as f32).collect();
+            let v = m
+                .iter()
+                .zip(sums_sq)
+                .map(|(&mi, s)| s / count - (mi as f64) * (mi as f64));
+            let v: Vec<f32> = v.map(|v| v.max(var_floor) as f32).collect();
+            let (m, v) = (Tensor::from_slice(&m), Tensor::from_slice(&v));
+            stats.extend([(mean, m), (var, v)]);
+        }
+    }
+    Ok(stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +628,58 @@ mod tests {
     use crate::interp::NoopHook;
     use ptq_tensor::ops::Conv2dParams;
     use ptq_tensor::TensorRng;
+
+    /// BN on the graph input (an empty first segment), a BN pair, a
+    /// residual `Add` that reads the input past two BNs, and a head after
+    /// the last BN.
+    fn bn_chain() -> Graph {
+        let mut rng = TensorRng::seed(8);
+        let mut b = GraphBuilder::new();
+        let mut bn = |b: &mut GraphBuilder, x| {
+            let gamma = b.param(rng.uniform(&[3], 0.8, 1.2));
+            let beta = b.param(Tensor::zeros(&[3]));
+            let (mean, var) = (b.param(Tensor::zeros(&[3])), b.param(Tensor::ones(&[3])));
+            b.batchnorm(x, gamma, beta, mean, var, 1e-5)
+        };
+        let x = b.input();
+        let bn0 = bn(&mut b, x);
+        let w0 = b.param(TensorRng::seed(9).kaiming(&[3, 3, 3, 3]));
+        let c0 = b.conv2d(bn0, w0, None, Conv2dParams::same(3));
+        let bn1 = bn(&mut b, c0);
+        let bn2 = bn(&mut b, bn1);
+        let sum = b.add(x, bn2);
+        let w1 = b.param(TensorRng::seed(10).kaiming(&[3, 3, 3, 3]));
+        let c1 = b.conv2d(sum, w1, None, Conv2dParams::same(3));
+        let bn3 = bn(&mut b, c1);
+        let r = b.relu(bn3);
+        let g = b.global_avg_pool(r);
+        let wl = b.param(TensorRng::seed(11).kaiming(&[4, 3]));
+        let out = b.linear(g, wl, None);
+        b.finish(vec![out])
+    }
+
+    #[test]
+    fn reestimation_runs_each_node_before_the_last_bn_once_per_batch() {
+        struct Count(Vec<usize>);
+        impl ExecHook for Count {
+            fn after_node(&mut self, node: &Node, _output: &Tensor) {
+                self.0[node.id] += 1;
+            }
+        }
+        let g = bn_chain();
+        let batches: Vec<Vec<Tensor>> = (0..3)
+            .map(|i| vec![TensorRng::seed(20 + i).normal(&[2, 3, 5, 5], 0.0, 1.0)])
+            .collect();
+        let mut count = Count(vec![0; g.nodes().len()]);
+        let stats = reestimate_batchnorm(&g, &batches, &mut count, 1e-6).unwrap_ok();
+        let bns = g.nodes_of_class(crate::graph::OpClass::BatchNorm);
+        assert_eq!(stats.len(), 2 * bns.len(), "every BN re-estimated");
+        let last = bns[bns.len() - 1];
+        let runs: Vec<usize> = (0..g.nodes().len())
+            .map(|i| if i < last { 3 } else { 0 })
+            .collect();
+        assert_eq!(count.0, runs);
+    }
 
     fn tiny_cnn() -> Graph {
         let mut rng = TensorRng::seed(42);

@@ -489,6 +489,28 @@ mod tests {
     }
 
     #[test]
+    fn subnormal_tiles_get_unit_scales_and_no_nan() {
+        // An all-subnormal tile's absmax overflows max/absmax: unit scale,
+        // so zeros stay zeros and the rest round to ±0, none to NaN.
+        let tiny = f32::MIN_POSITIVE / 8.0;
+        let t = Tensor::from_vec(vec![0.0, tiny, -tiny, 0.0, 1.5, -tiny], &[2, 3]);
+        for f in Fp8Format::ALL {
+            let mut q = QActTensor::new();
+            q.quantize_per_tile(&t, f, 3);
+            assert_eq!(q.scales()[0], 1.0, "{f:?}");
+            assert!(q.scales().iter().all(|s| s.is_finite()), "{f:?}");
+            assert!(q.dequantize().data().iter().all(|v| !v.is_nan()), "{f:?}");
+            let mut fake = t.data().to_vec();
+            fake_quant_per_tile(&mut fake, 3, f, 3);
+            assert!(fake.iter().all(|v| !v.is_nan()), "{f:?}");
+            let sub = Tensor::from_vec(vec![0.0, tiny, -tiny], &[3]);
+            q.quantize(&sub, f, ActScale::Dynamic);
+            assert_eq!(q.scales(), &[1.0], "{f:?}");
+            assert!(q.dequantize().data().iter().all(|v| !v.is_nan()), "{f:?}");
+        }
+    }
+
+    #[test]
     fn dynamic_nonfinite_absmax_uses_unit_scale() {
         let t = Tensor::from_vec(vec![1.0, f32::NAN, -2.0, f32::INFINITY], &[4]);
         let mut q = QActTensor::new();

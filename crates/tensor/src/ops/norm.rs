@@ -130,42 +130,40 @@ pub fn layernorm_into(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32, out: 
     }
 }
 
-/// Estimate per-channel mean and variance of NCHW activations — the
-/// measurement at the heart of the paper's BatchNorm-calibration step.
-/// Returns `(mean, var)` tensors of shape `[C]`.
-///
-/// # Panics
-///
-/// Panics if the input is not 4-D.
-pub fn channel_moments(x: &Tensor) -> (Tensor, Tensor) {
-    assert_eq!(x.ndim(), 4, "channel_moments expects NCHW");
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let count = (n * h * w) as f64;
-    let mut mean = vec![0.0f64; c];
-    let mut sq = vec![0.0f64; c];
-    let data = x.data();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for &v in &data[base..base + h * w] {
-                mean[ci] += v as f64;
-                sq[ci] += (v as f64) * (v as f64);
-            }
-        }
-    }
-    let mean_t: Vec<f32> = mean.iter().map(|&s| (s / count) as f32).collect();
-    let var_t: Vec<f32> = mean_t
-        .iter()
-        .zip(&sq)
-        .map(|(&m, &s)| ((s / count) - (m as f64) * (m as f64)).max(0.0) as f32)
-        .collect();
-    (Tensor::from_slice(&mean_t), Tensor::from_slice(&var_t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
+
+    /// Per-channel mean and variance of NCHW activations, as `[C]` tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D.
+    fn channel_moments(x: &Tensor) -> (Tensor, Tensor) {
+        assert_eq!(x.ndim(), 4, "channel_moments expects NCHW");
+        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let count = (n * h * w) as f64;
+        let mut mean = vec![0.0f64; c];
+        let mut sq = vec![0.0f64; c];
+        let data = x.data();
+        for ni in 0..n {
+            for ci in 0..c {
+                let base = (ni * c + ci) * h * w;
+                for &v in &data[base..base + h * w] {
+                    mean[ci] += v as f64;
+                    sq[ci] += (v as f64) * (v as f64);
+                }
+            }
+        }
+        let mean_t: Vec<f32> = mean.iter().map(|&s| (s / count) as f32).collect();
+        let var_t: Vec<f32> = mean_t
+            .iter()
+            .zip(&sq)
+            .map(|(&m, &s)| ((s / count) - (m as f64) * (m as f64)).max(0.0) as f32)
+            .collect();
+        (Tensor::from_slice(&mean_t), Tensor::from_slice(&var_t))
+    }
 
     impl BatchNormParams {
         /// Identity BatchNorm over `c` channels (γ=1, β=0, mean=0, var=1).
