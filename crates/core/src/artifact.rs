@@ -819,7 +819,7 @@ mod tests {
         for (vid, p) in loaded.graph.params() {
             let Param::Fp8(q) = p else { continue };
             assert!(
-                q.stored().codes().is_shared(),
+                q.codes().is_shared(),
                 "weight {vid} codes should borrow from the artifact buffer"
             );
             assert_eq!(Some(p), out.model.graph.param(vid));

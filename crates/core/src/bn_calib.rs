@@ -34,30 +34,17 @@ mod tests {
         Binding, ExecHook, Graph, GraphBuilder, Node, NodeId, NoopHook, Op, OpClass, PlanSet,
         UnwrapOk, ValueId,
     };
-    use ptq_tensor::ops::{BatchNormParams, Conv2dParams};
+    use ptq_tensor::ops::Conv2dParams;
     use ptq_tensor::TensorRng;
 
-    /// The BatchNorm parameters node `id` of `g` binds.
-    fn bn_params(g: &Graph, id: NodeId) -> BatchNormParams {
+    /// The running mean and variance BatchNorm node `id` of `g` binds.
+    fn bn_stats(g: &Graph, id: NodeId) -> (Tensor, Tensor) {
         let node = &g.nodes()[id];
-        let Op::BatchNorm {
-            gamma,
-            beta,
-            mean,
-            var,
-            eps,
-        } = node.op
-        else {
+        let Op::BatchNorm { mean, var, .. } = node.op else {
             panic!("node {id} is not BatchNorm");
         };
         let get = |v| g.f32_param(node, v).unwrap_ok().clone();
-        BatchNormParams {
-            gamma: get(gamma),
-            beta: get(beta),
-            mean: get(mean),
-            var: get(var),
-            eps,
-        }
+        (get(mean), get(var))
     }
 
     fn bn_cnn(seed: u64) -> ptq_nn::Graph {
@@ -377,13 +364,13 @@ mod tests {
         // After recalibration the BN node's input moments under the
         // quantized model must match the stored running stats.
         let bn_id = model.graph.nodes_of_class(OpClass::BatchNorm)[0];
-        let params = bn_params(&model.graph, bn_id);
+        let (mean, var) = bn_stats(&model.graph, bn_id);
         // Re-measure.
         let remeasured = full_graph_oracle(&model.graph, &calib_x, &mut model.hook(), 0.0);
         let (m, v) = (remeasured[0].1.data(), remeasured[1].1.data());
         for ci in 0..4 {
-            assert!((params.mean.data()[ci] - m[ci]).abs() < 1e-4);
-            assert!((params.var.data()[ci] - v[ci]).abs() < 1e-3);
+            assert!((mean.data()[ci] - m[ci]).abs() < 1e-4);
+            assert!((var.data()[ci] - v[ci]).abs() < 1e-3);
         }
     }
 
@@ -412,8 +399,7 @@ mod tests {
             let mut model = QuantizedModel::build(g, &calib, cfg).unwrap_ok();
             assert_eq!(recalibrate_batchnorm(&mut model, &calib_x).unwrap_ok(), 1);
             let bn_id = model.graph.nodes_of_class(OpClass::BatchNorm)[0];
-            let params = bn_params(&model.graph, bn_id);
-            recalibrated.push((params.mean.clone(), params.var.clone()));
+            recalibrated.push(bn_stats(&model.graph, bn_id));
         }
         let (coded, legacy) = (&recalibrated[0], &recalibrated[1]);
         for (a, b) in coded.0.data().iter().zip(legacy.0.data()) {

@@ -87,7 +87,7 @@ impl DecodeSession {
         max_new: usize,
     ) -> Result<Vec<f32>, PtqError> {
         let mut logits = self.prefill(prompt)?;
-        let mut out = Vec::with_capacity(max_new);
+        let mut out = Vec::with_capacity(max_new.min(self.capacity()));
         for _ in 0..max_new {
             let next = logits.argmax() as f32;
             out.push(next);

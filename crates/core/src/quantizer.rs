@@ -273,7 +273,7 @@ fn quantize_weights(
         if config.stores_fp8_weights() && matches!(node.op, Op::Conv2d { .. } | Op::Linear { .. }) {
             if let Some(q) = quantize_weight_stored(&w, config) {
                 if trace {
-                    trace_weight_mse(node, &w, &q.stored().dequantize());
+                    trace_weight_mse(node, &w, q.dequantize().data());
                 }
                 graph.set_param(wid, q)?;
                 continue;
@@ -310,7 +310,7 @@ fn trace_weight_mse(node: &Node, fp32: &Tensor, quantized: &[f32]) {
 /// [`QTensor::quantize_per_channel`] is the same NaN-propagating absmax
 /// fold + `fp8_scale` used by the fake-quant path, so decoding the stored
 /// bytes reproduces the fake-quantized f32 weight bit-for-bit (proven in
-/// `crates/fp8/tests/storage_equivalence.rs`). Returns `None` for
+/// `crates/tensor/tests/storage_equivalence.rs`). Returns `None` for
 /// degenerate shapes the per-channel layout cannot represent (scalars,
 /// empty leading axis); the caller then falls back to fake-quant f32.
 fn quantize_weight_stored(w: &Tensor, config: &QuantConfig) -> Option<QTensor> {
@@ -337,7 +337,7 @@ pub fn quantize_weight_tensor(w: &mut Tensor, config: &QuantConfig) {
             let codec = Fp8Codec::new(f);
             // NaN-propagating absmax (`f32::max` drops NaN): a non-finite
             // weight forces scale 1.0, matching both the dynamic-activation
-            // fold and `StoredTensor::quantize` — the two storage modes
+            // fold and `QTensor::quantize` — the two storage modes
             // must compute identical scales to stay bit-identical.
             let s = fp8_scale(f, absmax_nan_aware(w.data()));
             fake_quant_fp8(w.data_mut(), &codec, s);

@@ -209,6 +209,20 @@ fn decode_session_generate_matches_stepwise_full_window() {
 }
 
 #[test]
+fn generate_greedy_takes_any_max_new_and_stops_at_the_window() {
+    // `max_new` is a request's count, not an allocation size: the window
+    // ends the loop, so `usize::MAX` must generate, not overflow a Vec.
+    let (_w, model) = quantized_decoder(QuantConfig::fp8(Fp8Format::E4M3));
+    let (seq, prompt) = (12, [4.0, 9.0]);
+    let mut session = DecodeSession::new(model.clone(), seq).unwrap_ok();
+    let bounded = session.generate_greedy(&prompt, seq).unwrap_ok();
+    let mut session = DecodeSession::new(model, seq).unwrap_ok();
+    let unbounded = session.generate_greedy(&prompt, usize::MAX).unwrap_ok();
+    assert_eq!(unbounded, bounded);
+    assert_eq!(unbounded.len(), seq - prompt.len() + 1);
+}
+
+#[test]
 fn fp8_cache_error_is_monotone_in_mantissa_bits_on_gaussian_rows() {
     let d = 64;
     let n = 256;

@@ -10,7 +10,6 @@
 //! the file format.
 
 use crate::error::Fp8Error;
-use serde::{Deserialize, Serialize, Value};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -66,28 +65,10 @@ impl CodeBytes {
         }
     }
 
-    /// Number of code bytes (== number of tensor elements).
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Owned(v) => v.len(),
-            Repr::Shared { len, .. } => *len,
-        }
-    }
-
-    /// True when the buffer holds no codes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// True when the bytes are borrowed from a shared buffer rather than
     /// owned (observable so tests can assert the zero-copy path ran).
     pub fn is_shared(&self) -> bool {
         matches!(self.repr, Repr::Shared { .. })
-    }
-
-    /// An owned copy of the bytes.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
     }
 }
 
@@ -125,21 +106,6 @@ impl std::fmt::Debug for CodeBytes {
         write!(f, "CodeBytes({kind}, {} bytes)", self.len())
     }
 }
-
-// Mirror what `#[derive(Serialize)]` emits for `Vec<u8>` so containing
-// structs (e.g. `StoredTensor`) can keep deriving.
-impl Serialize for CodeBytes {
-    fn serialize(&self) -> Value {
-        Value::Array(
-            self.as_slice()
-                .iter()
-                .map(|&b| Value::UInt(u64::from(b)))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for CodeBytes {}
 
 #[cfg(test)]
 mod tests {
@@ -186,15 +152,6 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert!(b.is_shared());
-    }
-
-    #[test]
-    fn serializes_like_a_byte_vec() {
-        let cb = CodeBytes::from(vec![7, 8]);
-        assert_eq!(
-            Serialize::serialize(&cb),
-            Serialize::serialize(&vec![7u8, 8])
-        );
     }
 
     #[test]

@@ -130,32 +130,6 @@ impl Fp8Codec {
         }
     }
 
-    /// True if `code` decodes to NaN.
-    pub fn is_nan(&self, code: u8) -> bool {
-        let m = self.spec.man_bits;
-        let mag = (code as u32) & ((1 << self.sign_shift()) - 1);
-        let efield = mag >> m;
-        let mfield = mag & self.spec.man_mask();
-        match self.spec.nan_encoding {
-            NanEncoding::Ieee => efield == self.spec.exp_all_ones() && mfield != 0,
-            NanEncoding::Extended => {
-                efield == self.spec.exp_all_ones() && mfield == self.spec.man_mask()
-            }
-        }
-    }
-
-    /// True if `code` decodes to ±Inf.
-    pub fn is_inf(&self, code: u8) -> bool {
-        match self.spec.nan_encoding {
-            NanEncoding::Ieee => {
-                let m = self.spec.man_bits;
-                let mag = (code as u32) & ((1 << self.sign_shift()) - 1);
-                mag >> m == self.spec.exp_all_ones() && mag & self.spec.man_mask() == 0
-            }
-            NanEncoding::Extended => false,
-        }
-    }
-
     /// Encode a single `f32` into the format's bit pattern.
     ///
     /// NaN inputs map to the canonical NaN code; ±Inf follows the overflow
@@ -340,6 +314,34 @@ fn scale_by_pow2(a: f32, d: i32) -> f32 {
 mod tests {
     use super::*;
 
+    impl Fp8Codec {
+        /// True if `code` decodes to NaN.
+        fn is_nan(&self, code: u8) -> bool {
+            let m = self.spec.man_bits;
+            let mag = (code as u32) & ((1 << self.sign_shift()) - 1);
+            let efield = mag >> m;
+            let mfield = mag & self.spec.man_mask();
+            match self.spec.nan_encoding {
+                NanEncoding::Ieee => efield == self.spec.exp_all_ones() && mfield != 0,
+                NanEncoding::Extended => {
+                    efield == self.spec.exp_all_ones() && mfield == self.spec.man_mask()
+                }
+            }
+        }
+
+        /// True if `code` decodes to ±Inf.
+        fn is_inf(&self, code: u8) -> bool {
+            match self.spec.nan_encoding {
+                NanEncoding::Ieee => {
+                    let m = self.spec.man_bits;
+                    let mag = (code as u32) & ((1 << self.sign_shift()) - 1);
+                    mag >> m == self.spec.exp_all_ones() && mag & self.spec.man_mask() == 0
+                }
+                NanEncoding::Extended => false,
+            }
+        }
+    }
+
     fn codec(f: Fp8Format) -> Fp8Codec {
         Fp8Codec::new(f)
     }
@@ -455,7 +457,7 @@ mod tests {
     fn subnormals_and_underflow() {
         for f in Fp8Format::ALL {
             let c = codec(f);
-            let sub = f.min_subnormal();
+            let sub = f.spec().min_subnormal();
             assert_eq!(c.quantize(sub), sub, "{f} min subnormal exact");
             // Half the min subnormal is a tie between 0 and min_sub; RNE
             // picks the even mantissa (zero).

@@ -24,17 +24,17 @@ pub fn density_at(man_bits: u32, n: f32) -> Option<f64> {
     Some(2f64.powi(man_bits as i32 - floor_log2))
 }
 
-/// Number of grid points of an `EeMm` format inside the binade
-/// `[2^k, 2^(k+1))` — always `2^m` for normal binades (the derivation step
-/// behind Eq. 1).
-pub fn grid_points_in(man_bits: u32) -> u32 {
-    1u32 << man_bits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Fp8Codec, Fp8Format};
+
+    /// Number of grid points of an `EeMm` format inside the binade
+    /// `[2^k, 2^(k+1))` — always `2^m` for normal binades (the derivation
+    /// step behind Eq. 1).
+    fn grid_points_in(man_bits: u32) -> u32 {
+        1u32 << man_bits
+    }
 
     #[test]
     fn density_halves_per_octave() {

@@ -54,19 +54,9 @@ impl Fp8Format {
         self.spec().max_value()
     }
 
-    /// Smallest positive subnormal magnitude (Table 1 "Min value").
-    pub fn min_subnormal(self) -> f32 {
-        self.spec().min_subnormal()
-    }
-
     /// Number of mantissa bits.
     pub fn mantissa_bits(self) -> u32 {
         self.spec().man_bits
-    }
-
-    /// Number of exponent bits.
-    pub fn exponent_bits(self) -> u32 {
-        self.spec().exp_bits
     }
 
     /// Whether the paper applies *direct* quantization (no range
@@ -233,9 +223,9 @@ mod tests {
 
     #[test]
     fn table1_min_subnormals() {
-        assert_eq!(Fp8Format::E5M2.min_subnormal(), 2.0f32.powi(-16));
-        assert_eq!(Fp8Format::E4M3.min_subnormal(), 2.0f32.powi(-9));
-        assert_eq!(Fp8Format::E3M4.min_subnormal(), 2.0f32.powi(-6));
+        assert_eq!(Fp8Format::E5M2.spec().min_subnormal(), 2.0f32.powi(-16));
+        assert_eq!(Fp8Format::E4M3.spec().min_subnormal(), 2.0f32.powi(-9));
+        assert_eq!(Fp8Format::E3M4.spec().min_subnormal(), 2.0f32.powi(-6));
     }
 
     #[test]

@@ -27,17 +27,6 @@ pub enum Int8Mode {
     Asymmetric,
 }
 
-/// Scale granularity for INT8 (mirrors the FP8 options in
-/// [`crate::quantize`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Int8Granularity {
-    /// One scale for the whole tensor.
-    #[default]
-    PerTensor,
-    /// One scale per output channel (weights).
-    PerChannel,
-}
-
 /// A calibrated INT8 codec: scale (+ zero point for asymmetric mode).
 ///
 /// ```

@@ -49,14 +49,14 @@ pub mod wire;
 
 pub use bytes::{CodeBytes, SharedBytes};
 pub use codec::{Fp8Codec, OverflowPolicy, Rounding};
-pub use density::{density_at, grid_points_in};
+pub use density::density_at;
 pub use error::Fp8Error;
 pub use format::{Fp8Format, FpSpec, NanEncoding};
-pub use int8::{Int8Codec, Int8Granularity, Int8Mode};
+pub use int8::{Int8Codec, Int8Mode};
 pub use lut::Fp8Lut;
 pub use quantize::{
     fake_quant_fp8, fake_quant_fp8_per_channel, fake_quant_int8, fake_quant_int8_per_channel,
     fp8_scale, FakeQuantStats,
 };
-pub use storage::{absmax_nan_aware, check_shape, StoredScales, StoredTensor};
+pub use storage::{absmax_nan_aware, check_shape, StoredScales};
 pub use wire::WireEnum;

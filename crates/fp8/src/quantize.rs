@@ -27,7 +27,14 @@ use serde::{Deserialize, Serialize};
 /// pass through unchanged: zero, non-finite, or so small (a subnormal) that
 /// the quotient overflows f32.
 pub fn fp8_scale(format: Fp8Format, max_t: f32) -> f32 {
-    let scale = format.max_value() / max_t;
+    max_scale(format.max_value(), max_t)
+}
+
+/// [`fp8_scale`] for a format whose largest value is `max_v` (any
+/// [`crate::FpSpec`], not only the three named formats), with the same
+/// fallback to 1.0.
+fn max_scale(max_v: f32, max_t: f32) -> f32 {
+    let scale = max_v / max_t;
     if max_t > 0.0 && max_t.is_finite() && scale.is_finite() {
         scale
     } else {
@@ -125,20 +132,13 @@ pub fn fake_quant_fp8_per_channel(
     inner: usize,
 ) -> (Vec<f32>, FakeQuantStats) {
     assert_eq!(data.len(), channels * inner, "shape mismatch");
-    let format = spec_format_max(codec);
+    let max_v = codec.spec().max_value();
     let mut scales = Vec::with_capacity(channels);
     let mut total = FakeQuantStats::default();
     let mut sq = 0.0f64;
     for c in 0..channels {
         let chunk = &mut data[c * inner..(c + 1) * inner];
-        // A non-finite magnitude wins the absmax so the guard below
-        // falls back to unit scale.
-        let absmax = absmax_nan_aware(chunk);
-        let scale = if absmax > 0.0 && absmax.is_finite() {
-            format / absmax
-        } else {
-            1.0
-        };
+        let scale = max_scale(max_v, absmax_nan_aware(chunk));
         scales.push(scale);
         let st = fake_quant_fp8(chunk, codec, scale);
         sq += st.mse * inner as f64;
@@ -210,12 +210,6 @@ pub fn fake_quant_int8_per_channel(
         total.mse = sq / data.len() as f64;
     }
     (codecs, total)
-}
-
-/// Max representable value of the codec's format (helper so per-channel code
-/// works with arbitrary [`crate::FpSpec`]s, not just the three named formats).
-fn spec_format_max(codec: &Fp8Codec) -> f32 {
-    codec.spec().max_value()
 }
 
 #[cfg(test)]
@@ -374,6 +368,21 @@ mod tests {
         assert_eq!(scales[0], 1.0);
         assert_eq!(&w[..8], &[0.0; 8]);
         assert!(st.mse < 1e-4);
+    }
+
+    #[test]
+    fn per_channel_tiny_absmax_gets_the_guarded_scale() {
+        // max / 1e-37 overflows f32 under E5M2 and E4M3: the channel must
+        // keep unit scale (as `fp8_scale` gives it), not an infinite one
+        // that turns its zeros into 0 · inf = NaN.
+        let w = [1e-37f32, 0.0, -1e-37, 0.0, 1.0, -0.5, 0.25, 0.0];
+        for f in Fp8Format::ALL {
+            let mut q = w;
+            let (scales, _) = fake_quant_fp8_per_channel(&mut q, &Fp8Codec::new(f), 2, 4);
+            assert_eq!(scales[0], fp8_scale(f, 1e-37), "{f}");
+            assert!(q.iter().all(|v| !v.is_nan()), "{f}: {q:?}");
+            assert_eq!(q[1].to_bits(), 0, "{f}");
+        }
     }
 
     #[test]

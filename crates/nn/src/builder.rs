@@ -136,8 +136,8 @@ impl GraphBuilder {
         self.push(Op::Embedding { table }, vec![ids])
     }
 
-    /// Inference BatchNorm; parameters are bound from `BatchNormParams`-like
-    /// tensors.
+    /// Inference BatchNorm; γ, β and the running mean and variance are
+    /// bound as `[C]` parameter tensors.
     pub fn batchnorm(
         &mut self,
         x: ValueId,

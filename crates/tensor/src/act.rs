@@ -153,7 +153,7 @@ impl QActTensor {
 
     /// Quantize with a fixed per-tensor scale (static calibration scales,
     /// or a dynamic scale the caller computed). Codes are
-    /// `encode(x * scale)`, exactly as [`ptq_fp8::StoredTensor::quantize`]
+    /// `encode(x * scale)`, exactly as [`crate::QTensor::quantize`]
     /// produces them, encoded in chunks fanned out like a kernel's.
     ///
     /// A zero or non-finite scale would poison every code (`x * 0` or
@@ -238,24 +238,9 @@ impl QActTensor {
         })
     }
 
-    /// The storage format.
-    pub fn format(&self) -> Fp8Format {
-        self.format
-    }
-
     /// The logical shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    /// Size of dimension `i`.
-    pub fn dim(&self, i: usize) -> usize {
-        self.shape[i]
-    }
-
-    /// Number of dimensions.
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
     }
 
     /// Number of elements.
@@ -268,19 +253,9 @@ impl QActTensor {
         self.codes.is_empty()
     }
 
-    /// Raw FP8 byte codes (row-major).
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
-    }
-
     /// The scales (one for per-tensor, one per tile otherwise).
     pub fn scales(&self) -> &[f32] {
         &self.scales
-    }
-
-    /// The tile width (`0` = per-tensor).
-    pub fn tile(&self) -> usize {
-        self.tile
     }
 
     /// Bytes of payload storage (codes + scales) — what a deployment
@@ -317,9 +292,9 @@ impl QActTensor {
     }
 }
 
-/// Element decoder over a [`QActTensor`]'s codes: `at(i)` is
-/// `lut.decode(codes[i]) / scale(i)`, bit-identical to the fake-quant
-/// value of element `i`.
+/// Element decoder over a [`QActTensor`]'s codes: element `i` decodes to
+/// `lut.decode(codes[i]) / scale(i)`, bit-identical to its fake-quant
+/// value.
 pub struct ActDecode<'a> {
     codes: &'a [u8],
     scales: &'a [f32],
@@ -330,40 +305,11 @@ pub struct ActDecode<'a> {
 }
 
 impl ActDecode<'_> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    // `tile == 0` is the per-tensor layout marker, not a degenerate
-    // divisor; the division only runs in the tiled arm.
-    #[allow(clippy::manual_checked_ops)]
-    #[inline]
-    fn scale_at(&self, idx: usize) -> f32 {
-        if self.tile == 0 {
-            self.scales[0]
-        } else {
-            let r = idx / self.inner;
-            let c = idx % self.inner;
-            self.scales[r * self.tiles_per_row + c / self.tile]
-        }
-    }
-
-    /// Decode element `idx`.
-    #[inline]
-    pub fn at(&self, idx: usize) -> f32 {
-        self.lut.decode(self.codes[idx]) / self.scale_at(idx)
-    }
-
     /// Decode `out.len()` consecutive elements starting at `start` into
     /// `out` — the per-row/per-plane scratch fill the blocked kernels use
     /// to amortize decoding over the MAC loop.
-    // See `scale_at`: `tile == 0` selects the per-tensor layout.
+    // `tile == 0` is the per-tensor layout marker, not a degenerate
+    // divisor; the division only runs in the tiled arm.
     #[allow(clippy::manual_checked_ops)]
     pub fn decode_range(&self, start: usize, out: &mut [f32]) {
         if self.tile == 0 {
@@ -421,6 +367,45 @@ mod tests {
     use super::*;
     use crate::rng::TensorRng;
     use ptq_fp8::{fake_quant_fp8, Fp8Codec};
+
+    impl ActDecode<'_> {
+        // `tile == 0` is the per-tensor layout marker, not a degenerate
+        // divisor; the division only runs in the tiled arm.
+        #[allow(clippy::manual_checked_ops)]
+        #[inline]
+        fn scale_at(&self, idx: usize) -> f32 {
+            if self.tile == 0 {
+                self.scales[0]
+            } else {
+                let r = idx / self.inner;
+                let c = idx % self.inner;
+                self.scales[r * self.tiles_per_row + c / self.tile]
+            }
+        }
+
+        /// Decode element `idx`.
+        #[inline]
+        fn at(&self, idx: usize) -> f32 {
+            self.lut.decode(self.codes[idx]) / self.scale_at(idx)
+        }
+    }
+
+    impl QActTensor {
+        /// The storage format.
+        fn format(&self) -> Fp8Format {
+            self.format
+        }
+
+        /// Raw FP8 byte codes (row-major).
+        fn codes(&self) -> &[u8] {
+            &self.codes
+        }
+
+        /// The tile width (`0` = per-tensor).
+        fn tile(&self) -> usize {
+            self.tile
+        }
+    }
 
     #[test]
     fn static_roundtrip_matches_fake_quant() {

@@ -220,11 +220,6 @@ impl KvBuf {
         self.len == 0
     }
 
-    /// Planned position capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The storage policy the buffer runs (static scale resolved).
     pub fn policy(&self) -> KvCachePolicy {
         match &self.store {
@@ -353,7 +348,6 @@ pub struct KvLayer {
 #[derive(Debug, Clone)]
 pub struct KvCache {
     layers: Vec<KvLayer>,
-    capacity: usize,
 }
 
 impl KvCache {
@@ -367,17 +361,12 @@ impl KvCache {
                 v: KvBuf::new(d, capacity, pv),
             })
             .collect();
-        KvCache { layers, capacity }
+        KvCache { layers }
     }
 
     /// A cache with the same policy on every layer and side.
     pub fn uniform(layers: usize, d: usize, capacity: usize, policy: KvCachePolicy) -> Self {
         KvCache::new(&vec![(policy, policy); layers], d, capacity)
-    }
-
-    /// Planned position capacity per buffer.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Positions cached so far (buffers grow in lockstep; this reads
@@ -465,14 +454,6 @@ impl KvCache {
             .map(|l| 4 * (l.k.len() * l.k.d() + l.v.len() * l.v.d()))
             .sum()
     }
-
-    /// Forget every cached position in every layer, keeping allocations.
-    pub fn clear(&mut self) {
-        for l in &mut self.layers {
-            l.k.clear();
-            l.v.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -480,6 +461,23 @@ mod tests {
     use super::*;
     use crate::rng::TensorRng;
     use ptq_fp8::{fake_quant_fp8, Fp8Codec};
+
+    impl KvCache {
+        /// Forget every cached position in every layer, keeping allocations.
+        fn clear(&mut self) {
+            for l in &mut self.layers {
+                l.k.clear();
+                l.v.clear();
+            }
+        }
+    }
+
+    impl KvBuf {
+        /// Planned position capacity.
+        fn capacity(&self) -> usize {
+            self.capacity
+        }
+    }
 
     #[test]
     fn f32_roundtrip_is_exact() {

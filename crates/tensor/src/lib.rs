@@ -30,7 +30,7 @@ pub use kv::{KvBuf, KvCache, KvCachePolicy, KvError, KvLayer, KvSide};
 pub use qtensor::QTensor;
 pub use rng::TensorRng;
 pub use shape::{Shape, ShapeError};
-pub use stats::{ChannelStats, Histogram, TensorStats};
+pub use stats::{Histogram, TensorStats};
 pub use tensor::Tensor;
 
 // The storage format every coded type here is parameterized by, the

@@ -13,25 +13,14 @@
 
 use crate::tensor::Tensor;
 
-/// Rectified linear unit.
-pub fn relu(x: &Tensor) -> Tensor {
-    x.map(|v| v.max(0.0))
-}
-
-/// Out-param [`relu`] (bit-identical, reuses `out`'s allocation).
+/// Rectified linear unit into `out`, reusing its allocation.
 pub fn relu_into(x: &Tensor, out: &mut Tensor) {
     x.map_into(|v| v.max(0.0), out)
 }
 
-/// Gaussian error linear unit (tanh approximation, as used by BERT/GPT),
-/// eight lanes at a time on the in-repo `tanh`.
-pub fn gelu(x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    gelu_into(x, &mut out);
-    out
-}
-
-/// Out-param [`gelu`] (bit-identical, reuses `out`'s allocation).
+/// Gaussian error linear unit (tanh approximation, as used by BERT/GPT)
+/// into `out`, reusing its allocation: eight lanes at a time on the
+/// in-repo `tanh`.
 pub fn gelu_into(x: &Tensor, out: &mut Tensor) {
     out.reuse_as(x.shape());
     map_tanh::<true>(x.data(), out.data_mut());
@@ -354,54 +343,32 @@ mod simd {
     }
 }
 
-/// Logistic sigmoid.
-pub fn sigmoid(x: &Tensor) -> Tensor {
-    x.map(|v| 1.0 / (1.0 + (-v).exp()))
-}
-
-/// Out-param [`sigmoid`] (bit-identical, reuses `out`'s allocation).
+/// Logistic sigmoid into `out`, reusing its allocation.
 pub fn sigmoid_into(x: &Tensor, out: &mut Tensor) {
     x.map_into(|v| 1.0 / (1.0 + (-v).exp()), out)
 }
 
-/// SiLU / swish (`x * sigmoid(x)`), the EfficientNet activation.
-pub fn silu(x: &Tensor) -> Tensor {
-    x.map(|v| v / (1.0 + (-v).exp()))
-}
-
-/// Out-param [`silu`] (bit-identical, reuses `out`'s allocation).
+/// SiLU / swish (`x * sigmoid(x)`), the EfficientNet activation, into
+/// `out`, reusing its allocation.
 pub fn silu_into(x: &Tensor, out: &mut Tensor) {
     x.map_into(|v| v / (1.0 + (-v).exp()), out)
 }
 
-/// Hyperbolic tangent: the in-repo port of fdlibm's `tanhf`, eight lanes
-/// at a time (bit-identical to `f32::tanh` under glibc).
-pub fn tanh(x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    tanh_into(x, &mut out);
-    out
-}
-
-/// Out-param [`tanh`] (bit-identical, reuses `out`'s allocation).
+/// Hyperbolic tangent into `out`, reusing its allocation: the in-repo
+/// port of fdlibm's `tanhf`, eight lanes at a time (bit-identical to
+/// `f32::tanh` under glibc).
 pub fn tanh_into(x: &Tensor, out: &mut Tensor) {
     out.reuse_as(x.shape());
     map_tanh::<false>(x.data(), out.data_mut());
 }
 
-/// Numerically-stable softmax over the last dimension.
+/// Numerically-stable softmax over the last dimension into `out`, reusing
+/// its allocation.
 ///
 /// Rows with no finite maximum — e.g. fully masked attention rows where
 /// every score is `-inf` — produce all-zero probabilities rather than NaN
 /// (`exp(-inf - -inf)` is undefined), so a causal mask can use a true
 /// `-inf` without poisoning downstream ops.
-pub fn softmax_lastdim(x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    softmax_lastdim_into(x, &mut out);
-    out
-}
-
-/// Out-param variant of [`softmax_lastdim`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`softmax_lastdim`] (which delegates here).
 pub fn softmax_lastdim_into(x: &Tensor, out: &mut Tensor) {
     // 0-d input degenerates to a softmax over one element (all ones).
     let d = x.shape().last().copied().unwrap_or(1).max(1);
@@ -431,6 +398,33 @@ pub fn softmax_lastdim_into(x: &Tensor, out: &mut Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `op` into a fresh tensor.
+    fn alloc(op: fn(&Tensor, &mut Tensor), x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        op(x, &mut out);
+        out
+    }
+
+    fn relu(x: &Tensor) -> Tensor {
+        alloc(relu_into, x)
+    }
+
+    fn gelu(x: &Tensor) -> Tensor {
+        alloc(gelu_into, x)
+    }
+
+    fn sigmoid(x: &Tensor) -> Tensor {
+        alloc(sigmoid_into, x)
+    }
+
+    fn silu(x: &Tensor) -> Tensor {
+        alloc(silu_into, x)
+    }
+
+    fn softmax_lastdim(x: &Tensor) -> Tensor {
+        alloc(softmax_lastdim_into, x)
+    }
 
     #[test]
     fn relu_clips_negatives() {

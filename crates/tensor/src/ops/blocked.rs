@@ -854,7 +854,7 @@ unsafe fn linear_rows_q<V: Chains, const R: usize>(s: ShortRowsQ) {
 /// Stream an `[n, k]` weight into column panels (`bp[j0*k + kk*NRM + c]`
 /// is `Wᵀ[kk, j0+c]`): an f32 weight as a plain transposing copy, an
 /// FP8-stored one as `lut.decode(code) / scale(channel)` — the expression
-/// of `StoredTensor::dequantize` — through [`PackQ`], a packed one copied.
+/// of `QTensor::dequantize` — through [`PackQ`], a packed one copied.
 pub(super) fn decode_pack_weights(weight: WeightOperand, k: usize, n: usize, bp: &mut [f32]) {
     match weight {
         WeightOperand::F32(t) => pack_transposed(t.data(), k, n, bp),

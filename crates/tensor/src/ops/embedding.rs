@@ -3,19 +3,8 @@
 
 use crate::tensor::Tensor;
 
-/// Gather rows of `table[vocab, dim]` for each id in `ids`, producing
-/// `[ids.len(), dim]`.
-///
-/// # Panics
-///
-/// Panics if the table is not 2-D or any id is out of range.
-pub fn embedding(table: &Tensor, ids: &[usize]) -> Tensor {
-    let mut out = Tensor::default();
-    embedding_into(table, ids, &mut out);
-    out
-}
-
-/// Out-param [`embedding`] (bit-identical, reuses `out`'s allocation).
+/// Gather rows of `table[vocab, dim]` for each id in `ids` into `out`
+/// (`[ids.len(), dim]`), reusing its allocation.
 ///
 /// # Panics
 ///
@@ -33,6 +22,12 @@ pub fn embedding_into(table: &Tensor, ids: &[usize], out: &mut Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn embedding(table: &Tensor, ids: &[usize]) -> Tensor {
+        let mut out = Tensor::default();
+        embedding_into(table, ids, &mut out);
+        out
+    }
 
     #[test]
     fn lookup_rows() {

@@ -17,28 +17,21 @@ pub mod pool;
 pub(crate) mod scratch;
 
 pub use activation::{
-    gelu, gelu_into, relu, relu_into, sigmoid, sigmoid_into, silu, silu_into, softmax_lastdim,
-    softmax_lastdim_into, tanh, tanh_into,
+    gelu_into, relu_into, sigmoid_into, silu_into, softmax_lastdim_into, tanh_into,
 };
 pub use attn::{attention_step_q, attention_step_v, KvSegments};
 pub(crate) use blocked::encode;
 pub use conv::{
     conv2d, conv2d_into, conv2d_qq_into, depthwise_conv2d, depthwise_conv2d_into, Conv2dParams,
 };
-pub use embedding::{embedding, embedding_into};
+pub use embedding::embedding_into;
 pub use matmul::{
     batch_matmul, batch_matmul_into, linear, linear_into, linear_qq_into, matmul, matmul_into,
     matmul_qq_into,
 };
-pub use norm::{
-    batchnorm2d, batchnorm2d_into, batchnorm2d_parts_into, layernorm, layernorm_into,
-    BatchNormParams,
-};
+pub use norm::{batchnorm2d_parts_into, layernorm_into};
 pub use operand::{ActOperand, PackedWeight, WeightOperand};
-pub use pool::{
-    avg_pool2d, avg_pool2d_into, global_avg_pool2d, global_avg_pool2d_into, max_pool2d,
-    max_pool2d_into,
-};
+pub use pool::{avg_pool2d_into, global_avg_pool2d_into, max_pool2d_into};
 
 use rayon::prelude::*;
 use std::fmt;

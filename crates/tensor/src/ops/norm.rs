@@ -6,57 +6,9 @@
 
 use crate::tensor::Tensor;
 
-/// Inference-time BatchNorm parameters: the learned affine (gamma, beta)
-/// and the running statistics (mean, var) collected during training — the
-/// statistics the paper's *BatchNorm calibration* step re-estimates after
-/// quantization (§3, Figure 7).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchNormParams {
-    /// Per-channel scale (γ).
-    pub gamma: Tensor,
-    /// Per-channel shift (β).
-    pub beta: Tensor,
-    /// Per-channel running mean.
-    pub mean: Tensor,
-    /// Per-channel running variance.
-    pub var: Tensor,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-}
-
-impl BatchNormParams {
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.gamma.len()
-    }
-}
-
-/// Inference BatchNorm over NCHW input:
-/// `y = γ (x − mean) / sqrt(var + ε) + β` per channel.
-///
-/// # Panics
-///
-/// Panics if the input is not 4-D or the channel counts disagree.
-pub fn batchnorm2d(x: &Tensor, p: &BatchNormParams) -> Tensor {
-    let mut out = Tensor::default();
-    batchnorm2d_into(x, p, &mut out);
-    out
-}
-
-/// Out-param variant of [`batchnorm2d`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`batchnorm2d`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics if the input is not 4-D or the channel counts disagree.
-pub fn batchnorm2d_into(x: &Tensor, p: &BatchNormParams, out: &mut Tensor) {
-    batchnorm2d_parts_into(x, &p.gamma, &p.beta, &p.mean, &p.var, p.eps, out)
-}
-
-/// [`batchnorm2d_into`] with the parameters passed as individual borrowed
-/// tensors (so planned execution can feed the graph's bound parameters
-/// without assembling an owned [`BatchNormParams`]). Bit-identical to
-/// [`batchnorm2d`].
+/// Inference BatchNorm over NCHW input into `out`, reusing its
+/// allocation: `y = γ (x − mean) / sqrt(var + ε) + β` per channel, with
+/// γ, β and the running mean and variance as `[C]` tensors.
 ///
 /// # Panics
 ///
@@ -91,20 +43,8 @@ pub fn batchnorm2d_parts_into(
     }
 }
 
-/// LayerNorm over the last dimension:
+/// LayerNorm over the last dimension into `out`, reusing its allocation:
 /// `y = γ (x − μ) / sqrt(σ² + ε) + β`, with μ/σ² computed per row.
-///
-/// # Panics
-///
-/// Panics if `gamma`/`beta` lengths differ from the last dimension.
-pub fn layernorm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-    let mut out = Tensor::default();
-    layernorm_into(x, gamma, beta, eps, &mut out);
-    out
-}
-
-/// Out-param variant of [`layernorm`]: writes into `out`, reusing its
-/// allocation. Bit-identical to [`layernorm`] (which delegates here).
 ///
 /// # Panics
 ///
@@ -134,6 +74,29 @@ pub fn layernorm_into(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32, out: 
 mod tests {
     use super::*;
     use crate::rng::TensorRng;
+
+    /// Inference-time BatchNorm parameters: the learned affine (gamma,
+    /// beta) and the running statistics (mean, var).
+    struct BatchNormParams {
+        gamma: Tensor,
+        beta: Tensor,
+        mean: Tensor,
+        var: Tensor,
+        eps: f32,
+    }
+
+    /// Inference BatchNorm of `x` under `p`, into a fresh tensor.
+    fn batchnorm2d(x: &Tensor, p: &BatchNormParams) -> Tensor {
+        let mut out = Tensor::default();
+        batchnorm2d_parts_into(x, &p.gamma, &p.beta, &p.mean, &p.var, p.eps, &mut out);
+        out
+    }
+
+    fn layernorm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+        let mut out = Tensor::default();
+        layernorm_into(x, gamma, beta, eps, &mut out);
+        out
+    }
 
     /// Per-channel mean and variance of NCHW activations, as `[C]` tensors.
     ///

@@ -2,18 +2,12 @@
 
 use crate::tensor::Tensor;
 
-/// Max pooling with square window `k` and stride `k` (non-overlapping).
+/// Max pooling with square window `k` and stride `k` (non-overlapping)
+/// into `out`, reusing its allocation.
 ///
 /// # Panics
 ///
 /// Panics if the input is not 4-D or smaller than the window.
-pub fn max_pool2d(x: &Tensor, k: usize) -> Tensor {
-    let mut out = Tensor::default();
-    max_pool2d_into(x, k, &mut out);
-    out
-}
-
-/// Out-param [`max_pool2d`] (bit-identical, reuses `out`'s allocation).
 pub fn max_pool2d_into(x: &Tensor, k: usize, out: &mut Tensor) {
     pool2d_into(
         x,
@@ -25,35 +19,22 @@ pub fn max_pool2d_into(x: &Tensor, k: usize, out: &mut Tensor) {
     )
 }
 
-/// Average pooling with square window `k` and stride `k`.
+/// Average pooling with square window `k` and stride `k` into `out`,
+/// reusing its allocation.
 ///
 /// # Panics
 ///
 /// Panics if the input is not 4-D or smaller than the window.
-pub fn avg_pool2d(x: &Tensor, k: usize) -> Tensor {
-    let mut out = Tensor::default();
-    avg_pool2d_into(x, k, &mut out);
-    out
-}
-
-/// Out-param [`avg_pool2d`] (bit-identical, reuses `out`'s allocation).
 pub fn avg_pool2d_into(x: &Tensor, k: usize, out: &mut Tensor) {
     pool2d_into(x, k, |acc, v| acc + v, 0.0, |acc, n| acc / n as f32, out)
 }
 
-/// Global average pooling: `[N, C, H, W]` → `[N, C]`.
+/// Global average pooling, `[N, C, H, W]` → `[N, C]`, into `out`, reusing
+/// its allocation.
 ///
 /// # Panics
 ///
 /// Panics if the input is not 4-D.
-pub fn global_avg_pool2d(x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    global_avg_pool2d_into(x, &mut out);
-    out
-}
-
-/// Out-param [`global_avg_pool2d`] (bit-identical, reuses `out`'s
-/// allocation).
 pub fn global_avg_pool2d_into(x: &Tensor, out: &mut Tensor) {
     assert_eq!(x.ndim(), 4, "global_avg_pool2d expects NCHW");
     let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
@@ -104,6 +85,24 @@ fn pool2d_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn max_pool2d(x: &Tensor, k: usize) -> Tensor {
+        let mut out = Tensor::default();
+        max_pool2d_into(x, k, &mut out);
+        out
+    }
+
+    fn avg_pool2d(x: &Tensor, k: usize) -> Tensor {
+        let mut out = Tensor::default();
+        avg_pool2d_into(x, k, &mut out);
+        out
+    }
+
+    fn global_avg_pool2d(x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        global_avg_pool2d_into(x, &mut out);
+        out
+    }
 
     #[test]
     fn max_pool_picks_max() {

@@ -173,7 +173,7 @@ pub(crate) fn conv2d_dims(
     Ok([n, cout, oh, ow])
 }
 
-/// [`crate::ops::embedding`]: table `[vocab, dim]`, `n_ids` lookups →
+/// [`crate::ops::embedding_into`]: table `[vocab, dim]`, `n_ids` lookups →
 /// `[n_ids, dim]`. Id *values* are data-dependent and checked at run time.
 pub fn embedding_shape(table: &[usize], n_ids: usize) -> Result<Shape, ShapeError> {
     if table.len() != 2 {
@@ -182,7 +182,7 @@ pub fn embedding_shape(table: &[usize], n_ids: usize) -> Result<Shape, ShapeErro
     Ok(vec![n_ids, table[1]])
 }
 
-/// [`crate::ops::batchnorm2d`]: NCHW input, per-channel parameter vectors
+/// [`crate::ops::batchnorm2d_parts_into`]: NCHW input, per-channel parameter vectors
 /// of length C.
 pub fn batchnorm2d_shape(
     x: &[usize],
@@ -211,7 +211,7 @@ pub fn batchnorm2d_shape(
     Ok(x.to_vec())
 }
 
-/// [`crate::ops::layernorm`]: affine vectors must match the last dimension.
+/// [`crate::ops::layernorm_into`]: affine vectors must match the last dimension.
 pub fn layernorm_shape(x: &[usize], gamma: &[usize], beta: &[usize]) -> Result<Shape, ShapeError> {
     let Some(&d) = x.last() else {
         return err("layernorm needs >=1-D input".into());
@@ -255,7 +255,7 @@ pub fn broadcast_shape(big: &[usize], small: &[usize]) -> Result<Shape, ShapeErr
     Ok(big.to_vec())
 }
 
-/// [`crate::ops::softmax_lastdim`] (shape-preserving; needs >= 1-D).
+/// [`crate::ops::softmax_lastdim_into`] (shape-preserving; needs >= 1-D).
 pub fn softmax_shape(x: &[usize]) -> Result<Shape, ShapeError> {
     if x.is_empty() {
         return err("softmax needs >=1-D input".into());
@@ -263,7 +263,7 @@ pub fn softmax_shape(x: &[usize]) -> Result<Shape, ShapeError> {
     Ok(x.to_vec())
 }
 
-/// [`crate::ops::max_pool2d`] / [`crate::ops::avg_pool2d`]: NCHW input at
+/// [`crate::ops::max_pool2d_into`] / [`crate::ops::avg_pool2d_into`]: NCHW input at
 /// least as large as the (positive) window.
 pub fn pool2d_shape(x: &[usize], k: usize) -> Result<Shape, ShapeError> {
     if x.len() != 4 {
@@ -279,7 +279,7 @@ pub fn pool2d_shape(x: &[usize], k: usize) -> Result<Shape, ShapeError> {
     Ok(vec![n, c, h / k, w / k])
 }
 
-/// [`crate::ops::global_avg_pool2d`]: `[N,C,H,W] → [N,C]` with a non-empty
+/// [`crate::ops::global_avg_pool2d_into`]: `[N,C,H,W] → [N,C]` with a non-empty
 /// spatial extent (the mean of zero pixels is undefined).
 pub fn global_avg_pool2d_shape(x: &[usize]) -> Result<Shape, ShapeError> {
     if x.len() != 4 {

@@ -5,7 +5,6 @@
 //! MSE-sweep methods. All of those reduce to the statistics implemented
 //! here: running min/max/absmax, percentiles and histograms.
 
-use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Running range of everything an observer has seen: what the recipes
@@ -140,44 +139,6 @@ impl TensorStats {
     }
 }
 
-/// Per-channel stats for a tensor viewed as `[channels, inner]` (weights)
-/// or `[outer, channels, inner]` (activations).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ChannelStats {
-    /// One accumulator per channel.
-    pub channels: Vec<TensorStats>,
-}
-
-impl ChannelStats {
-    /// Observe a tensor with channels on `axis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= t.ndim()`.
-    pub fn observe(&mut self, t: &Tensor, axis: usize) {
-        let shape = t.shape();
-        assert!(axis < shape.len(), "axis out of range");
-        let c = shape[axis];
-        let inner: usize = shape[axis + 1..].iter().product();
-        let outer: usize = shape[..axis].iter().product();
-        if self.channels.len() < c {
-            self.channels.resize_with(c, TensorStats::default);
-        }
-        let data = t.data();
-        for o in 0..outer {
-            for ch in 0..c {
-                let base = (o * c + ch) * inner;
-                self.channels[ch].update(&data[base..base + inner]);
-            }
-        }
-    }
-
-    /// Per-channel absmax values.
-    pub fn absmax(&self) -> Vec<f32> {
-        self.channels.iter().map(|s| s.absmax).collect()
-    }
-}
-
 /// A fixed-width histogram over `[-bound, bound]`, the data structure
 /// behind the KL and percentile calibrators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -292,6 +253,45 @@ pub fn mse(a: &[f32], b: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+
+    /// Per-channel stats for a tensor viewed as `[channels, inner]` (weights)
+    /// or `[outer, channels, inner]` (activations).
+    #[derive(Default)]
+    struct ChannelStats {
+        /// One accumulator per channel.
+        channels: Vec<TensorStats>,
+    }
+
+    impl ChannelStats {
+        /// Observe a tensor with channels on `axis`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `axis >= t.ndim()`.
+        fn observe(&mut self, t: &Tensor, axis: usize) {
+            let shape = t.shape();
+            assert!(axis < shape.len(), "axis out of range");
+            let c = shape[axis];
+            let inner: usize = shape[axis + 1..].iter().product();
+            let outer: usize = shape[..axis].iter().product();
+            if self.channels.len() < c {
+                self.channels.resize_with(c, TensorStats::default);
+            }
+            let data = t.data();
+            for o in 0..outer {
+                for ch in 0..c {
+                    let base = (o * c + ch) * inner;
+                    self.channels[ch].update(&data[base..base + inner]);
+                }
+            }
+        }
+
+        /// Per-channel absmax values.
+        fn absmax(&self) -> Vec<f32> {
+            self.channels.iter().map(|s| s.absmax).collect()
+        }
+    }
 
     /// Signal-to-quantization-noise ratio in dB: `10 log10(E[x²] / MSE)`.
     /// Returns +inf for a perfect reconstruction.

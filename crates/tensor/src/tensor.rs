@@ -365,16 +365,6 @@ impl Tensor {
         self.zip_broadcast(other, |a, b| a + b)
     }
 
-    /// Elementwise multiply with broadcasting.
-    pub fn mul(&self, other: &Tensor) -> Self {
-        self.zip_broadcast(other, |a, b| a * b)
-    }
-
-    /// Elementwise subtract with broadcasting.
-    pub fn sub(&self, other: &Tensor) -> Self {
-        self.zip_broadcast(other, |a, b| a - b)
-    }
-
     /// Scale all elements by a constant.
     pub fn scale(&self, s: f32) -> Self {
         self.map(|x| x * s)
@@ -550,6 +540,13 @@ impl fmt::Debug for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tensor {
+        /// Elementwise multiply with broadcasting.
+        fn mul(&self, other: &Tensor) -> Self {
+            self.zip_broadcast(other, |a, b| a * b)
+        }
+    }
 
     #[test]
     fn construct_and_index() {

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use ptq_tensor::ops::{batch_matmul, linear, matmul, softmax_lastdim};
+use ptq_tensor::ops::{batch_matmul, linear, matmul, softmax_lastdim_into};
 use ptq_tensor::{stats, Tensor, TensorRng};
 
 fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -65,8 +65,9 @@ proptest! {
     #[test]
     fn softmax_properties(rows in 1usize..5, cols in 1usize..8, shift in -100.0f32..100.0, seed in 0u64..500) {
         let x = tensor(rows, cols, seed);
-        let s1 = softmax_lastdim(&x);
-        let s2 = softmax_lastdim(&x.map(|v| v + shift));
+        let (mut s1, mut s2) = (Tensor::default(), Tensor::default());
+        softmax_lastdim_into(&x, &mut s1);
+        softmax_lastdim_into(&x.map(|v| v + shift), &mut s2);
         for r in 0..rows {
             let sum: f32 = s1.row(r).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4);
